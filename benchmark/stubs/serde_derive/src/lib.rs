@@ -1,0 +1,14 @@
+//! No-op `Serialize` / `Deserialize` derives. They declare the `serde`
+//! helper attribute so `#[serde(...)]` on fields still parses.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
