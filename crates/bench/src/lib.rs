@@ -27,7 +27,6 @@
 pub mod chart;
 pub mod harness;
 pub mod madlib_exp;
-pub mod report;
 pub mod scopus_exp;
 pub mod text_exp;
 

@@ -14,7 +14,7 @@
 //! recovery: a statement that panics mid-execution (releasing its permit
 //! during unwind) must not wedge the queue for everyone behind it.
 //!
-//! [`EngineConfig::max_concurrent_statements`]: crate::engine::EngineConfig::max_concurrent_statements
+//! [`EngineConfig::max_concurrent_statements`]: crate::EngineConfig::max_concurrent_statements
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;

@@ -483,3 +483,83 @@ impl Expr {
         }
     }
 }
+
+/// Qualify unqualified column references with `table`. `ON CONFLICT DO
+/// UPDATE` expressions resolve bare columns to the existing row; both the
+/// engine and the semantic analyzer apply this rewrite before binding them.
+pub(crate) fn qualify_bare_columns(e: &mut Expr, table: &str) {
+    match e {
+        Expr::Column { qualifier, .. } => {
+            if qualifier.is_none() {
+                *qualifier = Some(table.to_string());
+            }
+        }
+        Expr::Literal(..) | Expr::Param(..) => {}
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            qualify_bare_columns(expr, table);
+        }
+        Expr::Binary { left, right, .. } => {
+            qualify_bare_columns(left, table);
+            qualify_bare_columns(right, table);
+        }
+        Expr::InList { expr, list, .. } => {
+            qualify_bare_columns(expr, table);
+            for i in list {
+                qualify_bare_columns(i, table);
+            }
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            qualify_bare_columns(expr, table);
+            qualify_bare_columns(low, table);
+            qualify_bare_columns(high, table);
+        }
+        Expr::Like { expr, pattern, .. } => {
+            qualify_bare_columns(expr, table);
+            qualify_bare_columns(pattern, table);
+        }
+        Expr::Case {
+            operand,
+            branches,
+            else_expr,
+            ..
+        } => {
+            if let Some(o) = operand {
+                qualify_bare_columns(o, table);
+            }
+            for (w, th) in branches {
+                qualify_bare_columns(w, table);
+                qualify_bare_columns(th, table);
+            }
+            if let Some(el) = else_expr {
+                qualify_bare_columns(el, table);
+            }
+        }
+        Expr::Function { args, .. } => {
+            for a in args {
+                qualify_bare_columns(a, table);
+            }
+        }
+        Expr::Aggregate { arg, .. } => {
+            if let Some(a) = arg {
+                qualify_bare_columns(a, table);
+            }
+        }
+        Expr::WindowRowNumber {
+            partition_by,
+            order_by,
+            ..
+        } => {
+            for p in partition_by {
+                qualify_bare_columns(p, table);
+            }
+            for oi in order_by {
+                qualify_bare_columns(&mut oi.expr, table);
+            }
+        }
+        // Subquery bodies have their own scopes.
+        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
+        Expr::InSubquery { expr, .. } => qualify_bare_columns(expr, table),
+    }
+}

@@ -125,6 +125,16 @@ impl Table {
         self.rows.len()
     }
 
+    /// Names of the primary-key columns, in key order (empty without one).
+    pub fn primary_key_names(&self) -> Vec<String> {
+        self.primary.as_ref().map_or_else(Vec::new, |p| {
+            p.key_columns
+                .iter()
+                .map(|&i| self.schema.columns[i].name.clone())
+                .collect()
+        })
+    }
+
     /// Observed columnar state as `(chunk_count, dict_columns)` — both zero
     /// until a vectorized query first builds the chunks (chunks are lazy,
     /// and this reports without forcing a build).

@@ -1,303 +1,38 @@
-//! The public database facade.
+//! The public database facade and the statement driver.
 //!
 //! [`Database`] owns the catalog behind a `parking_lot::RwLock`. Queries
 //! plan under a read lock and execute on `Arc` row snapshots after the lock
 //! is released; DML takes the write lock for its duration.
+//!
+//! Every SQL statement runs one lifecycle, whichever entry point it came
+//! through ([`Database::run_statement`]): `begin` → `parse` → `check` →
+//! `plan_or_fetch` → `bind` → `run` → `finish`. Entry points differ only in
+//! the stage they join at ([`Entry`]) and in how they use the plan cache
+//! ([`CacheUse`]); phase timings come from the statement's one
+//! [`PhaseClock`].
 
-use std::collections::HashMap;
+mod dml;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use crate::ast::{ConflictAction, Expr, InsertSource, Query, Statement};
-use crate::catalog::{Catalog, Column, InsertOutcome, ResolvedConflict, Schema, Table};
+use crate::admission::{AdmissionGate, AdmissionPermit};
+use crate::ast::{ExplainMode, Query, Statement};
+use crate::catalog::{Catalog, Schema};
+use crate::config::EngineConfig;
 use crate::error::{EngineError, Result, Span};
 use crate::exec::{ExecContext, MemoryBudget, OpStats, WorkerPool};
-use crate::expr::{bind_expr, ColLabel, Scope};
 use crate::parser::{parse_script_spanned, parse_statement};
-use crate::plan::{PlannedQuery, Planner, PlannerConfig, VirtualTables};
-use crate::telemetry::{sys, Histogram, QueryStatus, StatementProbe, Telemetry};
-use crate::trace::{
-    AttrValue, StatementTrace, TraceCtx, TraceSampling, TraceScope, WaitClass, WaitTotals,
-    ROOT_SPAN,
-};
-use crate::value::{DataType, Row, Value};
+use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
+use crate::plan_cache::{CacheHit, CacheUse, PlanCache};
+use crate::telemetry::{sys, QueryStatus, Telemetry};
+use crate::trace::{Phase, PhaseClock, StatementTrace, TraceScope};
+use crate::value::{Row, Value};
 use crate::verify::{ParamDiscipline, SnapshotGuarantee, VerifyReport, VerifyRule};
-use crate::wal::{self, push_insert, StorageIo, SyncPolicy, Wal, WalOp};
-
-/// Engine configuration. The three profiles used by the benchmark harness to
-/// emulate distinct DBMS behaviours are built from these knobs (see
-/// [`EngineConfig::profile_a`] etc.).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Algorithm for detected equi-joins.
-    pub join_algo: crate::plan::JoinAlgo,
-    /// Materialize CTEs once instead of inlining their plans.
-    pub materialize_ctes: bool,
-    /// Number of executor worker threads. `1` (the default, and what every
-    /// benchmark profile uses) runs the exact serial interpreter path;
-    /// `>= 2` enables the morsel-parallel operators backed by a persistent
-    /// worker pool owned by the [`Database`].
-    pub parallelism: usize,
-    /// Match equality / `IN`-list predicates and join keys against table
-    /// indexes, planning `IndexScan` / index-nested-loop joins instead of
-    /// full scans. Disable to force full-scan plans.
-    pub use_indexes: bool,
-    /// Cache physical plans keyed by SQL text + catalog version, so repeated
-    /// serving calls skip parse + plan. Parameterized statements are cached
-    /// as *templates*: `?` markers stay symbolic in the plan and each
-    /// execution binds its parameter values into a fresh copy of the tree.
-    pub plan_cache: bool,
-    /// Abort statements whose execution exceeds this wall-clock budget with
-    /// [`EngineError::Timeout`]. Checked at operator and morsel boundaries,
-    /// so a pathological plan (e.g. an unconstrained cross join) cannot run
-    /// unbounded. `None` (the default) disables the check.
-    pub statement_timeout: Option<Duration>,
-    /// Fsync policy for the write-ahead log of durable databases (ignored
-    /// by purely in-memory databases).
-    pub wal_sync: SyncPolicy,
-    /// Group commit: under [`SyncPolicy::Always`], coalesce the WAL appends
-    /// of overlapping writers into a single fsync. Each statement enqueues
-    /// its frame while holding the catalog lock and blocks for durability
-    /// after releasing it, so concurrent commits share one fsync while the
-    /// acknowledgement guarantee is unchanged (a statement returns only
-    /// after its frame is on disk). No effect under other sync policies.
-    pub wal_group_commit: bool,
-    /// Fold the log into a checkpoint once it exceeds this many bytes
-    /// (0 disables the automatic trigger; [`Database::checkpoint`] still
-    /// works). Ignored by purely in-memory databases.
-    pub checkpoint_after_bytes: u64,
-    /// Collect runtime telemetry (statement phase timings, the
-    /// `sys.query_log` ring, WAL and serving metrics). Disabling turns every
-    /// recording site into a cheap branch; the `sys.*` tables stay queryable
-    /// but report empty/zero data.
-    pub telemetry: bool,
-    /// Statements whose total duration reaches this threshold are flagged
-    /// `slow = 1` in `sys.query_log`.
-    pub slow_query_threshold: Duration,
-    /// Number of statements retained by the `sys.query_log` ring buffer.
-    pub query_log_capacity: usize,
-    /// Attach columnar chunk caches to base-table scans so eligible
-    /// Filter/Project/Aggregate chains run on the vectorized kernels.
-    /// Disable to force the row-at-a-time path everywhere — the executor
-    /// produces identical results either way, which is what the
-    /// differential test suites assert.
-    pub vectorized: bool,
-    /// Run the post-planning static plan verifier (see [`crate::verify`]) on
-    /// every plan — freshly planned or served from the cache — and fail the
-    /// statement with a spanned [`EngineError::Verify`] when any of the five
-    /// invariant classes is violated. Defaults to on in debug builds (tests,
-    /// CI) and off in release builds, keeping the serving hot path free of
-    /// the walk; `EXPLAIN (VERIFY)` runs the verifier on demand regardless.
-    pub verify_plans: bool,
-    /// Per-statement memory budget in bytes for pipeline-breaking operator
-    /// state (hash-join builds, aggregate hash tables, sort runs,
-    /// `DISTINCT`/`UNION` dedup sets, materialized `UNION ALL` output). A
-    /// statement that exceeds the budget aborts with the retryable
-    /// [`EngineError::ResourceExhausted`] instead of driving the process
-    /// toward OOM. `None` (the default) disables enforcement; peak usage is
-    /// still tracked and surfaced in `sys.query_log`.
-    pub memory_budget: Option<u64>,
-    /// Maximum statements executing concurrently. When set, every statement
-    /// entry point passes an admission gate: beyond this many running
-    /// statements, up to [`EngineConfig::admission_queue_depth`] statements
-    /// wait for a slot and the rest are shed immediately with the retryable
-    /// [`EngineError::Overloaded`]. `None` (the default) disables admission
-    /// control entirely.
-    pub max_concurrent_statements: Option<usize>,
-    /// Bounded wait-queue depth for the admission gate (only meaningful with
-    /// [`EngineConfig::max_concurrent_statements`]). A queued statement whose
-    /// `statement_timeout` deadline expires before a slot frees is shed.
-    pub admission_queue_depth: usize,
-    /// Retry policy for transient WAL storage failures (see
-    /// [`crate::wal::WalRetry`]). The default retries nothing: a failed
-    /// append wedges the WAL into degraded read-only mode exactly as before.
-    pub wal_retry: crate::wal::WalRetry,
-    /// Per-statement hierarchical trace capture (see [`TraceSampling`] and
-    /// [`crate::trace`]). `Off` (the default) adds zero clock reads to any
-    /// statement path; `On` tentatively records every statement's span tree
-    /// and keeps errors and slow statements always, the rest under a
-    /// deterministic seeded sampler. Kept traces are queryable through
-    /// `sys.trace_spans`. Requires [`EngineConfig::telemetry`].
-    pub trace_sampling: TraceSampling,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            join_algo: crate::plan::JoinAlgo::Hash,
-            materialize_ctes: false,
-            parallelism: 1,
-            use_indexes: true,
-            plan_cache: true,
-            statement_timeout: None,
-            wal_sync: SyncPolicy::OnCommit,
-            wal_group_commit: false,
-            checkpoint_after_bytes: 4 << 20,
-            telemetry: true,
-            slow_query_threshold: Duration::from_millis(100),
-            query_log_capacity: 256,
-            vectorized: true,
-            verify_plans: cfg!(debug_assertions),
-            memory_budget: None,
-            max_concurrent_statements: None,
-            admission_queue_depth: 16,
-            wal_retry: crate::wal::WalRetry::default(),
-            trace_sampling: TraceSampling::default(),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Profile A — hash joins, pipelined CTEs (PostgreSQL-like behaviour).
-    pub fn profile_a() -> Self {
-        EngineConfig {
-            join_algo: crate::plan::JoinAlgo::Hash,
-            materialize_ctes: false,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Profile B — hash joins, materialized CTEs (MySQL-like behaviour).
-    pub fn profile_b() -> Self {
-        EngineConfig {
-            join_algo: crate::plan::JoinAlgo::Hash,
-            materialize_ctes: true,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Profile C — sort-merge joins, pipelined CTEs (an engine without hash
-    /// joins; SQLite's B-tree-driven plans behave like this on these
-    /// shapes).
-    pub fn profile_c() -> Self {
-        EngineConfig {
-            join_algo: crate::plan::JoinAlgo::SortMerge,
-            materialize_ctes: false,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Builder-style override of the executor parallelism (clamped to ≥ 1).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Builder-style toggle of index-aware planning.
-    pub fn with_index_scans(mut self, on: bool) -> Self {
-        self.use_indexes = on;
-        self
-    }
-
-    /// Builder-style toggle of the physical-plan cache.
-    pub fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
-        self
-    }
-
-    /// Builder-style statement timeout.
-    pub fn with_statement_timeout(mut self, limit: Duration) -> Self {
-        self.statement_timeout = Some(limit);
-        self
-    }
-
-    /// Builder-style WAL fsync policy.
-    pub fn with_wal_sync(mut self, sync: SyncPolicy) -> Self {
-        self.wal_sync = sync;
-        self
-    }
-
-    /// Builder-style toggle of WAL group commit (see
-    /// [`EngineConfig::wal_group_commit`]).
-    pub fn with_wal_group_commit(mut self, on: bool) -> Self {
-        self.wal_group_commit = on;
-        self
-    }
-
-    /// Builder-style automatic-checkpoint threshold (bytes of WAL).
-    pub fn with_checkpoint_after_bytes(mut self, bytes: u64) -> Self {
-        self.checkpoint_after_bytes = bytes;
-        self
-    }
-
-    /// Builder-style toggle of telemetry collection.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    /// Builder-style slow-query threshold for `sys.query_log`.
-    pub fn with_slow_query_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_query_threshold = threshold;
-        self
-    }
-
-    /// Builder-style `sys.query_log` ring capacity (clamped to ≥ 1).
-    pub fn with_query_log_capacity(mut self, capacity: usize) -> Self {
-        self.query_log_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builder-style toggle of columnar/vectorized execution.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// Builder-style toggle of the static plan verifier (see
-    /// [`EngineConfig::verify_plans`]).
-    pub fn with_verify_plans(mut self, on: bool) -> Self {
-        self.verify_plans = on;
-        self
-    }
-
-    /// Builder-style per-statement memory budget in bytes (see
-    /// [`EngineConfig::memory_budget`]).
-    pub fn with_memory_budget(mut self, bytes: u64) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Builder-style admission-control concurrency cap (clamped to ≥ 1; see
-    /// [`EngineConfig::max_concurrent_statements`]).
-    pub fn with_max_concurrent_statements(mut self, max: usize) -> Self {
-        self.max_concurrent_statements = Some(max.max(1));
-        self
-    }
-
-    /// Builder-style admission wait-queue depth (see
-    /// [`EngineConfig::admission_queue_depth`]).
-    pub fn with_admission_queue_depth(mut self, depth: usize) -> Self {
-        self.admission_queue_depth = depth;
-        self
-    }
-
-    /// Builder-style WAL transient-failure retry policy (see
-    /// [`EngineConfig::wal_retry`]).
-    pub fn with_wal_retry(mut self, retry: crate::wal::WalRetry) -> Self {
-        self.wal_retry = retry;
-        self
-    }
-
-    /// Builder-style trace sampling policy (see
-    /// [`EngineConfig::trace_sampling`]).
-    pub fn with_trace_sampling(mut self, sampling: TraceSampling) -> Self {
-        self.trace_sampling = sampling;
-        self
-    }
-
-    fn planner(&self) -> PlannerConfig {
-        PlannerConfig {
-            join_algo: self.join_algo,
-            materialize_ctes: self.materialize_ctes,
-            use_indexes: self.use_indexes,
-            vectorized: self.vectorized,
-        }
-    }
-}
+use crate::wal::{self, StorageIo, Wal};
 
 /// The result of a `SELECT`.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,6 +52,15 @@ impl QueryResult {
     /// First value of the first row, if any.
     pub fn scalar(&self) -> Option<&Value> {
         self.rows.first().and_then(|r| r.first())
+    }
+
+    /// A one-column result holding `text` line by line (the shape of every
+    /// rendered `EXPLAIN` variant).
+    fn lines(column: &str, text: &str) -> QueryResult {
+        QueryResult {
+            columns: vec![column.to_string()],
+            rows: text.lines().map(|l| vec![Value::Str(l.into())]).collect(),
+        }
     }
 }
 
@@ -344,94 +88,6 @@ impl StatementResult {
     }
 }
 
-/// Upper bound on cached plans. Serving workloads cycle through a handful of
-/// statement texts; the bound only guards against unbounded ad-hoc traffic.
-const PLAN_CACHE_CAPACITY: usize = 128;
-
-/// Normalize a statement's text into its plan-cache key: runs of whitespace
-/// collapse to one space and keywords lowercase, while identifiers and
-/// string literals keep their exact spelling (identifier case shows up in
-/// output column names, so it is significant). Differently formatted copies
-/// of the same statement thus share one cached plan template.
-fn normalize_cache_key(sql: &str) -> String {
-    let bytes = sql.as_bytes();
-    let mut out = String::with_capacity(sql.len());
-    let mut pending_space = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_whitespace() {
-            pending_space = !out.is_empty();
-            i += 1;
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if b == b'\'' {
-            // String literal: copied verbatim through the closing quote,
-            // with '' staying an escaped quote.
-            let start = i;
-            i += 1;
-            while i < bytes.len() {
-                if bytes[i] == b'\'' {
-                    if bytes.get(i + 1) == Some(&b'\'') {
-                        i += 2;
-                        continue;
-                    }
-                    i += 1;
-                    break;
-                }
-                i += 1;
-            }
-            out.push_str(&sql[start..i]);
-        } else if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            let word = &sql[start..i];
-            if crate::lexer::is_keyword(word) {
-                for c in word.chars() {
-                    out.push(c.to_ascii_lowercase());
-                }
-            } else {
-                out.push_str(word);
-            }
-        } else {
-            let len = sql[i..].chars().next().map_or(1, char::len_utf8);
-            out.push_str(&sql[i..i + len]);
-            i += len;
-        }
-    }
-    out
-}
-
-/// A cached physical plan tagged with the catalog version it was planned
-/// against; served only while the version still matches.
-struct CachedPlan {
-    version: u64,
-    planned: Arc<PlannedQuery>,
-    /// The plan is a *template*: `?` markers were kept symbolic
-    /// ([`crate::expr::PhysExpr::Param`] nodes) and must be bound with
-    /// [`crate::plan::bind_plan_params`] before execution.
-    has_params: bool,
-    /// Catalog version at the last *successful* verifier walk of this entry
-    /// ([`UNVERIFIED`] when none). The plan tree behind the `Arc` is
-    /// immutable and verification is deterministic in (plan, catalog
-    /// version), so a hit at the same version can skip the walk — this is
-    /// what keeps the verifier's cost off the cached serving hot path.
-    /// Shared (not copied) with in-flight executions so a successful walk
-    /// marks the entry itself.
-    verified_version: Arc<AtomicU64>,
-}
-
-/// Sentinel for [`CachedPlan::verified_version`]: the entry has not passed a
-/// verifier walk (never verified, or deliberately reset by the corruption
-/// test seam).
-const UNVERIFIED: u64 = u64::MAX;
-
 /// An embedded, in-memory relational database.
 pub struct Database {
     catalog: RwLock<Catalog>,
@@ -447,11 +103,8 @@ pub struct Database {
     /// backwards, which keeps a rolled-back catalog from aliasing a future
     /// version number.
     catalog_version: AtomicU64,
-    /// Physical plans of parameterless queries, keyed by SQL text.
-    plan_cache: Mutex<HashMap<String, CachedPlan>>,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
+    /// Physical plans of queries, keyed by normalized SQL text.
+    plan_cache: PlanCache,
     /// Write-ahead log of committed logical changes; `None` for purely
     /// in-memory databases (`Database::new`).
     wal: Option<Wal>,
@@ -460,67 +113,72 @@ pub struct Database {
     telemetry: Arc<Telemetry>,
     /// Bounded statement admission gate; `None` unless
     /// [`EngineConfig::max_concurrent_statements`] is set.
-    admission: Option<Arc<crate::admission::AdmissionGate>>,
+    admission: Option<Arc<AdmissionGate>>,
 }
 
-/// Per-statement execution state: the wall-clock deadline (derived from
+/// One statement in flight: the wall-clock deadline (derived from
 /// `statement_timeout` when the statement entered the engine, so time spent
 /// queued for admission counts against it), the memory budget shared with
-/// every operator the statement runs, and the admission permit held for the
-/// statement's whole lifetime.
+/// every operator the statement runs, its one clock, and the admission
+/// permit held until the statement finishes.
 struct StatementCtx {
     deadline: Option<Instant>,
     budget: Arc<MemoryBudget>,
-    /// Tentative span recorder; `Some` only when the engine's
-    /// [`TraceSampling`] is on (and telemetry enabled). The keep/drop
-    /// decision happens in `finish_statement`.
-    trace: Option<TraceCtx>,
-    _permit: Option<crate::admission::AdmissionPermit>,
+    clock: PhaseClock,
+    permit: Option<AdmissionPermit>,
 }
 
 impl StatementCtx {
     /// Scope under which WAL spans (fsync wait, retries) recorded while this
-    /// statement executes are parented: the pre-reserved exec span.
+    /// statement executes are parented: the exec phase.
     fn wal_scope(&self) -> Option<TraceScope<'_>> {
-        self.trace.as_ref().map(|ctx| TraceScope {
-            ctx,
-            parent: crate::trace::EXEC_SPAN,
-        })
+        self.clock.exec_scope()
     }
 
-    /// Record one top-level phase span (`parse` / `sema` / `plan`) that
-    /// started at `from` and ends now. No-op when untraced.
-    fn record_phase(&self, name: &'static str, from: Option<Instant>) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_since(ROOT_SPAN, name, from, None, Vec::new());
-        }
-    }
-
-    /// Record the exec span covering `from`..now (no-op when untraced or
-    /// when an inner executor path already recorded it).
-    fn record_exec(&self, from: Option<Instant>) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_exec(from, Vec::new());
-        }
-    }
-
-    /// Record the plan-phase span for a freshly planned (cache-missed)
-    /// query, annotated with its operator count.
-    fn record_plan_span(&self, from: Option<Instant>, plan: &crate::plan::PhysPlan) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_since(
-                ROOT_SPAN,
-                "plan",
-                from,
-                None,
-                vec![
-                    ("cache", AttrValue::Text("miss")),
-                    ("nodes", AttrValue::Int(plan.node_count() as i64)),
-                ],
-            );
+    /// A context for `EXPLAIN (TRACE)`'s target query: it shares this
+    /// statement's deadline and budget but records into its own clock, traced
+    /// regardless of the engine's sampling policy.
+    fn local_trace(&self) -> StatementCtx {
+        StatementCtx {
+            deadline: self.deadline,
+            budget: Arc::clone(&self.budget),
+            clock: PhaseClock::start(true, true),
+            permit: None,
         }
     }
 }
+
+/// The stage at which an entry point joins the statement lifecycle.
+#[derive(Clone, Copy)]
+enum Entry<'a> {
+    /// Statement text: parse and check are still to do.
+    Text,
+    /// A parsed statement still to be checked against the current catalog
+    /// (scripts: earlier statements may create the tables later ones use).
+    Parsed(&'a Statement),
+    /// Parsed and checked at prepare time.
+    Checked(&'a Statement),
+}
+
+/// What the plan stage does with the verifier.
+enum PlanVerify<'a> {
+    /// Run it when `verify_plans` is on; a violation fails the statement.
+    Enforce,
+    /// Run it unconditionally and hand back the report instead of failing
+    /// (`EXPLAIN (VERIFY)`).
+    Report(&'a mut Option<VerifyReport>),
+}
+
+/// The outcome of `plan_or_fetch`: a physical plan, possibly a parameter
+/// template that `bind` must fill before `run`.
+struct Planned {
+    query: Arc<PlannedQuery>,
+    template: bool,
+}
+
+/// What the lifecycle hands back: the statement's result, plus the operator
+/// statistics tree when the caller asked to analyze a query.
+type Outcome = (StatementResult, Option<OpStats>);
 
 impl Default for Database {
     fn default() -> Self {
@@ -540,7 +198,7 @@ impl Database {
             config.query_log_capacity,
         ));
         let admission = config.max_concurrent_statements.map(|max| {
-            Arc::new(crate::admission::AdmissionGate::new(
+            Arc::new(AdmissionGate::new(
                 max,
                 config.admission_queue_depth,
                 Arc::clone(&telemetry),
@@ -552,10 +210,7 @@ impl Database {
             config,
             txn_backup: parking_lot::Mutex::new(None),
             catalog_version: AtomicU64::new(0),
-            plan_cache: Mutex::new(HashMap::new()),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_evictions: AtomicU64::new(0),
+            plan_cache: PlanCache::default(),
             wal: None,
             telemetry,
             admission,
@@ -618,62 +273,6 @@ impl Database {
         self.wal.as_ref().map(|w| w.wal_bytes())
     }
 
-    /// Log one statement's ops to the WAL (no-op for in-memory databases).
-    /// Must be called while still holding the catalog write lock so WAL
-    /// order equals catalog mutation order. Under group commit the returned
-    /// ticket must be passed to [`Database::wal_wait`] *after* the lock
-    /// drops; the statement is durable only once that returns.
-    fn wal_log(
-        &self,
-        catalog: &Catalog,
-        ops: Vec<WalOp>,
-        deadline: Option<Instant>,
-        trace: Option<TraceScope<'_>>,
-    ) -> Result<Option<u64>> {
-        match &self.wal {
-            Some(wal) => wal.log_traced(catalog, ops, deadline, trace.as_ref()),
-            None => Ok(None),
-        }
-    }
-
-    /// Block until a group-commit ticket is durable (no-op for `None`
-    /// tickets, i.e. non-group writes). Callers must have released the
-    /// catalog lock — overlapping writers blocking here concurrently is
-    /// exactly what lets the flush leader coalesce their fsyncs. Also runs
-    /// the automatic checkpoint trigger, which the group path defers until
-    /// the catalog lock is available again.
-    fn wal_wait(
-        &self,
-        ticket: Option<u64>,
-        deadline: Option<Instant>,
-        trace: Option<TraceScope<'_>>,
-    ) -> Result<()> {
-        let (Some(wal), Some(seq)) = (&self.wal, ticket) else {
-            return Ok(());
-        };
-        wal.wait_durable_traced(seq, deadline, trace.as_ref())?;
-        if wal.wants_checkpoint() && !self.in_transaction() {
-            // Plain `write()` (no version bump): the catalog is not mutated.
-            let catalog = self.catalog.write();
-            wal.checkpoint(&catalog)?;
-        }
-        Ok(())
-    }
-
-    /// Take the catalog write lock, bumping the catalog version first so any
-    /// plan cached from here on is tagged with a version that postdates the
-    /// upcoming mutation (see `plan_and_cache` for the ordering argument).
-    fn write_catalog(&self) -> Result<parking_lot::RwLockWriteGuard<'_, Catalog>> {
-        // Degraded read-only mode is enforced here, before any mutation:
-        // every write statement funnels through this lock, so a wedged WAL
-        // refuses the statement while the in-memory state is still intact.
-        if let Some(wal) = &self.wal {
-            wal.check_writable()?;
-        }
-        self.catalog_version.fetch_add(1, Ordering::Release);
-        Ok(self.catalog.write())
-    }
-
     /// Current catalog version (bumped by every DDL/DML write).
     pub fn catalog_version(&self) -> u64 {
         self.catalog_version.load(Ordering::Acquire)
@@ -682,30 +281,31 @@ impl Database {
     /// Plan-cache counters as `(hits, misses)` since the last
     /// [`Database::reset_plan_cache_stats`] (process lifetime otherwise).
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (
-            self.plan_cache_hits.load(Ordering::Relaxed),
-            self.plan_cache_misses.load(Ordering::Relaxed),
-        )
+        let (hits, misses, _) = self.plan_cache.stats();
+        (hits, misses)
     }
 
     /// Plan-cache counters as `(hits, misses, evictions)`. Evictions count
-    /// entries dropped by the capacity bound ([`PLAN_CACHE_CAPACITY`]) —
-    /// both stale-entry reaping and full clears.
+    /// entries dropped by the capacity bound — both stale-entry reaping and
+    /// full clears.
     pub fn plan_cache_metrics(&self) -> (u64, u64, u64) {
-        (
-            self.plan_cache_hits.load(Ordering::Relaxed),
-            self.plan_cache_misses.load(Ordering::Relaxed),
-            self.plan_cache_evictions.load(Ordering::Relaxed),
-        )
+        self.plan_cache.stats()
     }
 
     /// Zero the plan-cache hit/miss/eviction counters (cached plans stay).
     /// Lets tests and monitoring windows measure deltas instead of
     /// process-lifetime totals.
     pub fn reset_plan_cache_stats(&self) {
-        self.plan_cache_hits.store(0, Ordering::Relaxed);
-        self.plan_cache_misses.store(0, Ordering::Relaxed);
-        self.plan_cache_evictions.store(0, Ordering::Relaxed);
+        self.plan_cache.reset_stats();
+    }
+
+    /// Test seam: replace the cached plan for `sql` (if any) with a mutated
+    /// copy, returning whether an entry was found. The plan-corruption
+    /// harness uses this to prove each verifier invariant class fires; it
+    /// has no other callers.
+    #[doc(hidden)]
+    pub fn mutate_cached_plan(&self, sql: &str, mutate: &mut dyn FnMut(&mut PhysPlan)) -> bool {
+        self.plan_cache.mutate(sql, mutate)
     }
 
     /// The engine's telemetry registry (shared with the WAL and BornSQL
@@ -714,117 +314,418 @@ impl Database {
         &self.telemetry
     }
 
-    /// Look `sql` up in the plan cache (under its normalized key); a hit
-    /// requires the entry's catalog version to match the current one.
-    /// Returns the plan, whether it is a parameter template (see
-    /// [`CachedPlan::has_params`]), the entry's catalog version (used by
-    /// the verifier to decide whether snapshot-identity checks may run),
-    /// and the entry's verification marker.
-    fn cached_plan(&self, sql: &str) -> Option<(Arc<PlannedQuery>, bool, u64, Arc<AtomicU64>)> {
-        let version = self.catalog_version.load(Ordering::Acquire);
-        let key = normalize_cache_key(sql);
-        let cache = self.plan_cache.lock();
-        match cache.get(&key) {
-            Some(c) if c.version == version => {
-                self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some((
-                    Arc::clone(&c.planned),
-                    c.has_params,
-                    c.version,
-                    Arc::clone(&c.verified_version),
-                ))
-            }
-            _ => {
-                self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// Whether a transaction started with `BEGIN` is open.
+    pub fn in_transaction(&self) -> bool {
+        self.txn_backup.lock().is_some()
+    }
+
+    pub fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    // ------------------------------------------------------------------
+    // Entry points
+    // ------------------------------------------------------------------
+
+    /// Execute one statement without parameters.
+    pub fn execute(&self, sql: &str) -> Result<StatementResult> {
+        self.execute_with(sql, &[])
+    }
+
+    /// Execute one statement with positional parameters (`?`, `?1`).
+    ///
+    /// Queries go through the plan cache (when enabled): a hit skips parsing
+    /// and planning entirely. Parameterized queries are cached as plan
+    /// *templates* — `?` markers stay symbolic in the cached tree and each
+    /// execution substitutes its values into a fresh copy — except where a
+    /// parameter's value is consumed at plan time (`LIMIT ?`, parameters
+    /// inside subquery bodies, or any parameter under materialized CTEs),
+    /// which plan inline and stay uncached.
+    pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
+        let cache = self.cache_use(sql);
+        self.run_statement(sql, Entry::Text, params, cache, false)
+            .map(|(result, _)| result)
+    }
+
+    /// Execute a semicolon-separated script; returns the last statement's
+    /// result. Each statement runs (and is logged) individually — spans
+    /// recover the original text — so script-driven clients show up in
+    /// `sys.query_log` like everyone else. Script statements do not use the
+    /// plan cache.
+    pub fn execute_script(&self, sql: &str) -> Result<StatementResult> {
+        let mut last = StatementResult::Affected(0);
+        for (stmt, span) in &parse_script_spanned(sql)? {
+            let text = sql
+                .get(span.start as usize..span.end as usize)
+                .unwrap_or(sql)
+                .trim();
+            (last, _) =
+                self.run_statement(text, Entry::Parsed(stmt), &[], CacheUse::Bypass, false)?;
+        }
+        Ok(last)
+    }
+
+    /// Run a `SELECT` and return its rows.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.execute(sql)?.into_rows()
+    }
+
+    /// Run a `SELECT` with parameters.
+    pub fn query_with(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
+        self.execute_with(sql, params)?.into_rows()
+    }
+
+    /// Run a `SELECT` expected to return a single scalar.
+    pub fn query_scalar(&self, sql: &str) -> Result<Value> {
+        let r = self.query(sql)?;
+        r.scalar()
+            .cloned()
+            .ok_or_else(|| EngineError::exec("query returned no rows"))
+    }
+
+    /// Run a `SELECT` and also return the per-operator runtime statistics
+    /// tree (rows in/out and elapsed time per operator). A statement like
+    /// any other — logged, counted, traced — except that it leaves the plan
+    /// cache and its counters alone (see [`CacheUse::Peek`]).
+    pub fn query_analyzed(&self, sql: &str) -> Result<(QueryResult, OpStats)> {
+        let cache = match self.cache_use(sql) {
+            CacheUse::Serve => CacheUse::Peek,
+            other => other,
+        };
+        let (result, stats) = self.run_statement(sql, Entry::Text, &[], cache, true)?;
+        Ok((
+            result.into_rows()?,
+            stats.expect("analyzed queries return stats"),
+        ))
+    }
+
+    /// Execute a query and render its `EXPLAIN ANALYZE` tree.
+    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
+        let (_, stats) = self.query_analyzed(sql)?;
+        Ok(crate::explain::render_analyze(&stats))
+    }
+
+    /// Parse a statement once for repeated execution with different
+    /// parameters. Queries additionally go through the plan cache: the first
+    /// execution plans once (keeping `?` markers symbolic) and caches the
+    /// template; later executions bind their parameter values into the
+    /// cached tree until a catalog write invalidates it.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
+        let stmt = parse_statement(sql)?;
+        self.analyze_statement(&stmt)?;
+        Ok(Prepared {
+            db: self,
+            sql: sql.to_string(),
+            stmt,
+        })
+    }
+
+    /// Statically check a statement against the current catalog without
+    /// planning or executing it. Returns the typed output schema for
+    /// queries (empty for DML/DDL). All execution entry points run the same
+    /// analysis first, so a statement rejected here never executes.
+    pub fn check(&self, sql: &str) -> Result<crate::sema::CheckReport> {
+        let stmt = parse_statement(sql)?;
+        let catalog = self.catalog.read();
+        crate::sema::check_statement(&catalog, &stmt)
+    }
+
+    fn analyze_statement(&self, stmt: &Statement) -> Result<()> {
+        let catalog = self.catalog.read();
+        crate::sema::check_statement(&catalog, stmt).map(|_| ())
+    }
+
+    /// Render the physical plan of a query (an `EXPLAIN` equivalent).
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        let stmt = parse_statement(sql)?;
+        let Statement::Query(query) = stmt else {
+            return Err(EngineError::plan("EXPLAIN supports only SELECT queries"));
+        };
+        crate::sema::check_query(&self.catalog.read(), &query)?;
+        let (planned, _) = self.plan_query(sql, &query, &[], false, PlanVerify::Enforce)?;
+        Ok(crate::explain::render_plan(&planned.plan))
+    }
+
+    /// Names of all tables, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        self.catalog.read().table_names()
+    }
+
+    /// Number of rows in a table.
+    pub fn table_rows(&self, name: &str) -> Result<usize> {
+        Ok(self.catalog.read().get(name)?.row_count())
+    }
+
+    /// Whether a table exists.
+    pub fn has_table(&self, name: &str) -> bool {
+        self.catalog.read().contains(name)
+    }
+
+    /// Dump a table's schema, primary-key columns, and rows (used by
+    /// snapshots).
+    pub fn dump_table(&self, name: &str) -> Result<(Schema, Vec<String>, Arc<Vec<Row>>)> {
+        let catalog = self.catalog.read();
+        let t = catalog.get(name)?;
+        Ok((t.schema.clone(), t.primary_key_names(), Arc::clone(&t.rows)))
+    }
+
+    // ------------------------------------------------------------------
+    // The statement driver
+    // ------------------------------------------------------------------
+
+    /// Plan-cache use of a statement text: `sys.*` statements never touch
+    /// the cache, because their plans embed point-in-time telemetry rows.
+    fn cache_use(&self, sql: &str) -> CacheUse {
+        if self.config.plan_cache && !sys::mentions_sys(sql) {
+            CacheUse::Serve
+        } else {
+            CacheUse::Bypass
         }
     }
 
-    /// Plan a query and store it in the plan cache. With `symbolic` set the
-    /// query contains `?` markers and is planned as a reusable template
-    /// (parameters stay [`crate::expr::PhysExpr::Param`] nodes).
-    ///
-    /// The version is read *before* planning and writers bump it *before*
-    /// taking the write lock, so a plan that raced a writer is tagged with
-    /// the pre-write version and can never be served against the post-write
-    /// catalog — the stale-side error is always a harmless replan.
-    fn plan_and_cache(
+    /// Run one statement through its whole lifecycle. `analyze` asks for the
+    /// operator statistics tree of a query (and refuses anything else).
+    fn run_statement(
+        &self,
+        sql: &str,
+        entry: Entry<'_>,
+        params: &[Value],
+        cache: CacheUse,
+        analyze: bool,
+    ) -> Result<Outcome> {
+        let (mut ctx, admitted) = self.begin();
+        let result =
+            admitted.and_then(|()| self.stages(sql, entry, params, cache, analyze, &mut ctx));
+        self.finish(ctx, sql, result)
+    }
+
+    /// The statement's deadline, `statement_timeout` from now.
+    fn deadline(&self) -> Option<Instant> {
+        self.config
+            .statement_timeout
+            .map(|limit| Instant::now() + limit)
+    }
+
+    /// Pass the admission gate (which may queue or shed). Dropping the permit
+    /// — normally, or during a panic unwind — releases the slot.
+    fn admit(&self, deadline: Option<Instant>) -> Result<Option<AdmissionPermit>> {
+        self.admission
+            .as_ref()
+            .map(|gate| gate.admit(deadline))
+            .transpose()
+    }
+
+    /// Stage `begin`: deadline → clock (and trace) origin → admission →
+    /// budget. The origin predates admission so queue wait lands inside the
+    /// statement's total and span tree. A shed statement still gets its
+    /// context, so that `finish` logs it.
+    fn begin(&self) -> (StatementCtx, Result<()>) {
+        let deadline = self.deadline();
+        let enabled = self.telemetry.enabled();
+        let mut clock = PhaseClock::start(enabled, enabled && self.config.trace_sampling.is_on());
+        let (permit, admitted) = match self.admit(deadline) {
+            Ok(permit) => (permit, Ok(())),
+            Err(e) => (None, Err(e)),
+        };
+        clock.admitted(permit.as_ref().and_then(AdmissionPermit::queue_wait));
+        let budget = Arc::new(match self.config.memory_budget {
+            Some(limit) => MemoryBudget::limited(limit),
+            None => MemoryBudget::unlimited(),
+        });
+        let ctx = StatementCtx {
+            deadline,
+            budget,
+            clock,
+            permit,
+        };
+        (ctx, admitted)
+    }
+
+    /// Stages `parse` → `check` → `plan_or_fetch` → `bind` → `run`, joined
+    /// at `entry`. A cache hit goes straight from the lookup to `bind`.
+    fn stages(
+        &self,
+        sql: &str,
+        entry: Entry<'_>,
+        params: &[Value],
+        cache: CacheUse,
+        analyze: bool,
+        ctx: &mut StatementCtx,
+    ) -> Result<Outcome> {
+        let planned = match self.fetch(sql, cache, ctx)? {
+            Some(hit) => hit,
+            None => {
+                let parsed;
+                let stmt = match entry {
+                    Entry::Text => {
+                        let result = parse_statement(sql);
+                        ctx.clock.lap(Phase::Parse);
+                        parsed = result?;
+                        &parsed
+                    }
+                    Entry::Parsed(stmt) | Entry::Checked(stmt) => stmt,
+                };
+                if !matches!(entry, Entry::Checked(_)) {
+                    let checked = self.analyze_statement(stmt);
+                    ctx.clock.lap(Phase::Sema);
+                    checked?;
+                }
+                match stmt {
+                    Statement::Query(query) => {
+                        self.plan_stage(sql, query, params, cache, PlanVerify::Enforce, ctx)?
+                    }
+                    _ if analyze => {
+                        return Err(EngineError::plan("ANALYZE supports only SELECT queries"))
+                    }
+                    // Everything else interleaves its work with catalog
+                    // reads and writes; the whole tail is the exec phase.
+                    other => {
+                        return Self::run(ctx, |ctx| {
+                            let result = match other {
+                                Statement::Explain { mode, query } => StatementResult::Rows(
+                                    self.explain_statement(sql, *mode, query, params, ctx)?,
+                                ),
+                                _ => self.apply(sql, other, params, ctx)?,
+                            };
+                            Ok((result, None))
+                        })
+                    }
+                }
+            }
+        };
+        Self::run(ctx, |ctx| {
+            let (rows, stats) = self.bind_and_run(&planned, params, analyze, ctx)?;
+            Ok((StatementResult::Rows(rows), stats))
+        })
+    }
+
+    /// Stage `plan_or_fetch`, the fetch half: look `sql` up in the plan
+    /// cache and vet the hit with the (memoized) verifier. On a hit the
+    /// lookup and the verifier's walk *are* the plan phase; on a miss the
+    /// lookup is charged to no phase.
+    fn fetch(&self, sql: &str, cache: CacheUse, ctx: &mut StatementCtx) -> Result<Option<Planned>> {
+        if cache == CacheUse::Bypass {
+            return Ok(None);
+        }
+        let Some(hit) = self.plan_cache.lookup(sql, self.catalog_version(), cache) else {
+            ctx.clock.skip();
+            return Ok(None);
+        };
+        ctx.clock.cache_hit = true;
+        let verified = self.verify_cached(&hit, sql);
+        ctx.clock.lap_plan(Some(&hit.planned.plan));
+        verified?;
+        Ok(Some(Planned {
+            query: hit.planned,
+            template: hit.template,
+        }))
+    }
+
+    /// Stage `plan_or_fetch`, the plan half: plan (and verify) `query`,
+    /// close the plan phase, and store the plan when `cache` says to. A
+    /// parameterized query whose parameters can stay symbolic is planned —
+    /// and stored — as a reusable template; every other plan has its
+    /// parameters bound in.
+    fn plan_stage(
         &self,
         sql: &str,
         query: &Query,
-        symbolic: bool,
-    ) -> Result<Arc<PlannedQuery>> {
-        let version = self.catalog_version.load(Ordering::Acquire);
-        // Fold constant expressions once here so the cached plan — the
-        // serving hot path — embeds pre-evaluated literals.
-        let mut query = query.clone();
-        crate::sema::fold::fold_query(&mut query);
-        let (planned, used_virtual) = {
-            let catalog = self.catalog.read();
-            let mut planner =
-                Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-            if symbolic {
-                planner = planner.symbolic();
-            }
-            let planned = Arc::new(planner.plan_query(&query)?);
-            let used_virtual = planner.used_virtual();
-            // Verify under the same read lock planning ran under, so the
-            // snapshot-identity checks compare against the exact catalog
-            // state the plan captured.
-            if self.config.verify_plans {
-                let discipline = if symbolic {
-                    ParamDiscipline::Template
-                } else {
-                    ParamDiscipline::Bound
-                };
-                let report = crate::verify::verify_planned(
-                    &planned,
-                    Some(&catalog),
-                    SnapshotGuarantee::Current,
-                    discipline,
-                );
-                self.verify_outcome(report, discipline, sql)?;
-            }
-            (planned, used_virtual)
+        params: &[Value],
+        cache: CacheUse,
+        verify: PlanVerify<'_>,
+        ctx: &mut StatementCtx,
+    ) -> Result<Planned> {
+        let has_params = crate::plan::query_contains_params(query);
+        let store = cache == CacheUse::Serve
+            && (!has_params
+                || !crate::plan::params_unsupported(query, self.config.materialize_ctes));
+        let template = store && has_params;
+        // Read before planning: a plan that races a writer must carry the
+        // pre-write version (see `PlanCache::insert`).
+        let version = self.catalog_version();
+        let folded;
+        let query = if store {
+            // Fold constant expressions once here so the cached plan — the
+            // serving hot path — embeds pre-evaluated literals.
+            let mut query = query.clone();
+            crate::sema::fold::fold_query(&mut query);
+            folded = query;
+            &folded
+        } else {
+            query
         };
-        if used_virtual {
-            // Plans over `sys.*` embed point-in-time telemetry rows; serving
-            // one from the cache would freeze the metrics. (Entry points
-            // already skip the cache textually; this is the backstop.)
-            return Ok(planned);
-        }
-        let key = normalize_cache_key(sql);
-        let mut cache = self.plan_cache.lock();
-        if cache.len() >= PLAN_CACHE_CAPACITY && !cache.contains_key(&key) {
-            // Evict stale entries first; fall back to dropping everything
-            // (plans embed table snapshots, so a full clear also releases
-            // pinned row memory).
-            let before = cache.len();
-            cache.retain(|_, c| c.version == version);
-            if cache.len() >= PLAN_CACHE_CAPACITY {
-                cache.clear();
-            }
-            self.plan_cache_evictions
-                .fetch_add((before - cache.len()) as u64, Ordering::Relaxed);
-        }
-        cache.insert(
-            key,
-            CachedPlan {
+        // A template's parameters stay symbolic: it is planned without values.
+        let plan_params = if template { &[] } else { params };
+        let planned = self.plan_query(sql, query, plan_params, template, verify);
+        ctx.clock
+            .lap_plan(planned.as_ref().ok().map(|(planned, _)| &planned.plan));
+        let (planned, used_virtual) = planned?;
+        let planned = Arc::new(planned);
+        // Plans over `sys.*` embed point-in-time telemetry rows; serving one
+        // from the cache would freeze the metrics. (Entry points already
+        // skip the cache textually; this is the backstop.)
+        if store && !used_virtual {
+            // With the verifier on the plan just passed a walk at `version`,
+            // so the first hit can skip straight to execution.
+            self.plan_cache.insert(
+                sql,
                 version,
-                planned: Arc::clone(&planned),
-                has_params: symbolic,
-                // When the verifier is on, the plan already passed a walk at
-                // `version` above (a violation returned early), so the first
-                // cache hit can skip straight to execution.
-                verified_version: Arc::new(AtomicU64::new(if self.config.verify_plans {
-                    version
-                } else {
-                    UNVERIFIED
-                })),
-            },
-        );
-        Ok(planned)
+                Arc::clone(&planned),
+                template,
+                self.config.verify_plans,
+            );
+        }
+        Ok(Planned {
+            query: planned,
+            template,
+        })
+    }
+
+    /// The one place a query is planned: under the catalog read lock, with
+    /// the verifier run under that same lock so its snapshot-identity checks
+    /// compare against the exact catalog state the plan captured. With
+    /// `template` set, `?` markers stay [`crate::expr::PhysExpr::Param`]
+    /// nodes. Also reports whether the plan reads a virtual `sys.*` table.
+    fn plan_query(
+        &self,
+        sql: &str,
+        query: &Query,
+        params: &[Value],
+        template: bool,
+        verify: PlanVerify<'_>,
+    ) -> Result<(PlannedQuery, bool)> {
+        let catalog = self.catalog.read();
+        let mut planner = Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
+        if template {
+            planner = planner.symbolic();
+        }
+        let planned = planner.plan_query(query)?;
+        let discipline = if template {
+            ParamDiscipline::Template
+        } else {
+            ParamDiscipline::Bound
+        };
+        let walk = || {
+            crate::verify::verify_planned(
+                &planned,
+                Some(&catalog),
+                SnapshotGuarantee::Current,
+                discipline,
+            )
+        };
+        match verify {
+            PlanVerify::Report(out) => {
+                let report = walk();
+                self.record_verify(&report);
+                *out = Some(report);
+            }
+            PlanVerify::Enforce if self.config.verify_plans => {
+                self.verify_outcome(walk(), discipline, sql)?;
+            }
+            PlanVerify::Enforce => {}
+        }
+        let used_virtual = planner.used_virtual();
+        Ok((planned, used_virtual))
     }
 
     /// Record a verifier run in telemetry and convert its violations into a
@@ -867,186 +768,109 @@ impl Database {
     /// makes the entry stale-but-harmless (the next lookup replans), not a
     /// violation.
     ///
-    /// The walk is memoized per catalog version through `verified`: the
-    /// cached tree is immutable and the verdict is deterministic in (plan,
-    /// catalog version), so only the first hit after a plan insert, a
-    /// catalog change, or a marker reset pays for the walk. A failed walk
-    /// never updates the marker — a corrupt entry is re-rejected on every
-    /// execution until it is evicted or replaced.
-    fn verify_cached(
-        &self,
-        planned: &PlannedQuery,
-        has_params: bool,
-        version: u64,
-        verified: &AtomicU64,
-        sql: &str,
-    ) -> Result<()> {
+    /// The walk is memoized per catalog version on the entry: the cached
+    /// tree is immutable and the verdict is deterministic in (plan, catalog
+    /// version), so only the first hit after a plan insert, a catalog
+    /// change, or a marker reset pays for the walk.
+    fn verify_cached(&self, hit: &CacheHit, sql: &str) -> Result<()> {
         if !self.config.verify_plans {
             return Ok(());
         }
-        let discipline = if has_params {
+        let discipline = if hit.template {
             ParamDiscipline::Template
         } else {
             ParamDiscipline::Bound
         };
         let (report, current) = {
             let catalog = self.catalog.read();
-            let current = self.catalog_version.load(Ordering::Acquire);
-            if verified.load(Ordering::Acquire) == current {
+            let current = self.catalog_version();
+            if hit.verified_at(current) {
                 return Ok(());
             }
-            let report = if current == version {
-                crate::verify::verify_planned(
-                    planned,
-                    Some(&catalog),
-                    SnapshotGuarantee::Current,
-                    discipline,
-                )
+            let (catalog, guarantee) = if current == hit.version {
+                (Some(&*catalog), SnapshotGuarantee::Current)
             } else {
-                crate::verify::verify_planned(planned, None, SnapshotGuarantee::MayLag, discipline)
+                (None, SnapshotGuarantee::MayLag)
             };
+            let report =
+                crate::verify::verify_planned(&hit.planned, catalog, guarantee, discipline);
             (report, current)
         };
         self.verify_outcome(report, discipline, sql)?;
-        verified.store(current, Ordering::Release);
+        hit.mark_verified(current);
         Ok(())
     }
 
-    /// Test seam: replace the cached plan for `sql` (if any) with a mutated
-    /// copy, returning whether an entry was found. The plan-corruption
-    /// harness uses this to prove each verifier invariant class fires; it
-    /// has no other callers.
-    #[doc(hidden)]
-    pub fn mutate_cached_plan(
-        &self,
-        sql: &str,
-        mutate: &mut dyn FnMut(&mut crate::plan::PhysPlan),
-    ) -> bool {
-        let key = normalize_cache_key(sql);
-        let mut cache = self.plan_cache.lock();
-        match cache.get_mut(&key) {
-            Some(entry) => {
-                let mut planned = (*entry.planned).clone();
-                mutate(&mut planned.plan);
-                entry.planned = Arc::new(planned);
-                // A fresh marker (not a reset of the shared one): in-flight
-                // executions still verifying the old tree must not be able
-                // to mark the replaced entry as checked.
-                entry.verified_version = Arc::new(AtomicU64::new(UNVERIFIED));
-                true
-            }
-            None => false,
-        }
+    /// Stage `run`: `body` is the statement's exec phase. This is the one
+    /// place the exec phase (and span) is closed; operator subtrees and WAL
+    /// waits recorded by `body` attach beneath it.
+    fn run<T>(
+        ctx: &mut StatementCtx,
+        body: impl FnOnce(&mut StatementCtx) -> Result<T>,
+    ) -> Result<T> {
+        let result = body(ctx);
+        ctx.clock.lap(Phase::Exec);
+        result
     }
 
-    /// Execute a cached (or just-cached) planned query.
-    fn execute_planned(
+    /// Stage `bind`, then execute: templates bind their parameter values
+    /// into a fresh plan tree first, parameterless plans run as-is.
+    fn bind_and_run(
         &self,
-        planned: &PlannedQuery,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        self.record_plan_modes(&planned.plan);
-        let rows = self.run_plan(&planned.plan, ctx)?;
-        Ok(StatementResult::Rows(QueryResult {
-            columns: planned.columns.clone(),
-            rows,
-        }))
-    }
-
-    /// Execute a plan served from the cache: templates bind their parameter
-    /// values into a fresh plan tree first, parameterless plans run as-is.
-    fn execute_cached(
-        &self,
-        planned: &PlannedQuery,
-        has_params: bool,
+        planned: &Planned,
         params: &[Value],
+        want_stats: bool,
         ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        if !has_params {
-            return self.execute_planned(planned, ctx);
-        }
-        let plan = crate::plan::bind_plan_params(&planned.plan, params)?;
-        self.record_plan_modes(&plan);
-        let rows = self.run_plan(&plan, ctx)?;
-        Ok(StatementResult::Rows(QueryResult {
-            columns: planned.columns.clone(),
+    ) -> Result<(QueryResult, Option<OpStats>)> {
+        let bound;
+        let plan = if planned.template {
+            bound = crate::plan::bind_plan_params(&planned.query.plan, params)?;
+            &bound
+        } else {
+            &planned.query.plan
+        };
+        self.record_plan_modes(plan);
+        let (rows, stats) = self.run_plan(plan, want_stats, ctx)?;
+        let result = QueryResult {
+            columns: planned.query.columns.clone(),
             rows,
-        }))
+        };
+        Ok((result, stats))
     }
 
-    /// Run a plan to rows. Untraced statements take the plain executor path
-    /// unchanged; traced statements run with stats collection and record the
-    /// exec span plus the per-operator subtree (the same `OpStats` tree
-    /// `EXPLAIN ANALYZE` renders, so the two agree by construction).
-    fn run_plan(&self, plan: &crate::plan::PhysPlan, ctx: &StatementCtx) -> Result<Vec<Row>> {
-        let Some(trace) = &ctx.trace else {
-            return self.exec_ctx(ctx).execute(plan);
-        };
-        let from = Instant::now();
-        let result = self.exec_ctx(ctx).execute_with_stats(plan);
-        let exec_start = trace.offset_us(from);
-        trace.record_exec(from, Vec::new());
-        match result {
-            Ok((rows, stats)) => {
-                trace.record_op_tree(&stats, exec_start);
-                Ok(rows)
-            }
-            Err(e) => Err(e),
+    /// Turn a plan into rows. Untraced statements that want no statistics
+    /// take the plain executor path; otherwise the plan runs with stats
+    /// collection, and a traced statement records the per-operator subtree
+    /// beneath its exec span (the same `OpStats` tree `EXPLAIN ANALYZE`
+    /// renders, so the two agree by construction).
+    fn run_plan(
+        &self,
+        plan: &PhysPlan,
+        want_stats: bool,
+        ctx: &StatementCtx,
+    ) -> Result<(Vec<Row>, Option<OpStats>)> {
+        let exec = self.exec_ctx(ctx);
+        if !want_stats && !ctx.clock.traced() {
+            return Ok((exec.execute(plan)?, None));
         }
+        let (rows, stats) = exec.execute_with_stats(plan)?;
+        ctx.clock.record_op_tree(&stats);
+        if want_stats {
+            self.telemetry.record_op_stats(&stats);
+        }
+        Ok((rows, Some(stats)))
     }
 
     /// Count how many mode-capable operators of an executed plan take the
     /// vectorized vs the row path (surfaced as `exec.vectorized_ops` /
     /// `exec.row_ops` in `sys.metrics`).
-    fn record_plan_modes(&self, plan: &crate::plan::PhysPlan) {
+    fn record_plan_modes(&self, plan: &PhysPlan) {
         if !self.telemetry.enabled() {
             return;
         }
         let (vectorized, row) = crate::exec::count_modes(plan);
         self.telemetry.vectorized_ops.add(vectorized);
         self.telemetry.row_ops.add(row);
-    }
-
-    /// Begin one statement: derive its deadline from `statement_timeout`,
-    /// pass the admission gate (which may queue or shed), and allocate its
-    /// memory budget. The returned context is threaded through the whole
-    /// execution path; dropping it (at the end of the statement, or during a
-    /// panic unwind) releases the admission slot.
-    fn begin_statement(&self) -> Result<StatementCtx> {
-        let deadline = self
-            .config
-            .statement_timeout
-            .map(|limit| Instant::now() + limit);
-        // The trace origin predates admission so queue wait lands inside the
-        // statement's span tree.
-        let trace =
-            (self.telemetry.enabled() && self.config.trace_sampling.is_on()).then(TraceCtx::new);
-        let permit = match &self.admission {
-            Some(gate) => Some(gate.admit(deadline)?),
-            None => None,
-        };
-        if let (Some(trace), Some(waited)) = (&trace, permit.as_ref().and_then(|p| p.queue_wait()))
-        {
-            let now = Instant::now();
-            let from = now.checked_sub(waited).unwrap_or(now);
-            trace.record_since(
-                ROOT_SPAN,
-                "admission.queue_wait",
-                from,
-                Some(WaitClass::Admission),
-                Vec::new(),
-            );
-        }
-        let budget = Arc::new(match self.config.memory_budget {
-            Some(limit) => MemoryBudget::limited(limit),
-            None => MemoryBudget::unlimited(),
-        });
-        Ok(StatementCtx {
-            deadline,
-            budget,
-            trace,
-            _permit: permit,
-        })
     }
 
     /// The execution context queries run under: the configured parallelism
@@ -1072,1597 +896,123 @@ impl Database {
         }
     }
 
-    /// Whether a transaction started with `BEGIN` is open.
-    pub fn in_transaction(&self) -> bool {
-        self.txn_backup.lock().is_some()
-    }
-
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Execute one statement without parameters.
-    pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        self.execute_with(sql, &[])
-    }
-
-    /// Execute one statement with positional parameters (`?`, `?1`).
-    ///
-    /// Queries go through the plan cache (when enabled): a hit skips parsing
-    /// and planning entirely. Parameterized queries are cached as plan
-    /// *templates* — `?` markers stay symbolic in the cached tree and each
-    /// execution substitutes its values into a fresh copy — except where a
-    /// parameter's value is consumed at plan time (`LIMIT ?`, parameters
-    /// inside subquery bodies, or any parameter under materialized CTEs),
-    /// which plan inline and stay uncached.
-    pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
-        let mut probe = StatementProbe::start(self.telemetry.enabled());
-        let (result, peak_mem, trace) = match self.begin_statement() {
-            Ok(mut ctx) => {
-                let r = self.execute_probed(sql, params, &mut probe, &ctx);
-                (r, ctx.budget.peak_bytes(), ctx.trace.take())
-            }
-            Err(e) => (Err(e), 0, None),
-        };
+    /// Stage `finish`: report the statement to the telemetry registry —
+    /// per-variant error counters, budget-abort counter, and the query-log
+    /// row with the statement's phase totals, peak operator memory and wait
+    /// totals — then make the trace keep decision (errors and slow
+    /// statements always, the rest per the sampler) and store a kept trace,
+    /// rooted in the `statement` span, in the `sys.trace_spans` ring.
+    fn finish(&self, mut ctx: StatementCtx, sql: &str, result: Result<Outcome>) -> Result<Outcome> {
+        // The slot frees before the bookkeeping, not after it.
+        drop(ctx.permit.take());
         let result = result.map_err(|e| e.with_statement_span(sql));
-        self.finish_statement(&probe, sql, &result, peak_mem, trace);
-        result
-    }
-
-    /// The body of [`Database::execute_with`], with phase boundaries reported
-    /// into `probe` (every lap is a no-op when telemetry is off).
-    fn execute_probed(
-        &self,
-        sql: &str,
-        params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        // `sys.*` statements never touch the plan cache: their plans embed
-        // point-in-time telemetry snapshots.
-        if self.config.plan_cache && !sys::mentions_sys(sql) {
-            if let Some((planned, has_params, version, verified)) = self.cached_plan(sql) {
-                probe.cache_hit = true;
-                let t = probe.phase();
-                let verify_result =
-                    self.verify_cached(&planned, has_params, version, &verified, sql);
-                // The verifier's (memoized) walk stands in for the skipped
-                // plan phase in the trace, tagged as a cache hit.
-                if let (Some(trace), Some(from)) = (&ctx.trace, t) {
-                    trace.record_since(
-                        ROOT_SPAN,
-                        "plan",
-                        from,
-                        None,
-                        vec![
-                            ("cache", AttrValue::Text("hit")),
-                            ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                        ],
-                    );
-                }
-                let result = verify_result
-                    .and_then(|()| self.execute_cached(&planned, has_params, params, ctx));
-                probe.lap_exec(t);
-                return result;
-            }
-        }
-        let t = probe.phase();
-        let stmt = parse_statement(sql)?;
-        probe.lap_parse(t);
-        ctx.record_phase("parse", t);
-        let t = probe.phase();
-        self.analyze_statement(&stmt)?;
-        probe.lap_sema(t);
-        ctx.record_phase("sema", t);
-        if let Statement::Query(query) = &stmt {
-            return self.execute_query_probed(sql, query, params, probe, ctx);
-        }
-        // DML / DDL / transaction control interleave planning with catalog
-        // writes; attribute the whole tail to the exec phase.
-        let t = probe.phase();
-        let result = self.execute_statement(sql, &stmt, params, ctx);
-        probe.lap_exec(t);
-        ctx.record_exec(t);
-        result
-    }
-
-    /// Plan-cache-aware execution of a parsed query on a cache miss: plan
-    /// (symbolically when parameterized and template-safe), cache, execute.
-    /// Shared by [`Database::execute_with`] and [`Prepared::execute`] so
-    /// the two record identical phase timings and cache telemetry.
-    fn execute_query_probed(
-        &self,
-        sql: &str,
-        query: &Query,
-        params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        let has_params = crate::plan::query_contains_params(query);
-        let cacheable = self.config.plan_cache
-            && !sys::mentions_sys(sql)
-            && (!has_params
-                || !crate::plan::params_unsupported(query, self.config.materialize_ctes));
-        let t = probe.phase();
-        if cacheable {
-            let planned = self.plan_and_cache(sql, query, has_params)?;
-            probe.lap_plan(t);
-            ctx.record_plan_span(t, &planned.plan);
-            let t = probe.phase();
-            let result = self.execute_cached(&planned, has_params, params, ctx);
-            probe.lap_exec(t);
-            return result;
-        }
-        // Plan under the read lock; execute on snapshots afterwards.
-        let planned = {
-            let catalog = self.catalog.read();
-            let mut planner =
-                Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-            let planned = Arc::new(planner.plan_query(query)?);
-            if self.config.verify_plans {
-                let report = crate::verify::verify_planned(
-                    &planned,
-                    Some(&catalog),
-                    SnapshotGuarantee::Current,
-                    ParamDiscipline::Bound,
-                );
-                self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-            }
-            planned
-        };
-        probe.lap_plan(t);
-        ctx.record_plan_span(t, &planned.plan);
-        let t = probe.phase();
-        let result = self.execute_planned(&planned, ctx);
-        probe.lap_exec(t);
-        result
-    }
-
-    /// Report one finished statement to the telemetry registry: per-variant
-    /// error counters, budget-abort counter, and the query-log entry with
-    /// the statement's peak operator memory and its wait totals (backfilled
-    /// from the trace when one was captured). Runs the trace keep decision
-    /// last — errors and slow statements always, the rest per the sampler —
-    /// and stores kept traces in the `sys.trace_spans` ring.
-    fn finish_statement(
-        &self,
-        probe: &StatementProbe,
-        sql: &str,
-        result: &Result<StatementResult>,
-        peak_mem: u64,
-        trace: Option<TraceCtx>,
-    ) {
-        if let Err(e) = result {
+        if let Err(e) = &result {
             self.telemetry.record_error(e);
             if self.telemetry.enabled() && matches!(e, EngineError::ResourceExhausted { .. }) {
                 self.telemetry.mem_budget_aborts.incr();
             }
         }
-        if !probe.enabled() {
-            return;
-        }
-        let waits = trace.as_ref().map(|t| WaitTotals::from_spans(&t.spans()));
-        let id = match result {
-            Ok(r) => self.telemetry.record_statement(
-                probe,
-                sql,
-                QueryStatus::Ok,
-                None,
-                r.affected() as u64,
-                peak_mem,
-                waits,
-            ),
-            Err(e) => {
-                let status = if matches!(e, EngineError::Timeout) {
-                    QueryStatus::Timeout
-                } else {
-                    QueryStatus::Error
-                };
-                self.telemetry.record_statement(
-                    probe,
-                    sql,
-                    status,
-                    Some(e.to_string()),
-                    0,
-                    peak_mem,
-                    waits,
-                )
-            }
-        };
-        if let (Some(trace), Some(id)) = (trace, id) {
-            let total_us = probe.total_us();
-            let error_or_slow = result.is_err() || self.telemetry.is_slow(total_us);
-            if self.config.trace_sampling.keep(id, error_or_slow) {
-                self.telemetry.store_trace(StatementTrace {
-                    statement_id: id,
-                    spans: trace.finish("statement", total_us),
-                });
-            }
-        }
-    }
-
-    /// Execute a semicolon-separated script; returns the last statement's
-    /// result. Each statement is logged individually (spans recover the
-    /// original text), so script-driven clients show up in `sys.query_log`
-    /// like everyone else.
-    pub fn execute_script(&self, sql: &str) -> Result<StatementResult> {
-        let stmts = parse_script_spanned(sql)?;
-        let mut last = StatementResult::Affected(0);
-        for (stmt, span) in &stmts {
-            let text = sql
-                .get(span.start as usize..span.end as usize)
-                .unwrap_or(sql)
-                .trim();
-            let mut probe = StatementProbe::start(self.telemetry.enabled());
-            let (result, peak_mem, trace) = match self.begin_statement() {
-                Ok(mut ctx) => {
-                    let r = (|| {
-                        // Checked per statement (not up front): earlier
-                        // statements may create the tables later ones refer
-                        // to.
-                        let t = probe.phase();
-                        self.analyze_statement(stmt)?;
-                        probe.lap_sema(t);
-                        ctx.record_phase("sema", t);
-                        let t = probe.phase();
-                        let r = self.execute_statement(text, stmt, &[], &ctx)?;
-                        probe.lap_exec(t);
-                        ctx.record_exec(t);
-                        Ok(r)
-                    })();
-                    (r, ctx.budget.peak_bytes(), ctx.trace.take())
-                }
-                Err(e) => (Err(e), 0, None),
+        if ctx.clock.enabled() {
+            let (status, error, rows) = match &result {
+                Ok((r, _)) => (QueryStatus::Ok, None, r.affected() as u64),
+                Err(e @ EngineError::Timeout) => (QueryStatus::Timeout, Some(e.to_string()), 0),
+                Err(e) => (QueryStatus::Error, Some(e.to_string()), 0),
             };
-            let result = result.map_err(|e| e.with_statement_span(text));
-            self.finish_statement(&probe, text, &result, peak_mem, trace);
-            last = result?;
-        }
-        Ok(last)
-    }
-
-    /// Run a `SELECT` and return its rows.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.execute(sql)?.into_rows()
-    }
-
-    /// Run a `SELECT` with parameters.
-    pub fn query_with(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        self.execute_with(sql, params)?.into_rows()
-    }
-
-    /// Run a `SELECT` expected to return a single scalar.
-    pub fn query_scalar(&self, sql: &str) -> Result<Value> {
-        let r = self.query(sql)?;
-        r.scalar()
-            .cloned()
-            .ok_or_else(|| EngineError::exec("query returned no rows"))
-    }
-
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.catalog.read().table_names()
-    }
-
-    /// Number of rows in a table.
-    pub fn table_rows(&self, name: &str) -> Result<usize> {
-        Ok(self.catalog.read().get(name)?.row_count())
-    }
-
-    /// Whether a table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.catalog.read().contains(name)
-    }
-
-    /// Parse a statement once for repeated execution with different
-    /// parameters. Queries additionally go through the plan cache: the first
-    /// execution plans once (keeping `?` markers symbolic) and caches the
-    /// template; later executions bind their parameter values into the
-    /// cached tree until a catalog write invalidates it.
-    pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
-        let stmt = parse_statement(sql)?;
-        self.analyze_statement(&stmt)?;
-        Ok(Prepared {
-            db: self,
-            sql: sql.to_string(),
-            stmt,
-        })
-    }
-
-    /// Statically check a statement against the current catalog without
-    /// planning or executing it. Returns the typed output schema for
-    /// queries (empty for DML/DDL). All execution entry points run the same
-    /// analysis first, so a statement rejected here never executes.
-    pub fn check(&self, sql: &str) -> Result<crate::sema::CheckReport> {
-        let stmt = parse_statement(sql)?;
-        let catalog = self.catalog.read();
-        crate::sema::check_statement(&catalog, &stmt)
-    }
-
-    fn analyze_statement(&self, stmt: &Statement) -> Result<()> {
-        let catalog = self.catalog.read();
-        crate::sema::check_statement(&catalog, stmt).map(|_| ())
-    }
-
-    /// Render the physical plan of a query (an `EXPLAIN` equivalent).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(query) = stmt else {
-            return Err(EngineError::plan("EXPLAIN supports only SELECT queries"));
-        };
-        let catalog = self.catalog.read();
-        crate::sema::check_query(&catalog, &query)?;
-        let mut planner = Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-        let planned = planner.plan_query(&query)?;
-        Ok(crate::explain::render_plan(&planned.plan))
-    }
-
-    /// Run a `SELECT` and also return the per-operator runtime statistics
-    /// tree (rows in/out and elapsed time per operator).
-    pub fn query_analyzed(&self, sql: &str) -> Result<(QueryResult, OpStats)> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(query) = stmt else {
-            return Err(EngineError::plan("ANALYZE supports only SELECT queries"));
-        };
-        let stmt_ctx = self.begin_statement()?;
-        // Serve the plan from the cache when one exists, so ANALYZE observes
-        // (and the verifier vets) the very tree repeated executions use.
-        // Parameter templates are skipped — there are no values to bind
-        // here — and the hit/miss counters are left alone: ANALYZE is a
-        // diagnostic read, not serving traffic.
-        let cached = if self.config.plan_cache && !sys::mentions_sys(sql) {
-            let version = self.catalog_version.load(Ordering::Acquire);
-            let key = normalize_cache_key(sql);
-            let cache = self.plan_cache.lock();
-            cache
-                .get(&key)
-                .filter(|c| c.version == version && !c.has_params)
-                .map(|c| {
-                    (
-                        Arc::clone(&c.planned),
-                        c.version,
-                        Arc::clone(&c.verified_version),
-                    )
-                })
-        } else {
-            None
-        };
-        let planned = match cached {
-            Some((planned, version, verified)) => {
-                self.verify_cached(&planned, false, version, &verified, sql)?;
-                planned
-            }
-            None => {
-                let catalog = self.catalog.read();
-                crate::sema::check_query(&catalog, &query)?;
-                let mut planner =
-                    Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-                let planned = Arc::new(planner.plan_query(&query)?);
-                if self.config.verify_plans {
-                    let report = crate::verify::verify_planned(
-                        &planned,
-                        Some(&catalog),
-                        SnapshotGuarantee::Current,
-                        ParamDiscipline::Bound,
-                    );
-                    self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                }
-                planned
-            }
-        };
-        self.record_plan_modes(&planned.plan);
-        let (rows, stats) = self.exec_ctx(&stmt_ctx).execute_with_stats(&planned.plan)?;
-        self.telemetry.record_op_stats(&stats);
-        Ok((
-            QueryResult {
-                columns: planned.columns.clone(),
-                rows,
-            },
-            stats,
-        ))
-    }
-
-    /// Execute a query and render its `EXPLAIN ANALYZE` tree.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let (_, stats) = self.query_analyzed(sql)?;
-        Ok(crate::explain::render_analyze(&stats))
-    }
-
-    /// Dump a table's schema, primary-key columns, and rows (used by
-    /// snapshots).
-    pub fn dump_table(
-        &self,
-        name: &str,
-    ) -> Result<(
-        crate::catalog::Schema,
-        Vec<String>,
-        std::sync::Arc<Vec<Row>>,
-    )> {
-        let catalog = self.catalog.read();
-        let t = catalog.get(name)?;
-        let pk = t
-            .primary
-            .as_ref()
-            .map(|p| {
-                p.key_columns
-                    .iter()
-                    .map(|&i| t.schema.columns[i].name.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok((t.schema.clone(), pk, std::sync::Arc::clone(&t.rows)))
-    }
-
-    /// Install a table with pre-built rows (used by snapshot restore).
-    pub fn restore_table(&self, mut table: Table, rows: Vec<Row>) -> Result<()> {
-        // Pass the admission gate like any other statement; `install_table`
-        // itself stays ungated so internal callers cannot self-deadlock.
-        let _ctx = self.begin_statement()?;
-        for row in rows {
-            table.insert_row(row, None)?;
-        }
-        self.install_table(table)
-    }
-
-    /// Install a fully built table into the catalog, logging its schema,
-    /// indexes, and rows to the WAL as one batch.
-    pub(crate) fn install_table(&self, table: Table) -> Result<()> {
-        let ops = self.wal.is_some().then(|| {
-            let primary_key: Vec<String> = table
-                .primary
-                .as_ref()
-                .map(|p| {
-                    p.key_columns
-                        .iter()
-                        .map(|&i| table.schema.columns[i].name.clone())
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut ops = vec![WalOp::CreateTable {
-                name: table.name.clone(),
-                columns: table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-                primary_key,
-            }];
-            for index in &table.secondary {
-                ops.push(WalOp::CreateIndex {
-                    table: table.name.clone(),
-                    name: index.name.clone(),
-                    columns: index
-                        .key_columns
-                        .iter()
-                        .map(|&i| table.schema.columns[i].name.clone())
-                        .collect(),
-                    unique: false,
-                });
-            }
-            if !table.rows.is_empty() {
-                ops.push(WalOp::Insert {
-                    table: table.name.clone(),
-                    rows: table.rows.as_ref().clone(),
-                });
-            }
-            ops
-        });
-        let deadline = self
-            .config
-            .statement_timeout
-            .map(|limit| Instant::now() + limit);
-        let mut catalog = self.write_catalog()?;
-        catalog.create_table(table, false)?;
-        let ticket = match ops {
-            Some(ops) => self.wal_log(&catalog, ops, deadline, None)?,
-            None => None,
-        };
-        drop(catalog);
-        self.wal_wait(ticket, deadline, None)
-    }
-
-    /// Bulk-insert pre-built rows into a table (fast path used by data
-    /// generators; equivalent to `INSERT INTO t VALUES ...`).
-    pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let ctx = self.begin_statement()?;
-        let mut catalog = self.write_catalog()?;
-        let t = catalog.get_mut(table)?;
-        let wal_on = self.wal.is_some();
-        let mut applied = Vec::new();
-        let mut n = 0usize;
-        let mut failure = None;
-        for row in rows {
-            match t.insert_row(row, None) {
-                Ok(_) => {
-                    n += 1;
-                    if wal_on {
-                        applied.push(t.rows.last().expect("row just inserted").clone());
-                    }
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+            let peak_mem = ctx.budget.peak_bytes();
+            let id = self
+                .telemetry
+                .record_statement(&ctx.clock, sql, status, error, rows, peak_mem);
+            let error_or_slow = result.is_err() || self.telemetry.is_slow(ctx.clock.total_us());
+            if let (Some(id), Some(spans)) = (id, ctx.clock.into_spans()) {
+                if self.config.trace_sampling.keep(id, error_or_slow) {
+                    self.telemetry.store_trace(StatementTrace {
+                        statement_id: id,
+                        spans,
+                    });
                 }
             }
         }
-        let wal_result = if applied.is_empty() {
-            Ok(None)
-        } else {
-            self.wal_log(
-                &catalog,
-                vec![WalOp::Insert {
-                    table: table.to_string(),
-                    rows: applied,
-                }],
-                ctx.deadline,
-                ctx.wal_scope(),
-            )
-        };
-        drop(catalog);
-        if let Some(e) = failure {
-            // The applied prefix is in memory and logged; still push it
-            // toward disk, but the statement's own error wins.
-            if let Ok(ticket) = wal_result {
-                let _ = self.wal_wait(ticket, ctx.deadline, ctx.wal_scope());
-            }
-            return Err(e);
-        }
-        self.wal_wait(wal_result?, ctx.deadline, ctx.wal_scope())?;
-        Ok(n)
+        result
     }
 
-    fn execute_statement(
+    /// `EXPLAIN` in all its modes. The target query joins the lifecycle at
+    /// the plan stage, on this statement's clock — except under
+    /// `EXPLAIN (TRACE)`, which gives it a clock of its own.
+    fn explain_statement(
         &self,
         sql: &str,
-        stmt: &Statement,
+        mode: ExplainMode,
+        query: &Query,
         params: &[Value],
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        match stmt {
-            Statement::Query(query) => {
-                // Plan under the read lock; execute on snapshots afterwards.
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    let planned = planner.plan_query(query)?;
-                    if self.config.verify_plans {
-                        let report = crate::verify::verify_planned(
-                            &planned,
-                            Some(&catalog),
-                            SnapshotGuarantee::Current,
-                            ParamDiscipline::Bound,
-                        );
-                        self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                    }
-                    planned
-                };
-                let rows = self.exec_ctx(ctx).execute(&planned.plan)?;
-                Ok(StatementResult::Rows(QueryResult {
-                    columns: planned.columns,
-                    rows,
-                }))
-            }
-            Statement::Explain { mode, query } => {
-                if *mode == crate::ast::ExplainMode::Check {
-                    // Semantic analysis only: report the typed output schema
-                    // without planning or executing anything.
-                    let report = {
-                        let catalog = self.catalog.read();
-                        crate::sema::check_query(&catalog, query)?
-                    };
-                    return Ok(StatementResult::Rows(QueryResult {
-                        columns: vec!["column".to_string(), "type".to_string()],
-                        rows: report
-                            .columns
-                            .into_iter()
-                            .map(|(name, ty)| {
-                                vec![Value::Str(name.into()), Value::Str(ty.to_string().into())]
-                            })
-                            .collect(),
-                    }));
-                }
-                // `EXPLAIN (VERIFY)` runs the verifier unconditionally (it
-                // is an explicit request); `EXPLAIN ANALYZE` and
-                // `EXPLAIN (TRACE)` vet the plan first whenever verification
-                // is on, so a rejected plan is reported instead of executed.
-                let verify_now = *mode == crate::ast::ExplainMode::Verify
-                    || (matches!(
-                        mode,
-                        crate::ast::ExplainMode::Analyze | crate::ast::ExplainMode::Trace
-                    ) && self.config.verify_plans);
-                // `EXPLAIN (TRACE)` forces a local trace regardless of the
-                // engine's sampling policy; its origin predates planning so
-                // the plan span has a true offset.
-                let trace = (*mode == crate::ast::ExplainMode::Trace).then(TraceCtx::new);
-                let plan_from = trace.as_ref().map(|_| Instant::now());
-                let (planned, report) = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    let planned = planner.plan_query(query)?;
-                    let report = verify_now.then(|| {
-                        crate::verify::verify_planned(
-                            &planned,
-                            Some(&catalog),
-                            SnapshotGuarantee::Current,
-                            ParamDiscipline::Bound,
-                        )
-                    });
-                    (planned, report)
-                };
-                if *mode == crate::ast::ExplainMode::Verify {
-                    let report = report.expect("verify mode always computes a report");
-                    self.record_verify(&report);
-                    return Ok(StatementResult::Rows(QueryResult {
-                        columns: vec![
-                            "check".to_string(),
-                            "status".to_string(),
-                            "detail".to_string(),
-                        ],
-                        rows: VerifyRule::ALL
-                            .iter()
-                            .map(|rule| {
-                                let details: Vec<String> = report
-                                    .violations
-                                    .iter()
-                                    .filter(|v| v.rule == *rule)
-                                    .map(|v| format!("{}: {}", v.node, v.message))
-                                    .collect();
-                                vec![
-                                    Value::text(rule.name()),
-                                    Value::text(if details.is_empty() {
-                                        "ok"
-                                    } else {
-                                        "violation"
-                                    }),
-                                    Value::text(details.join("; ")),
-                                ]
-                            })
-                            .collect(),
-                    }));
-                }
-                let rendered = match mode {
-                    crate::ast::ExplainMode::Analyze => {
-                        if let Some(report) = report {
-                            self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                        }
-                        let (_, stats) = self.exec_ctx(ctx).execute_with_stats(&planned.plan)?;
-                        self.telemetry.record_op_stats(&stats);
-                        crate::explain::render_analyze(&stats)
-                    }
-                    crate::ast::ExplainMode::Trace => {
-                        if let Some(report) = report {
-                            self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                        }
-                        let trace = trace.expect("trace mode allocates its recorder");
-                        if let Some(from) = plan_from {
-                            trace.record_since(
-                                ROOT_SPAN,
-                                "plan",
-                                from,
-                                None,
-                                vec![
-                                    ("cache", AttrValue::Text("miss")),
-                                    ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                                ],
-                            );
-                        }
-                        let exec_from = Instant::now();
-                        let (_, stats) = self.exec_ctx(ctx).execute_with_stats(&planned.plan)?;
-                        let exec_start = trace.offset_us(exec_from);
-                        trace.record_exec(exec_from, Vec::new());
-                        trace.record_op_tree(&stats, exec_start);
-                        self.telemetry.record_op_stats(&stats);
-                        let total_us = trace.origin().elapsed().as_micros() as u64;
-                        crate::explain::render_trace(&trace.finish("statement", total_us))
-                    }
-                    _ => crate::explain::render_plan(&planned.plan),
-                };
-                let column = if *mode == crate::ast::ExplainMode::Trace {
-                    "trace"
-                } else {
-                    "plan"
-                };
-                Ok(StatementResult::Rows(QueryResult {
-                    columns: vec![column.to_string()],
-                    rows: rendered
-                        .lines()
-                        .map(|l| vec![Value::Str(l.into())])
-                        .collect(),
-                }))
-            }
-            Statement::CreateTable(ct) => {
-                let columns: Vec<(String, DataType)> =
-                    ct.columns.iter().map(|c| (c.name.clone(), c.ty)).collect();
-                let schema = Schema::new(
-                    columns
-                        .iter()
-                        .map(|(name, ty)| Column {
-                            name: name.clone(),
-                            ty: *ty,
-                        })
-                        .collect(),
-                );
-                let table = Table::new(ct.name.clone(), schema, &ct.primary_key)?;
-                let mut catalog = self.write_catalog()?;
-                let created = catalog.create_table(table, ct.if_not_exists)?;
-                let ticket = if created {
-                    self.wal_log(
-                        &catalog,
-                        vec![WalOp::CreateTable {
-                            name: ct.name.clone(),
-                            columns,
-                            primary_key: ct.primary_key.clone(),
-                        }],
-                        ctx.deadline,
-                        ctx.wal_scope(),
-                    )?
-                } else {
-                    None
-                };
-                drop(catalog);
-                self.wal_wait(ticket, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(0))
-            }
-            Statement::CreateIndex(ci) => {
-                let mut catalog = self.write_catalog()?;
-                let table = catalog.get_mut(&ci.table)?;
-                if table.has_index(&ci.name) {
-                    if ci.if_not_exists {
-                        return Ok(StatementResult::Affected(0));
-                    }
-                    return Err(EngineError::catalog(format!(
-                        "index '{}' already exists",
-                        ci.name
-                    )));
-                }
-                table.create_index(&ci.name, &ci.columns, ci.unique)?;
-                let ticket = self.wal_log(
-                    &catalog,
-                    vec![WalOp::CreateIndex {
-                        table: ci.table.clone(),
-                        name: ci.name.clone(),
-                        columns: ci.columns.clone(),
-                        unique: ci.unique,
-                    }],
-                    ctx.deadline,
-                    ctx.wal_scope(),
-                )?;
-                drop(catalog);
-                self.wal_wait(ticket, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(0))
-            }
-            Statement::DropTable { name, if_exists } => {
-                let mut catalog = self.write_catalog()?;
-                let dropped = catalog.drop_table(name, *if_exists)?;
-                let ticket = if dropped {
-                    self.wal_log(
-                        &catalog,
-                        vec![WalOp::DropTable { name: name.clone() }],
-                        ctx.deadline,
-                        ctx.wal_scope(),
-                    )?
-                } else {
-                    None
-                };
-                drop(catalog);
-                self.wal_wait(ticket, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(0))
-            }
-            Statement::CreateTableAs {
-                name,
-                if_not_exists,
-                query,
-            } => {
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    planner.plan_query(query)?
-                };
-                let rows = self.exec_ctx(ctx).execute(&planned.plan)?;
-                let columns: Vec<(String, DataType)> = planned
+        ctx: &mut StatementCtx,
+    ) -> Result<QueryResult> {
+        if mode == ExplainMode::Check {
+            // Semantic analysis only: report the typed output schema
+            // without planning or executing anything.
+            let report = crate::sema::check_query(&self.catalog.read(), query)?;
+            return Ok(QueryResult {
+                columns: vec!["column".to_string(), "type".to_string()],
+                rows: report
                     .columns
-                    .iter()
-                    .map(|c| (c.clone(), DataType::Any))
-                    .collect();
-                let schema = Schema::new(
-                    columns
-                        .iter()
-                        .map(|(name, ty)| Column {
-                            name: name.clone(),
-                            ty: *ty,
-                        })
-                        .collect(),
-                );
-                let mut table = Table::new(name.clone(), schema, &[])?;
-                let n = rows.len();
-                // Clone the result rows for the log up front: the table takes
-                // ownership of them below.
-                let logged_rows = self.wal.is_some().then(|| rows.clone());
-                for row in rows {
-                    table.insert_row(row, None)?;
-                }
-                let mut catalog = self.write_catalog()?;
-                let created = catalog.create_table(table, *if_not_exists)?;
-                let ticket = if created {
-                    let mut ops = vec![WalOp::CreateTable {
-                        name: name.clone(),
-                        columns,
-                        primary_key: Vec::new(),
-                    }];
-                    if let Some(rows) = logged_rows {
-                        if !rows.is_empty() {
-                            ops.push(WalOp::Insert {
-                                table: name.clone(),
-                                rows,
-                            });
-                        }
-                    }
-                    self.wal_log(&catalog, ops, ctx.deadline, ctx.wal_scope())?
-                } else {
-                    None
-                };
-                drop(catalog);
-                self.wal_wait(ticket, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(n))
-            }
-            Statement::Begin => {
-                let mut backup = self.txn_backup.lock();
-                if backup.is_some() {
-                    return Err(EngineError::exec("a transaction is already in progress"));
-                }
-                *backup = Some(self.catalog.read().clone());
-                if let Some(wal) = &self.wal {
-                    wal.begin();
-                }
-                Ok(StatementResult::Affected(0))
-            }
-            Statement::Commit => {
-                let mut backup = self.txn_backup.lock();
-                if backup.is_none() {
-                    return Err(EngineError::exec("no transaction in progress"));
-                }
-                // Flush the transaction's buffered ops as one batch while
-                // holding the catalog lock, so the flush serializes with any
-                // concurrent writer. A plain `write()` (no version bump): the
-                // catalog itself is not mutated here.
-                let flush = match &self.wal {
-                    Some(wal) => {
-                        let catalog = self.catalog.write();
-                        let scope = ctx.wal_scope();
-                        wal.commit_traced(&catalog, ctx.deadline, scope.as_ref())
-                    }
-                    None => Ok(None),
-                };
-                backup.take();
-                // Release the transaction guard before blocking on the group
-                // flush (`wal_wait` re-reads transaction state).
-                drop(backup);
-                self.wal_wait(flush?, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(0))
-            }
-            Statement::Rollback => {
-                let mut backup = self.txn_backup.lock();
-                match backup.take() {
-                    Some(saved) => {
-                        // Restore and discard the WAL's buffered ops under one
-                        // guard: nothing was written durably since BEGIN, so
-                        // the durable state already equals `saved`.
-                        let mut catalog = self.write_catalog()?;
-                        *catalog = saved;
-                        if let Some(wal) = &self.wal {
-                            wal.rollback();
-                        }
-                        Ok(StatementResult::Affected(0))
-                    }
-                    None => Err(EngineError::exec("no transaction in progress")),
-                }
-            }
-            Statement::Insert(insert) => self.execute_insert(insert, params, ctx),
-            Statement::Delete {
-                table, predicate, ..
-            } => {
-                let predicate = self.resolve_dml_subqueries(predicate.clone(), params)?;
-                let mut catalog = self.write_catalog()?;
-                let t = catalog.get_mut(table)?;
-                let idxs = match &predicate {
-                    None => (0..t.row_count()).collect(),
-                    Some(pred) => {
-                        let scope = table_scope(t);
-                        let bound = bind_expr(pred, &scope, params)?;
-                        let mut idxs = Vec::new();
-                        for (i, row) in t.rows.iter().enumerate() {
-                            if bound.eval(row)?.as_bool()? == Some(true) {
-                                idxs.push(i);
-                            }
-                        }
-                        idxs
-                    }
-                };
-                let logged_idxs = (self.wal.is_some() && !idxs.is_empty())
-                    .then(|| idxs.iter().map(|&i| i as u64).collect::<Vec<u64>>());
-                let n = t.delete_rows(idxs)?;
-                let mut ticket = None;
-                if let Some(idxs) = logged_idxs {
-                    if n > 0 {
-                        ticket = self.wal_log(
-                            &catalog,
-                            vec![WalOp::Delete {
-                                table: table.clone(),
-                                idxs,
-                            }],
-                            ctx.deadline,
-                            ctx.wal_scope(),
-                        )?;
-                    }
-                }
-                drop(catalog);
-                self.wal_wait(ticket, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(n))
-            }
-            Statement::Update {
-                table,
-                assignments,
-                predicate,
-                ..
-            } => {
-                let predicate = self.resolve_dml_subqueries(predicate.clone(), params)?;
-                let mut catalog = self.write_catalog()?;
-                let t = catalog.get_mut(table)?;
-                let scope = table_scope(t);
-                let bound_pred = predicate
-                    .as_ref()
-                    .map(|p| bind_expr(p, &scope, params))
-                    .transpose()?;
-                let mut bound_assignments = Vec::with_capacity(assignments.len());
-                for (col, expr) in assignments {
-                    let pos = t.schema.position(col).ok_or_else(|| {
-                        EngineError::plan(format!("unknown column '{col}' in UPDATE"))
-                    })?;
-                    bound_assignments.push((pos, bind_expr(expr, &scope, params)?));
-                }
-                let mut updates = Vec::new();
-                for (i, row) in t.rows.iter().enumerate() {
-                    let matches = match &bound_pred {
-                        None => true,
-                        Some(p) => p.eval(row)?.as_bool()? == Some(true),
-                    };
-                    if matches {
-                        let mut new_row = row.clone();
-                        for (pos, e) in &bound_assignments {
-                            new_row[*pos] = e.eval(row)?;
-                        }
-                        updates.push((i, new_row));
-                    }
-                }
-                let wal_on = self.wal.is_some();
-                let mut ops = Vec::new();
-                let mut applied = 0usize;
-                let mut failure = None;
-                for (i, new_row) in updates {
-                    let logged = wal_on.then(|| new_row.clone());
-                    if let Err(e) = t.replace_row(i, new_row) {
-                        failure = Some(e);
-                        break;
-                    }
-                    applied += 1;
-                    if let Some(row) = logged {
-                        ops.push(WalOp::Replace {
-                            table: table.clone(),
-                            idx: i as u64,
-                            row,
-                        });
-                    }
-                }
-                // A statement that failed midway still logs the prefix it
-                // applied — recovery must reproduce the in-memory state, not
-                // an idealized all-or-nothing one.
-                let wal_result = if ops.is_empty() {
-                    Ok(None)
-                } else {
-                    self.wal_log(&catalog, ops, ctx.deadline, ctx.wal_scope())
-                };
-                drop(catalog);
-                if let Some(e) = failure {
-                    if let Ok(ticket) = wal_result {
-                        let _ = self.wal_wait(ticket, ctx.deadline, ctx.wal_scope());
-                    }
-                    return Err(e);
-                }
-                self.wal_wait(wal_result?, ctx.deadline, ctx.wal_scope())?;
-                Ok(StatementResult::Affected(applied))
-            }
-        }
-    }
-
-    /// Evaluate uncorrelated subqueries inside a DML predicate against the
-    /// current catalog (before the write lock is taken).
-    fn resolve_dml_subqueries(
-        &self,
-        predicate: Option<Expr>,
-        params: &[Value],
-    ) -> Result<Option<Expr>> {
-        let Some(mut pred) = predicate else {
-            return Ok(None);
-        };
-        let catalog = self.catalog.read();
-        let mut planner = Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-        planner.resolve_subqueries(&mut pred)?;
-        Ok(Some(pred))
-    }
-
-    fn execute_insert(
-        &self,
-        insert: &crate::ast::Insert,
-        params: &[Value],
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        // Evaluate the source rows to completion *before* taking the write
-        // lock. The source query plans under a read lock and captures `Arc`
-        // snapshots of every table it scans, so `INSERT INTO t SELECT .. FROM
-        // t` reads a consistent pre-statement image of `t` — newly inserted
-        // rows can never feed back into the same statement's source, even
-        // though the scan snapshot and the write below are separate lock
-        // acquisitions (the catalog rows are copy-on-write via `Arc`).
-        let source_rows: Vec<Row> = match &insert.source {
-            InsertSource::Values(rows) => {
-                let scope = Scope::default();
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        vals.push(bind_expr(e, &scope, params)?.eval(&[])?);
-                    }
-                    out.push(vals);
-                }
-                out
-            }
-            InsertSource::Query(q) => {
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    planner.plan_query(q)?
-                };
-                self.exec_ctx(ctx).execute(&planned.plan)?
-            }
-        };
-
-        let mut catalog = self.write_catalog()?;
-        let t = catalog.get_mut(&insert.table)?;
-
-        // Map provided columns to schema positions.
-        let positions: Vec<usize> = if insert.columns.is_empty() {
-            (0..t.schema.len()).collect()
-        } else {
-            insert
-                .columns
-                .iter()
-                .map(|c| {
-                    t.schema.position(c).ok_or_else(|| {
-                        EngineError::plan(format!(
-                            "unknown column '{c}' in INSERT INTO {}",
-                            insert.table
-                        ))
+                    .into_iter()
+                    .map(|(name, ty)| {
+                        vec![Value::Str(name.into()), Value::Str(ty.to_string().into())]
                     })
-                })
-                .collect::<Result<_>>()?
-        };
-
-        // Resolve the conflict clause.
-        let (resolved, do_update) = match &insert.on_conflict {
-            None => (None, None),
-            Some(oc) => {
-                let primary = t.primary.as_ref().ok_or_else(|| {
-                    EngineError::plan(format!(
-                        "ON CONFLICT on table '{}' which has no unique index",
-                        insert.table
-                    ))
-                })?;
-                if !oc.target_columns.is_empty() {
-                    let mut target: Vec<usize> = oc
-                        .target_columns
-                        .iter()
-                        .map(|c| {
-                            t.schema.position(c).ok_or_else(|| {
-                                EngineError::plan(format!("unknown conflict column '{c}'"))
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                    target.sort_unstable();
-                    let mut key = primary.key_columns.clone();
-                    key.sort_unstable();
-                    if target != key {
-                        return Err(EngineError::plan(format!(
-                            "ON CONFLICT target does not match the unique index of '{}'",
-                            insert.table
-                        )));
-                    }
-                }
-                match &oc.action {
-                    ConflictAction::DoNothing => (Some(ResolvedConflict::DoNothing), None),
-                    ConflictAction::DoUpdate(assignments) => {
-                        // Bind assignments against [existing row, excluded row].
-                        let mut labels: Vec<ColLabel> = t
-                            .schema
-                            .columns
-                            .iter()
-                            .map(|c| ColLabel::new(Some(&t.name), &c.name))
-                            .collect();
-                        labels.extend(
-                            t.schema
-                                .columns
-                                .iter()
-                                .map(|c| ColLabel::new(Some("excluded"), &c.name)),
-                        );
-                        let scope = Scope::new(labels);
-                        let table_name = t.name.clone();
-                        let mut bound = Vec::with_capacity(assignments.len());
-                        for (col, expr) in assignments {
-                            let pos = t.schema.position(col).ok_or_else(|| {
-                                EngineError::plan(format!(
-                                    "unknown column '{col}' in DO UPDATE SET"
-                                ))
-                            })?;
-                            // PostgreSQL resolves bare columns to the existing
-                            // row; qualify them with the table name up front.
-                            let mut expr = expr.clone();
-                            qualify_bare_columns(&mut expr, &table_name);
-                            bound.push((pos, bind_expr(&expr, &scope, params)?));
-                        }
-                        (Some(ResolvedConflict::DoUpdate), Some(bound))
-                    }
-                }
-            }
-        };
-
-        let width = t.schema.len();
-        let wal_on = self.wal.is_some();
-        let mut ops: Vec<WalOp> = Vec::new();
-        let mut affected = 0usize;
-        // Errors are captured rather than propagated with `?` so the ops of
-        // the successfully applied prefix still reach the WAL — recovery must
-        // reproduce the in-memory state a partially failed statement left
-        // behind, exactly.
-        let mut failure: Option<EngineError> = None;
-        'rows: for src in source_rows {
-            if src.len() != positions.len() {
-                failure = Some(EngineError::exec(format!(
-                    "INSERT expects {} values per row, got {}",
-                    positions.len(),
-                    src.len()
-                )));
-                break;
-            }
-            let mut row: Row = vec![Value::Null; width];
-            for (pos, v) in positions.iter().zip(src) {
-                row[*pos] = v;
-            }
-            match t.insert_row(row, resolved.as_ref()) {
-                Ok(InsertOutcome::Inserted) => {
-                    affected += 1;
-                    if wal_on {
-                        // Log the row as stored (insert_row may coerce
-                        // values), so replay matches byte for byte.
-                        let stored = t.rows.last().expect("row just inserted").clone();
-                        push_insert(&mut ops, &insert.table, stored);
-                    }
-                }
-                Ok(InsertOutcome::Ignored) => {}
-                Ok(InsertOutcome::Conflict {
-                    existing_idx,
-                    proposed,
-                }) => {
-                    let assignments = do_update
-                        .as_ref()
-                        .expect("DoUpdate resolution implies bound assignments");
-                    // Evaluation row = existing ++ excluded.
-                    let mut eval_row = t.rows[existing_idx].clone();
-                    eval_row.extend(proposed);
-                    let mut new_row = t.rows[existing_idx].clone();
-                    for (pos, e) in assignments {
-                        match e.eval(&eval_row) {
-                            Ok(v) => new_row[*pos] = v,
-                            Err(e) => {
-                                failure = Some(e);
-                                break 'rows;
-                            }
-                        }
-                    }
-                    let logged = wal_on.then(|| new_row.clone());
-                    if let Err(e) = t.replace_row(existing_idx, new_row) {
-                        failure = Some(e);
-                        break;
-                    }
-                    affected += 1;
-                    if let Some(row) = logged {
-                        ops.push(WalOp::Replace {
-                            table: insert.table.clone(),
-                            idx: existing_idx as u64,
-                            row,
-                        });
-                    }
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let wal_result = if ops.is_empty() {
-            Ok(None)
-        } else {
-            self.wal_log(&catalog, ops, ctx.deadline, ctx.wal_scope())
-        };
-        drop(catalog);
-        if let Some(e) = failure {
-            if let Ok(ticket) = wal_result {
-                let _ = self.wal_wait(ticket, ctx.deadline, ctx.wal_scope());
-            }
-            return Err(e);
-        }
-        self.wal_wait(wal_result?, ctx.deadline, ctx.wal_scope())?;
-        Ok(StatementResult::Affected(affected))
-    }
-}
-
-// ----------------------------------------------------------------------
-// Virtual `sys.*` tables
-// ----------------------------------------------------------------------
-
-/// One `sys.metrics` row.
-fn metric(name: &str, kind: &str, value: f64) -> Row {
-    vec![Value::text(name), Value::text(kind), Value::Float(value)]
-}
-
-/// Append the five summary rows of one latency histogram.
-fn histogram_metrics(rows: &mut Vec<Row>, prefix: &str, h: &crate::telemetry::Histogram) {
-    rows.push(metric(
-        &format!("{prefix}.count"),
-        "counter",
-        h.count() as f64,
-    ));
-    rows.push(metric(
-        &format!("{prefix}.mean_us"),
-        "histogram",
-        h.mean_micros(),
-    ));
-    rows.push(metric(
-        &format!("{prefix}.p50_us"),
-        "histogram",
-        h.percentile_micros(0.50),
-    ));
-    rows.push(metric(
-        &format!("{prefix}.p99_us"),
-        "histogram",
-        h.percentile_micros(0.99),
-    ));
-    rows.push(metric(
-        &format!("{prefix}.max_us"),
-        "histogram",
-        h.max_micros() as f64,
-    ));
-}
-
-impl Database {
-    fn sys_metrics_rows(&self, catalog: &Catalog) -> Vec<Row> {
-        let t = &self.telemetry;
-        let (hits, misses, evictions) = self.plan_cache_metrics();
-        // Columnar gauges reflect *built* chunk caches only: tables never
-        // scanned by a vectorized query report zero (chunks are lazy).
-        let (chunks, dict_cols) = catalog
-            .table_names()
-            .into_iter()
-            .filter_map(|name| catalog.get(&name).ok())
-            .fold((0usize, 0usize), |(c, d), table| {
-                let (cc, dc) = table.chunk_stats();
-                (c + cc, d + dc)
+                    .collect(),
             });
-        let mut rows = vec![
-            metric("statements.total", "counter", t.statements.get() as f64),
-            metric(
-                "statements.errors",
-                "counter",
-                t.statement_errors.get() as f64,
-            ),
-            metric(
-                "statements.timeouts",
-                "counter",
-                t.statement_timeouts.get() as f64,
-            ),
-            metric(
-                "statements.rows_returned",
-                "counter",
-                t.rows_returned.get() as f64,
-            ),
-            metric("plan_cache.hits", "counter", hits as f64),
-            metric("plan_cache.misses", "counter", misses as f64),
-            metric("plan_cache.evictions", "counter", evictions as f64),
-            metric(
-                "plan_cache.entries",
-                "gauge",
-                self.plan_cache.lock().len() as f64,
-            ),
-            metric("catalog.version", "gauge", self.catalog_version() as f64),
-            metric("wal.appends", "counter", t.wal_appends.get() as f64),
-            metric(
-                "wal.append_bytes",
-                "counter",
-                t.wal_append_bytes.get() as f64,
-            ),
-            metric("wal.fsyncs", "counter", t.wal_fsyncs.get() as f64),
-            metric("wal.checkpoints", "counter", t.wal_checkpoints.get() as f64),
-            metric(
-                "wal.checkpoint_bytes",
-                "counter",
-                t.wal_checkpoint_bytes.get() as f64,
-            ),
-            metric("wal.bytes", "gauge", self.wal_bytes().unwrap_or(0) as f64),
-            metric("columnar.chunks", "gauge", chunks as f64),
-            metric("columnar.dict_columns", "gauge", dict_cols as f64),
-            metric(
-                "exec.vectorized_ops",
-                "counter",
-                t.vectorized_ops.get() as f64,
-            ),
-            metric("exec.row_ops", "counter", t.row_ops.get() as f64),
-            metric(
-                "verify.plans_checked",
-                "counter",
-                t.verify_plans_checked.get() as f64,
-            ),
-            metric(
-                "verify.violations",
-                "counter",
-                t.verify_violations.get() as f64,
-            ),
-            metric(
-                "admission.admitted",
-                "counter",
-                t.admission_admitted.get() as f64,
-            ),
-            metric(
-                "admission.queued",
-                "counter",
-                t.admission_queued.get() as f64,
-            ),
-            metric("admission.shed", "counter", t.admission_shed.get() as f64),
-            metric("mem.peak_bytes", "gauge", t.mem_peak_bytes.get() as f64),
-            metric(
-                "mem.budget_aborts",
-                "counter",
-                t.mem_budget_aborts.get() as f64,
-            ),
-            metric("wal.retries", "counter", t.wal_retries.get() as f64),
-            metric(
-                "wal.degraded",
-                "gauge",
-                f64::from(self.wal.as_ref().is_some_and(Wal::degraded)),
-            ),
-            metric("errors.timeout", "counter", t.errors_timeout.get() as f64),
-            metric("errors.wal", "counter", t.errors_wal.get() as f64),
-            metric("errors.resource", "counter", t.errors_resource.get() as f64),
-            metric(
-                "errors.overloaded",
-                "counter",
-                t.errors_overloaded.get() as f64,
-            ),
-            metric(
-                "errors.statement",
-                "counter",
-                t.errors_statement.get() as f64,
-            ),
-        ];
-        histogram_metrics(&mut rows, "phase.parse", &t.parse_us);
-        histogram_metrics(&mut rows, "phase.sema", &t.sema_us);
-        histogram_metrics(&mut rows, "phase.plan", &t.plan_us);
-        histogram_metrics(&mut rows, "phase.exec", &t.exec_us);
-        histogram_metrics(&mut rows, "statement.duration", &t.statement_us);
-        histogram_metrics(&mut rows, "wal.fsync", &t.wal_fsync_us);
-        for (kind, agg) in t.op_rollups() {
-            rows.push(metric(
-                &format!("op.{kind}.calls"),
-                "counter",
-                agg.calls as f64,
-            ));
-            rows.push(metric(
-                &format!("op.{kind}.rows_out"),
-                "counter",
-                agg.rows_out as f64,
-            ));
-            rows.push(metric(
-                &format!("op.{kind}.total_us"),
-                "counter",
-                agg.nanos as f64 / 1e3,
-            ));
         }
-        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        rows
-    }
-
-    fn sys_query_log_rows(&self) -> Vec<Row> {
-        self.telemetry
-            .query_log()
-            .into_iter()
-            .map(|e| {
-                vec![
-                    Value::Int(e.id as i64),
-                    Value::Str(e.sql.into()),
-                    Value::text(e.status.as_str()),
-                    e.error.map_or(Value::Null, |m| Value::Str(m.into())),
-                    Value::Int(i64::from(e.cache_hit)),
-                    Value::Int(i64::from(e.slow)),
-                    Value::Int(e.parse_us as i64),
-                    Value::Int(e.sema_us as i64),
-                    Value::Int(e.plan_us as i64),
-                    Value::Int(e.exec_us as i64),
-                    Value::Float(e.total_us as f64 / 1e3),
-                    Value::Int(e.rows as i64),
-                    Value::Int(e.peak_mem_bytes as i64),
-                    e.queue_wait_us
-                        .map_or(Value::Null, |v| Value::Int(v as i64)),
-                    e.fsync_wait_us
-                        .map_or(Value::Null, |v| Value::Int(v as i64)),
-                    e.retry_count.map_or(Value::Null, |v| Value::Int(v as i64)),
-                ]
-            })
-            .collect()
-    }
-
-    /// Rows of `sys.trace_spans`: every span of every kept statement trace,
-    /// joinable to `sys.query_log` on `statement_id`.
-    fn sys_trace_spans_rows(&self) -> Vec<Row> {
-        self.telemetry
-            .traces()
-            .into_iter()
-            .flat_map(|trace| {
-                let statement_id = trace.statement_id;
-                trace.spans.into_iter().map(move |s| {
-                    vec![
-                        Value::Int(statement_id as i64),
-                        Value::Int(i64::from(s.id)),
-                        s.parent.map_or(Value::Null, |p| Value::Int(i64::from(p))),
-                        Value::text(&s.name),
-                        Value::Int(s.start_us as i64),
-                        Value::Int(s.duration_us as i64),
-                        s.wait_class
-                            .map_or(Value::Null, |w| Value::text(w.as_str())),
-                        s.rows.map_or(Value::Null, |r| Value::Int(r as i64)),
-                        Value::Str(s.attrs_text().into()),
-                    ]
-                })
-            })
-            .collect()
-    }
-
-    /// Rows of `sys.wait_events`: one rollup row per wait class, fed by the
-    /// always-on wait histograms (recorded only on contended paths, with or
-    /// without trace sampling).
-    fn sys_wait_events_rows(&self) -> Vec<Row> {
-        let t = &self.telemetry;
-        [
-            (WaitClass::Admission, &t.wait_admission_us),
-            (WaitClass::Fsync, &t.wait_fsync_us),
-            (WaitClass::WalRetry, &t.wait_wal_retry_us),
-            (WaitClass::WorkerIdle, &t.wait_worker_idle_us),
-        ]
-        .into_iter()
-        .map(|(class, hist)| {
-            vec![
-                Value::text(class.as_str()),
-                Value::Int(hist.count() as i64),
-                Value::Int(hist.sum_micros() as i64),
-                Value::Float(hist.mean_micros()),
-                Value::Int(hist.max_micros() as i64),
-            ]
-        })
-        .collect()
-    }
-
-    /// Rows of `sys.histograms`: the raw power-of-two latency buckets behind
-    /// every latency histogram, one row per non-empty bucket.
-    fn sys_histograms_rows(&self) -> Vec<Row> {
-        let t = &self.telemetry;
-        let named: [(&str, &Histogram); 10] = [
-            ("phase.parse_us", &t.parse_us),
-            ("phase.sema_us", &t.sema_us),
-            ("phase.plan_us", &t.plan_us),
-            ("phase.exec_us", &t.exec_us),
-            ("statement.total_us", &t.statement_us),
-            ("wal.fsync_us", &t.wal_fsync_us),
-            ("wait.admission_us", &t.wait_admission_us),
-            ("wait.fsync_us", &t.wait_fsync_us),
-            ("wait.wal_retry_us", &t.wait_wal_retry_us),
-            ("wait.worker_idle_us", &t.wait_worker_idle_us),
-        ];
-        let mut rows = Vec::new();
-        for (name, hist) in named {
-            for (i, count) in hist.bucket_counts().into_iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                rows.push(vec![
-                    Value::text(name),
-                    Value::Int(Histogram::bucket_lo_us(i) as i64),
-                    Value::Int(Histogram::bucket_hi_us(i) as i64),
-                    Value::Int(count as i64),
-                ]);
+        let mut local = (mode == ExplainMode::Trace).then(|| ctx.local_trace());
+        let ctx = local.as_mut().unwrap_or(ctx);
+        // `EXPLAIN (VERIFY)` is an explicit request: the verifier runs
+        // whether or not `verify_plans` is on, and violations are the
+        // result. The executing modes vet the plan first whenever the
+        // verifier is on, so a rejected plan is reported instead of run.
+        let mut report = None;
+        let verify = match mode {
+            ExplainMode::Verify => PlanVerify::Report(&mut report),
+            _ => PlanVerify::Enforce,
+        };
+        let planned = self.plan_stage(sql, query, params, CacheUse::Bypass, verify, ctx)?;
+        let (column, rendered) = match mode {
+            ExplainMode::Verify => {
+                let report = report.expect("the plan stage fills in the requested report");
+                return Ok(QueryResult {
+                    columns: vec![
+                        "check".to_string(),
+                        "status".to_string(),
+                        "detail".to_string(),
+                    ],
+                    rows: report.rows(),
+                });
             }
-        }
-        rows
-    }
-
-    fn sys_tables_rows(catalog: &Catalog) -> Vec<Row> {
-        catalog
-            .table_names()
-            .into_iter()
-            .filter_map(|name| {
-                let t = catalog.get(&name).ok()?;
-                let pk = t
-                    .primary
-                    .as_ref()
-                    .map(|p| {
-                        p.key_columns
-                            .iter()
-                            .map(|&i| t.schema.columns[i].name.as_str())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    })
-                    .unwrap_or_default();
-                let (chunk_count, dict_columns) = t.chunk_stats();
-                Some(vec![
-                    Value::text(&name),
-                    Value::Int(t.row_count() as i64),
-                    Value::Int(t.schema.len() as i64),
-                    Value::Str(pk.into()),
-                    Value::Int(t.secondary.len() as i64),
-                    Value::Int(chunk_count as i64),
-                    Value::Int(dict_columns as i64),
-                ])
-            })
-            .collect()
-    }
-
-    fn sys_born_models_rows(&self) -> Vec<Row> {
-        self.telemetry.with_models(|models| {
-            models
-                .iter()
-                .map(|(name, s)| {
-                    vec![
-                        Value::text(name),
-                        Value::Int(i64::from(s.deployed)),
-                        Value::Int(s.predict_calls as i64),
-                        Value::Float(s.predict_us.mean_micros()),
-                        Value::Float(s.predict_us.percentile_micros(0.50)),
-                        Value::Float(s.predict_us.percentile_micros(0.99)),
-                        Value::Int(s.rows_returned as i64),
-                        Value::Int(s.fit_batches as i64),
-                        Value::Int(s.unlearn_calls as i64),
-                    ]
-                })
-                .collect()
-        })
+            ExplainMode::Analyze => {
+                let (_, stats) = self.bind_and_run(&planned, params, true, ctx)?;
+                let stats = stats.expect("stats were requested");
+                ("plan", crate::explain::render_analyze(&stats))
+            }
+            ExplainMode::Trace => {
+                Self::run(ctx, |ctx| self.bind_and_run(&planned, params, true, ctx))?;
+                let spans = local.and_then(|local| local.clock.into_spans());
+                (
+                    "trace",
+                    crate::explain::render_trace(&spans.unwrap_or_default()),
+                )
+            }
+            _ => ("plan", crate::explain::render_plan(&planned.query.plan)),
+        };
+        Ok(QueryResult::lines(column, &rendered))
     }
 }
 
 impl VirtualTables for Database {
     fn virtual_table(&self, catalog: &Catalog, name: &str) -> Option<(Schema, Arc<Vec<Row>>)> {
-        let canonical = sys::canonical(name)?;
-        let schema = sys::schema(canonical).expect("known sys tables have schemas");
-        let rows = match canonical {
-            sys::METRICS => self.sys_metrics_rows(catalog),
-            sys::QUERY_LOG => self.sys_query_log_rows(),
-            sys::TABLES => Self::sys_tables_rows(catalog),
-            sys::BORN_MODELS => self.sys_born_models_rows(),
-            sys::TRACE_SPANS => self.sys_trace_spans_rows(),
-            sys::WAIT_EVENTS => self.sys_wait_events_rows(),
-            sys::HISTOGRAMS => self.sys_histograms_rows(),
-            _ => unreachable!("canonical returns only known names"),
-        };
-        Some((schema, Arc::new(rows)))
+        sys::materialize(name, &self.telemetry, catalog, || sys::EngineGauges {
+            plan_cache: self.plan_cache.stats(),
+            plan_cache_entries: self.plan_cache.len(),
+            catalog_version: self.catalog_version(),
+            wal_bytes: self.wal_bytes().unwrap_or(0),
+            wal_degraded: self.wal.as_ref().is_some_and(Wal::degraded),
+        })
     }
 }
 
@@ -2674,200 +1024,18 @@ pub struct Prepared<'db> {
 }
 
 impl Prepared<'_> {
-    /// Execute with the given parameters.
+    /// Execute with the given parameters. Joins the lifecycle past parse and
+    /// check (done at prepare time) and otherwise drives the plan cache —
+    /// lookups, hits, misses — exactly as [`Database::execute_with`] does.
     pub fn execute(&self, params: &[Value]) -> Result<StatementResult> {
-        let mut probe = StatementProbe::start(self.db.telemetry.enabled());
-        let (result, peak_mem, trace) = match self.db.begin_statement() {
-            Ok(mut ctx) => {
-                let r = self.execute_probed(params, &mut probe, &ctx);
-                (r, ctx.budget.peak_bytes(), ctx.trace.take())
-            }
-            Err(e) => (Err(e), 0, None),
-        };
-        let result = result.map_err(|e| e.with_statement_span(&self.sql));
+        let cache = self.db.cache_use(&self.sql);
         self.db
-            .finish_statement(&probe, &self.sql, &result, peak_mem, trace);
-        result
-    }
-
-    /// The body of [`Prepared::execute`]. Mirrors
-    /// [`Database::execute_probed`] minus the parse/sema phases (done at
-    /// prepare time), so both entry points drive the same cache and record
-    /// hits, misses, and phase laps identically.
-    fn execute_probed(
-        &self,
-        params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        if self.db.config.plan_cache && !sys::mentions_sys(&self.sql) {
-            if let Some((planned, has_params, version, verified)) = self.db.cached_plan(&self.sql) {
-                probe.cache_hit = true;
-                let t = probe.phase();
-                let verify_result = self
-                    .db
-                    .verify_cached(&planned, has_params, version, &verified, &self.sql);
-                if let (Some(trace), Some(from)) = (&ctx.trace, t) {
-                    trace.record_since(
-                        ROOT_SPAN,
-                        "plan",
-                        from,
-                        None,
-                        vec![
-                            ("cache", AttrValue::Text("hit")),
-                            ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                        ],
-                    );
-                }
-                let result = verify_result
-                    .and_then(|()| self.db.execute_cached(&planned, has_params, params, ctx));
-                probe.lap_exec(t);
-                return result;
-            }
-        }
-        if let Statement::Query(query) = &self.stmt {
-            return self
-                .db
-                .execute_query_probed(&self.sql, query, params, probe, ctx);
-        }
-        let t = probe.phase();
-        let result = self
-            .db
-            .execute_statement(&self.sql, &self.stmt, params, ctx);
-        probe.lap_exec(t);
-        ctx.record_exec(t);
-        result
+            .run_statement(&self.sql, Entry::Checked(&self.stmt), params, cache, false)
+            .map(|(result, _)| result)
     }
 
     /// Execute and return rows.
     pub fn query(&self, params: &[Value]) -> Result<QueryResult> {
         self.execute(params)?.into_rows()
-    }
-}
-
-/// Scope of a base table for DML binding: columns visible bare and
-/// table-qualified, carrying their declared types.
-fn table_scope(t: &Table) -> Scope {
-    Scope::new(
-        t.schema
-            .columns
-            .iter()
-            .map(|c| ColLabel::new(Some(&t.name), &c.name).with_ty(c.ty))
-            .collect(),
-    )
-}
-
-/// Qualify unqualified column references with `table` (AST rewrite used for
-/// `ON CONFLICT DO UPDATE` expressions and mirrored by the semantic
-/// analyzer's upsert checks).
-pub(crate) fn qualify_bare_columns(e: &mut Expr, table: &str) {
-    match e {
-        Expr::Column { qualifier, .. } => {
-            if qualifier.is_none() {
-                *qualifier = Some(table.to_string());
-            }
-        }
-        Expr::Literal(..) | Expr::Param(..) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            qualify_bare_columns(expr, table);
-        }
-        Expr::Binary { left, right, .. } => {
-            qualify_bare_columns(left, table);
-            qualify_bare_columns(right, table);
-        }
-        Expr::InList { expr, list, .. } => {
-            qualify_bare_columns(expr, table);
-            for i in list {
-                qualify_bare_columns(i, table);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(low, table);
-            qualify_bare_columns(high, table);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(pattern, table);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                qualify_bare_columns(o, table);
-            }
-            for (w, th) in branches {
-                qualify_bare_columns(w, table);
-                qualify_bare_columns(th, table);
-            }
-            if let Some(el) = else_expr {
-                qualify_bare_columns(el, table);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                qualify_bare_columns(a, table);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                qualify_bare_columns(a, table);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            for p in partition_by {
-                qualify_bare_columns(p, table);
-            }
-            for oi in order_by {
-                qualify_bare_columns(&mut oi.expr, table);
-            }
-        }
-        // Subquery bodies have their own scopes.
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => qualify_bare_columns(expr, table),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::normalize_cache_key;
-
-    #[test]
-    fn cache_key_collapses_whitespace_and_keyword_case() {
-        let a = normalize_cache_key("SELECT  n,\n\ts  FROM t\nWHERE n = ?  ORDER   BY n");
-        let b = normalize_cache_key("select n, s from t where n = ? order by n");
-        assert_eq!(a, b);
-        assert_eq!(a, "select n, s from t where n = ? order by n");
-    }
-
-    #[test]
-    fn cache_key_preserves_identifier_and_literal_case() {
-        // Identifiers keep their case (it is significant in output column
-        // names) and string literals are copied verbatim, including the
-        // doubled-quote escape; only keywords fold.
-        let k = normalize_cache_key("SELECT Col  AS Total FROM T WHERE s = 'TOK''x'");
-        assert_eq!(k, "select Col as Total from T where s = 'TOK''x'");
-    }
-
-    #[test]
-    fn cache_key_drops_leading_and_trailing_whitespace() {
-        assert_eq!(normalize_cache_key("  SELECT 1  "), "select 1");
-    }
-
-    #[test]
-    fn cache_key_distinguishes_different_literals() {
-        assert_ne!(
-            normalize_cache_key("SELECT * FROM t WHERE s = 'a'"),
-            normalize_cache_key("SELECT * FROM t WHERE s = 'A'")
-        );
     }
 }

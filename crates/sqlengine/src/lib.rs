@@ -90,6 +90,7 @@ pub(crate) mod admission;
 pub mod ast;
 pub mod catalog;
 pub mod column;
+pub mod config;
 pub mod csv;
 pub mod engine;
 pub mod error;
@@ -99,6 +100,7 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub(crate) mod plan_cache;
 pub mod sema;
 pub mod snapshot;
 pub mod telemetry;
@@ -108,7 +110,8 @@ pub mod verify;
 pub mod wal;
 
 pub use ast::ExplainMode;
-pub use engine::{Database, EngineConfig, Prepared, QueryResult, StatementResult};
+pub use config::EngineConfig;
+pub use engine::{Database, Prepared, QueryResult, StatementResult};
 pub use error::{EngineError, Result, Span};
 pub use exec::{ExecContext, MemoryBudget, OpStats, WorkerPool};
 pub use plan::JoinAlgo;

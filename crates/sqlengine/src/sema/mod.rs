@@ -779,7 +779,7 @@ impl<'a> Analyzer<'a> {
                         ));
                     }
                     let mut e = expr.clone();
-                    crate::engine::qualify_bare_columns(&mut e, &table.name);
+                    crate::ast::qualify_bare_columns(&mut e, &table.name);
                     self.infer(&e, &scope, Ctx::clause(Clause::Bare))?;
                     fold::check_expr(&e)?;
                 }

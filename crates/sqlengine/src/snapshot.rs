@@ -60,16 +60,7 @@ impl Snapshot {
         let mut tables = BTreeMap::new();
         for name in catalog.table_names() {
             let t = catalog.get(&name).expect("table_names() names exist");
-            let primary_key = t
-                .primary
-                .as_ref()
-                .map(|p| {
-                    p.key_columns
-                        .iter()
-                        .map(|&i| t.schema.columns[i].name.clone())
-                        .collect()
-                })
-                .unwrap_or_default();
+            let primary_key = t.primary_key_names();
             tables.insert(
                 name,
                 TableDump {

@@ -16,12 +16,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::exec::OpStats;
-use crate::trace::{StatementTrace, WaitTotals};
+use crate::trace::{Phase, PhaseClock, StatementTrace};
 
 /// A monotonically increasing event counter (relaxed atomics: totals are
 /// exact, ordering between counters is not guaranteed — fine for metrics).
@@ -248,72 +248,11 @@ pub struct ModelStats {
     pub predict_us: Histogram,
 }
 
-/// Phase timings of one in-flight statement, captured by the engine entry
-/// points. With telemetry disabled the probe never reads the clock, so the
-/// disabled configuration pays a single branch per phase.
-#[derive(Debug)]
-pub struct StatementProbe {
-    started: Option<Instant>,
-    pub cache_hit: bool,
-    pub parse_us: u64,
-    pub sema_us: u64,
-    pub plan_us: u64,
-    pub exec_us: u64,
-}
-
-impl StatementProbe {
-    pub fn start(enabled: bool) -> StatementProbe {
-        StatementProbe {
-            started: enabled.then(Instant::now),
-            cache_hit: false,
-            parse_us: 0,
-            sema_us: 0,
-            plan_us: 0,
-            exec_us: 0,
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.started.is_some()
-    }
-
-    /// Start timing one phase (`None` when telemetry is disabled).
-    pub fn phase(&self) -> Option<Instant> {
-        self.started.map(|_| Instant::now())
-    }
-
-    fn lap(t: Option<Instant>, slot: &mut u64) {
-        if let Some(t) = t {
-            *slot += t.elapsed().as_micros() as u64;
-        }
-    }
-
-    pub fn lap_parse(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.parse_us);
-    }
-
-    pub fn lap_sema(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.sema_us);
-    }
-
-    pub fn lap_plan(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.plan_us);
-    }
-
-    pub fn lap_exec(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.exec_us);
-    }
-
-    /// Microseconds since [`StatementProbe::start`] (0 when disabled).
-    pub fn total_us(&self) -> u64 {
-        self.started.map_or(0, |t| t.elapsed().as_micros() as u64)
-    }
-}
-
 /// The engine-wide telemetry registry. One per [`Database`]; shared with the
 /// WAL and with `bornsql` models behind `Arc`.
 ///
 /// [`Database`]: crate::Database
+#[derive(Default)]
 pub struct Telemetry {
     enabled: bool,
     slow_threshold_us: u64,
@@ -410,44 +349,7 @@ impl Telemetry {
             slow_threshold_us: slow_query_threshold.as_micros() as u64,
             log_capacity: log_capacity.max(1),
             next_statement_id: AtomicU64::new(1),
-            statements: Counter::default(),
-            statement_errors: Counter::default(),
-            statement_timeouts: Counter::default(),
-            rows_returned: Counter::default(),
-            parse_us: Histogram::default(),
-            sema_us: Histogram::default(),
-            plan_us: Histogram::default(),
-            exec_us: Histogram::default(),
-            statement_us: Histogram::default(),
-            wal_appends: Counter::default(),
-            wal_append_bytes: Counter::default(),
-            wal_fsyncs: Counter::default(),
-            wal_fsync_us: Histogram::default(),
-            wal_checkpoints: Counter::default(),
-            wal_checkpoint_bytes: Counter::default(),
-            vectorized_ops: Counter::default(),
-            row_ops: Counter::default(),
-            admission_admitted: Counter::default(),
-            admission_queued: Counter::default(),
-            admission_shed: Counter::default(),
-            mem_budget_aborts: Counter::default(),
-            mem_peak_bytes: Counter::default(),
-            wal_retries: Counter::default(),
-            wait_admission_us: Histogram::default(),
-            wait_fsync_us: Histogram::default(),
-            wait_wal_retry_us: Histogram::default(),
-            wait_worker_idle_us: Histogram::default(),
-            errors_timeout: Counter::default(),
-            errors_wal: Counter::default(),
-            errors_resource: Counter::default(),
-            errors_overloaded: Counter::default(),
-            errors_statement: Counter::default(),
-            verify_plans_checked: Counter::default(),
-            verify_violations: Counter::default(),
-            log: Mutex::new(std::collections::VecDeque::new()),
-            traces: Mutex::new(std::collections::VecDeque::new()),
-            ops: Mutex::new(BTreeMap::new()),
-            models: Mutex::new(BTreeMap::new()),
+            ..Telemetry::default()
         }
     }
 
@@ -460,49 +362,65 @@ impl Telemetry {
         self.enabled
     }
 
+    /// Every event counter under its `sys.metrics` name: the one list that
+    /// [`Telemetry::reset`] and `sys.metrics` both walk.
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 23] {
+        [
+            ("statements.total", &self.statements),
+            ("statements.errors", &self.statement_errors),
+            ("statements.timeouts", &self.statement_timeouts),
+            ("statements.rows_returned", &self.rows_returned),
+            ("wal.appends", &self.wal_appends),
+            ("wal.append_bytes", &self.wal_append_bytes),
+            ("wal.fsyncs", &self.wal_fsyncs),
+            ("wal.checkpoints", &self.wal_checkpoints),
+            ("wal.checkpoint_bytes", &self.wal_checkpoint_bytes),
+            ("exec.vectorized_ops", &self.vectorized_ops),
+            ("exec.row_ops", &self.row_ops),
+            ("verify.plans_checked", &self.verify_plans_checked),
+            ("verify.violations", &self.verify_violations),
+            ("admission.admitted", &self.admission_admitted),
+            ("admission.queued", &self.admission_queued),
+            ("admission.shed", &self.admission_shed),
+            ("mem.budget_aborts", &self.mem_budget_aborts),
+            ("wal.retries", &self.wal_retries),
+            ("errors.timeout", &self.errors_timeout),
+            ("errors.wal", &self.errors_wal),
+            ("errors.resource", &self.errors_resource),
+            ("errors.overloaded", &self.errors_overloaded),
+            ("errors.statement", &self.errors_statement),
+        ]
+    }
+
+    /// Every latency histogram under its `sys.histograms` name, with the
+    /// `sys.metrics` prefix of those also summarised there.
+    pub(crate) fn histograms(&self) -> [(&'static str, Option<&'static str>, &Histogram); 10] {
+        [
+            ("phase.parse_us", Some("phase.parse"), &self.parse_us),
+            ("phase.sema_us", Some("phase.sema"), &self.sema_us),
+            ("phase.plan_us", Some("phase.plan"), &self.plan_us),
+            ("phase.exec_us", Some("phase.exec"), &self.exec_us),
+            (
+                "statement.total_us",
+                Some("statement.duration"),
+                &self.statement_us,
+            ),
+            ("wal.fsync_us", Some("wal.fsync"), &self.wal_fsync_us),
+            ("wait.admission_us", None, &self.wait_admission_us),
+            ("wait.fsync_us", None, &self.wait_fsync_us),
+            ("wait.wal_retry_us", None, &self.wait_wal_retry_us),
+            ("wait.worker_idle_us", None, &self.wait_worker_idle_us),
+        ]
+    }
+
     /// Zero every counter and histogram and clear the query log and rollups
     /// (model registrations survive, their numbers reset).
     pub fn reset(&self) {
-        for c in [
-            &self.statements,
-            &self.statement_errors,
-            &self.statement_timeouts,
-            &self.rows_returned,
-            &self.wal_appends,
-            &self.wal_append_bytes,
-            &self.wal_fsyncs,
-            &self.wal_checkpoints,
-            &self.wal_checkpoint_bytes,
-            &self.vectorized_ops,
-            &self.row_ops,
-            &self.verify_plans_checked,
-            &self.verify_violations,
-            &self.admission_admitted,
-            &self.admission_queued,
-            &self.admission_shed,
-            &self.mem_budget_aborts,
-            &self.mem_peak_bytes,
-            &self.wal_retries,
-            &self.errors_timeout,
-            &self.errors_wal,
-            &self.errors_resource,
-            &self.errors_overloaded,
-            &self.errors_statement,
-        ] {
+        for (_, c) in self.counters() {
             c.reset();
         }
-        for h in [
-            &self.parse_us,
-            &self.sema_us,
-            &self.plan_us,
-            &self.exec_us,
-            &self.statement_us,
-            &self.wal_fsync_us,
-            &self.wait_admission_us,
-            &self.wait_fsync_us,
-            &self.wait_wal_retry_us,
-            &self.wait_worker_idle_us,
-        ] {
+        self.mem_peak_bytes.reset();
+        for (_, _, h) in self.histograms() {
             h.reset();
         }
         self.log.lock().clear();
@@ -521,26 +439,23 @@ impl Telemetry {
     // ----------------------------------------------------------------------
 
     /// Record one finished statement: counters, phase histograms, and a
-    /// query-log entry. Returns the allocated statement id (so a kept trace
-    /// can be stored under the same id); `None` when the registry is
-    /// disabled. `waits` backfills the trace-derived wait columns — `None`
-    /// when the statement ran untraced.
-    #[allow(clippy::too_many_arguments)]
+    /// query-log entry, all read off the statement's one clock (wait columns
+    /// are backfilled from its spans — `NULL` when it ran untraced). Returns
+    /// the allocated statement id (so a kept trace can be stored under the
+    /// same id); `None` when the registry is disabled.
     pub fn record_statement(
         &self,
-        probe: &StatementProbe,
+        clock: &PhaseClock,
         sql: &str,
         status: QueryStatus,
         error: Option<String>,
         rows: u64,
         peak_mem: u64,
-        waits: Option<WaitTotals>,
     ) -> Option<u64> {
-        if !self.enabled || !probe.enabled() {
+        if !self.enabled || !clock.enabled() {
             return None;
         }
         self.mem_peak_bytes.set_max(peak_mem);
-        let total_us = probe.total_us();
         self.statements.incr();
         match status {
             QueryStatus::Ok => self.rows_returned.add(rows),
@@ -550,26 +465,32 @@ impl Telemetry {
                 self.statement_timeouts.incr();
             }
         }
-        self.parse_us.record_micros(probe.parse_us);
-        self.sema_us.record_micros(probe.sema_us);
-        if !probe.cache_hit {
-            self.plan_us.record_micros(probe.plan_us);
+        let [parse_us, sema_us, plan_us, exec_us] =
+            [Phase::Parse, Phase::Sema, Phase::Plan, Phase::Exec].map(|p| clock.phase_us(p));
+        let total_us = clock.total_us();
+        self.parse_us.record_micros(parse_us);
+        self.sema_us.record_micros(sema_us);
+        // A hit's plan phase is the lookup plus the memoized verify, not
+        // planning; the histogram keeps measuring planning.
+        if !clock.cache_hit {
+            self.plan_us.record_micros(plan_us);
         }
-        self.exec_us.record_micros(probe.exec_us);
+        self.exec_us.record_micros(exec_us);
         self.statement_us.record_micros(total_us);
 
         let id = self.next_statement_id.fetch_add(1, Ordering::Relaxed);
+        let waits = clock.wait_totals();
         let entry = QueryLogEntry {
             id,
             sql: truncate_sql(sql),
             status,
             error,
-            cache_hit: probe.cache_hit,
-            slow: self.slow_threshold_us > 0 && total_us >= self.slow_threshold_us,
-            parse_us: probe.parse_us,
-            sema_us: probe.sema_us,
-            plan_us: probe.plan_us,
-            exec_us: probe.exec_us,
+            cache_hit: clock.cache_hit,
+            slow: self.is_slow(total_us),
+            parse_us,
+            sema_us,
+            plan_us,
+            exec_us,
             total_us,
             rows,
             peak_mem_bytes: peak_mem,
@@ -585,8 +506,8 @@ impl Telemetry {
         Some(id)
     }
 
-    /// Whether a statement ran longer than `slow_query_threshold` (used by
-    /// the trace keep decision; mirrors the query-log `slow` flag).
+    /// Whether a statement ran longer than `slow_query_threshold` (the
+    /// query-log `slow` flag, and an always-keep reason for its trace).
     pub fn is_slow(&self, total_us: u64) -> bool {
         self.slow_threshold_us > 0 && total_us >= self.slow_threshold_us
     }
@@ -774,132 +695,7 @@ fn op_kind(label: &str) -> &str {
     label.split([' ', '[']).next().unwrap_or(label)
 }
 
-/// The virtual `sys.*` table namespace: names, schemas, and name tests.
-/// Schemas are static (only the *rows* are live snapshots), so the semantic
-/// analyzer resolves them without touching a registry.
-pub mod sys {
-    use crate::catalog::{Column, Schema};
-    use crate::value::DataType;
-
-    pub const METRICS: &str = "sys.metrics";
-    pub const QUERY_LOG: &str = "sys.query_log";
-    pub const TABLES: &str = "sys.tables";
-    pub const BORN_MODELS: &str = "sys.born_models";
-    pub const TRACE_SPANS: &str = "sys.trace_spans";
-    pub const WAIT_EVENTS: &str = "sys.wait_events";
-    pub const HISTOGRAMS: &str = "sys.histograms";
-
-    /// All virtual table names (lowercase canonical form).
-    pub const ALL: [&str; 7] = [
-        METRICS,
-        QUERY_LOG,
-        TABLES,
-        BORN_MODELS,
-        TRACE_SPANS,
-        WAIT_EVENTS,
-        HISTOGRAMS,
-    ];
-
-    /// Whether `name` lies in the reserved `sys.` namespace (it may still
-    /// fail to resolve if it matches no known virtual table).
-    pub fn is_sys_name(name: &str) -> bool {
-        name.len() > 4 && name.as_bytes()[..4].eq_ignore_ascii_case(b"sys.")
-    }
-
-    /// Canonical (lowercase) name if `name` is a known virtual table.
-    pub fn canonical(name: &str) -> Option<&'static str> {
-        ALL.iter().copied().find(|t| t.eq_ignore_ascii_case(name))
-    }
-
-    /// Cheap textual test for `sys.` references, used to keep `sys.*`
-    /// statements out of the plan cache (their rows are live snapshots). A
-    /// false positive — e.g. the literal `'sys.'` inside a string — only
-    /// bypasses the cache, never changes results.
-    pub fn mentions_sys(sql: &str) -> bool {
-        sql.as_bytes()
-            .windows(4)
-            .any(|w| w.eq_ignore_ascii_case(b"sys."))
-    }
-
-    fn col(name: &str, ty: DataType) -> Column {
-        Column {
-            name: name.to_string(),
-            ty,
-        }
-    }
-
-    /// Static schema of a virtual table (`None` for unknown names).
-    pub fn schema(name: &str) -> Option<Schema> {
-        use DataType::{Integer, Real, Text};
-        let columns = match canonical(name)? {
-            METRICS => vec![col("name", Text), col("kind", Text), col("value", Real)],
-            QUERY_LOG => vec![
-                col("id", Integer),
-                col("sql", Text),
-                col("status", Text),
-                col("error", Text),
-                col("cache_hit", Integer),
-                col("slow", Integer),
-                col("parse_us", Integer),
-                col("sema_us", Integer),
-                col("plan_us", Integer),
-                col("exec_us", Integer),
-                col("duration_ms", Real),
-                col("rows", Integer),
-                col("peak_mem_bytes", Integer),
-                col("queue_wait_us", Integer),
-                col("fsync_wait_us", Integer),
-                col("retry_count", Integer),
-            ],
-            TABLES => vec![
-                col("name", Text),
-                col("rows", Integer),
-                col("columns", Integer),
-                col("primary_key", Text),
-                col("secondary_indexes", Integer),
-                col("chunk_count", Integer),
-                col("dict_columns", Integer),
-            ],
-            BORN_MODELS => vec![
-                col("model", Text),
-                col("deployed", Integer),
-                col("predict_calls", Integer),
-                col("predict_mean_us", Real),
-                col("predict_p50_us", Real),
-                col("predict_p99_us", Real),
-                col("rows_returned", Integer),
-                col("fit_batches", Integer),
-                col("unlearn_calls", Integer),
-            ],
-            TRACE_SPANS => vec![
-                col("statement_id", Integer),
-                col("span_id", Integer),
-                col("parent_id", Integer),
-                col("name", Text),
-                col("start_us", Integer),
-                col("duration_us", Integer),
-                col("wait_class", Text),
-                col("rows", Integer),
-                col("attrs", Text),
-            ],
-            WAIT_EVENTS => vec![
-                col("wait_class", Text),
-                col("count", Integer),
-                col("total_us", Integer),
-                col("mean_us", Real),
-                col("max_us", Integer),
-            ],
-            HISTOGRAMS => vec![
-                col("metric", Text),
-                col("bucket_lo_us", Integer),
-                col("bucket_hi_us", Integer),
-                col("count", Integer),
-            ],
-            _ => unreachable!("canonical returns only known names"),
-        };
-        Some(Schema::new(columns))
-    }
-}
+pub mod sys;
 
 #[cfg(test)]
 mod tests {
@@ -943,16 +739,9 @@ mod tests {
     fn query_log_ring_evicts_oldest() {
         let t = Telemetry::new(true, Duration::from_millis(100), 2);
         for i in 0..3 {
-            let probe = StatementProbe::start(true);
-            let id = t.record_statement(
-                &probe,
-                &format!("SELECT {i}"),
-                QueryStatus::Ok,
-                None,
-                1,
-                0,
-                None,
-            );
+            let clock = PhaseClock::start(true, false);
+            let id =
+                t.record_statement(&clock, &format!("SELECT {i}"), QueryStatus::Ok, None, 1, 0);
             assert_eq!(id, Some(i + 1));
         }
         let log = t.query_log();
@@ -965,9 +754,9 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let t = Telemetry::disabled();
-        let probe = StatementProbe::start(t.enabled());
-        assert!(!probe.enabled());
-        let id = t.record_statement(&probe, "SELECT 1", QueryStatus::Ok, None, 1, 0, None);
+        let clock = PhaseClock::start(t.enabled(), false);
+        assert!(!clock.enabled());
+        let id = t.record_statement(&clock, "SELECT 1", QueryStatus::Ok, None, 1, 0);
         assert_eq!(id, None);
         t.record_wal_append(10);
         t.record_model_predict("m", Duration::from_micros(5), 1);

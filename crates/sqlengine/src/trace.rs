@@ -8,6 +8,10 @@
 //! span id, a start offset and duration in microseconds, an optional wait
 //! class, an optional row count, and a small set of typed attributes.
 //!
+//! The statement driver times its phases on a [`PhaseClock`], which owns the
+//! statement's `TraceCtx` when it is traced: one clock reading per phase
+//! boundary feeds both the flat `sys.query_log` totals and the phase spans.
+//!
 //! Capture is governed by [`TraceSampling`] (`EngineConfig::trace_sampling`):
 //! off by default, so the untraced serving path performs **zero** additional
 //! clock reads. When sampling is on, every statement records tentatively and
@@ -20,7 +24,7 @@
 //! `sys.wait_events`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -174,24 +178,14 @@ pub struct TraceCtx {
     spans: Mutex<Vec<SpanRec>>,
 }
 
-impl Default for TraceCtx {
-    fn default() -> TraceCtx {
-        TraceCtx::new()
-    }
-}
-
 impl TraceCtx {
-    pub fn new() -> TraceCtx {
+    /// A recorder whose span offsets are measured from `origin`.
+    pub fn new(origin: Instant) -> TraceCtx {
         TraceCtx {
-            origin: Instant::now(),
+            origin,
             next_id: AtomicU32::new(EXEC_SPAN + 1),
             spans: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The trace origin; span start offsets are measured from here.
-    pub fn origin(&self) -> Instant {
-        self.origin
     }
 
     /// Microsecond offset of `t` from the trace origin.
@@ -208,51 +202,6 @@ impl TraceCtx {
 
     pub fn record(&self, span: SpanRec) {
         self.spans.lock().push(span);
-    }
-
-    /// Record a span that started at `from` and ends now.
-    pub fn record_since(
-        &self,
-        parent: u32,
-        name: impl Into<String>,
-        from: Instant,
-        wait_class: Option<WaitClass>,
-        attrs: Vec<(&'static str, AttrValue)>,
-    ) -> u32 {
-        let id = self.alloc_id();
-        self.record(SpanRec {
-            id,
-            parent: Some(parent),
-            name: name.into(),
-            start_us: self.offset_us(from),
-            duration_us: from.elapsed().as_micros() as u64,
-            wait_class,
-            rows: None,
-            attrs,
-        });
-        id
-    }
-
-    /// Record the pre-reserved execution-phase span ([`EXEC_SPAN`]) covering
-    /// `from`..now. No-op when the span was already recorded: an inner
-    /// executor path (plan execution) records a tight exec span first, and
-    /// outer statement drivers only fill it in for paths (DML, DDL) that
-    /// never reached the executor-side recording.
-    pub fn record_exec(&self, from: Instant, attrs: Vec<(&'static str, AttrValue)>) {
-        let mut spans = self.spans.lock();
-        if spans.iter().any(|s| s.id == EXEC_SPAN) {
-            return;
-        }
-        spans.push(SpanRec {
-            id: EXEC_SPAN,
-            parent: Some(ROOT_SPAN),
-            name: "exec".into(),
-            start_us: self.offset_us(from),
-            duration_us: from.elapsed().as_micros() as u64,
-            wait_class: None,
-            rows: None,
-            attrs,
-        });
     }
 
     /// Record the execution-operator subtree from an `EXPLAIN ANALYZE`
@@ -296,16 +245,16 @@ impl TraceCtx {
         }
     }
 
-    /// Finish the trace: record the root statement span and return all
-    /// spans, root first, children in recording order.
-    pub fn finish(self, name: impl Into<String>, total_us: u64) -> Vec<SpanRec> {
+    /// Finish the trace: add the root `statement` span and return all spans,
+    /// root first, children in recording order.
+    fn finish(self, total_us: u64) -> Vec<SpanRec> {
         let mut spans = self.spans.into_inner();
         spans.insert(
             0,
             SpanRec {
                 id: ROOT_SPAN,
                 parent: None,
-                name: name.into(),
+                name: "statement".into(),
                 start_us: 0,
                 duration_us: total_us,
                 wait_class: None,
@@ -314,11 +263,6 @@ impl TraceCtx {
             },
         );
         spans
-    }
-
-    /// Snapshot of the spans recorded so far (no root span).
-    pub fn spans(&self) -> Vec<SpanRec> {
-        self.spans.lock().clone()
     }
 }
 
@@ -345,8 +289,205 @@ impl TraceScope<'_> {
         from: Instant,
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
-        self.ctx
-            .record_since(self.parent, name, from, Some(wait_class), attrs);
+        self.ctx.record(SpanRec {
+            id: self.ctx.alloc_id(),
+            parent: Some(self.parent),
+            name: name.into(),
+            start_us: self.ctx.offset_us(from),
+            duration_us: from.elapsed().as_micros() as u64,
+            wait_class: Some(wait_class),
+            rows: None,
+            attrs,
+        });
+    }
+}
+
+/// The top-level phases of a statement, in lifecycle order. Each is a flat
+/// `sys.query_log` column and, for traced statements, a span of the same
+/// name under the root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    Parse,
+    Sema,
+    Plan,
+    Exec,
+}
+
+impl Phase {
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Parse => "parse",
+            Phase::Sema => "sema",
+            Phase::Plan => "plan",
+            Phase::Exec => "exec",
+        }
+    }
+}
+
+/// The one clock of a statement. Phases tile the statement's timeline: every
+/// boundary is a single clock read ([`PhaseClock::lap`]) that closes the
+/// phase open since the previous boundary, and that one measurement both
+/// adds to the flat per-phase totals (`sys.query_log`) and — when the
+/// statement is traced — becomes the phase's span (`sys.trace_spans`), so
+/// the two agree by construction. The statement's total is the distance
+/// from the origin to the last boundary.
+///
+/// With telemetry disabled the clock holds no instants and never reads the
+/// time; every method is a branch.
+#[derive(Debug)]
+pub struct PhaseClock {
+    /// `(origin, last boundary)`; `None` when telemetry is disabled.
+    marks: Option<(Instant, Instant)>,
+    phase_us: [u64; 4],
+    /// Whether the plan cache served the physical plan.
+    pub cache_hit: bool,
+    trace: Option<TraceCtx>,
+}
+
+impl PhaseClock {
+    /// Start the clock (one read when `enabled`, none otherwise). `traced`
+    /// additionally allocates the span recorder, sharing the clock's origin.
+    pub fn start(enabled: bool, traced: bool) -> PhaseClock {
+        let marks = enabled.then(|| {
+            let now = Instant::now();
+            (now, now)
+        });
+        PhaseClock {
+            marks,
+            phase_us: [0; 4],
+            cache_hit: false,
+            trace: marks
+                .filter(|_| traced)
+                .map(|(origin, _)| TraceCtx::new(origin)),
+        }
+    }
+
+    pub fn enabled(&self) -> bool {
+        self.marks.is_some()
+    }
+
+    pub fn traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Move the boundary to now without attributing the time since the
+    /// previous one to any phase (it still counts toward the total).
+    pub fn skip(&mut self) {
+        if let Some((_, last)) = &mut self.marks {
+            *last = Instant::now();
+        }
+    }
+
+    /// [`PhaseClock::skip`] at the end of admission: the boundary moves past
+    /// the gate, and a statement that had to queue gets its
+    /// `admission.queue_wait` span, ending at the new boundary.
+    pub fn admitted(&mut self, queue_wait: Option<Duration>) {
+        self.skip();
+        if let (Some(trace), Some((_, last)), Some(waited)) = (&self.trace, self.marks, queue_wait)
+        {
+            trace.record(SpanRec {
+                id: trace.alloc_id(),
+                parent: Some(ROOT_SPAN),
+                name: "admission.queue_wait".into(),
+                start_us: trace.offset_us(last.checked_sub(waited).unwrap_or(last)),
+                duration_us: waited.as_micros() as u64,
+                wait_class: Some(WaitClass::Admission),
+                rows: None,
+                attrs: Vec::new(),
+            });
+        }
+    }
+
+    /// Close `phase` at now: the time since the previous boundary is added
+    /// to the phase's flat total and recorded as its span.
+    pub fn lap(&mut self, phase: Phase) {
+        self.lap_with(phase, Vec::new);
+    }
+
+    /// Close the plan phase, tagging its span with where the plan came from
+    /// and its operator count (`None` when planning failed).
+    pub fn lap_plan(&mut self, plan: Option<&crate::plan::PhysPlan>) {
+        let source = if self.cache_hit { "hit" } else { "miss" };
+        self.lap_with(Phase::Plan, || {
+            let mut attrs = vec![("cache", AttrValue::Text(source))];
+            if let Some(plan) = plan {
+                attrs.push(("nodes", AttrValue::Int(plan.node_count() as i64)));
+            }
+            attrs
+        });
+    }
+
+    /// `attrs` only runs for traced statements, so untraced laps allocate
+    /// nothing.
+    fn lap_with(&mut self, phase: Phase, attrs: impl FnOnce() -> Vec<(&'static str, AttrValue)>) {
+        let Some((_, last)) = &mut self.marks else {
+            return;
+        };
+        let now = Instant::now();
+        let duration_us = now.duration_since(*last).as_micros() as u64;
+        self.phase_us[phase as usize] += duration_us;
+        if let Some(trace) = &self.trace {
+            trace.record(SpanRec {
+                // The exec span's id is pre-reserved so operator subtrees
+                // and WAL waits could parent under it before it closed.
+                id: if phase == Phase::Exec {
+                    EXEC_SPAN
+                } else {
+                    trace.alloc_id()
+                },
+                parent: Some(ROOT_SPAN),
+                name: phase.name().into(),
+                start_us: trace.offset_us(*last),
+                duration_us,
+                wait_class: None,
+                rows: None,
+                attrs: attrs(),
+            });
+        }
+        *last = now;
+    }
+
+    /// Flat total of one phase so far, µs.
+    pub fn phase_us(&self, phase: Phase) -> u64 {
+        self.phase_us[phase as usize]
+    }
+
+    /// Microseconds from the origin to the last boundary (0 when disabled).
+    pub fn total_us(&self) -> u64 {
+        self.marks.map_or(0, |(origin, last)| {
+            last.duration_since(origin).as_micros() as u64
+        })
+    }
+
+    /// Scope for spans recorded beneath the exec phase while it is open
+    /// (WAL fsync waits and retries).
+    pub fn exec_scope(&self) -> Option<TraceScope<'_>> {
+        self.trace.as_ref().map(|ctx| TraceScope {
+            ctx,
+            parent: EXEC_SPAN,
+        })
+    }
+
+    /// Attach an executed plan's operator subtree beneath the exec phase,
+    /// starting where the open phase started. No-op when untraced.
+    pub fn record_op_tree(&self, stats: &OpStats) {
+        if let (Some(trace), Some((_, last))) = (&self.trace, self.marks) {
+            trace.record_op_tree(stats, trace.offset_us(last));
+        }
+    }
+
+    /// Wait totals of the spans recorded so far (`None` when untraced).
+    pub fn wait_totals(&self) -> Option<WaitTotals> {
+        self.trace
+            .as_ref()
+            .map(|trace| WaitTotals::from_spans(&trace.spans.lock()))
+    }
+
+    /// Finish a traced statement: all spans, the root `statement` span
+    /// (covering the clock's total) first. `None` when untraced.
+    pub fn into_spans(self) -> Option<Vec<SpanRec>> {
+        let total_us = self.total_us();
+        self.trace.map(|trace| trace.finish(total_us))
     }
 }
 
@@ -408,8 +549,8 @@ mod tests {
 
     #[test]
     fn wait_totals_fold_by_class() {
-        let ctx = TraceCtx::new();
         let from = Instant::now();
+        let ctx = TraceCtx::new(from);
         let scope = TraceScope {
             ctx: &ctx,
             parent: EXEC_SPAN,
@@ -418,7 +559,7 @@ mod tests {
         scope.record_wait("wal.fsync_wait", WaitClass::Fsync, from, Vec::new());
         scope.record_wait("wal.retry", WaitClass::WalRetry, from, Vec::new());
         scope.record_wait("wal.retry", WaitClass::WalRetry, from, Vec::new());
-        let spans = ctx.finish("statement", 10);
+        let spans = ctx.finish(10);
         let totals = WaitTotals::from_spans(&spans);
         assert_eq!(totals.retry_count, 2);
         assert_eq!(spans[0].id, ROOT_SPAN);

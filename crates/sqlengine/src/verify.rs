@@ -170,6 +170,33 @@ impl VerifyReport {
         }
         Err(EngineError::verify(message, span))
     }
+
+    /// The `EXPLAIN (VERIFY)` rendering: one `check | status | detail` row
+    /// per invariant class.
+    pub(crate) fn rows(&self) -> Vec<crate::value::Row> {
+        use crate::value::Value;
+        VerifyRule::ALL
+            .iter()
+            .map(|rule| {
+                let details: Vec<String> = self
+                    .violations
+                    .iter()
+                    .filter(|v| v.rule == *rule)
+                    .map(|v| format!("{}: {}", v.node, v.message))
+                    .collect();
+                let status = if details.is_empty() {
+                    "ok"
+                } else {
+                    "violation"
+                };
+                vec![
+                    Value::text(rule.name()),
+                    Value::text(status),
+                    Value::text(details.join("; ")),
+                ]
+            })
+            .collect()
+    }
 }
 
 /// Verify a planned query against its sema-typed output scope.

@@ -38,7 +38,14 @@ fn overflow_is_shed_while_the_slot_is_busy() {
             .with_admission_queue_depth(0),
     );
     let db2 = Arc::clone(&db);
+    let admitted = db.telemetry().admission_admitted.get();
     let busy = std::thread::spawn(move || db2.query(HEAVY).unwrap());
+    // Wait until the heavy statement holds the only slot: were it to arrive
+    // while one of the short statements below holds it, it would itself be
+    // shed.
+    while db.telemetry().admission_admitted.get() == admitted {
+        std::thread::yield_now();
+    }
 
     let mut shed = 0u32;
     let mut ran = 0u32;

@@ -218,10 +218,17 @@ fn overloaded_display_is_pinned_and_retryable() {
             .with_admission_queue_depth(0),
     ));
     let db2 = std::sync::Arc::clone(&db);
+    let admitted = db.telemetry().admission_admitted.get();
     let busy = std::thread::spawn(move || {
         db2.query("SELECT COUNT(*) FROM big a, big b WHERE a.n + b.n > 0")
             .unwrap()
     });
+    // Wait until the heavy statement holds the only slot: were it to arrive
+    // while one of the short statements below holds it, it would itself be
+    // shed.
+    while db.telemetry().admission_admitted.get() == admitted {
+        std::thread::yield_now();
+    }
     // Poll until we collide with the busy statement (or it finishes first,
     // in which case the loop below must have seen at least one collision —
     // the busy query takes far longer than the polling interval).

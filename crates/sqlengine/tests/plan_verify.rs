@@ -158,6 +158,40 @@ fn memoized_hits_skip_the_walk_until_the_catalog_moves() {
 }
 
 #[test]
+fn training_statements_have_their_source_query_verified() {
+    // `INSERT … SELECT … ON CONFLICT DO UPDATE` is what `fit` / `partial_fit`
+    // emit; its source query goes through the same plan-and-verify stage as
+    // any SELECT, and so does the source of CREATE TABLE AS.
+    let db = seeded(EngineConfig::default().with_verify_plans(true));
+    db.execute("CREATE TABLE corpus (s TEXT PRIMARY KEY, w REAL)")
+        .unwrap();
+    let checked = || db.telemetry().verify_plans_checked.get();
+    let fit = "INSERT INTO corpus SELECT s, SUM(w) FROM t GROUP BY s \
+               ON CONFLICT (s) DO UPDATE SET w = corpus.w + excluded.w";
+    for run in 1..=2 {
+        let before = checked();
+        assert_eq!(db.execute(fit).unwrap().affected(), 13);
+        assert_eq!(
+            checked(),
+            before + 1,
+            "run {run}: one walk per training statement"
+        );
+    }
+    let before = checked();
+    db.execute("CREATE TABLE copy AS SELECT n, w FROM t WHERE n < 10")
+        .unwrap();
+    assert_eq!(checked(), before + 1);
+    assert_eq!(db.telemetry().verify_violations.get(), 0);
+
+    // With the verifier off the same statements walk nothing.
+    let off = seeded(EngineConfig::default().with_verify_plans(false));
+    off.execute("CREATE TABLE corpus (s TEXT PRIMARY KEY, w REAL)")
+        .unwrap();
+    off.execute(fit).unwrap();
+    assert_eq!(off.telemetry().verify_plans_checked.get(), 0);
+}
+
+#[test]
 fn verifier_off_means_zero_checks() {
     let db = seeded(EngineConfig::default().with_verify_plans(false));
     for sql in QUERIES {

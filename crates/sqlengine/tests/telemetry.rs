@@ -5,8 +5,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sqlengine::catalog::{Column, Schema, Table};
 use sqlengine::{
-    Database, EngineConfig, EngineError, MemIo, QueryStatus, StorageIo, SyncPolicy, Value,
+    DataType, Database, EngineConfig, EngineError, MemIo, QueryStatus, StorageIo, SyncPolicy,
+    TraceSampling, Value,
 };
 
 /// Tiny deterministic PRNG so fixtures are identical on every run.
@@ -161,6 +163,101 @@ fn query_log_ring_is_bounded_by_config() {
         "oldest surviving entry should be statement #6: {}",
         log[0].sql
     );
+}
+
+// ---------------------------------------------------------------------
+// Every begin gets exactly one finish
+// ---------------------------------------------------------------------
+
+#[test]
+fn query_analyzed_is_a_logged_counted_traced_statement() {
+    let db = seeded_db(
+        EngineConfig::default().with_trace_sampling(TraceSampling::On { rate: 1.0, seed: 1 }),
+        64,
+    );
+    let entries = |sql: &str| -> Vec<_> {
+        db.telemetry()
+            .query_log()
+            .into_iter()
+            .filter(|e| e.sql == sql)
+            .collect()
+    };
+    let trace_of = |id: u64| {
+        db.telemetry()
+            .traces()
+            .into_iter()
+            .find(|t| t.statement_id == id)
+    };
+    let cache_stats = db.plan_cache_stats();
+
+    let sql = "SELECT g, COUNT(*) FROM t GROUP BY g";
+    let (result, stats) = db.query_analyzed(sql).unwrap();
+    assert_eq!(stats.rows_out, result.rows.len());
+    let log = entries(sql);
+    assert_eq!(log.len(), 1, "query_analyzed must be logged, once");
+    assert_eq!(log[0].status, QueryStatus::Ok);
+    assert_eq!(log[0].rows, result.rows.len() as u64);
+    let trace = trace_of(log[0].id).expect("query_analyzed must keep its trace");
+    assert_eq!(trace.spans[0].name, "statement");
+    assert!(trace.spans.iter().any(|s| s.name == "exec"));
+    assert!(
+        trace.spans.iter().any(|s| s.rows.is_some()),
+        "operator spans"
+    );
+
+    // A failure is counted, logged with its message, and (as an error)
+    // always keeps its trace.
+    let bad = "SELECT nope FROM t";
+    let errors = db.telemetry().errors_statement.get();
+    db.query_analyzed(bad).unwrap_err();
+    assert_eq!(db.telemetry().errors_statement.get(), errors + 1);
+    let log = entries(bad);
+    assert_eq!(log.len(), 1);
+    assert_eq!(log[0].status, QueryStatus::Error);
+    assert!(log[0].error.as_deref().unwrap_or("").contains("nope"));
+    assert!(
+        trace_of(log[0].id).is_some(),
+        "failed statements keep their trace"
+    );
+
+    // Only SELECT can be analyzed, and the refusal comes before execution.
+    let err = db.query_analyzed("DELETE FROM t").unwrap_err();
+    assert!(
+        err.to_string().contains("ANALYZE supports only SELECT"),
+        "{err}"
+    );
+    assert_eq!(db.table_rows("t").unwrap(), 64);
+
+    // A diagnostic read leaves the plan-cache counters alone.
+    assert_eq!(db.plan_cache_stats(), cache_stats);
+}
+
+#[test]
+fn bulk_apis_are_admitted_but_are_not_statements() {
+    // `seeded_db` loads through `insert_rows`.
+    let db = seeded_db(
+        EngineConfig::default()
+            .with_trace_sampling(TraceSampling::On { rate: 1.0, seed: 1 })
+            .with_max_concurrent_statements(2),
+        32,
+    );
+    let schema = Schema::new(vec![Column {
+        name: "n".to_string(),
+        ty: DataType::Integer,
+    }]);
+    let table = Table::new("restored".to_string(), schema, &[]).unwrap();
+    db.restore_table(table, vec![vec![Value::Int(1)], vec![Value::Int(2)]])
+        .unwrap();
+    assert_eq!(db.table_rows("t").unwrap(), 32);
+    assert_eq!(db.table_rows("restored").unwrap(), 2);
+
+    // Only the fixture's CREATE TABLE is a statement: one log row, one
+    // trace. The bulk loads passed the gate without either.
+    let log = db.telemetry().query_log();
+    assert_eq!(log.len(), 1, "{log:?}");
+    assert!(log[0].sql.starts_with("CREATE TABLE"));
+    assert_eq!(db.telemetry().traces().len(), 1);
+    assert_eq!(db.telemetry().admission_admitted.get(), 3);
 }
 
 // ---------------------------------------------------------------------
@@ -430,8 +527,15 @@ fn error_counters_classify_by_variant() {
         1200,
     ));
     let db2 = Arc::clone(&db);
+    let admitted = db.telemetry().admission_admitted.get();
     let busy =
         std::thread::spawn(move || db2.query("SELECT COUNT(*) FROM t a, t b WHERE a.x + b.x > 0"));
+    // Wait until the heavy statement holds the only slot: were it to arrive
+    // while one of the short statements below holds it, it would itself be
+    // shed.
+    while db.telemetry().admission_admitted.get() == admitted {
+        std::thread::yield_now();
+    }
     let mut shed = 0.0;
     for _ in 0..5_000 {
         match db.query("SELECT 1") {

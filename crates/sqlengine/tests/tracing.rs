@@ -6,7 +6,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sqlengine::{Database, EngineConfig, TraceSampling, Value};
+use sqlengine::trace::{EXEC_SPAN, ROOT_SPAN};
+use sqlengine::{
+    Database, EngineConfig, MemIo, SpanRec, StorageIo, SyncPolicy, TraceSampling, Value, WaitClass,
+};
 
 /// Tiny deterministic PRNG so fixtures are identical on every run.
 struct Lcg(u64);
@@ -73,6 +76,44 @@ fn rendered(db: &Database, sql: &str) -> String {
         .join("\n")
 }
 
+/// The span-tree nesting invariant: children start no earlier than their
+/// parent, their durations sum to no more than the parent's, and every
+/// parent id exists.
+fn assert_spans_nest(spans: &[SpanRec]) {
+    for parent in spans {
+        let children: Vec<_> = spans
+            .iter()
+            .filter(|s| s.parent == Some(parent.id))
+            .collect();
+        let sum: u64 = children.iter().map(|c| c.duration_us).sum();
+        // Each span truncates to whole microseconds, so allow 1µs of
+        // rounding slack per child.
+        assert!(
+            sum <= parent.duration_us + children.len() as u64 + 1,
+            "children of {} ({}µs) sum to {sum}µs in trace {spans:?}",
+            parent.name,
+            parent.duration_us
+        );
+        for child in &children {
+            assert!(
+                child.start_us >= parent.start_us,
+                "child {} starts before parent {}",
+                child.name,
+                parent.name
+            );
+        }
+    }
+    for span in spans {
+        if let Some(p) = span.parent {
+            assert!(
+                spans.iter().any(|s| s.id == p),
+                "span {} has dangling parent {p}",
+                span.name
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Differential: EXPLAIN (TRACE) vs EXPLAIN ANALYZE
 // ---------------------------------------------------------------------
@@ -122,41 +163,96 @@ fn child_span_durations_sum_within_parent_duration() {
         "expected every statement kept at rate 1.0"
     );
     for trace in &traces {
-        for parent in &trace.spans {
-            let children: Vec<_> = trace
-                .spans
+        assert_spans_nest(&trace.spans);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The paper's training statement: INSERT … SELECT … ON CONFLICT DO UPDATE
+// ---------------------------------------------------------------------
+
+#[test]
+fn traced_upsert_from_select_shows_operators_and_wal_under_exec() {
+    let io: Arc<dyn StorageIo> = Arc::new(MemIo::new());
+    let db = Database::open_with_io(
+        io,
+        EngineConfig::default()
+            .with_trace_sampling(always_on())
+            .with_wal_sync(SyncPolicy::Always),
+    )
+    .unwrap();
+    db.execute("CREATE TABLE t (g INTEGER, w REAL)").unwrap();
+    let values: Vec<String> = (0..300).map(|i| format!("({}, {i}.0)", i % 5)).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    db.execute("CREATE TABLE corpus (g INTEGER PRIMARY KEY, w REAL)")
+        .unwrap();
+    let fit = "INSERT INTO corpus SELECT g, SUM(w) FROM t GROUP BY g \
+               ON CONFLICT (g) DO UPDATE SET w = corpus.w + excluded.w";
+    db.execute(fit).unwrap(); // inserts
+    db.execute(fit).unwrap(); // conflicts: the DO UPDATE arm
+
+    let ids: Vec<u64> = db
+        .telemetry()
+        .query_log()
+        .iter()
+        .filter(|e| e.sql == fit)
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(ids.len(), 2);
+    let traces = db.telemetry().traces();
+    for id in ids {
+        let spans = &traces
+            .iter()
+            .find(|t| t.statement_id == id)
+            .expect("training statement kept no trace")
+            .spans;
+        let exec = spans
+            .iter()
+            .find(|s| s.id == EXEC_SPAN)
+            .expect("no exec span");
+        assert_eq!((exec.name.as_str(), exec.parent), ("exec", Some(ROOT_SPAN)));
+
+        // The source query's plan phase and operator subtree are there, with
+        // the row counts the executor observed.
+        let plan = spans
+            .iter()
+            .find(|s| s.name == "plan")
+            .expect("no plan span");
+        assert!(plan.attrs_text().contains("cache=miss"), "{plan:?}");
+        let root_op = spans
+            .iter()
+            .find(|s| s.parent == Some(EXEC_SPAN) && s.rows.is_some())
+            .unwrap_or_else(|| panic!("no operator under exec: {spans:?}"));
+        assert_eq!(root_op.rows, Some(5), "five groups feed the upsert");
+        let aggregate = spans
+            .iter()
+            .find(|s| s.name == "Aggregate")
+            .unwrap_or_else(|| panic!("no Aggregate span: {spans:?}"));
+        assert_eq!(aggregate.rows, Some(5));
+        assert!(
+            spans
                 .iter()
-                .filter(|s| s.parent == Some(parent.id))
-                .collect();
-            let sum: u64 = children.iter().map(|c| c.duration_us).sum();
-            // Each span truncates to whole microseconds, so allow 1µs of
-            // rounding slack per child.
+                .any(|s| s.name == "Scan" && s.rows == Some(300)),
+            "{spans:?}"
+        );
+
+        // The commit's fsync wait is a child of exec and lies inside it.
+        let fsyncs: Vec<_> = spans
+            .iter()
+            .filter(|s| s.wait_class == Some(WaitClass::Fsync))
+            .collect();
+        assert!(!fsyncs.is_empty(), "no fsync span: {spans:?}");
+        for wait in fsyncs {
+            assert_eq!(wait.parent, Some(EXEC_SPAN), "{wait:?}");
+            assert!(wait.start_us >= exec.start_us, "{wait:?} vs {exec:?}");
             assert!(
-                sum <= parent.duration_us + children.len() as u64 + 1,
-                "children of {} ({}µs) sum to {sum}µs in trace {:?}",
-                parent.name,
-                parent.duration_us,
-                trace.spans
+                wait.start_us + wait.duration_us <= exec.start_us + exec.duration_us + 1,
+                "{wait:?} vs {exec:?}"
             );
-            for child in &children {
-                assert!(
-                    child.start_us >= parent.start_us,
-                    "child {} starts before parent {}",
-                    child.name,
-                    parent.name
-                );
-            }
         }
-        // Every non-root span's parent exists.
-        for span in &trace.spans {
-            if let Some(p) = span.parent {
-                assert!(
-                    trace.spans.iter().any(|s| s.id == p),
-                    "span {} has dangling parent {p}",
-                    span.name
-                );
-            }
-        }
+
+        assert_spans_nest(spans);
     }
 }
 
