@@ -2,7 +2,7 @@
 //! backend and exposes the paper's workflow (fit / partial-fit / unlearn /
 //! deploy / predict / explain) as a typed Rust API.
 
-use sqlengine::{QueryResult, Value};
+use sqlengine::{EngineError, QueryResult, Value};
 
 use crate::dialect::Dialect;
 use crate::error::{BornSqlError, Result};
@@ -22,6 +22,13 @@ pub trait SqlBackend {
     fn telemetry(&self) -> Option<&sqlengine::Telemetry> {
         None
     }
+
+    /// Whether a table named `name` exists, for backends that can tell
+    /// without running a statement. `None` — the default — means "ask with
+    /// SQL".
+    fn table_exists(&self, _name: &str) -> Option<bool> {
+        None
+    }
 }
 
 impl SqlBackend for sqlengine::Database {
@@ -37,6 +44,10 @@ impl SqlBackend for sqlengine::Database {
         // The inherent method shadows the trait one here and returns
         // `&Arc<Telemetry>`; deref to the registry itself.
         Some(sqlengine::Database::telemetry(self).as_ref())
+    }
+
+    fn table_exists(&self, name: &str) -> Option<bool> {
+        Some(self.has_table(name))
     }
 }
 
@@ -247,18 +258,32 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
     /// database this tells whether `predict` will use the cached weights or
     /// recompute from the corpus on the fly.
     pub fn is_deployed(&self) -> bool {
-        self.deployed_flag()
+        self.deployed_flag().unwrap_or(false)
     }
 
     /// Whether a deployed weights table exists (used to pick the inference
-    /// path automatically).
-    fn deployed_flag(&self) -> bool {
-        self.conn
-            .query_sql(&format!(
-                "SELECT COUNT(*) FROM {}",
-                self.gen.weights_table()
-            ))
-            .is_ok()
+    /// path automatically): the backend's catalog answers when it can,
+    /// otherwise a probe statement does. Only the probe's unknown-table
+    /// error means "undeployed" — an overloaded, timed-out or degraded
+    /// backend must fail the call, not silently demote it to the
+    /// on-the-fly path.
+    fn deployed_flag(&self) -> Result<bool> {
+        let weights = self.gen.weights_table();
+        if let Some(exists) = self.conn.table_exists(&weights) {
+            return Ok(exists);
+        }
+        match self
+            .conn
+            .query_sql(&format!("SELECT COUNT(*) FROM {weights}"))
+        {
+            Ok(_) => Ok(true),
+            Err(
+                EngineError::Sema { message, .. }
+                | EngineError::Plan(message)
+                | EngineError::Catalog(message),
+            ) if message.contains("does not exist") => Ok(false),
+            Err(e) => Err(e.into()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -268,18 +293,16 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
     /// Classify the items selected by the spec: `(n, argmax_k u_k)` rows.
     /// Items with no feature known to the model produce no row.
     pub fn predict(&self, spec: &DataSpec) -> Result<Vec<Prediction>> {
-        spec.validate_for_inference()
-            .map_err(BornSqlError::Config)?;
-        let sql = self.gen.predict(spec, self.deployed_flag());
-        rows_to_predictions(self.timed_predict_query(&sql)?)
+        self.serve(spec, rows_to_predictions, |deployed| {
+            Ok(self.gen.predict(spec, deployed))
+        })
     }
 
     /// Class probabilities `(n, k, p)` for the selected items.
     pub fn predict_proba(&self, spec: &DataSpec) -> Result<Vec<Probability>> {
-        spec.validate_for_inference()
-            .map_err(BornSqlError::Config)?;
-        let sql = self.gen.predict_proba(spec, self.deployed_flag());
-        rows_to_probabilities(self.timed_predict_query(&sql)?)
+        self.serve(spec, rows_to_probabilities, |deployed| {
+            Ok(self.gen.predict_proba(spec, deployed))
+        })
     }
 
     /// Classify an explicit batch of item identifiers in one statement.
@@ -291,13 +314,9 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
     /// telemetry. Results come back in item order (`ORDER BY n`); items with
     /// no feature known to the model produce no row.
     pub fn predict_batch(&self, spec: &DataSpec, items: &[Value]) -> Result<Vec<Prediction>> {
-        spec.validate_for_inference()
-            .map_err(BornSqlError::Config)?;
-        let sql = self
-            .gen
-            .predict_batch(spec, self.deployed_flag(), items)
-            .map_err(BornSqlError::Config)?;
-        rows_to_predictions(self.timed_predict_query(&sql)?)
+        self.serve(spec, rows_to_predictions, |deployed| {
+            self.gen.predict_batch(spec, deployed, items)
+        })
     }
 
     /// Batched variant of [`BornSqlModel::predict_proba`]: probabilities for
@@ -307,28 +326,31 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
         spec: &DataSpec,
         items: &[Value],
     ) -> Result<Vec<Probability>> {
-        spec.validate_for_inference()
-            .map_err(BornSqlError::Config)?;
-        let sql = self
-            .gen
-            .predict_proba_batch(spec, self.deployed_flag(), items)
-            .map_err(BornSqlError::Config)?;
-        rows_to_probabilities(self.timed_predict_query(&sql)?)
+        self.serve(spec, rows_to_probabilities, |deployed| {
+            self.gen.predict_proba_batch(spec, deployed, items)
+        })
     }
 
-    /// Run one inference statement, recording it as a single serving request
-    /// (with its row count) when the backend has telemetry enabled.
-    fn timed_predict_query(&self, sql: &str) -> Result<QueryResult> {
-        let started = self
-            .conn
-            .telemetry()
-            .filter(|t| t.enabled())
-            .map(|_| std::time::Instant::now());
-        let r = self.conn.query_sql(sql)?;
-        if let (Some(t), Some(at)) = (self.conn.telemetry(), started) {
-            t.record_model_predict(self.name(), at.elapsed(), r.rows.len() as u64);
+    /// One inference call: check the spec, pick the deployed or on-the-fly
+    /// statement, run it, convert its rows. The whole call — what the caller
+    /// waits for — is recorded as a single serving request (with its row
+    /// count) when the backend has telemetry enabled.
+    fn serve<T>(
+        &self,
+        spec: &DataSpec,
+        convert: fn(QueryResult) -> Result<Vec<T>>,
+        statement: impl FnOnce(bool) -> std::result::Result<String, String>,
+    ) -> Result<Vec<T>> {
+        let telemetry = self.conn.telemetry().filter(|t| t.enabled());
+        let started = telemetry.map(|_| std::time::Instant::now());
+        spec.validate_for_inference()
+            .map_err(BornSqlError::Config)?;
+        let sql = statement(self.deployed_flag()?).map_err(BornSqlError::Config)?;
+        let rows = convert(self.conn.query_sql(&sql)?)?;
+        if let (Some(t), Some(at)) = (telemetry, started) {
+            t.record_model_predict(self.name(), at.elapsed(), rows.len() as u64);
         }
-        Ok(r)
+        Ok(rows)
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +359,7 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
 
     /// Global explanation: `(j, k, HW_jk)` sorted by descending weight.
     pub fn explain_global(&self, limit: Option<usize>) -> Result<Vec<Weight>> {
-        let sql = self.gen.explain_global(self.deployed_flag(), limit);
+        let sql = self.gen.explain_global(self.deployed_flag()?, limit);
         let r = self.conn.query_sql(&sql)?;
         rows_to_weights(r)
     }
@@ -347,7 +369,7 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
     pub fn explain_local(&self, spec: &DataSpec, limit: Option<usize>) -> Result<Vec<Weight>> {
         spec.validate_for_inference()
             .map_err(BornSqlError::Config)?;
-        let sql = self.gen.explain_local(spec, self.deployed_flag(), limit);
+        let sql = self.gen.explain_local(spec, self.deployed_flag()?, limit);
         let r = self.conn.query_sql(&sql)?;
         rows_to_weights(r)
     }
@@ -476,6 +498,74 @@ fn validate_params(p: Params) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlengine::Database;
+
+    /// A backend that cannot answer `table_exists`, so the deployment check
+    /// falls back to its probe statement — which fails with `probe_error`
+    /// when one is set.
+    struct Foreign {
+        db: Database,
+        probe_error: std::cell::RefCell<Option<EngineError>>,
+    }
+
+    impl SqlBackend for Foreign {
+        fn execute_sql(&self, sql: &str) -> sqlengine::Result<usize> {
+            self.db.execute_sql(sql)
+        }
+
+        fn query_sql(&self, sql: &str) -> sqlengine::Result<QueryResult> {
+            match self.probe_error.borrow().clone() {
+                Some(e) if sql.starts_with("SELECT COUNT(*) FROM") => Err(e),
+                _ => self.db.query_sql(sql),
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_unknown_table_means_undeployed_on_a_probing_backend() {
+        let conn = Foreign {
+            db: Database::new(),
+            probe_error: Default::default(),
+        };
+        conn.db
+            .execute_script(
+                "CREATE TABLE d (n INTEGER, j TEXT, w REAL);
+                 CREATE TABLE l (n INTEGER, k TEXT);
+                 INSERT INTO d VALUES (1, 'robot', 2.0), (2, 'poisson', 2.0);
+                 INSERT INTO l VALUES (1, 'ai'), (2, 'stats');",
+            )
+            .unwrap();
+        let model = BornSqlModel::create(&conn, "m", ModelOptions::default()).unwrap();
+        let spec = DataSpec::new("SELECT n, j, w FROM d");
+        model
+            .fit(&spec.clone().with_targets("SELECT n, k, 1.0 AS w FROM l"))
+            .unwrap();
+
+        // The probe's unknown-table error: undeployed, served on the fly.
+        assert!(!model.is_deployed());
+        assert_eq!(model.predict(&spec).unwrap().len(), 2);
+        model.deploy().unwrap();
+        assert!(model.is_deployed());
+
+        // A shed probe says nothing about deployment: the call fails instead
+        // of silently recomputing the weights per predict.
+        let shed = EngineError::Overloaded("admission queue full".into());
+        *conn.probe_error.borrow_mut() = Some(shed.clone());
+        for result in [
+            model.predict(&spec).map(|_| ()),
+            model.predict_batch(&spec, &[Value::Int(1)]).map(|_| ()),
+            model.explain_local(&spec, None).map(|_| ()),
+            model.explain_global(None).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&result, Err(BornSqlError::Database(e)) if *e == shed),
+                "{result:?}"
+            );
+        }
+        assert!(!model.is_deployed(), "the bool accessor cannot say why");
+        *conn.probe_error.borrow_mut() = None;
+        assert_eq!(model.predict(&spec).unwrap().len(), 2);
+    }
 
     #[test]
     fn model_name_validation() {

@@ -132,3 +132,94 @@ fn predicts_on_a_telemetry_disabled_backend_record_nothing() {
     let r = db.query("SELECT * FROM sys.born_models").unwrap();
     assert!(r.rows.is_empty(), "disabled registry must stay empty");
 }
+
+fn counter(db: &Database, name: &str) -> i64 {
+    let sql = format!("SELECT value FROM sys.metrics WHERE name = '{name}'");
+    match db.query_scalar(&sql).unwrap() {
+        Value::Float(v) => v as i64,
+        other => panic!("{name} = {other:?}"),
+    }
+}
+
+/// A predict is one statement, deployed or not: the deployment check asks
+/// the catalog. It used to be a `SELECT COUNT(*)` probe — a second log row
+/// per predict, and on an undeployed model a failed one.
+#[test]
+fn a_predict_is_one_statement_and_never_a_logged_error() {
+    const N: usize = 7;
+    let db = Database::new();
+    let model = trained_model(&db);
+    let statements = |db: &Database| db.telemetry().statements.get();
+    let spec = |id: usize| {
+        DataSpec::new("SELECT n, term AS j, cnt AS w FROM features")
+            .with_items(format!("SELECT {} AS n", id + 1))
+    };
+
+    assert!(!model.is_deployed());
+    let before = statements(&db);
+    for id in 0..N {
+        assert_eq!(model.predict(&spec(id)).unwrap().len(), 1);
+    }
+    assert_eq!(
+        statements(&db) - before,
+        N as u64,
+        "undeployed: N statements"
+    );
+    assert_eq!(counter(&db, "statements.errors"), 0);
+    assert!(db.telemetry().query_log().iter().all(|e| e.error.is_none()));
+
+    model.deploy().unwrap();
+    assert!(model.is_deployed());
+    let before = statements(&db);
+    for id in 0..N {
+        assert_eq!(model.predict(&spec(id)).unwrap().len(), 1);
+    }
+    assert_eq!(statements(&db) - before, N as u64, "deployed: N, not 2N");
+    assert_eq!(counter(&db, "statements.errors"), 0);
+    // All but the first ride the first one's template.
+    let log = db.telemetry().query_log();
+    let hits = log[log.len() - N..].iter().filter(|e| e.cache_hit).count();
+    assert_eq!(hits, N - 1);
+}
+
+/// What `sys.born_models` reports for a predict is what the caller waited
+/// for: the timed region spans the whole call (deployment check, SQL
+/// generation, the statement, row conversion), so an operator reading the
+/// table and a client timing its calls see the same latency.
+#[test]
+fn born_models_latency_is_the_callers_wall_clock() {
+    let db = Database::new();
+    let model = trained_model(&db);
+    model.deploy().unwrap();
+    let spec = |id: i64| {
+        DataSpec::new("SELECT n, term AS j, cnt AS w FROM features")
+            .with_items(format!("SELECT {} AS n", id % 20 + 1))
+    };
+    // The caller's samples go through the same histogram the engine keeps,
+    // so both medians carry the same bucket interpolation.
+    let callers = sqlengine::telemetry::Histogram::default();
+    for id in 0..400 {
+        let spec = spec(id);
+        let started = std::time::Instant::now();
+        model.predict(&spec).unwrap();
+        callers.record(started.elapsed());
+    }
+    let row = db
+        .query("SELECT predict_calls, predict_mean_us, predict_p50_us FROM sys.born_models")
+        .unwrap()
+        .rows
+        .remove(0);
+    assert_eq!(row[0], Value::Int(400));
+    for (what, reported, measured) in [
+        ("mean", &row[1], callers.mean_micros()),
+        ("p50", &row[2], callers.percentile_micros(0.5)),
+    ] {
+        let Value::Float(reported) = reported else {
+            panic!("{what}: {reported:?}")
+        };
+        assert!(
+            (reported - measured).abs() <= 0.15 * measured,
+            "{what}: sys.born_models says {reported} us, the caller measured {measured} us"
+        );
+    }
+}

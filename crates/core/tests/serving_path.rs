@@ -2,6 +2,7 @@
 //! must plan as an index-nested-loop join probing the weights table's `j`
 //! index, and repeated serving calls must hit the engine's plan cache.
 
+use born::{BornClassifier, HyperParams, TrainItem};
 use bornsql::{BornSqlModel, DataSpec, ModelOptions};
 use sqlengine::{Database, Value};
 
@@ -176,4 +177,108 @@ fn index_scans_do_not_change_predictions() {
         assert_eq!((n1, k1), (n2, k2));
         assert!((p1 - p2).abs() < 1e-12, "{n1}/{k1}: {p1} vs {p2}");
     }
+}
+
+/// The serving shapes the model API emits — the item id inlined as a
+/// literal, which is the only form it offers — must ride one cached template
+/// per shape however many distinct ids go by, and still answer what the
+/// `born` oracle answers.
+#[test]
+fn distinct_literal_ids_share_one_template_and_match_the_oracle() {
+    const DOCS: i64 = 500;
+    let classes = ["ai", "ops", "stats"];
+    let doc = |id: i64| -> (Vec<(String, f64)>, String) {
+        let class = classes[(id % 3) as usize];
+        let mut features: Vec<(String, f64)> = (0..4)
+            .map(|t| {
+                let term = format!("{class}_tok{}", (id * 5 + t * 7) % 24);
+                (term, 1.0 + ((id + t) % 3) as f64)
+            })
+            .collect();
+        features.push((format!("common_tok{}", id % 6), 1.0));
+        (features, class.to_string())
+    };
+
+    // The same documents twice: under integer ids and under text ids.
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE features (n INTEGER, term TEXT, cnt REAL);
+         CREATE TABLE labels (n INTEGER, label TEXT, PRIMARY KEY (n));
+         CREATE TABLE named_features (n TEXT, term TEXT, cnt REAL);
+         CREATE INDEX features_n ON features (n);
+         CREATE INDEX named_features_n ON named_features (n);",
+    )
+    .unwrap();
+    let name = |id: i64| format!("doc-{id}'s");
+    let (mut frows, mut nrows, mut lrows, mut items) = (vec![], vec![], vec![], vec![]);
+    for id in 1..=DOCS {
+        let (features, label) = doc(id);
+        for (term, cnt) in &features {
+            frows.push(vec![Value::Int(id), Value::text(term), Value::Float(*cnt)]);
+            nrows.push(vec![
+                Value::text(name(id)),
+                Value::text(term),
+                Value::Float(*cnt),
+            ]);
+        }
+        lrows.push(vec![Value::Int(id), Value::text(&label)]);
+        items.push(TrainItem::labeled(features, label));
+    }
+    db.insert_rows("features", frows).unwrap();
+    db.insert_rows("named_features", nrows).unwrap();
+    db.insert_rows("labels", lrows).unwrap();
+
+    let model = BornSqlModel::create(&db, "m", ModelOptions::default()).unwrap();
+    let by_id = DataSpec::new("SELECT n, term AS j, cnt AS w FROM features");
+    let by_name = DataSpec::new("SELECT n, term AS j, cnt AS w FROM named_features");
+    model
+        .fit(
+            &by_id
+                .clone()
+                .with_targets("SELECT n, label AS k, 1.0 AS w FROM labels"),
+        )
+        .unwrap();
+    model.deploy().unwrap();
+    let oracle = BornClassifier::fit(&items)
+        .deploy(HyperParams::new(0.5, 1.0, 1.0).unwrap())
+        .unwrap();
+    let expected = |id: i64| Value::text(oracle.predict(&doc(id).0).unwrap());
+
+    db.reset_plan_cache_stats();
+    let mut statements = 0;
+    for id in 1..=DOCS {
+        let spec = by_id.clone().with_items(format!("SELECT {id} AS n"));
+        assert_eq!(
+            model.predict(&spec).unwrap(),
+            vec![(Value::Int(id), expected(id))]
+        );
+        statements += 1;
+    }
+    for id in (1..=DOCS).step_by(5) {
+        let literal = name(id).replace('\'', "''");
+        let spec = by_name
+            .clone()
+            .with_items(format!("SELECT '{literal}' AS n"));
+        assert_eq!(
+            model.predict(&spec).unwrap(),
+            vec![(Value::text(name(id)), expected(id))]
+        );
+        statements += 1;
+    }
+    for first in [1, 201, 437] {
+        let ids: Vec<i64> = (first..first + 64).collect();
+        let batch: Vec<Value> = ids.iter().copied().map(Value::Int).collect();
+        let want: Vec<_> = ids
+            .iter()
+            .map(|&id| (Value::Int(id), expected(id)))
+            .collect();
+        assert_eq!(model.predict_batch(&by_id, &batch).unwrap(), want);
+        statements += 1;
+    }
+    // One plan per shape — single int id, single text id, batch of 64 —
+    // and nothing but the predict statements themselves: the deployment
+    // check asks the catalog, not the engine.
+    let (hits, misses) = db.plan_cache_stats();
+    assert_eq!(hits + misses, statements, "one lookup per predict");
+    assert_eq!(misses, 3, "one plan per statement shape");
 }

@@ -25,6 +25,7 @@ use crate::catalog::{Catalog, Schema};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result, Span};
 use crate::exec::{ExecContext, MemoryBudget, OpStats, WorkerPool};
+use crate::lexer::{scan_shape, Shape};
 use crate::parser::{parse_script_spanned, parse_statement};
 use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
 use crate::plan_cache::{CacheHit, CacheUse, PlanCache};
@@ -103,7 +104,7 @@ pub struct Database {
     /// backwards, which keeps a rolled-back catalog from aliasing a future
     /// version number.
     catalog_version: AtomicU64,
-    /// Physical plans of queries, keyed by normalized SQL text.
+    /// Physical plans of queries, keyed by statement shape.
     plan_cache: PlanCache,
     /// Write-ahead log of committed logical changes; `None` for purely
     /// in-memory databases (`Database::new`).
@@ -170,10 +171,12 @@ enum PlanVerify<'a> {
 }
 
 /// The outcome of `plan_or_fetch`: a physical plan, possibly a parameter
-/// template that `bind` must fill before `run`.
+/// template that `bind` must fill before `run` — from the caller's
+/// parameters, or from the literals lifted out of the statement text.
 struct Planned {
     query: Arc<PlannedQuery>,
     template: bool,
+    lifted: Option<Vec<Value>>,
 }
 
 /// What the lifecycle hands back: the statement's result, plus the operator
@@ -281,15 +284,16 @@ impl Database {
     /// Plan-cache counters as `(hits, misses)` since the last
     /// [`Database::reset_plan_cache_stats`] (process lifetime otherwise).
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        let (hits, misses, _) = self.plan_cache.stats();
-        (hits, misses)
+        let stats = self.plan_cache.stats();
+        (stats.hits, stats.misses)
     }
 
     /// Plan-cache counters as `(hits, misses, evictions)`. Evictions count
-    /// entries dropped by the capacity bound — both stale-entry reaping and
-    /// full clears.
+    /// plans the cache dropped itself — dead plans reaped, and full clears at
+    /// capacity.
     pub fn plan_cache_metrics(&self) -> (u64, u64, u64) {
-        self.plan_cache.stats()
+        let stats = self.plan_cache.stats();
+        (stats.hits, stats.misses, stats.evictions)
     }
 
     /// Zero the plan-cache hit/miss/eviction counters (cached plans stay).
@@ -299,10 +303,10 @@ impl Database {
         self.plan_cache.reset_stats();
     }
 
-    /// Test seam: replace the cached plan for `sql` (if any) with a mutated
-    /// copy, returning whether an entry was found. The plan-corruption
-    /// harness uses this to prove each verifier invariant class fires; it
-    /// has no other callers.
+    /// Test seam: replace the cached plan for statements of `sql`'s shape (if
+    /// any) with a mutated copy, returning whether an entry was found. The
+    /// plan-corruption harness uses this to prove each verifier invariant
+    /// class fires; it has no other callers.
     #[doc(hidden)]
     pub fn mutate_cached_plan(&self, sql: &str, mutate: &mut dyn FnMut(&mut PhysPlan)) -> bool {
         self.plan_cache.mutate(sql, mutate)
@@ -340,9 +344,12 @@ impl Database {
     /// execution substitutes its values into a fresh copy — except where a
     /// parameter's value is consumed at plan time (`LIMIT ?`, parameters
     /// inside subquery bodies, or any parameter under materialized CTEs),
-    /// which plan inline and stay uncached.
+    /// which plan inline and stay uncached. A query written with literals
+    /// is cached the same way: its literals are lifted into parameters
+    /// (see [`crate::lift`]), so texts that differ only in literal values
+    /// share one template.
     pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
-        let cache = self.cache_use(sql);
+        let cache = self.cache_use();
         self.run_statement(sql, Entry::Text, params, cache, false)
             .map(|(result, _)| result)
     }
@@ -388,7 +395,7 @@ impl Database {
     /// any other — logged, counted, traced — except that it leaves the plan
     /// cache and its counters alone (see [`CacheUse::Peek`]).
     pub fn query_analyzed(&self, sql: &str) -> Result<(QueryResult, OpStats)> {
-        let cache = match self.cache_use(sql) {
+        let cache = match self.cache_use() {
             CacheUse::Serve => CacheUse::Peek,
             other => other,
         };
@@ -473,10 +480,9 @@ impl Database {
     // The statement driver
     // ------------------------------------------------------------------
 
-    /// Plan-cache use of a statement text: `sys.*` statements never touch
-    /// the cache, because their plans embed point-in-time telemetry rows.
-    fn cache_use(&self, sql: &str) -> CacheUse {
-        if self.config.plan_cache && !sys::mentions_sys(sql) {
+    /// Plan-cache use of a statement that came in as text.
+    fn cache_use(&self) -> CacheUse {
+        if self.config.plan_cache {
             CacheUse::Serve
         } else {
             CacheUse::Bypass
@@ -552,7 +558,14 @@ impl Database {
         analyze: bool,
         ctx: &mut StatementCtx,
     ) -> Result<Outcome> {
-        let planned = match self.fetch(sql, cache, ctx)? {
+        // The one scan of the text: its cache identity serves the lookup
+        // and, on a miss, the store. A text without one (it does not lex, or
+        // it reads `sys.*`) runs outside the cache.
+        let shape = match cache {
+            CacheUse::Bypass => None,
+            _ => scan_shape(sql),
+        };
+        let planned = match self.fetch(sql, shape.as_ref(), cache, ctx)? {
             Some(hit) => hit,
             None => {
                 let parsed;
@@ -572,7 +585,8 @@ impl Database {
                 }
                 match stmt {
                     Statement::Query(query) => {
-                        self.plan_stage(sql, query, params, cache, PlanVerify::Enforce, ctx)?
+                        let store = shape.filter(|_| cache == CacheUse::Serve);
+                        self.plan_stage(sql, query, params, store, PlanVerify::Enforce, ctx)?
                     }
                     _ if analyze => {
                         return Err(EngineError::plan("ANALYZE supports only SELECT queries"))
@@ -599,15 +613,21 @@ impl Database {
         })
     }
 
-    /// Stage `plan_or_fetch`, the fetch half: look `sql` up in the plan
-    /// cache and vet the hit with the (memoized) verifier. On a hit the
-    /// lookup and the verifier's walk *are* the plan phase; on a miss the
-    /// lookup is charged to no phase.
-    fn fetch(&self, sql: &str, cache: CacheUse, ctx: &mut StatementCtx) -> Result<Option<Planned>> {
-        if cache == CacheUse::Bypass {
+    /// Stage `plan_or_fetch`, the fetch half: look the statement's shape up
+    /// in the plan cache and vet the hit with the (memoized) verifier. On a
+    /// hit the scan, the lookup and the verifier's walk *are* the plan
+    /// phase; on a miss scan and lookup are charged to no phase.
+    fn fetch(
+        &self,
+        sql: &str,
+        shape: Option<&Shape>,
+        cache: CacheUse,
+        ctx: &mut StatementCtx,
+    ) -> Result<Option<Planned>> {
+        let Some(shape) = shape else {
             return Ok(None);
-        }
-        let Some(hit) = self.plan_cache.lookup(sql, self.catalog_version(), cache) else {
+        };
+        let Some(hit) = self.plan_cache.lookup(shape, self.catalog_version(), cache) else {
             ctx.clock.skip();
             return Ok(None);
         };
@@ -618,42 +638,52 @@ impl Database {
         Ok(Some(Planned {
             query: hit.planned,
             template: hit.template,
+            lifted: hit.lifted,
         }))
     }
 
     /// Stage `plan_or_fetch`, the plan half: plan (and verify) `query`,
-    /// close the plan phase, and store the plan when `cache` says to. A
-    /// parameterized query whose parameters can stay symbolic is planned —
-    /// and stored — as a reusable template; every other plan has its
-    /// parameters bound in.
+    /// close the plan phase, and store the plan under `store`, the shape of a
+    /// statement that serves from the cache. A stored plan is a reusable
+    /// template wherever the statement allows it: explicit `?` markers stay
+    /// symbolic when none sits where the planner needs its value (otherwise
+    /// the statement plans inline and stays uncached), and a statement
+    /// without markers has its liftable literals turned into some. Every
+    /// other plan has its parameters bound in.
     fn plan_stage(
         &self,
         sql: &str,
         query: &Query,
         params: &[Value],
-        cache: CacheUse,
+        store: Option<Shape>,
         verify: PlanVerify<'_>,
         ctx: &mut StatementCtx,
     ) -> Result<Planned> {
+        let materialize_ctes = self.config.materialize_ctes;
         let has_params = crate::plan::query_contains_params(query);
-        let store = cache == CacheUse::Serve
-            && (!has_params
-                || !crate::plan::params_unsupported(query, self.config.materialize_ctes));
-        let template = store && has_params;
+        let store = store
+            .filter(|_| !has_params || !crate::plan::params_unsupported(query, materialize_ctes));
         // Read before planning: a plan that races a writer must carry the
         // pre-write version (see `PlanCache::insert`).
         let version = self.catalog_version();
-        let folded;
-        let query = if store {
+        let prepared;
+        let (mut slots, mut lifted) = (Vec::new(), Vec::new());
+        let query = if let Some(shape) = &store {
             // Fold constant expressions once here so the cached plan — the
-            // serving hot path — embeds pre-evaluated literals.
+            // serving hot path — embeds pre-evaluated literals; what is still
+            // a literal after that can be lifted. (A text with `?` markers
+            // has no literals in its shape.)
             let mut query = query.clone();
             crate::sema::fold::fold_query(&mut query);
-            folded = query;
-            &folded
+            (slots, lifted) =
+                crate::lift::lift_literals(&mut query, &shape.literals, materialize_ctes);
+            prepared = query;
+            &prepared
         } else {
             query
         };
+        let lifted = (!lifted.is_empty()).then_some(lifted);
+        let template = store.is_some() && (has_params || lifted.is_some());
         // A template's parameters stay symbolic: it is planned without values.
         let plan_params = if template { &[] } else { params };
         let planned = self.plan_query(sql, query, plan_params, template, verify);
@@ -662,13 +692,14 @@ impl Database {
         let (planned, used_virtual) = planned?;
         let planned = Arc::new(planned);
         // Plans over `sys.*` embed point-in-time telemetry rows; serving one
-        // from the cache would freeze the metrics. (Entry points already
-        // skip the cache textually; this is the backstop.)
-        if store && !used_virtual {
+        // from the cache would freeze the metrics. (The shape scan already
+        // keeps `sys.` text out; this is the backstop.)
+        if let Some(shape) = store.filter(|_| !used_virtual) {
             // With the verifier on the plan just passed a walk at `version`,
             // so the first hit can skip straight to execution.
             self.plan_cache.insert(
-                sql,
+                shape.key,
+                slots,
                 version,
                 Arc::clone(&planned),
                 template,
@@ -678,6 +709,7 @@ impl Database {
         Ok(Planned {
             query: planned,
             template,
+            lifted,
         })
     }
 
@@ -824,6 +856,7 @@ impl Database {
     ) -> Result<(QueryResult, Option<OpStats>)> {
         let bound;
         let plan = if planned.template {
+            let params = planned.lifted.as_deref().unwrap_or(params);
             bound = crate::plan::bind_plan_params(&planned.query.plan, params)?;
             &bound
         } else {
@@ -972,7 +1005,7 @@ impl Database {
             ExplainMode::Verify => PlanVerify::Report(&mut report),
             _ => PlanVerify::Enforce,
         };
-        let planned = self.plan_stage(sql, query, params, CacheUse::Bypass, verify, ctx)?;
+        let planned = self.plan_stage(sql, query, params, None, verify, ctx)?;
         let (column, rendered) = match mode {
             ExplainMode::Verify => {
                 let report = report.expect("the plan stage fills in the requested report");
@@ -1028,7 +1061,7 @@ impl Prepared<'_> {
     /// check (done at prepare time) and otherwise drives the plan cache —
     /// lookups, hits, misses — exactly as [`Database::execute_with`] does.
     pub fn execute(&self, params: &[Value]) -> Result<StatementResult> {
-        let cache = self.db.cache_use(&self.sql);
+        let cache = self.db.cache_use();
         self.db
             .run_statement(&self.sql, Entry::Checked(&self.stmt), params, cache, false)
             .map(|(result, _)| result)

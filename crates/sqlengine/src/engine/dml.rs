@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use parking_lot::RwLockWriteGuard;
 
-use super::{CacheUse, Database, PlanVerify, StatementCtx, StatementResult};
+use super::{Database, PlanVerify, StatementCtx, StatementResult};
 use crate::ast::{
     qualify_bare_columns, ConflictAction, Expr, Insert, InsertSource, Query, Statement,
 };
@@ -343,14 +343,7 @@ impl Database {
         params: &[Value],
         ctx: &mut StatementCtx,
     ) -> Result<(Vec<String>, Vec<Row>)> {
-        let planned = self.plan_stage(
-            sql,
-            query,
-            params,
-            CacheUse::Bypass,
-            PlanVerify::Enforce,
-            ctx,
-        )?;
+        let planned = self.plan_stage(sql, query, params, None, PlanVerify::Enforce, ctx)?;
         let (result, _) = self.bind_and_run(&planned, params, false, ctx)?;
         Ok((result.columns, result.rows))
     }

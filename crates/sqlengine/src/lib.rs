@@ -31,9 +31,10 @@
 //!   type inference from declared column types, aggregate/window placement
 //!   rules, and constant folding, all reported as spanned diagnostics
 //!   before anything executes (`Database::check`, `EXPLAIN (CHECK)`);
-//! * a plan cache keyed by SQL text and catalog version: repeated
-//!   parameterless queries (the model-serving hot path) skip parsing and
-//!   planning entirely, and any DDL/DML invalidates stale entries;
+//! * a plan cache keyed by statement shape and catalog version: literals
+//!   are lifted into parameters, so repeated queries that differ only in
+//!   literal values (the model-serving hot path) skip parsing and planning
+//!   entirely, and any DDL/DML invalidates stale entries;
 //! * a durability subsystem (`wal`): a CRC-framed write-ahead log of
 //!   committed logical changes over an injectable [`StorageIo`] backend,
 //!   checkpointing, and crash recovery that replays the log and truncates
@@ -98,6 +99,7 @@ pub mod exec;
 pub mod explain;
 pub mod expr;
 pub mod lexer;
+pub(crate) mod lift;
 pub mod parser;
 pub mod plan;
 pub(crate) mod plan_cache;

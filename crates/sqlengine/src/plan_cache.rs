@@ -1,12 +1,13 @@
-//! The physical-plan cache: key normalisation, the version and
-//! verification-marker protocol, and the capacity bound, behind
+//! The physical-plan cache: the version and verification-marker protocol,
+//! the literal-slot check, and the capacity bound, behind
 //! [`PlanCache::lookup`] / [`PlanCache::insert`] / [`PlanCache::mutate`].
 //!
-//! Entries are keyed by normalised statement text and tagged with the
-//! catalog version they were planned against; a lookup only hits while the
-//! caller's current version still matches. Plans embed row and index
-//! snapshots, so every catalog write (which bumps the version first)
-//! invalidates them.
+//! Entries are keyed by statement shape ([`Shape`]: normalised text with
+//! literals reduced to type-class placeholders) and tagged with the catalog
+//! version they were planned against; a lookup only hits while the caller's
+//! current version still matches and the text's pinned literals equal the
+//! entry's. Plans embed row and index snapshots, so every catalog write
+//! (which bumps the version first) invalidates them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,71 +15,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::lexer::Shape;
+use crate::lift::{same_literal, Slot};
 use crate::plan::{PhysPlan, PlannedQuery};
+use crate::value::Value;
 
 /// Upper bound on cached plans. Serving workloads cycle through a handful of
 /// statement texts; the bound only guards against unbounded ad-hoc traffic.
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
-
-/// Normalize a statement's text into its plan-cache key: runs of whitespace
-/// collapse to one space and keywords lowercase, while identifiers and
-/// string literals keep their exact spelling (identifier case shows up in
-/// output column names, so it is significant). Differently formatted copies
-/// of the same statement thus share one cached plan template.
-fn normalize_cache_key(sql: &str) -> String {
-    let bytes = sql.as_bytes();
-    let mut out = String::with_capacity(sql.len());
-    let mut pending_space = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_whitespace() {
-            pending_space = !out.is_empty();
-            i += 1;
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if b == b'\'' {
-            // String literal: copied verbatim through the closing quote,
-            // with '' staying an escaped quote.
-            let start = i;
-            i += 1;
-            while i < bytes.len() {
-                if bytes[i] == b'\'' {
-                    if bytes.get(i + 1) == Some(&b'\'') {
-                        i += 2;
-                        continue;
-                    }
-                    i += 1;
-                    break;
-                }
-                i += 1;
-            }
-            out.push_str(&sql[start..i]);
-        } else if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            let word = &sql[start..i];
-            if crate::lexer::is_keyword(word) {
-                for c in word.chars() {
-                    out.push(c.to_ascii_lowercase());
-                }
-            } else {
-                out.push_str(word);
-            }
-        } else {
-            let len = sql[i..].chars().next().map_or(1, char::len_utf8);
-            out.push_str(&sql[i..i + len]);
-            i += len;
-        }
-    }
-    out
-}
 
 /// Sentinel verification marker: the entry has not passed a verifier walk
 /// (never verified, or deliberately reset by the corruption test seam).
@@ -93,6 +37,10 @@ struct CachedPlan {
     /// ([`crate::expr::PhysExpr::Param`] nodes) and must be bound with
     /// [`crate::plan::bind_plan_params`] before execution.
     template: bool,
+    /// One per literal of the shape, in source order: the template
+    /// parameter it fills, or the value the plan was built for. A template
+    /// without slots takes the caller's parameters (explicit `?` text).
+    slots: Vec<Slot>,
     /// Catalog version at the last *successful* verifier walk of this entry
     /// ([`UNVERIFIED`] when none). The plan tree behind the `Arc` is
     /// immutable and verification is deterministic in (plan, catalog
@@ -103,10 +51,38 @@ struct CachedPlan {
     verified_version: Arc<AtomicU64>,
 }
 
+impl CachedPlan {
+    /// A template filled from the caller's parameters (explicit `?` text)
+    /// rather than from literals of the text.
+    fn takes_caller_params(&self) -> bool {
+        self.template && self.slots.is_empty()
+    }
+
+    /// The parameter values `shape`'s literals give this entry's template
+    /// (empty when nothing was lifted). `None` when a pinned literal
+    /// differs: the plan was built for another statement of the same shape.
+    fn bind_literals(&self, shape: &Shape) -> Option<Vec<Value>> {
+        let lifted = self.slots.iter().filter(|s| matches!(s, Slot::Param(_)));
+        let mut params = vec![Value::Null; lifted.count()];
+        // Equal keys hold equally many placeholders, so the zip is exact.
+        for ((_, value), slot) in shape.literals.iter().zip(&self.slots) {
+            match slot {
+                Slot::Param(index) => params[*index] = value.clone(),
+                Slot::Pinned(pinned) if same_literal(pinned, value) => {}
+                Slot::Pinned(_) => return None,
+            }
+        }
+        Some(params)
+    }
+}
+
 /// A plan served from the cache.
 pub(crate) struct CacheHit {
     pub planned: Arc<PlannedQuery>,
     pub template: bool,
+    /// The template's parameter values when they come out of the statement
+    /// text (lifted literals) instead of from the caller.
+    pub lifted: Option<Vec<Value>>,
     /// Catalog version the entry was planned against (the verifier only runs
     /// its snapshot-identity checks while this is still current).
     pub version: u64,
@@ -135,47 +111,125 @@ pub(crate) enum CacheUse {
     Serve,
     /// A diagnostic read (`query_analyzed`) that should observe the very
     /// tree repeated executions use: it runs a cached plan when one exists
-    /// but leaves the cache and its counters alone, and skips templates, for
-    /// which it has no values to bind.
+    /// but leaves the cache and its counters alone, and skips templates that
+    /// take the caller's parameters, for which it has no values to bind.
     Peek,
     /// Neither look up nor store.
     Bypass,
 }
 
+/// What the cache holds. Served plans and parked ones count against
+/// [`PLAN_CACHE_CAPACITY`] together.
+#[derive(Default)]
+struct Entries {
+    /// The plan served for each statement shape.
+    live: HashMap<String, CachedPlan>,
+    /// Plans superseded under their key (replanned after a catalog write, or
+    /// for other pinned literals), parked until the next reaping rather than
+    /// dropped on the spot: see [`Entries::reap`].
+    superseded: Vec<Arc<PlannedQuery>>,
+    /// Serving lookups since the last reaping.
+    lookups: usize,
+}
+
+impl Entries {
+    /// Drop every plan that can no longer be served at catalog `version`:
+    /// the parked ones and the stale ones. Returns how many.
+    ///
+    /// Dead plans go together, every [`PLAN_CACHE_CAPACITY`] statements or
+    /// when the cache is full — the cadence the cache had when every new
+    /// literal was a new entry and only the capacity sweep removed any. The
+    /// cadence is measured, not aesthetic: a dead plan is often the last
+    /// holder of a table snapshot that a write replaced, and the sooner and
+    /// the more piecemeal those hundreds of thousands of small allocations
+    /// are released, the longer and more scattered the allocator's free
+    /// lists that every later scan-heavy statement allocates from (dropped
+    /// one by one as each shape is replanned, `predict_batch_item_us` on the
+    /// star-schema benchmark rose 30–40 %; one generation at a time, 25 %).
+    fn reap(&mut self, version: u64) -> usize {
+        let before = self.live.len() + self.superseded.len();
+        self.superseded.clear();
+        self.live.retain(|_, c| c.version == version);
+        self.lookups = 0;
+        before - self.live.len()
+    }
+}
+
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    entries: Mutex<HashMap<String, CachedPlan>>,
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// Hits that bound literals lifted out of the statement text.
+    lifted_hits: AtomicU64,
+    /// Misses on an entry of the right shape and version whose pinned
+    /// literals differ from the text's.
+    pinned_mismatches: AtomicU64,
+}
+
+/// Plan-cache counters since the last [`PlanCache::reset_stats`].
+#[derive(Clone, Copy)]
+pub(crate) struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+    /// Plans dropped by the cache itself: dead ones reaped, and full clears
+    /// at capacity.
+    pub evictions: u64,
+    pub lifted_hits: u64,
+    pub pinned_mismatches: u64,
 }
 
 impl PlanCache {
-    /// Look `sql` up under its normalized key; a hit requires the entry's
-    /// catalog version to equal `version`.
-    pub fn lookup(&self, sql: &str, version: u64, mode: CacheUse) -> Option<CacheHit> {
+    /// Look a statement up by its shape; a hit requires the entry's catalog
+    /// version to equal `version` and its pinned literals to equal the
+    /// text's.
+    pub fn lookup(&self, shape: &Shape, version: u64, mode: CacheUse) -> Option<CacheHit> {
         if mode == CacheUse::Bypass {
             return None;
         }
         let serving = mode == CacheUse::Serve;
-        let key = normalize_cache_key(sql);
-        let entries = self.entries.lock();
+        let mut entries = self.entries.lock();
+        if serving {
+            entries.lookups += 1;
+            if entries.lookups >= PLAN_CACHE_CAPACITY {
+                let reaped = entries.reap(version);
+                self.evictions.fetch_add(reaped as u64, Ordering::Relaxed);
+            }
+        }
+        let mut mismatch = false;
         let hit = entries
-            .get(&key)
-            .filter(|c| c.version == version && (serving || !c.template))
-            .map(|c| CacheHit {
-                planned: Arc::clone(&c.planned),
-                template: c.template,
-                version: c.version,
-                verified_version: Arc::clone(&c.verified_version),
+            .live
+            .get(&shape.key)
+            .filter(|c| c.version == version && (serving || !c.takes_caller_params()))
+            .and_then(|c| {
+                let values = c.bind_literals(shape);
+                mismatch = values.is_none();
+                let values = values?;
+                Some(CacheHit {
+                    planned: Arc::clone(&c.planned),
+                    template: c.template,
+                    lifted: (!values.is_empty()).then_some(values),
+                    version: c.version,
+                    verified_version: Arc::clone(&c.verified_version),
+                })
             });
         if serving {
-            let counter = if hit.is_some() {
-                &self.hits
-            } else {
-                &self.misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            let bump = |counter: &AtomicU64| counter.fetch_add(1, Ordering::Relaxed);
+            match &hit {
+                Some(hit) => {
+                    bump(&self.hits);
+                    if hit.lifted.is_some() {
+                        bump(&self.lifted_hits);
+                    }
+                }
+                None => {
+                    bump(&self.misses);
+                    if mismatch {
+                        bump(&self.pinned_mismatches);
+                    }
+                }
+            }
         }
         hit
     }
@@ -190,44 +244,44 @@ impl PlanCache {
     /// catalog — the stale-side error is always a harmless replan.
     pub fn insert(
         &self,
-        sql: &str,
+        key: String,
+        slots: Vec<Slot>,
         version: u64,
         planned: Arc<PlannedQuery>,
         template: bool,
         verified: bool,
     ) {
-        let key = normalize_cache_key(sql);
         let mut entries = self.entries.lock();
-        if entries.len() >= PLAN_CACHE_CAPACITY && !entries.contains_key(&key) {
-            // Evict stale entries first; fall back to dropping everything
-            // (plans embed table snapshots, so a full clear also releases
-            // pinned row memory).
-            let before = entries.len();
-            entries.retain(|_, c| c.version == version);
-            if entries.len() >= PLAN_CACHE_CAPACITY {
-                entries.clear();
+        if entries.live.len() + entries.superseded.len() >= PLAN_CACHE_CAPACITY {
+            // Dead plans first; fall back to dropping everything (plans
+            // embed table snapshots, so a full clear also releases pinned
+            // row memory).
+            let mut evicted = entries.reap(version);
+            if entries.live.len() >= PLAN_CACHE_CAPACITY {
+                evicted += entries.live.len();
+                entries.live.clear();
             }
-            self.evictions
-                .fetch_add((before - entries.len()) as u64, Ordering::Relaxed);
+            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         }
         let marker = if verified { version } else { UNVERIFIED };
-        entries.insert(
-            key,
-            CachedPlan {
-                version,
-                planned,
-                template,
-                verified_version: Arc::new(AtomicU64::new(marker)),
-            },
-        );
+        let plan = CachedPlan {
+            version,
+            planned,
+            template,
+            slots,
+            verified_version: Arc::new(AtomicU64::new(marker)),
+        };
+        if let Some(old) = entries.live.insert(key, plan) {
+            entries.superseded.push(old.planned);
+        }
     }
 
-    /// Test seam: replace the cached plan for `sql` (if any) with a mutated
-    /// copy, returning whether an entry was found.
+    /// Test seam: replace the cached plan for statements of `sql`'s shape
+    /// (if any) with a mutated copy, returning whether an entry was found.
     pub fn mutate(&self, sql: &str, mutate: &mut dyn FnMut(&mut PhysPlan)) -> bool {
-        let key = normalize_cache_key(sql);
         let mut entries = self.entries.lock();
-        let Some(entry) = entries.get_mut(&key) else {
+        let Some(entry) = crate::lexer::scan_shape(sql).and_then(|s| entries.live.get_mut(&s.key))
+        else {
             return false;
         };
         let mut planned = (*entry.planned).clone();
@@ -240,61 +294,87 @@ impl PlanCache {
         true
     }
 
-    /// Number of cached plans.
+    /// Number of plans that can be served.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().live.len()
     }
 
-    /// `(hits, misses, evictions)` since the last [`PlanCache::reset_stats`].
-    /// Evictions count entries dropped by the capacity bound — both
-    /// stale-entry reaping and full clears.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
+    pub fn stats(&self) -> CacheStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        CacheStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            evictions: load(&self.evictions),
+            lifted_hits: load(&self.lifted_hits),
+            pinned_mismatches: load(&self.pinned_mismatches),
+        }
     }
 
     /// Zero the counters (cached plans stay).
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        for counter in [
+            &self.hits,
+            &self.misses,
+            &self.evictions,
+            &self.lifted_hits,
+            &self.pinned_mismatches,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::normalize_cache_key;
+    use super::*;
 
-    #[test]
-    fn cache_key_collapses_whitespace_and_keyword_case() {
-        let a = normalize_cache_key("SELECT  n,\n\ts  FROM t\nWHERE n = ?  ORDER   BY n");
-        let b = normalize_cache_key("select n, s from t where n = ? order by n");
-        assert_eq!(a, b);
-        assert_eq!(a, "select n, s from t where n = ? order by n");
+    fn plan() -> Arc<PlannedQuery> {
+        Arc::new(PlannedQuery {
+            plan: PhysPlan::OneRow,
+            columns: Vec::new(),
+            scope: Default::default(),
+        })
     }
 
     #[test]
-    fn cache_key_preserves_identifier_and_literal_case() {
-        // Identifiers keep their case (it is significant in output column
-        // names) and string literals are copied verbatim, including the
-        // doubled-quote escape; only keywords fold.
-        let k = normalize_cache_key("SELECT Col  AS Total FROM T WHERE s = 'TOK''x'");
-        assert_eq!(k, "select Col as Total from T where s = 'TOK''x'");
+    fn superseded_plans_count_against_the_capacity() {
+        // One shape replanned after every catalog write: each plan parks the
+        // last, and the capacity sweep reaps the parked ones.
+        let cache = PlanCache::default();
+        for version in 0..3 * PLAN_CACHE_CAPACITY as u64 {
+            cache.insert(
+                "select #i".into(),
+                Vec::new(),
+                version,
+                plan(),
+                false,
+                false,
+            );
+            let entries = cache.entries.lock();
+            assert_eq!(entries.live.len(), 1);
+            assert!(entries.live.len() + entries.superseded.len() <= PLAN_CACHE_CAPACITY);
+        }
+        let reaped = cache.stats().evictions as usize;
+        assert!(reaped >= 2 * PLAN_CACHE_CAPACITY - 2, "{reaped}");
     }
 
     #[test]
-    fn cache_key_drops_leading_and_trailing_whitespace() {
-        assert_eq!(normalize_cache_key("  SELECT 1  "), "select 1");
-    }
-
-    #[test]
-    fn cache_key_distinguishes_different_literals() {
-        assert_ne!(
-            normalize_cache_key("SELECT * FROM t WHERE s = 'a'"),
-            normalize_cache_key("SELECT * FROM t WHERE s = 'A'")
-        );
+    fn dead_plans_are_reaped_every_capacity_lookups() {
+        let cache = PlanCache::default();
+        let shape = |sql| crate::lexer::scan_shape(sql).expect("lexes");
+        let (a, b) = (shape("SELECT 1"), shape("SELECT 'x'"));
+        cache.insert(a.key.clone(), Vec::new(), 1, plan(), false, false);
+        cache.insert(b.key.clone(), Vec::new(), 1, plan(), false, false);
+        // A write, then only `a` is replanned: its old plan is parked, `b`'s
+        // is stale. Hit-only traffic must still release both.
+        cache.insert(a.key.clone(), Vec::new(), 2, plan(), false, false);
+        for _ in 0..PLAN_CACHE_CAPACITY {
+            assert_eq!(cache.entries.lock().superseded.len(), 1);
+            assert!(cache.lookup(&a, 2, CacheUse::Serve).is_some());
+        }
+        let entries = cache.entries.lock();
+        assert!(entries.superseded.is_empty());
+        assert_eq!(entries.live.len(), 1);
+        assert_eq!(cache.stats().evictions, 2);
     }
 }

@@ -183,7 +183,12 @@ fn fold_set_expr(body: &mut crate::ast::SetExpr) {
         }
         SetExpr::Select(select) => {
             for item in &mut select.projection {
-                if let SelectItem::Expr { expr, .. } = item {
+                if let SelectItem::Expr { expr, alias } = item {
+                    // A call names its output column; the literal it folds
+                    // to must not rename it.
+                    if alias.is_none() && matches!(expr, Expr::Function { .. }) {
+                        *alias = Some(crate::plan::display_name(expr, 0));
+                    }
                     let _ = fold_expr(expr, false);
                 }
             }

@@ -728,8 +728,6 @@ mod tests {
         assert!(!sys::is_sys_name("mytable"));
         assert_eq!(sys::canonical("SYS.Tables"), Some(sys::TABLES));
         assert_eq!(sys::canonical("sys.nope"), None);
-        assert!(sys::mentions_sys("SELECT * FROM Sys.Metrics"));
-        assert!(!sys::mentions_sys("SELECT * FROM weights"));
         for name in sys::ALL {
             assert!(sys::schema(name).is_some());
         }

@@ -40,16 +40,6 @@ pub fn canonical(name: &str) -> Option<&'static str> {
     ALL.iter().copied().find(|t| t.eq_ignore_ascii_case(name))
 }
 
-/// Cheap textual test for `sys.` references, used to keep `sys.*`
-/// statements out of the plan cache (their rows are live snapshots). A
-/// false positive — e.g. the literal `'sys.'` inside a string — only
-/// bypasses the cache, never changes results.
-pub fn mentions_sys(sql: &str) -> bool {
-    sql.as_bytes()
-        .windows(4)
-        .any(|w| w.eq_ignore_ascii_case(b"sys."))
-}
-
 fn col(name: &str, ty: DataType) -> Column {
     Column {
         name: name.to_string(),
@@ -131,8 +121,7 @@ pub fn schema(name: &str) -> Option<Schema> {
 
 /// Engine state `sys.metrics` reports beside the registry's own counters.
 pub(crate) struct EngineGauges {
-    /// Plan-cache `(hits, misses, evictions)`.
-    pub plan_cache: (u64, u64, u64),
+    pub plan_cache: crate::plan_cache::CacheStats,
     pub plan_cache_entries: usize,
     pub catalog_version: u64,
     pub wal_bytes: u64,
@@ -181,15 +170,25 @@ fn metrics_rows(t: &Telemetry, catalog: &Catalog, g: &EngineGauges) -> Vec<Row> 
             let (cc, dc) = table.chunk_stats();
             (c + cc, d + dc)
         });
-    let (hits, misses, evictions) = g.plan_cache;
+    let cache = g.plan_cache;
     let mut rows: Vec<Row> = t
         .counters()
         .into_iter()
         .map(|(name, c)| (name, "counter", c.get() as f64))
         .chain([
-            ("plan_cache.hits", "counter", hits as f64),
-            ("plan_cache.misses", "counter", misses as f64),
-            ("plan_cache.evictions", "counter", evictions as f64),
+            ("plan_cache.hits", "counter", cache.hits as f64),
+            ("plan_cache.misses", "counter", cache.misses as f64),
+            ("plan_cache.evictions", "counter", cache.evictions as f64),
+            (
+                "plan_cache.lifted_hits",
+                "counter",
+                cache.lifted_hits as f64,
+            ),
+            (
+                "plan_cache.pinned_mismatches",
+                "counter",
+                cache.pinned_mismatches as f64,
+            ),
             ("plan_cache.entries", "gauge", g.plan_cache_entries as f64),
             ("catalog.version", "gauge", g.catalog_version as f64),
             ("wal.bytes", "gauge", g.wal_bytes as f64),

@@ -239,7 +239,8 @@ fn formatting_variants_share_one_cached_template() {
 }
 
 /// Normalization must not conflate statements that differ meaningfully:
-/// case inside string literals changes results, and identifier case changes
+/// case inside string literals changes results — two such texts share one
+/// template, each binding its own literal — and identifier case changes
 /// output column names.
 #[test]
 fn normalization_keeps_semantic_differences_apart() {
@@ -258,8 +259,8 @@ fn normalization_keeps_semantic_differences_apart() {
     let (hits, misses) = cached.plan_cache_stats();
     assert_eq!(
         (hits, misses),
-        (0, 2),
-        "distinct literals, distinct entries"
+        (1, 1),
+        "distinct literals, one template, each text's own value bound"
     );
 
     // Identifier case survives into output column names even though the

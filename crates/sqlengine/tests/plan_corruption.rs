@@ -190,9 +190,10 @@ fn vectorized_corruption_chunk_row_mismatch_is_rejected() {
 #[test]
 fn param_corruption_unbound_slot_is_rejected() {
     let db = seeded();
-    // A statement with no parameters: its cached plan claims to be fully
-    // bound, so a leftover `?1` marker is corruption, not a template.
-    let sql = "SELECT n FROM t WHERE w > 1.0";
+    // A statement with no parameters and no literal to lift into one: its
+    // cached plan claims to be fully bound, so a leftover `?1` marker is
+    // corruption, not a template.
+    let sql = "SELECT n FROM t WHERE w > n";
     let err = corrupt_and_rerun(&db, sql, &mut |plan| {
         if let PhysPlan::Filter { predicate, .. } = plan {
             *predicate = PhysExpr::Param(1);

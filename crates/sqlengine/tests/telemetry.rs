@@ -271,9 +271,11 @@ fn plan_cache_evictions_are_counted_and_stats_reset() {
     // Seeding probed the cache too (the DDL text counts one miss); zero the
     // window so the arithmetic below is exact.
     db.reset_plan_cache_stats();
-    // The cache caps at 128 plans; 140 distinct statements must overflow it.
+    // The cache caps at 128 plans; 140 distinct statement shapes must
+    // overflow it (texts that differ only in a literal would share one).
+    let shape = |i: usize| format!("SELECT g AS c{i} FROM t WHERE x = {i}");
     for i in 0..140 {
-        db.query(&format!("SELECT g FROM t WHERE x = {i}")).unwrap();
+        db.query(&shape(i)).unwrap();
     }
     let (hits, misses, evictions) = db.plan_cache_metrics();
     assert_eq!(hits, 0);
@@ -296,8 +298,8 @@ fn plan_cache_evictions_are_counted_and_stats_reset() {
 
     // Counting resumes cleanly after a reset. The overflow cleared the
     // cache, so the most recent statement is cached but the oldest is not.
-    db.query("SELECT g FROM t WHERE x = 139").unwrap();
-    db.query("SELECT g FROM t WHERE x = 0").unwrap();
+    db.query(&shape(139)).unwrap();
+    db.query(&shape(0)).unwrap();
     let (hits, misses, _) = db.plan_cache_metrics();
     assert_eq!((hits, misses), (1, 1), "one surviving plan, one re-plan");
 }
@@ -317,11 +319,15 @@ fn plan_cache_entry_gauge_tracks_cached_plans() {
     let db = seeded_db(EngineConfig::default(), 8);
     let base = entries(&db);
     db.query("SELECT g FROM t WHERE x > 1").unwrap();
-    db.query("SELECT g FROM t WHERE x > 2").unwrap();
+    db.query("SELECT g FROM t WHERE x < 2").unwrap();
     // Parameterized templates count as entries like any other plan.
     db.query_with("SELECT g FROM t WHERE x > ?", &[Value::Int(3)])
         .unwrap();
     assert_eq!(entries(&db), base + 3.0, "three new cached plans");
+    // A text that differs from a cached one only in a literal shares its
+    // entry.
+    db.query("SELECT g FROM t WHERE x > 5").unwrap();
+    assert_eq!(entries(&db), base + 3.0, "one entry per statement shape");
     // Re-execution hits the cache without growing it; neither do the
     // sys.metrics reads themselves (sys queries bypass the cache).
     db.query("SELECT g FROM t WHERE x > 1").unwrap();
