@@ -282,3 +282,286 @@ fn distinct_literal_ids_share_one_template_and_match_the_oracle() {
     assert_eq!(hits + misses, statements, "one lookup per predict");
     assert_eq!(misses, 3, "one plan per statement shape");
 }
+
+// ---------------------------------------------------------------------
+// The paper's Fig. 2 star schema: prefixed arms, no secondary indexes
+// ---------------------------------------------------------------------
+
+const STAR_DOCS: i64 = 300;
+const STAR_MODEL: &str = "star";
+
+/// One publication: venue, authors, keywords, `(lexeme, count)`s and ASJC
+/// code, all a function of the id so the oracle can rebuild them.
+struct StarDoc {
+    venue: String,
+    authors: Vec<i64>,
+    keywords: Vec<String>,
+    lexemes: Vec<(String, f64)>,
+    asjc: i64,
+}
+
+fn star_doc(id: i64) -> StarDoc {
+    let field = id % 4;
+    StarDoc {
+        venue: format!("venue{}", field * 3 + id % 3),
+        authors: vec![field * 50 + (id * 7) % 50, 900 + id % 5],
+        keywords: vec![
+            format!("kw{}_{}", field, id % 6),
+            format!("shared{}", id % 9),
+        ],
+        lexemes: (0..8)
+            .map(|t| {
+                let word = match t {
+                    0..=5 => format!("f{field}lex{}", (id * 5 + t * 3) % 40),
+                    _ => format!("common{}", (id + t) % 11),
+                };
+                (word, 1.0 + ((id + t) % 3) as f64)
+            })
+            .collect(),
+        asjc: 1000 + field * 100 + id % 7,
+    }
+}
+
+/// The `(j, w)` features of a document exactly as the four arms emit them.
+fn star_features(id: i64) -> Vec<(String, f64)> {
+    let d = star_doc(id);
+    let mut x = vec![(format!("pubname:{}", d.venue), 1.0)];
+    x.extend(d.authors.iter().map(|a| (format!("authid:{a}"), 1.0)));
+    x.extend(d.keywords.iter().map(|k| (format!("keyword:{k}"), 1.0)));
+    x.extend(
+        d.lexemes
+            .into_iter()
+            .map(|(l, c)| (format!("abstract:{l}"), c)),
+    );
+    x
+}
+
+fn star_class(id: i64) -> String {
+    (star_doc(id).asjc / 100).to_string()
+}
+
+fn star_items(ids: impl Iterator<Item = i64>) -> Vec<TrainItem<String, String>> {
+    ids.map(|id| TrainItem::labeled(star_features(id), star_class(id)))
+        .collect()
+}
+
+fn star_arms() -> DataSpec {
+    DataSpec::new("SELECT id AS n, 'pubname:' || pubname AS j, 1.0 AS w FROM publication")
+        .with_features("SELECT pubid AS n, 'authid:' || authid AS j, 1.0 AS w FROM pub_author")
+        .with_features("SELECT pubid AS n, 'keyword:' || keyword AS j, 1.0 AS w FROM pub_keyword")
+        .with_features("SELECT pubid AS n, 'abstract:' || lexeme AS j, cnt AS w FROM pub_lexeme")
+}
+
+fn star_train(lo: i64, hi: i64) -> DataSpec {
+    star_arms()
+        .with_targets("SELECT id AS n, asjc / 100 AS k, 1.0 AS w FROM publication")
+        .with_items(format!(
+            "SELECT id AS n FROM publication WHERE id >= {lo} AND id <= {hi}"
+        ))
+}
+
+fn star_one(id: i64) -> DataSpec {
+    star_arms().with_items(format!("SELECT {id} AS n"))
+}
+
+/// Load the four tables and create (not train) the model.
+fn star_db(db: &Database) -> BornSqlModel<'_, Database> {
+    db.execute_script(
+        "CREATE TABLE publication (id INTEGER PRIMARY KEY, pubname TEXT, asjc INTEGER, abstract TEXT);
+         CREATE TABLE pub_author (pubid INTEGER, authid INTEGER);
+         CREATE TABLE pub_keyword (pubid INTEGER, keyword TEXT);
+         CREATE TABLE pub_lexeme (pubid INTEGER, lexeme TEXT, cnt REAL);",
+    )
+    .unwrap();
+    let (mut pubs, mut authors, mut keywords, mut lexemes) = (vec![], vec![], vec![], vec![]);
+    for id in 1..=STAR_DOCS {
+        let d = star_doc(id);
+        pubs.push(vec![
+            Value::Int(id),
+            Value::text(&d.venue),
+            Value::Int(d.asjc),
+            Value::text("…"),
+        ]);
+        authors.extend(
+            d.authors
+                .iter()
+                .map(|a| vec![Value::Int(id), Value::Int(*a)]),
+        );
+        keywords.extend(
+            d.keywords
+                .iter()
+                .map(|k| vec![Value::Int(id), Value::text(k)]),
+        );
+        lexemes.extend(
+            d.lexemes
+                .iter()
+                .map(|(l, c)| vec![Value::Int(id), Value::text(l), Value::Float(*c)]),
+        );
+    }
+    db.insert_rows("publication", pubs).unwrap();
+    db.insert_rows("pub_author", authors).unwrap();
+    db.insert_rows("pub_keyword", keywords).unwrap();
+    db.insert_rows("pub_lexeme", lexemes).unwrap();
+    let options = ModelOptions {
+        class_type: "INTEGER",
+        ..ModelOptions::default()
+    };
+    BornSqlModel::create(db, STAR_MODEL, options).unwrap()
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+fn assert_corpus_is(model: &BornSqlModel<'_, Database>, oracle: &BornClassifier<String, String>) {
+    let corpus = model.corpus().unwrap();
+    assert_eq!(corpus.len(), oracle.n_cells(), "corpus cell count");
+    for (j, k, w) in &corpus {
+        let expected = oracle.weight(&j.to_string(), &k.to_string());
+        assert!(close(*w, expected), "cell ({j}, {k}): {w} vs {expected}");
+    }
+}
+
+/// Every serving call on the star shape, deployed and not, against the
+/// oracle deployed at the model's hyper-parameters.
+fn assert_star_serving_is(
+    model: &BornSqlModel<'_, Database>,
+    oracle: &BornClassifier<String, String>,
+) {
+    let weights = oracle
+        .deploy(HyperParams::new(0.5, 1.0, 1.0).unwrap())
+        .unwrap();
+    let label_ok = |id: i64, k: &Value| {
+        let scores = weights.scores(&star_features(id));
+        let best = scores.values().copied().fold(f64::MIN, f64::max);
+        assert!(
+            scores
+                .get(&k.to_string())
+                .is_some_and(|s| *s >= best * (1.0 - 1e-9)),
+            "item {id}: SQL says {k}, oracle says {:?}",
+            weights.predict(&star_features(id))
+        );
+    };
+
+    for id in [1, 77, 158, STAR_DOCS] {
+        let rows = model.predict(&star_one(id)).unwrap();
+        assert_eq!(rows.len(), 1, "one row for item {id}");
+        assert_eq!(rows[0].0, Value::Int(id));
+        label_ok(id, &rows[0].1);
+
+        let proba = model.predict_proba(&star_one(id)).unwrap();
+        let expected = weights.predict_proba(&star_features(id));
+        assert_eq!(proba.len(), expected.len(), "classes scored for item {id}");
+        for (n, k, p) in &proba {
+            assert_eq!(n, &Value::Int(id));
+            let want = expected.iter().find(|(ek, _)| *ek == k.to_string());
+            assert!(
+                want.is_some_and(|(_, ep)| close(*p, *ep)),
+                "item {id} class {k}: {p} vs {want:?}"
+            );
+        }
+
+        let top = 12;
+        let explained = model.explain_local(&star_one(id), Some(top)).unwrap();
+        let expected = weights.explain_local(&[(star_features(id), 1.0)]);
+        assert_eq!(explained.len(), top.min(expected.len()));
+        for ((j, k, w), (_, _, ranked)) in explained.iter().zip(&expected) {
+            let cell = expected
+                .iter()
+                .find(|(ej, ek, _)| *ej == j.to_string() && *ek == k.to_string());
+            assert!(
+                cell.is_some_and(|(_, _, cw)| close(*w, *cw)) && close(*w, *ranked),
+                "item {id} explanation ({j}, {k}): {w} vs ranked {ranked}"
+            );
+        }
+    }
+
+    let ids: Vec<i64> = (0..64).map(|i| 3 + i * 4).collect();
+    let batch: Vec<Value> = ids.iter().copied().map(Value::Int).collect();
+    let rows = model.predict_batch(&star_arms(), &batch).unwrap();
+    assert_eq!(
+        rows.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+        batch,
+        "one row per batch item, ids ascending"
+    );
+    for (id, (_, k)) in ids.iter().zip(&rows) {
+        label_ok(*id, k);
+    }
+}
+
+#[test]
+fn star_shape_matches_the_oracle_deployed_and_undeployed() {
+    let db = Database::new();
+    let model = star_db(&db);
+
+    // Train on the first 200, add the rest, take a middle range back out:
+    // each step's corpus is the oracle's.
+    let mut oracle = BornClassifier::fit(&star_items(1..=200));
+    model.fit(&star_train(1, 200)).unwrap();
+    assert_corpus_is(&model, &oracle);
+    oracle.partial_fit(&star_items(201..=STAR_DOCS));
+    model.partial_fit(&star_train(201, STAR_DOCS)).unwrap();
+    assert_corpus_is(&model, &oracle);
+    oracle.unlearn(&star_items(50..=120));
+    model.unlearn(&star_train(50, 120)).unwrap();
+    assert_corpus_is(&model, &oracle);
+
+    assert!(!model.is_deployed());
+    assert_star_serving_is(&model, &oracle);
+    model.deploy().unwrap();
+    assert!(model.is_deployed());
+    assert_star_serving_is(&model, &oracle);
+}
+
+/// The single-item predict on the star shape must run each arm's join
+/// *below* the arm's projection: the `publication` arm probes the primary
+/// key, and in the other arms the `Project` sees only the rows its join kept.
+#[test]
+fn star_predict_joins_below_each_arms_projection() {
+    let db = Database::new();
+    let model = star_db(&db);
+    model.fit(&star_train(1, STAR_DOCS)).unwrap();
+    model.deploy().unwrap();
+
+    let sql = model.generator().predict(&star_one(42), true);
+    let (result, stats) = db.query_analyzed(&sql).unwrap();
+    assert_eq!(result.rows.len(), 1);
+    let rendered = sqlengine::explain::render_analyze(&stats);
+
+    let union = stats.find("UnionAll [4 inputs]").expect(&rendered);
+    let mut index_joined = 0;
+    for arm in &union.children {
+        assert!(arm.label.starts_with("Project"), "arm root:\n{rendered}");
+        let [join] = arm.children.as_slice() else {
+            panic!("an arm's projection has one input:\n{rendered}");
+        };
+        assert!(
+            join.label.contains("Join"),
+            "a Project sits directly on {}:\n{rendered}",
+            join.label
+        );
+        assert_eq!(
+            arm.rows_in, join.rows_out,
+            "the projection reads the join's output:\n{rendered}"
+        );
+        if join.label.starts_with("IndexNestedLoopJoin") {
+            assert!(
+                join.find("IndexScan publication.pk (probed)").is_some(),
+                "index join on the primary key:\n{rendered}"
+            );
+            index_joined += 1;
+        } else {
+            assert!(
+                join.label.contains("probe=keyset(vectorized)"),
+                "an arm without an index filters its scan by the item keys:\n{rendered}"
+            );
+            let scanned = join.children[0].rows_out;
+            assert!(
+                arm.rows_in * 8 <= scanned,
+                "{} rows projected of {scanned} scanned:\n{rendered}",
+                arm.rows_in
+            );
+        }
+    }
+    assert_eq!(index_joined, 1, "the publication arm:\n{rendered}");
+}

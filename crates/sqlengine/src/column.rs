@@ -12,9 +12,11 @@
 //! [`ChunkSlot`] is only ever shared between table values (and plan
 //! snapshots) holding *identical* rows. Every mutation of `rows` installs a
 //! fresh slot — the append path carries the already-built chunks forward
-//! incrementally, every other mutation resets to an empty slot and lets the
-//! next vectorized query rebuild. A stale plan snapshot therefore keeps a
-//! consistent (rows, chunks) pair alive rather than observing a torn one.
+//! incrementally (taking the image out of the old slot, which rebuilds from
+//! its own rows if they are scanned again), every other mutation resets to
+//! an empty slot and lets the next vectorized query rebuild. A stale plan
+//! snapshot therefore sees a consistent (rows, chunks) pair, never a torn
+//! one.
 //!
 //! Exactness invariant: reconstructing any value from its chunk yields a
 //! `Value` *bit-identical* to the stored row value (`Int(2)` never comes
@@ -279,23 +281,25 @@ impl ChunkedTable {
         }
     }
 
-    /// A copy with `row` appended: the last chunk is extended copy-on-write
-    /// (or a new chunk is started), every full chunk is shared untouched.
-    fn appended(&self, row: &Row) -> ChunkedTable {
-        let mut chunks = self.chunks.clone();
-        match chunks.last_mut() {
+    /// Append `row`: the last chunk is extended (copy-on-write if another
+    /// image shares it) or a new chunk is started.
+    fn push(&mut self, row: &Row) {
+        match self.chunks.last_mut() {
             Some(last) if last.len() < CHUNK_ROWS => Arc::make_mut(last).push_row(row),
             _ => {
                 let mut chunk = ColumnChunk::new(self.width);
                 chunk.push_row(row);
-                chunks.push(Arc::new(chunk));
+                self.chunks.push(Arc::new(chunk));
             }
         }
-        ChunkedTable {
-            chunks,
-            width: self.width,
-            rows: self.rows + 1,
-        }
+        self.rows += 1;
+    }
+
+    /// A copy with `row` appended: every full chunk is shared untouched.
+    fn appended(&self, row: &Row) -> ChunkedTable {
+        let mut next = self.clone();
+        next.push(row);
+        next
     }
 
     pub fn chunks(&self) -> &[Arc<ColumnChunk>] {
@@ -354,12 +358,24 @@ impl ChunkSlot {
 
     /// The slot for a table whose rows just gained `row` at the end: carries
     /// built chunks forward incrementally, stays lazy when unbuilt. Always a
-    /// *fresh* slot — the old one keeps serving the old rows snapshot.
+    /// *fresh* slot. The old slot gives its image up — the table has moved on
+    /// from the rows it describes — so that, held by nobody else (the usual
+    /// case), it is extended in place and a bulk insert stays linear. A
+    /// statement still running on the old snapshot keeps the image it
+    /// already holds, and the old slot rebuilds from the old rows if they
+    /// are ever scanned again (a stale plan, a rolled-back transaction).
     pub fn appended(&self, row: &Row) -> ChunkSlot {
-        match self.peek() {
-            Some(built) => ChunkSlot(Arc::new(Mutex::new(Some(Arc::new(built.appended(row)))))),
-            None => ChunkSlot::empty(),
-        }
+        let Some(built) = self.0.lock().take() else {
+            return ChunkSlot::empty();
+        };
+        let next = match Arc::try_unwrap(built) {
+            Ok(mut own) => {
+                own.push(row);
+                own
+            }
+            Err(shared) => shared.appended(row),
+        };
+        ChunkSlot(Arc::new(Mutex::new(Some(Arc::new(next)))))
     }
 }
 
@@ -469,7 +485,19 @@ mod tests {
         let carried = next.peek().expect("built state carried forward");
         assert_eq!(carried.row_count(), 11);
         assert_eq!(carried.chunks()[0].value_at(10, 0), Value::Int(10));
-        // The original slot still serves the 10-row snapshot.
-        assert_eq!(slot.peek().unwrap().row_count(), 10);
+        // The original slot gave its image up and rebuilds the 10-row
+        // snapshot on demand; an image a reader still holds is left intact.
+        assert!(slot.peek().is_none());
+        assert_eq!(slot.get_or_build(&rows, 1).row_count(), 10);
+        assert_eq!(built.row_count(), 10);
+        let after = next.appended(&vec![Value::Int(11)]);
+        assert_eq!(carried.row_count(), 11);
+        assert_eq!(after.peek().unwrap().row_count(), 12);
+        // Held by nobody else, the image is extended in place.
+        let last = after.appended(&vec![Value::Int(12)]);
+        assert!(after.peek().is_none());
+        let image = last.peek().unwrap();
+        assert_eq!(image.row_count(), 13);
+        assert_eq!(image.chunks()[0].value_at(12, 0), Value::Int(12));
     }
 }

@@ -911,16 +911,17 @@ impl Database {
     /// memory budget.
     fn exec_ctx(&self, stmt: &StatementCtx) -> ExecContext {
         let ctx = match &self.pool {
-            // Telemetry on the context feeds the `worker_idle` wait-class
-            // rollup (coordinator time blocked on the pool); recorded only
-            // on the parallel dispatch path, so serial execution stays
-            // clock-free.
-            Some(pool) if self.telemetry.enabled() => {
-                ExecContext::with_pool(self.config.parallelism, Arc::clone(pool))
-                    .with_telemetry(Arc::clone(&self.telemetry))
-            }
             Some(pool) => ExecContext::with_pool(self.config.parallelism, Arc::clone(pool)),
             None => ExecContext::serial(),
+        };
+        // Telemetry on the context feeds the `worker_idle` wait-class rollup
+        // (coordinator time blocked on the pool; recorded only on the
+        // parallel dispatch path, so serial execution stays clock-free) and
+        // the hash joins' `exec.join.probe_rows_pruned` counter.
+        let ctx = if self.telemetry.enabled() {
+            ctx.with_telemetry(Arc::clone(&self.telemetry))
+        } else {
+            ctx
         };
         let ctx = ctx.with_budget(Arc::clone(&stmt.budget));
         match stmt.deadline {

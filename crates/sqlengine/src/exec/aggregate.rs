@@ -186,6 +186,7 @@ pub(crate) fn aggregate(
         rows_in,
         workers: if parallel { ctx.parallelism() } else { 1 },
         children,
+        pruned: None,
     })
 }
 

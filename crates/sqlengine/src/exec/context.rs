@@ -333,9 +333,9 @@ pub struct ExecContext {
     /// Per-statement memory budget charged by pipeline-breaking operators.
     /// Always present; defaults to an unlimited (peak-tracking) budget.
     budget: Arc<MemoryBudget>,
-    /// Telemetry registry for the worker-idle wait rollup (`None` outside a
-    /// [`Database`] statement or when telemetry is disabled, in which case
-    /// `run_jobs` reads no clocks).
+    /// Telemetry registry for the worker-idle wait rollup and the hash-join
+    /// pruning counter (`None` outside a [`Database`] statement or when
+    /// telemetry is disabled, in which case `run_jobs` reads no clocks).
     ///
     /// [`Database`]: crate::Database
     telemetry: Option<Arc<crate::telemetry::Telemetry>>,
@@ -398,7 +398,7 @@ impl ExecContext {
     }
 
     /// Builder-style telemetry handle: enables the `worker_idle` wait
-    /// rollup around worker-pool fan-outs.
+    /// rollup around worker-pool fan-outs and `exec.join.probe_rows_pruned`.
     pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::Telemetry>) -> ExecContext {
         self.telemetry = Some(telemetry);
         self
@@ -457,6 +457,14 @@ impl ExecContext {
                 out
             }
             _ => jobs.into_iter().map(|j| j()).collect(),
+        }
+    }
+
+    /// Add to `exec.join.probe_rows_pruned`: probe rows a hash join rejected
+    /// because the build side holds no such key.
+    pub(crate) fn count_probe_rows_pruned(&self, rows: usize) {
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.join_probe_rows_pruned.add(rows as u64);
         }
     }
 

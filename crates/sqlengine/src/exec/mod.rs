@@ -33,6 +33,7 @@ mod vector;
 
 pub(crate) use context::check_deadline;
 pub use context::{ExecContext, MemoryBudget, OpStats, WorkerPool};
+pub(crate) use join::keyset_mode;
 pub(crate) use vector::{count_modes, mode_of_label, mode_suffix, node_mode};
 
 use std::sync::Arc;
@@ -62,6 +63,9 @@ pub(crate) struct NodeOut {
     /// Workers this operator actually fanned out to (1 = serial path).
     pub workers: usize,
     pub children: Vec<OpStats>,
+    /// Hash joins: probe rows that found no build key, shown by `EXPLAIN
+    /// ANALYZE` as ` pruned=N` after the label.
+    pub pruned: Option<usize>,
 }
 
 impl NodeOut {
@@ -71,6 +75,7 @@ impl NodeOut {
             rows_in: 0,
             workers: 1,
             children: Vec::new(),
+            pruned: None,
         }
     }
 }
@@ -85,7 +90,10 @@ pub(crate) fn run(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, Optio
         .then(|| (Instant::now(), ctx.budget().used_bytes()));
     let out = dispatch(plan, ctx)?;
     let stats = start.map(|(t, mem_before)| OpStats {
-        label: op_label(plan),
+        label: match out.pruned {
+            Some(pruned) => format!("{} pruned={pruned}", op_label(plan)),
+            None => op_label(plan),
+        },
         rows_in: out.rows_in,
         rows_out: out.rows.len(),
         elapsed: t.elapsed(),

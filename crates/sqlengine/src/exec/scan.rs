@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use crate::error::Result;
 use crate::explain::op_label;
-use crate::expr::PhysExpr;
+use crate::expr::{column_only, PhysExpr};
 use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
@@ -284,6 +284,7 @@ pub(crate) fn run_pipeline(plan: &PhysPlan, ctx: &ExecContext) -> Result<NodeOut
         rows_in,
         workers,
         children,
+        pruned: None,
     })
 }
 
@@ -344,18 +345,6 @@ pub(crate) fn filter_owned(rows: Vec<Row>, predicate: &PhysExpr) -> Result<Vec<R
         }
     }
     Ok(out)
-}
-
-/// If every projection expression is a bare column reference, return the
-/// column indices.
-fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
-    exprs
-        .iter()
-        .map(|e| match e {
-            PhysExpr::Column(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Project a shared slice into `out`.

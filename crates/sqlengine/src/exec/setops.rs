@@ -55,6 +55,7 @@ pub(crate) fn limit(
         rows_in,
         workers: 1,
         children,
+        pruned: None,
     })
 }
 
@@ -87,6 +88,7 @@ pub(crate) fn union_all(inputs: &[PhysPlan], ctx: &ExecContext) -> Result<NodeOu
         rows_in,
         workers: 1,
         children,
+        pruned: None,
     })
 }
 
@@ -115,6 +117,7 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext) -> Result<NodeOut> {
         rows_in,
         workers: 1,
         children,
+        pruned: None,
     })
 }
 
@@ -191,6 +194,7 @@ fn parallel_distinct(
         rows_in,
         workers: ctx.parallelism(),
         children,
+        pruned: None,
     })
 }
 

@@ -126,6 +126,7 @@ pub(crate) fn sort(
         rows_in,
         workers: if parallel { ctx.parallelism() } else { 1 },
         children,
+        pruned: None,
     })
 }
 
@@ -335,5 +336,6 @@ pub(crate) fn window_rank(
         rows_in,
         workers: 1,
         children,
+        pruned: None,
     })
 }

@@ -21,6 +21,11 @@
 //! DISTINCT aggregates) falls back to the row path, per operator: a chain
 //! runs its eligible prefix vectorized and the rest row-at-a-time.
 //!
+//! A hash join whose probe child is a bare base-table scan uses the same
+//! chunks differently: [`key_filter`] tests one typed key column against the
+//! build side's key set ([`KeySet`]) and yields the candidate offsets, so
+//! rows the join would discard are never touched.
+//!
 //! Divergence note: vectorized aggregation updates aggregate states
 //! column-at-a-time within a chunk, so when an *erroring* aggregate (e.g.
 //! `SUM` over text) fails, the reported row may differ from the row path's;
@@ -29,7 +34,7 @@
 //! chunk order, the same divergence class the row path already permits).
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,7 +43,7 @@ use crate::column::{ColVec, ColumnChunk, ColumnData};
 use crate::error::Result;
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
-use crate::plan::{AggSpec, PhysPlan};
+use crate::plan::{AggSpec, JoinAlgo, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::aggregate::{default_row, AggState};
@@ -51,25 +56,10 @@ fn is_simple(e: &PhysExpr) -> bool {
     matches!(e, PhysExpr::Column(_) | PhysExpr::Literal(_))
 }
 
-/// The filter-kernel grammar (see module docs): infallible, boolean-valued.
+/// The filter-kernel grammar (see module docs): the total predicates over
+/// bare columns and literals.
 fn filter_eligible(pred: &PhysExpr) -> bool {
-    match pred {
-        PhysExpr::Binary { left, op, right } => match op {
-            BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq => is_simple(left) && is_simple(right),
-            BinaryOp::And | BinaryOp::Or => filter_eligible(left) && filter_eligible(right),
-            _ => false,
-        },
-        PhysExpr::IsNull { expr, .. } => is_simple(expr),
-        PhysExpr::Between {
-            expr, low, high, ..
-        } => is_simple(expr) && is_simple(low) && is_simple(high),
-        _ => false,
-    }
+    pred.is_total_predicate(&is_simple)
 }
 
 fn project_eligible(exprs: &[PhysExpr]) -> bool {
@@ -99,32 +89,52 @@ fn prefix_len(nodes: &[&PhysPlan]) -> usize {
 
 /// The execution mode of one operator: `Some(true)` = runs vectorized,
 /// `Some(false)` = has a vectorized variant but runs on the row path here,
-/// `None` = operator has no vectorized variant. Mirrors the executor's
-/// prefix rule exactly: a node is vectorized iff its own kernel exists *and*
-/// everything below it is vectorized down to a chunk-carrying scan.
+/// `None` = operator has no vectorized variant. Mirrors the executor
+/// exactly: a pipeline node ([`pipeline_mode`]) by the prefix rule, a hash
+/// join by how it reads the base table it probes ([`super::keyset_mode`]).
 pub(crate) fn node_mode(plan: &PhysPlan) -> Option<bool> {
+    match plan {
+        PhysPlan::HashJoin {
+            left,
+            left_keys,
+            kind,
+            algo: JoinAlgo::Hash,
+            ..
+        } => super::keyset_mode(left, left_keys, *kind),
+        _ => pipeline_mode(plan),
+    }
+}
+
+/// The prefix rule: a scan-pipeline node is vectorized iff its own kernel
+/// exists *and* everything below it is vectorized down to a chunk-carrying
+/// scan (a join in between ends the pipeline).
+fn pipeline_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
         PhysPlan::Scan { chunks, .. } => Some(chunks.is_some()),
         PhysPlan::Filter { input, predicate } => {
-            Some(filter_eligible(predicate) && node_mode(input) == Some(true))
+            Some(filter_eligible(predicate) && pipeline_mode(input) == Some(true))
         }
         PhysPlan::Project { input, exprs } => {
-            Some(project_eligible(exprs) && node_mode(input) == Some(true))
+            Some(project_eligible(exprs) && pipeline_mode(input) == Some(true))
         }
         PhysPlan::Aggregate { input, keys, aggs } => {
-            Some(agg_eligible(keys, aggs) && node_mode(input) == Some(true))
+            Some(agg_eligible(keys, aggs) && pipeline_mode(input) == Some(true))
         }
         _ => None,
     }
 }
 
-/// ` mode=vectorized` / ` mode=row` suffix for operator labels; empty for
-/// operators without a vectorized variant.
+/// ` mode=vectorized` / ` mode=row` suffix for operator labels (on a hash
+/// join, ` probe=keyset(vectorized)` / ` probe=keyset(row)`: which way it
+/// reads the base table it probes); empty for operators without a
+/// vectorized variant.
 pub(crate) fn mode_suffix(plan: &PhysPlan) -> &'static str {
-    match node_mode(plan) {
-        Some(true) => " mode=vectorized",
-        Some(false) => " mode=row",
-        None => "",
+    match (node_mode(plan), plan) {
+        (Some(true), PhysPlan::HashJoin { .. }) => " probe=keyset(vectorized)",
+        (Some(false), PhysPlan::HashJoin { .. }) => " probe=keyset(row)",
+        (Some(true), _) => " mode=vectorized",
+        (Some(false), _) => " mode=row",
+        (None, _) => "",
     }
 }
 
@@ -133,9 +143,9 @@ pub(crate) fn mode_suffix(plan: &PhysPlan) -> &'static str {
 /// trees, which carry only the label, and attaches the mode as a typed
 /// span attribute instead of label text.
 pub(crate) fn mode_of_label(label: &str) -> Option<&'static str> {
-    if label.contains(" mode=vectorized") {
+    if label.contains(" mode=vectorized") || label.contains(" probe=keyset(vectorized)") {
         Some("vectorized")
-    } else if label.contains(" mode=row") {
+    } else if label.contains(" mode=row") || label.contains(" probe=keyset(row)") {
         Some("row")
     } else {
         None
@@ -420,6 +430,79 @@ fn between_kernel(
                 inside != negated
             }
         })
+        .collect()
+}
+
+/// The build side's join keys, as a typed set one probe column can be
+/// tested against without building a `Value` per row.
+pub(super) enum KeySet {
+    /// Every key is a single `Int`: sorted, for a range check and a binary
+    /// search (build sides here hold one to a few hundred keys).
+    Ints(Vec<i64>),
+    /// Every key is a single `Str`.
+    Strs(HashSet<Arc<str>>),
+    /// Floats, several columns, or a mix of variants: `Int(1)` and
+    /// `Float(1.0)` are one join key, so only the row probe can decide.
+    Untyped,
+}
+
+impl KeySet {
+    pub(super) fn of<'a>(keys: impl Iterator<Item = &'a Vec<Value>>) -> KeySet {
+        let (mut ints, mut strs) = (Vec::new(), HashSet::new());
+        for key in keys {
+            match key.as_slice() {
+                [Value::Int(i)] => ints.push(*i),
+                [Value::Str(s)] => {
+                    strs.insert(Arc::clone(s));
+                }
+                _ => return KeySet::Untyped,
+            }
+        }
+        match (ints.is_empty(), strs.is_empty()) {
+            (_, true) => {
+                ints.sort_unstable();
+                KeySet::Ints(ints)
+            }
+            (true, false) => KeySet::Strs(strs),
+            (false, false) => KeySet::Untyped,
+        }
+    }
+}
+
+/// Offsets of the rows of one chunk column whose value is among `keys` (NULL
+/// never is), or `None` when the column's representation and the key set do
+/// not allow a typed answer and the caller must probe row by row. A string
+/// never equals a number, so a column of one against keys of the other
+/// selects nothing.
+pub(super) fn key_filter(col: &ColVec, keys: &KeySet) -> Option<Vec<u32>> {
+    match (&col.data, keys) {
+        (ColumnData::Int(xs), KeySet::Ints(set)) => Some(match set.as_slice() {
+            [] => Vec::new(),
+            [only] => offsets_where(col, xs.len(), |i| xs[i] == *only),
+            [lo, .., hi] => offsets_where(col, xs.len(), |i| {
+                xs[i] >= *lo && xs[i] <= *hi && set.binary_search(&xs[i]).is_ok()
+            }),
+        }),
+        (ColumnData::Dict { codes, values, .. }, KeySet::Strs(set)) => {
+            // One verdict per dictionary code, then a code-indexed scan.
+            let verdicts: Vec<bool> = values.iter().map(|s| set.contains(s)).collect();
+            Some(offsets_where(col, codes.len(), |i| {
+                verdicts[codes[i] as usize]
+            }))
+        }
+        (ColumnData::Int(_) | ColumnData::Float(_), KeySet::Strs(_))
+        | (ColumnData::Dict { .. }, KeySet::Ints(_)) => Some(Vec::new()),
+        _ => None,
+    }
+}
+
+/// The non-NULL offsets below `len` that `wanted` accepts. Typed columns
+/// keep a placeholder at NULL offsets, so the mask is consulted only for
+/// offsets the placeholder got through.
+fn offsets_where(col: &ColVec, len: usize, wanted: impl Fn(usize) -> bool) -> Vec<u32> {
+    (0..len)
+        .filter(|&i| wanted(i) && !col.is_null(i))
+        .map(|i| i as u32)
         .collect()
 }
 
@@ -830,5 +913,6 @@ pub(super) fn vectorized_aggregate(
         rows_in,
         workers,
         children,
+        pruned: None,
     }))
 }

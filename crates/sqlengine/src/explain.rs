@@ -20,7 +20,8 @@ pub fn render_plan(plan: &PhysPlan) -> String {
 /// One-line label for an operator node, shared between `EXPLAIN` rendering
 /// and the executor's `EXPLAIN ANALYZE` stats collection. Operators with a
 /// vectorized variant carry a ` mode=vectorized` / ` mode=row` suffix
-/// reflecting how the executor will actually run them.
+/// reflecting how the executor will actually run them; a hash join probing
+/// straight off a base-table scan says ` probe=keyset(vectorized|row)`.
 pub(crate) fn op_label(plan: &PhysPlan) -> String {
     let mode = crate::exec::mode_suffix(plan);
     match plan {
@@ -68,7 +69,7 @@ pub(crate) fn op_label(plan: &PhysPlan) -> String {
                 JoinAlgo::SortMerge => "SortMergeJoin",
             };
             format!(
-                "{algo_name} [{kind:?}, {} keys{}]",
+                "{algo_name} [{kind:?}, {} keys{}]{mode}",
                 left_keys.len(),
                 if residual.is_some() { ", residual" } else { "" }
             )

@@ -550,15 +550,89 @@ impl PhysExpr {
             PhysExpr::Function { args, .. } => args.iter().any(PhysExpr::contains_param),
         }
     }
+
+    /// The total predicates: comparisons, `IS [NOT] NULL` and `[NOT]
+    /// BETWEEN` over operands that `operand` accepts, composed with
+    /// `AND`/`OR`. Provided its operands never error, such an expression
+    /// never errors either and evaluates to `Int(0|1)` or `Null` — a
+    /// comparison orders a string after every number instead of failing, and
+    /// `AND`/`OR` only ever see those booleans. This is the one statement of
+    /// that grammar: the vectorized filter kernels accept it over bare
+    /// columns and literals, and [`PhysExpr::cannot_raise`] over anything
+    /// that cannot raise.
+    pub(crate) fn is_total_predicate(&self, operand: &impl Fn(&PhysExpr) -> bool) -> bool {
+        match self {
+            PhysExpr::Binary { left, op, right } => match op {
+                BinaryOp::Eq
+                | BinaryOp::NotEq
+                | BinaryOp::Lt
+                | BinaryOp::LtEq
+                | BinaryOp::Gt
+                | BinaryOp::GtEq => operand(left) && operand(right),
+                BinaryOp::And | BinaryOp::Or => {
+                    left.is_total_predicate(operand) && right.is_total_predicate(operand)
+                }
+                _ => false,
+            },
+            PhysExpr::IsNull { expr, .. } => operand(expr),
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => operand(expr) && operand(low) && operand(high),
+            _ => false,
+        }
+    }
+
+    /// Whether evaluating this expression can never return an error,
+    /// whatever the row holds: columns, literals and (bound before
+    /// execution) parameters; `||`, which renders any value; `CASE` whose
+    /// conditions are total predicates; and the total predicates themselves.
+    /// Arithmetic, casts, `NOT`, `LIKE`, `IN` and function calls are left
+    /// out — some of them raise on text operands, and the planner only needs
+    /// a sound under-approximation.
+    pub(crate) fn cannot_raise(&self) -> bool {
+        match self {
+            PhysExpr::Literal(_) | PhysExpr::Param(_) | PhysExpr::Column(_) => true,
+            PhysExpr::Binary {
+                left,
+                op: BinaryOp::Concat,
+                right,
+            } => left.cannot_raise() && right.cannot_raise(),
+            PhysExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                // With an operand each WHEN is compared by `=`, which never
+                // errors; without one it is used as a condition.
+                let when_ok = |w: &PhysExpr| match operand {
+                    Some(_) => w.cannot_raise(),
+                    None => w.is_total_predicate(&PhysExpr::cannot_raise),
+                };
+                operand.as_deref().is_none_or(PhysExpr::cannot_raise)
+                    && branches.iter().all(|(w, t)| when_ok(w) && t.cannot_raise())
+                    && else_expr.as_deref().is_none_or(PhysExpr::cannot_raise)
+            }
+            _ => self.is_total_predicate(&PhysExpr::cannot_raise),
+        }
+    }
+}
+
+/// If every expression is a bare column reference, the column indices.
+pub(crate) fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            PhysExpr::Column(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Rebuild a plan-template expression with every [`PhysExpr::Param`]
 /// replaced by its bound value. Errors when a marker references past the end
 /// of `params`, with the same message the inline binder produces.
 pub fn substitute_params(e: &PhysExpr, params: &[Value]) -> Result<PhysExpr> {
-    let sub = |e: &PhysExpr| substitute_params(e, params);
-    let sub_box = |e: &PhysExpr| sub(e).map(Box::new);
-    Ok(match e {
+    rewrite_leaves(e, &|leaf| match leaf {
         PhysExpr::Param(i) => {
             let v = params.get(i - 1).ok_or_else(|| {
                 EngineError::Parameter(format!(
@@ -566,9 +640,30 @@ pub fn substitute_params(e: &PhysExpr, params: &[Value]) -> Result<PhysExpr> {
                     params.len()
                 ))
             })?;
-            PhysExpr::Literal(v.clone())
+            Ok(PhysExpr::Literal(v.clone()))
         }
-        PhysExpr::Literal(_) | PhysExpr::Column(_) => e.clone(),
+        other => Ok(other.clone()),
+    })
+}
+
+/// Rebuild an expression with every column reference moved `offset` columns
+/// to the right — the expression now reads the right-hand part of a joined
+/// row whose left side is `offset` columns wide.
+pub(crate) fn shift_columns(e: &PhysExpr, offset: usize) -> PhysExpr {
+    rewrite_leaves(e, &|leaf| match leaf {
+        PhysExpr::Column(c) => Ok(PhysExpr::Column(c + offset)),
+        other => Ok(other.clone()),
+    })
+    .expect("shifting columns cannot fail")
+}
+
+/// Rebuild `e` with every leaf (literal, parameter, column) replaced by
+/// `leaf(leaf)`; the one structural walk the rewrites above share.
+fn rewrite_leaves(e: &PhysExpr, leaf: &impl Fn(&PhysExpr) -> Result<PhysExpr>) -> Result<PhysExpr> {
+    let sub = |e: &PhysExpr| rewrite_leaves(e, leaf);
+    let sub_box = |e: &PhysExpr| sub(e).map(Box::new);
+    Ok(match e {
+        PhysExpr::Param(_) | PhysExpr::Literal(_) | PhysExpr::Column(_) => leaf(e)?,
         PhysExpr::Unary { op, expr } => PhysExpr::Unary {
             op: *op,
             expr: sub_box(expr)?,

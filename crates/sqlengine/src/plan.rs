@@ -17,7 +17,10 @@ use std::sync::Arc;
 use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef};
 use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
-use crate::expr::{bind_expr, bind_expr_symbolic, substitute_params, ColLabel, PhysExpr, Scope};
+use crate::expr::{
+    bind_expr, bind_expr_symbolic, column_only, shift_columns, substitute_params, ColLabel,
+    PhysExpr, Scope,
+};
 use crate::value::{Row, Value};
 
 /// Which algorithm executes detected equi-joins.
@@ -250,6 +253,33 @@ impl PhysPlan {
         };
         1 + children
     }
+
+    /// Number of columns in every row this plan produces.
+    pub fn width(&self) -> usize {
+        match self {
+            PhysPlan::Scan { width, .. }
+            | PhysPlan::VirtualScan { width, .. }
+            | PhysPlan::IndexScan { width, .. } => *width,
+            PhysPlan::OneRow => 0,
+            PhysPlan::Project { exprs, .. } => exprs.len(),
+            PhysPlan::Filter { input, .. }
+            | PhysPlan::Sort { input, .. }
+            | PhysPlan::Limit { input, .. }
+            | PhysPlan::Distinct { input } => input.width(),
+            PhysPlan::Window { input, .. } => input.width() + 1,
+            PhysPlan::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
+            PhysPlan::HashJoin {
+                left, right_width, ..
+            }
+            | PhysPlan::NestedLoopJoin {
+                left, right_width, ..
+            } => left.width() + right_width,
+            PhysPlan::IndexJoin {
+                probe, inner_width, ..
+            } => probe.width() + inner_width,
+            PhysPlan::UnionAll { inputs } => inputs.first().map_or(0, PhysPlan::width),
+        }
+    }
 }
 
 // Plans (and the expressions they embed) are shared with executor worker
@@ -299,13 +329,7 @@ struct IndexMeta {
 /// exactly that column set, return the index plus the permutation mapping
 /// each index key column to its position in `keys`.
 fn covering_index(access: &TableAccess, keys: &[PhysExpr]) -> Option<(IndexMeta, Vec<usize>)> {
-    let cols: Vec<usize> = keys
-        .iter()
-        .map(|k| match k {
-            PhysExpr::Column(c) => Some(*c),
-            _ => None,
-        })
-        .collect::<Option<_>>()?;
+    let cols = column_only(keys)?;
     for idx in &access.indexes {
         if idx.key_columns.len() != cols.len() {
             continue;
@@ -420,7 +444,28 @@ fn index_join_choice(
 /// projections change nothing but names (which live in the scope, not the
 /// plan), and eliding them both skips a per-row copy and leaves the bare
 /// scan visible to the join planner's index-access machinery.
+///
+/// A column-only projection over another projection merely selects among
+/// that one's expressions, so the two fold into one (a projection lifted
+/// above a join by [`Planner::equi_join`] meets the enclosing SELECT's list
+/// this way) — unless folding would drop an expression that could raise.
 fn project_or_elide(input: PhysPlan, exprs: Vec<PhysExpr>) -> PhysPlan {
+    let (input, exprs) = match (input, column_only(&exprs)) {
+        (
+            PhysPlan::Project {
+                input: below,
+                exprs: inner,
+            },
+            Some(picks),
+        ) if inner
+            .iter()
+            .enumerate()
+            .all(|(i, e)| picks.contains(&i) || e.cannot_raise()) =>
+        {
+            (*below, picks.iter().map(|&c| inner[c].clone()).collect())
+        }
+        (input, _) => (input, exprs),
+    };
     let width = match &input {
         PhysPlan::Scan { width, .. }
         | PhysPlan::VirtualScan { width, .. }
@@ -900,20 +945,7 @@ impl<'a> Planner<'a> {
                         let refs: Vec<&Expr> = residual.iter().collect();
                         Some(self.bind(&conjoin(&refs), &joined_scope)?)
                     };
-                    if let Some(choice) = index_join_choice(&l, &left_keys, &r, &right_keys, kind) {
-                        build_index_join(l, left_keys, r, right_keys, kind, residual, choice)
-                    } else {
-                        PhysPlan::HashJoin {
-                            left: Box::new(l.plan),
-                            right: Box::new(r.plan),
-                            left_keys,
-                            right_keys,
-                            kind,
-                            right_width,
-                            residual,
-                            algo: self.config.join_algo,
-                        }
-                    }
+                    self.equi_join(l, left_keys, r, right_keys, kind, residual)
                 }
             }
         };
@@ -922,6 +954,118 @@ impl<'a> Planner<'a> {
             scope: joined_scope,
             access: None,
         })
+    }
+
+    /// Build the equi-join of two planned inputs: an index nested loop when
+    /// [`index_join_choice`] finds one, a hash (or sort-merge) join
+    /// otherwise. This is also where a join meets a derived table's
+    /// projection: when an input is a `Project` whose join keys merely pass
+    /// columns through, the join runs against the projection's *input* and
+    /// the projection is re-applied to the joined rows — so the expressions
+    /// are computed for the rows the join keeps instead of for the whole
+    /// table, and a bare scan underneath regains its access paths (index
+    /// probes here, the executor's key filter on a hash join).
+    ///
+    /// A residual reads the projected columns, so it pins both projections
+    /// below the join; and only the preserved side of a LEFT join may move —
+    /// a literal column lifted above the null-supplying side would turn its
+    /// NULL fill into the literal.
+    fn equi_join(
+        &self,
+        mut l: PlannedItem,
+        mut left_keys: Vec<PhysExpr>,
+        mut r: PlannedItem,
+        mut right_keys: Vec<PhysExpr>,
+        kind: JoinKind,
+        residual: Option<PhysExpr>,
+    ) -> PhysPlan {
+        let (l_out, r_out) = (l.scope.len(), r.scope.len());
+        let movable = residual.is_none();
+        let (l_rows, r_rows) = (estimate_rows(&l.plan), estimate_rows(&r.plan));
+        let l_lifted = (movable && kind != JoinKind::Cross)
+            .then(|| self.lift_projection(&mut l, &mut left_keys, r_rows))
+            .flatten();
+        let r_lifted = (movable && kind == JoinKind::Inner)
+            .then(|| self.lift_projection(&mut r, &mut right_keys, l_rows))
+            .flatten();
+        let (l_width, right_width) = (l.plan.width(), r.plan.width());
+        let join = match index_join_choice(&l, &left_keys, &r, &right_keys, kind) {
+            Some(choice) => build_index_join(l, left_keys, r, right_keys, kind, residual, choice),
+            None => PhysPlan::HashJoin {
+                left: Box::new(l.plan),
+                right: Box::new(r.plan),
+                left_keys,
+                right_keys,
+                kind,
+                right_width,
+                residual,
+                algo: self.config.join_algo,
+            },
+        };
+        if l_lifted.is_none() && r_lifted.is_none() {
+            return join;
+        }
+        let mut exprs = l_lifted.unwrap_or_else(|| (0..l_out).map(PhysExpr::Column).collect());
+        match r_lifted {
+            Some(lifted) => exprs.extend(lifted.iter().map(|e| shift_columns(e, l_width))),
+            None => exprs.extend((0..r_out).map(|i| PhysExpr::Column(l_width + i))),
+        }
+        PhysPlan::Project {
+            input: Box::new(join),
+            exprs,
+        }
+    }
+
+    /// If `item` is a projection that [`Planner::equi_join`] may move above
+    /// the join, strip it: `item` becomes the projection's input (with the
+    /// table's access paths when that is a bare scan), `keys` are rewritten
+    /// to read it, and the stripped expressions are returned. Two guards keep
+    /// the answer the same: every key is a column the projection passes
+    /// through unchanged, and no expression can raise (so rows the join
+    /// drops cannot have owed an error). Two keep it worth doing: the
+    /// projection computes a value or hides a bare scan, and the other side
+    /// (`other_rows`, estimated) is no larger than this one — a join against
+    /// a larger side is expected to multiply this side's rows, and the
+    /// projection with them, rather than to discard them.
+    fn lift_projection(
+        &self,
+        item: &mut PlannedItem,
+        keys: &mut Vec<PhysExpr>,
+        other_rows: usize,
+    ) -> Option<Vec<PhysExpr>> {
+        let PhysPlan::Project { exprs, input } = &item.plan else {
+            return None;
+        };
+        let passed_through: Vec<PhysExpr> = keys
+            .iter()
+            .map(|k| match k {
+                PhysExpr::Column(k) => match &exprs[*k] {
+                    source @ PhysExpr::Column(_) => Some(source.clone()),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        let computes = exprs.iter().any(|e| !matches!(e, PhysExpr::Column(_)));
+        let over_scan = matches!(**input, PhysPlan::Scan { .. });
+        if !(computes || over_scan)
+            || other_rows > estimate_rows(input)
+            || !exprs.iter().all(PhysExpr::cannot_raise)
+        {
+            return None;
+        }
+        let PhysPlan::Project { exprs, input } =
+            std::mem::replace(&mut item.plan, PhysPlan::OneRow)
+        else {
+            unreachable!("matched as a projection above");
+        };
+        item.access = match &*input {
+            PhysPlan::Scan { rows, .. } => self.table_access_for_rows(rows),
+            _ => None,
+        };
+        item.plan = *input;
+        *keys = passed_through;
+        Some(exprs)
     }
 
     /// If `expr` is `a = b` with `a` bindable purely in `ls` and `b` in `rs`
@@ -1394,32 +1538,9 @@ impl<'a> Planner<'a> {
                         }
                     }
                     remaining = kept;
-                    let right_width = ritem.scope.len();
                     let scope = cur.scope.join(&ritem.scope);
-                    let plan = if let Some(choice) =
-                        index_join_choice(&cur, &left_keys, &ritem, &right_keys, JoinKind::Inner)
-                    {
-                        build_index_join(
-                            cur,
-                            left_keys,
-                            ritem,
-                            right_keys,
-                            JoinKind::Inner,
-                            None,
-                            choice,
-                        )
-                    } else {
-                        PhysPlan::HashJoin {
-                            left: Box::new(cur.plan),
-                            right: Box::new(ritem.plan),
-                            left_keys,
-                            right_keys,
-                            kind: JoinKind::Inner,
-                            right_width,
-                            residual: None,
-                            algo: self.config.join_algo,
-                        }
-                    };
+                    let plan =
+                        self.equi_join(cur, left_keys, ritem, right_keys, JoinKind::Inner, None);
                     cur = PlannedItem {
                         plan,
                         scope,

@@ -281,9 +281,13 @@ pub struct Telemetry {
     // -- vectorized execution -----------------------------------------------
     /// Operators executed on the columnar/vectorized path.
     pub vectorized_ops: Counter,
-    /// Mode-capable operators (Scan/Filter/Project/Aggregate) that fell back
-    /// to the row-at-a-time path.
+    /// Mode-capable operators (Scan/Filter/Project/Aggregate, and hash joins
+    /// probing straight off a base-table scan) that fell back to the
+    /// row-at-a-time path.
     pub row_ops: Counter,
+    /// Hash-join probe rows rejected because the build side holds no such
+    /// key (by the chunk key filter or by the per-row lookup).
+    pub join_probe_rows_pruned: Counter,
 
     // -- resource governance -------------------------------------------------
     /// Statements admitted past the concurrency gate (immediately or after
@@ -364,7 +368,7 @@ impl Telemetry {
 
     /// Every event counter under its `sys.metrics` name: the one list that
     /// [`Telemetry::reset`] and `sys.metrics` both walk.
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 23] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 24] {
         [
             ("statements.total", &self.statements),
             ("statements.errors", &self.statement_errors),
@@ -377,6 +381,7 @@ impl Telemetry {
             ("wal.checkpoint_bytes", &self.wal_checkpoint_bytes),
             ("exec.vectorized_ops", &self.vectorized_ops),
             ("exec.row_ops", &self.row_ops),
+            ("exec.join.probe_rows_pruned", &self.join_probe_rows_pruned),
             ("verify.plans_checked", &self.verify_plans_checked),
             ("verify.violations", &self.verify_violations),
             ("admission.admitted", &self.admission_admitted),

@@ -47,7 +47,7 @@ use crate::ast::{AggregateFunc, BinaryOp, JoinKind};
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Span};
 use crate::expr::{PhysExpr, Scope};
-use crate::plan::{AggSpec, IndexRef, PhysPlan, PlannedQuery};
+use crate::plan::{AggSpec, IndexRef, JoinAlgo, PhysPlan, PlannedQuery};
 use crate::value::{DataType, Row, Value};
 
 /// The five invariant classes the verifier checks.
@@ -996,23 +996,47 @@ fn plan_children(plan: &PhysPlan) -> Vec<&PhysPlan> {
 /// * `Aggregate` needs simple keys and non-DISTINCT aggregates over simple
 ///   (or absent) arguments;
 /// * a node runs vectorized only if everything below it does, down to a
-///   chunk-carrying scan;
+///   chunk-carrying scan — a join in between ends the chain;
+/// * a hash join (hash algorithm only) whose probe (left) child is a bare
+///   `Scan` and whose probe keys are all bare columns reads that table
+///   itself: vectorized (the chunk key filter) iff the scan carries a chunk
+///   slot, there is one key and the join is INNER, row by row otherwise;
 /// * every other operator has no vectorized variant.
 fn derived_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
+        PhysPlan::HashJoin {
+            left,
+            left_keys,
+            kind,
+            algo: JoinAlgo::Hash,
+            ..
+        } => match &**left {
+            PhysPlan::Scan { chunks, .. }
+                if left_keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) =>
+            {
+                Some(chunks.is_some() && left_keys.len() == 1 && *kind == JoinKind::Inner)
+            }
+            _ => None,
+        },
+        _ => derived_chain_mode(plan),
+    }
+}
+
+fn derived_chain_mode(plan: &PhysPlan) -> Option<bool> {
+    match plan {
         PhysPlan::Scan { chunks, .. } => Some(chunks.is_some()),
         PhysPlan::Filter { input, predicate } => {
-            Some(grammar_filter(predicate) && derived_mode(input) == Some(true))
+            Some(grammar_filter(predicate) && derived_chain_mode(input) == Some(true))
         }
         PhysPlan::Project { input, exprs } => {
-            Some(exprs.iter().all(grammar_simple) && derived_mode(input) == Some(true))
+            Some(exprs.iter().all(grammar_simple) && derived_chain_mode(input) == Some(true))
         }
         PhysPlan::Aggregate { input, keys, aggs } => Some(
             keys.iter().all(grammar_simple)
                 && aggs
                     .iter()
                     .all(|a| !a.distinct && a.arg.as_ref().is_none_or(grammar_simple))
-                && derived_mode(input) == Some(true),
+                && derived_chain_mode(input) == Some(true),
         ),
         _ => None,
     }

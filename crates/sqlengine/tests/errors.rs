@@ -191,6 +191,47 @@ fn timeout_error_display_is_pinned_and_retryable() {
     assert!(err.is_retryable());
 }
 
+/// An equi-join checks the deadline inside its build and probe loops, not
+/// only at operator entry: under a tiny timeout a large one comes back with
+/// `Timeout` long before it could have produced its output.
+#[test]
+fn a_large_equi_join_is_interrupted_by_the_statement_timeout() {
+    // 20,000 rows over 200 keys: 2,000,000 joined rows.
+    let load = |config: EngineConfig| {
+        let db = Database::with_config(config);
+        db.execute("CREATE TABLE wide (k INTEGER, w REAL)").unwrap();
+        let rows = (0..20_000)
+            .map(|i| vec![Value::Int(i % 200), Value::Float(i as f64)])
+            .collect();
+        db.insert_rows("wide", rows).unwrap();
+        db
+    };
+    let sql = "SELECT COUNT(*) FROM wide a JOIN wide b ON a.k = b.k";
+    let started = std::time::Instant::now();
+    let full = load(EngineConfig::default()).query_scalar(sql).unwrap();
+    let full_time = started.elapsed();
+    assert_eq!(full, Value::Int(2_000_000));
+
+    for (name, config) in [
+        ("hash", EngineConfig::profile_a()),
+        (
+            "parallel hash",
+            EngineConfig::profile_a().with_parallelism(4),
+        ),
+        ("sort-merge", EngineConfig::profile_c()),
+    ] {
+        let db = load(config.with_statement_timeout(Duration::from_millis(2)));
+        let started = std::time::Instant::now();
+        let err = db.query(sql).unwrap_err();
+        let took = started.elapsed();
+        assert!(matches!(err, EngineError::Timeout), "{name}: {err:?}");
+        assert!(
+            took < full_time / 4,
+            "{name}: gave up after {took:?}; the whole join takes {full_time:?}"
+        );
+    }
+}
+
 #[test]
 fn resource_exhausted_display_is_pinned_and_retryable() {
     // A 4 KiB budget cannot hold a hash-join build side over 2000 rows.

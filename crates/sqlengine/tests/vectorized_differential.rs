@@ -92,7 +92,9 @@ fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     let label = stats
         .label
         .replace(" mode=vectorized", "")
-        .replace(" mode=row", "");
+        .replace(" mode=row", "")
+        .replace(" probe=keyset(vectorized)", "")
+        .replace(" probe=keyset(row)", "");
     out.push((label, stats.rows_in, stats.rows_out));
     for child in &stats.children {
         shape(child, out);
