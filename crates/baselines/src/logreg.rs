@@ -53,7 +53,7 @@ impl LogisticRegression {
     /// Class probabilities via softmax.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let mut scores = self.scores(x);
-        let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut total = 0.0;
         for s in &mut scores {
             *s = (*s - max).exp();

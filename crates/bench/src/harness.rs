@@ -2,6 +2,8 @@
 
 use std::time::{Duration, Instant};
 
+use sqlengine::json::write_json_string;
+
 /// Run `f`, returning its output and wall-clock duration.
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -10,7 +12,7 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// A printable result table (one per paper table/figure series).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     pub title: String,
     pub headers: Vec<String>,
@@ -68,7 +70,7 @@ impl Table {
 
 /// A bundle of tables from one experiment run, serializable to JSON for
 /// EXPERIMENTS.md bookkeeping.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     pub tables: Vec<Table>,
 }
@@ -86,9 +88,44 @@ impl Report {
             .join("\n")
     }
 
+    /// Pretty JSON, two-space indent: `{"tables": [{"title", "headers",
+    /// "rows"}]}`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
+        let mut out = String::from("{\n  \"tables\": ");
+        let write_cell = |out: &mut String, cell: &String, _depth| write_json_string(out, cell);
+        write_array(&mut out, &self.tables, 1, |out, table, depth| {
+            let pad = "  ".repeat(depth + 1);
+            out.push_str(&format!("{{\n{pad}\"title\": "));
+            write_json_string(out, &table.title);
+            out.push_str(&format!(",\n{pad}\"headers\": "));
+            write_array(out, &table.headers, depth + 1, write_cell);
+            out.push_str(&format!(",\n{pad}\"rows\": "));
+            write_array(out, &table.rows, depth + 1, |out, row, depth| {
+                write_array(out, row, depth, write_cell);
+            });
+            out.push_str(&format!("\n{}}}", "  ".repeat(depth)));
+        });
+        out.push_str("\n}");
+        out
     }
+}
+
+/// A JSON array with one item per line at `depth + 1`; `[]` when empty.
+fn write_array<T>(
+    out: &mut String,
+    items: &[T],
+    depth: usize,
+    item: impl Fn(&mut String, &T, usize),
+) {
+    if items.is_empty() {
+        return out.push_str("[]");
+    }
+    for (i, it) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "[\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        item(out, it, depth + 1);
+    }
+    out.push_str(&format!("\n{}]", "  ".repeat(depth)));
 }
 
 /// Format a duration in seconds with millisecond resolution.
@@ -115,8 +152,24 @@ mod tests {
     fn report_serializes() {
         let mut r = Report::default();
         r.push(Table::new("t", &["c"]));
-        let json = r.to_json();
-        assert!(json.contains("\"title\": \"t\""));
+        r.tables[0].row(vec!["x \"y\"".into()]);
+        let expected = r#"{
+  "tables": [
+    {
+      "title": "t",
+      "headers": [
+        "c"
+      ],
+      "rows": [
+        [
+          "x \"y\""
+        ]
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(r.to_json(), expected);
+        assert_eq!(Report::default().to_json(), "{\n  \"tables\": []\n}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (Sections 4
 //! and 5) against the simulated substrates. The `repro` binary drives the
-//! experiments in this library; the Criterion benches under `benches/`
-//! measure the same operations with statistical rigor.
+//! experiments in this library; `benchmark/` at the repository root times
+//! the same user calls.
 //!
 //! Per-experiment mapping (see also DESIGN.md):
 //!

@@ -7,7 +7,7 @@ use std::hash::Hash;
 /// Inference hyper-parameters (paper Section 2.2). Training does **not**
 /// depend on them, which is what makes cached-weight deployment and
 /// retrain-free tuning possible.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Born exponent, `a > 0`. The NeurIPS paper's default is `1/2`.
     pub a: f64,
@@ -75,9 +75,9 @@ impl<J, K> TrainItem<J, K> {
 ///
 /// Generic over feature (`J`) and class (`K`) key types; `Ord` bounds keep
 /// iteration deterministic, which matters for reproducible explanations.
-/// Serializable when the key types are — a serialized classifier *is* the
-/// model (training state included), mirroring the `{model}_corpus` table.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+/// [`corpus_entries`](Self::corpus_entries) *is* the model (training state
+/// included), mirroring the `{model}_corpus` table.
+#[derive(Debug, Clone, Default)]
 pub struct BornClassifier<J = String, K = String>
 where
     J: Ord + Clone,
@@ -647,30 +647,5 @@ mod tests {
             weight: 1.0,
         }]);
         assert_eq!(clf.n_cells(), before);
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn classifier_serde_roundtrip() {
-        let items = vec![
-            TrainItem::labeled(vec![("robot".to_string(), 2.0)], "ai".to_string()),
-            TrainItem::labeled(vec![("poisson".to_string(), 1.0)], "stats".to_string()),
-        ];
-        let clf = BornClassifier::fit(&items);
-        let json = serde_json::to_string(&clf).unwrap();
-        let back: BornClassifier<String, String> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_cells(), clf.n_cells());
-        assert_eq!(back.n_classes(), clf.n_classes());
-        for (j, k, w) in clf.corpus_entries() {
-            assert_eq!(back.weight(j, k), w);
-        }
-        // The restored model still trains and deploys.
-        let mut back = back;
-        back.partial_fit(&items);
-        assert!(back.deploy(HyperParams::default()).is_some());
     }
 }

@@ -6,13 +6,14 @@
 //! and the training corpus is not shipped at all — the storage-reduction
 //! option the paper mentions).
 
+use sqlengine::json::{parse_json, write_json_f64, write_json_string, Json};
 use sqlengine::Value;
 
 use crate::error::{BornSqlError, Result};
 use crate::model::{BornSqlModel, ModelOptions, Params, SqlBackend};
 
 /// A portable, serializable model artifact.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelArtifact {
     pub name: String,
     pub a: f64,
@@ -62,16 +63,95 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
 
     /// Export as a JSON string.
     pub fn export_json(&self, weights_only: bool) -> Result<String> {
-        serde_json::to_string(&self.export_artifact(weights_only)?)
-            .map_err(|e| BornSqlError::State(format!("artifact serialization failed: {e}")))
+        Ok(self.export_artifact(weights_only)?.to_json())
     }
 }
 
+fn invalid(msg: impl std::fmt::Display) -> BornSqlError {
+    BornSqlError::Config(format!("invalid model artifact: {msg}"))
+}
+
+fn write_cells(out: &mut String, cells: &[(String, String, f64)]) {
+    out.push('[');
+    for (i, (j, k, w)) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        write_json_string(out, j);
+        out.push(',');
+        write_json_string(out, k);
+        out.push(',');
+        write_json_f64(out, *w);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+fn read_cells(doc: &Json, key: &str) -> Result<Vec<(String, String, f64)>> {
+    let cells = doc.get(key).and_then(Json::as_array);
+    let cells = cells.ok_or_else(|| invalid(format!("'{key}' is not an array")))?;
+    cells
+        .iter()
+        .map(|cell| match cell.as_array() {
+            Some([j, k, w]) => match (j.as_str(), k.as_str(), w.as_f64()) {
+                (Some(j), Some(k), Some(w)) => Ok((j.to_string(), k.to_string(), w)),
+                _ => Err(invalid(format!(
+                    "a '{key}' cell is not [string, string, number]"
+                ))),
+            },
+            _ => Err(invalid(format!("a '{key}' cell is not a 3-array"))),
+        })
+        .collect()
+}
+
 impl ModelArtifact {
-    /// Parse an artifact from JSON.
+    /// Serialize to compact JSON: the fields in declaration order, each cell
+    /// a `["j","k",w]` array, floats in shortest round-trip form.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"name\":");
+        write_json_string(&mut out, &self.name);
+        for (key, value) in [
+            (",\"a\":", self.a),
+            (",\"b\":", self.b),
+            (",\"h\":", self.h),
+        ] {
+            out.push_str(key);
+            write_json_f64(&mut out, value);
+        }
+        out.push_str(",\"corpus\":");
+        write_cells(&mut out, &self.corpus);
+        out.push_str(",\"weights\":");
+        write_cells(&mut out, &self.weights);
+        out.push_str(",\"class_type\":");
+        write_json_string(&mut out, &self.class_type);
+        out.push('}');
+        out
+    }
+
+    /// Parse an artifact from JSON. Fields may come in any order and any
+    /// JSON number is accepted where a float is expected.
     pub fn from_json(json: &str) -> Result<ModelArtifact> {
-        serde_json::from_str(json)
-            .map_err(|e| BornSqlError::Config(format!("invalid model artifact: {e}")))
+        let doc = parse_json(json).map_err(|e| invalid(e.message()))?;
+        let text = |key: &str| {
+            let field = doc.get(key).and_then(Json::as_str);
+            field
+                .map(str::to_string)
+                .ok_or_else(|| invalid(format!("'{key}' is not a string")))
+        };
+        let number = |key: &str| {
+            let field = doc.get(key).and_then(Json::as_f64);
+            field.ok_or_else(|| invalid(format!("'{key}' is not a number")))
+        };
+        Ok(ModelArtifact {
+            name: text("name")?,
+            a: number("a")?,
+            b: number("b")?,
+            h: number("h")?,
+            corpus: read_cells(&doc, "corpus")?,
+            weights: read_cells(&doc, "weights")?,
+            class_type: text("class_type")?,
+        })
     }
 
     /// Import into a database under `name`, recreating the params row, the
@@ -200,6 +280,41 @@ mod tests {
             .unwrap();
         assert_eq!(preds[0].1, Value::text("stats"));
         assert_eq!(imported.corpus_cells().unwrap(), 0);
+    }
+
+    /// An artifact in the format `serde_json::to_string` wrote before the
+    /// in-tree codec: compact, fields in declaration order, cells as
+    /// 3-arrays, floats in shortest round-trip form.
+    const GOLDEN: &str = r#"{"name":"golden","a":0.5,"b":1.0,"h":1.0,"corpus":[["robot","ai",1e300],["say \"hi\"","ai",0.1],["tax","law",0.5]],"weights":[],"class_type":"TEXT"}"#;
+
+    #[test]
+    fn golden_artifact_imports_and_reexports_byte_identically() {
+        let artifact = ModelArtifact::from_json(GOLDEN).unwrap();
+        assert_eq!(artifact.corpus[1], ("say \"hi\"".into(), "ai".into(), 0.1));
+        assert_eq!(artifact.corpus[0].2, 1e300);
+        assert!(artifact.weights.is_empty());
+        assert_eq!(artifact.to_json(), GOLDEN);
+
+        // Through a database and back: the corpus, hyper-parameters and class
+        // type are the golden's (the weights are derived from the corpus on
+        // export, so the golden's empty list is put back before comparing).
+        let db = Database::new();
+        let imported = artifact.import_into(&db, "golden").unwrap();
+        let exported = imported.export_artifact(false).unwrap();
+        let exported = ModelArtifact {
+            weights: Vec::new(),
+            ..exported
+        };
+        assert_eq!(exported.to_json(), GOLDEN);
+
+        // Any JSON number is a float on read, and field order is free.
+        let loose = r#"{"class_type":"INTEGER","weights":[["x","7",2]],"corpus":[],"h":1,"b":0,"a":1e0,"name":"n"}"#;
+        let loose = ModelArtifact::from_json(loose).unwrap();
+        assert_eq!((loose.a, loose.b, loose.h), (1.0, 0.0, 1.0));
+        assert_eq!(loose.weights, vec![("x".into(), "7".into(), 2.0)]);
+        for bad in ["", "{}", r#"{"name":1}"#, &GOLDEN.replace("0.1]", "0.1,1]")] {
+            assert!(ModelArtifact::from_json(bad).is_err(), "{bad:?} must fail");
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 
 use born::{BornClassifier, HyperParams, TrainItem};
 use bornsql::{BornSqlModel, DataSpec, ModelOptions, Params};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use seeded::SplitMix64;
 use sqlengine::{Database, Value};
 
 /// A synthetic document: id, feature counts, label.
@@ -19,20 +18,20 @@ struct Doc {
 
 /// Generate a deterministic random corpus with class-conditional vocabulary.
 fn random_docs(seed: u64, n: usize) -> Vec<Doc> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let classes = ["ai", "stats", "ops"];
     let mut docs = Vec::with_capacity(n);
     for id in 0..n {
-        let class = classes[rng.gen_range(0..classes.len())];
+        let class = *rng.pick(&classes);
         let mut features: BTreeMap<String, f64> = BTreeMap::new();
         // Class-specific tokens plus shared noise tokens.
-        for _ in 0..rng.gen_range(2..8) {
-            let tok = if rng.gen_bool(0.7) {
-                format!("{class}_tok{}", rng.gen_range(0..10))
+        for _ in 0..rng.range(2..8) {
+            let tok = if rng.chance(0.7) {
+                format!("{class}_tok{}", rng.below(10))
             } else {
-                format!("common_tok{}", rng.gen_range(0..6))
+                format!("common_tok{}", rng.below(6))
             };
-            *features.entry(tok).or_insert(0.0) += rng.gen_range(1..4) as f64;
+            *features.entry(tok).or_insert(0.0) += rng.range(1..4) as f64;
         }
         docs.push(Doc {
             id: id as i64 + 1,

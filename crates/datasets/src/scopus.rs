@@ -22,8 +22,7 @@
 //! not provide; the `(j, w)` rows it feeds to BornSQL are identical in
 //! form to the paper's `unnest(abstract)` query.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use seeded::SplitMix64;
 use sqlengine::{Database, Value};
 
 use crate::zipf::Zipf;
@@ -127,12 +126,12 @@ pub struct ScopusData {
 }
 
 /// Draw from a Poisson(λ) (Knuth's method; λ is small here).
-fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
+fn poisson(rng: &mut SplitMix64, lambda: f64) -> usize {
     let l = (-lambda).exp();
     let mut k = 0usize;
     let mut p = 1.0;
     loop {
-        p *= rng.gen::<f64>();
+        p *= rng.unit_f64();
         if p <= l {
             return k;
         }
@@ -145,7 +144,7 @@ fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
 
 /// Generate a Scopus-like database.
 pub fn generate(config: &ScopusConfig) -> ScopusData {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let n = config.n_publications;
 
     let venue_zipf = Zipf::new(config.venues_per_class, 1.1);
@@ -168,7 +167,7 @@ pub fn generate(config: &ScopusConfig) -> ScopusData {
         let t = id as f64 / n as f64;
 
         // Class by the paper's priors.
-        let u: f64 = rng.gen();
+        let u = rng.unit_f64();
         let class = {
             let mut acc = 0.0;
             let mut chosen = 2;
@@ -184,23 +183,19 @@ pub fn generate(config: &ScopusConfig) -> ScopusData {
         let tag = CLASS_TAGS[class];
         // Content is generated from `class`; the *recorded* label may be a
         // different (overlapping) subject area with probability label_noise.
-        let label_class = if rng.gen_bool(config.label_noise) {
-            rng.gen_range(0..3)
+        let label_class = if rng.chance(config.label_noise) {
+            rng.below(3)
         } else {
             class
         };
         let asjc = match label_class {
             0 => ASJC_AI,
-            1 => ASJC_DS + rng.gen_range(1..5), // 1801..1804 sub-fields
+            1 => ASJC_DS + rng.range(1..5), // 1801..1804 sub-fields
             _ => ASJC_STATS,
         };
 
         // Venue: mostly class-conditional, sometimes cross-listed.
-        let venue_class = if rng.gen_bool(0.9) {
-            class
-        } else {
-            rng.gen_range(0..3)
-        };
+        let venue_class = if rng.chance(0.9) { class } else { rng.below(3) };
         let pubname = format!(
             "journal of {} studies {}",
             CLASS_TAGS[venue_class],
@@ -215,7 +210,7 @@ pub fn generate(config: &ScopusConfig) -> ScopusData {
         };
         let n_authors = 1 + poisson(&mut rng, author_lambda);
         for _ in 0..n_authors {
-            let authid = if config.drift && rng.gen_bool(fresh_author_p) {
+            let authid = if config.drift && rng.chance(fresh_author_p) {
                 fresh_author += 1;
                 fresh_author
             } else {
@@ -233,10 +228,10 @@ pub fn generate(config: &ScopusConfig) -> ScopusData {
         };
         let n_keywords = 1 + poisson(&mut rng, kw_lambda);
         for _ in 0..n_keywords {
-            let kw = if config.drift && rng.gen_bool(fresh_kw_p) {
+            let kw = if config.drift && rng.chance(fresh_kw_p) {
                 fresh_keyword += 1;
                 format!("emerging topic {fresh_keyword}")
-            } else if rng.gen_bool(0.75) {
+            } else if rng.chance(0.75) {
                 format!("{tag} keyword {}", keyword_zipf.sample(&mut rng))
             } else {
                 format!("shared keyword {}", keyword_zipf.sample(&mut rng))
@@ -251,10 +246,10 @@ pub fn generate(config: &ScopusConfig) -> ScopusData {
         let mut counts: std::collections::BTreeMap<String, f64> = Default::default();
         let mut words = Vec::with_capacity(n_tokens.max(1));
         for _ in 0..n_tokens.max(3) {
-            let tok = if config.drift && rng.gen_bool(fresh_tok_p) {
+            let tok = if config.drift && rng.chance(fresh_tok_p) {
                 fresh_lexeme += 1;
                 format!("neolog{fresh_lexeme}")
-            } else if rng.gen_bool(0.55) {
+            } else if rng.chance(0.55) {
                 format!("{tag}term{}", vocab_zipf.sample(&mut rng))
             } else {
                 format!("word{}", vocab_zipf.sample(&mut rng))

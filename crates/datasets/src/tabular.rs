@@ -11,8 +11,7 @@
 //! tuned so that linear baselines and BornSQL land in the accuracy regime
 //! the paper reports (Table 5): high-90s on RLCP, ~0.7 macro-F1 on Adult.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use seeded::SplitMix64;
 
 use crate::sparse::{SparseDataset, SparseItem};
 
@@ -45,13 +44,13 @@ const ADULT_ATTRIBUTES: [(&str, usize); 8] = [
 /// Generate an Adult-like census dataset. Labels are `">50K"` / `"<=50K"`
 /// with the UCI positive rate (~24%).
 pub fn adult_like(config: &TabularConfig) -> SparseDataset {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let total_card: usize = ADULT_ATTRIBUTES.iter().map(|(_, c)| c).sum();
     debug_assert_eq!(total_card, 102);
 
     let mut items = Vec::with_capacity(config.n_items);
     for id in 1..=(config.n_items as i64) {
-        let positive = rng.gen_bool(11_687.0 / 48_842.0); // UCI class prior
+        let positive = rng.chance(11_687.0 / 48_842.0); // UCI class prior
         let mut features = Vec::with_capacity(ADULT_ATTRIBUTES.len());
         for (attr, card) in ADULT_ATTRIBUTES {
             // Class-conditional categorical draw: the positive class skews
@@ -59,13 +58,13 @@ pub fn adult_like(config: &TabularConfig) -> SparseDataset {
             // with heavy overlap (this is what caps F1 around the paper's
             // ~0.7 level rather than making the task trivial).
             let skew: f64 = if positive { 0.40 } else { 0.60 };
-            let u: f64 = rng.gen::<f64>() * 0.66 + skew * 0.34;
+            let u: f64 = rng.unit_f64() * 0.66 + skew * 0.34;
             let idx = ((u * card as f64) as usize).min(card - 1);
             features.push((format!("{attr}:v{idx}"), 1.0));
         }
         // Rare categories appear in the negative class only — the bias the
         // paper's Section 5.4 explainability example detects.
-        if !positive && rng.gen_bool(0.0006) {
+        if !positive && rng.chance(0.0006) {
             features.push(("native_country:Holand-Netherlands".to_string(), 1.0));
         }
         items.push(SparseItem {
@@ -85,14 +84,14 @@ pub fn adult_like(config: &TabularConfig) -> SparseDataset {
 /// `"match"` / `"nonmatch"` with ~0.36% positive rate. True matches agree on
 /// almost all fields; non-matches agree rarely.
 pub fn rlcp_like(config: &TabularConfig) -> SparseDataset {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let mut items = Vec::with_capacity(config.n_items);
     for id in 1..=(config.n_items as i64) {
-        let is_match = rng.gen_bool(20_931.0 / 5_749_132.0);
+        let is_match = rng.chance(20_931.0 / 5_749_132.0);
         let agree_p = if is_match { 0.93 } else { 0.08 };
         let mut features = Vec::new();
         for field in 0..18 {
-            if rng.gen_bool(agree_p) {
+            if rng.chance(agree_p) {
                 features.push((format!("cmp_{field}:match"), 1.0));
             } else {
                 features.push((format!("cmp_{field}:nonmatch"), 1.0));

@@ -8,8 +8,7 @@
 //! lands in the same accuracy regime — preserving the *shape* of the
 //! result (R8 easiest, 20NG/R52 harder with many confusable classes).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use seeded::SplitMix64;
 
 use crate::sparse::{SparseDataset, SparseItem};
 use crate::zipf::Zipf;
@@ -40,7 +39,7 @@ pub struct TextSetConfig {
 
 /// Generate a corpus from the configuration.
 pub fn generate(config: &TextSetConfig, name: &str) -> SparseDataset {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let class_prior = Zipf::new(config.n_classes, config.imbalance);
     let class_tok = Zipf::new(config.class_vocab, 1.0);
     let shared_tok = Zipf::new(config.shared_vocab, 1.0);
@@ -48,17 +47,17 @@ pub fn generate(config: &TextSetConfig, name: &str) -> SparseDataset {
     let mut items = Vec::with_capacity(config.n_items);
     for id in 1..=(config.n_items as i64) {
         let class = class_prior.sample(&mut rng);
-        let len = (config.doc_len / 2) + rng.gen_range(0..config.doc_len.max(1));
+        let len = (config.doc_len / 2) + rng.below(config.doc_len.max(1));
         let mut counts: std::collections::BTreeMap<String, f64> = Default::default();
         for _ in 0..len.max(3) {
-            let u: f64 = rng.gen();
+            let u = rng.unit_f64();
             let tok = if u < config.class_signal {
                 // Signal token — usually from the true class, sometimes from
                 // a random class (misleading evidence).
-                let c = if rng.gen_bool(config.signal_fidelity) {
+                let c = if rng.chance(config.signal_fidelity) {
                     class
                 } else {
-                    rng.gen_range(0..config.n_classes)
+                    rng.below(config.n_classes)
                 };
                 format!("c{c}_t{}", class_tok.sample(&mut rng))
             } else {

@@ -4,7 +4,7 @@
 //! frequencies) follow heavy-tailed rank-frequency laws; the paper's feature
 //! growth curves (Figure 5) only reproduce if the synthetic data does too.
 
-use rand::Rng;
+use seeded::SplitMix64;
 
 /// Samples ranks `0..n` with probability proportional to `1 / (rank+1)^s`.
 #[derive(Debug, Clone)]
@@ -41,8 +41,8 @@ impl Zipf {
     }
 
     /// Draw one rank.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+        let u = rng.unit_f64();
         // First rank whose CDF value exceeds u.
         match self.cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
             Ok(i) => i,
@@ -54,13 +54,11 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn low_ranks_dominate() {
         let z = Zipf::new(100, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let mut counts = vec![0usize; 100];
         for _ in 0..20_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -72,7 +70,7 @@ mod tests {
     #[test]
     fn all_ranks_reachable() {
         let z = Zipf::new(5, 0.5);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let mut seen = [false; 5];
         for _ in 0..5_000 {
             seen[z.sample(&mut rng)] = true;
@@ -83,8 +81,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let z = Zipf::new(50, 1.2);
-        let mut a = StdRng::seed_from_u64(3);
-        let mut b = StdRng::seed_from_u64(3);
+        let mut a = SplitMix64::new(3);
+        let mut b = SplitMix64::new(3);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut a), z.sample(&mut b));
         }
@@ -93,7 +91,7 @@ mod tests {
     #[test]
     fn single_rank() {
         let z = Zipf::new(1, 1.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         assert_eq!(z.sample(&mut rng), 0);
     }
 }

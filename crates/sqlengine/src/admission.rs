@@ -10,16 +10,17 @@
 //! is shed too: it could never finish in time, so burning a slot on it only
 //! delays statements that still can.
 //!
-//! The gate deliberately uses `std::sync` primitives with explicit poison
-//! recovery: a statement that panics mid-execution (releasing its permit
-//! during unwind) must not wedge the queue for everyone behind it.
+//! The gate's lock never poisons ([`crate::sync`]): a statement that panics
+//! mid-execution (releasing its permit during unwind) must not wedge the
+//! queue for everyone behind it.
 //!
 //! [`EngineConfig::max_concurrent_statements`]: crate::EngineConfig::max_concurrent_statements
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{EngineError, Result};
+use crate::sync::{Condvar, Mutex};
 use crate::telemetry::Telemetry;
 
 #[derive(Debug)]
@@ -60,13 +61,6 @@ impl std::fmt::Debug for AdmissionPermit {
     }
 }
 
-/// Lock with poison recovery: the state is a pair of counters adjusted
-/// outside any panicking region, so it is consistent even when some other
-/// thread panicked while holding the lock.
-fn lock(gate: &AdmissionGate) -> MutexGuard<'_, GateState> {
-    gate.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl AdmissionGate {
     pub(crate) fn new(max: usize, queue_limit: usize, telemetry: Arc<Telemetry>) -> AdmissionGate {
         AdmissionGate {
@@ -86,7 +80,7 @@ impl AdmissionGate {
     /// statement's deadline expires (or would certainly expire) while
     /// queued.
     pub(crate) fn admit(self: &Arc<Self>, deadline: Option<Instant>) -> Result<AdmissionPermit> {
-        let mut state = lock(self);
+        let mut state = self.state.lock();
         if state.running < self.max {
             state.running += 1;
             drop(state);
@@ -114,7 +108,7 @@ impl AdmissionGate {
         let queued_at = Instant::now();
         loop {
             state = match deadline {
-                None => self.cond.wait(state).unwrap_or_else(|e| e.into_inner()),
+                None => self.cond.wait(state),
                 Some(dl) => {
                     let now = Instant::now();
                     if now >= dl {
@@ -127,11 +121,7 @@ impl AdmissionGate {
                             "statement deadline expired while queued for admission".to_string(),
                         ));
                     }
-                    let (guard, _timed_out) = self
-                        .cond
-                        .wait_timeout(state, dl - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    guard
+                    self.cond.wait_timeout(state, dl - now)
                 }
             };
             if state.running < self.max {
@@ -161,7 +151,7 @@ impl AdmissionGate {
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let mut state = lock(&self.gate);
+        let mut state = self.gate.state.lock();
         state.running = state.running.saturating_sub(1);
         drop(state);
         // notify_all, not notify_one: timed waiters that woke for a deadline

@@ -27,8 +27,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::sync::Mutex;
 use crate::value::{Row, Value};
 
 /// Rows per chunk. Matches one executor morsel: the vectorized pipeline

@@ -1,6 +1,6 @@
 //! The public database facade and the statement driver.
 //!
-//! [`Database`] owns the catalog behind a `parking_lot::RwLock`. Queries
+//! [`Database`] owns the catalog behind a [`RwLock`]. Queries
 //! plan under a read lock and execute on `Arc` row snapshots after the lock
 //! is released; DML takes the write lock for its duration.
 //!
@@ -17,8 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
-
 use crate::admission::{AdmissionGate, AdmissionPermit};
 use crate::ast::{ExplainMode, Query, Statement};
 use crate::catalog::{Catalog, Schema};
@@ -29,6 +27,7 @@ use crate::lexer::{scan_shape, Shape};
 use crate::parser::{parse_script_spanned, parse_statement};
 use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
 use crate::plan_cache::{CacheHit, CacheUse, PlanCache};
+use crate::sync::{Mutex, RwLock, RwLockReadGuard};
 use crate::telemetry::{sys, QueryStatus, Telemetry};
 use crate::trace::{Phase, PhaseClock, StatementTrace, TraceScope};
 use crate::value::{Row, Value};
@@ -97,7 +96,7 @@ pub struct Database {
     /// individual queries never pay thread-spawn latency.
     pool: Option<Arc<WorkerPool>>,
     /// Snapshot of the catalog taken at `BEGIN`, restored on `ROLLBACK`.
-    txn_backup: parking_lot::Mutex<Option<Catalog>>,
+    txn_backup: Mutex<Option<Catalog>>,
     /// Monotonic version bumped *before* any catalog write (DDL, DML, and
     /// `ROLLBACK` restores). Cached plans embed row/index snapshots, so any
     /// change to data or schema must invalidate them; the counter never goes
@@ -211,7 +210,7 @@ impl Database {
             catalog: RwLock::new(Catalog::new()),
             pool: (config.parallelism > 1).then(|| Arc::new(WorkerPool::new(config.parallelism))),
             config,
-            txn_backup: parking_lot::Mutex::new(None),
+            txn_backup: Mutex::new(None),
             catalog_version: AtomicU64::new(0),
             plan_cache: PlanCache::default(),
             wal: None,
@@ -474,6 +473,12 @@ impl Database {
         let catalog = self.catalog.read();
         let t = catalog.get(name)?;
         Ok((t.schema.clone(), t.primary_key_names(), Arc::clone(&t.rows)))
+    }
+
+    /// The catalog under a read lock (snapshots capture every table
+    /// under one).
+    pub(crate) fn read_catalog(&self) -> RwLockReadGuard<'_, Catalog> {
+        self.catalog.read()
     }
 
     // ------------------------------------------------------------------

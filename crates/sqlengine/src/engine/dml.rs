@@ -7,8 +7,6 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use parking_lot::RwLockWriteGuard;
-
 use super::{Database, PlanVerify, StatementCtx, StatementResult};
 use crate::ast::{
     qualify_bare_columns, ConflictAction, Expr, Insert, InsertSource, Query, Statement,
@@ -17,6 +15,7 @@ use crate::catalog::{Catalog, Column, InsertOutcome, ResolvedConflict, Schema, T
 use crate::error::{EngineError, Result};
 use crate::expr::{bind_expr, ColLabel, Scope};
 use crate::plan::Planner;
+use crate::sync::RwLockWriteGuard;
 use crate::trace::TraceScope;
 use crate::value::{DataType, Row, Value};
 use crate::wal::{push_insert, WalOp};

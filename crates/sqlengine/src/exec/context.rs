@@ -14,12 +14,13 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::error::{EngineError, Result, Span};
 use crate::plan::PhysPlan;
+use crate::sync::Mutex;
 use crate::value::{Row, Value};
 
 /// Inputs smaller than this never take a parallel path: morsel dispatch costs
@@ -241,14 +242,8 @@ impl WorkerPool {
                     .name(format!("sqlengine-worker-{i}"))
                     .spawn(move || loop {
                         // Take the lock only to receive; run the job unlocked
-                        // so other workers keep draining the channel. A
-                        // poisoned lock just means some worker panicked while
-                        // *receiving* (jobs run unlocked and are
-                        // panic-caught); the channel itself is still sound.
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
+                        // so other workers keep draining the channel.
+                        let job = rx.lock().recv();
                         match job {
                             Ok(job) => job(),
                             Err(_) => break, // pool dropped
@@ -278,10 +273,7 @@ impl WorkerPool {
         let n = jobs.len();
         let (rtx, rrx) = mpsc::channel::<(usize, thread::Result<T>)>();
         {
-            // Recover rather than propagate poisoning: the sender is only
-            // cloned under this lock, so a panic elsewhere cannot have left
-            // it half-updated.
-            let guard = self.tx.lock().unwrap_or_else(|e| e.into_inner());
+            let guard = self.tx.lock();
             let tx = guard.as_ref().expect("worker pool already shut down");
             for (i, job) in jobs.into_iter().enumerate() {
                 let rtx = rtx.clone();
@@ -309,10 +301,9 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel ends every worker's recv loop. Poisoned locks
-        // are recovered, not propagated — panicking in drop aborts.
-        self.tx.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        // Closing the channel ends every worker's recv loop.
+        self.tx.lock().take();
+        let mut workers = self.workers.lock();
         for handle in workers.drain(..) {
             let _ = handle.join();
         }

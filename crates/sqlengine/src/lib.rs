@@ -98,6 +98,7 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod expr;
+pub mod json;
 pub mod lexer;
 pub(crate) mod lift;
 pub mod parser;
@@ -105,6 +106,7 @@ pub mod plan;
 pub(crate) mod plan_cache;
 pub mod sema;
 pub mod snapshot;
+pub(crate) mod sync;
 pub mod telemetry;
 pub mod trace;
 pub mod value;

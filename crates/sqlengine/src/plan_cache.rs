@@ -13,11 +13,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::lexer::Shape;
 use crate::lift::{same_literal, Slot};
 use crate::plan::{PhysPlan, PlannedQuery};
+use crate::sync::Mutex;
 use crate::value::Value;
 
 /// Upper bound on cached plans. Serving workloads cycle through a handful of
@@ -364,7 +363,7 @@ mod tests {
         let shape = |sql| crate::lexer::scan_shape(sql).expect("lexes");
         let (a, b) = (shape("SELECT 1"), shape("SELECT 'x'"));
         cache.insert(a.key.clone(), Vec::new(), 1, plan(), false, false);
-        cache.insert(b.key.clone(), Vec::new(), 1, plan(), false, false);
+        cache.insert(b.key, Vec::new(), 1, plan(), false, false);
         // A write, then only `a` is replanned: its old plan is parked, `b`'s
         // is stale. Hit-only traffic must still release both.
         cache.insert(a.key.clone(), Vec::new(), 2, plan(), false, false);

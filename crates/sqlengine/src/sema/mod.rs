@@ -22,9 +22,10 @@
 //! Typing is deliberately lenient wherever the engine is dynamically typed:
 //! `Any` (untyped columns, parameters, `NULL`) passes everywhere, and only
 //! certainly-wrong expressions — a declared-`TEXT` operand in arithmetic, a
-//! `SUM` over a `TEXT` column — are rejected. The invariant, pinned by a
-//! property test, is that a query which passes `check` never raises a
-//! *type-shaped* runtime error.
+//! `SUM` over a `TEXT` column — are rejected. The intended invariant is that
+//! a query which passes `check` never raises a *type-shaped* runtime error;
+//! it does not hold for `Any` produced by mixed-type `CASE`/`COALESCE`
+//! branches (`tests/sema_prop.rs` has the ignored property).
 
 pub(crate) mod fold;
 

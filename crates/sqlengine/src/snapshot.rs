@@ -6,24 +6,24 @@
 //!
 //! The same writer backs the durability layer's checkpoints (see
 //! [`crate::wal`]): a checkpoint is a snapshot plus the WAL sequence number
-//! it covers. The JSON codec is implemented in-crate (no serde) so that
-//! every value round-trips exactly — in particular non-finite floats, which
-//! standard JSON cannot represent, are encoded as tagged objects
-//! (`{"~f":"nan"}`, `{"~f":"inf"}`, `{"~f":"-inf"}`) instead of silently
-//! collapsing to `null`.
+//! it covers. The codec is [`crate::json`], in which every value round-trips
+//! exactly.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::catalog::{Catalog, Column, Schema, Table};
 use crate::engine::Database;
 use crate::error::{EngineError, Result};
-use crate::value::{DataType, Row, Value};
+use crate::json::{json_to_value, parse_json, write_json_string, write_json_value, Json};
+use crate::value::{DataType, Row};
 
-/// Serializable form of one table.
+/// Serializable form of one table. The rows are the table's own shared
+/// vector: capturing copies nothing.
 pub(crate) struct TableDump {
     pub columns: Vec<(String, DataType)>,
     pub primary_key: Vec<String>,
-    pub rows: Vec<Row>,
+    pub rows: Arc<Vec<Row>>,
 }
 
 /// Serializable form of the whole database.
@@ -32,25 +32,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture every table of `db`.
+    /// Capture every table of `db`, under one catalog read lock.
     pub fn capture(db: &Database) -> Result<Snapshot> {
-        let mut tables = BTreeMap::new();
-        for name in db.table_names() {
-            let (schema, primary_key, rows) = db.dump_table(&name)?;
-            tables.insert(
-                name,
-                TableDump {
-                    columns: schema
-                        .columns
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                    primary_key,
-                    rows: rows.as_ref().clone(),
-                },
-            );
-        }
-        Ok(Snapshot { tables })
+        Ok(Snapshot::capture_catalog(&db.read_catalog()))
     }
 
     /// Capture from a catalog reference directly. Used by the durability
@@ -60,20 +44,17 @@ impl Snapshot {
         let mut tables = BTreeMap::new();
         for name in catalog.table_names() {
             let t = catalog.get(&name).expect("table_names() names exist");
-            let primary_key = t.primary_key_names();
-            tables.insert(
-                name,
-                TableDump {
-                    columns: t
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                    primary_key,
-                    rows: t.rows.as_ref().clone(),
-                },
-            );
+            let dump = TableDump {
+                columns: t
+                    .schema
+                    .columns
+                    .iter()
+                    .map(|c| (c.name.clone(), c.ty))
+                    .collect(),
+                primary_key: t.primary_key_names(),
+                rows: Arc::clone(&t.rows),
+            };
+            tables.insert(name, dump);
         }
         Snapshot { tables }
     }
@@ -91,7 +72,9 @@ impl Snapshot {
                     .collect(),
             );
             let mut table = Table::new(name, schema, &dump.primary_key)?;
-            for row in dump.rows {
+            // A parsed dump owns its rows; one captured from a live table
+            // shares them and is copied here.
+            for row in Arc::try_unwrap(dump.rows).unwrap_or_else(|shared| (*shared).clone()) {
                 table.insert_row(row, None)?;
             }
             out.push(table);
@@ -163,7 +146,7 @@ impl Snapshot {
 
     /// Deserialize from a JSON string.
     pub fn from_json(json: &str) -> Result<Snapshot> {
-        let doc = parse_json(json)?;
+        let doc = parse_json(json).map_err(|e| corrupt(e.message()))?;
         let obj = doc
             .as_object()
             .ok_or_else(|| corrupt("top level is not an object"))?;
@@ -228,7 +211,7 @@ impl Snapshot {
                     r.as_array()
                         .ok_or_else(|| corrupt("row is not an array"))?
                         .iter()
-                        .map(json_to_value)
+                        .map(|v| json_to_value(v).map_err(|e| corrupt(e.message())))
                         .collect::<Result<Row>>()
                 })
                 .collect::<Result<Vec<Row>>>()?;
@@ -237,7 +220,7 @@ impl Snapshot {
                 TableDump {
                     columns,
                     primary_key,
-                    rows,
+                    rows: Arc::new(rows),
                 },
             );
         }
@@ -268,298 +251,6 @@ fn datatype_from_name(name: &str) -> Option<DataType> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Value <-> JSON
-// ---------------------------------------------------------------------------
-
-/// Encode one SQL value as JSON. Non-finite floats get an explicit tagged
-/// encoding because JSON has no literal for them — the previous serde-based
-/// codec serialized `NaN`/`±Infinity` as `null`, corrupting round-trips.
-pub(crate) fn write_json_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) if f.is_nan() => out.push_str("{\"~f\":\"nan\"}"),
-        Value::Float(f) if f.is_infinite() => {
-            out.push_str(if *f > 0.0 {
-                "{\"~f\":\"inf\"}"
-            } else {
-                "{\"~f\":\"-inf\"}"
-            });
-        }
-        // `{:?}` prints the shortest representation that parses back to the
-        // same f64 and always keeps a `.` or exponent, so floats stay
-        // distinguishable from ints.
-        Value::Float(f) => out.push_str(&format!("{f:?}")),
-        Value::Str(s) => write_json_string(out, s),
-    }
-}
-
-pub(crate) fn json_to_value(j: &Json) -> Result<Value> {
-    match j {
-        Json::Null => Ok(Value::Null),
-        Json::Int(i) => Ok(Value::Int(*i)),
-        Json::Float(f) => Ok(Value::Float(*f)),
-        Json::Str(s) => Ok(Value::text(s)),
-        Json::Object(fields) => match fields.as_slice() {
-            [(k, Json::Str(tag))] if k == "~f" => match tag.as_str() {
-                "nan" => Ok(Value::Float(f64::NAN)),
-                "inf" => Ok(Value::Float(f64::INFINITY)),
-                "-inf" => Ok(Value::Float(f64::NEG_INFINITY)),
-                other => Err(corrupt(format!("unknown float tag '{other}'"))),
-            },
-            _ => Err(corrupt("unexpected object in row")),
-        },
-        _ => Err(corrupt("unexpected value in row")),
-    }
-}
-
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON document. Numbers keep the int/float distinction (a token
-/// with `.`/`e`/`E` parses as a float) so SQL `Int` and `Float` round-trip
-/// without type drift.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
-    /// Field lookup on objects.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        self.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-}
-
-pub(crate) fn parse_json(text: &str) -> Result<Json> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(corrupt(format!("trailing data at byte {pos}")));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect_byte(bytes: &[u8], pos: &mut usize, b: u8) -> Result<()> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(corrupt(format!(
-            "expected '{}' at byte {}",
-            b as char, *pos
-        )))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(corrupt("unexpected end of input")),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect_byte(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(corrupt(format!("expected ',' or '}}' at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(corrupt(format!("expected ',' or ']' at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(corrupt(format!("invalid literal at byte {}", *pos)))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| corrupt(format!("invalid number at byte {start}")))?;
-    if token.is_empty() {
-        return Err(corrupt(format!("unexpected character at byte {start}")));
-    }
-    if token.contains(['.', 'e', 'E']) {
-        token
-            .parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| corrupt(format!("invalid float '{token}'")))
-    } else {
-        // Integer token; fall back to f64 on i64 overflow.
-        token
-            .parse::<i64>()
-            .map(Json::Int)
-            .or_else(|_| token.parse::<f64>().map(Json::Float))
-            .map_err(|_| corrupt(format!("invalid number '{token}'")))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    expect_byte(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(corrupt("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| corrupt("invalid \\u escape"))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(corrupt("invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| corrupt("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
 impl Database {
     /// Persist the whole database to a JSON snapshot file.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
@@ -585,6 +276,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     #[test]
     fn save_and_open_roundtrip_on_disk() {

@@ -18,9 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::exec::OpStats;
+use crate::sync::Mutex;
 use crate::trace::{Phase, PhaseClock, StatementTrace};
 
 /// A monotonically increasing event counter (relaxed atomics: totals are

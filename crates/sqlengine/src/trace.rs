@@ -26,9 +26,8 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::exec::OpStats;
+use crate::sync::Mutex;
 
 /// Sampling policy for per-statement trace capture.
 ///

@@ -18,7 +18,8 @@
 
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result};
-use crate::snapshot::{parse_json, write_json_string, Snapshot};
+use crate::json::{parse_json, write_json_string};
+use crate::snapshot::Snapshot;
 
 /// Serialize the catalog and covered sequence number.
 pub(crate) fn encode_checkpoint(catalog: &Catalog, seq: u64) -> String {
@@ -172,6 +173,57 @@ mod tests {
         let idx = &corpus.secondary[0];
         assert_eq!(idx.map[&vec![Value::Int(2)]].len(), 2);
         assert_eq!(catalog.get("plain").unwrap().row_count(), 2);
+    }
+
+    /// Reopening from a checkpoint is parse + insert, the same order of work
+    /// as replaying the rows from the log; a parser that is superlinear in
+    /// the file size is what breaks this first.
+    #[test]
+    fn a_40k_row_checkpoint_restores_within_4x_of_replaying_the_rows() {
+        use crate::{Database, EngineConfig, MemIo, StorageIo};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let io: Arc<dyn StorageIo> = Arc::new(MemIo::new());
+        // No automatic checkpoint: the test folds the log itself.
+        let config = EngineConfig::default().with_checkpoint_after_bytes(0);
+        let open = || Database::open_with_io(Arc::clone(&io), config).unwrap();
+        let fastest_reopen = || -> Duration {
+            let timed = (0..3).map(|_| {
+                let start = Instant::now();
+                let db = open();
+                let elapsed = start.elapsed();
+                assert_eq!(db.table_rows("corpus").unwrap(), 40_000);
+                elapsed
+            });
+            timed.min().unwrap()
+        };
+
+        let db = open();
+        db.execute("CREATE TABLE corpus (n INTEGER, j TEXT, w REAL)")
+            .unwrap();
+        for batch in 0..40i64 {
+            let rows = (0..1_000i64).map(|i| {
+                let n = batch * 1_000 + i;
+                vec![
+                    Value::Int(n),
+                    Value::text(format!("token{}", n % 977)),
+                    Value::Float(n as f64 / 8.0),
+                ]
+            });
+            db.insert_rows("corpus", rows.collect()).unwrap();
+        }
+        drop(db);
+        let replay = fastest_reopen();
+        let db = open();
+        db.checkpoint().unwrap();
+        assert_eq!(db.wal_bytes(), Some(0), "the checkpoint folded the log");
+        drop(db);
+        let restore = fastest_reopen();
+        assert!(
+            restore < replay * 4,
+            "checkpoint restore {restore:?} against WAL replay {replay:?}"
+        );
     }
 
     #[test]

@@ -51,11 +51,10 @@ pub use storage::{FaultKind, FaultyIo, FileIo, MemIo, StorageIo};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::catalog::{Catalog, Column, Schema, Table};
 use crate::error::{EngineError, Result};
 use crate::exec::check_deadline;
+use crate::sync::Mutex;
 use crate::trace::{AttrValue, TraceScope, WaitClass};
 use crate::value::{DataType, Row};
 

@@ -11,9 +11,9 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::error::{EngineError, Result};
+use crate::sync::Mutex;
 
 /// The file operations the durability layer needs. `name` is a flat file
 /// name inside the backend's root (the WAL never uses subdirectories).
@@ -66,7 +66,7 @@ impl FileIo {
         name: &str,
         f: impl FnOnce(&mut File) -> std::io::Result<T>,
     ) -> Result<T> {
-        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
+        let mut handles = self.handles.lock();
         if !handles.contains_key(name) {
             let file = OpenOptions::new()
                 .append(true)
@@ -161,14 +161,11 @@ impl MemIo {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, MemFile>> {
-        self.files.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Full current contents of every file — what survives a *process* crash
     /// (the OS page cache is intact).
     pub fn process_crash_files(&self) -> HashMap<String, Vec<u8>> {
-        self.lock()
+        self.files
+            .lock()
             .iter()
             .map(|(name, f)| (name.clone(), f.data.clone()))
             .collect()
@@ -177,7 +174,8 @@ impl MemIo {
     /// Durable contents of every file — what survives a *power loss*
     /// (unsynced suffixes are gone).
     pub fn power_loss_files(&self) -> HashMap<String, Vec<u8>> {
-        self.lock()
+        self.files
+            .lock()
             .iter()
             .map(|(name, f)| (name.clone(), f.data[..f.synced].to_vec()))
             .collect()
@@ -186,11 +184,12 @@ impl MemIo {
 
 impl StorageIo for MemIo {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.lock().get(name).map(|f| f.data.clone()))
+        Ok(self.files.lock().get(name).map(|f| f.data.clone()))
     }
 
     fn append(&self, name: &str, data: &[u8]) -> Result<()> {
-        self.lock()
+        self.files
+            .lock()
             .entry(name.to_string())
             .or_default()
             .data
@@ -199,7 +198,7 @@ impl StorageIo for MemIo {
     }
 
     fn sync(&self, name: &str) -> Result<()> {
-        if let Some(f) = self.lock().get_mut(name) {
+        if let Some(f) = self.files.lock().get_mut(name) {
             f.synced = f.data.len();
         }
         Ok(())
@@ -207,7 +206,7 @@ impl StorageIo for MemIo {
 
     fn write_atomic(&self, name: &str, data: &[u8]) -> Result<()> {
         let synced = data.len();
-        self.lock().insert(
+        self.files.lock().insert(
             name.to_string(),
             MemFile {
                 data: data.to_vec(),
@@ -218,7 +217,7 @@ impl StorageIo for MemIo {
     }
 
     fn truncate(&self, name: &str, len: u64) -> Result<()> {
-        if let Some(f) = self.lock().get_mut(name) {
+        if let Some(f) = self.files.lock().get_mut(name) {
             f.data.truncate(len as usize);
             f.synced = f.synced.min(f.data.len());
         }
@@ -226,7 +225,11 @@ impl StorageIo for MemIo {
     }
 
     fn size(&self, name: &str) -> Result<u64> {
-        Ok(self.lock().get(name).map_or(0, |f| f.data.len() as u64))
+        Ok(self
+            .files
+            .lock()
+            .get(name)
+            .map_or(0, |f| f.data.len() as u64))
     }
 }
 
@@ -287,7 +290,7 @@ impl FaultyIo {
 
     /// Arm a failpoint: the `nth` write from now (0-based) triggers `kind`.
     pub fn arm(&self, nth: u64, kind: FaultKind) {
-        *self.fault.lock().unwrap_or_else(|e| e.into_inner()) = Some((nth, kind));
+        *self.fault.lock() = Some((nth, kind));
         self.writes.store(0, Ordering::SeqCst);
     }
 
@@ -360,7 +363,7 @@ impl FaultyIo {
     /// Returns the fault to inject for this write, if the failpoint fires.
     fn next_write_fault(&self) -> Option<FaultKind> {
         let n = self.writes.fetch_add(1, Ordering::SeqCst);
-        let mut fault = self.fault.lock().unwrap_or_else(|e| e.into_inner());
+        let mut fault = self.fault.lock();
         match *fault {
             Some((at, kind)) if at == n => {
                 *fault = None;

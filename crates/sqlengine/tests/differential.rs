@@ -2,22 +2,27 @@
 //! and checked against naive in-process reference computations, under every
 //! engine profile. Plus concurrency smoke tests (readers vs. writers).
 
-use proptest::prelude::*;
+mod common;
+
+use common::{assert_equivalent, gxw_rows};
+use seeded::{cases, SplitMix64};
 use sqlengine::{Database, EngineConfig, Value};
 
-/// A small random table of (g, x, w) rows.
+/// A random table of (g, x, w) rows, none NULL.
 #[derive(Debug, Clone)]
 struct Fixture {
     rows: Vec<(i64, i64, f64)>,
 }
 
-fn arb_fixture() -> impl Strategy<Value = Fixture> {
-    prop::collection::vec((0i64..6, -20i64..20, 0u32..50), 0..60).prop_map(|v| Fixture {
-        rows: v
-            .into_iter()
-            .map(|(g, x, w)| (g, x, w as f64 / 4.0))
-            .collect(),
-    })
+fn not_null(rows: Vec<(Option<i64>, Option<i64>, f64)>) -> Fixture {
+    let rows = rows.into_iter();
+    let rows = rows.map(|(g, x, w)| (g.unwrap(), x.unwrap(), w)).collect();
+    Fixture { rows }
+}
+
+/// A small table.
+fn arb_fixture(rng: &mut SplitMix64) -> Fixture {
+    not_null(gxw_rows(rng, 0..60, (6, 20, 50), 0.0))
 }
 
 fn load(db: &Database, f: &Fixture) {
@@ -39,12 +44,11 @@ fn all_profiles() -> [EngineConfig; 3] {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// GROUP BY SUM/COUNT/MIN/MAX agree with a hand-rolled reference.
-    #[test]
-    fn aggregation_matches_reference(f in arb_fixture()) {
+/// GROUP BY SUM/COUNT/MIN/MAX agree with a hand-rolled reference.
+#[test]
+fn aggregation_matches_reference() {
+    cases(48, 1, |rng| {
+        let f = arb_fixture(rng);
         // Reference.
         let mut expect: std::collections::BTreeMap<i64, (f64, i64, Option<i64>, Option<i64>)> =
             Default::default();
@@ -61,23 +65,26 @@ proptest! {
             let r = db
                 .query("SELECT g, SUM(w), COUNT(*), MIN(x), MAX(x) FROM t GROUP BY g ORDER BY g")
                 .unwrap();
-            prop_assert_eq!(r.rows.len(), expect.len());
+            assert_eq!(r.rows.len(), expect.len());
             for row in &r.rows {
                 let g = row[0].as_i64().unwrap().unwrap();
                 let (sum, count, min, max) = expect[&g];
                 let got_sum = row[1].as_f64().unwrap().unwrap();
-                prop_assert!((got_sum - sum).abs() < 1e-9);
-                prop_assert_eq!(row[2].as_i64().unwrap().unwrap(), count);
-                prop_assert_eq!(row[3].as_i64().unwrap(), min);
-                prop_assert_eq!(row[4].as_i64().unwrap(), max);
+                assert!((got_sum - sum).abs() < 1e-9);
+                assert_eq!(row[2].as_i64().unwrap().unwrap(), count);
+                assert_eq!(row[3].as_i64().unwrap(), min);
+                assert_eq!(row[4].as_i64().unwrap(), max);
             }
         }
-    }
+    });
+}
 
-    /// Self equi-join row count equals the reference pair count, for every
-    /// join algorithm.
-    #[test]
-    fn join_cardinality_matches_reference(f in arb_fixture()) {
+/// Self equi-join row count equals the reference pair count, for every
+/// join algorithm.
+#[test]
+fn join_cardinality_matches_reference() {
+    cases(48, 2, |rng| {
+        let f = arb_fixture(rng);
         let mut by_g: std::collections::HashMap<i64, usize> = Default::default();
         for (g, _, _) in &f.rows {
             *by_g.entry(*g).or_insert(0) += 1;
@@ -89,18 +96,23 @@ proptest! {
             let r = db
                 .query("SELECT COUNT(*) FROM t AS a, t AS b WHERE a.g = b.g")
                 .unwrap();
-            prop_assert_eq!(
-                r.rows[0][0].as_i64().unwrap().unwrap() as usize,
-                expected,
-                "config {:?}", config
-            );
+            let pairs = r.rows[0][0].as_i64().unwrap().unwrap() as usize;
+            assert_eq!(pairs, expected, "config {config:?}");
         }
-    }
+    });
+}
 
-    /// WHERE filtering equals reference filtering.
-    #[test]
-    fn filter_matches_reference(f in arb_fixture(), threshold in -20i64..20) {
-        let expected = f.rows.iter().filter(|(_, x, _)| x % 7 >= threshold % 7).count();
+/// WHERE filtering equals reference filtering.
+#[test]
+fn filter_matches_reference() {
+    cases(48, 3, |rng| {
+        let f = arb_fixture(rng);
+        let threshold = rng.range(-20..20);
+        let expected = f
+            .rows
+            .iter()
+            .filter(|(_, x, _)| x % 7 >= threshold % 7)
+            .count();
         let db = Database::new();
         load(&db, &f);
         let r = db
@@ -109,13 +121,16 @@ proptest! {
                 &[Value::Int(threshold)],
             )
             .unwrap();
-        prop_assert_eq!(r.rows[0][0].as_i64().unwrap().unwrap() as usize, expected);
-    }
+        assert_eq!(r.rows[0][0].as_i64().unwrap().unwrap() as usize, expected);
+    });
+}
 
-    /// ORDER BY returns rows in nondecreasing key order and preserves the
-    /// multiset of values.
-    #[test]
-    fn sort_is_correct(f in arb_fixture()) {
+/// ORDER BY returns rows in nondecreasing key order and preserves the
+/// multiset of values.
+#[test]
+fn sort_is_correct() {
+    cases(48, 4, |rng| {
+        let f = arb_fixture(rng);
         let db = Database::new();
         load(&db, &f);
         let r = db.query("SELECT x FROM t ORDER BY x").unwrap();
@@ -126,28 +141,32 @@ proptest! {
             .collect();
         let mut expected: Vec<i64> = f.rows.iter().map(|(_, x, _)| *x).collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    /// UNION deduplicates to exactly the distinct value set.
-    #[test]
-    fn union_distinct_is_set_semantics(f in arb_fixture()) {
+/// UNION deduplicates to exactly the distinct value set.
+#[test]
+fn union_distinct_is_set_semantics() {
+    cases(48, 5, |rng| {
+        let f = arb_fixture(rng);
         let db = Database::new();
         load(&db, &f);
-        let r = db
-            .query("SELECT x FROM t UNION SELECT x FROM t")
+        let r = db.query("SELECT x FROM t UNION SELECT x FROM t").unwrap();
+        let distinct: std::collections::BTreeSet<i64> = f.rows.iter().map(|(_, x, _)| *x).collect();
+        assert_eq!(r.rows.len(), distinct.len());
+    });
+}
+
+/// The upsert accumulator is equivalent to GROUP BY SUM.
+#[test]
+fn upsert_accumulation_equals_group_by() {
+    cases(48, 6, |rng| {
+        let f = arb_fixture(rng);
+        let db = Database::new();
+        load(&db, &f);
+        db.execute("CREATE TABLE acc (g INTEGER PRIMARY KEY, w REAL)")
             .unwrap();
-        let distinct: std::collections::BTreeSet<i64> =
-            f.rows.iter().map(|(_, x, _)| *x).collect();
-        prop_assert_eq!(r.rows.len(), distinct.len());
-    }
-
-    /// The upsert accumulator is equivalent to GROUP BY SUM.
-    #[test]
-    fn upsert_accumulation_equals_group_by(f in arb_fixture()) {
-        let db = Database::new();
-        load(&db, &f);
-        db.execute("CREATE TABLE acc (g INTEGER PRIMARY KEY, w REAL)").unwrap();
         // Row-at-a-time upserts...
         for (g, _, w) in &f.rows {
             db.execute(&format!(
@@ -165,19 +184,20 @@ proptest! {
             .unwrap();
         let matching = r.rows[0][0].as_i64().unwrap().unwrap() as usize;
         let groups: std::collections::BTreeSet<i64> = f.rows.iter().map(|(g, _, _)| *g).collect();
-        prop_assert_eq!(matching, groups.len());
-        prop_assert_eq!(db.table_rows("acc").unwrap(), groups.len());
-    }
+        assert_eq!(matching, groups.len());
+        assert_eq!(db.table_rows("acc").unwrap(), groups.len());
+    });
+}
 
-    /// ROW_NUMBER per partition forms the contiguous sequence 1..=size.
-    #[test]
-    fn row_number_is_a_permutation(f in arb_fixture()) {
+/// ROW_NUMBER per partition forms the contiguous sequence 1..=size.
+#[test]
+fn row_number_is_a_permutation() {
+    cases(48, 7, |rng| {
+        let f = arb_fixture(rng);
         let db = Database::new();
         load(&db, &f);
         let r = db
-            .query(
-                "SELECT g, ROW_NUMBER() OVER (PARTITION BY g ORDER BY x, w) AS rn FROM t",
-            )
+            .query("SELECT g, ROW_NUMBER() OVER (PARTITION BY g ORDER BY x, w) AS rn FROM t")
             .unwrap();
         let mut per_group: std::collections::HashMap<i64, Vec<i64>> = Default::default();
         for row in &r.rows {
@@ -189,22 +209,15 @@ proptest! {
         for (_, mut rns) in per_group {
             rns.sort_unstable();
             let expect: Vec<i64> = (1..=rns.len() as i64).collect();
-            prop_assert_eq!(rns, expect);
+            assert_eq!(rns, expect);
         }
-    }
+    });
 }
 
 /// A larger random table, sized to cross the executor's parallel-path row
 /// threshold so `parallelism = 4` genuinely exercises the morsel operators.
-fn arb_big_fixture() -> impl Strategy<Value = Fixture> {
-    prop::collection::vec((0i64..8, -50i64..50, 0u32..100), 150..400).prop_map(|v| Fixture {
-        rows: v
-            .into_iter()
-            // w is a multiple of 0.25 (a dyadic rational), so float sums are
-            // exact and serial/parallel results compare exactly.
-            .map(|(g, x, w)| (g, x, w as f64 / 4.0))
-            .collect(),
-    })
+fn arb_big_fixture(rng: &mut SplitMix64) -> Fixture {
+    not_null(gxw_rows(rng, 150..400, (8, 50, 100), 0.0))
 }
 
 /// Queries covering every data-parallel operator family.
@@ -221,69 +234,40 @@ const PARALLEL_QUERIES: &[&str] = &[
     "SELECT g FROM t WHERE x > 0 UNION ALL SELECT g FROM t WHERE x <= 0",
 ];
 
-/// Sort rows into a canonical order (NULLs first, then by value) so result
-/// sets can be compared independent of operator output order.
-fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            let ord = x.total_cmp(y);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.len().cmp(&b.len())
-    });
-    rows
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Every query produces identical rows at parallelism 1 and 4, for every
-    /// engine profile (after canonical ordering).
-    #[test]
-    fn parallel_execution_matches_serial(f in arb_big_fixture()) {
+/// Every query produces identical rows at parallelism 1 and 4, for every
+/// engine profile (after canonical ordering).
+#[test]
+fn parallel_execution_matches_serial() {
+    cases(16, 8, |rng| {
+        let f = arb_big_fixture(rng);
         for config in all_profiles() {
             let serial = Database::with_config(config);
             load(&serial, &f);
             let parallel = Database::with_config(config.with_parallelism(4));
             load(&parallel, &f);
             for query in PARALLEL_QUERIES {
-                let a = serial.query(query).unwrap();
-                let b = parallel.query(query).unwrap();
-                prop_assert_eq!(&a.columns, &b.columns, "columns differ for {}", query);
-                prop_assert_eq!(
-                    canonical(a.rows),
-                    canonical(b.rows),
-                    "rows differ for {} under {:?}",
-                    query,
-                    config
-                );
+                assert_equivalent(&serial, &parallel, query);
             }
         }
-    }
+    });
+}
 
-    /// `EXPLAIN ANALYZE` row accounting matches the actual result set at both
-    /// parallelism levels.
-    #[test]
-    fn explain_analyze_counts_match_results(f in arb_big_fixture()) {
+/// `EXPLAIN ANALYZE` row accounting matches the actual result set at both
+/// parallelism levels.
+#[test]
+fn explain_analyze_counts_match_results() {
+    cases(16, 9, |rng| {
+        let f = arb_big_fixture(rng);
         for parallelism in [1usize, 4] {
-            let db = Database::with_config(
-                EngineConfig::default().with_parallelism(parallelism),
-            );
+            let db = Database::with_config(EngineConfig::default().with_parallelism(parallelism));
             load(&db, &f);
             for query in PARALLEL_QUERIES {
                 let (result, stats) = db.query_analyzed(query).unwrap();
-                prop_assert_eq!(
-                    stats.rows_out,
-                    result.rows.len(),
-                    "root rows_out mismatch for {} at parallelism {}",
-                    query,
-                    parallelism
-                );
+                let rows = result.rows.len();
+                assert_eq!(stats.rows_out, rows, "{query} at parallelism {parallelism}");
             }
         }
-    }
+    });
 }
 
 #[test]

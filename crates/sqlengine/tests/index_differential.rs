@@ -1,4 +1,4 @@
-//! Proptest differential suite for index-aware planning: every query runs on
+//! Seeded differential suite for index-aware planning: every query runs on
 //! an indexed database (index scans + plan cache on, the default) and on one
 //! with both forced off, over random tables and predicates — including NULL
 //! keys, `IN` lists, and post-DELETE/UPDATE index states. Results must be
@@ -8,7 +8,10 @@
 //! This mirrors the serial-vs-parallel differential tests in
 //! `differential.rs`, with the access path as the varied dimension.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{assert_equivalent, nullable};
+use seeded::{cases, SplitMix64};
 use sqlengine::{Database, EngineConfig, Value};
 
 /// Random content for a unique-keyed table `p (j, k, v)` with PRIMARY KEY
@@ -20,23 +23,18 @@ struct Fixture {
     s_rows: Vec<(Option<i64>, String)>,
 }
 
-fn arb_fixture(max_rows: usize) -> impl Strategy<Value = Fixture> {
-    let p = prop::collection::btree_set((0i64..12, 0i64..6), 0..max_rows).prop_map(|keys| {
-        keys.into_iter()
-            .enumerate()
-            .map(|(i, (j, k))| (j, k, i as f64 / 4.0))
-            .collect::<Vec<_>>()
-    });
-    let s = prop::collection::vec(
-        (prop::option::weighted(0.85, 0i64..12), 0u32..8),
-        0..max_rows,
-    )
-    .prop_map(|v| {
-        v.into_iter()
-            .map(|(j, t)| (j, format!("t{t}")))
-            .collect::<Vec<_>>()
-    });
-    (p, s).prop_map(|(p_rows, s_rows)| Fixture { p_rows, s_rows })
+fn arb_fixture(rng: &mut SplitMix64, max_rows: usize) -> Fixture {
+    // A random subset of the 72 possible keys, in key order.
+    let mut keys: Vec<(i64, i64)> = (0..12).flat_map(|j| (0..6).map(move |k| (j, k))).collect();
+    rng.shuffle(&mut keys);
+    keys.truncate(rng.below(max_rows));
+    keys.sort_unstable();
+    let p_rows = keys.into_iter().enumerate();
+    let p_rows = p_rows.map(|(i, (j, k))| (j, k, i as f64 / 4.0)).collect();
+    let s_rows = (0..rng.below(max_rows))
+        .map(|_| (nullable(rng, 0.15, 0..12), format!("t{}", rng.below(8))))
+        .collect();
+    Fixture { p_rows, s_rows }
 }
 
 fn load(db: &Database, f: &Fixture) {
@@ -59,19 +57,6 @@ fn load(db: &Database, f: &Fixture) {
     db.insert_rows("s", rows).unwrap();
 }
 
-fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            let ord = x.total_cmp(y);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.len().cmp(&b.len())
-    });
-    rows
-}
-
 /// Queries covering point lookups, IN lists, NULL keys, residual predicates,
 /// and joins; `{ja}`/`{jb}`/`{ka}` are filled with random values per case.
 fn queries(ja: i64, jb: i64, ka: i64) -> Vec<String> {
@@ -92,84 +77,68 @@ fn queries(ja: i64, jb: i64, ka: i64) -> Vec<String> {
     ]
 }
 
-fn assert_equivalent(
-    indexed: &Database,
-    full: &Database,
-    query: &str,
-) -> Result<(), TestCaseError> {
-    let a = indexed.query(query).unwrap();
-    let b = full.query(query).unwrap();
-    prop_assert_eq!(&a.columns, &b.columns, "columns differ for {}", query);
-    prop_assert_eq!(
-        canonical(a.rows),
-        canonical(b.rows),
-        "rows differ for {}",
-        query
-    );
-    Ok(())
-}
-
 fn no_index_config() -> EngineConfig {
     EngineConfig::default()
         .with_index_scans(false)
         .with_plan_cache(false)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Index-scan plans return exactly the rows full-scan plans do.
-    #[test]
-    fn index_plans_match_full_scans(
-        f in arb_fixture(60),
-        ja in -1i64..13,
-        jb in 0i64..12,
-        ka in 0i64..6,
-    ) {
+/// Index-scan plans return exactly the rows full-scan plans do.
+#[test]
+fn index_plans_match_full_scans() {
+    cases(32, 1, |rng| {
+        let f = arb_fixture(rng, 60);
+        let (ja, jb, ka) = (rng.range(-1..13), rng.range(0..12), rng.range(0..6));
         let indexed = Database::with_config(EngineConfig::default());
         load(&indexed, &f);
         let full = Database::with_config(no_index_config());
         load(&full, &f);
         for q in queries(ja, jb, ka) {
-            assert_equivalent(&indexed, &full, &q)?;
+            assert_equivalent(&indexed, &full, &q);
         }
-    }
+    });
+}
 
-    /// Equivalence holds after DELETE and UPDATE reshape the index maps
-    /// (incremental maintenance plus the rebuild fallback).
-    #[test]
-    fn index_plans_match_full_scans_after_dml(
-        f in arb_fixture(60),
-        ja in 0i64..12,
-        jb in 0i64..12,
-        ka in 0i64..6,
-        bulk in prop::bool::ANY,
-    ) {
+/// Equivalence holds after DELETE and UPDATE reshape the index maps
+/// (incremental maintenance plus the rebuild fallback).
+#[test]
+fn index_plans_match_full_scans_after_dml() {
+    cases(32, 2, |rng| {
+        let f = arb_fixture(rng, 60);
+        let (ja, jb, ka) = (rng.range(0..12), rng.range(0..12), rng.range(0..6));
+        let bulk = rng.chance(0.5);
         let indexed = Database::with_config(EngineConfig::default());
         load(&indexed, &f);
         let full = Database::with_config(no_index_config());
         load(&full, &f);
         for db in [&indexed, &full] {
-            db.execute(&format!("DELETE FROM s WHERE j = {ja}")).unwrap();
-            db.execute(&format!("UPDATE p SET k = k + 50 WHERE j = {jb}")).unwrap();
-            db.execute(&format!("UPDATE s SET j = {jb} WHERE j = {ka}")).unwrap();
+            db.execute(&format!("DELETE FROM s WHERE j = {ja}"))
+                .unwrap();
+            db.execute(&format!("UPDATE p SET k = k + 50 WHERE j = {jb}"))
+                .unwrap();
+            db.execute(&format!("UPDATE s SET j = {jb} WHERE j = {ka}"))
+                .unwrap();
             if bulk {
                 // Majority delete: exercises the wholesale rebuild fallback.
                 db.execute("DELETE FROM p WHERE j >= 3").unwrap();
             }
         }
         for q in queries(ja, jb, ka + 50) {
-            assert_equivalent(&indexed, &full, &q)?;
+            assert_equivalent(&indexed, &full, &q);
         }
         for q in queries(jb, ja, ka) {
-            assert_equivalent(&indexed, &full, &q)?;
+            assert_equivalent(&indexed, &full, &q);
         }
-    }
+    });
+}
 
-    /// Large fixtures cross the index-nested-loop join threshold; the join
-    /// result must still match hash-join output.
-    #[test]
-    fn index_join_matches_hash_join(f in arb_fixture(80), ka in 0i64..6) {
+/// Large fixtures cross the index-nested-loop join threshold; the join
+/// result must still match hash-join output.
+#[test]
+fn index_join_matches_hash_join() {
+    cases(32, 3, |rng| {
+        let f = arb_fixture(rng, 80);
+        let ka = rng.range(0..6);
         let indexed = Database::with_config(EngineConfig::default());
         load(&indexed, &f);
         let full = Database::with_config(no_index_config());
@@ -177,7 +146,8 @@ proptest! {
         // A 4-row probe table guarantees a small probe-side estimate.
         for db in [&indexed, &full] {
             db.execute("CREATE TABLE probe (j INTEGER)").unwrap();
-            db.execute("INSERT INTO probe VALUES (1), (3), (5), (NULL)").unwrap();
+            db.execute("INSERT INTO probe VALUES (1), (3), (5), (NULL)")
+                .unwrap();
         }
         let join_queries = [
             "SELECT p.j, p.k, p.v FROM p, probe WHERE p.j = probe.j".to_string(),
@@ -185,13 +155,17 @@ proptest! {
             format!("SELECT probe.j, p.v FROM probe LEFT JOIN p ON probe.j = p.j AND p.k = {ka}"),
         ];
         for q in &join_queries {
-            assert_equivalent(&indexed, &full, q)?;
+            assert_equivalent(&indexed, &full, q);
         }
-    }
+    });
+}
 
-    /// The plan cache never serves stale results across DML.
-    #[test]
-    fn plan_cache_stays_coherent_across_dml(f in arb_fixture(40), ja in 0i64..12) {
+/// The plan cache never serves stale results across DML.
+#[test]
+fn plan_cache_stays_coherent_across_dml() {
+    cases(32, 4, |rng| {
+        let f = arb_fixture(rng, 40);
+        let ja = rng.range(0..12);
         let cached = Database::with_config(EngineConfig::default());
         load(&cached, &f);
         let uncached = Database::with_config(EngineConfig::default().with_plan_cache(false));
@@ -199,11 +173,12 @@ proptest! {
         let q = format!("SELECT COUNT(*) AS n FROM s WHERE j = {ja}");
         for step in 0..3 {
             // Warm the cache, mutate, and re-compare.
-            assert_equivalent(&cached, &uncached, &q)?;
+            assert_equivalent(&cached, &uncached, &q);
             for db in [&cached, &uncached] {
-                db.execute(&format!("INSERT INTO s (j, t) VALUES ({ja}, 'x{step}')")).unwrap();
+                db.execute(&format!("INSERT INTO s (j, t) VALUES ({ja}, 'x{step}')"))
+                    .unwrap();
             }
-            assert_equivalent(&cached, &uncached, &q)?;
+            assert_equivalent(&cached, &uncached, &q);
         }
-    }
+    });
 }

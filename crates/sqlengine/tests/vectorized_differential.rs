@@ -2,11 +2,13 @@
 //! random tables and a query mix spanning filter / project / aggregate /
 //! join must produce identical results with `EngineConfig::vectorized`
 //! {on, off} × parallelism {1, 4}, and `EXPLAIN ANALYZE` must report
-//! identical per-operator row counts across modes. The deterministic
-//! companion (`vectorized_exec.rs`) runs in environments without the
-//! proptest dev-dependency.
+//! identical per-operator row counts across modes. `vectorized_exec.rs` is
+//! the fixed-fixture companion.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{canonical, gxw_rows};
+use seeded::{cases, SplitMix64};
 use sqlengine::{Database, EngineConfig, OpStats, Value};
 
 /// A random table of (g TEXT, x INTEGER, w REAL) rows with NULL holes in
@@ -18,21 +20,10 @@ struct Fixture {
     rows: Vec<(Option<i64>, Option<i64>, f64)>,
 }
 
-fn arb_fixture() -> impl Strategy<Value = Fixture> {
-    prop::collection::vec(
-        (
-            prop::option::of(0i64..6),
-            prop::option::of(-50i64..50),
-            0u32..100,
-        ),
-        150..400,
-    )
-    .prop_map(|v| Fixture {
-        rows: v
-            .into_iter()
-            .map(|(g, x, w)| (g, x, w as f64 / 4.0))
-            .collect(),
-    })
+fn arb_fixture(rng: &mut SplitMix64) -> Fixture {
+    Fixture {
+        rows: gxw_rows(rng, 150..400, (6, 50, 100), 0.5),
+    }
 }
 
 fn load(db: &Database, f: &Fixture) {
@@ -71,21 +62,6 @@ const QUERIES: &[&str] = &[
     "SELECT g, x FROM t WHERE w < 20.0 ORDER BY x, g, w LIMIT 25 OFFSET 3",
 ];
 
-/// Sort rows into a canonical order (NULLs first, then by value) so result
-/// sets can be compared independent of operator output order.
-fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            let ord = x.total_cmp(y);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.len().cmp(&b.len())
-    });
-    rows
-}
-
 /// `(label without mode suffix, rows_in, rows_out)` for every operator in
 /// the stats tree, in render order.
 fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
@@ -101,15 +77,14 @@ fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Every query is mode- and parallelism-invariant: vectorized {on, off}
-    /// × parallelism {1, 4} produce identical rows. The serial pair is also
-    /// compared in exact output order (parallelism may only reorder within
-    /// the documented deterministic-merge guarantees, mode never may).
-    #[test]
-    fn vectorized_matches_row_path(f in arb_fixture()) {
+/// Every query is mode- and parallelism-invariant: vectorized {on, off}
+/// × parallelism {1, 4} produce identical rows. The serial pair is also
+/// compared in exact output order (parallelism may only reorder within
+/// the documented deterministic-merge guarantees, mode never may).
+#[test]
+fn vectorized_matches_row_path() {
+    cases(16, 1, |rng| {
+        let f = arb_fixture(rng);
         let variants = [(false, 1usize), (false, 4), (true, 1), (true, 4)];
         let dbs: Vec<Database> = variants
             .iter()
@@ -127,31 +102,29 @@ proptest! {
             let baseline = dbs[0].query(query).unwrap();
             // Exact row order: row-serial vs vectorized-serial.
             let vec_serial = dbs[2].query(query).unwrap();
-            prop_assert_eq!(
-                &baseline.rows,
-                &vec_serial.rows,
-                "serial row order diverged for {}",
-                query
-            );
+            let (a, b) = (&baseline.rows, &vec_serial.rows);
+            assert_eq!(a, b, "serial row order diverged for {query}");
             for (db, tag) in dbs.iter().zip(variants).skip(1) {
                 let got = db.query(query).unwrap();
-                prop_assert_eq!(&baseline.columns, &got.columns, "columns differ for {}", query);
-                prop_assert_eq!(
-                    canonical(baseline.rows.clone()),
-                    canonical(got.rows),
-                    "rows differ for {} at (vectorized, parallelism) = {:?}",
-                    query,
-                    tag
+                let (a, b) = (&baseline.columns, &got.columns);
+                assert_eq!(a, b, "columns differ for {query}");
+                let (a, b) = (canonical(baseline.rows.clone()), canonical(got.rows));
+                assert_eq!(
+                    a, b,
+                    "rows differ for {query} at (vectorized, parallelism) = {tag:?}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// `EXPLAIN ANALYZE` reports the same per-operator (label, rows_in,
-    /// rows_out) tree in both modes — the vectorized pipeline must account
-    /// rows exactly like the row-at-a-time operators it replaces.
-    #[test]
-    fn explain_analyze_operator_counts_match_across_modes(f in arb_fixture()) {
+/// `EXPLAIN ANALYZE` reports the same per-operator (label, rows_in,
+/// rows_out) tree in both modes — the vectorized pipeline must account
+/// rows exactly like the row-at-a-time operators it replaces.
+#[test]
+fn explain_analyze_operator_counts_match_across_modes() {
+    cases(16, 2, |rng| {
+        let f = arb_fixture(rng);
         let vec_db = Database::with_config(EngineConfig::default());
         load(&vec_db, &f);
         let row_db = Database::with_config(EngineConfig::default().with_vectorized(false));
@@ -159,16 +132,12 @@ proptest! {
         for query in QUERIES {
             let (vec_result, vec_stats) = vec_db.query_analyzed(query).unwrap();
             let (row_result, row_stats) = row_db.query_analyzed(query).unwrap();
-            prop_assert_eq!(
-                canonical(vec_result.rows),
-                canonical(row_result.rows),
-                "results diverged for {}",
-                query
-            );
+            let (a, b) = (canonical(vec_result.rows), canonical(row_result.rows));
+            assert_eq!(a, b, "results diverged for {query}");
             let (mut a, mut b) = (Vec::new(), Vec::new());
             shape(&vec_stats, &mut a);
             shape(&row_stats, &mut b);
-            prop_assert_eq!(a, b, "operator row counts diverged for {}", query);
+            assert_eq!(a, b, "operator row counts diverged for {query}");
         }
-    }
+    });
 }

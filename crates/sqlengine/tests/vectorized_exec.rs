@@ -1,9 +1,8 @@
 //! Deterministic coverage of the columnar/vectorized execution path:
 //! mode labels in `EXPLAIN`, per-operator row-count parity in
 //! `EXPLAIN ANALYZE`, and a fixed differential sweep of vectorized
-//! {on, off} × parallelism {1, 4} over one fixture. The proptest
-//! companion (`vectorized_differential.rs`) covers random queries; this
-//! suite is the part that compiles without external dev-dependencies.
+//! {on, off} × parallelism {1, 4} over one fixture. The seeded
+//! companion (`vectorized_differential.rs`) covers random tables.
 
 use sqlengine::{Database, EngineConfig, OpStats, Value};
 

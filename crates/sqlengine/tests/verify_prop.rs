@@ -3,10 +3,13 @@
 //! all five verifier invariant classes, across the planner configurations
 //! that change plan shape — vectorized {on, off} × parallelism {1, 4}.
 //!
-//! Like `sema_prop.rs`, random statements are decoded from proptest byte
-//! programs so shrinking works on a plain `Vec<u8>`.
+//! Like `sema_prop.rs`, random statements are decoded from seeded byte
+//! programs.
 
-use proptest::prelude::*;
+mod common;
+
+use common::byte_program;
+use seeded::cases;
 use sqlengine::{Database, EngineConfig, EngineError};
 
 struct Decoder<'b> {
@@ -82,6 +85,10 @@ impl Decoder<'_> {
     }
 }
 
+fn decoded_query(bytes: &[u8]) -> String {
+    Decoder { bytes, pos: 0 }.query()
+}
+
 fn fixture(config: EngineConfig) -> Database {
     let db = Database::with_config(config);
     db.execute("CREATE TABLE t (a INTEGER, b REAL, s TEXT, PRIMARY KEY (a))")
@@ -103,14 +110,12 @@ fn fixture(config: EngineConfig) -> Database {
     db
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Every plan for a `check`-passing statement passes the verifier — no
-    /// invariant class reports a violation in any planner configuration.
-    #[test]
-    fn check_passing_statements_verify_cleanly(program in prop::collection::vec(any::<u8>(), 1..48)) {
-        let sql = Decoder { bytes: &program, pos: 0 }.query();
+/// Every plan for a `check`-passing statement passes the verifier — no
+/// invariant class reports a violation in any planner configuration.
+#[test]
+fn check_passing_statements_verify_cleanly() {
+    cases(192, 1, |rng| {
+        let sql = decoded_query(&byte_program(rng, 1..48));
         for vectorized in [true, false] {
             for parallelism in [1usize, 4] {
                 let db = fixture(
@@ -124,42 +129,31 @@ proptest! {
                 }
                 // EXPLAIN (VERIFY): every class reports ok.
                 let report = db.query(&format!("EXPLAIN (VERIFY) {sql}"));
-                match report {
-                    Ok(r) => {
-                        for row in &r.rows {
-                            prop_assert_eq!(
-                                row[1].to_string(),
-                                "ok",
-                                "verifier violation for {:?} (vectorized={}, par={}): {} — {}",
-                                &sql,
-                                vectorized,
-                                parallelism,
-                                &row[0],
-                                &row[2]
-                            );
-                        }
-                    }
-                    Err(e) => prop_assert!(
-                        false,
-                        "EXPLAIN (VERIFY) failed for check-passing {:?}: {}",
-                        &sql,
-                        e
-                    ),
+                let report = report.unwrap_or_else(|e| {
+                    panic!("EXPLAIN (VERIFY) failed for check-passing {sql:?}: {e}")
+                });
+                for row in &report.rows {
+                    assert_eq!(
+                        row[1].to_string(),
+                        "ok",
+                        "verifier violation for {sql:?} (vectorized={vectorized}, \
+                         par={parallelism}): {} — {}",
+                        row[0],
+                        row[2]
+                    );
                 }
                 // The executing entry point agrees: no Verify error, twice
                 // (fresh plan, then the cached template / memoized path).
                 for _ in 0..2 {
                     if let Err(e) = db.query(&sql) {
-                        prop_assert!(
+                        assert!(
                             !matches!(e, EngineError::Verify { .. }),
-                            "execution hit a verifier rejection for {:?}: {}",
-                            &sql,
-                            e
+                            "execution hit a verifier rejection for {sql:?}: {e}"
                         );
                     }
                 }
-                prop_assert_eq!(db.telemetry().verify_violations.get(), 0);
+                assert_eq!(db.telemetry().verify_violations.get(), 0);
             }
         }
-    }
+    });
 }
