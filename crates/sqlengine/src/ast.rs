@@ -4,6 +4,12 @@
 //! parsed from so the semantic analyzer can attach precise locations to
 //! diagnostics. Spans compare equal to each other unconditionally, so AST
 //! equality stays purely structural.
+//!
+//! Traversal lives here too: [`Expr::for_each_child`] (and its mutable twin)
+//! is the one place `Expr`'s variants are listed for walking, and
+//! [`Query::for_each_expr`] the one walk over a statement's clauses, CTEs,
+//! derived tables and subquery bodies; the analyzer, the folder, the literal
+//! lifter and the planner call these instead of matching for themselves.
 
 use crate::error::Span;
 use crate::value::{DataType, Value};
@@ -374,6 +380,96 @@ pub enum ConflictAction {
     DoUpdate(Vec<(String, Expr)>),
 }
 
+/// The one list of `Expr`'s variants written for traversal: the body of
+/// [`Expr::for_each_child`] and [`Expr::for_each_child_mut`]. `$e` is `&Expr`
+/// or `&mut Expr` and every binding follows it, so the twins cannot drift.
+macro_rules! expr_children {
+    ($e:expr, $f:expr) => {
+        match $e {
+            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                $f(expr);
+            }
+            Expr::Binary { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            Expr::InList { expr, list, .. } => {
+                $f(expr);
+                for item in list {
+                    $f(item);
+                }
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                $f(expr);
+                $f(pattern);
+            }
+            Expr::Case {
+                operand,
+                branches,
+                else_expr,
+                ..
+            } => {
+                if let Some(operand) = operand {
+                    $f(operand);
+                }
+                for (when, then) in branches {
+                    $f(when);
+                    $f(then);
+                }
+                if let Some(else_expr) = else_expr {
+                    $f(else_expr);
+                }
+            }
+            Expr::Function { args, .. } => {
+                for arg in args {
+                    $f(arg);
+                }
+            }
+            Expr::Aggregate { arg, .. } => {
+                if let Some(arg) = arg {
+                    $f(arg);
+                }
+            }
+            Expr::WindowRowNumber {
+                partition_by,
+                order_by,
+                ..
+            } => {
+                for key in partition_by {
+                    $f(key);
+                }
+                for OrderItem { expr, .. } in order_by {
+                    $f(expr);
+                }
+            }
+            // Subquery bodies are independent scopes; only the scalar side
+            // of IN is a child.
+            Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
+            Expr::InSubquery { expr, .. } => $f(expr),
+        }
+    };
+}
+
+/// The boxed query of a subquery node, by the kind of reference `$e` is.
+macro_rules! subquery_body {
+    ($e:expr) => {
+        match $e {
+            Expr::ScalarSubquery(query, _)
+            | Expr::InSubquery { query, .. }
+            | Expr::Exists { query, .. } => Some(query),
+            _ => None,
+        }
+    };
+}
+
 impl Expr {
     /// Convenience constructor for an unqualified column.
     pub fn col(name: impl Into<String>) -> Expr {
@@ -407,159 +503,405 @@ impl Expr {
         }
     }
 
+    /// Call `f` on each direct child expression, in source order. The body
+    /// of a subquery is a scope of its own and not a child (reach it through
+    /// [`Expr::subquery`]); the scalar side of `IN (SELECT …)` is one.
+    pub fn for_each_child(&self, f: &mut impl FnMut(&Expr)) {
+        expr_children!(self, f);
+    }
+
+    /// Mutable twin of [`Expr::for_each_child`], stamped from the same body.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        expr_children!(self, f);
+    }
+
+    /// The query this node holds, when it is a scalar, `IN` or `EXISTS`
+    /// subquery.
+    pub(crate) fn subquery(&self) -> Option<&Query> {
+        subquery_body!(self).map(|query| &**query)
+    }
+
+    /// Pre-order search: whether `pred` holds for this node or any node
+    /// below it.
+    pub(crate) fn any(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        let mut found = pred(self);
+        self.for_each_child(&mut |child| found = found || child.any(pred));
+        found
+    }
+
     /// True when this expression (sub)tree contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-                ..
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_expr.as_deref().is_some_and(Expr::contains_aggregate)
-            }
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_aggregate),
-            // Subqueries are planned independently; window functions never
-            // contain aggregates of the enclosing query.
-            Expr::WindowRowNumber { .. }
-            | Expr::ScalarSubquery(..)
-            | Expr::InSubquery { .. }
-            | Expr::Exists { .. } => false,
+        let mut found = matches!(self, Expr::Aggregate { .. });
+        // Window functions never contain aggregates of the enclosing query
+        // (and subqueries, planned independently, are not children).
+        if !matches!(self, Expr::WindowRowNumber { .. }) {
+            self.for_each_child(&mut |child| found = found || child.contains_aggregate());
         }
+        found
     }
 
     /// True when this expression (sub)tree contains a window function.
     pub fn contains_window(&self) -> bool {
-        match self {
-            Expr::WindowRowNumber { .. } => true,
-            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_window(),
-            Expr::Binary { left, right, .. } => left.contains_window() || right.contains_window(),
-            Expr::IsNull { expr, .. } => expr.contains_window(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_window() || list.iter().any(Expr::contains_window)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_window() || low.contains_window() || high.contains_window(),
-            Expr::Like { expr, pattern, .. } => expr.contains_window() || pattern.contains_window(),
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-                ..
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_window)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_window() || t.contains_window())
-                    || else_expr.as_deref().is_some_and(Expr::contains_window)
-            }
-            Expr::Cast { expr, .. } => expr.contains_window(),
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_window),
-            Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(Expr::contains_window),
-            Expr::ScalarSubquery(..) | Expr::InSubquery { .. } | Expr::Exists { .. } => false,
-        }
+        self.any(&mut |e| matches!(e, Expr::WindowRowNumber { .. }))
     }
 }
 
 /// Qualify unqualified column references with `table`. `ON CONFLICT DO
 /// UPDATE` expressions resolve bare columns to the existing row; both the
 /// engine and the semantic analyzer apply this rewrite before binding them.
+/// (Subquery bodies have their own scopes and are left alone.)
 pub(crate) fn qualify_bare_columns(e: &mut Expr, table: &str) {
+    if let Expr::Column { qualifier, .. } = e {
+        qualifier.get_or_insert_with(|| table.to_string());
+    }
+    e.for_each_child_mut(&mut |child| qualify_bare_columns(child, table));
+}
+
+/// Replace every subtree structurally equal to `target` with `replacement`.
+pub(crate) fn replace_subtree(e: &mut Expr, target: &Expr, replacement: &Expr) {
+    if e == target {
+        *e = replacement.clone();
+    } else {
+        e.for_each_child_mut(&mut |child| replace_subtree(child, target, replacement));
+    }
+}
+
+/// Collect the outermost subtrees `wanted` accepts, structurally
+/// deduplicated.
+fn collect_outermost(e: &Expr, wanted: fn(&Expr) -> bool, out: &mut Vec<Expr>) {
+    if !wanted(e) {
+        e.for_each_child(&mut |child| collect_outermost(child, wanted, out));
+    } else if !out.contains(e) {
+        out.push(e.clone());
+    }
+}
+
+/// Collect aggregate sub-expressions (structurally deduplicated, outermost
+/// only — nested aggregates are invalid and rejected at bind time).
+pub(crate) fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
+    collect_outermost(e, |e| matches!(e, Expr::Aggregate { .. }), out);
+}
+
+/// Collect window sub-expressions (structurally deduplicated).
+pub(crate) fn collect_windows(e: &Expr, out: &mut Vec<Expr>) {
+    collect_outermost(e, |e| matches!(e, Expr::WindowRowNumber { .. }), out);
+}
+
+/// Split an expression into its top-level AND conjuncts.
+pub(crate) fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    fn walk<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        if let Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+            ..
+        } = e
+        {
+            walk(left, out);
+            walk(right, out);
+        } else {
+            out.push(e);
+        }
+    }
+    walk(expr, &mut out);
+    out
+}
+
+/// AND a list of conjuncts back together. Panics on empty input.
+pub(crate) fn conjoin(conjuncts: &[&Expr]) -> Expr {
+    let mut it = conjuncts.iter();
+    let first = (*it.next().expect("conjoin of empty list")).clone();
+    it.fold(first, |acc, e| {
+        let span = acc.span().cover(e.span());
+        Expr::Binary {
+            left: Box::new(acc),
+            op: BinaryOp::And,
+            right: Box::new((*e).clone()),
+            span,
+        }
+    })
+}
+
+/// Derive a display name for an unaliased projection expression.
+pub(crate) fn display_name(e: &Expr, index: usize) -> String {
     match e {
-        Expr::Column { qualifier, .. } => {
-            if qualifier.is_none() {
-                *qualifier = Some(table.to_string());
+        Expr::Column { name, .. } => name.clone(),
+        Expr::Aggregate { func, .. } => func.name().to_lowercase(),
+        Expr::Function { name, .. } => name.to_lowercase(),
+        _ => format!("col{index}"),
+    }
+}
+
+/// The clause of its query an expression root belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clause {
+    Projection,
+    /// The condition of a `JOIN … ON` in the `FROM` clause.
+    JoinOn,
+    Where,
+    GroupBy,
+    Having,
+    OrderBy,
+    Limit,
+    Offset,
+}
+
+/// Where in a statement an expression root sits, as [`Query::for_each_expr`]
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    pub clause: Clause,
+    /// Inside the body of a CTE, at any depth.
+    pub in_cte: bool,
+    /// Inside the body of a scalar, `IN` or `EXISTS` subquery, at any depth.
+    pub in_subquery: bool,
+}
+
+impl Site {
+    /// The outermost query: inside neither a CTE nor a subquery (the walk
+    /// sets the clause root by root).
+    const TOP: Site = Site {
+        clause: Clause::Projection,
+        in_cte: false,
+        in_subquery: false,
+    };
+
+    /// Whether the planner consumes an expression here at plan time — reads
+    /// its value or runs it — so that neither an explicit `?` nor a lifted
+    /// literal can stay symbolic in a plan template: `LIMIT` / `OFFSET`
+    /// (folded to plan constants), subquery bodies (planned *and executed*
+    /// during planning), and CTE bodies when `materialize_ctes` evaluates
+    /// them during planning. This is the one statement of that rule.
+    pub(crate) fn plan_time(self, materialize_ctes: bool) -> bool {
+        matches!(self.clause, Clause::Limit | Clause::Offset)
+            || self.in_subquery
+            || (self.in_cte && materialize_ctes)
+    }
+}
+
+/// A call names its output column; whatever a rewrite makes of it must not
+/// rename that column, so the call's name becomes the item's alias first.
+fn name_call(item: &mut SelectItem) {
+    if let SelectItem::Expr {
+        expr: call @ Expr::Function { .. },
+        alias: alias @ None,
+    } = item
+    {
+        *alias = Some(display_name(call, 0));
+    }
+}
+
+/// Stamps out the walk over a statement's expression roots; `by_ref` and
+/// `by_mut` below hold the two copies (`$m` is `mut` or nothing). `at`
+/// carries the CTE / subquery flags down; its clause is set per root.
+macro_rules! query_roots {
+    ($children:ident $(, $m:tt)?) => {
+        pub(super) fn query(q: &$($m)? Query, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
+            for cte in &$($m)? q.ctes {
+                let at = Site { in_cte: true, ..at };
+                query(&$($m)? cte.query, at, f);
+            }
+            set(&$($m)? q.body, at, f);
+            for item in &$($m)? q.order_by {
+                root(&$($m)? item.expr, Clause::OrderBy, at, f);
+            }
+            if let Some(limit) = &$($m)? q.limit {
+                root(limit, Clause::Limit, at, f);
+            }
+            if let Some(offset) = &$($m)? q.offset {
+                root(offset, Clause::Offset, at, f);
             }
         }
-        Expr::Literal(..) | Expr::Param(..) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            qualify_bare_columns(expr, table);
-        }
-        Expr::Binary { left, right, .. } => {
-            qualify_bare_columns(left, table);
-            qualify_bare_columns(right, table);
-        }
-        Expr::InList { expr, list, .. } => {
-            qualify_bare_columns(expr, table);
-            for i in list {
-                qualify_bare_columns(i, table);
+
+        fn set(body: &$($m)? SetExpr, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
+            let select = match body {
+                SetExpr::Select(select) => &$($m)? **select,
+                SetExpr::Union { left, right, .. } => {
+                    set(left, at, f);
+                    return set(right, at, f);
+                }
+            };
+            for item in &$($m)? select.projection {
+                $(name_call(&$m *item);)?
+                if let SelectItem::Expr { expr, .. } = item {
+                    root(expr, Clause::Projection, at, f);
+                }
+            }
+            for item in &$($m)? select.from {
+                table(item, at, f);
+            }
+            if let Some(predicate) = &$($m)? select.selection {
+                root(predicate, Clause::Where, at, f);
+            }
+            for key in &$($m)? select.group_by {
+                root(key, Clause::GroupBy, at, f);
+            }
+            if let Some(having) = &$($m)? select.having {
+                root(having, Clause::Having, at, f);
             }
         }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(low, table);
-            qualify_bare_columns(high, table);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(pattern, table);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                qualify_bare_columns(o, table);
-            }
-            for (w, th) in branches {
-                qualify_bare_columns(w, table);
-                qualify_bare_columns(th, table);
-            }
-            if let Some(el) = else_expr {
-                qualify_bare_columns(el, table);
+
+        fn table(item: &$($m)? TableRef, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
+            match item {
+                TableRef::Named { .. } => {}
+                TableRef::Derived { query: q, .. } => query(q, at, f),
+                TableRef::Join { left, right, on, .. } => {
+                    table(left, at, f);
+                    table(right, at, f);
+                    if let Some(on) = on {
+                        root(on, Clause::JoinOn, at, f);
+                    }
+                }
             }
         }
-        Expr::Function { args, .. } => {
-            for a in args {
-                qualify_bare_columns(a, table);
+
+        /// Hand out one root, then the roots of the subquery bodies in it.
+        fn root(e: &$($m)? Expr, clause: Clause, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
+            f(&$($m)? *e, Site { clause, ..at });
+            below(e, Site { in_subquery: true, ..at }, f);
+        }
+
+        fn below(e: &$($m)? Expr, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
+            if let Some(q) = subquery_body!(&$($m)? *e) {
+                query(q, at, f);
+            }
+            e.$children(&mut |child| below(child, at, f));
+        }
+    };
+}
+
+mod by_ref {
+    use super::*;
+    query_roots!(for_each_child);
+}
+
+mod by_mut {
+    use super::*;
+    query_roots!(for_each_child_mut, mut);
+}
+
+impl Query {
+    /// Call `f` on every expression root of the statement with its [`Site`]:
+    /// CTE bodies first, then the set operation's arms left to right — of
+    /// each `SELECT` the projection, the `FROM` items (`JOIN … ON`
+    /// conditions, derived tables), `WHERE`, `GROUP BY`, `HAVING` — then
+    /// `ORDER BY`, `LIMIT` and `OFFSET`. The roots of the subquery bodies
+    /// inside a root follow it.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr, Site)) {
+        by_ref::query(self, Site::TOP, f);
+    }
+
+    /// Mutable twin of [`Query::for_each_expr`], for rewrites in place.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr, Site)) {
+        by_mut::query(self, Site::TOP, f);
+    }
+}
+
+/// How a statement uses `?` parameters, as far as planning is concerned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParamUse {
+    /// It has none.
+    None,
+    /// Only where the executor evaluates them: they can stay symbolic in a
+    /// cached plan template.
+    Evaluated,
+    /// At least one sits where [`Site::plan_time`] holds. Such statements
+    /// plan inline with their actual parameter values and stay uncached.
+    PlanTime,
+}
+
+/// Classify the `?` markers of `query` — anywhere in it, CTE bodies, derived
+/// tables and subquery bodies included — in one pass.
+pub(crate) fn param_use(query: &Query, materialize_ctes: bool) -> ParamUse {
+    let mut found = ParamUse::None;
+    query.for_each_expr(&mut |root, site| {
+        if found != ParamUse::PlanTime && root.any(&mut |e| matches!(e, Expr::Param(..))) {
+            found = match site.plan_time(materialize_ctes) {
+                true => ParamUse::PlanTime,
+                false => ParamUse::Evaluated,
+            };
+        }
+    });
+    found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ParamUse::{Evaluated, PlanTime};
+    use super::*;
+
+    fn query(sql: &str) -> Query {
+        match crate::parser::parse_statement(sql).unwrap() {
+            Statement::Query(query) => query,
+            other => panic!("not a query: {other:?}"),
+        }
+    }
+
+    /// The children of `e` and of everything below it, by address: what
+    /// `for_each_child_mut` hands out must be what `for_each_child` does.
+    fn twins_agree(e: &mut Expr) {
+        let mut shared = Vec::new();
+        e.for_each_child(&mut |child| shared.push(child as *const Expr));
+        let mut by_mut = Vec::new();
+        e.for_each_child_mut(&mut |child| {
+            by_mut.push(child as *const Expr);
+            twins_agree(child);
+        });
+        assert_eq!(shared, by_mut);
+    }
+
+    #[test]
+    fn shared_and_mutable_walks_visit_the_same_nodes_in_the_same_order() {
+        for sql in [
+            "WITH c AS (SELECT n, -n AS m FROM t WHERE n BETWEEN 1 AND ? OR s LIKE 'a%') \
+             SELECT CASE n WHEN 1 THEN 'x' ELSE CAST(m AS TEXT) END, COUNT(DISTINCT m), \
+                    ROW_NUMBER() OVER (PARTITION BY n ORDER BY m DESC), ABS(m) IS NULL \
+             FROM c JOIN (SELECT n FROM t LIMIT 3) d ON c.n = d.n \
+             WHERE c.n IN (1, 2) AND c.m IN (SELECT n FROM t WHERE EXISTS (SELECT 1)) \
+             GROUP BY n, m HAVING SUM(m) > (SELECT MIN(n) FROM t) \
+             ORDER BY ABS(n), 2 LIMIT 10 OFFSET 1",
+            "SELECT n FROM t UNION ALL SELECT n + 1 FROM t UNION SELECT 3",
+        ] {
+            let mut query = query(sql);
+            let mut shared = Vec::new();
+            query.for_each_expr(&mut |root, site| shared.push((root as *const Expr, site)));
+            let mut by_mut = Vec::new();
+            query.for_each_expr_mut(&mut |root, site| {
+                by_mut.push((root as *const Expr, site));
+                twins_agree(root);
+            });
+            assert_eq!(shared, by_mut, "{sql}");
+            assert!(shared.len() >= 3, "{sql}");
+        }
+    }
+
+    #[test]
+    fn param_use_is_a_function_of_the_site() {
+        let evaluated: &[&str] = &[
+            "SELECT n + ? FROM t JOIN u ON t.n = u.n + ? WHERE s = ? \
+             GROUP BY n + ? HAVING COUNT(*) > ? ORDER BY n + ?",
+            "SELECT n FROM (SELECT n FROM t WHERE n > ?) d",
+            "SELECT n FROM t WHERE n + ? IN (SELECT n FROM u)",
+        ];
+        let in_a_cte: &[&str] =
+            &["WITH c AS (SELECT n FROM (SELECT 1 AS n UNION ALL SELECT ?) d) SELECT n FROM c"];
+        let plan_time: &[&str] = &[
+            "SELECT n FROM t LIMIT ?",
+            "SELECT n FROM t LIMIT 1 OFFSET ?",
+            "SELECT n FROM t WHERE n IN (SELECT n FROM u WHERE n > ?)",
+            "SELECT (SELECT MAX(n) FROM (SELECT n FROM t WHERE EXISTS (SELECT ?)) d) FROM t",
+        ];
+        for (statements, inlined, materialized) in [
+            (&["SELECT n FROM t"][..], ParamUse::None, ParamUse::None),
+            (evaluated, Evaluated, Evaluated),
+            (in_a_cte, Evaluated, PlanTime),
+            (plan_time, PlanTime, PlanTime),
+        ] {
+            for sql in statements {
+                assert_eq!(param_use(&query(sql), false), inlined, "{sql}");
+                assert_eq!(param_use(&query(sql), true), materialized, "{sql}");
             }
         }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                qualify_bare_columns(a, table);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            for p in partition_by {
-                qualify_bare_columns(p, table);
-            }
-            for oi in order_by {
-                qualify_bare_columns(&mut oi.expr, table);
-            }
-        }
-        // Subquery bodies have their own scopes.
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => qualify_bare_columns(expr, table),
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::admission::{AdmissionGate, AdmissionPermit};
-use crate::ast::{ExplainMode, Query, Statement};
+use crate::ast::{param_use, ExplainMode, ParamUse, Query, Statement};
 use crate::catalog::{Catalog, Schema};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result, Span};
@@ -135,6 +135,14 @@ impl StatementCtx {
         self.clock.exec_scope()
     }
 
+    /// The context planner-time execution runs under (materialized CTEs,
+    /// uncorrelated subqueries): serial, because it happens under the
+    /// planner's catalog borrow, and bound by this statement's deadline and
+    /// memory budget like the rest of it.
+    fn planner_exec(&self) -> ExecContext {
+        governed(ExecContext::serial(), self.deadline, &self.budget)
+    }
+
     /// A context for `EXPLAIN (TRACE)`'s target query: it shares this
     /// statement's deadline and budget but records into its own clock, traced
     /// regardless of the engine's sampling policy.
@@ -145,6 +153,19 @@ impl StatementCtx {
             clock: PhaseClock::start(true, true),
             permit: None,
         }
+    }
+}
+
+/// `exec` carrying a statement's deadline and memory budget.
+fn governed(
+    exec: ExecContext,
+    deadline: Option<Instant>,
+    budget: &Arc<MemoryBudget>,
+) -> ExecContext {
+    let exec = exec.with_budget(Arc::clone(budget));
+    match deadline {
+        Some(deadline) => exec.with_deadline(deadline),
+        None => exec,
     }
 }
 
@@ -448,7 +469,8 @@ impl Database {
             return Err(EngineError::plan("EXPLAIN supports only SELECT queries"));
         };
         crate::sema::check_query(&self.catalog.read(), &query)?;
-        let (planned, _) = self.plan_query(sql, &query, &[], false, PlanVerify::Enforce)?;
+        let exec = governed(ExecContext::serial(), self.deadline(), &self.budget());
+        let (planned, _) = self.plan_query(sql, &query, &[], false, PlanVerify::Enforce, exec)?;
         Ok(crate::explain::render_plan(&planned.plan))
     }
 
@@ -517,6 +539,14 @@ impl Database {
             .map(|limit| Instant::now() + limit)
     }
 
+    /// A fresh memory budget for one statement, per `memory_budget`.
+    fn budget(&self) -> Arc<MemoryBudget> {
+        Arc::new(match self.config.memory_budget {
+            Some(limit) => MemoryBudget::limited(limit),
+            None => MemoryBudget::unlimited(),
+        })
+    }
+
     /// Pass the admission gate (which may queue or shed). Dropping the permit
     /// — normally, or during a panic unwind — releases the slot.
     fn admit(&self, deadline: Option<Instant>) -> Result<Option<AdmissionPermit>> {
@@ -539,13 +569,9 @@ impl Database {
             Err(e) => (None, Err(e)),
         };
         clock.admitted(permit.as_ref().and_then(AdmissionPermit::queue_wait));
-        let budget = Arc::new(match self.config.memory_budget {
-            Some(limit) => MemoryBudget::limited(limit),
-            None => MemoryBudget::unlimited(),
-        });
         let ctx = StatementCtx {
             deadline,
-            budget,
+            budget: self.budget(),
             clock,
             permit,
         };
@@ -665,9 +691,9 @@ impl Database {
         ctx: &mut StatementCtx,
     ) -> Result<Planned> {
         let materialize_ctes = self.config.materialize_ctes;
-        let has_params = crate::plan::query_contains_params(query);
-        let store = store
-            .filter(|_| !has_params || !crate::plan::params_unsupported(query, materialize_ctes));
+        let params_used = param_use(query, materialize_ctes);
+        let has_params = params_used != ParamUse::None;
+        let store = store.filter(|_| params_used != ParamUse::PlanTime);
         // Read before planning: a plan that races a writer must carry the
         // pre-write version (see `PlanCache::insert`).
         let version = self.catalog_version();
@@ -691,7 +717,8 @@ impl Database {
         let template = store.is_some() && (has_params || lifted.is_some());
         // A template's parameters stay symbolic: it is planned without values.
         let plan_params = if template { &[] } else { params };
-        let planned = self.plan_query(sql, query, plan_params, template, verify);
+        let exec = ctx.planner_exec();
+        let planned = self.plan_query(sql, query, plan_params, template, verify, exec);
         ctx.clock
             .lap_plan(planned.as_ref().ok().map(|(planned, _)| &planned.plan));
         let (planned, used_virtual) = planned?;
@@ -722,7 +749,8 @@ impl Database {
     /// the verifier run under that same lock so its snapshot-identity checks
     /// compare against the exact catalog state the plan captured. With
     /// `template` set, `?` markers stay [`crate::expr::PhysExpr::Param`]
-    /// nodes. Also reports whether the plan reads a virtual `sys.*` table.
+    /// nodes. What the planner executes itself runs under `exec`. Also
+    /// reports whether the plan reads a virtual `sys.*` table.
     fn plan_query(
         &self,
         sql: &str,
@@ -730,9 +758,11 @@ impl Database {
         params: &[Value],
         template: bool,
         verify: PlanVerify<'_>,
+        exec: ExecContext,
     ) -> Result<(PlannedQuery, bool)> {
         let catalog = self.catalog.read();
-        let mut planner = Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
+        let mut planner =
+            Planner::new(&catalog, params, self.config.planner(), exec).with_virtuals(self);
         if template {
             planner = planner.symbolic();
         }
@@ -928,11 +958,7 @@ impl Database {
         } else {
             ctx
         };
-        let ctx = ctx.with_budget(Arc::clone(&stmt.budget));
-        match stmt.deadline {
-            Some(deadline) => ctx.with_deadline(deadline),
-            None => ctx,
-        }
+        governed(ctx, stmt.deadline, &stmt.budget)
     }
 
     /// Stage `finish`: report the statement to the telemetry registry —

@@ -172,7 +172,7 @@ impl Database {
             Statement::Delete {
                 table, predicate, ..
             } => {
-                let predicate = self.resolve_dml_subqueries(predicate.clone(), params)?;
+                let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
                 let mut catalog = self.write_catalog()?;
                 let t = catalog.get_mut(table)?;
                 let idxs = match &predicate {
@@ -207,7 +207,7 @@ impl Database {
                 predicate,
                 ..
             } => {
-                let predicate = self.resolve_dml_subqueries(predicate.clone(), params)?;
+                let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
                 let mut catalog = self.write_catalog()?;
                 let t = catalog.get_mut(table)?;
                 let scope = table_scope(t);
@@ -348,17 +348,20 @@ impl Database {
     }
 
     /// Evaluate uncorrelated subqueries inside a DML predicate against the
-    /// current catalog (before the write lock is taken).
+    /// current catalog (before the write lock is taken), under the
+    /// statement's deadline and memory budget.
     fn resolve_dml_subqueries(
         &self,
         predicate: Option<Expr>,
         params: &[Value],
+        ctx: &StatementCtx,
     ) -> Result<Option<Expr>> {
         let Some(mut pred) = predicate else {
             return Ok(None);
         };
         let catalog = self.catalog.read();
-        let mut planner = Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
+        let mut planner = Planner::new(&catalog, params, self.config.planner(), ctx.planner_exec())
+            .with_virtuals(self);
         planner.resolve_subqueries(&mut pred)?;
         Ok(Some(pred))
     }

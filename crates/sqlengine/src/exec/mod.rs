@@ -44,16 +44,6 @@ use crate::explain::op_label;
 use crate::plan::PhysPlan;
 use crate::value::Row;
 
-/// Execute a plan to completion on the serial executor.
-///
-/// This is the compatibility entry point used by the planner for CTE
-/// materialization and uncorrelated subqueries (which run at plan time,
-/// before a context exists). Query execution goes through
-/// [`ExecContext::execute`].
-pub fn execute(plan: &PhysPlan) -> Result<Vec<Row>> {
-    ExecContext::serial().execute(plan)
-}
-
 /// What an operator hands back to the dispatcher: its output rows, how many
 /// input rows it consumed, and the stats of its children (empty unless the
 /// context collects stats).

@@ -161,33 +161,7 @@ pub(crate) fn count_modes(plan: &PhysPlan) -> (u64, u64) {
             Some(false) => acc.1 += 1,
             None => {}
         }
-        match plan {
-            PhysPlan::Scan { .. }
-            | PhysPlan::VirtualScan { .. }
-            | PhysPlan::IndexScan { .. }
-            | PhysPlan::OneRow => {}
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::Aggregate { input, .. }
-            | PhysPlan::Window { input, .. }
-            | PhysPlan::Sort { input, .. }
-            | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => walk(input, acc),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::NestedLoopJoin { left, right, .. } => {
-                walk(left, acc);
-                walk(right, acc);
-            }
-            PhysPlan::IndexJoin { probe, inner, .. } => {
-                walk(probe, acc);
-                walk(inner, acc);
-            }
-            PhysPlan::UnionAll { inputs } => {
-                for i in inputs {
-                    walk(i, acc);
-                }
-            }
-        }
+        plan.for_each_child(&mut |child| walk(child, acc));
     }
     let mut acc = (0, 0);
     walk(plan, &mut acc);

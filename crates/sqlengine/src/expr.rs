@@ -185,7 +185,7 @@ pub enum PhysExpr {
     Literal(Value),
     /// Unbound positional parameter (1-based). Only present in plan
     /// *templates* produced by symbolic binding ([`bind_expr_symbolic`]);
-    /// [`substitute_params`] replaces every occurrence with the bound value
+    /// [`bind_params`] replaces every occurrence with the bound value
     /// before execution, so the evaluator never sees one.
     Param(usize),
     Column(usize),
@@ -375,12 +375,68 @@ pub fn bind_expr_with(expr: &ast::Expr, scope: &Scope, binding: ParamBinding) ->
     })
 }
 
+/// The one list of `PhysExpr`'s variants written for traversal: the body of
+/// [`PhysExpr::for_each_child`] and [`PhysExpr::for_each_child_mut`] (`$e` is
+/// `&PhysExpr` or `&mut PhysExpr`; the bindings follow it).
+macro_rules! phys_children {
+    ($e:expr, $f:expr) => {
+        match $e {
+            PhysExpr::Literal(_) | PhysExpr::Param(_) | PhysExpr::Column(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. } => $f(expr),
+            PhysExpr::Binary { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                $f(expr);
+                for item in list {
+                    $f(item);
+                }
+            }
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            PhysExpr::Like { expr, pattern, .. } => {
+                $f(expr);
+                $f(pattern);
+            }
+            PhysExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                if let Some(operand) = operand {
+                    $f(operand);
+                }
+                for (when, then) in branches {
+                    $f(when);
+                    $f(then);
+                }
+                if let Some(else_expr) = else_expr {
+                    $f(else_expr);
+                }
+            }
+            PhysExpr::Function { args, .. } => {
+                for arg in args {
+                    $f(arg);
+                }
+            }
+        }
+    };
+}
+
 impl PhysExpr {
     /// Evaluate against a row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
             PhysExpr::Literal(v) => Ok(v.clone()),
-            // Templates are re-bound via `substitute_params` before they
+            // Templates are re-bound via `bind_params` before they
             // reach the executor; evaluating a leftover marker is a bug.
             PhysExpr::Param(i) => Err(EngineError::Parameter(format!(
                 "parameter ?{i} evaluated without a bound value"
@@ -519,36 +575,22 @@ impl PhysExpr {
         self.eval(&[])
     }
 
+    /// Call `f` on each direct child expression, left to right.
+    pub fn for_each_child(&self, f: &mut impl FnMut(&PhysExpr)) {
+        phys_children!(self, f);
+    }
+
+    /// Mutable twin of [`PhysExpr::for_each_child`], stamped from the same
+    /// body.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        phys_children!(self, f);
+    }
+
     /// Whether this (sub)tree still carries an unbound parameter marker.
     pub fn contains_param(&self) -> bool {
-        match self {
-            PhysExpr::Param(_) => true,
-            PhysExpr::Literal(_) | PhysExpr::Column(_) => false,
-            PhysExpr::Unary { expr, .. } | PhysExpr::IsNull { expr, .. } => expr.contains_param(),
-            PhysExpr::Cast { expr, .. } => expr.contains_param(),
-            PhysExpr::Binary { left, right, .. } => left.contains_param() || right.contains_param(),
-            PhysExpr::InList { expr, list, .. } => {
-                expr.contains_param() || list.iter().any(PhysExpr::contains_param)
-            }
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => expr.contains_param() || low.contains_param() || high.contains_param(),
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.contains_param() || pattern.contains_param()
-            }
-            PhysExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                operand.as_deref().is_some_and(PhysExpr::contains_param)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_param() || t.contains_param())
-                    || else_expr.as_deref().is_some_and(PhysExpr::contains_param)
-            }
-            PhysExpr::Function { args, .. } => args.iter().any(PhysExpr::contains_param),
-        }
+        let mut found = matches!(self, PhysExpr::Param(_));
+        self.for_each_child(&mut |child| found = found || child.contains_param());
+        found
     }
 
     /// The total predicates: comparisons, `IS [NOT] NULL` and `[NOT]
@@ -628,105 +670,32 @@ pub(crate) fn column_only(exprs: &[PhysExpr]) -> Option<Vec<usize>> {
         .collect()
 }
 
-/// Rebuild a plan-template expression with every [`PhysExpr::Param`]
-/// replaced by its bound value. Errors when a marker references past the end
-/// of `params`, with the same message the inline binder produces.
-pub fn substitute_params(e: &PhysExpr, params: &[Value]) -> Result<PhysExpr> {
-    rewrite_leaves(e, &|leaf| match leaf {
-        PhysExpr::Param(i) => {
-            let v = params.get(i - 1).ok_or_else(|| {
-                EngineError::Parameter(format!(
-                    "parameter ?{i} referenced but only {} bound",
-                    params.len()
-                ))
-            })?;
-            Ok(PhysExpr::Literal(v.clone()))
+/// Replace, in place, every [`PhysExpr::Param`] of a plan-template
+/// expression by its bound value. A marker that references past the end of
+/// `params` stays; the number of the first one met is left in `unbound`.
+pub(crate) fn bind_params(e: &mut PhysExpr, params: &[Value], unbound: &mut Option<usize>) {
+    if let PhysExpr::Param(i) = *e {
+        match params.get(i - 1) {
+            Some(v) => *e = PhysExpr::Literal(v.clone()),
+            None => *unbound = unbound.or(Some(i)),
         }
-        other => Ok(other.clone()),
-    })
+    }
+    e.for_each_child_mut(&mut |child| bind_params(child, params, unbound));
 }
 
-/// Rebuild an expression with every column reference moved `offset` columns
-/// to the right — the expression now reads the right-hand part of a joined
-/// row whose left side is `offset` columns wide.
+/// A copy of `e` with every column reference moved `offset` columns to the
+/// right — the expression now reads the right-hand part of a joined row
+/// whose left side is `offset` columns wide.
 pub(crate) fn shift_columns(e: &PhysExpr, offset: usize) -> PhysExpr {
-    rewrite_leaves(e, &|leaf| match leaf {
-        PhysExpr::Column(c) => Ok(PhysExpr::Column(c + offset)),
-        other => Ok(other.clone()),
-    })
-    .expect("shifting columns cannot fail")
-}
-
-/// Rebuild `e` with every leaf (literal, parameter, column) replaced by
-/// `leaf(leaf)`; the one structural walk the rewrites above share.
-fn rewrite_leaves(e: &PhysExpr, leaf: &impl Fn(&PhysExpr) -> Result<PhysExpr>) -> Result<PhysExpr> {
-    let sub = |e: &PhysExpr| rewrite_leaves(e, leaf);
-    let sub_box = |e: &PhysExpr| sub(e).map(Box::new);
-    Ok(match e {
-        PhysExpr::Param(_) | PhysExpr::Literal(_) | PhysExpr::Column(_) => leaf(e)?,
-        PhysExpr::Unary { op, expr } => PhysExpr::Unary {
-            op: *op,
-            expr: sub_box(expr)?,
-        },
-        PhysExpr::Binary { left, op, right } => PhysExpr::Binary {
-            left: sub_box(left)?,
-            op: *op,
-            right: sub_box(right)?,
-        },
-        PhysExpr::IsNull { expr, negated } => PhysExpr::IsNull {
-            expr: sub_box(expr)?,
-            negated: *negated,
-        },
-        PhysExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PhysExpr::InList {
-            expr: sub_box(expr)?,
-            list: list.iter().map(sub).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        PhysExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => PhysExpr::Between {
-            expr: sub_box(expr)?,
-            low: sub_box(low)?,
-            high: sub_box(high)?,
-            negated: *negated,
-        },
-        PhysExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => PhysExpr::Like {
-            expr: sub_box(expr)?,
-            pattern: sub_box(pattern)?,
-            negated: *negated,
-        },
-        PhysExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => PhysExpr::Case {
-            operand: operand.as_deref().map(&sub_box).transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((sub(w)?, sub(t)?)))
-                .collect::<Result<_>>()?,
-            else_expr: else_expr.as_deref().map(&sub_box).transpose()?,
-        },
-        PhysExpr::Cast { expr, ty } => PhysExpr::Cast {
-            expr: sub_box(expr)?,
-            ty: *ty,
-        },
-        PhysExpr::Function { func, args } => PhysExpr::Function {
-            func: *func,
-            args: args.iter().map(sub).collect::<Result<_>>()?,
-        },
-    })
+    fn shift(e: &mut PhysExpr, offset: usize) {
+        if let PhysExpr::Column(c) = e {
+            *c += offset;
+        }
+        e.for_each_child_mut(&mut |child| shift(child, offset));
+    }
+    let mut shifted = e.clone();
+    shift(&mut shifted, offset);
+    shifted
 }
 
 fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {

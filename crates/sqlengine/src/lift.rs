@@ -21,14 +21,14 @@
 //! * window specifications (`ORDER BY` may repeat a projected window, again
 //!   matched structurally);
 //! * subquery bodies and, when CTEs are materialized, CTE bodies — both run
-//!   during planning (the positions [`crate::plan::params_unsupported`]
-//!   rejects for explicit `?`);
+//!   during planning. These and `LIMIT` / `OFFSET` are the sites where
+//!   [`Site::plan_time`](crate::ast::Site::plan_time) holds: the one rule
+//!   that also keeps an explicit `?` there from staying symbolic;
 //! * operands of constant subexpressions: folding consumed them, so no
 //!   literal node with their span is left (`-5` and `2*3` are of this kind).
 
-use crate::ast::{Expr, Query, Select, SelectItem, SetExpr, TableRef};
+use crate::ast::{Clause, Expr, Query};
 use crate::error::Span;
-use crate::plan::visit_children_mut;
 use crate::value::Value;
 
 /// What became of one literal of the statement text.
@@ -60,13 +60,30 @@ pub(crate) fn lift_literals(
     literals: &[(Span, Value)],
     materialize_ctes: bool,
 ) -> (Vec<Slot>, Vec<Value>) {
+    // A `GROUP BY` key is matched structurally by the aggregate rewrite, so
+    // it stays as written wherever it occurs. (Only a key that holds a
+    // literal can tell; one of another SELECT of the statement pins its
+    // copies too, which costs a cache hit and nothing else.)
+    let mut group_keys = Vec::new();
+    query.for_each_expr(&mut |root, site| {
+        let holds_literal = || root.any(&mut |e| matches!(e, Expr::Literal(..)));
+        if site.clause == Clause::GroupBy && holds_literal() {
+            group_keys.push(root.clone());
+        }
+    });
     let mut lifter = Lifter {
         literals,
         param_of: vec![None; literals.len()],
         params: Vec::new(),
-        materialize_ctes,
+        group_keys,
     };
-    lifter.query(query);
+    query.for_each_expr_mut(&mut |root, site| {
+        // A bare literal in ORDER BY is an ordinal (or a constant sort key).
+        let ordinal = site.clause == Clause::OrderBy && matches!(root, Expr::Literal(..));
+        if !(site.plan_time(materialize_ctes) || site.clause == Clause::GroupBy || ordinal) {
+            lifter.expr(root);
+        }
+    });
     let slots = lifter
         .param_of
         .iter()
@@ -84,83 +101,13 @@ struct Lifter<'a> {
     /// Parameter index of each lifted literal.
     param_of: Vec<Option<usize>>,
     params: Vec<Value>,
-    materialize_ctes: bool,
+    /// The statement's `GROUP BY` keys that hold a literal.
+    group_keys: Vec<Expr>,
 }
 
 impl Lifter<'_> {
-    fn query(&mut self, q: &mut Query) {
-        if !self.materialize_ctes {
-            for cte in &mut q.ctes {
-                self.query(&mut cte.query);
-            }
-        }
-        // ORDER BY of a grouped SELECT may repeat its GROUP BY keys.
-        let group_by = match &q.body {
-            SetExpr::Select(select) => select.group_by.clone(),
-            SetExpr::Union { .. } => Vec::new(),
-        };
-        self.set_expr(&mut q.body);
-        for item in &mut q.order_by {
-            // A bare literal here is an ordinal (or a constant sort key).
-            if !matches!(item.expr, Expr::Literal(..)) {
-                self.expr(&mut item.expr, &group_by);
-            }
-        }
-    }
-
-    fn set_expr(&mut self, body: &mut SetExpr) {
-        match body {
-            SetExpr::Select(select) => self.select(select),
-            SetExpr::Union { left, right, .. } => {
-                self.set_expr(left);
-                self.set_expr(right);
-            }
-        }
-    }
-
-    fn select(&mut self, select: &mut Select) {
-        let Select {
-            projection,
-            from,
-            selection,
-            group_by,
-            having,
-            ..
-        } = select;
-        for item in projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                self.expr(expr, group_by);
-            }
-        }
-        for tref in from {
-            self.table_ref(tref);
-        }
-        if let Some(predicate) = selection {
-            self.expr(predicate, &[]);
-        }
-        if let Some(having) = having {
-            self.expr(having, group_by);
-        }
-    }
-
-    fn table_ref(&mut self, tref: &mut TableRef) {
-        match tref {
-            TableRef::Named { .. } => {}
-            TableRef::Derived { query, .. } => self.query(query),
-            TableRef::Join {
-                left, right, on, ..
-            } => {
-                self.table_ref(left);
-                self.table_ref(right);
-                if let Some(on) = on {
-                    self.expr(on, &[]);
-                }
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &mut Expr, group_by: &[Expr]) {
-        if group_by.contains(e) {
+    fn expr(&mut self, e: &mut Expr) {
+        if self.group_keys.contains(e) {
             return;
         }
         match e {
@@ -185,7 +132,7 @@ impl Lifter<'_> {
             Expr::WindowRowNumber { .. } => {}
             // Subquery bodies are not children: only the scalar side of
             // `IN (SELECT ...)` is visited.
-            _ => visit_children_mut(e, &mut |child| self.expr(child, group_by)),
+            _ => e.for_each_child_mut(&mut |child| self.expr(child)),
         }
     }
 }
@@ -193,16 +140,25 @@ impl Lifter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Statement;
+    use crate::ast::{param_use, ParamUse, Statement};
+
+    fn parse(sql: &str) -> Query {
+        let Statement::Query(query) = crate::parser::parse_statement(sql).unwrap() else {
+            panic!("not a query: {sql}");
+        };
+        query
+    }
 
     /// Fold and lift `sql`; returns the slots and the bound values.
     fn lifted(sql: &str) -> (Vec<Slot>, Vec<Value>) {
+        lifted_under(sql, false)
+    }
+
+    fn lifted_under(sql: &str, materialize_ctes: bool) -> (Vec<Slot>, Vec<Value>) {
         let shape = crate::lexer::scan_shape(sql).expect("lexes");
-        let Statement::Query(mut query) = crate::parser::parse_statement(sql).unwrap() else {
-            panic!("not a query: {sql}");
-        };
+        let mut query = parse(sql);
         crate::sema::fold::fold_query(&mut query);
-        lift_literals(&mut query, &shape.literals, false)
+        lift_literals(&mut query, &shape.literals, materialize_ctes)
     }
 
     /// `L` for a lifted literal, `P` for a pinned one, in source order.
@@ -272,5 +228,34 @@ mod tests {
             values,
             vec![Some(&Value::Int(9)), Some(&Value::Int(1)), None]
         );
+    }
+
+    /// The rule is shared, not mirrored: write `?` for a literal, and if that
+    /// `?` would have to be bound at plan time, the lifter pinned the literal.
+    #[test]
+    fn a_literal_at_a_plan_time_site_is_pinned() {
+        let mut plan_time_sites = 0;
+        for sql in [
+            "SELECT n FROM t WHERE n > 1 ORDER BY n LIMIT 5 OFFSET 2",
+            "SELECT n FROM t WHERE n > 1 AND n IN (SELECT n FROM t WHERE n < 9 LIMIT 3)",
+            "SELECT n, (SELECT MAX(n) + 1 FROM t) FROM t WHERE EXISTS (SELECT 2) AND n > 3",
+            "WITH c AS (SELECT n + 1 AS m FROM t WHERE n > 2) SELECT m FROM c WHERE m < 9",
+            "WITH c AS (SELECT n FROM (SELECT 1 AS n UNION ALL SELECT 2) d) \
+             SELECT n + 3 FROM c JOIN t ON c.n = t.n + 4 GROUP BY n + 3 HAVING COUNT(*) > 5",
+        ] {
+            let literals = crate::lexer::scan_shape(sql).expect("lexes").literals;
+            for materialize_ctes in [false, true] {
+                let (slots, _) = lifted_under(sql, materialize_ctes);
+                for ((span, _), slot) in literals.iter().zip(&slots) {
+                    let mut marked = sql.to_string();
+                    marked.replace_range(span.range(), "?");
+                    if param_use(&parse(&marked), materialize_ctes) == ParamUse::PlanTime {
+                        plan_time_sites += 1;
+                        assert!(matches!(slot, Slot::Pinned(_)), "{marked}");
+                    }
+                }
+            }
+        }
+        assert!(plan_time_sites > 10);
     }
 }

@@ -7,19 +7,28 @@
 //! * single-table predicates are pushed below joins;
 //! * equi-join conjuncts in the WHERE clause of comma-joins are detected and
 //!   turned into hash joins (greedy left-deep ordering);
-//! * CTEs are either inlined (pipelined, the default — this is the paper's
-//!   "no intermediate materialization" claim) or materialized once,
-//!   depending on [`PlannerConfig::materialize_ctes`].
+//! * CTEs are planned once, where they are defined, and then either inlined
+//!   (pipelined, the default — this is the paper's "no intermediate
+//!   materialization" claim) or materialized once, depending on
+//!   [`PlannerConfig::materialize_ctes`].
+//!
+//! A plan tree is walked through [`PhysPlan::for_each_child`] (operators) and
+//! [`PhysPlan::for_each_expr_mut`] (a node's own expressions); the AST-side
+//! utilities the planner shares with the analyzer live in [`crate::ast`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef};
+use crate::ast::{
+    self, collect_aggregates, collect_windows, conjoin, display_name, replace_subtree,
+    split_conjuncts, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
+};
 use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
+use crate::exec::ExecContext;
 use crate::expr::{
-    bind_expr, bind_expr_symbolic, column_only, shift_columns, substitute_params, ColLabel,
-    PhysExpr, Scope,
+    bind_expr, bind_expr_symbolic, bind_params, column_only, shift_columns, ColLabel, PhysExpr,
+    Scope,
 };
 use crate::value::{Row, Value};
 
@@ -227,31 +236,104 @@ pub enum PhysPlan {
     },
 }
 
-impl PhysPlan {
-    /// Number of operator nodes in the tree (the `nodes` attribute of the
-    /// tracer's plan span — a cheap shape fingerprint for spotting plan
-    /// changes across trace captures without storing the plan text).
-    pub fn node_count(&self) -> usize {
-        let children: usize = match self {
+/// The one list of `PhysPlan`'s variants written for traversal: the body of
+/// [`PhysPlan::for_each_child`] and [`PhysPlan::for_each_child_mut`] (`$plan`
+/// is `&PhysPlan` or `&mut PhysPlan`; the bindings follow it).
+macro_rules! plan_children {
+    ($plan:expr, $f:expr) => {
+        match $plan {
             PhysPlan::Scan { .. }
             | PhysPlan::VirtualScan { .. }
             | PhysPlan::IndexScan { .. }
-            | PhysPlan::OneRow => 0,
-            PhysPlan::IndexJoin { probe, inner, .. } => probe.node_count() + inner.node_count(),
+            | PhysPlan::OneRow => {}
+            PhysPlan::IndexJoin { probe, inner, .. } => {
+                $f(probe);
+                $f(inner);
+            }
             PhysPlan::Filter { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Aggregate { input, .. }
             | PhysPlan::Window { input, .. }
             | PhysPlan::Sort { input, .. }
             | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => input.node_count(),
+            | PhysPlan::Distinct { input } => $f(input),
             PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::NestedLoopJoin { left, right, .. } => {
-                left.node_count() + right.node_count()
+                $f(left);
+                $f(right);
             }
-            PhysPlan::UnionAll { inputs } => inputs.iter().map(PhysPlan::node_count).sum(),
-        };
-        1 + children
+            PhysPlan::UnionAll { inputs } => {
+                for input in inputs {
+                    $f(input);
+                }
+            }
+        }
+    };
+}
+
+impl PhysPlan {
+    /// Number of operator nodes in the tree (the `nodes` attribute of the
+    /// tracer's plan span — a cheap shape fingerprint for spotting plan
+    /// changes across trace captures without storing the plan text).
+    pub fn node_count(&self) -> usize {
+        let mut nodes = 1;
+        self.for_each_child(&mut |child| nodes += child.node_count());
+        nodes
+    }
+
+    /// Call `f` on each input plan, in the order `EXPLAIN` renders them.
+    pub fn for_each_child(&self, f: &mut impl FnMut(&PhysPlan)) {
+        plan_children!(self, f);
+    }
+
+    /// Mutable twin of [`PhysPlan::for_each_child`], stamped from the same
+    /// body.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PhysPlan)) {
+        plan_children!(self, f);
+    }
+
+    /// Call `f` on each expression this node itself evaluates (not its
+    /// inputs'): index-key tuples, join keys and residuals, predicates,
+    /// projection lists, aggregate keys and arguments, window and sort keys.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        match self {
+            PhysPlan::Scan { .. }
+            | PhysPlan::VirtualScan { .. }
+            | PhysPlan::OneRow
+            | PhysPlan::Limit { .. }
+            | PhysPlan::UnionAll { .. }
+            | PhysPlan::Distinct { .. } => {}
+            PhysPlan::IndexScan { keys, .. } => keys.iter_mut().flatten().flatten().for_each(f),
+            PhysPlan::IndexJoin {
+                probe_keys,
+                residual,
+                ..
+            } => probe_keys.iter_mut().chain(residual).for_each(f),
+            PhysPlan::Filter { predicate, .. } => f(predicate),
+            PhysPlan::Project { exprs, .. } => exprs.iter_mut().for_each(f),
+            PhysPlan::HashJoin {
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => left_keys
+                .iter_mut()
+                .chain(right_keys)
+                .chain(residual)
+                .for_each(f),
+            PhysPlan::NestedLoopJoin { predicate, .. } => predicate.iter_mut().for_each(f),
+            PhysPlan::Aggregate { keys, aggs, .. } => keys
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|agg| agg.arg.as_mut()))
+                .for_each(f),
+            PhysPlan::Window {
+                partition, order, ..
+            } => partition
+                .iter_mut()
+                .chain(order.iter_mut().map(|(key, _)| key))
+                .for_each(f),
+            PhysPlan::Sort { keys, .. } => keys.iter_mut().for_each(|(key, _)| f(key)),
+        }
     }
 
     /// Number of columns in every row this plan produces.
@@ -550,21 +632,30 @@ pub struct Planner<'a> {
     used_virtual: bool,
     /// Stack of CTE frames; inner queries see outer CTEs.
     cte_frames: Vec<HashMap<String, CteEntry>>,
-    /// Scratch: WHERE conjuncts `join_comma_items` could not place; the
-    /// caller turns them into a filter above the join tree.
-    leftover_conjuncts: Vec<Expr>,
+    /// What planner-time execution runs under — materialized CTEs and
+    /// uncorrelated subqueries, whose results become plain row snapshots.
+    /// Always serial: it happens under the planner's catalog borrow. The
+    /// engine passes the statement's deadline and memory budget in.
+    exec: ExecContext,
 }
 
-#[derive(Clone)]
+/// A CTE, planned once where it is defined.
 enum CteEntry {
-    /// Inline: re-plan the AST at each reference.
-    Inline(Arc<Query>),
+    /// Inline: each reference takes a copy of the plan (rows are `Arc`s).
+    Inline(PlannedQuery),
     /// Materialized rows with their scope-relative column names.
     Table(Arc<Vec<Row>>, Vec<String>),
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(catalog: &'a Catalog, params: &'a [Value], config: PlannerConfig) -> Self {
+    /// `exec` is what planner-time execution runs under: a serial context
+    /// carrying the statement's deadline and memory budget.
+    pub fn new(
+        catalog: &'a Catalog,
+        params: &'a [Value],
+        config: PlannerConfig,
+        exec: ExecContext,
+    ) -> Self {
         Planner {
             catalog,
             params,
@@ -573,7 +664,7 @@ impl<'a> Planner<'a> {
             virtuals: None,
             used_virtual: false,
             cte_frames: Vec::new(),
-            leftover_conjuncts: Vec::new(),
+            exec,
         }
     }
 
@@ -586,7 +677,7 @@ impl<'a> Planner<'a> {
     }
 
     /// Keep `?` markers symbolic so the resulting plan can be cached as a
-    /// template. The caller must have checked [`params_unsupported`] first:
+    /// template. The caller must have checked [`ast::param_use`] first:
     /// parameters in positions consumed at plan time (LIMIT/OFFSET,
     /// subquery bodies, materialized CTEs) cannot stay symbolic.
     #[must_use]
@@ -609,51 +700,36 @@ impl<'a> Planner<'a> {
         self.used_virtual
     }
 
-    fn lookup_cte(&self, name: &str) -> Option<CteEntry> {
-        for frame in self.cte_frames.iter().rev() {
-            if let Some(e) = frame.get(&name.to_ascii_lowercase()) {
-                return Some(e.clone());
-            }
-        }
-        None
+    fn lookup_cte(&self, name: &str) -> Option<&CteEntry> {
+        let name = name.to_ascii_lowercase();
+        self.cte_frames.iter().rev().find_map(|f| f.get(&name))
     }
 
     /// Plan a full query (CTEs + body + ORDER BY/LIMIT).
     pub fn plan_query(&mut self, query: &Query) -> Result<PlannedQuery> {
-        let mut frame = HashMap::new();
-        for cte in &query.ctes {
-            let entry = if self.config.materialize_ctes {
-                // Plan and evaluate the CTE eagerly; references scan the rows.
-                // Planner-time executions (materialized CTEs here, and the
-                // uncorrelated subqueries in `resolve_subqueries`) run on the
-                // serial executor: they happen under the planner's catalog
-                // borrow, and their results become plain row snapshots.
-                self.cte_frames.push(frame.clone());
-                let planned = self.plan_query(&cte.query);
-                self.cte_frames.pop();
-                let planned = planned?;
-                let rows = crate::exec::execute(&planned.plan)?;
-                CteEntry::Table(Arc::new(rows), planned.columns)
-            } else {
-                CteEntry::Inline(Arc::new(Query {
-                    // Inner CTEs of this WITH are visible to later CTEs via
-                    // the frame pushed below; keep the query as-is.
-                    ctes: cte.query.ctes.clone(),
-                    body: cte.query.body.clone(),
-                    order_by: cte.query.order_by.clone(),
-                    limit: cte.query.limit.clone(),
-                    offset: cte.query.offset.clone(),
-                }))
-            };
-            frame.insert(cte.name.to_ascii_lowercase(), entry);
-        }
-        self.cte_frames.push(frame);
-        let result = self.plan_query_body(query);
+        self.cte_frames.push(HashMap::new());
+        let result = self.plan_in_frame(query);
         self.cte_frames.pop();
         result
     }
 
-    fn plan_query_body(&mut self, query: &Query) -> Result<PlannedQuery> {
+    /// Plan `query` with its own (still empty) CTE frame on the stack.
+    fn plan_in_frame(&mut self, query: &Query) -> Result<PlannedQuery> {
+        // Each CTE is planned once, here where it is defined: under the
+        // enclosing frames plus the earlier CTEs of this WITH, which makes
+        // its names lexically scoped whatever the reference site shadows.
+        for cte in &query.ctes {
+            let planned = self.plan_query(&cte.query)?;
+            let entry = if self.config.materialize_ctes {
+                // Evaluate the CTE eagerly; references scan the rows.
+                let rows = self.exec.execute(&planned.plan)?;
+                CteEntry::Table(Arc::new(rows), planned.columns)
+            } else {
+                CteEntry::Inline(planned)
+            };
+            let frame = self.cte_frames.last_mut().expect("pushed by plan_query");
+            frame.insert(cte.name.to_ascii_lowercase(), entry);
+        }
         let mut planned = match &query.body {
             SetExpr::Select(select) => self.plan_select(select, &query.order_by)?,
             SetExpr::Union { .. } => {
@@ -786,37 +862,28 @@ impl<'a> Planner<'a> {
             TableRef::Named { name, alias, .. } => {
                 let qual = alias.clone().unwrap_or_else(|| name.clone());
                 if let Some(entry) = self.lookup_cte(name) {
-                    match entry {
-                        CteEntry::Inline(q) => {
-                            let planned = self.plan_query(&q)?;
-                            let labels = planned
-                                .columns
-                                .iter()
-                                .map(|c| ColLabel::new(Some(&qual), c))
-                                .collect();
-                            Ok(PlannedItem {
-                                plan: planned.plan,
-                                scope: Scope::new(labels),
-                                access: None,
-                            })
-                        }
-                        CteEntry::Table(rows, cols) => {
-                            let width = cols.len();
-                            let labels =
-                                cols.iter().map(|c| ColLabel::new(Some(&qual), c)).collect();
-                            Ok(PlannedItem {
-                                // Materialized CTE output has no table-backed
-                                // chunk cache; it runs on the row path.
-                                plan: PhysPlan::Scan {
-                                    rows,
-                                    width,
-                                    chunks: None,
-                                },
-                                scope: Scope::new(labels),
-                                access: None,
-                            })
-                        }
-                    }
+                    let (plan, columns) = match entry {
+                        CteEntry::Inline(planned) => (planned.plan.clone(), &planned.columns),
+                        // Materialized CTE output has no table-backed chunk
+                        // cache; it runs on the row path.
+                        CteEntry::Table(rows, columns) => (
+                            PhysPlan::Scan {
+                                rows: Arc::clone(rows),
+                                width: columns.len(),
+                                chunks: None,
+                            },
+                            columns,
+                        ),
+                    };
+                    let labels = columns
+                        .iter()
+                        .map(|c| ColLabel::new(Some(&qual), c))
+                        .collect();
+                    Ok(PlannedItem {
+                        plan,
+                        scope: Scope::new(labels),
+                        access: None,
+                    })
                 } else if let Some((schema, rows)) = self
                     .virtuals
                     .and_then(|v| v.virtual_table(self.catalog, name))
@@ -1109,7 +1176,7 @@ impl<'a> Planner<'a> {
             Expr::ScalarSubquery(q, span) => {
                 let span = *span;
                 let planned = self.plan_query(q)?;
-                let rows = crate::exec::execute(&planned.plan)?;
+                let rows = self.exec.execute(&planned.plan)?;
                 if rows.len() > 1 {
                     return Err(EngineError::plan(format!(
                         "scalar subquery returned {} rows",
@@ -1138,7 +1205,7 @@ impl<'a> Planner<'a> {
                         planned.columns.len()
                     )));
                 }
-                let rows = crate::exec::execute(&planned.plan)?;
+                let rows = self.exec.execute(&planned.plan)?;
                 let list = rows
                     .into_iter()
                     .map(|mut r| Expr::Literal(r.pop().expect("one column"), Span::default()))
@@ -1157,12 +1224,12 @@ impl<'a> Planner<'a> {
             } => {
                 let span = *span;
                 let planned = self.plan_query(query)?;
-                let rows = crate::exec::execute(&planned.plan)?;
+                let rows = self.exec.execute(&planned.plan)?;
                 *e = Expr::Literal(Value::Int((rows.is_empty() == *negated) as i64), span);
             }
             _ => {
                 let mut result = Ok(());
-                visit_children_mut(e, &mut |c| {
+                e.for_each_child_mut(&mut |c| {
                     if result.is_ok() {
                         result = self.resolve_subqueries(c);
                     }
@@ -1178,18 +1245,7 @@ impl<'a> Planner<'a> {
         //    sees plain expressions.
         let has_subqueries = |s: &Select| -> bool {
             // Cheap structural probe; cloning only when needed.
-            fn probe(e: &Expr) -> bool {
-                match e {
-                    Expr::ScalarSubquery(..) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                        true
-                    }
-                    _ => {
-                        let mut found = false;
-                        visit_children(e, &mut |c| found |= probe(c));
-                        found
-                    }
-                }
-            }
+            let probe = |e: &Expr| e.any(&mut |n| n.subquery().is_some());
             s.selection.as_ref().is_some_and(probe)
                 || s.having.as_ref().is_some_and(probe)
                 || s.group_by.iter().any(probe)
@@ -1234,18 +1290,16 @@ impl<'a> Planner<'a> {
             .map(|e| split_conjuncts(e).into_iter().cloned().collect())
             .unwrap_or_default();
 
-        let (mut plan, mut scope) = if items.is_empty() {
-            self.leftover_conjuncts = conjuncts.clone();
-            (PhysPlan::OneRow, Scope::default())
+        let (mut plan, mut scope, leftovers) = if items.is_empty() {
+            (PhysPlan::OneRow, Scope::default(), conjuncts)
         } else {
-            self.join_comma_items(items, &conjuncts)?
+            self.join_comma_items(items, conjuncts)?
         };
 
         // Apply any WHERE conjuncts not consumed as join keys / pushdowns.
         // `join_comma_items` marks consumed conjuncts by omission: we simply
         // re-bind everything that still references the full scope and was not
         // consumed — see its return contract below.
-        let leftovers = std::mem::take(&mut self.leftover_conjuncts);
         if !leftovers.is_empty() {
             let refs: Vec<&Expr> = leftovers.iter().collect();
             let predicate = self.bind(&conjoin(&refs), &scope)?;
@@ -1460,14 +1514,13 @@ impl<'a> Planner<'a> {
     /// `IndexScan` point/multi-point lookup. Equi conjuncts become hash-join
     /// keys, or an index-nested-loop join when one side is a bare indexed
     /// scan and the other is estimated small. Conjuncts that cannot be
-    /// placed are stored in `self.leftover_conjuncts` for the caller.
+    /// placed are returned, third, for the caller to filter by above the
+    /// join tree.
     fn join_comma_items(
-        &mut self,
+        &self,
         mut items: Vec<PlannedItem>,
-        conjuncts: &[Expr],
-    ) -> Result<(PhysPlan, Scope)> {
-        let mut remaining: Vec<Expr> = conjuncts.to_vec();
-
+        mut remaining: Vec<Expr>,
+    ) -> Result<(PhysPlan, Scope, Vec<Expr>)> {
         // Push single-item predicates down onto their item.
         for item in items.iter_mut() {
             let mut kept = Vec::new();
@@ -1588,8 +1641,7 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-        self.leftover_conjuncts = remaining;
-        Ok((cur.plan, cur.scope))
+        Ok((cur.plan, cur.scope, remaining))
     }
 
     /// Try to convert pushed-down conjuncts over a bare base-table scan into
@@ -1867,551 +1919,29 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Split an expression into its top-level AND conjuncts.
-pub(crate) fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-        if let Expr::Binary {
-            left,
-            op: ast::BinaryOp::And,
-            right,
-            ..
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(expr, &mut out);
-    out
-}
-
-/// AND a list of conjuncts back together. Panics on empty input.
-pub(crate) fn conjoin(conjuncts: &[&Expr]) -> Expr {
-    let mut it = conjuncts.iter();
-    let first = (*it.next().expect("conjoin of empty list")).clone();
-    it.fold(first, |acc, e| {
-        let span = acc.span().cover(e.span());
-        Expr::Binary {
-            left: Box::new(acc),
-            op: ast::BinaryOp::And,
-            right: Box::new((*e).clone()),
-            span,
-        }
-    })
-}
-
-/// Collect aggregate sub-expressions (structurally deduplicated, outermost
-/// only — nested aggregates are invalid and rejected at bind time).
-pub(crate) fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Aggregate { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
-            }
-        }
-        _ => visit_children(e, &mut |c| collect_aggregates(c, out)),
-    }
-}
-
-/// Collect window sub-expressions (structurally deduplicated).
-pub(crate) fn collect_windows(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::WindowRowNumber { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
-            }
-        }
-        _ => visit_children(e, &mut |c| collect_windows(c, out)),
-    }
-}
-
-pub(crate) fn visit_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => f(expr),
-        Expr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::InList { expr, list, .. } => {
-            f(expr);
-            list.iter().for_each(&mut *f);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            f(expr);
-            f(low);
-            f(high);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            f(expr);
-            f(pattern);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                f(o);
-            }
-            for (w, t) in branches {
-                f(w);
-                f(t);
-            }
-            if let Some(e2) = else_expr {
-                f(e2);
-            }
-        }
-        Expr::Function { args, .. } => args.iter().for_each(&mut *f),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                f(a);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            partition_by.iter().for_each(&mut *f);
-            for oi in order_by {
-                f(&oi.expr);
-            }
-        }
-        // Subquery bodies are independent scopes; only visit the scalar
-        // side of IN.
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => f(expr),
-    }
-}
-
-/// Mutable twin of [`visit_children`].
-pub(crate) fn visit_children_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => f(expr),
-        Expr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::InList { expr, list, .. } => {
-            f(expr);
-            list.iter_mut().for_each(&mut *f);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            f(expr);
-            f(low);
-            f(high);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            f(expr);
-            f(pattern);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                f(o);
-            }
-            for (w, t) in branches {
-                f(w);
-                f(t);
-            }
-            if let Some(e2) = else_expr {
-                f(e2);
-            }
-        }
-        Expr::Function { args, .. } => args.iter_mut().for_each(&mut *f),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                f(a);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            partition_by.iter_mut().for_each(&mut *f);
-            for oi in order_by {
-                f(&mut oi.expr);
-            }
-        }
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => f(expr),
-    }
-}
-
-/// Replace every subtree structurally equal to `target` with `replacement`.
-pub(crate) fn replace_subtree(e: &mut Expr, target: &Expr, replacement: &Expr) {
-    if e == target {
-        *e = replacement.clone();
-        return;
-    }
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            replace_subtree(expr, target, replacement);
-        }
-        Expr::Binary { left, right, .. } => {
-            replace_subtree(left, target, replacement);
-            replace_subtree(right, target, replacement);
-        }
-        Expr::InList { expr, list, .. } => {
-            replace_subtree(expr, target, replacement);
-            for i in list {
-                replace_subtree(i, target, replacement);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            replace_subtree(expr, target, replacement);
-            replace_subtree(low, target, replacement);
-            replace_subtree(high, target, replacement);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            replace_subtree(expr, target, replacement);
-            replace_subtree(pattern, target, replacement);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                replace_subtree(o, target, replacement);
-            }
-            for (w, t) in branches {
-                replace_subtree(w, target, replacement);
-                replace_subtree(t, target, replacement);
-            }
-            if let Some(e2) = else_expr {
-                replace_subtree(e2, target, replacement);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                replace_subtree(a, target, replacement);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                replace_subtree(a, target, replacement);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            for p in partition_by {
-                replace_subtree(p, target, replacement);
-            }
-            for oi in order_by {
-                replace_subtree(&mut oi.expr, target, replacement);
-            }
-        }
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => replace_subtree(expr, target, replacement),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Plan templates: parameter substitution and cacheability analysis
+// Plan templates: parameter substitution
 // ---------------------------------------------------------------------
 
-/// Rebuild a cached plan template with every symbolic parameter replaced by
-/// its bound value (see [`crate::expr::substitute_params`]). Plan trees are
-/// small and row snapshots are shared `Arc`s, so this clone is cheap
-/// relative to re-parsing and re-planning the statement.
+/// A copy of a cached plan template with every symbolic parameter replaced
+/// by its bound value. Plan trees are small and row snapshots are shared
+/// `Arc`s, so this clone is cheap relative to re-parsing and re-planning the
+/// statement; the parameters are then patched into the copy in place.
+/// Errors when a marker references past the end of `params`, with the same
+/// message the inline binder produces.
 pub fn bind_plan_params(plan: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
-    let sub = |e: &PhysExpr| substitute_params(e, params);
-    let sub_vec = |es: &[PhysExpr]| es.iter().map(&sub).collect::<Result<Vec<_>>>();
-    let sub_opt = |e: &Option<PhysExpr>| e.as_ref().map(&sub).transpose();
-    let rec = |p: &PhysPlan| bind_plan_params(p, params).map(Box::new);
-    Ok(match plan {
-        PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } | PhysPlan::OneRow => plan.clone(),
-        PhysPlan::IndexScan {
-            rows,
-            width,
-            index_name,
-            index,
-            keys,
-        } => PhysPlan::IndexScan {
-            rows: Arc::clone(rows),
-            width: *width,
-            index_name: index_name.clone(),
-            index: index.clone(),
-            keys: keys
-                .as_ref()
-                .map(|ks| ks.iter().map(|tuple| sub_vec(tuple)).collect::<Result<_>>())
-                .transpose()?,
-        },
-        PhysPlan::IndexJoin {
-            probe,
-            probe_keys,
-            inner,
-            inner_is_left,
-            kind,
-            inner_width,
-            residual,
-        } => PhysPlan::IndexJoin {
-            probe: rec(probe)?,
-            probe_keys: sub_vec(probe_keys)?,
-            inner: rec(inner)?,
-            inner_is_left: *inner_is_left,
-            kind: *kind,
-            inner_width: *inner_width,
-            residual: sub_opt(residual)?,
-        },
-        PhysPlan::Filter { input, predicate } => PhysPlan::Filter {
-            input: rec(input)?,
-            predicate: sub(predicate)?,
-        },
-        PhysPlan::Project { input, exprs } => PhysPlan::Project {
-            input: rec(input)?,
-            exprs: sub_vec(exprs)?,
-        },
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-            right_width,
-            residual,
-            algo,
-        } => PhysPlan::HashJoin {
-            left: rec(left)?,
-            right: rec(right)?,
-            left_keys: sub_vec(left_keys)?,
-            right_keys: sub_vec(right_keys)?,
-            kind: *kind,
-            right_width: *right_width,
-            residual: sub_opt(residual)?,
-            algo: *algo,
-        },
-        PhysPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            right_width,
-            predicate,
-        } => PhysPlan::NestedLoopJoin {
-            left: rec(left)?,
-            right: rec(right)?,
-            kind: *kind,
-            right_width: *right_width,
-            predicate: sub_opt(predicate)?,
-        },
-        PhysPlan::Aggregate { input, keys, aggs } => PhysPlan::Aggregate {
-            input: rec(input)?,
-            keys: sub_vec(keys)?,
-            aggs: aggs
-                .iter()
-                .map(|a| {
-                    Ok(AggSpec {
-                        func: a.func,
-                        arg: sub_opt(&a.arg)?,
-                        distinct: a.distinct,
-                    })
-                })
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Window {
-            input,
-            func,
-            partition,
-            order,
-        } => PhysPlan::Window {
-            input: rec(input)?,
-            func: *func,
-            partition: sub_vec(partition)?,
-            order: order
-                .iter()
-                .map(|(e, d)| Ok((sub(e)?, *d)))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Sort { input, keys } => PhysPlan::Sort {
-            input: rec(input)?,
-            keys: keys
-                .iter()
-                .map(|(e, d)| Ok((sub(e)?, *d)))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => PhysPlan::Limit {
-            input: rec(input)?,
-            limit: *limit,
-            offset: *offset,
-        },
-        PhysPlan::UnionAll { inputs } => PhysPlan::UnionAll {
-            inputs: inputs
-                .iter()
-                .map(|p| bind_plan_params(p, params))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Distinct { input } => PhysPlan::Distinct { input: rec(input)? },
-    })
-}
-
-/// Does any expression anywhere in `q` — including CTE bodies, derived
-/// tables, ORDER BY / LIMIT, and subquery bodies — contain a `?` marker?
-pub fn query_contains_params(q: &Query) -> bool {
-    q.ctes.iter().any(|c| query_contains_params(&c.query))
-        || q.order_by.iter().any(|oi| expr_contains_params(&oi.expr))
-        || q.limit.as_ref().is_some_and(expr_contains_params)
-        || q.offset.as_ref().is_some_and(expr_contains_params)
-        || set_contains_params(&q.body)
-}
-
-fn set_contains_params(s: &SetExpr) -> bool {
-    match s {
-        SetExpr::Select(sel) => select_contains_params(sel),
-        SetExpr::Union { left, right, .. } => {
-            set_contains_params(left) || set_contains_params(right)
-        }
+    fn patch(plan: &mut PhysPlan, params: &[Value], unbound: &mut Option<usize>) {
+        plan.for_each_child_mut(&mut |child| patch(child, params, unbound));
+        plan.for_each_expr_mut(&mut |e| bind_params(e, params, unbound));
     }
-}
-
-fn select_contains_params(s: &Select) -> bool {
-    s.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr_contains_params(expr),
-        _ => false,
-    }) || s.selection.as_ref().is_some_and(expr_contains_params)
-        || s.group_by.iter().any(expr_contains_params)
-        || s.having.as_ref().is_some_and(expr_contains_params)
-        || s.from.iter().any(tref_contains_params)
-}
-
-fn tref_contains_params(t: &TableRef) -> bool {
-    match t {
-        TableRef::Named { .. } => false,
-        TableRef::Derived { query, .. } => query_contains_params(query),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            tref_contains_params(left)
-                || tref_contains_params(right)
-                || on.as_ref().is_some_and(expr_contains_params)
-        }
-    }
-}
-
-fn expr_contains_params(e: &Expr) -> bool {
-    match e {
-        Expr::Param(..) => true,
-        Expr::ScalarSubquery(q, _) => query_contains_params(q),
-        Expr::Exists { query, .. } => query_contains_params(query),
-        Expr::InSubquery { expr, query, .. } => {
-            expr_contains_params(expr) || query_contains_params(query)
-        }
-        _ => {
-            let mut found = false;
-            visit_children(e, &mut |c| found |= expr_contains_params(c));
-            found
-        }
-    }
-}
-
-/// True when `q` uses parameters in a position the planner consumes at plan
-/// time, which a cached template cannot keep symbolic: LIMIT/OFFSET
-/// expressions (folded to plan constants), subquery bodies (planned *and
-/// executed* during planning), or CTE bodies when `materialize_ctes`
-/// evaluates them during planning. Such statements plan inline with their
-/// actual parameter values and stay uncached.
-pub fn params_unsupported(q: &Query, materialize_ctes: bool) -> bool {
-    if q.limit.as_ref().is_some_and(expr_contains_params)
-        || q.offset.as_ref().is_some_and(expr_contains_params)
-    {
-        return true;
-    }
-    for c in &q.ctes {
-        let bad = if materialize_ctes {
-            query_contains_params(&c.query)
-        } else {
-            params_unsupported(&c.query, materialize_ctes)
-        };
-        if bad {
-            return true;
-        }
-    }
-    q.order_by.iter().any(|oi| unsupported_in_expr(&oi.expr))
-        || unsupported_in_set(&q.body, materialize_ctes)
-}
-
-fn unsupported_in_set(s: &SetExpr, mat: bool) -> bool {
-    match s {
-        SetExpr::Select(sel) => unsupported_in_select(sel, mat),
-        SetExpr::Union { left, right, .. } => {
-            unsupported_in_set(left, mat) || unsupported_in_set(right, mat)
-        }
-    }
-}
-
-fn unsupported_in_select(s: &Select, mat: bool) -> bool {
-    s.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => unsupported_in_expr(expr),
-        _ => false,
-    }) || s.selection.as_ref().is_some_and(unsupported_in_expr)
-        || s.group_by.iter().any(unsupported_in_expr)
-        || s.having.as_ref().is_some_and(unsupported_in_expr)
-        || s.from.iter().any(|t| unsupported_in_tref(t, mat))
-}
-
-fn unsupported_in_tref(t: &TableRef, mat: bool) -> bool {
-    match t {
-        TableRef::Named { .. } => false,
-        TableRef::Derived { query, .. } => params_unsupported(query, mat),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            unsupported_in_tref(left, mat)
-                || unsupported_in_tref(right, mat)
-                || on.as_ref().is_some_and(unsupported_in_expr)
-        }
-    }
-}
-
-fn unsupported_in_expr(e: &Expr) -> bool {
-    match e {
-        // A subquery body is executed during planning; any parameter inside
-        // it would need a value before the template exists.
-        Expr::ScalarSubquery(q, _) => query_contains_params(q),
-        Expr::Exists { query, .. } => query_contains_params(query),
-        Expr::InSubquery { expr, query, .. } => {
-            query_contains_params(query) || unsupported_in_expr(expr)
-        }
-        _ => {
-            let mut found = false;
-            visit_children(e, &mut |c| found |= unsupported_in_expr(c));
-            found
-        }
-    }
-}
-
-/// Derive a display name for an unaliased projection expression.
-pub(crate) fn display_name(e: &Expr, index: usize) -> String {
-    match e {
-        Expr::Column { name, .. } => name.clone(),
-        Expr::Aggregate { func, .. } => func.name().to_lowercase(),
-        Expr::Function { name, .. } => name.to_lowercase(),
-        _ => format!("col{index}"),
+    let mut bound = plan.clone();
+    let mut unbound = None;
+    patch(&mut bound, params, &mut unbound);
+    match unbound {
+        None => Ok(bound),
+        Some(i) => Err(EngineError::Parameter(format!(
+            "parameter ?{i} referenced but only {} bound",
+            params.len()
+        ))),
     }
 }

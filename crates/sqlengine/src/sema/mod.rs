@@ -32,13 +32,13 @@ pub(crate) mod fold;
 use std::collections::HashMap;
 
 use crate::ast::{
-    AggregateFunc, BinaryOp, Cte, Expr, Insert, InsertSource, OrderItem, Query, Select, SelectItem,
-    SetExpr, Statement, TableRef, UnaryOp,
+    collect_aggregates, collect_windows, display_name, replace_subtree, AggregateFunc, BinaryOp,
+    Cte, Expr, Insert, InsertSource, OrderItem, Query, Select, SelectItem, SetExpr, Statement,
+    TableRef, UnaryOp,
 };
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result, Span};
 use crate::expr::{coerce, BinCoercion, ColLabel, ScalarFunc, Scope};
-use crate::plan::{collect_aggregates, collect_windows, display_name, replace_subtree};
 use crate::value::{DataType, Value};
 
 /// The result of a successful static check.

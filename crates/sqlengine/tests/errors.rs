@@ -232,6 +232,53 @@ fn a_large_equi_join_is_interrupted_by_the_statement_timeout() {
     }
 }
 
+/// What the planner executes itself — `IN (SELECT …)`, `EXISTS`, and under
+/// `profile_b` every CTE — runs under the statement's deadline too.
+#[test]
+fn planner_time_execution_is_interrupted_by_the_statement_timeout() {
+    let load = |config: EngineConfig| {
+        let db = Database::with_config(config);
+        db.execute("CREATE TABLE wide (k INTEGER, w REAL)").unwrap();
+        let rows = (0..20_000)
+            .map(|i| vec![Value::Int(i % 200), Value::Float(i as f64)])
+            .collect();
+        db.insert_rows("wide", rows).unwrap();
+        db
+    };
+    let join = "SELECT COUNT(*) AS c FROM wide a JOIN wide b ON a.k = b.k";
+    for (name, config, sql) in [
+        (
+            "IN",
+            EngineConfig::profile_a(),
+            format!("SELECT COUNT(*) FROM wide WHERE k IN ({join})"),
+        ),
+        (
+            "EXISTS",
+            EngineConfig::profile_a(),
+            format!("SELECT COUNT(*) FROM wide WHERE EXISTS ({join})"),
+        ),
+        (
+            "materialized CTE",
+            EngineConfig::profile_b(),
+            format!("WITH j AS ({join}) SELECT c FROM j"),
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        load(config).query(&sql).unwrap();
+        let full_time = started.elapsed();
+
+        let db = load(config.with_statement_timeout(Duration::from_millis(2)));
+        let started = std::time::Instant::now();
+        let err = db.query(&sql).unwrap_err();
+        let took = started.elapsed();
+        assert!(matches!(err, EngineError::Timeout), "{name}: {err:?}");
+        assert!(
+            took < full_time / 4,
+            "{name}: gave up after {took:?}; the whole statement takes {full_time:?}"
+        );
+    }
+}
+
 #[test]
 fn resource_exhausted_display_is_pinned_and_retryable() {
     // A 4 KiB budget cannot hold a hash-join build side over 2000 rows.

@@ -5,7 +5,10 @@
 //! and plans the exact text every time) must answer too: same rows, same
 //! column names, same error.
 
+use sqlengine::ast::{Expr, Statement};
+use sqlengine::expr::PhysExpr;
 use sqlengine::lexer::{tokenize_spanned, Token};
+use sqlengine::parser::parse_statement;
 use sqlengine::plan::PhysPlan;
 use sqlengine::{Database, EngineConfig, EngineError, QueryResult, Value};
 
@@ -247,6 +250,69 @@ fn corpus_answers_do_not_depend_on_the_plan_cache() {
         answered * 10 >= statements * 9,
         "{answered} of {statements}"
     );
+}
+
+/// Defines `$name(node)`: below `node`, the mutable twin of the child
+/// enumerator hands out the same children (by address) in the same order as
+/// the shared one. `$also` runs on every node first.
+macro_rules! twins_agree {
+    ($name:ident, $node:ty, $also:expr) => {
+        fn $name(node: &mut $node) {
+            $also(&mut *node);
+            let mut shared = Vec::new();
+            node.for_each_child(&mut |child| shared.push(child as *const $node));
+            let mut by_mut = Vec::new();
+            node.for_each_child_mut(&mut |child| {
+                by_mut.push(child as *const $node);
+                $name(child);
+            });
+            assert_eq!(shared, by_mut);
+        }
+    };
+}
+twins_agree!(expr_twins_agree, Expr, |_| ());
+twins_agree!(phys_expr_twins_agree, PhysExpr, |_| ());
+twins_agree!(plan_twins_agree, PhysPlan, |plan: &mut PhysPlan| plan
+    .for_each_expr_mut(&mut |e| phys_expr_twins_agree(e)));
+
+/// The traversal enumerators over the same corpus: shared and mutable twins
+/// agree on every tree — the statement's expression roots and what is below
+/// them, the cached plan's operators and their expressions — and a plan has
+/// as many nodes as `EXPLAIN` renders lines.
+#[test]
+fn enumerators_agree_over_the_corpus() {
+    let (mut statements, mut plans) = (0, 0);
+    for (fixture, queries) in CORPUS {
+        let db = Database::with_config(EngineConfig::default());
+        db.execute_script(fixture).unwrap();
+        for sql in *queries {
+            let Statement::Query(mut query) = parse_statement(sql).unwrap() else {
+                panic!("not a query: {sql}");
+            };
+            let mut shared = Vec::new();
+            query.for_each_expr(&mut |root, site| shared.push((root as *const Expr, site)));
+            let mut by_mut = Vec::new();
+            query.for_each_expr_mut(&mut |root, site| {
+                by_mut.push((root as *const Expr, site));
+                expr_twins_agree(root);
+            });
+            assert_eq!(shared, by_mut, "{sql}");
+
+            statements += 1;
+            if db.query(sql).is_err() {
+                continue;
+            }
+            let rendered = db.explain(sql).unwrap();
+            let cached = db.mutate_cached_plan(sql, &mut |plan| {
+                plan_twins_agree(plan);
+                assert_eq!(plan.node_count(), rendered.lines().count(), "{sql}");
+            });
+            plans += usize::from(cached);
+        }
+    }
+    // Like the differential, this is only worth something over plans that
+    // exist (a `sys.*` query, say, is never cached).
+    assert!(plans * 10 >= statements * 9, "{plans} of {statements}");
 }
 
 // ---------------------------------------------------------------------

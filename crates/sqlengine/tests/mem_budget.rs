@@ -57,6 +57,23 @@ fn tiny_budget_aborts_memory_hungry_operators() {
     assert!(metric(&db, "mem.budget_aborts") >= HUNGRY.len() as f64);
 }
 
+/// A CTE that `profile_b` materializes while planning is built under the
+/// statement's budget like any operator state: 3,000 × 3,000 rows do not fit
+/// 1 MiB.
+#[test]
+fn a_materialized_cte_is_charged_to_the_statement_budget() {
+    let config = EngineConfig::profile_b().with_memory_budget(1024 * 1024);
+    let db = db_with_rows(config, 3000);
+    let err = db
+        .query("WITH pairs AS (SELECT a.n AS n FROM docs a, docs b) SELECT COUNT(*) FROM pairs")
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::ResourceExhausted { .. }),
+        "{err:?}"
+    );
+    assert_eq!(metric(&db, "mem.budget_aborts"), 1.0);
+}
+
 #[test]
 fn same_statements_pass_under_a_generous_budget() {
     let db = db_with_rows(

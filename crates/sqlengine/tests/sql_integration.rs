@@ -115,6 +115,46 @@ fn cte_pipeline_three_deep() {
     assert_eq!(r.rows, expected);
 }
 
+/// A CTE sees the names in scope where it is *defined*: a reference from
+/// inside a query that shadows one of them still reads the original. Every
+/// profile agrees, and `check` reports the type of what comes back.
+#[test]
+fn cte_names_are_lexically_scoped() {
+    let shadowed = [
+        (
+            "WITH a AS (SELECT 1 AS x), b AS (SELECT x FROM a)
+             SELECT * FROM (WITH a AS (SELECT 2 AS x) SELECT x FROM b) d",
+            vec![vec![v_i(1)]],
+        ),
+        (
+            "WITH b AS (SELECT n FROM t)
+             SELECT * FROM (WITH t AS (SELECT 99 AS n) SELECT n FROM b) d ORDER BY n",
+            vec![vec![v_i(1)], vec![v_i(2)]],
+        ),
+        (
+            "WITH a AS (SELECT 1 AS x), b AS (SELECT x FROM a)
+             SELECT * FROM (WITH a AS (SELECT 'two' AS x) SELECT x FROM b) d",
+            vec![vec![v_i(1)]],
+        ),
+    ];
+    for config in [
+        EngineConfig::profile_a(),
+        EngineConfig::profile_b(),
+        EngineConfig::profile_c(),
+    ] {
+        let db = Database::with_config(config);
+        db.execute_script("CREATE TABLE t (n INTEGER); INSERT INTO t VALUES (1), (2);")
+            .unwrap();
+        for (sql, expected) in &shadowed {
+            let r = db.query(sql).unwrap();
+            assert_eq!(&r.rows, expected, "{sql} under {config:?}");
+            let checked = db.check(sql).unwrap().columns;
+            assert_eq!(checked.len(), 1, "{sql}");
+            assert_eq!(checked[0].1, r.rows[0][0].data_type(), "{sql}");
+        }
+    }
+}
+
 #[test]
 fn upsert_on_conflict_do_update_accumulates() {
     // The paper's incremental-learning upsert (Section 3.2).
