@@ -629,6 +629,12 @@ pub(crate) fn display_name(e: &Expr, index: usize) -> String {
         Expr::Column { name, .. } => name.clone(),
         Expr::Aggregate { func, .. } => func.name().to_lowercase(),
         Expr::Function { name, .. } => name.to_lowercase(),
+        Expr::WindowRowNumber { func, .. } => match func {
+            WindowFunc::RowNumber => "row_number",
+            WindowFunc::Rank => "rank",
+            WindowFunc::DenseRank => "dense_rank",
+        }
+        .to_string(),
         _ => format!("col{index}"),
     }
 }

@@ -81,6 +81,17 @@ impl Scope {
 
     /// Resolve `[qualifier.]name` to a column offset.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        self.find(qualifier, name)
+            .map_err(|why| EngineError::plan(why.message(qualifier, name)))
+    }
+
+    /// [`Scope::resolve`] with the failure left as a value, for callers that
+    /// report it in their own way.
+    pub(crate) fn find(
+        &self,
+        qualifier: Option<&str>,
+        name: &str,
+    ) -> std::result::Result<usize, Unresolved> {
         let mut found: Option<usize> = None;
         for (i, label) in self.labels.iter().enumerate() {
             let name_matches = label.name.eq_ignore_ascii_case(name);
@@ -91,22 +102,37 @@ impl Scope {
             };
             if name_matches && qual_matches {
                 if found.is_some() {
-                    return Err(EngineError::plan(format!(
-                        "ambiguous column reference '{}{}'",
-                        qualifier.map(|q| format!("{q}.")).unwrap_or_default(),
-                        name
-                    )));
+                    return Err(Unresolved::Ambiguous);
                 }
                 found = Some(i);
             }
         }
-        found.ok_or_else(|| {
-            EngineError::plan(format!(
-                "unknown column '{}{}'",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default(),
-                name
-            ))
-        })
+        found.ok_or(Unresolved::Unknown)
+    }
+}
+
+/// Why a column reference did not resolve in a [`Scope`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unresolved {
+    Unknown,
+    Ambiguous,
+}
+
+impl Unresolved {
+    pub(crate) fn message(self, qualifier: Option<&str>, name: &str) -> String {
+        let what = match self {
+            Unresolved::Unknown => "unknown column",
+            Unresolved::Ambiguous => "ambiguous column reference",
+        };
+        format!("{what} '{}'", spelled(qualifier, name))
+    }
+}
+
+/// A column reference as the user wrote it: `[qualifier.]name`.
+pub(crate) fn spelled(qualifier: Option<&str>, name: &str) -> String {
+    match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_string(),
     }
 }
 

@@ -101,6 +101,7 @@ pub mod expr;
 pub mod json;
 pub mod lexer;
 pub(crate) mod lift;
+pub(crate) mod logical;
 pub mod parser;
 pub mod plan;
 pub(crate) mod plan_cache;

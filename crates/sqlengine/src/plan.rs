@@ -12,6 +12,12 @@
 //!   materialization" claim) or materialized once, depending on
 //!   [`PlannerConfig::materialize_ctes`].
 //!
+//! The planner does not decide what a `SELECT` block *means* — which columns
+//! `*` stands for, what is aggregated, what each output column is called:
+//! that normal form, the CTE frames and the table lookup order are
+//! [`crate::logical`]'s, shared with the analyzer. It binds each piece to
+//! offsets and picks the operators.
+//!
 //! A plan tree is walked through [`PhysPlan::for_each_child`] (operators) and
 //! [`PhysPlan::for_each_expr_mut`] (a node's own expressions); the AST-side
 //! utilities the planner shares with the analyzer live in [`crate::ast`].
@@ -20,8 +26,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::{
-    self, collect_aggregates, collect_windows, conjoin, display_name, replace_subtree,
-    split_conjuncts, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
+    self, conjoin, split_conjuncts, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr,
+    TableRef,
 };
 use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
@@ -29,6 +35,9 @@ use crate::exec::ExecContext;
 use crate::expr::{
     bind_expr, bind_expr_symbolic, bind_params, column_only, shift_columns, ColLabel, PhysExpr,
     Scope,
+};
+use crate::logical::{
+    ordinal, table_scope, table_source, CteFrames, LogicalSelect, SortTarget, TableSource,
 };
 use crate::value::{Row, Value};
 
@@ -630,8 +639,8 @@ pub struct Planner<'a> {
     /// Set when any planned table ref resolved to a virtual table; such
     /// plans hold point-in-time telemetry rows and must not be cached.
     used_virtual: bool,
-    /// Stack of CTE frames; inner queries see outer CTEs.
-    cte_frames: Vec<HashMap<String, CteEntry>>,
+    /// Each CTE in scope with its plan or rows.
+    ctes: CteFrames<CteEntry>,
     /// What planner-time execution runs under — materialized CTEs and
     /// uncorrelated subqueries, whose results become plain row snapshots.
     /// Always serial: it happens under the planner's catalog borrow. The
@@ -663,7 +672,7 @@ impl<'a> Planner<'a> {
             symbolic_params: false,
             virtuals: None,
             used_virtual: false,
-            cte_frames: Vec::new(),
+            ctes: CteFrames::new(),
             exec,
         }
     }
@@ -700,16 +709,11 @@ impl<'a> Planner<'a> {
         self.used_virtual
     }
 
-    fn lookup_cte(&self, name: &str) -> Option<&CteEntry> {
-        let name = name.to_ascii_lowercase();
-        self.cte_frames.iter().rev().find_map(|f| f.get(&name))
-    }
-
     /// Plan a full query (CTEs + body + ORDER BY/LIMIT).
     pub fn plan_query(&mut self, query: &Query) -> Result<PlannedQuery> {
-        self.cte_frames.push(HashMap::new());
+        self.ctes.enter();
         let result = self.plan_in_frame(query);
-        self.cte_frames.pop();
+        self.ctes.leave();
         result
     }
 
@@ -727,16 +731,22 @@ impl<'a> Planner<'a> {
             } else {
                 CteEntry::Inline(planned)
             };
-            let frame = self.cte_frames.last_mut().expect("pushed by plan_query");
-            frame.insert(cte.name.to_ascii_lowercase(), entry);
+            self.ctes.define(&cte.name, entry);
         }
         let mut planned = match &query.body {
             SetExpr::Select(select) => self.plan_select(select, &query.order_by)?,
             SetExpr::Union { .. } => {
                 let mut p = self.plan_set_expr(&query.body)?;
-                // ORDER BY over a union binds against the union's output.
+                // ORDER BY over a union reads the union's output only.
                 if !query.order_by.is_empty() {
-                    let keys = self.bind_order_output(&query.order_by, &p.scope, &p.columns)?;
+                    let bind_key = |oi: &OrderItem| {
+                        let key = match ordinal(&oi.expr, p.columns.len())? {
+                            Some(column) => PhysExpr::Column(column),
+                            None => self.bind(&oi.expr, &p.scope)?,
+                        };
+                        Ok((key, oi.descending))
+                    };
+                    let keys = query.order_by.iter().map(bind_key).collect::<Result<_>>()?;
                     p.plan = PhysPlan::Sort {
                         input: Box::new(p.plan),
                         keys,
@@ -817,8 +827,6 @@ impl<'a> Planner<'a> {
     // FROM clause
     // ------------------------------------------------------------------
 
-    /// Plan a single table factor, producing its plan, scope, and (for bare
-    /// base-table scans) the table's access paths.
     /// Access-path metadata for a base table, when index planning is on.
     fn table_access(&self, table: &Table) -> Option<TableAccess> {
         if !self.config.use_indexes {
@@ -857,82 +865,75 @@ impl<'a> Planner<'a> {
             .and_then(|t| self.table_access(t))
     }
 
+    /// Plan a single table factor, producing its plan, scope, and (for bare
+    /// base-table scans) the table's access paths.
     fn plan_table_ref(&mut self, tref: &TableRef) -> Result<PlannedItem> {
+        // A query's output columns read under the name it has in FROM.
+        let qualified = |qual: &str, columns: &[String]| {
+            Scope::new(
+                columns
+                    .iter()
+                    .map(|c| ColLabel::new(Some(qual), c))
+                    .collect(),
+            )
+        };
         match tref {
-            TableRef::Named { name, alias, .. } => {
-                let qual = alias.clone().unwrap_or_else(|| name.clone());
-                if let Some(entry) = self.lookup_cte(name) {
-                    let (plan, columns) = match entry {
-                        CteEntry::Inline(planned) => (planned.plan.clone(), &planned.columns),
-                        // Materialized CTE output has no table-backed chunk
-                        // cache; it runs on the row path.
-                        CteEntry::Table(rows, columns) => (
-                            PhysPlan::Scan {
-                                rows: Arc::clone(rows),
-                                width: columns.len(),
-                                chunks: None,
+            TableRef::Named { name, alias, span } => {
+                let qual = alias.as_deref().unwrap_or(name);
+                match table_source(&self.ctes, self.catalog, name, *span)? {
+                    TableSource::Cte(entry) => {
+                        let (plan, columns) = match entry {
+                            CteEntry::Inline(planned) => (planned.plan.clone(), &planned.columns),
+                            // Materialized CTE output has no table-backed
+                            // chunk cache; it runs on the row path.
+                            CteEntry::Table(rows, columns) => (
+                                PhysPlan::Scan {
+                                    rows: Arc::clone(rows),
+                                    width: columns.len(),
+                                    chunks: None,
+                                },
+                                columns,
+                            ),
+                        };
+                        Ok(PlannedItem {
+                            plan,
+                            scope: qualified(qual, columns),
+                            access: None,
+                        })
+                    }
+                    TableSource::System(schema) => {
+                        let provided = self
+                            .virtuals
+                            .and_then(|v| v.virtual_table(self.catalog, name));
+                        let (_, rows) = provided.ok_or_else(|| {
+                            EngineError::plan(format!("no provider for system table '{name}'"))
+                        })?;
+                        self.used_virtual = true;
+                        Ok(PlannedItem {
+                            plan: PhysPlan::VirtualScan {
+                                name: name.to_ascii_lowercase(),
+                                rows,
+                                width: schema.len(),
                             },
-                            columns,
-                        ),
-                    };
-                    let labels = columns
-                        .iter()
-                        .map(|c| ColLabel::new(Some(&qual), c))
-                        .collect();
-                    Ok(PlannedItem {
-                        plan,
-                        scope: Scope::new(labels),
-                        access: None,
-                    })
-                } else if let Some((schema, rows)) = self
-                    .virtuals
-                    .and_then(|v| v.virtual_table(self.catalog, name))
-                {
-                    self.used_virtual = true;
-                    let labels = schema
-                        .columns
-                        .iter()
-                        .map(|c| ColLabel::new(Some(&qual), &c.name).with_ty(c.ty))
-                        .collect();
-                    let width = schema.len();
-                    Ok(PlannedItem {
-                        plan: PhysPlan::VirtualScan {
-                            name: name.to_ascii_lowercase(),
-                            rows,
-                            width,
-                        },
-                        scope: Scope::new(labels),
-                        // No access paths: virtual tables are never
-                        // index-planned.
-                        access: None,
-                    })
-                } else {
-                    let table = self.catalog.get(name)?;
-                    let labels = table
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| ColLabel::new(Some(&qual), &c.name).with_ty(c.ty))
-                        .collect();
-                    let access = self.table_access(table);
-                    Ok(PlannedItem {
+                            scope: table_scope(qual, &schema),
+                            // No access paths: virtual tables are never
+                            // index-planned.
+                            access: None,
+                        })
+                    }
+                    TableSource::Base(table) => Ok(PlannedItem {
                         plan: PhysPlan::Scan {
                             rows: Arc::clone(&table.rows),
                             width: table.schema.len(),
                             chunks: self.config.vectorized.then(|| table.chunks.clone()),
                         },
-                        scope: Scope::new(labels),
-                        access,
-                    })
+                        scope: table_scope(qual, &table.schema),
+                        access: self.table_access(table),
+                    }),
                 }
             }
             TableRef::Derived { query, alias } => {
                 let planned = self.plan_query(query)?;
-                let labels = planned
-                    .columns
-                    .iter()
-                    .map(|c| ColLabel::new(Some(alias), c))
-                    .collect();
                 // A derived table that planned down to the bare scan of a
                 // base table (its identity projection was elided — a pure
                 // column-rename subquery, the serving queries' `(SELECT n,
@@ -945,7 +946,7 @@ impl<'a> Planner<'a> {
                 };
                 Ok(PlannedItem {
                     plan: planned.plan,
-                    scope: Scope::new(labels),
+                    scope: qualified(alias, &planned.columns),
                     access,
                 })
             }
@@ -1309,161 +1310,91 @@ impl<'a> Planner<'a> {
             };
         }
 
-        // 3. Expand projection wildcards into concrete expressions.
-        let mut proj_items: Vec<(Expr, Option<String>)> = Vec::new();
-        for item in &select.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for label in &scope.labels {
-                        proj_items.push((
-                            Expr::Column {
-                                qualifier: label.qualifier.clone(),
-                                name: label.name.clone(),
-                                span: Span::default(),
-                            },
-                            Some(label.name.clone()),
-                        ));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q, wspan) => {
-                    let mut any = false;
-                    for label in &scope.labels {
-                        if label
-                            .qualifier
-                            .as_deref()
-                            .is_some_and(|lq| lq.eq_ignore_ascii_case(q))
-                        {
-                            proj_items.push((
-                                Expr::Column {
-                                    qualifier: label.qualifier.clone(),
-                                    name: label.name.clone(),
-                                    span: *wspan,
-                                },
-                                Some(label.name.clone()),
-                            ));
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        return Err(EngineError::plan(format!("unknown table alias '{q}.*'")));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    proj_items.push((expr.clone(), alias.clone()));
-                }
-            }
-        }
+        // 3. The block's normal form: wildcards expanded, aggregate and
+        //    window calls replaced by markers, output columns named.
+        let logical = LogicalSelect::build(select, order_by, &scope)?;
 
-        // 4. Aggregation.
-        let has_aggregates = !select.group_by.is_empty()
-            || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-            || select
-                .having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate());
-        let mut order_items: Vec<OrderItem> = order_by.to_vec();
-        if has_aggregates {
-            let (agg_plan, agg_scope, rewritten_proj, rewritten_having, rewritten_order) = self
-                .plan_aggregate(
-                    plan,
-                    &scope,
-                    &select.group_by,
-                    proj_items,
-                    select.having.as_ref(),
-                    &order_items,
-                )?;
-            plan = agg_plan;
-            scope = agg_scope;
-            proj_items = rewritten_proj;
-            order_items = rewritten_order;
-            if let Some(having) = rewritten_having {
-                let predicate = self.bind(&having, &scope)?;
-                plan = PhysPlan::Filter {
-                    input: Box::new(plan),
-                    predicate,
-                };
-            }
-        } else if select.having.is_some() {
-            return Err(EngineError::plan("HAVING requires GROUP BY or aggregates"));
-        }
-
-        // 5. Window functions.
-        let mut window_specs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_windows(e, &mut window_specs);
-        }
-        for w in window_specs.clone() {
-            let Expr::WindowRowNumber {
-                func,
-                partition_by,
-                order_by: worder,
-                ..
-            } = &w
-            else {
-                unreachable!()
-            };
-            let partition = partition_by
+        // 4. Aggregation, then HAVING over its output.
+        if let Some(agg) = logical.aggregate {
+            let keys = agg
+                .keys
                 .iter()
                 .map(|e| self.bind(e, &scope))
                 .collect::<Result<Vec<_>>>()?;
-            let order = worder
+            let aggs = agg
+                .calls
+                .iter()
+                .map(|call| {
+                    let arg = call.arg.as_ref().map(|a| self.bind(a, &scope));
+                    Ok(AggSpec {
+                        func: call.func,
+                        arg: arg.transpose()?,
+                        distinct: call.distinct,
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?;
+            plan = PhysPlan::Aggregate {
+                input: Box::new(plan),
+                keys,
+                aggs,
+            };
+            scope = agg.scope;
+        }
+        if let Some(having) = &logical.having {
+            let predicate = self.bind(having, &scope)?;
+            plan = PhysPlan::Filter {
+                input: Box::new(plan),
+                predicate,
+            };
+        }
+
+        // 5. Window functions, each appending its column to the scope.
+        for w in logical.windows {
+            let partition = w
+                .partition_by
+                .iter()
+                .map(|e| self.bind(e, &scope))
+                .collect::<Result<Vec<_>>>()?;
+            let order = w
+                .order_by
                 .iter()
                 .map(|oi| Ok((self.bind(&oi.expr, &scope)?, oi.descending)))
                 .collect::<Result<Vec<_>>>()?;
             plan = PhysPlan::Window {
                 input: Box::new(plan),
-                func: *func,
+                func: w.func,
                 partition,
                 order,
             };
-            let marker = format!("#w{}", scope.len());
-            scope.labels.push(ColLabel::bare(&marker));
-            let replacement = Expr::col(marker);
-            for (e, _) in proj_items.iter_mut() {
-                replace_subtree(e, &w, &replacement);
-            }
-            for oi in order_items.iter_mut() {
-                replace_subtree(&mut oi.expr, &w, &replacement);
-            }
+            scope.labels.push(w.label);
         }
 
         // 6. Projection.
-        let mut exprs = Vec::with_capacity(proj_items.len());
-        let mut out_labels = Vec::with_capacity(proj_items.len());
-        let mut columns = Vec::with_capacity(proj_items.len());
-        for (i, (e, alias)) in proj_items.iter().enumerate() {
-            exprs.push(self.bind(e, &scope)?);
-            let name = alias.clone().unwrap_or_else(|| display_name(e, i));
-            out_labels.push(ColLabel::bare(&name));
+        let mut exprs = Vec::with_capacity(logical.projection.len());
+        let mut columns = Vec::with_capacity(logical.projection.len());
+        for (e, name) in logical.projection {
+            exprs.push(self.bind(&e, &scope)?);
             columns.push(name);
         }
         let out_width = exprs.len();
-        let mut out_scope = Scope::new(out_labels);
+        let out_scope = Scope::new(columns.iter().map(|c| ColLabel::bare(c)).collect());
 
-        // 7. ORDER BY: try output scope (incl. ordinals); fall back to
-        //    hidden columns computed from the pre-projection scope.
+        // 7. ORDER BY: an expression tries the output scope and falls back
+        //    to a hidden column computed from the pre-projection scope.
         let mut sort_keys: Vec<(PhysExpr, bool)> = Vec::new();
         let mut hidden: Vec<PhysExpr> = Vec::new();
-        for oi in &order_items {
-            if let Expr::Literal(Value::Int(ordinal), _) = oi.expr {
-                let idx = (ordinal as usize)
-                    .checked_sub(1)
-                    .filter(|&i| i < out_width)
-                    .ok_or_else(|| {
-                        EngineError::plan(format!("ORDER BY ordinal {ordinal} out of range"))
-                    })?;
-                sort_keys.push((PhysExpr::Column(idx), oi.descending));
-                continue;
-            }
-            match self.bind(&oi.expr, &out_scope) {
-                Ok(b) => sort_keys.push((b, oi.descending)),
-                Err(_) => {
-                    let b = self.bind(&oi.expr, &scope)?;
-                    let idx = out_width + hidden.len();
-                    hidden.push(b);
-                    sort_keys.push((PhysExpr::Column(idx), oi.descending));
-                }
-            }
+        for (target, descending) in logical.order_by {
+            let key = match target {
+                SortTarget::Output(column) => PhysExpr::Column(column),
+                SortTarget::Expr(e) => match self.bind(&e, &out_scope) {
+                    Ok(bound) => bound,
+                    Err(_) => {
+                        hidden.push(self.bind(&e, &scope)?);
+                        PhysExpr::Column(out_width + hidden.len() - 1)
+                    }
+                },
+            };
+            sort_keys.push((key, descending));
         }
 
         if hidden.is_empty() {
@@ -1500,7 +1431,6 @@ impl<'a> Planner<'a> {
                 exprs: (0..out_width).map(PhysExpr::Column).collect(),
             };
         }
-        out_scope.labels.truncate(out_width);
         Ok(PlannedQuery {
             plan,
             columns,
@@ -1782,140 +1712,6 @@ impl<'a> Planner<'a> {
             return Some(bound);
         }
         bound.eval_const().ok().map(PhysExpr::Literal)
-    }
-
-    /// Build the Aggregate node and rewrite projection/HAVING/ORDER BY in
-    /// terms of its output columns.
-    #[allow(clippy::type_complexity)]
-    fn plan_aggregate(
-        &mut self,
-        input: PhysPlan,
-        in_scope: &Scope,
-        group_by: &[Expr],
-        proj_items: Vec<(Expr, Option<String>)>,
-        having: Option<&Expr>,
-        order_items: &[OrderItem],
-    ) -> Result<(
-        PhysPlan,
-        Scope,
-        Vec<(Expr, Option<String>)>,
-        Option<Expr>,
-        Vec<OrderItem>,
-    )> {
-        // Collect aggregate calls (deduplicated structurally).
-        let mut agg_exprs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_aggregates(e, &mut agg_exprs);
-        }
-        if let Some(h) = having {
-            collect_aggregates(h, &mut agg_exprs);
-        }
-        for oi in order_items {
-            collect_aggregates(&oi.expr, &mut agg_exprs);
-        }
-
-        let keys = group_by
-            .iter()
-            .map(|e| self.bind(e, in_scope))
-            .collect::<Result<Vec<_>>>()?;
-        let aggs = agg_exprs
-            .iter()
-            .map(|e| {
-                let Expr::Aggregate {
-                    func,
-                    arg,
-                    distinct,
-                    ..
-                } = e
-                else {
-                    unreachable!()
-                };
-                Ok(AggSpec {
-                    func: *func,
-                    arg: arg.as_ref().map(|a| self.bind(a, in_scope)).transpose()?,
-                    distinct: *distinct,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        // Output scope: group keys keep their column labels when simple.
-        let mut labels = Vec::with_capacity(group_by.len() + agg_exprs.len());
-        for (i, g) in group_by.iter().enumerate() {
-            match g {
-                Expr::Column {
-                    qualifier, name, ..
-                } => labels.push(ColLabel::new(qualifier.as_deref(), name)),
-                _ => labels.push(ColLabel::bare(&format!("#g{i}"))),
-            }
-        }
-        for i in 0..agg_exprs.len() {
-            labels.push(ColLabel::bare(&format!("#a{i}")));
-        }
-        let out_scope = Scope::new(labels.clone());
-
-        // Rewrite: replace group expressions and aggregate calls with column
-        // references into the aggregate output.
-        let rewrite = |e: &mut Expr| {
-            for (i, g) in group_by.iter().enumerate() {
-                let replacement = match g {
-                    Expr::Column { .. } => g.clone(),
-                    _ => Expr::col(format!("#g{i}")),
-                };
-                replace_subtree(e, g, &replacement);
-            }
-            for (i, a) in agg_exprs.iter().enumerate() {
-                replace_subtree(e, a, &Expr::col(format!("#a{i}")));
-            }
-        };
-
-        let mut new_proj = proj_items;
-        for (e, _) in new_proj.iter_mut() {
-            rewrite(e);
-        }
-        let new_having = having.map(|h| {
-            let mut h = h.clone();
-            rewrite(&mut h);
-            h
-        });
-        let mut new_order = order_items.to_vec();
-        for oi in new_order.iter_mut() {
-            rewrite(&mut oi.expr);
-        }
-
-        Ok((
-            PhysPlan::Aggregate {
-                input: Box::new(input),
-                keys,
-                aggs,
-            },
-            out_scope,
-            new_proj,
-            new_having,
-            new_order,
-        ))
-    }
-
-    fn bind_order_output(
-        &self,
-        order_by: &[OrderItem],
-        scope: &Scope,
-        columns: &[String],
-    ) -> Result<Vec<(PhysExpr, bool)>> {
-        order_by
-            .iter()
-            .map(|oi| {
-                if let Expr::Literal(Value::Int(ordinal), _) = oi.expr {
-                    let idx = (ordinal as usize)
-                        .checked_sub(1)
-                        .filter(|&i| i < columns.len())
-                        .ok_or_else(|| {
-                            EngineError::plan(format!("ORDER BY ordinal {ordinal} out of range"))
-                        })?;
-                    return Ok((PhysExpr::Column(idx), oi.descending));
-                }
-                Ok((self.bind(&oi.expr, scope)?, oi.descending))
-            })
-            .collect()
     }
 }
 

@@ -1,12 +1,15 @@
 //! Static semantic analysis: name resolution, type inference, and misuse
 //! diagnostics over the AST, *before* planning or execution.
 //!
-//! The analyzer mirrors the planner's pipeline step for step — CTE frames,
-//! FROM-scope construction, wildcard expansion, the aggregate rewrite with
-//! `#g`/`#a` markers, window markers, projection naming, and the ORDER BY
-//! output-scope-then-fallback resolution — so that a query which passes
-//! [`check_statement`] binds and plans the same way it was checked. On top
-//! of the planner's structural rules it adds what binding alone cannot see:
+//! The analyzer and the planner walk a statement the same way, and what is
+//! the same is one definition both call ([`crate::logical`]): the CTE frame
+//! discipline, what a table name denotes (CTE, then `sys.*`, then catalog),
+//! and the normal form of each `SELECT` block — wildcards expanded, aggregate
+//! and window calls behind internal marker columns, output columns named,
+//! `ORDER BY` ordinals resolved — with [`Scope`]'s lookup as the one column
+//! resolution. So a query which passes [`check_statement`] plans over the
+//! same shape it was checked in. The planner *binds* each piece of that
+//! shape; the analyzer *types* it, which adds what binding alone cannot see:
 //!
 //! * bottom-up **type inference** using the declared column types in the
 //!   catalog (rows are coerced to their declared types on insert, so the
@@ -29,16 +32,16 @@
 
 pub(crate) mod fold;
 
-use std::collections::HashMap;
-
 use crate::ast::{
-    collect_aggregates, collect_windows, display_name, replace_subtree, AggregateFunc, BinaryOp,
-    Cte, Expr, Insert, InsertSource, OrderItem, Query, Select, SelectItem, SetExpr, Statement,
-    TableRef, UnaryOp,
+    AggregateFunc, BinaryOp, Expr, Insert, InsertSource, OrderItem, Query, Select, SetExpr,
+    Statement, TableRef, UnaryOp,
 };
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result, Span};
-use crate::expr::{coerce, BinCoercion, ColLabel, ScalarFunc, Scope};
+use crate::expr::{coerce, spelled, BinCoercion, ColLabel, ScalarFunc, Scope, Unresolved};
+use crate::logical::{
+    ordinal, table_scope, table_source, CteFrames, LogicalSelect, SortTarget, TableSource,
+};
 use crate::value::{DataType, Value};
 
 /// The result of a successful static check.
@@ -158,9 +161,8 @@ impl Ctx<'_> {
 
 struct Analyzer<'a> {
     catalog: &'a Catalog,
-    /// CTE name → output columns, innermost frame last. CTEs are visible to
-    /// later CTEs of the same WITH and to the query body, in order.
-    cte_frames: Vec<HashMap<String, Vec<(String, DataType)>>>,
+    /// Each CTE in scope with its output columns.
+    ctes: CteFrames<Vec<(String, DataType)>>,
 }
 
 /// Least upper bound of two static types: equal types keep themselves, the
@@ -195,11 +197,17 @@ fn op_symbol(op: BinaryOp) -> &'static str {
     }
 }
 
+/// A query's output columns as a scope, read under `qualifier` if any.
+fn output_scope(qualifier: Option<&str>, cols: &[(String, DataType)]) -> Scope {
+    let label = |(name, ty): &(String, DataType)| ColLabel::new(qualifier, name).with_ty(*ty);
+    Scope::new(cols.iter().map(label).collect())
+}
+
 impl<'a> Analyzer<'a> {
     fn new(catalog: &'a Catalog) -> Self {
         Analyzer {
             catalog,
-            cte_frames: Vec::new(),
+            ctes: CteFrames::new(),
         }
     }
 
@@ -208,43 +216,28 @@ impl<'a> Analyzer<'a> {
     // ------------------------------------------------------------------
 
     fn check_query(&mut self, query: &Query) -> Result<Vec<(String, DataType)>> {
-        let mut frame: HashMap<String, Vec<(String, DataType)>> = HashMap::new();
-        for cte in &query.ctes {
-            let cols = self.check_cte(cte, &frame);
-            frame.insert(cte.name.to_ascii_lowercase(), cols?);
-        }
-        self.cte_frames.push(frame);
-        let result = self.check_query_body(query);
-        self.cte_frames.pop();
+        self.ctes.enter();
+        let result = self.check_in_frame(query);
+        self.ctes.leave();
         result
     }
 
-    fn check_cte(
-        &mut self,
-        cte: &Cte,
-        earlier: &HashMap<String, Vec<(String, DataType)>>,
-    ) -> Result<Vec<(String, DataType)>> {
-        // Each CTE sees the CTEs defined before it in the same WITH.
-        self.cte_frames.push(earlier.clone());
-        let cols = self.check_query(&cte.query);
-        self.cte_frames.pop();
-        cols
-    }
-
-    fn check_query_body(&mut self, query: &Query) -> Result<Vec<(String, DataType)>> {
+    /// Check `query` with its own (still empty) CTE frame open.
+    fn check_in_frame(&mut self, query: &Query) -> Result<Vec<(String, DataType)>> {
+        for cte in &query.ctes {
+            let cols = self.check_query(&cte.query)?;
+            self.ctes.define(&cte.name, cols);
+        }
         let cols = match &query.body {
             SetExpr::Select(select) => self.check_select(select, &query.order_by)?,
             SetExpr::Union { .. } => {
                 let cols = self.check_set_expr(&query.body)?;
-                // ORDER BY over a union binds against the union's output.
-                let scope = Scope::new(
-                    cols.iter()
-                        .map(|(n, t)| ColLabel::bare(n).with_ty(*t))
-                        .collect(),
-                );
+                // ORDER BY over a union reads the union's output only.
+                let scope = output_scope(None, &cols);
                 for oi in &query.order_by {
-                    self.check_order_item(oi, &scope, cols.len(), None)
-                        .map(|_| ())?;
+                    if ordinal(&oi.expr, cols.len())?.is_none() {
+                        self.infer(&oi.expr, &scope, Ctx::clause(Clause::OrderBy))?;
+                    }
                 }
                 cols
             }
@@ -326,268 +319,84 @@ impl<'a> Analyzer<'a> {
             fold::check_expr(sel)?;
         }
 
-        // 3. Expand projection wildcards (mirrors the planner: before
-        //    aggregation, so expanded columns join the grouping checks).
-        let mut proj_items: Vec<(Expr, Option<String>)> = Vec::new();
-        for item in &select.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for label in &scope.labels {
-                        proj_items.push((
-                            Expr::Column {
-                                qualifier: label.qualifier.clone(),
-                                name: label.name.clone(),
-                                span: Span::default(),
-                            },
-                            Some(label.name.clone()),
-                        ));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q, wspan) => {
-                    let mut any = false;
-                    for label in &scope.labels {
-                        if label
-                            .qualifier
-                            .as_deref()
-                            .is_some_and(|lq| lq.eq_ignore_ascii_case(q))
-                        {
-                            proj_items.push((
-                                Expr::Column {
-                                    qualifier: label.qualifier.clone(),
-                                    name: label.name.clone(),
-                                    span: *wspan,
-                                },
-                                Some(label.name.clone()),
-                            ));
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        return Err(EngineError::sema(
-                            format!("unknown table alias '{q}.*'"),
-                            *wspan,
-                        ));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    proj_items.push((expr.clone(), alias.clone()));
-                }
-            }
-        }
+        // 3. The block's normal form: wildcards expanded, aggregate and
+        //    window calls replaced by markers, output columns named.
+        let logical = LogicalSelect::build(select, order_by, &scope)?;
 
-        // 4. Aggregation (same trigger as the planner).
-        let has_aggregates = !select.group_by.is_empty()
-            || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-            || select
-                .having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate());
-        let mut order_items: Vec<OrderItem> = order_by.to_vec();
-        let mut having = select.having.clone();
-        let pre_group_scope;
-        let mut grouped: Option<&Scope> = None;
-
-        if has_aggregates {
-            // GROUP BY expressions check over the input scope; aggregates
-            // and windows inside them are rejected by `infer`.
-            let mut group_types = Vec::with_capacity(select.group_by.len());
-            for g in &select.group_by {
-                group_types.push(self.infer(g, &scope, Ctx::clause(Clause::GroupBy))?);
+        // 4. Aggregation: keys and call arguments check over the input scope
+        //    (aggregates and windows inside a key are rejected by `infer`);
+        //    their types become the aggregate output scope's.
+        let mut pre_group_scope = None;
+        if let Some(agg) = logical.aggregate {
+            let mut out_scope = agg.scope;
+            let (key_labels, call_labels) = out_scope.labels.split_at_mut(agg.keys.len());
+            for (g, label) in agg.keys.iter().zip(key_labels) {
+                label.ty = self.infer(g, &scope, Ctx::clause(Clause::GroupBy))?;
                 fold::check_expr(g)?;
             }
-
-            // Collect aggregate calls (structurally deduplicated) from the
-            // projection, HAVING, and ORDER BY — exactly what the planner
-            // turns into aggregate output columns.
-            let mut agg_exprs: Vec<Expr> = Vec::new();
-            for (e, _) in &proj_items {
-                collect_aggregates(e, &mut agg_exprs);
+            for (call, label) in agg.calls.iter().zip(call_labels) {
+                label.ty =
+                    self.aggregate_type(call.func, call.arg.as_deref(), &scope, call.span)?;
             }
-            if let Some(h) = &having {
-                collect_aggregates(h, &mut agg_exprs);
-            }
-            for oi in &order_items {
-                collect_aggregates(&oi.expr, &mut agg_exprs);
-            }
-            let mut agg_types = Vec::with_capacity(agg_exprs.len());
-            for a in &agg_exprs {
-                let Expr::Aggregate {
-                    func, arg, span, ..
-                } = a
-                else {
-                    unreachable!("collect_aggregates yields aggregate nodes")
-                };
-                agg_types.push(self.aggregate_type(*func, arg.as_deref(), &scope, *span)?);
-            }
-
-            // Aggregate output scope: group keys keep their labels when they
-            // are simple columns; synthesized keys and aggregates get typed
-            // `#g{i}` / `#a{i}` markers (mirrors `plan_aggregate`).
-            let mut labels = Vec::with_capacity(group_types.len() + agg_types.len());
-            for (i, (g, ty)) in select.group_by.iter().zip(&group_types).enumerate() {
-                match g {
-                    Expr::Column {
-                        qualifier, name, ..
-                    } => labels.push(ColLabel::new(qualifier.as_deref(), name).with_ty(*ty)),
-                    _ => labels.push(ColLabel::bare(&format!("#g{i}")).with_ty(*ty)),
-                }
-            }
-            for (i, ty) in agg_types.iter().enumerate() {
-                labels.push(ColLabel::bare(&format!("#a{i}")).with_ty(*ty));
-            }
-            let out_scope = Scope::new(labels);
-
-            let rewrite = |e: &mut Expr| {
-                for (i, g) in select.group_by.iter().enumerate() {
-                    let replacement = match g {
-                        Expr::Column { .. } => g.clone(),
-                        _ => Expr::col(format!("#g{i}")),
-                    };
-                    replace_subtree(e, g, &replacement);
-                }
-                for (i, a) in agg_exprs.iter().enumerate() {
-                    replace_subtree(e, a, &Expr::col(format!("#a{i}")));
-                }
-            };
-            for (e, _) in proj_items.iter_mut() {
-                rewrite(e);
-            }
-            if let Some(h) = having.as_mut() {
-                rewrite(h);
-            }
-            for oi in order_items.iter_mut() {
-                rewrite(&mut oi.expr);
-            }
-
-            pre_group_scope = std::mem::replace(&mut scope, out_scope);
-            grouped = Some(&pre_group_scope);
-        } else if let Some(h) = &select.having {
-            return Err(EngineError::sema(
-                "HAVING requires GROUP BY or aggregates",
-                h.span(),
-            ));
+            pre_group_scope = Some(std::mem::replace(&mut scope, out_scope));
         }
+        let over_groups = |clause| Ctx {
+            pre_group_scope: pre_group_scope.as_ref(),
+            ..Ctx::clause(clause)
+        };
 
         // 5. HAVING checks over the aggregate output scope.
-        if let Some(h) = &having {
-            let ctx = Ctx {
-                pre_group_scope: grouped,
-                ..Ctx::clause(Clause::Having)
-            };
-            let ty = self.infer(h, &scope, ctx)?;
+        if let Some(h) = &logical.having {
+            let ty = self.infer(h, &scope, over_groups(Clause::Having))?;
             self.require_boolean(ty, h.span())?;
             fold::check_expr(h)?;
         }
 
-        // 6. Window functions: collected from the projection only (mirrors
-        //    the planner), children check over the current scope, then each
-        //    window becomes a typed `#w` marker in projection and ORDER BY.
-        //    Any window the analyzer later *encounters* during inference is
-        //    therefore misplaced.
-        let mut window_specs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_windows(e, &mut window_specs);
-        }
-        for w in window_specs.clone() {
-            let Expr::WindowRowNumber {
-                partition_by,
-                order_by: worder,
-                ..
-            } = &w
-            else {
-                unreachable!("collect_windows yields window nodes")
-            };
+        // 6. Window functions: each one's keys check over the scope it is
+        //    appended to. The projection and ORDER BY read it by its marker,
+        //    so any window the analyzer later *encounters* during inference
+        //    is misplaced.
+        for w in logical.windows {
             let wctx = Ctx {
                 in_window: true,
-                pre_group_scope: grouped,
-                ..Ctx::clause(Clause::Projection)
+                ..over_groups(Clause::Projection)
             };
-            for p in partition_by {
-                self.infer(p, &scope, wctx)?;
+            let order_keys = w.order_by.iter().map(|oi| &oi.expr);
+            for key in w.partition_by.iter().chain(order_keys) {
+                self.infer(key, &scope, wctx)?;
             }
-            for oi in worder {
-                self.infer(&oi.expr, &scope, wctx)?;
-            }
-            let marker = format!("#w{}", scope.len());
-            scope
-                .labels
-                .push(ColLabel::bare(&marker).with_ty(DataType::Integer));
-            let replacement = Expr::col(marker);
-            for (e, _) in proj_items.iter_mut() {
-                replace_subtree(e, &w, &replacement);
-            }
-            for oi in order_items.iter_mut() {
-                replace_subtree(&mut oi.expr, &w, &replacement);
-            }
+            scope.labels.push(w.label);
         }
 
-        // 7. Projection: infer each output type and derive output names the
-        //    same way the planner does.
-        let mut out: Vec<(String, DataType)> = Vec::with_capacity(proj_items.len());
-        for (i, (e, alias)) in proj_items.iter().enumerate() {
-            let ctx = Ctx {
-                pre_group_scope: grouped,
-                ..Ctx::clause(Clause::Projection)
-            };
-            let ty = self.infer(e, &scope, ctx)?;
-            fold::check_expr(e)?;
-            let name = alias.clone().unwrap_or_else(|| display_name(e, i));
+        // 7. Projection: infer each output type.
+        let mut out: Vec<(String, DataType)> = Vec::with_capacity(logical.projection.len());
+        for (e, name) in logical.projection {
+            let ty = self.infer(&e, &scope, over_groups(Clause::Projection))?;
+            fold::check_expr(&e)?;
             out.push((name, ty));
         }
 
-        // 8. ORDER BY: ordinals check against the output width; otherwise
-        //    try the output scope and fall back to the pre-projection scope
-        //    (the planner computes a hidden sort column in that case, which
-        //    SELECT DISTINCT forbids).
-        let out_scope = Scope::new(
-            out.iter()
-                .map(|(n, t)| ColLabel::bare(n).with_ty(*t))
-                .collect(),
-        );
-        let mut hidden = false;
-        for oi in &order_items {
-            hidden |= self.check_order_item(oi, &out_scope, out.len(), Some(&scope))?;
-        }
-        if select.distinct && hidden {
-            return Err(EngineError::sema(
-                "SELECT DISTINCT with ORDER BY on non-output expressions is not supported",
-                Span::default(),
-            ));
+        // 8. ORDER BY: an expression tries the output scope and falls back
+        //    to the pre-projection scope (the planner computes a hidden sort
+        //    column in that case, which SELECT DISTINCT forbids).
+        let out_scope = output_scope(None, &out);
+        let ctx = Ctx::clause(Clause::OrderBy);
+        for (target, _) in &logical.order_by {
+            let SortTarget::Expr(e) = target else {
+                continue;
+            };
+            if self.infer(e, &out_scope, ctx).is_err() {
+                self.infer(e, &scope, ctx)?;
+                if select.distinct {
+                    return Err(EngineError::sema(
+                        "SELECT DISTINCT with ORDER BY on non-output expressions is not supported",
+                        Span::default(),
+                    ));
+                }
+            }
         }
 
         Ok(out)
-    }
-
-    /// Check one ORDER BY item. Returns true when the item only resolved
-    /// against the fallback (pre-projection) scope, i.e. the planner would
-    /// need a hidden sort column.
-    fn check_order_item(
-        &mut self,
-        oi: &OrderItem,
-        out_scope: &Scope,
-        out_width: usize,
-        fallback: Option<&Scope>,
-    ) -> Result<bool> {
-        if let Expr::Literal(Value::Int(ordinal), span) = &oi.expr {
-            (*ordinal as usize)
-                .checked_sub(1)
-                .filter(|&i| i < out_width)
-                .ok_or_else(|| {
-                    EngineError::sema(format!("ORDER BY ordinal {ordinal} out of range"), *span)
-                })?;
-            return Ok(false);
-        }
-        let ctx = Ctx::clause(Clause::OrderBy);
-        match self.infer(&oi.expr, out_scope, ctx) {
-            Ok(_) => Ok(false),
-            Err(out_err) => match fallback {
-                Some(scope) => {
-                    self.infer(&oi.expr, scope, ctx)?;
-                    Ok(true)
-                }
-                None => Err(out_err),
-            },
-        }
     }
 
     // ------------------------------------------------------------------
@@ -597,50 +406,17 @@ impl<'a> Analyzer<'a> {
     fn check_table_ref(&mut self, tref: &TableRef) -> Result<Scope> {
         match tref {
             TableRef::Named { name, alias, span } => {
-                let qual = alias.clone().unwrap_or_else(|| name.clone());
-                if let Some(cols) = self.lookup_cte(name) {
-                    return Ok(Scope::new(
-                        cols.iter()
-                            .map(|(n, t)| ColLabel::new(Some(&qual), n).with_ty(*t))
-                            .collect(),
-                    ));
-                }
-                // Virtual `sys.*` tables have static schemas the analyzer
-                // resolves without consulting any runtime registry.
-                if let Some(schema) = crate::telemetry::sys::schema(name) {
-                    return Ok(Scope::new(
-                        schema
-                            .columns
-                            .iter()
-                            .map(|c| ColLabel::new(Some(&qual), &c.name).with_ty(c.ty))
-                            .collect(),
-                    ));
-                }
-                if crate::telemetry::sys::is_sys_name(name) {
-                    return Err(EngineError::sema(
-                        format!("unknown system table '{name}'"),
-                        *span,
-                    ));
-                }
-                let table = self.catalog.get(name).map_err(|_| {
-                    EngineError::sema(format!("table '{name}' does not exist"), *span)
-                })?;
-                Ok(Scope::new(
-                    table
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| ColLabel::new(Some(&qual), &c.name).with_ty(c.ty))
-                        .collect(),
-                ))
+                let qual = alias.as_deref().unwrap_or(name);
+                Ok(match table_source(&self.ctes, self.catalog, name, *span)? {
+                    TableSource::Cte(cols) => output_scope(Some(qual), cols),
+                    // Virtual `sys.*` tables have static schemas the
+                    // analyzer reads without any runtime registry.
+                    TableSource::System(schema) => table_scope(qual, &schema),
+                    TableSource::Base(table) => table_scope(qual, &table.schema),
+                })
             }
             TableRef::Derived { query, alias } => {
-                let cols = self.check_query(query)?;
-                Ok(Scope::new(
-                    cols.iter()
-                        .map(|(n, t)| ColLabel::new(Some(alias), n).with_ty(*t))
-                        .collect(),
-                ))
+                Ok(output_scope(Some(alias), &self.check_query(query)?))
             }
             TableRef::Join {
                 left, right, on, ..
@@ -656,11 +432,6 @@ impl<'a> Analyzer<'a> {
                 Ok(joined)
             }
         }
-    }
-
-    fn lookup_cte(&self, name: &str) -> Option<&Vec<(String, DataType)>> {
-        let key = name.to_ascii_lowercase();
-        self.cte_frames.iter().rev().find_map(|f| f.get(&key))
     }
 
     // ------------------------------------------------------------------
@@ -758,20 +529,8 @@ impl<'a> Analyzer<'a> {
                 // DO UPDATE expressions see [existing row, excluded row];
                 // bare columns resolve to the existing row (mirrors the
                 // engine's `qualify_bare_columns` rewrite).
-                let mut labels: Vec<ColLabel> = table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| ColLabel::new(Some(&table.name), &c.name).with_ty(c.ty))
-                    .collect();
-                labels.extend(
-                    table
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| ColLabel::new(Some("excluded"), &c.name).with_ty(c.ty)),
-                );
-                let scope = Scope::new(labels);
+                let scope = table_scope(&table.name, &table.schema)
+                    .join(&table_scope("excluded", &table.schema));
                 for (col, expr) in assignments {
                     if table.schema.position(col).is_none() {
                         return Err(EngineError::sema(
@@ -837,13 +596,7 @@ impl<'a> Analyzer<'a> {
         let t = self.catalog.get(table).map_err(|_| {
             EngineError::sema(format!("table '{table}' does not exist"), table_span)
         })?;
-        Ok(Scope::new(
-            t.schema
-                .columns
-                .iter()
-                .map(|c| ColLabel::new(Some(&t.name), &c.name).with_ty(c.ty))
-                .collect(),
-        ))
+        Ok(table_scope(&t.name, &t.schema))
     }
 
     // ------------------------------------------------------------------
@@ -1080,54 +833,26 @@ impl<'a> Analyzer<'a> {
         span: Span,
         ctx: Ctx,
     ) -> Result<DataType> {
-        let display = || {
-            format!(
-                "{}{}",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default(),
-                name
-            )
+        let why = match scope.find(qualifier, name) {
+            Ok(i) => return Ok(scope.labels[i].ty),
+            Err(why) => why,
         };
-        let mut found: Option<usize> = None;
-        for (i, label) in scope.labels.iter().enumerate() {
-            let name_matches = label.name.eq_ignore_ascii_case(name);
-            let qual_matches = match (qualifier, &label.qualifier) {
-                (None, _) => true,
-                (Some(q), Some(lq)) => q.eq_ignore_ascii_case(lq),
-                (Some(_), None) => false,
-            };
-            if name_matches && qual_matches {
-                if found.is_some() {
-                    return Err(EngineError::sema(
-                        format!("ambiguous column reference '{}'", display()),
-                        span,
-                    ));
-                }
-                found = Some(i);
-            }
-        }
-        match found {
-            Some(i) => Ok(scope.labels[i].ty),
-            None => {
-                // In a grouped query a column that exists in the input but
-                // not in the aggregate output was simply not grouped.
-                if let Some(pre) = ctx.pre_group_scope {
-                    if pre.resolve(qualifier, name).is_ok() {
-                        return Err(EngineError::sema(
-                            format!(
-                                "column '{}' must appear in the GROUP BY clause \
-                                 or be used in an aggregate function",
-                                display()
-                            ),
-                            span,
-                        ));
-                    }
-                }
-                Err(EngineError::sema(
-                    format!("unknown column '{}'", display()),
-                    span,
-                ))
-            }
-        }
+        // In a grouped query a column that exists in the input but not in
+        // the aggregate output was simply not grouped.
+        let ungrouped = why == Unresolved::Unknown
+            && ctx
+                .pre_group_scope
+                .is_some_and(|pre| pre.find(qualifier, name).is_ok());
+        let message = if ungrouped {
+            format!(
+                "column '{}' must appear in the GROUP BY clause \
+                 or be used in an aggregate function",
+                spelled(qualifier, name)
+            )
+        } else {
+            why.message(qualifier, name)
+        };
+        Err(EngineError::sema(message, span))
     }
 
     /// Result type of an aggregate call; checks the argument expression.

@@ -122,6 +122,20 @@ fn aggregate_misuse() {
         "column 'a' must appear in the GROUP BY clause or be used in an aggregate function",
         "a",
     );
+    // Keys match by the column they resolve to, so `t.r` is grouped however
+    // it is spelled — and a qualified column that is not a key still is not.
+    expect_sema(
+        &d,
+        "SELECT t.a, COUNT(*) FROM t GROUP BY t.r",
+        "column 't.a' must appear in the GROUP BY clause or be used in an aggregate function",
+        "t.a",
+    );
+    expect_sema(
+        &d,
+        "SELECT r, COUNT(*) FROM t GROUP BY t.r HAVING T.A > 1",
+        "column 'T.A' must appear in the GROUP BY clause or be used in an aggregate function",
+        "T.A",
+    );
     expect_sema(
         &d,
         "SELECT a FROM t HAVING a > 1",

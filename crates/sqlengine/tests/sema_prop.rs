@@ -10,7 +10,7 @@ mod common;
 
 use common::byte_program;
 use seeded::cases;
-use sqlengine::{Database, EngineError};
+use sqlengine::{Database, EngineConfig, EngineError};
 
 /// Runtime error fragments that indicate a type error the analyzer should
 /// have caught statically.
@@ -94,8 +94,27 @@ fn decoded_query(bytes: &[u8]) -> String {
     Decoder { bytes, pos: 0 }.query()
 }
 
+/// The same expression grammar in the positions whose output column the
+/// engine has to name itself: unaliased aggregates, key expressions and
+/// window functions.
+fn decoded_unaliased_query(bytes: &[u8]) -> String {
+    let mut d = Decoder { bytes, pos: 0 };
+    let e = d.expr(2);
+    match d.next() % 5 {
+        0 => format!("SELECT SUM({e}), COUNT(*) FROM t"),
+        1 => format!("SELECT {e}, MIN(b) FROM t GROUP BY {e}"),
+        2 => format!("SELECT s, MAX({e}) + 1 FROM t GROUP BY s HAVING COUNT(*) > 0"),
+        3 => format!("SELECT a, ROW_NUMBER() OVER (ORDER BY {e}) FROM t"),
+        _ => format!("SELECT t.s, RANK() OVER (ORDER BY COUNT(*)) FROM t GROUP BY s ORDER BY {e}"),
+    }
+}
+
 fn fixture() -> Database {
-    let db = Database::new();
+    fixture_with(EngineConfig::default())
+}
+
+fn fixture_with(config: EngineConfig) -> Database {
+    let db = Database::with_config(config);
     db.execute_script(
         "CREATE TABLE t (a INTEGER, b REAL, s TEXT); \
          INSERT INTO t VALUES (1, 0.5, 'x'); \
@@ -160,6 +179,31 @@ fn rejected_queries_do_not_execute() {
         if let Err(check_err) = db.check(&sql) {
             let exec_err = db.query(&sql).unwrap_err();
             assert_eq!(check_err, exec_err);
+        }
+    });
+}
+
+/// `check` names a query's output columns exactly as the executed result
+/// does — with the plan cache on (folded, literal-lifted tree) and off (the
+/// tree as written) — and no name is one of the planner's internal `#…`
+/// markers.
+#[test]
+fn checked_column_names_are_the_executed_ones() {
+    cases(256, 3, |rng| {
+        let bytes = byte_program(rng, 1..64);
+        for sql in [decoded_query(&bytes), decoded_unaliased_query(&bytes)] {
+            for plan_cache in [true, false] {
+                let db = fixture_with(EngineConfig::default().with_plan_cache(plan_cache));
+                let (Ok(checked), Ok(result)) = (db.check(&sql), db.query(&sql)) else {
+                    continue;
+                };
+                let checked: Vec<String> = checked.columns.into_iter().map(|(n, _)| n).collect();
+                assert_eq!(checked, result.columns, "{sql} (plan_cache: {plan_cache})");
+                assert!(
+                    checked.iter().all(|name| !name.starts_with('#')),
+                    "{sql} names an internal column: {checked:?}"
+                );
+            }
         }
     });
 }

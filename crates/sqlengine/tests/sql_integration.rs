@@ -567,3 +567,108 @@ fn having_with_aggregate_not_in_projection() {
         .unwrap();
     assert_eq!(r.rows, vec![vec![v_s("b")]]);
 }
+
+/// `profile_a` and `profile_b`, each over `t (g, s, x)` with three rows.
+fn grouped_fixture() -> [Database; 2] {
+    [EngineConfig::profile_a(), EngineConfig::profile_b()].map(|config| {
+        let db = Database::with_config(config);
+        db.execute_script(
+            "CREATE TABLE t (g INTEGER, s TEXT, x REAL);
+             INSERT INTO t VALUES (1, 'a', 1.0), (1, 'b', 2.0), (2, 'a', 3.0);",
+        )
+        .unwrap();
+        db
+    })
+}
+
+/// An unaliased output column is named from the expression as written —
+/// never after the planner's internal `#…` markers — `check` reports the
+/// names the result carries, and a table created from such a query has
+/// columns a later query can spell.
+#[test]
+fn output_columns_are_named_from_the_expression_as_written() {
+    let named = [
+        ("SELECT SUM(x) FROM t", vec!["sum"]),
+        (
+            "SELECT g, COUNT(*), MAX(x) FROM t GROUP BY g",
+            vec!["g", "count", "max"],
+        ),
+        ("SELECT g + 1 FROM t GROUP BY g + 1", vec!["col0"]),
+        ("SELECT g, SUM(x) + 1 FROM t GROUP BY g", vec!["g", "col1"]),
+        (
+            "SELECT ROW_NUMBER() OVER (ORDER BY g) FROM t",
+            vec!["row_number"],
+        ),
+        (
+            "SELECT g, RANK() OVER (ORDER BY g), DENSE_RANK() OVER (ORDER BY g) FROM t",
+            vec!["g", "rank", "dense_rank"],
+        ),
+        (
+            "SELECT g, ROW_NUMBER() OVER (ORDER BY SUM(x) DESC) FROM t GROUP BY g",
+            vec!["g", "row_number"],
+        ),
+    ];
+    for db in grouped_fixture() {
+        for (sql, names) in &named {
+            let checked = db.check(sql).unwrap().columns;
+            let checked: Vec<&str> = checked.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(&checked, names, "check: {sql}");
+            // Twice: the second run is served from the plan cache.
+            for _ in 0..2 {
+                assert_eq!(&db.query(sql).unwrap().columns, names, "query: {sql}");
+            }
+        }
+        db.execute("CREATE TABLE u AS SELECT g, SUM(x) FROM t GROUP BY g")
+            .unwrap();
+        let r = db.query("SELECT sum FROM u ORDER BY sum").unwrap();
+        assert_eq!(r.rows, vec![vec![v_f(3.0)], vec![v_f(3.0)]]);
+    }
+}
+
+/// A grouped column is the column it resolves to, however it is spelled in
+/// the key or at the reference; and an aggregate over a key expression is
+/// still that aggregate.
+#[test]
+fn grouped_columns_match_by_resolution_not_spelling() {
+    let by_group = vec![vec![v_i(1), v_i(2)], vec![v_i(2), v_i(1)]];
+    let cases = [
+        (
+            "SELECT t.g, COUNT(*) FROM t GROUP BY g ORDER BY 1",
+            by_group.clone(),
+        ),
+        (
+            "SELECT g, COUNT(*) FROM t GROUP BY t.g ORDER BY 1",
+            by_group.clone(),
+        ),
+        (
+            "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY t.g",
+            by_group,
+        ),
+        (
+            "SELECT g, COUNT(*) FROM t GROUP BY G HAVING T.G > 1",
+            vec![vec![v_i(2), v_i(1)]],
+        ),
+        (
+            "SELECT * FROM t GROUP BY g, s, x ORDER BY x",
+            vec![
+                vec![v_i(1), v_s("a"), v_f(1.0)],
+                vec![v_i(1), v_s("b"), v_f(2.0)],
+                vec![v_i(2), v_s("a"), v_f(3.0)],
+            ],
+        ),
+        (
+            "SELECT u.* FROM t AS u GROUP BY s, u.g, x ORDER BY x LIMIT 1",
+            vec![vec![v_i(1), v_s("a"), v_f(1.0)]],
+        ),
+        (
+            "SELECT x + 1, SUM(x + 1) FROM t GROUP BY x + 1 ORDER BY 1 LIMIT 1",
+            vec![vec![v_f(2.0), v_f(2.0)]],
+        ),
+    ];
+    for db in grouped_fixture() {
+        for (sql, expected) in &cases {
+            db.check(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(&db.query(sql).unwrap().rows, expected, "{sql}");
+        }
+    }
+}
