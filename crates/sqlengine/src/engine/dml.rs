@@ -9,14 +9,17 @@ use std::time::Instant;
 
 use super::{Database, PlanVerify, StatementCtx, StatementResult};
 use crate::ast::{
-    qualify_bare_columns, ConflictAction, Expr, Insert, InsertSource, Query, Statement,
+    qualify_bare_columns, split_conjuncts, ConflictAction, Expr, Insert, InsertSource, Query,
+    Statement,
 };
 use crate::catalog::{Catalog, Column, InsertOutcome, ResolvedConflict, Schema, Table};
 use crate::error::{EngineError, Result};
-use crate::expr::{bind_expr, ColLabel, Scope};
-use crate::plan::Planner;
+use crate::exec::index_positions;
+use crate::expr::{bind_expr, ColLabel, PhysExpr, Scope};
+use crate::logical::table_scope;
+use crate::plan::{PhysPlan, Planner};
 use crate::sync::RwLockWriteGuard;
-use crate::trace::TraceScope;
+use crate::trace::{AttrValue, TraceScope};
 use crate::value::{DataType, Row, Value};
 use crate::wal::{push_insert, WalOp};
 
@@ -174,20 +177,14 @@ impl Database {
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
                 let mut catalog = self.write_catalog()?;
+                let selection =
+                    self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
+                let mut idxs = Vec::new();
+                selection.for_each_match(&catalog.get(table)?.rows, |i, _| {
+                    idxs.push(i);
+                    Ok(())
+                })?;
                 let t = catalog.get_mut(table)?;
-                let idxs = match &predicate {
-                    None => (0..t.row_count()).collect(),
-                    Some(pred) => {
-                        let bound = bind_expr(pred, &table_scope(t), params)?;
-                        let mut idxs = Vec::new();
-                        for (i, row) in t.rows.iter().enumerate() {
-                            if bound.eval(row)?.as_bool()? == Some(true) {
-                                idxs.push(i);
-                            }
-                        }
-                        idxs
-                    }
-                };
                 let logged_idxs = (self.wal.is_some() && !idxs.is_empty())
                     .then(|| idxs.iter().map(|&i| i as u64).collect::<Vec<u64>>());
                 let n = t.delete_rows(idxs)?;
@@ -209,12 +206,10 @@ impl Database {
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
                 let mut catalog = self.write_catalog()?;
-                let t = catalog.get_mut(table)?;
-                let scope = table_scope(t);
-                let bound_pred = predicate
-                    .as_ref()
-                    .map(|p| bind_expr(p, &scope, params))
-                    .transpose()?;
+                let selection =
+                    self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
+                let t = catalog.get(table)?;
+                let scope = table_scope(&t.name, &t.schema);
                 let mut bound_assignments = Vec::with_capacity(assignments.len());
                 for (col, expr) in assignments {
                     let pos = t.schema.position(col).ok_or_else(|| {
@@ -223,19 +218,15 @@ impl Database {
                     bound_assignments.push((pos, bind_expr(expr, &scope, params)?));
                 }
                 let mut updates = Vec::new();
-                for (i, row) in t.rows.iter().enumerate() {
-                    let matches = match &bound_pred {
-                        None => true,
-                        Some(p) => p.eval(row)?.as_bool()? == Some(true),
-                    };
-                    if matches {
-                        let mut new_row = row.clone();
-                        for (pos, e) in &bound_assignments {
-                            new_row[*pos] = e.eval(row)?;
-                        }
-                        updates.push((i, new_row));
+                selection.for_each_match(&t.rows, |i, row| {
+                    let mut new_row = row.clone();
+                    for (pos, e) in &bound_assignments {
+                        new_row[*pos] = e.eval(row)?;
                     }
-                }
+                    updates.push((i, new_row));
+                    Ok(())
+                })?;
+                let t = catalog.get_mut(table)?;
                 let wal_on = self.wal.is_some();
                 let mut ops = Vec::new();
                 let mut applied = 0usize;
@@ -364,6 +355,63 @@ impl Database {
             .with_virtuals(self);
         planner.resolve_subqueries(&mut pred)?;
         Ok(Some(pred))
+    }
+
+    /// The rows of `table` a `DELETE`/`UPDATE` predicate selects. Whether an
+    /// index answers some of its conjuncts is the planner's decision, the
+    /// one `SELECT` gets (`table_access`, which honours `use_indexes`, then
+    /// `try_index_scan`); when one does, only its candidates are examined,
+    /// against the whole predicate. Tags the exec span with the access path
+    /// and counts the rows examined in `dml.rows_examined`. The selection
+    /// keeps no snapshot of the table, so the caller's in-place mutation
+    /// afterwards copies nothing.
+    fn select_rows(
+        &self,
+        catalog: &Catalog,
+        table: &str,
+        predicate: Option<&Expr>,
+        params: &[Value],
+        ctx: &mut StatementCtx,
+    ) -> Result<RowSelection> {
+        let t = catalog.get(table)?;
+        let mut selection = RowSelection {
+            predicate: None,
+            candidates: None,
+        };
+        let mut index_used = None;
+        if let Some(pred) = predicate {
+            let scope = table_scope(&t.name, &t.schema);
+            selection.predicate = Some(bind_expr(pred, &scope, params)?);
+            let planner = Planner::new(catalog, params, self.config.planner(), ctx.planner_exec());
+            if let Some(access) = planner.table_access(t) {
+                let conjuncts: Vec<Expr> = split_conjuncts(pred).into_iter().cloned().collect();
+                if let Some((
+                    PhysPlan::IndexScan {
+                        index_name,
+                        index,
+                        keys: Some(keys),
+                        ..
+                    },
+                    _,
+                )) = planner.try_index_scan(&access, &scope, &conjuncts)?
+                {
+                    selection.candidates = Some(index_positions(&index, &keys)?);
+                    index_used = Some(index_name);
+                }
+            }
+        }
+        ctx.clock.tag_exec("access", || match index_used {
+            Some(name) => AttrValue::String(format!("index({name})")),
+            None => AttrValue::Text("scan"),
+        });
+        if self.telemetry.enabled() {
+            let examined = selection
+                .candidates
+                .as_ref()
+                .map_or(t.row_count(), Vec::len);
+            self.telemetry.dml_rows_examined.add(examined as u64);
+        }
+        Ok(selection)
     }
 
     fn execute_insert(
@@ -663,14 +711,30 @@ fn schema_of(columns: &[(String, DataType)]) -> Schema {
     )
 }
 
-/// Scope of a base table for DML binding: columns visible bare and
-/// table-qualified, carrying their declared types.
-fn table_scope(t: &Table) -> Scope {
-    Scope::new(
-        t.schema
-            .columns
-            .iter()
-            .map(|c| ColLabel::new(Some(&t.name), &c.name).with_ty(c.ty))
-            .collect(),
-    )
+/// The rows a `DELETE`/`UPDATE` predicate selects ([`Database::select_rows`]).
+struct RowSelection {
+    /// The whole bound predicate; `None` selects every row.
+    predicate: Option<PhysExpr>,
+    /// Ascending positions an index lookup answered; `None` examines every
+    /// row.
+    candidates: Option<Vec<usize>>,
+}
+
+impl RowSelection {
+    /// Call `f` on each selected row with its position, ascending — DML's
+    /// one predicate-evaluation loop.
+    fn for_each_match(
+        &self,
+        rows: &[Row],
+        mut f: impl FnMut(usize, &Row) -> Result<()>,
+    ) -> Result<()> {
+        let mut visit = |i: usize| match &self.predicate {
+            Some(p) if p.eval(&rows[i])?.as_bool()? != Some(true) => Ok(()),
+            _ => f(i, &rows[i]),
+        };
+        match &self.candidates {
+            Some(positions) => positions.iter().try_for_each(|&i| visit(i)),
+            None => (0..rows.len()).try_for_each(visit),
+        }
+    }
 }

@@ -34,6 +34,7 @@ mod vector;
 pub(crate) use context::check_deadline;
 pub use context::{ExecContext, MemoryBudget, OpStats, WorkerPool};
 pub(crate) use join::keyset_mode;
+pub(crate) use scan::index_positions;
 pub(crate) use vector::{count_modes, mode_of_label, mode_suffix, node_mode};
 
 use std::sync::Arc;
@@ -111,17 +112,7 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext) -> Result<NodeOut> {
         PhysPlan::IndexScan {
             rows, index, keys, ..
         } => match keys {
-            Some(keys) => {
-                // Key tuples are constant expressions (literals once any
-                // parameters are bound); evaluate them to values here.
-                // `index_scan` drops NULL-containing tuples and dedups row
-                // indexes, so duplicate tuples are harmless.
-                let key_values: Vec<Vec<crate::value::Value>> = keys
-                    .iter()
-                    .map(|tuple| tuple.iter().map(|e| e.eval_const()).collect())
-                    .collect::<Result<_>>()?;
-                Ok(scan::index_scan(rows, index, &key_values))
-            }
+            Some(keys) => scan::index_scan(rows, index, keys),
             None => Err(crate::error::EngineError::exec(
                 "probe-driven IndexScan can only run inside an IndexJoin",
             )),

@@ -14,7 +14,7 @@ use std::time::Instant;
 use crate::error::Result;
 use crate::explain::op_label;
 use crate::expr::{column_only, PhysExpr};
-use crate::plan::PhysPlan;
+use crate::plan::{IndexRef, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::context::{ChunkJob, StageCounter};
@@ -128,27 +128,41 @@ impl StageSpec {
     }
 }
 
-/// Point / multi-point index lookup: fetch the rows stored under each literal
-/// key tuple. Key tuples containing NULL are skipped (`col = NULL` and
-/// `col IN (..., NULL, ...)` never match), and the fetched row indexes are
-/// sorted and deduplicated so the output preserves table order — exactly the
-/// rows a full scan + filter would produce, in the same order.
-pub(crate) fn index_scan(
-    rows: &Arc<Vec<Row>>,
-    index: &crate::plan::IndexRef,
-    keys: &[Vec<Value>],
-) -> NodeOut {
+/// The row positions a point / multi-point index lookup selects: those
+/// stored under each key tuple. Key tuples are constant expressions
+/// (literals once any parameters are bound). Tuples containing NULL are
+/// skipped (`col = NULL` and `col IN (..., NULL, ...)` never match), and the
+/// positions come back ascending and deduplicated — table order, so the rows
+/// they name are exactly the ones a full scan + filter would produce, in the
+/// same order. Shared by [`index_scan`] and DML row selection.
+pub(crate) fn index_positions(index: &IndexRef, keys: &[Vec<PhysExpr>]) -> Result<Vec<usize>> {
     let mut idxs: Vec<usize> = Vec::new();
-    for key in keys {
+    let mut key: Vec<Value> = Vec::new();
+    for tuple in keys {
+        key.clear();
+        for e in tuple {
+            key.push(e.eval_const()?);
+        }
         if key.iter().any(Value::is_null) {
             continue;
         }
-        index.lookup_into(key, &mut idxs);
+        index.lookup_into(&key, &mut idxs);
     }
     idxs.sort_unstable();
     idxs.dedup();
-    let out: Vec<Row> = idxs.iter().map(|&i| rows[i].clone()).collect();
-    NodeOut::new(out)
+    Ok(idxs)
+}
+
+/// Point / multi-point index lookup: the rows at [`index_positions`].
+pub(crate) fn index_scan(
+    rows: &Arc<Vec<Row>>,
+    index: &IndexRef,
+    keys: &[Vec<PhysExpr>],
+) -> Result<NodeOut> {
+    let idxs = index_positions(index, keys)?;
+    Ok(NodeOut::new(
+        idxs.iter().map(|&i| rows[i].clone()).collect(),
+    ))
 }
 
 /// Walk a chain of `Filter`/`Project` nodes down to its source. Returns the
@@ -410,4 +424,56 @@ pub(crate) fn project_owned(rows: Vec<Row>, exprs: &[PhysExpr]) -> Result<Vec<Ro
         out.push(scratch.split_off(0));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    fn keys(tuples: &[&[Value]]) -> Vec<Vec<PhysExpr>> {
+        let tuple = |t: &&[Value]| t.iter().cloned().map(PhysExpr::Literal).collect();
+        tuples.iter().map(tuple).collect()
+    }
+
+    #[test]
+    fn positions_are_ascending_distinct_and_skip_null_tuples() {
+        // Postings lists are unordered after in-place UPDATE maintenance.
+        let map = HashMap::from([
+            (vec![Value::Int(1)], vec![7, 2]),
+            (vec![Value::Int(2)], vec![5]),
+            (vec![Value::Null], vec![0]),
+        ]);
+        let index = IndexRef::Multi(Arc::new(map));
+        let probe = keys(&[
+            &[Value::Int(2)],
+            &[Value::Null],
+            &[Value::Float(1.0)],
+            &[Value::Int(2)],
+            &[Value::Int(9)],
+        ]);
+        assert_eq!(index_positions(&index, &probe).unwrap(), vec![2, 5, 7]);
+        assert_eq!(index_positions(&index, &[]).unwrap(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_composite_tuple_with_a_null_component_matches_nothing() {
+        let map = HashMap::from([
+            (vec![Value::Int(1), Value::Null], 3),
+            (vec![Value::Int(1), Value::text("a")], 1),
+        ]);
+        let index = IndexRef::Unique(Arc::new(map));
+        let probe = keys(&[
+            &[Value::Int(1), Value::Null],
+            &[Value::Int(1), Value::text("a")],
+        ]);
+        assert_eq!(index_positions(&index, &probe).unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn an_unbound_key_expression_is_an_error() {
+        let index = IndexRef::Unique(Arc::new(HashMap::new()));
+        assert!(index_positions(&index, &[vec![PhysExpr::Param(1)]]).is_err());
+    }
 }

@@ -876,7 +876,19 @@ fn eval_function(func: ScalarFunc, args: &[PhysExpr], row: &[Value]) -> Result<V
         }
         return Ok(Value::Null);
     }
-    let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
+    // Every function but variadic CONCAT takes at most three arguments
+    // (`arity_ok`): evaluate them into a local buffer, not a `Vec` per row.
+    let mut buf = [Value::Null, Value::Null, Value::Null];
+    let spilled: Vec<Value>;
+    let vals: &[Value] = if args.len() <= buf.len() {
+        for (slot, a) in buf.iter_mut().zip(args) {
+            *slot = a.eval(row)?;
+        }
+        &buf[..args.len()]
+    } else {
+        spilled = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
+        &spilled
+    };
     let num1 = |v: &Value| -> Result<Option<f64>> { v.as_f64() };
     match func {
         ScalarFunc::Coalesce => unreachable!(),
@@ -1021,7 +1033,7 @@ fn eval_function(func: ScalarFunc, args: &[PhysExpr], row: &[Value]) -> Result<V
                 return Ok(Value::Null);
             }
             let mut out = String::new();
-            for v in &vals {
+            for v in vals {
                 out.push_str(&v.as_str_lossy()?.unwrap());
             }
             Ok(Value::text(out))

@@ -401,7 +401,7 @@ struct PlannedItem {
 
 /// Access-path metadata of a base table captured at planning time.
 #[derive(Clone)]
-struct TableAccess {
+pub(crate) struct TableAccess {
     rows: Arc<Vec<Row>>,
     width: usize,
     /// Primary index first, then secondaries in creation order — the match
@@ -828,7 +828,7 @@ impl<'a> Planner<'a> {
     // ------------------------------------------------------------------
 
     /// Access-path metadata for a base table, when index planning is on.
-    fn table_access(&self, table: &Table) -> Option<TableAccess> {
+    pub(crate) fn table_access(&self, table: &Table) -> Option<TableAccess> {
         if !self.config.use_indexes {
             return None;
         }
@@ -1582,7 +1582,8 @@ impl<'a> Planner<'a> {
     /// sets at plan time (`col = NULL` matches nothing) and the executor
     /// re-applies the same rule after parameter substitution; the cartesian
     /// product of IN-list values is capped at `MAX_INDEX_KEYS` per index.
-    fn try_index_scan(
+    /// `DELETE`/`UPDATE` row selection asks the same question here.
+    pub(crate) fn try_index_scan(
         &self,
         access: &TableAccess,
         scope: &Scope,

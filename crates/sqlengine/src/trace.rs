@@ -115,6 +115,8 @@ impl WaitClass {
 pub enum AttrValue {
     Int(i64),
     Text(&'static str),
+    /// Text built at run time (an index name).
+    String(String),
 }
 
 impl std::fmt::Display for AttrValue {
@@ -122,6 +124,7 @@ impl std::fmt::Display for AttrValue {
         match self {
             AttrValue::Int(v) => write!(f, "{v}"),
             AttrValue::Text(v) => write!(f, "{v}"),
+            AttrValue::String(v) => write!(f, "{v}"),
         }
     }
 }
@@ -341,6 +344,8 @@ pub struct PhaseClock {
     /// Whether the plan cache served the physical plan.
     pub cache_hit: bool,
     trace: Option<TraceCtx>,
+    /// Attributes the exec span carries when it closes (traced only).
+    exec_attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl PhaseClock {
@@ -358,6 +363,7 @@ impl PhaseClock {
             trace: marks
                 .filter(|_| traced)
                 .map(|(origin, _)| TraceCtx::new(origin)),
+            exec_attrs: Vec::new(),
         }
     }
 
@@ -416,6 +422,14 @@ impl PhaseClock {
         });
     }
 
+    /// Tag the exec span, when it closes, with `key=value`. `value` only
+    /// runs for traced statements.
+    pub(crate) fn tag_exec(&mut self, key: &'static str, value: impl FnOnce() -> AttrValue) {
+        if self.trace.is_some() {
+            self.exec_attrs.push((key, value()));
+        }
+    }
+
     /// `attrs` only runs for traced statements, so untraced laps allocate
     /// nothing.
     fn lap_with(&mut self, phase: Phase, attrs: impl FnOnce() -> Vec<(&'static str, AttrValue)>) {
@@ -426,6 +440,10 @@ impl PhaseClock {
         let duration_us = now.duration_since(*last).as_micros() as u64;
         self.phase_us[phase as usize] += duration_us;
         if let Some(trace) = &self.trace {
+            let mut attrs = attrs();
+            if phase == Phase::Exec {
+                attrs.append(&mut self.exec_attrs);
+            }
             trace.record(SpanRec {
                 // The exec span's id is pre-reserved so operator subtrees
                 // and WAL waits could parent under it before it closed.
@@ -440,7 +458,7 @@ impl PhaseClock {
                 duration_us,
                 wait_class: None,
                 rows: None,
-                attrs: attrs(),
+                attrs,
             });
         }
         *last = now;

@@ -425,6 +425,53 @@ fn wal_activity_is_visible_in_sys_metrics() {
     assert!(metric("wal.bytes") > 0.0);
 }
 
+#[test]
+fn dml_rows_examined_and_access_path_are_visible() {
+    let ids = (1..=10)
+        .map(|i| i.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
+    for (index_scans, access) in [(true, "access=index(t_x)"), (false, "access=scan")] {
+        let traced = TraceSampling::On { rate: 1.0, seed: 0 };
+        let config = EngineConfig::default()
+            .with_index_scans(index_scans)
+            .with_trace_sampling(traced);
+        let db = seeded_db(config, 500);
+        db.execute("CREATE INDEX t_x ON t (x)").unwrap();
+        let examined = || match db
+            .query_scalar("SELECT value FROM sys.metrics WHERE name = 'dml.rows_examined'")
+            .unwrap()
+        {
+            Value::Float(f) => f as usize,
+            other => panic!("expected float, got {other:?}"),
+        };
+        let candidates = match db
+            .query_scalar(&format!("SELECT COUNT(*) FROM t WHERE x IN ({ids})"))
+            .unwrap()
+        {
+            Value::Int(n) => n as usize,
+            other => panic!("expected int, got {other:?}"),
+        };
+        assert!(candidates > 0, "the fixture holds some of the ids");
+        let before = examined();
+        let deleted = db
+            .execute(&format!("DELETE FROM t WHERE x IN ({ids})"))
+            .unwrap()
+            .affected();
+        assert_eq!(deleted, candidates);
+        let expected = if index_scans { candidates } else { 500 };
+        assert_eq!(examined() - before, expected, "index scans {index_scans}");
+        let attrs = db
+            .query(
+                "SELECT s.attrs FROM sys.trace_spans s, sys.query_log q \
+                 WHERE s.statement_id = q.id AND s.name = 'exec' AND q.sql LIKE 'DELETE%'",
+            )
+            .unwrap()
+            .rows;
+        assert_eq!(attrs, vec![vec![Value::text(access)]]);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Overhead bound: telemetry on vs off on the serving hot path
 // ---------------------------------------------------------------------
