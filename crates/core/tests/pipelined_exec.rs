@@ -1,0 +1,282 @@
+//! The push executor (parallelism 1) and the morsel executor (parallelism
+//! 4) are two drivers of one set of per-row operator functions. On the
+//! paper's star schema every model call's statement — `partial_fit`,
+//! `unlearn`, `deploy`, predict undeployed and deployed, `predict_batch`,
+//! `explain_local` — must give byte-identical rows in the same order and the
+//! same `EXPLAIN ANALYZE` `(label, rows_in, rows_out)` tree under both, and
+//! the model must equal the `born` oracle.
+//!
+//! "Byte-identical" is asked of float results too, although the morsel
+//! path adds partial sums in morsel order: the fixture keeps every sum a sum
+//! of dyadic rationals, exact in any order. Each document's features weigh
+//! 8 in all, each class holds a power-of-two number of documents, and the
+//! hyper-parameters are `a = 1, b = 1, h = 0` (so `W_jk = P_jk / P_k` and
+//! `HW_jk = W_jk`; `H_j`, the one irrational, is raised to the power 0).
+
+use born::{BornClassifier, HyperParams, TrainItem};
+use bornsql::{BornSqlModel, DataSpec, ModelOptions, Params};
+use sqlengine::{Database, EngineConfig, OpStats, Row, Value};
+
+const DOCS: i64 = 256;
+const CLASSES: i64 = 4;
+
+/// A document's `(j, w)` features exactly as the four arms emit them: a
+/// venue, two authors, a keyword and four lexemes, each of weight 1.
+fn features(id: i64) -> Vec<(String, f64)> {
+    let mut x = vec![(format!("pubname:venue{}", id % 6), 1.0)];
+    x.push((format!("authid:{}", id % 20), 1.0));
+    x.push((format!("authid:{}", 100 + id % 7), 1.0));
+    x.push((format!("keyword:kw{}_{}", id % CLASSES, id % 5), 1.0));
+    x.extend((0..4).map(|t| (format!("abstract:lex{t}_{}", (id * 3 + t) % 9), 1.0)));
+    x
+}
+
+fn class(id: i64) -> i64 {
+    10 + id % CLASSES
+}
+
+fn items(ids: std::ops::RangeInclusive<i64>) -> Vec<TrainItem<String, String>> {
+    ids.map(|id| TrainItem::labeled(features(id), class(id).to_string()))
+        .collect()
+}
+
+fn arms() -> DataSpec {
+    DataSpec::new("SELECT id AS n, 'pubname:' || pubname AS j, 1.0 AS w FROM publication")
+        .with_features("SELECT pubid AS n, 'authid:' || authid AS j, 1.0 AS w FROM pub_author")
+        .with_features("SELECT pubid AS n, 'keyword:' || keyword AS j, 1.0 AS w FROM pub_keyword")
+        .with_features("SELECT pubid AS n, 'abstract:' || lexeme AS j, cnt AS w FROM pub_lexeme")
+}
+
+fn train(lo: i64, hi: i64) -> DataSpec {
+    arms()
+        .with_targets("SELECT id AS n, asjc / 100 AS k, 1.0 AS w FROM publication")
+        .with_items(format!(
+            "SELECT id AS n FROM publication WHERE id >= {lo} AND id <= {hi}"
+        ))
+}
+
+fn one(id: i64) -> DataSpec {
+    arms().with_items(format!("SELECT {id} AS n"))
+}
+
+/// Load the four star tables from [`features`] and create the model.
+fn load(db: &Database) -> BornSqlModel<'_, Database> {
+    db.execute_script(
+        "CREATE TABLE publication (id INTEGER PRIMARY KEY, pubname TEXT, asjc INTEGER);
+         CREATE TABLE pub_author (pubid INTEGER, authid INTEGER);
+         CREATE TABLE pub_keyword (pubid INTEGER, keyword TEXT);
+         CREATE TABLE pub_lexeme (pubid INTEGER, lexeme TEXT, cnt REAL);",
+    )
+    .unwrap();
+    let (mut pubs, mut authors, mut keywords, mut lexemes) = (vec![], vec![], vec![], vec![]);
+    for id in 1..=DOCS {
+        let text = |s: &str| Value::text(s);
+        for (j, w) in features(id) {
+            let (arm, name) = j.split_once(':').unwrap();
+            match arm {
+                "pubname" => pubs.push(vec![
+                    Value::Int(id),
+                    text(name),
+                    Value::Int(class(id) * 100 + id % 7),
+                ]),
+                "authid" => authors.push(vec![Value::Int(id), Value::Int(name.parse().unwrap())]),
+                "keyword" => keywords.push(vec![Value::Int(id), text(name)]),
+                _ => lexemes.push(vec![Value::Int(id), text(name), Value::Float(w)]),
+            }
+        }
+    }
+    db.insert_rows("publication", pubs).unwrap();
+    db.insert_rows("pub_author", authors).unwrap();
+    db.insert_rows("pub_keyword", keywords).unwrap();
+    db.insert_rows("pub_lexeme", lexemes).unwrap();
+    let options = ModelOptions {
+        class_type: "INTEGER",
+        params: Params {
+            a: 1.0,
+            b: 1.0,
+            h: 0.0,
+        },
+        ..ModelOptions::default()
+    };
+    BornSqlModel::create(db, "star", options).unwrap()
+}
+
+/// `(depth, label, rows_in, rows_out)` of every operator, preorder.
+fn shape(stats: &OpStats) -> Vec<(usize, String, usize, usize)> {
+    fn walk(s: &OpStats, depth: usize, out: &mut Vec<(usize, String, usize, usize)>) {
+        out.push((depth, s.label.clone(), s.rows_in, s.rows_out));
+        for child in &s.children {
+            walk(child, depth + 1, out);
+        }
+    }
+    let mut out = Vec::new();
+    walk(stats, 0, &mut out);
+    out
+}
+
+/// Rows rendered to the bit (`f64`'s `Debug` round-trips).
+fn bits(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// Run a query pushed and over morsels; both must agree to the bit, row
+/// for row, and operator for operator. Also says whether any operator of
+/// the parallel run fanned out to the workers.
+fn same_both_ways(dbs: [&Database; 2], sql: &str) -> (Vec<Row>, bool) {
+    let (pushed, pushed_stats) = dbs[0].query_analyzed(sql).unwrap();
+    let (morsels, morsel_stats) = dbs[1].query_analyzed(sql).unwrap();
+    assert_eq!(bits(&pushed.rows), bits(&morsels.rows), "rows of {sql}");
+    assert_eq!(
+        shape(&pushed_stats),
+        shape(&morsel_stats),
+        "EXPLAIN ANALYZE of {sql}\npushed:\n{}\nmorsels:\n{}",
+        sqlengine::explain::render_analyze(&pushed_stats),
+        sqlengine::explain::render_analyze(&morsel_stats)
+    );
+    (pushed.rows, has_fanned_out(&morsel_stats))
+}
+
+fn has_fanned_out(stats: &OpStats) -> bool {
+    stats.workers > 1 || stats.children.iter().any(has_fanned_out)
+}
+
+/// The query an `INSERT INTO t (j, k, w) <query> [ON CONFLICT …]` inserts.
+fn source_query(insert: &str) -> &str {
+    let (_, query) = insert.split_once("(j, k, w) ").unwrap();
+    query.split(" ON CONFLICT").next().unwrap()
+}
+
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        other => panic!("expected an integer, got {other:?}"),
+    }
+}
+
+fn float(v: &Value) -> f64 {
+    match v {
+        Value::Float(f) => *f,
+        other => panic!("expected a float, got {other:?}"),
+    }
+}
+
+/// Both corpora are the oracle's, cell for cell.
+fn assert_corpus_is(
+    models: &[BornSqlModel<'_, Database>; 2],
+    oracle: &BornClassifier<String, String>,
+) {
+    let corpus = models[0].corpus().unwrap();
+    assert_eq!(
+        format!("{corpus:?}"),
+        format!("{:?}", models[1].corpus().unwrap())
+    );
+    assert_eq!(corpus.len(), oracle.n_cells(), "corpus cell count");
+    for (j, k, w) in &corpus {
+        assert_eq!(
+            *w,
+            oracle.weight(&j.to_string(), &k.to_string()),
+            "cell ({j}, {k})"
+        );
+    }
+}
+
+/// Every `(n, k)` row names a class of maximal oracle score for item `n`.
+fn assert_labels_are_argmax(rows: &[Row], weights: &born::DeployedModel<String, String>) {
+    for row in rows {
+        let id = int(&row[0]);
+        let scores = weights.scores(&features(id));
+        let best = scores.values().copied().fold(f64::MIN, f64::max);
+        assert_eq!(
+            scores.get(&row[1].to_string()),
+            Some(&best),
+            "item {id}: {row:?} vs {scores:?}"
+        );
+    }
+}
+
+#[test]
+fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() {
+    let serial = Database::with_config(EngineConfig::default().with_parallelism(1));
+    let parallel = Database::with_config(EngineConfig::default().with_parallelism(4));
+    let dbs = [&serial, &parallel];
+    let models = [load(&serial), load(&parallel)];
+    let gen = models[0].generator();
+
+    // Fit the first half (a partial_fit into the empty corpus), add the
+    // second, take back the middle: 32 documents of each class remain.
+    let mut oracle = BornClassifier::new();
+    for (lo, hi, sign) in [(1, 128, 1.0), (129, DOCS, 1.0), (65, 192, -1.0)] {
+        let spec = train(lo, hi);
+        let (cells, fanned_out) = same_both_ways(dbs, source_query(&gen.partial_fit(&spec, sign)));
+        assert!(!cells.is_empty() && fanned_out);
+        for model in &models {
+            if sign > 0.0 {
+                model.partial_fit(&spec).unwrap();
+            } else {
+                model.unlearn(&spec).unwrap();
+            }
+        }
+        if sign > 0.0 {
+            oracle.partial_fit(&items(lo..=hi));
+        } else {
+            oracle.unlearn(&items(lo..=hi));
+        }
+        assert_corpus_is(&models, &oracle);
+    }
+    let weights = oracle
+        .deploy(HyperParams::new(1.0, 1.0, 0.0).unwrap())
+        .unwrap();
+
+    // Undeployed: HW_jk computed on the fly.
+    let (rows, fanned_out) = same_both_ways(dbs, &gen.predict(&arms(), false));
+    assert!(fanned_out);
+    assert_eq!(rows.len(), DOCS as usize);
+    assert_labels_are_argmax(&rows, &weights);
+
+    let (cached, _) = same_both_ways(dbs, source_query(&gen.deploy()));
+    assert_eq!(cached.len(), weights.n_weights());
+    for row in &cached {
+        let (j, k) = (row[0].to_string(), row[1].to_string());
+        let want = weights
+            .weight_entries()
+            .find(|(wj, wk, _)| **wj == j && **wk == k);
+        assert_eq!(
+            want.map(|(_, _, w)| w),
+            Some(float(&row[2])),
+            "weight ({j}, {k})"
+        );
+    }
+    for model in &models {
+        model.deploy().unwrap();
+        assert!(model.is_deployed());
+    }
+
+    // Deployed: every document, one at a time (an index join), a batch.
+    let (rows, fanned_out) = same_both_ways(dbs, &gen.predict(&arms(), true));
+    assert!(fanned_out);
+    assert_eq!(rows.len(), DOCS as usize);
+    assert_labels_are_argmax(&rows, &weights);
+    for id in [1, 77, 200, DOCS] {
+        let (rows, _) = same_both_ways(dbs, &gen.predict(&one(id), true));
+        assert_eq!(rows.len(), 1);
+        assert_labels_are_argmax(&rows, &weights);
+    }
+    let batch: Vec<Value> = (0..64).map(|i| Value::Int(3 + i * 4)).collect();
+    let (rows, _) = same_both_ways(dbs, &gen.predict_batch(&arms(), true, &batch).unwrap());
+    assert_eq!(rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(), batch);
+    assert_labels_are_argmax(&rows, &weights);
+
+    // A local explanation: the oracle's top cells, in the oracle's order.
+    let top = 12;
+    let id = 42;
+    let (explained, _) = same_both_ways(dbs, &gen.explain_local(&one(id), true, Some(top)));
+    let expected = weights.explain_local(&[(features(id), 1.0)]);
+    assert_eq!(explained.len(), top);
+    for (row, (j, k, w)) in explained.iter().zip(&expected) {
+        assert_eq!(
+            float(&row[2]),
+            *w,
+            "explanation row {row:?} vs ({j}, {k}, {w})"
+        );
+    }
+}

@@ -75,9 +75,10 @@ pub struct EngineConfig {
     /// CI) and off in release builds, keeping the serving hot path free of
     /// the walk; `EXPLAIN (VERIFY)` runs the verifier on demand regardless.
     pub verify_plans: bool,
-    /// Per-statement memory budget in bytes for pipeline-breaking operator
-    /// state (hash-join builds, aggregate hash tables, sort runs,
-    /// `DISTINCT`/`UNION` dedup sets, materialized `UNION ALL` output). A
+    /// Per-statement memory budget in bytes for the rows operators hold
+    /// (hash-join builds, aggregate hash tables, sort runs, `DISTINCT`/`UNION`
+    /// dedup sets, every row a collecting sink stores); rows that stream
+    /// through an operator are not charged. A
     /// statement that exceeds the budget aborts with the retryable
     /// [`EngineError::ResourceExhausted`](crate::EngineError::ResourceExhausted)
     /// instead of driving the process toward OOM. `None` (the default)

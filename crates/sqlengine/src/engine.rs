@@ -952,7 +952,8 @@ impl Database {
         // Telemetry on the context feeds the `worker_idle` wait-class rollup
         // (coordinator time blocked on the pool; recorded only on the
         // parallel dispatch path, so serial execution stays clock-free) and
-        // the hash joins' `exec.join.probe_rows_pruned` counter.
+        // the `exec.join.probe_rows_pruned` / `exec.rows_materialized`
+        // counters.
         let ctx = if self.telemetry.enabled() {
             ctx.with_telemetry(Arc::clone(&self.telemetry))
         } else {

@@ -1,14 +1,17 @@
 //! Hash aggregation with grouped state machines.
 //!
-//! The parallel path gives each worker a morsel of the input and a private
-//! (group → partial state) map plus a first-seen group order list. Partials
-//! are merged on the coordinator in chunk order, which reproduces the serial
-//! executor's global first-seen group order exactly. DISTINCT aggregates do
-//! not fold values inside workers at all — each worker ships its ordered
-//! list of locally-new values and the coordinator folds them in merged
-//! (global first-seen) order, so DISTINCT results are byte-identical to
-//! serial. The only permitted divergence is non-DISTINCT float SUM/AVG,
-//! where partial sums combine in chunk order rather than row order.
+//! The aggregate is a pipeline's sink: at parallelism 1 its input pushes
+//! rows straight into one group table ([`Groups::add`], the one per-row
+//! function), which evaluates each row's key in place and allocates only
+//! for a row that starts a new group. The morsel path gives each worker a
+//! morsel of the collected input and a table of its own; the partials are
+//! merged on the coordinator in morsel order, which reproduces the global
+//! first-seen group order exactly. DISTINCT aggregates fold a value when it
+//! is first seen; a later morsel defers its locally-new values, in order,
+//! and the merge folds those it has not seen — so DISTINCT results are
+//! byte-identical to serial. The only permitted divergence is non-DISTINCT
+//! float SUM/AVG, where partial sums combine in morsel order rather than
+//! row order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -19,8 +22,8 @@ use crate::expr::PhysExpr;
 use crate::plan::{AggSpec, PhysPlan};
 use crate::value::{Row, Value};
 
-use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, ChunkJob, MemoryBudget};
-use super::{ExecContext, NodeOut};
+use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, ChunkJob, Ticker};
+use super::{key_of, ExecContext, NodeOut, Sink};
 
 /// Running state for one aggregate over one group. Shared with the
 /// vectorized aggregate in [`super::vector`], which drives the same state
@@ -165,283 +168,259 @@ pub(crate) fn aggregate(
     keys: &[PhysExpr],
     aggs: &[AggSpec],
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
     // Fully eligible chains aggregate straight over the columnar chunks
     // without materializing the filtered input.
-    if let Some(out) = super::vector::vectorized_aggregate(input, keys, aggs, ctx)? {
+    if let Some((rows, out)) = super::vector::vectorized_aggregate(input, keys, aggs, ctx)? {
+        super::emit(rows.iter(), ctx, sink)?;
         return Ok(out);
     }
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let rows = super::run_input(input, ctx, &mut children, &mut rows_in)?;
-
-    let parallel = ctx.should_parallelize(rows.len());
-    let out = if parallel {
-        parallel_aggregate(rows, keys, aggs, ctx)?
+    let mut node = NodeOut::new();
+    let groups = if ctx.parallel() {
+        morsel_groups(input, keys, aggs, ctx, &mut node)?
     } else {
-        serial_aggregate(&rows, keys, aggs, ctx.budget())?
+        let mut groups = Groups::new(true);
+        let mut charge = ChargeBuf::new(ctx.budget());
+        let stats = super::push(input, ctx, &mut |row| {
+            groups.add(row, keys, aggs, &mut charge)
+        })?;
+        charge.flush()?;
+        node.child(stats);
+        groups
     };
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: if parallel { ctx.parallelism() } else { 1 },
-        children,
-        pruned: None,
-    })
-}
-
-fn serial_aggregate(
-    rows: &[Row],
-    keys: &[PhysExpr],
-    aggs: &[AggSpec],
-    budget: &MemoryBudget,
-) -> Result<Vec<Row>> {
-    // Group states plus per-group DISTINCT sets for distinct aggregates.
-    struct Group {
-        states: Vec<AggState>,
-        distinct_seen: Vec<Option<HashSet<Value>>>,
-    }
-    let new_group = || Group {
-        states: aggs.iter().map(AggState::new).collect(),
-        distinct_seen: aggs
-            .iter()
-            .map(|a| {
-                if a.distinct {
-                    Some(HashSet::new())
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    };
-
-    let mut groups: HashMap<Vec<Value>, Group> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new(); // first-seen group order
-    let mut charge = ChargeBuf::new(budget);
-    // Each new group owns two key copies (map + order list) plus its states.
-    let group_overhead = (aggs.len() * std::mem::size_of::<AggState>()) as u64;
-
-    for row in rows {
-        let mut key = Vec::with_capacity(keys.len());
-        for k in keys {
-            key.push(k.eval(row)?);
-        }
-        let group = match groups.get_mut(&key) {
-            Some(g) => g,
-            None => {
-                charge.add(2 * approx_row_bytes(&key) + group_overhead)?;
-                order.push(key.clone());
-                groups.entry(key.clone()).or_insert_with(new_group)
-            }
-        };
-        for (i, spec) in aggs.iter().enumerate() {
-            let v = match &spec.arg {
-                None => Value::Int(1), // COUNT(*): every row counts
-                Some(a) => a.eval(row)?,
-            };
-            if v.is_null() {
-                continue;
-            }
-            if let Some(seen) = &mut group.distinct_seen[i] {
-                charge.add(approx_value_bytes(&v))?;
-                if !seen.insert(v.clone()) {
-                    continue;
-                }
-            }
-            group.states[i].update(v)?;
-        }
-    }
-    charge.flush()?;
-
-    // Global aggregate over empty input still yields one row of defaults.
-    if groups.is_empty() && keys.is_empty() {
-        return Ok(vec![default_row(aggs)]);
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let group = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        for s in group.states {
-            row.push(s.finish());
-        }
-        out.push(row);
-    }
-    Ok(out)
+    groups.emit(keys, aggs, ctx, sink)?;
+    Ok(node)
 }
 
 pub(super) fn default_row(aggs: &[AggSpec]) -> Row {
     aggs.iter().map(|a| AggState::new(a).finish()).collect()
 }
 
-/// Per-worker partial aggregate for one group. Non-DISTINCT aggregates fold
-/// into `states` immediately; DISTINCT aggregates only record their
-/// locally-new values (set for dedup, vec for first-seen order) and fold at
-/// merge time.
-struct Partial {
+/// The morsel path: aggregate the collected input one morsel per job, each
+/// into its own group table, and merge the partials in morsel order.
+fn morsel_groups(
+    input: &PhysPlan,
+    keys: &[PhysExpr],
+    aggs: &[AggSpec],
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+) -> Result<Groups> {
+    let rows = super::run_input(input, ctx, node)?;
+    let ranges = if ctx.should_parallelize(rows.len()) {
+        node.workers = ctx.parallelism();
+        ctx.morsels(rows.len())
+    } else {
+        std::iter::once(0..rows.len()).collect()
+    };
+    let spec = Arc::new((keys.to_vec(), aggs.to_vec()));
+    let deadline = ctx.deadline();
+    let jobs: Vec<ChunkJob<Result<Groups>>> = ranges
+        .into_iter()
+        .enumerate()
+        .map(|(m, range)| {
+            let (rows, spec, budget) = (
+                Arc::clone(&rows),
+                Arc::clone(&spec),
+                Arc::clone(ctx.budget()),
+            );
+            let job: ChunkJob<Result<Groups>> = Box::new(move || {
+                let (keys, aggs) = &*spec;
+                let mut groups = Groups::new(m == 0);
+                let (mut charge, mut ticker) = (ChargeBuf::new(&budget), Ticker::default());
+                for row in &rows[range] {
+                    ticker.tick(deadline)?;
+                    groups.add(row, keys, aggs, &mut charge)?;
+                }
+                charge.flush()?;
+                Ok(groups)
+            });
+            job
+        })
+        .collect();
+    let mut parts = ctx.run_jobs(jobs).into_iter();
+    let mut acc = parts.next().expect("at least one morsel")?;
+    for part in parts {
+        acc.merge(part?)?;
+    }
+    Ok(acc)
+}
+
+/// One group's running states. A DISTINCT aggregate also keeps the values
+/// it has seen and — in a table that defers them — those values in
+/// first-seen order, for the merge to fold.
+struct Group {
     states: Vec<AggState>,
     distinct: Vec<Option<(HashSet<Value>, Vec<Value>)>>,
 }
 
-/// One worker's result: first-seen group order plus the partial group map.
-type ChunkOut = (Vec<Vec<Value>>, HashMap<Vec<Value>, Partial>);
-
-fn parallel_aggregate(
-    rows: Arc<Vec<Row>>,
-    keys: &[PhysExpr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-) -> Result<Vec<Row>> {
-    let keys_arc: Arc<Vec<PhysExpr>> = Arc::new(keys.to_vec());
-    let aggs_arc: Arc<Vec<AggSpec>> = Arc::new(aggs.to_vec());
-
-    let jobs: Vec<ChunkJob<Result<ChunkOut>>> = ctx
-        .morsels(rows.len())
-        .into_iter()
-        .map(|range| {
-            let rows = Arc::clone(&rows);
-            let keys = Arc::clone(&keys_arc);
-            let aggs = Arc::clone(&aggs_arc);
-            let budget = Arc::clone(ctx.budget());
-            let job: ChunkJob<Result<ChunkOut>> =
-                Box::new(move || partial_chunk(&rows[range], &keys, &aggs, &budget));
-            job
-        })
-        .collect();
-
-    // Merge chunks in order. A group's first-seen position is its position in
-    // the earliest chunk containing it, so walking chunk order rebuilds the
-    // serial order; likewise each DISTINCT value's first occurrence lands in
-    // the earliest chunk, so folding ordered value lists in chunk order
-    // replays the serial update sequence.
-    struct Merged {
-        states: Vec<AggState>,
-        distinct_seen: Vec<Option<HashSet<Value>>>,
-    }
-    let mut groups: HashMap<Vec<Value>, Merged> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-
-    for chunk in ctx.run_jobs(jobs) {
-        let (chunk_order, mut chunk_groups) = chunk?;
-        for key in chunk_order {
-            let partial = chunk_groups.remove(&key).expect("key recorded in order");
-            match groups.get_mut(&key) {
-                None => {
-                    let mut merged = Merged {
-                        states: partial.states,
-                        distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
-                    };
-                    fold_distinct(
-                        &mut merged.states,
-                        &mut merged.distinct_seen,
-                        partial.distinct,
-                    )?;
-                    order.push(key.clone());
-                    groups.insert(key, merged);
-                }
-                Some(merged) => {
-                    for (state, other) in merged.states.iter_mut().zip(partial.states) {
-                        state.merge(other);
-                    }
-                    fold_distinct(
-                        &mut merged.states,
-                        &mut merged.distinct_seen,
-                        partial.distinct,
-                    )?;
-                }
-            }
+impl Group {
+    fn new(aggs: &[AggSpec]) -> Group {
+        Group {
+            states: aggs.iter().map(AggState::new).collect(),
+            distinct: aggs
+                .iter()
+                .map(|a| a.distinct.then(Default::default))
+                .collect(),
         }
     }
-
-    if groups.is_empty() && keys.is_empty() {
-        return Ok(vec![default_row(aggs)]);
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let group = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        for s in group.states {
-            row.push(s.finish());
-        }
-        out.push(row);
-    }
-    Ok(out)
 }
 
-/// Fold a chunk's ordered DISTINCT value lists into the merged group state,
-/// skipping values an earlier chunk already contributed.
-fn fold_distinct(
-    states: &mut [AggState],
-    distinct_seen: &mut [Option<HashSet<Value>>],
-    chunk_distinct: Vec<Option<(HashSet<Value>, Vec<Value>)>>,
-) -> Result<()> {
-    for (i, slot) in chunk_distinct.into_iter().enumerate() {
-        if let Some((_, ordered)) = slot {
-            let seen = distinct_seen[i]
-                .as_mut()
-                .expect("distinct slot matches spec");
-            for v in ordered {
-                if seen.insert(v.clone()) {
-                    states[i].update(v)?;
-                }
-            }
-        }
-    }
-    Ok(())
+/// A group table in first-seen group order: the whole aggregation at
+/// parallelism 1, one morsel's partial on the morsel path.
+struct Groups {
+    /// Group key → position in `groups`; the only copy of each key.
+    index: HashMap<Vec<Value>, usize>,
+    groups: Vec<Group>,
+    /// Whether DISTINCT values fold into the states as they are first seen
+    /// (the only table, or the first morsel's) or are deferred to the merge
+    /// (a later morsel's: an earlier one may hold the value's first
+    /// occurrence).
+    eager: bool,
+    /// The current row's key, evaluated in place.
+    key: Vec<Value>,
 }
 
-/// Build one worker's partial aggregation over a morsel.
-fn partial_chunk(
-    rows: &[Row],
-    keys: &[PhysExpr],
-    aggs: &[AggSpec],
-    budget: &MemoryBudget,
-) -> Result<ChunkOut> {
-    let new_partial = || Partial {
-        states: aggs.iter().map(AggState::new).collect(),
-        distinct: aggs
-            .iter()
-            .map(|a| a.distinct.then(|| (HashSet::new(), Vec::new())))
-            .collect(),
-    };
-    let mut groups: HashMap<Vec<Value>, Partial> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut charge = ChargeBuf::new(budget);
-    let group_overhead = (aggs.len() * std::mem::size_of::<AggState>()) as u64;
-
-    for row in rows {
-        let mut key = Vec::with_capacity(keys.len());
-        for k in keys {
-            key.push(k.eval(row)?);
+impl Groups {
+    fn new(eager: bool) -> Groups {
+        Groups {
+            index: HashMap::new(),
+            groups: Vec::new(),
+            eager,
+            key: Vec::new(),
         }
-        let group = match groups.get_mut(&key) {
-            Some(g) => g,
+    }
+
+    /// The aggregate's one per-row function: fold a row into its group.
+    /// Only a row that starts a group allocates — its key and states.
+    fn add(
+        &mut self,
+        row: &[Value],
+        keys: &[PhysExpr],
+        aggs: &[AggSpec],
+        charge: &mut ChargeBuf,
+    ) -> Result<()> {
+        let Groups {
+            index,
+            groups,
+            eager,
+            key,
+        } = self;
+        let key = key_of(row, keys, key, true)?.expect("a group key keeps its NULLs");
+        let g = match index.get(key) {
+            Some(&g) => g,
             None => {
-                charge.add(2 * approx_row_bytes(&key) + group_overhead)?;
-                order.push(key.clone());
-                groups.entry(key.clone()).or_insert_with(new_partial)
+                // The group table owns the key, its slot in the index and
+                // the group's states.
+                charge.add(
+                    approx_row_bytes(key)
+                        + (std::mem::size_of::<usize>()
+                            + aggs.len() * std::mem::size_of::<AggState>())
+                            as u64,
+                )?;
+                index.insert(key.to_vec(), groups.len());
+                groups.push(Group::new(aggs));
+                groups.len() - 1
             }
         };
+        let group = &mut groups[g];
         for (i, spec) in aggs.iter().enumerate() {
             let v = match &spec.arg {
-                None => Value::Int(1),
+                None => Value::Int(1), // COUNT(*): every row counts
                 Some(a) => a.eval(row)?,
             };
             if v.is_null() {
-                continue;
+                continue; // aggregates skip NULLs
             }
             match &mut group.distinct[i] {
-                Some((set, ordered)) => {
+                None => group.states[i].update(v)?,
+                Some((seen, deferred)) => {
+                    if !seen.insert(v.clone()) {
+                        continue;
+                    }
                     charge.add(approx_value_bytes(&v))?;
-                    if set.insert(v.clone()) {
-                        ordered.push(v);
+                    if *eager {
+                        group.states[i].update(v)?;
+                    } else {
+                        deferred.push(v);
                     }
                 }
-                None => group.states[i].update(v)?,
             }
         }
+        Ok(())
     }
-    charge.flush()?;
-    Ok((order, groups))
+
+    /// Fold a later morsel's partial into this (eager) table. Walking its
+    /// groups in their first-seen order keeps the global first-seen group
+    /// order; float partial sums combine in morsel order; each deferred
+    /// DISTINCT value is folded where it is new, which replays the serial
+    /// update sequence.
+    fn merge(&mut self, later: Groups) -> Result<()> {
+        for (key, Group { states, distinct }) in later.into_ordered() {
+            let g = match self.index.get(&key) {
+                Some(&g) => {
+                    for (state, other) in self.groups[g].states.iter_mut().zip(states) {
+                        state.merge(other);
+                    }
+                    g
+                }
+                None => {
+                    let fresh = distinct
+                        .iter()
+                        .map(|d| d.as_ref().map(|_| Default::default()));
+                    self.index.insert(key, self.groups.len());
+                    self.groups.push(Group {
+                        states,
+                        distinct: fresh.collect(),
+                    });
+                    self.groups.len() - 1
+                }
+            };
+            let group = &mut self.groups[g];
+            for (i, slot) in distinct.into_iter().enumerate() {
+                let (Some((_, deferred)), Some((seen, _))) = (slot, &mut group.distinct[i]) else {
+                    continue;
+                };
+                for v in deferred {
+                    if seen.insert(v.clone()) {
+                        group.states[i].update(v)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The groups with their keys, in first-seen order.
+    fn into_ordered(self) -> impl Iterator<Item = (Vec<Value>, Group)> {
+        let mut keys = vec![Vec::new(); self.groups.len()];
+        for (key, g) in self.index {
+            keys[g] = key;
+        }
+        keys.into_iter().zip(self.groups)
+    }
+
+    /// Hand on one row per group, in first-seen order: its key, then each
+    /// aggregate's result. A global aggregate over no rows still yields its
+    /// one row of defaults.
+    fn emit(
+        self,
+        keys: &[PhysExpr],
+        aggs: &[AggSpec],
+        ctx: &ExecContext,
+        sink: &mut Sink,
+    ) -> Result<()> {
+        if self.groups.is_empty() && keys.is_empty() {
+            return sink(&default_row(aggs));
+        }
+        let (mut row, mut ticker, deadline) = (Vec::new(), Ticker::default(), ctx.deadline());
+        for (key, group) in self.into_ordered() {
+            ticker.tick(deadline)?;
+            row.clear();
+            row.extend(key);
+            row.extend(group.states.into_iter().map(AggState::finish));
+            sink(&row)?;
+        }
+        Ok(())
+    }
 }

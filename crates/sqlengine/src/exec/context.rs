@@ -42,13 +42,17 @@ const MORSELS_PER_WORKER: usize = 4;
 /// atomic per ~32 KiB of materialized state rather than one per row.
 pub(crate) const CHARGE_FLUSH_BYTES: u64 = 32 * 1024;
 
-/// Per-statement memory budget for pipeline-breaking operators.
+/// Loops over rows look at the statement deadline once per this many rows.
+pub(crate) const DEADLINE_STRIDE: usize = 1024;
+
+/// Per-statement memory budget for the state operators hold.
 ///
 /// Charged (conservatively, charge-only — no release on operator completion,
 /// so the figure tracked is *cumulative materialized bytes*, an upper bound
-/// on live usage) at the allocation sites that can grow without bound with
-/// input size: hash-join build tables, aggregation hash tables, sort key
-/// runs, DISTINCT/UNION dedup sets, and batched-predict literal tables.
+/// on live usage) where a row is held: hash-join build tables, aggregation
+/// hash tables, sort key runs, DISTINCT dedup sets, and every row a
+/// collecting sink stores (a build side, a sort input, a morsel's output,
+/// the statement result). Streaming operators hold nothing.
 /// When a charge pushes usage past the limit the operator aborts with
 /// [`EngineError::ResourceExhausted`] — a clean, retryable statement error
 /// instead of a process OOM. The peak is always tracked (budgeted or not)
@@ -122,7 +126,7 @@ pub(crate) fn approx_value_bytes(v: &Value) -> u64 {
     (std::mem::size_of::<Value>() + heap) as u64
 }
 
-pub(crate) fn approx_row_bytes(row: &Row) -> u64 {
+pub(crate) fn approx_row_bytes(row: &[Value]) -> u64 {
     let heap: usize = row
         .iter()
         .map(|v| match v {
@@ -130,7 +134,7 @@ pub(crate) fn approx_row_bytes(row: &Row) -> u64 {
             _ => 0,
         })
         .sum();
-    (std::mem::size_of::<Row>() + row.len() * std::mem::size_of::<Value>() + heap) as u64
+    (std::mem::size_of::<Row>() + std::mem::size_of_val(row) + heap) as u64
 }
 
 /// Local accumulator over a shared [`MemoryBudget`]: buffers charges and
@@ -156,7 +160,7 @@ impl<'a> ChargeBuf<'a> {
         Ok(())
     }
 
-    pub(crate) fn add_row(&mut self, row: &Row) -> Result<()> {
+    pub(crate) fn add_row(&mut self, row: &[Value]) -> Result<()> {
         self.add(approx_row_bytes(row))
     }
 
@@ -172,9 +176,12 @@ impl<'a> ChargeBuf<'a> {
 /// Runtime statistics for one operator in an executed plan, collected when
 /// the context has stats enabled (`EXPLAIN ANALYZE`).
 ///
-/// `elapsed` is inclusive of children for tree operators. For operators that
-/// run inside a fused morsel pipeline, `elapsed` is the CPU time summed
-/// across workers (the convention parallel DBMSs use for per-worker stats).
+/// `elapsed` is the wall time of the operator's run: inclusive of its
+/// children and, in a push pipeline, of the work its consumers do on the
+/// rows it hands them (a producer's call spans theirs), so every child's
+/// time lies inside its parent's. The inner stages of a vectorized
+/// Filter/Project chain report their kernel time, summed across workers
+/// (the convention parallel DBMSs use for per-worker stats).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
     /// Operator label as rendered by `EXPLAIN` (e.g. `HashJoin [Inner, 1 keys]`).
@@ -191,8 +198,8 @@ pub struct OpStats {
     /// (1 = serial path).
     pub morsels: usize,
     /// Bytes charged against the statement memory budget while this operator
-    /// (and its children) ran — pipeline-breaker state attribution. 0 for
-    /// streaming operators.
+    /// ran — its children's state and, in a push pipeline, that of the
+    /// consumers its rows fed.
     pub mem_bytes: u64,
     pub children: Vec<OpStats>,
 }
@@ -318,14 +325,14 @@ pub struct ExecContext {
     pool: Option<Arc<WorkerPool>>,
     collect_stats: bool,
     /// Absolute point after which execution aborts with
-    /// [`EngineError::Timeout`]. Checked at operator dispatch and morsel
-    /// boundaries; `None` disables the check.
+    /// [`EngineError::Timeout`]. Checked at operator dispatch and every
+    /// [`DEADLINE_STRIDE`] rows of a loop; `None` disables the check.
     deadline: Option<Instant>,
-    /// Per-statement memory budget charged by pipeline-breaking operators.
+    /// Per-statement memory budget, charged where operators hold rows.
     /// Always present; defaults to an unlimited (peak-tracking) budget.
     budget: Arc<MemoryBudget>,
-    /// Telemetry registry for the worker-idle wait rollup and the hash-join
-    /// pruning counter (`None` outside a [`Database`] statement or when
+    /// Telemetry registry for the worker-idle wait rollup and the executor's
+    /// row counters (`None` outside a [`Database`] statement or when
     /// telemetry is disabled, in which case `run_jobs` reads no clocks).
     ///
     /// [`Database`]: crate::Database
@@ -333,8 +340,8 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// The exact serial executor (`parallelism = 1`): no pool, no chunking —
-    /// byte-identical to the pre-refactor interpreter.
+    /// The serial executor (`parallelism = 1`): no pool, every input pushed
+    /// through its consumers.
     pub fn serial() -> ExecContext {
         ExecContext {
             parallelism: 1,
@@ -389,7 +396,8 @@ impl ExecContext {
     }
 
     /// Builder-style telemetry handle: enables the `worker_idle` wait
-    /// rollup around worker-pool fan-outs and `exec.join.probe_rows_pruned`.
+    /// rollup around worker-pool fan-outs, `exec.join.probe_rows_pruned` and
+    /// `exec.rows_materialized`.
     pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::Telemetry>) -> ExecContext {
         self.telemetry = Some(telemetry);
         self
@@ -420,10 +428,16 @@ impl ExecContext {
         self.collect_stats
     }
 
+    /// Whether operators with a morsel path collect their input to split it
+    /// (`parallelism >= 2`); otherwise every input is pushed.
+    pub(crate) fn parallel(&self) -> bool {
+        self.pool.is_some()
+    }
+
     /// Whether an operator over `n_rows` input rows should take its
     /// morsel-parallel path.
     pub(crate) fn should_parallelize(&self, n_rows: usize) -> bool {
-        self.parallelism > 1 && self.pool.is_some() && n_rows >= PAR_ROW_THRESHOLD
+        self.parallel() && n_rows >= PAR_ROW_THRESHOLD
     }
 
     /// Split `0..len` into morsel ranges for this context.
@@ -459,9 +473,17 @@ impl ExecContext {
         }
     }
 
+    /// Add to `exec.rows_materialized`: rows a collecting sink stored as an
+    /// operator's intermediate input (never the statement result).
+    pub(crate) fn count_rows_materialized(&self, rows: usize) {
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.rows_materialized.add(rows as u64);
+        }
+    }
+
     /// Execute a plan to completion.
     pub fn execute(&self, plan: &PhysPlan) -> Result<Vec<Row>> {
-        Ok(super::run(plan, self)?.0)
+        Ok(super::collect(plan, self)?.0)
     }
 
     /// Execute a plan and collect the per-operator statistics tree
@@ -475,7 +497,7 @@ impl ExecContext {
             budget: Arc::clone(&self.budget),
             telemetry: self.telemetry.clone(),
         };
-        let (rows, stats) = super::run(plan, &ctx)?;
+        let (rows, stats) = super::collect(plan, &ctx)?;
         Ok((rows, stats.expect("stats were requested")))
     }
 }
@@ -486,6 +508,22 @@ pub(crate) fn check_deadline(deadline: Option<Instant>) -> Result<()> {
     match deadline {
         Some(d) if Instant::now() >= d => Err(EngineError::Timeout),
         _ => Ok(()),
+    }
+}
+
+/// Counts the rows a loop handles and looks at the statement deadline once
+/// every [`DEADLINE_STRIDE`] of them, so any streamed loop — a scan, a
+/// join's fan-out of one probe row — can be cut off part-way.
+#[derive(Default)]
+pub(crate) struct Ticker(usize);
+
+impl Ticker {
+    pub(crate) fn tick(&mut self, deadline: Option<Instant>) -> Result<()> {
+        self.0 += 1;
+        if self.0.is_multiple_of(DEADLINE_STRIDE) {
+            check_deadline(deadline)?;
+        }
+        Ok(())
     }
 }
 

@@ -1,16 +1,19 @@
 //! Join operators: hash join (serial and partitioned-parallel), sort-merge
-//! join, and nested-loop join.
+//! join, nested-loop join, and index nested-loop join.
 //!
-//! The parallel hash join runs in three phases: (1) morsel-parallel key
-//! extraction over the build (right) side, (2) one build job per partition
-//! (`hash(key) % P`) assembling that partition's table in original row
-//! order, (3) morsel-parallel probe over the left side. Because every probe
-//! chunk preserves left order and match lists preserve right order, the
-//! concatenated output is identical to the serial join's output.
+//! Every join collects one side and streams the other. The hash join builds
+//! its table on the right side and streams the left through the probe: each
+//! probe row's matches are joined in one reused buffer and handed on, so the
+//! joined rows are never held. The parallel build runs in two phases: (1)
+//! morsel-parallel key extraction over the build side, (2) one build job per
+//! partition (`hash(key) % P`) assembling that partition's table in original
+//! row order; the probe then runs over left morsels. Because every probe
+//! morsel preserves left order and match lists preserve right order, the
+//! output is identical to the pushed probe's.
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
-//! column) or built in one reused scratch vector, and a row is cloned only
-//! once it has matched. When the probe child is a bare base-table scan with
+//! column) or built in one reused scratch vector, and a matched row is built
+//! in one reused buffer. When the probe child is a bare base-table scan with
 //! a columnar image, an INNER join on one bare column against a small build
 //! side goes further and filters whole chunks by the build side's key set
 //! ([`super::vector::key_filter`]) before touching any row.
@@ -18,22 +21,21 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::JoinKind;
 use crate::column::{ChunkedTable, CHUNK_ROWS};
 use crate::error::Result;
+use crate::explain::op_label;
 use crate::expr::PhysExpr;
 use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
-use super::context::{approx_row_bytes, check_deadline, ChargeBuf, ChunkJob, MemoryBudget};
+use super::context::{approx_row_bytes, check_deadline, ChargeBuf, ChunkJob, Ticker};
 use super::vector::{key_filter, KeySet};
-use super::{ExecContext, NodeOut};
-
-/// Loops over rows look at the statement deadline once per this many rows.
-const DEADLINE_STRIDE: usize = 1024;
+use super::{key_of, ExecContext, NodeOut, OpStats, RowOp, Sink};
 
 /// The chunk key filter runs only when the probe side holds at least this
 /// many rows per distinct build key: a key set nearly as large as the table
@@ -55,46 +57,27 @@ fn hash_key(key: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Evaluate join-key expressions for one row; `None` when any key is NULL
-/// (NULL never matches an equi-join key).
-fn eval_key(row: &[Value], keys: &[PhysExpr]) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = k.eval(row)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
+/// `left ++ right` in `joined`, which keeps its capacity from row to row.
+fn join_into(joined: &mut Vec<Value>, left: &[Value], right: &[Value]) {
+    joined.clear();
+    joined.extend_from_slice(left);
+    joined.extend_from_slice(right);
 }
 
-/// The probe-side form of [`eval_key`], allocation-free: a single bare
-/// column is borrowed from the row itself, anything else is evaluated into
-/// `scratch` (whose capacity is reused from row to row).
-fn probe_key<'a>(
-    row: &'a [Value],
-    keys: &[PhysExpr],
-    scratch: &'a mut Vec<Value>,
-) -> Result<Option<&'a [Value]>> {
-    if let [PhysExpr::Column(c)] = keys {
-        let v = &row[*c];
-        return Ok((!v.is_null()).then(|| std::slice::from_ref(v)));
-    }
-    scratch.clear();
-    for k in keys {
-        let v = k.eval(row)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        scratch.push(v);
-    }
-    Ok(Some(scratch))
+/// `row` followed by `width` NULLs: the LEFT JOIN row of an unmatched outer
+/// row.
+fn null_fill(joined: &mut Vec<Value>, row: &[Value], width: usize) {
+    joined.clear();
+    joined.extend_from_slice(row);
+    joined.extend(std::iter::repeat_n(Value::Null, width));
 }
 
-/// Whether `i` is a row at which a loop should look at the deadline.
-fn at_stride(i: usize) -> bool {
-    i.is_multiple_of(DEADLINE_STRIDE)
+/// Whether a joined row passes the join's residual predicate.
+fn keeps(residual: &Option<PhysExpr>, joined: &[Value]) -> Result<bool> {
+    match residual {
+        None => Ok(true),
+        Some(r) => Ok(r.eval(joined)?.as_bool()? == Some(true)),
+    }
 }
 
 /// Everything a hash-join probe needs besides the probe rows themselves;
@@ -109,13 +92,16 @@ struct Probe {
     right_width: usize,
     residual: Option<PhysExpr>,
     deadline: Option<Instant>,
+    /// Probe rows that found no build key, over every run.
+    pruned: AtomicUsize,
 }
 
-/// What one probe morsel produced: the joined rows, and how many probe rows
-/// found no build key.
+/// One probe run's working state.
 #[derive(Default)]
-struct Probed {
-    rows: Vec<Row>,
+struct ProbeScratch {
+    key: Vec<Value>,
+    joined: Vec<Value>,
+    ticker: Ticker,
     pruned: usize,
 }
 
@@ -127,112 +113,86 @@ impl Probe {
         }
     }
 
-    /// Probe with one left row, appending joined rows (and the LEFT JOIN
-    /// NULL-fill when unmatched) to `out`.
-    fn row(&self, lrow: &Row, scratch: &mut Vec<Value>, out: &mut Probed) -> Result<()> {
-        let mut matched = false;
-        let hit = match probe_key(lrow, &self.keys, scratch)? {
+    /// Probe a run of chunks of the left side's columnar image: the key
+    /// filter picks each chunk's candidate offsets from the typed key
+    /// column, and only those rows are probed. A chunk the filter cannot
+    /// decide (mixed column, keys of another variant) is probed row by row.
+    fn chunks(&self, side: &ChunkSide, range: Range<usize>, sink: &mut Sink) -> Result<()> {
+        let mut scratch = ProbeScratch::default();
+        for ci in range {
+            check_deadline(self.deadline)?;
+            let chunk = &side.chunked.chunks()[ci];
+            let base = ci * CHUNK_ROWS;
+            match key_filter(chunk.column(side.column), &side.keys) {
+                Some(selected) => {
+                    scratch.pruned += chunk.len() - selected.len();
+                    for offset in selected {
+                        self.row(&side.rows[base + offset as usize], &mut scratch, sink)?;
+                    }
+                }
+                None => {
+                    for lrow in &side.rows[base..base + chunk.len()] {
+                        self.row(lrow, &mut scratch, sink)?;
+                    }
+                }
+            }
+        }
+        self.finish(scratch);
+        Ok(())
+    }
+}
+
+impl RowOp for Probe {
+    type Scratch = ProbeScratch;
+
+    /// Probe with one left row: hand on its joined rows, or the LEFT JOIN
+    /// NULL-fill when none matched.
+    fn row(&self, lrow: &[Value], scratch: &mut ProbeScratch, sink: &mut Sink) -> Result<()> {
+        let ProbeScratch {
+            key,
+            joined,
+            ticker,
+            pruned,
+        } = scratch;
+        let hit = match key_of(lrow, &self.keys, key, false)? {
             Some(key) => self.lookup(key),
             None => None,
         };
+        let mut matched = false;
         match hit {
             Some(idxs) => {
-                for (m, &ri) in idxs.iter().enumerate() {
+                for &ri in idxs {
                     // A popular key fans one probe row out to many.
-                    if m > 0 && at_stride(m) {
-                        check_deadline(self.deadline)?;
+                    ticker.tick(self.deadline)?;
+                    join_into(joined, lrow, &self.right_rows[ri]);
+                    if keeps(&self.residual, joined)? {
+                        matched = true;
+                        sink(joined)?;
                     }
-                    let mut joined = lrow.clone();
-                    joined.extend(self.right_rows[ri].iter().cloned());
-                    if let Some(r) = &self.residual {
-                        if r.eval(&joined)?.as_bool()? != Some(true) {
-                            continue;
-                        }
-                    }
-                    matched = true;
-                    out.rows.push(joined);
                 }
             }
-            None => out.pruned += 1,
+            None => *pruned += 1,
         }
         if !matched && self.kind == JoinKind::Left {
-            let mut joined = lrow.clone();
-            joined.extend(std::iter::repeat_n(Value::Null, self.right_width));
-            out.rows.push(joined);
+            null_fill(joined, lrow, self.right_width);
+            sink(joined)?;
         }
         Ok(())
     }
 
-    /// Probe with a run of left rows, in order.
-    fn rows(&self, rows: &[Row], out: &mut Probed) -> Result<()> {
-        let mut scratch = Vec::with_capacity(self.keys.len());
-        for (i, lrow) in rows.iter().enumerate() {
-            if at_stride(i) {
-                check_deadline(self.deadline)?;
-            }
-            self.row(lrow, &mut scratch, out)?;
-        }
-        Ok(())
-    }
-
-    /// Probe with one morsel of the left side: a run of rows, or a run of
-    /// chunks when the key filter applies — it picks each chunk's candidate
-    /// offsets from the typed key column, and only those rows are probed and
-    /// joined. A chunk the filter cannot decide (mixed column, keys of
-    /// another variant) is probed row by row.
-    fn morsel(&self, left: &ProbeSide, range: Range<usize>) -> Result<Probed> {
-        let mut out = Probed::default();
-        match left {
-            ProbeSide::Rows(rows) => self.rows(&rows[range], &mut out)?,
-            ProbeSide::Chunks {
-                rows,
-                chunked,
-                column,
-                keys,
-            } => {
-                let mut scratch = Vec::new();
-                for ci in range {
-                    check_deadline(self.deadline)?;
-                    let chunk = &chunked.chunks()[ci];
-                    let base = ci * CHUNK_ROWS;
-                    match key_filter(chunk.column(*column), keys) {
-                        Some(selected) => {
-                            out.pruned += chunk.len() - selected.len();
-                            for offset in selected {
-                                self.row(&rows[base + offset as usize], &mut scratch, &mut out)?;
-                            }
-                        }
-                        None => self.rows(&rows[base..base + chunk.len()], &mut out)?,
-                    }
-                }
-            }
-        }
-        Ok(out)
+    fn finish(&self, scratch: ProbeScratch) {
+        self.pruned.fetch_add(scratch.pruned, Ordering::Relaxed);
     }
 }
 
-/// The probe (left) input of a hash join as the executor runs it.
-enum ProbeSide {
-    /// Any child's output, probed row by row.
-    Rows(Arc<Vec<Row>>),
-    /// A bare base-table scan with a columnar image, joined INNER on the one
-    /// bare column `column`: chunks are filtered by the build side's keys.
-    Chunks {
-        rows: Arc<Vec<Row>>,
-        chunked: Arc<ChunkedTable>,
-        column: usize,
-        keys: KeySet,
-    },
-}
-
-impl ProbeSide {
-    /// Units of work to split into morsels: rows, or chunks.
-    fn len(&self) -> usize {
-        match self {
-            ProbeSide::Rows(rows) => rows.len(),
-            ProbeSide::Chunks { chunked, .. } => chunked.chunk_count(),
-        }
-    }
+/// The probe side of a hash join over a bare base-table scan with a
+/// columnar image, joined INNER on the one bare column `column`: chunks are
+/// filtered by the build side's keys.
+struct ChunkSide {
+    rows: Arc<Vec<Row>>,
+    chunked: Arc<ChunkedTable>,
+    column: usize,
+    keys: KeySet,
 }
 
 /// How the probe side of a hash join will run, from what the operator can
@@ -260,37 +220,40 @@ pub(crate) fn hash_join(
     right_width: usize,
     residual: &Option<PhysExpr>,
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let left_rows = super::run_input(left, ctx, &mut children, &mut rows_in)?;
-    let right_rows = super::run_input(right, ctx, &mut children, &mut rows_in)?;
-
-    let parallel = ctx.should_parallelize(left_rows.len().max(right_rows.len()));
-    let tables = if parallel {
+    // The build side runs first; its stats are listed after the probe's.
+    let mut build = NodeOut::new();
+    let right_rows = super::run_input(right, ctx, &mut build)?;
+    let tables = if ctx.should_parallelize(right_rows.len()) {
+        build.workers = ctx.parallelism();
         parallel_build(&right_rows, right_keys, ctx)?
     } else {
         vec![serial_build(&right_rows, right_keys, ctx)?]
     };
-    let distinct_keys: usize = tables.iter().map(KeyTable::len).sum();
-    let selective = distinct_keys.saturating_mul(KEY_FILTER_SELECTIVITY) <= left_rows.len();
-    let left_side = match (left, left_keys) {
+
+    let chunk_side = match (left, left_keys) {
         (
             PhysPlan::Scan {
+                rows,
                 chunks: Some(slot),
                 width,
-                ..
             },
             [PhysExpr::Column(column)],
-        ) if selective && keyset_mode(left, left_keys, kind) == Some(true) => ProbeSide::Chunks {
-            chunked: slot.get_or_build(&left_rows, *width),
-            rows: left_rows,
-            column: *column,
-            keys: KeySet::of(tables.iter().flat_map(|t| t.keys())),
-        },
-        _ => ProbeSide::Rows(left_rows),
+        ) if keyset_mode(left, left_keys, kind) == Some(true) => {
+            let distinct_keys: usize = tables.iter().map(KeyTable::len).sum();
+            (distinct_keys.saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len()).then(|| {
+                ChunkSide {
+                    chunked: slot.get_or_build(rows, *width),
+                    rows: Arc::clone(rows),
+                    column: *column,
+                    keys: KeySet::of(tables.iter().flat_map(|t| t.keys())),
+                }
+            })
+        }
+        _ => None,
     };
-    let probe = Probe {
+    let probe = Arc::new(Probe {
         keys: left_keys.to_vec(),
         tables,
         right_rows,
@@ -298,45 +261,39 @@ pub(crate) fn hash_join(
         right_width,
         residual: residual.clone(),
         deadline: ctx.deadline(),
-    };
+        pruned: AtomicUsize::new(0),
+    });
 
-    // Probe in left order; parallel morsels concatenate in submission order,
-    // so the output matches the serial join's.
-    let Probed { rows, pruned } = if parallel {
-        let (probe, left_side) = (Arc::new(probe), Arc::new(left_side));
-        let jobs = ctx
-            .morsels(left_side.len())
-            .into_iter()
-            .map(|range| {
-                let (probe, left_side) = (Arc::clone(&probe), Arc::clone(&left_side));
-                let job: ChunkJob<Result<Probed>> =
-                    Box::new(move || probe.morsel(&left_side, range));
-                job
-            })
-            .collect();
-        let mut all = Probed::default();
-        for part in ctx.run_jobs(jobs) {
-            let part = part?;
-            all.rows.extend(part.rows);
-            all.pruned += part.pruned;
+    // Probe in left order; parallel morsels are handed on in submission
+    // order, so the output matches the pushed probe's.
+    let mut node = NodeOut::new();
+    match chunk_side {
+        Some(side) => {
+            let rows = side.rows.len();
+            node.rows_in += rows;
+            if ctx.stats_enabled() {
+                node.children.push(OpStats::leaf(op_label(left), rows));
+            }
+            let (units, parallel) = (side.chunked.chunk_count(), ctx.should_parallelize(rows));
+            let run = {
+                let probe = Arc::clone(&probe);
+                move |range, sink: &mut Sink| probe.chunks(&side, range, sink)
+            };
+            super::morsels(ctx, units, parallel, &mut node, run, sink)?;
         }
-        all
-    } else {
-        probe.morsel(&left_side, 0..left_side.len())?
-    };
+        None => super::stream(&probe, left, ctx, &mut node, sink)?,
+    }
+    node.absorb(build);
+    let pruned = probe.pruned.load(Ordering::Relaxed);
     ctx.count_probe_rows_pruned(pruned);
-    Ok(NodeOut {
-        rows,
-        rows_in,
-        workers: if parallel { ctx.parallelism() } else { 1 },
-        children,
-        pruned: Some(pruned),
-    })
+    node.pruned = Some(pruned);
+    Ok(node)
 }
 
 /// Build the hash table on the right side (the probe runs over the left,
-/// which preserves left order and gives LEFT JOIN for free). The table is
-/// pre-sized from the build side's row count.
+/// which preserves left order and gives LEFT JOIN for free). The table owns
+/// one key per distinct key plus one index per row, and is pre-sized from
+/// the build side's row count.
 fn serial_build(
     right_rows: &[Row],
     right_keys: &[PhysExpr],
@@ -344,14 +301,19 @@ fn serial_build(
 ) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(right_rows.len());
     let mut charge = ChargeBuf::new(ctx.budget());
+    let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
     for (i, row) in right_rows.iter().enumerate() {
-        if at_stride(i) {
-            ctx.check_timeout()?;
-        }
-        if let Some(key) = eval_key(row, right_keys)? {
-            // The build table owns the key values plus one index per row.
-            charge.add(approx_row_bytes(&key) + std::mem::size_of::<usize>() as u64)?;
-            table.entry(key).or_default().push(i);
+        ticker.tick(ctx.deadline())?;
+        let Some(key) = key_of(row, right_keys, &mut scratch, false)? else {
+            continue;
+        };
+        charge.add(std::mem::size_of::<usize>() as u64)?;
+        match table.get_mut(key) {
+            Some(idxs) => idxs.push(i),
+            None => {
+                charge.add(approx_row_bytes(key))?;
+                table.insert(key.to_vec(), vec![i]);
+            }
         }
     }
     charge.flush()?;
@@ -381,13 +343,12 @@ fn parallel_build(
             let job: ChunkJob<Result<Vec<KeyedRow>>> = Box::new(move || {
                 let mut out = Vec::with_capacity(range.len());
                 let mut charge = ChargeBuf::new(&budget);
+                let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
                 for i in range {
-                    if at_stride(i) {
-                        check_deadline(deadline)?;
-                    }
-                    if let Some(key) = eval_key(&rows[i], &keys)? {
-                        charge.add(approx_row_bytes(&key) + 16)?;
-                        out.push((hash_key(&key), key, i));
+                    ticker.tick(deadline)?;
+                    if let Some(key) = key_of(&rows[i], &keys, &mut scratch, false)? {
+                        charge.add(approx_row_bytes(key) + 16)?;
+                        out.push((hash_key(key), key.to_vec(), i));
                     }
                 }
                 charge.flush()?;
@@ -414,8 +375,14 @@ fn parallel_build(
                 for chunk in keyed.iter() {
                     check_deadline(deadline)?;
                     for (h, key, i) in chunk {
-                        if *h as usize % partitions == p {
-                            table.entry(key.clone()).or_default().push(*i);
+                        if *h as usize % partitions != p {
+                            continue;
+                        }
+                        match table.get_mut(key) {
+                            Some(idxs) => idxs.push(*i),
+                            None => {
+                                table.insert(key.clone(), vec![*i]);
+                            }
                         }
                     }
                 }
@@ -437,26 +404,26 @@ pub(crate) fn sort_merge_join(
     right_width: usize,
     residual: &Option<PhysExpr>,
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let left_rows = super::run_input(left, ctx, &mut children, &mut rows_in)?;
-    let right_rows = super::run_input(right, ctx, &mut children, &mut rows_in)?;
+    let mut node = NodeOut::new();
+    let left_rows = super::run_input(left, ctx, &mut node)?;
+    let right_rows = super::run_input(right, ctx, &mut node)?;
 
     // Materialize (key, index) pairs and sort both sides. NULL keys never
     // match and are dropped from the merge (LEFT JOIN keeps their rows).
     // This operator emulates an engine without hash joins (profile C), so it
     // stays serial by design.
+    let deadline = ctx.deadline();
     let keyed = |rows: &[Row], keys: &[PhysExpr]| -> Result<Vec<(Vec<Value>, usize)>> {
         let mut out = Vec::with_capacity(rows.len());
         let mut charge = ChargeBuf::new(ctx.budget());
+        let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
         for (i, row) in rows.iter().enumerate() {
-            if at_stride(i) {
-                ctx.check_timeout()?;
-            }
-            if let Some(k) = eval_key(row, keys)? {
-                charge.add(approx_row_bytes(&k) + 8)?;
-                out.push((k, i));
+            ticker.tick(deadline)?;
+            if let Some(k) = key_of(row, keys, &mut scratch, false)? {
+                charge.add(approx_row_bytes(k) + 8)?;
+                out.push((k.to_vec(), i));
             }
         }
         charge.flush()?;
@@ -467,7 +434,7 @@ pub(crate) fn sort_merge_join(
     let rk = keyed(&right_rows, right_keys)?;
 
     let mut matched_left = vec![false; left_rows.len()];
-    let mut out = Vec::new();
+    let (mut joined, mut ticker) = (Vec::new(), Ticker::default());
     let (mut li, mut ri) = (0usize, 0usize);
     while li < lk.len() && ri < rk.len() {
         match cmp_keys(&lk[li].0, &rk[ri].0) {
@@ -483,40 +450,27 @@ pub(crate) fn sort_merge_join(
                 while ri < rk.len() && cmp_keys(&lk[lstart].0, &rk[ri].0).is_eq() {
                     ri += 1;
                 }
+                // One equal run can be quadratic in its length.
                 for &(_, l_idx) in &lk[lstart..li] {
-                    // One equal run can be quadratic in its length.
-                    ctx.check_timeout()?;
                     for &(_, r_idx) in &rk[rstart..ri] {
-                        let mut joined = left_rows[l_idx].clone();
-                        joined.extend(right_rows[r_idx].iter().cloned());
-                        if let Some(r) = residual {
-                            if r.eval(&joined)?.as_bool()? != Some(true) {
-                                continue;
-                            }
+                        ticker.tick(deadline)?;
+                        join_into(&mut joined, &left_rows[l_idx], &right_rows[r_idx]);
+                        if keeps(residual, &joined)? {
+                            matched_left[l_idx] = true;
+                            sink(&joined)?;
                         }
-                        matched_left[l_idx] = true;
-                        out.push(joined);
                     }
                 }
             }
         }
     }
     if kind == JoinKind::Left {
-        for (i, row) in left_rows.iter().enumerate() {
-            if !matched_left[i] {
-                let mut joined = row.clone();
-                joined.extend(std::iter::repeat_n(Value::Null, right_width));
-                out.push(joined);
-            }
+        for (row, _) in left_rows.iter().zip(&matched_left).filter(|(_, m)| !**m) {
+            null_fill(&mut joined, row, right_width);
+            sink(&joined)?;
         }
     }
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    Ok(node)
 }
 
 fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
@@ -529,6 +483,40 @@ fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
+/// The inner side of a nested-loop join and what each outer row is joined
+/// with it under.
+struct NestedLoop {
+    right_rows: Arc<Vec<Row>>,
+    kind: JoinKind,
+    right_width: usize,
+    predicate: Option<PhysExpr>,
+    deadline: Option<Instant>,
+}
+
+impl RowOp for NestedLoop {
+    type Scratch = (Vec<Value>, Ticker);
+
+    /// Join one outer row with every inner row — the one operator whose
+    /// output is quadratic in its input, so the fan-out ticks the deadline.
+    fn row(&self, lrow: &[Value], scratch: &mut Self::Scratch, sink: &mut Sink) -> Result<()> {
+        let (joined, ticker) = scratch;
+        let mut matched = false;
+        for rrow in self.right_rows.iter() {
+            ticker.tick(self.deadline)?;
+            join_into(joined, lrow, rrow);
+            if keeps(&self.predicate, joined)? {
+                matched = true;
+                sink(joined)?;
+            }
+        }
+        if !matched && self.kind == JoinKind::Left {
+            null_fill(joined, lrow, self.right_width);
+            sink(joined)?;
+        }
+        Ok(())
+    }
+}
+
 pub(crate) fn nested_loop_join(
     left: &PhysPlan,
     right: &PhysPlan,
@@ -536,114 +524,32 @@ pub(crate) fn nested_loop_join(
     right_width: usize,
     predicate: &Option<PhysExpr>,
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let left_rows = super::run_input(left, ctx, &mut children, &mut rows_in)?;
-    let right_rows = super::run_input(right, ctx, &mut children, &mut rows_in)?;
-
-    let deadline = ctx.deadline();
-    let parallel = ctx.should_parallelize(left_rows.len());
-    let rows = if parallel {
-        let predicate_arc: Arc<Option<PhysExpr>> = Arc::new(predicate.clone());
-        let jobs: Vec<ChunkJob<Result<Vec<Row>>>> = ctx
-            .morsels(left_rows.len())
-            .into_iter()
-            .map(|range| {
-                let left = Arc::clone(&left_rows);
-                let right = Arc::clone(&right_rows);
-                let predicate = Arc::clone(&predicate_arc);
-                let budget = Arc::clone(ctx.budget());
-                let job: ChunkJob<Result<Vec<Row>>> = Box::new(move || {
-                    nested_loop_chunk(
-                        &left[range],
-                        &right,
-                        kind,
-                        right_width,
-                        &predicate,
-                        deadline,
-                        &budget,
-                    )
-                });
-                job
-            })
-            .collect();
-        let mut out = Vec::new();
-        for chunk in ctx.run_jobs(jobs) {
-            out.extend(chunk?);
-        }
-        out
-    } else {
-        nested_loop_chunk(
-            &left_rows,
-            &right_rows,
-            kind,
-            right_width,
-            predicate,
-            deadline,
-            ctx.budget(),
-        )?
-    };
-    Ok(NodeOut {
-        rows,
-        rows_in,
-        workers: if parallel { ctx.parallelism() } else { 1 },
-        children,
-        pruned: None,
-    })
+    // The inner side runs first; its stats are listed after the outer's.
+    let mut inner = NodeOut::new();
+    let right_rows = super::run_input(right, ctx, &mut inner)?;
+    let op = Arc::new(NestedLoop {
+        right_rows,
+        kind,
+        right_width,
+        predicate: predicate.clone(),
+        deadline: ctx.deadline(),
+    });
+    let mut node = NodeOut::new();
+    super::stream(&op, left, ctx, &mut node, sink)?;
+    node.absorb(inner);
+    Ok(node)
 }
 
-fn nested_loop_chunk(
-    left_rows: &[Row],
-    right_rows: &[Row],
-    kind: JoinKind,
-    right_width: usize,
-    predicate: &Option<PhysExpr>,
-    deadline: Option<std::time::Instant>,
-    budget: &MemoryBudget,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    let mut charge = ChargeBuf::new(budget);
-    for lrow in left_rows {
-        // The one operator whose output is quadratic in its input: check the
-        // deadline per outer row so an unconstrained cross join cannot run
-        // unbounded.
-        check_deadline(deadline)?;
-        let mut matched = false;
-        for rrow in right_rows {
-            let mut joined = lrow.clone();
-            joined.extend(rrow.iter().cloned());
-            let keep = match predicate {
-                None => true,
-                Some(p) => p.eval(&joined)?.as_bool()? == Some(true),
-            };
-            if keep {
-                matched = true;
-                // The one operator whose *output* is quadratic in its input:
-                // charge every materialized row, so an unconstrained cross
-                // join aborts on budget instead of OOMing.
-                charge.add_row(&joined)?;
-                out.push(joined);
-            }
-        }
-        if !matched && kind == JoinKind::Left {
-            let mut joined = lrow.clone();
-            joined.extend(std::iter::repeat_n(Value::Null, right_width));
-            charge.add_row(&joined)?;
-            out.push(joined);
-        }
-    }
-    charge.flush()?;
-    Ok(out)
-}
-
-/// Index-nested-loop join: run the probe side, then look each probe row's key
-/// tuple up in the inner side's index — the inner table is never scanned.
+/// Index-nested-loop join: stream the probe side, then look each probe
+/// row's key tuple up in the inner side's index — the inner table is never
+/// scanned.
 ///
 /// Matched inner row indexes are sorted ascending per probe row (secondary
 /// index postings lists are unordered after in-place UPDATE maintenance), so
-/// with the probe on the left the output ordering matches the serial hash
-/// join exactly. `inner_is_left` flips the column order of the output rows to
+/// with the probe on the left the output ordering matches the hash join
+/// exactly. `inner_is_left` flips the column order of the output rows to
 /// match the FROM-clause scope when the indexed table was the left item.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn index_join(
@@ -655,6 +561,7 @@ pub(crate) fn index_join(
     inner_width: usize,
     residual: &Option<PhysExpr>,
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
     let PhysPlan::IndexScan {
         rows: inner_rows,
@@ -666,58 +573,41 @@ pub(crate) fn index_join(
             "IndexJoin inner side must be an IndexScan",
         ));
     };
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let probe_rows = super::run_input(probe, ctx, &mut children, &mut rows_in)?;
-
-    let mut out = Vec::new();
-    let mut idxs: Vec<usize> = Vec::new();
-    let mut scratch: Vec<Value> = Vec::new();
-    let mut fetched = 0usize;
-    for (i, prow) in probe_rows.iter().enumerate() {
-        if at_stride(i) {
-            ctx.check_timeout()?;
-        }
+    let deadline = ctx.deadline();
+    let (mut idxs, mut key_buf, mut joined) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ticker, mut fetched) = (Ticker::default(), 0usize);
+    let probe_stats = super::push(probe, ctx, &mut |prow| {
         let mut matched = false;
-        if let Some(key) = probe_key(prow, probe_keys, &mut scratch)? {
+        if let Some(key) = key_of(prow, probe_keys, &mut key_buf, false)? {
             idxs.clear();
             index.lookup_into(key, &mut idxs);
             idxs.sort_unstable();
             fetched += idxs.len();
             for &ii in &idxs {
+                ticker.tick(deadline)?;
                 let irow = &inner_rows[ii];
-                let joined: Row = if inner_is_left {
-                    irow.iter().chain(prow.iter()).cloned().collect()
+                if inner_is_left {
+                    join_into(&mut joined, irow, prow);
                 } else {
-                    prow.iter().chain(irow.iter()).cloned().collect()
-                };
-                if let Some(r) = residual {
-                    if r.eval(&joined)?.as_bool()? != Some(true) {
-                        continue;
-                    }
+                    join_into(&mut joined, prow, irow);
                 }
-                matched = true;
-                out.push(joined);
+                if keeps(residual, &joined)? {
+                    matched = true;
+                    sink(&joined)?;
+                }
             }
         }
         if !matched && kind == JoinKind::Left {
             // The probe side is the outer side; null-fill the inner columns.
-            let mut joined = prow.clone();
-            joined.extend(std::iter::repeat_n(Value::Null, inner_width));
-            out.push(joined);
+            null_fill(&mut joined, prow, inner_width);
+            sink(&joined)?;
         }
-    }
+        Ok(())
+    })?;
+    let mut node = NodeOut::new();
+    node.child(probe_stats);
     if ctx.stats_enabled() {
-        children.push(super::OpStats::leaf(
-            crate::explain::op_label(inner),
-            fetched,
-        ));
+        node.children.push(OpStats::leaf(op_label(inner), fetched));
     }
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    Ok(node)
 }

@@ -1,12 +1,15 @@
 //! Set operations and row-count operators: `LIMIT`/`OFFSET`, `UNION ALL`,
 //! `DISTINCT`.
 //!
-//! `DISTINCT` (which also implements `UNION` dedup — the planner lowers
-//! `UNION` to `Distinct` over `UnionAll`) is hash-partitioned in parallel
-//! mode: every row is hashed once with a fixed-seed hasher, each hash
-//! partition is deduplicated by one worker, and the surviving first
-//! occurrences are emitted in original input order — so the output is
-//! identical to the serial path.
+//! `LIMIT` and `UNION ALL` stream at every parallelism: a limit passes on
+//! the rows of its window as they arrive, a union pushes each arm in turn
+//! into the same sink. `DISTINCT` (which also implements `UNION` dedup —
+//! the planner lowers `UNION` to `Distinct` over `UnionAll`) streams too,
+//! holding only its dedup set; on the morsel path it is hash-partitioned:
+//! every row is hashed once with a fixed-seed hasher, each hash partition is
+//! deduplicated by one worker, and the surviving first occurrences are
+//! emitted in original input order — so the output is identical to the
+//! pushed path.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -15,113 +18,87 @@ use std::sync::Arc;
 
 use crate::error::Result;
 use crate::plan::PhysPlan;
-use crate::value::Row;
+use crate::value::{Row, Value};
 
 use super::context::{ChargeBuf, ChunkJob};
-use super::{ExecContext, NodeOut, OpStats};
+use super::{ExecContext, NodeOut, Sink};
 
-/// `LIMIT`/`OFFSET`. The window is taken in place (drain the offset prefix,
-/// truncate the tail) instead of cloning `rows[start..end]`. When the child
-/// is a `Sort` and a limit is present, the sort runs as top-k: it only ever
-/// produces the first `offset + limit` rows.
+/// `LIMIT`/`OFFSET`: pass on the input rows at positions
+/// `offset..offset + limit`. When the child is a `Sort` and a limit is
+/// present, the sort runs as top-k: it only ever produces the first
+/// `offset + limit` rows.
 pub(crate) fn limit(
     input: &PhysPlan,
     limit: Option<usize>,
     offset: usize,
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let (mut rows, rows_in, children) = match (input, limit) {
-        (PhysPlan::Sort { .. }, Some(l)) => {
-            let (rows, stats) = super::sort::top_k(input, offset + l, ctx)?;
-            let rows_in = rows.len();
-            (rows, rows_in, stats.into_iter().collect())
+    let end = limit.map_or(usize::MAX, |l| offset.saturating_add(l));
+    let mut seen = 0usize;
+    let mut window = |row: &[Value]| {
+        seen += 1;
+        if seen > offset && seen <= end {
+            sink(row)?;
         }
-        _ => {
-            let mut children = Vec::new();
-            let mut rows_in = 0usize;
-            let shared = super::run_input(input, ctx, &mut children, &mut rows_in)?;
-            (super::into_owned(shared), rows_in, children)
-        }
+        Ok(())
     };
-
-    if let Some(l) = limit {
-        rows.truncate((offset + l).min(rows.len()));
-    }
-    if offset > 0 {
-        rows.drain(..offset.min(rows.len()));
-    }
-    Ok(NodeOut {
-        rows,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    let stats = match (input, limit) {
+        (PhysPlan::Sort { .. }, Some(_)) => super::sort::top_k(input, end, ctx, &mut window)?,
+        _ => super::push(input, ctx, &mut window)?,
+    };
+    let mut node = NodeOut::new();
+    node.child(stats);
+    Ok(node)
 }
 
-pub(crate) fn union_all(inputs: &[PhysPlan], ctx: &ExecContext) -> Result<NodeOut> {
-    // Children run serially: a child operator may itself fan out to the
-    // shared pool, and nesting run_jobs inside a pool job would deadlock.
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let mut out = Vec::new();
-    // UNION ALL concatenates fully-materialized child outputs; this is also
-    // the operator that materializes batched-predict literal item tables
-    // (inlined `VALUES`-style CTEs of one literal SELECT per item), so the
-    // accumulated output is charged against the statement budget.
-    let mut charge = ChargeBuf::new(ctx.budget());
+/// `UNION ALL`: each arm, in order, into the one sink.
+pub(crate) fn union_all(
+    inputs: &[PhysPlan],
+    ctx: &ExecContext,
+    sink: &mut Sink,
+) -> Result<NodeOut> {
+    let mut node = NodeOut::new();
     for input in inputs {
-        let shared = super::run_input(input, ctx, &mut children, &mut rows_in)?;
-        let owned = super::into_owned(shared);
-        for row in &owned {
-            charge.add_row(row)?;
-        }
-        charge.flush()?;
-        if out.is_empty() {
-            out = owned;
-        } else {
-            out.extend(owned);
-        }
+        node.child(super::push(input, ctx, sink)?);
     }
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    Ok(node)
 }
 
-pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let shared = super::run_input(input, ctx, &mut children, &mut rows_in)?;
-
-    if ctx.should_parallelize(shared.len()) {
-        return parallel_distinct(shared, rows_in, children, ctx);
-    }
-    let rows = super::into_owned(shared);
-    let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-    let mut out = Vec::new();
+pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let mut node = NodeOut::new();
+    let mut seen: HashSet<Row> = HashSet::new();
     let mut charge = ChargeBuf::new(ctx.budget());
-    for row in rows {
-        // The dedup set holds a full copy of every kept row.
-        charge.add_row(&row)?;
-        if seen.insert(row.clone()) {
-            out.push(row);
+    // The per-row function: pass on the first occurrence of each row. The
+    // dedup set holds a full copy of every kept row.
+    let mut first = |row: &[Value], sink: &mut Sink| {
+        if seen.contains(row) {
+            return Ok(());
+        }
+        charge.add_row(row)?;
+        seen.insert(row.to_vec());
+        sink(row)
+    };
+    if !ctx.parallel() {
+        node.child(super::push(input, ctx, &mut |row| first(row, sink))?);
+    } else {
+        let rows = super::run_input(input, ctx, &mut node)?;
+        if ctx.should_parallelize(rows.len()) {
+            node.workers = ctx.parallelism();
+            let kept = parallel_distinct(&rows, ctx)?;
+            super::emit(kept.iter().map(|&i| &rows[i]), ctx, sink)?;
+        } else {
+            for row in rows.iter() {
+                first(row, sink)?;
+            }
         }
     }
     charge.flush()?;
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    Ok(node)
 }
 
-/// Hash-partitioned parallel DISTINCT.
+/// Hash-partitioned parallel DISTINCT: the positions of the rows to keep,
+/// ascending.
 ///
 /// Phase 1 hashes every row morsel-parallel with a fixed-seed hasher (all
 /// workers agree on partition assignment). Phase 2 hands each of
@@ -130,17 +107,12 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext) -> Result<NodeOut> {
 /// row (bucketed by full hash; collisions resolved by row equality).
 /// Partitions are disjoint, so concatenating the kept indexes and sorting
 /// restores the global first-occurrence order the serial path emits.
-fn parallel_distinct(
-    shared: Arc<Vec<Row>>,
-    rows_in: usize,
-    children: Vec<OpStats>,
-    ctx: &ExecContext,
-) -> Result<NodeOut> {
+fn parallel_distinct(shared: &Arc<Vec<Row>>, ctx: &ExecContext) -> Result<Vec<usize>> {
     let hash_jobs: Vec<ChunkJob<Vec<u64>>> = ctx
         .morsels(shared.len())
         .into_iter()
         .map(|range| {
-            let rows = Arc::clone(&shared);
+            let rows = Arc::clone(shared);
             let job: ChunkJob<Vec<u64>> =
                 Box::new(move || rows[range].iter().map(row_hash).collect());
             job
@@ -158,7 +130,7 @@ fn parallel_distinct(
     let nparts = ctx.parallelism();
     let part_jobs: Vec<ChunkJob<Vec<usize>>> = (0..nparts)
         .map(|p| {
-            let rows = Arc::clone(&shared);
+            let rows = Arc::clone(shared);
             let hashes = Arc::clone(&hashes);
             let job: ChunkJob<Vec<usize>> = Box::new(move || {
                 let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -183,19 +155,7 @@ fn parallel_distinct(
         kept.extend(part);
     }
     kept.sort_unstable();
-
-    let mut rows = super::into_owned(shared);
-    let out = kept
-        .into_iter()
-        .map(|i| std::mem::take(&mut rows[i]))
-        .collect();
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: ctx.parallelism(),
-        children,
-        pruned: None,
-    })
+    Ok(kept)
 }
 
 /// Fixed-seed row hash (`DefaultHasher::new()` uses fixed keys), so every

@@ -1,4 +1,5 @@
-//! Sort, top-k (`ORDER BY ... LIMIT`), and window ranking.
+//! Sort, top-k (`ORDER BY ... LIMIT`), and window ranking — operators that
+//! hold their whole input, then hand their rows on in their order.
 //!
 //! Sorting is morsel-parallel end to end: per-row key evaluation fans out
 //! over morsels, each worker sorts one run, and the sorted runs are combined
@@ -20,8 +21,8 @@ use crate::expr::PhysExpr;
 use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
-use super::context::{approx_row_bytes, ChargeBuf, ChunkJob};
-use super::{ExecContext, NodeOut, OpStats};
+use super::context::{approx_row_bytes, ChargeBuf, ChunkJob, Ticker};
+use super::{ExecContext, NodeOut, OpStats, Sink};
 
 /// Evaluate sort keys for every row, morsel-parallel when worthwhile.
 fn eval_keys(
@@ -98,36 +99,35 @@ pub(crate) fn sort(
     input: &PhysPlan,
     keys: &[(PhysExpr, bool)],
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let shared = super::run_input(input, ctx, &mut children, &mut rows_in)?;
+    let mut node = NodeOut::new();
+    let rows = super::run_input(input, ctx, &mut node)?;
 
-    let parallel = ctx.should_parallelize(shared.len());
-    let key_values = eval_keys(&shared, keys, ctx)?;
-    let mut keyed: Vec<(Vec<Value>, usize)> = key_values
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (k, i))
-        .collect();
+    let parallel = ctx.should_parallelize(rows.len());
+    let mut keyed = keyed_rows(&rows, keys, ctx)?;
     if parallel {
+        node.workers = ctx.parallelism();
         keyed = parallel_sort(keyed, keys, ctx);
     } else {
         keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
     }
+    super::emit(keyed.iter().map(|(_, i)| &rows[*i]), ctx, sink)?;
+    Ok(node)
+}
 
-    let mut rows = super::into_owned(shared);
-    let mut out = Vec::with_capacity(rows.len());
-    for (_, i) in keyed {
-        out.push(std::mem::take(&mut rows[i]));
-    }
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: if parallel { ctx.parallelism() } else { 1 },
-        children,
-        pruned: None,
-    })
+/// Every row's sort key paired with its position.
+fn keyed_rows(
+    rows: &Arc<Vec<Row>>,
+    keys: &[(PhysExpr, bool)],
+    ctx: &ExecContext,
+) -> Result<Vec<Keyed>> {
+    let key_values = eval_keys(rows, keys, ctx)?;
+    Ok(key_values
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| (k, i))
+        .collect())
 }
 
 type Keyed = (Vec<Value>, usize);
@@ -202,54 +202,41 @@ fn merge_runs(a: Vec<Keyed>, b: Vec<Keyed>, keys: &[(PhysExpr, bool)]) -> Vec<Ke
     out
 }
 
-/// `ORDER BY ... LIMIT`: return only the first `k` rows of the sort, found by
-/// partition-selection instead of a full sort. Called by the `Limit`
+/// `ORDER BY ... LIMIT`: hand on only the first `k` rows of the sort, found
+/// by partition-selection instead of a full sort. Called by the `Limit`
 /// operator; `plan` must be the `Sort` node, and the returned stats (when
 /// collected) describe it.
 pub(crate) fn top_k(
     plan: &PhysPlan,
     k: usize,
     ctx: &ExecContext,
-) -> Result<(Vec<Row>, Option<OpStats>)> {
+    sink: &mut Sink,
+) -> Result<Option<OpStats>> {
     let PhysPlan::Sort { input, keys } = plan else {
         unreachable!("top_k is only called on Sort nodes");
     };
     let start = ctx.stats_enabled().then(Instant::now);
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let shared = super::run_input(input, ctx, &mut children, &mut rows_in)?;
+    let mut node = NodeOut::new();
+    let rows = super::run_input(input, ctx, &mut node)?;
 
-    let key_values = eval_keys(&shared, keys, ctx)?;
-    let mut keyed: Vec<(Vec<Value>, usize)> = key_values
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (k, i))
-        .collect();
+    let mut keyed = keyed_rows(&rows, keys, ctx)?;
     if k < keyed.len() && k > 0 {
         keyed.select_nth_unstable_by(k - 1, |a, b| cmp_keyed(keys, a, b));
         keyed.truncate(k);
     }
     keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
-    if k == 0 {
-        keyed.clear();
-    }
-
-    let mut rows = super::into_owned(shared);
-    let mut out = Vec::with_capacity(keyed.len());
-    for (_, i) in keyed {
-        out.push(std::mem::take(&mut rows[i]));
-    }
-    let stats = start.map(|t| OpStats {
+    keyed.truncate(k);
+    super::emit(keyed.iter().map(|(_, i)| &rows[*i]), ctx, sink)?;
+    Ok(start.map(|t| OpStats {
         label: format!("{} (top-k, k={k})", op_label(plan)),
-        rows_in,
-        rows_out: out.len(),
+        rows_in: node.rows_in,
+        rows_out: keyed.len(),
         elapsed: t.elapsed(),
         workers: 1,
         morsels: 1,
         mem_bytes: 0,
-        children,
-    });
-    Ok((out, stats))
+        children: node.children,
+    }))
 }
 
 pub(crate) fn window_rank(
@@ -258,10 +245,10 @@ pub(crate) fn window_rank(
     partition: &[PhysExpr],
     order: &[(PhysExpr, bool)],
     ctx: &ExecContext,
+    sink: &mut Sink,
 ) -> Result<NodeOut> {
-    let mut children = Vec::new();
-    let mut rows_in = 0usize;
-    let rows = super::run_input(input, ctx, &mut children, &mut rows_in)?;
+    let mut node = NodeOut::new();
+    let rows = super::run_input(input, ctx, &mut node)?;
 
     // (partition key, order key, original index)
     let mut keyed: Vec<(Vec<Value>, Vec<Value>, usize)> = Vec::with_capacity(rows.len());
@@ -298,7 +285,8 @@ pub(crate) fn window_rank(
         }
         cmp_order(oa, ob).then(ia.cmp(ib))
     });
-    let mut out = vec![Vec::new(); rows.len()];
+    // Rank in sorted order, hand on in input order.
+    let mut ranks = vec![0i64; rows.len()];
     let mut row_number = 0i64; // position within partition
     let mut rank = 0i64; // RANK (with gaps)
     let mut dense = 0i64; // DENSE_RANK
@@ -322,20 +310,19 @@ pub(crate) fn window_rank(
         }
         prev_partition = Some(pk);
         prev_order = Some(ok);
-        let value = match func {
+        ranks[*i] = match func {
             WindowFunc::RowNumber => row_number,
             WindowFunc::Rank => rank,
             WindowFunc::DenseRank => dense,
         };
-        let mut row = rows[*i].clone();
-        row.push(Value::Int(value));
-        out[*i] = row;
     }
-    Ok(NodeOut {
-        rows: out,
-        rows_in,
-        workers: 1,
-        children,
-        pruned: None,
-    })
+    let (mut out, mut ticker, deadline) = (Vec::new(), Ticker::default(), ctx.deadline());
+    for (row, rank) in rows.iter().zip(ranks) {
+        ticker.tick(deadline)?;
+        out.clear();
+        out.extend_from_slice(row);
+        out.push(Value::Int(rank));
+        sink(&out)?;
+    }
+    Ok(node)
 }

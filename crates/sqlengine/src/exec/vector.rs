@@ -738,14 +738,15 @@ fn agg_chunk(
 type VChunkOut = (Vec<Vec<Value>>, HashMap<Vec<Value>, Vec<AggState>>);
 
 /// Vectorized hash aggregate over a fully eligible `Scan → [Filter/Project]*
-/// → Aggregate` chain. Returns `None` (fall back to the row path) when the
-/// chain or the aggregate spec is outside the kernel grammar.
+/// → Aggregate` chain: its output rows, collected, and its stats. Returns
+/// `None` (fall back to the row path) when the chain or the aggregate spec
+/// is outside the kernel grammar.
 pub(super) fn vectorized_aggregate(
     input: &PhysPlan,
     keys: &[PhysExpr],
     aggs: &[AggSpec],
     ctx: &ExecContext,
-) -> Result<Option<NodeOut>> {
+) -> Result<Option<(Vec<Row>, NodeOut)>> {
     if !agg_eligible(keys, aggs) {
         return Ok(None);
     }
@@ -856,37 +857,88 @@ pub(super) fn vectorized_aggregate(
     } else {
         1
     };
+    let mut node = NodeOut::new();
+    node.workers = workers;
     // Rows the Aggregate consumed = rows surviving the last stage.
-    let rows_in = match counters.last() {
+    node.rows_in = match counters.last() {
         Some(c) => c.snapshot().1,
         None => chunked.row_count(),
     };
-    let children = if timed {
-        // Nest the stage stats exactly like the row path renders them:
-        // source leaf innermost, stages wrapping outward.
-        let mut node = OpStats::leaf(op_label(source), chunked.row_count());
-        for (i, stage_node) in nodes.iter().enumerate() {
-            let (rows_in, rows_out, elapsed) = counters[i].snapshot();
-            node = OpStats {
-                label: op_label(stage_node),
-                rows_in,
-                rows_out,
-                elapsed,
-                workers,
-                morsels,
-                mem_bytes: 0,
-                children: vec![node],
-            };
-        }
-        vec![node]
-    } else {
-        Vec::new()
+    if timed {
+        let source = OpStats::leaf(op_label(source), chunked.row_count());
+        node.children = vec![chain_stats(source, &nodes, &counters, workers, morsels)];
+    }
+    Ok(Some((out, node)))
+}
+
+/// The stats of a vectorized chain's stages, nested exactly like the row
+/// path renders them: the source leaf innermost, each stage (innermost
+/// first) wrapping the one below.
+fn chain_stats(
+    source: OpStats,
+    stages: &[&PhysPlan],
+    counters: &[StageCounter],
+    workers: usize,
+    morsels: usize,
+) -> OpStats {
+    let mut node = source;
+    for (stage, counter) in stages.iter().zip(counters) {
+        let (rows_in, rows_out, elapsed) = counter.snapshot();
+        node = OpStats {
+            label: op_label(stage),
+            rows_in,
+            rows_out,
+            elapsed,
+            workers,
+            morsels,
+            mem_bytes: 0,
+            children: vec![node],
+        };
+    }
+    node
+}
+
+/// A Filter/Project chain that runs vectorized down to its chunked scan
+/// ([`node_mode`] says so of its top node): run it as a vectorized prefix and
+/// hand its rows to the push path as collected rows. The top stage is the
+/// dispatcher's node; the ones below report from the stage counters.
+/// `None` — nothing run — when the chain's source is not a scan (a
+/// projection over a vectorized aggregate).
+pub(super) fn vectorized_chain(
+    plan: &PhysPlan,
+    ctx: &ExecContext,
+    sink: &mut super::Sink,
+) -> Result<Option<NodeOut>> {
+    let (nodes, source) = collect_chain(plan);
+    let counters: Arc<Vec<StageCounter>> =
+        Arc::new((0..nodes.len()).map(|_| StageCounter::default()).collect());
+    let Some(out) = prefix_run(&nodes, source, &counters, ctx)? else {
+        return Ok(None);
     };
-    Ok(Some(NodeOut {
-        rows: out,
-        rows_in,
-        workers,
-        children,
-        pruned: None,
-    }))
+    debug_assert_eq!(out.stages_done, nodes.len(), "the whole chain is eligible");
+    super::emit(out.rows.iter(), ctx, sink)?;
+
+    let mut node = NodeOut::new();
+    let top = nodes.len() - 1;
+    node.rows_in = counters[top].snapshot().0;
+    if out.parallel {
+        node.workers = ctx.parallelism();
+    }
+    if ctx.stats_enabled() {
+        let chunks = out.source_rows.div_ceil(crate::column::CHUNK_ROWS);
+        let morsels = if out.parallel {
+            ctx.morsels(chunks).len()
+        } else {
+            1
+        };
+        let source = OpStats::leaf(op_label(source), out.source_rows);
+        node.children = vec![chain_stats(
+            source,
+            &nodes[..top],
+            &counters,
+            node.workers,
+            morsels,
+        )];
+    }
+    Ok(Some(node))
 }

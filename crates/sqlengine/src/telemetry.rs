@@ -287,6 +287,10 @@ pub struct Telemetry {
     /// Hash-join probe rows rejected because the build side holds no such
     /// key (by the chunk key filter or by the per-row lookup).
     pub join_probe_rows_pruned: Counter,
+    /// Rows a collecting sink stored as an operator's intermediate input (a
+    /// hash-join build side, a sort input, a morsel's output) — never the
+    /// rows a streaming pipeline passed through, nor the statement result.
+    pub rows_materialized: Counter,
     /// Rows a `DELETE`/`UPDATE` examined: its index candidates, or every
     /// row of the table when no index answers the predicate.
     pub dml_rows_examined: Counter,
@@ -370,7 +374,7 @@ impl Telemetry {
 
     /// Every event counter under its `sys.metrics` name: the one list that
     /// [`Telemetry::reset`] and `sys.metrics` both walk.
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 25] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 26] {
         [
             ("statements.total", &self.statements),
             ("statements.errors", &self.statement_errors),
@@ -384,6 +388,7 @@ impl Telemetry {
             ("exec.vectorized_ops", &self.vectorized_ops),
             ("exec.row_ops", &self.row_ops),
             ("exec.join.probe_rows_pruned", &self.join_probe_rows_pruned),
+            ("exec.rows_materialized", &self.rows_materialized),
             ("dml.rows_examined", &self.dml_rows_examined),
             ("verify.plans_checked", &self.verify_plans_checked),
             ("verify.violations", &self.verify_violations),

@@ -139,3 +139,42 @@ fn budget_abort_is_clean_and_database_stays_usable() {
         .unwrap();
     assert_eq!(r.rows[0][0], Value::text("error"));
 }
+
+/// 1,000 × 1,000 docs, loaded without a statement (so a tight timeout
+/// governs only the query under test).
+fn cross_join_db(config: EngineConfig) -> Database {
+    let db = Database::with_config(config.with_parallelism(1));
+    db.execute("CREATE TABLE docs (n INTEGER, grp INTEGER, w REAL)")
+        .unwrap();
+    let rows = (0..1000)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Float(i as f64)])
+        .collect();
+    db.insert_rows("docs", rows).unwrap();
+    db
+}
+
+const CROSS_COUNT: &str = "SELECT COUNT(*) FROM docs a, docs b";
+
+/// A row is charged where it is held: the nested loop holds its inner side
+/// and the aggregate its one group, while the million joined rows stream
+/// from one into the other — so they fit a budget they would not fit held.
+#[test]
+fn a_cross_join_streamed_into_count_fits_a_small_budget() {
+    let db = cross_join_db(EngineConfig::default().with_memory_budget(1024 * 1024));
+    let r = db.query(CROSS_COUNT).unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(1_000_000)]]);
+    assert_eq!(metric(&db, "mem.budget_aborts"), 0.0);
+}
+
+/// Every streamed loop looks at the deadline every `DEADLINE_STRIDE` rows,
+/// a join's fan-out included: the same count under a 5 ms timeout stops.
+#[test]
+fn a_streamed_cross_join_stops_at_the_statement_timeout() {
+    let db = cross_join_db(
+        EngineConfig::default()
+            .with_memory_budget(1024 * 1024)
+            .with_statement_timeout(Duration::from_millis(5)),
+    );
+    let err = db.query(CROSS_COUNT).unwrap_err();
+    assert!(matches!(err, EngineError::Timeout), "{err:?}");
+}

@@ -390,6 +390,43 @@ fn explain_analyze_reports_workers_and_identical_row_counts() {
 }
 
 // ---------------------------------------------------------------------
+// Intermediate rows: exec.rows_materialized
+// ---------------------------------------------------------------------
+
+/// A `GROUP BY` over a hash join holds the join's build side and streams
+/// the joined rows into the aggregate: `exec.rows_materialized` moves by the
+/// build side's rows, not by the join's output.
+#[test]
+fn rows_materialized_moves_by_the_build_side_not_the_join_output() {
+    let db = seeded_db(EngineConfig::default().with_parallelism(1), 600);
+    let materialized = |db: &Database| -> f64 {
+        match db
+            .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.rows_materialized'")
+            .unwrap()
+        {
+            Value::Float(f) => f,
+            other => panic!("expected float, got {other:?}"),
+        }
+    };
+    let sql = "SELECT a.g, COUNT(*) FROM t a \
+               JOIN (SELECT g, x FROM t WHERE x % 3 = 0) b ON a.g = b.g GROUP BY a.g";
+    let before = materialized(&db);
+    let (result, stats) = db.query_analyzed(sql).unwrap();
+    let moved = materialized(&db) - before;
+
+    let rendered = sqlengine::explain::render_analyze(&stats);
+    let join = stats.find("HashJoin").expect(&rendered);
+    let [probe, build] = join.children.as_slice() else {
+        panic!("a hash join has two inputs:\n{rendered}");
+    };
+    assert!(probe.label.starts_with("Scan"), "{rendered}");
+    assert!(!build.label.starts_with("Scan"), "{rendered}");
+    assert_eq!(moved, build.rows_out as f64, "{rendered}");
+    assert!(join.rows_out > 10 * build.rows_out, "{rendered}");
+    assert_eq!(result.rows.len(), 13);
+}
+
+// ---------------------------------------------------------------------
 // WAL counters
 // ---------------------------------------------------------------------
 
