@@ -14,7 +14,7 @@ pub fn engine_profiles() -> Vec<(&'static str, EngineConfig)> {
             EngineConfig::profile_a(),
         ),
         (
-            "engine-B (hash joins, materialized CTEs)",
+            "engine-B (hash joins, every CTE run once and held)",
             EngineConfig::profile_b(),
         ),
         ("engine-C (sort-merge joins)", EngineConfig::profile_c()),

@@ -3,8 +3,11 @@
 //! over sparse-tensor tables.
 //!
 //! Naming follows the paper: a tensor `T_njk` is a relation with columns
-//! `(n, j, k, w)`. The CTE pipeline never materializes intermediate tensors
-//! (on engines that pipeline CTEs).
+//! `(n, j, k, w)`. A CTE read once is pipelined into its reader, so its
+//! tensor is never materialized (on engines that pipeline CTEs); one read
+//! several times — `p_jk`, `w_jk` and `abh` of the deploy chain, `xy_njk`
+//! of `partial_fit`, `n_n` of a star-shaped `q_n` — is evaluated once and
+//! held for its readers (PostgreSQL's rule, and `sqlengine`'s).
 
 use sqlengine::Value;
 

@@ -4,7 +4,10 @@
 //! `unlearn`, `deploy`, predict undeployed and deployed, `predict_batch`,
 //! `explain_local` — must give byte-identical rows in the same order and the
 //! same `EXPLAIN ANALYZE` `(label, rows_in, rows_out)` tree under both, and
-//! the model must equal the `born` oracle.
+//! the model must equal the `born` oracle. So must the two ways of running a
+//! CTE read more than once: under `profile_a` it runs once for all its
+//! references (and one read once is inlined), under `profile_b` every CTE
+//! runs once and is held.
 //!
 //! "Byte-identical" is asked of float results too, although the morsel
 //! path adds partial sums in morsel order: the fixture keeps every sum a sum
@@ -160,16 +163,18 @@ fn float(v: &Value) -> f64 {
     }
 }
 
-/// Both corpora are the oracle's, cell for cell.
+/// Every corpus is the oracle's, cell for cell.
 fn assert_corpus_is(
-    models: &[BornSqlModel<'_, Database>; 2],
+    models: &[BornSqlModel<'_, Database>],
     oracle: &BornClassifier<String, String>,
 ) {
     let corpus = models[0].corpus().unwrap();
-    assert_eq!(
-        format!("{corpus:?}"),
-        format!("{:?}", models[1].corpus().unwrap())
-    );
+    for model in &models[1..] {
+        assert_eq!(
+            format!("{corpus:?}"),
+            format!("{:?}", model.corpus().unwrap())
+        );
+    }
     assert_eq!(corpus.len(), oracle.n_cells(), "corpus cell count");
     for (j, k, w) in &corpus {
         assert_eq!(
@@ -194,12 +199,34 @@ fn assert_labels_are_argmax(rows: &[Row], weights: &born::DeployedModel<String, 
     }
 }
 
+/// `profile_a` and `profile_b`, each pushed and over morsels.
+fn engines() -> [Database; 4] {
+    [
+        EngineConfig::profile_a().with_parallelism(1),
+        EngineConfig::profile_a().with_parallelism(4),
+        EngineConfig::profile_b().with_parallelism(1),
+        EngineConfig::profile_b().with_parallelism(4),
+    ]
+    .map(Database::with_config)
+}
+
+/// [`same_both_ways`] under each profile, and the same rows, to the bit,
+/// under both.
+fn same_everywhere(dbs: &[Database; 4], sql: &str) -> (Vec<Row>, bool) {
+    let (a, fanned_out) = same_both_ways([&dbs[0], &dbs[1]], sql);
+    let (b, _) = same_both_ways([&dbs[2], &dbs[3]], sql);
+    assert_eq!(
+        bits(&a),
+        bits(&b),
+        "rows of {sql} under profile_a and profile_b"
+    );
+    (a, fanned_out)
+}
+
 #[test]
 fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() {
-    let serial = Database::with_config(EngineConfig::default().with_parallelism(1));
-    let parallel = Database::with_config(EngineConfig::default().with_parallelism(4));
-    let dbs = [&serial, &parallel];
-    let models = [load(&serial), load(&parallel)];
+    let dbs = engines();
+    let models = dbs.each_ref().map(load);
     let gen = models[0].generator();
 
     // Fit the first half (a partial_fit into the empty corpus), add the
@@ -207,7 +234,8 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
     let mut oracle = BornClassifier::new();
     for (lo, hi, sign) in [(1, 128, 1.0), (129, DOCS, 1.0), (65, 192, -1.0)] {
         let spec = train(lo, hi);
-        let (cells, fanned_out) = same_both_ways(dbs, source_query(&gen.partial_fit(&spec, sign)));
+        let (cells, fanned_out) =
+            same_everywhere(&dbs, source_query(&gen.partial_fit(&spec, sign)));
         assert!(!cells.is_empty() && fanned_out);
         for model in &models {
             if sign > 0.0 {
@@ -228,12 +256,12 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
         .unwrap();
 
     // Undeployed: HW_jk computed on the fly.
-    let (rows, fanned_out) = same_both_ways(dbs, &gen.predict(&arms(), false));
+    let (rows, fanned_out) = same_everywhere(&dbs, &gen.predict(&arms(), false));
     assert!(fanned_out);
     assert_eq!(rows.len(), DOCS as usize);
     assert_labels_are_argmax(&rows, &weights);
 
-    let (cached, _) = same_both_ways(dbs, source_query(&gen.deploy()));
+    let (cached, _) = same_everywhere(&dbs, source_query(&gen.deploy()));
     assert_eq!(cached.len(), weights.n_weights());
     for row in &cached {
         let (j, k) = (row[0].to_string(), row[1].to_string());
@@ -252,24 +280,24 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
     }
 
     // Deployed: every document, one at a time (an index join), a batch.
-    let (rows, fanned_out) = same_both_ways(dbs, &gen.predict(&arms(), true));
+    let (rows, fanned_out) = same_everywhere(&dbs, &gen.predict(&arms(), true));
     assert!(fanned_out);
     assert_eq!(rows.len(), DOCS as usize);
     assert_labels_are_argmax(&rows, &weights);
     for id in [1, 77, 200, DOCS] {
-        let (rows, _) = same_both_ways(dbs, &gen.predict(&one(id), true));
+        let (rows, _) = same_everywhere(&dbs, &gen.predict(&one(id), true));
         assert_eq!(rows.len(), 1);
         assert_labels_are_argmax(&rows, &weights);
     }
     let batch: Vec<Value> = (0..64).map(|i| Value::Int(3 + i * 4)).collect();
-    let (rows, _) = same_both_ways(dbs, &gen.predict_batch(&arms(), true, &batch).unwrap());
+    let (rows, _) = same_everywhere(&dbs, &gen.predict_batch(&arms(), true, &batch).unwrap());
     assert_eq!(rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(), batch);
     assert_labels_are_argmax(&rows, &weights);
 
     // A local explanation: the oracle's top cells, in the oracle's order.
     let top = 12;
     let id = 42;
-    let (explained, _) = same_both_ways(dbs, &gen.explain_local(&one(id), true, Some(top)));
+    let (explained, _) = same_everywhere(&dbs, &gen.explain_local(&one(id), true, Some(top)));
     let expected = weights.explain_local(&[(features(id), 1.0)]);
     assert_eq!(explained.len(), top);
     for (row, (j, k, w)) in explained.iter().zip(&expected) {
@@ -279,4 +307,72 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
             "explanation row {row:?} vs ({j}, {k}, {w})"
         );
     }
+}
+
+/// The flat shape of the same documents: one `features (n, term, cnt)`
+/// table, one arm.
+fn load_flat(db: &Database) -> (BornSqlModel<'_, Database>, DataSpec) {
+    db.execute_script(
+        "CREATE TABLE features (n INTEGER, term TEXT, cnt REAL);
+         CREATE TABLE labels (n INTEGER, y INTEGER);",
+    )
+    .unwrap();
+    let features_of = |id| features(id).into_iter().map(move |(j, w)| (id, j, w));
+    let rows = (1..=DOCS).flat_map(features_of);
+    let rows = rows.map(|(id, j, w)| vec![Value::Int(id), Value::text(j), Value::Float(w)]);
+    db.insert_rows("features", rows.collect()).unwrap();
+    let labels = (1..=DOCS).map(|id| vec![Value::Int(id), Value::Int(class(id))]);
+    db.insert_rows("labels", labels.collect()).unwrap();
+    let spec = DataSpec::new("SELECT n, term AS j, cnt AS w FROM features")
+        .with_targets("SELECT n, y AS k, 1.0 AS w FROM labels");
+    let model = BornSqlModel::create(db, "flat", ModelOptions::default()).unwrap();
+    (model, spec)
+}
+
+/// The deploy chain (paper §3.3) reads `p_jk` four times, `w_jk` three
+/// times and `abh` twice. Each runs once: the plan of an undeployed global
+/// explanation and of deploy's `SELECT` scans `{model}_corpus` once and
+/// holds one copy of `w_jk`'s join (`p_jk ⋈ p_j ⋈ p_k`, two of the plan's
+/// four hash joins), on the star shape and the flat one alike.
+#[test]
+fn the_deploy_chain_scans_the_corpus_once_and_joins_w_jk_once() {
+    let (star_db, flat_db) = (Database::new(), Database::new());
+    let star = load(&star_db);
+    star.fit(&train(1, DOCS)).unwrap();
+    let (flat, spec) = load_flat(&flat_db);
+    flat.fit(&spec).unwrap();
+    for (db, model) in [(&star_db, &star), (&flat_db, &flat)] {
+        let gen = model.generator();
+        let corpus_scan = format!("Scan [{} rows × 3 cols]", model.corpus_cells().unwrap());
+        for sql in [
+            gen.explain_global(false, None),
+            source_query(&gen.deploy()).to_string(),
+        ] {
+            let plan = db.explain(&sql).unwrap();
+            let count = |label: &str| plan.lines().filter(|l| l.contains(label)).count();
+            assert_eq!(count(&corpus_scan), 1, "{plan}");
+            assert_eq!(count("Shared cte=p_jk refs=4"), 1, "{plan}");
+            assert_eq!(count("Shared cte=w_jk refs=3"), 1, "{plan}");
+            assert_eq!(count("Shared cte=w_jk (reused)"), 2, "{plan}");
+            assert_eq!(count("HashJoin"), 4, "{plan}");
+        }
+    }
+}
+
+/// `profile_b` shares every CTE at execution, so its statements are plan
+/// templates like `profile_a`'s: a predict for a second item binds the
+/// first one's plan.
+#[test]
+fn profile_b_serves_a_second_item_from_the_first_ones_plan() {
+    let db = Database::with_config(EngineConfig::profile_b());
+    let model = load(&db);
+    model.fit(&train(1, DOCS)).unwrap();
+    model.deploy().unwrap();
+    db.reset_plan_cache_stats();
+    let first = model.predict(&one(5)).unwrap();
+    assert_eq!(db.plan_cache_stats(), (0, 1));
+    let second = model.predict(&one(6)).unwrap();
+    assert_eq!(db.plan_cache_stats(), (1, 1));
+    assert_eq!(first[0].0, Value::Int(5));
+    assert_eq!(second[0].0, Value::Int(6));
 }

@@ -658,9 +658,9 @@ pub enum Clause {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Site {
     pub clause: Clause,
-    /// Inside the body of a CTE, at any depth.
-    pub in_cte: bool,
-    /// Inside the body of a scalar, `IN` or `EXISTS` subquery, at any depth.
+    /// Inside the body of a scalar, `IN` or `EXISTS` subquery, or of a CTE
+    /// the planner runs while planning one (`logical::CteUse`), at any
+    /// depth.
     pub in_subquery: bool,
 }
 
@@ -669,20 +669,17 @@ impl Site {
     /// sets the clause root by root).
     const TOP: Site = Site {
         clause: Clause::Projection,
-        in_cte: false,
         in_subquery: false,
     };
 
     /// Whether the planner consumes an expression here at plan time — reads
     /// its value or runs it — so that neither an explicit `?` nor a lifted
     /// literal can stay symbolic in a plan template: `LIMIT` / `OFFSET`
-    /// (folded to plan constants), subquery bodies (planned *and executed*
-    /// during planning), and CTE bodies when `materialize_ctes` evaluates
-    /// them during planning. This is the one statement of that rule.
-    pub(crate) fn plan_time(self, materialize_ctes: bool) -> bool {
-        matches!(self.clause, Clause::Limit | Clause::Offset)
-            || self.in_subquery
-            || (self.in_cte && materialize_ctes)
+    /// (folded to plan constants) and subquery bodies, with the CTEs they
+    /// read (planned *and executed* during planning). This is the one
+    /// statement of that rule.
+    pub(crate) fn plan_time(self) -> bool {
+        matches!(self.clause, Clause::Limit | Clause::Offset) || self.in_subquery
     }
 }
 
@@ -700,12 +697,16 @@ fn name_call(item: &mut SelectItem) {
 
 /// Stamps out the walk over a statement's expression roots; `by_ref` and
 /// `by_mut` below hold the two copies (`$m` is `mut` or nothing). `at`
-/// carries the CTE / subquery flags down; its clause is set per root.
+/// carries the subquery flag down; its clause is set per root.
 macro_rules! query_roots {
     ($children:ident $(, $m:tt)?) => {
         pub(super) fn query(q: &$($m)? Query, at: Site, f: &mut impl FnMut(&$($m)? Expr, Site)) {
-            for cte in &$($m)? q.ctes {
-                let at = Site { in_cte: true, ..at };
+            let uses = match q.ctes.is_empty() {
+                true => Vec::new(),
+                false => crate::logical::cte_uses(&*q),
+            };
+            for (cte, cte_use) in (&$($m)? q.ctes).into_iter().zip(uses) {
+                let at = Site { in_subquery: at.in_subquery || cte_use.at_plan_time, ..at };
                 query(&$($m)? cte.query, at, f);
             }
             set(&$($m)? q.body, at, f);
@@ -819,11 +820,11 @@ pub(crate) enum ParamUse {
 
 /// Classify the `?` markers of `query` — anywhere in it, CTE bodies, derived
 /// tables and subquery bodies included — in one pass.
-pub(crate) fn param_use(query: &Query, materialize_ctes: bool) -> ParamUse {
+pub(crate) fn param_use(query: &Query) -> ParamUse {
     let mut found = ParamUse::None;
     query.for_each_expr(&mut |root, site| {
         if found != ParamUse::PlanTime && root.any(&mut |e| matches!(e, Expr::Param(..))) {
-            found = match site.plan_time(materialize_ctes) {
+            found = match site.plan_time() {
                 true => ParamUse::PlanTime,
                 false => ParamUse::Evaluated,
             };
@@ -889,24 +890,22 @@ mod tests {
              GROUP BY n + ? HAVING COUNT(*) > ? ORDER BY n + ?",
             "SELECT n FROM (SELECT n FROM t WHERE n > ?) d",
             "SELECT n FROM t WHERE n + ? IN (SELECT n FROM u)",
+            "WITH c AS (SELECT n FROM (SELECT 1 AS n UNION ALL SELECT ?) d) SELECT n FROM c",
         ];
-        let in_a_cte: &[&str] =
-            &["WITH c AS (SELECT n FROM (SELECT 1 AS n UNION ALL SELECT ?) d) SELECT n FROM c"];
         let plan_time: &[&str] = &[
             "SELECT n FROM t LIMIT ?",
             "SELECT n FROM t LIMIT 1 OFFSET ?",
             "SELECT n FROM t WHERE n IN (SELECT n FROM u WHERE n > ?)",
             "SELECT (SELECT MAX(n) FROM (SELECT n FROM t WHERE EXISTS (SELECT ?)) d) FROM t",
+            "WITH c AS (SELECT n FROM u WHERE n > ?) SELECT n FROM t WHERE n IN (SELECT n FROM c)",
         ];
-        for (statements, inlined, materialized) in [
-            (&["SELECT n FROM t"][..], ParamUse::None, ParamUse::None),
-            (evaluated, Evaluated, Evaluated),
-            (in_a_cte, Evaluated, PlanTime),
-            (plan_time, PlanTime, PlanTime),
+        for (statements, expected) in [
+            (&["SELECT n FROM t"][..], ParamUse::None),
+            (evaluated, Evaluated),
+            (plan_time, PlanTime),
         ] {
             for sql in statements {
-                assert_eq!(param_use(&query(sql), false), inlined, "{sql}");
-                assert_eq!(param_use(&query(sql), true), materialized, "{sql}");
+                assert_eq!(param_use(&query(sql)), expected, "{sql}");
             }
         }
     }

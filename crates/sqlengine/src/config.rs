@@ -14,7 +14,10 @@ use crate::wal::SyncPolicy;
 pub struct EngineConfig {
     /// Algorithm for detected equi-joins.
     pub join_algo: crate::plan::JoinAlgo,
-    /// Materialize CTEs once instead of inlining their plans.
+    /// Share every CTE: run it once per execution and let its references
+    /// read the held rows, even one read by a single reference. Off, only a
+    /// CTE read by two or more references is shared, and one read once is
+    /// inlined into its reader (PostgreSQL's rule).
     pub materialize_ctes: bool,
     /// Number of executor worker threads. `1` (the default, and what every
     /// benchmark profile uses) runs the exact serial interpreter path;
@@ -136,7 +139,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Profile A — hash joins, pipelined CTEs (PostgreSQL-like behaviour).
+    /// Profile A — hash joins, pipelined CTEs: one read once is inlined, one
+    /// read more often runs once (PostgreSQL-like behaviour).
     pub fn profile_a() -> Self {
         EngineConfig {
             join_algo: crate::plan::JoinAlgo::Hash,
@@ -145,7 +149,8 @@ impl EngineConfig {
         }
     }
 
-    /// Profile B — hash joins, materialized CTEs (MySQL-like behaviour).
+    /// Profile B — hash joins, every CTE run once per execution and held for
+    /// its readers (MySQL-like behaviour).
     pub fn profile_b() -> Self {
         EngineConfig {
             join_algo: crate::plan::JoinAlgo::Hash,

@@ -135,8 +135,8 @@ impl StatementCtx {
         self.clock.exec_scope()
     }
 
-    /// The context planner-time execution runs under (materialized CTEs,
-    /// uncorrelated subqueries): serial, because it happens under the
+    /// The context planner-time execution runs under (uncorrelated
+    /// subqueries): serial, because it happens under the
     /// planner's catalog borrow, and bound by this statement's deadline and
     /// memory budget like the rest of it.
     fn planner_exec(&self) -> ExecContext {
@@ -363,8 +363,7 @@ impl Database {
     /// *templates* — `?` markers stay symbolic in the cached tree and each
     /// execution substitutes its values into a fresh copy — except where a
     /// parameter's value is consumed at plan time (`LIMIT ?`, parameters
-    /// inside subquery bodies, or any parameter under materialized CTEs),
-    /// which plan inline and stay uncached. A query written with literals
+    /// inside subquery bodies), which plan inline and stay uncached. A query written with literals
     /// is cached the same way: its literals are lifted into parameters
     /// (see [`crate::lift`]), so texts that differ only in literal values
     /// share one template.
@@ -690,8 +689,7 @@ impl Database {
         verify: PlanVerify<'_>,
         ctx: &mut StatementCtx,
     ) -> Result<Planned> {
-        let materialize_ctes = self.config.materialize_ctes;
-        let params_used = param_use(query, materialize_ctes);
+        let params_used = param_use(query);
         let has_params = params_used != ParamUse::None;
         let store = store.filter(|_| params_used != ParamUse::PlanTime);
         // Read before planning: a plan that races a writer must carry the
@@ -706,8 +704,7 @@ impl Database {
             // has no literals in its shape.)
             let mut query = query.clone();
             crate::sema::fold::fold_query(&mut query);
-            (slots, lifted) =
-                crate::lift::lift_literals(&mut query, &shape.literals, materialize_ctes);
+            (slots, lifted) = crate::lift::lift_literals(&mut query, &shape.literals);
             prepared = query;
             &prepared
         } else {

@@ -219,16 +219,12 @@ fn morsel_groups(
         .into_iter()
         .enumerate()
         .map(|(m, range)| {
-            let (rows, spec, budget) = (
-                Arc::clone(&rows),
-                Arc::clone(&spec),
-                Arc::clone(ctx.budget()),
-            );
+            let (rows, spec, budget) = (rows.clone(), Arc::clone(&spec), Arc::clone(ctx.budget()));
             let job: ChunkJob<Result<Groups>> = Box::new(move || {
                 let (keys, aggs) = &*spec;
                 let mut groups = Groups::new(m == 0);
                 let (mut charge, mut ticker) = (ChargeBuf::new(&budget), Ticker::default());
-                for row in &rows[range] {
+                for row in rows.rows(range) {
                     ticker.tick(deadline)?;
                     groups.add(row, keys, aggs, &mut charge)?;
                 }

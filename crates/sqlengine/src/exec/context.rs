@@ -52,7 +52,8 @@ pub(crate) const DEADLINE_STRIDE: usize = 1024;
 /// on live usage) where a row is held: hash-join build tables, aggregation
 /// hash tables, sort key runs, DISTINCT dedup sets, and every row a
 /// collecting sink stores (a build side, a sort input, a morsel's output,
-/// the statement result). Streaming operators hold nothing.
+/// a shared subplan's slot, the statement result). Streaming operators hold
+/// nothing.
 /// When a charge pushes usage past the limit the operator aborts with
 /// [`EngineError::ResourceExhausted`] — a clean, retryable statement error
 /// instead of a process OOM. The peak is always tracked (budgeted or not)
@@ -317,8 +318,11 @@ impl Drop for WorkerPool {
     }
 }
 
+/// The rows one shared subplan holds.
+type HeldRows = Arc<super::FlatRows>;
+
 /// Per-query execution context: parallelism knob, shared pool, stats switch,
-/// and the statement deadline.
+/// the statement deadline, and the slots of the run's shared subplans.
 #[derive(Clone)]
 pub struct ExecContext {
     parallelism: usize,
@@ -337,6 +341,11 @@ pub struct ExecContext {
     ///
     /// [`Database`]: crate::Database
     telemetry: Option<Arc<crate::telemetry::Telemetry>>,
+    /// The held rows of each shared subplan ([`PhysPlan::Shared`]) by id,
+    /// filled by the first reference to run. Every run of a plan starts
+    /// with none and drops them when it ends, so no plan — cached or not —
+    /// ever holds rows.
+    shared: Arc<Mutex<Vec<(usize, HeldRows)>>>,
 }
 
 impl ExecContext {
@@ -350,6 +359,7 @@ impl ExecContext {
             deadline: None,
             budget: Arc::new(MemoryBudget::unlimited()),
             telemetry: None,
+            shared: Arc::default(),
         }
     }
 
@@ -363,6 +373,7 @@ impl ExecContext {
             deadline: None,
             budget: Arc::new(MemoryBudget::unlimited()),
             telemetry: None,
+            shared: Arc::default(),
         }
     }
 
@@ -379,6 +390,7 @@ impl ExecContext {
             deadline: None,
             budget: Arc::new(MemoryBudget::unlimited()),
             telemetry: None,
+            shared: Arc::default(),
         }
     }
 
@@ -481,23 +493,48 @@ impl ExecContext {
         }
     }
 
+    /// Add to `exec.shared_reuses`: a shared-subplan reference served from
+    /// its filled slot.
+    pub(crate) fn count_shared_reuse(&self) {
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.shared_reuses.incr();
+        }
+    }
+
+    /// The rows shared subplan `id` holds, once a reference has run it.
+    pub(crate) fn shared_rows(&self, id: usize) -> Option<HeldRows> {
+        let slots = self.shared.lock();
+        slots
+            .iter()
+            .find(|(slot, _)| *slot == id)
+            .map(|(_, rows)| Arc::clone(rows))
+    }
+
+    /// Hold `rows`, all the rows of shared subplan `id`, for the rest of the
+    /// run.
+    pub(crate) fn hold_shared(&self, id: usize, rows: HeldRows) {
+        self.shared.lock().push((id, rows));
+    }
+
+    /// This context for one run of a plan: statistics on or off, and no
+    /// shared subplan run yet.
+    fn run(&self, collect_stats: bool) -> ExecContext {
+        ExecContext {
+            collect_stats,
+            shared: Arc::default(),
+            ..self.clone()
+        }
+    }
+
     /// Execute a plan to completion.
     pub fn execute(&self, plan: &PhysPlan) -> Result<Vec<Row>> {
-        Ok(super::collect(plan, self)?.0)
+        Ok(super::collect(plan, &self.run(self.collect_stats))?.0)
     }
 
     /// Execute a plan and collect the per-operator statistics tree
     /// (`EXPLAIN ANALYZE`).
     pub fn execute_with_stats(&self, plan: &PhysPlan) -> Result<(Vec<Row>, OpStats)> {
-        let ctx = ExecContext {
-            parallelism: self.parallelism,
-            pool: self.pool.clone(),
-            collect_stats: true,
-            deadline: self.deadline,
-            budget: Arc::clone(&self.budget),
-            telemetry: self.telemetry.clone(),
-        };
-        let (rows, stats) = super::collect(plan, &ctx)?;
+        let (rows, stats) = super::collect(plan, &self.run(true))?;
         Ok((rows, stats.expect("stats were requested")))
     }
 }

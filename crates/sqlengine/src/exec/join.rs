@@ -35,7 +35,7 @@ use crate::value::{Row, Value};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, ChunkJob, Ticker};
 use super::vector::{key_filter, KeySet};
-use super::{key_of, ExecContext, NodeOut, OpStats, RowOp, Sink};
+use super::{key_of, ExecContext, Held, NodeOut, OpStats, RowOp, Sink};
 
 /// The chunk key filter runs only when the probe side holds at least this
 /// many rows per distinct build key: a key set nearly as large as the table
@@ -87,7 +87,7 @@ struct Probe {
     /// One table per partition (`hash(key) % len`); a single one when the
     /// build ran serially.
     tables: Vec<KeyTable>,
-    right_rows: Arc<Vec<Row>>,
+    right_rows: Held,
     kind: JoinKind,
     right_width: usize,
     residual: Option<PhysExpr>,
@@ -164,7 +164,7 @@ impl RowOp for Probe {
                 for &ri in idxs {
                     // A popular key fans one probe row out to many.
                     ticker.tick(self.deadline)?;
-                    join_into(joined, lrow, &self.right_rows[ri]);
+                    join_into(joined, lrow, self.right_rows.row(ri));
                     if keeps(&self.residual, joined)? {
                         matched = true;
                         sink(joined)?;
@@ -294,11 +294,7 @@ pub(crate) fn hash_join(
 /// which preserves left order and gives LEFT JOIN for free). The table owns
 /// one key per distinct key plus one index per row, and is pre-sized from
 /// the build side's row count.
-fn serial_build(
-    right_rows: &[Row],
-    right_keys: &[PhysExpr],
-    ctx: &ExecContext,
-) -> Result<KeyTable> {
+fn serial_build(right_rows: &Held, right_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(right_rows.len());
     let mut charge = ChargeBuf::new(ctx.budget());
     let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
@@ -322,7 +318,7 @@ fn serial_build(
 
 /// Phases 1 and 2 of the parallel hash join: one table per partition.
 fn parallel_build(
-    right_rows: &Arc<Vec<Row>>,
+    right_rows: &Held,
     right_keys: &[PhysExpr],
     ctx: &ExecContext,
 ) -> Result<Vec<KeyTable>> {
@@ -337,7 +333,7 @@ fn parallel_build(
         .morsels(right_rows.len())
         .into_iter()
         .map(|range| {
-            let rows = Arc::clone(right_rows);
+            let rows = right_rows.clone();
             let keys = Arc::clone(&right_keys_arc);
             let budget = Arc::clone(ctx.budget());
             let job: ChunkJob<Result<Vec<KeyedRow>>> = Box::new(move || {
@@ -346,7 +342,7 @@ fn parallel_build(
                 let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
                 for i in range {
                     ticker.tick(deadline)?;
-                    if let Some(key) = key_of(&rows[i], &keys, &mut scratch, false)? {
+                    if let Some(key) = key_of(rows.row(i), &keys, &mut scratch, false)? {
                         charge.add(approx_row_bytes(key) + 16)?;
                         out.push((hash_key(key), key.to_vec(), i));
                     }
@@ -415,7 +411,7 @@ pub(crate) fn sort_merge_join(
     // This operator emulates an engine without hash joins (profile C), so it
     // stays serial by design.
     let deadline = ctx.deadline();
-    let keyed = |rows: &[Row], keys: &[PhysExpr]| -> Result<Vec<(Vec<Value>, usize)>> {
+    let keyed = |rows: &Held, keys: &[PhysExpr]| -> Result<Vec<(Vec<Value>, usize)>> {
         let mut out = Vec::with_capacity(rows.len());
         let mut charge = ChargeBuf::new(ctx.budget());
         let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
@@ -454,7 +450,7 @@ pub(crate) fn sort_merge_join(
                 for &(_, l_idx) in &lk[lstart..li] {
                     for &(_, r_idx) in &rk[rstart..ri] {
                         ticker.tick(deadline)?;
-                        join_into(&mut joined, &left_rows[l_idx], &right_rows[r_idx]);
+                        join_into(&mut joined, left_rows.row(l_idx), right_rows.row(r_idx));
                         if keeps(residual, &joined)? {
                             matched_left[l_idx] = true;
                             sink(&joined)?;
@@ -486,7 +482,7 @@ fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 /// The inner side of a nested-loop join and what each outer row is joined
 /// with it under.
 struct NestedLoop {
-    right_rows: Arc<Vec<Row>>,
+    right_rows: Held,
     kind: JoinKind,
     right_width: usize,
     predicate: Option<PhysExpr>,

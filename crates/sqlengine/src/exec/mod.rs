@@ -20,8 +20,11 @@
 //! Only the operators that must hold rows collect them: the aggregate's group
 //! table, sort / top-k, window, distinct's dedup set, the hash-join build
 //! side, the nested-loop inner side, and the statement result ([`collect`]).
-//! A collected row is charged to the statement's memory budget where it is
-//! held, and an intermediate one counts in `exec.rows_materialized`.
+//! A CTE that several references read adds one more: the first reference to
+//! run collects the rows into a slot of the run ([`PhysPlan::Shared`]), and
+//! the others read that instead of running the CTE again. A collected row is
+//! charged to the statement's memory budget where it is held, and an
+//! intermediate one counts in `exec.rows_materialized`.
 //!
 //! **One per-row function per operator.** A streaming operator states what
 //! it does with one input row once ([`RowOp::row`]). At parallelism 1 (the
@@ -60,8 +63,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::column::CHUNK_ROWS;
 use crate::error::Result;
-use crate::explain::op_label;
+use crate::explain::{op_label, reused_label};
 use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
@@ -83,6 +87,9 @@ pub(crate) struct NodeOut {
     /// Hash joins: probe rows that found no build key, shown by `EXPLAIN
     /// ANALYZE` as ` pruned=N` after the label.
     pub pruned: Option<usize>,
+    /// A shared-subplan reference that handed on held rows instead of
+    /// running its input, labelled `(reused)` by `EXPLAIN ANALYZE`.
+    pub reused: bool,
 }
 
 impl NodeOut {
@@ -92,6 +99,7 @@ impl NodeOut {
             workers: 1,
             children: Vec::new(),
             pruned: None,
+            reused: false,
         }
     }
 
@@ -134,9 +142,10 @@ pub(crate) fn push(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Resul
         sink(row)
     })?;
     Ok(Some(OpStats {
-        label: match out.pruned {
-            Some(pruned) => format!("{} pruned={pruned}", op_label(plan)),
-            None => op_label(plan),
+        label: match (out.reused, out.pruned) {
+            (true, _) => reused_label(plan),
+            (false, Some(pruned)) => format!("{} pruned={pruned}", op_label(plan)),
+            (false, None) => op_label(plan),
         },
         rows_in: out.rows_in,
         rows_out,
@@ -262,23 +271,134 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
         } => setops::limit(input, *limit, *offset, ctx, sink),
         PhysPlan::UnionAll { inputs } => setops::union_all(inputs, ctx, sink),
         PhysPlan::Distinct { input } => setops::distinct(input, ctx, sink),
+        PhysPlan::Shared { id, input, .. } => shared(*id, input, ctx, sink),
     }
+}
+
+/// One reference to shared subplan `id`: the first to run is a collecting
+/// sink that runs `input` to completion, hands each row on as it goes and
+/// then holds them all for the rest of the run — charged to the statement's
+/// budget and counted in `exec.rows_materialized` once; a later reference
+/// hands on the held rows.
+fn shared(id: usize, input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let mut node = NodeOut::new();
+    if let Some(rows) = ctx.shared_rows(id) {
+        ctx.count_shared_reuse();
+        node.reused = true;
+        emit(rows.iter(), ctx, sink)?;
+        return Ok(node);
+    }
+    let (mut held, mut charge) = (FlatRows::new(input.width()), ChargeBuf::new(ctx.budget()));
+    node.child(push(input, ctx, &mut |row| {
+        charge.add_row(row)?;
+        held.push(row);
+        sink(row)
+    })?);
+    charge.flush()?;
+    ctx.count_rows_materialized(held.len());
+    ctx.hold_shared(id, Arc::new(held));
+    Ok(node)
 }
 
 /// Hand already-held rows to `sink` in order, looking at the deadline every
 /// `DEADLINE_STRIDE` rows: how scans stream and how collecting operators
 /// pass their output on.
-pub(crate) fn emit<'r>(
-    rows: impl Iterator<Item = &'r Row>,
+pub(crate) fn emit(
+    rows: impl Iterator<Item = impl AsRef<[Value]>>,
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<()> {
     let (mut ticker, deadline) = (Ticker::default(), ctx.deadline());
     for row in rows {
         ticker.tick(deadline)?;
-        sink(row)?;
+        sink(row.as_ref())?;
     }
     Ok(())
+}
+
+/// Rows held flat: `width` values per row, in blocks of
+/// [`CHUNK_ROWS`](crate::column::CHUNK_ROWS) rows — one allocation per
+/// block, not per row. How a shared subplan's slot holds what can be the
+/// largest intermediate result of its statement (`partial_fit`'s
+/// `xy_njk`).
+pub(crate) struct FlatRows {
+    width: usize,
+    len: usize,
+    blocks: Vec<Vec<Value>>,
+}
+
+impl FlatRows {
+    fn new(width: usize) -> FlatRows {
+        FlatRows {
+            width,
+            len: 0,
+            blocks: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.width, "a plan's rows have its width");
+        if self.len.is_multiple_of(CHUNK_ROWS) {
+            // The first block grows with its rows: most shared CTEs are
+            // small (a star `n_n` holds one row per item).
+            let capacity = match self.blocks.is_empty() {
+                true => 0,
+                false => CHUNK_ROWS * self.width,
+            };
+            self.blocks.push(Vec::with_capacity(capacity));
+        }
+        self.blocks
+            .last_mut()
+            .expect("a block was opened")
+            .extend_from_slice(row);
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        let at = i % CHUNK_ROWS * self.width;
+        &self.blocks[i / CHUNK_ROWS][at..at + self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+}
+
+/// Rows an operator holds all of, shared by a cheap clone: a table snapshot
+/// or rows a child was collected into, or a shared subplan's slot.
+#[derive(Clone)]
+pub(crate) enum Held {
+    Rows(Arc<Vec<Row>>),
+    Flat(Arc<FlatRows>),
+}
+
+impl Held {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Held::Rows(rows) => rows.len(),
+            Held::Flat(rows) => rows.len(),
+        }
+    }
+
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Held::Rows(rows) => &rows[i],
+            Held::Flat(rows) => rows.row(i),
+        }
+    }
+
+    /// The rows at positions `range`, in order.
+    pub(crate) fn rows(&self, range: Range<usize>) -> impl Iterator<Item = &[Value]> {
+        range.map(|i| self.row(i))
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows(0..self.len())
+    }
 }
 
 /// The collecting sink: holds every row it is handed, each charged to the
@@ -319,29 +439,43 @@ pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, O
 /// Run an input an operator must hold all of (a build side, a sort input,
 /// a morsel source), recording it as a child of `node`.
 ///
-/// A base-table scan is handed over as a cheap `Arc` clone of the catalog
-/// snapshot; any other child is collected — an intermediate result, counted
-/// in `exec.rows_materialized`.
-pub(crate) fn run_input(
-    plan: &PhysPlan,
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-) -> Result<Arc<Vec<Row>>> {
+/// Rows already held are handed over as a cheap `Arc` clone: a base-table
+/// scan's catalog snapshot, a shared subplan's slot (run into it first if no
+/// reference has yet). Any other child is collected — an intermediate
+/// result, counted in `exec.rows_materialized`.
+pub(crate) fn run_input(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Result<Held> {
+    let mut held = |rows: Held, label: String| {
+        ctx.check_timeout()?;
+        node.rows_in += rows.len();
+        if ctx.stats_enabled() {
+            node.children.push(OpStats::leaf(label, rows.len()));
+        }
+        Ok(rows)
+    };
     match plan {
         PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-            ctx.check_timeout()?;
-            node.rows_in += rows.len();
-            if ctx.stats_enabled() {
-                node.children
-                    .push(OpStats::leaf(op_label(plan), rows.len()));
-            }
-            Ok(Arc::clone(rows))
+            held(Held::Rows(Arc::clone(rows)), op_label(plan))
         }
+        PhysPlan::Shared { id, .. } => match ctx.shared_rows(*id) {
+            Some(rows) => {
+                ctx.count_shared_reuse();
+                held(Held::Flat(rows), reused_label(plan))
+            }
+            None => {
+                // Its one collecting sink is the slot: nothing else keeps
+                // the rows it hands on.
+                node.child(push(plan, ctx, &mut |_| Ok(()))?);
+                let rows = ctx.shared_rows(*id);
+                Ok(Held::Flat(
+                    rows.expect("a shared subplan that ran holds its rows"),
+                ))
+            }
+        },
         _ => {
             let (rows, stats) = collect(plan, ctx)?;
             ctx.count_rows_materialized(rows.len());
             node.child(stats);
-            Ok(Arc::new(rows))
+            Ok(Held::Rows(Arc::new(rows)))
         }
     }
 }
@@ -384,7 +518,7 @@ pub(crate) fn stream<O: RowOp>(
     let len = rows.len();
     let run = move |range: Range<usize>, sink: &mut Sink| {
         let (mut scratch, mut ticker) = (O::Scratch::default(), Ticker::default());
-        for row in &rows[range] {
+        for row in rows.rows(range) {
             ticker.tick(deadline)?;
             op.row(row, &mut scratch, sink)?;
         }
@@ -632,5 +766,135 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, EngineError::Timeout), "{err:?}");
         assert_eq!(handed, DEADLINE_STRIDE - 1, "cut off at the first stride");
+    }
+
+    /// A reference to shared subplan 0 over `input`, read by `refs`.
+    fn shared(input: PhysPlan, refs: usize) -> PhysPlan {
+        PhysPlan::Shared {
+            id: 0,
+            cte: Arc::from("c"),
+            refs,
+            input: Box::new(input),
+        }
+    }
+
+    /// A context counting into a registry of its own.
+    fn counted(ctx: ExecContext) -> (ExecContext, Arc<crate::telemetry::Telemetry>) {
+        let telemetry = Arc::new(crate::telemetry::Telemetry::new(true, Duration::ZERO, 1));
+        (ctx.with_telemetry(Arc::clone(&telemetry)), telemetry)
+    }
+
+    #[test]
+    fn a_shared_subplan_runs_once_and_its_other_references_read_the_held_rows() {
+        // Keep the rows whose second column exceeds the first.
+        let input = PhysPlan::Filter {
+            input: Box::new(scan(&[&[1, 5], &[7, 2], &[3, 4]])),
+            predicate: gt(1, 0),
+        };
+        let c = shared(input, 3);
+        let plan = PhysPlan::UnionAll {
+            inputs: vec![c.clone(), c.clone(), c],
+        };
+        for ctx in contexts() {
+            let (ctx, telemetry) = counted(ctx);
+            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            let n = |a, b| vec![Some(a), Some(b)];
+            let held = [n(1, 5), n(3, 4)];
+            assert_eq!(ints(&rows), [&held[..], &held, &held].concat());
+            let labels: Vec<&str> = stats.children.iter().map(|s| s.label.as_str()).collect();
+            assert_eq!(
+                labels,
+                [
+                    "Shared cte=c refs=3",
+                    "Shared cte=c (reused)",
+                    "Shared cte=c (reused)"
+                ]
+            );
+            assert_eq!(stats.children[0].children[0].label, "Filter mode=row");
+            assert!(stats.children[1].children.is_empty());
+            assert_eq!(telemetry.shared_reuses.get(), 2);
+            // The held rows are the one intermediate result.
+            assert_eq!(telemetry.rows_materialized.get(), 2);
+        }
+    }
+
+    #[test]
+    fn a_shared_build_side_is_held_once_and_each_run_starts_without_it() {
+        // A self-join whose build side fills the slot its probe side reads,
+        // and the same join over two subplans that merely look alike.
+        let rows: Vec<Vec<i64>> = (0..3000).map(|i| vec![i % 1000, i]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let input = PhysPlan::Filter {
+            input: Box::new(scan(&rows)),
+            predicate: gt(1, 0),
+        };
+        let count = |left: PhysPlan, right: PhysPlan| PhysPlan::Aggregate {
+            input: Box::new(hash_join(left, right, JoinKind::Inner, None)),
+            keys: vec![],
+            aggs: vec![AggSpec {
+                func: AggregateFunc::Count,
+                arg: None,
+                distinct: false,
+            }],
+        };
+        let c = shared(input.clone(), 2);
+        let twice = count(c.clone(), c);
+        let alike = |id| PhysPlan::Shared {
+            id,
+            cte: Arc::from(format!("d{id}")),
+            refs: 1,
+            input: Box::new(input.clone()),
+        };
+        let apart = count(alike(1), alike(2));
+        // Rows 1,000 to 2,999 are kept, each key twice.
+        let held = 2000;
+        let held_bytes = held * context::approx_row_bytes(&[Value::Int(0), Value::Int(0)]);
+        for ctx in contexts() {
+            let charged = |plan: &PhysPlan, runs: u64| {
+                let budget = Arc::new(MemoryBudget::unlimited());
+                let (ctx, telemetry) = counted(ctx.clone().with_budget(Arc::clone(&budget)));
+                for _ in 0..runs {
+                    let rows = ctx.execute(plan).unwrap();
+                    assert_eq!(ints(&rows), vec![vec![Some(2 * held as i64)]]);
+                }
+                (budget.used_bytes(), telemetry.shared_reuses.get())
+            };
+            let (once, reuses) = charged(&twice, 1);
+            assert_eq!(reuses, 1);
+            // Every run holds the rows again, and only once.
+            assert_eq!(charged(&twice, 2), (2 * once, 2));
+            let (both, reuses) = charged(&apart, 1);
+            assert_eq!(reuses, 0);
+            assert!(both >= once + held_bytes, "{both} vs {once} + {held_bytes}");
+        }
+    }
+
+    #[test]
+    fn a_shared_subplan_that_raises_is_never_read_half_held() {
+        // 10 / (x - 5) raises at the last row, after two were handed on.
+        let input = PhysPlan::Project {
+            input: Box::new(scan(&[&[7], &[6], &[5]])),
+            exprs: vec![PhysExpr::Binary {
+                left: Box::new(PhysExpr::Literal(Value::Int(10))),
+                op: BinaryOp::Div,
+                right: Box::new(PhysExpr::Binary {
+                    left: Box::new(PhysExpr::Column(0)),
+                    op: BinaryOp::Sub,
+                    right: Box::new(PhysExpr::Literal(Value::Int(5))),
+                }),
+            }],
+        };
+        let c = shared(input, 2);
+        let plan = PhysPlan::UnionAll {
+            inputs: vec![c.clone(), c],
+        };
+        for ctx in contexts() {
+            let (ctx, telemetry) = counted(ctx);
+            for _ in 0..2 {
+                let err = ctx.execute(&plan).unwrap_err();
+                assert!(err.to_string().contains("division by zero"), "{err}");
+            }
+            assert_eq!(telemetry.shared_reuses.get(), 0);
+        }
     }
 }

@@ -21,7 +21,7 @@ use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
 use super::context::{ChargeBuf, ChunkJob};
-use super::{ExecContext, NodeOut, Sink};
+use super::{ExecContext, Held, NodeOut, Sink};
 
 /// `LIMIT`/`OFFSET`: pass on the input rows at positions
 /// `offset..offset + limit`. When the child is a `Sort` and a limit is
@@ -86,7 +86,7 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
         if ctx.should_parallelize(rows.len()) {
             node.workers = ctx.parallelism();
             let kept = parallel_distinct(&rows, ctx)?;
-            super::emit(kept.iter().map(|&i| &rows[i]), ctx, sink)?;
+            super::emit(kept.iter().map(|&i| rows.row(i)), ctx, sink)?;
         } else {
             for row in rows.iter() {
                 first(row, sink)?;
@@ -107,18 +107,18 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
 /// row (bucketed by full hash; collisions resolved by row equality).
 /// Partitions are disjoint, so concatenating the kept indexes and sorting
 /// restores the global first-occurrence order the serial path emits.
-fn parallel_distinct(shared: &Arc<Vec<Row>>, ctx: &ExecContext) -> Result<Vec<usize>> {
+fn parallel_distinct(held: &Held, ctx: &ExecContext) -> Result<Vec<usize>> {
     let hash_jobs: Vec<ChunkJob<Vec<u64>>> = ctx
-        .morsels(shared.len())
+        .morsels(held.len())
         .into_iter()
         .map(|range| {
-            let rows = Arc::clone(shared);
+            let rows = held.clone();
             let job: ChunkJob<Vec<u64>> =
-                Box::new(move || rows[range].iter().map(row_hash).collect());
+                Box::new(move || rows.rows(range).map(row_hash).collect());
             job
         })
         .collect();
-    let mut hashes = Vec::with_capacity(shared.len());
+    let mut hashes = Vec::with_capacity(held.len());
     for chunk in ctx.run_jobs(hash_jobs) {
         hashes.extend(chunk);
     }
@@ -130,7 +130,7 @@ fn parallel_distinct(shared: &Arc<Vec<Row>>, ctx: &ExecContext) -> Result<Vec<us
     let nparts = ctx.parallelism();
     let part_jobs: Vec<ChunkJob<Vec<usize>>> = (0..nparts)
         .map(|p| {
-            let rows = Arc::clone(shared);
+            let rows = held.clone();
             let hashes = Arc::clone(&hashes);
             let job: ChunkJob<Vec<usize>> = Box::new(move || {
                 let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -140,7 +140,7 @@ fn parallel_distinct(shared: &Arc<Vec<Row>>, ctx: &ExecContext) -> Result<Vec<us
                         continue;
                     }
                     let bucket = buckets.entry(h).or_default();
-                    if bucket.iter().all(|&j| rows[j] != rows[i]) {
+                    if bucket.iter().all(|&j| rows.row(j) != rows.row(i)) {
                         bucket.push(i);
                         kept.push(i);
                     }
@@ -160,7 +160,7 @@ fn parallel_distinct(shared: &Arc<Vec<Row>>, ctx: &ExecContext) -> Result<Vec<us
 
 /// Fixed-seed row hash (`DefaultHasher::new()` uses fixed keys), so every
 /// worker computes identical partition assignments.
-fn row_hash(row: &Row) -> u64 {
+fn row_hash(row: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
     row.hash(&mut h);
     h.finish()

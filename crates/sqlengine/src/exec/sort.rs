@@ -19,30 +19,26 @@ use crate::error::Result;
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
 use crate::plan::PhysPlan;
-use crate::value::{Row, Value};
+use crate::value::Value;
 
 use super::context::{approx_row_bytes, ChargeBuf, ChunkJob, Ticker};
-use super::{ExecContext, NodeOut, OpStats, Sink};
+use super::{ExecContext, Held, NodeOut, OpStats, Sink};
 
 /// Evaluate sort keys for every row, morsel-parallel when worthwhile.
-fn eval_keys(
-    rows: &Arc<Vec<Row>>,
-    keys: &[(PhysExpr, bool)],
-    ctx: &ExecContext,
-) -> Result<Vec<Vec<Value>>> {
+fn eval_keys(rows: &Held, keys: &[(PhysExpr, bool)], ctx: &ExecContext) -> Result<Vec<Vec<Value>>> {
     if ctx.should_parallelize(rows.len()) {
         let exprs: Arc<Vec<PhysExpr>> = Arc::new(keys.iter().map(|(e, _)| e.clone()).collect());
         let jobs: Vec<ChunkJob<Result<Vec<Vec<Value>>>>> = ctx
             .morsels(rows.len())
             .into_iter()
             .map(|range| {
-                let rows = Arc::clone(rows);
+                let rows = rows.clone();
                 let exprs = Arc::clone(&exprs);
                 let budget = Arc::clone(ctx.budget());
                 let job: ChunkJob<Result<Vec<Vec<Value>>>> = Box::new(move || {
                     let mut out = Vec::with_capacity(range.len());
                     let mut charge = ChargeBuf::new(&budget);
-                    for row in &rows[range] {
+                    for row in rows.rows(range) {
                         let mut kv = Vec::with_capacity(exprs.len());
                         for e in exprs.iter() {
                             kv.push(e.eval(row)?);
@@ -112,16 +108,12 @@ pub(crate) fn sort(
     } else {
         keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
     }
-    super::emit(keyed.iter().map(|(_, i)| &rows[*i]), ctx, sink)?;
+    super::emit(keyed.iter().map(|(_, i)| rows.row(*i)), ctx, sink)?;
     Ok(node)
 }
 
 /// Every row's sort key paired with its position.
-fn keyed_rows(
-    rows: &Arc<Vec<Row>>,
-    keys: &[(PhysExpr, bool)],
-    ctx: &ExecContext,
-) -> Result<Vec<Keyed>> {
+fn keyed_rows(rows: &Held, keys: &[(PhysExpr, bool)], ctx: &ExecContext) -> Result<Vec<Keyed>> {
     let key_values = eval_keys(rows, keys, ctx)?;
     Ok(key_values
         .into_iter()
@@ -226,7 +218,7 @@ pub(crate) fn top_k(
     }
     keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
     keyed.truncate(k);
-    super::emit(keyed.iter().map(|(_, i)| &rows[*i]), ctx, sink)?;
+    super::emit(keyed.iter().map(|(_, i)| rows.row(*i)), ctx, sink)?;
     Ok(start.map(|t| OpStats {
         label: format!("{} (top-k, k={k})", op_label(plan)),
         rows_in: node.rows_in,

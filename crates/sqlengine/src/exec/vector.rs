@@ -152,19 +152,16 @@ pub(crate) fn mode_of_label(label: &str) -> Option<&'static str> {
     }
 }
 
-/// Count `(vectorized, row)` operators over the whole plan tree, for the
-/// telemetry registry (`exec.vectorized_ops` / `exec.row_ops`).
+/// Count `(vectorized, row)` operators over the whole plan tree, a shared
+/// subplan's once, for the telemetry registry (`exec.vectorized_ops` /
+/// `exec.row_ops`).
 pub(crate) fn count_modes(plan: &PhysPlan) -> (u64, u64) {
-    fn walk(plan: &PhysPlan, acc: &mut (u64, u64)) {
-        match node_mode(plan) {
-            Some(true) => acc.0 += 1,
-            Some(false) => acc.1 += 1,
-            None => {}
-        }
-        plan.for_each_child(&mut |child| walk(child, acc));
-    }
     let mut acc = (0, 0);
-    walk(plan, &mut acc);
+    plan.for_each_node(&mut |node, _, _| match node_mode(node) {
+        Some(true) => acc.0 += 1,
+        Some(false) => acc.1 += 1,
+        None => {}
+    });
     acc
 }
 

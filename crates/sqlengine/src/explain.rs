@@ -10,10 +10,18 @@ use crate::exec::OpStats;
 use crate::plan::{JoinAlgo, PhysPlan};
 use crate::trace::SpanRec;
 
-/// Render a plan as an indented operator tree.
+/// Render a plan as an indented operator tree, each shared subplan's
+/// subtree under its first reference only.
 pub fn render_plan(plan: &PhysPlan) -> String {
     let mut out = String::new();
-    render(plan, 0, &mut out);
+    plan.for_each_node(&mut |node, depth, reused| {
+        let label = if reused {
+            reused_label(node)
+        } else {
+            op_label(node)
+        };
+        line(&mut out, depth, &label);
+    });
     out
 }
 
@@ -87,6 +95,17 @@ pub(crate) fn op_label(plan: &PhysPlan) -> String {
         }
         PhysPlan::UnionAll { inputs } => format!("UnionAll [{} inputs]", inputs.len()),
         PhysPlan::Distinct { .. } => "Distinct".to_string(),
+        PhysPlan::Shared { cte, refs, .. } => format!("Shared cte={cte} refs={refs}"),
+    }
+}
+
+/// Label of a shared-subplan reference that does not run its input: one
+/// served from the filled slot (`EXPLAIN ANALYZE`), or one whose subtree
+/// `EXPLAIN` printed under an earlier reference.
+pub(crate) fn reused_label(plan: &PhysPlan) -> String {
+    match plan {
+        PhysPlan::Shared { cte, .. } => format!("Shared cte={cte} (reused)"),
+        other => op_label(other),
     }
 }
 
@@ -96,11 +115,6 @@ fn line(out: &mut String, depth: usize, text: &str) {
     }
     out.push_str(text);
     out.push('\n');
-}
-
-fn render(plan: &PhysPlan, depth: usize, out: &mut String) {
-    line(out, depth, &op_label(plan));
-    plan.for_each_child(&mut |child| render(child, depth + 1, out));
 }
 
 /// Render an executed plan's stats tree (`EXPLAIN ANALYZE`): every operator

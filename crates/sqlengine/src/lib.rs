@@ -9,7 +9,8 @@
 //!   `UNION [ALL]`, `ORDER BY`/`LIMIT`; `CREATE TABLE`/`INDEX`;
 //!   `INSERT ... ON CONFLICT DO UPDATE`; `UPDATE`; `DELETE`);
 //! * an index-aware planner with predicate pushdown, equi-join detection
-//!   (hash joins), inline-vs-materialized CTE strategies, index-scan
+//!   (hash joins), CTEs inlined when read once and run once for all their
+//!   references otherwise (`PhysPlan::Shared`), index-scan
 //!   selection for equality and `IN`-list predicates, and a cost-gated
 //!   index-nested-loop join for small probes against indexed tables;
 //! * a morsel-parallel row executor (one module per operator family) with

@@ -20,8 +20,8 @@
 //!   equal to one (the aggregate rewrite replaces them by structural match);
 //! * window specifications (`ORDER BY` may repeat a projected window, again
 //!   matched structurally);
-//! * subquery bodies and, when CTEs are materialized, CTE bodies — both run
-//!   during planning. These and `LIMIT` / `OFFSET` are the sites where
+//! * subquery bodies and the CTEs they read, which run during planning.
+//!   These and `LIMIT` / `OFFSET` are the sites where
 //!   [`Site::plan_time`](crate::ast::Site::plan_time) holds: the one rule
 //!   that also keeps an explicit `?` there from staying symbolic;
 //! * operands of constant subexpressions: folding consumed them, so no
@@ -58,7 +58,6 @@ pub(crate) fn same_literal(a: &Value, b: &Value) -> bool {
 pub(crate) fn lift_literals(
     query: &mut Query,
     literals: &[(Span, Value)],
-    materialize_ctes: bool,
 ) -> (Vec<Slot>, Vec<Value>) {
     // A `GROUP BY` key is matched structurally by the aggregate rewrite, so
     // it stays as written wherever it occurs. (Only a key that holds a
@@ -80,7 +79,7 @@ pub(crate) fn lift_literals(
     query.for_each_expr_mut(&mut |root, site| {
         // A bare literal in ORDER BY is an ordinal (or a constant sort key).
         let ordinal = site.clause == Clause::OrderBy && matches!(root, Expr::Literal(..));
-        if !(site.plan_time(materialize_ctes) || site.clause == Clause::GroupBy || ordinal) {
+        if !(site.plan_time() || site.clause == Clause::GroupBy || ordinal) {
             lifter.expr(root);
         }
     });
@@ -151,14 +150,10 @@ mod tests {
 
     /// Fold and lift `sql`; returns the slots and the bound values.
     fn lifted(sql: &str) -> (Vec<Slot>, Vec<Value>) {
-        lifted_under(sql, false)
-    }
-
-    fn lifted_under(sql: &str, materialize_ctes: bool) -> (Vec<Slot>, Vec<Value>) {
         let shape = crate::lexer::scan_shape(sql).expect("lexes");
         let mut query = parse(sql);
         crate::sema::fold::fold_query(&mut query);
-        lift_literals(&mut query, &shape.literals, materialize_ctes)
+        lift_literals(&mut query, &shape.literals)
     }
 
     /// `L` for a lifted literal, `P` for a pinned one, in source order.
@@ -240,22 +235,24 @@ mod tests {
             "SELECT n FROM t WHERE n > 1 AND n IN (SELECT n FROM t WHERE n < 9 LIMIT 3)",
             "SELECT n, (SELECT MAX(n) + 1 FROM t) FROM t WHERE EXISTS (SELECT 2) AND n > 3",
             "WITH c AS (SELECT n + 1 AS m FROM t WHERE n > 2) SELECT m FROM c WHERE m < 9",
+            "WITH c AS (SELECT n FROM t WHERE n > 2) SELECT n FROM t WHERE n IN (SELECT n FROM c)",
             "WITH c AS (SELECT n FROM (SELECT 1 AS n UNION ALL SELECT 2) d) \
              SELECT n + 3 FROM c JOIN t ON c.n = t.n + 4 GROUP BY n + 3 HAVING COUNT(*) > 5",
         ] {
             let literals = crate::lexer::scan_shape(sql).expect("lexes").literals;
-            for materialize_ctes in [false, true] {
-                let (slots, _) = lifted_under(sql, materialize_ctes);
-                for ((span, _), slot) in literals.iter().zip(&slots) {
-                    let mut marked = sql.to_string();
-                    marked.replace_range(span.range(), "?");
-                    if param_use(&parse(&marked), materialize_ctes) == ParamUse::PlanTime {
-                        plan_time_sites += 1;
-                        assert!(matches!(slot, Slot::Pinned(_)), "{marked}");
-                    }
+            let (slots, _) = lifted(sql);
+            for ((span, _), slot) in literals.iter().zip(&slots) {
+                let mut marked = sql.to_string();
+                marked.replace_range(span.range(), "?");
+                if param_use(&parse(&marked)) == ParamUse::PlanTime {
+                    plan_time_sites += 1;
+                    assert!(matches!(slot, Slot::Pinned(_)), "{marked}");
                 }
             }
         }
-        assert!(plan_time_sites > 10);
+        // `LIMIT 5 OFFSET 2`, the four literals inside subquery bodies and
+        // the one in a CTE body a subquery reads; any other CTE body is no
+        // such site.
+        assert_eq!(plan_time_sites, 7);
     }
 }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use crate::ast::{
     collect_aggregates, collect_windows, display_name, replace_subtree, AggregateFunc, Expr,
-    OrderItem, Select, SelectItem, WindowFunc,
+    OrderItem, Query, Select, SelectItem, SetExpr, TableRef, WindowFunc,
 };
 use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
@@ -318,6 +318,139 @@ impl<T> CteFrames<T> {
     }
 }
 
+/// How one CTE of a `WITH` is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct CteUse {
+    /// The names in `FROM` that resolve to it.
+    pub refs: usize,
+    /// Whether the planner runs it while planning: a subquery body reads
+    /// it, or a CTE the planner runs does. (A read from the body of a CTE a
+    /// nested `WITH` defines counts too, whether or not that CTE is run.)
+    pub at_plan_time: bool,
+}
+
+/// How each CTE of `query`'s own `WITH` is read, in definition order: names
+/// in `FROM` anywhere in the statement — later CTE bodies, the body, derived
+/// tables, subquery bodies — resolved by the frames above, so a reference an
+/// inner `WITH` shadows does not count.
+pub(crate) fn cte_uses(query: &Query) -> Vec<CteUse> {
+    struct Walk {
+        /// `Some(i)` for the `i`-th CTE being counted, `None` for one that
+        /// shadows it.
+        frames: CteFrames<Option<usize>>,
+        uses: Vec<CteUse>,
+        /// The counted CTEs each counted CTE's body reads outside subquery
+        /// bodies: run at plan time if that one is.
+        reads: Vec<Vec<usize>>,
+        /// Where the walk is: in the body of this counted CTE; in the body
+        /// of a CTE a nested `WITH` defines; in a subquery body.
+        within: Option<usize>,
+        nested: bool,
+        in_subquery: bool,
+    }
+    impl Walk {
+        fn query(&mut self, q: &Query, counted: bool) {
+            self.frames.enter();
+            for (i, cte) in q.ctes.iter().enumerate() {
+                let (within, nested) = (self.within, self.nested);
+                match counted {
+                    true => self.within = Some(i),
+                    false => self.nested = true,
+                }
+                self.query(&cte.query, false);
+                (self.within, self.nested) = (within, nested);
+                self.frames.define(&cte.name, counted.then_some(i));
+            }
+            self.set(&q.body);
+            for item in &q.order_by {
+                self.expr(&item.expr);
+            }
+            for e in q.limit.iter().chain(&q.offset) {
+                self.expr(e);
+            }
+            self.frames.leave();
+        }
+
+        fn set(&mut self, body: &SetExpr) {
+            let select = match body {
+                SetExpr::Select(select) => select,
+                SetExpr::Union { left, right, .. } => {
+                    self.set(left);
+                    return self.set(right);
+                }
+            };
+            for item in &select.from {
+                self.table(item);
+            }
+            for item in &select.projection {
+                if let SelectItem::Expr { expr, .. } = item {
+                    self.expr(expr);
+                }
+            }
+            let clauses = select.selection.iter().chain(&select.group_by);
+            for e in clauses.chain(&select.having) {
+                self.expr(e);
+            }
+        }
+
+        fn table(&mut self, item: &TableRef) {
+            match item {
+                TableRef::Named { name, .. } => {
+                    let Some(&Some(i)) = self.frames.lookup(name) else {
+                        return;
+                    };
+                    self.uses[i].refs += 1;
+                    if self.in_subquery || self.nested {
+                        self.uses[i].at_plan_time = true;
+                    } else if let Some(reader) = self.within {
+                        self.reads[reader].push(i);
+                    }
+                }
+                TableRef::Derived { query, .. } => self.query(query, false),
+                TableRef::Join {
+                    left, right, on, ..
+                } => {
+                    self.table(left);
+                    self.table(right);
+                    if let Some(on) = on {
+                        self.expr(on);
+                    }
+                }
+            }
+        }
+
+        fn expr(&mut self, e: &Expr) {
+            e.any(&mut |node| {
+                if let Some(q) = node.subquery() {
+                    let in_subquery = std::mem::replace(&mut self.in_subquery, true);
+                    self.query(q, false);
+                    self.in_subquery = in_subquery;
+                }
+                false
+            });
+        }
+    }
+    let n = query.ctes.len();
+    let mut walk = Walk {
+        frames: CteFrames::new(),
+        uses: vec![CteUse::default(); n],
+        reads: vec![Vec::new(); n],
+        within: None,
+        nested: false,
+        in_subquery: false,
+    };
+    walk.query(query, true);
+    // A body reads only earlier CTEs: one pass from the last settles all.
+    for i in (0..n).rev() {
+        if walk.uses[i].at_plan_time {
+            for &read in &walk.reads[i] {
+                walk.uses[read].at_plan_time = true;
+            }
+        }
+    }
+    walk.uses
+}
+
 /// What a table name in `FROM` denotes.
 pub(crate) enum TableSource<'a, T> {
     Cte(&'a T),
@@ -573,6 +706,38 @@ mod tests {
         assert_eq!(
             source(&ctes, "nosuch"),
             Err("table 'nosuch' does not exist".into())
+        );
+    }
+
+    #[test]
+    fn cte_uses_count_what_the_frames_resolve_to() {
+        let uses = |sql: &str| {
+            let Statement::Query(query) = crate::parser::parse_statement(sql).unwrap() else {
+                panic!("not a query: {sql}");
+            };
+            let uses = cte_uses(&query);
+            let refs: Vec<usize> = uses.iter().map(|u| u.refs).collect();
+            let run: Vec<bool> = uses.iter().map(|u| u.at_plan_time).collect();
+            (refs, run)
+        };
+        // Later CTEs, the body, a derived table, a join, subquery bodies —
+        // which the planner runs, with what they read.
+        assert_eq!(
+            uses(
+                "WITH a AS (SELECT 1 AS x), b AS (SELECT x FROM a), c AS (SELECT 2 AS x) \
+                 SELECT * FROM a JOIN (SELECT x FROM c) d ON a.x = d.x \
+                 ORDER BY (SELECT COUNT(*) FROM b)"
+            ),
+            (vec![2, 1, 1], vec![true, true, false])
+        );
+        // An inner `WITH` shadows a name only after its own definition, and
+        // `UNION` arms count alike.
+        assert_eq!(
+            uses(
+                "WITH a AS (SELECT 1 AS x) SELECT x FROM (WITH a AS (SELECT x FROM a) \
+                 SELECT x FROM a) d UNION ALL SELECT x FROM a"
+            ),
+            (vec![2], vec![true])
         );
     }
 }

@@ -7,10 +7,12 @@
 //! * single-table predicates are pushed below joins;
 //! * equi-join conjuncts in the WHERE clause of comma-joins are detected and
 //!   turned into hash joins (greedy left-deep ordering);
-//! * CTEs are planned once, where they are defined, and then either inlined
-//!   (pipelined, the default — this is the paper's "no intermediate
-//!   materialization" claim) or materialized once, depending on
-//!   [`PlannerConfig::materialize_ctes`].
+//! * CTEs are planned once, where they are defined. A CTE read by one
+//!   reference is inlined into it (pipelined — the paper's "no intermediate
+//!   materialization" claim); one read by several becomes a
+//!   [`PhysPlan::Shared`] subplan that runs once per execution and whose
+//!   references read its held rows (PostgreSQL's rule;
+//!   [`PlannerConfig::materialize_ctes`] shares every CTE).
 //!
 //! The planner does not decide what a `SELECT` block *means* — which columns
 //! `*` stands for, what is aggregated, what each output column is called:
@@ -37,7 +39,8 @@ use crate::expr::{
     Scope,
 };
 use crate::logical::{
-    ordinal, table_scope, table_source, CteFrames, LogicalSelect, SortTarget, TableSource,
+    cte_uses, ordinal, table_scope, table_source, CteFrames, CteUse, LogicalSelect, SortTarget,
+    TableSource,
 };
 use crate::value::{Row, Value};
 
@@ -59,8 +62,9 @@ pub struct PlannerConfig {
     /// Algorithm for detected equi-joins. Joins with no equi conjunct always
     /// fall back to a nested loop.
     pub join_algo: JoinAlgo,
-    /// Evaluate each CTE once into an in-memory table instead of inlining
-    /// its plan at every reference.
+    /// Share every CTE — run it once per execution and let its references
+    /// read the held rows ([`PhysPlan::Shared`]) — even one read by a single
+    /// reference, which is otherwise inlined.
     pub materialize_ctes: bool,
     /// Match equality / `IN`-list predicates and join keys against table
     /// indexes, emitting `IndexScan` / index-nested-loop plans. Disabled for
@@ -132,11 +136,11 @@ impl IndexRef {
 /// table rows, so execution never touches the catalog.
 #[derive(Debug, Clone)]
 pub enum PhysPlan {
-    /// Scan a snapshot of a base table (or a materialized CTE). `chunks`
-    /// carries the table's lazily built columnar image when the planner
-    /// enabled vectorized execution for this scan; it was captured under the
-    /// same catalog read as `rows`, so the two always describe the same
-    /// snapshot. `None` forces the row path.
+    /// Scan a snapshot of a base table. `chunks` carries the table's lazily
+    /// built columnar image when the planner enabled vectorized execution
+    /// for this scan; it was captured under the same catalog read as `rows`,
+    /// so the two always describe the same snapshot. `None` forces the row
+    /// path.
     Scan {
         rows: Arc<Vec<Row>>,
         width: usize,
@@ -243,6 +247,18 @@ pub enum PhysPlan {
     Distinct {
         input: Box<PhysPlan>,
     },
+    /// One reference to a shared CTE: every reference holds a copy of the
+    /// CTE's plan under the same `id`, unique in the statement. Per
+    /// execution, the first reference to run collects `input` into the
+    /// statement's slot for `id` while handing its rows on; every later one
+    /// hands on the held rows.
+    Shared {
+        id: usize,
+        /// The CTE's name and how many references read it, for `EXPLAIN`.
+        cte: Arc<str>,
+        refs: usize,
+        input: Box<PhysPlan>,
+    },
 }
 
 /// The one list of `PhysPlan`'s variants written for traversal: the body of
@@ -265,7 +281,8 @@ macro_rules! plan_children {
             | PhysPlan::Window { input, .. }
             | PhysPlan::Sort { input, .. }
             | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => $f(input),
+            | PhysPlan::Distinct { input }
+            | PhysPlan::Shared { input, .. } => $f(input),
             PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::NestedLoopJoin { left, right, .. } => {
                 $f(left);
@@ -281,13 +298,41 @@ macro_rules! plan_children {
 }
 
 impl PhysPlan {
-    /// Number of operator nodes in the tree (the `nodes` attribute of the
-    /// tracer's plan span — a cheap shape fingerprint for spotting plan
+    /// Number of operator nodes in the tree, each shared subplan's input
+    /// counted once — the lines `EXPLAIN` renders (the `nodes` attribute of
+    /// the tracer's plan span — a cheap shape fingerprint for spotting plan
     /// changes across trace captures without storing the plan text).
     pub fn node_count(&self) -> usize {
-        let mut nodes = 1;
-        self.for_each_child(&mut |child| nodes += child.node_count());
+        let mut nodes = 0;
+        self.for_each_node(&mut |_, _, _| nodes += 1);
         nodes
+    }
+
+    /// Call `f` on every node of the tree in `EXPLAIN` order with its depth,
+    /// descending into each shared subplan's input once: a later
+    /// [`PhysPlan::Shared`] reference to an id already visited is handed out
+    /// with `reused` set, and its input is skipped.
+    pub fn for_each_node(&self, f: &mut impl FnMut(&PhysPlan, usize, bool)) {
+        fn walk(
+            plan: &PhysPlan,
+            depth: usize,
+            seen: &mut Vec<usize>,
+            f: &mut impl FnMut(&PhysPlan, usize, bool),
+        ) {
+            let reused = match plan {
+                PhysPlan::Shared { id, .. } if seen.contains(id) => true,
+                PhysPlan::Shared { id, .. } => {
+                    seen.push(*id);
+                    false
+                }
+                _ => false,
+            };
+            f(plan, depth, reused);
+            if !reused {
+                plan.for_each_child(&mut |child| walk(child, depth + 1, seen, f));
+            }
+        }
+        walk(self, 0, &mut Vec::new(), f);
     }
 
     /// Call `f` on each input plan, in the order `EXPLAIN` renders them.
@@ -311,7 +356,8 @@ impl PhysPlan {
             | PhysPlan::OneRow
             | PhysPlan::Limit { .. }
             | PhysPlan::UnionAll { .. }
-            | PhysPlan::Distinct { .. } => {}
+            | PhysPlan::Distinct { .. }
+            | PhysPlan::Shared { .. } => {}
             PhysPlan::IndexScan { keys, .. } => keys.iter_mut().flatten().flatten().for_each(f),
             PhysPlan::IndexJoin {
                 probe_keys,
@@ -356,7 +402,8 @@ impl PhysPlan {
             PhysPlan::Filter { input, .. }
             | PhysPlan::Sort { input, .. }
             | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => input.width(),
+            | PhysPlan::Distinct { input }
+            | PhysPlan::Shared { input, .. } => input.width(),
             PhysPlan::Window { input, .. } => input.width() + 1,
             PhysPlan::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
             PhysPlan::HashJoin {
@@ -457,7 +504,8 @@ fn estimate_rows(plan: &PhysPlan) -> usize {
         PhysPlan::Project { input, .. }
         | PhysPlan::Window { input, .. }
         | PhysPlan::Sort { input, .. }
-        | PhysPlan::Distinct { input } => estimate_rows(input),
+        | PhysPlan::Distinct { input }
+        | PhysPlan::Shared { input, .. } => estimate_rows(input),
         PhysPlan::Limit { input, limit, .. } => {
             let est = estimate_rows(input);
             limit.map_or(est, |l| l.min(est))
@@ -639,21 +687,16 @@ pub struct Planner<'a> {
     /// Set when any planned table ref resolved to a virtual table; such
     /// plans hold point-in-time telemetry rows and must not be cached.
     used_virtual: bool,
-    /// Each CTE in scope with its plan or rows.
-    ctes: CteFrames<CteEntry>,
-    /// What planner-time execution runs under — materialized CTEs and
-    /// uncorrelated subqueries, whose results become plain row snapshots.
-    /// Always serial: it happens under the planner's catalog borrow. The
-    /// engine passes the statement's deadline and memory budget in.
+    /// Each CTE in scope, planned once where it is defined; a reference
+    /// takes a copy of the plan (rows are `Arc`s).
+    ctes: CteFrames<PlannedQuery>,
+    /// The id the next shared CTE gets.
+    next_shared: usize,
+    /// What planner-time execution runs under — uncorrelated subqueries,
+    /// whose results become literals. Always serial: it happens under the
+    /// planner's catalog borrow. The engine passes the statement's deadline
+    /// and memory budget in.
     exec: ExecContext,
-}
-
-/// A CTE, planned once where it is defined.
-enum CteEntry {
-    /// Inline: each reference takes a copy of the plan (rows are `Arc`s).
-    Inline(PlannedQuery),
-    /// Materialized rows with their scope-relative column names.
-    Table(Arc<Vec<Row>>, Vec<String>),
 }
 
 impl<'a> Planner<'a> {
@@ -673,6 +716,7 @@ impl<'a> Planner<'a> {
             virtuals: None,
             used_virtual: false,
             ctes: CteFrames::new(),
+            next_shared: 0,
             exec,
         }
     }
@@ -688,7 +732,7 @@ impl<'a> Planner<'a> {
     /// Keep `?` markers symbolic so the resulting plan can be cached as a
     /// template. The caller must have checked [`ast::param_use`] first:
     /// parameters in positions consumed at plan time (LIMIT/OFFSET,
-    /// subquery bodies, materialized CTEs) cannot stay symbolic.
+    /// subquery bodies) cannot stay symbolic.
     #[must_use]
     pub fn symbolic(mut self) -> Self {
         self.symbolic_params = true;
@@ -722,16 +766,25 @@ impl<'a> Planner<'a> {
         // Each CTE is planned once, here where it is defined: under the
         // enclosing frames plus the earlier CTEs of this WITH, which makes
         // its names lexically scoped whatever the reference site shadows.
-        for cte in &query.ctes {
-            let planned = self.plan_query(&cte.query)?;
-            let entry = if self.config.materialize_ctes {
-                // Evaluate the CTE eagerly; references scan the rows.
-                let rows = self.exec.execute(&planned.plan)?;
-                CteEntry::Table(Arc::new(rows), planned.columns)
-            } else {
-                CteEntry::Inline(planned)
-            };
-            self.ctes.define(&cte.name, entry);
+        // One read by several references (by any, under `materialize_ctes`)
+        // is shared — unless it is a bare scan, whose rows are held already.
+        for (cte, CteUse { refs, .. }) in query.ctes.iter().zip(cte_uses(query)) {
+            let mut planned = self.plan_query(&cte.query)?;
+            let shared = refs >= 2 || (refs == 1 && self.config.materialize_ctes);
+            let held = matches!(
+                planned.plan,
+                PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. }
+            );
+            if shared && !held {
+                planned.plan = PhysPlan::Shared {
+                    id: self.next_shared,
+                    cte: Arc::from(cte.name.as_str()),
+                    refs,
+                    input: Box::new(planned.plan),
+                };
+                self.next_shared += 1;
+            }
+            self.ctes.define(&cte.name, planned);
         }
         let mut planned = match &query.body {
             SetExpr::Select(select) => self.plan_select(select, &query.order_by)?,
@@ -881,26 +934,11 @@ impl<'a> Planner<'a> {
             TableRef::Named { name, alias, span } => {
                 let qual = alias.as_deref().unwrap_or(name);
                 match table_source(&self.ctes, self.catalog, name, *span)? {
-                    TableSource::Cte(entry) => {
-                        let (plan, columns) = match entry {
-                            CteEntry::Inline(planned) => (planned.plan.clone(), &planned.columns),
-                            // Materialized CTE output has no table-backed
-                            // chunk cache; it runs on the row path.
-                            CteEntry::Table(rows, columns) => (
-                                PhysPlan::Scan {
-                                    rows: Arc::clone(rows),
-                                    width: columns.len(),
-                                    chunks: None,
-                                },
-                                columns,
-                            ),
-                        };
-                        Ok(PlannedItem {
-                            plan,
-                            scope: qualified(qual, columns),
-                            access: None,
-                        })
-                    }
+                    TableSource::Cte(planned) => Ok(PlannedItem {
+                        plan: planned.plan.clone(),
+                        scope: qualified(qual, &planned.columns),
+                        access: None,
+                    }),
                     TableSource::System(schema) => {
                         let provided = self
                             .virtuals

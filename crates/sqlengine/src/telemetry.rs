@@ -291,6 +291,9 @@ pub struct Telemetry {
     /// hash-join build side, a sort input, a morsel's output) — never the
     /// rows a streaming pipeline passed through, nor the statement result.
     pub rows_materialized: Counter,
+    /// References to a shared CTE served from the rows its first reference
+    /// to run collected, instead of running the CTE again.
+    pub shared_reuses: Counter,
     /// Rows a `DELETE`/`UPDATE` examined: its index candidates, or every
     /// row of the table when no index answers the predicate.
     pub dml_rows_examined: Counter,
@@ -374,7 +377,7 @@ impl Telemetry {
 
     /// Every event counter under its `sys.metrics` name: the one list that
     /// [`Telemetry::reset`] and `sys.metrics` both walk.
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 26] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 27] {
         [
             ("statements.total", &self.statements),
             ("statements.errors", &self.statement_errors),
@@ -389,6 +392,7 @@ impl Telemetry {
             ("exec.row_ops", &self.row_ops),
             ("exec.join.probe_rows_pruned", &self.join_probe_rows_pruned),
             ("exec.rows_materialized", &self.rows_materialized),
+            ("exec.shared_reuses", &self.shared_reuses),
             ("dml.rows_examined", &self.dml_rows_examined),
             ("verify.plans_checked", &self.verify_plans_checked),
             ("verify.violations", &self.verify_violations),

@@ -39,7 +39,7 @@
 //! `verify.violations` counters in `sys.metrics`. Violations convert into
 //! spanned [`EngineError::Verify`] diagnostics pointing at the statement.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -232,6 +232,7 @@ pub fn verify_plan(
         nodes: 0,
         slots: BTreeSet::new(),
         discipline,
+        shared: HashMap::new(),
     };
     let (width, types) = checker.node(plan);
     check_mode_labels(plan, &mut checker.violations);
@@ -322,6 +323,8 @@ struct Checker<'a> {
     /// Every `?` slot index referenced anywhere in the plan.
     slots: BTreeSet<usize>,
     discipline: ParamDiscipline,
+    /// What each shared subplan id produces, walked at its first reference.
+    shared: HashMap<usize, (usize, Vec<DataType>)>,
 }
 
 impl Checker<'_> {
@@ -566,6 +569,14 @@ impl Checker<'_> {
                 (width, types)
             }
             PhysPlan::Limit { input, .. } | PhysPlan::Distinct { input } => self.node(input),
+            PhysPlan::Shared { id, input, .. } => {
+                if let Some(out) = self.shared.get(id) {
+                    return out.clone();
+                }
+                let out = self.node(input);
+                self.shared.insert(*id, out.clone());
+                out
+            }
             PhysPlan::UnionAll { inputs } => {
                 if inputs.is_empty() {
                     self.violate(
@@ -939,22 +950,21 @@ fn agg_type(a: &AggSpec, input: &[DataType]) -> DataType {
 /// from the documented grammar in `exec::vector`'s module docs, not shared
 /// with it.
 pub(crate) fn check_mode_labels(plan: &PhysPlan, checker_violations: &mut Vec<Violation>) {
-    let labeled = crate::exec::node_mode(plan);
-    let derived = derived_mode(plan);
-    if labeled != derived {
-        checker_violations.push(Violation {
-            rule: VerifyRule::VectorizedMode,
-            node: crate::explain::op_label(plan),
-            message: format!(
-                "labeled mode {} but the eligibility grammar derives {}",
-                mode_name(labeled),
-                mode_name(derived)
-            ),
-        });
-    }
-    for child in plan_children(plan) {
-        check_mode_labels(child, checker_violations);
-    }
+    plan.for_each_node(&mut |node, _, _| {
+        let labeled = crate::exec::node_mode(node);
+        let derived = derived_mode(node);
+        if labeled != derived {
+            checker_violations.push(Violation {
+                rule: VerifyRule::VectorizedMode,
+                node: crate::explain::op_label(node),
+                message: format!(
+                    "labeled mode {} but the eligibility grammar derives {}",
+                    mode_name(labeled),
+                    mode_name(derived)
+                ),
+            });
+        }
+    });
 }
 
 fn mode_name(mode: Option<bool>) -> &'static str {
@@ -962,27 +972,6 @@ fn mode_name(mode: Option<bool>) -> &'static str {
         Some(true) => "vectorized",
         Some(false) => "row",
         None => "none (no vectorized variant)",
-    }
-}
-
-fn plan_children(plan: &PhysPlan) -> Vec<&PhysPlan> {
-    match plan {
-        PhysPlan::Scan { .. }
-        | PhysPlan::VirtualScan { .. }
-        | PhysPlan::IndexScan { .. }
-        | PhysPlan::OneRow => Vec::new(),
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Aggregate { input, .. }
-        | PhysPlan::Window { input, .. }
-        | PhysPlan::Sort { input, .. }
-        | PhysPlan::Limit { input, .. }
-        | PhysPlan::Distinct { input } => vec![input],
-        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
-            vec![left, right]
-        }
-        PhysPlan::IndexJoin { probe, inner, .. } => vec![probe, inner],
-        PhysPlan::UnionAll { inputs } => inputs.iter().collect(),
     }
 }
 

@@ -232,8 +232,9 @@ fn a_large_equi_join_is_interrupted_by_the_statement_timeout() {
     }
 }
 
-/// What the planner executes itself — `IN (SELECT …)`, `EXISTS`, and under
-/// `profile_b` every CTE — runs under the statement's deadline too.
+/// What the planner executes itself — `IN (SELECT …)`, `EXISTS` — runs
+/// under the statement's deadline too, as does a CTE `profile_b` shares,
+/// which the first reference to run executes.
 #[test]
 fn planner_time_execution_is_interrupted_by_the_statement_timeout() {
     let load = |config: EngineConfig| {

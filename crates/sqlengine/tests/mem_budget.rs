@@ -57,9 +57,9 @@ fn tiny_budget_aborts_memory_hungry_operators() {
     assert!(metric(&db, "mem.budget_aborts") >= HUNGRY.len() as f64);
 }
 
-/// A CTE that `profile_b` materializes while planning is built under the
-/// statement's budget like any operator state: 3,000 × 3,000 rows do not fit
-/// 1 MiB.
+/// A CTE that `profile_b` shares — every one, even a CTE read once — is
+/// held by the first reference to run, at execution, under the statement's
+/// budget like any operator state: 3,000 × 3,000 rows do not fit 1 MiB.
 #[test]
 fn a_materialized_cte_is_charged_to_the_statement_budget() {
     let config = EngineConfig::profile_b().with_memory_budget(1024 * 1024);
@@ -72,6 +72,29 @@ fn a_materialized_cte_is_charged_to_the_statement_budget() {
         "{err:?}"
     );
     assert_eq!(metric(&db, "mem.budget_aborts"), 1.0);
+}
+
+/// A CTE read three times is held once: 3,000 rows of about 96 bytes fit a
+/// budget of one and a half copies, and the statement's peak shows one.
+#[test]
+fn a_cte_read_three_times_is_charged_once() {
+    let one_copy = 3000 * 96;
+    let db = db_with_rows(
+        EngineConfig::default().with_memory_budget(one_copy * 3 / 2),
+        3000,
+    );
+    let r = db
+        .query(
+            "WITH c AS (SELECT n, grp, w * 2.0 AS w FROM docs) \
+             SELECT COUNT(*) FROM c UNION ALL SELECT SUM(n) FROM c UNION ALL SELECT MAX(grp) FROM c",
+        )
+        .unwrap();
+    assert_eq!(r.rows.len(), 3);
+    let peak = db
+        .query_scalar("SELECT peak_mem_bytes FROM sys.query_log WHERE sql LIKE 'WITH c%'")
+        .unwrap();
+    let peak = peak.as_i64().unwrap().unwrap() as u64;
+    assert!((one_copy..one_copy * 3 / 2).contains(&peak), "{peak}");
 }
 
 #[test]

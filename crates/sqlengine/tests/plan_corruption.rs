@@ -34,32 +34,7 @@ fn seeded() -> Database {
 /// Apply `f` to every node of the plan tree, root first.
 fn visit(plan: &mut PhysPlan, f: &mut dyn FnMut(&mut PhysPlan)) {
     f(plan);
-    match plan {
-        PhysPlan::Scan { .. }
-        | PhysPlan::VirtualScan { .. }
-        | PhysPlan::IndexScan { .. }
-        | PhysPlan::OneRow => {}
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Aggregate { input, .. }
-        | PhysPlan::Window { input, .. }
-        | PhysPlan::Sort { input, .. }
-        | PhysPlan::Limit { input, .. }
-        | PhysPlan::Distinct { input } => visit(input, f),
-        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
-            visit(left, f);
-            visit(right, f);
-        }
-        PhysPlan::IndexJoin { probe, inner, .. } => {
-            visit(probe, f);
-            visit(inner, f);
-        }
-        PhysPlan::UnionAll { inputs } => {
-            for i in inputs {
-                visit(i, f);
-            }
-        }
-    }
+    plan.for_each_child_mut(&mut |child| visit(child, f));
 }
 
 /// Plan + cache `sql`, corrupt the cached plan, and return the error the

@@ -427,6 +427,72 @@ fn rows_materialized_moves_by_the_build_side_not_the_join_output() {
 }
 
 // ---------------------------------------------------------------------
+// Shared CTEs: exec.shared_reuses
+// ---------------------------------------------------------------------
+
+/// The statement `BornSqlModel::deploy` runs for model `m` (paper §3.3, eqs.
+/// 19–26): `p_jk` is read four times, `w_jk` three times and `abh` twice.
+const DEPLOY: &str = "INSERT INTO m_weights (j, k, w) WITH
+    abh AS (SELECT a, b, h FROM params WHERE model = 'm'),
+    p_jk AS (SELECT j, k, w FROM m_corpus WHERE w > 0.0),
+    p_j AS (SELECT j, SUM(w) AS w FROM p_jk GROUP BY j),
+    p_k AS (SELECT k, SUM(w) AS w FROM p_jk GROUP BY k),
+    w_jk AS (SELECT p_jk.j AS j, p_jk.k AS k, p_jk.w / (POW(p_k.w, b) * POW(p_j.w, 1.0 - b)) AS w
+             FROM p_jk, p_j, p_k, abh WHERE p_jk.j = p_j.j AND p_jk.k = p_k.k),
+    w_j AS (SELECT j, SUM(w) AS w FROM w_jk GROUP BY j),
+    h_jk AS (SELECT w_jk.j AS j, w_jk.k AS k, w_jk.w / w_j.w AS w FROM w_jk, w_j WHERE w_jk.j = w_j.j),
+    n_k AS (SELECT COUNT(DISTINCT k) AS n FROM p_jk),
+    h_j AS (SELECT h_jk.j AS j, CASE WHEN n_k.n <= 1 THEN 1.0 ELSE
+              CASE WHEN 1.0 + SUM(h_jk.w * LN(h_jk.w)) / LN(n_k.n) < 0.0 THEN 0.0
+              ELSE 1.0 + SUM(h_jk.w * LN(h_jk.w)) / LN(n_k.n) END END AS w
+            FROM h_jk, n_k GROUP BY h_jk.j, n_k.n),
+    hw_jk AS (SELECT w_jk.j AS j, w_jk.k AS k, POW(h_j.w, h) * POW(w_jk.w, a) AS w
+              FROM w_jk, h_j, abh WHERE w_jk.j = h_j.j)
+    SELECT j, k, w FROM hw_jk";
+
+/// Every reference to a shared CTE but the one that runs it reads the held
+/// rows: one deploy moves `exec.shared_reuses` by `refs − 1` summed over
+/// the CTEs its plan shares, and the plan prints each shared subtree once.
+#[test]
+fn one_deploy_reuses_each_shared_cte_once_per_extra_reference() {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE params (model TEXT PRIMARY KEY, a REAL, b REAL, h REAL);
+         INSERT INTO params VALUES ('m', 1.0, 0.5, 1.0);
+         CREATE TABLE m_corpus (j TEXT, k TEXT, w REAL, PRIMARY KEY (j, k));
+         INSERT INTO m_corpus VALUES ('a', 'x', 2.0), ('a', 'y', 1.0), ('b', 'x', 3.0),
+             ('c', 'y', 0.5), ('c', 'z', 4.0);
+         CREATE TABLE m_weights (j TEXT, k TEXT, w REAL, PRIMARY KEY (j, k));",
+    )
+    .unwrap();
+    let select = DEPLOY.split_once("(j, k, w) ").unwrap().1;
+    let plan = db.explain(select).unwrap();
+    let mut extra_refs = 0;
+    for line in plan.lines().map(str::trim) {
+        let shared = line.strip_prefix("Shared cte=");
+        let Some((cte, refs)) = shared.and_then(|l| l.split_once(" refs=")) else {
+            continue;
+        };
+        let extra = refs.parse::<u64>().unwrap() - 1;
+        let reused = format!("Shared cte={cte} (reused)");
+        assert_eq!(plan.matches(&reused).count() as u64, extra, "{plan}");
+        extra_refs += extra;
+    }
+    assert_eq!(extra_refs, 3 + 2 + 1, "{plan}");
+
+    let reuses = |db: &Database| match db
+        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.shared_reuses'")
+        .unwrap()
+    {
+        Value::Float(f) => f as u64,
+        other => panic!("expected float, got {other:?}"),
+    };
+    let before = reuses(&db);
+    assert_eq!(db.execute(DEPLOY).unwrap().affected(), 5);
+    assert_eq!(reuses(&db) - before, extra_refs, "{plan}");
+}
+
+// ---------------------------------------------------------------------
 // WAL counters
 // ---------------------------------------------------------------------
 
