@@ -376,3 +376,100 @@ fn profile_b_serves_a_second_item_from_the_first_ones_plan() {
     assert_eq!(first[0].0, Value::Int(5));
     assert_eq!(second[0].0, Value::Int(6));
 }
+
+/// How far `exec.rows_materialized` moves over one run of `sql`, and the
+/// plan it ran.
+fn materialized(db: &Database, sql: &str) -> (u64, String) {
+    let metric = || match db
+        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.rows_materialized'")
+        .unwrap()
+    {
+        Value::Float(f) => f as u64,
+        other => panic!("expected a float, got {other:?}"),
+    };
+    let before = metric();
+    db.query(sql).unwrap();
+    (metric() - before, db.explain(sql).unwrap())
+}
+
+/// Which input each hash join of each model call builds on, and how many
+/// rows the call holds (`exec.rows_materialized`). A deployed predict-all
+/// builds on the weights scan, its smaller input, held without a copy, and
+/// streams `x_nj` through the probe into the `(n, k)` aggregate: it holds
+/// the 1,024 `(n, k)` scores the window ranks, the 256 winners the sort
+/// orders and the one-row `abh` — no feature row. A single-item predict, a
+/// local explanation, `partial_fit` and `deploy` build every hash join on
+/// its right input, and each star arm filters its scan by the items' keys
+/// (`probe=keyset(vectorized)`), which is what makes a single-item predict
+/// cheap.
+#[test]
+fn a_deployed_predict_all_hashes_its_weights_and_training_builds_right() {
+    let (star_db, flat_db) = (Database::new(), Database::new());
+    let star = load(&star_db);
+    star.fit(&train(1, DOCS)).unwrap();
+    star.deploy().unwrap();
+    let (flat, flat_spec) = load_flat(&flat_db);
+    flat.fit(&flat_spec).unwrap();
+    flat.deploy().unwrap();
+    let batch: Vec<Value> = (0..64).map(|i| Value::Int(3 + i * 4)).collect();
+    let count = |plan: &str, label: &str| plan.lines().filter(|l| l.contains(label)).count();
+    let keyset_arm = "build=right] probe=keyset(vectorized)";
+
+    for (db, model, spec, fit) in [
+        (&star_db, &star, arms(), train(1, DOCS)),
+        (&flat_db, &flat, flat_spec.clone(), flat_spec),
+    ] {
+        let gen = model.generator();
+        let star = spec.qx.len() == 4;
+        let one = |id: i64| spec.clone().with_items(format!("SELECT {id} AS n"));
+
+        let (held, plan) = materialized(db, &gen.predict(&spec, true));
+        assert_eq!(held, 1024 + 256 + 1, "{plan}");
+        assert_eq!(
+            count(&plan, "HashJoin [Inner, 1 keys, build=left]"),
+            1,
+            "{plan}"
+        );
+
+        // A single item and a local explanation: no hash join builds left.
+        let arms = if star { 3 } else { 1 };
+        for (sql, want) in [
+            (gen.predict(&one(5), true), 7),
+            (gen.explain_local(&one(42), true, Some(12)), 35),
+        ] {
+            let (held, plan) = materialized(db, &sql);
+            assert_eq!(held, want, "{plan}");
+            assert_eq!(count(&plan, "build=left"), 0, "{plan}");
+            assert_eq!(count(&plan, keyset_arm), arms, "{plan}");
+        }
+
+        // A batch of 64: every arm filters its scan. On the star shape the
+        // four arms are estimated at 64 rows each, at least twice the
+        // weights table of this small corpus, which the join with `x_nj`
+        // then builds on; against `bulk_cycle`'s weights the same join is an
+        // index nested loop.
+        let (held, plan) = materialized(db, &gen.predict_batch(&spec, true, &batch).unwrap());
+        match star {
+            true => {
+                assert_eq!(held, 385, "{plan}");
+                assert_eq!(count(&plan, "build=left"), 1, "{plan}");
+                assert_eq!(count(&plan, keyset_arm), 4, "{plan}");
+            }
+            false => {
+                assert_eq!(held, 897, "{plan}");
+                assert_eq!(count(&plan, "build=left"), 0, "{plan}");
+            }
+        }
+
+        // Training and deployment: every hash join builds on its right input.
+        let partial_fit = gen.partial_fit(&fit, 1.0);
+        for (sql, want) in [
+            (source_query(&partial_fit), if star { 2816 } else { 2560 }),
+            (source_query(&gen.deploy()), 457),
+        ] {
+            let (held, plan) = materialized(db, sql);
+            assert_eq!(held, want, "{plan}");
+            assert_eq!(count(&plan, "build=left"), 0, "{plan}");
+        }
+    }
+}

@@ -949,8 +949,8 @@ impl Database {
         // Telemetry on the context feeds the `worker_idle` wait-class rollup
         // (coordinator time blocked on the pool; recorded only on the
         // parallel dispatch path, so serial execution stays clock-free) and
-        // the `exec.join.probe_rows_pruned` / `exec.rows_materialized`
-        // counters.
+        // the `exec.join.probe_rows_pruned` / `exec.join.build_rows` /
+        // `exec.rows_materialized` counters.
         let ctx = if self.telemetry.enabled() {
             ctx.with_telemetry(Arc::clone(&self.telemetry))
         } else {

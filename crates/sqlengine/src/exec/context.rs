@@ -408,8 +408,8 @@ impl ExecContext {
     }
 
     /// Builder-style telemetry handle: enables the `worker_idle` wait
-    /// rollup around worker-pool fan-outs, `exec.join.probe_rows_pruned` and
-    /// `exec.rows_materialized`.
+    /// rollup around worker-pool fan-outs, `exec.join.probe_rows_pruned`,
+    /// `exec.join.build_rows` and `exec.rows_materialized`.
     pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::Telemetry>) -> ExecContext {
         self.telemetry = Some(telemetry);
         self
@@ -482,6 +482,14 @@ impl ExecContext {
     pub(crate) fn count_probe_rows_pruned(&self, rows: usize) {
         if let Some(telemetry) = &self.telemetry {
             telemetry.join_probe_rows_pruned.add(rows as u64);
+        }
+    }
+
+    /// Add to `exec.join.build_rows`: rows inserted into a hash-join build
+    /// table.
+    pub(crate) fn count_join_build_rows(&self, rows: usize) {
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.join_build_rows.add(rows as u64);
         }
     }
 

@@ -2,14 +2,17 @@
 //! join, nested-loop join, and index nested-loop join.
 //!
 //! Every join collects one side and streams the other. The hash join builds
-//! its table on the right side and streams the left through the probe: each
-//! probe row's matches are joined in one reused buffer and handed on, so the
-//! joined rows are never held. The parallel build runs in two phases: (1)
-//! morsel-parallel key extraction over the build side, (2) one build job per
-//! partition (`hash(key) % P`) assembling that partition's table in original
-//! row order; the probe then runs over left morsels. Because every probe
-//! morsel preserves left order and match lists preserve right order, the
-//! output is identical to the pushed probe's.
+//! its table on the side the planner chose ([`PhysPlan::join_sides`]: the
+//! left input of an INNER join estimated at no more than half the right,
+//! the right input otherwise) and streams the other through the probe: each
+//! probe row's matches are joined, in scope order, in one reused buffer and
+//! handed on, so the joined rows are never held. The parallel build runs in
+//! two phases: (1) morsel-parallel key extraction over the build side, (2)
+//! one build job per partition (`hash(key) % P`) assembling that
+//! partition's table in original row order; the probe then runs over
+//! morsels of the probe side. Because every probe morsel preserves probe
+//! order and match lists preserve build order, the output is identical to
+//! the pushed probe's.
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
@@ -30,7 +33,7 @@ use crate::column::{ChunkedTable, CHUNK_ROWS};
 use crate::error::Result;
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
-use crate::plan::PhysPlan;
+use crate::plan::{JoinInput, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, ChunkJob, Ticker};
@@ -83,12 +86,16 @@ fn keeps(residual: &Option<PhysExpr>, joined: &[Value]) -> Result<bool> {
 /// Everything a hash-join probe needs besides the probe rows themselves;
 /// shared by every probe morsel.
 struct Probe {
+    /// The probe side's key expressions.
     keys: Vec<PhysExpr>,
     /// One table per partition (`hash(key) % len`); a single one when the
     /// build ran serially.
     tables: Vec<KeyTable>,
-    right_rows: Held,
+    build_rows: Held,
+    /// The build rows are the left input: a joined row is `build ++ probe`.
+    build_left: bool,
     kind: JoinKind,
+    /// The NULL fill of a LEFT JOIN, which always builds on the right.
     right_width: usize,
     residual: Option<PhysExpr>,
     deadline: Option<Instant>,
@@ -113,7 +120,7 @@ impl Probe {
         }
     }
 
-    /// Probe a run of chunks of the left side's columnar image: the key
+    /// Probe a run of chunks of the probe side's columnar image: the key
     /// filter picks each chunk's candidate offsets from the typed key
     /// column, and only those rows are probed. A chunk the filter cannot
     /// decide (mixed column, keys of another variant) is probed row by row.
@@ -131,8 +138,8 @@ impl Probe {
                     }
                 }
                 None => {
-                    for lrow in &side.rows[base..base + chunk.len()] {
-                        self.row(lrow, &mut scratch, sink)?;
+                    for row in &side.rows[base..base + chunk.len()] {
+                        self.row(row, &mut scratch, sink)?;
                     }
                 }
             }
@@ -145,26 +152,32 @@ impl Probe {
 impl RowOp for Probe {
     type Scratch = ProbeScratch;
 
-    /// Probe with one left row: hand on its joined rows, or the LEFT JOIN
-    /// NULL-fill when none matched.
-    fn row(&self, lrow: &[Value], scratch: &mut ProbeScratch, sink: &mut Sink) -> Result<()> {
+    /// Probe with one row of the probe side: hand on its joined rows, each
+    /// written in scope order (left input first), or the LEFT JOIN NULL-fill
+    /// when none matched.
+    fn row(&self, prow: &[Value], scratch: &mut ProbeScratch, sink: &mut Sink) -> Result<()> {
         let ProbeScratch {
             key,
             joined,
             ticker,
             pruned,
         } = scratch;
-        let hit = match key_of(lrow, &self.keys, key, false)? {
+        let hit = match key_of(prow, &self.keys, key, false)? {
             Some(key) => self.lookup(key),
             None => None,
         };
         let mut matched = false;
         match hit {
             Some(idxs) => {
-                for &ri in idxs {
+                for &bi in idxs {
                     // A popular key fans one probe row out to many.
                     ticker.tick(self.deadline)?;
-                    join_into(joined, lrow, self.right_rows.row(ri));
+                    let brow = self.build_rows.row(bi);
+                    if self.build_left {
+                        join_into(joined, brow, prow);
+                    } else {
+                        join_into(joined, prow, brow);
+                    }
                     if keeps(&self.residual, joined)? {
                         matched = true;
                         sink(joined)?;
@@ -174,7 +187,7 @@ impl RowOp for Probe {
             None => *pruned += 1,
         }
         if !matched && self.kind == JoinKind::Left {
-            null_fill(joined, lrow, self.right_width);
+            null_fill(joined, prow, self.right_width);
             sink(joined)?;
         }
         Ok(())
@@ -196,43 +209,49 @@ struct ChunkSide {
 }
 
 /// How the probe side of a hash join will run, from what the operator can
-/// observe: `Some(true)` = key filter over chunks, `Some(false)` = row by
-/// row straight off a base-table scan with bare-column keys, `None` = row
-/// by row over some other child. The one statement of that rule — `EXPLAIN`
-/// labels, the mode counters and the executor all read it.
-pub(crate) fn keyset_mode(left: &PhysPlan, left_keys: &[PhysExpr], kind: JoinKind) -> Option<bool> {
-    let PhysPlan::Scan { chunks, .. } = left else {
+/// observe of the input it probes ([`PhysPlan::join_sides`]): `Some(true)` =
+/// key filter over chunks, `Some(false)` = row by row straight off a
+/// base-table scan with bare-column keys, `None` = row by row over some
+/// other child. The one statement of that rule — `EXPLAIN` labels, the mode
+/// counters and the executor all read it.
+pub(crate) fn keyset_mode((probe, keys): JoinInput, kind: JoinKind) -> Option<bool> {
+    let PhysPlan::Scan { chunks, .. } = probe else {
         return None;
     };
-    if !left_keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) {
+    if !keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) {
         return None;
     }
-    Some(chunks.is_some() && left_keys.len() == 1 && kind == JoinKind::Inner)
+    Some(chunks.is_some() && keys.len() == 1 && kind == JoinKind::Inner)
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hash_join(
-    left: &PhysPlan,
-    right: &PhysPlan,
-    left_keys: &[PhysExpr],
-    right_keys: &[PhysExpr],
-    kind: JoinKind,
-    right_width: usize,
-    residual: &Option<PhysExpr>,
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
-    // The build side runs first; its stats are listed after the probe's.
-    let mut build = NodeOut::new();
-    let right_rows = super::run_input(right, ctx, &mut build)?;
-    let tables = if ctx.should_parallelize(right_rows.len()) {
-        build.workers = ctx.parallelism();
-        parallel_build(&right_rows, right_keys, ctx)?
+/// Run a [`PhysPlan::HashJoin`] with [`crate::plan::JoinAlgo::Hash`]:
+/// collect the build input into a hash table, then stream the probe input
+/// through it.
+pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let PhysPlan::HashJoin {
+        kind,
+        right_width,
+        residual,
+        build_left,
+        ..
+    } = join
+    else {
+        unreachable!("hash_join runs hash joins");
+    };
+    let ((build, build_keys), probe_side @ (probe, probe_keys)) =
+        join.join_sides().expect("a hash join has two sides");
+    // The build side runs first. Its stats are listed in plan order: before
+    // the probe's when it is the left input, after them when the right.
+    let mut build_node = NodeOut::new();
+    let build_rows = super::run_input(build, ctx, &mut build_node)?;
+    let tables = if ctx.should_parallelize(build_rows.len()) {
+        build_node.workers = ctx.parallelism();
+        parallel_build(&build_rows, build_keys, ctx)?
     } else {
-        vec![serial_build(&right_rows, right_keys, ctx)?]
+        vec![serial_build(&build_rows, build_keys, ctx)?]
     };
 
-    let chunk_side = match (left, left_keys) {
+    let chunk_side = match probe_side {
         (
             PhysPlan::Scan {
                 rows,
@@ -240,7 +259,7 @@ pub(crate) fn hash_join(
                 width,
             },
             [PhysExpr::Column(column)],
-        ) if keyset_mode(left, left_keys, kind) == Some(true) => {
+        ) if keyset_mode(probe_side, *kind) == Some(true) => {
             let distinct_keys: usize = tables.iter().map(KeyTable::len).sum();
             (distinct_keys.saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len()).then(|| {
                 ChunkSide {
@@ -253,57 +272,65 @@ pub(crate) fn hash_join(
         }
         _ => None,
     };
-    let probe = Arc::new(Probe {
-        keys: left_keys.to_vec(),
+    let op = Arc::new(Probe {
+        keys: probe_keys.to_vec(),
         tables,
-        right_rows,
-        kind,
-        right_width,
+        build_rows,
+        build_left: *build_left,
+        kind: *kind,
+        right_width: *right_width,
         residual: residual.clone(),
         deadline: ctx.deadline(),
         pruned: AtomicUsize::new(0),
     });
 
-    // Probe in left order; parallel morsels are handed on in submission
-    // order, so the output matches the pushed probe's.
+    // Probe in probe-side order; parallel morsels are handed on in
+    // submission order, so the output matches the pushed probe's.
     let mut node = NodeOut::new();
     match chunk_side {
         Some(side) => {
             let rows = side.rows.len();
             node.rows_in += rows;
             if ctx.stats_enabled() {
-                node.children.push(OpStats::leaf(op_label(left), rows));
+                node.children.push(OpStats::leaf(op_label(probe), rows));
             }
             let (units, parallel) = (side.chunked.chunk_count(), ctx.should_parallelize(rows));
             let run = {
-                let probe = Arc::clone(&probe);
-                move |range, sink: &mut Sink| probe.chunks(&side, range, sink)
+                let op = Arc::clone(&op);
+                move |range, sink: &mut Sink| op.chunks(&side, range, sink)
             };
             super::morsels(ctx, units, parallel, &mut node, run, sink)?;
         }
-        None => super::stream(&probe, left, ctx, &mut node, sink)?,
+        None => super::stream(&op, probe, ctx, &mut node, sink)?,
     }
-    node.absorb(build);
-    let pruned = probe.pruned.load(Ordering::Relaxed);
+    if *build_left {
+        build_node.absorb(node);
+        node = build_node;
+    } else {
+        node.absorb(build_node);
+    }
+    let pruned = op.pruned.load(Ordering::Relaxed);
     ctx.count_probe_rows_pruned(pruned);
     node.pruned = Some(pruned);
     Ok(node)
 }
 
-/// Build the hash table on the right side (the probe runs over the left,
-/// which preserves left order and gives LEFT JOIN for free). The table owns
-/// one key per distinct key plus one index per row, and is pre-sized from
-/// the build side's row count.
-fn serial_build(right_rows: &Held, right_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
-    let mut table = KeyTable::with_capacity(right_rows.len());
+/// Build the hash table on the build side (the probe runs over the other,
+/// in its order; a LEFT JOIN builds on the right, so probing the left gives
+/// its NULL fill for free). The table owns one key per distinct key plus
+/// one index per row with a non-NULL key, and is pre-sized from the build
+/// side's row count.
+fn serial_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
+    let mut table = KeyTable::with_capacity(build_rows.len());
     let mut charge = ChargeBuf::new(ctx.budget());
-    let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
-    for (i, row) in right_rows.iter().enumerate() {
+    let (mut scratch, mut ticker, mut inserted) = (Vec::new(), Ticker::default(), 0);
+    for (i, row) in build_rows.iter().enumerate() {
         ticker.tick(ctx.deadline())?;
-        let Some(key) = key_of(row, right_keys, &mut scratch, false)? else {
+        let Some(key) = key_of(row, build_keys, &mut scratch, false)? else {
             continue;
         };
         charge.add(std::mem::size_of::<usize>() as u64)?;
+        inserted += 1;
         match table.get_mut(key) {
             Some(idxs) => idxs.push(i),
             None => {
@@ -313,13 +340,14 @@ fn serial_build(right_rows: &Held, right_keys: &[PhysExpr], ctx: &ExecContext) -
         }
     }
     charge.flush()?;
+    ctx.count_join_build_rows(inserted);
     Ok(table)
 }
 
 /// Phases 1 and 2 of the parallel hash join: one table per partition.
 fn parallel_build(
-    right_rows: &Held,
-    right_keys: &[PhysExpr],
+    build_rows: &Held,
+    build_keys: &[PhysExpr],
     ctx: &ExecContext,
 ) -> Result<Vec<KeyTable>> {
     let partitions = ctx.parallelism();
@@ -328,13 +356,13 @@ fn parallel_build(
     // Phase 1: morsel-parallel key extraction over the build side. The
     // extracted keyed rows are what the per-partition build tables own, so
     // charging the statement budget here covers the parallel build too.
-    let right_keys_arc: Arc<Vec<PhysExpr>> = Arc::new(right_keys.to_vec());
+    let build_keys: Arc<Vec<PhysExpr>> = Arc::new(build_keys.to_vec());
     let extract_jobs: Vec<ChunkJob<Result<Vec<KeyedRow>>>> = ctx
-        .morsels(right_rows.len())
+        .morsels(build_rows.len())
         .into_iter()
         .map(|range| {
-            let rows = right_rows.clone();
-            let keys = Arc::clone(&right_keys_arc);
+            let rows = build_rows.clone();
+            let keys = Arc::clone(&build_keys);
             let budget = Arc::clone(ctx.budget());
             let job: ChunkJob<Result<Vec<KeyedRow>>> = Box::new(move || {
                 let mut out = Vec::with_capacity(range.len());
@@ -359,9 +387,10 @@ fn parallel_build(
     }
     let keyed = Arc::new(keyed);
     let keyed_total: usize = keyed.iter().map(Vec::len).sum();
+    ctx.count_join_build_rows(keyed_total);
 
     // Phase 2: one build job per partition. Chunks are walked in order, so
-    // each partition's match lists hold right indices in ascending order.
+    // each partition's match lists hold build indices in ascending order.
     let build_jobs: Vec<ChunkJob<Result<KeyTable>>> = (0..partitions)
         .map(|p| {
             let keyed = Arc::clone(&keyed);

@@ -113,7 +113,7 @@ impl NodeOut {
     }
 
     /// Append what another part of the same operator recorded (a join's
-    /// build side, run before the probe but listed after it).
+    /// inputs are listed in plan order, whichever of them ran first).
     pub(crate) fn absorb(&mut self, other: NodeOut) {
         self.rows_in += other.rows_in;
         self.workers = self.workers.max(other.workers);
@@ -223,18 +223,9 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             right_width,
             residual,
             algo,
+            ..
         } => match algo {
-            crate::plan::JoinAlgo::Hash => join::hash_join(
-                left,
-                right,
-                left_keys,
-                right_keys,
-                *kind,
-                *right_width,
-                residual,
-                ctx,
-                sink,
-            ),
+            crate::plan::JoinAlgo::Hash => join::hash_join(plan, ctx, sink),
             crate::plan::JoinAlgo::SortMerge => join::sort_merge_join(
                 left,
                 right,
@@ -642,6 +633,7 @@ mod tests {
             right_width: 2,
             residual,
             algo: JoinAlgo::Hash,
+            build_left: false,
         }
     }
 
@@ -706,6 +698,106 @@ mod tests {
             Some(gt(3, 1)),
         );
         assert_eq!(ExecContext::serial().execute(&inner).unwrap().len(), 1);
+    }
+
+    /// The same join with its hash table on the left input.
+    fn building_left(mut join: PhysPlan) -> PhysPlan {
+        if let PhysPlan::HashJoin { build_left, .. } = &mut join {
+            *build_left = true;
+        }
+        join
+    }
+
+    #[test]
+    fn a_build_left_join_writes_scope_order_rows_in_probe_order() {
+        // The left input is held; the right one streams through the probe,
+        // and each joined row is still `left ++ right`.
+        let left = scan(&[&[1, 10], &[3, 30], &[1, 11]]);
+        let right = scan(&[&[3, 300], &[1, 100], &[2, 200], &[1, 101]]);
+        let plan = building_left(hash_join(left, right, JoinKind::Inner, None));
+        for ctx in contexts() {
+            let (ctx, telemetry) = counted(ctx);
+            let rows = ctx.execute(&plan).unwrap();
+            let n = |r: [i64; 4]| r.map(Some).to_vec();
+            assert_eq!(
+                ints(&rows),
+                vec![
+                    n([3, 30, 3, 300]),
+                    n([1, 10, 1, 100]),
+                    n([1, 11, 1, 100]),
+                    n([1, 10, 1, 101]),
+                    n([1, 11, 1, 101]),
+                ]
+            );
+            // The three left rows were hashed; a bare scan is held, not copied.
+            assert_eq!(telemetry.join_build_rows.get(), 3);
+            assert_eq!(telemetry.rows_materialized.get(), 0);
+        }
+    }
+
+    #[test]
+    fn a_build_left_probe_runs_the_same_pushed_and_over_morsels() {
+        // 600 probe rows (several morsels at parallelism 4) against a build
+        // side with a NULL key, a duplicate key and a key nothing matches; a
+        // residual reads both inputs in scope order.
+        let build: Vec<Vec<i64>> = vec![vec![7, 1], vec![3, 2], vec![7, 3], vec![99, 4]];
+        let mut build: Vec<Vec<Value>> = build
+            .into_iter()
+            .map(|r| r.into_iter().map(Value::Int).collect())
+            .collect();
+        build.push(vec![Value::Null, Value::Int(5)]);
+        let left = PhysPlan::Scan {
+            width: 2,
+            rows: Arc::new(build),
+            chunks: None,
+        };
+        let probe: Vec<Vec<i64>> = (0..600).map(|i| vec![i % 11, i % 4]).collect();
+        let probe: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
+        let residual = Some(gt(3, 1));
+        let plan = building_left(hash_join(left, scan(&probe), JoinKind::Inner, residual));
+        // In probe order, each probe row's matches in build order.
+        let mut want = Vec::new();
+        for i in 0..600i64 {
+            let (key, x) = (i % 11, i % 4);
+            for (bk, bx) in [(7, 1), (3, 2), (7, 3), (99, 4)] {
+                if bk == key && x > bx {
+                    want.push(vec![Some(bk), Some(bx), Some(key), Some(x)]);
+                }
+            }
+        }
+        assert!(want.len() > 30);
+        for ctx in contexts() {
+            assert_eq!(ints(&ctx.execute(&plan).unwrap()), want);
+        }
+    }
+
+    #[test]
+    fn a_left_join_never_builds_on_its_preserved_side() {
+        // A 2-row left input against a 300-row right one: the INNER join
+        // builds on the small left input, the LEFT join on the right input,
+        // so that every left row can be NULL-filled from its own probe.
+        let db = crate::Database::with_config(crate::EngineConfig::default().with_parallelism(1));
+        db.execute_script(
+            "CREATE TABLE small (n INTEGER); CREATE TABLE big (n INTEGER, x INTEGER);
+             INSERT INTO small VALUES (1), (1000);",
+        )
+        .unwrap();
+        let big = (0..300).map(|i| vec![Value::Int(i % 30), Value::Int(i)]);
+        db.insert_rows("big", big.collect()).unwrap();
+        for (kind, build) in [("", "build=left"), ("LEFT ", "build=right")] {
+            let sql =
+                format!("SELECT s.n, b.x FROM small s {kind}JOIN big b ON s.n = b.n ORDER BY 1, 2");
+            let plan = db.explain(&sql).unwrap();
+            assert!(plan.contains(&format!("keys, {build}]")), "{plan}");
+            let rows = db.query(&sql).unwrap().rows;
+            let mut want: Vec<Row> = (0..10)
+                .map(|i| vec![Value::Int(1), Value::Int(1 + 30 * i)])
+                .collect();
+            if kind == "LEFT " {
+                want.push(vec![Value::Int(1000), Value::Null]);
+            }
+            assert_eq!(rows, want, "{sql}");
+        }
     }
 
     #[test]

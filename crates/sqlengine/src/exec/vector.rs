@@ -91,16 +91,14 @@ fn prefix_len(nodes: &[&PhysPlan]) -> usize {
 /// `Some(false)` = has a vectorized variant but runs on the row path here,
 /// `None` = operator has no vectorized variant. Mirrors the executor
 /// exactly: a pipeline node ([`pipeline_mode`]) by the prefix rule, a hash
-/// join by how it reads the base table it probes ([`super::keyset_mode`]).
+/// join by how it reads the input it probes ([`super::keyset_mode`]).
 pub(crate) fn node_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
         PhysPlan::HashJoin {
-            left,
-            left_keys,
             kind,
             algo: JoinAlgo::Hash,
             ..
-        } => super::keyset_mode(left, left_keys, *kind),
+        } => super::keyset_mode(plan.join_sides()?.1, *kind),
         _ => pipeline_mode(plan),
     }
 }

@@ -28,8 +28,9 @@ pub fn render_plan(plan: &PhysPlan) -> String {
 /// One-line label for an operator node, shared between `EXPLAIN` rendering
 /// and the executor's `EXPLAIN ANALYZE` stats collection. Operators with a
 /// vectorized variant carry a ` mode=vectorized` / ` mode=row` suffix
-/// reflecting how the executor will actually run them; a hash join probing
-/// straight off a base-table scan says ` probe=keyset(vectorized|row)`.
+/// reflecting how the executor will actually run them. A hash join names
+/// the input it builds on (`build=left|right`), and one probing straight off
+/// a base-table scan says ` probe=keyset(vectorized|row)`.
 pub(crate) fn op_label(plan: &PhysPlan) -> String {
     let mode = crate::exec::mode_suffix(plan);
     match plan {
@@ -70,14 +71,16 @@ pub(crate) fn op_label(plan: &PhysPlan) -> String {
             kind,
             algo,
             residual,
+            build_left,
             ..
         } => {
-            let algo_name = match algo {
-                JoinAlgo::Hash => "HashJoin",
-                JoinAlgo::SortMerge => "SortMergeJoin",
+            let (algo_name, build) = match (algo, build_left) {
+                (JoinAlgo::Hash, true) => ("HashJoin", ", build=left"),
+                (JoinAlgo::Hash, false) => ("HashJoin", ", build=right"),
+                (JoinAlgo::SortMerge, _) => ("SortMergeJoin", ""),
             };
             format!(
-                "{algo_name} [{kind:?}, {} keys{}]{mode}",
+                "{algo_name} [{kind:?}, {} keys{}{build}]{mode}",
                 left_keys.len(),
                 if residual.is_some() { ", residual" } else { "" }
             )

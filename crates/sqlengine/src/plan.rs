@@ -47,7 +47,9 @@ use crate::value::{Row, Value};
 /// Which algorithm executes detected equi-joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgo {
-    /// Build a hash table on the right side, probe with the left.
+    /// Build a hash table on one side and probe it with the other: the left
+    /// side builds when it is estimated at no more than half the right
+    /// (INNER joins only), the right side otherwise.
     #[default]
     Hash,
     /// Sort both sides on the key and merge (an O(n log n) engine without
@@ -200,7 +202,8 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
         exprs: Vec<PhysExpr>,
     },
-    /// Equi-join executed by the configured [`JoinAlgo`].
+    /// Equi-join executed by the configured [`JoinAlgo`]. Its output rows
+    /// are always `left ++ right` (scope order), whichever side builds.
     HashJoin {
         left: Box<PhysPlan>,
         right: Box<PhysPlan>,
@@ -211,6 +214,10 @@ pub enum PhysPlan {
         /// Residual non-equi predicate evaluated on joined rows.
         residual: Option<PhysExpr>,
         algo: JoinAlgo,
+        /// The hash table is built on the left input and the right one
+        /// streams through the probe ([`PhysPlan::join_sides`]). Only ever
+        /// set on an INNER [`JoinAlgo::Hash`] join.
+        build_left: bool,
     },
     NestedLoopJoin {
         left: Box<PhysPlan>,
@@ -418,7 +425,32 @@ impl PhysPlan {
             PhysPlan::UnionAll { inputs } => inputs.first().map_or(0, PhysPlan::width),
         }
     }
+
+    /// A hash join's inputs by role, `(build, probe)`, each with its key
+    /// expressions: the one place that reads which side `build_left` names.
+    pub(crate) fn join_sides(&self) -> Option<(JoinInput<'_>, JoinInput<'_>)> {
+        let PhysPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            build_left,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let (left, right) = ((&**left, &left_keys[..]), (&**right, &right_keys[..]));
+        Some(if *build_left {
+            (left, right)
+        } else {
+            (right, left)
+        })
+    }
 }
+
+/// One input of a join with its key expressions.
+pub(crate) type JoinInput<'a> = (&'a PhysPlan, &'a [PhysExpr]);
 
 // Plans (and the expressions they embed) are shared with executor worker
 // threads via `Arc`, so the whole tree must stay `Send + Sync`.
@@ -484,9 +516,11 @@ fn covering_index(access: &TableAccess, keys: &[PhysExpr]) -> Option<(IndexMeta,
     None
 }
 
-/// Crude cardinality estimate used for the index-nested-loop join choice —
-/// exact for scans, heuristic elsewhere. Over-estimating only costs us the
-/// optimization; under-estimating costs one hash build we'd have paid anyway.
+/// Crude cardinality estimate behind the planner's two join choices: whether
+/// an equi-join runs as an index nested loop ([`index_join_choice`]), and
+/// which input of an INNER hash join builds ([`Planner::equi_join`]). Exact
+/// for scans, heuristic elsewhere. A wrong estimate costs speed or memory,
+/// never an answer: the index join is skipped and the larger side hashed.
 fn estimate_rows(plan: &PhysPlan) -> usize {
     match plan {
         PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => rows.len(),
@@ -510,7 +544,22 @@ fn estimate_rows(plan: &PhysPlan) -> usize {
             let est = estimate_rows(input);
             limit.map_or(est, |l| l.min(est))
         }
-        PhysPlan::HashJoin { left, right, .. } => estimate_rows(left).min(estimate_rows(right)),
+        PhysPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            ..
+        } => {
+            // Against an input holding one row per join key, each row of the
+            // other input matches at most once (many-to-one).
+            let (l, r) = (estimate_rows(left), estimate_rows(right));
+            match (grouped_on(left, left_keys), grouped_on(right, right_keys)) {
+                (false, true) => l,
+                (true, false) => r,
+                _ => l.min(r),
+            }
+        }
         PhysPlan::IndexJoin { probe, .. } => estimate_rows(probe),
         PhysPlan::NestedLoopJoin {
             left,
@@ -533,6 +582,70 @@ fn estimate_rows(plan: &PhysPlan) -> usize {
             }
         }
         PhysPlan::UnionAll { inputs } => inputs.iter().map(estimate_rows).sum(),
+    }
+}
+
+/// Whether `plan` holds at most one row per value of the columns `keys`: it
+/// is an aggregate (under column-passing projections, filters and shared
+/// references) each of whose group keys is one of those columns or is drawn
+/// from a one-row input — such a key is the same in every group, so it does
+/// not multiply them (`h_j`'s `GROUP BY h_jk.j, n_k.n` is one row per `j`).
+fn grouped_on(plan: &PhysPlan, keys: &[PhysExpr]) -> bool {
+    let Some(mut cols) = column_only(keys) else {
+        return false;
+    };
+    let mut plan = plan;
+    loop {
+        match plan {
+            PhysPlan::Filter { input, .. } | PhysPlan::Shared { input, .. } => plan = input,
+            PhysPlan::Project { input, exprs } => {
+                let passed = cols.iter().map(|&c| match exprs[c] {
+                    PhysExpr::Column(below) => Some(below),
+                    _ => None,
+                });
+                let Some(passed) = passed.collect() else {
+                    return false;
+                };
+                cols = passed;
+                plan = input;
+            }
+            PhysPlan::Aggregate { input, keys, .. } => {
+                return keys.iter().enumerate().all(|(i, key)| {
+                    cols.contains(&i)
+                        || match key {
+                            PhysExpr::Column(c) => one_row_column(input, *c),
+                            PhysExpr::Literal(_) => true,
+                            _ => false,
+                        }
+                });
+            }
+            _ => return false,
+        }
+    }
+}
+
+/// Whether column `col` of `plan`'s rows comes from an input estimated at
+/// one row (or is a literal), so that it holds one value over all of them.
+fn one_row_column(plan: &PhysPlan, col: usize) -> bool {
+    match plan {
+        PhysPlan::Filter { input, .. }
+        | PhysPlan::Shared { input, .. }
+        | PhysPlan::Sort { input, .. }
+        | PhysPlan::Limit { input, .. }
+        | PhysPlan::Distinct { input } => one_row_column(input, col),
+        PhysPlan::Project { input, exprs } => match &exprs[col] {
+            PhysExpr::Column(c) => one_row_column(input, *c),
+            PhysExpr::Literal(_) => true,
+            _ => false,
+        },
+        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
+            let (side, col) = match col.checked_sub(left.width()) {
+                None => (left, col),
+                Some(col) => (right, col),
+            };
+            estimate_rows(side) <= 1 || one_row_column(side, col)
+        }
+        _ => estimate_rows(plan) <= 1,
     }
 }
 
@@ -1064,7 +1177,10 @@ impl<'a> Planner<'a> {
 
     /// Build the equi-join of two planned inputs: an index nested loop when
     /// [`index_join_choice`] finds one, a hash (or sort-merge) join
-    /// otherwise. This is also where a join meets a derived table's
+    /// otherwise. An INNER hash join builds on the left input when
+    /// [`estimate_rows`] puts it at no more than half the right one, and on
+    /// the right input otherwise — always for a LEFT join, whose probe must
+    /// be the preserved side. This is also where a join meets a derived table's
     /// projection: when an input is a `Project` whose join keys merely pass
     /// columns through, the join runs against the projection's *input* and
     /// the projection is re-applied to the joined rows — so the expressions
@@ -1095,6 +1211,7 @@ impl<'a> Planner<'a> {
             .then(|| self.lift_projection(&mut r, &mut right_keys, l_rows))
             .flatten();
         let (l_width, right_width) = (l.plan.width(), r.plan.width());
+        let algo = self.config.join_algo;
         let join = match index_join_choice(&l, &left_keys, &r, &right_keys, kind) {
             Some(choice) => build_index_join(l, left_keys, r, right_keys, kind, residual, choice),
             None => PhysPlan::HashJoin {
@@ -1105,7 +1222,10 @@ impl<'a> Planner<'a> {
                 kind,
                 right_width,
                 residual,
-                algo: self.config.join_algo,
+                algo,
+                build_left: kind == JoinKind::Inner
+                    && algo == JoinAlgo::Hash
+                    && l_rows.saturating_mul(2) <= r_rows,
             },
         };
         if l_lifted.is_none() && r_lifted.is_none() {
@@ -1778,5 +1898,74 @@ pub fn bind_plan_params(plan: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
             "parameter ?{i} referenced but only {} bound",
             params.len()
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(rows: usize, width: usize) -> PhysPlan {
+        PhysPlan::Scan {
+            rows: Arc::new(vec![vec![Value::Int(0); width]; rows]),
+            width,
+            chunks: None,
+        }
+    }
+
+    fn join(left: PhysPlan, right: PhysPlan) -> PhysPlan {
+        PhysPlan::HashJoin {
+            right_width: right.width(),
+            left: Box::new(left),
+            right: Box::new(right),
+            left_keys: vec![PhysExpr::Column(0)],
+            right_keys: vec![PhysExpr::Column(0)],
+            kind: JoinKind::Inner,
+            residual: None,
+            algo: JoinAlgo::Hash,
+            build_left: false,
+        }
+    }
+
+    /// `SELECT j, n, SUM(w) FROM input GROUP BY j, n` over `input`'s
+    /// columns 0 (`j`) and `n`.
+    fn grouped(input: PhysPlan, n: usize) -> PhysPlan {
+        PhysPlan::Aggregate {
+            input: Box::new(input),
+            keys: vec![PhysExpr::Column(0), PhysExpr::Column(n)],
+            aggs: vec![AggSpec {
+                func: ast::AggregateFunc::Sum,
+                arg: Some(PhysExpr::Column(1)),
+                distinct: false,
+            }],
+        }
+    }
+
+    #[test]
+    fn a_join_against_one_row_per_key_keeps_the_other_sides_estimate() {
+        // `h_j`'s shape: grouped on `j` and on a column of a one-row input
+        // (`n_k`), so one row per `j` — joined on `j`, many-to-one.
+        let n_k = PhysPlan::Aggregate {
+            input: Box::new(scan(40, 1)),
+            keys: vec![],
+            aggs: vec![],
+        };
+        let by_j = grouped(
+            PhysPlan::NestedLoopJoin {
+                left: Box::new(scan(400, 2)),
+                right: Box::new(n_k),
+                kind: JoinKind::Cross,
+                right_width: 1,
+                predicate: None,
+            },
+            2,
+        );
+        assert_eq!(estimate_rows(&by_j), 101);
+        assert_eq!(estimate_rows(&join(scan(900, 2), by_j.clone())), 900);
+        assert_eq!(estimate_rows(&join(by_j, scan(900, 2))), 900);
+        // Grouped on a second column of many values: no longer one row per
+        // `j`, and the join keeps the smaller estimate.
+        let by_j_and_x = grouped(scan(400, 3), 2);
+        assert_eq!(estimate_rows(&join(scan(900, 2), by_j_and_x)), 101);
     }
 }

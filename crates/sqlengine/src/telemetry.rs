@@ -287,6 +287,9 @@ pub struct Telemetry {
     /// Hash-join probe rows rejected because the build side holds no such
     /// key (by the chunk key filter or by the per-row lookup).
     pub join_probe_rows_pruned: Counter,
+    /// Rows inserted into hash-join build tables: the build side's rows with
+    /// a non-NULL key, whichever input the planner chose to build on.
+    pub join_build_rows: Counter,
     /// Rows a collecting sink stored as an operator's intermediate input (a
     /// hash-join build side, a sort input, a morsel's output) — never the
     /// rows a streaming pipeline passed through, nor the statement result.
@@ -377,7 +380,7 @@ impl Telemetry {
 
     /// Every event counter under its `sys.metrics` name: the one list that
     /// [`Telemetry::reset`] and `sys.metrics` both walk.
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 27] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 28] {
         [
             ("statements.total", &self.statements),
             ("statements.errors", &self.statement_errors),
@@ -391,6 +394,7 @@ impl Telemetry {
             ("exec.vectorized_ops", &self.vectorized_ops),
             ("exec.row_ops", &self.row_ops),
             ("exec.join.probe_rows_pruned", &self.join_probe_rows_pruned),
+            ("exec.join.build_rows", &self.join_build_rows),
             ("exec.rows_materialized", &self.rows_materialized),
             ("exec.shared_reuses", &self.shared_reuses),
             ("dml.rows_examined", &self.dml_rows_examined),

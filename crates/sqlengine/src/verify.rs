@@ -397,10 +397,11 @@ impl Checker<'_> {
                 right,
                 left_keys,
                 right_keys,
-                kind: _,
+                kind,
                 right_width,
                 residual,
-                algo: _,
+                algo,
+                build_left,
             } => {
                 let (lw, mut types) = self.node(left);
                 let (rw, rtypes) = self.node(right);
@@ -409,6 +410,15 @@ impl Checker<'_> {
                         VerifyRule::Schema,
                         plan,
                         format!("declared right_width {right_width} but right child produces {rw}"),
+                    );
+                }
+                if *build_left && (*kind != JoinKind::Inner || *algo != JoinAlgo::Hash) {
+                    self.violate(
+                        VerifyRule::Schema,
+                        plan,
+                        "only an INNER hash join may build on its left input \
+                         (build_left must be false)"
+                            .to_string(),
                     );
                 }
                 if left_keys.len() != right_keys.len() {
@@ -986,27 +996,38 @@ fn mode_name(mode: Option<bool>) -> &'static str {
 ///   (or absent) arguments;
 /// * a node runs vectorized only if everything below it does, down to a
 ///   chunk-carrying scan — a join in between ends the chain;
-/// * a hash join (hash algorithm only) whose probe (left) child is a bare
-///   `Scan` and whose probe keys are all bare columns reads that table
-///   itself: vectorized (the chunk key filter) iff the scan carries a chunk
-///   slot, there is one key and the join is INNER, row by row otherwise;
+/// * a hash join (hash algorithm only) probes the input it does not build
+///   on — the right one when `build_left`, the left one otherwise; when that
+///   probe child is a bare `Scan` and its keys are all bare columns, the
+///   join reads that table itself: vectorized (the chunk key filter) iff the
+///   scan carries a chunk slot, there is one key and the join is INNER, row
+///   by row otherwise;
 /// * every other operator has no vectorized variant.
 fn derived_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
         PhysPlan::HashJoin {
             left,
+            right,
             left_keys,
+            right_keys,
             kind,
             algo: JoinAlgo::Hash,
+            build_left,
             ..
-        } => match &**left {
-            PhysPlan::Scan { chunks, .. }
-                if left_keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) =>
-            {
-                Some(chunks.is_some() && left_keys.len() == 1 && *kind == JoinKind::Inner)
+        } => {
+            let (probe, keys) = match build_left {
+                true => (right, right_keys),
+                false => (left, left_keys),
+            };
+            match &**probe {
+                PhysPlan::Scan { chunks, .. }
+                    if keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) =>
+                {
+                    Some(chunks.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
+                }
+                _ => None,
             }
-            _ => None,
-        },
+        }
         _ => derived_chain_mode(plan),
     }
 }

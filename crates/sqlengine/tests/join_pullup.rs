@@ -7,6 +7,12 @@
 //! in full and the join scans its output — serially, without the plan cache.
 //! The inlined form must answer the same under every engine configuration:
 //! same rows, same column names, same error.
+//!
+//! An INNER hash join builds on whichever input is estimated smaller, so the
+//! order of the FROM items decides which side is hashed: every inner
+//! equi-join must answer the same rows, up to order, written either way
+//! round. The reference is `profile_c`, whose sort-merge join has no build
+//! side to choose.
 
 use sqlengine::{Database, EngineConfig, EngineError, QueryResult, Value};
 
@@ -424,15 +430,23 @@ fn explain_shows_where_the_join_runs() {
     let lifted = plan(0);
     assert!(!projects_below_join(&lifted), "{lifted}");
     assert!(
-        lifted.contains("HashJoin [Inner, 1 keys] probe=keyset(vectorized)"),
+        lifted.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(vectorized)"),
         "{lifted}"
     );
     assert!(lifted.contains("Scan [2600 rows × 3 cols]"), "{lifted}");
+    // The same join with the derived table as the right FROM item builds on
+    // the small left input and filters the scan it probes, now the right.
+    let flipped = plan(1);
+    assert!(!projects_below_join(&flipped), "{flipped}");
+    assert!(
+        flipped.contains("HashJoin [Inner, 1 keys, build=left] probe=keyset(vectorized)"),
+        "{flipped}"
+    );
 
     // Two keys: still lifted, probed row by row.
     let two_keys = plan(9);
     assert!(
-        two_keys.contains("HashJoin [Inner, 2 keys] probe=keyset(row)"),
+        two_keys.contains("HashJoin [Inner, 2 keys, build=right] probe=keyset(row)"),
         "{two_keys}"
     );
 
@@ -466,6 +480,166 @@ fn explain_shows_where_the_join_runs() {
         merge_plan.contains("SortMergeJoin [Inner, 1 keys]") && !merge_plan.contains("probe="),
         "{merge_plan}"
     );
+}
+
+/// An inner equi-join over FROM items that may be written in either order.
+struct Swap {
+    with: &'static str,
+    cols: &'static str,
+    items: &'static [&'static str],
+    on: &'static str,
+    /// `a JOIN b ON …` (a non-key conjunct stays the join's residual)
+    /// rather than `a, b WHERE …`.
+    join_on: bool,
+}
+
+impl Swap {
+    fn sql(&self, reversed: bool) -> String {
+        let mut items = self.items.to_vec();
+        if reversed {
+            items.reverse();
+        }
+        let (with, cols, on) = (self.with, self.cols, self.on);
+        match self.join_on {
+            true => format!("{with} SELECT {cols} FROM {} ON {on}", items.join(" JOIN ")),
+            false => format!("{with} SELECT {cols} FROM {} WHERE {on}", items.join(", ")),
+        }
+    }
+}
+
+const fn swap(cols: &'static str, items: &'static [&'static str], on: &'static str) -> Swap {
+    Swap {
+        with: "",
+        cols,
+        items,
+        on,
+        join_on: false,
+    }
+}
+
+const SWAPS: &[Swap] = &[
+    // NULL keys on both sides, a duplicate key on the small one.
+    swap("f.n, f.tag, k.n", &["fact f", "keys_i k"], "f.n = k.n"),
+    Swap {
+        join_on: true,
+        ..swap("f.n, f.tag, k.n", &["fact f", "keys_i k"], "f.n = k.n")
+    },
+    // Int keys against Float ones: 7 = 7.0, 3 = 3.0; and a mixed column.
+    swap(
+        "f.n, f.w, k.n",
+        &[
+            "fact f",
+            "(SELECT 7.0 AS n UNION ALL SELECT 3 UNION ALL SELECT 8.5) AS k",
+        ],
+        "f.n = k.n",
+    ),
+    swap("m.n, m.tag, k.n", &["mixed m", "keys_f k"], "m.n = k.n"),
+    // A residual beside the key, and two keys.
+    Swap {
+        join_on: true,
+        ..swap(
+            "f.n, f.tag, p.b",
+            &["fact f", "pairs p"],
+            "f.n = p.a AND f.tag <> p.b",
+        )
+    },
+    swap(
+        "f.n, f.w, p.b",
+        &["fact f", "pairs p"],
+        "f.n = p.a AND f.tag = p.b",
+    ),
+    // An empty build side.
+    swap("f.n, e.n", &["fact f", "empty_k e"], "f.n = e.n"),
+    // A derived table whose projection the join may run below.
+    swap(
+        "d.n, d.j, k.n",
+        &["(SELECT n, 'tag:' || tag AS j FROM fact) AS d", "keys_i k"],
+        "d.n = k.n",
+    ),
+    // A CTE read twice: reversed, its first reference to run is the build
+    // side on the left, and the second reads the held rows.
+    Swap {
+        with: "WITH c AS (SELECT n FROM keys_i WHERE n < 200)",
+        ..swap(
+            "a.n, f.tag, b.n",
+            &["fact f", "c a", "c b"],
+            "a.n = f.n AND b.n = f.n",
+        )
+    },
+    // Three items, one of them indexed.
+    swap(
+        "k.n, d.name, f.w",
+        &["keys_i k", "dim d", "fact f"],
+        "k.n = d.id AND d.id = f.n",
+    ),
+];
+
+/// Rows in a canonical order: a join promises none without `ORDER BY`.
+fn canonical(answer: Answer) -> Result<Vec<String>, EngineError> {
+    answer.map(|q| {
+        let mut rows: Vec<String> = q.rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    })
+}
+
+#[test]
+fn from_order_never_changes_the_answer() {
+    let reference = Database::with_config(EngineConfig::profile_c().with_verify_plans(true));
+    load(&reference);
+    let expected: Vec<_> = SWAPS
+        .iter()
+        .map(|s| canonical(reference.query(&s.sql(false))))
+        .collect();
+    assert!(expected.iter().all(Result::is_ok), "{expected:?}");
+    assert_eq!(
+        expected.iter().flatten().filter(|r| r.is_empty()).count(),
+        1,
+        "the empty build side"
+    );
+
+    for (profile, base) in [
+        ("hash", EngineConfig::profile_a()),
+        ("sort-merge", EngineConfig::profile_c()),
+    ] {
+        for parallelism in [1, 4] {
+            for vectorized in [true, false] {
+                for indexes in [true, false] {
+                    let name = format!(
+                        "{profile} parallelism={parallelism} vectorized={vectorized} \
+                         indexes={indexes}"
+                    );
+                    let db = Database::with_config(
+                        base.with_parallelism(parallelism)
+                            .with_vectorized(vectorized)
+                            .with_index_scans(indexes)
+                            .with_verify_plans(true),
+                    );
+                    load(&db);
+                    for (swap, want) in SWAPS.iter().zip(&expected) {
+                        for reversed in [false, true] {
+                            let sql = swap.sql(reversed);
+                            assert_eq!(&canonical(db.query(&sql)), want, "[{name}] {sql}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Each statement builds on its left input in one spelling at least.
+    let db = Database::with_config(EngineConfig::profile_a().with_index_scans(false));
+    load(&db);
+    for swap in SWAPS {
+        let plans = [false, true].map(|reversed| db.explain(&swap.sql(reversed)).unwrap());
+        assert!(
+            plans.iter().any(|p| p.contains("build=left")),
+            "{}\n{}\n{}",
+            swap.sql(false),
+            plans[0],
+            plans[1]
+        );
+    }
 }
 
 /// `EXPLAIN ANALYZE` reports the probe rows the join rejected, and

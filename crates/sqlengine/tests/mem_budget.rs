@@ -163,6 +163,36 @@ fn budget_abort_is_clean_and_database_stays_usable() {
     assert_eq!(r.rows[0][0], Value::text("error"));
 }
 
+/// An INNER hash join builds on its smaller input, wherever it stands in
+/// the FROM list: ten `few` rows against 3,000 `docs` fit a 16 KiB budget
+/// written either way round. The budget is tight for the large side — the
+/// LEFT JOIN, which must build on `docs`, overruns it.
+#[test]
+fn a_small_left_input_builds_under_a_budget_the_large_side_overruns() {
+    let db = db_with_rows(EngineConfig::default().with_memory_budget(16 * 1024), 3000);
+    db.execute_script(
+        "CREATE TABLE few (n INTEGER);
+         INSERT INTO few VALUES (0), (7), (7), (42), (NULL), (2999), (3000), (5), (6), (1);",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT COUNT(*) FROM few f JOIN docs d ON f.n = d.n",
+        "SELECT COUNT(*) FROM few f, docs d WHERE f.n = d.n",
+        "SELECT COUNT(*) FROM docs d JOIN few f ON d.n = f.n",
+    ] {
+        let r = db.query(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+        assert_eq!(r.rows, vec![vec![Value::Int(8)]], "{sql}");
+    }
+    assert_eq!(metric(&db, "mem.budget_aborts"), 0.0);
+    let err = db
+        .query("SELECT COUNT(*) FROM few f LEFT JOIN docs d ON f.n = d.n")
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::ResourceExhausted { .. }),
+        "{err:?}"
+    );
+}
+
 /// 1,000 × 1,000 docs, loaded without a statement (so a tight timeout
 /// governs only the query under test).
 fn cross_join_db(config: EngineConfig) -> Database {

@@ -109,6 +109,20 @@ fn schema_corruption_root_arity_mismatch_is_rejected() {
     assert_verify_error(sql, &err, "schema", "root produces 1 column(s)");
 }
 
+#[test]
+fn schema_corruption_left_join_building_left_is_rejected() {
+    let db = seeded();
+    let sql = "SELECT a.n, b.s FROM t a LEFT JOIN t b ON a.w = b.w";
+    // A LEFT join probed from its null-supplying side would drop the
+    // preserved rows that match nothing.
+    let err = corrupt_and_rerun(&db, sql, &mut |plan| {
+        if let PhysPlan::HashJoin { build_left, .. } = plan {
+            *build_left = true;
+        }
+    });
+    assert_verify_error(sql, &err, "schema", "only an INNER hash join may build");
+}
+
 // ---------------------------------------------------------------------
 // Class 2: index-keys — index references resolve against the live catalog
 // ---------------------------------------------------------------------

@@ -427,6 +427,108 @@ fn rows_materialized_moves_by_the_build_side_not_the_join_output() {
 }
 
 // ---------------------------------------------------------------------
+// Hash-join build tables: exec.join.build_rows
+// ---------------------------------------------------------------------
+
+/// The deployed predict-all `BornSqlModel::predict` runs for model `m` over
+/// two feature arms (paper §3.4, eq. 27), its weights table written first or
+/// second in `hwx_nk`'s FROM list.
+fn predict_all(from: &str) -> String {
+    format!(
+        "WITH abh AS (SELECT a, b, h FROM params WHERE model = 'm'),
+         x_nj AS (SELECT qx.n AS n, qx.j AS j, qx.w AS w FROM
+                      (SELECT n, 'term:' || term AS j, cnt AS w FROM doc_term) AS qx
+                  UNION ALL SELECT qx.n AS n, qx.j AS j, qx.w AS w FROM
+                      (SELECT n, 'venue:' || venue AS j, 1.0 AS w FROM doc) AS qx),
+         hwx_nk AS (SELECT x_nj.n AS n, hw.k AS k, SUM(hw.w * POW(x_nj.w, a)) AS w
+                    FROM {from}, abh WHERE hw.j = x_nj.j GROUP BY x_nj.n, hw.k)
+         SELECT r_nk.n AS n, r_nk.k AS k FROM (
+             SELECT n, k, ROW_NUMBER() OVER (PARTITION BY n ORDER BY w DESC, k ASC) AS r
+             FROM hwx_nk) AS r_nk WHERE r_nk.r = 1 ORDER BY n"
+    )
+}
+
+/// One deployed predict-all hashes the 30 weights rows and streams the 240
+/// feature rows through the probe, whichever FROM item the weights are:
+/// `exec.join.build_rows` moves by 30, and `exec.rows_materialized` by what
+/// the window and the sort hold (120 `(n, k)` scores, 40 winners) and the
+/// one-row `abh` — never by the feature rows.
+#[test]
+fn one_predict_all_hashes_the_weights_not_the_features() {
+    let db = Database::with_config(EngineConfig::default().with_parallelism(1));
+    db.execute_script(
+        "CREATE TABLE params (model TEXT PRIMARY KEY, a REAL, b REAL, h REAL);
+         INSERT INTO params VALUES ('m', 1.0, 1.0, 0.0);
+         CREATE TABLE m_weights (j TEXT, k TEXT, w REAL, PRIMARY KEY (j, k));
+         CREATE TABLE doc (n INTEGER PRIMARY KEY, venue TEXT);
+         CREATE TABLE doc_term (n INTEGER, term TEXT, cnt REAL);",
+    )
+    .unwrap();
+    let text = |s: String| Value::text(s);
+    let weights = (0..30).map(|i| {
+        let j = if i < 27 {
+            format!("term:t{}", i % 9)
+        } else {
+            format!("venue:v{i}")
+        };
+        vec![
+            text(j),
+            text(format!("c{}", i / 9 % 3)),
+            Value::Float(1.0 + i as f64),
+        ]
+    });
+    db.insert_rows("m_weights", weights.collect()).unwrap();
+    let docs = (1..=40).map(|n| vec![Value::Int(n), text(format!("v{}", 27 + n % 3))]);
+    db.insert_rows("doc", docs.collect()).unwrap();
+    let terms = (1..=40).flat_map(|n| {
+        (0..5).map(move |t| {
+            vec![
+                Value::Int(n),
+                text(format!("t{}", (n + t) % 9)),
+                Value::Float(1.0),
+            ]
+        })
+    });
+    db.insert_rows("doc_term", terms.collect()).unwrap();
+
+    let metric = |name: &str| match db
+        .query_scalar(&format!(
+            "SELECT value FROM sys.metrics WHERE name = '{name}'"
+        ))
+        .unwrap()
+    {
+        Value::Float(f) => f as u64,
+        other => panic!("expected float, got {other:?}"),
+    };
+    let mut answers = Vec::new();
+    for (from, build) in [
+        ("m_weights AS hw, x_nj", "build=left"),
+        ("x_nj, m_weights AS hw", "build=right"),
+    ] {
+        let sql = predict_all(from);
+        let plan = db.explain(&sql).unwrap();
+        assert!(
+            plan.contains(&format!("HashJoin [Inner, 1 keys, {build}]")),
+            "{plan}"
+        );
+        let (built, held) = (
+            metric("exec.join.build_rows"),
+            metric("exec.rows_materialized"),
+        );
+        let rows = db.query(&sql).unwrap().rows;
+        assert_eq!(rows.len(), 40, "{from}");
+        assert_eq!(metric("exec.join.build_rows") - built, 30, "{from}\n{plan}");
+        assert_eq!(
+            metric("exec.rows_materialized") - held,
+            120 + 40 + 1,
+            "{from}\n{plan}"
+        );
+        answers.push(rows);
+    }
+    assert_eq!(answers[0], answers[1]);
+}
+
+// ---------------------------------------------------------------------
 // Shared CTEs: exec.shared_reuses
 // ---------------------------------------------------------------------
 
