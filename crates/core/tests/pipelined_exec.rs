@@ -1,13 +1,14 @@
-//! The push executor (parallelism 1) and the morsel executor (parallelism
-//! 4) are two drivers of one set of per-row operator functions. On the
+//! At parallelism 1 every pipeline runs serially; at parallelism 2 and 4 one
+//! whose sources pass the fan-out threshold is cut into morsels that the
+//! workers run into partials of its breaker. On the
 //! paper's star schema every model call's statement — `partial_fit`,
 //! `unlearn`, `deploy`, predict undeployed and deployed, `predict_batch`,
-//! `explain_local` — must give byte-identical rows in the same order and the
-//! same `EXPLAIN ANALYZE` `(label, rows_in, rows_out)` tree under both, and
-//! the model must equal the `born` oracle. So must the two ways of running a
-//! CTE read more than once: under `profile_a` it runs once for all its
-//! references (and one read once is inlined), under `profile_b` every CTE
-//! runs once and is held.
+//! `explain_local` — must give byte-identical rows in the same order, the
+//! same `EXPLAIN ANALYZE` `(label, rows_in, rows_out)` tree and the same
+//! `exec.rows_materialized` under all three, and the model must equal the
+//! `born` oracle. So must the two ways of running a CTE read more than once:
+//! under `profile_a` it runs once for all its references (and one read once
+//! is inlined), under `profile_b` every CTE runs once and is held.
 //!
 //! "Byte-identical" is asked of float results too, although the morsel
 //! path adds partial sums in morsel order: the fixture keeps every sum a sum
@@ -22,6 +23,9 @@ use sqlengine::{Database, EngineConfig, OpStats, Row, Value};
 
 const DOCS: i64 = 256;
 const CLASSES: i64 = 4;
+/// The fixture the drivers are compared on: its `x_nj` holds 16,384 rows,
+/// past the executor's fan-out threshold, so the morsel pipelines fan out.
+const MANY_DOCS: i64 = 2048;
 
 /// A document's `(j, w)` features exactly as the four arms emit them: a
 /// venue, two authors, a keyword and four lexemes, each of weight 1.
@@ -62,8 +66,9 @@ fn one(id: i64) -> DataSpec {
     arms().with_items(format!("SELECT {id} AS n"))
 }
 
-/// Load the four star tables from [`features`] and create the model.
-fn load(db: &Database) -> BornSqlModel<'_, Database> {
+/// Load the four star tables of documents `1..=docs` from [`features`] and
+/// create the model.
+fn load(db: &Database, docs: i64) -> BornSqlModel<'_, Database> {
     db.execute_script(
         "CREATE TABLE publication (id INTEGER PRIMARY KEY, pubname TEXT, asjc INTEGER);
          CREATE TABLE pub_author (pubid INTEGER, authid INTEGER);
@@ -72,7 +77,7 @@ fn load(db: &Database) -> BornSqlModel<'_, Database> {
     )
     .unwrap();
     let (mut pubs, mut authors, mut keywords, mut lexemes) = (vec![], vec![], vec![], vec![]);
-    for id in 1..=DOCS {
+    for id in 1..=docs {
         let text = |s: &str| Value::text(s);
         for (j, w) in features(id) {
             let (arm, name) = j.split_once(':').unwrap();
@@ -122,21 +127,45 @@ fn bits(rows: &[Row]) -> Vec<String> {
     rows.iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// Run a query pushed and over morsels; both must agree to the bit, row
-/// for row, and operator for operator. Also says whether any operator of
-/// the parallel run fanned out to the workers.
-fn same_both_ways(dbs: [&Database; 2], sql: &str) -> (Vec<Row>, bool) {
-    let (pushed, pushed_stats) = dbs[0].query_analyzed(sql).unwrap();
-    let (morsels, morsel_stats) = dbs[1].query_analyzed(sql).unwrap();
-    assert_eq!(bits(&pushed.rows), bits(&morsels.rows), "rows of {sql}");
-    assert_eq!(
-        shape(&pushed_stats),
-        shape(&morsel_stats),
-        "EXPLAIN ANALYZE of {sql}\npushed:\n{}\nmorsels:\n{}",
-        sqlengine::explain::render_analyze(&pushed_stats),
-        sqlengine::explain::render_analyze(&morsel_stats)
+/// How far `exec.rows_materialized` moves while `run` runs.
+fn held_by<T>(db: &Database, run: impl FnOnce() -> T) -> (T, u64) {
+    let metric = || match db
+        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.rows_materialized'")
+        .unwrap()
+    {
+        Value::Float(f) => f as u64,
+        other => panic!("expected a float, got {other:?}"),
+    };
+    let before = metric();
+    let out = run();
+    (out, metric() - before)
+}
+
+/// Run a query serially and over morsels, at parallelism 1, 2 and 4; all
+/// must agree to the bit, row for row, operator for operator and in the rows
+/// they hold. Also says whether the parallel runs fanned out to the workers
+/// (both or neither: the fan-out gate counts rows, not workers).
+fn same_every_way(dbs: [&Database; 3], sql: &str) -> (Vec<Row>, bool) {
+    let runs = dbs.map(|db| held_by(db, || db.query_analyzed(sql).unwrap()));
+    let ((serial, serial_stats), serial_held) = &runs[0];
+    assert!(
+        !has_fanned_out(serial_stats),
+        "parallelism 1 is serial: {sql}"
     );
-    (pushed.rows, has_fanned_out(&morsel_stats))
+    let fanned_out = runs.each_ref().map(|((_, stats), _)| has_fanned_out(stats));
+    assert_eq!(fanned_out[1], fanned_out[2], "fan-out of {sql}");
+    for ((morsels, morsel_stats), held) in &runs[1..] {
+        assert_eq!(bits(&serial.rows), bits(&morsels.rows), "rows of {sql}");
+        assert_eq!(
+            shape(serial_stats),
+            shape(morsel_stats),
+            "EXPLAIN ANALYZE of {sql}\nserial:\n{}\nmorsels:\n{}",
+            sqlengine::explain::render_analyze(serial_stats),
+            sqlengine::explain::render_analyze(morsel_stats)
+        );
+        assert_eq!(held, serial_held, "exec.rows_materialized of {sql}");
+    }
+    (serial.rows.clone(), fanned_out[2])
 }
 
 fn has_fanned_out(stats: &OpStats) -> bool {
@@ -199,22 +228,19 @@ fn assert_labels_are_argmax(rows: &[Row], weights: &born::DeployedModel<String, 
     }
 }
 
-/// `profile_a` and `profile_b`, each pushed and over morsels.
-fn engines() -> [Database; 4] {
-    [
-        EngineConfig::profile_a().with_parallelism(1),
-        EngineConfig::profile_a().with_parallelism(4),
-        EngineConfig::profile_b().with_parallelism(1),
-        EngineConfig::profile_b().with_parallelism(4),
-    ]
-    .map(Database::with_config)
+/// `profile_a` and `profile_b`, each at parallelism 1, 2 and 4.
+fn engines() -> [Database; 6] {
+    let parallelism = [1, 2, 4];
+    let profiles = [EngineConfig::profile_a(), EngineConfig::profile_b()];
+    [0, 1, 2, 3, 4, 5]
+        .map(|i| Database::with_config(profiles[i / 3].with_parallelism(parallelism[i % 3])))
 }
 
-/// [`same_both_ways`] under each profile, and the same rows, to the bit,
+/// [`same_every_way`] under each profile, and the same rows, to the bit,
 /// under both.
-fn same_everywhere(dbs: &[Database; 4], sql: &str) -> (Vec<Row>, bool) {
-    let (a, fanned_out) = same_both_ways([&dbs[0], &dbs[1]], sql);
-    let (b, _) = same_both_ways([&dbs[2], &dbs[3]], sql);
+fn same_everywhere(dbs: &[Database; 6], sql: &str) -> (Vec<Row>, bool) {
+    let (a, fanned_out) = same_every_way([&dbs[0], &dbs[1], &dbs[2]], sql);
+    let (b, _) = same_every_way([&dbs[3], &dbs[4], &dbs[5]], sql);
     assert_eq!(
         bits(&a),
         bits(&b),
@@ -226,13 +252,13 @@ fn same_everywhere(dbs: &[Database; 4], sql: &str) -> (Vec<Row>, bool) {
 #[test]
 fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() {
     let dbs = engines();
-    let models = dbs.each_ref().map(load);
+    let models = dbs.each_ref().map(|db| load(db, MANY_DOCS));
     let gen = models[0].generator();
 
     // Fit the first half (a partial_fit into the empty corpus), add the
-    // second, take back the middle: 32 documents of each class remain.
+    // second, take back the middle: 256 documents of each class remain.
     let mut oracle = BornClassifier::new();
-    for (lo, hi, sign) in [(1, 128, 1.0), (129, DOCS, 1.0), (65, 192, -1.0)] {
+    for (lo, hi, sign) in [(1, 1024, 1.0), (1025, MANY_DOCS, 1.0), (513, 1536, -1.0)] {
         let spec = train(lo, hi);
         let (cells, fanned_out) =
             same_everywhere(&dbs, source_query(&gen.partial_fit(&spec, sign)));
@@ -258,7 +284,7 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
     // Undeployed: HW_jk computed on the fly.
     let (rows, fanned_out) = same_everywhere(&dbs, &gen.predict(&arms(), false));
     assert!(fanned_out);
-    assert_eq!(rows.len(), DOCS as usize);
+    assert_eq!(rows.len(), MANY_DOCS as usize);
     assert_labels_are_argmax(&rows, &weights);
 
     let (cached, _) = same_everywhere(&dbs, source_query(&gen.deploy()));
@@ -282,10 +308,11 @@ fn every_model_call_is_the_same_pushed_and_over_morsels_and_equals_the_oracle() 
     // Deployed: every document, one at a time (an index join), a batch.
     let (rows, fanned_out) = same_everywhere(&dbs, &gen.predict(&arms(), true));
     assert!(fanned_out);
-    assert_eq!(rows.len(), DOCS as usize);
+    assert_eq!(rows.len(), MANY_DOCS as usize);
     assert_labels_are_argmax(&rows, &weights);
-    for id in [1, 77, 200, DOCS] {
-        let (rows, _) = same_everywhere(&dbs, &gen.predict(&one(id), true));
+    for id in [1, 77, 200, MANY_DOCS] {
+        let (rows, fanned_out) = same_everywhere(&dbs, &gen.predict(&one(id), true));
+        assert!(!fanned_out, "a single-item predict stays serial");
         assert_eq!(rows.len(), 1);
         assert_labels_are_argmax(&rows, &weights);
     }
@@ -337,7 +364,7 @@ fn load_flat(db: &Database) -> (BornSqlModel<'_, Database>, DataSpec) {
 #[test]
 fn the_deploy_chain_scans_the_corpus_once_and_joins_w_jk_once() {
     let (star_db, flat_db) = (Database::new(), Database::new());
-    let star = load(&star_db);
+    let star = load(&star_db, DOCS);
     star.fit(&train(1, DOCS)).unwrap();
     let (flat, spec) = load_flat(&flat_db);
     flat.fit(&spec).unwrap();
@@ -365,7 +392,7 @@ fn the_deploy_chain_scans_the_corpus_once_and_joins_w_jk_once() {
 #[test]
 fn profile_b_serves_a_second_item_from_the_first_ones_plan() {
     let db = Database::with_config(EngineConfig::profile_b());
-    let model = load(&db);
+    let model = load(&db, DOCS);
     model.fit(&train(1, DOCS)).unwrap();
     model.deploy().unwrap();
     db.reset_plan_cache_stats();
@@ -380,16 +407,10 @@ fn profile_b_serves_a_second_item_from_the_first_ones_plan() {
 /// How far `exec.rows_materialized` moves over one run of `sql`, and the
 /// plan it ran.
 fn materialized(db: &Database, sql: &str) -> (u64, String) {
-    let metric = || match db
-        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.rows_materialized'")
-        .unwrap()
-    {
-        Value::Float(f) => f as u64,
-        other => panic!("expected a float, got {other:?}"),
-    };
-    let before = metric();
-    db.query(sql).unwrap();
-    (metric() - before, db.explain(sql).unwrap())
+    let ((), held) = held_by(db, || {
+        db.query(sql).unwrap();
+    });
+    (held, db.explain(sql).unwrap())
 }
 
 /// Which input each hash join of each model call builds on, and how many
@@ -405,7 +426,7 @@ fn materialized(db: &Database, sql: &str) -> (u64, String) {
 #[test]
 fn a_deployed_predict_all_hashes_its_weights_and_training_builds_right() {
     let (star_db, flat_db) = (Database::new(), Database::new());
-    let star = load(&star_db);
+    let star = load(&star_db, DOCS);
     star.fit(&train(1, DOCS)).unwrap();
     star.deploy().unwrap();
     let (flat, flat_spec) = load_flat(&flat_db);

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use crate::sync::Mutex;
 use crate::value::{Row, Value};
 
-/// Rows per chunk. Matches one executor morsel: the vectorized pipeline
-/// hands whole chunks to workers, so a morsel *is* a chunk.
+/// Rows per chunk. A pipeline's morsel over a chunk image is a whole
+/// number of chunks.
 pub const CHUNK_ROWS: usize = 1024;
 
 /// Maximum distinct strings a per-chunk dictionary may hold before the

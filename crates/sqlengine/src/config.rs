@@ -1,6 +1,7 @@
 //! Engine configuration: the knobs a [`Database`](crate::Database) is built
 //! with.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::plan::PlannerConfig;
@@ -19,10 +20,15 @@ pub struct EngineConfig {
     /// CTE read by two or more references is shared, and one read once is
     /// inlined into its reader (PostgreSQL's rule).
     pub materialize_ctes: bool,
-    /// Number of executor worker threads. `1` (the default, and what every
-    /// benchmark profile uses) runs the exact serial interpreter path;
-    /// `>= 2` enables the morsel-parallel operators backed by a persistent
-    /// worker pool owned by the [`Database`].
+    /// Executor parallelism: how many threads a large pipeline fans out to.
+    /// Defaults to the host's cores ([`std::thread::available_parallelism`],
+    /// 1 when unknown), which is what the benchmark runs. `1` pushes every
+    /// input serially; `>= 2` runs the input of each group-by and `DISTINCT`
+    /// as a morsel pipeline, and sorts large inputs, on a worker pool owned
+    /// by the [`Database`] and spawned by its first fan-out (a source under
+    /// 8,192 rows stays serial; DESIGN.md, "Executor architecture").
+    ///
+    /// [`Database`]: crate::Database
     pub parallelism: usize,
     /// Match equality / `IN`-list predicates and join keys against table
     /// indexes, planning `IndexScan` / index-nested-loop joins instead of
@@ -117,7 +123,7 @@ impl Default for EngineConfig {
         EngineConfig {
             join_algo: crate::plan::JoinAlgo::Hash,
             materialize_ctes: false,
-            parallelism: 1,
+            parallelism: default_parallelism(),
             use_indexes: true,
             plan_cache: true,
             statement_timeout: None,
@@ -136,6 +142,14 @@ impl Default for EngineConfig {
             trace_sampling: TraceSampling::default(),
         }
     }
+}
+
+/// The default [`EngineConfig::parallelism`]: the host's
+/// [`std::thread::available_parallelism`], 1 when it is unknown, asked once
+/// per process.
+fn default_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 impl EngineConfig {
@@ -286,5 +300,19 @@ impl EngineConfig {
             use_indexes: self.use_indexes,
             vectorized: self.vectorized,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallelism_defaults_to_the_hosts_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(default_parallelism(), cores);
+        assert_eq!(EngineConfig::default().parallelism, cores);
+        assert_eq!(EngineConfig::profile_b().parallelism, cores);
+        assert_eq!(EngineConfig::default().with_parallelism(1).parallelism, 1);
     }
 }

@@ -92,8 +92,10 @@ impl StatementResult {
 pub struct Database {
     catalog: RwLock<Catalog>,
     config: EngineConfig,
-    /// Executor worker pool, spawned once when `config.parallelism >= 2` so
-    /// individual queries never pay thread-spawn latency.
+    /// Executor worker pool when `config.parallelism >= 2`; its threads are
+    /// spawned by the first statement that fans out and then live as long
+    /// as the database, so individual queries never pay thread-spawn
+    /// latency.
     pool: Option<Arc<WorkerPool>>,
     /// Snapshot of the catalog taken at `BEGIN`, restored on `ROLLBACK`.
     txn_backup: Mutex<Option<Catalog>>,
@@ -947,8 +949,8 @@ impl Database {
             None => ExecContext::serial(),
         };
         // Telemetry on the context feeds the `worker_idle` wait-class rollup
-        // (coordinator time blocked on the pool; recorded only on the
-        // parallel dispatch path, so serial execution stays clock-free) and
+        // (time a fan-out waits for its workers' last morsels; recorded only
+        // when work fans out, so serial execution stays clock-free) and
         // the `exec.join.probe_rows_pruned` / `exec.join.build_rows` /
         // `exec.rows_materialized` counters.
         let ctx = if self.telemetry.enabled() {

@@ -1,17 +1,17 @@
 //! Hash aggregation with grouped state machines.
 //!
-//! The aggregate is a pipeline's sink: at parallelism 1 its input pushes
-//! rows straight into one group table ([`Groups::add`], the one per-row
-//! function), which evaluates each row's key in place and allocates only
-//! for a row that starts a new group. The morsel path gives each worker a
-//! morsel of the collected input and a table of its own; the partials are
-//! merged on the coordinator in morsel order, which reproduces the global
-//! first-seen group order exactly. DISTINCT aggregates fold a value when it
-//! is first seen; a later morsel defers its locally-new values, in order,
-//! and the merge folds those it has not seen — so DISTINCT results are
-//! byte-identical to serial. The only permitted divergence is non-DISTINCT
-//! float SUM/AVG, where partial sums combine in morsel order rather than
-//! row order.
+//! The aggregate is a pipeline's breaker: its input's rows fold into a group
+//! table ([`Groups::add`], the one per-row function), which evaluates each
+//! row's key in place and allocates only for a row that starts a new group.
+//! Pushed, there is one table; a pipeline that fans out gives every morsel a
+//! table of its own, and the partials are merged in morsel order, which
+//! reproduces the global first-seen group order exactly. DISTINCT aggregates
+//! fold a value when it is first seen; a later morsel defers its locally-new
+//! values, in order (checking that each would fold, so a value that raises
+//! raises at its own row), and the merge folds those it has not seen — so
+//! DISTINCT results are byte-identical to serial. The only permitted
+//! divergence is non-DISTINCT float SUM/AVG, where partial sums combine in
+//! morsel order rather than row order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -22,8 +22,8 @@ use crate::expr::PhysExpr;
 use crate::plan::{AggSpec, PhysPlan};
 use crate::value::{Row, Value};
 
-use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, ChunkJob, Ticker};
-use super::{key_of, ExecContext, NodeOut, Sink};
+use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, Ticker};
+use super::{key_of, ExecContext, NodeOut, Partial, Sink};
 
 /// Running state for one aggregate over one group. Shared with the
 /// vectorized aggregate in [`super::vector`], which drives the same state
@@ -177,18 +177,16 @@ pub(crate) fn aggregate(
         return Ok(out);
     }
     let mut node = NodeOut::new();
-    let groups = if ctx.parallel() {
-        morsel_groups(input, keys, aggs, ctx, &mut node)?
-    } else {
-        let mut groups = Groups::new(true);
-        let mut charge = ChargeBuf::new(ctx.budget());
-        let stats = super::push(input, ctx, &mut |row| {
-            groups.add(row, keys, aggs, &mut charge)
-        })?;
-        charge.flush()?;
-        node.child(stats);
-        groups
-    };
+    let (spec, budget) = (
+        Arc::new((keys.to_vec(), aggs.to_vec())),
+        Arc::clone(ctx.budget()),
+    );
+    let parts = super::pipeline(input, ctx, &mut node, move |morsel| GroupPart {
+        groups: Groups::new(morsel == 0),
+        spec: Arc::clone(&spec),
+        charge: ChargeBuf::new(&budget),
+    });
+    let groups = parts.ok()?.groups;
     groups.emit(keys, aggs, ctx, sink)?;
     Ok(node)
 }
@@ -197,77 +195,48 @@ pub(super) fn default_row(aggs: &[AggSpec]) -> Row {
     aggs.iter().map(|a| AggState::new(a).finish()).collect()
 }
 
-/// The morsel path: aggregate the collected input one morsel per job, each
-/// into its own group table, and merge the partials in morsel order.
-fn morsel_groups(
-    input: &PhysPlan,
-    keys: &[PhysExpr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-) -> Result<Groups> {
-    let rows = super::run_input(input, ctx, node)?;
-    let ranges = if ctx.should_parallelize(rows.len()) {
-        node.workers = ctx.parallelism();
-        ctx.morsels(rows.len())
-    } else {
-        std::iter::once(0..rows.len()).collect()
-    };
-    let spec = Arc::new((keys.to_vec(), aggs.to_vec()));
-    let deadline = ctx.deadline();
-    let jobs: Vec<ChunkJob<Result<Groups>>> = ranges
-        .into_iter()
-        .enumerate()
-        .map(|(m, range)| {
-            let (rows, spec, budget) = (rows.clone(), Arc::clone(&spec), Arc::clone(ctx.budget()));
-            let job: ChunkJob<Result<Groups>> = Box::new(move || {
-                let (keys, aggs) = &*spec;
-                let mut groups = Groups::new(m == 0);
-                let (mut charge, mut ticker) = (ChargeBuf::new(&budget), Ticker::default());
-                for row in rows.rows(range) {
-                    ticker.tick(deadline)?;
-                    groups.add(row, keys, aggs, &mut charge)?;
-                }
-                charge.flush()?;
-                Ok(groups)
-            });
-            job
-        })
-        .collect();
-    let mut parts = ctx.run_jobs(jobs).into_iter();
-    let mut acc = parts.next().expect("at least one morsel")?;
-    for part in parts {
-        acc.merge(part?)?;
+/// A group table as a pipeline's partial.
+struct GroupPart {
+    groups: Groups,
+    spec: Arc<(Vec<PhysExpr>, Vec<AggSpec>)>,
+    charge: ChargeBuf,
+}
+
+impl Partial for GroupPart {
+    fn row(&mut self, row: &[Value]) -> Result<()> {
+        let (keys, aggs) = &*self.spec;
+        self.groups.add(row, keys, aggs, &mut self.charge)
     }
-    Ok(acc)
-}
 
-/// One group's running states. A DISTINCT aggregate also keeps the values
-/// it has seen and — in a table that defers them — those values in
-/// first-seen order, for the merge to fold.
-struct Group {
-    states: Vec<AggState>,
-    distinct: Vec<Option<(HashSet<Value>, Vec<Value>)>>,
-}
+    fn finish(&mut self) -> Result<()> {
+        self.charge.flush()
+    }
 
-impl Group {
-    fn new(aggs: &[AggSpec]) -> Group {
-        Group {
-            states: aggs.iter().map(AggState::new).collect(),
-            distinct: aggs
-                .iter()
-                .map(|a| a.distinct.then(Default::default))
-                .collect(),
-        }
+    fn combine(&mut self, later: GroupPart) -> Result<()> {
+        self.groups.merge(later.groups, &self.spec.1)
     }
 }
 
-/// A group table in first-seen group order: the whole aggregation at
-/// parallelism 1, one morsel's partial on the morsel path.
+/// The values a DISTINCT aggregate has seen in one group and — in a table
+/// that defers them — those values in first-seen order, for the merge to
+/// fold.
+#[derive(Default)]
+struct Seen {
+    values: HashSet<Value>,
+    deferred: Vec<Value>,
+}
+
+/// A group table in first-seen group order: the whole aggregation, or one
+/// morsel's partial. Groups are numbered in first-seen order, and their
+/// states are held flat — one per aggregate, group after group — so a new
+/// group allocates only its key.
 struct Groups {
-    /// Group key → position in `groups`; the only copy of each key.
+    /// Group key → group number; the only copy of each key.
     index: HashMap<Vec<Value>, usize>,
-    groups: Vec<Group>,
+    states: Vec<AggState>,
+    /// Laid out like `states`: what each DISTINCT aggregate has seen, `None`
+    /// for the others; empty when no aggregate is DISTINCT.
+    seen: Vec<Option<Seen>>,
     /// Whether DISTINCT values fold into the states as they are first seen
     /// (the only table, or the first morsel's) or are deferred to the merge
     /// (a later morsel's: an earlier one may hold the value's first
@@ -281,14 +250,23 @@ impl Groups {
     fn new(eager: bool) -> Groups {
         Groups {
             index: HashMap::new(),
-            groups: Vec::new(),
+            states: Vec::new(),
+            seen: Vec::new(),
             eager,
             key: Vec::new(),
         }
     }
 
+    /// Open group number `index.len()` for `aggs`.
+    fn open(states: &mut Vec<AggState>, seen: &mut Vec<Option<Seen>>, aggs: &[AggSpec]) {
+        states.extend(aggs.iter().map(AggState::new));
+        if aggs.iter().any(|a| a.distinct) {
+            seen.extend(aggs.iter().map(|a| a.distinct.then(Seen::default)));
+        }
+    }
+
     /// The aggregate's one per-row function: fold a row into its group.
-    /// Only a row that starts a group allocates — its key and states.
+    /// Only a row that starts a group allocates — its key.
     fn add(
         &mut self,
         row: &[Value],
@@ -298,7 +276,8 @@ impl Groups {
     ) -> Result<()> {
         let Groups {
             index,
-            groups,
+            states,
+            seen,
             eager,
             key,
         } = self;
@@ -314,12 +293,13 @@ impl Groups {
                             + aggs.len() * std::mem::size_of::<AggState>())
                             as u64,
                 )?;
-                index.insert(key.to_vec(), groups.len());
-                groups.push(Group::new(aggs));
-                groups.len() - 1
+                let g = index.len();
+                index.insert(key.to_vec(), g);
+                Groups::open(states, seen, aggs);
+                g
             }
         };
-        let group = &mut groups[g];
+        let at = g * aggs.len();
         for (i, spec) in aggs.iter().enumerate() {
             let v = match &spec.arg {
                 None => Value::Int(1), // COUNT(*): every row counts
@@ -328,16 +308,17 @@ impl Groups {
             if v.is_null() {
                 continue; // aggregates skip NULLs
             }
-            match &mut group.distinct[i] {
-                None => group.states[i].update(v)?,
-                Some((seen, deferred)) => {
-                    if !seen.insert(v.clone()) {
+            match seen.get_mut(at + i).and_then(Option::as_mut) {
+                None => states[at + i].update(v)?,
+                Some(Seen { values, deferred }) => {
+                    if !values.insert(v.clone()) {
                         continue;
                     }
                     charge.add(approx_value_bytes(&v))?;
                     if *eager {
-                        group.states[i].update(v)?;
+                        states[at + i].update(v)?;
                     } else {
+                        AggState::new(spec).update(v.clone())?;
                         deferred.push(v);
                     }
                 }
@@ -351,35 +332,38 @@ impl Groups {
     /// order; float partial sums combine in morsel order; each deferred
     /// DISTINCT value is folded where it is new, which replays the serial
     /// update sequence.
-    fn merge(&mut self, later: Groups) -> Result<()> {
-        for (key, Group { states, distinct }) in later.into_ordered() {
+    fn merge(&mut self, later: Groups, aggs: &[AggSpec]) -> Result<()> {
+        let width = aggs.len();
+        let (keys, mut states, mut seen) = later.into_parts();
+        for key in keys {
             let g = match self.index.get(&key) {
                 Some(&g) => {
-                    for (state, other) in self.groups[g].states.iter_mut().zip(states) {
+                    let own = &mut self.states[g * width..(g + 1) * width];
+                    for (state, other) in own.iter_mut().zip(states.by_ref()) {
                         state.merge(other);
                     }
                     g
                 }
                 None => {
-                    let fresh = distinct
-                        .iter()
-                        .map(|d| d.as_ref().map(|_| Default::default()));
-                    self.index.insert(key, self.groups.len());
-                    self.groups.push(Group {
-                        states,
-                        distinct: fresh.collect(),
-                    });
-                    self.groups.len() - 1
+                    let g = self.index.len();
+                    self.index.insert(key, g);
+                    self.states.extend(states.by_ref().take(width));
+                    if aggs.iter().any(|a| a.distinct) {
+                        self.seen
+                            .extend(aggs.iter().map(|a| a.distinct.then(Seen::default)));
+                    }
+                    g
                 }
             };
-            let group = &mut self.groups[g];
-            for (i, slot) in distinct.into_iter().enumerate() {
-                let (Some((_, deferred)), Some((seen, _))) = (slot, &mut group.distinct[i]) else {
+            for (i, slot) in seen.by_ref().take(width).enumerate() {
+                let (Some(Seen { deferred, .. }), Some(own)) =
+                    (slot, &mut self.seen[g * width + i])
+                else {
                     continue;
                 };
                 for v in deferred {
-                    if seen.insert(v.clone()) {
-                        group.states[i].update(v)?;
+                    if own.values.insert(v.clone()) {
+                        self.states[g * width + i].update(v)?;
                     }
                 }
             }
@@ -387,13 +371,20 @@ impl Groups {
         Ok(())
     }
 
-    /// The groups with their keys, in first-seen order.
-    fn into_ordered(self) -> impl Iterator<Item = (Vec<Value>, Group)> {
-        let mut keys = vec![Vec::new(); self.groups.len()];
+    /// The group keys in first-seen order, and the states and seen values
+    /// laid out in that order.
+    fn into_parts(
+        self,
+    ) -> (
+        Vec<Vec<Value>>,
+        impl Iterator<Item = AggState>,
+        impl Iterator<Item = Option<Seen>>,
+    ) {
+        let mut keys = vec![Vec::new(); self.index.len()];
         for (key, g) in self.index {
             keys[g] = key;
         }
-        keys.into_iter().zip(self.groups)
+        (keys, self.states.into_iter(), self.seen.into_iter())
     }
 
     /// Hand on one row per group, in first-seen order: its key, then each
@@ -406,15 +397,16 @@ impl Groups {
         ctx: &ExecContext,
         sink: &mut Sink,
     ) -> Result<()> {
-        if self.groups.is_empty() && keys.is_empty() {
+        if self.index.is_empty() && keys.is_empty() {
             return sink(&default_row(aggs));
         }
         let (mut row, mut ticker, deadline) = (Vec::new(), Ticker::default(), ctx.deadline());
-        for (key, group) in self.into_ordered() {
+        let (group_keys, mut states, _) = self.into_parts();
+        for key in group_keys {
             ticker.tick(deadline)?;
             row.clear();
             row.extend(key);
-            row.extend(group.states.into_iter().map(AggState::finish));
+            row.extend(states.by_ref().take(aggs.len()).map(AggState::finish));
             sink(&row)?;
         }
         Ok(())

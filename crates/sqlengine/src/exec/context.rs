@@ -1,18 +1,28 @@
 //! Execution context: parallelism, the worker pool, and runtime statistics.
 //!
-//! [`ExecContext`] is threaded through every operator. It decides whether an
-//! operator may run its morsel-parallel path (and hands it the shared
-//! [`WorkerPool`]), and whether per-operator [`OpStats`] are collected for
-//! `EXPLAIN ANALYZE`.
+//! [`ExecContext`] is threaded through every operator. It says whether work
+//! fans out to the shared [`WorkerPool`] ([`ExecContext::fans_out`], the one
+//! gate every use of the pool passes) and whether per-operator [`OpStats`]
+//! are collected for `EXPLAIN ANALYZE`.
+//!
+//! A fan-out ([`ExecContext::fan_out`]) cuts its work into units — the
+//! morsels of a pipeline, the runs of a sort — that the thread fanning out
+//! and up to `parallelism - 1` pool workers claim one at a time from one
+//! atomic counter, so a worker that is busy elsewhere simply claims none.
+//! Results come back in unit order. Work handed to the pool is `'static`:
+//! operators share what it reads with workers via `Arc` (row vectors are
+//! reference counted end to end), and no worker ever fans out itself. Each
+//! unit is told which participant runs it, so work can keep state per
+//! thread, and the work is dropped by the thread that fanned out before
+//! `fan_out` returns: no worker is still freeing it after the call.
 //!
 //! The pool is built on `std::thread` + `std::sync::mpsc` only — the build
 //! environment has no crates.io access, so no external dependency (rayon,
-//! crossbeam) is used. Workers are spawned once and live as long as the pool;
-//! jobs are `'static` closures, so operators share their inputs with workers
-//! via `Arc` (row vectors are already reference counted end to end).
+//! crossbeam) is used. Its threads are spawned by the first fan-out and live
+//! as long as the pool.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -20,22 +30,22 @@ use std::time::{Duration, Instant};
 
 use crate::error::{EngineError, Result, Span};
 use crate::plan::PhysPlan;
-use crate::sync::Mutex;
+use crate::sync::{Condvar, Mutex};
 use crate::value::{Row, Value};
 
-/// Inputs smaller than this never take a parallel path: morsel dispatch costs
-/// a few microseconds per chunk, which only pays off for non-trivial row
-/// counts. Keep this small enough that integration tests exercise the
-/// parallel operators with modest fixtures.
-pub(crate) const PAR_ROW_THRESHOLD: usize = 128;
+/// Work fans out to the pool only when its source holds at least this many
+/// rows: two morsels. A source of one morsel has nothing to share, and
+/// below it a fan-out's fixed cost (waking a worker, a partial per morsel,
+/// the fold) is not repaid on two cores. It keeps the serving path's
+/// statements — a single-item predict, a batch of 64, the stream's
+/// 10-document fits — serial. Sized by measurement (DESIGN.md, "Executor
+/// architecture").
+pub(crate) const FAN_OUT_ROWS: usize = 2 * MORSEL_ROWS;
 
-/// A boxed per-morsel job an operator submits to [`ExecContext::run_jobs`].
-pub(crate) type ChunkJob<T> = Box<dyn FnOnce() -> T + Send + 'static>;
-
-/// Target number of morsels handed out per worker. More than one chunk per
-/// worker smooths load imbalance (selective filters, skewed join keys)
-/// without work stealing.
-const MORSELS_PER_WORKER: usize = 4;
+/// Rows per morsel (4 chunks). Fixed, so that morsel boundaries — and with
+/// them the order float partial sums combine in — are the same at every
+/// parallelism above 1.
+pub(crate) const MORSEL_ROWS: usize = 4096;
 
 /// Operators accumulate charge amounts locally and flush them to the shared
 /// [`MemoryBudget`] in chunks of this size, so budget accounting costs one
@@ -51,8 +61,8 @@ pub(crate) const DEADLINE_STRIDE: usize = 1024;
 /// so the figure tracked is *cumulative materialized bytes*, an upper bound
 /// on live usage) where a row is held: hash-join build tables, aggregation
 /// hash tables, sort key runs, DISTINCT dedup sets, and every row a
-/// collecting sink stores (a build side, a sort input, a morsel's output,
-/// a shared subplan's slot, the statement result). Streaming operators hold
+/// collecting sink stores (a build side, a sort input, a shared subplan's
+/// slot, the statement result). Streaming operators hold
 /// nothing.
 /// When a charge pushes usage past the limit the operator aborts with
 /// [`EngineError::ResourceExhausted`] — a clean, retryable statement error
@@ -143,14 +153,17 @@ pub(crate) fn approx_row_bytes(row: &[Value]) -> u64 {
 /// cost. Call [`ChargeBuf::flush`] (or drop the final partial charge — it is
 /// flushed on the next add) when precision matters; operators flush at the
 /// end of their build loops.
-pub(crate) struct ChargeBuf<'a> {
-    budget: &'a MemoryBudget,
+pub(crate) struct ChargeBuf {
+    budget: Arc<MemoryBudget>,
     pending: u64,
 }
 
-impl<'a> ChargeBuf<'a> {
-    pub(crate) fn new(budget: &'a MemoryBudget) -> ChargeBuf<'a> {
-        ChargeBuf { budget, pending: 0 }
+impl ChargeBuf {
+    pub(crate) fn new(budget: &Arc<MemoryBudget>) -> ChargeBuf {
+        ChargeBuf {
+            budget: Arc::clone(budget),
+            pending: 0,
+        }
     }
 
     pub(crate) fn add(&mut self, bytes: u64) -> Result<()> {
@@ -193,10 +206,11 @@ pub struct OpStats {
     pub rows_out: usize,
     /// Time attributed to this operator (see struct docs).
     pub elapsed: Duration,
-    /// Workers this operator actually fanned out to (1 = serial path).
+    /// Workers the pipeline this operator belongs to fanned out to (1 =
+    /// serial).
     pub workers: usize,
-    /// Morsels the input was split into when the operator fanned out
-    /// (1 = serial path).
+    /// Morsels that pipeline's source was cut into when it fanned out (1 =
+    /// serial).
     pub morsels: usize,
     /// Bytes charged against the statement memory budget while this operator
     /// ran — its children's state and, in a push pipeline, that of the
@@ -228,25 +242,44 @@ impl OpStats {
     }
 }
 
-/// A persistent worker pool: `n` threads draining a shared job channel.
+/// A persistent worker pool for `size`-way fan-outs: the thread that fans
+/// out is one of the `size` workers, and `size - 1` threads drain a shared
+/// job channel. They are spawned by the first job, so a database whose
+/// statements never fan out never starts one.
 pub struct WorkerPool {
-    tx: Mutex<Option<mpsc::Sender<Job>>>,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
     size: usize,
+    /// The job channel, opened by the first job.
+    tx: Mutex<Option<mpsc::Sender<Job>>>,
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 impl WorkerPool {
-    /// Spawn a pool of `size` workers (`size` is clamped to at least 1).
+    /// A pool for `size`-way fan-outs (`size` is clamped to at least 2).
     pub fn new(size: usize) -> WorkerPool {
-        let size = size.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..size)
-            .map(|i| {
+        WorkerPool {
+            size: size.max(2),
+            tx: Mutex::new(None),
+            threads: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Hand `job` to the next idle thread, spawning the threads first if
+    /// this is the pool's first job.
+    fn submit(&self, job: Job) {
+        let mut tx = self.tx.lock();
+        let tx = tx.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<Job>();
+            let rx = Arc::new(Mutex::new(rx));
+            let mut threads = self.threads.lock();
+            for i in 1..self.size {
                 let rx = Arc::clone(&rx);
-                thread::Builder::new()
+                let spawned = thread::Builder::new()
                     .name(format!("sqlengine-worker-{i}"))
                     .spawn(move || loop {
                         // Take the lock only to receive; run the job unlocked
@@ -256,54 +289,12 @@ impl WorkerPool {
                             Ok(job) => job(),
                             Err(_) => break, // pool dropped
                         }
-                    })
-                    .expect("failed to spawn sqlengine worker thread")
-            })
-            .collect();
-        WorkerPool {
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
-            size,
-        }
-    }
-
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Run every job on the pool and return their results in submission
-    /// order (this ordering is what makes parallel operators deterministic).
-    /// A panicking job is resumed on the calling thread; the worker survives.
-    pub fn run<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        let n = jobs.len();
-        let (rtx, rrx) = mpsc::channel::<(usize, thread::Result<T>)>();
-        {
-            let guard = self.tx.lock();
-            let tx = guard.as_ref().expect("worker pool already shut down");
-            for (i, job) in jobs.into_iter().enumerate() {
-                let rtx = rtx.clone();
-                tx.send(Box::new(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    let _ = rtx.send((i, result));
-                }))
-                .expect("worker pool hung up");
+                    });
+                threads.push(spawned.expect("failed to spawn sqlengine worker thread"));
             }
-        }
-        drop(rtx);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, result) = rrx.recv().expect("worker dropped its result");
-            match result {
-                Ok(v) => out[i] = Some(v),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every job reports exactly once"))
-            .collect()
+            tx
+        });
+        tx.send(job).expect("worker pool hung up");
     }
 }
 
@@ -311,9 +302,94 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel ends every worker's recv loop.
         self.tx.lock().take();
-        let mut workers = self.workers.lock();
-        for handle in workers.drain(..) {
+        for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+/// One fan-out in flight: `units` pieces of `work`, claimed one at a time
+/// from `next` by the thread that fanned out and the pool workers that
+/// joined it.
+struct FanOut<R> {
+    units: usize,
+    next: AtomicUsize,
+    /// The lowest unit whose result failed: no unit above it starts.
+    failed: AtomicUsize,
+    fails: fn(&R) -> bool,
+    state: Mutex<FanOutState<R>>,
+    all_done: Condvar,
+}
+
+/// `work(unit, participant)`: participant 0 is the thread that fanned out,
+/// `1..` the pool workers that joined it.
+type UnitWork<R> = dyn Fn(usize, usize) -> R + Send + Sync;
+
+/// What the threads of a fan-out hand each other under one lock.
+struct FanOutState<R> {
+    /// Taken away by the thread that fanned out once every unit is done and
+    /// every participant has let go of it, so that thread frees what the
+    /// work captured before `fan_out` returns — no worker frees it after —
+    /// and a worker that joins later finds nothing to run.
+    work: Option<Arc<UnitWork<R>>>,
+    /// Participants holding `work`.
+    active: usize,
+    /// Units finished so far, and their results by unit (`None`: not
+    /// started, because an earlier one failed).
+    count: usize,
+    results: Vec<Option<thread::Result<R>>>,
+}
+
+/// A unit that ran (or was skipped) and its result, not yet handed in.
+type Ran<R> = (usize, Option<thread::Result<R>>);
+
+impl<R> FanOut<R> {
+    /// Claim and run units until none is left, as participant `who`. A
+    /// unit's result is handed in once the next claim is made, so the last
+    /// one follows letting go of the work.
+    fn claim(&self, who: usize) {
+        let work = {
+            let mut state = self.state.lock();
+            let Some(work) = state.work.clone() else {
+                return;
+            };
+            state.active += 1;
+            work
+        };
+        let mut ran: Option<Ran<R>> = None;
+        loop {
+            let unit = self.next.fetch_add(1, Ordering::Relaxed);
+            if unit >= self.units {
+                break;
+            }
+            let result = (unit <= self.failed.load(Ordering::Relaxed)).then(|| {
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(unit, who)));
+                if result.as_ref().map_or(true, self.fails) {
+                    self.failed.fetch_min(unit, Ordering::Relaxed);
+                }
+                result
+            });
+            if let Some(earlier) = ran.replace((unit, result)) {
+                self.hand_in(Some(earlier), false);
+            }
+        }
+        drop(work);
+        self.hand_in(ran, true);
+    }
+
+    /// Record a unit's result and, when `leaving`, that this participant
+    /// let go of the work; wake the thread that fanned out when it is all
+    /// over.
+    fn hand_in(&self, ran: Option<Ran<R>>, leaving: bool) {
+        let mut state = self.state.lock();
+        if let Some((unit, result)) = ran {
+            state.results[unit] = result;
+            state.count += 1;
+        }
+        state.active -= usize::from(leaving);
+        if state.count == self.units && state.active == 0 {
+            self.all_done.notify_all();
         }
     }
 }
@@ -337,7 +413,7 @@ pub struct ExecContext {
     budget: Arc<MemoryBudget>,
     /// Telemetry registry for the worker-idle wait rollup and the executor's
     /// row counters (`None` outside a [`Database`] statement or when
-    /// telemetry is disabled, in which case `run_jobs` reads no clocks).
+    /// telemetry is disabled, in which case `fan_out` reads no clocks).
     ///
     /// [`Database`]: crate::Database
     telemetry: Option<Arc<crate::telemetry::Telemetry>>,
@@ -363,7 +439,7 @@ impl ExecContext {
         }
     }
 
-    /// A context owning its own pool of `parallelism` workers.
+    /// A context owning its own pool for `parallelism`-way fan-outs.
     pub fn new(parallelism: usize) -> ExecContext {
         let parallelism = parallelism.max(1);
         ExecContext {
@@ -440,41 +516,105 @@ impl ExecContext {
         self.collect_stats
     }
 
-    /// Whether operators with a morsel path collect their input to split it
+    /// Whether breakers run their inputs as pipelines that may fan out
     /// (`parallelism >= 2`); otherwise every input is pushed.
     pub(crate) fn parallel(&self) -> bool {
         self.pool.is_some()
     }
 
-    /// Whether an operator over `n_rows` input rows should take its
-    /// morsel-parallel path.
-    pub(crate) fn should_parallelize(&self, n_rows: usize) -> bool {
-        self.parallel() && n_rows >= PAR_ROW_THRESHOLD
+    /// The one gate for every use of the pool: whether work whose source
+    /// holds `rows` rows fans out.
+    pub(crate) fn fans_out(&self, rows: usize) -> bool {
+        self.parallel() && rows >= FAN_OUT_ROWS
     }
 
-    /// Split `0..len` into morsel ranges for this context.
-    pub(crate) fn morsels(&self, len: usize) -> Vec<Range<usize>> {
-        morsel_ranges(len, self.parallelism * MORSELS_PER_WORKER)
-    }
-
-    /// Run chunk jobs on the pool, results in chunk order. When a telemetry
-    /// handle is present, the coordinator's blocking time (submission
-    /// through last result) is rolled up as `worker_idle` wait.
-    pub(crate) fn run_jobs<T: Send + 'static>(
+    /// Run `work(unit, participant)` over units `0..units` on this thread
+    /// (participant 0) and up to `parallelism - 1` pool workers (participants
+    /// `1..`), each claiming the next unit from one atomic counter. A unit
+    /// whose result `fails` keeps the units after it from starting. Returns
+    /// the results in unit order, up to and including the first that
+    /// failed; a unit that panicked is resumed here. Nothing the work
+    /// captured outlives the call on a worker. When a telemetry handle is
+    /// present, the time this thread waits for the workers after running
+    /// out of units is rolled up as `worker_idle`.
+    pub(crate) fn fan_out<R: Send + 'static>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        match &self.pool {
-            Some(pool) if jobs.len() > 1 => {
-                let timed = self.telemetry.as_deref().map(|t| (t, Instant::now()));
-                let out = pool.run(jobs);
-                if let Some((telemetry, start)) = timed {
-                    telemetry.wait_worker_idle_us.record(start.elapsed());
-                }
-                out
+        units: usize,
+        fails: fn(&R) -> bool,
+        work: impl Fn(usize, usize) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let job = Arc::new(FanOut {
+            units,
+            next: AtomicUsize::new(0),
+            failed: AtomicUsize::new(usize::MAX),
+            fails,
+            state: Mutex::new(FanOutState {
+                work: Some(Arc::new(work) as Arc<UnitWork<R>>),
+                active: 0,
+                count: 0,
+                results: (0..units).map(|_| None).collect(),
+            }),
+            all_done: Condvar::new(),
+        });
+        if let Some(pool) = &self.pool {
+            for who in 1..self.parallelism.min(units) {
+                let job = Arc::clone(&job);
+                pool.submit(Box::new(move || job.claim(who)));
             }
-            _ => jobs.into_iter().map(|j| j()).collect(),
         }
+        job.claim(0);
+        let waited = self.telemetry.as_deref().map(|t| (t, Instant::now()));
+        let mut state = job.state.lock();
+        while state.count < units || state.active > 0 {
+            state = job.all_done.wait(state);
+        }
+        if let Some((telemetry, start)) = waited {
+            telemetry.wait_worker_idle_us.record(start.elapsed());
+        }
+        let (work, results) = (state.work.take(), std::mem::take(&mut state.results));
+        drop(state);
+        drop(work);
+        let mut out = Vec::with_capacity(units);
+        for result in results {
+            match result {
+                Some(Ok(result)) => {
+                    let failed = fails(&result);
+                    out.push(result);
+                    if failed {
+                        break;
+                    }
+                }
+                Some(Err(panic)) => std::panic::resume_unwind(panic),
+                None => unreachable!("a unit is skipped only after one that failed"),
+            }
+        }
+        out
+    }
+
+    /// [`ExecContext::fan_out`] over fallible work: every unit's value, or
+    /// the error of the first unit that failed.
+    pub(crate) fn fan_out_ok<T: Send + 'static>(
+        &self,
+        units: usize,
+        work: impl Fn(usize) -> Result<T> + Send + Sync + 'static,
+    ) -> Result<Vec<T>> {
+        self.fan_out(units, Result::is_err, move |unit, _| work(unit))
+            .into_iter()
+            .collect()
+    }
+
+    /// [`ExecContext::fan_out`] with one of `items` per unit.
+    pub(crate) fn fan_out_each<I: Send + 'static, R: Send + 'static>(
+        &self,
+        items: Vec<I>,
+        work: impl Fn(I) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let items: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        self.fan_out(
+            items.len(),
+            |_| false,
+            move |unit, _| work(items[unit].lock().take().expect("each unit runs once")),
+        )
     }
 
     /// Add to `exec.join.probe_rows_pruned`: probe rows a hash join rejected
@@ -653,15 +793,53 @@ mod tests {
 
     #[test]
     fn pool_runs_jobs_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64)
-            .map(|i| {
-                let f: Box<dyn FnOnce() -> usize + Send> = Box::new(move || i * i);
-                f
-            })
-            .collect();
-        let results = pool.run(jobs);
+        // Units come back in unit order, and the pool's threads start with
+        // the first fan-out.
+        let ctx = ExecContext::new(4);
+        let pool = ctx.pool.as_ref().expect("parallelism 4 has a pool");
+        assert!(pool.threads.lock().is_empty());
+        let results = ctx.fan_out(64, |_| false, |i, _| i * i);
         assert_eq!(results, (0..64).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(pool.threads.lock().len(), 3);
+    }
+
+    #[test]
+    fn the_thread_that_fans_out_frees_what_the_work_captured() {
+        // Every participant is one of the `parallelism` threads, and once
+        // `fan_out` returns no worker still holds the work: what it captured
+        // is freed on this thread, not by a worker after the call.
+        let ctx = ExecContext::new(4);
+        for _ in 0..50 {
+            let captured = Arc::new(());
+            let held = Arc::clone(&captured);
+            let who = ctx.fan_out(
+                64,
+                |_| false,
+                move |_, who| {
+                    let _ = &held;
+                    std::thread::sleep(Duration::from_micros(50));
+                    who
+                },
+            );
+            assert!(who.iter().all(|&who| who < 4), "{who:?}");
+            assert_eq!(Arc::strong_count(&captured), 1);
+        }
+    }
+
+    #[test]
+    fn a_fan_out_reports_its_earliest_failing_unit() {
+        // Units 40 and 41 fail; whichever fails first, no unit past the
+        // earliest failure is returned, and its error is the one reported.
+        let ctx = ExecContext::new(4);
+        let err = ctx
+            .fan_out_ok(64, |i| match i {
+                40 | 41 => Err(EngineError::exec(format!("unit {i}"))),
+                _ => Ok(i),
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("unit 40"), "{err}");
+        let done = ctx.fan_out(64, |&i: &usize| i == 40, |i, _| i);
+        assert_eq!(done, (0..=40).collect::<Vec<_>>());
     }
 
     #[test]
@@ -686,7 +864,7 @@ mod tests {
 
     #[test]
     fn charge_buf_flushes_at_granularity() {
-        let b = MemoryBudget::limited(CHARGE_FLUSH_BYTES * 2);
+        let b = Arc::new(MemoryBudget::limited(CHARGE_FLUSH_BYTES * 2));
         let mut buf = ChargeBuf::new(&b);
         // Stays local until the flush threshold trips.
         buf.add(CHARGE_FLUSH_BYTES - 1).unwrap();
@@ -700,13 +878,22 @@ mod tests {
 
     #[test]
     fn pool_survives_panicking_job() {
-        let pool = WorkerPool::new(2);
-        let bad: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| panic!("job panic for test"))];
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(bad)));
+        let ctx = ExecContext::new(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.fan_out(
+                8,
+                |_| false,
+                |i, _| match i {
+                    5 => panic!("unit panic for test"),
+                    i => i,
+                },
+            )
+        }));
         assert!(caught.is_err());
-        // The pool still works after a job panicked.
-        let ok: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(|| 7), Box::new(|| 35)];
-        assert_eq!(pool.run(ok).iter().sum::<usize>(), 42);
+        // The pool still works after a unit panicked.
+        assert_eq!(
+            ctx.fan_out(8, |_| false, |i, _| i).iter().sum::<usize>(),
+            28
+        );
     }
 }

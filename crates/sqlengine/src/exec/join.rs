@@ -1,28 +1,30 @@
-//! Join operators: hash join (serial and partitioned-parallel), sort-merge
-//! join, nested-loop join, and index nested-loop join.
+//! Join operators: hash join, sort-merge join, nested-loop join, and index
+//! nested-loop join.
 //!
 //! Every join collects one side and streams the other. The hash join builds
 //! its table on the side the planner chose ([`PhysPlan::join_sides`]: the
 //! left input of an INNER join estimated at no more than half the right,
 //! the right input otherwise) and streams the other through the probe: each
 //! probe row's matches are joined, in scope order, in one reused buffer and
-//! handed on, so the joined rows are never held. The parallel build runs in
-//! two phases: (1) morsel-parallel key extraction over the build side, (2)
-//! one build job per partition (`hash(key) % P`) assembling that
-//! partition's table in original row order; the probe then runs over
-//! morsels of the probe side. Because every probe morsel preserves probe
-//! order and match lists preserve build order, the output is identical to
-//! the pushed probe's.
+//! handed on, so the joined rows are never held. One table is hashed from
+//! the build side serially: a table split by partition would cost every
+//! probe row a second hash, and the probe side is the larger.
+//!
+//! The probe, the nested loop's outer side and the index nested loop are
+//! [`RowOp`]s: pushed when a breaker that holds rows reads the join, steps
+//! of a pipeline above it (its other side built first) when a group table
+//! or a `DISTINCT` set does.
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
 //! in one reused buffer. When the probe child is a bare base-table scan with
 //! a columnar image, an INNER join on one bare column against a small build
 //! side goes further and filters whole chunks by the build side's key set
-//! ([`super::vector::key_filter`]) before touching any row.
+//! ([`super::vector::key_filter`]) before touching any row: all chunks up
+//! front, once the table is built, and the rows it kept ([`Candidates`])
+//! are what the probe streams, pushed or as a pipeline's source.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,13 +32,13 @@ use std::time::Instant;
 
 use crate::ast::JoinKind;
 use crate::column::{ChunkedTable, CHUNK_ROWS};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
-use crate::plan::{JoinInput, PhysPlan};
+use crate::plan::{IndexRef, JoinInput, PhysPlan};
 use crate::value::{Row, Value};
 
-use super::context::{approx_row_bytes, check_deadline, ChargeBuf, ChunkJob, Ticker};
+use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker};
 use super::vector::{key_filter, KeySet};
 use super::{key_of, ExecContext, Held, NodeOut, OpStats, RowOp, Sink};
 
@@ -46,19 +48,8 @@ use super::{key_of, ExecContext, Held, NodeOut, OpStats, RowOp, Sink};
 /// table's columnar image, if nothing else has).
 const KEY_FILTER_SELECTIVITY: usize = 8;
 
-/// A build-side row reduced to (key hash, key values, original index).
-type KeyedRow = (u64, Vec<Value>, usize);
-
-/// One partition of a build table: key → build-row indexes, ascending.
+/// A build table: key → build-row indexes, ascending.
 type KeyTable = HashMap<Vec<Value>, Vec<usize>>;
-
-/// Hash of an equi-join key. `DefaultHasher::new()` is deterministic within
-/// a process, so build and probe agree on partition assignment.
-fn hash_key(key: &[Value]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
 
 /// `left ++ right` in `joined`, which keeps its capacity from row to row.
 fn join_into(joined: &mut Vec<Value>, left: &[Value], right: &[Value]) {
@@ -84,13 +75,11 @@ fn keeps(residual: &Option<PhysExpr>, joined: &[Value]) -> Result<bool> {
 }
 
 /// Everything a hash-join probe needs besides the probe rows themselves;
-/// shared by every probe morsel.
-struct Probe {
+/// shared by every run of the probe.
+pub(super) struct Probe {
     /// The probe side's key expressions.
     keys: Vec<PhysExpr>,
-    /// One table per partition (`hash(key) % len`); a single one when the
-    /// build ran serially.
-    tables: Vec<KeyTable>,
+    table: KeyTable,
     build_rows: Held,
     /// The build rows are the left input: a joined row is `build ++ probe`.
     build_left: bool,
@@ -105,47 +94,35 @@ struct Probe {
 
 /// One probe run's working state.
 #[derive(Default)]
-struct ProbeScratch {
+pub(super) struct ProbeScratch {
     key: Vec<Value>,
     joined: Vec<Value>,
     ticker: Ticker,
     pruned: usize,
+    /// This run's own copy of the build rows, if it has one.
+    build: Option<Held>,
+}
+
+impl ProbeScratch {
+    /// A run that reads `build` (an own copy of the build rows) instead of
+    /// the rows the table was built from.
+    pub(super) fn over(build: Option<Held>) -> ProbeScratch {
+        ProbeScratch {
+            build,
+            ..ProbeScratch::default()
+        }
+    }
 }
 
 impl Probe {
-    fn lookup(&self, key: &[Value]) -> Option<&Vec<usize>> {
-        match self.tables.as_slice() {
-            [only] => only.get(key),
-            tables => tables[hash_key(key) as usize % tables.len()].get(key),
-        }
+    /// Probe rows that found no build key so far.
+    pub(super) fn pruned(&self) -> usize {
+        self.pruned.load(Ordering::Relaxed)
     }
 
-    /// Probe a run of chunks of the probe side's columnar image: the key
-    /// filter picks each chunk's candidate offsets from the typed key
-    /// column, and only those rows are probed. A chunk the filter cannot
-    /// decide (mixed column, keys of another variant) is probed row by row.
-    fn chunks(&self, side: &ChunkSide, range: Range<usize>, sink: &mut Sink) -> Result<()> {
-        let mut scratch = ProbeScratch::default();
-        for ci in range {
-            check_deadline(self.deadline)?;
-            let chunk = &side.chunked.chunks()[ci];
-            let base = ci * CHUNK_ROWS;
-            match key_filter(chunk.column(side.column), &side.keys) {
-                Some(selected) => {
-                    scratch.pruned += chunk.len() - selected.len();
-                    for offset in selected {
-                        self.row(&side.rows[base + offset as usize], &mut scratch, sink)?;
-                    }
-                }
-                None => {
-                    for row in &side.rows[base..base + chunk.len()] {
-                        self.row(row, &mut scratch, sink)?;
-                    }
-                }
-            }
-        }
-        self.finish(scratch);
-        Ok(())
+    /// The rows the table indexes.
+    pub(super) fn build_rows(&self) -> &Held {
+        &self.build_rows
     }
 }
 
@@ -161,9 +138,11 @@ impl RowOp for Probe {
             joined,
             ticker,
             pruned,
+            build,
         } = scratch;
+        let build_rows = build.as_ref().unwrap_or(&self.build_rows);
         let hit = match key_of(prow, &self.keys, key, false)? {
-            Some(key) => self.lookup(key),
+            Some(key) => self.table.get(key),
             None => None,
         };
         let mut matched = false;
@@ -172,7 +151,7 @@ impl RowOp for Probe {
                 for &bi in idxs {
                     // A popular key fans one probe row out to many.
                     ticker.tick(self.deadline)?;
-                    let brow = self.build_rows.row(bi);
+                    let brow = build_rows.row(bi);
                     if self.build_left {
                         join_into(joined, brow, prow);
                     } else {
@@ -198,14 +177,86 @@ impl RowOp for Probe {
     }
 }
 
-/// The probe side of a hash join over a bare base-table scan with a
-/// columnar image, joined INNER on the one bare column `column`: chunks are
-/// filtered by the build side's keys.
-struct ChunkSide {
+/// The rows of a key-filtered probe side a probe must look at: the offsets
+/// within its chunk of every row the key filter kept (every row of a chunk
+/// it could not decide: a mixed column, keys of another variant), chunk
+/// after chunk.
+pub(super) struct Candidates {
     rows: Arc<Vec<Row>>,
-    chunked: Arc<ChunkedTable>,
-    column: usize,
-    keys: KeySet,
+    offsets: Vec<u32>,
+    /// Where each chunk's offsets end.
+    chunks: Vec<usize>,
+}
+
+impl Candidates {
+    /// Run the key filter over every chunk of `chunked`, the columnar image
+    /// of `rows`, by the build side's `keys` in column `column`: the
+    /// candidates, and how many rows it ruled out.
+    fn filter(
+        rows: &Arc<Vec<Row>>,
+        chunked: &ChunkedTable,
+        column: usize,
+        keys: &KeySet,
+        deadline: Option<Instant>,
+    ) -> Result<(Candidates, usize)> {
+        let (mut offsets, mut pruned) = (Vec::new(), 0);
+        let mut chunks = Vec::with_capacity(chunked.chunk_count());
+        for chunk in chunked.chunks() {
+            check_deadline(deadline)?;
+            let kept = match key_filter(chunk.column(column), keys) {
+                Some(selected) => {
+                    offsets.extend_from_slice(&selected);
+                    selected.len()
+                }
+                None => {
+                    offsets.extend(0..chunk.len() as u32);
+                    chunk.len()
+                }
+            };
+            pruned += chunk.len() - kept;
+            chunks.push(offsets.len());
+        }
+        let rows = Arc::clone(rows);
+        let candidates = Candidates {
+            rows,
+            offsets,
+            chunks,
+        };
+        Ok((candidates, pruned))
+    }
+
+    /// Rows kept, over every chunk.
+    pub(super) fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    pub(super) fn chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Rows in the table the candidates were taken from.
+    pub(super) fn scan_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Hand on the candidates of chunks `range`, in table order.
+    pub(super) fn emit(
+        &self,
+        range: Range<usize>,
+        deadline: Option<Instant>,
+        sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
+    ) -> Result<()> {
+        let mut from = range.start.checked_sub(1).map_or(0, |c| self.chunks[c]);
+        for ci in range {
+            check_deadline(deadline)?;
+            let base = ci * CHUNK_ROWS;
+            for &offset in &self.offsets[from..self.chunks[ci]] {
+                sink(&self.rows[base + offset as usize])?;
+            }
+            from = self.chunks[ci];
+        }
+        Ok(())
+    }
 }
 
 /// How the probe side of a hash join will run, from what the operator can
@@ -224,10 +275,21 @@ pub(crate) fn keyset_mode((probe, keys): JoinInput, kind: JoinKind) -> Option<bo
     Some(chunks.is_some() && keys.len() == 1 && kind == JoinKind::Inner)
 }
 
-/// Run a [`PhysPlan::HashJoin`] with [`crate::plan::JoinAlgo::Hash`]:
-/// collect the build input into a hash table, then stream the probe input
-/// through it.
-pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+/// A hash join with its table built, ready to stream its probe side.
+pub(super) struct BuiltJoin<'a> {
+    pub(super) probe: Probe,
+    /// What ran to build the table: listed before the probe side in plan
+    /// order when it is the left input.
+    pub(super) build: NodeOut,
+    pub(super) build_left: bool,
+    pub(super) probe_plan: &'a PhysPlan,
+    /// The rows of the probe side's table the build side's keys kept, when
+    /// they filter its chunk image.
+    pub(super) candidates: Option<Candidates>,
+}
+
+/// Run a [`PhysPlan::HashJoin`]'s build side and hash it.
+pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Result<BuiltJoin<'a>> {
     let PhysPlan::HashJoin {
         kind,
         right_width,
@@ -236,22 +298,15 @@ pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
         ..
     } = join
     else {
-        unreachable!("hash_join runs hash joins");
+        unreachable!("build_hash_join builds hash joins");
     };
     let ((build, build_keys), probe_side @ (probe, probe_keys)) =
         join.join_sides().expect("a hash join has two sides");
-    // The build side runs first. Its stats are listed in plan order: before
-    // the probe's when it is the left input, after them when the right.
     let mut build_node = NodeOut::new();
     let build_rows = super::run_input(build, ctx, &mut build_node)?;
-    let tables = if ctx.should_parallelize(build_rows.len()) {
-        build_node.workers = ctx.parallelism();
-        parallel_build(&build_rows, build_keys, ctx)?
-    } else {
-        vec![serial_build(&build_rows, build_keys, ctx)?]
-    };
+    let table = hash_build(&build_rows, build_keys, ctx)?;
 
-    let chunk_side = match probe_side {
+    let (candidates, pruned) = match probe_side {
         (
             PhysPlan::Scan {
                 rows,
@@ -259,57 +314,67 @@ pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
                 width,
             },
             [PhysExpr::Column(column)],
-        ) if keyset_mode(probe_side, *kind) == Some(true) => {
-            let distinct_keys: usize = tables.iter().map(KeyTable::len).sum();
-            (distinct_keys.saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len()).then(|| {
-                ChunkSide {
-                    chunked: slot.get_or_build(rows, *width),
-                    rows: Arc::clone(rows),
-                    column: *column,
-                    keys: KeySet::of(tables.iter().flat_map(|t| t.keys())),
-                }
-            })
+        ) if keyset_mode(probe_side, *kind) == Some(true)
+            && table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len() =>
+        {
+            let chunked = slot.get_or_build(rows, *width);
+            let keys = KeySet::of(table.keys());
+            let (candidates, pruned) =
+                Candidates::filter(rows, &chunked, *column, &keys, ctx.deadline())?;
+            (Some(candidates), pruned)
         }
-        _ => None,
+        _ => (None, 0),
     };
-    let op = Arc::new(Probe {
+    let probe_op = Probe {
         keys: probe_keys.to_vec(),
-        tables,
+        table,
         build_rows,
         build_left: *build_left,
         kind: *kind,
         right_width: *right_width,
         residual: residual.clone(),
         deadline: ctx.deadline(),
-        pruned: AtomicUsize::new(0),
-    });
+        pruned: AtomicUsize::new(pruned),
+    };
+    Ok(BuiltJoin {
+        probe: probe_op,
+        build: build_node,
+        build_left: *build_left,
+        probe_plan: probe,
+        candidates,
+    })
+}
 
-    // Probe in probe-side order; parallel morsels are handed on in
-    // submission order, so the output matches the pushed probe's.
+/// Run a [`PhysPlan::HashJoin`] with [`crate::plan::JoinAlgo::Hash`]:
+/// collect the build input into a hash table, then push the probe input
+/// through it.
+pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let built = build_hash_join(join, ctx)?;
     let mut node = NodeOut::new();
-    match chunk_side {
-        Some(side) => {
-            let rows = side.rows.len();
-            node.rows_in += rows;
+    match &built.candidates {
+        Some(rows) => {
+            node.rows_in += rows.scan_rows();
             if ctx.stats_enabled() {
-                node.children.push(OpStats::leaf(op_label(probe), rows));
+                let label = op_label(built.probe_plan);
+                node.children.push(OpStats::leaf(label, rows.scan_rows()));
             }
-            let (units, parallel) = (side.chunked.chunk_count(), ctx.should_parallelize(rows));
-            let run = {
-                let op = Arc::clone(&op);
-                move |range, sink: &mut Sink| op.chunks(&side, range, sink)
-            };
-            super::morsels(ctx, units, parallel, &mut node, run, sink)?;
+            let mut scratch = ProbeScratch::default();
+            rows.emit(0..rows.chunks(), ctx.deadline(), &mut |row| {
+                built.probe.row(row, &mut scratch, sink)
+            })?;
+            built.probe.finish(scratch);
         }
-        None => super::stream(&op, probe, ctx, &mut node, sink)?,
+        None => super::stream(&built.probe, built.probe_plan, ctx, &mut node, sink)?,
     }
-    if *build_left {
-        build_node.absorb(node);
-        node = build_node;
+    // The build side ran first; its stats are listed in plan order.
+    if built.build_left {
+        let mut build = built.build;
+        build.absorb(node);
+        node = build;
     } else {
-        node.absorb(build_node);
+        node.absorb(built.build);
     }
-    let pruned = op.pruned.load(Ordering::Relaxed);
+    let pruned = built.probe.pruned();
     ctx.count_probe_rows_pruned(pruned);
     node.pruned = Some(pruned);
     Ok(node)
@@ -320,7 +385,7 @@ pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
 /// its NULL fill for free). The table owns one key per distinct key plus
 /// one index per row with a non-NULL key, and is pre-sized from the build
 /// side's row count.
-fn serial_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
+fn hash_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(build_rows.len());
     let mut charge = ChargeBuf::new(ctx.budget());
     let (mut scratch, mut ticker, mut inserted) = (Vec::new(), Ticker::default(), 0);
@@ -342,81 +407,6 @@ fn serial_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -
     charge.flush()?;
     ctx.count_join_build_rows(inserted);
     Ok(table)
-}
-
-/// Phases 1 and 2 of the parallel hash join: one table per partition.
-fn parallel_build(
-    build_rows: &Held,
-    build_keys: &[PhysExpr],
-    ctx: &ExecContext,
-) -> Result<Vec<KeyTable>> {
-    let partitions = ctx.parallelism();
-    let deadline = ctx.deadline();
-
-    // Phase 1: morsel-parallel key extraction over the build side. The
-    // extracted keyed rows are what the per-partition build tables own, so
-    // charging the statement budget here covers the parallel build too.
-    let build_keys: Arc<Vec<PhysExpr>> = Arc::new(build_keys.to_vec());
-    let extract_jobs: Vec<ChunkJob<Result<Vec<KeyedRow>>>> = ctx
-        .morsels(build_rows.len())
-        .into_iter()
-        .map(|range| {
-            let rows = build_rows.clone();
-            let keys = Arc::clone(&build_keys);
-            let budget = Arc::clone(ctx.budget());
-            let job: ChunkJob<Result<Vec<KeyedRow>>> = Box::new(move || {
-                let mut out = Vec::with_capacity(range.len());
-                let mut charge = ChargeBuf::new(&budget);
-                let (mut scratch, mut ticker) = (Vec::new(), Ticker::default());
-                for i in range {
-                    ticker.tick(deadline)?;
-                    if let Some(key) = key_of(rows.row(i), &keys, &mut scratch, false)? {
-                        charge.add(approx_row_bytes(key) + 16)?;
-                        out.push((hash_key(key), key.to_vec(), i));
-                    }
-                }
-                charge.flush()?;
-                Ok(out)
-            });
-            job
-        })
-        .collect();
-    let mut keyed: Vec<Vec<KeyedRow>> = Vec::new();
-    for chunk in ctx.run_jobs(extract_jobs) {
-        keyed.push(chunk?);
-    }
-    let keyed = Arc::new(keyed);
-    let keyed_total: usize = keyed.iter().map(Vec::len).sum();
-    ctx.count_join_build_rows(keyed_total);
-
-    // Phase 2: one build job per partition. Chunks are walked in order, so
-    // each partition's match lists hold build indices in ascending order.
-    let build_jobs: Vec<ChunkJob<Result<KeyTable>>> = (0..partitions)
-        .map(|p| {
-            let keyed = Arc::clone(&keyed);
-            let cap = keyed_total / partitions + 1;
-            let job: ChunkJob<Result<KeyTable>> = Box::new(move || {
-                let mut table = KeyTable::with_capacity(cap);
-                for chunk in keyed.iter() {
-                    check_deadline(deadline)?;
-                    for (h, key, i) in chunk {
-                        if *h as usize % partitions != p {
-                            continue;
-                        }
-                        match table.get_mut(key) {
-                            Some(idxs) => idxs.push(*i),
-                            None => {
-                                table.insert(key.clone(), vec![*i]);
-                            }
-                        }
-                    }
-                }
-                Ok(table)
-            });
-            job
-        })
-        .collect();
-    ctx.run_jobs(build_jobs).into_iter().collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -510,7 +500,7 @@ fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 
 /// The inner side of a nested-loop join and what each outer row is joined
 /// with it under.
-struct NestedLoop {
+pub(super) struct NestedLoop {
     right_rows: Held,
     kind: JoinKind,
     right_width: usize,
@@ -518,15 +508,45 @@ struct NestedLoop {
     deadline: Option<Instant>,
 }
 
+/// One nested-loop run's working state.
+#[derive(Default)]
+pub(super) struct LoopScratch {
+    joined: Vec<Value>,
+    ticker: Ticker,
+    /// This run's own copy of the inner rows, if it has one.
+    inner: Option<Held>,
+}
+
+impl LoopScratch {
+    /// A run that reads `inner` (an own copy of the inner rows).
+    pub(super) fn over(inner: Option<Held>) -> LoopScratch {
+        LoopScratch {
+            inner,
+            ..LoopScratch::default()
+        }
+    }
+}
+
+impl NestedLoop {
+    /// The inner rows every outer row is joined with.
+    pub(super) fn inner_rows(&self) -> &Held {
+        &self.right_rows
+    }
+}
+
 impl RowOp for NestedLoop {
-    type Scratch = (Vec<Value>, Ticker);
+    type Scratch = LoopScratch;
 
     /// Join one outer row with every inner row — the one operator whose
     /// output is quadratic in its input, so the fan-out ticks the deadline.
     fn row(&self, lrow: &[Value], scratch: &mut Self::Scratch, sink: &mut Sink) -> Result<()> {
-        let (joined, ticker) = scratch;
+        let LoopScratch {
+            joined,
+            ticker,
+            inner,
+        } = scratch;
         let mut matched = false;
-        for rrow in self.right_rows.iter() {
+        for rrow in inner.as_ref().unwrap_or(&self.right_rows).iter() {
             ticker.tick(self.deadline)?;
             join_into(joined, lrow, rrow);
             if keeps(&self.predicate, joined)? {
@@ -542,97 +562,170 @@ impl RowOp for NestedLoop {
     }
 }
 
+/// Run a [`PhysPlan::NestedLoopJoin`]'s inner side: the operator its outer
+/// rows stream through, and what ran (listed after the outer side).
+pub(super) fn inner_side(join: &PhysPlan, ctx: &ExecContext) -> Result<(NestedLoop, NodeOut)> {
+    let PhysPlan::NestedLoopJoin {
+        right,
+        kind,
+        right_width,
+        predicate,
+        ..
+    } = join
+    else {
+        unreachable!("inner_side runs nested-loop joins");
+    };
+    let mut inner = NodeOut::new();
+    let right_rows = super::run_input(right, ctx, &mut inner)?;
+    let op = NestedLoop {
+        right_rows,
+        kind: *kind,
+        right_width: *right_width,
+        predicate: predicate.clone(),
+        deadline: ctx.deadline(),
+    };
+    Ok((op, inner))
+}
+
 pub(crate) fn nested_loop_join(
-    left: &PhysPlan,
-    right: &PhysPlan,
-    kind: JoinKind,
-    right_width: usize,
-    predicate: &Option<PhysExpr>,
+    join: &PhysPlan,
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
+    let PhysPlan::NestedLoopJoin { left, .. } = join else {
+        unreachable!("nested_loop_join runs nested-loop joins");
+    };
     // The inner side runs first; its stats are listed after the outer's.
-    let mut inner = NodeOut::new();
-    let right_rows = super::run_input(right, ctx, &mut inner)?;
-    let op = Arc::new(NestedLoop {
-        right_rows,
-        kind,
-        right_width,
-        predicate: predicate.clone(),
-        deadline: ctx.deadline(),
-    });
+    let (op, inner) = inner_side(join, ctx)?;
     let mut node = NodeOut::new();
     super::stream(&op, left, ctx, &mut node, sink)?;
     node.absorb(inner);
     Ok(node)
 }
 
-/// Index-nested-loop join: stream the probe side, then look each probe
-/// row's key tuple up in the inner side's index — the inner table is never
-/// scanned.
+/// Index-nested-loop join: look each probe row's key tuple up in the inner
+/// side's index — the inner table is never scanned.
 ///
 /// Matched inner row indexes are sorted ascending per probe row (secondary
 /// index postings lists are unordered after in-place UPDATE maintenance), so
 /// with the probe on the left the output ordering matches the hash join
 /// exactly. `inner_is_left` flips the column order of the output rows to
 /// match the FROM-clause scope when the indexed table was the left item.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn index_join(
-    probe: &PhysPlan,
-    probe_keys: &[PhysExpr],
-    inner: &PhysPlan,
+pub(super) struct IndexProbe {
+    probe_keys: Vec<PhysExpr>,
+    inner_rows: Arc<Vec<Row>>,
+    index: IndexRef,
     inner_is_left: bool,
     kind: JoinKind,
     inner_width: usize,
-    residual: &Option<PhysExpr>,
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
-    let PhysPlan::IndexScan {
-        rows: inner_rows,
-        index,
-        ..
-    } = inner
-    else {
-        return Err(crate::error::EngineError::exec(
-            "IndexJoin inner side must be an IndexScan",
-        ));
-    };
-    let deadline = ctx.deadline();
-    let (mut idxs, mut key_buf, mut joined) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut ticker, mut fetched) = (Ticker::default(), 0usize);
-    let probe_stats = super::push(probe, ctx, &mut |prow| {
+    residual: Option<PhysExpr>,
+    deadline: Option<Instant>,
+    /// Inner rows looked up, over every run.
+    fetched: AtomicUsize,
+}
+
+/// One index probe run's working state.
+#[derive(Default)]
+pub(super) struct IndexScratch {
+    idxs: Vec<usize>,
+    key: Vec<Value>,
+    joined: Vec<Value>,
+    ticker: Ticker,
+    fetched: usize,
+}
+
+impl IndexProbe {
+    pub(super) fn of(join: &PhysPlan, ctx: &ExecContext) -> Result<IndexProbe> {
+        let PhysPlan::IndexJoin {
+            probe_keys,
+            inner,
+            inner_is_left,
+            kind,
+            inner_width,
+            residual,
+            ..
+        } = join
+        else {
+            unreachable!("an index probe runs an index join");
+        };
+        let PhysPlan::IndexScan { rows, index, .. } = &**inner else {
+            return Err(EngineError::exec(
+                "IndexJoin inner side must be an IndexScan",
+            ));
+        };
+        Ok(IndexProbe {
+            probe_keys: probe_keys.clone(),
+            inner_rows: Arc::clone(rows),
+            index: index.clone(),
+            inner_is_left: *inner_is_left,
+            kind: *kind,
+            inner_width: *inner_width,
+            residual: residual.clone(),
+            deadline: ctx.deadline(),
+            fetched: AtomicUsize::new(0),
+        })
+    }
+
+    /// Inner rows looked up so far.
+    pub(super) fn fetched(&self) -> usize {
+        self.fetched.load(Ordering::Relaxed)
+    }
+}
+
+impl RowOp for IndexProbe {
+    type Scratch = IndexScratch;
+
+    fn row(&self, prow: &[Value], scratch: &mut IndexScratch, sink: &mut Sink) -> Result<()> {
+        let IndexScratch {
+            idxs,
+            key,
+            joined,
+            ticker,
+            fetched,
+        } = scratch;
         let mut matched = false;
-        if let Some(key) = key_of(prow, probe_keys, &mut key_buf, false)? {
+        if let Some(key) = key_of(prow, &self.probe_keys, key, false)? {
             idxs.clear();
-            index.lookup_into(key, &mut idxs);
+            self.index.lookup_into(key, idxs);
             idxs.sort_unstable();
-            fetched += idxs.len();
-            for &ii in &idxs {
-                ticker.tick(deadline)?;
-                let irow = &inner_rows[ii];
-                if inner_is_left {
-                    join_into(&mut joined, irow, prow);
+            *fetched += idxs.len();
+            for &ii in idxs.iter() {
+                ticker.tick(self.deadline)?;
+                let irow = &self.inner_rows[ii];
+                if self.inner_is_left {
+                    join_into(joined, irow, prow);
                 } else {
-                    join_into(&mut joined, prow, irow);
+                    join_into(joined, prow, irow);
                 }
-                if keeps(residual, &joined)? {
+                if keeps(&self.residual, joined)? {
                     matched = true;
-                    sink(&joined)?;
+                    sink(joined)?;
                 }
             }
         }
-        if !matched && kind == JoinKind::Left {
+        if !matched && self.kind == JoinKind::Left {
             // The probe side is the outer side; null-fill the inner columns.
-            null_fill(&mut joined, prow, inner_width);
-            sink(&joined)?;
+            null_fill(joined, prow, self.inner_width);
+            sink(joined)?;
         }
         Ok(())
-    })?;
+    }
+
+    fn finish(&self, scratch: IndexScratch) {
+        self.fetched.fetch_add(scratch.fetched, Ordering::Relaxed);
+    }
+}
+
+pub(crate) fn index_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let PhysPlan::IndexJoin { probe, inner, .. } = join else {
+        unreachable!("index_join runs index joins");
+    };
+    let op = IndexProbe::of(join, ctx)?;
     let mut node = NodeOut::new();
-    node.child(probe_stats);
+    super::stream(&op, probe, ctx, &mut node, sink)?;
     if ctx.stats_enabled() {
-        node.children.push(OpStats::leaf(op_label(inner), fetched));
+        node.children
+            .push(OpStats::leaf(op_label(inner), op.fetched()));
     }
     Ok(node)
 }

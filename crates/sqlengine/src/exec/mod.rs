@@ -3,12 +3,12 @@
 //! The executor is organized as one module per operator family:
 //!
 //! * [`scan`] — scans, index lookups, and the Filter/Project stage function;
-//! * [`join`] — hash join (partitioned build + probe), sort-merge, nested loop,
-//!   index nested loop;
-//! * [`aggregate`] — hash aggregation with per-worker partial maps;
+//! * [`join`] — hash join (build + probe), sort-merge, nested loop, index
+//!   nested loop;
+//! * [`aggregate`] — hash aggregation into group tables merged in order;
 //! * [`sort`] — sort (parallel run-sort + pairwise merge), top-k
 //!   (`ORDER BY ... LIMIT`), and window ranking;
-//! * [`setops`] — `UNION ALL`, `DISTINCT` (hash-partitioned dedup), `LIMIT`.
+//! * [`setops`] — `UNION ALL`, `DISTINCT`, `LIMIT`.
 //!
 //! **Push pipelines.** Execution is push-based: [`push`] runs a node and
 //! hands each of its output rows to a [`Sink`], source first, sink last.
@@ -17,33 +17,49 @@
 //! each row on as it is produced — a scan lends the table's own row, an
 //! operator that builds a row builds it in one buffer it reuses — so a
 //! `Scan → HashJoin probe → Aggregate` chain never materializes the join.
-//! Only the operators that must hold rows collect them: the aggregate's group
-//! table, sort / top-k, window, distinct's dedup set, the hash-join build
-//! side, the nested-loop inner side, and the statement result ([`collect`]).
-//! A CTE that several references read adds one more: the first reference to
-//! run collects the rows into a slot of the run ([`PhysPlan::Shared`]), and
-//! the others read that instead of running the CTE again. A collected row is
-//! charged to the statement's memory budget where it is held, and an
-//! intermediate one counts in `exec.rows_materialized`.
+//! Only the operators that must hold rows collect them — the *breakers*: the
+//! aggregate's group table, sort / top-k, window, distinct's dedup set, the
+//! hash-join build side, the nested-loop inner side, a shared CTE's slot
+//! ([`PhysPlan::Shared`]: the first reference to run fills it, the others
+//! read it) and the statement result ([`collect`]). A held row is charged to
+//! the statement's memory budget, and an intermediate one counts in
+//! `exec.rows_materialized`.
 //!
-//! **One per-row function per operator.** A streaming operator states what
-//! it does with one input row once ([`RowOp::row`]). At parallelism 1 (the
-//! release default) its input pushes rows straight into that function. With
-//! `parallelism >= 2` an operator that has a morsel path collects its input,
-//! splits it into morsels, and runs the same function over each morsel on
-//! the worker pool with a collecting sink ([`morsels`]); the morsels' rows go
-//! downstream in morsel order, so row order and content match the push path
-//! — the only permitted difference is float rounding in parallel
-//! aggregation, where partial sums are combined in chunk order rather than
-//! row order. `EXPLAIN ANALYZE` and traced statements run the same paths
-//! with statistics switched on.
+//! **Two drivers: push, or pipeline morsels.** A streaming operator states
+//! what it does with one input row once ([`RowOp::row`]). Which driver calls
+//! it depends on the breaker, never on the parallelism. A breaker that holds
+//! its input's rows as they are — a shared slot, a build side, a sort input,
+//! the statement result — pushes its input through those functions
+//! ([`collect_flat`] says why). A breaker that folds its input into state of
+//! its own — the group table, the `DISTINCT` set — runs its input as a
+//! *pipeline* ([`pipeline`]): a splittable source — a base-table scan or its
+//! chunk image, held rows, or a `UNION ALL` of such arms — and the streaming
+//! operators above it: Filter/Project, the hash-join probe, the outer side of
+//! the nested-loop and index nested-loop joins. Whatever the pipeline reads
+//! (build sides, inner sides, shared slots) runs first. When the sources
+//! hold at least [`context::FAN_OUT_ROWS`] rows and `parallelism >= 2`, they
+//! are cut into fixed-size morsels; the calling thread and the pool's
+//! workers each claim the next morsel from one counter
+//! ([`ExecContext::fan_out`]) and run the whole chain on it into a partial
+//! of the breaker of their own ([`Partial`]), and the breaker combines the
+//! partials in morsel order. A pool worker reads its own copy of the text
+//! its steps share with every morsel — a build or inner side, a stage's
+//! literals — so no two threads write one reference count row after row
+//! ([`Pipeline::own`]). Otherwise each source runs whole, in order, on
+//! the calling thread. So row order, group order (first seen),
+//! `COUNT(DISTINCT)` results, every operator's `(label, rows_in, rows_out)`
+//! and `exec.rows_materialized` are the same at every parallelism; float
+//! `SUM`/`AVG` partial sums combine in morsel order, not row order. `EXPLAIN
+//! ANALYZE` and traced statements run the same paths with statistics
+//! switched on.
 //!
 //! **Errors.** The first error ends the statement. In a pipeline the rows of
 //! several operators interleave, so when rows raise in two different
-//! operators the one reported is the first raising row in pipeline order.
-//! At `parallelism >= 2` an operator with a morsel path runs its whole input
-//! before it sees a row, so there it is the lower operator's error — the one
-//! way a serial and a parallel run of a statement can fail differently.
+//! operators the one reported is the first raising row's in pipeline order.
+//! A morsel runs its rows through the whole chain in order and the error
+//! reported is the earliest failing morsel's, which is that row's at every
+//! parallelism; what a pipeline runs first (a build side, a shared slot) and
+//! fails reports after the rows a serial run would have handed on before it.
 
 mod aggregate;
 mod context;
@@ -60,16 +76,18 @@ pub(crate) use scan::index_positions;
 pub(crate) use vector::{count_modes, mode_of_label, mode_suffix, node_mode};
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::column::CHUNK_ROWS;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::explain::{op_label, reused_label};
-use crate::plan::PhysPlan;
+use crate::plan::{JoinAlgo, PhysPlan};
+use crate::sync::Mutex;
 use crate::value::{Row, Value};
 
-use context::{ChargeBuf, ChunkJob, Ticker};
+use context::{ChargeBuf, Ticker, MORSEL_ROWS};
 
 /// Where an operator hands its output rows, one call per row, in output
 /// order. The slice is lent for the call only: a consumer that keeps the row
@@ -81,8 +99,10 @@ pub(crate) type Sink<'a> = dyn FnMut(&[Value]) -> Result<()> + 'a;
 /// kept when the context collects stats), and how it ran.
 pub(crate) struct NodeOut {
     pub rows_in: usize,
-    /// Workers this operator actually fanned out to (1 = serial path).
+    /// Workers a pipeline feeding this operator fanned out to (1 = serial),
+    /// and the morsels it was cut into.
     pub workers: usize,
+    pub morsels: usize,
     pub children: Vec<OpStats>,
     /// Hash joins: probe rows that found no build key, shown by `EXPLAIN
     /// ANALYZE` as ` pruned=N` after the label.
@@ -97,6 +117,7 @@ impl NodeOut {
         NodeOut {
             rows_in: 0,
             workers: 1,
+            morsels: 1,
             children: Vec::new(),
             pruned: None,
             reused: false,
@@ -117,7 +138,22 @@ impl NodeOut {
     pub(crate) fn absorb(&mut self, other: NodeOut) {
         self.rows_in += other.rows_in;
         self.workers = self.workers.max(other.workers);
+        self.morsels = self.morsels.max(other.morsels);
         self.children.extend(other.children);
+    }
+
+    /// The operator's stats record.
+    fn stats(self, label: String, rows_out: usize, elapsed: Duration, mem_bytes: u64) -> OpStats {
+        OpStats {
+            label,
+            rows_in: self.rows_in,
+            rows_out,
+            elapsed,
+            workers: self.workers,
+            morsels: self.morsels,
+            mem_bytes,
+            children: self.children,
+        }
     }
 }
 
@@ -141,24 +177,18 @@ pub(crate) fn push(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Resul
         rows_out += 1;
         sink(row)
     })?;
-    Ok(Some(OpStats {
-        label: match (out.reused, out.pruned) {
-            (true, _) => reused_label(plan),
-            (false, Some(pruned)) => format!("{} pruned={pruned}", op_label(plan)),
-            (false, None) => op_label(plan),
-        },
-        rows_in: out.rows_in,
+    let label = match (out.reused, out.pruned) {
+        (true, _) => reused_label(plan),
+        (false, Some(pruned)) => format!("{} pruned={pruned}", op_label(plan)),
+        (false, None) => op_label(plan),
+    };
+    let mem_bytes = ctx.budget().used_bytes().saturating_sub(mem_before);
+    Ok(Some(out.stats(
+        label,
         rows_out,
-        elapsed: started.elapsed(),
-        workers: out.workers,
-        morsels: if out.workers > 1 {
-            ctx.morsels(out.rows_in).len()
-        } else {
-            1
-        },
-        mem_bytes: ctx.budget().used_bytes().saturating_sub(mem_before),
-        children: out.children,
-    }))
+        started.elapsed(),
+        mem_bytes,
+    )))
 }
 
 fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
@@ -171,29 +201,11 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             rows, index, keys, ..
         } => match keys {
             Some(keys) => scan::index_scan(rows, index, keys, ctx, sink),
-            None => Err(crate::error::EngineError::exec(
+            None => Err(EngineError::exec(
                 "probe-driven IndexScan can only run inside an IndexJoin",
             )),
         },
-        PhysPlan::IndexJoin {
-            probe,
-            probe_keys,
-            inner,
-            inner_is_left,
-            kind,
-            inner_width,
-            residual,
-        } => join::index_join(
-            probe,
-            probe_keys,
-            inner,
-            *inner_is_left,
-            *kind,
-            *inner_width,
-            residual,
-            ctx,
-            sink,
-        ),
+        PhysPlan::IndexJoin { .. } => join::index_join(plan, ctx, sink),
         PhysPlan::OneRow => {
             sink(&[])?;
             Ok(NodeOut::new())
@@ -205,13 +217,7 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
                 }
             }
             let mut node = NodeOut::new();
-            stream(
-                &Arc::new(scan::StageSpec::of(plan)),
-                input,
-                ctx,
-                &mut node,
-                sink,
-            )?;
+            stream(&scan::StageSpec::of(plan), input, ctx, &mut node, sink)?;
             Ok(node)
         }
         PhysPlan::HashJoin {
@@ -225,8 +231,8 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             algo,
             ..
         } => match algo {
-            crate::plan::JoinAlgo::Hash => join::hash_join(plan, ctx, sink),
-            crate::plan::JoinAlgo::SortMerge => join::sort_merge_join(
+            JoinAlgo::Hash => join::hash_join(plan, ctx, sink),
+            JoinAlgo::SortMerge => join::sort_merge_join(
                 left,
                 right,
                 left_keys,
@@ -238,13 +244,7 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
                 sink,
             ),
         },
-        PhysPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            right_width,
-            predicate,
-        } => join::nested_loop_join(left, right, *kind, *right_width, predicate, ctx, sink),
+        PhysPlan::NestedLoopJoin { .. } => join::nested_loop_join(plan, ctx, sink),
         PhysPlan::Aggregate { input, keys, aggs } => {
             aggregate::aggregate(input, keys, aggs, ctx, sink)
         }
@@ -266,11 +266,9 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
     }
 }
 
-/// One reference to shared subplan `id`: the first to run is a collecting
-/// sink that runs `input` to completion, hands each row on as it goes and
-/// then holds them all for the rest of the run — charged to the statement's
-/// budget and counted in `exec.rows_materialized` once; a later reference
-/// hands on the held rows.
+/// One reference to shared subplan `id`. The first to run fills the run's
+/// slot ([`fill_slot`]) and hands the held rows on; a later reference hands
+/// on the rows the slot holds.
 fn shared(id: usize, input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
     let mut node = NodeOut::new();
     if let Some(rows) = ctx.shared_rows(id) {
@@ -279,16 +277,30 @@ fn shared(id: usize, input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Re
         emit(rows.iter(), ctx, sink)?;
         return Ok(node);
     }
-    let (mut held, mut charge) = (FlatRows::new(input.width()), ChargeBuf::new(ctx.budget()));
-    node.child(push(input, ctx, &mut |row| {
-        charge.add_row(row)?;
-        held.push(row);
-        sink(row)
-    })?);
-    charge.flush()?;
-    ctx.count_rows_materialized(held.len());
-    ctx.hold_shared(id, Arc::new(held));
-    Ok(node)
+    let (rows, error) = fill_slot(id, input, ctx, &mut node);
+    emit(rows.iter(), ctx, sink)?;
+    error.map_or(Ok(node), Err)
+}
+
+/// Run `input` into shared subplan `id`'s slot — the breaker of its
+/// pipeline — and hold the rows for the rest of the run: charged to the
+/// statement's budget and counted in `exec.rows_materialized` once, however
+/// many references read them. A run that fails holds nothing and returns
+/// the rows produced before the error with it: a serial run hands those on
+/// before it raises.
+fn fill_slot(
+    id: usize,
+    input: &PhysPlan,
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+) -> (Arc<FlatRows>, Option<EngineError>) {
+    let run = collect_flat(input, ctx, node);
+    let held = Arc::new(run.part);
+    if run.error.is_none() {
+        ctx.count_rows_materialized(held.len());
+        ctx.hold_shared(id, Arc::clone(&held));
+    }
+    (held, run.error)
 }
 
 /// Hand already-held rows to `sink` in order, looking at the deadline every
@@ -299,7 +311,15 @@ pub(crate) fn emit(
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<()> {
-    let (mut ticker, deadline) = (Ticker::default(), ctx.deadline());
+    emit_until(rows, ctx.deadline(), sink)
+}
+
+fn emit_until(
+    rows: impl Iterator<Item = impl AsRef<[Value]>>,
+    deadline: Option<Instant>,
+    sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
+) -> Result<()> {
+    let mut ticker = Ticker::default();
     for row in rows {
         ticker.tick(deadline)?;
         sink(row.as_ref())?;
@@ -309,9 +329,9 @@ pub(crate) fn emit(
 
 /// Rows held flat: `width` values per row, in blocks of
 /// [`CHUNK_ROWS`](crate::column::CHUNK_ROWS) rows — one allocation per
-/// block, not per row. How a shared subplan's slot holds what can be the
-/// largest intermediate result of its statement (`partial_fit`'s
-/// `xy_njk`).
+/// block, not per row. How collected rows are held: a shared subplan's slot,
+/// which can be the largest intermediate result of its statement
+/// (`partial_fit`'s `xy_njk`), a build side, a sort input.
 pub(crate) struct FlatRows {
     width: usize,
     len: usize,
@@ -359,8 +379,8 @@ impl FlatRows {
     }
 }
 
-/// Rows an operator holds all of, shared by a cheap clone: a table snapshot
-/// or rows a child was collected into, or a shared subplan's slot.
+/// Rows an operator holds all of, shared by a cheap clone: a table snapshot,
+/// or rows a child was collected into (a shared subplan's slot among them).
 #[derive(Clone)]
 pub(crate) enum Held {
     Rows(Arc<Vec<Row>>),
@@ -390,45 +410,77 @@ impl Held {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[Value]> {
         self.rows(0..self.len())
     }
-}
 
-/// The collecting sink: holds every row it is handed, each charged to the
-/// statement's memory budget.
-pub(crate) struct Collector<'a> {
-    rows: Vec<Row>,
-    charge: ChargeBuf<'a>,
-}
-
-impl<'a> Collector<'a> {
-    pub(crate) fn new(budget: &'a MemoryBudget) -> Collector<'a> {
-        Collector {
-            rows: Vec::new(),
-            charge: ChargeBuf::new(budget),
+    /// A copy whose text values are its own allocations, charged to
+    /// `budget`; `None` when no value is text, as then a clone writes
+    /// nothing a copy would keep apart.
+    fn own_copy(
+        &self,
+        budget: &Arc<MemoryBudget>,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Held>> {
+        if !self.iter().flatten().any(|v| matches!(v, Value::Str(_))) {
+            return Ok(None);
         }
+        let mut copy = FlatRows::new(self.row(0).len());
+        let (mut charge, mut ticker, mut row) =
+            (ChargeBuf::new(budget), Ticker::default(), Vec::new());
+        for shared in self.iter() {
+            ticker.tick(deadline)?;
+            row.clear();
+            row.extend(shared.iter().map(Value::unshared));
+            charge.add_row(&row)?;
+            copy.push(&row);
+        }
+        charge.flush()?;
+        Ok(Some(Held::Flat(Arc::new(copy))))
     }
+}
 
-    pub(crate) fn push(&mut self, row: &[Value]) -> Result<()> {
-        self.charge.add_row(row)?;
-        self.rows.push(row.to_vec());
+/// Push `plan` into held rows, each charged to the statement's memory
+/// budget, recording its stats as a child of `node`: how every breaker that
+/// holds its input's rows as they are — a shared slot, a build side, a sort
+/// input — runs its input ([`collect`] does the same for the statement
+/// result).
+///
+/// Such an input never fans out, though a breaker below it may (the
+/// aggregate a slot holds the rows of). Its partials would be the rows
+/// themselves, and a worker's rows sit in that thread's malloc arena, whose
+/// high-water mark stays resident beside the calling thread's: filling
+/// `partial_fit`'s 137,645-row `xy_njk` over morsels raised `bulk_cycle`'s
+/// peak RSS by 8–10 MiB (DESIGN.md, "Executor architecture").
+fn collect_flat(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Run<FlatRows> {
+    let (mut rows, mut charge) = (FlatRows::new(plan.width()), ChargeBuf::new(ctx.budget()));
+    let pushed = push(plan, ctx, &mut |row| {
+        charge.add_row(row)?;
+        rows.push(row);
         Ok(())
-    }
-
-    pub(crate) fn finish(mut self) -> Result<Vec<Row>> {
-        self.charge.flush()?;
-        Ok(self.rows)
-    }
+    });
+    let error = pushed
+        .and_then(|stats| {
+            node.child(stats);
+            charge.flush()
+        })
+        .err();
+    Run { part: rows, error }
 }
 
-/// Run a plan to completion and hold its rows: the statement result (and
-/// what the planner executes itself).
+/// Run a plan to completion and hold its rows, each charged to the
+/// statement's memory budget: the statement result (and what the planner
+/// executes itself). The rows outlive the run, so each is its own `Row`.
 pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, Option<OpStats>)> {
-    let mut out = Collector::new(ctx.budget());
-    let stats = push(plan, ctx, &mut |row| out.push(row))?;
-    Ok((out.finish()?, stats))
+    let (mut rows, mut charge) = (Vec::new(), ChargeBuf::new(ctx.budget()));
+    let stats = push(plan, ctx, &mut |row| {
+        charge.add_row(row)?;
+        rows.push(row.to_vec());
+        Ok(())
+    })?;
+    charge.flush()?;
+    Ok((rows, stats))
 }
 
-/// Run an input an operator must hold all of (a build side, a sort input,
-/// a morsel source), recording it as a child of `node`.
+/// Run an input an operator must hold all of (a build side, a sort input),
+/// recording it as a child of `node`.
 ///
 /// Rows already held are handed over as a cheap `Arc` clone: a base-table
 /// scan's catalog snapshot, a shared subplan's slot (run into it first if no
@@ -453,7 +505,7 @@ pub(crate) fn run_input(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) 
                 held(Held::Flat(rows), reused_label(plan))
             }
             None => {
-                // Its one collecting sink is the slot: nothing else keeps
+                // Its one collecting breaker is the slot: nothing else keeps
                 // the rows it hands on.
                 node.child(push(plan, ctx, &mut |_| Ok(()))?);
                 let rows = ctx.shared_rows(*id);
@@ -463,22 +515,21 @@ pub(crate) fn run_input(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) 
             }
         },
         _ => {
-            let (rows, stats) = collect(plan, ctx)?;
+            let rows = collect_flat(plan, ctx, node).ok()?;
             ctx.count_rows_materialized(rows.len());
-            node.child(stats);
-            Ok(Held::Rows(Arc::new(rows)))
+            Ok(Held::Flat(Arc::new(rows)))
         }
     }
 }
 
 /// A streaming operator's one per-row function: what it does with each
-/// input row, handing its output rows to `sink`. The push path calls it as
-/// the input produces rows; the morsel path calls it over each morsel of the
-/// collected input, on the worker pool, with a collecting sink.
+/// input row, handing its output rows to `sink`. The push driver calls it as
+/// the input produces rows ([`stream`]); a pipeline calls it on each row of
+/// a morsel, on whichever thread claimed the morsel.
 pub(crate) trait RowOp: Send + Sync + 'static {
     /// Working state of one run over a stream or a morsel: reused buffers
     /// and counters.
-    type Scratch: Default;
+    type Scratch: Default + 'static;
 
     fn row(&self, row: &[Value], scratch: &mut Self::Scratch, sink: &mut Sink) -> Result<()>;
 
@@ -486,77 +537,19 @@ pub(crate) trait RowOp: Send + Sync + 'static {
     fn finish(&self, _scratch: Self::Scratch) {}
 }
 
-/// Run `op` over every row of `input`, in input order, recording `input` as
-/// a child of `node`: pushed straight from the input at parallelism 1, over
-/// morsels of the collected input otherwise.
+/// Push every row of `input` through `op`, in input order, recording
+/// `input` as a child of `node`.
 pub(crate) fn stream<O: RowOp>(
-    op: &Arc<O>,
+    op: &O,
     input: &PhysPlan,
     ctx: &ExecContext,
     node: &mut NodeOut,
     sink: &mut Sink,
 ) -> Result<()> {
-    if !ctx.parallel() {
-        let mut scratch = O::Scratch::default();
-        let stats = push(input, ctx, &mut |row| op.row(row, &mut scratch, sink))?;
-        op.finish(scratch);
-        node.child(stats);
-        return Ok(());
-    }
-    let rows = run_input(input, ctx, node)?;
-    let (op, deadline) = (Arc::clone(op), ctx.deadline());
-    let parallel = ctx.should_parallelize(rows.len());
-    let len = rows.len();
-    let run = move |range: Range<usize>, sink: &mut Sink| {
-        let (mut scratch, mut ticker) = (O::Scratch::default(), Ticker::default());
-        for row in rows.rows(range) {
-            ticker.tick(deadline)?;
-            op.row(row, &mut scratch, sink)?;
-        }
-        op.finish(scratch);
-        Ok(())
-    };
-    morsels(ctx, len, parallel, node, run, sink)
-}
-
-/// Run `run` over `0..units`. Unless `parallel`, that is one call straight
-/// into `sink`; otherwise the units are split into morsels run on the worker
-/// pool, each into a collecting sink, and the morsels' rows are handed to
-/// `sink` in morsel order.
-pub(crate) fn morsels<F>(
-    ctx: &ExecContext,
-    units: usize,
-    parallel: bool,
-    node: &mut NodeOut,
-    run: F,
-    sink: &mut Sink,
-) -> Result<()>
-where
-    F: Fn(Range<usize>, &mut Sink) -> Result<()> + Send + Sync + 'static,
-{
-    if !parallel {
-        return run(0..units, sink);
-    }
-    node.workers = ctx.parallelism();
-    let run = Arc::new(run);
-    let jobs: Vec<ChunkJob<Result<Vec<Row>>>> = ctx
-        .morsels(units)
-        .into_iter()
-        .map(|range| {
-            let (run, budget) = (Arc::clone(&run), Arc::clone(ctx.budget()));
-            let job: ChunkJob<Result<Vec<Row>>> = Box::new(move || {
-                let mut out = Collector::new(&budget);
-                run(range, &mut |row| out.push(row))?;
-                out.finish()
-            });
-            job
-        })
-        .collect();
-    for part in ctx.run_jobs(jobs) {
-        let part = part?;
-        ctx.count_rows_materialized(part.len());
-        emit(part.iter(), ctx, sink)?;
-    }
+    let mut scratch = O::Scratch::default();
+    let stats = push(input, ctx, &mut |row| op.row(row, &mut scratch, sink))?;
+    op.finish(scratch);
+    node.child(stats);
     Ok(())
 }
 
@@ -584,6 +577,729 @@ pub(crate) fn key_of<'a>(
         scratch.push(v);
     }
     Ok(Some(scratch))
+}
+
+/// A breaker's partial: what a pipeline's rows end in. A pipeline that fans
+/// out gives every morsel one of its own and combines them in morsel order.
+pub(crate) trait Partial: Send + 'static {
+    fn row(&mut self, row: &[Value]) -> Result<()>;
+
+    /// The rows have ended: flush what the partial buffered.
+    fn finish(&mut self) -> Result<()>;
+
+    /// Fold in the partial of the morsel after the last one folded in.
+    fn combine(&mut self, later: Self) -> Result<()>;
+}
+
+/// What one run of a pipeline hands its breaker: its partial, and the error
+/// that ended the run, if one did — then the partial holds the rows that
+/// reached the breaker before the error.
+pub(crate) struct Run<P> {
+    pub(crate) part: P,
+    pub(crate) error: Option<EngineError>,
+}
+
+impl<P> Run<P> {
+    pub(crate) fn ok(self) -> Result<P> {
+        self.error.map_or(Ok(self.part), Err)
+    }
+}
+
+/// Run a breaker's `input` into a partial made by `part` (called with the
+/// morsel's index), recording `input`'s stats as a child of `node`.
+///
+/// A pipeline runs as one at every parallelism ([`Pipeline::run`]): what it
+/// reads runs first, then its sources stream through its operators, over
+/// morsels when they hold at least [`context::FAN_OUT_ROWS`] rows. Any other
+/// input — rows out of another breaker, an index lookup, a one-row
+/// `SELECT` — is pushed into one partial.
+pub(crate) fn pipeline<P: Partial>(
+    input: &PhysPlan,
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+    part: impl Fn(usize) -> P + Send + Sync + 'static,
+) -> Run<P> {
+    if is_pipeline(input) {
+        return Pipeline::run(input, ctx, node, part);
+    }
+    let mut only = part(0);
+    let pushed = push(input, ctx, &mut |row| only.row(row)).and_then(|stats| {
+        node.child(stats);
+        only.finish()
+    });
+    Run {
+        part: only,
+        error: pushed.err(),
+    }
+}
+
+/// Whether `plan` is a pipeline: streaming operators over splittable
+/// sources (base-table scans, shared slots, `UNION ALL`s of such arms).
+fn is_pipeline(plan: &PhysPlan) -> bool {
+    match plan {
+        PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } | PhysPlan::Shared { .. } => true,
+        PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => is_pipeline(input),
+        PhysPlan::HashJoin {
+            algo: JoinAlgo::Hash,
+            ..
+        } => plan
+            .join_sides()
+            .is_some_and(|(_, (probe, _))| is_pipeline(probe)),
+        PhysPlan::NestedLoopJoin { left: outer, .. } | PhysPlan::IndexJoin { probe: outer, .. } => {
+            is_pipeline(outer)
+        }
+        PhysPlan::UnionAll { inputs } => inputs.iter().all(is_pipeline),
+        _ => false,
+    }
+}
+
+/// A streaming operator as a pipeline holds it.
+enum Step {
+    Stage(scan::StageSpec),
+    Probe(join::Probe),
+    NestedLoop(join::NestedLoop),
+    IndexJoin(join::IndexProbe),
+}
+
+/// A step's working state over one morsel.
+enum Scratch {
+    /// The projection's output row, and the worker's own copy of the stage.
+    Stage(Vec<Value>, Option<Arc<scan::StageSpec>>),
+    Probe(join::ProbeScratch),
+    NestedLoop(join::LoopScratch),
+    IndexJoin(join::IndexScratch),
+}
+
+/// A pool worker's own copy of what a step shares with every morsel (see
+/// [`Pipeline::own`]).
+#[derive(Clone)]
+enum Own {
+    /// A Filter/Project whose text literals are the worker's.
+    Stage(Arc<scan::StageSpec>),
+    /// A hash join's build side or a nested loop's inner side, its text
+    /// values the worker's.
+    Side(Held),
+}
+
+impl Step {
+    /// Working state for one morsel, reading `own` in place of what the
+    /// step shares, if given.
+    fn scratch(&self, own: Option<Own>) -> Scratch {
+        let (stage, side) = match own {
+            Some(Own::Stage(stage)) => (Some(stage), None),
+            Some(Own::Side(rows)) => (None, Some(rows)),
+            None => (None, None),
+        };
+        match self {
+            Step::Stage(_) => Scratch::Stage(Vec::new(), stage),
+            Step::Probe(_) => Scratch::Probe(join::ProbeScratch::over(side)),
+            Step::NestedLoop(_) => Scratch::NestedLoop(join::LoopScratch::over(side)),
+            Step::IndexJoin(_) => Scratch::IndexJoin(Default::default()),
+        }
+    }
+
+    /// A copy of what the step shares with every morsel whose reference
+    /// counts are its own, charged to `budget`; `None` when it shares no
+    /// text. An index join's inner side is a whole table and is not copied.
+    fn own_copy(
+        &self,
+        budget: &Arc<MemoryBudget>,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Own>> {
+        Ok(match self {
+            Step::Stage(stage) => stage.unshared().map(|stage| Own::Stage(Arc::new(stage))),
+            Step::Probe(op) => op.build_rows().own_copy(budget, deadline)?.map(Own::Side),
+            Step::NestedLoop(op) => op.inner_rows().own_copy(budget, deadline)?.map(Own::Side),
+            Step::IndexJoin(_) => None,
+        })
+    }
+
+    fn row(&self, row: &[Value], scratch: &mut Scratch, sink: &mut Sink) -> Result<()> {
+        match (self, scratch) {
+            (Step::Stage(stage), Scratch::Stage(out, own)) => {
+                own.as_deref().unwrap_or(stage).row(row, out, sink)
+            }
+            (Step::Probe(op), Scratch::Probe(own)) => op.row(row, own, sink),
+            (Step::NestedLoop(op), Scratch::NestedLoop(own)) => op.row(row, own, sink),
+            (Step::IndexJoin(op), Scratch::IndexJoin(own)) => op.row(row, own, sink),
+            _ => unreachable!("a step runs on its own scratch"),
+        }
+    }
+
+    fn finish(&self, scratch: Scratch) {
+        match (self, scratch) {
+            (Step::Probe(op), Scratch::Probe(own)) => op.finish(own),
+            (Step::IndexJoin(op), Scratch::IndexJoin(own)) => op.finish(own),
+            _ => {}
+        }
+    }
+}
+
+/// A pipeline ready to run: its operators as nodes (the breaker's input
+/// first, each node's inputs in plan order) and its sources in plan order.
+struct Pipeline {
+    nodes: Vec<PipeNode>,
+    leaves: Vec<Leaf>,
+    deadline: Option<Instant>,
+    budget: Arc<MemoryBudget>,
+    /// Each pool worker's own copies of what the steps share, by node, made
+    /// by its first morsel (see [`Pipeline::own`]).
+    own: Vec<Mutex<Option<Vec<Option<Own>>>>>,
+}
+
+/// One operator of a pipeline.
+struct PipeNode {
+    /// Its per-row function; `None` at a source and a `UNION ALL`.
+    step: Option<Step>,
+    parent: Option<usize>,
+    /// The nodes whose rows it streams, in plan order.
+    inputs: Vec<usize>,
+    rows_out: AtomicUsize,
+    label: String,
+    role: Role,
+}
+
+/// What a node's stats record holds besides its streamed inputs.
+enum Role {
+    /// A source: leaf `0`.
+    Source(usize),
+    /// Filter/Project.
+    Stream,
+    /// `UNION ALL`: its arms' rows pass it unchanged, so it is on no path.
+    Union,
+    /// A join whose other side ran at preparation: a hash join's build side
+    /// (`first` when it is the left input) or a nested loop's inner side.
+    Join { side: NodeOut, first: bool },
+    /// An index nested-loop join, with the label of its index scan.
+    IndexJoin(String),
+}
+
+/// A source of a pipeline, the nodes whose steps its rows pass through on
+/// their way to the breaker (itself first), and what it holds.
+struct Leaf {
+    path: Vec<usize>,
+    source: Source,
+}
+
+enum Source {
+    /// Rows held in full — a table's snapshot, or a shared slot and what
+    /// filling it ran (`None`: it was filled before) — cut into morsels of
+    /// rows.
+    Rows(Held, Option<NodeOut>),
+    /// A Filter/Project chain running vectorized over a table's chunk image,
+    /// cut into morsels of chunks.
+    Chunks(vector::ChunkChain),
+    /// The rows of a table a hash join probes that the key filter kept, cut
+    /// into morsels of chunks.
+    Candidates(join::Candidates),
+}
+
+impl Source {
+    /// How many units it holds (rows or chunks), and how many make a morsel.
+    fn units(&self) -> (usize, usize) {
+        match self {
+            Source::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
+            Source::Chunks(chain) => (chain.chunks(), MORSEL_ROWS / CHUNK_ROWS),
+            Source::Candidates(rows) => (rows.chunks(), MORSEL_ROWS / CHUNK_ROWS),
+        }
+    }
+
+    /// The rows it streams, as the fan-out gate counts them.
+    fn rows(&self) -> usize {
+        match self {
+            Source::Rows(rows, _) => rows.len(),
+            Source::Chunks(chain) => chain.rows(),
+            Source::Candidates(rows) => rows.len(),
+        }
+    }
+
+    fn emit(
+        &self,
+        units: Range<usize>,
+        deadline: Option<Instant>,
+        sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
+    ) -> Result<()> {
+        match self {
+            Source::Rows(rows, _) => emit_until(rows.rows(units), deadline, sink),
+            Source::Chunks(chain) => chain.emit(units, deadline, sink),
+            Source::Candidates(rows) => rows.emit(units, deadline, sink),
+        }
+    }
+
+    /// The rows it handed on, all morsels together (once every one ran).
+    fn emitted(&self) -> usize {
+        match self {
+            Source::Rows(rows, _) => rows.len(),
+            Source::Chunks(chain) => chain.emitted(),
+            Source::Candidates(rows) => rows.len(),
+        }
+    }
+}
+
+/// One morsel: a range of one leaf's units.
+type Morsel = (usize, Range<usize>);
+
+impl Pipeline {
+    /// Prepare `input`'s pipeline and run it into partials made by `part`.
+    fn run<P: Partial>(
+        input: &PhysPlan,
+        ctx: &ExecContext,
+        node: &mut NodeOut,
+        part: impl Fn(usize) -> P + Send + Sync + 'static,
+    ) -> Run<P> {
+        let mut pipe = Pipeline {
+            nodes: Vec::new(),
+            leaves: Vec::new(),
+            deadline: ctx.deadline(),
+            budget: Arc::clone(ctx.budget()),
+            own: (1..ctx.parallelism()).map(|_| Mutex::default()).collect(),
+        };
+        let prepared = pipe.prepare(input, None, ctx);
+        for leaf in &mut pipe.leaves {
+            let mut above = pipe.nodes[leaf.path[0]].parent;
+            while let Some(node) = above {
+                if pipe.nodes[node].step.is_some() {
+                    leaf.path.push(node);
+                }
+                above = pipe.nodes[node].parent;
+            }
+        }
+        // Serially, each source runs whole.
+        let rows = pipe.leaves.iter().map(|leaf| leaf.source.rows()).sum();
+        let fans_out = ctx.fans_out(rows);
+        let mut morsels: Vec<Morsel> = Vec::new();
+        for (l, leaf) in pipe.leaves.iter().enumerate() {
+            let (units, per) = leaf.source.units();
+            let per = if fans_out { per } else { units.max(1) };
+            morsels.extend(
+                (0..units)
+                    .step_by(per)
+                    .map(|at| (l, at..units.min(at + per))),
+            );
+        }
+        let (pipe, morsels) = (Arc::new(pipe), Arc::new(morsels));
+        let started = Instant::now();
+        let (part, error) = if fans_out {
+            let (ran, runs) = (Arc::clone(&pipe), Arc::clone(&morsels));
+            let folded = Arc::new(InOrder::new(morsels.len()));
+            let folding = Arc::clone(&folded);
+            ctx.fan_out(
+                morsels.len(),
+                |failed| *failed,
+                move |m, who| {
+                    let mut part = part(m);
+                    let ran = ran
+                        .run_morsel(&runs[m], who, &mut part)
+                        .and_then(|()| part.finish());
+                    folding.offer(m, part, ran)
+                },
+            );
+            folded.finish()
+        } else {
+            let mut only = part(0);
+            let ran = morsels
+                .iter()
+                .try_for_each(|m| pipe.run_morsel(m, 0, &mut only));
+            let error = ran.and_then(|()| only.finish()).err();
+            (only, error)
+        };
+        let error = error.or(prepared.err());
+        if error.is_none() {
+            for node in &pipe.nodes {
+                if let Some(Step::Probe(probe)) = &node.step {
+                    ctx.count_probe_rows_pruned(probe.pruned());
+                }
+            }
+            let (workers, morsels) = match fans_out {
+                true => (ctx.parallelism(), morsels.len()),
+                false => (1, 1),
+            };
+            if ctx.stats_enabled() {
+                let ran = Ran {
+                    elapsed: started.elapsed(),
+                    rows,
+                    workers,
+                    morsels,
+                };
+                node.child(Some(pipe.stats(0, &ran)));
+            }
+            node.workers = node.workers.max(workers);
+            node.morsels = node.morsels.max(morsels);
+        }
+        Run { part, error }
+    }
+
+    /// Add a node under `parent`.
+    fn add(
+        &mut self,
+        parent: Option<usize>,
+        step: Option<Step>,
+        label: String,
+        role: Role,
+    ) -> usize {
+        let id = self.nodes.len();
+        if let Some(parent) = parent {
+            self.nodes[parent].inputs.push(id);
+        }
+        self.nodes.push(PipeNode {
+            step,
+            parent,
+            inputs: Vec::new(),
+            rows_out: AtomicUsize::new(0),
+            label,
+            role,
+        });
+        id
+    }
+
+    fn source(&mut self, parent: Option<usize>, source: Source, label: String) {
+        let node = self.add(parent, None, label, Role::Source(self.leaves.len()));
+        self.leaves.push(Leaf {
+            path: vec![node],
+            source,
+        });
+    }
+
+    /// Add `plan`'s operators under `parent`, running what they read first,
+    /// in the order a serial run does. After a failure the leaves added so
+    /// far are the sources whose rows a serial run hands on before it.
+    fn prepare(&mut self, plan: &PhysPlan, parent: Option<usize>, ctx: &ExecContext) -> Result<()> {
+        let label = |plan: &PhysPlan| match ctx.stats_enabled() {
+            true => op_label(plan),
+            false => String::new(),
+        };
+        match plan {
+            PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
+                let rows = Held::Rows(Arc::clone(rows));
+                self.source(parent, Source::Rows(rows, None), label(plan));
+            }
+            PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
+                let chain = (node_mode(plan) == Some(true))
+                    .then(|| vector::ChunkChain::of(plan, ctx))
+                    .flatten();
+                match chain {
+                    Some(chain) => self.source(parent, Source::Chunks(chain), label(plan)),
+                    None => {
+                        let step = Step::Stage(scan::StageSpec::of(plan));
+                        let node = self.add(parent, Some(step), label(plan), Role::Stream);
+                        self.prepare(input, Some(node), ctx)?;
+                    }
+                }
+            }
+            PhysPlan::HashJoin {
+                algo: JoinAlgo::Hash,
+                ..
+            } => {
+                let built = join::build_hash_join(plan, ctx)?;
+                let role = Role::Join {
+                    side: built.build,
+                    first: built.build_left,
+                };
+                let node = self.add(parent, Some(Step::Probe(built.probe)), label(plan), role);
+                match built.candidates {
+                    Some(rows) => {
+                        let source = Source::Candidates(rows);
+                        self.source(Some(node), source, label(built.probe_plan));
+                    }
+                    None => self.prepare(built.probe_plan, Some(node), ctx)?,
+                }
+            }
+            PhysPlan::NestedLoopJoin { left, .. } => {
+                let (op, inner) = join::inner_side(plan, ctx)?;
+                let role = Role::Join {
+                    side: inner,
+                    first: false,
+                };
+                let node = self.add(parent, Some(Step::NestedLoop(op)), label(plan), role);
+                self.prepare(left, Some(node), ctx)?;
+            }
+            PhysPlan::IndexJoin { probe, inner, .. } => {
+                let op = join::IndexProbe::of(plan, ctx)?;
+                let role = Role::IndexJoin(label(inner));
+                let node = self.add(parent, Some(Step::IndexJoin(op)), label(plan), role);
+                self.prepare(probe, Some(node), ctx)?;
+            }
+            PhysPlan::UnionAll { inputs } => {
+                let node = self.add(parent, None, label(plan), Role::Union);
+                for arm in inputs {
+                    self.prepare(arm, Some(node), ctx)?;
+                }
+            }
+            PhysPlan::Shared { id, input, .. } => match ctx.shared_rows(*id) {
+                Some(rows) => {
+                    ctx.count_shared_reuse();
+                    let source = Source::Rows(Held::Flat(rows), None);
+                    let label = ctx.stats_enabled().then(|| reused_label(plan));
+                    self.source(parent, source, label.unwrap_or_default());
+                }
+                None => {
+                    let mut fill = NodeOut::new();
+                    let (rows, error) = fill_slot(*id, input, ctx, &mut fill);
+                    self.source(
+                        parent,
+                        Source::Rows(Held::Flat(rows), Some(fill)),
+                        label(plan),
+                    );
+                    return error.map_or(Ok(()), Err);
+                }
+            },
+            _ => unreachable!("is_pipeline admits only pipelines"),
+        }
+        Ok(())
+    }
+
+    /// Run one morsel through the nodes above its source into `part`, as
+    /// participant `who` of the fan-out (0 when it runs serially).
+    fn run_morsel(
+        &self,
+        (leaf, units): &Morsel,
+        who: usize,
+        part: &mut impl Partial,
+    ) -> Result<()> {
+        let leaf = &self.leaves[*leaf];
+        let steps: Vec<&Step> = leaf.path[1..]
+            .iter()
+            .map(|&n| {
+                self.nodes[n]
+                    .step
+                    .as_ref()
+                    .expect("every node above a source steps")
+            })
+            .collect();
+        let own = self.own(who)?;
+        let mut scratch: Vec<Scratch> = leaf.path[1..]
+            .iter()
+            .zip(&steps)
+            .map(|(&n, step)| step.scratch(own.as_ref().and_then(|own| own[n].clone())))
+            .collect();
+        // Rows out of each node of the path above the source (whose own are
+        // known once all its morsels ran): the root's are counted by the
+        // closure around `drive`, the rest in it.
+        let mut counts = vec![0; leaf.path.len() - 1];
+        let ran = match &mut counts[..] {
+            [] => leaf
+                .source
+                .emit(units.clone(), self.deadline, &mut |row| part.row(row)),
+            [between @ .., root] => leaf.source.emit(units.clone(), self.deadline, &mut |row| {
+                drive(&steps, &mut scratch, between, row, &mut |row| {
+                    *root += 1;
+                    part.row(row)
+                })
+            }),
+        };
+        for (step, scratch) in steps.iter().zip(scratch) {
+            step.finish(scratch);
+        }
+        for (&n, count) in leaf.path[1..].iter().zip(counts) {
+            self.nodes[n].rows_out.fetch_add(count, Ordering::Relaxed);
+        }
+        ran
+    }
+
+    /// What participant `who` reads in place of what the steps share, by
+    /// node: nothing (`None`) on the thread that fanned out, and on a pool
+    /// worker copies of its own, made by its first morsel. Evaluating a
+    /// text literal, joining a side's row and keying a group on its text all
+    /// clone a text value, and a clone writes the value's reference count:
+    /// threads sharing one value would pass that count's cache line between
+    /// them on every row, at a cost set by the distance between the cores
+    /// rather than by their speed.
+    fn own(&self, who: usize) -> Result<Option<Vec<Option<Own>>>> {
+        let Some(slot) = who.checked_sub(1).map(|w| &self.own[w]) else {
+            return Ok(None);
+        };
+        let mut own = slot.lock();
+        if own.is_none() {
+            let copies = self.nodes.iter().map(|node| match &node.step {
+                Some(step) => step.own_copy(&self.budget, self.deadline),
+                None => Ok(None),
+            });
+            *own = Some(copies.collect::<Result<_>>()?);
+        }
+        Ok(own.clone())
+    }
+
+    /// Node `n`'s stats record: its streamed inputs' and what ran at
+    /// preparation beside them, in plan order. Its time is its children's,
+    /// plus, at a source, its share of the run by rows.
+    fn stats(&self, n: usize, ran: &Ran) -> OpStats {
+        let node = &self.nodes[n];
+        let (mut label, mut rows_out) = (node.label.clone(), node.rows_out.load(Ordering::Relaxed));
+        let inputs = node.inputs.iter().map(|&input| self.stats(input, ran));
+        let (mut out, mut share) = (NodeOut::new(), Duration::ZERO);
+        match &node.role {
+            Role::Source(leaf) => {
+                let source = &self.leaves[*leaf].source;
+                (share, rows_out) = (ran.share(source.rows()), source.emitted());
+                match source {
+                    Source::Rows(_, fill) => {
+                        out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
+                    }
+                    Source::Chunks(chain) => out = chain.node(),
+                    // The probe's child: the table the candidates came from.
+                    Source::Candidates(rows) => rows_out = rows.scan_rows(),
+                }
+            }
+            Role::Stream | Role::IndexJoin(_) => inputs.for_each(|input| out.child(Some(input))),
+            Role::Union => {
+                inputs.for_each(|input| out.child(Some(input)));
+                rows_out = out.rows_in;
+            }
+            Role::Join { side, first } => {
+                let mut streamed = NodeOut::new();
+                inputs.for_each(|input| streamed.child(Some(input)));
+                out = side.copy();
+                match first {
+                    true => out.absorb(streamed),
+                    false => {
+                        streamed.absorb(out);
+                        out = streamed;
+                    }
+                }
+            }
+        }
+        match (&node.step, &node.role) {
+            (Some(Step::Probe(probe)), _) => label = format!("{label} pruned={}", probe.pruned()),
+            (Some(Step::IndexJoin(op)), Role::IndexJoin(inner)) => {
+                out.children
+                    .push(OpStats::leaf(inner.clone(), op.fetched()));
+            }
+            _ => {}
+        }
+        let elapsed = share + out.children.iter().map(|c| c.elapsed).sum::<Duration>();
+        ran.mark(out.stats(label, rows_out, elapsed, 0))
+    }
+}
+
+/// Push `row` through `steps` (each with its scratch) into `sink`, counting
+/// the rows each step but the last hands on.
+fn drive(
+    steps: &[&Step],
+    scratch: &mut [Scratch],
+    counts: &mut [usize],
+    row: &[Value],
+    sink: &mut Sink,
+) -> Result<()> {
+    let ([step, above @ ..], [own, scratch @ ..]) = (steps, scratch) else {
+        return sink(row);
+    };
+    let [count, counts @ ..] = counts else {
+        return step.row(row, own, sink);
+    };
+    step.row(row, own, &mut |row| {
+        *count += 1;
+        drive(above, scratch, counts, row, sink)
+    })
+}
+
+/// Partials folded in morsel order as their morsels finish: whichever thread
+/// finishes the next morsel due folds what is ready, while the others keep
+/// claiming morsels; the thread that fanned out folds the rest.
+struct InOrder<P> {
+    done: Vec<Done<P>>,
+    folded: Mutex<Folded<P>>,
+}
+
+/// A morsel's partial and how its run ended, once it has.
+type Done<P> = Mutex<Option<(P, Result<()>)>>;
+
+/// The partials folded so far: of morsels `0..next`.
+struct Folded<P> {
+    next: usize,
+    part: Option<P>,
+    error: Option<EngineError>,
+}
+
+impl<P: Partial> InOrder<P> {
+    fn new(morsels: usize) -> InOrder<P> {
+        InOrder {
+            done: (0..morsels).map(|_| Mutex::new(None)).collect(),
+            folded: Mutex::new(Folded {
+                next: 0,
+                part: None,
+                error: None,
+            }),
+        }
+    }
+
+    /// Hand over morsel `m`'s partial and how its run ended; fold what is
+    /// ready unless another thread is folding. Returns whether it failed.
+    fn offer(&self, m: usize, part: P, ran: Result<()>) -> bool {
+        let failed = ran.is_err();
+        *self.done[m].lock() = Some((part, ran));
+        if let Some(mut folded) = self.folded.try_lock() {
+            folded.fold(&self.done);
+        }
+        failed
+    }
+
+    /// Fold every partial left, up to the first failure: the combined
+    /// partial and that failure's error.
+    fn finish(&self) -> (P, Option<EngineError>) {
+        let mut folded = self.folded.lock();
+        folded.fold(&self.done);
+        let part = folded
+            .part
+            .take()
+            .expect("a fan-out runs at least one morsel");
+        (part, folded.error.take())
+    }
+}
+
+impl<P: Partial> Folded<P> {
+    /// Fold the partials that are ready, in morsel order: a failed morsel's
+    /// (the rows before its error) included, none after it.
+    fn fold(&mut self, done: &[Done<P>]) {
+        while self.error.is_none() && self.next < done.len() {
+            let Some((part, ran)) = done[self.next].lock().take() else {
+                return;
+            };
+            self.next += 1;
+            let combined = match &mut self.part {
+                None => {
+                    self.part = Some(part);
+                    Ok(())
+                }
+                Some(folded) => folded.combine(part),
+            };
+            self.error = ran.and(combined).err();
+        }
+    }
+}
+
+/// How a pipeline ran, for its operators' stats.
+struct Ran {
+    elapsed: Duration,
+    /// Rows its sources held, all together.
+    rows: usize,
+    workers: usize,
+    morsels: usize,
+}
+
+impl Ran {
+    /// A source's share of the run's time, by the rows it held.
+    fn share(&self, rows: usize) -> Duration {
+        match self.rows {
+            0 => Duration::ZERO,
+            all => self.elapsed.mul_f64(rows as f64 / all as f64),
+        }
+    }
+
+    fn mark(&self, mut stats: OpStats) -> OpStats {
+        stats.workers = stats.workers.max(self.workers);
+        stats.morsels = stats.morsels.max(self.morsels);
+        stats
+    }
+}
+
+impl NodeOut {
+    /// A copy of what the operator recorded, for a stats record.
+    fn copy(&self) -> NodeOut {
+        NodeOut {
+            children: self.children.clone(),
+            ..*self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -645,13 +1361,54 @@ mod tests {
         }
     }
 
-    /// Both drivers of the one per-row function: pushed, and over morsels.
+    /// Both drivers of the one per-row function: pushed, and pipeline
+    /// morsels (a source past the fan-out threshold fans out).
     fn contexts() -> Vec<ExecContext> {
         let mut ctxs = vec![ExecContext::serial()];
         if !cfg!(miri) {
             ctxs.push(ExecContext::new(4));
         }
         ctxs
+    }
+
+    #[test]
+    fn a_workers_own_copy_shares_no_text_with_the_original() {
+        // A side with text is copied value for value into allocations of its
+        // own, charged to the budget; so is a stage's text literal. Without
+        // text there is nothing to copy.
+        let text = |s: &str| Value::text(s);
+        let side = Held::Rows(Arc::new(vec![
+            vec![Value::Int(1), text("a")],
+            vec![Value::Int(2), text("a")],
+        ]));
+        let budget = Arc::new(MemoryBudget::unlimited());
+        let own = side
+            .own_copy(&budget, None)
+            .unwrap()
+            .expect("text is copied");
+        assert!(budget.used_bytes() > 0);
+        let stage =
+            scan::StageSpec::Project(vec![PhysExpr::Column(0), PhysExpr::Literal(text("p:"))]);
+        let Some(scan::StageSpec::Project(own_exprs)) = stage.unshared() else {
+            panic!("a text literal is copied");
+        };
+        let scan::StageSpec::Project(exprs) = &stage else {
+            unreachable!()
+        };
+        let pairs = side.iter().zip(own.iter()).map(|(a, b)| (&a[1], &b[1]));
+        let literals = match (&exprs[1], &own_exprs[1]) {
+            (PhysExpr::Literal(a), PhysExpr::Literal(b)) => (a, b),
+            other => panic!("{other:?}"),
+        };
+        for (shared, own) in pairs.chain([literals]) {
+            match (shared, own) {
+                (Value::Str(a), Value::Str(b)) => assert!(a == b && !Arc::ptr_eq(a, b)),
+                other => panic!("{other:?}"),
+            }
+        }
+        let numbers = Held::Rows(Arc::new(vec![vec![Value::Int(1)]]));
+        assert!(numbers.own_copy(&budget, None).unwrap().is_none());
+        assert!(scan::StageSpec::Filter(gt(0, 1)).unshared().is_none());
     }
 
     #[test]
@@ -735,11 +1492,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_build_left_probe_runs_the_same_pushed_and_over_morsels() {
-        // 600 probe rows (several morsels at parallelism 4) against a build
-        // side with a NULL key, a duplicate key and a key nothing matches; a
-        // residual reads both inputs in scope order.
+    /// A join building on its left input — with a NULL key, a duplicate key
+    /// and a key nothing matches — whose residual reads both inputs in scope
+    /// order, probed by `n` rows; and its rows: in probe order, each probe
+    /// row's matches in build order.
+    fn a_build_left_join(n: i64) -> (PhysPlan, Vec<Vec<Option<i64>>>) {
         let build: Vec<Vec<i64>> = vec![vec![7, 1], vec![3, 2], vec![7, 3], vec![99, 4]];
         let mut build: Vec<Vec<Value>> = build
             .into_iter()
@@ -751,13 +1508,12 @@ mod tests {
             rows: Arc::new(build),
             chunks: None,
         };
-        let probe: Vec<Vec<i64>> = (0..600).map(|i| vec![i % 11, i % 4]).collect();
+        let probe: Vec<Vec<i64>> = (0..n).map(|i| vec![i % 11, i % 4]).collect();
         let probe: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
         let residual = Some(gt(3, 1));
         let plan = building_left(hash_join(left, scan(&probe), JoinKind::Inner, residual));
-        // In probe order, each probe row's matches in build order.
         let mut want = Vec::new();
-        for i in 0..600i64 {
+        for i in 0..n {
             let (key, x) = (i % 11, i % 4);
             for (bk, bx) in [(7, 1), (3, 2), (7, 3), (99, 4)] {
                 if bk == key && x > bx {
@@ -765,9 +1521,42 @@ mod tests {
                 }
             }
         }
+        (plan, want)
+    }
+
+    #[test]
+    fn a_build_left_probe_runs_the_same_pushed_and_over_morsels() {
+        let (plan, want) = a_build_left_join(600);
         assert!(want.len() > 30);
         for ctx in contexts() {
             assert_eq!(ints(&ctx.execute(&plan).unwrap()), want);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn a_build_left_probe_fans_out_into_a_group_table() {
+        // 12,000 probe rows — several morsels at parallelism 4 — stream into
+        // a group table keyed on every column: groups come out in the order
+        // the joined rows are first seen, with their counts.
+        let (join, joined) = a_build_left_join(12_000);
+        let plan = aggregate(
+            join,
+            (0..4).map(PhysExpr::Column).collect(),
+            vec![(AggregateFunc::Count, None)],
+        );
+        let mut want: Vec<Vec<Option<i64>>> = Vec::new();
+        for row in joined {
+            match want.iter_mut().find(|group| group[..4] == row[..]) {
+                Some(group) => group[4] = group[4].map(|n| n + 1),
+                None => want.push([&row[..], &[Some(1)]].concat()),
+            }
+        }
+        for ctx in contexts() {
+            let parallel = ctx.parallel();
+            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            assert_eq!(ints(&rows), want);
+            assert_eq!(fanned_out(&stats), parallel);
         }
     }
 
@@ -987,6 +1776,221 @@ mod tests {
                 assert!(err.to_string().contains("division by zero"), "{err}");
             }
             assert_eq!(telemetry.shared_reuses.get(), 0);
+        }
+    }
+
+    /// `n` rows `[i, i % modulo]`.
+    fn numbered(n: i64, modulo: i64) -> PhysPlan {
+        let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i, i % modulo]).collect();
+        scan(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    }
+
+    fn aggregate(
+        input: PhysPlan,
+        keys: Vec<PhysExpr>,
+        aggs: Vec<(AggregateFunc, Option<usize>)>,
+    ) -> PhysPlan {
+        let aggs = aggs.into_iter().map(|(func, arg)| AggSpec {
+            func,
+            arg: arg.map(PhysExpr::Column),
+            distinct: false,
+        });
+        PhysPlan::Aggregate {
+            input: Box::new(input),
+            keys,
+            aggs: aggs.collect(),
+        }
+    }
+
+    /// `(label, rows_in, rows_out)` of every operator, preorder.
+    fn shape(stats: &OpStats) -> Vec<(String, usize, usize)> {
+        let mut out = vec![(stats.label.clone(), stats.rows_in, stats.rows_out)];
+        out.extend(stats.children.iter().flat_map(shape));
+        out
+    }
+
+    fn fanned_out(stats: &OpStats) -> bool {
+        stats.workers > 1 || stats.children.iter().any(fanned_out)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn a_pipeline_over_a_union_fans_out_and_matches_the_pushed_run() {
+        // Two 10,000-row arms — past the fan-out threshold together — probe
+        // a collected 97-row dimension and cross a one-row input into a
+        // group table: rows, group order, every operator's counts and the
+        // rows held are the same pushed and over morsels.
+        let arm = PhysPlan::Project {
+            input: Box::new(numbered(10_000, 97)),
+            exprs: vec![PhysExpr::Column(1), PhysExpr::Column(0)],
+        };
+        let filtered = PhysPlan::Filter {
+            input: Box::new(numbered(10_000, 89)),
+            predicate: gt(0, 1),
+        };
+        let dim = PhysPlan::Filter {
+            input: Box::new(numbered(97, 97)),
+            predicate: PhysExpr::Literal(Value::Int(1)),
+        };
+        let join = hash_join(
+            PhysPlan::UnionAll {
+                inputs: vec![arm, filtered],
+            },
+            dim,
+            JoinKind::Inner,
+            None,
+        );
+        let crossed = PhysPlan::NestedLoopJoin {
+            left: Box::new(join),
+            right: Box::new(scan(&[&[7]])),
+            kind: JoinKind::Cross,
+            right_width: 1,
+            predicate: None,
+        };
+        let plan = aggregate(
+            crossed,
+            vec![PhysExpr::Column(2)],
+            vec![(AggregateFunc::Count, None), (AggregateFunc::Sum, Some(1))],
+        );
+        let runs: Vec<_> = contexts()
+            .into_iter()
+            .map(|ctx| {
+                let (ctx, telemetry) = counted(ctx);
+                let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+                (ints(&rows), stats, telemetry.rows_materialized.get())
+            })
+            .collect();
+        let (rows, stats, held) = &runs[0];
+        assert_eq!(rows.len(), 97);
+        assert_eq!(*held, 97, "the dimension, collected");
+        for (other_rows, other_stats, other_held) in &runs[1..] {
+            assert_eq!(other_rows, rows);
+            assert_eq!(shape(other_stats), shape(stats));
+            assert_eq!(other_held, held);
+            assert!(fanned_out(other_stats), "{other_stats:#?}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn an_error_is_the_earliest_failing_morsels_at_every_parallelism() {
+        // A projection raises at row 15,000 (10 / 0) and the aggregate above
+        // it at row 100 (the SUM of a text value). Pushed, row 100 raises
+        // first; over morsels its morsel is the earliest that fails, so the
+        // aggregate's error is reported there too.
+        let mut rows: Vec<Row> = (0..20_000)
+            .map(|i| vec![Value::Int(i), Value::Int(i)])
+            .collect();
+        rows[100][1] = Value::text("oops");
+        let ten_over = PhysExpr::Binary {
+            left: Box::new(PhysExpr::Literal(Value::Int(10))),
+            op: BinaryOp::Div,
+            right: Box::new(PhysExpr::Binary {
+                left: Box::new(PhysExpr::Column(0)),
+                op: BinaryOp::Sub,
+                right: Box::new(PhysExpr::Literal(Value::Int(15_000))),
+            }),
+        };
+        let project = PhysPlan::Project {
+            input: Box::new(PhysPlan::Scan {
+                width: 2,
+                rows: Arc::new(rows),
+                chunks: None,
+            }),
+            exprs: vec![PhysExpr::Column(1), ten_over],
+        };
+        let plan = aggregate(project, vec![], vec![(AggregateFunc::Sum, Some(0))]);
+        for ctx in contexts() {
+            let err = ctx.execute(&plan).unwrap_err();
+            assert!(
+                err.to_string().contains("SUM of non-numeric value oops"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn a_slot_filled_pushed_is_read_over_morsels() {
+        // A shared subplan over a 20,000-row filter, read twice by one
+        // aggregate: the slot fills pushed, held once, and the 39,986 rows
+        // of its two references fan out into the group table.
+        let input = PhysPlan::Filter {
+            input: Box::new(numbered(20_000, 7)),
+            predicate: gt(0, 1),
+        };
+        let c = shared(input, 2);
+        let plan = aggregate(
+            PhysPlan::UnionAll {
+                inputs: vec![c.clone(), c],
+            },
+            vec![PhysExpr::Column(1)],
+            vec![(AggregateFunc::Count, None), (AggregateFunc::Sum, Some(0))],
+        );
+        // Row 7 is the first kept, so group 0 is seen first.
+        let want: Vec<_> = (0..7)
+            .map(|g| {
+                let kept = (7..20_000).filter(|i| i % 7 == g);
+                let (count, sum) = kept.fold((0, 0), |(n, s), i| (n + 1, s + i));
+                vec![Some(g), Some(2 * count), Some(2 * sum)]
+            })
+            .collect();
+        for ctx in contexts() {
+            let parallel = ctx.parallel();
+            let (ctx, telemetry) = counted(ctx);
+            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            assert_eq!(ints(&rows), want);
+            assert_eq!(telemetry.rows_materialized.get(), 19_993);
+            assert_eq!(telemetry.shared_reuses.get(), 1);
+            assert_eq!(fanned_out(&stats), parallel);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn a_key_filtered_probe_fans_out_over_its_candidates() {
+        // 1,000 build keys filter a 30,000-row chunked table down to 10,000
+        // candidates, past the fan-out threshold: the joined rows, their
+        // order and the pruned count match the pushed run.
+        let rows: Vec<Row> = (0..30_000)
+            .map(|i| vec![Value::Int(i % 3000), Value::Int(i)])
+            .collect();
+        let probe = PhysPlan::Scan {
+            width: 2,
+            rows: Arc::new(rows),
+            chunks: Some(crate::column::ChunkSlot::empty()),
+        };
+        let keys: Vec<Vec<i64>> = (0..1000).map(|k| vec![k * 3, k]).collect();
+        let build = scan(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let join = hash_join(probe, build, JoinKind::Inner, None);
+        let plan = aggregate(
+            join,
+            vec![PhysExpr::Column(3)],
+            vec![(AggregateFunc::Count, None), (AggregateFunc::Sum, Some(1))],
+        );
+        let want: Vec<_> = (0..1000)
+            .map(|k| {
+                vec![
+                    Some(k),
+                    Some(10),
+                    Some((0..10).map(|r| k * 3 + r * 3000).sum()),
+                ]
+            })
+            .collect();
+        for ctx in contexts() {
+            let parallel = ctx.parallel();
+            let (ctx, telemetry) = counted(ctx);
+            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            assert_eq!(ints(&rows), want);
+            let join = stats.find("HashJoin").expect("a hash join ran");
+            assert!(
+                join.label
+                    .ends_with("probe=keyset(vectorized) pruned=20000"),
+                "{}",
+                join.label
+            );
+            assert_eq!(telemetry.join_probe_rows_pruned.get(), 20_000);
+            assert_eq!(fanned_out(&stats), parallel);
         }
     }
 }

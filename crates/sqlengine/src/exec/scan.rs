@@ -7,21 +7,21 @@
 //! so a `Scan → Filter → Project` chain copies each surviving value once, at
 //! the projection, and nothing when it ends in an aggregate or a join probe.
 //! A chain that runs vectorized down to its scan goes through
-//! [`super::vector`] instead and hands its rows over collected.
+//! [`super::vector`] instead, which streams each chunk's surviving rows.
 
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::expr::PhysExpr;
+use crate::expr::{unshared_literals, PhysExpr};
 use crate::plan::{IndexRef, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::{ExecContext, NodeOut, RowOp, Sink};
 
-/// One owned Filter/Project stage (owned so morsel jobs are `'static`; the
-/// clone happens once per operator per query, not per row). Shared with the
-/// vectorized kernels in [`super::vector`], which run the same stages over
-/// columnar chunks.
+/// One owned Filter/Project stage (owned so a pipeline's workers can hold
+/// it; the clone happens once per operator per query, not per row). Shared
+/// with the vectorized kernels in [`super::vector`], which run the same
+/// stages over columnar chunks.
 pub(super) enum StageSpec {
     Filter(PhysExpr),
     Project(Vec<PhysExpr>),
@@ -33,6 +33,25 @@ impl StageSpec {
             PhysPlan::Filter { predicate, .. } => StageSpec::Filter(predicate.clone()),
             PhysPlan::Project { exprs, .. } => StageSpec::Project(exprs.clone()),
             _ => unreachable!("pipeline stages are Filter/Project only"),
+        }
+    }
+
+    /// A copy whose text literals are its own allocations, or `None` when
+    /// it holds none.
+    pub(super) fn unshared(&self) -> Option<StageSpec> {
+        match self {
+            StageSpec::Filter(predicate) => unshared_literals(predicate).map(StageSpec::Filter),
+            StageSpec::Project(exprs) => {
+                let copies: Vec<Option<PhysExpr>> = exprs.iter().map(unshared_literals).collect();
+                copies.iter().any(Option::is_some).then(|| {
+                    let exprs = copies.into_iter().zip(exprs);
+                    StageSpec::Project(
+                        exprs
+                            .map(|(copy, e)| copy.unwrap_or_else(|| e.clone()))
+                            .collect(),
+                    )
+                })
+            }
         }
     }
 }

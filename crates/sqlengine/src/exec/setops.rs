@@ -1,18 +1,17 @@
 //! Set operations and row-count operators: `LIMIT`/`OFFSET`, `UNION ALL`,
 //! `DISTINCT`.
 //!
-//! `LIMIT` and `UNION ALL` stream at every parallelism: a limit passes on
-//! the rows of its window as they arrive, a union pushes each arm in turn
-//! into the same sink. `DISTINCT` (which also implements `UNION` dedup —
-//! the planner lowers `UNION` to `Distinct` over `UnionAll`) streams too,
-//! holding only its dedup set; on the morsel path it is hash-partitioned:
-//! every row is hashed once with a fixed-seed hasher, each hash partition is
-//! deduplicated by one worker, and the surviving first occurrences are
-//! emitted in original input order — so the output is identical to the
-//! pushed path.
+//! `LIMIT` and `UNION ALL` stream when pushed: a limit passes on the rows of
+//! its window as they arrive, a union pushes each arm in turn into the same
+//! sink (inside a pipeline, a union's arms are the pipeline's sources).
+//! `DISTINCT` (which also implements `UNION` dedup — the planner lowers
+//! `UNION` to `Distinct` over `UnionAll`) is a pipeline's breaker: each
+//! partial keeps the first occurrence of every row its morsel saw, in order,
+//! and the partials fold into the first in morsel order, which keeps the
+//! global first occurrences in input order — the output of a serial run.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -20,8 +19,8 @@ use crate::error::Result;
 use crate::plan::PhysPlan;
 use crate::value::{Row, Value};
 
-use super::context::{ChargeBuf, ChunkJob};
-use super::{ExecContext, Held, NodeOut, Sink};
+use super::context::ChargeBuf;
+use super::{ExecContext, NodeOut, Partial, Sink};
 
 /// `LIMIT`/`OFFSET`: pass on the input rows at positions
 /// `offset..offset + limit`. When the child is a `Sort` and a limit is
@@ -67,101 +66,68 @@ pub(crate) fn union_all(
 
 pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
     let mut node = NodeOut::new();
-    let mut seen: HashSet<Row> = HashSet::new();
-    let mut charge = ChargeBuf::new(ctx.budget());
-    // The per-row function: pass on the first occurrence of each row. The
-    // dedup set holds a full copy of every kept row.
-    let mut first = |row: &[Value], sink: &mut Sink| {
-        if seen.contains(row) {
-            return Ok(());
-        }
-        charge.add_row(row)?;
-        seen.insert(row.to_vec());
-        sink(row)
-    };
-    if !ctx.parallel() {
-        node.child(super::push(input, ctx, &mut |row| first(row, sink))?);
-    } else {
-        let rows = super::run_input(input, ctx, &mut node)?;
-        if ctx.should_parallelize(rows.len()) {
-            node.workers = ctx.parallelism();
-            let kept = parallel_distinct(&rows, ctx)?;
-            super::emit(kept.iter().map(|&i| rows.row(i)), ctx, sink)?;
-        } else {
-            for row in rows.iter() {
-                first(row, sink)?;
-            }
-        }
-    }
-    charge.flush()?;
-    Ok(node)
+    let budget = Arc::clone(ctx.budget());
+    let run = super::pipeline(input, ctx, &mut node, move |_| Firsts {
+        rows: Vec::new(),
+        buckets: HashMap::new(),
+        charge: ChargeBuf::new(&budget),
+    });
+    // The rows before an error are handed on before it, as when pushed.
+    super::emit(run.part.rows.iter(), ctx, sink)?;
+    run.error.map_or(Ok(node), Err)
 }
 
-/// Hash-partitioned parallel DISTINCT: the positions of the rows to keep,
-/// ascending.
-///
-/// Phase 1 hashes every row morsel-parallel with a fixed-seed hasher (all
-/// workers agree on partition assignment). Phase 2 hands each of
-/// `parallelism` hash partitions to one worker, which walks the partition in
-/// input order and keeps the index of the first occurrence of every distinct
-/// row (bucketed by full hash; collisions resolved by row equality).
-/// Partitions are disjoint, so concatenating the kept indexes and sorting
-/// restores the global first-occurrence order the serial path emits.
-fn parallel_distinct(held: &Held, ctx: &ExecContext) -> Result<Vec<usize>> {
-    let hash_jobs: Vec<ChunkJob<Vec<u64>>> = ctx
-        .morsels(held.len())
-        .into_iter()
-        .map(|range| {
-            let rows = held.clone();
-            let job: ChunkJob<Vec<u64>> =
-                Box::new(move || rows.rows(range).map(row_hash).collect());
-            job
-        })
-        .collect();
-    let mut hashes = Vec::with_capacity(held.len());
-    for chunk in ctx.run_jobs(hash_jobs) {
-        hashes.extend(chunk);
-    }
-    // Hash vector (8B each) plus the per-partition dedup buckets, which hold
-    // two usize indexes per surviving row in the worst case.
-    ctx.budget().charge(24 * hashes.len() as u64)?;
-    let hashes = Arc::new(hashes);
-
-    let nparts = ctx.parallelism();
-    let part_jobs: Vec<ChunkJob<Vec<usize>>> = (0..nparts)
-        .map(|p| {
-            let rows = held.clone();
-            let hashes = Arc::clone(&hashes);
-            let job: ChunkJob<Vec<usize>> = Box::new(move || {
-                let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-                let mut kept = Vec::new();
-                for (i, &h) in hashes.iter().enumerate() {
-                    if (h as usize) % nparts != p {
-                        continue;
-                    }
-                    let bucket = buckets.entry(h).or_default();
-                    if bucket.iter().all(|&j| rows.row(j) != rows.row(i)) {
-                        bucket.push(i);
-                        kept.push(i);
-                    }
-                }
-                kept
-            });
-            job
-        })
-        .collect();
-    let mut kept: Vec<usize> = Vec::new();
-    for part in ctx.run_jobs(part_jobs) {
-        kept.extend(part);
-    }
-    kept.sort_unstable();
-    Ok(kept)
+/// The dedup set: the first occurrence of every row, in order, bucketed by
+/// the row's hash (collisions resolved by row equality). It holds a copy of
+/// every row it keeps.
+struct Firsts {
+    rows: Vec<Row>,
+    buckets: HashMap<u64, Vec<usize>>,
+    charge: ChargeBuf,
 }
 
-/// Fixed-seed row hash (`DefaultHasher::new()` uses fixed keys), so every
-/// worker computes identical partition assignments.
-fn row_hash(row: &[Value]) -> u64 {
+impl Firsts {
+    /// Whether a row equal to `row`, hashed `hash`, was kept.
+    fn seen(&self, hash: u64, row: &[Value]) -> bool {
+        let bucket = self.buckets.get(&hash);
+        bucket.is_some_and(|kept| kept.iter().any(|&i| self.rows[i] == row))
+    }
+
+    fn keep(&mut self, hash: u64, row: Row) {
+        self.buckets.entry(hash).or_default().push(self.rows.len());
+        self.rows.push(row);
+    }
+}
+
+/// A fixed-seed hash of a row (`DefaultHasher::new()` uses fixed keys), so
+/// every thread agrees on it.
+fn hash_row(row: &[Value]) -> u64 {
     let mut h = DefaultHasher::new();
     row.hash(&mut h);
     h.finish()
+}
+
+impl Partial for Firsts {
+    fn row(&mut self, row: &[Value]) -> Result<()> {
+        let hash = hash_row(row);
+        if !self.seen(hash, row) {
+            self.charge.add_row(row)?;
+            self.keep(hash, row.to_vec());
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        self.charge.flush()
+    }
+
+    fn combine(&mut self, later: Firsts) -> Result<()> {
+        for row in later.rows {
+            let hash = hash_row(&row);
+            if !self.seen(hash, &row) {
+                self.keep(hash, row);
+            }
+        }
+        Ok(())
+    }
 }

@@ -1,9 +1,10 @@
 //! Sort, top-k (`ORDER BY ... LIMIT`), and window ranking — operators that
 //! hold their whole input, then hand their rows on in their order.
 //!
-//! Sorting is morsel-parallel end to end: per-row key evaluation fans out
-//! over morsels, each worker sorts one run, and the sorted runs are combined
-//! by pairwise parallel merge rounds. The comparator ties on original row
+//! A sort input of at least [`super::context::FAN_OUT_ROWS`] rows is sorted
+//! in parallel: per-row key evaluation fans out over morsels, each worker
+//! sorts one run, and the sorted runs are combined by pairwise parallel
+//! merge rounds. The comparator ties on original row
 //! index, making it a *total* order — no two elements compare equal — so the
 //! merge is unambiguous and the parallel result is identical to the serial
 //! stable sort. Top-k avoids the full sort with a `select_nth_unstable_by`
@@ -21,56 +22,36 @@ use crate::expr::PhysExpr;
 use crate::plan::PhysPlan;
 use crate::value::Value;
 
-use super::context::{approx_row_bytes, ChargeBuf, ChunkJob, Ticker};
+use super::context::{approx_row_bytes, ChargeBuf, Ticker, MORSEL_ROWS};
 use super::{ExecContext, Held, NodeOut, OpStats, Sink};
 
-/// Evaluate sort keys for every row, morsel-parallel when worthwhile.
+/// Evaluate sort keys for every row, over morsels in parallel when the rows
+/// are many enough to fan out.
 fn eval_keys(rows: &Held, keys: &[(PhysExpr, bool)], ctx: &ExecContext) -> Result<Vec<Vec<Value>>> {
-    if ctx.should_parallelize(rows.len()) {
-        let exprs: Arc<Vec<PhysExpr>> = Arc::new(keys.iter().map(|(e, _)| e.clone()).collect());
-        let jobs: Vec<ChunkJob<Result<Vec<Vec<Value>>>>> = ctx
-            .morsels(rows.len())
-            .into_iter()
-            .map(|range| {
-                let rows = rows.clone();
-                let exprs = Arc::clone(&exprs);
-                let budget = Arc::clone(ctx.budget());
-                let job: ChunkJob<Result<Vec<Vec<Value>>>> = Box::new(move || {
-                    let mut out = Vec::with_capacity(range.len());
-                    let mut charge = ChargeBuf::new(&budget);
-                    for row in rows.rows(range) {
-                        let mut kv = Vec::with_capacity(exprs.len());
-                        for e in exprs.iter() {
-                            kv.push(e.eval(row)?);
-                        }
-                        charge.add(approx_row_bytes(&kv) + 8)?;
-                        out.push(kv);
-                    }
-                    charge.flush()?;
-                    Ok(out)
-                });
-                job
-            })
-            .collect();
-        let mut out = Vec::with_capacity(rows.len());
-        for chunk in ctx.run_jobs(jobs) {
-            out.extend(chunk?);
-        }
-        Ok(out)
-    } else {
-        let mut out = Vec::with_capacity(rows.len());
-        let mut charge = ChargeBuf::new(ctx.budget());
-        for row in rows.iter() {
-            let mut kv = Vec::with_capacity(keys.len());
-            for (expr, _) in keys {
-                kv.push(expr.eval(row)?);
+    let exprs: Vec<PhysExpr> = keys.iter().map(|(e, _)| e.clone()).collect();
+    let (held, budget) = (rows.clone(), Arc::clone(ctx.budget()));
+    let eval = move |range: std::ops::Range<usize>| {
+        let mut out = Vec::with_capacity(range.len());
+        let mut charge = ChargeBuf::new(&budget);
+        for row in held.rows(range) {
+            let mut kv = Vec::with_capacity(exprs.len());
+            for e in &exprs {
+                kv.push(e.eval(row)?);
             }
             charge.add(approx_row_bytes(&kv) + 8)?;
             out.push(kv);
         }
         charge.flush()?;
         Ok(out)
+    };
+    if !ctx.fans_out(rows.len()) {
+        return eval(0..rows.len());
     }
+    let len = rows.len();
+    let parts = ctx.fan_out_ok(len.div_ceil(MORSEL_ROWS), move |m| {
+        eval(m * MORSEL_ROWS..len.min((m + 1) * MORSEL_ROWS))
+    })?;
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// Total-order comparator over (key values, original index). The index
@@ -100,7 +81,7 @@ pub(crate) fn sort(
     let mut node = NodeOut::new();
     let rows = super::run_input(input, ctx, &mut node)?;
 
-    let parallel = ctx.should_parallelize(rows.len());
+    let parallel = ctx.fans_out(rows.len());
     let mut keyed = keyed_rows(&rows, keys, ctx)?;
     if parallel {
         node.workers = ctx.parallelism();
@@ -142,32 +123,22 @@ fn parallel_sort(
         .map(|range| keyed.split_off(range.start))
         .collect();
     runs.reverse();
-    let jobs: Vec<ChunkJob<Vec<Keyed>>> = runs
-        .into_iter()
-        .map(|mut run| {
-            let keys = Arc::clone(&keys);
-            let job: ChunkJob<Vec<Keyed>> = Box::new(move || {
-                run.sort_unstable_by(|a, b| cmp_keyed(&keys, a, b));
-                run
-            });
-            job
-        })
-        .collect();
-    let mut runs = ctx.run_jobs(jobs);
+    let sorting = Arc::clone(&keys);
+    let mut runs = ctx.fan_out_each(runs, move |mut run| {
+        run.sort_unstable_by(|a, b| cmp_keyed(&sorting, a, b));
+        run
+    });
     while runs.len() > 1 {
-        let mut jobs: Vec<ChunkJob<Vec<Keyed>>> = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
         let mut iter = runs.into_iter();
         while let Some(a) = iter.next() {
-            let job: ChunkJob<Vec<Keyed>> = match iter.next() {
-                Some(b) => {
-                    let keys = Arc::clone(&keys);
-                    Box::new(move || merge_runs(a, b, &keys))
-                }
-                None => Box::new(move || a),
-            };
-            jobs.push(job);
+            pairs.push((a, iter.next()));
         }
-        runs = ctx.run_jobs(jobs);
+        let keys = Arc::clone(&keys);
+        runs = ctx.fan_out_each(pairs, move |(a, b)| match b {
+            Some(b) => merge_runs(a, b, &keys),
+            None => a,
+        });
     }
     runs.pop().unwrap_or_default()
 }

@@ -6,8 +6,9 @@
 //! *selection vector* of surviving row offsets plus a *virtual column map*
 //! (projection without materialization), and only the final output columns
 //! of the surviving rows are gathered into `Value` rows at the end — late
-//! materialization. A chunk is the unit of parallelism: morsel jobs take
-//! chunk ranges, so the existing submission-order merge keeps results
+//! materialization. A chunk is the unit of parallelism: a pipeline's
+//! morsels over a chunk image are chunk ranges ([`ChunkChain`]), and the
+//! vectorized aggregate's partials merge in chunk order, so results stay
 //! deterministic.
 //!
 //! Eligibility is deliberately restricted to expressions whose evaluation
@@ -35,11 +36,12 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::BinaryOp;
-use crate::column::{ColVec, ColumnChunk, ColumnData};
+use crate::column::{ChunkedTable, ColVec, ColumnChunk, ColumnData, CHUNK_ROWS};
 use crate::error::Result;
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
@@ -47,9 +49,9 @@ use crate::plan::{AggSpec, JoinAlgo, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::aggregate::{default_row, AggState};
-use super::context::{approx_row_bytes, check_deadline, ChunkJob, MemoryBudget, StageCounter};
+use super::context::{approx_row_bytes, check_deadline, MemoryBudget, StageCounter, MORSEL_ROWS};
 use super::scan::{collect_chain, StageSpec};
-use super::{ExecContext, NodeOut, OpStats};
+use super::{ExecContext, NodeOut, OpStats, Sink};
 
 /// A bare column reference or literal — the only expressions kernels accept.
 fn is_simple(e: &PhysExpr) -> bool {
@@ -559,104 +561,117 @@ fn run_stages(chunk: &ColumnChunk, pipe: &ChunkPipeline<'_>) -> (Vec<VCol>, Vec<
     (map, sel)
 }
 
-/// Pipeline + late materialization: gather only the final output columns of
-/// the surviving rows.
-fn run_chunk(chunk: &ColumnChunk, pipe: &ChunkPipeline<'_>) -> Result<Vec<Row>> {
-    check_deadline(pipe.deadline)?;
-    let (map, sel) = run_stages(chunk, pipe);
-    Ok(sel
-        .iter()
-        .map(|&i| map.iter().map(|vc| val_of(chunk, vc, i as usize)).collect())
-        .collect())
+/// A Filter/Project chain that runs vectorized down to its chunked scan
+/// ([`node_mode`] says so of its top node), as a source of rows: each chunk
+/// runs the chain's stages, and only the final output columns of the
+/// surviving rows are gathered, one row at a time into a reused buffer —
+/// late materialization. Pushed, it streams every chunk; in a pipeline a
+/// morsel is a range of chunks.
+pub(super) struct ChunkChain {
+    chunked: Arc<ChunkedTable>,
+    stages: Vec<StageSpec>,
+    counters: Vec<StageCounter>,
+    timed: bool,
+    /// The labels of the stages below the top one (innermost first) and of
+    /// the scan, when stats are collected.
+    labels: Vec<String>,
 }
 
-/// Result of running the vectorized prefix of a scan pipeline.
-pub(super) struct PrefixOut {
-    pub rows: Vec<Row>,
-    /// How many (innermost-first) stages the prefix covered; the caller runs
-    /// the rest on the row machinery.
-    pub stages_done: usize,
-    pub parallel: bool,
-    /// Rows in the source snapshot (for the source's stats leaf).
-    pub source_rows: usize,
-}
-
-/// Execute the eligible prefix of a Filter/Project chain over the source's
-/// columnar image. Returns `None` when the source carries no chunk slot or
-/// no stage is eligible — the caller then runs the whole chain row-wise.
-/// Prefix stage counters are filled exactly like the row path's.
-pub(super) fn prefix_run(
-    nodes: &[&PhysPlan],
-    source: &PhysPlan,
-    counters: &Arc<Vec<StageCounter>>,
-    ctx: &ExecContext,
-) -> Result<Option<PrefixOut>> {
-    let PhysPlan::Scan {
-        rows,
-        width,
-        chunks: Some(slot),
-    } = source
-    else {
-        return Ok(None);
-    };
-    let n = prefix_len(nodes);
-    if n == 0 {
-        return Ok(None);
+impl ChunkChain {
+    /// `None` when the chain's source is not a scan with a chunk image (a
+    /// projection over a vectorized aggregate).
+    pub(super) fn of(plan: &PhysPlan, ctx: &ExecContext) -> Option<ChunkChain> {
+        let (nodes, source) = collect_chain(plan);
+        let PhysPlan::Scan {
+            rows,
+            width,
+            chunks: Some(slot),
+        } = source
+        else {
+            return None;
+        };
+        debug_assert_eq!(
+            prefix_len(&nodes),
+            nodes.len(),
+            "the whole chain is eligible"
+        );
+        let labels = match ctx.stats_enabled() {
+            true => std::iter::once(source)
+                .chain(nodes[..nodes.len() - 1].iter().copied())
+                .map(op_label)
+                .collect(),
+            false => Vec::new(),
+        };
+        Some(ChunkChain {
+            chunked: slot.get_or_build(rows, *width),
+            stages: nodes.iter().map(|node| StageSpec::of(node)).collect(),
+            counters: nodes.iter().map(|_| StageCounter::default()).collect(),
+            timed: ctx.stats_enabled(),
+            labels,
+        })
     }
-    let chunked = slot.get_or_build(rows, *width);
-    let stages: Arc<Vec<StageSpec>> =
-        Arc::new(nodes[..n].iter().map(|nd| StageSpec::of(nd)).collect());
-    let timed = ctx.stats_enabled();
-    let deadline = ctx.deadline();
-    let parallel = ctx.should_parallelize(chunked.row_count());
-    let out_rows = if parallel {
-        let jobs: Vec<ChunkJob<Result<Vec<Row>>>> = ctx
-            .morsels(chunked.chunk_count())
-            .into_iter()
-            .map(|range| {
-                let stages = Arc::clone(&stages);
-                let counters = Arc::clone(counters);
-                let chunked = Arc::clone(&chunked);
-                let job: ChunkJob<Result<Vec<Row>>> = Box::new(move || {
-                    let pipe = ChunkPipeline {
-                        stages: &stages,
-                        counters: &counters,
-                        timed,
-                        deadline,
-                    };
-                    let mut out = Vec::new();
-                    for chunk in &chunked.chunks()[range] {
-                        out.extend(run_chunk(chunk, &pipe)?);
-                    }
-                    Ok(out)
-                });
-                job
-            })
-            .collect();
-        let mut out = Vec::new();
-        for chunk in ctx.run_jobs(jobs) {
-            out.extend(chunk?);
-        }
-        out
-    } else {
+
+    pub(super) fn chunks(&self) -> usize {
+        self.chunked.chunk_count()
+    }
+
+    /// Rows of the scan the chain starts from.
+    pub(super) fn rows(&self) -> usize {
+        self.chunked.row_count()
+    }
+
+    /// Hand on the surviving rows of chunks `range`, in table order.
+    pub(super) fn emit(
+        &self,
+        range: Range<usize>,
+        deadline: Option<Instant>,
+        sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
+    ) -> Result<()> {
         let pipe = ChunkPipeline {
-            stages: &stages,
-            counters,
-            timed,
+            stages: &self.stages,
+            counters: &self.counters,
+            timed: self.timed,
             deadline,
         };
-        let mut out = Vec::new();
-        for chunk in chunked.chunks() {
-            out.extend(run_chunk(chunk, &pipe)?);
+        let mut row = Vec::new();
+        for chunk in &self.chunked.chunks()[range] {
+            check_deadline(deadline)?;
+            let (map, sel) = run_stages(chunk, &pipe);
+            for &i in &sel {
+                row.clear();
+                row.extend(map.iter().map(|vc| val_of(chunk, vc, i as usize)));
+                sink(&row)?;
+            }
         }
-        out
-    };
-    Ok(Some(PrefixOut {
-        rows: out_rows,
-        stages_done: n,
-        parallel,
-        source_rows: chunked.row_count(),
-    }))
+        Ok(())
+    }
+
+    /// The rows the chain handed on so far.
+    pub(super) fn emitted(&self) -> usize {
+        self.counters
+            .last()
+            .expect("a chain has a stage")
+            .snapshot()
+            .1
+    }
+
+    /// What the top stage reports: its input, counted by the stage
+    /// counters, and — with stats — the stages below and the scan nested
+    /// inside it.
+    pub(super) fn node(&self) -> NodeOut {
+        let mut node = NodeOut::new();
+        node.rows_in = self
+            .counters
+            .last()
+            .expect("a chain has a stage")
+            .snapshot()
+            .0;
+        if let Some((scan, below)) = self.labels.split_first() {
+            let source = OpStats::leaf(scan.clone(), self.chunked.row_count());
+            node.children = vec![chain_stats(source, below, &self.counters, 1, 1)];
+        }
+        node
+    }
 }
 
 /// Group accumulator in global first-seen order: `order[g]` is group `g`'s
@@ -728,14 +743,15 @@ fn agg_chunk(
     Ok(())
 }
 
-/// One parallel worker's partial aggregation: local first-seen group order
-/// plus the per-group states.
+/// One morsel's partial aggregation: local first-seen group order plus the
+/// per-group states.
 type VChunkOut = (Vec<Vec<Value>>, HashMap<Vec<Value>, Vec<AggState>>);
 
 /// Vectorized hash aggregate over a fully eligible `Scan → [Filter/Project]*
 /// → Aggregate` chain: its output rows, collected, and its stats. Returns
 /// `None` (fall back to the row path) when the chain or the aggregate spec
-/// is outside the kernel grammar.
+/// is outside the kernel grammar. A scan of at least
+/// [`super::context::FAN_OUT_ROWS`] rows fans out over morsels of chunks.
 pub(super) fn vectorized_aggregate(
     input: &PhysPlan,
     keys: &[PhysExpr],
@@ -763,45 +779,38 @@ pub(super) fn vectorized_aggregate(
         Arc::new((0..stages.len()).map(|_| StageCounter::default()).collect());
     let timed = ctx.stats_enabled();
     let deadline = ctx.deadline();
-    let parallel = ctx.should_parallelize(chunked.row_count());
+    let parallel = ctx.fans_out(chunked.row_count());
+    let per = MORSEL_ROWS / CHUNK_ROWS;
+    let morsels = chunked.chunk_count().div_ceil(per);
 
     let mut acc = GroupAcc::default();
     if parallel {
-        let keys_arc: Arc<Vec<PhysExpr>> = Arc::new(keys.to_vec());
-        let aggs_arc: Arc<Vec<AggSpec>> = Arc::new(aggs.to_vec());
-        let jobs: Vec<ChunkJob<Result<VChunkOut>>> = ctx
-            .morsels(chunked.chunk_count())
-            .into_iter()
-            .map(|range| {
-                let stages = Arc::clone(&stages);
-                let counters = Arc::clone(&counters);
-                let chunked = Arc::clone(&chunked);
-                let keys = Arc::clone(&keys_arc);
-                let aggs = Arc::clone(&aggs_arc);
-                let budget = Arc::clone(ctx.budget());
-                let job: ChunkJob<Result<VChunkOut>> = Box::new(move || {
-                    let pipe = ChunkPipeline {
-                        stages: &stages,
-                        counters: &counters,
-                        timed,
-                        deadline,
-                    };
-                    let mut local = GroupAcc::default();
-                    for chunk in &chunked.chunks()[range] {
-                        agg_chunk(chunk, &pipe, &keys, &aggs, &budget, &mut local)?;
-                    }
-                    let map: HashMap<Vec<Value>, Vec<AggState>> =
-                        local.order.iter().cloned().zip(local.states).collect();
-                    Ok((local.order, map))
-                });
-                job
-            })
-            .collect();
+        let (stages, counters, chunked) = (
+            Arc::clone(&stages),
+            Arc::clone(&counters),
+            Arc::clone(&chunked),
+        );
+        let (keys, aggs, budget) = (keys.to_vec(), aggs.to_vec(), Arc::clone(ctx.budget()));
+        let parts = ctx.fan_out_ok(morsels, move |m| -> Result<VChunkOut> {
+            let pipe = ChunkPipeline {
+                stages: &stages,
+                counters: &counters,
+                timed,
+                deadline,
+            };
+            let mut local = GroupAcc::default();
+            let range = m * per..chunked.chunk_count().min((m + 1) * per);
+            for chunk in &chunked.chunks()[range] {
+                agg_chunk(chunk, &pipe, &keys, &aggs, &budget, &mut local)?;
+            }
+            let map: HashMap<Vec<Value>, Vec<AggState>> =
+                local.order.iter().cloned().zip(local.states).collect();
+            Ok((local.order, map))
+        })?;
         // Merge partials in chunk order: a group's first appearance fixes
         // its global position, and float partial sums combine left-to-right
         // in chunk order (the row path's parallel convention).
-        for result in ctx.run_jobs(jobs) {
-            let (chunk_order, mut chunk_states) = result?;
+        for (chunk_order, mut chunk_states) in parts {
             for key in chunk_order {
                 let partial = chunk_states.remove(&key).expect("key recorded in order");
                 match acc.index.get(&key) {
@@ -846,14 +855,12 @@ pub(super) fn vectorized_aggregate(
             .collect()
     };
 
-    let workers = if parallel { ctx.parallelism() } else { 1 };
-    let morsels = if parallel {
-        ctx.morsels(chunked.chunk_count()).len()
-    } else {
-        1
+    let (workers, morsels) = match parallel {
+        true => (ctx.parallelism(), morsels),
+        false => (1, 1),
     };
     let mut node = NodeOut::new();
-    node.workers = workers;
+    (node.workers, node.morsels) = (workers, morsels);
     // Rows the Aggregate consumed = rows surviving the last stage.
     node.rows_in = match counters.last() {
         Some(c) => c.snapshot().1,
@@ -861,26 +868,27 @@ pub(super) fn vectorized_aggregate(
     };
     if timed {
         let source = OpStats::leaf(op_label(source), chunked.row_count());
-        node.children = vec![chain_stats(source, &nodes, &counters, workers, morsels)];
+        let labels: Vec<String> = nodes.iter().map(|node| op_label(node)).collect();
+        node.children = vec![chain_stats(source, &labels, &counters, workers, morsels)];
     }
     Ok(Some((out, node)))
 }
 
 /// The stats of a vectorized chain's stages, nested exactly like the row
 /// path renders them: the source leaf innermost, each stage (innermost
-/// first) wrapping the one below.
+/// first, by its label) wrapping the one below.
 fn chain_stats(
     source: OpStats,
-    stages: &[&PhysPlan],
+    labels: &[String],
     counters: &[StageCounter],
     workers: usize,
     morsels: usize,
 ) -> OpStats {
     let mut node = source;
-    for (stage, counter) in stages.iter().zip(counters) {
+    for (label, counter) in labels.iter().zip(counters) {
         let (rows_in, rows_out, elapsed) = counter.snapshot();
         node = OpStats {
-            label: op_label(stage),
+            label: label.clone(),
             rows_in,
             rows_out,
             elapsed,
@@ -894,46 +902,18 @@ fn chain_stats(
 }
 
 /// A Filter/Project chain that runs vectorized down to its chunked scan
-/// ([`node_mode`] says so of its top node): run it as a vectorized prefix and
-/// hand its rows to the push path as collected rows. The top stage is the
-/// dispatcher's node; the ones below report from the stage counters.
-/// `None` — nothing run — when the chain's source is not a scan (a
-/// projection over a vectorized aggregate).
+/// ([`node_mode`] says so of its top node), pushed: every chunk streams
+/// through [`ChunkChain`]. The top stage is the dispatcher's node; the ones
+/// below report from the stage counters. `None` — nothing run — when the
+/// chain's source is not a scan (a projection over a vectorized aggregate).
 pub(super) fn vectorized_chain(
     plan: &PhysPlan,
     ctx: &ExecContext,
-    sink: &mut super::Sink,
+    sink: &mut Sink,
 ) -> Result<Option<NodeOut>> {
-    let (nodes, source) = collect_chain(plan);
-    let counters: Arc<Vec<StageCounter>> =
-        Arc::new((0..nodes.len()).map(|_| StageCounter::default()).collect());
-    let Some(out) = prefix_run(&nodes, source, &counters, ctx)? else {
+    let Some(chain) = ChunkChain::of(plan, ctx) else {
         return Ok(None);
     };
-    debug_assert_eq!(out.stages_done, nodes.len(), "the whole chain is eligible");
-    super::emit(out.rows.iter(), ctx, sink)?;
-
-    let mut node = NodeOut::new();
-    let top = nodes.len() - 1;
-    node.rows_in = counters[top].snapshot().0;
-    if out.parallel {
-        node.workers = ctx.parallelism();
-    }
-    if ctx.stats_enabled() {
-        let chunks = out.source_rows.div_ceil(crate::column::CHUNK_ROWS);
-        let morsels = if out.parallel {
-            ctx.morsels(chunks).len()
-        } else {
-            1
-        };
-        let source = OpStats::leaf(op_label(source), out.source_rows);
-        node.children = vec![chain_stats(
-            source,
-            &nodes[..top],
-            &counters,
-            node.workers,
-            morsels,
-        )];
-    }
-    Ok(Some(node))
+    chain.emit(0..chain.chunks(), ctx.deadline(), sink)?;
+    Ok(Some(chain.node()))
 }

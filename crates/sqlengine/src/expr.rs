@@ -709,6 +709,21 @@ pub(crate) fn bind_params(e: &mut PhysExpr, params: &[Value], unbound: &mut Opti
     e.for_each_child_mut(&mut |child| bind_params(child, params, unbound));
 }
 
+/// A copy of `e` whose text literals are its own allocations
+/// ([`Value::unshared`]), or `None` when it holds none.
+pub(crate) fn unshared_literals(e: &PhysExpr) -> Option<PhysExpr> {
+    fn unshare(e: &mut PhysExpr, any: &mut bool) {
+        if let PhysExpr::Literal(v @ Value::Str(_)) = e {
+            *v = v.unshared();
+            *any = true;
+        }
+        e.for_each_child_mut(&mut |child| unshare(child, any));
+    }
+    let (mut copy, mut any) = (e.clone(), false);
+    unshare(&mut copy, &mut any);
+    any.then_some(copy)
+}
+
 /// A copy of `e` with every column reference moved `offset` columns to the
 /// right — the expression now reads the right-hand part of a joined row
 /// whose left side is `offset` columns wide.

@@ -13,10 +13,11 @@
 //!   references otherwise (`PhysPlan::Shared`), index-scan
 //!   selection for equality and `IN`-list predicates, and a cost-gated
 //!   index-nested-loop join for small probes against indexed tables;
-//! * a morsel-parallel row executor (one module per operator family) with
-//!   hash joins, index scans/joins, hash aggregation, window and sort
-//!   operators, an optional worker pool (`EngineConfig::parallelism`), and
-//!   per-operator runtime statistics surfaced through `EXPLAIN ANALYZE`;
+//! * a push-based row executor (one module per operator family) with hash
+//!   joins, index scans/joins, hash aggregation, window and sort operators,
+//!   morsel-driven pipelines over a worker pool (`EngineConfig::parallelism`,
+//!   the host's cores by default), and per-operator runtime statistics
+//!   surfaced through `EXPLAIN ANALYZE`;
 //! * a derived columnar storage layer (`column`): lazily built fixed-size
 //!   chunks of typed column vectors with null masks and per-chunk
 //!   dictionaries for low-cardinality TEXT, driving vectorized

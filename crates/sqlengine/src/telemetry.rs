@@ -291,8 +291,9 @@ pub struct Telemetry {
     /// a non-NULL key, whichever input the planner chose to build on.
     pub join_build_rows: Counter,
     /// Rows a collecting sink stored as an operator's intermediate input (a
-    /// hash-join build side, a sort input, a morsel's output) — never the
+    /// hash-join build side, a sort input, a shared CTE's slot) — never the
     /// rows a streaming pipeline passed through, nor the statement result.
+    /// The same at every parallelism.
     pub rows_materialized: Counter,
     /// References to a shared CTE served from the rows its first reference
     /// to run collected, instead of running the CTE again.

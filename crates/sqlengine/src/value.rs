@@ -53,6 +53,15 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
+    /// A copy that shares no allocation with `self`: text is copied into a
+    /// new `Arc`, whose reference count no other thread touches.
+    pub(crate) fn unshared(&self) -> Self {
+        match self {
+            Value::Str(s) => Value::text(&**s),
+            other => other.clone(),
+        }
+    }
+
     /// True when the value is SQL NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -27,10 +27,10 @@
 //!    is silently dropped); in an executable plan no unbound
 //!    [`PhysExpr::Param`] survives.
 //! 5. **merge-determinism** — operators whose parallel implementations merge
-//!    worker streams deterministically (`UNION ALL`, and the sorted-run
-//!    merges under `Sort`/`DISTINCT`) only merge streams that agree on row
-//!    arity; a ragged `UnionAll` would make the submission-order merge
-//!    ill-defined.
+//!    worker streams deterministically (`UNION ALL`, whose arms a pipeline's
+//!    morsels run in order, and the sorted-run merges under `Sort`) only
+//!    merge streams that agree on row arity; a ragged `UnionAll` would make
+//!    the morsel-order merge ill-defined.
 //!
 //! The verifier runs on every freshly planned query and on every plan
 //! served from the cache when [`crate::EngineConfig::verify_plans`] is on

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_equivalent, gxw_rows};
+use common::{canonical, gxw_rows};
 use seeded::{cases, SplitMix64};
 use sqlengine::{Database, EngineConfig, Value};
 
@@ -214,10 +214,15 @@ fn row_number_is_a_permutation() {
     });
 }
 
-/// A larger random table, sized to cross the executor's parallel-path row
-/// threshold so `parallelism = 4` genuinely exercises the morsel operators.
+/// A larger random table without NULLs, sized past the executor's fan-out
+/// threshold (8,192 source rows) so `parallelism = 4` genuinely runs the
+/// morsel pipelines; `x` spans widely enough to keep the self-joins small.
 fn arb_big_fixture(rng: &mut SplitMix64) -> Fixture {
-    not_null(gxw_rows(rng, 150..400, (8, 50, 100), 0.0))
+    not_null(gxw_rows(rng, 9_000..12_000, (8, 2_000, 100), 0.0))
+}
+
+fn has_fanned_out(stats: &sqlengine::OpStats) -> bool {
+    stats.workers > 1 || stats.children.iter().any(has_fanned_out)
 }
 
 /// Queries covering every data-parallel operator family.
@@ -235,37 +240,55 @@ const PARALLEL_QUERIES: &[&str] = &[
 ];
 
 /// Every query produces identical rows at parallelism 1 and 4, for every
-/// engine profile (after canonical ordering).
+/// engine profile (after canonical ordering), and at parallelism 4 some of
+/// them fan out.
 #[test]
 fn parallel_execution_matches_serial() {
-    cases(16, 8, |rng| {
+    cases(4, 8, |rng| {
         let f = arb_big_fixture(rng);
         for config in all_profiles() {
-            let serial = Database::with_config(config);
+            let serial = Database::with_config(config.with_parallelism(1));
             load(&serial, &f);
             let parallel = Database::with_config(config.with_parallelism(4));
             load(&parallel, &f);
+            let mut fanned_out = 0;
             for query in PARALLEL_QUERIES {
-                assert_equivalent(&serial, &parallel, query);
+                let a = serial.query(query).unwrap();
+                let (b, stats) = parallel.query_analyzed(query).unwrap();
+                assert_eq!(a.columns, b.columns, "columns differ for {query}");
+                assert_eq!(
+                    canonical(a.rows),
+                    canonical(b.rows),
+                    "rows differ for {query}"
+                );
+                fanned_out += usize::from(has_fanned_out(&stats));
             }
+            assert!(fanned_out > 0, "nothing fanned out under {config:?}");
         }
     });
 }
 
 /// `EXPLAIN ANALYZE` row accounting matches the actual result set at both
-/// parallelism levels.
+/// parallelism levels, and only parallelism 4 fans out.
 #[test]
 fn explain_analyze_counts_match_results() {
-    cases(16, 9, |rng| {
+    cases(4, 9, |rng| {
         let f = arb_big_fixture(rng);
         for parallelism in [1usize, 4] {
             let db = Database::with_config(EngineConfig::default().with_parallelism(parallelism));
             load(&db, &f);
+            let mut fanned_out = 0;
             for query in PARALLEL_QUERIES {
                 let (result, stats) = db.query_analyzed(query).unwrap();
                 let rows = result.rows.len();
                 assert_eq!(stats.rows_out, rows, "{query} at parallelism {parallelism}");
+                fanned_out += usize::from(has_fanned_out(&stats));
             }
+            assert_eq!(
+                fanned_out > 0,
+                parallelism > 1,
+                "at parallelism {parallelism}"
+            );
         }
     });
 }

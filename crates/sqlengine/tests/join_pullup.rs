@@ -4,7 +4,8 @@
 //! keys before touching a row. Every test here is differential. The oracle
 //! is the same statement with each derived table written as a CTE, run under
 //! `EngineConfig::profile_b()` — `materialize_ctes`, so the projection runs
-//! in full and the join scans its output — serially, without the plan cache.
+//! in full and the join scans its output — at parallelism 1, without the
+//! plan cache.
 //! The inlined form must answer the same under every engine configuration:
 //! same rows, same column names, same error.
 //!
@@ -16,7 +17,8 @@
 
 use sqlengine::{Database, EngineConfig, EngineError, QueryResult, Value};
 
-/// Rows of `fact`: enough for several chunks and for the parallel paths.
+/// Rows of `fact`: enough for several chunks (not for the executor to fan
+/// out: that is the 20,000-row `big` below).
 const FACT_ROWS: i64 = 2_600;
 
 /// Load the fixture. `fact.n` cycles through 130 ids (so every id owns ~20
@@ -244,6 +246,7 @@ const CASES: &[Case] = &[
 fn oracle() -> Database {
     let db = Database::with_config(
         EngineConfig::profile_b()
+            .with_parallelism(1)
             .with_plan_cache(false)
             .with_verify_plans(true),
     );
@@ -304,6 +307,61 @@ fn inlined_derived_tables_answer_like_materialized_ctes() {
                 assert_eq!(&db.query(&sql), want, "[{name}] run {run}: {sql}");
             }
         }
+    }
+}
+
+/// A derived table over 20,000 rows joined with `dim` and grouped: the key
+/// filter keeps every row whose id `dim` holds — past the executor's fan-out
+/// threshold — so at parallelism 4 the probe runs in the group-by's
+/// pipeline over morsels (`EXPLAIN ANALYZE` says `workers=` on the join),
+/// and the inlined form answers like the oracle in both modes.
+#[test]
+fn a_probe_past_the_fan_out_threshold_fans_out_and_answers_the_same() {
+    let add_big = |db: &Database| {
+        db.execute("CREATE TABLE big (n INTEGER, tag TEXT, w REAL)")
+            .unwrap();
+        let rows = (0..20_000).map(|i| {
+            let tag = Value::text(format!("t{}", i % 7));
+            vec![
+                Value::Int(i % 130),
+                tag,
+                Value::Float(1.0 + (i % 5) as f64 * 0.5),
+            ]
+        });
+        db.insert_rows("big", rows.collect()).unwrap();
+    };
+    let case = Case {
+        d: "SELECT n, 'tag:' || tag AS j, w FROM big",
+        e: None,
+        query: "SELECT d.j, dim.name, COUNT(*) AS c, SUM(d.w) AS s FROM {d}, dim \
+                WHERE d.n = dim.id GROUP BY d.j, dim.name ORDER BY 1, 2",
+    };
+    let oracle = oracle();
+    add_big(&oracle);
+    let want = oracle.query(&case.as_ctes()).unwrap();
+    let joined: i64 = want
+        .rows
+        .iter()
+        .map(|r| r[2].as_i64().unwrap().unwrap())
+        .sum();
+    assert!(joined > 19_000, "{joined} rows joined");
+    for vectorized in [true, false] {
+        let db = Database::with_config(
+            EngineConfig::profile_a()
+                .with_parallelism(4)
+                .with_vectorized(vectorized)
+                .with_verify_plans(true),
+        );
+        load(&db);
+        add_big(&db);
+        assert_eq!(
+            db.query(&case.inlined()).unwrap(),
+            want,
+            "vectorized={vectorized}"
+        );
+        let analyzed = db.explain_analyze(&case.inlined()).unwrap();
+        let join = analyzed.lines().find(|l| l.contains("HashJoin"));
+        assert!(join.is_some_and(|l| l.contains("workers=4")), "{analyzed}");
     }
 }
 

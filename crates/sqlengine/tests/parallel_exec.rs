@@ -1,12 +1,12 @@
 //! Serial-vs-parallel executor equivalence and `EXPLAIN ANALYZE` tests.
 //!
 //! Fixtures are generated with a deterministic LCG (no external crates) and
-//! are large enough to cross the executor's parallel-path row threshold, so
-//! the morsel-parallel operators genuinely run at `parallelism = 4`.
+//! are large enough to cross the executor's fan-out threshold (8,192 source
+//! rows), so the morsel pipelines genuinely fan out at `parallelism = 4`.
 
 use sqlengine::{Database, EngineConfig, Value};
 
-const ROWS: usize = 600; // well above the executor's parallel threshold
+const ROWS: usize = 20_000; // well above the executor's fan-out threshold
 
 /// Tiny deterministic PRNG so fixtures are identical on every run.
 struct Lcg(u64);
@@ -22,14 +22,18 @@ impl Lcg {
 }
 
 fn seeded_db(config: EngineConfig) -> Database {
+    seeded_db_of(config, ROWS)
+}
+
+fn seeded_db_of(config: EngineConfig, rows_wanted: usize) -> Database {
     let db = Database::with_config(config);
     db.execute("CREATE TABLE t (g INTEGER, x INTEGER, w REAL, s TEXT)")
         .unwrap();
     db.execute("CREATE TABLE dim (g INTEGER, name TEXT)")
         .unwrap();
     let mut rng = Lcg(0xB0125);
-    let mut rows = Vec::with_capacity(ROWS);
-    for _ in 0..ROWS {
+    let mut rows = Vec::with_capacity(rows_wanted);
+    for _ in 0..rows_wanted {
         let g = (rng.next() % 13) as i64;
         let x = (rng.next() % 1000) as i64 - 500;
         let w = (rng.next() % 10_000) as f64 / 100.0;
@@ -101,15 +105,49 @@ fn parallel_matches_serial_across_profiles() {
         EngineConfig::profile_b(),
         EngineConfig::profile_c(),
     ] {
-        let serial = seeded_db(base);
+        let serial = seeded_db(base.with_parallelism(1));
         let parallel = seeded_db(base.with_parallelism(4));
+        let mut fanned_out = 0;
         for query in QUERIES {
             let a = serial.query(query).unwrap();
-            let b = parallel.query(query).unwrap();
+            let (b, stats) = parallel.query_analyzed(query).unwrap();
             assert_eq!(a.columns, b.columns, "columns mismatch for {query}");
             assert_rows_equivalent(query, &a.rows, &b.rows);
+            fanned_out += usize::from(has_fanned_out(&stats));
         }
+        assert!(
+            fanned_out >= QUERIES.len() / 2,
+            "{fanned_out} queries fanned out"
+        );
     }
+}
+
+fn has_fanned_out(stats: &sqlengine::OpStats) -> bool {
+    stats.workers > 1 || stats.children.iter().any(has_fanned_out)
+}
+
+/// Rows raise in two operators — the projection at `n = 15,000` (10 / 0),
+/// the aggregate above it at `n = 100` (the SUM of a text value) — and the
+/// one that raises first in row order is reported, at every parallelism: a
+/// morsel runs its rows through the whole pipeline, and the earliest failing
+/// morsel's error wins.
+#[test]
+fn the_first_raising_row_decides_the_error_at_every_parallelism() {
+    let sql = "SELECT SUM(v) FROM (SELECT CASE WHEN n = 100 THEN s ELSE n END AS v, \
+               10 / (n - 15000) AS q FROM u) d GROUP BY q";
+    let errors = [1, 4].map(|parallelism| {
+        let db = Database::with_config(EngineConfig::default().with_parallelism(parallelism));
+        db.execute("CREATE TABLE u (n INTEGER, s TEXT)").unwrap();
+        let rows = (0..ROWS as i64).map(|n| vec![Value::Int(n), Value::text("oops")]);
+        db.insert_rows("u", rows.collect()).unwrap();
+        db.query(sql).unwrap_err().to_string()
+    });
+    assert!(
+        errors[0].contains("SUM of non-numeric value oops"),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[1], errors[0]);
 }
 
 #[test]
@@ -225,10 +263,11 @@ fn insert_select_reads_pre_statement_snapshot() {
 
 #[test]
 fn parallelism_one_config_uses_no_pool_path() {
-    // parallelism = 1 must behave exactly like the default profile — this is
-    // the byte-identical serial guarantee the benchmark profiles rely on.
-    let a = seeded_db(EngineConfig::profile_a());
-    let b = seeded_db(EngineConfig::profile_a().with_parallelism(1));
+    // Below the fan-out threshold nothing fans out, so the default profile
+    // (as many workers as the host has cores) answers byte for byte like
+    // parallelism 1.
+    let a = seeded_db_of(EngineConfig::profile_a(), 600);
+    let b = seeded_db_of(EngineConfig::profile_a().with_parallelism(1), 600);
     for query in QUERIES {
         assert_eq!(a.query(query).unwrap(), b.query(query).unwrap(), "{query}");
     }

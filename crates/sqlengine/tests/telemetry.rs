@@ -366,11 +366,12 @@ fn op_rows(report: &str) -> Vec<(String, String, String)> {
 
 #[test]
 fn explain_analyze_reports_workers_and_identical_row_counts() {
+    // 20,000 rows: past the executor's fan-out threshold.
     let sql = "SELECT g, COUNT(*), SUM(w) FROM t WHERE x >= 0 GROUP BY g ORDER BY g";
-    let serial = seeded_db(EngineConfig::default().with_parallelism(1), 600)
+    let serial = seeded_db(EngineConfig::default().with_parallelism(1), 20_000)
         .explain_analyze(sql)
         .unwrap();
-    let parallel = seeded_db(EngineConfig::default().with_parallelism(4), 600)
+    let parallel = seeded_db(EngineConfig::default().with_parallelism(4), 20_000)
         .explain_analyze(sql)
         .unwrap();
 
@@ -380,7 +381,7 @@ fn explain_analyze_reports_workers_and_identical_row_counts() {
     );
     assert!(
         parallel.contains("workers=4"),
-        "600 rows at parallelism 4 must fan out:\n{parallel}"
+        "20,000 rows at parallelism 4 must fan out:\n{parallel}"
     );
     assert_eq!(
         op_rows(&serial),

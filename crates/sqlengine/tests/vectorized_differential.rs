@@ -84,38 +84,65 @@ fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
 #[test]
 fn vectorized_matches_row_path() {
     cases(16, 1, |rng| {
-        let f = arb_fixture(rng);
-        let variants = [(false, 1usize), (false, 4), (true, 1), (true, 4)];
-        let dbs: Vec<Database> = variants
-            .iter()
-            .map(|&(vectorized, parallelism)| {
-                let db = Database::with_config(
-                    EngineConfig::default()
-                        .with_vectorized(vectorized)
-                        .with_parallelism(parallelism),
-                );
-                load(&db, &f);
-                db
-            })
-            .collect();
-        for query in QUERIES {
-            let baseline = dbs[0].query(query).unwrap();
-            // Exact row order: row-serial vs vectorized-serial.
-            let vec_serial = dbs[2].query(query).unwrap();
-            let (a, b) = (&baseline.rows, &vec_serial.rows);
-            assert_eq!(a, b, "serial row order diverged for {query}");
-            for (db, tag) in dbs.iter().zip(variants).skip(1) {
-                let got = db.query(query).unwrap();
-                let (a, b) = (&baseline.columns, &got.columns);
-                assert_eq!(a, b, "columns differ for {query}");
-                let (a, b) = (canonical(baseline.rows.clone()), canonical(got.rows));
-                assert_eq!(
-                    a, b,
-                    "rows differ for {query} at (vectorized, parallelism) = {tag:?}"
-                );
+        same_in_every_mode(&arb_fixture(rng));
+    });
+}
+
+/// A table past the executor's fan-out threshold: the same answers in
+/// every mode, and the parallel runs fan out in both.
+#[test]
+fn a_table_past_the_fan_out_threshold_fans_out_in_both_modes() {
+    cases(2, 3, |rng| {
+        let f = Fixture {
+            rows: gxw_rows(rng, 9_000..10_000, (6, 50, 100), 0.5),
+        };
+        let fanned_out = same_in_every_mode(&f);
+        assert!(fanned_out.iter().all(|&n| n > 0), "{fanned_out:?}");
+    });
+}
+
+/// [`vectorized_matches_row_path`] over one fixture; returns how many
+/// queries fanned out at parallelism 4, vectorized off and on.
+fn same_in_every_mode(f: &Fixture) -> [usize; 2] {
+    let variants = [(false, 1usize), (false, 4), (true, 1), (true, 4)];
+    let dbs: Vec<Database> = variants
+        .iter()
+        .map(|&(vectorized, parallelism)| {
+            let db = Database::with_config(
+                EngineConfig::default()
+                    .with_vectorized(vectorized)
+                    .with_parallelism(parallelism),
+            );
+            load(&db, f);
+            db
+        })
+        .collect();
+    let mut fanned_out = [0, 0];
+    for query in QUERIES {
+        let baseline = dbs[0].query(query).unwrap();
+        // Exact row order: row-serial vs vectorized-serial.
+        let vec_serial = dbs[2].query(query).unwrap();
+        let (a, b) = (&baseline.rows, &vec_serial.rows);
+        assert_eq!(a, b, "serial row order diverged for {query}");
+        for (db, tag) in dbs.iter().zip(variants).skip(1) {
+            let (got, stats) = db.query_analyzed(query).unwrap();
+            let (a, b) = (&baseline.columns, &got.columns);
+            assert_eq!(a, b, "columns differ for {query}");
+            let (a, b) = (canonical(baseline.rows.clone()), canonical(got.rows));
+            assert_eq!(
+                a, b,
+                "rows differ for {query} at (vectorized, parallelism) = {tag:?}"
+            );
+            if has_fanned_out(&stats) {
+                fanned_out[usize::from(tag.0)] += 1;
             }
         }
-    });
+    }
+    fanned_out
+}
+
+fn has_fanned_out(stats: &OpStats) -> bool {
+    stats.workers > 1 || stats.children.iter().any(has_fanned_out)
 }
 
 /// `EXPLAIN ANALYZE` reports the same per-operator (label, rows_in,
