@@ -136,7 +136,7 @@ impl Table {
     }
 
     /// Observed columnar state as `(chunk_count, dict_columns)` — both zero
-    /// until a vectorized query first builds the chunks (chunks are lazy,
+    /// until a key-filtered hash join first builds the chunks (chunks are lazy,
     /// and this reports without forcing a build).
     pub fn chunk_stats(&self) -> (usize, usize) {
         match self.chunks.peek() {

@@ -2,7 +2,7 @@
 //!
 //! Tables remain row-stores (`Arc<Vec<Row>>` is the durable, snapshotted
 //! representation); this module maintains a *derived* columnar image of the
-//! same data for the vectorized executor: fixed-size [`ColumnChunk`]s of
+//! same data for the hash join's key filter: fixed-size [`ColumnChunk`]s of
 //! typed column vectors with null masks, dictionary-encoding low-cardinality
 //! TEXT columns (token strings in the BornSQL corpus shape). Chunks are
 //! never written to snapshots or the WAL — recovery rebuilds them lazily

@@ -70,11 +70,10 @@ pub struct EngineConfig {
     pub slow_query_threshold: Duration,
     /// Number of statements retained by the `sys.query_log` ring buffer.
     pub query_log_capacity: usize,
-    /// Attach columnar chunk caches to base-table scans so eligible
-    /// Filter/Project/Aggregate chains run on the vectorized kernels.
-    /// Disable to force the row-at-a-time path everywhere — the executor
-    /// produces identical results either way, which is what the
-    /// differential test suites assert.
+    /// Attach columnar chunk images to base-table scans so a hash join
+    /// filters its probe scan by its build keys. Disable to make every hash
+    /// join probe row by row — the executor produces identical results
+    /// either way, which is what the differential test suites assert.
     pub vectorized: bool,
     /// Run the post-planning static plan verifier (see [`crate::verify`]) on
     /// every plan — freshly planned or served from the cache — and fail the
@@ -245,7 +244,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style toggle of columnar/vectorized execution.
+    /// Builder-style toggle of the chunk images the hash join's key filter
+    /// reads.
     pub fn with_vectorized(mut self, on: bool) -> Self {
         self.vectorized = on;
         self

@@ -928,9 +928,9 @@ impl Database {
         Ok((rows, Some(stats)))
     }
 
-    /// Count how many mode-capable operators of an executed plan take the
-    /// vectorized vs the row path (surfaced as `exec.vectorized_ops` /
-    /// `exec.row_ops` in `sys.metrics`).
+    /// Count how many hash joins of an executed plan probe a base-table scan
+    /// through the chunk key filter vs row by row (surfaced as
+    /// `exec.vectorized_ops` / `exec.row_ops` in `sys.metrics`).
     fn record_plan_modes(&self, plan: &PhysPlan) {
         if !self.telemetry.enabled() {
             return;

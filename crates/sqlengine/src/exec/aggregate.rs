@@ -25,9 +25,7 @@ use crate::value::{Row, Value};
 use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, Ticker};
 use super::{key_of, ExecContext, NodeOut, Partial, Sink};
 
-/// Running state for one aggregate over one group. Shared with the
-/// vectorized aggregate in [`super::vector`], which drives the same state
-/// machine column-at-a-time.
+/// Running state for one aggregate over one group.
 #[derive(Debug, Clone)]
 pub(super) enum AggState {
     Count(i64),
@@ -170,12 +168,6 @@ pub(crate) fn aggregate(
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
-    // Fully eligible chains aggregate straight over the columnar chunks
-    // without materializing the filtered input.
-    if let Some((rows, out)) = super::vector::vectorized_aggregate(input, keys, aggs, ctx)? {
-        super::emit(rows.iter(), ctx, sink)?;
-        return Ok(out);
-    }
     let mut node = NodeOut::new();
     let (spec, budget) = (
         Arc::new((keys.to_vec(), aggs.to_vec())),
@@ -191,7 +183,7 @@ pub(crate) fn aggregate(
     Ok(node)
 }
 
-pub(super) fn default_row(aggs: &[AggSpec]) -> Row {
+fn default_row(aggs: &[AggSpec]) -> Row {
     aggs.iter().map(|a| AggState::new(a).finish()).collect()
 }
 

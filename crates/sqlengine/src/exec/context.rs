@@ -193,9 +193,7 @@ impl ChargeBuf {
 /// `elapsed` is the wall time of the operator's run: inclusive of its
 /// children and, in a push pipeline, of the work its consumers do on the
 /// rows it hands them (a producer's call spans theirs), so every child's
-/// time lies inside its parent's. The inner stages of a vectorized
-/// Filter/Project chain report their kernel time, summed across workers
-/// (the convention parallel DBMSs use for per-worker stats).
+/// time lies inside its parent's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
     /// Operator label as rendered by `EXPLAIN` (e.g. `HashJoin [Inner, 1 keys]`).
@@ -730,32 +728,6 @@ pub(crate) fn morsel_ranges(len: usize, max_chunks: usize) -> Vec<Range<usize>> 
         start += size;
     }
     ranges
-}
-
-/// Per-stage counters accumulated by fused morsel pipelines; nanoseconds are
-/// summed across workers with relaxed atomics (exact sums, racy only in
-/// ordering, which does not matter for totals).
-#[derive(Default)]
-pub(crate) struct StageCounter {
-    pub rows_in: AtomicU64,
-    pub rows_out: AtomicU64,
-    pub nanos: AtomicU64,
-}
-
-impl StageCounter {
-    pub(crate) fn add(&self, rows_in: usize, rows_out: usize, nanos: u64) {
-        self.rows_in.fetch_add(rows_in as u64, Ordering::Relaxed);
-        self.rows_out.fetch_add(rows_out as u64, Ordering::Relaxed);
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> (usize, usize, Duration) {
-        (
-            self.rows_in.load(Ordering::Relaxed) as usize,
-            self.rows_out.load(Ordering::Relaxed) as usize,
-            Duration::from_nanos(self.nanos.load(Ordering::Relaxed)),
-        )
-    }
 }
 
 // The whole execution layer must be shareable across worker threads.

@@ -32,10 +32,11 @@
 //! the statement result — pushes its input through those functions
 //! ([`collect_flat`] says why). A breaker that folds its input into state of
 //! its own — the group table, the `DISTINCT` set — runs its input as a
-//! *pipeline* ([`pipeline`]): a splittable source — a base-table scan or its
-//! chunk image, held rows, or a `UNION ALL` of such arms — and the streaming
-//! operators above it: Filter/Project, the hash-join probe, the outer side of
-//! the nested-loop and index nested-loop joins. Whatever the pipeline reads
+//! *pipeline* ([`pipeline`]): a splittable source — a base-table scan, the
+//! rows of one that a hash join's key filter kept ([`vector`]), held rows,
+//! or a `UNION ALL` of such arms — and the streaming operators above it:
+//! Filter/Project, the hash-join probe, the outer side of the nested-loop
+//! and index nested-loop joins. Whatever the pipeline reads
 //! (build sides, inner sides, shared slots) runs first. When the sources
 //! hold at least [`context::FAN_OUT_ROWS`] rows and `parallelism >= 2`, they
 //! are cut into fixed-size morsels; the calling thread and the pool's
@@ -211,11 +212,6 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             Ok(NodeOut::new())
         }
         PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
-            if node_mode(plan) == Some(true) {
-                if let Some(node) = vector::vectorized_chain(plan, ctx, sink)? {
-                    return Ok(node);
-                }
-            }
             let mut node = NodeOut::new();
             stream(&scan::StageSpec::of(plan), input, ctx, &mut node, sink)?;
             Ok(node)
@@ -786,9 +782,6 @@ enum Source {
     /// filling it ran (`None`: it was filled before) — cut into morsels of
     /// rows.
     Rows(Held, Option<NodeOut>),
-    /// A Filter/Project chain running vectorized over a table's chunk image,
-    /// cut into morsels of chunks.
-    Chunks(vector::ChunkChain),
     /// The rows of a table a hash join probes that the key filter kept, cut
     /// into morsels of chunks.
     Candidates(join::Candidates),
@@ -799,16 +792,15 @@ impl Source {
     fn units(&self) -> (usize, usize) {
         match self {
             Source::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
-            Source::Chunks(chain) => (chain.chunks(), MORSEL_ROWS / CHUNK_ROWS),
             Source::Candidates(rows) => (rows.chunks(), MORSEL_ROWS / CHUNK_ROWS),
         }
     }
 
-    /// The rows it streams, as the fan-out gate counts them.
+    /// The rows it streams, as the fan-out gate counts them; all of them are
+    /// handed on once every morsel ran.
     fn rows(&self) -> usize {
         match self {
             Source::Rows(rows, _) => rows.len(),
-            Source::Chunks(chain) => chain.rows(),
             Source::Candidates(rows) => rows.len(),
         }
     }
@@ -821,17 +813,7 @@ impl Source {
     ) -> Result<()> {
         match self {
             Source::Rows(rows, _) => emit_until(rows.rows(units), deadline, sink),
-            Source::Chunks(chain) => chain.emit(units, deadline, sink),
             Source::Candidates(rows) => rows.emit(units, deadline, sink),
-        }
-    }
-
-    /// The rows it handed on, all morsels together (once every one ran).
-    fn emitted(&self) -> usize {
-        match self {
-            Source::Rows(rows, _) => rows.len(),
-            Source::Chunks(chain) => chain.emitted(),
-            Source::Candidates(rows) => rows.len(),
         }
     }
 }
@@ -974,17 +956,9 @@ impl Pipeline {
                 self.source(parent, Source::Rows(rows, None), label(plan));
             }
             PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
-                let chain = (node_mode(plan) == Some(true))
-                    .then(|| vector::ChunkChain::of(plan, ctx))
-                    .flatten();
-                match chain {
-                    Some(chain) => self.source(parent, Source::Chunks(chain), label(plan)),
-                    None => {
-                        let step = Step::Stage(scan::StageSpec::of(plan));
-                        let node = self.add(parent, Some(step), label(plan), Role::Stream);
-                        self.prepare(input, Some(node), ctx)?;
-                    }
-                }
+                let step = Step::Stage(scan::StageSpec::of(plan));
+                let node = self.add(parent, Some(step), label(plan), Role::Stream);
+                self.prepare(input, Some(node), ctx)?;
             }
             PhysPlan::HashJoin {
                 algo: JoinAlgo::Hash,
@@ -1130,12 +1104,11 @@ impl Pipeline {
         match &node.role {
             Role::Source(leaf) => {
                 let source = &self.leaves[*leaf].source;
-                (share, rows_out) = (ran.share(source.rows()), source.emitted());
+                (share, rows_out) = (ran.share(source.rows()), source.rows());
                 match source {
                     Source::Rows(_, fill) => {
                         out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
                     }
-                    Source::Chunks(chain) => out = chain.node(),
                     // The probe's child: the table the candidates came from.
                     Source::Candidates(rows) => rows_out = rows.scan_rows(),
                 }
@@ -1691,7 +1664,7 @@ mod tests {
                     "Shared cte=c (reused)"
                 ]
             );
-            assert_eq!(stats.children[0].children[0].label, "Filter mode=row");
+            assert_eq!(stats.children[0].children[0].label, "Filter");
             assert!(stats.children[1].children.is_empty());
             assert_eq!(telemetry.shared_reuses.get(), 2);
             // The held rows are the one intermediate result.

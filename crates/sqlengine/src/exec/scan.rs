@@ -6,8 +6,6 @@
 //! kept row on unchanged or evaluates the projection into one reused buffer,
 //! so a `Scan → Filter → Project` chain copies each surviving value once, at
 //! the projection, and nothing when it ends in an aggregate or a join probe.
-//! A chain that runs vectorized down to its scan goes through
-//! [`super::vector`] instead, which streams each chunk's surviving rows.
 
 use std::sync::Arc;
 
@@ -116,18 +114,6 @@ pub(crate) fn index_scan(
     let idxs = index_positions(index, keys)?;
     super::emit(idxs.iter().map(|&i| &rows[i]), ctx, sink)?;
     Ok(NodeOut::new())
-}
-
-/// Walk a chain of `Filter`/`Project` nodes down to its source. Returns the
-/// stage nodes innermost-first plus the source plan.
-pub(super) fn collect_chain(mut plan: &PhysPlan) -> (Vec<&PhysPlan>, &PhysPlan) {
-    let mut nodes = Vec::new();
-    while let PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } = plan {
-        nodes.push(plan);
-        plan = input;
-    }
-    nodes.reverse();
-    (nodes, plan)
 }
 
 #[cfg(test)]

@@ -26,16 +26,13 @@ pub fn render_plan(plan: &PhysPlan) -> String {
 }
 
 /// One-line label for an operator node, shared between `EXPLAIN` rendering
-/// and the executor's `EXPLAIN ANALYZE` stats collection. Operators with a
-/// vectorized variant carry a ` mode=vectorized` / ` mode=row` suffix
-/// reflecting how the executor will actually run them. A hash join names
+/// and the executor's `EXPLAIN ANALYZE` stats collection. A hash join names
 /// the input it builds on (`build=left|right`), and one probing straight off
-/// a base-table scan says ` probe=keyset(vectorized|row)`.
+/// a base-table scan says how it reads it: ` probe=keyset(vectorized|row)`.
 pub(crate) fn op_label(plan: &PhysPlan) -> String {
-    let mode = crate::exec::mode_suffix(plan);
     match plan {
         PhysPlan::Scan { rows, width, .. } => {
-            format!("Scan [{} rows × {} cols]{mode}", rows.len(), width)
+            format!("Scan [{} rows × {} cols]", rows.len(), width)
         }
         PhysPlan::VirtualScan { name, rows, width } => {
             format!("VirtualScan {name} [{} rows × {} cols]", rows.len(), width)
@@ -64,8 +61,8 @@ pub(crate) fn op_label(plan: &PhysPlan) -> String {
             if residual.is_some() { ", residual" } else { "" }
         ),
         PhysPlan::OneRow => "OneRow".to_string(),
-        PhysPlan::Filter { .. } => format!("Filter{mode}"),
-        PhysPlan::Project { exprs, .. } => format!("Project [{} exprs]{mode}", exprs.len()),
+        PhysPlan::Filter { .. } => "Filter".to_string(),
+        PhysPlan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
         PhysPlan::HashJoin {
             left_keys,
             kind,
@@ -80,14 +77,15 @@ pub(crate) fn op_label(plan: &PhysPlan) -> String {
                 (JoinAlgo::SortMerge, _) => ("SortMergeJoin", ""),
             };
             format!(
-                "{algo_name} [{kind:?}, {} keys{}{build}]{mode}",
+                "{algo_name} [{kind:?}, {} keys{}{build}]{}",
                 left_keys.len(),
-                if residual.is_some() { ", residual" } else { "" }
+                if residual.is_some() { ", residual" } else { "" },
+                crate::exec::mode_suffix(plan)
             )
         }
         PhysPlan::NestedLoopJoin { kind, .. } => format!("NestedLoopJoin [{kind:?}]"),
         PhysPlan::Aggregate { keys, aggs, .. } => {
-            format!("Aggregate [{} keys, {} aggs]{mode}", keys.len(), aggs.len())
+            format!("Aggregate [{} keys, {} aggs]", keys.len(), aggs.len())
         }
         PhysPlan::Window { partition, .. } => {
             format!("Window [row_number, {} partition keys]", partition.len())

@@ -620,15 +620,13 @@ impl PhysExpr {
     }
 
     /// The total predicates: comparisons, `IS [NOT] NULL` and `[NOT]
-    /// BETWEEN` over operands that `operand` accepts, composed with
-    /// `AND`/`OR`. Provided its operands never error, such an expression
-    /// never errors either and evaluates to `Int(0|1)` or `Null` — a
-    /// comparison orders a string after every number instead of failing, and
-    /// `AND`/`OR` only ever see those booleans. This is the one statement of
-    /// that grammar: the vectorized filter kernels accept it over bare
-    /// columns and literals, and [`PhysExpr::cannot_raise`] over anything
-    /// that cannot raise.
-    pub(crate) fn is_total_predicate(&self, operand: &impl Fn(&PhysExpr) -> bool) -> bool {
+    /// BETWEEN` over operands that [cannot raise](PhysExpr::cannot_raise),
+    /// composed with `AND`/`OR`. Such an expression never errors and
+    /// evaluates to `Int(0|1)` or `Null` — a comparison orders a string after
+    /// every number instead of failing, and `AND`/`OR` only ever see those
+    /// booleans.
+    pub(crate) fn is_total_predicate(&self) -> bool {
+        let operand = PhysExpr::cannot_raise;
         match self {
             PhysExpr::Binary { left, op, right } => match op {
                 BinaryOp::Eq
@@ -638,7 +636,7 @@ impl PhysExpr {
                 | BinaryOp::Gt
                 | BinaryOp::GtEq => operand(left) && operand(right),
                 BinaryOp::And | BinaryOp::Or => {
-                    left.is_total_predicate(operand) && right.is_total_predicate(operand)
+                    left.is_total_predicate() && right.is_total_predicate()
                 }
                 _ => false,
             },
@@ -674,13 +672,13 @@ impl PhysExpr {
                 // errors; without one it is used as a condition.
                 let when_ok = |w: &PhysExpr| match operand {
                     Some(_) => w.cannot_raise(),
-                    None => w.is_total_predicate(&PhysExpr::cannot_raise),
+                    None => w.is_total_predicate(),
                 };
                 operand.as_deref().is_none_or(PhysExpr::cannot_raise)
                     && branches.iter().all(|(w, t)| when_ok(w) && t.cannot_raise())
                     && else_expr.as_deref().is_none_or(PhysExpr::cannot_raise)
             }
-            _ => self.is_total_predicate(&PhysExpr::cannot_raise),
+            _ => self.is_total_predicate(),
         }
     }
 }

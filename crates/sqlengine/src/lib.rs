@@ -20,10 +20,10 @@
 //!   surfaced through `EXPLAIN ANALYZE`;
 //! * a derived columnar storage layer (`column`): lazily built fixed-size
 //!   chunks of typed column vectors with null masks and per-chunk
-//!   dictionaries for low-cardinality TEXT, driving vectorized
-//!   filter/project/aggregate kernels with selection vectors and late
-//!   materialization (`EngineConfig::vectorized`, default on; `EXPLAIN`
-//!   prints `mode=vectorized|row` per operator);
+//!   dictionaries for low-cardinality TEXT, which a hash join reads to
+//!   filter the table it probes by its build keys before touching a row
+//!   (`EngineConfig::vectorized`, default on; `EXPLAIN` prints
+//!   `probe=keyset(vectorized|row)` on such a join);
 //! * an in-memory catalog with maintained primary-key (unique) and
 //!   secondary indexes (`CREATE [UNIQUE] INDEX`), kept up to date
 //!   incrementally across `INSERT`/`UPDATE`/`DELETE` and used by the

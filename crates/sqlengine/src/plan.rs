@@ -72,9 +72,9 @@ pub struct PlannerConfig {
     /// indexes, emitting `IndexScan` / index-nested-loop plans. Disabled for
     /// the forced-full-scan differential tests.
     pub use_indexes: bool,
-    /// Attach columnar chunk slots to base-table scans so eligible
-    /// filter/project/aggregate chains run the vectorized kernels. Disabled
-    /// to force the row path for differential testing.
+    /// Attach columnar chunk slots to base-table scans so a hash join filters
+    /// its probe scan by its build keys. Disabled to make every hash join
+    /// probe row by row, for differential testing.
     pub vectorized: bool,
 }
 
@@ -139,10 +139,11 @@ impl IndexRef {
 #[derive(Debug, Clone)]
 pub enum PhysPlan {
     /// Scan a snapshot of a base table. `chunks` carries the table's lazily
-    /// built columnar image when the planner enabled vectorized execution
-    /// for this scan; it was captured under the same catalog read as `rows`,
-    /// so the two always describe the same snapshot. `None` forces the row
-    /// path.
+    /// built columnar image when the planner attaches chunk images, for a
+    /// hash join probing this scan to filter by its build keys; it was
+    /// captured under the same catalog read as `rows`, so the two always
+    /// describe the same snapshot. `None` makes such a join probe row by
+    /// row.
     Scan {
         rows: Arc<Vec<Row>>,
         width: usize,

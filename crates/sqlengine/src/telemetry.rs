@@ -5,8 +5,8 @@
 //! per-operator rollups from `EXPLAIN ANALYZE` runs, WAL append/fsync/
 //! checkpoint activity, statement timeouts, and per-model BornSQL serving
 //! metrics. The registry is lock-cheap: counters and histograms are plain
-//! relaxed atomics (the same discipline as the executor's `StageCounter`);
-//! only the query-log ring buffer and the per-model map take a mutex, once
+//! relaxed atomics (the same discipline as a pipeline's per-operator row
+//! counts); only the query-log ring buffer and the per-model map take a mutex, once
 //! per statement, far from any per-row loop.
 //!
 //! Nothing here is exposed through a side API. The registry is queryable
@@ -277,12 +277,12 @@ pub struct Telemetry {
     pub wal_checkpoints: Counter,
     pub wal_checkpoint_bytes: Counter,
 
-    // -- vectorized execution -----------------------------------------------
-    /// Operators executed on the columnar/vectorized path.
+    // -- hash-join key filter -----------------------------------------------
+    /// Hash joins that read the base table they probe through the chunk key
+    /// filter (`probe=keyset(vectorized)`).
     pub vectorized_ops: Counter,
-    /// Mode-capable operators (Scan/Filter/Project/Aggregate, and hash joins
-    /// probing straight off a base-table scan) that fell back to the
-    /// row-at-a-time path.
+    /// Hash joins probing straight off a base-table scan row by row
+    /// (`probe=keyset(row)`).
     pub row_ops: Counter,
     /// Hash-join probe rows rejected because the build side holds no such
     /// key (by the chunk key filter or by the per-row lookup).

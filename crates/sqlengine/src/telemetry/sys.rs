@@ -161,7 +161,7 @@ fn metric(name: &str, kind: &str, value: f64) -> Row {
 
 fn metrics_rows(t: &Telemetry, catalog: &Catalog, g: &EngineGauges) -> Vec<Row> {
     // Columnar gauges reflect *built* chunk caches only: tables never
-    // scanned by a vectorized query report zero (chunks are lazy).
+    // no hash join has key-filtered report zero (chunks are lazy).
     let (chunks, dict_cols) = catalog
         .table_names()
         .into_iter()

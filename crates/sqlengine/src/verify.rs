@@ -16,12 +16,11 @@
 //!    caller holds the catalog-version guarantee) the plan's index and row
 //!    snapshots are pointer-identical to the live catalog — i.e. the cached
 //!    plan's catalog version is current.
-//! 3. **vectorized-mode** — every operator labeled `mode=vectorized`
-//!    satisfies the kernel eligibility grammar. The grammar is *re-derived
-//!    independently here* (not imported from `exec::vector`), so drift
-//!    between the planner/executor's notion of eligibility and the
-//!    documented grammar is caught, and a scan's columnar chunk image must
-//!    describe exactly the row snapshot it travels with.
+//! 3. **vectorized-mode** — a scan's columnar chunk image must describe
+//!    exactly the row snapshot it travels with, and every hash join's
+//!    `probe=keyset(…)` label agrees with a rule *re-derived independently
+//!    here* (not imported from `exec`) for when the join's key filter reads
+//!    that image.
 //! 4. **param-slots** — in a cached plan template every `?` slot from 1 to
 //!    the maximum is reachable from the bind map (a gap means a bound value
 //!    is silently dropped); in an executable plan no unbound
@@ -58,8 +57,8 @@ pub enum VerifyRule {
     /// Index references resolve against the live catalog with matching key
     /// arity, column types, and snapshot identity.
     IndexKeys,
-    /// `mode=vectorized` labels satisfy the independently re-derived kernel
-    /// eligibility grammar; chunk images match their row snapshots.
+    /// Chunk images match their row snapshots; hash joins' `probe=keyset`
+    /// labels agree with an independently re-derived rule.
     VectorizedMode,
     /// Parameter slots are gap-free in templates and fully bound in
     /// executable plans.
@@ -634,8 +633,8 @@ impl Checker<'_> {
         }
     }
 
-    /// A scan labeled `mode=vectorized` (it carries a chunk slot) must
-    /// travel with a columnar image of exactly its row snapshot.
+    /// A scan carrying a built chunk image must travel with a columnar image
+    /// of exactly its row snapshot.
     fn check_chunks(
         &mut self,
         plan: &PhysPlan,
@@ -985,24 +984,14 @@ fn mode_name(mode: Option<bool>) -> &'static str {
     }
 }
 
-/// Independent re-derivation of the vectorized eligibility grammar, written
-/// from the documented rules:
-///
-/// * a `Scan` runs vectorized iff it carries a columnar chunk slot;
-/// * `Filter` predicates must be comparisons / `IS NULL` / `BETWEEN` over
-///   bare columns and literals, composed with `AND`/`OR`;
-/// * `Project` lists must be bare columns and literals only;
-/// * `Aggregate` needs simple keys and non-DISTINCT aggregates over simple
-///   (or absent) arguments;
-/// * a node runs vectorized only if everything below it does, down to a
-///   chunk-carrying scan — a join in between ends the chain;
-/// * a hash join (hash algorithm only) probes the input it does not build
-///   on — the right one when `build_left`, the left one otherwise; when that
-///   probe child is a bare `Scan` and its keys are all bare columns, the
-///   join reads that table itself: vectorized (the chunk key filter) iff the
-///   scan carries a chunk slot, there is one key and the join is INNER, row
-///   by row otherwise;
-/// * every other operator has no vectorized variant.
+/// Independent re-derivation of when a hash join reads its probe side
+/// through the chunk key filter, written from the documented rule: a hash
+/// join (hash algorithm only) probes the input it does not build on — the
+/// right one when `build_left`, the left one otherwise; when that probe
+/// child is a bare `Scan` and its keys are all bare columns, the join reads
+/// that table itself: vectorized (the chunk key filter) iff the scan carries
+/// a chunk slot, there is one key and the join is INNER, row by row
+/// otherwise. No other operator has a vectorized variant.
 fn derived_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
         PhysPlan::HashJoin {
@@ -1028,51 +1017,7 @@ fn derived_mode(plan: &PhysPlan) -> Option<bool> {
                 _ => None,
             }
         }
-        _ => derived_chain_mode(plan),
-    }
-}
-
-fn derived_chain_mode(plan: &PhysPlan) -> Option<bool> {
-    match plan {
-        PhysPlan::Scan { chunks, .. } => Some(chunks.is_some()),
-        PhysPlan::Filter { input, predicate } => {
-            Some(grammar_filter(predicate) && derived_chain_mode(input) == Some(true))
-        }
-        PhysPlan::Project { input, exprs } => {
-            Some(exprs.iter().all(grammar_simple) && derived_chain_mode(input) == Some(true))
-        }
-        PhysPlan::Aggregate { input, keys, aggs } => Some(
-            keys.iter().all(grammar_simple)
-                && aggs
-                    .iter()
-                    .all(|a| !a.distinct && a.arg.as_ref().is_none_or(grammar_simple))
-                && derived_chain_mode(input) == Some(true),
-        ),
         _ => None,
-    }
-}
-
-fn grammar_simple(e: &PhysExpr) -> bool {
-    matches!(e, PhysExpr::Column(_) | PhysExpr::Literal(_))
-}
-
-fn grammar_filter(pred: &PhysExpr) -> bool {
-    match pred {
-        PhysExpr::Binary { left, op, right } => match op {
-            BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq => grammar_simple(left) && grammar_simple(right),
-            BinaryOp::And | BinaryOp::Or => grammar_filter(left) && grammar_filter(right),
-            _ => false,
-        },
-        PhysExpr::IsNull { expr, .. } => grammar_simple(expr),
-        PhysExpr::Between {
-            expr, low, high, ..
-        } => grammar_simple(expr) && grammar_simple(low) && grammar_simple(high),
-        _ => false,
     }
 }
 

@@ -568,14 +568,16 @@ fn statement_timeout_aborts_pathological_cross_join() {
 
 /// Columnar chunk caches are derived state: they are never written to the
 /// WAL or to checkpoints, start empty after recovery, and are rebuilt
-/// lazily by the first vectorized scan — which must answer exactly like
-/// the pre-crash database.
+/// lazily by the first hash join that key-filters the table — which must
+/// answer exactly like the pre-crash database.
 #[test]
 fn recovery_rebuilds_columnar_chunks_as_derived_state() {
     let io = Arc::new(MemIo::new());
     let db = open_always(Arc::clone(&io) as Arc<dyn StorageIo>);
     db.execute("CREATE TABLE c (tag TEXT, n INTEGER, w REAL)")
         .unwrap();
+    db.execute("CREATE TABLE k (n INTEGER)").unwrap();
+    db.execute("INSERT INTO k VALUES (11), (12), (13)").unwrap();
     // 3 500 rows span four 1024-row chunks; dyadic weights keep SUM exact.
     let rows: Vec<Vec<Value>> = (0..3500i64)
         .map(|i| {
@@ -588,12 +590,14 @@ fn recovery_rebuilds_columnar_chunks_as_derived_state() {
         .collect();
     db.insert_rows("c", rows).unwrap();
 
-    let agg = "SELECT tag, COUNT(*) AS cnt, SUM(w) AS sw FROM c WHERE n > 10 \
-               GROUP BY tag ORDER BY tag";
+    let agg = "SELECT c.tag, COUNT(*) AS cnt, SUM(c.w) AS sw FROM c JOIN k ON c.n = k.n \
+               GROUP BY c.tag ORDER BY c.tag";
     let before = format!("{:?}", db.query(agg).unwrap().rows);
     assert!(
-        db.explain(agg).unwrap().contains("mode=vectorized"),
-        "the witness query must exercise the vectorized path"
+        db.explain(agg)
+            .unwrap()
+            .contains("probe=keyset(vectorized)"),
+        "the witness query must read the chunk image"
     );
     let built = db
         .query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 'c'")
@@ -616,7 +620,7 @@ fn recovery_rebuilds_columnar_chunks_as_derived_state() {
     assert_eq!(
         format!("{:?}", recovered.query(agg).unwrap().rows),
         before,
-        "recovered vectorized aggregate must match pre-crash exactly"
+        "recovered key-filtered join must match pre-crash exactly"
     );
     let rebuilt = recovered
         .query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 'c'")

@@ -160,9 +160,21 @@ fn index_corruption_stale_snapshot_is_rejected() {
 #[test]
 fn vectorized_corruption_chunk_row_mismatch_is_rejected() {
     let db = seeded();
-    // Vectorized-eligible filter chain; the first execution builds the
-    // columnar image, so the cached plan carries a built chunk slot.
-    let sql = "SELECT w FROM t WHERE w > 1.0";
+    db.execute_script(
+        "CREATE TABLE f (n INTEGER, w REAL);
+         INSERT INTO f SELECT n % 10, w FROM t;
+         CREATE TABLE k (n INTEGER);
+         INSERT INTO k VALUES (3), (5);",
+    )
+    .unwrap();
+    // A one-key join that key-filters the scan of `f`: the first execution
+    // builds its columnar image, so the cached plan carries a built chunk
+    // slot.
+    let sql = "SELECT f.w FROM f JOIN k ON f.n = k.n";
+    assert!(db
+        .explain(sql)
+        .unwrap()
+        .contains("probe=keyset(vectorized)"));
     let err = corrupt_and_rerun(&db, sql, &mut |plan| {
         if let PhysPlan::Scan { rows, .. } = plan {
             let truncated: Vec<_> = rows.iter().take(rows.len() - 1).cloned().collect();

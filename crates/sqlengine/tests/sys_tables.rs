@@ -85,39 +85,41 @@ fn sys_tables_reports_lazy_columnar_chunk_state() {
     let db = sample_db();
     db.execute_script(
         "CREATE TABLE tags (id INTEGER, tag TEXT);
-         INSERT INTO tags VALUES (1, 'x'), (2, 'y'), (3, 'x'), (4, 'x');",
+         INSERT INTO tags VALUES (1, 'x'), (2, 'y'), (3, 'x'), (4, 'x'), (5, 'y'), (6, 'x'),
+                                 (7, 'x'), (8, 'y'), (9, 'x'), (10, 'x'), (11, 'y'), (12, 'x');
+         CREATE TABLE wanted (tag TEXT);
+         INSERT INTO wanted VALUES ('x');",
     )
     .unwrap();
+    // A one-key join probing `tags`: the one reader of its chunk image.
+    let join = "SELECT COUNT(*) FROM tags JOIN wanted ON tags.tag = wanted.tag";
 
-    // Chunks are derived state, built on first vectorized scan — a freshly
-    // written table reports zero.
+    // Chunks are derived state, built on first read — a freshly written
+    // table reports zero.
     let r = db
         .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'tags'")
         .unwrap();
     assert_eq!(int(&r.rows[0][0]), 0, "chunk caches must be lazy");
     assert_eq!(int(&r.rows[0][1]), 0);
 
-    // An eligible aggregate over the table builds its chunk cache; the
+    // The join's key filter builds the table's chunk cache; the
     // low-cardinality TEXT column dictionary-encodes.
-    let n = db
-        .query_scalar("SELECT COUNT(*) FROM tags WHERE tag = 'x'")
-        .unwrap();
-    assert_eq!(int(&n), 3);
+    assert_eq!(int(&db.query_scalar(join).unwrap()), 8);
     let r = db
         .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'tags'")
         .unwrap();
-    assert_eq!(int(&r.rows[0][0]), 1, "4 rows fit one chunk");
+    assert_eq!(int(&r.rows[0][0]), 1, "12 rows fit one chunk");
     assert_eq!(int(&r.rows[0][1]), 1, "tag column should dictionary-encode");
 
-    // Mutating the table invalidates the cache until the next scan.
+    // Mutating the table invalidates the cache until the next read.
     db.execute("DELETE FROM tags WHERE id = 1").unwrap();
     let r = db
         .query("SELECT chunk_count FROM sys.tables WHERE name = 'tags'")
         .unwrap();
     assert_eq!(int(&r.rows[0][0]), 0, "mutation installs a fresh slot");
 
-    // sys.metrics mirrors the catalog-wide totals and the mode counters.
-    db.query("SELECT COUNT(*) FROM tags").unwrap();
+    // sys.metrics mirrors the catalog-wide totals and the probe counters.
+    assert_eq!(int(&db.query_scalar(join).unwrap()), 7);
     let v = db
         .query_scalar("SELECT value FROM sys.metrics WHERE name = 'columnar.chunks'")
         .unwrap();

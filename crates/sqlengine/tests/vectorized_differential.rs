@@ -58,6 +58,9 @@ const QUERIES: &[&str] = &[
     "SELECT g, COUNT(DISTINCT x) FROM t GROUP BY g",
     "SELECT w FROM t WHERE g LIKE 'g%' AND x < 5",
     "SELECT a.g, COUNT(*) FROM t AS a JOIN t AS b ON a.g = b.g AND a.x = b.x GROUP BY a.g",
+    // One key, probing the bare scan of `a`: the key filter reads its chunks.
+    "SELECT a.g, COUNT(*), SUM(a.w) FROM t AS a \
+     JOIN (SELECT DISTINCT g FROM t WHERE x > 40) AS d ON a.g = d.g GROUP BY a.g",
     "SELECT DISTINCT g FROM t WHERE w >= 1.0",
     "SELECT g, x FROM t WHERE w < 20.0 ORDER BY x, g, w LIMIT 25 OFFSET 3",
 ];
@@ -67,8 +70,6 @@ const QUERIES: &[&str] = &[
 fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     let label = stats
         .label
-        .replace(" mode=vectorized", "")
-        .replace(" mode=row", "")
         .replace(" probe=keyset(vectorized)", "")
         .replace(" probe=keyset(row)", "");
     out.push((label, stats.rows_in, stats.rows_out));

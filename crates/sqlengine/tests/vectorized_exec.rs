@@ -1,19 +1,25 @@
-//! Deterministic coverage of the columnar/vectorized execution path:
-//! mode labels in `EXPLAIN`, per-operator row-count parity in
-//! `EXPLAIN ANALYZE`, and a fixed differential sweep of vectorized
-//! {on, off} × parallelism {1, 4} over one fixture. The seeded
-//! companion (`vectorized_differential.rs`) covers random tables.
+//! Deterministic coverage of the columnar image and the one operator that
+//! reads it, the hash join's key filter: its `probe=keyset(…)` label in
+//! `EXPLAIN`, per-operator row-count parity in `EXPLAIN ANALYZE`, and a
+//! fixed differential sweep of vectorized {on, off} × parallelism {1, 4}
+//! over one fixture. The seeded companion (`vectorized_differential.rs`)
+//! covers random tables.
 
 use sqlengine::{Database, EngineConfig, OpStats, Value};
 
 /// 3 000 rows spanning three 1024-row chunks: a low-cardinality TEXT group
 /// (dictionary-encodable) with NULL holes, an INTEGER with NULL holes, and
 /// dyadic-rational weights (k/4) so float sums are exact regardless of
-/// morsel/chunk partial-sum grouping.
+/// morsel/chunk partial-sum grouping. `k` is a four-row key table: a hash
+/// join of `t` with it on one column builds on `k` and key-filters `t`.
 fn fixture(config: EngineConfig) -> Database {
     let db = Database::with_config(config);
-    db.execute("CREATE TABLE t (g TEXT, x INTEGER, w REAL)")
-        .unwrap();
+    db.execute_script(
+        "CREATE TABLE t (g TEXT, x INTEGER, w REAL);
+         CREATE TABLE k (x INTEGER, g TEXT);
+         INSERT INTO k VALUES (3, 'g1'), (7, 'g3'), (-20, 'zz'), (NULL, NULL);",
+    )
+    .unwrap();
     let rows: Vec<Vec<Value>> = (0..3000i64)
         .map(|i| {
             let g = if i % 7 == 0 {
@@ -33,8 +39,13 @@ fn fixture(config: EngineConfig) -> Database {
     db
 }
 
+/// One-key joins that probe the bare scan of `t`: on an INTEGER and on a
+/// dictionary TEXT column.
+const INT_JOIN: &str = "SELECT t.g, t.w, k.g FROM t JOIN k ON t.x = k.x";
+const TEXT_JOIN: &str =
+    "SELECT k.x, COUNT(*), SUM(t.w) FROM t JOIN k ON t.g = k.g GROUP BY k.x ORDER BY k.x";
+
 const QUERIES: &[&str] = &[
-    // Vectorized end-to-end: simple filters, projections, aggregates.
     "SELECT g, x, w FROM t WHERE x > 10",
     "SELECT g FROM t WHERE g = 'g1' AND x <= 20",
     "SELECT x, w FROM t WHERE x BETWEEN -10 AND 25 OR w > 6.0",
@@ -46,13 +57,16 @@ const QUERIES: &[&str] = &[
     "SELECT g, AVG(w) FROM t WHERE x > -20 GROUP BY g ORDER BY g",
     // No ORDER BY: pins first-seen group order across modes.
     "SELECT x, COUNT(*) FROM t WHERE x > 30 GROUP BY x",
-    // Deliberately ineligible shapes: fall back to the row path.
     "SELECT x + 1 FROM t WHERE x IN (1, 2, 3)",
     "SELECT g, COUNT(DISTINCT x) FROM t GROUP BY g ORDER BY g",
     "SELECT w FROM t WHERE g LIKE 'g%' AND x < 5",
-    // Join above vectorizable scans.
+    // Two keys: never key-filtered.
     "SELECT a.g, COUNT(*) FROM t a JOIN t b ON a.g = b.g AND a.x = b.x \
      GROUP BY a.g ORDER BY a.g",
+    // One key: the key filter reads `t`'s chunk image.
+    INT_JOIN,
+    TEXT_JOIN,
+    "SELECT t.x, COUNT(*) FROM t JOIN k ON t.x = k.x GROUP BY t.x",
 ];
 
 /// The four engine variants every query must agree across. Debug-format
@@ -85,65 +99,59 @@ fn differential_sweep_modes_and_parallelism() {
 
 #[test]
 fn explain_labels_operators_with_their_mode() {
+    // Only a hash join probing a base-table scan names a mode.
     let db = fixture(EngineConfig::default());
     let plan = db
         .explain("SELECT g, COUNT(*) FROM t WHERE x > 0 GROUP BY g")
         .unwrap();
-    for line in plan.lines() {
-        let op = line.trim_start();
-        if ["Scan", "Filter", "Aggregate"]
-            .iter()
-            .any(|p| op.starts_with(p))
-        {
-            assert!(
-                line.contains("mode=vectorized"),
-                "expected mode=vectorized on: {line}\n{plan}"
-            );
-        }
-    }
+    assert!(!plan.contains("mode="), "{plan}");
+    let plan = db.explain(INT_JOIN).unwrap();
+    assert!(
+        plan.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(vectorized)"),
+        "{plan}"
+    );
+    assert!(!plan.contains("mode="), "{plan}");
 
     let db = fixture(EngineConfig::default().with_vectorized(false));
-    let plan = db
-        .explain("SELECT g, COUNT(*) FROM t WHERE x > 0 GROUP BY g")
-        .unwrap();
+    let plan = db.explain(INT_JOIN).unwrap();
     assert!(
-        plan.contains("mode=row") && !plan.contains("mode=vectorized"),
-        "vectorized=false must force the row path:\n{plan}"
+        plan.contains("probe=keyset(row)") && !plan.contains("probe=keyset(vectorized)"),
+        "vectorized=false must probe row by row:\n{plan}"
     );
 }
 
 #[test]
 fn ineligible_stage_splits_the_chain_truthfully() {
     let db = fixture(EngineConfig::default());
-    // IN-list filters are deliberately not vectorized: the scan is still
-    // chunk-backed, but the filter (and everything above it) runs row-wise.
-    let plan = db.explain("SELECT x FROM t WHERE x IN (1, 2, 3)").unwrap();
-    assert!(
-        plan.lines()
-            .any(|l| l.trim_start().starts_with("Filter") && l.contains("mode=row")),
-        "IN-list filter must be labeled row:\n{plan}"
-    );
-    assert!(
-        plan.lines()
-            .any(|l| l.trim_start().starts_with("Scan") && l.contains("mode=vectorized")),
-        "chunk-backed scan under it stays vectorized:\n{plan}"
-    );
-    // DISTINCT aggregates likewise stay on the row path.
+    // A filter between the join and the scan: the join probes the filter's
+    // rows, not a table, and names no mode.
     let plan = db
-        .explain("SELECT g, COUNT(DISTINCT x) FROM t GROUP BY g")
+        .explain("SELECT d.g, k.g FROM (SELECT g, x FROM t WHERE w > 1.0) AS d JOIN k ON d.x = k.x")
         .unwrap();
     assert!(
-        plan.lines()
-            .any(|l| l.trim_start().starts_with("Aggregate") && l.contains("mode=row")),
-        "DISTINCT aggregate must be labeled row:\n{plan}"
+        plan.contains("HashJoin") && !plan.contains("probe="),
+        "{plan}"
+    );
+    // Two keys: the scan is read row by row.
+    let plan = db
+        .explain("SELECT t.g FROM t JOIN k ON t.x = k.x AND t.g = k.g")
+        .unwrap();
+    assert!(plan.contains("probe=keyset(row)"), "{plan}");
+    // Filters, projections and aggregates carry no suffix.
+    let plan = db
+        .explain("SELECT g, COUNT(DISTINCT x) FROM t WHERE x IN (1, 2, 3) GROUP BY g")
+        .unwrap();
+    assert!(
+        !plan.contains("mode=") && !plan.contains("probe="),
+        "{plan}"
     );
 }
 
 fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     let label = stats
         .label
-        .replace(" mode=vectorized", "")
-        .replace(" mode=row", "");
+        .replace(" probe=keyset(vectorized)", "")
+        .replace(" probe=keyset(row)", "");
     out.push((label, stats.rows_in, stats.rows_out));
     for child in &stats.children {
         shape(child, out);
@@ -156,6 +164,8 @@ fn explain_analyze_row_counts_match_across_modes() {
         "SELECT g, COUNT(*) AS n, SUM(w) AS sw FROM t WHERE x > 0 GROUP BY g ORDER BY g",
         "SELECT g, w FROM t WHERE x > 10 AND w < 6.0",
         "SELECT COUNT(*) FROM t",
+        INT_JOIN,
+        TEXT_JOIN,
     ];
     for q in queries {
         let (rows_vec, stats_vec) = fixture(EngineConfig::default()).query_analyzed(q).unwrap();
@@ -171,36 +181,50 @@ fn explain_analyze_row_counts_match_across_modes() {
             "per-operator (label, rows_in, rows_out) must be identical across modes for {q:?}"
         );
     }
-    // And the analyzed tree advertises the mode it actually ran in.
+    // And the analyzed tree advertises the probe it actually ran.
     let (_, stats) = fixture(EngineConfig::default())
-        .query_analyzed("SELECT COUNT(*) FROM t WHERE x > 0")
+        .query_analyzed(INT_JOIN)
         .unwrap();
     fn any_label(s: &OpStats, needle: &str) -> bool {
         s.label.contains(needle) || s.children.iter().any(|c| any_label(c, needle))
     }
-    assert!(any_label(&stats, "mode=vectorized"));
+    assert!(any_label(&stats, "probe=keyset(vectorized) pruned="));
 }
 
 #[test]
 fn dictionary_overflow_falls_back_exactly() {
     // 500 distinct strings exceed the 256-value dictionary budget: the
-    // column demotes to a plain value vector, results must not change.
+    // column demotes to a plain value vector, which the key filter leaves
+    // to the row probe; results must not change.
+    let mut answers = Vec::new();
     for vectorized in [true, false] {
         let db = Database::with_config(EngineConfig::default().with_vectorized(vectorized));
-        db.execute("CREATE TABLE wide (s TEXT, n INTEGER)").unwrap();
+        db.execute_script(
+            "CREATE TABLE wide (s TEXT, n INTEGER);
+             CREATE TABLE ks (s TEXT);
+             INSERT INTO ks VALUES ('s42'), ('s7');",
+        )
+        .unwrap();
         let rows: Vec<Vec<Value>> = (0..2000i64)
             .map(|i| vec![Value::text(format!("s{}", i % 500)), Value::Int(i % 9)])
             .collect();
         db.insert_rows("wide", rows).unwrap();
-        let r = db
-            .query("SELECT COUNT(*) FROM wide WHERE s = 's42'")
+        let join = "SELECT ks.s, COUNT(*), SUM(wide.n) FROM wide JOIN ks ON wide.s = ks.s \
+                    GROUP BY ks.s ORDER BY ks.s";
+        let mode = if vectorized { "vectorized" } else { "row" };
+        let plan = db.explain(join).unwrap();
+        assert!(plan.contains(&format!("probe=keyset({mode})")), "{plan}");
+        let r = db.query(join).unwrap();
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.rows[0][1], Value::Int(4));
+        let chunks = db
+            .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'wide'")
             .unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(4)]]);
-        let r = db
-            .query("SELECT s, COUNT(*) FROM wide WHERE n < 3 GROUP BY s ORDER BY s LIMIT 5")
-            .unwrap();
-        assert_eq!(r.rows.len(), 5);
+        let want = if vectorized { [2, 0] } else { [0, 0] };
+        assert_eq!(chunks.rows[0], want.map(Value::Int).to_vec(), "{mode}");
+        answers.push(format!("{:?}", r.rows));
     }
+    assert_eq!(answers[0], answers[1]);
 }
 
 #[test]
@@ -224,45 +248,35 @@ fn empty_and_tiny_tables_agree_across_modes() {
 
 #[test]
 fn incremental_appends_keep_the_chunk_cache_coherent() {
-    let db = fixture(EngineConfig::default());
-    let count = |db: &Database| {
-        let r = db.query("SELECT COUNT(*) FROM t WHERE w > 1.0").unwrap();
-        format!("{:?}", r.rows)
+    let join = "SELECT COUNT(*), SUM(t.w) FROM t JOIN k ON t.x = k.x";
+    let chunk_count = |db: &Database| {
+        db.query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 't'")
+            .unwrap()
     };
-    let before = count(&db);
-    // Build the cache, append past a chunk boundary, re-query: the appended
-    // slot must carry built chunks forward and include the new rows.
-    let extra: Vec<Vec<Value>> = (0..1500i64)
-        .map(|i| vec![Value::text("gx"), Value::Int(i), Value::Float(2.0)])
-        .collect();
-    db.insert_rows("t", extra).unwrap();
-    let after = db
-        .query("SELECT COUNT(*) FROM t WHERE w > 1.0")
-        .unwrap()
-        .rows[0][0]
-        .clone();
-
-    let db_row = fixture(EngineConfig::default().with_vectorized(false));
-    let before_row = count(&db_row);
-    let extra: Vec<Vec<Value>> = (0..1500i64)
-        .map(|i| vec![Value::text("gx"), Value::Int(i), Value::Float(2.0)])
-        .collect();
-    db_row.insert_rows("t", extra).unwrap();
-    let after_row = db_row
-        .query("SELECT COUNT(*) FROM t WHERE w > 1.0")
-        .unwrap()
-        .rows[0][0]
-        .clone();
-
-    assert_eq!(before, before_row);
-    assert_eq!(after, after_row);
-
-    // UPDATE and DELETE invalidate the cache; results must track the rows.
-    for db in [&db, &db_row] {
+    let extra = || -> Vec<Vec<Value>> {
+        (0..1500i64)
+            .map(|i| vec![Value::text("gx"), Value::Int(i), Value::Float(2.0)])
+            .collect()
+    };
+    let mut answers = Vec::new();
+    for vectorized in [true, false] {
+        let db = fixture(EngineConfig::default().with_vectorized(vectorized));
+        let mut seen = vec![format!("{:?}", db.query(join).unwrap().rows)];
+        // The join built the image; appending past a chunk boundary carries
+        // the built chunks forward, and the re-query sees the new rows.
+        db.insert_rows("t", extra()).unwrap();
+        let want = if vectorized { 5 } else { 0 };
+        assert_eq!(chunk_count(&db), Value::Int(want));
+        seen.push(format!("{:?}", db.query(join).unwrap().rows));
+        // UPDATE and DELETE invalidate the cache; results track the rows.
         db.execute("UPDATE t SET w = 0.0 WHERE g = 'gx'").unwrap();
         db.execute("DELETE FROM t WHERE g = 'g3'").unwrap();
+        assert_eq!(chunk_count(&db), Value::Int(0));
+        seen.push(format!("{:?}", db.query(join).unwrap().rows));
+        answers.push(seen);
     }
-    assert_eq!(count(&db), count(&db_row));
+    assert_eq!(answers[0], answers[1]);
+    assert_ne!(answers[0][0], answers[0][1], "the appended rows join");
 }
 
 // ---------------------------------------------------------------------
@@ -275,7 +289,7 @@ fn incremental_appends_keep_the_chunk_cache_coherent() {
 #[test]
 fn explain_analyze_reports_verifier_rejection_instead_of_executing() {
     let db = fixture(EngineConfig::default().with_verify_plans(true));
-    let sql = "SELECT g, COUNT(*) FROM t WHERE x > 100 GROUP BY g";
+    let sql = "SELECT t.g, COUNT(*) FROM t JOIN k ON t.x = k.x GROUP BY t.g";
     db.query(sql).unwrap();
     assert!(db.mutate_cached_plan(sql, &mut |plan| {
         // Wrap the root in a projection of column #77 — out of range for
@@ -306,4 +320,5 @@ fn explain_analyze_reports_verifier_rejection_instead_of_executing() {
     db.execute("INSERT INTO t VALUES ('g0', 500, 1.0)").unwrap();
     db.query(sql).unwrap();
     db.explain_analyze(sql).unwrap();
+    assert!(db.telemetry().vectorized_ops.get() > ops_before);
 }
