@@ -4,38 +4,28 @@
 //! standard SQL, with only two engine-specific spots: the upsert syntax used
 //! for incremental learning and the power function's name. This module
 //! captures those differences so the generator can emit text for
-//! PostgreSQL-, MySQL-, and SQLite-flavoured engines as well as for the
-//! bundled `sqlengine` (which speaks the PostgreSQL-style `ON CONFLICT`).
+//! PostgreSQL, MySQL and SQLite.
 //!
-//! Only [`Dialect::Generic`] is *executed* in this workspace; the other
-//! emitters are golden-tested as text, mirroring how the paper's Python
-//! package renders queries per backend.
+//! Every dialect's text also runs on the bundled `sqlengine`, which parses
+//! both upsert spellings into one node and accepts both power names; the
+//! executed sweep (`tests/dialect_conformance.rs`) requires the three to
+//! return the same rows.
 
 /// Target SQL dialect for query generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dialect {
-    /// The bundled engine (PostgreSQL-style syntax). This is the executable
-    /// dialect.
-    #[default]
-    Generic,
-    /// PostgreSQL text output.
+    /// PostgreSQL text output (`POWER`, `ON CONFLICT … excluded.w`).
     Postgres,
     /// MySQL text output (`ON DUPLICATE KEY UPDATE`, `VALUES()`).
     MySql,
-    /// SQLite text output (`ON CONFLICT`, like PostgreSQL).
+    /// SQLite text output (`POW`, `ON CONFLICT` like PostgreSQL).
+    #[default]
     Sqlite,
 }
 
 impl Dialect {
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Dialect::Generic => "generic",
-            Dialect::Postgres => "postgresql",
-            Dialect::MySql => "mysql",
-            Dialect::Sqlite => "sqlite",
-        }
-    }
+    /// Every dialect, one per DBMS the paper names.
+    pub const ALL: [Dialect; 3] = [Dialect::Postgres, Dialect::MySql, Dialect::Sqlite];
 
     /// The power function: `POW` everywhere except PostgreSQL's `POWER`
     /// (PostgreSQL accepts both; we emit the canonical one per engine).
@@ -59,11 +49,6 @@ impl Dialect {
             _ => format!("ON CONFLICT (j, k) DO UPDATE SET w = {table}.w + excluded.w"),
         }
     }
-
-    /// Whether this dialect's text can be executed by the bundled engine.
-    pub fn executable(&self) -> bool {
-        !matches!(self, Dialect::MySql)
-    }
 }
 
 #[cfg(test)]
@@ -72,9 +57,6 @@ mod tests {
 
     #[test]
     fn upsert_syntax_per_dialect() {
-        assert!(Dialect::Generic
-            .upsert_accumulate("m_corpus")
-            .contains("ON CONFLICT (j, k) DO UPDATE"));
         assert!(Dialect::Postgres
             .upsert_accumulate("m_corpus")
             .contains("excluded.w"));
@@ -83,21 +65,13 @@ mod tests {
             .contains("ON DUPLICATE KEY UPDATE"));
         assert!(Dialect::Sqlite
             .upsert_accumulate("m_corpus")
-            .contains("ON CONFLICT"));
+            .contains("ON CONFLICT (j, k) DO UPDATE"));
     }
 
     #[test]
     fn pow_function_name() {
         assert_eq!(Dialect::Postgres.pow(), "POWER");
         assert_eq!(Dialect::MySql.pow(), "POW");
-        assert_eq!(Dialect::Generic.pow(), "POW");
-    }
-
-    #[test]
-    fn executability() {
-        assert!(Dialect::Generic.executable());
-        assert!(Dialect::Postgres.executable());
-        assert!(Dialect::Sqlite.executable());
-        assert!(!Dialect::MySql.executable());
+        assert_eq!(Dialect::Sqlite.pow(), "POW");
     }
 }

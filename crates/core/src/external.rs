@@ -99,6 +99,7 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dialect::Dialect;
     use crate::model::ModelOptions;
     use sqlengine::{Database, Value};
 
@@ -143,29 +144,36 @@ mod tests {
         assert!(!local.is_empty());
     }
 
+    /// The upsert tail is the dialect's own, and every dialect executes.
     #[test]
     fn merge_corpus_accumulates_and_prunes() {
-        let (db, name) = trained();
-        let model = BornSqlModel::create(&db, name, ModelOptions::default()).unwrap();
-        model
-            .merge_corpus(&[
-                ("f1".into(), "k1".into(), 0.5),
-                ("f1".into(), "k1".into(), 0.25),
-                ("f2".into(), "k2".into(), 1.0),
-            ])
-            .unwrap();
-        assert_eq!(model.corpus_cells().unwrap(), 2);
-        let corpus = model.corpus().unwrap();
-        let f1 = corpus
-            .iter()
-            .find(|(j, _, _)| j.to_string() == "f1")
-            .unwrap();
-        assert!((f1.2 - 0.75).abs() < 1e-12);
-        // Negative delta unlearns the cell completely.
-        model
-            .merge_corpus(&[("f2".into(), "k2".into(), -1.0)])
-            .unwrap();
-        assert_eq!(model.corpus_cells().unwrap(), 1);
+        for dialect in Dialect::ALL {
+            let (db, name) = trained();
+            let options = ModelOptions {
+                dialect,
+                ..ModelOptions::default()
+            };
+            let model = BornSqlModel::create(&db, name, options).unwrap();
+            model
+                .merge_corpus(&[
+                    ("f1".into(), "k1".into(), 0.5),
+                    ("f1".into(), "k1".into(), 0.25),
+                    ("f2".into(), "k2".into(), 1.0),
+                ])
+                .unwrap();
+            assert_eq!(model.corpus_cells().unwrap(), 2, "{dialect:?}");
+            let corpus = model.corpus().unwrap();
+            let f1 = corpus
+                .iter()
+                .find(|(j, _, _)| j.to_string() == "f1")
+                .unwrap();
+            assert!((f1.2 - 0.75).abs() < 1e-12, "{dialect:?}");
+            // Negative delta unlearns the cell completely.
+            model
+                .merge_corpus(&[("f2".into(), "k2".into(), -1.0)])
+                .unwrap();
+            assert_eq!(model.corpus_cells().unwrap(), 1, "{dialect:?}");
+        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod dialect;
 pub mod error;
 pub mod eval;
 pub mod external;
-pub mod lint;
 pub mod model;
 pub mod serving;
 pub mod spec;
@@ -59,7 +58,6 @@ pub use dialect::Dialect;
 pub use error::{BornSqlError, Result};
 pub use eval::{default_grid, Evaluation};
 pub use external::ExternalItem;
-pub use lint::{lint_all_dialects, LintFailure, LintReport};
 pub use model::{BornSqlModel, ModelOptions, Params, Prediction, Probability, SqlBackend, Weight};
 pub use serving::ModelArtifact;
 pub use spec::DataSpec;

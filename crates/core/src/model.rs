@@ -82,7 +82,7 @@ pub struct ModelOptions {
 impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
-            dialect: Dialect::Generic,
+            dialect: Dialect::Sqlite,
             class_type: "TEXT",
             params: Params::default(),
         }

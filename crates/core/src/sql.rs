@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn partial_fit_contains_paper_pipeline() {
-        let sql = generator(Dialect::Generic).partial_fit(&spec(), 1.0);
+        let sql = generator(Dialect::Sqlite).partial_fit(&spec(), 1.0);
         for fragment in [
             "INSERT INTO m_corpus (j, k, w)",
             "xy_njk AS",
@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn unlearn_is_negated_partial_fit() {
-        let g = generator(Dialect::Generic);
+        let g = generator(Dialect::Sqlite);
         let fit = g.partial_fit(&spec(), 1.0);
         let unfit = g.partial_fit(&spec(), -1.0);
         assert!(fit.contains("SUM(1.0 *"));
@@ -553,7 +553,7 @@ mod tests {
         let s = spec()
             .with_features("SELECT id AS n, 'g:' || g AS j, 1.0 AS w FROM u")
             .with_items("SELECT id AS n FROM t WHERE id <= 100");
-        let sql = generator(Dialect::Generic).partial_fit(&s, 1.0);
+        let sql = generator(Dialect::Sqlite).partial_fit(&s, 1.0);
         assert!(sql.contains("n_n AS (SELECT id AS n FROM t WHERE id <= 100)"));
         // Both arms filtered before UNION ALL.
         assert_eq!(sql.matches("qx.n = n_n.n").count(), 2);
@@ -563,14 +563,14 @@ mod tests {
     #[test]
     fn qw_join_included_when_weights_given() {
         let s = spec().with_weights("SELECT id AS n, 2.0 AS w FROM t");
-        let sql = generator(Dialect::Generic).partial_fit(&s, 1.0);
+        let sql = generator(Dialect::Sqlite).partial_fit(&s, 1.0);
         assert!(sql.contains("w_n AS"));
         assert!(sql.contains("w_n.w * xy_njk.w / xy_n.w"));
     }
 
     #[test]
     fn deploy_follows_equations_19_to_26() {
-        let sql = generator(Dialect::Generic).deploy();
+        let sql = generator(Dialect::Sqlite).deploy();
         for fragment in [
             "abh AS (SELECT a, b, h FROM params WHERE model = 'm')",
             "p_j AS",
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn index_statements_name_by_table() {
-        let g = generator(Dialect::Generic);
+        let g = generator(Dialect::Sqlite);
         assert_eq!(
             g.create_weights_index(),
             "CREATE INDEX IF NOT EXISTS m_weights_j ON m_weights (j)"
@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn predict_uses_row_number_argmax() {
-        let sql = generator(Dialect::Generic).predict(&spec(), true);
+        let sql = generator(Dialect::Sqlite).predict(&spec(), true);
         assert!(sql.contains("ROW_NUMBER() OVER (PARTITION BY n ORDER BY w DESC, k ASC)"));
         assert!(sql.contains("FROM m_weights AS hw"));
         assert!(
@@ -615,14 +615,14 @@ mod tests {
 
     #[test]
     fn undeployed_predict_computes_weights_on_the_fly() {
-        let sql = generator(Dialect::Generic).predict(&spec(), false);
+        let sql = generator(Dialect::Sqlite).predict(&spec(), false);
         assert!(sql.contains("hw_jk AS"));
         assert!(sql.contains("FROM hw_jk AS hw"));
     }
 
     #[test]
     fn proba_normalizes_with_inverse_a_root() {
-        let sql = generator(Dialect::Generic).predict_proba(&spec(), true);
+        let sql = generator(Dialect::Sqlite).predict_proba(&spec(), true);
         assert!(sql.contains("POW(w, 1.0 / a)"));
         assert!(sql.contains("u_nk.w / u_n.w"));
     }
@@ -643,7 +643,7 @@ mod tests {
 
     #[test]
     fn explain_local_builds_average_vector() {
-        let sql = generator(Dialect::Generic).explain_local(&spec(), true, Some(10));
+        let sql = generator(Dialect::Sqlite).explain_local(&spec(), true, Some(10));
         assert!(sql.contains("x_n AS"));
         assert!(sql.contains("z_j AS"));
         assert!(sql.contains("POW(z_j.w, a)"));
@@ -669,7 +669,7 @@ mod tests {
 
     #[test]
     fn predict_batch_installs_items_as_qn() {
-        let g = generator(Dialect::Generic);
+        let g = generator(Dialect::Sqlite);
         let sql = g
             .predict_batch(&spec(), true, &[Value::Int(1), Value::Int(2)])
             .unwrap();

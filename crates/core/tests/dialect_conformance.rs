@@ -1,20 +1,25 @@
-//! The BornSQL conformance sweep: every statement emitted by every dialect
-//! for every operation must pass the engine's static semantic analyzer
-//! against a shadow catalog — with zero query execution. This is the CI
-//! gate for emitter changes: corrupting a template fails here with a
-//! spanned diagnostic instead of failing at runtime deep inside a pipeline.
+//! The BornSQL portability sweep, executed: every statement each dialect
+//! emits for every operation runs on the bundled engine, in the order a
+//! model's life issues them, and the three dialects must return the same
+//! bytes — every result set, and the corpus and weights they leave behind.
+//! Every execution runs the engine's semantic analyzer before planning, so
+//! a template regression fails here with a spanned diagnostic.
 
 use bornsql::dialect::Dialect;
-use bornsql::lint::{
-    check_statement, emitted_statements, lint_all_dialects, normalize_for_engine, shadow_catalog,
-};
 use bornsql::spec::DataSpec;
 use bornsql::sql::SqlGenerator;
+use sqlengine::{Database, EngineError, StatementResult};
 
-const USER_SCHEMA: &[&str] = &[
-    "CREATE TABLE docs (id INTEGER, body TEXT, label TEXT)",
-    "CREATE TABLE meta (id INTEGER, tag TEXT, y INTEGER)",
-];
+/// The two user tables. Ids lie on both sides of the `filtered` variant's
+/// `id <= 100`; `meta.y` is the INTEGER class (1 = ai, 2 = stats).
+const USER_DATA: &str = "
+    CREATE TABLE docs (id INTEGER, body TEXT, label TEXT);
+    CREATE TABLE meta (id INTEGER, tag TEXT, y INTEGER);
+    INSERT INTO docs VALUES (1, 'robot', 'ai'), (2, 'poisson', 'stats'), (3, 'robot', 'ai'),
+        (4, 'vision', 'ai'), (5, 'variance', 'stats'), (101, 'vision', 'stats'),
+        (102, 'variance', 'stats'), (103, 'robot', 'ai');
+    INSERT INTO meta VALUES (1, 'cs', 1), (2, 'math', 2), (3, 'cs', 1), (4, 'cs', 1),
+        (5, 'math', 2), (101, 'math', 2), (102, 'math', 2), (103, 'cs', 1);";
 
 fn base_spec() -> DataSpec {
     DataSpec::new("SELECT id AS n, 'w:' || body AS j, 1.0 AS w FROM docs")
@@ -49,64 +54,135 @@ fn spec_variants() -> Vec<(&'static str, DataSpec)> {
     ]
 }
 
-/// The exhaustive generator × dialect × operation sweep. Nothing executes:
-/// only DDL builds the shadow catalog, and every generated statement goes
-/// through `Database::check` alone.
-#[test]
-fn all_dialects_all_operations_pass_static_analysis() {
-    let mut total = 0;
-    for class_type in ["TEXT", "INTEGER"] {
-        // An INTEGER class column comes from an integer-valued target query.
-        let retarget = |spec: DataSpec| -> DataSpec {
-            if class_type == "INTEGER" {
-                DataSpec {
-                    qy: Some("SELECT id AS n, y AS k, 1.0 AS w FROM meta".to_string()),
-                    ..spec
-                }
-            } else {
-                spec
-            }
-        };
-        for (variant, spec) in spec_variants() {
-            let spec = retarget(spec);
-            let report = lint_all_dialects("m", class_type, &spec, USER_SCHEMA);
-            assert!(
-                report.is_clean(),
-                "conformance failures for {class_type}/{variant}:\n{report}"
-            );
-            total += report.checked;
+/// An INTEGER class column comes from an integer-valued target query.
+fn retarget(spec: DataSpec, class_type: &str) -> DataSpec {
+    if class_type == "INTEGER" {
+        DataSpec {
+            qy: Some("SELECT id AS n, y AS k, 1.0 AS w FROM meta".to_string()),
+            ..spec
         }
+    } else {
+        spec
     }
-    // 4 dialects × 24 operations × 5 variants × 2 class types.
-    assert_eq!(total, 4 * 24 * 5 * 2);
 }
 
-/// The shadow catalog never gains rows: the sweep is check-only.
+/// Every operation the generator emits for a trainable spec, in the order a
+/// model's life issues them: create, set params, fit, unlearn item 2 (the
+/// only `poisson` document, so the prune has cells to remove), deploy, score
+/// and explain (deployed and not), count, drop.
+fn lifecycle(g: &SqlGenerator, spec: &DataSpec) -> Vec<(&'static str, String)> {
+    let forget = DataSpec {
+        qn: Some("SELECT id AS n FROM docs WHERE id = 2".to_string()),
+        ..spec.clone()
+    };
+    vec![
+        ("create_params_table", g.create_params_table()),
+        ("create_corpus_table", g.create_corpus_table()),
+        ("create_corpus_index", g.create_corpus_index()),
+        ("set_params", g.set_params(0.5, 1.0, 0.5)),
+        ("get_params", g.get_params()),
+        ("fit", g.partial_fit(spec, 1.0)),
+        ("unlearn", g.partial_fit(&forget, -1.0)),
+        ("prune_corpus", g.prune_corpus()),
+        ("create_weights_table", g.create_weights_table()),
+        ("deploy", g.deploy()),
+        ("create_weights_index", g.create_weights_index()),
+        ("predict_deployed", g.predict(spec, true)),
+        ("predict_undeployed", g.predict(spec, false)),
+        ("predict_proba_deployed", g.predict_proba(spec, true)),
+        ("predict_proba_undeployed", g.predict_proba(spec, false)),
+        ("explain_global_deployed", g.explain_global(true, Some(10))),
+        ("explain_global_undeployed", g.explain_global(false, None)),
+        (
+            "explain_local_deployed",
+            g.explain_local(spec, true, Some(10)),
+        ),
+        (
+            "explain_local_undeployed",
+            g.explain_local(spec, false, None),
+        ),
+        ("count_corpus_cells", g.count_corpus_cells()),
+        ("count_features", g.count_features()),
+        ("count_classes", g.count_classes()),
+        ("drop_weights_table", g.drop_weights_table()),
+        ("drop_corpus_table", g.drop_corpus_table()),
+    ]
+}
+
+/// One dialect's lifecycle on a fresh database, rendered with `{:?}` (a
+/// float's shortest round-trip form, so equal text is equal bits): each
+/// operation's result, then `m_corpus` and `m_weights` as they stood before
+/// the drops.
+fn run(dialect: Dialect, class_type: &'static str, spec: &DataSpec) -> (Vec<String>, String) {
+    let db = Database::new();
+    db.execute_script(USER_DATA).unwrap();
+    let g = SqlGenerator::new("m", dialect, class_type);
+    let mut results = Vec::new();
+    let mut tables = String::new();
+    for (op, sql) in lifecycle(&g, spec) {
+        if op == "drop_weights_table" {
+            for t in ["m_corpus", "m_weights"] {
+                let rows = db.query(&format!("SELECT j, k, w FROM {t} ORDER BY j, k"));
+                tables += &format!("{t}: {:?}\n", rows.unwrap());
+            }
+        }
+        let result = db
+            .execute(&sql)
+            .unwrap_or_else(|e| panic!("{dialect:?} / {op}:\n{}", e.display_with_source(&sql)));
+        match &result {
+            StatementResult::Rows(r) => assert!(!r.rows.is_empty(), "{dialect:?} / {op}: no rows"),
+            StatementResult::Affected(n) if op == "prune_corpus" => assert!(*n > 0),
+            StatementResult::Affected(_) => {}
+        }
+        results.push(format!("{op}: {result:?}"));
+    }
+    assert!(!db.has_table("m_corpus") && !db.has_table("m_weights"));
+    (results, tables)
+}
+
+/// 3 dialects × 5 spec variants × 2 class types × 24 operations, executed;
+/// every result and the final tensors equal across the dialects.
 #[test]
-fn sweep_performs_no_execution() {
-    let db = shadow_catalog("m", "TEXT", USER_SCHEMA).unwrap();
-    let g = SqlGenerator::new("m", Dialect::Generic, "TEXT");
-    let spec = base_spec();
-    for (op, sql) in emitted_statements(&g, &spec) {
-        check_statement(&db, &g, op, &sql).unwrap_or_else(|f| panic!("{op}: {}", f.rendered));
+fn every_dialect_executes_every_operation_to_the_same_bytes() {
+    let mut executed = 0;
+    for class_type in ["TEXT", "INTEGER"] {
+        for (variant, spec) in spec_variants() {
+            let spec = retarget(spec, class_type);
+            let runs = Dialect::ALL.map(|d| run(d, class_type, &spec));
+            let (first, first_tables) = &runs[0];
+            for (dialect, (results, tables)) in Dialect::ALL.iter().zip(&runs).skip(1) {
+                for (a, b) in first.iter().zip(results) {
+                    assert_eq!(a, b, "{class_type}/{variant}: {dialect:?} differs");
+                }
+                assert_eq!(first_tables, tables, "{class_type}/{variant}: {dialect:?}");
+            }
+            executed += runs.iter().map(|(results, _)| results.len()).sum::<usize>();
+        }
     }
-    for table in ["m_corpus", "m_weights", "params", "docs"] {
-        assert_eq!(
-            db.table_rows(table).unwrap(),
-            0,
-            "lint sweep must not insert into {table}"
-        );
-    }
+    assert_eq!(executed, 3 * 5 * 2 * 24);
 }
 
 /// Corrupting an emitted query the way a template regression would (e.g.
-/// dropping a column from a GROUP BY) fails the sweep with a spanned
-/// diagnostic pointing into the generated SQL.
+/// dropping a column from a GROUP BY) fails its execution with a spanned
+/// diagnostic pointing into the generated SQL, and changes nothing.
 #[test]
 fn corrupted_emitter_fails_with_spanned_diagnostic() {
-    let db = shadow_catalog("m", "TEXT", USER_SCHEMA).unwrap();
-    let g = SqlGenerator::new("m", Dialect::Generic, "TEXT");
+    let g = SqlGenerator::new("m", Dialect::default(), "TEXT");
     let spec = base_spec();
+    let db = Database::new();
+    db.execute_script(USER_DATA).unwrap();
+    let ops = lifecycle(&g, &spec);
+    for (_, sql) in &ops[..ops.len() - 2] {
+        db.execute(sql).unwrap();
+    }
+    let rejected = |sql: &str| match db.execute(sql) {
+        Err(e @ EngineError::Sema { .. }) => {
+            let rendered = e.display_with_source(sql);
+            assert!(rendered.contains('^'), "no caret snippet:\n{rendered}");
+            e.message().to_string()
+        }
+        other => panic!("expected a sema error, got {other:?}"),
+    };
 
     // Drop `hw.k` from the score aggregation's GROUP BY.
     let sql = g.predict(&spec, true);
@@ -114,55 +190,15 @@ fn corrupted_emitter_fails_with_spanned_diagnostic() {
         sql.contains("GROUP BY x_nj.n, hw.k"),
         "emitter changed: {sql}"
     );
-    let corrupted = sql.replace("GROUP BY x_nj.n, hw.k", "GROUP BY x_nj.n");
-    let fail = check_statement(&db, &g, "predict_deployed", &corrupted)
-        .expect_err("corrupted GROUP BY must be rejected");
+    let message = rejected(&sql.replace("GROUP BY x_nj.n, hw.k", "GROUP BY x_nj.n"));
     assert!(
-        fail.message
-            .contains("must appear in the GROUP BY clause or be used in an aggregate function"),
-        "{}",
-        fail.rendered
-    );
-    assert!(
-        fail.rendered.contains('^'),
-        "no caret snippet:\n{}",
-        fail.rendered
+        message.contains("must appear in the GROUP BY clause or be used in an aggregate function"),
+        "{message}"
     );
 
-    // Misspell a join column.
-    let sql = g.deploy();
-    let corrupted = sql.replace("p_jk.j = p_j.j", "p_jk.jj = p_j.j");
-    let fail = check_statement(&db, &g, "deploy", &corrupted)
-        .expect_err("unknown column must be rejected");
-    assert_eq!(fail.message, "unknown column 'p_jk.jj'");
-    assert!(
-        fail.rendered.contains('^'),
-        "no caret snippet:\n{}",
-        fail.rendered
-    );
-
-    // And the untouched statements still pass after the corruption attempts.
-    check_statement(&db, &g, "predict_deployed", &g.predict(&spec, true)).unwrap();
-    check_statement(&db, &g, "deploy", &g.deploy()).unwrap();
-}
-
-/// MySQL's upsert tail is the one non-executable fragment; normalization
-/// must rewrite exactly it and nothing else, so the analyzed statement is
-/// semantically identical.
-#[test]
-fn mysql_normalization_is_exact() {
-    let g = SqlGenerator::new("m", Dialect::MySql, "TEXT");
-    let sql = g.partial_fit(&base_spec(), 1.0);
-    assert!(sql.contains("ON DUPLICATE KEY UPDATE w = m_corpus.w + VALUES(w)"));
-    let normalized = normalize_for_engine(&g, &sql);
-    assert!(normalized.contains("ON CONFLICT (j, k) DO UPDATE SET w = m_corpus.w + excluded.w"));
-    assert!(!normalized.contains("ON DUPLICATE KEY"));
-    // Everything before the tail is untouched.
-    assert_eq!(
-        sql.split("ON DUPLICATE").next().unwrap(),
-        normalized
-            .split("ON CONFLICT (j, k) DO UPDATE SET w = m_corpus.w")
-            .next()
-            .unwrap()
-    );
+    // Misspell a join column of the deploy insert: nothing is written.
+    let weights = db.table_rows("m_weights").unwrap();
+    let message = rejected(&g.deploy().replace("p_jk.j = p_j.j", "p_jk.jj = p_j.j"));
+    assert_eq!(message, "unknown column 'p_jk.jj'");
+    assert_eq!(db.table_rows("m_weights").unwrap(), weights);
 }

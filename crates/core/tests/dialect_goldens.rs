@@ -18,9 +18,10 @@ fn paper_spec() -> DataSpec {
         .with_items("SELECT id as n FROM publication WHERE id % 10 <= 0")
 }
 
+/// `generic_*`: the text `ModelOptions::default()` emits, SQLite's.
 #[test]
 fn generic_partial_fit_golden() {
-    let sql = generator(Dialect::Generic).partial_fit(&paper_spec(), 1.0);
+    let sql = generator(Dialect::Sqlite).partial_fit(&paper_spec(), 1.0);
     let expected = "INSERT INTO scopus_corpus (j, k, w) WITH \
 n_n AS (SELECT id as n FROM publication WHERE id % 10 <= 0), \
 x_nj AS (SELECT qx.n AS n, qx.j AS j, qx.w AS w FROM (SELECT id as n, 'pubname:' || pubname as j, 1.0 as w FROM publication) AS qx, n_n WHERE qx.n = n_n.n \
@@ -47,14 +48,6 @@ fn mysql_partial_fit_golden_tail() {
 }
 
 #[test]
-fn sqlite_matches_generic_for_training() {
-    // SQLite shares the Generic/PostgreSQL upsert syntax and POW name.
-    let a = generator(Dialect::Generic).partial_fit(&paper_spec(), 1.0);
-    let b = generator(Dialect::Sqlite).partial_fit(&paper_spec(), 1.0);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn postgres_deploy_golden() {
     let sql = generator(Dialect::Postgres).deploy();
     let expected = "INSERT INTO scopus_weights (j, k, w) WITH \
@@ -77,7 +70,7 @@ fn generic_predict_deployed_golden() {
     let test_spec =
         DataSpec::new("SELECT id as n, 'pubname:' || pubname as j, 1.0 as w FROM publication")
             .with_items("SELECT 13 as n");
-    let sql = generator(Dialect::Generic).predict(&test_spec, true);
+    let sql = generator(Dialect::Sqlite).predict(&test_spec, true);
     let expected = "WITH abh AS (SELECT a, b, h FROM params WHERE model = 'scopus'), \
 n_n AS (SELECT 13 as n), \
 x_nj AS (SELECT qx.n AS n, qx.j AS j, qx.w AS w FROM (SELECT id as n, 'pubname:' || pubname as j, 1.0 as w FROM publication) AS qx, n_n WHERE qx.n = n_n.n), \
@@ -92,12 +85,7 @@ WHERE r_nk.r = 1 ORDER BY n";
 fn all_dialects_render_every_operation() {
     // Smoke test: every operation renders non-empty SQL in every dialect.
     let spec = paper_spec();
-    for dialect in [
-        Dialect::Generic,
-        Dialect::Postgres,
-        Dialect::MySql,
-        Dialect::Sqlite,
-    ] {
+    for dialect in Dialect::ALL {
         let g = generator(dialect);
         let statements = [
             g.create_params_table(),

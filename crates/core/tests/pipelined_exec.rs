@@ -172,10 +172,13 @@ fn has_fanned_out(stats: &OpStats) -> bool {
     stats.workers > 1 || stats.children.iter().any(has_fanned_out)
 }
 
-/// The query an `INSERT INTO t (j, k, w) <query> [ON CONFLICT …]` inserts.
+/// The query an `INSERT INTO t (j, k, w) <query> [upsert tail]` inserts, in
+/// either dialect's spelling of the tail.
 fn source_query(insert: &str) -> &str {
     let (_, query) = insert.split_once("(j, k, w) ").unwrap();
-    query.split(" ON CONFLICT").next().unwrap()
+    [" ON CONFLICT", " ON DUPLICATE KEY"]
+        .iter()
+        .fold(query, |q, tail| q.split(tail).next().unwrap())
 }
 
 fn int(v: &Value) -> i64 {

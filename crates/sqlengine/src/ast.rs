@@ -364,7 +364,9 @@ pub enum InsertSource {
     Query(Query),
 }
 
-/// `ON CONFLICT (cols) DO UPDATE SET col = expr, ... | DO NOTHING`.
+/// `ON CONFLICT (cols) DO UPDATE SET col = expr, ... | DO NOTHING`, or
+/// MySQL's `ON DUPLICATE KEY UPDATE col = expr, ...` (an empty target, which
+/// means the primary key; `VALUES(col)` parses as `excluded.col`).
 ///
 /// In `DO UPDATE` expressions, `excluded.col` refers to the row proposed for
 /// insertion and bare/table-qualified columns refer to the existing row.

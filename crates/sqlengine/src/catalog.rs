@@ -135,6 +135,42 @@ impl Table {
         })
     }
 
+    /// The upsert rule: the table needs a primary key, and a non-empty
+    /// conflict target names exactly its columns, in any order (an empty
+    /// one — MySQL's `ON DUPLICATE KEY` — means the key). `Err` is the
+    /// message, naming the table as the statement wrote it (`written`);
+    /// the caller picks the error kind and span.
+    pub(crate) fn check_conflict_target(
+        &self,
+        target: &[String],
+        written: &str,
+    ) -> std::result::Result<(), String> {
+        let primary = self
+            .primary
+            .as_ref()
+            .ok_or_else(|| format!("ON CONFLICT on table '{written}' which has no unique index"))?;
+        if target.is_empty() {
+            return Ok(());
+        }
+        let mut cols = target
+            .iter()
+            .map(|c| {
+                self.schema
+                    .position(c)
+                    .ok_or_else(|| format!("unknown conflict column '{c}'"))
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        cols.sort_unstable();
+        let mut key = primary.key_columns.clone();
+        key.sort_unstable();
+        if cols != key {
+            return Err(format!(
+                "ON CONFLICT target does not match the unique index of '{written}'"
+            ));
+        }
+        Ok(())
+    }
+
     /// Observed columnar state as `(chunk_count, dict_columns)` — both zero
     /// until a key-filtered hash join first builds the chunks (chunks are lazy,
     /// and this reports without forcing a build).

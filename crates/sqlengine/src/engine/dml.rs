@@ -469,32 +469,8 @@ impl Database {
         let (resolved, do_update) = match &insert.on_conflict {
             None => (None, None),
             Some(oc) => {
-                let primary = t.primary.as_ref().ok_or_else(|| {
-                    EngineError::plan(format!(
-                        "ON CONFLICT on table '{}' which has no unique index",
-                        insert.table
-                    ))
-                })?;
-                if !oc.target_columns.is_empty() {
-                    let mut target: Vec<usize> = oc
-                        .target_columns
-                        .iter()
-                        .map(|c| {
-                            t.schema.position(c).ok_or_else(|| {
-                                EngineError::plan(format!("unknown conflict column '{c}'"))
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                    target.sort_unstable();
-                    let mut key = primary.key_columns.clone();
-                    key.sort_unstable();
-                    if target != key {
-                        return Err(EngineError::plan(format!(
-                            "ON CONFLICT target does not match the unique index of '{}'",
-                            insert.table
-                        )));
-                    }
-                }
+                t.check_conflict_target(&oc.target_columns, &insert.table)
+                    .map_err(EngineError::plan)?;
                 match &oc.action {
                     ConflictAction::DoNothing => (Some(ResolvedConflict::DoNothing), None),
                     ConflictAction::DoUpdate(assignments) => {

@@ -7,7 +7,8 @@
 //! * a lexer, recursive-descent parser, and AST for a practical SQL subset
 //!   (`SELECT` with CTEs, joins, `GROUP BY`/`HAVING`, window `ROW_NUMBER`,
 //!   `UNION [ALL]`, `ORDER BY`/`LIMIT`; `CREATE TABLE`/`INDEX`;
-//!   `INSERT ... ON CONFLICT DO UPDATE`; `UPDATE`; `DELETE`);
+//!   `INSERT ... ON CONFLICT DO UPDATE`, also spelled MySQL's way,
+//!   `ON DUPLICATE KEY UPDATE`; `UPDATE`; `DELETE`);
 //! * an index-aware planner with predicate pushdown, equi-join detection
 //!   (hash joins), CTEs inlined when read once and run once for all their
 //!   references otherwise (`PhysPlan::Shared`), index-scan

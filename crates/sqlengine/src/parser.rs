@@ -415,7 +415,20 @@ impl Parser {
         } else {
             InsertSource::Query(self.query()?)
         };
-        let on_conflict = if self.consume_keyword("ON") {
+        let on_conflict = if !self.consume_keyword("ON") {
+            None
+        } else if matches!(self.peek(), Some(Token::Ident(w)) if w.eq_ignore_ascii_case("DUPLICATE"))
+        {
+            // MySQL's spelling: `ON DUPLICATE KEY UPDATE col = expr, …`
+            // targets the primary key (an empty target).
+            self.pos += 1;
+            self.expect_keyword("KEY")?;
+            self.expect_keyword("UPDATE")?;
+            Some(OnConflict {
+                target_columns: Vec::new(),
+                action: ConflictAction::DoUpdate(self.assignments()?),
+            })
+        } else {
             self.expect_keyword("CONFLICT")?;
             let mut target_columns = Vec::new();
             if self.consume_if(&Token::LParen) {
@@ -433,23 +446,12 @@ impl Parser {
             } else {
                 self.expect_keyword("UPDATE")?;
                 self.expect_keyword("SET")?;
-                let mut assignments = Vec::new();
-                loop {
-                    let col = self.identifier()?;
-                    self.expect(&Token::Eq)?;
-                    assignments.push((col, self.expr()?));
-                    if !self.consume_if(&Token::Comma) {
-                        break;
-                    }
-                }
-                ConflictAction::DoUpdate(assignments)
+                ConflictAction::DoUpdate(self.assignments()?)
             };
             Some(OnConflict {
                 target_columns,
                 action,
             })
-        } else {
-            None
         };
         Ok(Statement::Insert(Insert {
             table,
@@ -482,15 +484,7 @@ impl Parser {
         let table_span = self.span_at(self.pos);
         let table = self.identifier()?;
         self.expect_keyword("SET")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.identifier()?;
-            self.expect(&Token::Eq)?;
-            assignments.push((col, self.expr()?));
-            if !self.consume_if(&Token::Comma) {
-                break;
-            }
-        }
+        let assignments = self.assignments()?;
         let predicate = if self.consume_keyword("WHERE") {
             Some(self.expr()?)
         } else {
@@ -502,6 +496,20 @@ impl Parser {
             assignments,
             predicate,
         })
+    }
+
+    /// `col = expr, …` after `UPDATE t SET`, `DO UPDATE SET` or
+    /// `ON DUPLICATE KEY UPDATE`.
+    fn assignments(&mut self) -> Result<Vec<(String, Expr)>> {
+        let mut assignments = Vec::new();
+        loop {
+            let col = self.identifier()?;
+            self.expect(&Token::Eq)?;
+            assignments.push((col, self.expr()?));
+            if !self.consume_if(&Token::Comma) {
+                return Ok(assignments);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1088,11 +1096,20 @@ impl Parser {
                     span: self.span_from(start),
                 })
             }
-            "EXCLUDED" => {
-                // `excluded.col` inside ON CONFLICT DO UPDATE.
+            "EXCLUDED" | "VALUES" => {
+                // `excluded.col` inside ON CONFLICT DO UPDATE, or MySQL's
+                // `VALUES(col)` inside ON DUPLICATE KEY UPDATE: both name
+                // the row proposed for insertion.
                 self.pos += 1;
-                self.expect(&Token::Dot)?;
-                let name = self.identifier()?;
+                let name = if k == "EXCLUDED" {
+                    self.expect(&Token::Dot)?;
+                    self.identifier()?
+                } else {
+                    self.expect(&Token::LParen)?;
+                    let name = self.identifier()?;
+                    self.expect(&Token::RParen)?;
+                    name
+                };
                 Ok(Expr::Column {
                     qualifier: Some("excluded".into()),
                     name,
@@ -1249,6 +1266,35 @@ mod tests {
         };
         assert_eq!(assignments.len(), 1);
         assert_eq!(assignments[0].0, "w");
+    }
+
+    /// MySQL's upsert is a second spelling of the same node: an empty
+    /// target (the primary key) and `VALUES(col)` read as `excluded.col`.
+    #[test]
+    fn parses_insert_on_duplicate_key_update_as_the_same_upsert() {
+        let conflict = |sql: &str| match parse(sql) {
+            Statement::Insert(ins) => ins.on_conflict.unwrap(),
+            other => panic!("expected an insert, got {other:?}"),
+        };
+        let pg = conflict(
+            "INSERT INTO corpus (j, k, w) SELECT j, k, w FROM P_jk \
+             ON CONFLICT (j, k) DO UPDATE SET w = corpus.w + excluded.w",
+        );
+        let my = conflict(
+            "INSERT INTO corpus (j, k, w) SELECT j, k, w FROM P_jk \
+             on duplicate key update w = corpus.w + VALUES(w)",
+        );
+        assert!(my.target_columns.is_empty());
+        assert!(matches!(my.action, ConflictAction::DoUpdate(_)));
+        // Spans compare equal, so this is the whole `SET` list.
+        assert_eq!(my.action, pg.action);
+    }
+
+    /// `DUPLICATE` stays an ordinary identifier.
+    #[test]
+    fn duplicate_is_not_reserved() {
+        parse("CREATE TABLE t (duplicate INTEGER)");
+        parse("SELECT duplicate FROM t");
     }
 
     #[test]

@@ -493,38 +493,9 @@ impl<'a> Analyzer<'a> {
             }
         }
         if let Some(oc) = &insert.on_conflict {
-            let primary = table.primary.as_ref().ok_or_else(|| {
-                EngineError::sema(
-                    format!(
-                        "ON CONFLICT on table '{}' which has no unique index",
-                        insert.table
-                    ),
-                    insert.table_span,
-                )
-            })?;
-            if !oc.target_columns.is_empty() {
-                let mut target = Vec::with_capacity(oc.target_columns.len());
-                for c in &oc.target_columns {
-                    target.push(table.schema.position(c).ok_or_else(|| {
-                        EngineError::sema(
-                            format!("unknown conflict column '{c}'"),
-                            insert.table_span,
-                        )
-                    })?);
-                }
-                target.sort_unstable();
-                let mut key = primary.key_columns.clone();
-                key.sort_unstable();
-                if target != key {
-                    return Err(EngineError::sema(
-                        format!(
-                            "ON CONFLICT target does not match the unique index of '{}'",
-                            insert.table
-                        ),
-                        insert.table_span,
-                    ));
-                }
-            }
+            table
+                .check_conflict_target(&oc.target_columns, &insert.table)
+                .map_err(|m| EngineError::sema(m, insert.table_span))?;
             if let crate::ast::ConflictAction::DoUpdate(assignments) = &oc.action {
                 // DO UPDATE expressions see [existing row, excluded row];
                 // bare columns resolve to the existing row (mirrors the

@@ -353,6 +353,24 @@ fn dml_errors() {
     );
 }
 
+/// MySQL's `ON DUPLICATE KEY UPDATE` is the same upsert with an empty
+/// target, so it meets the same rule and the same column checks.
+#[test]
+fn mysql_upsert_errors() {
+    let d = db();
+    expect_sema_msg(
+        &d,
+        "INSERT INTO t VALUES (1, 'x', 0.5) ON DUPLICATE KEY UPDATE r = r + VALUES(r)",
+        "ON CONFLICT on table 't' which has no unique index",
+    );
+    expect_sema(
+        &d,
+        "INSERT INTO k VALUES (1, 2.0) ON DUPLICATE KEY UPDATE w = w + VALUES(zzz)",
+        "unknown column 'excluded.zzz'",
+        "VALUES(zzz)",
+    );
+}
+
 #[test]
 fn cte_scoping() {
     let d = db();

@@ -243,26 +243,36 @@ fn external_data_training_via_direct_corpus_writes() {
 }
 
 #[test]
-fn mysql_dialect_text_is_emitted_but_not_executed() {
-    // The portability artifact: MySQL statements are rendered with the
-    // MySQL upsert idiom; they are goldens, not executable here.
-    let db = Database::new();
-    let model = BornSqlModel::create(
-        &db,
-        "my",
-        ModelOptions {
-            dialect: Dialect::MySql,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let spec = DataSpec::new("SELECT 1 AS n, 'f' AS j, 1.0 AS w")
-        .with_targets("SELECT 1 AS n, 'k' AS k, 1.0 AS w");
-    let sql = model.generator().partial_fit(&spec, 1.0);
-    assert!(sql.contains("ON DUPLICATE KEY UPDATE"));
-    assert!(!Dialect::MySql.executable());
-    // Executing it against our engine fails at the parser, as expected.
-    assert!(model.partial_fit(&spec).is_err());
+fn mysql_dialect_fits_deploys_and_predicts_like_sqlite() {
+    // MySQL's upsert tail parses as the same upsert, so a MySQL-dialect
+    // model trains incrementally, deploys and predicts as the SQLite one.
+    let db = scopus_db(200, EngineConfig::profile_a());
+    let mut test = DataSpec::default();
+    for arm in scopus::qx_arms(false) {
+        test = test.with_features(arm);
+    }
+    let test = test.with_items("SELECT id AS n FROM publication WHERE id <= 40");
+    let run = |name: &str, dialect| {
+        let options = ModelOptions {
+            dialect,
+            ..scopus_options()
+        };
+        let model = BornSqlModel::create(&db, name, options).unwrap();
+        for range in ["id <= 100", "id > 100"] {
+            let items = format!("SELECT id AS n FROM publication WHERE {range}");
+            model.partial_fit(&scopus_spec(Some(&items))).unwrap();
+        }
+        model.deploy().unwrap();
+        let sql = model.generator().partial_fit(&scopus_spec(None), 1.0);
+        (sql, model.corpus().unwrap(), model.predict(&test).unwrap())
+    };
+    let (my_sql, my_corpus, my_preds) = run("my", Dialect::MySql);
+    let (lite_sql, lite_corpus, lite_preds) = run("lite", Dialect::Sqlite);
+    assert!(my_sql.contains("ON DUPLICATE KEY UPDATE"));
+    assert!(lite_sql.contains("ON CONFLICT"));
+    assert_eq!(my_corpus, lite_corpus);
+    assert!(!my_preds.is_empty());
+    assert_eq!(my_preds, lite_preds);
 }
 
 #[test]
@@ -329,37 +339,6 @@ fn incremental_learning_commutes_with_engine_profiles() {
         assert_eq!(k1, k2);
         assert!((w1 - w2).abs() < 1e-9, "{j1}/{k1}: {w1} vs {w2}");
     }
-}
-
-#[test]
-fn postgres_dialect_text_also_executes_on_the_engine() {
-    // PostgreSQL text (POWER instead of POW, same ON CONFLICT) is
-    // executable by the bundled engine too — only MySQL's upsert differs.
-    let db = Database::new();
-    db.execute_script(
-        "CREATE TABLE d (n INTEGER, j TEXT, w REAL);
-         CREATE TABLE l (n INTEGER, k TEXT);
-         INSERT INTO d VALUES (1, 'robot', 1.0), (2, 'poisson', 1.0);
-         INSERT INTO l VALUES (1, 'ai'), (2, 'stats');",
-    )
-    .unwrap();
-    let model = BornSqlModel::create(
-        &db,
-        "pg",
-        ModelOptions {
-            dialect: Dialect::Postgres,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let spec =
-        DataSpec::new("SELECT n, j, w FROM d").with_targets("SELECT n, k AS k, 1.0 AS w FROM l");
-    model.fit(&spec).unwrap();
-    model.deploy().unwrap();
-    let preds = model
-        .predict(&DataSpec::new("SELECT n, j, w FROM d").with_items("SELECT 1 AS n"))
-        .unwrap();
-    assert_eq!(preds[0].1, Value::text("ai"));
 }
 
 #[test]
