@@ -745,8 +745,10 @@ impl Database {
     }
 
     /// The one place a query is planned: under the catalog read lock, with
-    /// the verifier run under that same lock so its snapshot-identity checks
-    /// compare against the exact catalog state the plan captured. With
+    /// the joins narrowed to the columns read above them
+    /// ([`crate::plan::narrow_joins`]) and the verifier run under that same
+    /// lock so its snapshot-identity checks compare against the exact
+    /// catalog state the plan captured. With
     /// `template` set, `?` markers stay [`crate::expr::PhysExpr::Param`]
     /// nodes. What the planner executes itself runs under `exec`. Also
     /// reports whether the plan reads a virtual `sys.*` table.
@@ -765,7 +767,8 @@ impl Database {
         if template {
             planner = planner.symbolic();
         }
-        let planned = planner.plan_query(query)?;
+        let mut planned = planner.plan_query(query)?;
+        crate::plan::narrow_joins(&mut planned.plan);
         let discipline = if template {
             ParamDiscipline::Template
         } else {

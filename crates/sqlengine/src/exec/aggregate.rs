@@ -20,7 +20,7 @@ use crate::ast::AggregateFunc;
 use crate::error::{EngineError, Result};
 use crate::expr::PhysExpr;
 use crate::plan::{AggSpec, PhysPlan};
-use crate::value::{Row, Value};
+use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, Ticker};
 use super::{key_of, ExecContext, NodeOut, Partial, Sink};
@@ -214,7 +214,7 @@ impl Partial for GroupPart {
 /// fold.
 #[derive(Default)]
 struct Seen {
-    values: HashSet<Value>,
+    values: HashSet<Value, ValueHash>,
     deferred: Vec<Value>,
 }
 
@@ -224,7 +224,7 @@ struct Seen {
 /// group allocates only its key.
 struct Groups {
     /// Group key → group number; the only copy of each key.
-    index: HashMap<Vec<Value>, usize>,
+    index: HashMap<Vec<Value>, usize, ValueHash>,
     states: Vec<AggState>,
     /// Laid out like `states`: what each DISTINCT aggregate has seen, `None`
     /// for the others; empty when no aggregate is DISTINCT.
@@ -241,7 +241,7 @@ struct Groups {
 impl Groups {
     fn new(eager: bool) -> Groups {
         Groups {
-            index: HashMap::new(),
+            index: HashMap::default(),
             states: Vec::new(),
             seen: Vec::new(),
             eager,

@@ -10,6 +10,10 @@
 //! the build side serially: a table split by partition would cost every
 //! probe row a second hash, and the probe side is the larger.
 //!
+//! Every join builds its rows with [`join_into`] and [`null_fill`], which
+//! copy only the columns the plan reads above the join (its `out`, set by
+//! [`crate::plan::narrow_joins`]) once the residual has seen the whole row.
+//!
 //! The probe, the nested loop's outer side and the index nested loop are
 //! [`RowOp`]s: pushed when a breaker that holds rows reads the join, steps
 //! of a pipeline above it (its other side built first) when a group table
@@ -36,7 +40,7 @@ use crate::error::{EngineError, Result};
 use crate::explain::op_label;
 use crate::expr::PhysExpr;
 use crate::plan::{IndexRef, JoinInput, PhysPlan};
-use crate::value::{Row, Value};
+use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker};
 use super::vector::{key_filter, KeySet};
@@ -49,28 +53,56 @@ use super::{key_of, ExecContext, Held, NodeOut, OpStats, RowOp, Sink};
 const KEY_FILTER_SELECTIVITY: usize = 8;
 
 /// A build table: key → build-row indexes, ascending.
-type KeyTable = HashMap<Vec<Value>, Vec<usize>>;
+type KeyTable = HashMap<Vec<Value>, Vec<usize>, ValueHash>;
 
-/// `left ++ right` in `joined`, which keeps its capacity from row to row.
-fn join_into(joined: &mut Vec<Value>, left: &[Value], right: &[Value]) {
+/// Join `left ++ right` in `joined`, which keeps its capacity from row to
+/// row, and say whether it passes `residual`, which reads the whole joined
+/// row. A row that passes holds the columns `out` lists ([`PhysPlan`]'s
+/// join `out`), or all of them: without a residual only those are copied.
+fn join_into(
+    joined: &mut Vec<Value>,
+    (left, right): (&[Value], &[Value]),
+    residual: &Option<PhysExpr>,
+    out: Option<&[usize]>,
+) -> Result<bool> {
     joined.clear();
+    if let (Some(out), None) = (out, residual) {
+        joined.extend(out.iter().map(|&at| match at.checked_sub(left.len()) {
+            None => left[at].clone(),
+            Some(at) => right[at].clone(),
+        }));
+        return Ok(true);
+    }
     joined.extend_from_slice(left);
     joined.extend_from_slice(right);
+    if let Some(residual) = residual {
+        if residual.eval(joined)?.as_bool()? != Some(true) {
+            return Ok(false);
+        }
+    }
+    if let Some(out) = out {
+        // `out` ascends, so each column moves down onto a slot already read.
+        for (to, &from) in out.iter().enumerate() {
+            joined.swap(to, from);
+        }
+        joined.truncate(out.len());
+    }
+    Ok(true)
 }
 
-/// `row` followed by `width` NULLs: the LEFT JOIN row of an unmatched outer
-/// row.
-fn null_fill(joined: &mut Vec<Value>, row: &[Value], width: usize) {
+/// `row` followed by `width` NULLs — the LEFT JOIN row of an unmatched outer
+/// row — narrowed to `out`.
+fn null_fill(joined: &mut Vec<Value>, row: &[Value], width: usize, out: Option<&[usize]>) {
     joined.clear();
-    joined.extend_from_slice(row);
-    joined.extend(std::iter::repeat_n(Value::Null, width));
-}
-
-/// Whether a joined row passes the join's residual predicate.
-fn keeps(residual: &Option<PhysExpr>, joined: &[Value]) -> Result<bool> {
-    match residual {
-        None => Ok(true),
-        Some(r) => Ok(r.eval(joined)?.as_bool()? == Some(true)),
+    match out {
+        Some(out) => joined.extend(
+            out.iter()
+                .map(|&at| row.get(at).cloned().unwrap_or(Value::Null)),
+        ),
+        None => {
+            joined.extend_from_slice(row);
+            joined.extend(std::iter::repeat_n(Value::Null, width));
+        }
     }
 }
 
@@ -87,6 +119,7 @@ pub(super) struct Probe {
     /// The NULL fill of a LEFT JOIN, which always builds on the right.
     right_width: usize,
     residual: Option<PhysExpr>,
+    out: Option<Vec<usize>>,
     deadline: Option<Instant>,
     /// Probe rows that found no build key, over every run.
     pruned: AtomicUsize,
@@ -152,12 +185,11 @@ impl RowOp for Probe {
                     // A popular key fans one probe row out to many.
                     ticker.tick(self.deadline)?;
                     let brow = build_rows.row(bi);
-                    if self.build_left {
-                        join_into(joined, brow, prow);
-                    } else {
-                        join_into(joined, prow, brow);
-                    }
-                    if keeps(&self.residual, joined)? {
+                    let sides = match self.build_left {
+                        true => (brow, prow),
+                        false => (prow, brow),
+                    };
+                    if join_into(joined, sides, &self.residual, self.out.as_deref())? {
                         matched = true;
                         sink(joined)?;
                     }
@@ -166,7 +198,7 @@ impl RowOp for Probe {
             None => *pruned += 1,
         }
         if !matched && self.kind == JoinKind::Left {
-            null_fill(joined, prow, self.right_width);
+            null_fill(joined, prow, self.right_width, self.out.as_deref());
             sink(joined)?;
         }
         Ok(())
@@ -295,6 +327,7 @@ pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Resu
         right_width,
         residual,
         build_left,
+        out,
         ..
     } = join
     else {
@@ -333,6 +366,7 @@ pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Resu
         kind: *kind,
         right_width: *right_width,
         residual: residual.clone(),
+        out: out.clone(),
         deadline: ctx.deadline(),
         pruned: AtomicUsize::new(pruned),
     };
@@ -386,7 +420,7 @@ pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
 /// one index per row with a non-NULL key, and is pre-sized from the build
 /// side's row count.
 fn hash_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -> Result<KeyTable> {
-    let mut table = KeyTable::with_capacity(build_rows.len());
+    let mut table = KeyTable::with_capacity_and_hasher(build_rows.len(), ValueHash::default());
     let mut charge = ChargeBuf::new(ctx.budget());
     let (mut scratch, mut ticker, mut inserted) = (Vec::new(), Ticker::default(), 0);
     for (i, row) in build_rows.iter().enumerate() {
@@ -418,6 +452,7 @@ pub(crate) fn sort_merge_join(
     kind: JoinKind,
     right_width: usize,
     residual: &Option<PhysExpr>,
+    out: Option<&[usize]>,
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
@@ -469,8 +504,8 @@ pub(crate) fn sort_merge_join(
                 for &(_, l_idx) in &lk[lstart..li] {
                     for &(_, r_idx) in &rk[rstart..ri] {
                         ticker.tick(deadline)?;
-                        join_into(&mut joined, left_rows.row(l_idx), right_rows.row(r_idx));
-                        if keeps(residual, &joined)? {
+                        let sides = (left_rows.row(l_idx), right_rows.row(r_idx));
+                        if join_into(&mut joined, sides, residual, out)? {
                             matched_left[l_idx] = true;
                             sink(&joined)?;
                         }
@@ -481,7 +516,7 @@ pub(crate) fn sort_merge_join(
     }
     if kind == JoinKind::Left {
         for (row, _) in left_rows.iter().zip(&matched_left).filter(|(_, m)| !**m) {
-            null_fill(&mut joined, row, right_width);
+            null_fill(&mut joined, row, right_width, out);
             sink(&joined)?;
         }
     }
@@ -505,6 +540,7 @@ pub(super) struct NestedLoop {
     kind: JoinKind,
     right_width: usize,
     predicate: Option<PhysExpr>,
+    out: Option<Vec<usize>>,
     deadline: Option<Instant>,
 }
 
@@ -548,14 +584,13 @@ impl RowOp for NestedLoop {
         let mut matched = false;
         for rrow in inner.as_ref().unwrap_or(&self.right_rows).iter() {
             ticker.tick(self.deadline)?;
-            join_into(joined, lrow, rrow);
-            if keeps(&self.predicate, joined)? {
+            if join_into(joined, (lrow, rrow), &self.predicate, self.out.as_deref())? {
                 matched = true;
                 sink(joined)?;
             }
         }
         if !matched && self.kind == JoinKind::Left {
-            null_fill(joined, lrow, self.right_width);
+            null_fill(joined, lrow, self.right_width, self.out.as_deref());
             sink(joined)?;
         }
         Ok(())
@@ -570,6 +605,7 @@ pub(super) fn inner_side(join: &PhysPlan, ctx: &ExecContext) -> Result<(NestedLo
         kind,
         right_width,
         predicate,
+        out,
         ..
     } = join
     else {
@@ -582,6 +618,7 @@ pub(super) fn inner_side(join: &PhysPlan, ctx: &ExecContext) -> Result<(NestedLo
         kind: *kind,
         right_width: *right_width,
         predicate: predicate.clone(),
+        out: out.clone(),
         deadline: ctx.deadline(),
     };
     Ok((op, inner))
@@ -619,6 +656,7 @@ pub(super) struct IndexProbe {
     kind: JoinKind,
     inner_width: usize,
     residual: Option<PhysExpr>,
+    out: Option<Vec<usize>>,
     deadline: Option<Instant>,
     /// Inner rows looked up, over every run.
     fetched: AtomicUsize,
@@ -643,6 +681,7 @@ impl IndexProbe {
             kind,
             inner_width,
             residual,
+            out,
             ..
         } = join
         else {
@@ -661,6 +700,7 @@ impl IndexProbe {
             kind: *kind,
             inner_width: *inner_width,
             residual: residual.clone(),
+            out: out.clone(),
             deadline: ctx.deadline(),
             fetched: AtomicUsize::new(0),
         })
@@ -692,12 +732,11 @@ impl RowOp for IndexProbe {
             for &ii in idxs.iter() {
                 ticker.tick(self.deadline)?;
                 let irow = &self.inner_rows[ii];
-                if self.inner_is_left {
-                    join_into(joined, irow, prow);
-                } else {
-                    join_into(joined, prow, irow);
-                }
-                if keeps(&self.residual, joined)? {
+                let sides = match self.inner_is_left {
+                    true => (&irow[..], prow),
+                    false => (prow, &irow[..]),
+                };
+                if join_into(joined, sides, &self.residual, self.out.as_deref())? {
                     matched = true;
                     sink(joined)?;
                 }
@@ -705,7 +744,7 @@ impl RowOp for IndexProbe {
         }
         if !matched && self.kind == JoinKind::Left {
             // The probe side is the outer side; null-fill the inner columns.
-            null_fill(joined, prow, self.inner_width);
+            null_fill(joined, prow, self.inner_width, self.out.as_deref());
             sink(joined)?;
         }
         Ok(())

@@ -225,6 +225,7 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             right_width,
             residual,
             algo,
+            out,
             ..
         } => match algo {
             JoinAlgo::Hash => join::hash_join(plan, ctx, sink),
@@ -236,6 +237,7 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
                 *kind,
                 *right_width,
                 residual,
+                out.as_deref(),
                 ctx,
                 sink,
             ),
@@ -1323,6 +1325,7 @@ mod tests {
             residual,
             algo: JoinAlgo::Hash,
             build_left: false,
+            out: None,
         }
     }
 
@@ -1819,6 +1822,7 @@ mod tests {
             kind: JoinKind::Cross,
             right_width: 1,
             predicate: None,
+            out: None,
         };
         let plan = aggregate(
             crossed,

@@ -10,14 +10,13 @@
 //! and the partials fold into the first in morsel order, which keeps the
 //! global first occurrences in input order — the output of a serial run.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::plan::PhysPlan;
-use crate::value::{Row, Value};
+use crate::value::{Row, Value, ValueHash};
 
 use super::context::ChargeBuf;
 use super::{ExecContext, NodeOut, Partial, Sink};
@@ -69,7 +68,7 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
     let budget = Arc::clone(ctx.budget());
     let run = super::pipeline(input, ctx, &mut node, move |_| Firsts {
         rows: Vec::new(),
-        buckets: HashMap::new(),
+        buckets: HashMap::default(),
         charge: ChargeBuf::new(&budget),
     });
     // The rows before an error are handed on before it, as when pushed.
@@ -82,7 +81,7 @@ pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> 
 /// every row it keeps.
 struct Firsts {
     rows: Vec<Row>,
-    buckets: HashMap<u64, Vec<usize>>,
+    buckets: HashMap<u64, Vec<usize>, ValueHash>,
     charge: ChargeBuf,
 }
 
@@ -99,12 +98,10 @@ impl Firsts {
     }
 }
 
-/// A fixed-seed hash of a row (`DefaultHasher::new()` uses fixed keys), so
-/// every thread agrees on it.
+/// The engine hasher's hash of a row, seeded once per process, so every
+/// thread agrees on it.
 fn hash_row(row: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    row.hash(&mut h);
-    h.finish()
+    ValueHash::default().hash_one(row)
 }
 
 impl Partial for Firsts {

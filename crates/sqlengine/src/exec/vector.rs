@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::column::{ColVec, ColumnData};
 use crate::plan::{JoinAlgo, PhysPlan};
-use crate::value::Value;
+use crate::value::{Value, ValueHash};
 
 /// How a hash join reads the input it probes ([`super::keyset_mode`]):
 /// `Some(true)` = through the key filter, `Some(false)` = row by row
@@ -75,7 +75,7 @@ pub(super) enum KeySet {
     /// search (build sides here hold one to a few hundred keys).
     Ints(Vec<i64>),
     /// Every key is a single `Str`.
-    Strs(HashSet<Arc<str>>),
+    Strs(HashSet<Arc<str>, ValueHash>),
     /// Floats, several columns, or a mix of variants: `Int(1)` and
     /// `Float(1.0)` are one join key, so only the row probe can decide.
     Untyped,
@@ -83,7 +83,7 @@ pub(super) enum KeySet {
 
 impl KeySet {
     pub(super) fn of<'a>(keys: impl Iterator<Item = &'a Vec<Value>>) -> KeySet {
-        let (mut ints, mut strs) = (Vec::new(), HashSet::new());
+        let (mut ints, mut strs) = (Vec::new(), HashSet::default());
         for key in keys {
             match key.as_slice() {
                 [Value::Int(i)] => ints.push(*i),

@@ -11,14 +11,34 @@ use crate::plan::{JoinAlgo, PhysPlan};
 use crate::trace::SpanRec;
 
 /// Render a plan as an indented operator tree, each shared subplan's
-/// subtree under its first reference only.
+/// subtree under its first reference only. A join narrowed to fewer
+/// columns than its scope ends its line in ` out=k/n`: it passes on `k` of
+/// the `n` values of its scope-order row ([`crate::plan::narrow_joins`]).
+/// `EXPLAIN ANALYZE` lines leave it out, keeping a hash join's `pruned=N`
+/// last.
 pub fn render_plan(plan: &PhysPlan) -> String {
     let mut out = String::new();
     plan.for_each_node(&mut |node, depth, reused| {
-        let label = if reused {
-            reused_label(node)
-        } else {
-            op_label(node)
+        let label = match (reused, node) {
+            (true, _) => reused_label(node),
+            (
+                false,
+                PhysPlan::HashJoin {
+                    out: Some(passed), ..
+                }
+                | PhysPlan::NestedLoopJoin {
+                    out: Some(passed), ..
+                }
+                | PhysPlan::IndexJoin {
+                    out: Some(passed), ..
+                },
+            ) => format!(
+                "{} out={}/{}",
+                op_label(node),
+                passed.len(),
+                node.scope_width()
+            ),
+            (false, _) => op_label(node),
         };
         line(&mut out, depth, &label);
     });

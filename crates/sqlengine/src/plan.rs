@@ -12,7 +12,9 @@
 //!   materialization" claim); one read by several becomes a
 //!   [`PhysPlan::Shared`] subplan that runs once per execution and whose
 //!   references read its held rows (PostgreSQL's rule;
-//!   [`PlannerConfig::materialize_ctes`] shares every CTE).
+//!   [`PlannerConfig::materialize_ctes`] shares every CTE);
+//! * once a plan is finished, every join is narrowed to the columns some
+//!   operator above it reads ([`narrow_joins`]).
 //!
 //! The planner does not decide what a `SELECT` block *means* — which columns
 //! `*` stands for, what is aggregated, what each output column is called:
@@ -192,6 +194,8 @@ pub enum PhysPlan {
         inner_width: usize,
         /// Residual predicate evaluated on joined rows (scope order).
         residual: Option<PhysExpr>,
+        /// The columns passed on ([`narrow_joins`]).
+        out: Option<Vec<usize>>,
     },
     /// One empty row — the FROM-less `SELECT`.
     OneRow,
@@ -203,8 +207,9 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
         exprs: Vec<PhysExpr>,
     },
-    /// Equi-join executed by the configured [`JoinAlgo`]. Its output rows
-    /// are always `left ++ right` (scope order), whichever side builds.
+    /// Equi-join executed by the configured [`JoinAlgo`]. Its joined rows
+    /// are always `left ++ right` (scope order), whichever side builds;
+    /// what it passes on of them is `out`'s.
     HashJoin {
         left: Box<PhysPlan>,
         right: Box<PhysPlan>,
@@ -219,6 +224,10 @@ pub enum PhysPlan {
         /// streams through the probe ([`PhysPlan::join_sides`]). Only ever
         /// set on an INNER [`JoinAlgo::Hash`] join.
         build_left: bool,
+        /// The positions of the joined row (scope order, after the residual
+        /// and a LEFT JOIN's NULL fill) the join passes on, ascending;
+        /// `None` passes on all of them. Set by [`narrow_joins`].
+        out: Option<Vec<usize>>,
     },
     NestedLoopJoin {
         left: Box<PhysPlan>,
@@ -226,6 +235,8 @@ pub enum PhysPlan {
         kind: JoinKind,
         right_width: usize,
         predicate: Option<PhysExpr>,
+        /// The columns passed on ([`narrow_joins`]).
+        out: Option<Vec<usize>>,
     },
     Aggregate {
         input: Box<PhysPlan>,
@@ -414,6 +425,9 @@ impl PhysPlan {
             | PhysPlan::Shared { input, .. } => input.width(),
             PhysPlan::Window { input, .. } => input.width() + 1,
             PhysPlan::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
+            PhysPlan::HashJoin { out: Some(out), .. }
+            | PhysPlan::NestedLoopJoin { out: Some(out), .. }
+            | PhysPlan::IndexJoin { out: Some(out), .. } => out.len(),
             PhysPlan::HashJoin {
                 left, right_width, ..
             }
@@ -424,6 +438,26 @@ impl PhysPlan {
                 probe, inner_width, ..
             } => probe.width() + inner_width,
             PhysPlan::UnionAll { inputs } => inputs.first().map_or(0, PhysPlan::width),
+        }
+    }
+
+    /// Number of columns in every row this plan would produce had no join
+    /// been narrowed: the width of its scope. `EXPLAIN` prints a narrowed
+    /// join's `out` against it.
+    pub(crate) fn scope_width(&self) -> usize {
+        match self {
+            PhysPlan::HashJoin { left, right, .. }
+            | PhysPlan::NestedLoopJoin { left, right, .. } => {
+                left.scope_width() + right.scope_width()
+            }
+            PhysPlan::IndexJoin {
+                probe, inner_width, ..
+            } => probe.scope_width() + inner_width,
+            PhysPlan::Filter { input, .. }
+            | PhysPlan::Sort { input, .. }
+            | PhysPlan::Limit { input, .. } => input.scope_width(),
+            PhysPlan::Window { input, .. } => input.scope_width() + 1,
+            _ => self.width(),
         }
     }
 
@@ -639,7 +673,13 @@ fn one_row_column(plan: &PhysPlan, col: usize) -> bool {
             PhysExpr::Literal(_) => true,
             _ => false,
         },
-        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
+        PhysPlan::HashJoin {
+            left, right, out, ..
+        }
+        | PhysPlan::NestedLoopJoin {
+            left, right, out, ..
+        } => {
+            let col = out.as_ref().map_or(col, |out| out[col]);
             let (side, col) = match col.checked_sub(left.width()) {
                 None => (left, col),
                 Some(col) => (right, col),
@@ -774,6 +814,7 @@ fn build_index_join(
         kind,
         inner_width: access.width,
         residual,
+        out: None,
     }
 }
 
@@ -1135,6 +1176,7 @@ impl<'a> Planner<'a> {
                 kind,
                 right_width,
                 predicate: None,
+                out: None,
             },
             Some(cond) => {
                 let conjuncts = split_conjuncts(cond);
@@ -1157,6 +1199,7 @@ impl<'a> Planner<'a> {
                         kind,
                         right_width,
                         predicate: Some(bound),
+                        out: None,
                     }
                 } else {
                     let residual = if residual.is_empty() {
@@ -1227,6 +1270,7 @@ impl<'a> Planner<'a> {
                 build_left: kind == JoinKind::Inner
                     && algo == JoinAlgo::Hash
                     && l_rows.saturating_mul(2) <= r_rows,
+                out: None,
             },
         };
         if l_lifted.is_none() && r_lifted.is_none() {
@@ -1701,6 +1745,7 @@ impl<'a> Planner<'a> {
                         kind: JoinKind::Cross,
                         right_width,
                         predicate: None,
+                        out: None,
                     };
                     // Predicates that became bindable attach as a filter now,
                     // keeping them as low in the tree as possible.
@@ -1902,6 +1947,222 @@ pub fn bind_plan_params(plan: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
     }
 }
 
+/// Narrow every join of a finished plan to the columns its consumers read.
+///
+/// Walks the tree top-down carrying the output columns each node's consumer
+/// reads. A join hands its inputs those plus what its keys and residual
+/// read, lists in its `out` the columns it must pass on (the residual and a
+/// LEFT JOIN's NULL fill still see the whole joined row), and the column
+/// references above it, and each `right_width`, are rewritten to the
+/// narrower rows. Filter, Sort, Limit and Window pass a narrowed input's
+/// rows on, so the rewrite travels up through them; a Project or an
+/// Aggregate reads what it reads and starts a new need below. A `Shared`
+/// input is narrowed for every column, as all its references read one
+/// slot, and so is every arm of a `UNION ALL` and a `DISTINCT`'s input.
+/// The root passes on every column.
+pub fn narrow_joins(plan: &mut PhysPlan) {
+    let every = vec![true; plan.width()];
+    let moved = narrow(plan, &every);
+    debug_assert!(moved.is_none(), "the root passes on every column");
+}
+
+/// Where each output column of a narrowed node went: its new position, or
+/// `None` where it was dropped.
+type Moved = Vec<Option<usize>>;
+
+/// Narrow the joins in `plan`, whose consumer reads the output columns
+/// `need` marks. Returns where `plan`'s output columns went, `None` when
+/// none moved.
+fn narrow(plan: &mut PhysPlan, need: &[bool]) -> Option<Moved> {
+    match plan {
+        PhysPlan::Scan { .. }
+        | PhysPlan::VirtualScan { .. }
+        | PhysPlan::IndexScan { .. }
+        | PhysPlan::OneRow => None,
+        PhysPlan::Filter { .. }
+        | PhysPlan::Sort { .. }
+        | PhysPlan::Limit { .. }
+        | PhysPlan::Window { .. } => {
+            // These hand on their input's rows (a window appends its rank).
+            let mut below = need.to_vec();
+            if matches!(plan, PhysPlan::Window { .. }) {
+                below.pop();
+            }
+            plan.for_each_expr_mut(&mut |e| mark_columns(e, &mut below));
+            let mut moved = None;
+            plan.for_each_child_mut(&mut |input| moved = narrow(input, &below));
+            let mut moved = moved?;
+            plan.for_each_expr_mut(&mut |e| remap_columns(e, &moved));
+            if let PhysPlan::Window { input, .. } = plan {
+                moved.push(Some(input.width()));
+            }
+            Some(moved)
+        }
+        PhysPlan::Project { .. } | PhysPlan::Aggregate { .. } => {
+            let mut below = Vec::new();
+            plan.for_each_child(&mut |input| below = vec![false; input.width()]);
+            plan.for_each_expr_mut(&mut |e| mark_columns(e, &mut below));
+            let mut moved = None;
+            plan.for_each_child_mut(&mut |input| moved = narrow(input, &below));
+            if let Some(moved) = moved {
+                plan.for_each_expr_mut(&mut |e| remap_columns(e, &moved));
+            }
+            None
+        }
+        PhysPlan::Distinct { input } | PhysPlan::Shared { input, .. } => {
+            narrow(input, &vec![true; input.width()]);
+            None
+        }
+        PhysPlan::UnionAll { inputs } => {
+            for input in inputs {
+                narrow(input, &vec![true; input.width()]);
+            }
+            None
+        }
+        PhysPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            right_width,
+            residual,
+            out,
+            ..
+        } => {
+            let moved = narrow_join(
+                need,
+                (left, left_keys),
+                (right, right_keys),
+                residual.as_mut(),
+                out,
+            );
+            *right_width = right.width();
+            moved
+        }
+        PhysPlan::NestedLoopJoin {
+            left,
+            right,
+            right_width,
+            predicate,
+            out,
+            ..
+        } => {
+            let moved = narrow_join(
+                need,
+                (left, &mut []),
+                (right, &mut []),
+                predicate.as_mut(),
+                out,
+            );
+            *right_width = right.width();
+            moved
+        }
+        PhysPlan::IndexJoin {
+            probe,
+            probe_keys,
+            inner,
+            inner_is_left,
+            residual,
+            out,
+            ..
+        } => {
+            // The inner side is an index scan: only the probe side narrows.
+            let (probe, inner) = (
+                (&mut **probe, &mut probe_keys[..]),
+                (&mut **inner, &mut [][..]),
+            );
+            let (left, right) = match inner_is_left {
+                true => (inner, probe),
+                false => (probe, inner),
+            };
+            narrow_join(need, left, right, residual.as_mut(), out)
+        }
+    }
+}
+
+/// The join half of [`narrow`]: narrow each input, given with the key
+/// expressions bound to its rows, to what `need`, its keys and `residual`
+/// (bound to the joined row) read, rewrite those expressions to match, and
+/// set `out` to the joined-row positions of the columns `need` marks.
+fn narrow_join(
+    need: &[bool],
+    (left, left_keys): (&mut PhysPlan, &mut [PhysExpr]),
+    (right, right_keys): (&mut PhysPlan, &mut [PhysExpr]),
+    residual: Option<&mut PhysExpr>,
+    out: &mut Option<Vec<usize>>,
+) -> Option<Moved> {
+    let (left_width, right_width) = (left.width(), right.width());
+    let mut read = need.to_vec();
+    if let Some(residual) = &residual {
+        mark_columns(residual, &mut read);
+    }
+    let (mut left_need, mut right_need) =
+        (read[..left_width].to_vec(), read[left_width..].to_vec());
+    left_keys
+        .iter()
+        .for_each(|k| mark_columns(k, &mut left_need));
+    right_keys
+        .iter()
+        .for_each(|k| mark_columns(k, &mut right_need));
+    let left_moved = narrow(left, &left_need);
+    let right_moved = narrow(right, &right_need);
+    if let Some(moved) = &left_moved {
+        left_keys.iter_mut().for_each(|k| remap_columns(k, moved));
+    }
+    if let Some(moved) = &right_moved {
+        right_keys.iter_mut().for_each(|k| remap_columns(k, moved));
+    }
+    let kept = |moved: Option<Moved>, width: usize| {
+        moved.unwrap_or_else(|| (0..width).map(Some).collect())
+    };
+    let narrowed_left = left.width();
+    let joined: Moved = kept(left_moved, left_width)
+        .into_iter()
+        .chain(
+            kept(right_moved, right_width)
+                .into_iter()
+                .map(|at| at.map(|at| at + narrowed_left)),
+        )
+        .collect();
+    if let Some(residual) = residual {
+        remap_columns(residual, &joined);
+    }
+    let passed: Vec<usize> = need
+        .iter()
+        .zip(&joined)
+        .filter(|(needed, _)| **needed)
+        .map(|(_, at)| at.expect("a column read above the join is kept below it"))
+        .collect();
+    *out = (passed.len() < narrowed_left + right.width()).then_some(passed);
+    if need.iter().all(|needed| *needed) {
+        return None;
+    }
+    let mut next = 0..;
+    Some(
+        need.iter()
+            .map(|needed| needed.then(|| next.next().expect("unbounded")))
+            .collect(),
+    )
+}
+
+/// Mark in `need` every column `e` reads.
+fn mark_columns(e: &PhysExpr, need: &mut [bool]) {
+    if let PhysExpr::Column(c) = e {
+        if let Some(needed) = need.get_mut(*c) {
+            *needed = true;
+        }
+    }
+    e.for_each_child(&mut |child| mark_columns(child, need));
+}
+
+/// Rewrite every column `e` reads to where `moved` put it.
+fn remap_columns(e: &mut PhysExpr, moved: &[Option<usize>]) {
+    if let PhysExpr::Column(c) = e {
+        *c = moved[*c].expect("a column read above a narrowed node is kept");
+    }
+    e.for_each_child_mut(&mut |child| remap_columns(child, moved));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1925,6 +2186,7 @@ mod tests {
             residual: None,
             algo: JoinAlgo::Hash,
             build_left: false,
+            out: None,
         }
     }
 
@@ -1958,6 +2220,7 @@ mod tests {
                 kind: JoinKind::Cross,
                 right_width: 1,
                 predicate: None,
+                out: None,
             },
             2,
         );
@@ -1968,5 +2231,320 @@ mod tests {
         // `j`, and the join keeps the smaller estimate.
         let by_j_and_x = grouped(scan(400, 3), 2);
         assert_eq!(estimate_rows(&join(scan(900, 2), by_j_and_x)), 101);
+    }
+
+    /// A scan of `rows`, text where a cell is given as text.
+    fn table(rows: &[&[Value]]) -> PhysPlan {
+        let rows: Vec<Row> = rows.iter().map(|r| r.to_vec()).collect();
+        PhysPlan::Scan {
+            width: rows.first().map_or(0, Vec::len),
+            rows: Arc::new(rows),
+            chunks: None,
+        }
+    }
+
+    fn int(i: i64) -> Value {
+        Value::Int(i)
+    }
+
+    fn text(s: &str) -> Value {
+        Value::text(s)
+    }
+
+    fn col(i: usize) -> PhysExpr {
+        PhysExpr::Column(i)
+    }
+
+    fn binary(left: PhysExpr, op: ast::BinaryOp, right: PhysExpr) -> PhysExpr {
+        PhysExpr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        }
+    }
+
+    fn hash_join(
+        left: PhysPlan,
+        right: PhysPlan,
+        keys: (usize, usize),
+        kind: JoinKind,
+    ) -> PhysPlan {
+        PhysPlan::HashJoin {
+            right_width: right.width(),
+            left: Box::new(left),
+            right: Box::new(right),
+            left_keys: vec![col(keys.0)],
+            right_keys: vec![col(keys.1)],
+            kind,
+            residual: None,
+            algo: JoinAlgo::Hash,
+            build_left: false,
+            out: None,
+        }
+    }
+
+    fn cross(left: PhysPlan, right: PhysPlan) -> PhysPlan {
+        PhysPlan::NestedLoopJoin {
+            right_width: right.width(),
+            left: Box::new(left),
+            right: Box::new(right),
+            kind: JoinKind::Cross,
+            predicate: None,
+            out: None,
+        }
+    }
+
+    fn aggregate(input: PhysPlan, keys: Vec<PhysExpr>, aggs: Vec<AggSpec>) -> PhysPlan {
+        PhysPlan::Aggregate {
+            input: Box::new(input),
+            keys,
+            aggs,
+        }
+    }
+
+    fn agg(func: ast::AggregateFunc, arg: Option<PhysExpr>) -> AggSpec {
+        AggSpec {
+            func,
+            arg,
+            distinct: false,
+        }
+    }
+
+    /// The `out` of each join in `plan`, in `EXPLAIN` order.
+    fn outs(plan: &PhysPlan) -> Vec<Option<Vec<usize>>> {
+        let mut outs = Vec::new();
+        plan.for_each_node(&mut |node, _, _| match node {
+            PhysPlan::HashJoin { out, .. }
+            | PhysPlan::NestedLoopJoin { out, .. }
+            | PhysPlan::IndexJoin { out, .. } => outs.push(out.clone()),
+            _ => {}
+        });
+        outs
+    }
+
+    /// Narrow `plan`, check the verifier passes it, and check it answers
+    /// what it answered before; the narrowed plan.
+    fn narrowed(mut plan: PhysPlan) -> PhysPlan {
+        let ctx = ExecContext::serial();
+        let before = ctx.execute(&plan).unwrap();
+        narrow_joins(&mut plan);
+        let report = crate::verify::verify_plan(
+            &plan,
+            None,
+            None,
+            crate::verify::SnapshotGuarantee::MayLag,
+            crate::verify::ParamDiscipline::Bound,
+        );
+        assert!(report.ok(), "{:?}", report.violations);
+        assert_eq!(ctx.execute(&plan).unwrap(), before);
+        plan
+    }
+
+    /// The deployed predict-all: `SELECT x_nj.n, hw.k, SUM(hw.w *
+    /// POW(x_nj.w, a)) FROM m_weights AS hw, x_nj, abh WHERE hw.j = x_nj.j
+    /// GROUP BY x_nj.n, hw.k`.
+    #[test]
+    fn the_predict_all_passes_on_four_of_six_then_five_of_nine() {
+        let weights = table(&[
+            &[text("t0"), text("c0"), Value::Float(0.5)],
+            &[text("t0"), text("c1"), Value::Float(0.25)],
+            &[text("t1"), text("c1"), Value::Float(2.0)],
+        ]);
+        let x_nj = table(&[
+            &[int(1), text("t0"), Value::Float(1.0)],
+            &[int(1), text("t1"), Value::Float(3.0)],
+            &[int(2), text("t1"), Value::Float(1.0)],
+        ]);
+        let abh = table(&[&[Value::Float(1.0), Value::Float(1.0), Value::Float(0.0)]]);
+        let mut joined = hash_join(weights, x_nj, (0, 1), JoinKind::Inner);
+        if let PhysPlan::HashJoin { build_left, .. } = &mut joined {
+            *build_left = true;
+        }
+        let pow = PhysExpr::Function {
+            func: crate::expr::ScalarFunc::Pow,
+            args: vec![col(5), col(6)],
+        };
+        let plan = narrowed(aggregate(
+            cross(joined, abh),
+            vec![col(3), col(1)],
+            vec![agg(
+                ast::AggregateFunc::Sum,
+                Some(binary(col(2), ast::BinaryOp::Mul, pow)),
+            )],
+        ));
+        // `hw.k, hw.w, x_nj.n, x_nj.w`, then those and `a`.
+        assert_eq!(
+            outs(&plan),
+            [Some(vec![0, 1, 2, 3, 4]), Some(vec![1, 2, 3, 5])]
+        );
+        let rendered = crate::explain::render_plan(&plan);
+        assert!(
+            rendered.contains("NestedLoopJoin [Cross] out=5/9"),
+            "{rendered}"
+        );
+        let hashed = "HashJoin [Inner, 1 keys, build=left] probe=keyset(row) out=4/6";
+        assert!(rendered.contains(hashed), "{rendered}");
+        let PhysPlan::Aggregate { keys, aggs, .. } = &plan else {
+            panic!("the aggregate stays on top");
+        };
+        assert_eq!(column_only(keys), Some(vec![2, 0]));
+        assert_eq!(plan.width(), 3);
+        assert!(
+            matches!(&aggs[0].arg, Some(PhysExpr::Binary { left, .. }) if matches!(**left, PhysExpr::Column(1)))
+        );
+    }
+
+    /// `SELECT SUM(u.d) FROM t JOIN v ON t.a = v.a JOIN u ON t.a = u.c AND
+    /// t.b < u.d`: the residual reads `t.b`, which its join does not pass
+    /// on, and `u.d`, which moves left as the join below drops `v`'s columns.
+    #[test]
+    fn a_residual_reads_a_column_the_join_drops() {
+        let t = table(&[&[int(1), int(5)], &[int(2), int(50)], &[int(3), int(7)]]);
+        let v = table(&[&[int(1), int(0)], &[int(2), int(0)], &[int(3), int(0)]]);
+        let u = table(&[&[int(1), int(10)], &[int(2), int(20)], &[int(1), int(3)]]);
+        let below = hash_join(t, v, (0, 0), JoinKind::Inner);
+        let mut joined = hash_join(below, u, (0, 0), JoinKind::Inner);
+        if let PhysPlan::HashJoin { residual, .. } = &mut joined {
+            *residual = Some(binary(col(1), ast::BinaryOp::Lt, col(5)));
+        }
+        let plan = narrowed(aggregate(
+            joined,
+            vec![],
+            vec![agg(ast::AggregateFunc::Sum, Some(col(5)))],
+        ));
+        assert_eq!(outs(&plan), [Some(vec![3]), Some(vec![0, 1])]);
+        let PhysPlan::Aggregate { input, aggs, .. } = &plan else {
+            panic!("the aggregate stays on top");
+        };
+        let PhysPlan::HashJoin { residual, .. } = &**input else {
+            panic!("the join stays below it");
+        };
+        // The residual still reads the whole joined row, now `t.a, t.b,
+        // u.c, u.d`; the sum, the one column passed on.
+        let residual = format!("{residual:?}");
+        let moved = binary(col(1), ast::BinaryOp::Lt, col(3));
+        assert_eq!(residual, format!("{:?}", Some(moved)));
+        assert!(matches!(aggs[0].arg, Some(PhysExpr::Column(0))));
+        assert_eq!(
+            ExecContext::serial().execute(&plan).unwrap(),
+            [vec![int(10)]]
+        );
+    }
+
+    /// `SELECT t.b, u.d FROM t LEFT JOIN u ON t.a = u.c`: an unmatched row
+    /// passes on its NULL fill's narrowed columns.
+    #[test]
+    fn a_left_join_narrows_its_null_fill() {
+        let t = table(&[&[int(1), int(10)], &[int(2), int(20)]]);
+        let u = table(&[&[int(1), int(100)], &[int(3), int(300)]]);
+        let plan = narrowed(PhysPlan::Project {
+            input: Box::new(hash_join(t, u, (0, 0), JoinKind::Left)),
+            exprs: vec![col(1), col(3)],
+        });
+        assert_eq!(outs(&plan), [Some(vec![1, 3])]);
+        assert_eq!(
+            ExecContext::serial().execute(&plan).unwrap(),
+            [vec![int(10), int(100)], vec![int(20), Value::Null]]
+        );
+    }
+
+    /// `SELECT COUNT(*) FROM s, (t JOIN u ON t.a = u.c)`: nothing above
+    /// either join reads a column, so both pass on empty rows — the hash
+    /// join's held as the nested loop's inner side.
+    #[test]
+    fn count_star_over_joins_passes_on_zero_width_rows() {
+        let t = table(&[&[int(1)], &[int(2)], &[int(1)]]);
+        let u = table(&[&[int(1)], &[int(1)], &[int(2)]]);
+        let s = table(&[&[int(7)], &[int(8)]]);
+        let plan = narrowed(aggregate(
+            cross(s, hash_join(t, u, (0, 0), JoinKind::Inner)),
+            vec![],
+            vec![agg(ast::AggregateFunc::Count, None)],
+        ));
+        assert_eq!(outs(&plan), [Some(vec![]), Some(vec![])]);
+        assert_eq!(
+            ExecContext::serial().execute(&plan).unwrap(),
+            [vec![int(10)]]
+        );
+    }
+
+    /// `WITH c AS (SELECT … FROM t JOIN u …) SELECT a.b, b.d FROM c a JOIN
+    /// c b ON a.a = b.a`: the references read different columns, but one
+    /// slot serves both, so the CTE's join passes on all of them.
+    #[test]
+    fn a_shared_cte_read_two_ways_keeps_its_slot_whole() {
+        let t = table(&[&[int(1), int(10)], &[int(2), int(20)]]);
+        let u = table(&[&[int(1), int(100)], &[int(2), int(200)]]);
+        let shared = PhysPlan::Shared {
+            id: 0,
+            cte: Arc::from("c"),
+            refs: 2,
+            input: Box::new(hash_join(t, u, (0, 0), JoinKind::Inner)),
+        };
+        let plan = narrowed(PhysPlan::Project {
+            input: Box::new(hash_join(shared.clone(), shared, (0, 0), JoinKind::Inner)),
+            exprs: vec![col(1), col(7)],
+        });
+        // The outer join passes on `a.b` and `b.d`; each copy of the CTE's
+        // join (the second one `EXPLAIN` does not descend into) passes on
+        // its whole row.
+        assert_eq!(outs(&plan), [Some(vec![1, 7]), None]);
+        let PhysPlan::Project { input, .. } = &plan else {
+            panic!("the projection stays on top");
+        };
+        let PhysPlan::HashJoin { right, .. } = &**input else {
+            panic!("the join stays below it");
+        };
+        assert_eq!(outs(right), [None]);
+        assert_eq!(right.width(), 4);
+    }
+
+    /// A profile-C sort-merge join narrows like a hash join, its LEFT NULL
+    /// fill included.
+    #[test]
+    fn a_sort_merge_join_narrows() {
+        let t = table(&[
+            &[int(2), text("b")],
+            &[int(1), text("a")],
+            &[int(9), text("z")],
+        ]);
+        let u = table(&[
+            &[text("x"), int(1)],
+            &[text("y"), int(2)],
+            &[text("w"), int(1)],
+        ]);
+        let mut joined = hash_join(t, u, (0, 1), JoinKind::Left);
+        if let PhysPlan::HashJoin { algo, .. } = &mut joined {
+            *algo = JoinAlgo::SortMerge;
+        }
+        let plan = narrowed(PhysPlan::Project {
+            input: Box::new(joined),
+            exprs: vec![col(2), col(1)],
+        });
+        assert_eq!(outs(&plan), [Some(vec![1, 2])]);
+        assert!(crate::explain::render_plan(&plan).contains("SortMergeJoin [Left, 1 keys] out=2/4"));
+    }
+
+    /// A cached template is narrowed once; re-binding its parameters
+    /// copies `out` with the rest of the plan.
+    #[test]
+    fn a_rebound_template_keeps_out() {
+        let t = table(&[&[int(1), int(10)], &[int(2), int(20)]]);
+        let u = table(&[&[int(1), int(100)], &[int(2), int(200)]]);
+        let mut template = PhysPlan::Project {
+            input: Box::new(PhysPlan::Filter {
+                input: Box::new(hash_join(t, u, (0, 0), JoinKind::Inner)),
+                predicate: binary(col(0), ast::BinaryOp::Eq, PhysExpr::Param(1)),
+            }),
+            exprs: vec![col(3)],
+        };
+        narrow_joins(&mut template);
+        assert_eq!(outs(&template), [Some(vec![0, 3])]);
+        let bound = bind_plan_params(&template, &[int(2)]).unwrap();
+        assert_eq!(outs(&bound), outs(&template));
+        assert_eq!(
+            ExecContext::serial().execute(&bound).unwrap(),
+            [vec![int(200)]]
+        );
     }
 }

@@ -7,8 +7,9 @@
 //! module walks a [`PhysPlan`] bottom-up and checks five invariant classes:
 //!
 //! 1. **schema** — every node's output arity is internally consistent
-//!    (join/aggregate/project widths add up, expression column references
-//!    stay in bounds) and the root's arity and value types match the
+//!    (join/aggregate/project widths add up, a join's `out` lists
+//!    positions of its joined row in ascending order, expression column
+//!    references stay in bounds) and the root's arity and value types match the
 //!    sema-typed output [`Scope`].
 //! 2. **index-keys** — `IndexScan` / index-nested-loop nodes name a real
 //!    catalog index, key tuple arity matches the index's key columns, key
@@ -401,6 +402,7 @@ impl Checker<'_> {
                 residual,
                 algo,
                 build_left,
+                out,
             } => {
                 let (lw, mut types) = self.node(left);
                 let (rw, rtypes) = self.node(right);
@@ -441,7 +443,7 @@ impl Checker<'_> {
                 if let Some(r) = residual {
                     self.expr(plan, r, lw + rw);
                 }
-                (lw + rw, types)
+                self.passed_on(plan, out.as_deref(), types)
             }
             PhysPlan::NestedLoopJoin {
                 left,
@@ -449,6 +451,7 @@ impl Checker<'_> {
                 kind: _,
                 right_width,
                 predicate,
+                out,
             } => {
                 let (lw, mut types) = self.node(left);
                 let (rw, rtypes) = self.node(right);
@@ -463,7 +466,7 @@ impl Checker<'_> {
                 if let Some(p) = predicate {
                     self.expr(plan, p, lw + rw);
                 }
-                (lw + rw, types)
+                self.passed_on(plan, out.as_deref(), types)
             }
             PhysPlan::IndexJoin {
                 probe,
@@ -473,6 +476,7 @@ impl Checker<'_> {
                 kind,
                 inner_width,
                 residual,
+                out,
             } => {
                 let (pw, ptypes) = self.node(probe);
                 let (iw, itypes) = self.node(inner);
@@ -537,7 +541,7 @@ impl Checker<'_> {
                 if let Some(r) = residual {
                     self.expr(plan, r, pw + iw);
                 }
-                (pw + iw, types)
+                self.passed_on(plan, out.as_deref(), types)
             }
             PhysPlan::Aggregate { input, keys, aggs } => {
                 let (width, types) = self.node(input);
@@ -614,6 +618,44 @@ impl Checker<'_> {
                 (width, types)
             }
         }
+    }
+
+    /// What a join passes on of its joined row, whose column types are
+    /// `joined` (residuals were checked against all of them): the columns
+    /// `out` lists, each below the joined row's width, in ascending order,
+    /// each once — or the whole row.
+    fn passed_on(
+        &mut self,
+        plan: &PhysPlan,
+        out: Option<&[usize]>,
+        joined: Vec<DataType>,
+    ) -> (usize, Vec<DataType>) {
+        let Some(out) = out else {
+            return (joined.len(), joined);
+        };
+        let width = joined.len();
+        for &at in out.iter().filter(|&&at| at >= width) {
+            self.violate(
+                VerifyRule::Schema,
+                plan,
+                format!("out passes on column {at} of a {width}-column joined row"),
+            );
+        }
+        if let Some(pair) = out.windows(2).find(|pair| pair[0] >= pair[1]) {
+            self.violate(
+                VerifyRule::Schema,
+                plan,
+                format!(
+                    "out lists column {} after {}; it must ascend",
+                    pair[1], pair[0]
+                ),
+            );
+        }
+        let types = out
+            .iter()
+            .map(|&at| joined.get(at).copied().unwrap_or(DataType::Any))
+            .collect();
+        (out.len(), types)
     }
 
     /// Rows must match the declared arity (checked against the first row;

@@ -123,6 +123,28 @@ fn schema_corruption_left_join_building_left_is_rejected() {
     assert_verify_error(sql, &err, "schema", "only an INNER hash join may build");
 }
 
+#[test]
+fn schema_corruption_out_of_range_join_out_is_rejected() {
+    let db = seeded();
+    let sql = "SELECT a.n, b.s FROM t a JOIN t b ON a.w = b.w";
+    // The join passes on `a.n` and `b.s` of its 6-column joined row; a
+    // position past that row would read a column no input produces.
+    let mut narrowed = None;
+    let err = corrupt_and_rerun(&db, sql, &mut |plan| {
+        if let PhysPlan::HashJoin { out, .. } = plan {
+            narrowed = out.clone();
+            *out = Some(vec![0, 99]);
+        }
+    });
+    assert_eq!(narrowed, Some(vec![0, 4]));
+    assert_verify_error(
+        sql,
+        &err,
+        "schema",
+        "out passes on column 99 of a 6-column joined row",
+    );
+}
+
 // ---------------------------------------------------------------------
 // Class 2: index-keys — index references resolve against the live catalog
 // ---------------------------------------------------------------------

@@ -453,7 +453,9 @@ fn predict_all(from: &str) -> String {
 /// feature rows through the probe, whichever FROM item the weights are:
 /// `exec.join.build_rows` moves by 30, and `exec.rows_materialized` by what
 /// the window and the sort hold (120 `(n, k)` scores, 40 winners) and the
-/// one-row `abh` — never by the feature rows.
+/// one-row `abh` — never by the feature rows. The join passes on the 4 of
+/// its 6 columns the aggregate reads, and the cross join with `abh` 5 of 9
+/// (`narrow_joins`): narrowing changes row widths, not row counts.
 #[test]
 fn one_predict_all_hashes_the_weights_not_the_features() {
     let db = Database::with_config(EngineConfig::default().with_parallelism(1));
@@ -512,6 +514,11 @@ fn one_predict_all_hashes_the_weights_not_the_features() {
             plan.contains(&format!("HashJoin [Inner, 1 keys, {build}]")),
             "{plan}"
         );
+        assert!(
+            plan.contains(&format!("HashJoin [Inner, 1 keys, {build}] out=4/6")),
+            "{plan}"
+        );
+        assert!(plan.contains("NestedLoopJoin [Cross] out=5/9"), "{plan}");
         let (built, held) = (
             metric("exec.join.build_rows"),
             metric("exec.rows_materialized"),
