@@ -8,8 +8,10 @@ use crate::plan::PlannerConfig;
 use crate::trace::TraceSampling;
 use crate::wal::SyncPolicy;
 
-/// Engine configuration. The three profiles used by the benchmark harness to
-/// emulate distinct DBMS behaviours are built from these knobs (see
+/// Engine configuration. The three profiles that emulate distinct DBMS
+/// behaviours — the engine configurations `crates/bench`'s `repro` plots in
+/// place of the paper's three DBMSs, and the configurations the tests run
+/// differentials across — are built from these knobs (see
 /// [`EngineConfig::profile_a`] etc.).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -22,11 +24,12 @@ pub struct EngineConfig {
     pub materialize_ctes: bool,
     /// Executor parallelism: how many threads a large pipeline fans out to.
     /// Defaults to the host's cores ([`std::thread::available_parallelism`],
-    /// 1 when unknown), which is what the benchmark runs. `1` pushes every
-    /// input serially; `>= 2` runs the input of each group-by and `DISTINCT`
-    /// as a morsel pipeline, and sorts large inputs, on a worker pool owned
-    /// by the [`Database`] and spawned by its first fan-out (a source under
-    /// 8,192 rows stays serial; DESIGN.md, "Executor architecture").
+    /// 1 when unknown), which is what the benchmark runs. `1` runs every
+    /// pipeline serially; `>= 2` fans the input pipeline of each group-by
+    /// and `DISTINCT` out over morsels, and sorts large inputs, on a worker
+    /// pool owned by the [`Database`] and spawned by its first fan-out (a
+    /// source under 8,192 rows stays serial; DESIGN.md, "Executor
+    /// architecture").
     ///
     /// [`Database`]: crate::Database
     pub parallelism: usize,

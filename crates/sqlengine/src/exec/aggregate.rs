@@ -3,7 +3,7 @@
 //! The aggregate is a pipeline's breaker: its input's rows fold into a group
 //! table ([`Groups::add`], the one per-row function), which evaluates each
 //! row's key in place and allocates only for a row that starts a new group.
-//! Pushed, there is one table; a pipeline that fans out gives every morsel a
+//! Run serially, there is one table; a pipeline that fans out gives every morsel a
 //! table of its own, and the partials are merged in morsel order, which
 //! reproduces the global first-seen group order exactly. DISTINCT aggregates
 //! fold a value when it is first seen; a later morsel defers its locally-new
@@ -173,7 +173,7 @@ pub(crate) fn aggregate(
         Arc::new((keys.to_vec(), aggs.to_vec())),
         Arc::clone(ctx.budget()),
     );
-    let parts = super::pipeline(input, ctx, &mut node, move |morsel| GroupPart {
+    let parts = super::fold(input, ctx, &mut node, move |morsel| GroupPart {
         groups: Groups::new(morsel == 0),
         spec: Arc::clone(&spec),
         charge: ChargeBuf::new(&budget),

@@ -117,9 +117,8 @@ impl MemoryBudget {
     }
 
     /// Cumulative bytes charged so far (charge-only, monotonic). Sampling
-    /// this before and after an operator runs attributes materialized bytes
-    /// to that operator and its children — the `peak_mem_bytes` span
-    /// attribute of pipeline breakers.
+    /// this around an operator's own work attributes the bytes it holds to
+    /// it — [`OpStats::mem_bytes`], the `peak_mem_bytes` span attribute.
     pub fn used_bytes(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
     }
@@ -190,10 +189,12 @@ impl ChargeBuf {
 /// Runtime statistics for one operator in an executed plan, collected when
 /// the context has stats enabled (`EXPLAIN ANALYZE`).
 ///
-/// `elapsed` is the wall time of the operator's run: inclusive of its
-/// children and, in a push pipeline, of the work its consumers do on the
-/// rows it hands them (a producer's call spans theirs), so every child's
-/// time lies inside its parent's.
+/// `elapsed` and `mem_bytes` follow one rule: what the operator booked
+/// itself plus its children's figures, so every child's lie inside its
+/// parent's. A pipeline's source books the time its rows take through the
+/// steps above it into the breaker; a breaker that hands its rows on itself
+/// books its run, its consumers' work on those rows included; a join books
+/// building its side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
     /// Operator label as rendered by `EXPLAIN` (e.g. `HashJoin [Inner, 1 keys]`).
@@ -202,7 +203,8 @@ pub struct OpStats {
     pub rows_in: usize,
     /// Rows produced.
     pub rows_out: usize,
-    /// Time attributed to this operator (see struct docs).
+    /// Wall time attributed to this operator and its children (see struct
+    /// docs).
     pub elapsed: Duration,
     /// Workers the pipeline this operator belongs to fanned out to (1 =
     /// serial).
@@ -210,9 +212,10 @@ pub struct OpStats {
     /// Morsels that pipeline's source was cut into when it fanned out (1 =
     /// serial).
     pub morsels: usize,
-    /// Bytes charged against the statement memory budget while this operator
-    /// ran — its children's state and, in a push pipeline, that of the
-    /// consumers its rows fed.
+    /// Bytes charged against the statement memory budget for what this
+    /// operator and its children hold — a hash table and the build rows it
+    /// indexes, a group table, a sort's input — never for what its consumers
+    /// hold.
     pub mem_bytes: u64,
     pub children: Vec<OpStats>,
 }
@@ -423,8 +426,8 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// The serial executor (`parallelism = 1`): no pool, every input pushed
-    /// through its consumers.
+    /// The serial executor (`parallelism = 1`): no pool, every pipeline run
+    /// on the calling thread.
     pub fn serial() -> ExecContext {
         ExecContext {
             parallelism: 1,
@@ -514,8 +517,7 @@ impl ExecContext {
         self.collect_stats
     }
 
-    /// Whether breakers run their inputs as pipelines that may fan out
-    /// (`parallelism >= 2`); otherwise every input is pushed.
+    /// Whether a pipeline may fan out (`parallelism >= 2`).
     pub(crate) fn parallel(&self) -> bool {
         self.pool.is_some()
     }

@@ -15,9 +15,8 @@
 //! [`crate::plan::narrow_joins`]) once the residual has seen the whole row.
 //!
 //! The probe, the nested loop's outer side and the index nested loop are
-//! [`RowOp`]s: pushed when a breaker that holds rows reads the join, steps
-//! of a pipeline above it (its other side built first) when a group table
-//! or a `DISTINCT` set does.
+//! steps of the pipeline their streamed input runs in: the other side runs
+//! first, when the pipeline is prepared.
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
@@ -26,7 +25,7 @@
 //! side goes further and filters whole chunks by the build side's key set
 //! ([`super::vector::key_filter`]) before touching any row: all chunks up
 //! front, once the table is built, and the rows it kept ([`Candidates`])
-//! are what the probe streams, pushed or as a pipeline's source.
+//! are the source of the probe's pipeline.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -37,14 +36,13 @@ use std::time::Instant;
 use crate::ast::JoinKind;
 use crate::column::{ChunkedTable, CHUNK_ROWS};
 use crate::error::{EngineError, Result};
-use crate::explain::op_label;
 use crate::expr::PhysExpr;
 use crate::plan::{IndexRef, JoinInput, PhysPlan};
 use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker};
 use super::vector::{key_filter, KeySet};
-use super::{key_of, ExecContext, Held, NodeOut, OpStats, RowOp, Sink};
+use super::{key_of, ExecContext, Held, NodeOut, Sink};
 
 /// The chunk key filter runs only when the probe side holds at least this
 /// many rows per distinct build key: a key set nearly as large as the table
@@ -157,15 +155,16 @@ impl Probe {
     pub(super) fn build_rows(&self) -> &Held {
         &self.build_rows
     }
-}
-
-impl RowOp for Probe {
-    type Scratch = ProbeScratch;
 
     /// Probe with one row of the probe side: hand on its joined rows, each
     /// written in scope order (left input first), or the LEFT JOIN NULL-fill
     /// when none matched.
-    fn row(&self, prow: &[Value], scratch: &mut ProbeScratch, sink: &mut Sink) -> Result<()> {
+    pub(super) fn row(
+        &self,
+        prow: &[Value],
+        scratch: &mut ProbeScratch,
+        sink: &mut Sink,
+    ) -> Result<()> {
         let ProbeScratch {
             key,
             joined,
@@ -204,7 +203,8 @@ impl RowOp for Probe {
         Ok(())
     }
 
-    fn finish(&self, scratch: ProbeScratch) {
+    /// Fold a finished run's count of pruned rows into the total.
+    pub(super) fn finish(&self, scratch: ProbeScratch) {
         self.pruned.fetch_add(scratch.pruned, Ordering::Relaxed);
     }
 }
@@ -310,9 +310,8 @@ pub(crate) fn keyset_mode((probe, keys): JoinInput, kind: JoinKind) -> Option<bo
 /// A hash join with its table built, ready to stream its probe side.
 pub(super) struct BuiltJoin<'a> {
     pub(super) probe: Probe,
-    /// What ran to build the table: listed before the probe side in plan
-    /// order when it is the left input.
-    pub(super) build: NodeOut,
+    /// The build side is the left input: its stats are listed before the
+    /// probe side's.
     pub(super) build_left: bool,
     pub(super) probe_plan: &'a PhysPlan,
     /// The rows of the probe side's table the build side's keys kept, when
@@ -320,8 +319,13 @@ pub(super) struct BuiltJoin<'a> {
     pub(super) candidates: Option<Candidates>,
 }
 
-/// Run a [`PhysPlan::HashJoin`]'s build side and hash it.
-pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Result<BuiltJoin<'a>> {
+/// Run a [`PhysPlan::HashJoin`]'s build side, recording it as a child of
+/// `node`, and hash it.
+pub(super) fn build_hash_join<'a>(
+    join: &'a PhysPlan,
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+) -> Result<BuiltJoin<'a>> {
     let PhysPlan::HashJoin {
         kind,
         right_width,
@@ -335,8 +339,7 @@ pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Resu
     };
     let ((build, build_keys), probe_side @ (probe, probe_keys)) =
         join.join_sides().expect("a hash join has two sides");
-    let mut build_node = NodeOut::new();
-    let build_rows = super::run_input(build, ctx, &mut build_node)?;
+    let build_rows = super::run_input(build, ctx, node)?;
     let table = hash_build(&build_rows, build_keys, ctx)?;
 
     let (candidates, pruned) = match probe_side {
@@ -372,46 +375,10 @@ pub(super) fn build_hash_join<'a>(join: &'a PhysPlan, ctx: &ExecContext) -> Resu
     };
     Ok(BuiltJoin {
         probe: probe_op,
-        build: build_node,
         build_left: *build_left,
         probe_plan: probe,
         candidates,
     })
-}
-
-/// Run a [`PhysPlan::HashJoin`] with [`crate::plan::JoinAlgo::Hash`]:
-/// collect the build input into a hash table, then push the probe input
-/// through it.
-pub(crate) fn hash_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
-    let built = build_hash_join(join, ctx)?;
-    let mut node = NodeOut::new();
-    match &built.candidates {
-        Some(rows) => {
-            node.rows_in += rows.scan_rows();
-            if ctx.stats_enabled() {
-                let label = op_label(built.probe_plan);
-                node.children.push(OpStats::leaf(label, rows.scan_rows()));
-            }
-            let mut scratch = ProbeScratch::default();
-            rows.emit(0..rows.chunks(), ctx.deadline(), &mut |row| {
-                built.probe.row(row, &mut scratch, sink)
-            })?;
-            built.probe.finish(scratch);
-        }
-        None => super::stream(&built.probe, built.probe_plan, ctx, &mut node, sink)?,
-    }
-    // The build side ran first; its stats are listed in plan order.
-    if built.build_left {
-        let mut build = built.build;
-        build.absorb(node);
-        node = build;
-    } else {
-        node.absorb(built.build);
-    }
-    let pruned = built.probe.pruned();
-    ctx.count_probe_rows_pruned(pruned);
-    node.pruned = Some(pruned);
-    Ok(node)
 }
 
 /// Build the hash table on the build side (the probe runs over the other,
@@ -568,14 +535,15 @@ impl NestedLoop {
     pub(super) fn inner_rows(&self) -> &Held {
         &self.right_rows
     }
-}
-
-impl RowOp for NestedLoop {
-    type Scratch = LoopScratch;
 
     /// Join one outer row with every inner row — the one operator whose
     /// output is quadratic in its input, so the fan-out ticks the deadline.
-    fn row(&self, lrow: &[Value], scratch: &mut Self::Scratch, sink: &mut Sink) -> Result<()> {
+    pub(super) fn row(
+        &self,
+        lrow: &[Value],
+        scratch: &mut LoopScratch,
+        sink: &mut Sink,
+    ) -> Result<()> {
         let LoopScratch {
             joined,
             ticker,
@@ -597,9 +565,14 @@ impl RowOp for NestedLoop {
     }
 }
 
-/// Run a [`PhysPlan::NestedLoopJoin`]'s inner side: the operator its outer
-/// rows stream through, and what ran (listed after the outer side).
-pub(super) fn inner_side(join: &PhysPlan, ctx: &ExecContext) -> Result<(NestedLoop, NodeOut)> {
+/// Run a [`PhysPlan::NestedLoopJoin`]'s inner side, recording it as a child
+/// of `node` (listed after the outer side): the operator its outer rows
+/// stream through.
+pub(super) fn inner_side(
+    join: &PhysPlan,
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+) -> Result<NestedLoop> {
     let PhysPlan::NestedLoopJoin {
         right,
         kind,
@@ -611,33 +584,15 @@ pub(super) fn inner_side(join: &PhysPlan, ctx: &ExecContext) -> Result<(NestedLo
     else {
         unreachable!("inner_side runs nested-loop joins");
     };
-    let mut inner = NodeOut::new();
-    let right_rows = super::run_input(right, ctx, &mut inner)?;
-    let op = NestedLoop {
+    let right_rows = super::run_input(right, ctx, node)?;
+    Ok(NestedLoop {
         right_rows,
         kind: *kind,
         right_width: *right_width,
         predicate: predicate.clone(),
         out: out.clone(),
         deadline: ctx.deadline(),
-    };
-    Ok((op, inner))
-}
-
-pub(crate) fn nested_loop_join(
-    join: &PhysPlan,
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
-    let PhysPlan::NestedLoopJoin { left, .. } = join else {
-        unreachable!("nested_loop_join runs nested-loop joins");
-    };
-    // The inner side runs first; its stats are listed after the outer's.
-    let (op, inner) = inner_side(join, ctx)?;
-    let mut node = NodeOut::new();
-    super::stream(&op, left, ctx, &mut node, sink)?;
-    node.absorb(inner);
-    Ok(node)
+    })
 }
 
 /// Index-nested-loop join: look each probe row's key tuple up in the inner
@@ -710,12 +665,14 @@ impl IndexProbe {
     pub(super) fn fetched(&self) -> usize {
         self.fetched.load(Ordering::Relaxed)
     }
-}
 
-impl RowOp for IndexProbe {
-    type Scratch = IndexScratch;
-
-    fn row(&self, prow: &[Value], scratch: &mut IndexScratch, sink: &mut Sink) -> Result<()> {
+    /// Join one probe row with the inner rows its key looks up.
+    pub(super) fn row(
+        &self,
+        prow: &[Value],
+        scratch: &mut IndexScratch,
+        sink: &mut Sink,
+    ) -> Result<()> {
         let IndexScratch {
             idxs,
             key,
@@ -750,21 +707,8 @@ impl RowOp for IndexProbe {
         Ok(())
     }
 
-    fn finish(&self, scratch: IndexScratch) {
+    /// Fold a finished run's count of looked-up rows into the total.
+    pub(super) fn finish(&self, scratch: IndexScratch) {
         self.fetched.fetch_add(scratch.fetched, Ordering::Relaxed);
     }
-}
-
-pub(crate) fn index_join(join: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
-    let PhysPlan::IndexJoin { probe, inner, .. } = join else {
-        unreachable!("index_join runs index joins");
-    };
-    let op = IndexProbe::of(join, ctx)?;
-    let mut node = NodeOut::new();
-    super::stream(&op, probe, ctx, &mut node, sink)?;
-    if ctx.stats_enabled() {
-        node.children
-            .push(OpStats::leaf(op_label(inner), op.fetched()));
-    }
-    Ok(node)
 }

@@ -10,49 +10,48 @@
 //!   (`ORDER BY ... LIMIT`), and window ranking;
 //! * [`setops`] — `UNION ALL`, `DISTINCT`, `LIMIT`.
 //!
-//! **Push pipelines.** Execution is push-based: [`push`] runs a node and
-//! hands each of its output rows to a [`Sink`], source first, sink last.
-//! Scans, index scans, Filter, Project, the hash-join probe, the nested-loop
-//! and index nested-loop joins, `UNION ALL` and `LIMIT` *stream*: they pass
-//! each row on as it is produced — a scan lends the table's own row, an
-//! operator that builds a row builds it in one buffer it reuses — so a
-//! `Scan → HashJoin probe → Aggregate` chain never materializes the join.
-//! Only the operators that must hold rows collect them — the *breakers*: the
-//! aggregate's group table, sort / top-k, window, distinct's dedup set, the
-//! hash-join build side, the nested-loop inner side, a shared CTE's slot
-//! ([`PhysPlan::Shared`]: the first reference to run fills it, the others
-//! read it) and the statement result ([`collect`]). A held row is charged to
-//! the statement's memory budget, and an intermediate one counts in
-//! `exec.rows_materialized`.
+//! **Sources, steps and breakers.** A plan runs as *pipelines* ([`Pipeline`])
+//! joined by *breakers*, source first and sink last — the one driver. A
+//! pipeline is made of
 //!
-//! **Two drivers: push, or pipeline morsels.** A streaming operator states
-//! what it does with one input row once ([`RowOp::row`]). Which driver calls
-//! it depends on the breaker, never on the parallelism. A breaker that holds
-//! its input's rows as they are — a shared slot, a build side, a sort input,
-//! the statement result — pushes its input through those functions
-//! ([`collect_flat`] says why). A breaker that folds its input into state of
-//! its own — the group table, the `DISTINCT` set — runs its input as a
-//! *pipeline* ([`pipeline`]): a splittable source — a base-table scan, the
-//! rows of one that a hash join's key filter kept ([`vector`]), held rows,
-//! or a `UNION ALL` of such arms — and the streaming operators above it:
-//! Filter/Project, the hash-join probe, the outer side of the nested-loop
-//! and index nested-loop joins. Whatever the pipeline reads
-//! (build sides, inner sides, shared slots) runs first. When the sources
-//! hold at least [`context::FAN_OUT_ROWS`] rows and `parallelism >= 2`, they
-//! are cut into fixed-size morsels; the calling thread and the pool's
-//! workers each claim the next morsel from one counter
-//! ([`ExecContext::fan_out`]) and run the whole chain on it into a partial
-//! of the breaker of their own ([`Partial`]), and the breaker combines the
-//! partials in morsel order. A pool worker reads its own copy of the text
-//! its steps share with every morsel — a build or inner side, a stage's
-//! literals — so no two threads write one reference count row after row
-//! ([`Pipeline::own`]). Otherwise each source runs whole, in order, on
-//! the calling thread. So row order, group order (first seen),
-//! `COUNT(DISTINCT)` results, every operator's `(label, rows_in, rows_out)`
-//! and `exec.rows_materialized` are the same at every parallelism; float
-//! `SUM`/`AVG` partial sums combine in morsel order, not row order. `EXPLAIN
-//! ANALYZE` and traced statements run the same paths with statistics
-//! switched on.
+//! * its *sources*: rows held in full — a base-table scan's snapshot, a
+//!   filled shared slot ([`PhysPlan::Shared`]: the first reference to run
+//!   fills it, the others read it), the rows of a table a hash join's key
+//!   filter kept ([`vector`]) — or rows a source hands on as it makes them:
+//!   an index lookup, a one-row `SELECT`, a breaker's output ([`push`]);
+//! * its *steps*, the streaming operators above the sources: Filter/Project,
+//!   the hash-join probe, the nested-loop and index nested-loop joins,
+//!   `UNION ALL`. A step passes each row on as it is produced — a scan lends
+//!   the table's own row, a step that builds a row builds it in one buffer
+//!   it reuses — so a `Scan → HashJoin probe → Aggregate` chain never
+//!   materializes the join;
+//! * one breaker's *partial* as its sink: the group table, the `DISTINCT`
+//!   set ([`fold`]), or the rows a sort, window, build side, nested-loop
+//!   inner side or shared slot holds, the `LIMIT` window, the statement
+//!   result ([`collect`]) — the breakers that hold their input's rows as
+//!   they are, or pass them on ([`hold`]).
+//!
+//! Whatever a pipeline's steps read — a build side, an inner side, a shared
+//! slot — runs first, as pipelines of its own, in the order a serial run
+//! reads it. A held row is charged to the statement's memory budget, and an
+//! intermediate one counts in `exec.rows_materialized`.
+//!
+//! **Morsels.** A pipeline into a breaker that folds its input ([`Partial`])
+//! fans out when every source holds its rows in full, together at least
+//! [`context::FAN_OUT_ROWS`] of them, and `parallelism >= 2`: the sources are
+//! cut into fixed-size morsels; the calling thread and the pool's workers
+//! each claim the next morsel from one counter ([`ExecContext::fan_out`])
+//! and run the whole chain on it into a partial of the breaker of their own,
+//! and the breaker combines the partials in morsel order. A pool worker
+//! reads its own copy of the text its steps share with every morsel — a
+//! build or inner side, a stage's literals — so no two threads write one
+//! reference count row after row ([`Pipeline::own`]). Otherwise each source
+//! runs whole, in order, on the calling thread. So row order, group order
+//! (first seen), `COUNT(DISTINCT)` results, every operator's `(label,
+//! rows_in, rows_out)` and `exec.rows_materialized` are the same at every
+//! parallelism; float `SUM`/`AVG` partial sums combine in morsel order, not
+//! row order. `EXPLAIN ANALYZE` and traced statements run the same paths
+//! with statistics switched on, recorded by one rule ([`NodeOut::stats`]).
 //!
 //! **Errors.** The first error ends the statement. In a pipeline the rows of
 //! several operators interleave, so when rows raise in two different
@@ -95,9 +94,9 @@ use context::{ChargeBuf, Ticker, MORSEL_ROWS};
 /// copies it.
 pub(crate) type Sink<'a> = dyn FnMut(&[Value]) -> Result<()> + 'a;
 
-/// What an operator reports to the dispatcher besides the rows it pushed:
-/// how many input rows it consumed and the stats of its children (both only
-/// kept when the context collects stats), and how it ran.
+/// What an operator reports besides the rows it handed on: how many input
+/// rows it consumed and its inputs' stats records (both only kept when the
+/// context collects stats), how it ran, and what it booked itself.
 pub(crate) struct NodeOut {
     pub rows_in: usize,
     /// Workers a pipeline feeding this operator fanned out to (1 = serial),
@@ -105,12 +104,10 @@ pub(crate) struct NodeOut {
     pub workers: usize,
     pub morsels: usize,
     pub children: Vec<OpStats>,
-    /// Hash joins: probe rows that found no build key, shown by `EXPLAIN
-    /// ANALYZE` as ` pruned=N` after the label.
-    pub pruned: Option<usize>,
-    /// A shared-subplan reference that handed on held rows instead of
-    /// running its input, labelled `(reused)` by `EXPLAIN ANALYZE`.
-    pub reused: bool,
+    /// The wall time and the budget charges of the operator's own work,
+    /// beside its inputs' records ([`NodeOut::book`]).
+    own: Duration,
+    charged: u64,
 }
 
 impl NodeOut {
@@ -120,8 +117,8 @@ impl NodeOut {
             workers: 1,
             morsels: 1,
             children: Vec::new(),
-            pruned: None,
-            reused: false,
+            own: Duration::ZERO,
+            charged: 0,
         }
     }
 
@@ -134,17 +131,36 @@ impl NodeOut {
         }
     }
 
-    /// Append what another part of the same operator recorded (a join's
-    /// inputs are listed in plan order, whichever of them ran first).
-    pub(crate) fn absorb(&mut self, other: NodeOut) {
+    /// This record followed by what another part of the same operator
+    /// recorded (a join's inputs are listed in plan order, whichever of them
+    /// ran first).
+    fn absorbing(mut self, other: NodeOut) -> NodeOut {
         self.rows_in += other.rows_in;
         self.workers = self.workers.max(other.workers);
         self.morsels = self.morsels.max(other.morsels);
         self.children.extend(other.children);
+        self.own += other.own;
+        self.charged += other.charged;
+        self
     }
 
-    /// The operator's stats record.
-    fn stats(self, label: String, rows_out: usize, elapsed: Duration, mem_bytes: u64) -> OpStats {
+    /// Book a run of the operator that took `elapsed` and charged `charged`
+    /// bytes to the statement's budget, less what its inputs' records cover.
+    fn book(&mut self, elapsed: Duration, charged: u64) {
+        let inputs = self.children.iter();
+        let (time, mem) = inputs.fold((Duration::ZERO, 0), |(t, m), c| {
+            (t + c.elapsed, m + c.mem_bytes)
+        });
+        self.own += elapsed.saturating_sub(time);
+        self.charged += charged.saturating_sub(mem);
+    }
+
+    /// The operator's stats record, and the one place `elapsed` and
+    /// `mem_bytes` are computed: what the operator booked itself plus its
+    /// inputs' figures, so a node's figures contain its children's.
+    fn stats(self, label: String, rows_out: usize) -> OpStats {
+        let elapsed = self.own + self.children.iter().map(|c| c.elapsed).sum::<Duration>();
+        let inputs = self.children.iter().map(|c| c.mem_bytes).sum::<u64>();
         OpStats {
             label,
             rows_in: self.rows_in,
@@ -152,52 +168,79 @@ impl NodeOut {
             elapsed,
             workers: self.workers,
             morsels: self.morsels,
-            mem_bytes,
+            mem_bytes: self.charged + inputs,
             children: self.children,
+        }
+    }
+
+    /// A copy of what the operator recorded, for a stats record.
+    fn copy(&self) -> NodeOut {
+        NodeOut {
+            children: self.children.clone(),
+            ..*self
         }
     }
 }
 
-/// Execute one node, handing its rows to `sink`, and wrap what the operator
-/// reports in an [`OpStats`] record when stats are enabled. `elapsed` and
-/// `mem_bytes` (the statement-budget charge delta) span the node's whole
-/// run: its children, and the work its consumers do on the rows it pushes
-/// them — in a push pipeline those happen inside the producer's call.
-pub(crate) fn push(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<Option<OpStats>> {
-    // Operator-boundary timeout check: every node passes through here, and
-    // every loop inside an operator looks at the deadline every
-    // `DEADLINE_STRIDE` rows.
+/// Run `work`, booking to `node` the wall time and budget charges it took
+/// beside the records it adds to `node`: how an operator books what it runs
+/// before its rows stream (a build side and its hash table, a shared slot).
+fn booked<T>(node: &mut NodeOut, ctx: &ExecContext, work: impl FnOnce(&mut NodeOut) -> T) -> T {
+    if !ctx.stats_enabled() {
+        return work(node);
+    }
+    let (started, before) = (Instant::now(), ctx.budget().used_bytes());
+    let out = work(node);
+    let charged = ctx.budget().used_bytes().saturating_sub(before);
+    node.book(started.elapsed(), charged);
+    out
+}
+
+/// Run `work`, an operator that hands its rows to `sink` itself, and — when
+/// the context collects stats — make its record, labelled `label`. It books
+/// its run's wall time, in which its consumers' work on its rows lies, and
+/// the budget charges of that run but for those its consumers made.
+fn recorded(
+    ctx: &ExecContext,
+    label: impl FnOnce() -> String,
+    sink: &mut Sink,
+    work: impl FnOnce(&mut Sink) -> Result<NodeOut>,
+) -> Result<Option<OpStats>> {
+    // Operator-boundary timeout check: every loop inside an operator looks
+    // at the deadline every `DEADLINE_STRIDE` rows.
     ctx.check_timeout()?;
     if !ctx.stats_enabled() {
-        dispatch(plan, ctx, sink)?;
+        work(sink)?;
         return Ok(None);
     }
-    let (started, mem_before) = (Instant::now(), ctx.budget().used_bytes());
-    let mut rows_out = 0usize;
-    let out = dispatch(plan, ctx, &mut |row| {
+    let budget = ctx.budget();
+    let (started, before) = (Instant::now(), budget.used_bytes());
+    let (mut rows_out, mut consumed) = (0usize, 0u64);
+    let mut node = work(&mut |row| {
+        let before = budget.used_bytes();
         rows_out += 1;
-        sink(row)
+        sink(row)?;
+        consumed += budget.used_bytes() - before;
+        Ok(())
     })?;
-    let label = match (out.reused, out.pruned) {
-        (true, _) => reused_label(plan),
-        (false, Some(pruned)) => format!("{} pruned={pruned}", op_label(plan)),
-        (false, None) => op_label(plan),
-    };
-    let mem_bytes = ctx.budget().used_bytes().saturating_sub(mem_before);
-    Ok(Some(out.stats(
-        label,
-        rows_out,
-        started.elapsed(),
-        mem_bytes,
-    )))
+    let charged = budget.used_bytes() - before;
+    node.book(started.elapsed(), charged.saturating_sub(consumed));
+    Ok(Some(node.stats(label(), rows_out)))
+}
+
+/// Run a source that hands its rows on itself — an index lookup, a one-row
+/// `SELECT`, a breaker — into `sink`, and make its stats record.
+fn push(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<Option<OpStats>> {
+    recorded(
+        ctx,
+        || op_label(plan),
+        sink,
+        |sink| dispatch(plan, ctx, sink),
+    )
 }
 
 fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
     match plan {
-        PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-            emit(rows.iter(), ctx, sink)?;
-            Ok(NodeOut::new())
-        }
         PhysPlan::IndexScan {
             rows, index, keys, ..
         } => match keys {
@@ -206,15 +249,9 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
                 "probe-driven IndexScan can only run inside an IndexJoin",
             )),
         },
-        PhysPlan::IndexJoin { .. } => join::index_join(plan, ctx, sink),
         PhysPlan::OneRow => {
             sink(&[])?;
             Ok(NodeOut::new())
-        }
-        PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
-            let mut node = NodeOut::new();
-            stream(&scan::StageSpec::of(plan), input, ctx, &mut node, sink)?;
-            Ok(node)
         }
         PhysPlan::HashJoin {
             left,
@@ -224,25 +261,21 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             kind,
             right_width,
             residual,
-            algo,
+            algo: JoinAlgo::SortMerge,
             out,
             ..
-        } => match algo {
-            JoinAlgo::Hash => join::hash_join(plan, ctx, sink),
-            JoinAlgo::SortMerge => join::sort_merge_join(
-                left,
-                right,
-                left_keys,
-                right_keys,
-                *kind,
-                *right_width,
-                residual,
-                out.as_deref(),
-                ctx,
-                sink,
-            ),
-        },
-        PhysPlan::NestedLoopJoin { .. } => join::nested_loop_join(plan, ctx, sink),
+        } => join::sort_merge_join(
+            left,
+            right,
+            left_keys,
+            right_keys,
+            *kind,
+            *right_width,
+            residual,
+            out.as_deref(),
+            ctx,
+            sink,
+        ),
         PhysPlan::Aggregate { input, keys, aggs } => {
             aggregate::aggregate(input, keys, aggs, ctx, sink)
         }
@@ -258,51 +291,40 @@ fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeO
             limit,
             offset,
         } => setops::limit(input, *limit, *offset, ctx, sink),
-        PhysPlan::UnionAll { inputs } => setops::union_all(inputs, ctx, sink),
         PhysPlan::Distinct { input } => setops::distinct(input, ctx, sink),
-        PhysPlan::Shared { id, input, .. } => shared(*id, input, ctx, sink),
+        _ => unreachable!("a held source or a streaming operator runs in a pipeline"),
     }
 }
 
-/// One reference to shared subplan `id`. The first to run fills the run's
-/// slot ([`fill_slot`]) and hands the held rows on; a later reference hands
-/// on the rows the slot holds.
-fn shared(id: usize, input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
-    let mut node = NodeOut::new();
-    if let Some(rows) = ctx.shared_rows(id) {
-        ctx.count_shared_reuse();
-        node.reused = true;
-        emit(rows.iter(), ctx, sink)?;
-        return Ok(node);
-    }
-    let (rows, error) = fill_slot(id, input, ctx, &mut node);
-    emit(rows.iter(), ctx, sink)?;
-    error.map_or(Ok(node), Err)
-}
-
-/// Run `input` into shared subplan `id`'s slot — the breaker of its
-/// pipeline — and hold the rows for the rest of the run: charged to the
-/// statement's budget and counted in `exec.rows_materialized` once, however
-/// many references read them. A run that fails holds nothing and returns
-/// the rows produced before the error with it: a serial run hands those on
-/// before it raises.
-fn fill_slot(
+/// Shared subplan `id`'s rows, and — when this reference filled the slot,
+/// running `input` into it — what filling it ran (`None`: an earlier
+/// reference did, and this one reads the rows). The slot is the breaker of
+/// its input's pipeline and holds the rows for the rest of the run: charged
+/// to the statement's budget and counted in `exec.rows_materialized` once,
+/// however many references read them. A fill that fails holds nothing and
+/// returns the rows produced before the error with it: a serial run hands
+/// those on before it raises.
+fn slot(
     id: usize,
     input: &PhysPlan,
     ctx: &ExecContext,
-    node: &mut NodeOut,
-) -> (Arc<FlatRows>, Option<EngineError>) {
-    let run = collect_flat(input, ctx, node);
+) -> (Arc<FlatRows>, Option<NodeOut>, Option<EngineError>) {
+    if let Some(rows) = ctx.shared_rows(id) {
+        ctx.count_shared_reuse();
+        return (rows, None, None);
+    }
+    let mut fill = NodeOut::new();
+    let run = booked(&mut fill, ctx, |fill| collect_flat(input, ctx, fill));
     let held = Arc::new(run.part);
     if run.error.is_none() {
         ctx.count_rows_materialized(held.len());
         ctx.hold_shared(id, Arc::clone(&held));
     }
-    (held, run.error)
+    (held, Some(fill), run.error)
 }
 
 /// Hand already-held rows to `sink` in order, looking at the deadline every
-/// `DEADLINE_STRIDE` rows: how scans stream and how collecting operators
+/// `DEADLINE_STRIDE` rows: how sources stream and how collecting operators
 /// pass their output on.
 pub(crate) fn emit(
     rows: impl Iterator<Item = impl AsRef<[Value]>>,
@@ -371,10 +393,6 @@ impl FlatRows {
         let at = i % CHUNK_ROWS * self.width;
         &self.blocks[i / CHUNK_ROWS][at..at + self.width]
     }
-
-    fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.len).map(|i| self.row(i))
-    }
 }
 
 /// Rows an operator holds all of, shared by a cheap clone: a table snapshot,
@@ -435,31 +453,17 @@ impl Held {
     }
 }
 
-/// Push `plan` into held rows, each charged to the statement's memory
-/// budget, recording its stats as a child of `node`: how every breaker that
-/// holds its input's rows as they are — a shared slot, a build side, a sort
-/// input — runs its input ([`collect`] does the same for the statement
-/// result).
-///
-/// Such an input never fans out, though a breaker below it may (the
-/// aggregate a slot holds the rows of). Its partials would be the rows
-/// themselves, and a worker's rows sit in that thread's malloc arena, whose
-/// high-water mark stays resident beside the calling thread's: filling
-/// `partial_fit`'s 137,645-row `xy_njk` over morsels raised `bulk_cycle`'s
-/// peak RSS by 8–10 MiB (DESIGN.md, "Executor architecture").
+/// Run `plan` into held rows, each charged to the statement's memory budget,
+/// recording its stats as a child of `node`: how a shared slot, a build or
+/// inner side and a sort or window input hold their input.
 fn collect_flat(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Run<FlatRows> {
     let (mut rows, mut charge) = (FlatRows::new(plan.width()), ChargeBuf::new(ctx.budget()));
-    let pushed = push(plan, ctx, &mut |row| {
+    let held = hold(plan, ctx, node, &mut |row| {
         charge.add_row(row)?;
         rows.push(row);
         Ok(())
     });
-    let error = pushed
-        .and_then(|stats| {
-            node.child(stats);
-            charge.flush()
-        })
-        .err();
+    let error = held.and_then(|()| charge.flush()).err();
     Run { part: rows, error }
 }
 
@@ -468,13 +472,14 @@ fn collect_flat(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Run<F
 /// executes itself). The rows outlive the run, so each is its own `Row`.
 pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, Option<OpStats>)> {
     let (mut rows, mut charge) = (Vec::new(), ChargeBuf::new(ctx.budget()));
-    let stats = push(plan, ctx, &mut |row| {
+    let mut node = NodeOut::new();
+    hold(plan, ctx, &mut node, &mut |row| {
         charge.add_row(row)?;
         rows.push(row.to_vec());
         Ok(())
     })?;
     charge.flush()?;
-    Ok((rows, stats))
+    Ok((rows, node.children.pop()))
 }
 
 /// Run an input an operator must hold all of (a build side, a sort input),
@@ -485,70 +490,31 @@ pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, O
 /// reference has yet). Any other child is collected — an intermediate
 /// result, counted in `exec.rows_materialized`.
 pub(crate) fn run_input(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Result<Held> {
-    let mut held = |rows: Held, label: String| {
-        ctx.check_timeout()?;
-        node.rows_in += rows.len();
-        if ctx.stats_enabled() {
-            node.children.push(OpStats::leaf(label, rows.len()));
-        }
-        Ok(rows)
-    };
-    match plan {
+    ctx.check_timeout()?;
+    let (rows, ran) = match plan {
         PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-            held(Held::Rows(Arc::clone(rows)), op_label(plan))
+            (Held::Rows(Arc::clone(rows)), Some(NodeOut::new()))
         }
-        PhysPlan::Shared { id, .. } => match ctx.shared_rows(*id) {
-            Some(rows) => {
-                ctx.count_shared_reuse();
-                held(Held::Flat(rows), reused_label(plan))
-            }
-            None => {
-                // Its one collecting breaker is the slot: nothing else keeps
-                // the rows it hands on.
-                node.child(push(plan, ctx, &mut |_| Ok(()))?);
-                let rows = ctx.shared_rows(*id);
-                Ok(Held::Flat(
-                    rows.expect("a shared subplan that ran holds its rows"),
-                ))
-            }
+        PhysPlan::Shared { id, input, .. } => match slot(*id, input, ctx) {
+            (_, _, Some(error)) => return Err(error),
+            (rows, fill, None) => (Held::Flat(rows), fill),
         },
         _ => {
             let rows = collect_flat(plan, ctx, node).ok()?;
             ctx.count_rows_materialized(rows.len());
-            Ok(Held::Flat(Arc::new(rows)))
+            return Ok(Held::Flat(Arc::new(rows)));
         }
+    };
+    node.rows_in += rows.len();
+    if ctx.stats_enabled() {
+        let label = match ran {
+            Some(_) => op_label(plan),
+            None => reused_label(plan),
+        };
+        let ran = ran.unwrap_or_else(NodeOut::new);
+        node.children.push(ran.stats(label, rows.len()));
     }
-}
-
-/// A streaming operator's one per-row function: what it does with each
-/// input row, handing its output rows to `sink`. The push driver calls it as
-/// the input produces rows ([`stream`]); a pipeline calls it on each row of
-/// a morsel, on whichever thread claimed the morsel.
-pub(crate) trait RowOp: Send + Sync + 'static {
-    /// Working state of one run over a stream or a morsel: reused buffers
-    /// and counters.
-    type Scratch: Default + 'static;
-
-    fn row(&self, row: &[Value], scratch: &mut Self::Scratch, sink: &mut Sink) -> Result<()>;
-
-    /// Fold a finished run's scratch into the operator's totals.
-    fn finish(&self, _scratch: Self::Scratch) {}
-}
-
-/// Push every row of `input` through `op`, in input order, recording
-/// `input` as a child of `node`.
-pub(crate) fn stream<O: RowOp>(
-    op: &O,
-    input: &PhysPlan,
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-    sink: &mut Sink,
-) -> Result<()> {
-    let mut scratch = O::Scratch::default();
-    let stats = push(input, ctx, &mut |row| op.row(row, &mut scratch, sink))?;
-    op.finish(scratch);
-    node.child(stats);
-    Ok(())
+    Ok(rows)
 }
 
 /// Evaluate `exprs` on `row` as a lookup key: one bare column is borrowed
@@ -577,8 +543,22 @@ pub(crate) fn key_of<'a>(
     Ok(Some(scratch))
 }
 
-/// A breaker's partial: what a pipeline's rows end in. A pipeline that fans
-/// out gives every morsel one of its own and combines them in morsel order.
+/// The partial of a breaker that folds its input's rows into state of its
+/// own — the group table, the `DISTINCT` set — which [`fold`] runs its input
+/// into. A pipeline that fans out gives every morsel one of its own and
+/// combines them in morsel order.
+///
+/// The one rule for the others: a breaker that holds its input's rows as
+/// they are — the statement result, a shared slot, a build or inner side, a
+/// sort or window input — or passes them on, as the `LIMIT` window does,
+/// has no partial of this kind. It hands its input's pipeline a sink
+/// ([`hold`]), and that pipeline never fans out, though a breaker below it
+/// may (the aggregate whose rows a slot holds). Its partials would be the
+/// rows themselves, and a worker's rows sit in that thread's malloc arena,
+/// whose high-water mark stays resident beside the calling thread's:
+/// filling `partial_fit`'s 137,645-row `xy_njk` over morsels raised
+/// `bulk_cycle`'s peak RSS by 8–10 MiB (DESIGN.md, "Executor
+/// architecture").
 pub(crate) trait Partial: Send + 'static {
     fn row(&mut self, row: &[Value]) -> Result<()>;
 
@@ -603,63 +583,64 @@ impl<P> Run<P> {
     }
 }
 
-/// Run a breaker's `input` into a partial made by `part` (called with the
-/// morsel's index), recording `input`'s stats as a child of `node`.
-///
-/// A pipeline runs as one at every parallelism ([`Pipeline::run`]): what it
-/// reads runs first, then its sources stream through its operators, over
-/// morsels when they hold at least [`context::FAN_OUT_ROWS`] rows. Any other
-/// input — rows out of another breaker, an index lookup, a one-row
-/// `SELECT` — is pushed into one partial.
-pub(crate) fn pipeline<P: Partial>(
+/// Run `input`'s pipeline into `sink`, the partial of a breaker that holds
+/// its input's rows as they are or passes them on: serially, on the calling
+/// thread (see [`Partial`]), recording `input`'s stats as a child of `node`.
+pub(crate) fn hold(
+    input: &PhysPlan,
+    ctx: &ExecContext,
+    node: &mut NodeOut,
+    sink: &mut Sink,
+) -> Result<()> {
+    let (pipe, prepared) = Pipeline::prepare(input, ctx);
+    let (ran, streamed) = pipe.serial(ctx, sink);
+    streamed.and(prepared)?;
+    pipe.record(ctx, node, ran);
+    Ok(())
+}
+
+/// Run `input`'s pipeline into partials made by `part` (called with the
+/// morsel's index), recording `input`'s stats as a child of `node`: over
+/// morsels when the sources hold their rows in full and at least
+/// [`context::FAN_OUT_ROWS`] of them, else serially into one partial.
+pub(crate) fn fold<P: Partial>(
     input: &PhysPlan,
     ctx: &ExecContext,
     node: &mut NodeOut,
     part: impl Fn(usize) -> P + Send + Sync + 'static,
 ) -> Run<P> {
-    if is_pipeline(input) {
-        return Pipeline::run(input, ctx, node, part);
-    }
-    let mut only = part(0);
-    let pushed = push(input, ctx, &mut |row| only.row(row)).and_then(|stats| {
-        node.child(stats);
-        only.finish()
-    });
-    Run {
-        part: only,
-        error: pushed.err(),
-    }
-}
-
-/// Whether `plan` is a pipeline: streaming operators over splittable
-/// sources (base-table scans, shared slots, `UNION ALL`s of such arms).
-fn is_pipeline(plan: &PhysPlan) -> bool {
-    match plan {
-        PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } | PhysPlan::Shared { .. } => true,
-        PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => is_pipeline(input),
-        PhysPlan::HashJoin {
-            algo: JoinAlgo::Hash,
-            ..
-        } => plan
-            .join_sides()
-            .is_some_and(|(_, (probe, _))| is_pipeline(probe)),
-        PhysPlan::NestedLoopJoin { left: outer, .. } | PhysPlan::IndexJoin { probe: outer, .. } => {
-            is_pipeline(outer)
+    let (pipe, prepared) = Pipeline::prepare(input, ctx);
+    let fanned;
+    let (pipe, (part, error, ran)) = match pipe.fans_out(ctx) {
+        true => {
+            fanned = Arc::new(pipe.detached(ctx));
+            (&*fanned, Pipeline::fan_out(&fanned, ctx, part))
         }
-        PhysPlan::UnionAll { inputs } => inputs.iter().all(is_pipeline),
-        _ => false,
+        false => {
+            let mut only = part(0);
+            let (ran, streamed) = pipe.serial(ctx, &mut |row| only.row(row));
+            let error = streamed.and_then(|()| only.finish()).err();
+            (&pipe, (only, error, ran))
+        }
+    };
+    let error = error.or(prepared.err());
+    if error.is_none() {
+        pipe.record(ctx, node, ran);
     }
+    Run { part, error }
 }
 
-/// A streaming operator as a pipeline holds it.
+/// A streaming operator as a pipeline holds it. The joins are boxed (a hash
+/// probe is 192 bytes), so that the node list every pipeline of every
+/// statement builds stays small.
 enum Step {
     Stage(scan::StageSpec),
-    Probe(join::Probe),
-    NestedLoop(join::NestedLoop),
-    IndexJoin(join::IndexProbe),
+    Probe(Box<join::Probe>),
+    NestedLoop(Box<join::NestedLoop>),
+    IndexJoin(Box<join::IndexProbe>),
 }
 
-/// A step's working state over one morsel.
+/// A step's working state over one source or morsel.
 enum Scratch {
     /// The projection's output row, and the worker's own copy of the stage.
     Stage(Vec<Value>, Option<Arc<scan::StageSpec>>),
@@ -680,8 +661,8 @@ enum Own {
 }
 
 impl Step {
-    /// Working state for one morsel, reading `own` in place of what the
-    /// step shares, if given.
+    /// Working state for one run, reading `own` in place of what the step
+    /// shares, if given.
     fn scratch(&self, own: Option<Own>) -> Scratch {
         let (stage, side) = match own {
             Some(Own::Stage(stage)) => (Some(stage), None),
@@ -712,6 +693,8 @@ impl Step {
         })
     }
 
+    /// The step's one per-row function: what it does with an input row,
+    /// handing its output rows to `sink`.
     fn row(&self, row: &[Value], scratch: &mut Scratch, sink: &mut Sink) -> Result<()> {
         match (self, scratch) {
             (Step::Stage(stage), Scratch::Stage(out, own)) => {
@@ -724,6 +707,7 @@ impl Step {
         }
     }
 
+    /// Fold a finished run's scratch into the step's totals.
     fn finish(&self, scratch: Scratch) {
         match (self, scratch) {
             (Step::Probe(op), Scratch::Probe(own)) => op.finish(own),
@@ -733,34 +717,34 @@ impl Step {
     }
 }
 
-/// A pipeline ready to run: its operators as nodes (the breaker's input
-/// first, each node's inputs in plan order) and its sources in plan order.
-struct Pipeline {
-    nodes: Vec<PipeNode>,
-    leaves: Vec<Leaf>,
+/// A pipeline ready to run: its operators as nodes, the breaker's input
+/// first and each node's inputs in plan order, so its sources too.
+struct Pipeline<'a> {
+    nodes: Vec<PipeNode<'a>>,
     deadline: Option<Instant>,
     budget: Arc<MemoryBudget>,
     /// Each pool worker's own copies of what the steps share, by node, made
-    /// by its first morsel (see [`Pipeline::own`]).
+    /// by its first morsel (see [`Pipeline::own`]); none when it runs
+    /// serially.
     own: Vec<Mutex<Option<Vec<Option<Own>>>>>,
 }
 
-/// One operator of a pipeline.
-struct PipeNode {
+/// One operator of a pipeline; its inputs are the nodes it is the parent
+/// of, in plan order.
+struct PipeNode<'a> {
     /// Its per-row function; `None` at a source and a `UNION ALL`.
     step: Option<Step>,
     parent: Option<usize>,
-    /// The nodes whose rows it streams, in plan order.
-    inputs: Vec<usize>,
     rows_out: AtomicUsize,
     label: String,
-    role: Role,
+    role: Role<'a>,
 }
 
 /// What a node's stats record holds besides its streamed inputs.
-enum Role {
-    /// A source: leaf `0`.
-    Source(usize),
+enum Role<'a> {
+    /// A source, whose rows pass through its ancestors' steps on their way
+    /// to the breaker.
+    Source(Source<'a>),
     /// Filter/Project.
     Stream,
     /// `UNION ALL`: its arms' rows pass it unchanged, so it is on no path.
@@ -772,14 +756,7 @@ enum Role {
     IndexJoin(String),
 }
 
-/// A source of a pipeline, the nodes whose steps its rows pass through on
-/// their way to the breaker (itself first), and what it holds.
-struct Leaf {
-    path: Vec<usize>,
-    source: Source,
-}
-
-enum Source {
+enum Source<'a> {
     /// Rows held in full — a table's snapshot, or a shared slot and what
     /// filling it ran (`None`: it was filled before) — cut into morsels of
     /// rows.
@@ -787,14 +764,18 @@ enum Source {
     /// The rows of a table a hash join probes that the key filter kept, cut
     /// into morsels of chunks.
     Candidates(join::Candidates),
+    /// A plan that hands its rows on itself ([`push`]): it runs whole, on
+    /// the calling thread.
+    Pushed(&'a PhysPlan),
 }
 
-impl Source {
+impl Source<'_> {
     /// How many units it holds (rows or chunks), and how many make a morsel.
     fn units(&self) -> (usize, usize) {
         match self {
             Source::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
             Source::Candidates(rows) => (rows.chunks(), MORSEL_ROWS / CHUNK_ROWS),
+            Source::Pushed(_) => unreachable!("a pushed source is never cut"),
         }
     }
 
@@ -804,6 +785,7 @@ impl Source {
         match self {
             Source::Rows(rows, _) => rows.len(),
             Source::Candidates(rows) => rows.len(),
+            Source::Pushed(_) => 0,
         }
     }
 
@@ -816,138 +798,74 @@ impl Source {
         match self {
             Source::Rows(rows, _) => emit_until(rows.rows(units), deadline, sink),
             Source::Candidates(rows) => rows.emit(units, deadline, sink),
+            Source::Pushed(_) => unreachable!("a pushed source hands its rows on itself"),
         }
     }
 }
 
-/// One morsel: a range of one leaf's units.
-type Morsel = (usize, Range<usize>);
+/// How a pipeline ran, for its operators' stats.
+struct Ran {
+    workers: usize,
+    morsels: usize,
+    /// Each source's streaming time, through the steps above it into the
+    /// partial, by node: measured when it runs whole, its share of the run's
+    /// wall time by the rows it holds when it fans out.
+    times: Vec<Duration>,
+    /// The records of the sources that hand their rows on themselves, by
+    /// node.
+    pushed: Vec<(usize, OpStats)>,
+}
 
-impl Pipeline {
-    /// Prepare `input`'s pipeline and run it into partials made by `part`.
-    fn run<P: Partial>(
-        input: &PhysPlan,
-        ctx: &ExecContext,
-        node: &mut NodeOut,
-        part: impl Fn(usize) -> P + Send + Sync + 'static,
-    ) -> Run<P> {
+impl<'a> Pipeline<'a> {
+    /// Prepare `input`'s pipeline: its nodes, running what they read first.
+    /// After a failure the leaves added so far are the sources whose rows a
+    /// serial run hands on before it.
+    fn prepare(input: &'a PhysPlan, ctx: &ExecContext) -> (Pipeline<'a>, Result<()>) {
         let mut pipe = Pipeline {
             nodes: Vec::new(),
-            leaves: Vec::new(),
             deadline: ctx.deadline(),
             budget: Arc::clone(ctx.budget()),
-            own: (1..ctx.parallelism()).map(|_| Mutex::default()).collect(),
+            own: Vec::new(),
         };
-        let prepared = pipe.prepare(input, None, ctx);
-        for leaf in &mut pipe.leaves {
-            let mut above = pipe.nodes[leaf.path[0]].parent;
-            while let Some(node) = above {
-                if pipe.nodes[node].step.is_some() {
-                    leaf.path.push(node);
-                }
-                above = pipe.nodes[node].parent;
-            }
-        }
-        // Serially, each source runs whole.
-        let rows = pipe.leaves.iter().map(|leaf| leaf.source.rows()).sum();
-        let fans_out = ctx.fans_out(rows);
-        let mut morsels: Vec<Morsel> = Vec::new();
-        for (l, leaf) in pipe.leaves.iter().enumerate() {
-            let (units, per) = leaf.source.units();
-            let per = if fans_out { per } else { units.max(1) };
-            morsels.extend(
-                (0..units)
-                    .step_by(per)
-                    .map(|at| (l, at..units.min(at + per))),
-            );
-        }
-        let (pipe, morsels) = (Arc::new(pipe), Arc::new(morsels));
-        let started = Instant::now();
-        let (part, error) = if fans_out {
-            let (ran, runs) = (Arc::clone(&pipe), Arc::clone(&morsels));
-            let folded = Arc::new(InOrder::new(morsels.len()));
-            let folding = Arc::clone(&folded);
-            ctx.fan_out(
-                morsels.len(),
-                |failed| *failed,
-                move |m, who| {
-                    let mut part = part(m);
-                    let ran = ran
-                        .run_morsel(&runs[m], who, &mut part)
-                        .and_then(|()| part.finish());
-                    folding.offer(m, part, ran)
-                },
-            );
-            folded.finish()
-        } else {
-            let mut only = part(0);
-            let ran = morsels
-                .iter()
-                .try_for_each(|m| pipe.run_morsel(m, 0, &mut only));
-            let error = ran.and_then(|()| only.finish()).err();
-            (only, error)
-        };
-        let error = error.or(prepared.err());
-        if error.is_none() {
-            for node in &pipe.nodes {
-                if let Some(Step::Probe(probe)) = &node.step {
-                    ctx.count_probe_rows_pruned(probe.pruned());
-                }
-            }
-            let (workers, morsels) = match fans_out {
-                true => (ctx.parallelism(), morsels.len()),
-                false => (1, 1),
-            };
-            if ctx.stats_enabled() {
-                let ran = Ran {
-                    elapsed: started.elapsed(),
-                    rows,
-                    workers,
-                    morsels,
-                };
-                node.child(Some(pipe.stats(0, &ran)));
-            }
-            node.workers = node.workers.max(workers);
-            node.morsels = node.morsels.max(morsels);
-        }
-        Run { part, error }
+        let prepared = pipe.add(input, None, ctx);
+        (pipe, prepared)
     }
 
     /// Add a node under `parent`.
-    fn add(
+    fn node(
         &mut self,
         parent: Option<usize>,
         step: Option<Step>,
         label: String,
-        role: Role,
+        role: Role<'a>,
     ) -> usize {
-        let id = self.nodes.len();
-        if let Some(parent) = parent {
-            self.nodes[parent].inputs.push(id);
-        }
         self.nodes.push(PipeNode {
             step,
             parent,
-            inputs: Vec::new(),
             rows_out: AtomicUsize::new(0),
             label,
             role,
         });
-        id
+        self.nodes.len() - 1
     }
 
-    fn source(&mut self, parent: Option<usize>, source: Source, label: String) {
-        let node = self.add(parent, None, label, Role::Source(self.leaves.len()));
-        self.leaves.push(Leaf {
-            path: vec![node],
-            source,
-        });
+    fn source(&mut self, parent: Option<usize>, source: Source<'a>, label: String) {
+        self.node(parent, None, label, Role::Source(source));
+    }
+
+    /// Its sources, in plan order, by node.
+    fn sources(&self) -> impl Iterator<Item = (usize, &Source<'a>)> {
+        let nodes = self.nodes.iter().enumerate();
+        nodes.filter_map(|(n, node)| match &node.role {
+            Role::Source(source) => Some((n, source)),
+            _ => None,
+        })
     }
 
     /// Add `plan`'s operators under `parent`, running what they read first,
-    /// in the order a serial run does. After a failure the leaves added so
-    /// far are the sources whose rows a serial run hands on before it.
-    fn prepare(&mut self, plan: &PhysPlan, parent: Option<usize>, ctx: &ExecContext) -> Result<()> {
+    /// in the order a serial run does.
+    fn add(&mut self, plan: &'a PhysPlan, parent: Option<usize>, ctx: &ExecContext) -> Result<()> {
+        ctx.check_timeout()?;
         let label = |plan: &PhysPlan| match ctx.stats_enabled() {
             true => op_label(plan),
             false => String::new(),
@@ -959,117 +877,236 @@ impl Pipeline {
             }
             PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
                 let step = Step::Stage(scan::StageSpec::of(plan));
-                let node = self.add(parent, Some(step), label(plan), Role::Stream);
-                self.prepare(input, Some(node), ctx)?;
+                let node = self.node(parent, Some(step), label(plan), Role::Stream);
+                self.add(input, Some(node), ctx)?;
             }
             PhysPlan::HashJoin {
                 algo: JoinAlgo::Hash,
                 ..
             } => {
-                let built = join::build_hash_join(plan, ctx)?;
+                let mut side = NodeOut::new();
+                let built = booked(&mut side, ctx, |side| {
+                    join::build_hash_join(plan, ctx, side)
+                })?;
                 let role = Role::Join {
-                    side: built.build,
+                    side,
                     first: built.build_left,
                 };
-                let node = self.add(parent, Some(Step::Probe(built.probe)), label(plan), role);
+                let step = Step::Probe(Box::new(built.probe));
+                let node = self.node(parent, Some(step), label(plan), role);
                 match built.candidates {
                     Some(rows) => {
                         let source = Source::Candidates(rows);
                         self.source(Some(node), source, label(built.probe_plan));
                     }
-                    None => self.prepare(built.probe_plan, Some(node), ctx)?,
+                    None => self.add(built.probe_plan, Some(node), ctx)?,
                 }
             }
             PhysPlan::NestedLoopJoin { left, .. } => {
-                let (op, inner) = join::inner_side(plan, ctx)?;
-                let role = Role::Join {
-                    side: inner,
-                    first: false,
-                };
-                let node = self.add(parent, Some(Step::NestedLoop(op)), label(plan), role);
-                self.prepare(left, Some(node), ctx)?;
+                let mut side = NodeOut::new();
+                let op = booked(&mut side, ctx, |side| join::inner_side(plan, ctx, side))?;
+                let role = Role::Join { side, first: false };
+                let step = Step::NestedLoop(Box::new(op));
+                let node = self.node(parent, Some(step), label(plan), role);
+                self.add(left, Some(node), ctx)?;
             }
             PhysPlan::IndexJoin { probe, inner, .. } => {
                 let op = join::IndexProbe::of(plan, ctx)?;
                 let role = Role::IndexJoin(label(inner));
-                let node = self.add(parent, Some(Step::IndexJoin(op)), label(plan), role);
-                self.prepare(probe, Some(node), ctx)?;
+                let step = Step::IndexJoin(Box::new(op));
+                let node = self.node(parent, Some(step), label(plan), role);
+                self.add(probe, Some(node), ctx)?;
             }
             PhysPlan::UnionAll { inputs } => {
-                let node = self.add(parent, None, label(plan), Role::Union);
+                let node = self.node(parent, None, label(plan), Role::Union);
                 for arm in inputs {
-                    self.prepare(arm, Some(node), ctx)?;
+                    self.add(arm, Some(node), ctx)?;
                 }
             }
-            PhysPlan::Shared { id, input, .. } => match ctx.shared_rows(*id) {
-                Some(rows) => {
-                    ctx.count_shared_reuse();
-                    let source = Source::Rows(Held::Flat(rows), None);
-                    let label = ctx.stats_enabled().then(|| reused_label(plan));
-                    self.source(parent, source, label.unwrap_or_default());
-                }
-                None => {
-                    let mut fill = NodeOut::new();
-                    let (rows, error) = fill_slot(*id, input, ctx, &mut fill);
-                    self.source(
-                        parent,
-                        Source::Rows(Held::Flat(rows), Some(fill)),
-                        label(plan),
-                    );
-                    return error.map_or(Ok(()), Err);
-                }
-            },
-            _ => unreachable!("is_pipeline admits only pipelines"),
+            PhysPlan::Shared { id, input, .. } => {
+                let (rows, fill, error) = slot(*id, input, ctx);
+                let label = match (&fill, ctx.stats_enabled()) {
+                    (Some(_), true) => op_label(plan),
+                    (None, true) => reused_label(plan),
+                    (_, false) => String::new(),
+                };
+                self.source(parent, Source::Rows(Held::Flat(rows), fill), label);
+                return error.map_or(Ok(()), Err);
+            }
+            _ => self.source(parent, Source::Pushed(plan), String::new()),
         }
         Ok(())
     }
 
-    /// Run one morsel through the nodes above its source into `part`, as
-    /// participant `who` of the fan-out (0 when it runs serially).
-    fn run_morsel(
-        &self,
-        (leaf, units): &Morsel,
-        who: usize,
-        part: &mut impl Partial,
-    ) -> Result<()> {
-        let leaf = &self.leaves[*leaf];
-        let steps: Vec<&Step> = leaf.path[1..]
-            .iter()
-            .map(|&n| {
-                self.nodes[n]
-                    .step
-                    .as_ref()
-                    .expect("every node above a source steps")
-            })
-            .collect();
-        let own = self.own(who)?;
-        let mut scratch: Vec<Scratch> = leaf.path[1..]
-            .iter()
-            .zip(&steps)
-            .map(|(&n, step)| step.scratch(own.as_ref().and_then(|own| own[n].clone())))
-            .collect();
-        // Rows out of each node of the path above the source (whose own are
-        // known once all its morsels ran): the root's are counted by the
-        // closure around `drive`, the rest in it.
-        let mut counts = vec![0; leaf.path.len() - 1];
-        let ran = match &mut counts[..] {
-            [] => leaf
-                .source
-                .emit(units.clone(), self.deadline, &mut |row| part.row(row)),
-            [between @ .., root] => leaf.source.emit(units.clone(), self.deadline, &mut |row| {
-                drive(&steps, &mut scratch, between, row, &mut |row| {
-                    *root += 1;
-                    part.row(row)
-                })
-            }),
+    /// Rows its sources hold in full, all together: what the fan-out gate
+    /// counts.
+    fn rows(&self) -> usize {
+        self.sources().map(|(_, source)| source.rows()).sum()
+    }
+
+    /// Whether it fans out: every source holds its rows in full, and the
+    /// fan-out gate passes them.
+    fn fans_out(&self, ctx: &ExecContext) -> bool {
+        let pushed = |(_, source): (usize, &Source)| matches!(source, Source::Pushed(_));
+        !self.sources().any(pushed) && ctx.fans_out(self.rows())
+    }
+
+    /// Run every source whole, in order, on the calling thread, through the
+    /// steps above it into `sink`.
+    fn serial(&self, ctx: &ExecContext, sink: &mut Sink) -> (Ran, Result<()>) {
+        let mut ran = Ran {
+            workers: 1,
+            morsels: 1,
+            times: Vec::new(),
+            pushed: Vec::new(),
         };
-        for (step, scratch) in steps.iter().zip(scratch) {
-            step.finish(scratch);
+        let (stats, mut chain) = (ctx.stats_enabled(), Vec::new());
+        if stats {
+            ran.times = vec![Duration::ZERO; self.nodes.len()];
         }
-        for (&n, count) in leaf.path[1..].iter().zip(counts) {
-            self.nodes[n].rows_out.fetch_add(count, Ordering::Relaxed);
+        let streamed = self.sources().try_for_each(|(n, source)| {
+            let started = stats.then(Instant::now);
+            self.chain(n, 0, &mut chain)?;
+            let streamed = match source {
+                Source::Pushed(plan) => push(plan, ctx, &mut |row| drive(&mut chain, row, sink))
+                    .map(|record| ran.pushed.extend(record.map(|record| (n, record)))),
+                source => source.emit(0..source.units().0, self.deadline, &mut |row| {
+                    drive(&mut chain, row, sink)
+                }),
+            };
+            if let Some(started) = started {
+                ran.times[n] = started.elapsed();
+            }
+            streamed
+        });
+        self.finish(chain);
+        (ran, streamed)
+    }
+
+    /// This pipeline, ready to fan out: with a slot per pool worker for its
+    /// own copies of what the steps share, and no source that borrows the
+    /// plan.
+    fn detached(self, ctx: &ExecContext) -> Pipeline<'static> {
+        let nodes = self.nodes.into_iter().map(|node| PipeNode {
+            step: node.step,
+            parent: node.parent,
+            rows_out: node.rows_out,
+            label: node.label,
+            role: match node.role {
+                Role::Source(Source::Rows(rows, fill)) => Role::Source(Source::Rows(rows, fill)),
+                Role::Source(Source::Candidates(rows)) => Role::Source(Source::Candidates(rows)),
+                Role::Source(Source::Pushed(_)) => {
+                    unreachable!("a pipeline with a pushed source runs serially")
+                }
+                Role::Stream => Role::Stream,
+                Role::Union => Role::Union,
+                Role::Join { side, first } => Role::Join { side, first },
+                Role::IndexJoin(label) => Role::IndexJoin(label),
+            },
+        });
+        Pipeline {
+            nodes: nodes.collect(),
+            deadline: self.deadline,
+            budget: self.budget,
+            own: (1..ctx.parallelism()).map(|_| Mutex::default()).collect(),
         }
-        ran
+    }
+    /// Cut the sources into morsels and run them on the calling thread and
+    /// the pool's workers, each into a partial of its own made by `part`;
+    /// the partials folded in morsel order, and the error of the earliest
+    /// morsel that failed.
+    fn fan_out<P: Partial>(
+        pipe: &Arc<Pipeline<'static>>,
+        ctx: &ExecContext,
+        part: impl Fn(usize) -> P + Send + Sync + 'static,
+    ) -> (P, Option<EngineError>, Ran) {
+        let mut morsels: Vec<(usize, Range<usize>)> = Vec::new();
+        for (n, source) in pipe.sources() {
+            let (units, per) = source.units();
+            morsels.extend(
+                (0..units)
+                    .step_by(per)
+                    .map(|at| (n, at..units.min(at + per))),
+            );
+        }
+        let count = morsels.len();
+        let started = Instant::now();
+        let folded = Arc::new(InOrder::new(count));
+        let (folding, running) = (Arc::clone(&folded), Arc::clone(pipe));
+        ctx.fan_out(
+            count,
+            |failed| *failed,
+            move |m, who| {
+                let ((n, units), mut chain) = (&morsels[m], Vec::new());
+                let mut part = part(m);
+                let ran = running
+                    .chain(*n, who, &mut chain)
+                    .and_then(|()| {
+                        let Role::Source(source) = &running.nodes[*n].role else {
+                            unreachable!("a morsel is cut from a source");
+                        };
+                        let sink =
+                            &mut |row: &[Value]| drive(&mut chain, row, &mut |row| part.row(row));
+                        source.emit(units.clone(), running.deadline, sink)
+                    })
+                    .and_then(|()| part.finish());
+                running.finish(chain);
+                folding.offer(m, part, ran)
+            },
+        );
+        let (part, error) = folded.finish();
+        let (elapsed, rows) = (started.elapsed(), pipe.rows());
+        let share = |node: &PipeNode| match (&node.role, rows) {
+            (Role::Source(source), 1..) => elapsed.mul_f64(source.rows() as f64 / rows as f64),
+            _ => Duration::ZERO,
+        };
+        let ran = Ran {
+            workers: ctx.parallelism(),
+            morsels: count,
+            times: pipe.nodes.iter().map(share).collect(),
+            pushed: Vec::new(),
+        };
+        (part, error, ran)
+    }
+
+    /// Make `chain`, the steps above the source run last (top-down), the
+    /// steps above source `n`, ready for a run of its rows — all of them, or
+    /// a morsel's — as participant `who` of a fan-out (0 on the calling
+    /// thread). The steps both share keep their working state, as the steps
+    /// above a `UNION ALL` run once over all its arms; the others are
+    /// finished.
+    fn chain<'p>(&'p self, n: usize, who: usize, chain: &mut Vec<Link<'p>>) -> Result<()> {
+        let (own, ran) = (self.own(who)?, chain.len());
+        let mut above = self.nodes[n].parent;
+        let shared = loop {
+            let Some(node) = above else { break 0 };
+            if let Some(at) = chain[..ran].iter().position(|link| link.node == node) {
+                break at + 1;
+            }
+            if let Some(step) = &self.nodes[node].step {
+                let own = own.as_ref().and_then(|own| own[node].clone());
+                let scratch = step.scratch(own);
+                chain.push(Link {
+                    step,
+                    scratch,
+                    rows: 0,
+                    node,
+                });
+            }
+            above = self.nodes[node].parent;
+        };
+        self.finish(chain.drain(shared..ran));
+        chain[shared..].reverse();
+        Ok(())
+    }
+
+    /// Fold finished runs of steps into their totals and row counts.
+    fn finish<'p>(&self, chain: impl IntoIterator<Item = Link<'p>>) {
+        for link in chain {
+            link.step.finish(link.scratch);
+            let rows_out = &self.nodes[link.node].rows_out;
+            rows_out.fetch_add(link.rows, Ordering::Relaxed);
+        }
     }
 
     /// What participant `who` reads in place of what the steps share, by
@@ -1095,43 +1132,52 @@ impl Pipeline {
         Ok(own.clone())
     }
 
+    /// Record how the pipeline ran as a child of `node`, and count the probe
+    /// rows its hash joins pruned.
+    fn record(&self, ctx: &ExecContext, node: &mut NodeOut, mut ran: Ran) {
+        for node in &self.nodes {
+            if let Some(Step::Probe(probe)) = &node.step {
+                ctx.count_probe_rows_pruned(probe.pruned());
+            }
+        }
+        (node.workers, node.morsels) =
+            (node.workers.max(ran.workers), node.morsels.max(ran.morsels));
+        if ctx.stats_enabled() {
+            node.child(Some(self.stats(0, &mut ran)));
+        }
+    }
+
     /// Node `n`'s stats record: its streamed inputs' and what ran at
-    /// preparation beside them, in plan order. Its time is its children's,
-    /// plus, at a source, its share of the run by rows.
-    fn stats(&self, n: usize, ran: &Ran) -> OpStats {
+    /// preparation beside them, in plan order. A source books its streaming
+    /// time ([`Ran::times`]).
+    fn stats(&self, n: usize, ran: &mut Ran) -> OpStats {
         let node = &self.nodes[n];
         let (mut label, mut rows_out) = (node.label.clone(), node.rows_out.load(Ordering::Relaxed));
-        let inputs = node.inputs.iter().map(|&input| self.stats(input, ran));
-        let (mut out, mut share) = (NodeOut::new(), Duration::ZERO);
+        let mut out = NodeOut::new();
+        for input in (n + 1..self.nodes.len()).filter(|&i| self.nodes[i].parent == Some(n)) {
+            out.child(Some(self.stats(input, ran)));
+        }
         match &node.role {
-            Role::Source(leaf) => {
-                let source = &self.leaves[*leaf].source;
-                (share, rows_out) = (ran.share(source.rows()), source.rows());
+            Role::Source(source) => {
+                rows_out = source.rows();
                 match source {
+                    Source::Pushed(_) => {
+                        let at = ran.pushed.iter().position(|&(at, _)| at == n);
+                        let at = at.expect("a pushed source was recorded");
+                        return ran.pushed.swap_remove(at).1;
+                    }
                     Source::Rows(_, fill) => {
                         out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
                     }
                     // The probe's child: the table the candidates came from.
                     Source::Candidates(rows) => rows_out = rows.scan_rows(),
                 }
+                out.own += ran.times[n];
             }
-            Role::Stream | Role::IndexJoin(_) => inputs.for_each(|input| out.child(Some(input))),
-            Role::Union => {
-                inputs.for_each(|input| out.child(Some(input)));
-                rows_out = out.rows_in;
-            }
-            Role::Join { side, first } => {
-                let mut streamed = NodeOut::new();
-                inputs.for_each(|input| streamed.child(Some(input)));
-                out = side.copy();
-                match first {
-                    true => out.absorb(streamed),
-                    false => {
-                        streamed.absorb(out);
-                        out = streamed;
-                    }
-                }
-            }
+            Role::Stream | Role::IndexJoin(_) => {}
+            Role::Union => rows_out = out.rows_in,
+            Role::Join { side, first: true } => out = side.copy().absorbing(out),
+            Role::Join { side, first: false } => out = out.absorbing(side.copy()),
         }
         match (&node.step, &node.role) {
             (Some(Step::Probe(probe)), _) => label = format!("{label} pruned={}", probe.pruned()),
@@ -1141,29 +1187,36 @@ impl Pipeline {
             }
             _ => {}
         }
-        let elapsed = share + out.children.iter().map(|c| c.elapsed).sum::<Duration>();
-        ran.mark(out.stats(label, rows_out, elapsed, 0))
+        let mut stats = out.stats(label, rows_out);
+        stats.workers = stats.workers.max(ran.workers);
+        stats.morsels = stats.morsels.max(ran.morsels);
+        stats
     }
 }
 
-/// Push `row` through `steps` (each with its scratch) into `sink`, counting
-/// the rows each step but the last hands on.
-fn drive(
-    steps: &[&Step],
-    scratch: &mut [Scratch],
-    counts: &mut [usize],
-    row: &[Value],
-    sink: &mut Sink,
-) -> Result<()> {
-    let ([step, above @ ..], [own, scratch @ ..]) = (steps, scratch) else {
+/// One step on a source's way to the breaker, with its working state for one
+/// run and the rows it handed on.
+struct Link<'p> {
+    step: &'p Step,
+    scratch: Scratch,
+    rows: usize,
+    node: usize,
+}
+
+/// Push `row` through the steps of `chain`, the lowest last, into `sink`.
+fn drive(chain: &mut [Link], row: &[Value], sink: &mut Sink) -> Result<()> {
+    let [above @ .., Link {
+        step,
+        scratch,
+        rows,
+        ..
+    }] = chain
+    else {
         return sink(row);
     };
-    let [count, counts @ ..] = counts else {
-        return step.row(row, own, sink);
-    };
-    step.row(row, own, &mut |row| {
-        *count += 1;
-        drive(above, scratch, counts, row, sink)
+    step.row(row, scratch, &mut |row| {
+        *rows += 1;
+        drive(above, row, sink)
     })
 }
 
@@ -1242,41 +1295,6 @@ impl<P: Partial> Folded<P> {
     }
 }
 
-/// How a pipeline ran, for its operators' stats.
-struct Ran {
-    elapsed: Duration,
-    /// Rows its sources held, all together.
-    rows: usize,
-    workers: usize,
-    morsels: usize,
-}
-
-impl Ran {
-    /// A source's share of the run's time, by the rows it held.
-    fn share(&self, rows: usize) -> Duration {
-        match self.rows {
-            0 => Duration::ZERO,
-            all => self.elapsed.mul_f64(rows as f64 / all as f64),
-        }
-    }
-
-    fn mark(&self, mut stats: OpStats) -> OpStats {
-        stats.workers = stats.workers.max(self.workers);
-        stats.morsels = stats.morsels.max(self.morsels);
-        stats
-    }
-}
-
-impl NodeOut {
-    /// A copy of what the operator recorded, for a stats record.
-    fn copy(&self) -> NodeOut {
-        NodeOut {
-            children: self.children.clone(),
-            ..*self
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
@@ -1337,8 +1355,8 @@ mod tests {
         }
     }
 
-    /// Both drivers of the one per-row function: pushed, and pipeline
-    /// morsels (a source past the fan-out threshold fans out).
+    /// Parallelism 1, and parallelism 4, where a pipeline whose sources pass
+    /// the fan-out threshold fans out (not under Miri).
     fn contexts() -> Vec<ExecContext> {
         let mut ctxs = vec![ExecContext::serial()];
         if !cfg!(miri) {
@@ -1501,12 +1519,15 @@ mod tests {
     }
 
     #[test]
-    fn a_build_left_probe_runs_the_same_pushed_and_over_morsels() {
+    fn a_build_left_probe_runs_the_same_at_parallelism_1_and_4() {
         let (plan, want) = a_build_left_join(600);
         assert!(want.len() > 30);
-        for ctx in contexts() {
-            assert_eq!(ints(&ctx.execute(&plan).unwrap()), want);
-        }
+        let runs: Vec<_> = contexts()
+            .into_iter()
+            .map(|ctx| ints(&ctx.execute(&plan).unwrap()))
+            .collect();
+        assert_eq!(runs[0], want);
+        assert!(runs.iter().all(|run| *run == runs[0]));
     }
 
     #[test]
@@ -1613,7 +1634,7 @@ mod tests {
         let plan = hash_join(scan(&[&[7, 0]]), scan(&build), JoinKind::Inner, None);
         let ctx = ExecContext::serial().with_deadline(Instant::now() + Duration::from_millis(50));
         let mut handed = 0usize;
-        let err = push(&plan, &ctx, &mut |_| {
+        let err = hold(&plan, &ctx, &mut NodeOut::new(), &mut |_| {
             if handed == 0 {
                 std::thread::sleep(Duration::from_millis(60));
             }
@@ -1791,11 +1812,11 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
-    fn a_pipeline_over_a_union_fans_out_and_matches_the_pushed_run() {
+    fn a_pipeline_over_a_union_fans_out_and_matches_the_serial_run() {
         // Two 10,000-row arms — past the fan-out threshold together — probe
         // a collected 97-row dimension and cross a one-row input into a
         // group table: rows, group order, every operator's counts and the
-        // rows held are the same pushed and over morsels.
+        // rows held are the same at parallelism 1 and over morsels at 4.
         let arm = PhysPlan::Project {
             input: Box::new(numbered(10_000, 97)),
             exprs: vec![PhysExpr::Column(1), PhysExpr::Column(0)],
@@ -1852,7 +1873,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
     fn an_error_is_the_earliest_failing_morsels_at_every_parallelism() {
         // A projection raises at row 15,000 (10 / 0) and the aggregate above
-        // it at row 100 (the SUM of a text value). Pushed, row 100 raises
+        // it at row 100 (the SUM of a text value). Serially, row 100 raises
         // first; over morsels its morsel is the earliest that fails, so the
         // aggregate's error is reported there too.
         let mut rows: Vec<Row> = (0..20_000)
@@ -1888,9 +1909,9 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
-    fn a_slot_filled_pushed_is_read_over_morsels() {
+    fn a_slot_filled_serially_is_read_over_morsels() {
         // A shared subplan over a 20,000-row filter, read twice by one
-        // aggregate: the slot fills pushed, held once, and the 39,986 rows
+        // aggregate: the slot fills serially, held once, and the 39,986 rows
         // of its two references fan out into the group table.
         let input = PhysPlan::Filter {
             input: Box::new(numbered(20_000, 7)),
@@ -1912,6 +1933,7 @@ mod tests {
                 vec![Some(g), Some(2 * count), Some(2 * sum)]
             })
             .collect();
+        let mut shapes = Vec::new();
         for ctx in contexts() {
             let parallel = ctx.parallel();
             let (ctx, telemetry) = counted(ctx);
@@ -1920,7 +1942,12 @@ mod tests {
             assert_eq!(telemetry.rows_materialized.get(), 19_993);
             assert_eq!(telemetry.shared_reuses.get(), 1);
             assert_eq!(fanned_out(&stats), parallel);
+            // The filter under the slot ran serially, as the slot holds it.
+            let filled = stats.find("Shared cte=c refs=2").expect("the slot");
+            assert!(!fanned_out(&filled.children[0]), "{filled:#?}");
+            shapes.push(shape(&stats));
         }
+        assert!(shapes.iter().all(|shape| *shape == shapes[0]));
     }
 
     #[test]
@@ -1968,6 +1995,99 @@ mod tests {
             );
             assert_eq!(telemetry.join_probe_rows_pruned.get(), 20_000);
             assert_eq!(fanned_out(&stats), parallel);
+        }
+    }
+
+    /// A 10,000-row table probing a collected 97-row dimension, each row
+    /// matching one: past the fan-out threshold.
+    fn a_large_join() -> PhysPlan {
+        let dim = PhysPlan::Filter {
+            input: Box::new(numbered(97, 97)),
+            predicate: PhysExpr::Literal(Value::Int(1)),
+        };
+        let probe = PhysPlan::Project {
+            input: Box::new(numbered(10_000, 97)),
+            exprs: vec![PhysExpr::Column(1), PhysExpr::Column(0)],
+        };
+        hash_join(probe, dim, JoinKind::Inner, None)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
+    fn only_a_breaker_that_folds_its_input_fans_it_out() {
+        // At parallelism 4 the same 10,000-row join fans out into a group
+        // table, but runs serially into the rows a sort or a shared slot
+        // holds; the slot's own 10,000 rows fan out into the group table
+        // that reads them.
+        let sorted = PhysPlan::Sort {
+            input: Box::new(a_large_join()),
+            keys: vec![(PhysExpr::Column(1), true)],
+        };
+        let count = |input| aggregate(input, vec![], vec![(AggregateFunc::Count, None)]);
+        let grouped = count(a_large_join());
+        let slot = count(shared(a_large_join(), 1));
+        for ctx in contexts() {
+            let parallel = ctx.parallel();
+            let join_of = |plan: &PhysPlan| {
+                let (_, stats) = ctx.execute_with_stats(plan).unwrap();
+                let join = stats.find("HashJoin").expect("a hash join ran").clone();
+                (stats, join)
+            };
+            let (_, join) = join_of(&sorted);
+            assert!(!fanned_out(&join), "a sort input: {join:#?}");
+            let (_, join) = join_of(&grouped);
+            assert_eq!(fanned_out(&join), parallel, "a group-by input: {join:#?}");
+            let (stats, join) = join_of(&slot);
+            assert!(!fanned_out(&join), "a slot's input: {join:#?}");
+            assert_eq!(stats.workers > 1, parallel, "the slot's rows: {stats:#?}");
+        }
+    }
+
+    #[test]
+    fn a_hash_joins_build_side_charge_shows_on_its_own_record_under_any_breaker() {
+        // The same join under a group-by, a sort and a top-k: its record
+        // shows the charge of its hash table, the same under each, and the
+        // top-k's record contains it beside the rows the top-k holds.
+        let (join, _) = a_build_left_join(600);
+        let join = PhysPlan::Project {
+            input: Box::new(join),
+            exprs: vec![PhysExpr::Column(3), PhysExpr::Column(0)],
+        };
+        let sorted = PhysPlan::Sort {
+            input: Box::new(join.clone()),
+            keys: vec![(PhysExpr::Column(0), false)],
+        };
+        let plans = [
+            aggregate(
+                join,
+                vec![PhysExpr::Column(0)],
+                vec![(AggregateFunc::Count, None)],
+            ),
+            sorted.clone(),
+            PhysPlan::Limit {
+                input: Box::new(sorted),
+                limit: Some(3),
+                offset: 0,
+            },
+        ];
+        for ctx in contexts() {
+            let records: Vec<(OpStats, OpStats)> = plans
+                .iter()
+                .map(|plan| {
+                    let (_, stats) = ctx.execute_with_stats(plan).unwrap();
+                    let join = stats.find("HashJoin").expect("a hash join ran").clone();
+                    (stats, join)
+                })
+                .collect();
+            let charged = records[0].1.mem_bytes;
+            assert!(charged > 0, "{:#?}", records[0].1);
+            for (stats, join) in &records {
+                assert_eq!(join.mem_bytes, charged, "{stats:#?}");
+            }
+            let (top_k, _) = &records[2];
+            let top_k = top_k.find("Sort").expect("the top-k");
+            assert!(top_k.label.contains("top-k"), "{}", top_k.label);
+            assert!(top_k.mem_bytes > charged, "{top_k:#?}");
         }
     }
 }

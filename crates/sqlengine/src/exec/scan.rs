@@ -1,7 +1,7 @@
 //! Scan-side operators: index lookups and the Filter/Project stage.
 //!
-//! A base-table scan streams the snapshot's own rows (the dispatcher's
-//! [`super::emit`]); an index scan streams the rows at its positions. A
+//! A base-table scan is a pipeline source that streams the snapshot's own
+//! rows; an index scan streams the rows at its positions. A
 //! `Filter` or `Project` is one [`StageSpec`] whose per-row function passes a
 //! kept row on unchanged or evaluates the projection into one reused buffer,
 //! so a `Scan → Filter → Project` chain copies each surviving value once, at
@@ -14,12 +14,10 @@ use crate::expr::{unshared_literals, PhysExpr};
 use crate::plan::{IndexRef, PhysPlan};
 use crate::value::{Row, Value};
 
-use super::{ExecContext, NodeOut, RowOp, Sink};
+use super::{ExecContext, NodeOut, Sink};
 
 /// One owned Filter/Project stage (owned so a pipeline's workers can hold
-/// it; the clone happens once per operator per query, not per row). Shared
-/// with the vectorized kernels in [`super::vector`], which run the same
-/// stages over columnar chunks.
+/// it; the clone happens once per operator per query, not per row).
 pub(super) enum StageSpec {
     Filter(PhysExpr),
     Project(Vec<PhysExpr>),
@@ -52,13 +50,10 @@ impl StageSpec {
             }
         }
     }
-}
 
-impl RowOp for StageSpec {
-    /// A projection's output row, rebuilt in place for every input row.
-    type Scratch = Vec<Value>;
-
-    fn row(&self, row: &[Value], out: &mut Vec<Value>, sink: &mut Sink) -> Result<()> {
+    /// Pass `row` on if it passes the filter, or its projection, rebuilt in
+    /// `out` for every input row.
+    pub(super) fn row(&self, row: &[Value], out: &mut Vec<Value>, sink: &mut Sink) -> Result<()> {
         match self {
             StageSpec::Filter(pred) => {
                 if pred.eval(row)?.as_bool()? == Some(true) {

@@ -1,10 +1,9 @@
 //! Set operations and row-count operators: `LIMIT`/`OFFSET`, `UNION ALL`,
 //! `DISTINCT`.
 //!
-//! `LIMIT` and `UNION ALL` stream when pushed: a limit passes on the rows of
-//! its window as they arrive, a union pushes each arm in turn into the same
-//! sink (inside a pipeline, a union's arms are the pipeline's sources).
-//! `DISTINCT` (which also implements `UNION` dedup — the planner lowers
+//! A `LIMIT` passes on the rows of its window as its input's pipeline hands
+//! them to it; a `UNION ALL` is a pipeline's step whose arms are that
+//! pipeline's sources ([`super::Pipeline`]). `DISTINCT` (which also implements `UNION` dedup — the planner lowers
 //! `UNION` to `Distinct` over `UnionAll`) is a pipeline's breaker: each
 //! partial keeps the first occurrence of every row its morsel saw, in order,
 //! and the partials fold into the first in morsel order, which keeps the
@@ -41,24 +40,12 @@ pub(crate) fn limit(
         }
         Ok(())
     };
-    let stats = match (input, limit) {
-        (PhysPlan::Sort { .. }, Some(_)) => super::sort::top_k(input, end, ctx, &mut window)?,
-        _ => super::push(input, ctx, &mut window)?,
-    };
     let mut node = NodeOut::new();
-    node.child(stats);
-    Ok(node)
-}
-
-/// `UNION ALL`: each arm, in order, into the one sink.
-pub(crate) fn union_all(
-    inputs: &[PhysPlan],
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
-    let mut node = NodeOut::new();
-    for input in inputs {
-        node.child(super::push(input, ctx, sink)?);
+    match (input, limit) {
+        (PhysPlan::Sort { .. }, Some(_)) => {
+            node.child(super::sort::top_k(input, end, ctx, &mut window)?);
+        }
+        _ => super::hold(input, ctx, &mut node, &mut window)?,
     }
     Ok(node)
 }
@@ -66,12 +53,13 @@ pub(crate) fn union_all(
 pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
     let mut node = NodeOut::new();
     let budget = Arc::clone(ctx.budget());
-    let run = super::pipeline(input, ctx, &mut node, move |_| Firsts {
+    let run = super::fold(input, ctx, &mut node, move |_| Firsts {
         rows: Vec::new(),
         buckets: HashMap::default(),
         charge: ChargeBuf::new(&budget),
     });
-    // The rows before an error are handed on before it, as when pushed.
+    // The rows before an error are handed on before it, as a serial run
+    // would.
     super::emit(run.part.rows.iter(), ctx, sink)?;
     run.error.map_or(Ok(node), Err)
 }

@@ -13,7 +13,6 @@
 //! produce.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::ast::WindowFunc;
 use crate::error::Result;
@@ -175,10 +174,14 @@ pub(crate) fn top_k(
     ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<Option<OpStats>> {
+    let label = || format!("{} (top-k, k={k})", op_label(plan));
+    super::recorded(ctx, label, sink, |sink| top_k_rows(plan, k, ctx, sink))
+}
+
+fn top_k_rows(plan: &PhysPlan, k: usize, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
     let PhysPlan::Sort { input, keys } = plan else {
         unreachable!("top_k is only called on Sort nodes");
     };
-    let start = ctx.stats_enabled().then(Instant::now);
     let mut node = NodeOut::new();
     let rows = super::run_input(input, ctx, &mut node)?;
 
@@ -190,16 +193,7 @@ pub(crate) fn top_k(
     keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
     keyed.truncate(k);
     super::emit(keyed.iter().map(|(_, i)| rows.row(*i)), ctx, sink)?;
-    Ok(start.map(|t| OpStats {
-        label: format!("{} (top-k, k={k})", op_label(plan)),
-        rows_in: node.rows_in,
-        rows_out: keyed.len(),
-        elapsed: t.elapsed(),
-        workers: 1,
-        morsels: 1,
-        mem_bytes: 0,
-        children: node.children,
-    }))
+    Ok(node)
 }
 
 pub(crate) fn window_rank(

@@ -167,6 +167,32 @@ fn child_span_durations_sum_within_parent_duration() {
     }
 }
 
+/// A hash join books its build side's charges itself, so its span carries
+/// `peak_mem_bytes` whichever breaker reads it: a group table, whose input
+/// can fan out, or a sort, whose input never does.
+#[test]
+fn a_hash_join_span_carries_its_build_memory_under_a_group_by_and_a_sort() {
+    let db = seeded_db(
+        EngineConfig::default().with_trace_sampling(always_on()),
+        500,
+    );
+    let join = "FROM t a JOIN (SELECT g, x FROM t WHERE x < 400) b ON a.g = b.g";
+    for sql in [
+        format!("SELECT a.g, COUNT(*) {join} GROUP BY a.g"),
+        format!("SELECT a.g, b.x {join} ORDER BY a.g, b.x"),
+    ] {
+        db.query(&sql).unwrap();
+        let trace = db.telemetry().traces().pop().expect("kept at rate 1.0");
+        let span = trace.spans.iter().find(|s| s.name == "HashJoin");
+        let span = span.unwrap_or_else(|| panic!("no HashJoin span for {sql}"));
+        assert!(
+            span.attrs_text().contains("peak_mem_bytes="),
+            "{sql}: {}",
+            span.attrs_text()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The paper's training statement: INSERT … SELECT … ON CONFLICT DO UPDATE
 // ---------------------------------------------------------------------
