@@ -424,7 +424,7 @@ fn materialized(db: &Database, sql: &str) -> (u64, String) {
 /// orders and the one-row `abh` — no feature row. A single-item predict, a
 /// local explanation, `partial_fit` and `deploy` build every hash join on
 /// its right input, and each star arm filters its scan by the items' keys
-/// (`probe=keyset(vectorized)`), which is what makes a single-item predict
+/// (`probe=keyset(index)`), which is what makes a single-item predict
 /// cheap.
 #[test]
 fn a_deployed_predict_all_hashes_its_weights_and_training_builds_right() {
@@ -437,7 +437,7 @@ fn a_deployed_predict_all_hashes_its_weights_and_training_builds_right() {
     flat.deploy().unwrap();
     let batch: Vec<Value> = (0..64).map(|i| Value::Int(3 + i * 4)).collect();
     let count = |plan: &str, label: &str| plan.lines().filter(|l| l.contains(label)).count();
-    let keyset_arm = "build=right] probe=keyset(vectorized)";
+    let keyset_arm = "build=right] probe=keyset(index)";
 
     for (db, model, spec, fit) in [
         (&star_db, &star, arms(), train(1, DOCS)),

@@ -552,7 +552,7 @@ fn star_predict_joins_below_each_arms_projection() {
             index_joined += 1;
         } else {
             assert!(
-                join.label.contains("probe=keyset(vectorized)"),
+                join.label.contains("probe=keyset(index)"),
                 "an arm without an index filters its scan by the item keys:\n{rendered}"
             );
             let scanned = join.children[0].rows_out;

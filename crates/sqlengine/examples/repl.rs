@@ -5,7 +5,9 @@
 //! Reads stdin; a statement ends at a `;` that ends a line. A line holding
 //! several statements (`BEGIN; …; COMMIT;`) runs as one script. `--trace`
 //! samples every statement into `sys.trace_spans`; `--db` opens a durable
-//! database (fsync per commit) instead of an in-memory one.
+//! database (fsync per commit) instead of an in-memory one; `--vectorized
+//! off` makes every key-filtered hash join probe row by row instead of
+//! through a derived index.
 
 use std::io::BufRead;
 

@@ -7,9 +7,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::column::ChunkSlot;
 use crate::error::{EngineError, Result};
-use crate::value::{DataType, Row, Value};
+use crate::sync::Mutex;
+use crate::value::{DataType, Row, Value, ValueHash};
 
 /// A column of a table schema.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,9 +74,121 @@ pub struct SecondaryIndex {
     pub map: Arc<HashMap<Vec<Value>, Vec<usize>>>,
 }
 
+/// A derived index of one column of one row snapshot: each non-NULL value
+/// maps to the ascending positions of the rows holding it. Values are keyed
+/// by the hash join's own equality, under which `Int(2)` is `Float(2.0)`.
+#[derive(Debug)]
+pub(crate) struct KeyIndex {
+    rows: usize,
+    map: HashMap<Value, Vec<u32>, ValueHash>,
+}
+
+impl KeyIndex {
+    fn build(rows: &[Row], column: usize) -> KeyIndex {
+        let mut index = KeyIndex {
+            rows: 0,
+            map: HashMap::default(),
+        };
+        for row in rows {
+            index.push(row, column);
+        }
+        index
+    }
+
+    fn push(&mut self, row: &Row, column: usize) {
+        let at = u32::try_from(self.rows).expect("a derived index holds under 2^32 rows");
+        self.rows += 1;
+        match &row[column] {
+            Value::Null => {}
+            value => match self.map.get_mut(value) {
+                Some(positions) => positions.push(at),
+                None => {
+                    self.map.insert(value.clone(), vec![at]);
+                }
+            },
+        }
+    }
+
+    /// Rows in the snapshot it indexes.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Positions of the rows holding a value equal to `key`, ascending.
+    pub(crate) fn get(&self, key: &Value) -> &[u32] {
+        self.map.get(key).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A table's derived key indexes ([`KeyIndex`]), by column: built on first
+/// use by a key-filtered hash join, never snapshotted or logged, so recovery
+/// starts without them.
+///
+/// A slot is shared only between table values and plan snapshots holding
+/// *identical* rows: every mutation of `rows` gives the table a slot of its
+/// own again ([`DerivedIndexes::append`], [`DerivedIndexes::reset`]), so a
+/// stale plan always sees indexes of the rows it captured, never of newer
+/// ones.
+#[derive(Debug, Clone, Default)]
+pub struct DerivedIndexes(Arc<Mutex<BuiltIndexes>>);
+
+/// The built indexes of a [`DerivedIndexes`] slot, by column.
+pub(crate) type BuiltIndexes = Vec<(usize, Arc<KeyIndex>)>;
+
+impl DerivedIndexes {
+    /// The index of `column`, building it from `rows` on first use. Callers
+    /// must pass the rows snapshot this slot was captured with.
+    pub(crate) fn get_or_build(&self, rows: &[Row], column: usize) -> Arc<KeyIndex> {
+        let mut built = self.0.lock();
+        if let Some((_, index)) = built.iter().find(|(c, _)| *c == column) {
+            return Arc::clone(index);
+        }
+        let index = Arc::new(KeyIndex::build(rows, column));
+        built.push((column, Arc::clone(&index)));
+        index
+    }
+
+    /// The built indexes by column, without building any.
+    pub(crate) fn built(&self) -> BuiltIndexes {
+        self.0.lock().clone()
+    }
+
+    /// Carry the built indexes forward over `row`, appended to the rows
+    /// this slot describes; an unbuilt slot stays unbuilt. A slot a plan or
+    /// another table value shares gives its indexes up to a fresh slot for
+    /// the table, and rebuilds from its own rows if they are probed again (a
+    /// stale plan, a rolled-back transaction). Each index is extended in
+    /// place, so a bulk insert stays linear, unless a running statement
+    /// holds it: then it is dropped, for the next key-filtered join to
+    /// rebuild.
+    pub(crate) fn append(&mut self, row: &Row) {
+        if Arc::get_mut(&mut self.0).is_none() {
+            let taken = std::mem::take(&mut *self.0.lock());
+            self.0 = Arc::new(Mutex::new(taken));
+        }
+        let own = Arc::get_mut(&mut self.0).expect("the table's own slot");
+        own.get_mut()
+            .retain_mut(|(column, index)| match Arc::get_mut(index) {
+                Some(index) => {
+                    index.push(row, *column);
+                    true
+                }
+                None => false,
+            });
+    }
+
+    /// Drop every index: the rows changed in place. A slot nobody else
+    /// holds is cleared, a shared one replaced by a fresh slot.
+    pub(crate) fn reset(&mut self) {
+        match Arc::get_mut(&mut self.0) {
+            Some(own) => own.get_mut().clear(),
+            None => *self = DerivedIndexes::default(),
+        }
+    }
+}
+
 /// A table: schema, rows, optional primary-key index, secondary indexes,
-/// and the lazily built columnar image of `rows` (derived state — never
-/// snapshotted or logged; see [`crate::column`]).
+/// and the derived key indexes of `rows` ([`DerivedIndexes`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     pub name: String,
@@ -84,11 +196,8 @@ pub struct Table {
     pub rows: Arc<Vec<Row>>,
     pub primary: Option<UniqueIndex>,
     pub secondary: Vec<SecondaryIndex>,
-    /// Columnar chunk cache for the *current* `rows`. Invariant: every
-    /// mutation of `rows` installs a fresh slot (appends carry built chunks
-    /// forward; everything else resets), so a slot shared with a plan
-    /// snapshot always describes the rows Arc captured alongside it.
-    pub chunks: ChunkSlot,
+    /// Derived key indexes of the *current* `rows`.
+    pub derived: DerivedIndexes,
 }
 
 impl Table {
@@ -117,7 +226,7 @@ impl Table {
             rows: Arc::new(Vec::new()),
             primary,
             secondary: Vec::new(),
-            chunks: ChunkSlot::empty(),
+            derived: DerivedIndexes::default(),
         })
     }
 
@@ -171,16 +280,6 @@ impl Table {
         Ok(())
     }
 
-    /// Observed columnar state as `(chunk_count, dict_columns)` — both zero
-    /// until a key-filtered hash join first builds the chunks (chunks are lazy,
-    /// and this reports without forcing a build).
-    pub fn chunk_stats(&self) -> (usize, usize) {
-        match self.chunks.peek() {
-            Some(ct) => (ct.chunk_count(), ct.dict_columns()),
-            None => (0, 0),
-        }
-    }
-
     /// Coerce a row to the declared column types (lenient, SQLite-style).
     fn coerce(&self, mut row: Row) -> Result<Row> {
         if row.len() != self.schema.len() {
@@ -228,7 +327,7 @@ impl Table {
             Arc::make_mut(&mut primary.map).insert(key, self.rows.len());
         }
         let idx = self.rows.len();
-        self.chunks = self.chunks.appended(&row);
+        self.derived.append(&row);
         Arc::make_mut(&mut self.rows).push(row.clone());
         for index in &mut self.secondary {
             let key: Vec<Value> = index.key_columns.iter().map(|&i| row[i].clone()).collect();
@@ -277,7 +376,7 @@ impl Table {
             }
             map.entry(new_key).or_default().push(idx);
         }
-        self.chunks = ChunkSlot::empty();
+        self.derived.reset();
         Arc::make_mut(&mut self.rows)[idx] = row;
         Ok(())
     }
@@ -324,7 +423,7 @@ impl Table {
                 }
             }
         }
-        self.chunks = ChunkSlot::empty();
+        self.derived.reset();
         let rows = Arc::make_mut(&mut self.rows);
         let mut keep = vec![true; rows.len()];
         for &i in &idxs {
@@ -672,6 +771,66 @@ mod tests {
         assert_eq!(t.primary.as_ref().unwrap().map.len(), 2);
         let total: usize = t.secondary[0].map.values().map(Vec::len).sum();
         assert_eq!(total, 2);
+    }
+
+    fn int_table(n: i64) -> Table {
+        let mut t = Table::new("c".into(), schema_jk(), &[]).unwrap();
+        for i in 0..n {
+            let row = vec![Value::text(format!("x{i}")), Value::Int(i % 4), Value::Null];
+            t.insert_row(row, None).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn derived_index_is_built_lazily_and_carried_forward_in_place() {
+        let mut t = int_table(10);
+        assert!(t.derived.built().is_empty(), "inserts build nothing");
+        let built = t.derived.get_or_build(&t.rows, 1);
+        assert_eq!(built.rows(), 10);
+        assert_eq!(built.get(&Value::Int(2)), &[2, 6]);
+        assert!(Arc::ptr_eq(&built, &t.derived.get_or_build(&t.rows, 1)));
+        // Held by a reader, the index is dropped rather than copied.
+        t.insert_row(vec![Value::text("y"), Value::Int(2), Value::Null], None)
+            .unwrap();
+        assert!(t.derived.built().is_empty());
+        assert_eq!(built.rows(), 10, "the reader's index is left intact");
+        drop(built);
+        // Held by nobody else, it is extended in place.
+        let slot = Arc::as_ptr(&t.derived.0);
+        t.derived.get_or_build(&t.rows, 1);
+        t.insert_row(vec![Value::text("z"), Value::Int(2), Value::Null], None)
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&t.derived.0), slot);
+        let carried = t.derived.built();
+        assert_eq!(carried.len(), 1);
+        assert_eq!(carried[0].1.rows(), 12);
+        assert_eq!(carried[0].1.get(&Value::Int(2)), &[2, 6, 10, 11]);
+        // Rows changed in place drop every index.
+        t.replace_row(0, vec![Value::text("x0"), Value::Int(3), Value::Null])
+            .unwrap();
+        assert!(t.derived.built().is_empty());
+        t.derived.get_or_build(&t.rows, 1);
+        t.delete_rows(vec![1]).unwrap();
+        assert!(t.derived.built().is_empty());
+    }
+
+    #[test]
+    fn derived_index_of_an_old_slot_rebuilds_from_its_own_rows() {
+        let mut t = int_table(8);
+        t.derived.get_or_build(&t.rows, 1);
+        // A snapshot (a plan, or the catalog a ROLLBACK restores) shares the
+        // slot; an append carries the index forward into a fresh slot.
+        let old = t.clone();
+        t.insert_row(vec![Value::text("n"), Value::Int(1), Value::Null], None)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&old.derived.0, &t.derived.0));
+        assert_eq!(t.derived.built()[0].1.rows(), 9);
+        assert!(old.derived.built().is_empty(), "the old slot gave it up");
+        let rebuilt = old.derived.get_or_build(&old.rows, 1);
+        assert_eq!(rebuilt.rows(), 8);
+        assert_eq!(rebuilt.get(&Value::Int(1)), &[1, 5]);
+        assert_eq!(t.derived.built()[0].1.get(&Value::Int(1)), &[1, 5, 8]);
     }
 
     #[test]

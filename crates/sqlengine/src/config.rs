@@ -73,10 +73,13 @@ pub struct EngineConfig {
     pub slow_query_threshold: Duration,
     /// Number of statements retained by the `sys.query_log` ring buffer.
     pub query_log_capacity: usize,
-    /// Attach columnar chunk images to base-table scans so a hash join
-    /// filters its probe scan by its build keys. Disable to make every hash
-    /// join probe row by row — the executor produces identical results
-    /// either way, which is what the differential test suites assert.
+    /// Scans carry their table's derived-index slot, so a hash join with few
+    /// build keys finds the rows of the table it probes through a derived
+    /// index of the probed column (`probe=keyset(index)`). Disable to make
+    /// every such join probe row by row (`probe=keyset(row)`): the results
+    /// are identical either way, which the differential suites assert, and
+    /// the benchmark's `sqlengine.column.vectorized_speedup` times the one
+    /// against the other.
     pub vectorized: bool,
     /// Run the post-planning static plan verifier (see [`crate::verify`]) on
     /// every plan — freshly planned or served from the cache — and fail the
@@ -247,8 +250,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style toggle of the chunk images the hash join's key filter
-    /// reads.
+    /// Builder-style toggle of the derived indexes the hash join's key
+    /// filter reads (see [`EngineConfig::vectorized`]).
     pub fn with_vectorized(mut self, on: bool) -> Self {
         self.vectorized = on;
         self

@@ -932,15 +932,16 @@ impl Database {
     }
 
     /// Count how many hash joins of an executed plan probe a base-table scan
-    /// through the chunk key filter vs row by row (surfaced as
-    /// `exec.vectorized_ops` / `exec.row_ops` in `sys.metrics`).
+    /// through its derived index vs row by row (surfaced as
+    /// `exec.keyset_index_probes` / `exec.keyset_row_probes` in
+    /// `sys.metrics`).
     fn record_plan_modes(&self, plan: &PhysPlan) {
         if !self.telemetry.enabled() {
             return;
         }
-        let (vectorized, row) = crate::exec::count_modes(plan);
-        self.telemetry.vectorized_ops.add(vectorized);
-        self.telemetry.row_ops.add(row);
+        let (index, row) = crate::exec::count_modes(plan);
+        self.telemetry.keyset_index_probes.add(index);
+        self.telemetry.keyset_row_probes.add(row);
     }
 
     /// The execution context queries run under: the configured parallelism

@@ -110,7 +110,7 @@ pub enum EngineError {
     /// may not be durable.
     Wal(String),
     /// The post-planning static verifier rejected a physical plan: some
-    /// cross-layer invariant (output schema, index keys, vectorized-mode
+    /// cross-layer invariant (output schema, index keys, derived-index
     /// labels, parameter slots, merge determinism) does not hold. Carries
     /// the span of the statement the plan was built for, so diagnostics can
     /// point back at the source text.

@@ -91,8 +91,8 @@ impl AggState {
     }
 
     /// Fold another partial state for the same aggregate into `self`.
-    /// `other` must come from a later chunk, so float partial sums are
-    /// combined left-to-right in chunk order.
+    /// `other` must come from a later morsel, so float partial sums are
+    /// combined left-to-right in morsel order.
     pub(super) fn merge(&mut self, other: AggState) {
         match (&mut *self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,

@@ -42,9 +42,9 @@ use crate::value::{Row, Value};
 /// architecture").
 pub(crate) const FAN_OUT_ROWS: usize = 2 * MORSEL_ROWS;
 
-/// Rows per morsel (4 chunks). Fixed, so that morsel boundaries — and with
-/// them the order float partial sums combine in — are the same at every
-/// parallelism above 1.
+/// Rows per morsel, held rows or a key-filtered probe's table. Fixed, so
+/// that morsel boundaries — and with them the order float partial sums
+/// combine in — are the same at every parallelism above 1.
 pub(crate) const MORSEL_ROWS: usize = 4096;
 
 /// Operators accumulate charge amounts locally and flush them to the shared

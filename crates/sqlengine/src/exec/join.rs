@@ -20,12 +20,13 @@
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
-//! in one reused buffer. When the probe child is a bare base-table scan with
-//! a columnar image, an INNER join on one bare column against a small build
-//! side goes further and filters whole chunks by the build side's key set
-//! ([`super::vector::key_filter`]) before touching any row: all chunks up
-//! front, once the table is built, and the rows it kept ([`Candidates`])
-//! are the source of the probe's pipeline.
+//! in one reused buffer. When the probe child is a bare base-table scan that
+//! carries its table's derived-index slot, an INNER join on one bare column
+//! against a small build side goes further: it looks each distinct build key
+//! up in a derived index of the probed column ([`KeyIndex`], built on first
+//! use), so rows the join would discard are never touched, and the rows it
+//! found ([`Candidates`]), in table order, are the source of the probe's
+//! pipeline.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -34,20 +35,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::JoinKind;
-use crate::column::{ChunkedTable, CHUNK_ROWS};
+use crate::catalog::KeyIndex;
 use crate::error::{EngineError, Result};
 use crate::expr::PhysExpr;
-use crate::plan::{IndexRef, JoinInput, PhysPlan};
+use crate::plan::{IndexRef, JoinAlgo, PhysPlan};
 use crate::value::{Row, Value, ValueHash};
 
-use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker};
-use super::vector::{key_filter, KeySet};
+use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker, MORSEL_ROWS};
 use super::{key_of, ExecContext, Held, NodeOut, Sink};
 
-/// The chunk key filter runs only when the probe side holds at least this
-/// many rows per distinct build key: a key set nearly as large as the table
-/// it filters cannot prune enough to pay for building it (and for the
-/// table's columnar image, if nothing else has).
+/// The key filter runs only when the probe side holds at least this many
+/// rows per distinct build key: with nearly as many keys as rows, looking
+/// every key up finds about every row, and saves nothing over probing them
+/// (and over building the column's derived index, if nothing else has).
+/// Decided at run time on the build side's real distinct keys, which no
+/// plan-time estimate knows.
 const KEY_FILTER_SELECTIVITY: usize = 8;
 
 /// A build table: key → build-row indexes, ascending.
@@ -209,61 +211,50 @@ impl Probe {
     }
 }
 
-/// The rows of a key-filtered probe side a probe must look at: the offsets
-/// within its chunk of every row the key filter kept (every row of a chunk
-/// it could not decide: a mixed column, keys of another variant), chunk
-/// after chunk.
+/// The rows of a key-filtered probe side a probe must look at: the
+/// positions of the rows whose key the build side holds, ascending, grouped
+/// by the morsel of [`MORSEL_ROWS`] table rows they fall in.
 pub(super) struct Candidates {
     rows: Arc<Vec<Row>>,
-    offsets: Vec<u32>,
-    /// Where each chunk's offsets end.
-    chunks: Vec<usize>,
+    positions: Vec<u32>,
+    /// Where each morsel's positions end.
+    morsels: Vec<usize>,
 }
 
 impl Candidates {
-    /// Run the key filter over every chunk of `chunked`, the columnar image
-    /// of `rows`, by the build side's `keys` in column `column`: the
-    /// candidates, and how many rows it ruled out.
-    fn filter(
+    /// Look each of the build side's `keys` up in `index`, the derived index
+    /// of `rows`' probed column.
+    fn lookup<'k>(
         rows: &Arc<Vec<Row>>,
-        chunked: &ChunkedTable,
-        column: usize,
-        keys: &KeySet,
-        deadline: Option<Instant>,
-    ) -> Result<(Candidates, usize)> {
-        let (mut offsets, mut pruned) = (Vec::new(), 0);
-        let mut chunks = Vec::with_capacity(chunked.chunk_count());
-        for chunk in chunked.chunks() {
-            check_deadline(deadline)?;
-            let kept = match key_filter(chunk.column(column), keys) {
-                Some(selected) => {
-                    offsets.extend_from_slice(&selected);
-                    selected.len()
-                }
-                None => {
-                    offsets.extend(0..chunk.len() as u32);
-                    chunk.len()
-                }
-            };
-            pruned += chunk.len() - kept;
-            chunks.push(offsets.len());
+        index: &KeyIndex,
+        keys: impl Iterator<Item = &'k Vec<Value>>,
+    ) -> Candidates {
+        let mut positions = Vec::new();
+        for key in keys {
+            positions.extend_from_slice(index.get(&key[0]));
         }
-        let rows = Arc::clone(rows);
-        let candidates = Candidates {
-            rows,
-            offsets,
-            chunks,
-        };
-        Ok((candidates, pruned))
+        positions.sort_unstable();
+        let mut morsels = Vec::with_capacity(rows.len().div_ceil(MORSEL_ROWS));
+        let mut end = 0;
+        for m in 1..=rows.len().div_ceil(MORSEL_ROWS) {
+            end += positions[end..].partition_point(|&at| (at as usize) < m * MORSEL_ROWS);
+            morsels.push(end);
+        }
+        Candidates {
+            rows: Arc::clone(rows),
+            positions,
+            morsels,
+        }
     }
 
-    /// Rows kept, over every chunk.
+    /// Rows found, over every morsel.
     pub(super) fn len(&self) -> usize {
-        self.offsets.len()
+        self.positions.len()
     }
 
-    pub(super) fn chunks(&self) -> usize {
-        self.chunks.len()
+    /// Morsels of the table the candidates were taken from.
+    pub(super) fn morsels(&self) -> usize {
+        self.morsels.len()
     }
 
     /// Rows in the table the candidates were taken from.
@@ -271,40 +262,96 @@ impl Candidates {
         self.rows.len()
     }
 
-    /// Hand on the candidates of chunks `range`, in table order.
+    /// Hand on the candidates of morsels `range`, in table order.
     pub(super) fn emit(
         &self,
         range: Range<usize>,
         deadline: Option<Instant>,
         sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
     ) -> Result<()> {
-        let mut from = range.start.checked_sub(1).map_or(0, |c| self.chunks[c]);
-        for ci in range {
-            check_deadline(deadline)?;
-            let base = ci * CHUNK_ROWS;
-            for &offset in &self.offsets[from..self.chunks[ci]] {
-                sink(&self.rows[base + offset as usize])?;
-            }
-            from = self.chunks[ci];
+        let at = |m: Option<usize>| m.map_or(0, |m| self.morsels[m]);
+        let (from, to) = (at(range.start.checked_sub(1)), at(range.end.checked_sub(1)));
+        let mut ticker = Ticker::default();
+        for &position in &self.positions[from..to] {
+            ticker.tick(deadline)?;
+            sink(&self.rows[position as usize])?;
         }
         Ok(())
     }
 }
 
-/// How the probe side of a hash join will run, from what the operator can
-/// observe of the input it probes ([`PhysPlan::join_sides`]): `Some(true)` =
-/// key filter over chunks, `Some(false)` = row by row straight off a
-/// base-table scan with bare-column keys, `None` = row by row over some
-/// other child. The one statement of that rule — `EXPLAIN` labels, the mode
-/// counters and the executor all read it.
-pub(crate) fn keyset_mode((probe, keys): JoinInput, kind: JoinKind) -> Option<bool> {
-    let PhysPlan::Scan { chunks, .. } = probe else {
+/// Whether the derived index finds every row equal to `key`. Numbers
+/// compare as `f64`, so from 2^53 on one key can equal indexed values that
+/// differ from each other, of which a lookup finds one.
+fn exact_key(key: &[Value]) -> bool {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match key {
+        [Value::Int(i)] => i.unsigned_abs() < 1 << 53,
+        [Value::Float(f)] => f.abs() < EXACT,
+        _ => true,
+    }
+}
+
+/// How a hash join reads the input it probes ([`PhysPlan::join_sides`]),
+/// from what the operator can observe of it: `Some(true)` = through the
+/// probed column's derived index, `Some(false)` = row by row straight off a
+/// base-table scan with bare-column keys, `None` = any other operator, or a
+/// hash join over some other child. The one statement of that rule —
+/// `EXPLAIN` labels, the probe counters and the executor all read it.
+pub(crate) fn node_mode(plan: &PhysPlan) -> Option<bool> {
+    let PhysPlan::HashJoin {
+        kind,
+        algo: JoinAlgo::Hash,
+        ..
+    } = plan
+    else {
+        return None;
+    };
+    let (PhysPlan::Scan { derived, .. }, keys) = plan.join_sides()?.1 else {
         return None;
     };
     if !keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) {
         return None;
     }
-    Some(chunks.is_some() && keys.len() == 1 && kind == JoinKind::Inner)
+    Some(derived.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
+}
+
+/// ` probe=keyset(index)` / ` probe=keyset(row)`: the label suffix of a hash
+/// join saying how it reads the base table it probes; empty for every other
+/// node.
+pub(crate) fn mode_suffix(plan: &PhysPlan) -> &'static str {
+    match node_mode(plan) {
+        Some(true) => " probe=keyset(index)",
+        Some(false) => " probe=keyset(row)",
+        None => "",
+    }
+}
+
+/// Recover the probe mode from a rendered `EXPLAIN` label (the inverse of
+/// [`mode_suffix`]): the tracer derives operator spans from `OpStats`
+/// trees, which carry only the label, and attaches the mode as a typed
+/// span attribute instead of label text.
+pub(crate) fn mode_of_label(label: &str) -> Option<&'static str> {
+    if label.contains(" probe=keyset(index)") {
+        Some("index")
+    } else if label.contains(" probe=keyset(row)") {
+        Some("row")
+    } else {
+        None
+    }
+}
+
+/// Count `(index, row)` keyset probes over the whole plan tree, a shared
+/// subplan's once, for the telemetry registry (`exec.keyset_index_probes` /
+/// `exec.keyset_row_probes`).
+pub(crate) fn count_modes(plan: &PhysPlan) -> (u64, u64) {
+    let mut acc = (0, 0);
+    plan.for_each_node(&mut |node, _, _| match node_mode(node) {
+        Some(true) => acc.0 += 1,
+        Some(false) => acc.1 += 1,
+        None => {}
+    });
+    acc
 }
 
 /// A hash join with its table built, ready to stream its probe side.
@@ -314,8 +361,8 @@ pub(super) struct BuiltJoin<'a> {
     /// probe side's.
     pub(super) build_left: bool,
     pub(super) probe_plan: &'a PhysPlan,
-    /// The rows of the probe side's table the build side's keys kept, when
-    /// they filter its chunk image.
+    /// The rows of the probe side's table the build side's keys found, when
+    /// they were looked up in its derived index.
     pub(super) candidates: Option<Candidates>,
 }
 
@@ -342,25 +389,25 @@ pub(super) fn build_hash_join<'a>(
     let build_rows = super::run_input(build, ctx, node)?;
     let table = hash_build(&build_rows, build_keys, ctx)?;
 
-    let (candidates, pruned) = match probe_side {
+    let candidates = match probe_side {
         (
             PhysPlan::Scan {
                 rows,
-                chunks: Some(slot),
-                width,
+                derived: Some(slot),
+                ..
             },
             [PhysExpr::Column(column)],
-        ) if keyset_mode(probe_side, *kind) == Some(true)
-            && table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len() =>
+        ) if node_mode(join) == Some(true)
+            && table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len()
+            && table.keys().all(|key| exact_key(key)) =>
         {
-            let chunked = slot.get_or_build(rows, *width);
-            let keys = KeySet::of(table.keys());
-            let (candidates, pruned) =
-                Candidates::filter(rows, &chunked, *column, &keys, ctx.deadline())?;
-            (Some(candidates), pruned)
+            let index = slot.get_or_build(rows, *column);
+            check_deadline(ctx.deadline())?;
+            Some(Candidates::lookup(rows, &index, table.keys()))
         }
-        _ => (None, 0),
+        _ => None,
     };
+    let pruned = candidates.as_ref().map_or(0, |c| c.scan_rows() - c.len());
     let probe_op = Probe {
         keys: probe_keys.to_vec(),
         table,
@@ -710,5 +757,118 @@ impl IndexProbe {
     /// Fold a finished run's count of looked-up rows into the total.
     pub(super) fn finish(&self, scratch: IndexScratch) {
         self.fetched.fetch_add(scratch.fetched, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::DerivedIndexes;
+
+    /// The positions of `rows` a full scan finds: a non-NULL value in
+    /// `column` equal to one of `keys`, ascending.
+    fn scanned(rows: &[Row], column: usize, keys: &[Vec<Value>]) -> Vec<u32> {
+        (0..rows.len() as u32)
+            .filter(|&at| {
+                let value = &rows[at as usize][column];
+                keys.iter().any(|key| value.sql_eq(&key[0]) == Some(true))
+            })
+            .collect()
+    }
+
+    /// Candidates of `keys` over `rows`' `column`, as positions and as the
+    /// rows they hand on.
+    fn found(rows: &Arc<Vec<Row>>, column: usize, keys: &[Vec<Value>]) -> Vec<u32> {
+        let index = DerivedIndexes::default().get_or_build(rows, column);
+        let candidates = Candidates::lookup(rows, &index, keys.iter());
+        let mut emitted = Vec::new();
+        let morsels = candidates.morsels();
+        candidates
+            .emit(0..morsels, None, &mut |row| {
+                emitted.push(row.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        let at = &candidates.positions;
+        let want: Vec<Row> = at.iter().map(|&p| rows[p as usize].clone()).collect();
+        assert_eq!(emitted, want, "candidates hand on the rows they found");
+        assert_eq!(candidates.scan_rows(), rows.len());
+        at.clone()
+    }
+
+    fn check(rows: Vec<Row>, column: usize, keys: &[Value]) {
+        let rows = Arc::new(rows);
+        let keys: Vec<Vec<Value>> = keys.iter().map(|k| vec![k.clone()]).collect();
+        let want = scanned(&rows, column, &keys);
+        assert!(!want.is_empty(), "a key must match");
+        assert_eq!(found(&rows, column, &keys), want);
+    }
+
+    #[test]
+    fn derived_index_finds_int_keys_in_table_order() {
+        // Past two morsels, so positions are grouped across boundaries.
+        let rows: Vec<Row> = (0..9_000)
+            .map(|i| vec![Value::Int(i % 97), Value::Int(i)])
+            .collect();
+        check(rows, 0, &[Value::Int(5), Value::Int(96), Value::Int(1_000)]);
+    }
+
+    #[test]
+    fn derived_index_finds_int_keys_among_float_values() {
+        // `Int(2)` and `Float(2.0)` are one join key, whichever variant the
+        // table stores first.
+        let rows: Vec<Row> = (0..300)
+            .map(|i| match i % 3 {
+                0 => vec![Value::Float((i % 7) as f64)],
+                1 => vec![Value::Int(i % 7)],
+                _ => vec![Value::Float(i as f64 + 0.5)],
+            })
+            .collect();
+        check(rows.clone(), 0, &[Value::Int(2), Value::Int(6)]);
+        check(rows, 0, &[Value::Float(3.0), Value::Float(10.5)]);
+    }
+
+    #[test]
+    fn derived_index_finds_text_keys_and_no_numbers() {
+        let rows: Vec<Row> = (0..500)
+            .map(|i| match i % 4 {
+                0 => vec![Value::Int(1)],
+                _ => vec![Value::text(format!("t{}", i % 11))],
+            })
+            .collect();
+        check(rows.clone(), 0, &[Value::text("t3"), Value::text("t1")]);
+        // A string never equals a number.
+        let rows = Arc::new(rows);
+        assert!(found(&rows, 0, &[vec![Value::text("1")]]).is_empty());
+    }
+
+    #[test]
+    fn derived_index_never_holds_null() {
+        let rows: Vec<Row> = (0..200)
+            .map(|i| match i % 5 {
+                0 => vec![Value::Null, Value::Int(i)],
+                _ => vec![Value::Int(i % 3), Value::Null],
+            })
+            .collect();
+        check(rows.clone(), 0, &[Value::Int(0), Value::Int(2)]);
+        let rows = Arc::new(rows);
+        let index = DerivedIndexes::default().get_or_build(&rows, 0);
+        assert!(index.get(&Value::Null).is_empty());
+        assert_eq!(index.rows(), 200);
+        // Row 1's NULL in column 1 is no `Int(1)`.
+        assert!(found(&rows, 1, &[vec![Value::Int(1)]]).is_empty());
+        assert_eq!(found(&rows, 1, &[vec![Value::Int(5)]]), [5]);
+    }
+
+    #[test]
+    fn derived_index_leaves_keys_past_2_pow_53_to_the_row_probe() {
+        // `Float(2^53)` equals both `Int(2^53)` and `Int(2^53 + 1)`, which
+        // differ from each other: a lookup would find one of them.
+        let big = 1i64 << 53;
+        assert!(exact_key(&[Value::Int(big - 1)]));
+        assert!(exact_key(&[Value::text("x")]));
+        assert!(!exact_key(&[Value::Int(big + 1)]));
+        assert!(!exact_key(&[Value::Float(big as f64)]));
+        assert!(!exact_key(&[Value::Float(f64::NAN)]));
     }
 }

@@ -17,7 +17,7 @@
 //! * its *sources*: rows held in full — a base-table scan's snapshot, a
 //!   filled shared slot ([`PhysPlan::Shared`]: the first reference to run
 //!   fills it, the others read it), the rows of a table a hash join's key
-//!   filter kept ([`vector`]) — or rows a source hands on as it makes them:
+//!   filter found ([`join`]) — or rows a source hands on as it makes them:
 //!   an index lookup, a one-row `SELECT`, a breaker's output ([`push`]);
 //! * its *steps*, the streaming operators above the sources: Filter/Project,
 //!   the hash-join probe, the nested-loop and index nested-loop joins,
@@ -67,20 +67,17 @@ mod join;
 mod scan;
 mod setops;
 mod sort;
-mod vector;
 
 pub(crate) use context::check_deadline;
 pub use context::{ExecContext, MemoryBudget, OpStats, WorkerPool};
-pub(crate) use join::keyset_mode;
+pub(crate) use join::{count_modes, mode_of_label, mode_suffix, node_mode};
 pub(crate) use scan::index_positions;
-pub(crate) use vector::{count_modes, mode_of_label, mode_suffix, node_mode};
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::column::CHUNK_ROWS;
 use crate::error::{EngineError, Result};
 use crate::explain::{op_label, reused_label};
 use crate::plan::{JoinAlgo, PhysPlan};
@@ -347,11 +344,14 @@ fn emit_until(
     Ok(())
 }
 
-/// Rows held flat: `width` values per row, in blocks of
-/// [`CHUNK_ROWS`](crate::column::CHUNK_ROWS) rows — one allocation per
-/// block, not per row. How collected rows are held: a shared subplan's slot,
-/// which can be the largest intermediate result of its statement
-/// (`partial_fit`'s `xy_njk`), a build side, a sort input.
+/// Rows per block of [`FlatRows`].
+const BLOCK_ROWS: usize = 1024;
+
+/// Rows held flat: `width` values per row, in blocks of [`BLOCK_ROWS`]
+/// rows — one allocation per block, not per row. How collected rows are
+/// held: a shared subplan's slot, which can be the largest intermediate
+/// result of its statement (`partial_fit`'s `xy_njk`), a build side, a sort
+/// input.
 pub(crate) struct FlatRows {
     width: usize,
     len: usize,
@@ -369,12 +369,12 @@ impl FlatRows {
 
     fn push(&mut self, row: &[Value]) {
         debug_assert_eq!(row.len(), self.width, "a plan's rows have its width");
-        if self.len.is_multiple_of(CHUNK_ROWS) {
+        if self.len.is_multiple_of(BLOCK_ROWS) {
             // The first block grows with its rows: most shared CTEs are
             // small (a star `n_n` holds one row per item).
             let capacity = match self.blocks.is_empty() {
                 true => 0,
-                false => CHUNK_ROWS * self.width,
+                false => BLOCK_ROWS * self.width,
             };
             self.blocks.push(Vec::with_capacity(capacity));
         }
@@ -390,8 +390,8 @@ impl FlatRows {
     }
 
     fn row(&self, i: usize) -> &[Value] {
-        let at = i % CHUNK_ROWS * self.width;
-        &self.blocks[i / CHUNK_ROWS][at..at + self.width]
+        let at = i % BLOCK_ROWS * self.width;
+        &self.blocks[i / BLOCK_ROWS][at..at + self.width]
     }
 }
 
@@ -761,8 +761,8 @@ enum Source<'a> {
     /// filling it ran (`None`: it was filled before) — cut into morsels of
     /// rows.
     Rows(Held, Option<NodeOut>),
-    /// The rows of a table a hash join probes that the key filter kept, cut
-    /// into morsels of chunks.
+    /// The rows of a table a hash join probes that the key filter found,
+    /// cut into morsels of the table's rows.
     Candidates(join::Candidates),
     /// A plan that hands its rows on itself ([`push`]): it runs whole, on
     /// the calling thread.
@@ -770,11 +770,12 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
-    /// How many units it holds (rows or chunks), and how many make a morsel.
+    /// How many units it holds (rows or morsels), and how many make a
+    /// morsel.
     fn units(&self) -> (usize, usize) {
         match self {
             Source::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
-            Source::Candidates(rows) => (rows.chunks(), MORSEL_ROWS / CHUNK_ROWS),
+            Source::Candidates(rows) => (rows.morsels(), 1),
             Source::Pushed(_) => unreachable!("a pushed source is never cut"),
         }
     }
@@ -1314,7 +1315,7 @@ mod tests {
         PhysPlan::Scan {
             width: rows.first().map_or(0, Vec::len),
             rows: Arc::new(rows),
-            chunks: None,
+            derived: None,
         }
     }
 
@@ -1500,7 +1501,7 @@ mod tests {
         let left = PhysPlan::Scan {
             width: 2,
             rows: Arc::new(build),
-            chunks: None,
+            derived: None,
         };
         let probe: Vec<Vec<i64>> = (0..n).map(|i| vec![i % 11, i % 4]).collect();
         let probe: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
@@ -1893,7 +1894,7 @@ mod tests {
             input: Box::new(PhysPlan::Scan {
                 width: 2,
                 rows: Arc::new(rows),
-                chunks: None,
+                derived: None,
             }),
             exprs: vec![PhysExpr::Column(1), ten_over],
         };
@@ -1953,8 +1954,8 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "fans out over 10,000+ rows; run natively")]
     fn a_key_filtered_probe_fans_out_over_its_candidates() {
-        // 1,000 build keys filter a 30,000-row chunked table down to 10,000
-        // candidates, past the fan-out threshold: the joined rows, their
+        // 1,000 build keys find 10,000 rows of a 30,000-row table through
+        // its derived index, past the fan-out threshold: the joined rows, their
         // order and the pruned count match the pushed run.
         let rows: Vec<Row> = (0..30_000)
             .map(|i| vec![Value::Int(i % 3000), Value::Int(i)])
@@ -1962,7 +1963,7 @@ mod tests {
         let probe = PhysPlan::Scan {
             width: 2,
             rows: Arc::new(rows),
-            chunks: Some(crate::column::ChunkSlot::empty()),
+            derived: Some(crate::catalog::DerivedIndexes::default()),
         };
         let keys: Vec<Vec<i64>> = (0..1000).map(|k| vec![k * 3, k]).collect();
         let build = scan(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>());
@@ -1988,8 +1989,7 @@ mod tests {
             assert_eq!(ints(&rows), want);
             let join = stats.find("HashJoin").expect("a hash join ran");
             assert!(
-                join.label
-                    .ends_with("probe=keyset(vectorized) pruned=20000"),
+                join.label.ends_with("probe=keyset(index) pruned=20000"),
                 "{}",
                 join.label
             );

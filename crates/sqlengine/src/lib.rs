@@ -19,16 +19,15 @@
 //!   morsel-driven pipelines over a worker pool (`EngineConfig::parallelism`,
 //!   the host's cores by default), and per-operator runtime statistics
 //!   surfaced through `EXPLAIN ANALYZE`;
-//! * a derived columnar storage layer (`column`): lazily built fixed-size
-//!   chunks of typed column vectors with null masks and per-chunk
-//!   dictionaries for low-cardinality TEXT, which a hash join reads to
-//!   filter the table it probes by its build keys before touching a row
-//!   (`EngineConfig::vectorized`, default on; `EXPLAIN` prints
-//!   `probe=keyset(vectorized|row)` on such a join);
 //! * an in-memory catalog with maintained primary-key (unique) and
 //!   secondary indexes (`CREATE [UNIQUE] INDEX`), kept up to date
 //!   incrementally across `INSERT`/`UPDATE`/`DELETE` and used by the
-//!   planner for point and multi-point lookups;
+//!   planner for point and multi-point lookups, plus *derived* key indexes
+//!   (`catalog::DerivedIndexes`): a hash join with few build keys finds the
+//!   rows of the table it probes through an index of the probed column,
+//!   built on first use and never logged (`EngineConfig::vectorized`,
+//!   default on; `EXPLAIN` prints `probe=keyset(index|row)` on such a
+//!   join);
 //! * a static semantic analyzer (`sema`) that runs between parsing and
 //!   planning on every execution path: scoped name resolution, bottom-up
 //!   type inference from declared column types, aggregate/window placement
@@ -47,7 +46,7 @@
 //! * a post-planning static plan verifier (`verify`) that walks every
 //!   physical plan against the sema-typed output scope and the live
 //!   catalog, checking five invariant classes (output schema, index-key
-//!   integrity, vectorized-mode eligibility, parameter-slot discipline,
+//!   integrity, derived-index probes, parameter-slot discipline,
 //!   deterministic-merge arity). It runs on every plan in debug builds and
 //!   behind `EngineConfig::verify_plans` otherwise, and is surfaced through
 //!   `EXPLAIN (VERIFY)` plus `verify.*` counters in `sys.metrics`;
@@ -93,7 +92,6 @@
 pub(crate) mod admission;
 pub mod ast;
 pub mod catalog;
-pub mod column;
 pub mod config;
 pub mod csv;
 pub mod engine;

@@ -74,9 +74,9 @@ pub struct PlannerConfig {
     /// indexes, emitting `IndexScan` / index-nested-loop plans. Disabled for
     /// the forced-full-scan differential tests.
     pub use_indexes: bool,
-    /// Attach columnar chunk slots to base-table scans so a hash join filters
-    /// its probe scan by its build keys. Disabled to make every hash join
-    /// probe row by row, for differential testing.
+    /// Attach the table's derived-index slot to base-table scans so a hash
+    /// join finds the rows of its probe scan by its build keys. Disabled to
+    /// make every hash join probe row by row, for differential testing.
     pub vectorized: bool,
 }
 
@@ -140,16 +140,15 @@ impl IndexRef {
 /// table rows, so execution never touches the catalog.
 #[derive(Debug, Clone)]
 pub enum PhysPlan {
-    /// Scan a snapshot of a base table. `chunks` carries the table's lazily
-    /// built columnar image when the planner attaches chunk images, for a
-    /// hash join probing this scan to filter by its build keys; it was
-    /// captured under the same catalog read as `rows`, so the two always
-    /// describe the same snapshot. `None` makes such a join probe row by
-    /// row.
+    /// Scan a snapshot of a base table. `derived` carries the table's
+    /// derived key indexes when the planner attaches them, for a hash join
+    /// probing this scan to find its rows by its build keys; it was captured
+    /// under the same catalog read as `rows`, so the two always describe the
+    /// same snapshot. `None` makes such a join probe row by row.
     Scan {
         rows: Arc<Vec<Row>>,
         width: usize,
-        chunks: Option<crate::column::ChunkSlot>,
+        derived: Option<crate::catalog::DerivedIndexes>,
     },
     /// Scan a virtual `sys.*` system table, materialized from the engine's
     /// telemetry registry at plan time (point-in-time snapshot semantics,
@@ -1118,7 +1117,7 @@ impl<'a> Planner<'a> {
                         plan: PhysPlan::Scan {
                             rows: Arc::clone(&table.rows),
                             width: table.schema.len(),
-                            chunks: self.config.vectorized.then(|| table.chunks.clone()),
+                            derived: self.config.vectorized.then(|| table.derived.clone()),
                         },
                         scope: table_scope(qual, &table.schema),
                         access: self.table_access(table),
@@ -2171,7 +2170,7 @@ mod tests {
         PhysPlan::Scan {
             rows: Arc::new(vec![vec![Value::Int(0); width]; rows]),
             width,
-            chunks: None,
+            derived: None,
         }
     }
 
@@ -2239,7 +2238,7 @@ mod tests {
         PhysPlan::Scan {
             width: rows.first().map_or(0, Vec::len),
             rows: Arc::new(rows),
-            chunks: None,
+            derived: None,
         }
     }
 

@@ -36,6 +36,10 @@ impl<T> Mutex<T> {
     pub(crate) fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
+
+    pub(crate) fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[derive(Debug, Default)]

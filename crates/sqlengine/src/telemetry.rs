@@ -278,14 +278,14 @@ pub struct Telemetry {
     pub wal_checkpoint_bytes: Counter,
 
     // -- hash-join key filter -----------------------------------------------
-    /// Hash joins that read the base table they probe through the chunk key
-    /// filter (`probe=keyset(vectorized)`).
-    pub vectorized_ops: Counter,
+    /// Hash joins that may find the rows of the base table they probe
+    /// through its derived index (`probe=keyset(index)`).
+    pub keyset_index_probes: Counter,
     /// Hash joins probing straight off a base-table scan row by row
     /// (`probe=keyset(row)`).
-    pub row_ops: Counter,
+    pub keyset_row_probes: Counter,
     /// Hash-join probe rows rejected because the build side holds no such
-    /// key (by the chunk key filter or by the per-row lookup).
+    /// key (by the derived-index lookup or by the per-row lookup).
     pub join_probe_rows_pruned: Counter,
     /// Rows inserted into hash-join build tables: the build side's rows with
     /// a non-NULL key, whichever input the planner chose to build on.
@@ -392,8 +392,8 @@ impl Telemetry {
             ("wal.fsyncs", &self.wal_fsyncs),
             ("wal.checkpoints", &self.wal_checkpoints),
             ("wal.checkpoint_bytes", &self.wal_checkpoint_bytes),
-            ("exec.vectorized_ops", &self.vectorized_ops),
-            ("exec.row_ops", &self.row_ops),
+            ("exec.keyset_index_probes", &self.keyset_index_probes),
+            ("exec.keyset_row_probes", &self.keyset_row_probes),
             ("exec.join.probe_rows_pruned", &self.join_probe_rows_pruned),
             ("exec.join.build_rows", &self.join_build_rows),
             ("exec.rows_materialized", &self.rows_materialized),

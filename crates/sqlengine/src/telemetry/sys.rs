@@ -76,8 +76,7 @@ pub fn schema(name: &str) -> Option<Schema> {
             col("columns", Integer),
             col("primary_key", Text),
             col("secondary_indexes", Integer),
-            col("chunk_count", Integer),
-            col("dict_columns", Integer),
+            col("derived_indexes", Integer),
         ],
         BORN_MODELS => vec![
             col("model", Text),
@@ -160,16 +159,15 @@ fn metric(name: &str, kind: &str, value: f64) -> Row {
 }
 
 fn metrics_rows(t: &Telemetry, catalog: &Catalog, g: &EngineGauges) -> Vec<Row> {
-    // Columnar gauges reflect *built* chunk caches only: tables never
-    // no hash join has key-filtered report zero (chunks are lazy).
-    let (chunks, dict_cols) = catalog
+    // Built derived indexes only: a table no hash join has key-filtered
+    // reports none (they are built on first use, and read without forcing
+    // a build).
+    let derived: usize = catalog
         .table_names()
         .into_iter()
         .filter_map(|name| catalog.get(&name).ok())
-        .fold((0usize, 0usize), |(c, d), table| {
-            let (cc, dc) = table.chunk_stats();
-            (c + cc, d + dc)
-        });
+        .map(|table| table.derived.built().len())
+        .sum();
     let cache = g.plan_cache;
     let mut rows: Vec<Row> = t
         .counters()
@@ -193,8 +191,7 @@ fn metrics_rows(t: &Telemetry, catalog: &Catalog, g: &EngineGauges) -> Vec<Row> 
             ("catalog.version", "gauge", g.catalog_version as f64),
             ("wal.bytes", "gauge", g.wal_bytes as f64),
             ("wal.degraded", "gauge", f64::from(g.wal_degraded)),
-            ("columnar.chunks", "gauge", chunks as f64),
-            ("columnar.dict_columns", "gauge", dict_cols as f64),
+            ("derived_index.count", "gauge", derived as f64),
             ("mem.peak_bytes", "gauge", t.mem_peak_bytes.get() as f64),
         ])
         .map(|(name, kind, value)| metric(name, kind, value))
@@ -323,15 +320,13 @@ fn tables_rows(catalog: &Catalog) -> Vec<Row> {
         .into_iter()
         .filter_map(|name| {
             let t = catalog.get(&name).ok()?;
-            let (chunk_count, dict_columns) = t.chunk_stats();
             Some(vec![
                 Value::text(&name),
                 Value::Int(t.row_count() as i64),
                 Value::Int(t.schema.len() as i64),
                 Value::Str(t.primary_key_names().join(",").into()),
                 Value::Int(t.secondary.len() as i64),
-                Value::Int(chunk_count as i64),
-                Value::Int(dict_columns as i64),
+                Value::Int(t.derived.built().len() as i64),
             ])
         })
         .collect()

@@ -3,7 +3,7 @@
 //! After PRs 2–7 the engine carries three layers of cross-layer invariants
 //! that nothing checked mechanically: sema-inferred output schemas vs.
 //! physical plan shapes, index-scan keys vs. live catalog index definitions,
-//! and vectorized-mode labels vs. the kernel eligibility grammar. This
+//! and hash-join probe labels vs. the rule that picks the probe. This
 //! module walks a [`PhysPlan`] bottom-up and checks five invariant classes:
 //!
 //! 1. **schema** — every node's output arity is internally consistent
@@ -17,11 +17,11 @@
 //!    caller holds the catalog-version guarantee) the plan's index and row
 //!    snapshots are pointer-identical to the live catalog — i.e. the cached
 //!    plan's catalog version is current.
-//! 3. **vectorized-mode** — a scan's columnar chunk image must describe
-//!    exactly the row snapshot it travels with, and every hash join's
-//!    `probe=keyset(…)` label agrees with a rule *re-derived independently
-//!    here* (not imported from `exec`) for when the join's key filter reads
-//!    that image.
+//! 3. **derived-index** — a scan's built derived indexes must describe the
+//!    row snapshot it travels with (they index as many rows as it holds),
+//!    and every hash join's `probe=keyset(…)` label agrees with a rule
+//!    *re-derived independently here* (not imported from `exec`) for when
+//!    the join's key filter reads those indexes.
 //! 4. **param-slots** — in a cached plan template every `?` slot from 1 to
 //!    the maximum is reachable from the bind map (a gap means a bound value
 //!    is silently dropped); in an executable plan no unbound
@@ -58,9 +58,9 @@ pub enum VerifyRule {
     /// Index references resolve against the live catalog with matching key
     /// arity, column types, and snapshot identity.
     IndexKeys,
-    /// Chunk images match their row snapshots; hash joins' `probe=keyset`
-    /// labels agree with an independently re-derived rule.
-    VectorizedMode,
+    /// Derived indexes match their row snapshots; hash joins'
+    /// `probe=keyset` labels agree with an independently re-derived rule.
+    DerivedIndex,
     /// Parameter slots are gap-free in templates and fully bound in
     /// executable plans.
     ParamSlots,
@@ -73,7 +73,7 @@ impl VerifyRule {
     pub const ALL: [VerifyRule; 5] = [
         VerifyRule::Schema,
         VerifyRule::IndexKeys,
-        VerifyRule::VectorizedMode,
+        VerifyRule::DerivedIndex,
         VerifyRule::ParamSlots,
         VerifyRule::MergeDeterminism,
     ];
@@ -84,7 +84,7 @@ impl VerifyRule {
         match self {
             VerifyRule::Schema => "schema",
             VerifyRule::IndexKeys => "index-keys",
-            VerifyRule::VectorizedMode => "vectorized-mode",
+            VerifyRule::DerivedIndex => "derived-index",
             VerifyRule::ParamSlots => "param-slots",
             VerifyRule::MergeDeterminism => "merge-determinism",
         }
@@ -343,11 +343,11 @@ impl Checker<'_> {
             PhysPlan::Scan {
                 rows,
                 width,
-                chunks,
+                derived,
             } => {
                 self.check_row_arity(plan, rows, *width);
-                if let Some(slot) = chunks {
-                    self.check_chunks(plan, slot, rows, *width);
+                if let Some(slot) = derived {
+                    self.check_derived(plan, slot, rows, *width);
                 }
                 (*width, row_types(rows, *width))
             }
@@ -675,38 +675,27 @@ impl Checker<'_> {
         }
     }
 
-    /// A scan carrying a built chunk image must travel with a columnar image
-    /// of exactly its row snapshot.
-    fn check_chunks(
+    /// Every derived index a scan's slot has built indexes a column of the
+    /// scan and as many rows as its snapshot holds (unbuilt ones have
+    /// nothing to compare yet).
+    fn check_derived(
         &mut self,
         plan: &PhysPlan,
-        slot: &crate::column::ChunkSlot,
+        slot: &crate::catalog::DerivedIndexes,
         rows: &Arc<Vec<Row>>,
         width: usize,
     ) {
-        let Some(built) = slot.peek() else {
-            return; // lazily unbuilt: nothing to compare yet
-        };
-        if built.row_count() != rows.len() {
-            self.violate(
-                VerifyRule::VectorizedMode,
-                plan,
-                format!(
-                    "chunk image holds {} row(s) but the scan snapshot has {}; \
-                     the columnar image must describe the same snapshot",
-                    built.row_count(),
-                    rows.len()
-                ),
-            );
-        }
-        if let Some(chunk) = built.chunks().first() {
-            if chunk.width() != width {
+        for (column, index) in slot.built() {
+            if column >= width || index.rows() != rows.len() {
                 self.violate(
-                    VerifyRule::VectorizedMode,
+                    VerifyRule::DerivedIndex,
                     plan,
                     format!(
-                        "chunk image is {} column(s) wide but the scan declares {width}",
-                        chunk.width()
+                        "derived index of column #{column} holds {} row(s) but the \
+                         {width}-column scan snapshot has {}; it must describe the \
+                         same snapshot",
+                        index.rows(),
+                        rows.len()
                     ),
                 );
             }
@@ -991,25 +980,24 @@ fn agg_type(a: &AggSpec, input: &[DataType]) -> DataType {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized-mode grammar, re-derived
+// Derived-index probe rule, re-derived
 // ---------------------------------------------------------------------------
 
-/// Cross-check every mode-capable operator's label against an independent
-/// re-derivation of the kernel eligibility grammar, reporting divergence as
+/// Cross-check every hash join's probe label against an independent
+/// re-derivation of the rule that picks its probe, reporting divergence as
 /// violations. `labeled` is the engine's own labeling (what `EXPLAIN`
 /// prints and `sys.metrics` counts); the re-derivation below is written
-/// from the documented grammar in `exec::vector`'s module docs, not shared
-/// with it.
+/// from the rule documented in `exec::join`, not shared with it.
 pub(crate) fn check_mode_labels(plan: &PhysPlan, checker_violations: &mut Vec<Violation>) {
     plan.for_each_node(&mut |node, _, _| {
         let labeled = crate::exec::node_mode(node);
         let derived = derived_mode(node);
         if labeled != derived {
             checker_violations.push(Violation {
-                rule: VerifyRule::VectorizedMode,
+                rule: VerifyRule::DerivedIndex,
                 node: crate::explain::op_label(node),
                 message: format!(
-                    "labeled mode {} but the eligibility grammar derives {}",
+                    "labeled probe {} but the probe rule derives {}",
                     mode_name(labeled),
                     mode_name(derived)
                 ),
@@ -1020,20 +1008,20 @@ pub(crate) fn check_mode_labels(plan: &PhysPlan, checker_violations: &mut Vec<Vi
 
 fn mode_name(mode: Option<bool>) -> &'static str {
     match mode {
-        Some(true) => "vectorized",
-        Some(false) => "row",
-        None => "none (no vectorized variant)",
+        Some(true) => "keyset(index)",
+        Some(false) => "keyset(row)",
+        None => "none (not a hash join over a base table)",
     }
 }
 
 /// Independent re-derivation of when a hash join reads its probe side
-/// through the chunk key filter, written from the documented rule: a hash
-/// join (hash algorithm only) probes the input it does not build on — the
-/// right one when `build_left`, the left one otherwise; when that probe
-/// child is a bare `Scan` and its keys are all bare columns, the join reads
-/// that table itself: vectorized (the chunk key filter) iff the scan carries
-/// a chunk slot, there is one key and the join is INNER, row by row
-/// otherwise. No other operator has a vectorized variant.
+/// through a derived index, written from the documented rule: a hash join
+/// (hash algorithm only) probes the input it does not build on — the right
+/// one when `build_left`, the left one otherwise; when that probe child is a
+/// bare `Scan` and its keys are all bare columns, the join reads that table
+/// itself: through the derived index iff the scan carries a derived-index
+/// slot, there is one key and the join is INNER, row by row otherwise. No
+/// other operator names a probe.
 fn derived_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
         PhysPlan::HashJoin {
@@ -1051,10 +1039,10 @@ fn derived_mode(plan: &PhysPlan) -> Option<bool> {
                 false => (left, left_keys),
             };
             match &**probe {
-                PhysPlan::Scan { chunks, .. }
+                PhysPlan::Scan { derived, .. }
                     if keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) =>
                 {
-                    Some(chunks.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
+                    Some(derived.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
                 }
                 _ => None,
             }
@@ -1075,7 +1063,7 @@ mod tests {
             vec![
                 "schema",
                 "index-keys",
-                "vectorized-mode",
+                "derived-index",
                 "param-slots",
                 "merge-determinism"
             ]

@@ -16,7 +16,7 @@ pub fn nullable(rng: &mut SplitMix64, null_p: f64, range: Range<i64>) -> Option<
 /// `len` rows `(g, x, w)`: `g` in `0..groups` and `x` in `-span..span`, each
 /// NULL with probability `null_p`; `w` is a dyadic rational `k/4` with
 /// `k < quarters`, so float sums are exact and results compare exactly
-/// across morsel and chunk groupings.
+/// across morsel groupings.
 pub fn gxw_rows(
     rng: &mut SplitMix64,
     len: Range<i64>,

@@ -566,19 +566,19 @@ fn statement_timeout_aborts_pathological_cross_join() {
     lenient.query(cross).unwrap();
 }
 
-/// Columnar chunk caches are derived state: they are never written to the
-/// WAL or to checkpoints, start empty after recovery, and are rebuilt
+/// Derived key indexes are derived state: they are never written to the
+/// WAL or to checkpoints, start unbuilt after recovery, and are rebuilt
 /// lazily by the first hash join that key-filters the table — which must
 /// answer exactly like the pre-crash database.
 #[test]
-fn recovery_rebuilds_columnar_chunks_as_derived_state() {
+fn recovery_rebuilds_derived_indexes_lazily() {
     let io = Arc::new(MemIo::new());
     let db = open_always(Arc::clone(&io) as Arc<dyn StorageIo>);
     db.execute("CREATE TABLE c (tag TEXT, n INTEGER, w REAL)")
         .unwrap();
     db.execute("CREATE TABLE k (n INTEGER)").unwrap();
     db.execute("INSERT INTO k VALUES (11), (12), (13)").unwrap();
-    // 3 500 rows span four 1024-row chunks; dyadic weights keep SUM exact.
+    // 3 500 rows; dyadic weights keep SUM exact.
     let rows: Vec<Vec<Value>> = (0..3500i64)
         .map(|i| {
             vec![
@@ -594,28 +594,23 @@ fn recovery_rebuilds_columnar_chunks_as_derived_state() {
                GROUP BY c.tag ORDER BY c.tag";
     let before = format!("{:?}", db.query(agg).unwrap().rows);
     assert!(
-        db.explain(agg)
-            .unwrap()
-            .contains("probe=keyset(vectorized)"),
-        "the witness query must read the chunk image"
+        db.explain(agg).unwrap().contains("probe=keyset(index)"),
+        "the witness query must read the derived index"
     );
     let built = db
-        .query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 'c'")
+        .query_scalar("SELECT derived_indexes FROM sys.tables WHERE name = 'c'")
         .unwrap();
-    assert!(
-        matches!(built, Value::Int(n) if n >= 4),
-        "pre-crash cache should be built: {built:?}"
-    );
+    assert_eq!(built, Value::Int(1), "pre-crash index should be built");
 
     // Crash the process; recover from the surviving WAL.
     let recovered = open_always(Arc::new(MemIo::from_files(io.process_crash_files())));
     let after_recovery = recovered
-        .query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 'c'")
+        .query_scalar("SELECT derived_indexes FROM sys.tables WHERE name = 'c'")
         .unwrap();
     assert_eq!(
         after_recovery,
         Value::Int(0),
-        "chunks are not persisted and must not be rebuilt eagerly"
+        "derived indexes are not persisted and must not be rebuilt eagerly"
     );
     assert_eq!(
         format!("{:?}", recovered.query(agg).unwrap().rows),
@@ -623,11 +618,12 @@ fn recovery_rebuilds_columnar_chunks_as_derived_state() {
         "recovered key-filtered join must match pre-crash exactly"
     );
     let rebuilt = recovered
-        .query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 'c'")
+        .query_scalar("SELECT derived_indexes FROM sys.tables WHERE name = 'c'")
         .unwrap();
-    assert!(
-        matches!(rebuilt, Value::Int(n) if n >= 4),
-        "the query should have rebuilt the cache lazily: {rebuilt:?}"
+    assert_eq!(
+        rebuilt,
+        Value::Int(1),
+        "the query should have rebuilt the index lazily"
     );
 
     // A row-mode replica recovered from the same files agrees too.

@@ -17,8 +17,8 @@
 
 use sqlengine::{Database, EngineConfig, EngineError, QueryResult, Value};
 
-/// Rows of `fact`: enough for several chunks (not for the executor to fan
-/// out: that is the 20,000-row `big` below).
+/// Rows of `fact`: enough for the key filter to prune (not for the executor
+/// to fan out: that is the 20,000-row `big` below).
 const FACT_ROWS: i64 = 2_600;
 
 /// Load the fixture. `fact.n` cycles through 130 ids (so every id owns ~20
@@ -426,7 +426,7 @@ fn parameters_and_literal_batches_on_the_build_side() {
 }
 
 /// A table written between two runs of a cached plan: the second run must
-/// see the new rows (a fresh chunk slot), on every configuration.
+/// see the new rows (a fresh derived-index slot), on every configuration.
 #[test]
 fn a_write_between_two_runs_is_seen() {
     let case = &CASES[0];
@@ -488,7 +488,7 @@ fn explain_shows_where_the_join_runs() {
     let lifted = plan(0);
     assert!(!projects_below_join(&lifted), "{lifted}");
     assert!(
-        lifted.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(vectorized)"),
+        lifted.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(index)"),
         "{lifted}"
     );
     assert!(lifted.contains("Scan [2600 rows × 3 cols]"), "{lifted}");
@@ -497,7 +497,7 @@ fn explain_shows_where_the_join_runs() {
     let flipped = plan(1);
     assert!(!projects_below_join(&flipped), "{flipped}");
     assert!(
-        flipped.contains("HashJoin [Inner, 1 keys, build=left] probe=keyset(vectorized)"),
+        flipped.contains("HashJoin [Inner, 1 keys, build=left] probe=keyset(index)"),
         "{flipped}"
     );
 
@@ -525,8 +525,8 @@ fn explain_shows_where_the_join_runs() {
         );
     }
 
-    // Without chunks the same join reads the scan row by row; a sort-merge
-    // join has no key filter to name.
+    // Without derived indexes the same join reads the scan row by row; a
+    // sort-merge join has no key filter to name.
     let row_db = Database::with_config(EngineConfig::default().with_vectorized(false));
     load(&row_db);
     let row_plan = row_db.explain(&CASES[0].inlined()).unwrap();
@@ -728,7 +728,7 @@ fn pruned_probe_rows_are_reported() {
     let pruned = FACT_ROWS as usize - matching;
     assert!(
         join.label
-            .ends_with(&format!("probe=keyset(vectorized) pruned={pruned}")),
+            .ends_with(&format!("probe=keyset(index) pruned={pruned}")),
         "{}",
         join.label
     );

@@ -176,11 +176,11 @@ fn index_corruption_stale_snapshot_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Class 3: vectorized-mode — chunk image consistent with the row snapshot
+// Class 3: derived-index — built indexes describe the row snapshot
 // ---------------------------------------------------------------------
 
 #[test]
-fn vectorized_corruption_chunk_row_mismatch_is_rejected() {
+fn derived_index_corruption_row_count_mismatch_is_rejected() {
     let db = seeded();
     db.execute_script(
         "CREATE TABLE f (n INTEGER, w REAL);
@@ -190,20 +190,22 @@ fn vectorized_corruption_chunk_row_mismatch_is_rejected() {
     )
     .unwrap();
     // A one-key join that key-filters the scan of `f`: the first execution
-    // builds its columnar image, so the cached plan carries a built chunk
-    // slot.
+    // builds the derived index of `f.n`, so the cached plan carries a slot
+    // holding a built index.
     let sql = "SELECT f.w FROM f JOIN k ON f.n = k.n";
-    assert!(db
-        .explain(sql)
-        .unwrap()
-        .contains("probe=keyset(vectorized)"));
+    assert!(db.explain(sql).unwrap().contains("probe=keyset(index)"));
     let err = corrupt_and_rerun(&db, sql, &mut |plan| {
         if let PhysPlan::Scan { rows, .. } = plan {
             let truncated: Vec<_> = rows.iter().take(rows.len() - 1).cloned().collect();
             *rows = Arc::new(truncated);
         }
     });
-    assert_verify_error(sql, &err, "vectorized-mode", "chunk image");
+    assert_verify_error(
+        sql,
+        &err,
+        "derived-index",
+        "derived index of column #0 holds 100 row(s)",
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -31,7 +31,7 @@ fn seeded(config: EngineConfig) -> Database {
 
 /// A representative sweep of plan shapes: scans, index scans, joins (hash,
 /// nested-loop, index-nested-loop), aggregation, windows, sorts, set ops,
-/// vectorized chains.
+/// key-filtered probes.
 const QUERIES: &[&str] = &[
     "SELECT n, s, w FROM t WHERE n > 100",
     "SELECT * FROM t WHERE n = 42",
@@ -66,7 +66,7 @@ fn explain_verify_reports_one_ok_row_per_class() {
             vec![
                 "schema",
                 "index-keys",
-                "vectorized-mode",
+                "derived-index",
                 "param-slots",
                 "merge-determinism"
             ],

@@ -81,7 +81,7 @@ fn sys_tables_sees_new_tables_and_fresh_row_counts() {
 }
 
 #[test]
-fn sys_tables_reports_lazy_columnar_chunk_state() {
+fn sys_tables_reports_lazy_derived_index_state() {
     let db = sample_db();
     db.execute_script(
         "CREATE TABLE tags (id INTEGER, tag TEXT);
@@ -91,43 +91,38 @@ fn sys_tables_reports_lazy_columnar_chunk_state() {
          INSERT INTO wanted VALUES ('x');",
     )
     .unwrap();
-    // A one-key join probing `tags`: the one reader of its chunk image.
+    // A one-key join probing `tags`: the one reader of its derived index.
     let join = "SELECT COUNT(*) FROM tags JOIN wanted ON tags.tag = wanted.tag";
+    let built = || {
+        let sql = "SELECT derived_indexes FROM sys.tables WHERE name = 'tags'";
+        int(&db.query_scalar(sql).unwrap())
+    };
 
-    // Chunks are derived state, built on first read — a freshly written
-    // table reports zero.
-    let r = db
-        .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'tags'")
-        .unwrap();
-    assert_eq!(int(&r.rows[0][0]), 0, "chunk caches must be lazy");
-    assert_eq!(int(&r.rows[0][1]), 0);
+    // Derived indexes are built on first use — a freshly written table
+    // reports none.
+    assert_eq!(built(), 0, "derived indexes must be lazy");
 
-    // The join's key filter builds the table's chunk cache; the
-    // low-cardinality TEXT column dictionary-encodes.
+    // The join's key filter builds the index of `tags.tag`.
     assert_eq!(int(&db.query_scalar(join).unwrap()), 8);
-    let r = db
-        .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'tags'")
-        .unwrap();
-    assert_eq!(int(&r.rows[0][0]), 1, "12 rows fit one chunk");
-    assert_eq!(int(&r.rows[0][1]), 1, "tag column should dictionary-encode");
+    assert_eq!(built(), 1, "one probed column, one index");
 
-    // Mutating the table invalidates the cache until the next read.
+    // Deleting from the table drops the index until the next join.
     db.execute("DELETE FROM tags WHERE id = 1").unwrap();
-    let r = db
-        .query("SELECT chunk_count FROM sys.tables WHERE name = 'tags'")
-        .unwrap();
-    assert_eq!(int(&r.rows[0][0]), 0, "mutation installs a fresh slot");
+    assert_eq!(built(), 0, "a delete drops the index");
 
-    // sys.metrics mirrors the catalog-wide totals and the probe counters.
+    // sys.metrics mirrors the catalog-wide total and the probe counters.
     assert_eq!(int(&db.query_scalar(join).unwrap()), 7);
     let v = db
-        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'columnar.chunks'")
+        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'derived_index.count'")
         .unwrap();
-    assert!(float(&v) >= 1.0, "columnar.chunks gauge: {v:?}");
+    assert_eq!(float(&v), 1.0, "derived_index.count gauge: {v:?}");
     let ops = db
-        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.vectorized_ops'")
+        .query_scalar("SELECT value FROM sys.metrics WHERE name = 'exec.keyset_index_probes'")
         .unwrap();
-    assert!(float(&ops) >= 1.0, "exec.vectorized_ops counter: {ops:?}");
+    assert!(
+        float(&ops) >= 1.0,
+        "exec.keyset_index_probes counter: {ops:?}"
+    );
 }
 
 // ---------------------------------------------------------------------

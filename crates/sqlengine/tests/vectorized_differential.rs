@@ -1,8 +1,9 @@
-//! Property-based differential suite for columnar/vectorized execution:
-//! random tables and a query mix spanning filter / project / aggregate /
-//! join must produce identical results with `EngineConfig::vectorized`
-//! {on, off} × parallelism {1, 4}, and `EXPLAIN ANALYZE` must report
-//! identical per-operator row counts across modes. `vectorized_exec.rs` is
+//! Property-based differential suite for the hash join's key filter over
+//! derived indexes: random tables and a query mix spanning filter / project
+//! / aggregate / join must produce identical results with
+//! `EngineConfig::vectorized` {on, off} × parallelism {1, 4}, and
+//! `EXPLAIN ANALYZE` must report identical per-operator row counts across
+//! modes. `vectorized_exec.rs` is
 //! the fixed-fixture companion.
 
 mod common;
@@ -12,9 +13,9 @@ use seeded::{cases, SplitMix64};
 use sqlengine::{Database, EngineConfig, OpStats, Value};
 
 /// A random table of (g TEXT, x INTEGER, w REAL) rows with NULL holes in
-/// `g` and `x`. `g` is low-cardinality so the chunk builder exercises
-/// dictionary encoding; `w` is a dyadic rational (k/4) so float sums are
-/// exact and results compare exactly across morsel/chunk groupings.
+/// `g` and `x`. `g` is low-cardinality, so one key finds many rows; `w` is
+/// a dyadic rational (k/4) so float sums are exact and results compare
+/// exactly across morsel groupings.
 #[derive(Debug, Clone)]
 struct Fixture {
     rows: Vec<(Option<i64>, Option<i64>, f64)>,
@@ -43,9 +44,9 @@ fn load(db: &Database, f: &Fixture) {
     db.insert_rows("t", rows).unwrap();
 }
 
-/// Query mix: the first block is vectorizable end-to-end, the second block
-/// deliberately hits the row-path fallbacks (IN lists, DISTINCT aggregates,
-/// computed projections, LIKE), the third crosses operator families.
+/// Query mix: filters and aggregates; IN lists, DISTINCT aggregates,
+/// computed projections and LIKE; joins with and without the key filter,
+/// across operator families.
 const QUERIES: &[&str] = &[
     "SELECT g, x, w FROM t WHERE x > 0",
     "SELECT g FROM t WHERE g = 'g1' AND x <= 10",
@@ -58,7 +59,7 @@ const QUERIES: &[&str] = &[
     "SELECT g, COUNT(DISTINCT x) FROM t GROUP BY g",
     "SELECT w FROM t WHERE g LIKE 'g%' AND x < 5",
     "SELECT a.g, COUNT(*) FROM t AS a JOIN t AS b ON a.g = b.g AND a.x = b.x GROUP BY a.g",
-    // One key, probing the bare scan of `a`: the key filter reads its chunks.
+    // One key, probing the bare scan of `a`: the key filter reads its index.
     "SELECT a.g, COUNT(*), SUM(a.w) FROM t AS a \
      JOIN (SELECT DISTINCT g FROM t WHERE x > 40) AS d ON a.g = d.g GROUP BY a.g",
     "SELECT DISTINCT g FROM t WHERE w >= 1.0",
@@ -70,7 +71,7 @@ const QUERIES: &[&str] = &[
 fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     let label = stats
         .label
-        .replace(" probe=keyset(vectorized)", "")
+        .replace(" probe=keyset(index)", "")
         .replace(" probe=keyset(row)", "");
     out.push((label, stats.rows_in, stats.rows_out));
     for child in &stats.children {
@@ -147,8 +148,8 @@ fn has_fanned_out(stats: &OpStats) -> bool {
 }
 
 /// `EXPLAIN ANALYZE` reports the same per-operator (label, rows_in,
-/// rows_out) tree in both modes — the vectorized pipeline must account
-/// rows exactly like the row-at-a-time operators it replaces.
+/// rows_out) tree in both modes — a probe over the rows the index found
+/// must account rows exactly like the probe over the whole table.
 #[test]
 fn explain_analyze_operator_counts_match_across_modes() {
     cases(16, 2, |rng| {

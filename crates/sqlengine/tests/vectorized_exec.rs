@@ -1,17 +1,17 @@
-//! Deterministic coverage of the columnar image and the one operator that
-//! reads it, the hash join's key filter: its `probe=keyset(…)` label in
-//! `EXPLAIN`, per-operator row-count parity in `EXPLAIN ANALYZE`, and a
-//! fixed differential sweep of vectorized {on, off} × parallelism {1, 4}
-//! over one fixture. The seeded companion (`vectorized_differential.rs`)
-//! covers random tables.
+//! Deterministic coverage of the derived key indexes and the one operator
+//! that reads them, the hash join's key filter: its `probe=keyset(…)` label
+//! in `EXPLAIN`, per-operator row-count parity in `EXPLAIN ANALYZE`, and a
+//! fixed differential sweep of `vectorized` {on, off} × parallelism {1, 4}
+//! over one fixture (`vectorized` off: every join probes row by row). The
+//! seeded companion (`vectorized_differential.rs`) covers random tables.
 
 use sqlengine::{Database, EngineConfig, OpStats, Value};
 
-/// 3 000 rows spanning three 1024-row chunks: a low-cardinality TEXT group
-/// (dictionary-encodable) with NULL holes, an INTEGER with NULL holes, and
-/// dyadic-rational weights (k/4) so float sums are exact regardless of
-/// morsel/chunk partial-sum grouping. `k` is a four-row key table: a hash
-/// join of `t` with it on one column builds on `k` and key-filters `t`.
+/// 3 000 rows: a low-cardinality TEXT group with NULL holes, an INTEGER
+/// with NULL holes, and dyadic-rational weights (k/4) so float sums are
+/// exact regardless of morsel partial-sum grouping. `k` is a four-row key
+/// table: a hash join of `t` with it on one column builds on `k` and
+/// key-filters `t`.
 fn fixture(config: EngineConfig) -> Database {
     let db = Database::with_config(config);
     db.execute_script(
@@ -40,7 +40,7 @@ fn fixture(config: EngineConfig) -> Database {
 }
 
 /// One-key joins that probe the bare scan of `t`: on an INTEGER and on a
-/// dictionary TEXT column.
+/// TEXT column.
 const INT_JOIN: &str = "SELECT t.g, t.w, k.g FROM t JOIN k ON t.x = k.x";
 const TEXT_JOIN: &str =
     "SELECT k.x, COUNT(*), SUM(t.w) FROM t JOIN k ON t.g = k.g GROUP BY k.x ORDER BY k.x";
@@ -63,7 +63,7 @@ const QUERIES: &[&str] = &[
     // Two keys: never key-filtered.
     "SELECT a.g, COUNT(*) FROM t a JOIN t b ON a.g = b.g AND a.x = b.x \
      GROUP BY a.g ORDER BY a.g",
-    // One key: the key filter reads `t`'s chunk image.
+    // One key: the key filter reads `t`'s derived index.
     INT_JOIN,
     TEXT_JOIN,
     "SELECT t.x, COUNT(*) FROM t JOIN k ON t.x = k.x GROUP BY t.x",
@@ -107,7 +107,7 @@ fn explain_labels_operators_with_their_mode() {
     assert!(!plan.contains("mode="), "{plan}");
     let plan = db.explain(INT_JOIN).unwrap();
     assert!(
-        plan.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(vectorized)"),
+        plan.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(index)"),
         "{plan}"
     );
     assert!(!plan.contains("mode="), "{plan}");
@@ -115,7 +115,7 @@ fn explain_labels_operators_with_their_mode() {
     let db = fixture(EngineConfig::default().with_vectorized(false));
     let plan = db.explain(INT_JOIN).unwrap();
     assert!(
-        plan.contains("probe=keyset(row)") && !plan.contains("probe=keyset(vectorized)"),
+        plan.contains("probe=keyset(row)") && !plan.contains("probe=keyset(index)"),
         "vectorized=false must probe row by row:\n{plan}"
     );
 }
@@ -150,7 +150,7 @@ fn ineligible_stage_splits_the_chain_truthfully() {
 fn shape(stats: &OpStats, out: &mut Vec<(String, usize, usize)>) {
     let label = stats
         .label
-        .replace(" probe=keyset(vectorized)", "")
+        .replace(" probe=keyset(index)", "")
         .replace(" probe=keyset(row)", "");
     out.push((label, stats.rows_in, stats.rows_out));
     for child in &stats.children {
@@ -188,43 +188,7 @@ fn explain_analyze_row_counts_match_across_modes() {
     fn any_label(s: &OpStats, needle: &str) -> bool {
         s.label.contains(needle) || s.children.iter().any(|c| any_label(c, needle))
     }
-    assert!(any_label(&stats, "probe=keyset(vectorized) pruned="));
-}
-
-#[test]
-fn dictionary_overflow_falls_back_exactly() {
-    // 500 distinct strings exceed the 256-value dictionary budget: the
-    // column demotes to a plain value vector, which the key filter leaves
-    // to the row probe; results must not change.
-    let mut answers = Vec::new();
-    for vectorized in [true, false] {
-        let db = Database::with_config(EngineConfig::default().with_vectorized(vectorized));
-        db.execute_script(
-            "CREATE TABLE wide (s TEXT, n INTEGER);
-             CREATE TABLE ks (s TEXT);
-             INSERT INTO ks VALUES ('s42'), ('s7');",
-        )
-        .unwrap();
-        let rows: Vec<Vec<Value>> = (0..2000i64)
-            .map(|i| vec![Value::text(format!("s{}", i % 500)), Value::Int(i % 9)])
-            .collect();
-        db.insert_rows("wide", rows).unwrap();
-        let join = "SELECT ks.s, COUNT(*), SUM(wide.n) FROM wide JOIN ks ON wide.s = ks.s \
-                    GROUP BY ks.s ORDER BY ks.s";
-        let mode = if vectorized { "vectorized" } else { "row" };
-        let plan = db.explain(join).unwrap();
-        assert!(plan.contains(&format!("probe=keyset({mode})")), "{plan}");
-        let r = db.query(join).unwrap();
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows[0][1], Value::Int(4));
-        let chunks = db
-            .query("SELECT chunk_count, dict_columns FROM sys.tables WHERE name = 'wide'")
-            .unwrap();
-        let want = if vectorized { [2, 0] } else { [0, 0] };
-        assert_eq!(chunks.rows[0], want.map(Value::Int).to_vec(), "{mode}");
-        answers.push(format!("{:?}", r.rows));
-    }
-    assert_eq!(answers[0], answers[1]);
+    assert!(any_label(&stats, "probe=keyset(index) pruned="));
 }
 
 #[test]
@@ -247,36 +211,77 @@ fn empty_and_tiny_tables_agree_across_modes() {
 }
 
 #[test]
-fn incremental_appends_keep_the_chunk_cache_coherent() {
+fn incremental_appends_keep_the_derived_index_coherent() {
     let join = "SELECT COUNT(*), SUM(t.w) FROM t JOIN k ON t.x = k.x";
-    let chunk_count = |db: &Database| {
-        db.query_scalar("SELECT chunk_count FROM sys.tables WHERE name = 't'")
+    let built = |db: &Database| {
+        db.query_scalar("SELECT derived_indexes FROM sys.tables WHERE name = 't'")
             .unwrap()
     };
-    let extra = || -> Vec<Vec<Value>> {
-        (0..1500i64)
-            .map(|i| vec![Value::text("gx"), Value::Int(i), Value::Float(2.0)])
+    let extra = |from: i64| -> Vec<Vec<Value>> {
+        (from..from + 1500)
+            .map(|i| vec![Value::text("gx"), Value::Int(i % 40), Value::Float(2.0)])
             .collect()
     };
     let mut answers = Vec::new();
     for vectorized in [true, false] {
         let db = fixture(EngineConfig::default().with_vectorized(vectorized));
         let mut seen = vec![format!("{:?}", db.query(join).unwrap().rows)];
-        // The join built the image; appending past a chunk boundary carries
-        // the built chunks forward, and the re-query sees the new rows.
-        db.insert_rows("t", extra()).unwrap();
-        let want = if vectorized { 5 } else { 0 };
-        assert_eq!(chunk_count(&db), Value::Int(want));
+        let want = Value::Int(i64::from(vectorized));
+        assert_eq!(built(&db), want, "the join built the index of `t.x`");
+        // Appends past a morsel boundary carry the built index forward, and
+        // each re-query sees the new rows.
+        for from in [0, 1500] {
+            db.insert_rows("t", extra(from)).unwrap();
+            assert_eq!(built(&db), want, "appends keep the index");
+            seen.push(format!("{:?}", db.query(join).unwrap().rows));
+        }
+        // UPDATE and DELETE drop the index; the next join rebuilds it, and
+        // results track the rows.
+        db.execute("UPDATE t SET w = 0.0 WHERE g = 'gx' AND x = 3")
+            .unwrap();
+        assert_eq!(built(&db), Value::Int(0));
         seen.push(format!("{:?}", db.query(join).unwrap().rows));
-        // UPDATE and DELETE invalidate the cache; results track the rows.
-        db.execute("UPDATE t SET w = 0.0 WHERE g = 'gx'").unwrap();
+        assert_eq!(built(&db), want);
         db.execute("DELETE FROM t WHERE g = 'g3'").unwrap();
-        assert_eq!(chunk_count(&db), Value::Int(0));
+        assert_eq!(built(&db), Value::Int(0));
         seen.push(format!("{:?}", db.query(join).unwrap().rows));
         answers.push(seen);
     }
     assert_eq!(answers[0], answers[1]);
     assert_ne!(answers[0][0], answers[0][1], "the appended rows join");
+    assert_ne!(answers[0][2], answers[0][3], "the update is seen");
+}
+
+/// Keys from 2^53 on compare as `f64` with values that differ from each
+/// other: the join probes such keys row by row, and answers what the row
+/// probe answers.
+#[test]
+fn keys_past_2_pow_53_answer_as_the_row_probe_does() {
+    let big = 1i64 << 53;
+    let mut answers = Vec::new();
+    for vectorized in [true, false] {
+        let db = Database::with_config(EngineConfig::default().with_vectorized(vectorized));
+        db.execute_script(
+            "CREATE TABLE big (n INTEGER, w REAL);
+             CREATE TABLE bk (n REAL);",
+        )
+        .unwrap();
+        let rows = (0..64i64)
+            .map(|i| vec![Value::Int(big + i % 4), Value::Float(i as f64)])
+            .collect();
+        db.insert_rows("big", rows).unwrap();
+        db.insert_rows("bk", vec![vec![Value::Float(big as f64)]])
+            .unwrap();
+        let join = "SELECT big.n, COUNT(*), SUM(big.w) FROM big JOIN bk ON big.n = bk.n \
+                    GROUP BY big.n ORDER BY big.n";
+        let mode = if vectorized { "index" } else { "row" };
+        assert!(db
+            .explain(join)
+            .unwrap()
+            .contains(&format!("probe=keyset({mode})")));
+        answers.push(format!("{:?}", db.query(join).unwrap().rows));
+    }
+    assert_eq!(answers[0], answers[1]);
 }
 
 // ---------------------------------------------------------------------
@@ -301,7 +306,10 @@ fn explain_analyze_reports_verifier_rejection_instead_of_executing() {
         };
     }));
 
-    let ops_before = db.telemetry().row_ops.get() + db.telemetry().vectorized_ops.get();
+    let probes = |db: &Database| {
+        db.telemetry().keyset_row_probes.get() + db.telemetry().keyset_index_probes.get()
+    };
+    let ops_before = probes(&db);
     let err = db.explain_analyze(sql).unwrap_err();
     assert!(
         matches!(err, sqlengine::EngineError::Verify { .. }),
@@ -309,7 +317,7 @@ fn explain_analyze_reports_verifier_rejection_instead_of_executing() {
     );
     assert!(err.to_string().contains("[schema]"), "{err}");
     assert_eq!(
-        db.telemetry().row_ops.get() + db.telemetry().vectorized_ops.get(),
+        probes(&db),
         ops_before,
         "the rejected plan must not have executed a single operator"
     );
@@ -320,5 +328,5 @@ fn explain_analyze_reports_verifier_rejection_instead_of_executing() {
     db.execute("INSERT INTO t VALUES ('g0', 500, 1.0)").unwrap();
     db.query(sql).unwrap();
     db.explain_analyze(sql).unwrap();
-    assert!(db.telemetry().vectorized_ops.get() > ops_before);
+    assert!(db.telemetry().keyset_index_probes.get() > ops_before);
 }
