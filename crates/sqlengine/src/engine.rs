@@ -22,7 +22,7 @@ use crate::ast::{param_use, ExplainMode, ParamUse, Query, Statement};
 use crate::catalog::{Catalog, Schema};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result, Span};
-use crate::exec::{ExecContext, MemoryBudget, OpStats, WorkerPool};
+use crate::exec::{ExecContext, MemoryBudget, OpStats, Program, WorkerPool};
 use crate::lexer::{scan_shape, Shape};
 use crate::parser::{parse_script_spanned, parse_statement};
 use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
@@ -99,11 +99,11 @@ pub struct Database {
     pool: Option<Arc<WorkerPool>>,
     /// Snapshot of the catalog taken at `BEGIN`, restored on `ROLLBACK`.
     txn_backup: Mutex<Option<Catalog>>,
-    /// Monotonic version bumped *before* any catalog write (DDL, DML, and
-    /// `ROLLBACK` restores). Cached plans embed row/index snapshots, so any
-    /// change to data or schema must invalidate them; the counter never goes
-    /// backwards, which keeps a rolled-back catalog from aliasing a future
-    /// version number.
+    /// Monotonic version bumped under the write lock of every catalog write
+    /// (DDL, DML, and `ROLLBACK` restores). Cached plans embed row/index
+    /// snapshots, so any change to data or schema must invalidate them; the
+    /// counter never goes backwards, which keeps a rolled-back catalog from
+    /// aliasing a future version number.
     catalog_version: AtomicU64,
     /// Physical plans of queries, keyed by statement shape.
     plan_cache: PlanCache,
@@ -158,6 +158,16 @@ impl StatementCtx {
     }
 }
 
+/// How many parameter values each run of a plan binds: none for a plan
+/// with its values planned in, those lifted out of the statement text for
+/// a template of them, and `None` for a template that takes the caller's.
+fn slot_count(template: bool, lifted: Option<&[Value]>) -> Option<usize> {
+    match (template, lifted) {
+        (false, _) => Some(0),
+        (true, lifted) => lifted.map(<[Value]>::len),
+    }
+}
+
 /// `exec` carrying a statement's deadline and memory budget.
 fn governed(
     exec: ExecContext,
@@ -197,6 +207,8 @@ enum PlanVerify<'a> {
 /// parameters, or from the literals lifted out of the statement text.
 struct Planned {
     query: Arc<PlannedQuery>,
+    /// The plan lowered once, when it was planned: what every run executes.
+    program: Arc<Program>,
     template: bool,
     lifted: Option<Vec<Value>>,
 }
@@ -471,7 +483,8 @@ impl Database {
         };
         crate::sema::check_query(&self.catalog.read(), &query)?;
         let exec = governed(ExecContext::serial(), self.deadline(), &self.budget());
-        let (planned, _) = self.plan_query(sql, &query, &[], false, PlanVerify::Enforce, exec)?;
+        let verify = PlanVerify::Enforce;
+        let (planned, ..) = self.plan_query(sql, &query, &[], Some(0), verify, exec)?;
         Ok(crate::explain::render_plan(&planned.plan))
     }
 
@@ -669,6 +682,7 @@ impl Database {
         verified?;
         Ok(Some(Planned {
             query: hit.planned,
+            program: hit.program,
             template: hit.template,
             lifted: hit.lifted,
         }))
@@ -694,8 +708,9 @@ impl Database {
         let params_used = param_use(query);
         let has_params = params_used != ParamUse::None;
         let store = store.filter(|_| params_used != ParamUse::PlanTime);
-        // Read before planning: a plan that races a writer must carry the
-        // pre-write version (see `PlanCache::insert`).
+        // Read before planning takes the catalog read lock: a plan that
+        // races a writer carries a version no later than what it planned
+        // (see `PlanCache::insert`).
         let version = self.catalog_version();
         let prepared;
         let (mut slots, mut lifted) = (Vec::new(), Vec::new());
@@ -716,12 +731,13 @@ impl Database {
         let template = store.is_some() && (has_params || lifted.is_some());
         // A template's parameters stay symbolic: it is planned without values.
         let plan_params = if template { &[] } else { params };
+        let values = slot_count(template, lifted.as_deref());
         let exec = ctx.planner_exec();
-        let planned = self.plan_query(sql, query, plan_params, template, verify, exec);
+        let planned = self.plan_query(sql, query, plan_params, values, verify, exec);
         ctx.clock
-            .lap_plan(planned.as_ref().ok().map(|(planned, _)| &planned.plan));
-        let (planned, used_virtual) = planned?;
-        let planned = Arc::new(planned);
+            .lap_plan(planned.as_ref().ok().map(|(planned, ..)| &planned.plan));
+        let (planned, program, used_virtual) = planned?;
+        let (planned, program) = (Arc::new(planned), Arc::new(program));
         // Plans over `sys.*` embed point-in-time telemetry rows; serving one
         // from the cache would freeze the metrics. (The shape scan already
         // keeps `sys.` text out; this is the backstop.)
@@ -732,13 +748,14 @@ impl Database {
                 shape.key,
                 slots,
                 version,
-                Arc::clone(&planned),
+                (Arc::clone(&planned), Arc::clone(&program)),
                 template,
                 self.config.verify_plans,
             );
         }
         Ok(Planned {
             query: planned,
+            program,
             template,
             lifted,
         })
@@ -746,10 +763,12 @@ impl Database {
 
     /// The one place a query is planned: under the catalog read lock, with
     /// the joins narrowed to the columns read above them
-    /// ([`crate::plan::narrow_joins`]) and the verifier run under that same
+    /// ([`crate::plan::narrow_joins`]), lowered into the program its runs
+    /// execute ([`Program::lower`]), and the verifier run under that same
     /// lock so its snapshot-identity checks compare against the exact
-    /// catalog state the plan captured. With
-    /// `template` set, `?` markers stay [`crate::expr::PhysExpr::Param`]
+    /// catalog state the plan captured. A template (`slots` other than
+    /// `Some(0)`: how many values each run binds, `None` when they are the
+    /// caller's) keeps its `?` markers as [`crate::expr::PhysExpr::Param`]
     /// nodes. What the planner executes itself runs under `exec`. Also
     /// reports whether the plan reads a virtual `sys.*` table.
     fn plan_query(
@@ -757,10 +776,11 @@ impl Database {
         sql: &str,
         query: &Query,
         params: &[Value],
-        template: bool,
+        slots: Option<usize>,
         verify: PlanVerify<'_>,
         exec: ExecContext,
-    ) -> Result<(PlannedQuery, bool)> {
+    ) -> Result<(PlannedQuery, Program, bool)> {
+        let template = slots != Some(0);
         let catalog = self.catalog.read();
         let mut planner =
             Planner::new(&catalog, params, self.config.planner(), exec).with_virtuals(self);
@@ -769,54 +789,65 @@ impl Database {
         }
         let mut planned = planner.plan_query(query)?;
         crate::plan::narrow_joins(&mut planned.plan);
+        let program = Program::lower(&planned.plan);
         let discipline = if template {
             ParamDiscipline::Template
         } else {
             ParamDiscipline::Bound
         };
         let walk = || {
-            crate::verify::verify_planned(
+            let report = crate::verify::verify_planned(
                 &planned,
                 Some(&catalog),
                 SnapshotGuarantee::Current,
                 discipline,
-            )
+            );
+            (report, crate::verify::verify_program(&program, slots))
         };
         match verify {
             PlanVerify::Report(out) => {
-                let report = walk();
+                let (mut report, lowered) = walk();
+                report.violations.extend(lowered);
                 self.record_verify(&report);
                 *out = Some(report);
             }
             PlanVerify::Enforce if self.config.verify_plans => {
-                self.verify_outcome(walk(), discipline, sql)?;
+                let (report, lowered) = walk();
+                self.verify_outcome(report, lowered, discipline, sql)?;
             }
             PlanVerify::Enforce => {}
         }
         let used_virtual = planner.used_virtual();
-        Ok((planned, used_virtual))
+        Ok((planned, program, used_virtual))
     }
 
     /// Record a verifier run in telemetry and convert its violations into a
     /// spanned [`EngineError::Verify`] covering the statement text.
     ///
-    /// Template-discipline `param-slots` findings (a `?` slot gap, e.g.
-    /// `SELECT ?3` never consuming slots 1–2) are surfaced through the
-    /// `verify.violations` counter and `EXPLAIN (VERIFY)` but do not abort
-    /// the statement: under-binding is reported at bind time as the clearer
-    /// [`EngineError::Parameter`], and over-binding keeps its historical
-    /// permissiveness.
+    /// Template-discipline `param-slots` findings of the plan tree (a `?`
+    /// slot gap, e.g. `SELECT ?3` never consuming slots 1–2) are surfaced
+    /// through the `verify.violations` counter and `EXPLAIN (VERIFY)` but do
+    /// not abort the statement: under-binding is reported at bind time as
+    /// the clearer [`EngineError::Parameter`], and over-binding keeps its
+    /// historical permissiveness. The program's findings (`lowered`) always
+    /// abort it: a parameter site past the slots its runs bind reads a value
+    /// no run has.
     fn verify_outcome(
         &self,
         mut report: VerifyReport,
+        lowered: Vec<crate::verify::Violation>,
         discipline: ParamDiscipline,
         sql: &str,
     ) -> Result<()> {
+        let tree = report.violations.len();
+        report.violations.extend(lowered);
         self.record_verify(&report);
         if discipline == ParamDiscipline::Template {
+            let lowered = report.violations.split_off(tree);
             report
                 .violations
                 .retain(|v| v.rule != VerifyRule::ParamSlots);
+            report.violations.extend(lowered);
         }
         report.into_result(Span::new(0, sql.len()))
     }
@@ -865,7 +896,9 @@ impl Database {
                 crate::verify::verify_planned(&hit.planned, catalog, guarantee, discipline);
             (report, current)
         };
-        self.verify_outcome(report, discipline, sql)?;
+        let slots = slot_count(hit.template, hit.lifted.as_deref());
+        let lowered = crate::verify::verify_program(&hit.program, slots);
+        self.verify_outcome(report, lowered, discipline, sql)?;
         hit.mark_verified(current);
         Ok(())
     }
@@ -882,8 +915,9 @@ impl Database {
         result
     }
 
-    /// Stage `bind`, then execute: templates bind their parameter values
-    /// into a fresh plan tree first, parameterless plans run as-is.
+    /// Stage `bind`, then execute: the program runs with a template's
+    /// parameter values bound at its sites, a parameterless plan's as it
+    /// is.
     fn bind_and_run(
         &self,
         planned: &Planned,
@@ -891,16 +925,13 @@ impl Database {
         want_stats: bool,
         ctx: &StatementCtx,
     ) -> Result<(QueryResult, Option<OpStats>)> {
-        let bound;
-        let plan = if planned.template {
-            let params = planned.lifted.as_deref().unwrap_or(params);
-            bound = crate::plan::bind_plan_params(&planned.query.plan, params)?;
-            &bound
-        } else {
-            &planned.query.plan
+        let params = match (planned.template, &planned.lifted) {
+            (false, _) => &[],
+            (true, Some(lifted)) => &lifted[..],
+            (true, None) => params,
         };
-        self.record_plan_modes(plan);
-        let (rows, stats) = self.run_plan(plan, want_stats, ctx)?;
+        self.record_plan_modes(&planned.program);
+        let (rows, stats) = self.run_plan(&planned.program, params, want_stats, ctx)?;
         let result = QueryResult {
             columns: planned.query.columns.clone(),
             rows,
@@ -908,38 +939,39 @@ impl Database {
         Ok((result, stats))
     }
 
-    /// Turn a plan into rows. Untraced statements that want no statistics
-    /// take the plain executor path; otherwise the plan runs with stats
-    /// collection, and a traced statement records the per-operator subtree
-    /// beneath its exec span (the same `OpStats` tree `EXPLAIN ANALYZE`
-    /// renders, so the two agree by construction).
+    /// Turn a program into rows. Untraced statements that want no
+    /// statistics run without collecting them; otherwise the program runs
+    /// with stats collection, and a traced statement records the
+    /// per-operator subtree beneath its exec span (the same `OpStats` tree
+    /// `EXPLAIN ANALYZE` renders, so the two agree by construction).
     fn run_plan(
         &self,
-        plan: &PhysPlan,
+        program: &Arc<Program>,
+        params: &[Value],
         want_stats: bool,
         ctx: &StatementCtx,
     ) -> Result<(Vec<Row>, Option<OpStats>)> {
         let exec = self.exec_ctx(ctx);
-        if !want_stats && !ctx.clock.traced() {
-            return Ok((exec.execute(plan)?, None));
+        let collect = want_stats || ctx.clock.traced();
+        let (rows, stats) = exec.execute_program(program, params, collect)?;
+        if let Some(stats) = &stats {
+            ctx.clock.record_op_tree(stats);
+            if want_stats {
+                self.telemetry.record_op_stats(stats);
+            }
         }
-        let (rows, stats) = exec.execute_with_stats(plan)?;
-        ctx.clock.record_op_tree(&stats);
-        if want_stats {
-            self.telemetry.record_op_stats(&stats);
-        }
-        Ok((rows, Some(stats)))
+        Ok((rows, stats))
     }
 
-    /// Count how many hash joins of an executed plan probe a base-table scan
-    /// through its derived index vs row by row (surfaced as
+    /// Count how many hash joins of an executed program probe a base-table
+    /// scan through its derived index vs row by row (surfaced as
     /// `exec.keyset_index_probes` / `exec.keyset_row_probes` in
-    /// `sys.metrics`).
-    fn record_plan_modes(&self, plan: &PhysPlan) {
+    /// `sys.metrics`): counted once, when it was lowered.
+    fn record_plan_modes(&self, program: &Program) {
         if !self.telemetry.enabled() {
             return;
         }
-        let (index, row) = crate::exec::count_modes(plan);
+        let (index, row) = program.probes();
         self.telemetry.keyset_index_probes.add(index);
         self.telemetry.keyset_row_probes.add(row);
     }

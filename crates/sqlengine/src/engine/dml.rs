@@ -252,9 +252,9 @@ impl Database {
         }
     }
 
-    /// Take the catalog write lock, bumping the catalog version first so any
-    /// plan cached from here on is tagged with a version that postdates the
-    /// upcoming mutation (`PlanCache::insert` has the ordering argument).
+    /// Take the catalog write lock and bump the catalog version under it,
+    /// so a plan tagged with the new version was planned after the upcoming
+    /// mutation (`PlanCache::insert` has the ordering argument).
     fn write_catalog(&self) -> Result<RwLockWriteGuard<'_, Catalog>> {
         // Degraded read-only mode is enforced here, before any mutation:
         // every write statement funnels through this lock, so a wedged WAL
@@ -262,8 +262,9 @@ impl Database {
         if let Some(wal) = &self.wal {
             wal.check_writable()?;
         }
+        let catalog = self.catalog.write();
         self.catalog_version.fetch_add(1, Ordering::Release);
-        Ok(self.catalog.write())
+        Ok(catalog)
     }
 
     /// End a write: log `ops` to the WAL (if there is one) under the

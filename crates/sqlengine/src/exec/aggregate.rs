@@ -19,11 +19,11 @@ use std::sync::Arc;
 use crate::ast::AggregateFunc;
 use crate::error::{EngineError, Result};
 use crate::expr::PhysExpr;
-use crate::plan::{AggSpec, PhysPlan};
+use crate::plan::AggSpec;
 use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, approx_value_bytes, ChargeBuf, Ticker};
-use super::{key_of, ExecContext, NodeOut, Partial, Sink};
+use super::{key_of, ExecContext, NodeOut, Partial, Run, Sink};
 
 /// Running state for one aggregate over one group.
 #[derive(Debug, Clone)]
@@ -161,25 +161,43 @@ impl AggState {
     }
 }
 
-pub(crate) fn aggregate(
-    input: &PhysPlan,
-    keys: &[PhysExpr],
-    aggs: &[AggSpec],
-    ctx: &ExecContext,
+/// What an aggregate evaluates, lowered once per plan: its group keys and
+/// aggregates.
+#[derive(Clone)]
+pub(super) struct GroupSpec {
+    keys: Vec<PhysExpr>,
+    aggs: Vec<AggSpec>,
+}
+
+impl GroupSpec {
+    pub(super) fn new(keys: &[PhysExpr], aggs: &[AggSpec]) -> GroupSpec {
+        GroupSpec {
+            keys: keys.to_vec(),
+            aggs: aggs.to_vec(),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        let args = self.aggs.iter_mut().filter_map(|agg| agg.arg.as_mut());
+        self.keys.iter_mut().chain(args).for_each(f);
+    }
+}
+
+pub(super) fn aggregate(
+    run: &Run,
+    input: usize,
+    spec: &Arc<GroupSpec>,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
     let mut node = NodeOut::new();
-    let (spec, budget) = (
-        Arc::new((keys.to_vec(), aggs.to_vec())),
-        Arc::clone(ctx.budget()),
-    );
-    let parts = super::fold(input, ctx, &mut node, move |morsel| GroupPart {
+    let (part_spec, budget) = (Arc::clone(spec), Arc::clone(run.ctx.budget()));
+    let parts = super::fold(run, input, &mut node, move |morsel| GroupPart {
         groups: Groups::new(morsel == 0),
-        spec: Arc::clone(&spec),
+        spec: Arc::clone(&part_spec),
         charge: ChargeBuf::new(&budget),
     });
     let groups = parts.ok()?.groups;
-    groups.emit(keys, aggs, ctx, sink)?;
+    groups.emit(&spec.keys, &spec.aggs, run.ctx, sink)?;
     Ok(node)
 }
 
@@ -190,13 +208,13 @@ fn default_row(aggs: &[AggSpec]) -> Row {
 /// A group table as a pipeline's partial.
 struct GroupPart {
     groups: Groups,
-    spec: Arc<(Vec<PhysExpr>, Vec<AggSpec>)>,
+    spec: Arc<GroupSpec>,
     charge: ChargeBuf,
 }
 
 impl Partial for GroupPart {
     fn row(&mut self, row: &[Value]) -> Result<()> {
-        let (keys, aggs) = &*self.spec;
+        let GroupSpec { keys, aggs } = &*self.spec;
         self.groups.add(row, keys, aggs, &mut self.charge)
     }
 
@@ -205,7 +223,7 @@ impl Partial for GroupPart {
     }
 
     fn combine(&mut self, later: GroupPart) -> Result<()> {
-        self.groups.merge(later.groups, &self.spec.1)
+        self.groups.merge(later.groups, &self.spec.aggs)
     }
 }
 

@@ -33,6 +33,8 @@ use crate::plan::PhysPlan;
 use crate::sync::{Condvar, Mutex};
 use crate::value::{Row, Value};
 
+use super::program::{Program, Specs};
+
 /// Work fans out to the pool only when its source holds at least this many
 /// rows: two morsels. A source of one morsel has nothing to share, and
 /// below it a fan-out's fixed cost (waking a worker, a partial per morsel,
@@ -664,9 +666,9 @@ impl ExecContext {
         self.shared.lock().push((id, rows));
     }
 
-    /// This context for one run of a plan: statistics on or off, and no
+    /// This context for one run of a program: statistics on or off, and no
     /// shared subplan run yet.
-    fn run(&self, collect_stats: bool) -> ExecContext {
+    fn for_run(&self, collect_stats: bool) -> ExecContext {
         ExecContext {
             collect_stats,
             shared: Arc::default(),
@@ -674,16 +676,30 @@ impl ExecContext {
         }
     }
 
-    /// Execute a plan to completion.
+    /// Execute a plan to completion: lower it and run the program once.
     pub fn execute(&self, plan: &PhysPlan) -> Result<Vec<Row>> {
-        Ok(super::collect(plan, &self.run(self.collect_stats))?.0)
+        let program = Arc::new(Program::lower(plan));
+        Ok(self.execute_program(&program, &[], self.collect_stats)?.0)
     }
 
     /// Execute a plan and collect the per-operator statistics tree
     /// (`EXPLAIN ANALYZE`).
     pub fn execute_with_stats(&self, plan: &PhysPlan) -> Result<(Vec<Row>, OpStats)> {
-        let (rows, stats) = super::collect(plan, &self.run(true))?;
+        let program = Arc::new(Program::lower(plan));
+        let (rows, stats) = self.execute_program(&program, &[], true)?;
         Ok((rows, stats.expect("stats were requested")))
+    }
+
+    /// Run a lowered program to completion, its parameter sites bound to
+    /// `params`, with the per-operator statistics tree when `stats` asks.
+    pub(crate) fn execute_program(
+        &self,
+        program: &Arc<Program>,
+        params: &[Value],
+        stats: bool,
+    ) -> Result<(Vec<Row>, Option<OpStats>)> {
+        let specs = Specs::bind(program, params)?;
+        super::collect(&self.for_run(stats), &specs)
     }
 }
 

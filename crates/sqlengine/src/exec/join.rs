@@ -16,7 +16,9 @@
 //!
 //! The probe, the nested loop's outer side and the index nested loop are
 //! steps of the pipeline their streamed input runs in: the other side runs
-//! first, when the pipeline is prepared.
+//! first, when the pipeline is prepared. What each evaluates is lowered once
+//! per plan (`ProbeSpec`, `LoopSpec`, `IndexSpec`); a hash table, an inner
+//! side and the counts of pruned and looked-up rows are a run's.
 //!
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
@@ -35,14 +37,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::JoinKind;
-use crate::catalog::KeyIndex;
-use crate::error::{EngineError, Result};
+use crate::catalog::{DerivedIndexes, KeyIndex};
+use crate::error::Result;
 use crate::expr::PhysExpr;
 use crate::plan::{IndexRef, JoinAlgo, PhysPlan};
 use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker, MORSEL_ROWS};
-use super::{key_of, ExecContext, Held, NodeOut, Sink};
+use super::program::Input;
+use super::{key_of, ExecContext, Held, NodeOut, Run, Sink};
 
 /// The key filter runs only when the probe side holds at least this many
 /// rows per distinct build key: with nearly as many keys as rows, looking
@@ -106,22 +109,31 @@ fn null_fill(joined: &mut Vec<Value>, row: &[Value], width: usize, out: Option<&
     }
 }
 
-/// Everything a hash-join probe needs besides the probe rows themselves;
-/// shared by every run of the probe.
-pub(super) struct Probe {
+/// What a hash-join probe evaluates, lowered once per plan; the table it
+/// probes is a run's ([`Built`]).
+#[derive(Clone)]
+pub(super) struct ProbeSpec {
     /// The probe side's key expressions.
     keys: Vec<PhysExpr>,
-    table: KeyTable,
-    build_rows: Held,
+    build_keys: Vec<PhysExpr>,
     /// The build rows are the left input: a joined row is `build ++ probe`.
-    build_left: bool,
+    pub(super) build_left: bool,
     kind: JoinKind,
     /// The NULL fill of a LEFT JOIN, which always builds on the right.
     right_width: usize,
     residual: Option<PhysExpr>,
     out: Option<Vec<usize>>,
-    deadline: Option<Instant>,
-    /// Probe rows that found no build key, over every run.
+    /// The probed scan's rows, its derived-index slot and the probed
+    /// column, when the join finds its probe rows by the build keys
+    /// ([`node_mode`] says `Some(true)`).
+    filter: Option<(Arc<Vec<Row>>, DerivedIndexes, usize)>,
+}
+
+/// A probe's table, built by one run from its build side.
+pub(super) struct Built {
+    table: KeyTable,
+    rows: Held,
+    /// Probe rows that found no build key, over every morsel.
     pruned: AtomicUsize,
 }
 
@@ -131,6 +143,7 @@ pub(super) struct ProbeScratch {
     key: Vec<Value>,
     joined: Vec<Value>,
     ticker: Ticker,
+    deadline: Option<Instant>,
     pruned: usize,
     /// This run's own copy of the build rows, if it has one.
     build: Option<Held>,
@@ -139,15 +152,16 @@ pub(super) struct ProbeScratch {
 impl ProbeScratch {
     /// A run that reads `build` (an own copy of the build rows) instead of
     /// the rows the table was built from.
-    pub(super) fn over(build: Option<Held>) -> ProbeScratch {
+    pub(super) fn over(build: Option<Held>, deadline: Option<Instant>) -> ProbeScratch {
         ProbeScratch {
             build,
+            deadline,
             ..ProbeScratch::default()
         }
     }
 }
 
-impl Probe {
+impl Built {
     /// Probe rows that found no build key so far.
     pub(super) fn pruned(&self) -> usize {
         self.pruned.load(Ordering::Relaxed)
@@ -155,14 +169,89 @@ impl Probe {
 
     /// The rows the table indexes.
     pub(super) fn build_rows(&self) -> &Held {
-        &self.build_rows
+        &self.rows
+    }
+}
+
+impl ProbeSpec {
+    pub(super) fn of(join: &PhysPlan) -> ProbeSpec {
+        let PhysPlan::HashJoin {
+            kind,
+            right_width,
+            residual,
+            build_left,
+            out,
+            ..
+        } = join
+        else {
+            unreachable!("a probe lowers a hash join");
+        };
+        let ((_, build_keys), (probe, probe_keys)) =
+            join.join_sides().expect("a hash join has two sides");
+        let filter = match (probe, probe_keys) {
+            (
+                PhysPlan::Scan {
+                    rows,
+                    derived: Some(slot),
+                    ..
+                },
+                [PhysExpr::Column(column)],
+            ) if node_mode(join) == Some(true) => Some((Arc::clone(rows), slot.clone(), *column)),
+            _ => None,
+        };
+        ProbeSpec {
+            keys: probe_keys.to_vec(),
+            build_keys: build_keys.to_vec(),
+            build_left: *build_left,
+            kind: *kind,
+            right_width: *right_width,
+            residual: residual.clone(),
+            out: out.clone(),
+            filter,
+        }
     }
 
-    /// Probe with one row of the probe side: hand on its joined rows, each
-    /// written in scope order (left input first), or the LEFT JOIN NULL-fill
-    /// when none matched.
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        let keys = self.keys.iter_mut().chain(&mut self.build_keys);
+        keys.chain(&mut self.residual).for_each(f);
+    }
+
+    /// Hash `rows`, the build side, and — when the probe side is a scan the
+    /// join key-filters and few enough distinct keys were built — look them
+    /// up in the probed column's derived index: the probe side's rows to
+    /// stream instead of the whole scan.
+    pub(super) fn build(
+        &self,
+        rows: Held,
+        ctx: &ExecContext,
+    ) -> Result<(Built, Option<Candidates>)> {
+        let table = hash_build(&rows, &self.build_keys, ctx)?;
+        let candidates = match &self.filter {
+            Some((scan, slot, column))
+                if table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= scan.len()
+                    && table.keys().all(|key| exact_key(key)) =>
+            {
+                let index = slot.get_or_build(scan, *column);
+                check_deadline(ctx.deadline())?;
+                Some(Candidates::lookup(scan, &index, table.keys()))
+            }
+            _ => None,
+        };
+        let pruned = candidates.as_ref().map_or(0, |c| c.scan_rows() - c.len());
+        let built = Built {
+            table,
+            rows,
+            pruned: AtomicUsize::new(pruned),
+        };
+        Ok((built, candidates))
+    }
+
+    /// Probe `built` with one row of the probe side: hand on its joined
+    /// rows, each written in scope order (left input first), or the LEFT
+    /// JOIN NULL-fill when none matched.
     pub(super) fn row(
         &self,
+        built: &Built,
         prow: &[Value],
         scratch: &mut ProbeScratch,
         sink: &mut Sink,
@@ -171,12 +260,13 @@ impl Probe {
             key,
             joined,
             ticker,
+            deadline,
             pruned,
             build,
         } = scratch;
-        let build_rows = build.as_ref().unwrap_or(&self.build_rows);
+        let build_rows = build.as_ref().unwrap_or(&built.rows);
         let hit = match key_of(prow, &self.keys, key, false)? {
-            Some(key) => self.table.get(key),
+            Some(key) => built.table.get(key),
             None => None,
         };
         let mut matched = false;
@@ -184,7 +274,7 @@ impl Probe {
             Some(idxs) => {
                 for &bi in idxs {
                     // A popular key fans one probe row out to many.
-                    ticker.tick(self.deadline)?;
+                    ticker.tick(*deadline)?;
                     let brow = build_rows.row(bi);
                     let sides = match self.build_left {
                         true => (brow, prow),
@@ -204,11 +294,11 @@ impl Probe {
         }
         Ok(())
     }
+}
 
-    /// Fold a finished run's count of pruned rows into the total.
-    pub(super) fn finish(&self, scratch: ProbeScratch) {
-        self.pruned.fetch_add(scratch.pruned, Ordering::Relaxed);
-    }
+/// Fold a finished probe run's count of pruned rows into `built`'s total.
+pub(super) fn probed(built: &Built, scratch: ProbeScratch) {
+    built.pruned.fetch_add(scratch.pruned, Ordering::Relaxed);
 }
 
 /// The rows of a key-filtered probe side a probe must look at: the
@@ -341,93 +431,6 @@ pub(crate) fn mode_of_label(label: &str) -> Option<&'static str> {
     }
 }
 
-/// Count `(index, row)` keyset probes over the whole plan tree, a shared
-/// subplan's once, for the telemetry registry (`exec.keyset_index_probes` /
-/// `exec.keyset_row_probes`).
-pub(crate) fn count_modes(plan: &PhysPlan) -> (u64, u64) {
-    let mut acc = (0, 0);
-    plan.for_each_node(&mut |node, _, _| match node_mode(node) {
-        Some(true) => acc.0 += 1,
-        Some(false) => acc.1 += 1,
-        None => {}
-    });
-    acc
-}
-
-/// A hash join with its table built, ready to stream its probe side.
-pub(super) struct BuiltJoin<'a> {
-    pub(super) probe: Probe,
-    /// The build side is the left input: its stats are listed before the
-    /// probe side's.
-    pub(super) build_left: bool,
-    pub(super) probe_plan: &'a PhysPlan,
-    /// The rows of the probe side's table the build side's keys found, when
-    /// they were looked up in its derived index.
-    pub(super) candidates: Option<Candidates>,
-}
-
-/// Run a [`PhysPlan::HashJoin`]'s build side, recording it as a child of
-/// `node`, and hash it.
-pub(super) fn build_hash_join<'a>(
-    join: &'a PhysPlan,
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-) -> Result<BuiltJoin<'a>> {
-    let PhysPlan::HashJoin {
-        kind,
-        right_width,
-        residual,
-        build_left,
-        out,
-        ..
-    } = join
-    else {
-        unreachable!("build_hash_join builds hash joins");
-    };
-    let ((build, build_keys), probe_side @ (probe, probe_keys)) =
-        join.join_sides().expect("a hash join has two sides");
-    let build_rows = super::run_input(build, ctx, node)?;
-    let table = hash_build(&build_rows, build_keys, ctx)?;
-
-    let candidates = match probe_side {
-        (
-            PhysPlan::Scan {
-                rows,
-                derived: Some(slot),
-                ..
-            },
-            [PhysExpr::Column(column)],
-        ) if node_mode(join) == Some(true)
-            && table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= rows.len()
-            && table.keys().all(|key| exact_key(key)) =>
-        {
-            let index = slot.get_or_build(rows, *column);
-            check_deadline(ctx.deadline())?;
-            Some(Candidates::lookup(rows, &index, table.keys()))
-        }
-        _ => None,
-    };
-    let pruned = candidates.as_ref().map_or(0, |c| c.scan_rows() - c.len());
-    let probe_op = Probe {
-        keys: probe_keys.to_vec(),
-        table,
-        build_rows,
-        build_left: *build_left,
-        kind: *kind,
-        right_width: *right_width,
-        residual: residual.clone(),
-        out: out.clone(),
-        deadline: ctx.deadline(),
-        pruned: AtomicUsize::new(pruned),
-    };
-    Ok(BuiltJoin {
-        probe: probe_op,
-        build_left: *build_left,
-        probe_plan: probe,
-        candidates,
-    })
-}
-
 /// Build the hash table on the build side (the probe runs over the other,
 /// in its order; a LEFT JOIN builds on the right, so probing the left gives
 /// its NULL fill for free). The table owns one key per distinct key plus
@@ -457,22 +460,65 @@ fn hash_build(build_rows: &Held, build_keys: &[PhysExpr], ctx: &ExecContext) -> 
     Ok(table)
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sort_merge_join(
-    left: &PhysPlan,
-    right: &PhysPlan,
-    left_keys: &[PhysExpr],
-    right_keys: &[PhysExpr],
+/// What a sort-merge join evaluates, lowered once per plan.
+#[derive(Clone)]
+pub(super) struct MergeSpec {
+    left_keys: Vec<PhysExpr>,
+    right_keys: Vec<PhysExpr>,
     kind: JoinKind,
     right_width: usize,
-    residual: &Option<PhysExpr>,
-    out: Option<&[usize]>,
-    ctx: &ExecContext,
+    residual: Option<PhysExpr>,
+    out: Option<Vec<usize>>,
+}
+
+impl MergeSpec {
+    pub(super) fn of(join: &PhysPlan) -> MergeSpec {
+        let PhysPlan::HashJoin {
+            left_keys,
+            right_keys,
+            kind,
+            right_width,
+            residual,
+            out,
+            ..
+        } = join
+        else {
+            unreachable!("a sort-merge join lowers a HashJoin");
+        };
+        MergeSpec {
+            left_keys: left_keys.clone(),
+            right_keys: right_keys.clone(),
+            kind: *kind,
+            right_width: *right_width,
+            residual: residual.clone(),
+            out: out.clone(),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        let keys = self.left_keys.iter_mut().chain(&mut self.right_keys);
+        keys.chain(&mut self.residual).for_each(f);
+    }
+}
+
+pub(super) fn sort_merge_join(
+    run: &Run,
+    (left, right): (&Input, &Input),
+    spec: &MergeSpec,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
+    let MergeSpec {
+        left_keys,
+        right_keys,
+        kind,
+        right_width,
+        residual,
+        out,
+    } = spec;
+    let (ctx, out, kind, right_width) = (run.ctx, out.as_deref(), *kind, *right_width);
     let mut node = NodeOut::new();
-    let left_rows = super::run_input(left, ctx, &mut node)?;
-    let right_rows = super::run_input(right, ctx, &mut node)?;
+    let left_rows = super::run_input(run, left, &mut node)?;
+    let right_rows = super::run_input(run, right, &mut node)?;
 
     // Materialize (key, index) pairs and sort both sides. NULL keys never
     // match and are dropped from the merge (LEFT JOIN keeps their rows).
@@ -547,15 +593,14 @@ fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-/// The inner side of a nested-loop join and what each outer row is joined
-/// with it under.
-pub(super) struct NestedLoop {
-    right_rows: Held,
+/// What a nested-loop join evaluates, lowered once per plan; its inner
+/// rows are a run's.
+#[derive(Clone)]
+pub(super) struct LoopSpec {
     kind: JoinKind,
     right_width: usize,
     predicate: Option<PhysExpr>,
     out: Option<Vec<usize>>,
-    deadline: Option<Instant>,
 }
 
 /// One nested-loop run's working state.
@@ -563,30 +608,51 @@ pub(super) struct NestedLoop {
 pub(super) struct LoopScratch {
     joined: Vec<Value>,
     ticker: Ticker,
+    deadline: Option<Instant>,
     /// This run's own copy of the inner rows, if it has one.
     inner: Option<Held>,
 }
 
 impl LoopScratch {
     /// A run that reads `inner` (an own copy of the inner rows).
-    pub(super) fn over(inner: Option<Held>) -> LoopScratch {
+    pub(super) fn over(inner: Option<Held>, deadline: Option<Instant>) -> LoopScratch {
         LoopScratch {
             inner,
+            deadline,
             ..LoopScratch::default()
         }
     }
 }
 
-impl NestedLoop {
-    /// The inner rows every outer row is joined with.
-    pub(super) fn inner_rows(&self) -> &Held {
-        &self.right_rows
+impl LoopSpec {
+    pub(super) fn of(join: &PhysPlan) -> LoopSpec {
+        let PhysPlan::NestedLoopJoin {
+            kind,
+            right_width,
+            predicate,
+            out,
+            ..
+        } = join
+        else {
+            unreachable!("a nested loop lowers a NestedLoopJoin");
+        };
+        LoopSpec {
+            kind: *kind,
+            right_width: *right_width,
+            predicate: predicate.clone(),
+            out: out.clone(),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        self.predicate.iter_mut().for_each(f);
     }
 
     /// Join one outer row with every inner row — the one operator whose
     /// output is quadratic in its input, so the fan-out ticks the deadline.
     pub(super) fn row(
         &self,
+        inner_rows: &Held,
         lrow: &[Value],
         scratch: &mut LoopScratch,
         sink: &mut Sink,
@@ -594,11 +660,12 @@ impl NestedLoop {
         let LoopScratch {
             joined,
             ticker,
+            deadline,
             inner,
         } = scratch;
         let mut matched = false;
-        for rrow in inner.as_ref().unwrap_or(&self.right_rows).iter() {
-            ticker.tick(self.deadline)?;
+        for rrow in inner.as_ref().unwrap_or(inner_rows).iter() {
+            ticker.tick(*deadline)?;
             if join_into(joined, (lrow, rrow), &self.predicate, self.out.as_deref())? {
                 matched = true;
                 sink(joined)?;
@@ -612,36 +679,6 @@ impl NestedLoop {
     }
 }
 
-/// Run a [`PhysPlan::NestedLoopJoin`]'s inner side, recording it as a child
-/// of `node` (listed after the outer side): the operator its outer rows
-/// stream through.
-pub(super) fn inner_side(
-    join: &PhysPlan,
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-) -> Result<NestedLoop> {
-    let PhysPlan::NestedLoopJoin {
-        right,
-        kind,
-        right_width,
-        predicate,
-        out,
-        ..
-    } = join
-    else {
-        unreachable!("inner_side runs nested-loop joins");
-    };
-    let right_rows = super::run_input(right, ctx, node)?;
-    Ok(NestedLoop {
-        right_rows,
-        kind: *kind,
-        right_width: *right_width,
-        predicate: predicate.clone(),
-        out: out.clone(),
-        deadline: ctx.deadline(),
-    })
-}
-
 /// Index-nested-loop join: look each probe row's key tuple up in the inner
 /// side's index — the inner table is never scanned.
 ///
@@ -650,7 +687,8 @@ pub(super) fn inner_side(
 /// with the probe on the left the output ordering matches the hash join
 /// exactly. `inner_is_left` flips the column order of the output rows to
 /// match the FROM-clause scope when the indexed table was the left item.
-pub(super) struct IndexProbe {
+#[derive(Clone)]
+pub(super) struct IndexSpec {
     probe_keys: Vec<PhysExpr>,
     inner_rows: Arc<Vec<Row>>,
     index: IndexRef,
@@ -659,9 +697,6 @@ pub(super) struct IndexProbe {
     inner_width: usize,
     residual: Option<PhysExpr>,
     out: Option<Vec<usize>>,
-    deadline: Option<Instant>,
-    /// Inner rows looked up, over every run.
-    fetched: AtomicUsize,
 }
 
 /// One index probe run's working state.
@@ -671,11 +706,23 @@ pub(super) struct IndexScratch {
     key: Vec<Value>,
     joined: Vec<Value>,
     ticker: Ticker,
+    deadline: Option<Instant>,
     fetched: usize,
 }
 
-impl IndexProbe {
-    pub(super) fn of(join: &PhysPlan, ctx: &ExecContext) -> Result<IndexProbe> {
+impl IndexScratch {
+    pub(super) fn new(deadline: Option<Instant>) -> IndexScratch {
+        IndexScratch {
+            deadline,
+            ..IndexScratch::default()
+        }
+    }
+}
+
+impl IndexSpec {
+    /// The join's spec, or the error it raises when its inner side is no
+    /// index scan.
+    pub(super) fn of(join: &PhysPlan) -> std::result::Result<IndexSpec, &'static str> {
         let PhysPlan::IndexJoin {
             probe_keys,
             inner,
@@ -687,14 +734,12 @@ impl IndexProbe {
             ..
         } = join
         else {
-            unreachable!("an index probe runs an index join");
+            unreachable!("an index probe lowers an index join");
         };
         let PhysPlan::IndexScan { rows, index, .. } = &**inner else {
-            return Err(EngineError::exec(
-                "IndexJoin inner side must be an IndexScan",
-            ));
+            return Err("IndexJoin inner side must be an IndexScan");
         };
-        Ok(IndexProbe {
+        Ok(IndexSpec {
             probe_keys: probe_keys.clone(),
             inner_rows: Arc::clone(rows),
             index: index.clone(),
@@ -703,14 +748,14 @@ impl IndexProbe {
             inner_width: *inner_width,
             residual: residual.clone(),
             out: out.clone(),
-            deadline: ctx.deadline(),
-            fetched: AtomicUsize::new(0),
         })
     }
 
-    /// Inner rows looked up so far.
-    pub(super) fn fetched(&self) -> usize {
-        self.fetched.load(Ordering::Relaxed)
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        self.probe_keys
+            .iter_mut()
+            .chain(&mut self.residual)
+            .for_each(f);
     }
 
     /// Join one probe row with the inner rows its key looks up.
@@ -725,6 +770,7 @@ impl IndexProbe {
             key,
             joined,
             ticker,
+            deadline,
             fetched,
         } = scratch;
         let mut matched = false;
@@ -734,7 +780,7 @@ impl IndexProbe {
             idxs.sort_unstable();
             *fetched += idxs.len();
             for &ii in idxs.iter() {
-                ticker.tick(self.deadline)?;
+                ticker.tick(*deadline)?;
                 let irow = &self.inner_rows[ii];
                 let sides = match self.inner_is_left {
                     true => (&irow[..], prow),
@@ -753,17 +799,16 @@ impl IndexProbe {
         }
         Ok(())
     }
+}
 
-    /// Fold a finished run's count of looked-up rows into the total.
-    pub(super) fn finish(&self, scratch: IndexScratch) {
-        self.fetched.fetch_add(scratch.fetched, Ordering::Relaxed);
-    }
+/// Fold a finished index probe run's count of looked-up rows into `total`.
+pub(super) fn fetched(total: &AtomicUsize, scratch: IndexScratch) {
+    total.fetch_add(scratch.fetched, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::DerivedIndexes;
 
     /// The positions of `rows` a full scan finds: a non-NULL value in
     /// `column` equal to one of `keys`, ascending.

@@ -10,15 +10,27 @@
 //!   (`ORDER BY ... LIMIT`), and window ranking;
 //! * [`setops`] — `UNION ALL`, `DISTINCT`, `LIMIT`.
 //!
-//! **Sources, steps and breakers.** A plan runs as *pipelines* ([`Pipeline`])
-//! joined by *breakers*, source first and sink last — the one driver. A
-//! pipeline is made of
+//! **Lowered once, run many times.** A plan is lowered once, when it is
+//! planned, into a [`Program`] ([`program`]): its pipelines and breakers laid
+//! out flat, every operator a stage with a fixed index, its `EXPLAIN
+//! ANALYZE` label and what it evaluates. A plan-cache hit runs the cached
+//! program as it is; a template's parameter values are bound only into the
+//! stages that hold a marker. Uncached statements, what the planner executes
+//! itself and `EXPLAIN ANALYZE` lower and run the same way. A run keeps all
+//! its state — hash tables, held rows, shared slots, step scratch, row
+//! counters — of its own ([`PipeRun`]), so concurrent runs share one
+//! program.
+//!
+//! **Sources, steps and breakers.** A program runs as *pipelines* joined by
+//! *breakers*, source first and sink last — the one driver. A pipeline is
+//! made of
 //!
 //! * its *sources*: rows held in full — a base-table scan's snapshot, a
-//!   filled shared slot ([`PhysPlan::Shared`]: the first reference to run
-//!   fills it, the others read it), the rows of a table a hash join's key
-//!   filter found ([`join`]) — or rows a source hands on as it makes them:
-//!   an index lookup, a one-row `SELECT`, a breaker's output ([`push`]);
+//!   filled shared slot ([`crate::plan::PhysPlan::Shared`]: the first
+//!   reference to run fills it, the others read it), the rows of a table a
+//!   hash join's key filter found ([`join`]) — or rows a source hands on as
+//!   it makes them: an index lookup, a one-row `SELECT`, a breaker's output
+//!   ([`push`]);
 //! * its *steps*, the streaming operators above the sources: Filter/Project,
 //!   the hash-join probe, the nested-loop and index nested-loop joins,
 //!   `UNION ALL`. A step passes each row on as it is produced — a scan lends
@@ -33,8 +45,9 @@
 //!
 //! Whatever a pipeline's steps read — a build side, an inner side, a shared
 //! slot — runs first, as pipelines of its own, in the order a serial run
-//! reads it. A held row is charged to the statement's memory budget, and an
-//! intermediate one counts in `exec.rows_materialized`.
+//! reads it, when the run prepares the pipeline's nodes. A held row is
+//! charged to the statement's memory budget, and an intermediate one counts
+//! in `exec.rows_materialized`.
 //!
 //! **Morsels.** A pipeline into a breaker that folds its input ([`Partial`])
 //! fans out when every source holds its rows in full, together at least
@@ -45,7 +58,7 @@
 //! and the breaker combines the partials in morsel order. A pool worker
 //! reads its own copy of the text its steps share with every morsel — a
 //! build or inner side, a stage's literals — so no two threads write one
-//! reference count row after row ([`Pipeline::own`]). Otherwise each source
+//! reference count row after row ([`PipeRun::own`]). Otherwise each source
 //! runs whole, in order, on the calling thread. So row order, group order
 //! (first seen), `COUNT(DISTINCT)` results, every operator's `(label,
 //! rows_in, rows_out)` and `exec.rows_materialized` are the same at every
@@ -64,13 +77,15 @@
 mod aggregate;
 mod context;
 mod join;
+mod program;
 mod scan;
 mod setops;
 mod sort;
 
 pub(crate) use context::check_deadline;
 pub use context::{ExecContext, MemoryBudget, OpStats, WorkerPool};
-pub(crate) use join::{count_modes, mode_of_label, mode_suffix, node_mode};
+pub(crate) use join::{mode_of_label, mode_suffix, node_mode};
+pub(crate) use program::Program;
 pub(crate) use scan::index_positions;
 
 use std::ops::Range;
@@ -79,12 +94,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{EngineError, Result};
-use crate::explain::{op_label, reused_label};
-use crate::plan::{JoinAlgo, PhysPlan};
 use crate::sync::Mutex;
 use crate::value::{Row, Value};
 
 use context::{ChargeBuf, Ticker, MORSEL_ROWS};
+use program::{Breaker, BreakerKind, Input, Kind, PipeNode, SharedRef, Spec, Specs};
 
 /// Where an operator hands its output rows, one call per row, in output
 /// order. The slice is lent for the call only: a consumer that keeps the row
@@ -225,99 +239,85 @@ fn recorded(
     Ok(Some(node.stats(label(), rows_out)))
 }
 
-/// Run a source that hands its rows on itself — an index lookup, a one-row
-/// `SELECT`, a breaker — into `sink`, and make its stats record.
-fn push(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<Option<OpStats>> {
-    recorded(
-        ctx,
-        || op_label(plan),
-        sink,
-        |sink| dispatch(plan, ctx, sink),
-    )
+/// One run of a program: the context it runs under and the specs it reads.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'r> {
+    pub(crate) ctx: &'r ExecContext,
+    specs: &'r Arc<Specs>,
 }
 
-fn dispatch(plan: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
-    match plan {
-        PhysPlan::IndexScan {
-            rows, index, keys, ..
-        } => match keys {
-            Some(keys) => scan::index_scan(rows, index, keys, ctx, sink),
-            None => Err(EngineError::exec(
-                "probe-driven IndexScan can only run inside an IndexJoin",
-            )),
-        },
-        PhysPlan::OneRow => {
-            sink(&[])?;
-            Ok(NodeOut::new())
-        }
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-            right_width,
-            residual,
-            algo: JoinAlgo::SortMerge,
-            out,
-            ..
-        } => join::sort_merge_join(
-            left,
-            right,
-            left_keys,
-            right_keys,
-            *kind,
-            *right_width,
-            residual,
-            out.as_deref(),
-            ctx,
-            sink,
-        ),
-        PhysPlan::Aggregate { input, keys, aggs } => {
-            aggregate::aggregate(input, keys, aggs, ctx, sink)
-        }
-        PhysPlan::Window {
-            input,
-            func,
-            partition,
-            order,
-        } => sort::window_rank(input, *func, partition, order, ctx, sink),
-        PhysPlan::Sort { input, keys } => sort::sort(input, keys, ctx, sink),
-        PhysPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => setops::limit(input, *limit, *offset, ctx, sink),
-        PhysPlan::Distinct { input } => setops::distinct(input, ctx, sink),
-        _ => unreachable!("a held source or a streaming operator runs in a pipeline"),
+impl<'r> Run<'r> {
+    fn program(&self) -> &'r Program {
+        &self.specs.program
+    }
+
+    fn spec(&self, stage: usize) -> &'r Spec {
+        self.specs.spec(stage)
+    }
+
+    /// Stage `stage`'s label, for its stats record.
+    fn label(&self, stage: usize) -> String {
+        self.program().stage(stage).label.clone()
     }
 }
 
-/// Shared subplan `id`'s rows, and — when this reference filled the slot,
-/// running `input` into it — what filling it ran (`None`: an earlier
+/// Run breaker `breaker`, which hands its rows on itself, into `sink`, and
+/// make its stats record.
+fn push(run: &Run, breaker: usize, sink: &mut Sink) -> Result<Option<OpStats>> {
+    let breaker = &run.program().breakers[breaker];
+    recorded(
+        run.ctx,
+        || run.label(breaker.stage),
+        sink,
+        |sink| run_breaker(run, breaker, sink),
+    )
+}
+
+fn run_breaker(run: &Run, breaker: &Breaker, sink: &mut Sink) -> Result<NodeOut> {
+    match (&breaker.kind, run.spec(breaker.stage)) {
+        (BreakerKind::IndexScan, Spec::IndexScan(spec)) => scan::index_scan(spec, run.ctx, sink),
+        (BreakerKind::OneRow, _) => {
+            sink(&[])?;
+            Ok(NodeOut::new())
+        }
+        (BreakerKind::SortMerge(left, right), Spec::SortMerge(spec)) => {
+            join::sort_merge_join(run, (left, right), spec, sink)
+        }
+        (BreakerKind::Aggregate(input), Spec::Aggregate(spec)) => {
+            aggregate::aggregate(run, *input, spec, sink)
+        }
+        (BreakerKind::Window(input), Spec::Window(spec)) => {
+            sort::window_rank(run, spec, input, sink)
+        }
+        (BreakerKind::Sort(input), _) => sort::sort(run, breaker.stage, input, sink),
+        (BreakerKind::Limit(_) | BreakerKind::TopK(..), _) => setops::limit(run, breaker, sink),
+        (BreakerKind::Distinct(input), _) => setops::distinct(run, *input, sink),
+        _ => unreachable!("a breaker runs its own spec"),
+    }
+}
+
+/// A shared slot's rows, and — when this reference filled the slot, running
+/// its fill pipeline into it — what filling it ran (`None`: an earlier
 /// reference did, and this one reads the rows). The slot is the breaker of
-/// its input's pipeline and holds the rows for the rest of the run: charged
-/// to the statement's budget and counted in `exec.rows_materialized` once,
+/// its fill pipeline and holds the rows for the rest of the run: charged to
+/// the statement's budget and counted in `exec.rows_materialized` once,
 /// however many references read them. A fill that fails holds nothing and
 /// returns the rows produced before the error with it: a serial run hands
 /// those on before it raises.
-fn slot(
-    id: usize,
-    input: &PhysPlan,
-    ctx: &ExecContext,
-) -> (Arc<FlatRows>, Option<NodeOut>, Option<EngineError>) {
-    if let Some(rows) = ctx.shared_rows(id) {
+fn slot(run: &Run, shared: &SharedRef) -> (Arc<FlatRows>, Option<NodeOut>, Option<EngineError>) {
+    let ctx = run.ctx;
+    if let Some(rows) = ctx.shared_rows(shared.id) {
         ctx.count_shared_reuse();
         return (rows, None, None);
     }
     let mut fill = NodeOut::new();
-    let run = booked(&mut fill, ctx, |fill| collect_flat(input, ctx, fill));
-    let held = Arc::new(run.part);
-    if run.error.is_none() {
+    let ended = booked(&mut fill, ctx, |fill| collect_flat(run, shared.fill, fill));
+    let held = Arc::new(ended.part);
+    if ended.error.is_none() {
         ctx.count_rows_materialized(held.len());
-        ctx.hold_shared(id, Arc::clone(&held));
+        ctx.hold_shared(shared.id, Arc::clone(&held));
     }
-    (held, Some(fill), run.error)
+    (held, Some(fill), ended.error)
 }
 
 /// Hand already-held rows to `sink` in order, looking at the deadline every
@@ -453,27 +453,30 @@ impl Held {
     }
 }
 
-/// Run `plan` into held rows, each charged to the statement's memory budget,
-/// recording its stats as a child of `node`: how a shared slot, a build or
-/// inner side and a sort or window input hold their input.
-fn collect_flat(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Run<FlatRows> {
-    let (mut rows, mut charge) = (FlatRows::new(plan.width()), ChargeBuf::new(ctx.budget()));
-    let held = hold(plan, ctx, node, &mut |row| {
+/// Run pipeline `pipe` into held rows, each charged to the statement's
+/// memory budget, recording its stats as a child of `node`: how a shared
+/// slot, a build or inner side and a sort or window input hold their input.
+fn collect_flat(run: &Run, pipe: usize, node: &mut NodeOut) -> Ended<FlatRows> {
+    let width = run.program().pipes[pipe].width;
+    let (mut rows, mut charge) = (FlatRows::new(width), ChargeBuf::new(run.ctx.budget()));
+    let held = hold(run, pipe, node, &mut |row| {
         charge.add_row(row)?;
         rows.push(row);
         Ok(())
     });
     let error = held.and_then(|()| charge.flush()).err();
-    Run { part: rows, error }
+    Ended { part: rows, error }
 }
 
-/// Run a plan to completion and hold its rows, each charged to the
-/// statement's memory budget: the statement result (and what the planner
-/// executes itself). The rows outlive the run, so each is its own `Row`.
-pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, Option<OpStats>)> {
+/// Run `specs`' program to completion and hold its rows, each charged to
+/// the statement's memory budget: the statement result (and what the
+/// planner executes itself). The rows outlive the run, so each is its own
+/// `Row`.
+fn collect(ctx: &ExecContext, specs: &Arc<Specs>) -> Result<(Vec<Row>, Option<OpStats>)> {
+    let run = Run { ctx, specs };
     let (mut rows, mut charge) = (Vec::new(), ChargeBuf::new(ctx.budget()));
     let mut node = NodeOut::new();
-    hold(plan, ctx, &mut node, &mut |row| {
+    hold(&run, run.program().root, &mut node, &mut |row| {
         charge.add_row(row)?;
         rows.push(row.to_vec());
         Ok(())
@@ -487,29 +490,28 @@ pub(crate) fn collect(plan: &PhysPlan, ctx: &ExecContext) -> Result<(Vec<Row>, O
 ///
 /// Rows already held are handed over as a cheap `Arc` clone: a base-table
 /// scan's catalog snapshot, a shared subplan's slot (run into it first if no
-/// reference has yet). Any other child is collected — an intermediate
+/// reference has yet). Any other input is collected — an intermediate
 /// result, counted in `exec.rows_materialized`.
-pub(crate) fn run_input(plan: &PhysPlan, ctx: &ExecContext, node: &mut NodeOut) -> Result<Held> {
+fn run_input(run: &Run, input: &Input, node: &mut NodeOut) -> Result<Held> {
+    let ctx = run.ctx;
     ctx.check_timeout()?;
-    let (rows, ran) = match plan {
-        PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-            (Held::Rows(Arc::clone(rows)), Some(NodeOut::new()))
-        }
-        PhysPlan::Shared { id, input, .. } => match slot(*id, input, ctx) {
+    let (rows, ran) = match input {
+        Input::Rows(rows, _) => (Held::Rows(Arc::clone(rows)), Some(NodeOut::new())),
+        Input::Shared(shared, _) => match slot(run, shared) {
             (_, _, Some(error)) => return Err(error),
             (rows, fill, None) => (Held::Flat(rows), fill),
         },
-        _ => {
-            let rows = collect_flat(plan, ctx, node).ok()?;
+        Input::Collect(pipe) => {
+            let rows = collect_flat(run, *pipe, node).ok()?;
             ctx.count_rows_materialized(rows.len());
             return Ok(Held::Flat(Arc::new(rows)));
         }
     };
     node.rows_in += rows.len();
     if ctx.stats_enabled() {
-        let label = match ran {
-            Some(_) => op_label(plan),
-            None => reused_label(plan),
+        let label = match (&ran, input) {
+            (None, Input::Shared(shared, _)) => shared.reused.clone(),
+            _ => run.label(run.program().input_stage(input)),
         };
         let ran = ran.unwrap_or_else(NodeOut::new);
         node.children.push(ran.stats(label, rows.len()));
@@ -572,72 +574,69 @@ pub(crate) trait Partial: Send + 'static {
 /// What one run of a pipeline hands its breaker: its partial, and the error
 /// that ended the run, if one did — then the partial holds the rows that
 /// reached the breaker before the error.
-pub(crate) struct Run<P> {
+pub(crate) struct Ended<P> {
     pub(crate) part: P,
     pub(crate) error: Option<EngineError>,
 }
 
-impl<P> Run<P> {
+impl<P> Ended<P> {
     pub(crate) fn ok(self) -> Result<P> {
         self.error.map_or(Ok(self.part), Err)
     }
 }
 
-/// Run `input`'s pipeline into `sink`, the partial of a breaker that holds
+/// Run pipeline `input` into `sink`, the partial of a breaker that holds
 /// its input's rows as they are or passes them on: serially, on the calling
 /// thread (see [`Partial`]), recording `input`'s stats as a child of `node`.
-pub(crate) fn hold(
-    input: &PhysPlan,
-    ctx: &ExecContext,
-    node: &mut NodeOut,
-    sink: &mut Sink,
-) -> Result<()> {
-    let (pipe, prepared) = Pipeline::prepare(input, ctx);
-    let (ran, streamed) = pipe.serial(ctx, sink);
+fn hold(run: &Run, input: usize, node: &mut NodeOut, sink: &mut Sink) -> Result<()> {
+    let (pipe, prepared) = PipeRun::prepare(run, input);
+    let (ran, streamed) = pipe.serial(run, sink);
     streamed.and(prepared)?;
-    pipe.record(ctx, node, ran);
+    pipe.record(run.ctx, node, ran);
     Ok(())
 }
 
-/// Run `input`'s pipeline into partials made by `part` (called with the
+/// Run pipeline `input` into partials made by `part` (called with the
 /// morsel's index), recording `input`'s stats as a child of `node`: over
 /// morsels when the sources hold their rows in full and at least
 /// [`context::FAN_OUT_ROWS`] of them, else serially into one partial.
-pub(crate) fn fold<P: Partial>(
-    input: &PhysPlan,
-    ctx: &ExecContext,
+fn fold<P: Partial>(
+    run: &Run,
+    input: usize,
     node: &mut NodeOut,
     part: impl Fn(usize) -> P + Send + Sync + 'static,
-) -> Run<P> {
-    let (pipe, prepared) = Pipeline::prepare(input, ctx);
+) -> Ended<P> {
+    let (mut pipe, prepared) = PipeRun::prepare(run, input);
     let fanned;
-    let (pipe, (part, error, ran)) = match pipe.fans_out(ctx) {
+    let (pipe, (part, error, ran)) = match pipe.fans_out(run.ctx) {
         true => {
-            fanned = Arc::new(pipe.detached(ctx));
-            (&*fanned, Pipeline::fan_out(&fanned, ctx, part))
+            let workers = 1..run.ctx.parallelism();
+            pipe.own = workers.map(|_| Mutex::default()).collect();
+            fanned = Arc::new(pipe);
+            (&*fanned, PipeRun::fan_out(&fanned, run.ctx, part))
         }
         false => {
             let mut only = part(0);
-            let (ran, streamed) = pipe.serial(ctx, &mut |row| only.row(row));
+            let (ran, streamed) = pipe.serial(run, &mut |row| only.row(row));
             let error = streamed.and_then(|()| only.finish()).err();
             (&pipe, (only, error, ran))
         }
     };
     let error = error.or(prepared.err());
     if error.is_none() {
-        pipe.record(ctx, node, ran);
+        pipe.record(run.ctx, node, ran);
     }
-    Run { part, error }
+    Ended { part, error }
 }
 
-/// A streaming operator as a pipeline holds it. The joins are boxed (a hash
-/// probe is 192 bytes), so that the node list every pipeline of every
-/// statement builds stays small.
-enum Step {
-    Stage(scan::StageSpec),
-    Probe(Box<join::Probe>),
-    NestedLoop(Box<join::NestedLoop>),
-    IndexJoin(Box<join::IndexProbe>),
+/// A streaming operator as a pipeline runs it: what it evaluates, from the
+/// program, and what the run built for it.
+#[derive(Clone, Copy)]
+enum Step<'p> {
+    Stage(&'p scan::StageSpec),
+    Probe(&'p join::ProbeSpec, &'p join::Built),
+    NestedLoop(&'p join::LoopSpec, &'p Held),
+    IndexJoin(&'p join::IndexSpec, &'p AtomicUsize),
 }
 
 /// A step's working state over one source or morsel.
@@ -650,7 +649,7 @@ enum Scratch {
 }
 
 /// A pool worker's own copy of what a step shares with every morsel (see
-/// [`Pipeline::own`]).
+/// [`PipeRun::own`]).
 #[derive(Clone)]
 enum Own {
     /// A Filter/Project whose text literals are the worker's.
@@ -660,10 +659,10 @@ enum Own {
     Side(Held),
 }
 
-impl Step {
+impl Step<'_> {
     /// Working state for one run, reading `own` in place of what the step
     /// shares, if given.
-    fn scratch(&self, own: Option<Own>) -> Scratch {
+    fn scratch(self, own: Option<Own>, deadline: Option<Instant>) -> Scratch {
         let (stage, side) = match own {
             Some(Own::Stage(stage)) => (Some(stage), None),
             Some(Own::Side(rows)) => (None, Some(rows)),
@@ -671,9 +670,9 @@ impl Step {
         };
         match self {
             Step::Stage(_) => Scratch::Stage(Vec::new(), stage),
-            Step::Probe(_) => Scratch::Probe(join::ProbeScratch::over(side)),
-            Step::NestedLoop(_) => Scratch::NestedLoop(join::LoopScratch::over(side)),
-            Step::IndexJoin(_) => Scratch::IndexJoin(Default::default()),
+            Step::Probe(..) => Scratch::Probe(join::ProbeScratch::over(side, deadline)),
+            Step::NestedLoop(..) => Scratch::NestedLoop(join::LoopScratch::over(side, deadline)),
+            Step::IndexJoin(..) => Scratch::IndexJoin(join::IndexScratch::new(deadline)),
         }
     }
 
@@ -681,102 +680,105 @@ impl Step {
     /// counts are its own, charged to `budget`; `None` when it shares no
     /// text. An index join's inner side is a whole table and is not copied.
     fn own_copy(
-        &self,
+        self,
         budget: &Arc<MemoryBudget>,
         deadline: Option<Instant>,
     ) -> Result<Option<Own>> {
         Ok(match self {
             Step::Stage(stage) => stage.unshared().map(|stage| Own::Stage(Arc::new(stage))),
-            Step::Probe(op) => op.build_rows().own_copy(budget, deadline)?.map(Own::Side),
-            Step::NestedLoop(op) => op.inner_rows().own_copy(budget, deadline)?.map(Own::Side),
-            Step::IndexJoin(_) => None,
+            Step::Probe(_, built) => built
+                .build_rows()
+                .own_copy(budget, deadline)?
+                .map(Own::Side),
+            Step::NestedLoop(_, inner) => inner.own_copy(budget, deadline)?.map(Own::Side),
+            Step::IndexJoin(..) => None,
         })
     }
 
     /// The step's one per-row function: what it does with an input row,
     /// handing its output rows to `sink`.
-    fn row(&self, row: &[Value], scratch: &mut Scratch, sink: &mut Sink) -> Result<()> {
+    fn row(self, row: &[Value], scratch: &mut Scratch, sink: &mut Sink) -> Result<()> {
         match (self, scratch) {
             (Step::Stage(stage), Scratch::Stage(out, own)) => {
                 own.as_deref().unwrap_or(stage).row(row, out, sink)
             }
-            (Step::Probe(op), Scratch::Probe(own)) => op.row(row, own, sink),
-            (Step::NestedLoop(op), Scratch::NestedLoop(own)) => op.row(row, own, sink),
-            (Step::IndexJoin(op), Scratch::IndexJoin(own)) => op.row(row, own, sink),
+            (Step::Probe(spec, built), Scratch::Probe(own)) => spec.row(built, row, own, sink),
+            (Step::NestedLoop(spec, inner), Scratch::NestedLoop(own)) => {
+                spec.row(inner, row, own, sink)
+            }
+            (Step::IndexJoin(spec, _), Scratch::IndexJoin(own)) => spec.row(row, own, sink),
             _ => unreachable!("a step runs on its own scratch"),
         }
     }
 
     /// Fold a finished run's scratch into the step's totals.
-    fn finish(&self, scratch: Scratch) {
+    fn finish(self, scratch: Scratch) {
         match (self, scratch) {
-            (Step::Probe(op), Scratch::Probe(own)) => op.finish(own),
-            (Step::IndexJoin(op), Scratch::IndexJoin(own)) => op.finish(own),
+            (Step::Probe(_, built), Scratch::Probe(own)) => join::probed(built, own),
+            (Step::IndexJoin(_, total), Scratch::IndexJoin(own)) => join::fetched(total, own),
             _ => {}
         }
     }
 }
 
-/// A pipeline ready to run: its operators as nodes, the breaker's input
-/// first and each node's inputs in plan order, so its sources too.
-struct Pipeline<'a> {
-    nodes: Vec<PipeNode<'a>>,
+/// One run of a program's pipeline: what the run built for each of its
+/// nodes, by node.
+struct PipeRun {
+    specs: Arc<Specs>,
+    pipe: usize,
+    /// The nodes prepared, in the program's order: after a failure, those
+    /// whose sources a serial run hands on before it.
+    nodes: Vec<NodeRun>,
     deadline: Option<Instant>,
     budget: Arc<MemoryBudget>,
     /// Each pool worker's own copies of what the steps share, by node, made
-    /// by its first morsel (see [`Pipeline::own`]); none when it runs
+    /// by its first morsel (see [`PipeRun::own`]); none when it runs
     /// serially.
     own: Vec<Mutex<Option<Vec<Option<Own>>>>>,
 }
 
-/// One operator of a pipeline; its inputs are the nodes it is the parent
-/// of, in plan order.
-struct PipeNode<'a> {
-    /// Its per-row function; `None` at a source and a `UNION ALL`.
-    step: Option<Step>,
-    parent: Option<usize>,
+/// One node's run: the rows it handed on, and what the run built for it.
+struct NodeRun {
     rows_out: AtomicUsize,
-    label: String,
-    role: Role<'a>,
+    state: State,
 }
 
-/// What a node's stats record holds besides its streamed inputs.
-enum Role<'a> {
-    /// A source, whose rows pass through its ancestors' steps on their way
-    /// to the breaker.
-    Source(Source<'a>),
-    /// Filter/Project.
-    Stream,
-    /// `UNION ALL`: its arms' rows pass it unchanged, so it is on no path.
-    Union,
-    /// A join whose other side ran at preparation: a hash join's build side
-    /// (`first` when it is the left input) or a nested loop's inner side.
-    Join { side: NodeOut, first: bool },
-    /// An index nested-loop join, with the label of its index scan.
-    IndexJoin(String),
-}
-
-enum Source<'a> {
-    /// Rows held in full — a table's snapshot, or a shared slot and what
-    /// filling it ran (`None`: it was filled before) — cut into morsels of
-    /// rows.
+enum State {
+    /// A Filter/Project or a `UNION ALL`: nothing of its own.
+    Streams,
+    /// A source holding its rows in full — a table's snapshot, or a shared
+    /// slot and what filling it ran (`None`: it was filled before) — cut
+    /// into morsels of rows.
     Rows(Held, Option<NodeOut>),
     /// The rows of a table a hash join probes that the key filter found,
     /// cut into morsels of the table's rows.
     Candidates(join::Candidates),
-    /// A plan that hands its rows on itself ([`push`]): it runs whole, on
-    /// the calling thread.
-    Pushed(&'a PhysPlan),
+    /// A source that is a breaker handing its rows on itself ([`push`]): it
+    /// runs whole, on the calling thread.
+    Pushed(usize),
+    /// A hash join's table and what building it ran.
+    Probe(join::Built, NodeOut),
+    /// A nested loop's inner rows and what holding them ran.
+    Loop(Held, NodeOut),
+    /// An index nested-loop join's count of rows looked up.
+    Index(AtomicUsize),
 }
 
-impl Source<'_> {
+impl State {
+    fn is_source(&self) -> bool {
+        matches!(
+            self,
+            State::Rows(..) | State::Candidates(_) | State::Pushed(_)
+        )
+    }
+
     /// How many units it holds (rows or morsels), and how many make a
     /// morsel.
     fn units(&self) -> (usize, usize) {
         match self {
-            Source::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
-            Source::Candidates(rows) => (rows.morsels(), 1),
-            Source::Pushed(_) => unreachable!("a pushed source is never cut"),
+            State::Rows(rows, _) => (rows.len(), MORSEL_ROWS),
+            State::Candidates(rows) => (rows.morsels(), 1),
+            _ => unreachable!("only a held source is cut"),
         }
     }
 
@@ -784,9 +786,9 @@ impl Source<'_> {
     /// handed on once every morsel ran.
     fn rows(&self) -> usize {
         match self {
-            Source::Rows(rows, _) => rows.len(),
-            Source::Candidates(rows) => rows.len(),
-            Source::Pushed(_) => 0,
+            State::Rows(rows, _) => rows.len(),
+            State::Candidates(rows) => rows.len(),
+            _ => 0,
         }
     }
 
@@ -797,9 +799,9 @@ impl Source<'_> {
         sink: &mut (impl FnMut(&[Value]) -> Result<()> + ?Sized),
     ) -> Result<()> {
         match self {
-            Source::Rows(rows, _) => emit_until(rows.rows(units), deadline, sink),
-            Source::Candidates(rows) => rows.emit(units, deadline, sink),
-            Source::Pushed(_) => unreachable!("a pushed source hands its rows on itself"),
+            State::Rows(rows, _) => emit_until(rows.rows(units), deadline, sink),
+            State::Candidates(rows) => rows.emit(units, deadline, sink),
+            _ => unreachable!("only a held source emits its rows"),
         }
     }
 }
@@ -817,126 +819,96 @@ struct Ran {
     pushed: Vec<(usize, OpStats)>,
 }
 
-impl<'a> Pipeline<'a> {
-    /// Prepare `input`'s pipeline: its nodes, running what they read first.
-    /// After a failure the leaves added so far are the sources whose rows a
-    /// serial run hands on before it.
-    fn prepare(input: &'a PhysPlan, ctx: &ExecContext) -> (Pipeline<'a>, Result<()>) {
-        let mut pipe = Pipeline {
-            nodes: Vec::new(),
-            deadline: ctx.deadline(),
-            budget: Arc::clone(ctx.budget()),
+impl PipeRun {
+    /// Prepare a run of pipeline `pipe`: its nodes in the program's order,
+    /// running what they read first. After a failure the nodes prepared so
+    /// far are those whose sources a serial run hands on before it.
+    fn prepare(run: &Run, pipe: usize) -> (PipeRun, Result<()>) {
+        let lowered = &run.program().pipes[pipe].nodes;
+        let mut this = PipeRun {
+            specs: Arc::clone(run.specs),
+            pipe,
+            nodes: Vec::with_capacity(lowered.len()),
+            deadline: run.ctx.deadline(),
+            budget: Arc::clone(run.ctx.budget()),
             own: Vec::new(),
         };
-        let prepared = pipe.add(input, None, ctx);
-        (pipe, prepared)
+        let prepared = this.prepare_nodes(run, lowered);
+        (this, prepared)
     }
 
-    /// Add a node under `parent`.
-    fn node(
-        &mut self,
-        parent: Option<usize>,
-        step: Option<Step>,
-        label: String,
-        role: Role<'a>,
-    ) -> usize {
-        self.nodes.push(PipeNode {
-            step,
-            parent,
-            rows_out: AtomicUsize::new(0),
-            label,
-            role,
-        });
-        self.nodes.len() - 1
+    fn prepare_nodes(&mut self, run: &Run, lowered: &[PipeNode]) -> Result<()> {
+        let ctx = run.ctx;
+        // The rows the key filter of the hash join just built found: the
+        // source of its probe side, the node after it.
+        let mut found = None;
+        for node in lowered {
+            ctx.check_timeout()?;
+            let state = match &node.kind {
+                Kind::Rows(rows) => match found.take() {
+                    Some(candidates) => State::Candidates(candidates),
+                    None => State::Rows(Held::Rows(Arc::clone(rows)), None),
+                },
+                Kind::Shared(shared) => {
+                    let (rows, fill, error) = slot(run, shared);
+                    let state = State::Rows(Held::Flat(rows), fill);
+                    if let Some(error) = error {
+                        self.nodes.push(NodeRun::new(state));
+                        return Err(error);
+                    }
+                    state
+                }
+                Kind::Pushed(breaker) => State::Pushed(*breaker),
+                Kind::Stage | Kind::Union => State::Streams,
+                Kind::Probe(build) => {
+                    let Spec::Probe(spec) = run.spec(node.stage) else {
+                        unreachable!("a probe runs its own spec");
+                    };
+                    let mut side = NodeOut::new();
+                    let (built, candidates) = booked(&mut side, ctx, |side| {
+                        spec.build(run_input(run, build, side)?, ctx)
+                    })?;
+                    found = candidates;
+                    State::Probe(built, side)
+                }
+                Kind::NestedLoop(inner) => {
+                    let mut side = NodeOut::new();
+                    let rows = booked(&mut side, ctx, |side| run_input(run, inner, side))?;
+                    State::Loop(rows, side)
+                }
+                Kind::IndexJoin(_) => State::Index(AtomicUsize::new(0)),
+                Kind::Fail(error) => return Err(EngineError::exec(*error)),
+            };
+            self.nodes.push(NodeRun::new(state));
+        }
+        Ok(())
     }
 
-    fn source(&mut self, parent: Option<usize>, source: Source<'a>, label: String) {
-        self.node(parent, None, label, Role::Source(source));
+    /// The program's nodes of this pipeline.
+    fn lowered(&self) -> &[PipeNode] {
+        &self.specs.program.pipes[self.pipe].nodes
+    }
+
+    /// Node `n`'s step, if it streams rows through one.
+    fn step(&self, n: usize) -> Option<Step<'_>> {
+        match (
+            &self.nodes[n].state,
+            self.specs.spec(self.lowered()[n].stage),
+        ) {
+            (State::Streams, Spec::Stage(stage)) => Some(Step::Stage(stage)),
+            (State::Probe(built, _), Spec::Probe(spec)) => Some(Step::Probe(spec, built)),
+            (State::Loop(inner, _), Spec::NestedLoop(spec)) => Some(Step::NestedLoop(spec, inner)),
+            (State::Index(fetched), Spec::IndexJoin(spec)) => Some(Step::IndexJoin(spec, fetched)),
+            _ => None,
+        }
     }
 
     /// Its sources, in plan order, by node.
-    fn sources(&self) -> impl Iterator<Item = (usize, &Source<'a>)> {
+    fn sources(&self) -> impl Iterator<Item = (usize, &State)> {
         let nodes = self.nodes.iter().enumerate();
-        nodes.filter_map(|(n, node)| match &node.role {
-            Role::Source(source) => Some((n, source)),
-            _ => None,
-        })
-    }
-
-    /// Add `plan`'s operators under `parent`, running what they read first,
-    /// in the order a serial run does.
-    fn add(&mut self, plan: &'a PhysPlan, parent: Option<usize>, ctx: &ExecContext) -> Result<()> {
-        ctx.check_timeout()?;
-        let label = |plan: &PhysPlan| match ctx.stats_enabled() {
-            true => op_label(plan),
-            false => String::new(),
-        };
-        match plan {
-            PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-                let rows = Held::Rows(Arc::clone(rows));
-                self.source(parent, Source::Rows(rows, None), label(plan));
-            }
-            PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
-                let step = Step::Stage(scan::StageSpec::of(plan));
-                let node = self.node(parent, Some(step), label(plan), Role::Stream);
-                self.add(input, Some(node), ctx)?;
-            }
-            PhysPlan::HashJoin {
-                algo: JoinAlgo::Hash,
-                ..
-            } => {
-                let mut side = NodeOut::new();
-                let built = booked(&mut side, ctx, |side| {
-                    join::build_hash_join(plan, ctx, side)
-                })?;
-                let role = Role::Join {
-                    side,
-                    first: built.build_left,
-                };
-                let step = Step::Probe(Box::new(built.probe));
-                let node = self.node(parent, Some(step), label(plan), role);
-                match built.candidates {
-                    Some(rows) => {
-                        let source = Source::Candidates(rows);
-                        self.source(Some(node), source, label(built.probe_plan));
-                    }
-                    None => self.add(built.probe_plan, Some(node), ctx)?,
-                }
-            }
-            PhysPlan::NestedLoopJoin { left, .. } => {
-                let mut side = NodeOut::new();
-                let op = booked(&mut side, ctx, |side| join::inner_side(plan, ctx, side))?;
-                let role = Role::Join { side, first: false };
-                let step = Step::NestedLoop(Box::new(op));
-                let node = self.node(parent, Some(step), label(plan), role);
-                self.add(left, Some(node), ctx)?;
-            }
-            PhysPlan::IndexJoin { probe, inner, .. } => {
-                let op = join::IndexProbe::of(plan, ctx)?;
-                let role = Role::IndexJoin(label(inner));
-                let step = Step::IndexJoin(Box::new(op));
-                let node = self.node(parent, Some(step), label(plan), role);
-                self.add(probe, Some(node), ctx)?;
-            }
-            PhysPlan::UnionAll { inputs } => {
-                let node = self.node(parent, None, label(plan), Role::Union);
-                for arm in inputs {
-                    self.add(arm, Some(node), ctx)?;
-                }
-            }
-            PhysPlan::Shared { id, input, .. } => {
-                let (rows, fill, error) = slot(*id, input, ctx);
-                let label = match (&fill, ctx.stats_enabled()) {
-                    (Some(_), true) => op_label(plan),
-                    (None, true) => reused_label(plan),
-                    (_, false) => String::new(),
-                };
-                self.source(parent, Source::Rows(Held::Flat(rows), fill), label);
-                return error.map_or(Ok(()), Err);
-            }
-            _ => self.source(parent, Source::Pushed(plan), String::new()),
-        }
-        Ok(())
+        nodes
+            .map(|(n, node)| (n, &node.state))
+            .filter(|(_, state)| state.is_source())
     }
 
     /// Rows its sources hold in full, all together: what the fan-out gate
@@ -948,20 +920,20 @@ impl<'a> Pipeline<'a> {
     /// Whether it fans out: every source holds its rows in full, and the
     /// fan-out gate passes them.
     fn fans_out(&self, ctx: &ExecContext) -> bool {
-        let pushed = |(_, source): (usize, &Source)| matches!(source, Source::Pushed(_));
+        let pushed = |(_, source): (usize, &State)| matches!(source, State::Pushed(_));
         !self.sources().any(pushed) && ctx.fans_out(self.rows())
     }
 
     /// Run every source whole, in order, on the calling thread, through the
     /// steps above it into `sink`.
-    fn serial(&self, ctx: &ExecContext, sink: &mut Sink) -> (Ran, Result<()>) {
+    fn serial(&self, run: &Run, sink: &mut Sink) -> (Ran, Result<()>) {
         let mut ran = Ran {
             workers: 1,
             morsels: 1,
             times: Vec::new(),
             pushed: Vec::new(),
         };
-        let (stats, mut chain) = (ctx.stats_enabled(), Vec::new());
+        let (stats, mut chain) = (run.ctx.stats_enabled(), Vec::new());
         if stats {
             ran.times = vec![Duration::ZERO; self.nodes.len()];
         }
@@ -969,8 +941,10 @@ impl<'a> Pipeline<'a> {
             let started = stats.then(Instant::now);
             self.chain(n, 0, &mut chain)?;
             let streamed = match source {
-                Source::Pushed(plan) => push(plan, ctx, &mut |row| drive(&mut chain, row, sink))
-                    .map(|record| ran.pushed.extend(record.map(|record| (n, record)))),
+                State::Pushed(breaker) => {
+                    push(run, *breaker, &mut |row| drive(&mut chain, row, sink))
+                        .map(|record| ran.pushed.extend(record.map(|record| (n, record))))
+                }
                 source => source.emit(0..source.units().0, self.deadline, &mut |row| {
                     drive(&mut chain, row, sink)
                 }),
@@ -984,40 +958,12 @@ impl<'a> Pipeline<'a> {
         (ran, streamed)
     }
 
-    /// This pipeline, ready to fan out: with a slot per pool worker for its
-    /// own copies of what the steps share, and no source that borrows the
-    /// plan.
-    fn detached(self, ctx: &ExecContext) -> Pipeline<'static> {
-        let nodes = self.nodes.into_iter().map(|node| PipeNode {
-            step: node.step,
-            parent: node.parent,
-            rows_out: node.rows_out,
-            label: node.label,
-            role: match node.role {
-                Role::Source(Source::Rows(rows, fill)) => Role::Source(Source::Rows(rows, fill)),
-                Role::Source(Source::Candidates(rows)) => Role::Source(Source::Candidates(rows)),
-                Role::Source(Source::Pushed(_)) => {
-                    unreachable!("a pipeline with a pushed source runs serially")
-                }
-                Role::Stream => Role::Stream,
-                Role::Union => Role::Union,
-                Role::Join { side, first } => Role::Join { side, first },
-                Role::IndexJoin(label) => Role::IndexJoin(label),
-            },
-        });
-        Pipeline {
-            nodes: nodes.collect(),
-            deadline: self.deadline,
-            budget: self.budget,
-            own: (1..ctx.parallelism()).map(|_| Mutex::default()).collect(),
-        }
-    }
     /// Cut the sources into morsels and run them on the calling thread and
     /// the pool's workers, each into a partial of its own made by `part`;
     /// the partials folded in morsel order, and the error of the earliest
     /// morsel that failed.
     fn fan_out<P: Partial>(
-        pipe: &Arc<Pipeline<'static>>,
+        pipe: &Arc<PipeRun>,
         ctx: &ExecContext,
         part: impl Fn(usize) -> P + Send + Sync + 'static,
     ) -> (P, Option<EngineError>, Ran) {
@@ -1043,12 +989,11 @@ impl<'a> Pipeline<'a> {
                 let ran = running
                     .chain(*n, who, &mut chain)
                     .and_then(|()| {
-                        let Role::Source(source) = &running.nodes[*n].role else {
-                            unreachable!("a morsel is cut from a source");
-                        };
                         let sink =
                             &mut |row: &[Value]| drive(&mut chain, row, &mut |row| part.row(row));
-                        source.emit(units.clone(), running.deadline, sink)
+                        running.nodes[*n]
+                            .state
+                            .emit(units.clone(), running.deadline, sink)
                     })
                     .and_then(|()| part.finish());
                 running.finish(chain);
@@ -1057,8 +1002,8 @@ impl<'a> Pipeline<'a> {
         );
         let (part, error) = folded.finish();
         let (elapsed, rows) = (started.elapsed(), pipe.rows());
-        let share = |node: &PipeNode| match (&node.role, rows) {
-            (Role::Source(source), 1..) => elapsed.mul_f64(source.rows() as f64 / rows as f64),
+        let share = |node: &NodeRun| match (node.state.is_source(), rows) {
+            (true, 1..) => elapsed.mul_f64(node.state.rows() as f64 / rows as f64),
             _ => Duration::ZERO,
         };
         let ran = Ran {
@@ -1078,23 +1023,23 @@ impl<'a> Pipeline<'a> {
     /// finished.
     fn chain<'p>(&'p self, n: usize, who: usize, chain: &mut Vec<Link<'p>>) -> Result<()> {
         let (own, ran) = (self.own(who)?, chain.len());
-        let mut above = self.nodes[n].parent;
+        let lowered = self.lowered();
+        let mut above = lowered[n].parent;
         let shared = loop {
             let Some(node) = above else { break 0 };
             if let Some(at) = chain[..ran].iter().position(|link| link.node == node) {
                 break at + 1;
             }
-            if let Some(step) = &self.nodes[node].step {
+            if let Some(step) = self.step(node) {
                 let own = own.as_ref().and_then(|own| own[node].clone());
-                let scratch = step.scratch(own);
                 chain.push(Link {
                     step,
-                    scratch,
+                    scratch: step.scratch(own, self.deadline),
                     rows: 0,
                     node,
                 });
             }
-            above = self.nodes[node].parent;
+            above = lowered[node].parent;
         };
         self.finish(chain.drain(shared..ran));
         chain[shared..].reverse();
@@ -1124,7 +1069,7 @@ impl<'a> Pipeline<'a> {
         };
         let mut own = slot.lock();
         if own.is_none() {
-            let copies = self.nodes.iter().map(|node| match &node.step {
+            let copies = (0..self.nodes.len()).map(|n| match self.step(n) {
                 Some(step) => step.own_copy(&self.budget, self.deadline),
                 None => Ok(None),
             });
@@ -1137,8 +1082,8 @@ impl<'a> Pipeline<'a> {
     /// rows its hash joins pruned.
     fn record(&self, ctx: &ExecContext, node: &mut NodeOut, mut ran: Ran) {
         for node in &self.nodes {
-            if let Some(Step::Probe(probe)) = &node.step {
-                ctx.count_probe_rows_pruned(probe.pruned());
+            if let State::Probe(built, _) = &node.state {
+                ctx.count_probe_rows_pruned(built.pruned());
             }
         }
         (node.workers, node.morsels) =
@@ -1152,42 +1097,61 @@ impl<'a> Pipeline<'a> {
     /// preparation beside them, in plan order. A source books its streaming
     /// time ([`Ran::times`]).
     fn stats(&self, n: usize, ran: &mut Ran) -> OpStats {
-        let node = &self.nodes[n];
-        let (mut label, mut rows_out) = (node.label.clone(), node.rows_out.load(Ordering::Relaxed));
+        let (lowered, node) = (&self.lowered()[n], &self.nodes[n]);
+        let program = &self.specs.program;
+        let stage = program.stage(lowered.stage);
+        let mut rows_out = node.rows_out.load(Ordering::Relaxed);
         let mut out = NodeOut::new();
-        for input in (n + 1..self.nodes.len()).filter(|&i| self.nodes[i].parent == Some(n)) {
+        let inputs = (n + 1..self.nodes.len()).filter(|&i| self.lowered()[i].parent == Some(n));
+        for input in inputs {
             out.child(Some(self.stats(input, ran)));
         }
-        match &node.role {
-            Role::Source(source) => {
-                rows_out = source.rows();
-                match source {
-                    Source::Pushed(_) => {
-                        let at = ran.pushed.iter().position(|&(at, _)| at == n);
-                        let at = at.expect("a pushed source was recorded");
-                        return ran.pushed.swap_remove(at).1;
-                    }
-                    Source::Rows(_, fill) => {
-                        out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
-                    }
-                    // The probe's child: the table the candidates came from.
-                    Source::Candidates(rows) => rows_out = rows.scan_rows(),
+        let mut label = None;
+        match &node.state {
+            State::Pushed(_) => {
+                let at = ran.pushed.iter().position(|&(at, _)| at == n);
+                let at = at.expect("a pushed source was recorded");
+                return ran.pushed.swap_remove(at).1;
+            }
+            State::Rows(rows, fill) => {
+                rows_out = rows.len();
+                out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
+                out.own += ran.times[n];
+                if let (Kind::Shared(shared), None) = (&lowered.kind, fill) {
+                    label = Some(shared.reused.clone());
                 }
+            }
+            // The probe's child: the table the candidates came from.
+            State::Candidates(rows) => {
+                rows_out = rows.scan_rows();
                 out.own += ran.times[n];
             }
-            Role::Stream | Role::IndexJoin(_) => {}
-            Role::Union => rows_out = out.rows_in,
-            Role::Join { side, first: true } => out = side.copy().absorbing(out),
-            Role::Join { side, first: false } => out = out.absorbing(side.copy()),
-        }
-        match (&node.step, &node.role) {
-            (Some(Step::Probe(probe)), _) => label = format!("{label} pruned={}", probe.pruned()),
-            (Some(Step::IndexJoin(op)), Role::IndexJoin(inner)) => {
-                out.children
-                    .push(OpStats::leaf(inner.clone(), op.fetched()));
+            State::Streams => {
+                if let Kind::Union = lowered.kind {
+                    rows_out = out.rows_in;
+                }
             }
-            _ => {}
+            State::Probe(built, side) => {
+                let build_left = match self.specs.spec(lowered.stage) {
+                    Spec::Probe(spec) => spec.build_left,
+                    _ => false,
+                };
+                out = match build_left {
+                    true => side.copy().absorbing(out),
+                    false => out.absorbing(side.copy()),
+                };
+                label = Some(format!("{} pruned={}", stage.label, built.pruned()));
+            }
+            State::Loop(_, side) => out = out.absorbing(side.copy()),
+            State::Index(fetched) => {
+                if let Kind::IndexJoin(inner) = lowered.kind {
+                    let inner = program.stage(inner).label.clone();
+                    let fetched = fetched.load(Ordering::Relaxed);
+                    out.children.push(OpStats::leaf(inner, fetched));
+                }
+            }
         }
+        let label = label.unwrap_or_else(|| stage.label.clone());
         let mut stats = out.stats(label, rows_out);
         stats.workers = stats.workers.max(ran.workers);
         stats.morsels = stats.morsels.max(ran.morsels);
@@ -1195,10 +1159,19 @@ impl<'a> Pipeline<'a> {
     }
 }
 
+impl NodeRun {
+    fn new(state: State) -> NodeRun {
+        NodeRun {
+            rows_out: AtomicUsize::new(0),
+            state,
+        }
+    }
+}
+
 /// One step on a source's way to the breaker, with its working state for one
 /// run and the rows it handed on.
 struct Link<'p> {
-    step: &'p Step,
+    step: Step<'p>,
     scratch: Scratch,
     rows: usize,
     node: usize,
@@ -1305,7 +1278,7 @@ mod tests {
     use crate::ast::{AggregateFunc, BinaryOp, JoinKind};
     use crate::error::EngineError;
     use crate::expr::PhysExpr;
-    use crate::plan::{AggSpec, JoinAlgo};
+    use crate::plan::{AggSpec, JoinAlgo, PhysPlan};
 
     fn scan(rows: &[&[i64]]) -> PhysPlan {
         let rows: Vec<Row> = rows
@@ -1635,7 +1608,13 @@ mod tests {
         let plan = hash_join(scan(&[&[7, 0]]), scan(&build), JoinKind::Inner, None);
         let ctx = ExecContext::serial().with_deadline(Instant::now() + Duration::from_millis(50));
         let mut handed = 0usize;
-        let err = hold(&plan, &ctx, &mut NodeOut::new(), &mut |_| {
+        let program = Arc::new(Program::lower(&plan));
+        let specs = Specs::bind(&program, &[]).unwrap();
+        let run = Run {
+            ctx: &ctx,
+            specs: &specs,
+        };
+        let err = hold(&run, program.root, &mut NodeOut::new(), &mut |_| {
             if handed == 0 {
                 std::thread::sleep(Duration::from_millis(60));
             }

@@ -16,8 +16,8 @@ use crate::value::{Row, Value};
 
 use super::{ExecContext, NodeOut, Sink};
 
-/// One owned Filter/Project stage (owned so a pipeline's workers can hold
-/// it; the clone happens once per operator per query, not per row).
+/// One Filter/Project stage, lowered once per plan.
+#[derive(Clone)]
 pub(super) enum StageSpec {
     Filter(PhysExpr),
     Project(Vec<PhysExpr>),
@@ -29,6 +29,13 @@ impl StageSpec {
             PhysPlan::Filter { predicate, .. } => StageSpec::Filter(predicate.clone()),
             PhysPlan::Project { exprs, .. } => StageSpec::Project(exprs.clone()),
             _ => unreachable!("pipeline stages are Filter/Project only"),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        match self {
+            StageSpec::Filter(predicate) => f(predicate),
+            StageSpec::Project(exprs) => exprs.iter_mut().for_each(f),
         }
     }
 
@@ -97,17 +104,44 @@ pub(crate) fn index_positions(index: &IndexRef, keys: &[Vec<PhysExpr>]) -> Resul
     Ok(idxs)
 }
 
+/// A point / multi-point index lookup ([`PhysPlan::IndexScan`]).
+#[derive(Clone)]
+pub(super) struct IndexSpec {
+    rows: Arc<Vec<Row>>,
+    index: IndexRef,
+    keys: Option<Vec<Vec<PhysExpr>>>,
+}
+
+impl IndexSpec {
+    pub(super) fn of(node: &PhysPlan) -> IndexSpec {
+        let PhysPlan::IndexScan {
+            rows, index, keys, ..
+        } = node
+        else {
+            unreachable!("an index lookup lowers an IndexScan");
+        };
+        IndexSpec {
+            rows: Arc::clone(rows),
+            index: index.clone(),
+            keys: keys.clone(),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        self.keys.iter_mut().flatten().flatten().for_each(f);
+    }
+}
+
 /// Point / multi-point index lookup: streams the rows at
 /// [`index_positions`].
-pub(crate) fn index_scan(
-    rows: &Arc<Vec<Row>>,
-    index: &IndexRef,
-    keys: &[Vec<PhysExpr>],
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
-    let idxs = index_positions(index, keys)?;
-    super::emit(idxs.iter().map(|&i| &rows[i]), ctx, sink)?;
+pub(super) fn index_scan(spec: &IndexSpec, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+    let Some(keys) = &spec.keys else {
+        return Err(crate::error::EngineError::exec(
+            "probe-driven IndexScan can only run inside an IndexJoin",
+        ));
+    };
+    let idxs = index_positions(&spec.index, keys)?;
+    super::emit(idxs.iter().map(|&i| &spec.rows[i]), ctx, sink)?;
     Ok(NodeOut::new())
 }
 

@@ -3,7 +3,7 @@
 //!
 //! A `LIMIT` passes on the rows of its window as its input's pipeline hands
 //! them to it; a `UNION ALL` is a pipeline's step whose arms are that
-//! pipeline's sources ([`super::Pipeline`]). `DISTINCT` (which also implements `UNION` dedup — the planner lowers
+//! pipeline's sources ([`super::PipeRun`]). `DISTINCT` (which also implements `UNION` dedup — the planner lowers
 //! `UNION` to `Distinct` over `UnionAll`) is a pipeline's breaker: each
 //! partial keeps the first occurrence of every row its morsel saw, in order,
 //! and the partials fold into the first in morsel order, which keeps the
@@ -14,23 +14,19 @@ use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::plan::PhysPlan;
 use crate::value::{Row, Value, ValueHash};
 
 use super::context::ChargeBuf;
-use super::{ExecContext, NodeOut, Partial, Sink};
+use super::program::{Breaker, BreakerKind, Spec};
+use super::{NodeOut, Partial, Run, Sink};
 
 /// `LIMIT`/`OFFSET`: pass on the input rows at positions
-/// `offset..offset + limit`. When the child is a `Sort` and a limit is
-/// present, the sort runs as top-k: it only ever produces the first
-/// `offset + limit` rows.
-pub(crate) fn limit(
-    input: &PhysPlan,
-    limit: Option<usize>,
-    offset: usize,
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
+/// `offset..offset + limit`. Over a `Sort`, with a limit, the sort runs as
+/// top-k: it only ever produces the first `offset + limit` rows.
+pub(super) fn limit(run: &Run, breaker: &Breaker, sink: &mut Sink) -> Result<NodeOut> {
+    let Spec::Limit { limit, offset } = *run.spec(breaker.stage) else {
+        unreachable!("a limit runs its own spec");
+    };
     let end = limit.map_or(usize::MAX, |l| offset.saturating_add(l));
     let mut seen = 0usize;
     let mut window = |row: &[Value]| {
@@ -41,27 +37,28 @@ pub(crate) fn limit(
         Ok(())
     };
     let mut node = NodeOut::new();
-    match (input, limit) {
-        (PhysPlan::Sort { .. }, Some(_)) => {
-            node.child(super::sort::top_k(input, end, ctx, &mut window)?);
+    match &breaker.kind {
+        BreakerKind::TopK(sort, input) => {
+            node.child(super::sort::top_k(run, *sort, input, end, &mut window)?);
         }
-        _ => super::hold(input, ctx, &mut node, &mut window)?,
+        BreakerKind::Limit(input) => super::hold(run, *input, &mut node, &mut window)?,
+        _ => unreachable!("a limit runs its input or a top-k sort"),
     }
     Ok(node)
 }
 
-pub(crate) fn distinct(input: &PhysPlan, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+pub(super) fn distinct(run: &Run, input: usize, sink: &mut Sink) -> Result<NodeOut> {
     let mut node = NodeOut::new();
-    let budget = Arc::clone(ctx.budget());
-    let run = super::fold(input, ctx, &mut node, move |_| Firsts {
+    let budget = Arc::clone(run.ctx.budget());
+    let ended = super::fold(run, input, &mut node, move |_| Firsts {
         rows: Vec::new(),
         buckets: HashMap::default(),
         charge: ChargeBuf::new(&budget),
     });
     // The rows before an error are handed on before it, as a serial run
     // would.
-    super::emit(run.part.rows.iter(), ctx, sink)?;
-    run.error.map_or(Ok(node), Err)
+    super::emit(ended.part.rows.iter(), run.ctx, sink)?;
+    ended.error.map_or(Ok(node), Err)
 }
 
 /// The dedup set: the first occurrence of every row, in order, bucketed by

@@ -16,25 +16,24 @@ use std::sync::Arc;
 
 use crate::ast::WindowFunc;
 use crate::error::Result;
-use crate::explain::op_label;
 use crate::expr::PhysExpr;
 use crate::plan::PhysPlan;
 use crate::value::Value;
 
 use super::context::{approx_row_bytes, ChargeBuf, Ticker, MORSEL_ROWS};
-use super::{ExecContext, Held, NodeOut, OpStats, Sink};
+use super::program::{Input, Spec};
+use super::{ExecContext, Held, NodeOut, OpStats, Run, Sink};
 
 /// Evaluate sort keys for every row, over morsels in parallel when the rows
 /// are many enough to fan out.
-fn eval_keys(rows: &Held, keys: &[(PhysExpr, bool)], ctx: &ExecContext) -> Result<Vec<Vec<Value>>> {
-    let exprs: Vec<PhysExpr> = keys.iter().map(|(e, _)| e.clone()).collect();
-    let (held, budget) = (rows.clone(), Arc::clone(ctx.budget()));
+fn eval_keys(rows: &Held, keys: &SortKeys, ctx: &ExecContext) -> Result<Vec<Vec<Value>>> {
+    let (held, keys, budget) = (rows.clone(), Arc::clone(keys), Arc::clone(ctx.budget()));
     let eval = move |range: std::ops::Range<usize>| {
         let mut out = Vec::with_capacity(range.len());
         let mut charge = ChargeBuf::new(&budget);
         for row in held.rows(range) {
-            let mut kv = Vec::with_capacity(exprs.len());
-            for e in &exprs {
+            let mut kv = Vec::with_capacity(keys.len());
+            for (e, _) in keys.iter() {
                 kv.push(e.eval(row)?);
             }
             charge.add(approx_row_bytes(&kv) + 8)?;
@@ -71,14 +70,22 @@ fn cmp_keyed(
     ia.cmp(ib)
 }
 
-pub(crate) fn sort(
-    input: &PhysPlan,
-    keys: &[(PhysExpr, bool)],
-    ctx: &ExecContext,
-    sink: &mut Sink,
-) -> Result<NodeOut> {
+/// A sort's keys, each with whether it descends; lowered once per plan and
+/// shared with the workers of a parallel sort.
+pub(super) type SortKeys = Arc<Vec<(PhysExpr, bool)>>;
+
+/// The keys of the sort `stage` runs.
+fn sort_keys<'r>(run: &'r Run, stage: usize) -> &'r SortKeys {
+    let Spec::Sort(keys) = run.spec(stage) else {
+        unreachable!("a sort runs its own keys");
+    };
+    keys
+}
+
+pub(super) fn sort(run: &Run, stage: usize, input: &Input, sink: &mut Sink) -> Result<NodeOut> {
+    let (ctx, keys) = (run.ctx, sort_keys(run, stage));
     let mut node = NodeOut::new();
-    let rows = super::run_input(input, ctx, &mut node)?;
+    let rows = super::run_input(run, input, &mut node)?;
 
     let parallel = ctx.fans_out(rows.len());
     let mut keyed = keyed_rows(&rows, keys, ctx)?;
@@ -93,7 +100,7 @@ pub(crate) fn sort(
 }
 
 /// Every row's sort key paired with its position.
-fn keyed_rows(rows: &Held, keys: &[(PhysExpr, bool)], ctx: &ExecContext) -> Result<Vec<Keyed>> {
+fn keyed_rows(rows: &Held, keys: &SortKeys, ctx: &ExecContext) -> Result<Vec<Keyed>> {
     let key_values = eval_keys(rows, keys, ctx)?;
     Ok(key_values
         .into_iter()
@@ -108,12 +115,7 @@ type Keyed = (Vec<Value>, usize);
 /// parallel merge rounds. Because [`cmp_keyed`] is a total order (index
 /// tiebreak), `sort_unstable_by` inside a run and the two-way merges both
 /// reproduce the serial stable sort exactly.
-fn parallel_sort(
-    mut keyed: Vec<Keyed>,
-    keys: &[(PhysExpr, bool)],
-    ctx: &ExecContext,
-) -> Vec<Keyed> {
-    let keys: Arc<Vec<(PhysExpr, bool)>> = Arc::new(keys.to_vec());
+fn parallel_sort(mut keyed: Vec<Keyed>, keys: &SortKeys, ctx: &ExecContext) -> Vec<Keyed> {
     // One run per worker (not per morsel): fewer, larger runs keep the merge
     // tree shallow, and run sorting is already load-balanced by size.
     let mut runs: Vec<Vec<Keyed>> = super::context::morsel_ranges(keyed.len(), ctx.parallelism())
@@ -122,7 +124,7 @@ fn parallel_sort(
         .map(|range| keyed.split_off(range.start))
         .collect();
     runs.reverse();
-    let sorting = Arc::clone(&keys);
+    let sorting = Arc::clone(keys);
     let mut runs = ctx.fan_out_each(runs, move |mut run| {
         run.sort_unstable_by(|a, b| cmp_keyed(&sorting, a, b));
         run
@@ -133,7 +135,7 @@ fn parallel_sort(
         while let Some(a) = iter.next() {
             pairs.push((a, iter.next()));
         }
-        let keys = Arc::clone(&keys);
+        let keys = Arc::clone(keys);
         runs = ctx.fan_out_each(pairs, move |(a, b)| match b {
             Some(b) => merge_runs(a, b, &keys),
             None => a,
@@ -164,48 +166,81 @@ fn merge_runs(a: Vec<Keyed>, b: Vec<Keyed>, keys: &[(PhysExpr, bool)]) -> Vec<Ke
     out
 }
 
-/// `ORDER BY ... LIMIT`: hand on only the first `k` rows of the sort, found
-/// by partition-selection instead of a full sort. Called by the `Limit`
-/// operator; `plan` must be the `Sort` node, and the returned stats (when
-/// collected) describe it.
-pub(crate) fn top_k(
-    plan: &PhysPlan,
+/// `ORDER BY ... LIMIT`: hand on only the first `k` rows of the sort
+/// `stage`, found by partition-selection instead of a full sort. Called by
+/// the `Limit` operator; the returned stats (when collected) describe the
+/// sort.
+pub(super) fn top_k(
+    run: &Run,
+    stage: usize,
+    input: &Input,
     k: usize,
-    ctx: &ExecContext,
     sink: &mut Sink,
 ) -> Result<Option<OpStats>> {
-    let label = || format!("{} (top-k, k={k})", op_label(plan));
-    super::recorded(ctx, label, sink, |sink| top_k_rows(plan, k, ctx, sink))
-}
+    let label = || run.label(stage);
+    super::recorded(run.ctx, label, sink, |sink| {
+        let (ctx, keys) = (run.ctx, sort_keys(run, stage));
+        let mut node = NodeOut::new();
+        let rows = super::run_input(run, input, &mut node)?;
 
-fn top_k_rows(plan: &PhysPlan, k: usize, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
-    let PhysPlan::Sort { input, keys } = plan else {
-        unreachable!("top_k is only called on Sort nodes");
-    };
-    let mut node = NodeOut::new();
-    let rows = super::run_input(input, ctx, &mut node)?;
-
-    let mut keyed = keyed_rows(&rows, keys, ctx)?;
-    if k < keyed.len() && k > 0 {
-        keyed.select_nth_unstable_by(k - 1, |a, b| cmp_keyed(keys, a, b));
+        let mut keyed = keyed_rows(&rows, keys, ctx)?;
+        if k < keyed.len() && k > 0 {
+            keyed.select_nth_unstable_by(k - 1, |a, b| cmp_keyed(keys, a, b));
+            keyed.truncate(k);
+        }
+        keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
         keyed.truncate(k);
-    }
-    keyed.sort_by(|a, b| cmp_keyed(keys, a, b));
-    keyed.truncate(k);
-    super::emit(keyed.iter().map(|(_, i)| rows.row(*i)), ctx, sink)?;
-    Ok(node)
+        super::emit(keyed.iter().map(|(_, i)| rows.row(*i)), ctx, sink)?;
+        Ok(node)
+    })
 }
 
-pub(crate) fn window_rank(
-    input: &PhysPlan,
+/// What a window evaluates, lowered once per plan.
+#[derive(Clone)]
+pub(super) struct WindowSpec {
     func: WindowFunc,
-    partition: &[PhysExpr],
-    order: &[(PhysExpr, bool)],
-    ctx: &ExecContext,
+    partition: Vec<PhysExpr>,
+    order: Vec<(PhysExpr, bool)>,
+}
+
+impl WindowSpec {
+    pub(super) fn of(node: &PhysPlan) -> WindowSpec {
+        let PhysPlan::Window {
+            func,
+            partition,
+            order,
+            ..
+        } = node
+        else {
+            unreachable!("a window lowers a Window");
+        };
+        WindowSpec {
+            func: *func,
+            partition: partition.clone(),
+            order: order.clone(),
+        }
+    }
+
+    pub(super) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        let order = self.order.iter_mut().map(|(key, _)| key);
+        self.partition.iter_mut().chain(order).for_each(f);
+    }
+}
+
+pub(super) fn window_rank(
+    run: &Run,
+    spec: &WindowSpec,
+    input: &Input,
     sink: &mut Sink,
 ) -> Result<NodeOut> {
+    let WindowSpec {
+        func,
+        partition,
+        order,
+    } = spec;
+    let (ctx, func) = (run.ctx, *func);
     let mut node = NodeOut::new();
-    let rows = super::run_input(input, ctx, &mut node)?;
+    let rows = super::run_input(run, input, &mut node)?;
 
     // (partition key, order key, original index)
     let mut keyed: Vec<(Vec<Value>, Vec<Value>, usize)> = Vec::with_capacity(rows.len());

@@ -37,8 +37,7 @@ use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
 use crate::exec::ExecContext;
 use crate::expr::{
-    bind_expr, bind_expr_symbolic, bind_params, column_only, shift_columns, ColLabel, PhysExpr,
-    Scope,
+    bind_expr, bind_expr_symbolic, column_only, shift_columns, ColLabel, PhysExpr, Scope,
 };
 use crate::logical::{
     cte_uses, ordinal, table_scope, table_source, CteFrames, CteUse, LogicalSelect, SortTarget,
@@ -832,8 +831,9 @@ pub struct Planner<'a> {
     pub params: &'a [Value],
     pub config: PlannerConfig,
     /// Bind `?` markers symbolically ([`PhysExpr::Param`]) instead of
-    /// inlining `params`, producing a cacheable plan template that is
-    /// re-bound per execution via [`bind_plan_params`].
+    /// inlining `params`, producing a cacheable plan template whose program
+    /// binds each execution's values at its parameter sites
+    /// ([`crate::exec::Program`]).
     symbolic_params: bool,
     /// Resolver for virtual `sys.*` tables (engine-provided; `None` in
     /// bare planner tests).
@@ -1919,33 +1919,6 @@ impl<'a> Planner<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Plan templates: parameter substitution
-// ---------------------------------------------------------------------
-
-/// A copy of a cached plan template with every symbolic parameter replaced
-/// by its bound value. Plan trees are small and row snapshots are shared
-/// `Arc`s, so this clone is cheap relative to re-parsing and re-planning the
-/// statement; the parameters are then patched into the copy in place.
-/// Errors when a marker references past the end of `params`, with the same
-/// message the inline binder produces.
-pub fn bind_plan_params(plan: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
-    fn patch(plan: &mut PhysPlan, params: &[Value], unbound: &mut Option<usize>) {
-        plan.for_each_child_mut(&mut |child| patch(child, params, unbound));
-        plan.for_each_expr_mut(&mut |e| bind_params(e, params, unbound));
-    }
-    let mut bound = plan.clone();
-    let mut unbound = None;
-    patch(&mut bound, params, &mut unbound);
-    match unbound {
-        None => Ok(bound),
-        Some(i) => Err(EngineError::Parameter(format!(
-            "parameter ?{i} referenced but only {} bound",
-            params.len()
-        ))),
-    }
-}
-
 /// Narrow every join of a finished plan to the columns its consumers read.
 ///
 /// Walks the tree top-down carrying the output columns each node's consumer
@@ -2524,8 +2497,8 @@ mod tests {
         assert!(crate::explain::render_plan(&plan).contains("SortMergeJoin [Left, 1 keys] out=2/4"));
     }
 
-    /// A cached template is narrowed once; re-binding its parameters
-    /// copies `out` with the rest of the plan.
+    /// A cached template is narrowed once; its program runs with the
+    /// parameters bound at their site and the narrowed `out`.
     #[test]
     fn a_rebound_template_keeps_out() {
         let t = table(&[&[int(1), int(10)], &[int(2), int(20)]]);
@@ -2539,11 +2512,11 @@ mod tests {
         };
         narrow_joins(&mut template);
         assert_eq!(outs(&template), [Some(vec![0, 3])]);
-        let bound = bind_plan_params(&template, &[int(2)]).unwrap();
-        assert_eq!(outs(&bound), outs(&template));
-        assert_eq!(
-            ExecContext::serial().execute(&bound).unwrap(),
-            [vec![int(200)]]
-        );
+        let program = std::sync::Arc::new(crate::exec::Program::lower(&template));
+        assert_eq!(program.sites().len(), 1, "the filter holds the one marker");
+        let (rows, _) = ExecContext::serial()
+            .execute_program(&program, &[int(2)], false)
+            .unwrap();
+        assert_eq!(rows, [vec![int(200)]]);
     }
 }

@@ -7,12 +7,13 @@
 //! version they were planned against; a lookup only hits while the caller's
 //! current version still matches and the text's pinned literals equal the
 //! entry's. Plans embed row and index snapshots, so every catalog write
-//! (which bumps the version first) invalidates them.
+//! (which bumps the version under the write lock) invalidates them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::exec::Program;
 use crate::lexer::Shape;
 use crate::lift::{same_literal, Slot};
 use crate::plan::{PhysPlan, PlannedQuery};
@@ -32,9 +33,11 @@ const UNVERIFIED: u64 = u64::MAX;
 struct CachedPlan {
     version: u64,
     planned: Arc<PlannedQuery>,
+    /// The plan lowered once: what every hit runs.
+    program: Arc<Program>,
     /// The plan is a *template*: `?` markers were kept symbolic
-    /// ([`crate::expr::PhysExpr::Param`] nodes) and must be bound with
-    /// [`crate::plan::bind_plan_params`] before execution.
+    /// ([`crate::expr::PhysExpr::Param`] nodes), and each run binds its
+    /// values at the program's parameter sites.
     template: bool,
     /// One per literal of the shape, in source order: the template
     /// parameter it fills, or the value the plan was built for. A template
@@ -78,6 +81,7 @@ impl CachedPlan {
 /// A plan served from the cache.
 pub(crate) struct CacheHit {
     pub planned: Arc<PlannedQuery>,
+    pub program: Arc<Program>,
     pub template: bool,
     /// The template's parameter values when they come out of the statement
     /// text (lifted literals) instead of from the caller.
@@ -124,9 +128,9 @@ struct Entries {
     /// The plan served for each statement shape.
     live: HashMap<String, CachedPlan>,
     /// Plans superseded under their key (replanned after a catalog write, or
-    /// for other pinned literals), parked until the next reaping rather than
-    /// dropped on the spot: see [`Entries::reap`].
-    superseded: Vec<Arc<PlannedQuery>>,
+    /// for other pinned literals), with their programs, parked until the
+    /// next reaping rather than dropped on the spot: see [`Entries::reap`].
+    superseded: Vec<(Arc<PlannedQuery>, Arc<Program>)>,
     /// Serving lookups since the last reaping.
     lookups: usize,
 }
@@ -207,6 +211,7 @@ impl PlanCache {
                 let values = values?;
                 Some(CacheHit {
                     planned: Arc::clone(&c.planned),
+                    program: Arc::clone(&c.program),
                     template: c.template,
                     lifted: (!values.is_empty()).then_some(values),
                     version: c.version,
@@ -237,16 +242,21 @@ impl PlanCache {
     /// already passed a verifier walk at that version, so the first hit can
     /// skip straight to execution.
     ///
-    /// Callers read `version` *before* planning and writers bump it *before*
-    /// taking the write lock, so a plan that raced a writer is tagged with
-    /// the pre-write version and can never be served against the post-write
-    /// catalog — the stale-side error is always a harmless replan.
+    /// Callers read `version` *before* they take the catalog read lock to
+    /// plan, and writers bump it *while holding* the write lock. A planner
+    /// that read the new version therefore takes its read lock after the
+    /// write and plans the written catalog; one that read an older version
+    /// tags its plan with it, which the next lookup misses — the stale-side
+    /// error is always a harmless replan. (Bumping before taking the write
+    /// lock let a planner read the new version and still take its read lock
+    /// first: its plan of the unwritten catalog was then served as current
+    /// until the next write.)
     pub fn insert(
         &self,
         key: String,
         slots: Vec<Slot>,
         version: u64,
-        planned: Arc<PlannedQuery>,
+        (planned, program): (Arc<PlannedQuery>, Arc<Program>),
         template: bool,
         verified: bool,
     ) {
@@ -266,17 +276,19 @@ impl PlanCache {
         let plan = CachedPlan {
             version,
             planned,
+            program,
             template,
             slots,
             verified_version: Arc::new(AtomicU64::new(marker)),
         };
         if let Some(old) = entries.live.insert(key, plan) {
-            entries.superseded.push(old.planned);
+            entries.superseded.push((old.planned, old.program));
         }
     }
 
     /// Test seam: replace the cached plan for statements of `sql`'s shape
-    /// (if any) with a mutated copy, returning whether an entry was found.
+    /// (if any) with a mutated copy, lowered again, returning whether an
+    /// entry was found.
     pub fn mutate(&self, sql: &str, mutate: &mut dyn FnMut(&mut PhysPlan)) -> bool {
         let mut entries = self.entries.lock();
         let Some(entry) = crate::lexer::scan_shape(sql).and_then(|s| entries.live.get_mut(&s.key))
@@ -285,6 +297,7 @@ impl PlanCache {
         };
         let mut planned = (*entry.planned).clone();
         mutate(&mut planned.plan);
+        entry.program = Arc::new(Program::lower(&planned.plan));
         entry.planned = Arc::new(planned);
         // A fresh marker (not a reset of the shared one): in-flight
         // executions still verifying the old tree must not be able to mark
@@ -327,12 +340,14 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn plan() -> Arc<PlannedQuery> {
-        Arc::new(PlannedQuery {
+    fn plan() -> (Arc<PlannedQuery>, Arc<Program>) {
+        let planned = PlannedQuery {
             plan: PhysPlan::OneRow,
             columns: Vec::new(),
             scope: Default::default(),
-        })
+        };
+        let program = Program::lower(&planned.plan);
+        (Arc::new(planned), Arc::new(program))
     }
 
     #[test]

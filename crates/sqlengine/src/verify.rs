@@ -46,6 +46,7 @@ use std::sync::Arc;
 use crate::ast::{AggregateFunc, BinaryOp, JoinKind};
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Span};
+use crate::exec::Program;
 use crate::expr::{PhysExpr, Scope};
 use crate::plan::{AggSpec, IndexRef, JoinAlgo, PhysPlan, PlannedQuery};
 use crate::value::{DataType, Row, Value};
@@ -287,6 +288,44 @@ pub fn verify_plan(
         nodes: checker.nodes,
         violations: checker.violations,
     }
+}
+
+/// Check the program a plan was lowered into. Every stage must read its
+/// producers' rows at the width they make them (**schema**), and every
+/// parameter site must read a slot its runs bind (**param-slots**): `slots`
+/// is how many, `None` when they are the caller's values, whose count only
+/// binding knows.
+pub(crate) fn verify_program(program: &Program, slots: Option<usize>) -> Vec<Violation> {
+    let stages = program.stages();
+    let mut violations = Vec::new();
+    for (at, stage) in stages.iter().enumerate() {
+        for &(from, width) in &stage.reads {
+            let made = stages[from].width;
+            if made != width {
+                violations.push(Violation {
+                    rule: VerifyRule::Schema,
+                    node: stage.label.clone(),
+                    message: format!(
+                        "stage {at} reads {width}-column rows from stage {from} ({}), \
+                         which makes {made}",
+                        stages[from].label
+                    ),
+                });
+            }
+        }
+    }
+    let sites = program.sites().iter();
+    for &(at, highest) in sites.filter(|&&(_, highest)| slots.is_some_and(|n| highest > n)) {
+        violations.push(Violation {
+            rule: VerifyRule::ParamSlots,
+            node: stages[at].label.clone(),
+            message: format!(
+                "stage {at} reads parameter ?{highest} but its runs bind {} slot(s)",
+                slots.unwrap_or_default()
+            ),
+        });
+    }
+    violations
 }
 
 /// Whether an observed value type is acceptable where sema inferred `want`.

@@ -145,6 +145,28 @@ fn schema_corruption_out_of_range_join_out_is_rejected() {
     );
 }
 
+#[test]
+fn schema_corruption_of_a_shared_reference_is_caught_in_the_program() {
+    let db = seeded();
+    let sql = "WITH c AS (SELECT n, s FROM t WHERE n < 50) \
+               SELECT a.n, b.s FROM c a JOIN c b ON a.n = b.n";
+    // Narrow the second reference's copy of the CTE to one column. The tree
+    // walk checks a shared subplan at its first reference only; the program
+    // fills the slot once, and a stage that reads it at two columns finds
+    // one.
+    let mut references = 0;
+    let err = corrupt_and_rerun(&db, sql, &mut |plan| {
+        if let PhysPlan::Shared { input, .. } = plan {
+            references += 1;
+            if let (2, PhysPlan::Project { exprs, .. }) = (references, &mut **input) {
+                exprs.truncate(1);
+            }
+        }
+    });
+    assert_eq!(references, 2);
+    assert_verify_error(sql, &err, "schema", "reads 2-column rows from stage");
+}
+
 // ---------------------------------------------------------------------
 // Class 2: index-keys — index references resolve against the live catalog
 // ---------------------------------------------------------------------
@@ -225,6 +247,29 @@ fn param_corruption_unbound_slot_is_rejected() {
         }
     });
     assert_verify_error(sql, &err, "param-slots", "unbound parameter slot ?1");
+}
+
+#[test]
+fn param_corruption_past_the_lifted_slots_is_caught_in_the_program() {
+    let db = seeded();
+    // One literal lifted into the template's one slot. A marker for a
+    // second slot leaves the tree's slot set with a gap, which a template
+    // only reports; the program knows its runs bind one value.
+    let sql = "SELECT n FROM t WHERE s = 'tok3'";
+    let err = corrupt_and_rerun(&db, sql, &mut |plan| {
+        if let PhysPlan::IndexScan {
+            keys: Some(keys), ..
+        } = plan
+        {
+            keys[0][0] = PhysExpr::Param(2);
+        }
+    });
+    assert_verify_error(
+        sql,
+        &err,
+        "param-slots",
+        "reads parameter ?2 but its runs bind 1 slot(s)",
+    );
 }
 
 // ---------------------------------------------------------------------
