@@ -123,7 +123,6 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
         let m = BornSqlModel { conn, gen };
         m.conn.execute_sql(&m.gen.create_params_table())?;
         m.conn.execute_sql(&m.gen.create_corpus_table())?;
-        m.conn.execute_sql(&m.gen.create_corpus_index())?;
         m.set_params(options.params)?;
         if let Some(t) = m.conn.telemetry() {
             t.register_model(m.name());
@@ -196,7 +195,6 @@ impl<'c, C: SqlBackend> BornSqlModel<'c, C> {
     pub fn fit(&self, spec: &DataSpec) -> Result<()> {
         self.conn.execute_sql(&self.gen.drop_corpus_table())?;
         self.conn.execute_sql(&self.gen.create_corpus_table())?;
-        self.conn.execute_sql(&self.gen.create_corpus_index())?;
         self.partial_fit(spec)
     }
 

@@ -83,15 +83,6 @@ impl SqlGenerator {
         )
     }
 
-    /// Secondary index on the corpus `(j, k)` pair, backing the point
-    /// lookups issued by incremental fit / unlearning upserts.
-    pub fn create_corpus_index(&self) -> String {
-        format!(
-            "CREATE INDEX IF NOT EXISTS {t}_jk ON {t} (j, k)",
-            t = self.corpus_table()
-        )
-    }
-
     pub fn drop_weights_table(&self) -> String {
         format!("DROP TABLE IF EXISTS {}", self.weights_table())
     }
@@ -595,10 +586,6 @@ mod tests {
         assert_eq!(
             g.create_weights_index(),
             "CREATE INDEX IF NOT EXISTS m_weights_j ON m_weights (j)"
-        );
-        assert_eq!(
-            g.create_corpus_index(),
-            "CREATE INDEX IF NOT EXISTS m_corpus_jk ON m_corpus (j, k)"
         );
     }
 

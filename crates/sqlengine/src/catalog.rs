@@ -280,8 +280,35 @@ impl Table {
         Ok(())
     }
 
+    /// Fill this empty table with `rows`, moved in and coerced to the
+    /// declared column types: the bulk form of [`Table::insert_row`] behind
+    /// snapshot and checkpoint restore, [`crate::Database::restore_table`]
+    /// and `CREATE TABLE AS`. The primary map is built pre-sized in one pass,
+    /// with `insert_row`'s uniqueness error, and each secondary index once,
+    /// instead of each being maintained row by row.
+    pub fn with_rows(mut self, mut rows: Vec<Row>) -> Result<Table> {
+        if !self.rows.is_empty() {
+            return Err(EngineError::exec(format!(
+                "cannot bulk-load table '{}': it already holds rows",
+                self.name
+            )));
+        }
+        for row in &mut rows {
+            self.coerce_in_place(row)?;
+        }
+        self.rows = Arc::new(rows);
+        self.derived.reset();
+        self.rebuild_indexes()?;
+        Ok(self)
+    }
+
     /// Coerce a row to the declared column types (lenient, SQLite-style).
     fn coerce(&self, mut row: Row) -> Result<Row> {
+        self.coerce_in_place(&mut row)?;
+        Ok(row)
+    }
+
+    fn coerce_in_place(&self, row: &mut Row) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(EngineError::exec(format!(
                 "table '{}' expects {} values, got {}",
@@ -295,7 +322,7 @@ impl Table {
                 *v = v.cast_to(col.ty)?;
             }
         }
-        Ok(row)
+        Ok(())
     }
 
     /// Outcome of inserting one row.
@@ -328,7 +355,6 @@ impl Table {
         }
         let idx = self.rows.len();
         self.derived.append(&row);
-        Arc::make_mut(&mut self.rows).push(row.clone());
         for index in &mut self.secondary {
             let key: Vec<Value> = index.key_columns.iter().map(|&i| row[i].clone()).collect();
             Arc::make_mut(&mut index.map)
@@ -336,6 +362,7 @@ impl Table {
                 .or_default()
                 .push(idx);
         }
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(InsertOutcome::Inserted)
     }
 
@@ -678,6 +705,69 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_bulk_load_builds_the_maps_inserting_row_by_row_does() {
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let j = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::text(format!("t{}", i % 5))
+                };
+                vec![j, Value::Int(i), Value::Int(i % 3)]
+            })
+            .collect();
+        let fresh = || {
+            let mut t = Table::new("c".into(), schema_jk(), &["k".into()]).unwrap();
+            t.create_index("c_j", &["j".into()], false).unwrap();
+            t.create_index("c_jw", &["j".into(), "w".into()], false)
+                .unwrap();
+            t
+        };
+        let mut by_row = fresh();
+        for row in rows.clone() {
+            by_row.insert_row(row, None).unwrap();
+        }
+        let bulk = fresh().with_rows(rows).unwrap();
+        assert_eq!(*bulk.rows, *by_row.rows);
+        assert_eq!(bulk.rows[4][2], Value::Float(1.0), "coerced to REAL");
+        assert_eq!(
+            *bulk.primary.as_ref().unwrap().map,
+            *by_row.primary.as_ref().unwrap().map
+        );
+        for (b, r) in bulk.secondary.iter().zip(&by_row.secondary) {
+            assert_eq!((&b.name, &b.key_columns), (&r.name, &r.key_columns));
+            assert_eq!(*b.map, *r.map, "index {}", b.name);
+        }
+        assert!(bulk.derived.built().is_empty());
+    }
+
+    #[test]
+    fn a_bulk_load_fails_as_the_row_by_row_insert_would() {
+        let with_pk = || Table::new("c".into(), schema_jk(), &["j".into()]).unwrap();
+        let row = |j: &str| vec![Value::text(j), Value::Int(1), Value::Float(0.5)];
+        let err = with_pk()
+            .with_rows(vec![row("a"), row("b"), row("a")])
+            .unwrap_err();
+        let mut by_row = with_pk();
+        by_row.insert_row(row("a"), None).unwrap();
+        let row_err = by_row.insert_row(row("a"), None).unwrap_err();
+        assert_eq!(err.message(), row_err.message());
+        assert!(err
+            .message()
+            .contains("UNIQUE constraint violated on table 'c'"));
+        let short = with_pk().with_rows(vec![vec![Value::text("a")]]);
+        assert!(short
+            .unwrap_err()
+            .message()
+            .contains("expects 3 values, got 1"));
+        let bad_cast = vec![Value::text("a"), Value::text("one"), Value::Null];
+        assert!(with_pk().with_rows(vec![bad_cast]).is_err());
+        let mut loaded = with_pk();
+        loaded.insert_row(row("a"), None).unwrap();
+        assert!(loaded.with_rows(vec![row("b")]).is_err(), "not empty");
     }
 
     #[test]

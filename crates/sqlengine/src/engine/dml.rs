@@ -93,14 +93,11 @@ impl Database {
                     .into_iter()
                     .map(|c| (c, DataType::Any))
                     .collect();
-                let mut table = Table::new(name.clone(), schema_of(&columns), &[])?;
                 let n = rows.len();
                 // Clone the result rows for the log up front: the table takes
                 // ownership of them below.
                 let logged_rows = self.wal.is_some().then(|| rows.clone());
-                for row in rows {
-                    table.insert_row(row, None)?;
-                }
+                let table = Table::new(name.clone(), schema_of(&columns), &[])?.with_rows(rows)?;
                 let mut catalog = self.write_catalog()?;
                 let mut ops = Vec::new();
                 if catalog.create_table(table, *if_not_exists)? {
@@ -623,15 +620,14 @@ impl Database {
         Ok(n)
     }
 
-    /// Install a table with pre-built rows (used by snapshot restore).
-    pub fn restore_table(&self, mut table: Table, rows: Vec<Row>) -> Result<()> {
+    /// Install an empty table filled with pre-built rows (used by snapshot
+    /// restore); its indexes are built once, after the rows are in
+    /// ([`Table::with_rows`]).
+    pub fn restore_table(&self, table: Table, rows: Vec<Row>) -> Result<()> {
         // Pass the admission gate like a statement would; `install_table`
         // itself stays ungated so internal callers cannot self-deadlock.
         let _permit = self.admit(self.deadline())?;
-        for row in rows {
-            table.insert_row(row, None)?;
-        }
-        self.install_table(table)
+        self.install_table(table.with_rows(rows)?)
     }
 
     /// Install a fully built table into the catalog, logging its schema,

@@ -257,7 +257,7 @@ impl<'r> Run<'r> {
 
     /// Stage `stage`'s label, for its stats record.
     fn label(&self, stage: usize) -> String {
-        self.program().stage(stage).label.clone()
+        self.program().stage_label(stage).to_string()
     }
 }
 
@@ -510,7 +510,7 @@ fn run_input(run: &Run, input: &Input, node: &mut NodeOut) -> Result<Held> {
     node.rows_in += rows.len();
     if ctx.stats_enabled() {
         let label = match (&ran, input) {
-            (None, Input::Shared(shared, _)) => shared.reused.clone(),
+            (None, Input::Shared(shared, _)) => run.program().label(shared.reused).to_string(),
             _ => run.label(run.program().input_stage(input)),
         };
         let ran = ran.unwrap_or_else(NodeOut::new);
@@ -1099,7 +1099,6 @@ impl PipeRun {
     fn stats(&self, n: usize, ran: &mut Ran) -> OpStats {
         let (lowered, node) = (&self.lowered()[n], &self.nodes[n]);
         let program = &self.specs.program;
-        let stage = program.stage(lowered.stage);
         let mut rows_out = node.rows_out.load(Ordering::Relaxed);
         let mut out = NodeOut::new();
         let inputs = (n + 1..self.nodes.len()).filter(|&i| self.lowered()[i].parent == Some(n));
@@ -1118,7 +1117,7 @@ impl PipeRun {
                 out = fill.as_ref().map_or_else(NodeOut::new, NodeOut::copy);
                 out.own += ran.times[n];
                 if let (Kind::Shared(shared), None) = (&lowered.kind, fill) {
-                    label = Some(shared.reused.clone());
+                    label = Some(program.label(shared.reused).to_string());
                 }
             }
             // The probe's child: the table the candidates came from.
@@ -1140,18 +1139,19 @@ impl PipeRun {
                     true => side.copy().absorbing(out),
                     false => out.absorbing(side.copy()),
                 };
-                label = Some(format!("{} pruned={}", stage.label, built.pruned()));
+                let stage = program.stage_label(lowered.stage);
+                label = Some(format!("{stage} pruned={}", built.pruned()));
             }
             State::Loop(_, side) => out = out.absorbing(side.copy()),
             State::Index(fetched) => {
                 if let Kind::IndexJoin(inner) = lowered.kind {
-                    let inner = program.stage(inner).label.clone();
+                    let inner = program.stage_label(inner).to_string();
                     let fetched = fetched.load(Ordering::Relaxed);
                     out.children.push(OpStats::leaf(inner, fetched));
                 }
             }
         }
-        let label = label.unwrap_or_else(|| stage.label.clone());
+        let label = label.unwrap_or_else(|| program.stage_label(lowered.stage).to_string());
         let mut stats = out.stats(label, rows_out);
         stats.workers = stats.workers.max(ran.workers);
         stats.morsels = stats.morsels.max(ran.morsels);

@@ -6,7 +6,9 @@
 //! plan order, so its sources too; a pipeline's pushed source names a
 //! breaker ([`Breaker`]), whose inputs are pipelines of their own. Every
 //! operator has a fixed *stage* ([`Stage`]): its `EXPLAIN ANALYZE` label,
-//! rendered here once, its output width, and what it evaluates ([`Spec`]).
+//! its output width, and what it evaluates ([`Spec`]). Labels are kept
+//! unrendered ([`Label`]) and rendered together, once per program, when a
+//! run that collects stats first reads one ([`Program::label`]).
 //! A stage whose expressions hold a parameter marker is a *site*: a run of a
 //! template binds its values there, into copies of those stages' specs only
 //! ([`Specs::bind`]); every other stage is read from the program as it is.
@@ -16,10 +18,10 @@
 //! shared slots, step scratch, row counters — in the driver
 //! ([`super::PipeRun`]), never here.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{EngineError, Result};
-use crate::explain::{op_label, reused_label};
+use crate::explain::Label;
 use crate::expr::{bind_params, PhysExpr};
 use crate::plan::{JoinAlgo, PhysPlan};
 use crate::value::{Row, Value};
@@ -40,11 +42,17 @@ pub(crate) struct Program {
     /// Hash joins that probe a base-table scan through its derived index and
     /// row by row ([`join::node_mode`]), a shared subplan's once.
     probes: (u64, u64),
+    /// Every label a run's stats may print: the stages' and the reused
+    /// shared references'.
+    labels: Vec<Label>,
+    /// `labels`, rendered by the first reader.
+    rendered: OnceLock<Vec<String>>,
 }
 
 /// One operator of the program.
 pub(crate) struct Stage {
-    pub(crate) label: String,
+    /// Its label's index ([`Program::label`]).
+    pub(crate) label: usize,
     /// Columns of every row it hands on.
     pub(crate) width: usize,
     /// The stages whose rows it reads where it expects a width of them, and
@@ -133,12 +141,12 @@ pub(super) enum Kind {
 }
 
 /// A reference to a shared subplan: the slot's id, the pipeline that fills
-/// it (one per id, whichever reference runs first), and the label of a
-/// reference that reads it filled.
+/// it (one per id, whichever reference runs first), and the label index of
+/// a reference that reads it filled.
 pub(super) struct SharedRef {
     pub(super) id: usize,
     pub(super) fill: usize,
-    pub(super) reused: String,
+    pub(super) reused: usize,
 }
 
 /// An input an operator holds all of.
@@ -182,6 +190,7 @@ impl Program {
             breakers,
             sites,
             probes,
+            labels,
             ..
         } = lowering;
         Program {
@@ -191,7 +200,22 @@ impl Program {
             root,
             sites,
             probes,
+            labels,
+            rendered: OnceLock::new(),
         }
+    }
+
+    /// Label `at`, rendering every label of the program on first use.
+    pub(crate) fn label(&self, at: usize) -> &str {
+        let rendered = self
+            .rendered
+            .get_or_init(|| self.labels.iter().map(Label::to_string).collect());
+        &rendered[at]
+    }
+
+    /// The label of `stage`.
+    pub(crate) fn stage_label(&self, stage: usize) -> &str {
+        self.label(self.stages[stage].label)
     }
 
     /// Its stages, by fixed index.
@@ -208,10 +232,6 @@ impl Program {
     /// `(index, row)` keyset probes one run makes.
     pub(crate) fn probes(&self) -> (u64, u64) {
         self.probes
-    }
-
-    pub(super) fn stage(&self, stage: usize) -> &Stage {
-        &self.stages[stage]
     }
 
     /// The stage of an input's rows.
@@ -284,11 +304,18 @@ struct Lowering {
     probes: (u64, u64),
     /// The pipeline filling each shared slot, by id.
     fills: Vec<(usize, usize)>,
+    labels: Vec<Label>,
 }
 
 impl Lowering {
+    /// A label's index.
+    fn label(&mut self, label: Label) -> usize {
+        self.labels.push(label);
+        self.labels.len() - 1
+    }
+
     /// A stage for `plan`, labelled `label`.
-    fn labelled(&mut self, plan: &PhysPlan, label: String, mut spec: Spec) -> usize {
+    fn labelled(&mut self, plan: &PhysPlan, label: Label, mut spec: Spec) -> usize {
         let at = self.stages.len();
         let mut highest = 0;
         spec.for_each_expr_mut(&mut |e| highest = highest.max(highest_param(e)));
@@ -300,6 +327,7 @@ impl Lowering {
             Some(false) => self.probes.1 += 1,
             None => {}
         }
+        let label = self.label(label);
         self.stages.push(Stage {
             label,
             width: plan.width(),
@@ -310,7 +338,7 @@ impl Lowering {
     }
 
     fn stage(&mut self, plan: &PhysPlan, spec: Spec) -> usize {
-        self.labelled(plan, op_label(plan), spec)
+        self.labelled(plan, Label::of(plan), spec)
     }
 
     /// Record that `stage` reads `from`'s rows at `width` columns.
@@ -453,7 +481,7 @@ impl Lowering {
         let shared = SharedRef {
             id: *id,
             fill,
-            reused: reused_label(plan),
+            reused: self.label(Label::reused(plan)),
         };
         (shared, stage)
     }
@@ -527,8 +555,10 @@ impl Lowering {
                         },
                         Some(limit),
                     ) => {
-                        let k = offset.saturating_add(*limit);
-                        let label = format!("{} (top-k, k={k})", op_label(input));
+                        let label = Label::TopK {
+                            keys: keys.len(),
+                            k: offset.saturating_add(*limit),
+                        };
                         let spec = Spec::Sort(Arc::new(keys.clone()));
                         let sort = self.labelled(input, label, spec);
                         let sorted = self.input(sorted);
@@ -571,6 +601,7 @@ mod tests {
 
     use super::*;
     use crate::ast::{BinaryOp, JoinKind};
+    use crate::explain::op_label;
 
     fn scan(width: usize, rows: usize) -> PhysPlan {
         let row = |i: usize| {
@@ -626,7 +657,7 @@ mod tests {
         let mut stages: Vec<_> = program
             .stages()
             .iter()
-            .map(|s| (s.label.clone(), s.width))
+            .map(|s| (program.label(s.label).to_string(), s.width))
             .collect();
         // Lowering numbers the build side before the probe side; the set of
         // stages is the plan's nodes.
@@ -664,7 +695,7 @@ mod tests {
             panic!("the filter's spec");
         };
         assert!(!bound.contains_param());
-        let Spec::Stage(scan::StageSpec::Filter(lowered)) = &program.stage(filter).spec else {
+        let Spec::Stage(scan::StageSpec::Filter(lowered)) = &program.stages()[filter].spec else {
             panic!("the filter's spec");
         };
         assert!(lowered.contains_param(), "the program keeps its marker");
@@ -695,7 +726,9 @@ mod tests {
             .nodes
             .iter()
             .filter_map(|n| match &n.kind {
-                Kind::Shared(shared) => Some((shared.id, shared.fill, shared.reused.clone())),
+                Kind::Shared(shared) => {
+                    Some((shared.id, shared.fill, program.label(shared.reused)))
+                }
                 _ => None,
             })
             .collect();

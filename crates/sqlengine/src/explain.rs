@@ -6,6 +6,10 @@
 //! renders the [`OpStats`] tree recorded during an actual execution instead,
 //! annotating every operator with observed row counts and wall-clock time.
 
+use std::fmt;
+use std::sync::Arc;
+
+use crate::ast::JoinKind;
 use crate::exec::OpStats;
 use crate::plan::{JoinAlgo, PhysPlan};
 use crate::trace::SpanRec;
@@ -46,87 +50,241 @@ pub fn render_plan(plan: &PhysPlan) -> String {
 }
 
 /// One-line label for an operator node, shared between `EXPLAIN` rendering
-/// and the executor's `EXPLAIN ANALYZE` stats collection. A hash join names
-/// the input it builds on (`build=left|right`), and one probing straight off
-/// a base-table scan says how it reads it: ` probe=keyset(vectorized|row)`.
+/// and the executor's `EXPLAIN ANALYZE` stats collection ([`Label`]).
 pub(crate) fn op_label(plan: &PhysPlan) -> String {
-    match plan {
-        PhysPlan::Scan { rows, width, .. } => {
-            format!("Scan [{} rows × {} cols]", rows.len(), width)
-        }
-        PhysPlan::VirtualScan { name, rows, width } => {
-            format!("VirtualScan {name} [{} rows × {} cols]", rows.len(), width)
-        }
-        PhysPlan::IndexScan {
-            rows,
-            index_name,
-            keys,
-            ..
-        } => match keys {
-            Some(k) => format!(
-                "IndexScan {index_name} ({} keys) [of {} rows]",
-                k.len(),
-                rows.len()
-            ),
-            None => format!("IndexScan {index_name} (probed) [of {} rows]", rows.len()),
-        },
-        PhysPlan::IndexJoin {
-            kind,
-            probe_keys,
-            residual,
-            ..
-        } => format!(
-            "IndexNestedLoopJoin [{kind:?}, {} keys{}]",
-            probe_keys.len(),
-            if residual.is_some() { ", residual" } else { "" }
-        ),
-        PhysPlan::OneRow => "OneRow".to_string(),
-        PhysPlan::Filter { .. } => "Filter".to_string(),
-        PhysPlan::Project { exprs, .. } => format!("Project [{} exprs]", exprs.len()),
-        PhysPlan::HashJoin {
-            left_keys,
-            kind,
-            algo,
-            residual,
-            build_left,
-            ..
-        } => {
-            let (algo_name, build) = match (algo, build_left) {
-                (JoinAlgo::Hash, true) => ("HashJoin", ", build=left"),
-                (JoinAlgo::Hash, false) => ("HashJoin", ", build=right"),
-                (JoinAlgo::SortMerge, _) => ("SortMergeJoin", ""),
-            };
-            format!(
-                "{algo_name} [{kind:?}, {} keys{}{build}]{}",
-                left_keys.len(),
-                if residual.is_some() { ", residual" } else { "" },
-                crate::exec::mode_suffix(plan)
-            )
-        }
-        PhysPlan::NestedLoopJoin { kind, .. } => format!("NestedLoopJoin [{kind:?}]"),
-        PhysPlan::Aggregate { keys, aggs, .. } => {
-            format!("Aggregate [{} keys, {} aggs]", keys.len(), aggs.len())
-        }
-        PhysPlan::Window { partition, .. } => {
-            format!("Window [row_number, {} partition keys]", partition.len())
-        }
-        PhysPlan::Sort { keys, .. } => format!("Sort [{} keys]", keys.len()),
-        PhysPlan::Limit { limit, offset, .. } => {
-            format!("Limit [limit={limit:?}, offset={offset}]")
-        }
-        PhysPlan::UnionAll { inputs } => format!("UnionAll [{} inputs]", inputs.len()),
-        PhysPlan::Distinct { .. } => "Distinct".to_string(),
-        PhysPlan::Shared { cte, refs, .. } => format!("Shared cte={cte} refs={refs}"),
-    }
+    Label::of(plan).to_string()
 }
 
 /// Label of a shared-subplan reference that does not run its input: one
 /// served from the filled slot (`EXPLAIN ANALYZE`), or one whose subtree
 /// `EXPLAIN` printed under an earlier reference.
 pub(crate) fn reused_label(plan: &PhysPlan) -> String {
-    match plan {
-        PhysPlan::Shared { cte, .. } => format!("Shared cte={cte} (reused)"),
-        other => op_label(other),
+    Label::reused(plan).to_string()
+}
+
+/// An operator's label before it is rendered: what its line prints of its
+/// plan node, taken without formatting anything, so that a lowered program
+/// renders its labels only once a run that collects stats reads one. A hash
+/// join names the input it builds on (`build=left|right`), and one probing
+/// straight off a base-table scan says how it reads it:
+/// ` probe=keyset(index|row)`.
+pub(crate) enum Label {
+    Scan {
+        rows: usize,
+        width: usize,
+    },
+    VirtualScan {
+        name: String,
+        rows: usize,
+        width: usize,
+    },
+    IndexScan {
+        name: String,
+        keys: Option<usize>,
+        rows: usize,
+    },
+    IndexJoin {
+        kind: JoinKind,
+        keys: usize,
+        residual: bool,
+    },
+    OneRow,
+    Filter,
+    Project {
+        exprs: usize,
+    },
+    HashJoin {
+        algo: JoinAlgo,
+        kind: JoinKind,
+        keys: usize,
+        residual: bool,
+        build_left: bool,
+        mode: &'static str,
+    },
+    NestedLoopJoin {
+        kind: JoinKind,
+    },
+    Aggregate {
+        keys: usize,
+        aggs: usize,
+    },
+    Window {
+        partition: usize,
+    },
+    Sort {
+        keys: usize,
+    },
+    /// A `Sort` under a `LIMIT`, run as top-k.
+    TopK {
+        keys: usize,
+        k: usize,
+    },
+    Limit {
+        limit: Option<usize>,
+        offset: usize,
+    },
+    UnionAll {
+        inputs: usize,
+    },
+    Distinct,
+    Shared {
+        cte: Arc<str>,
+        refs: usize,
+    },
+    /// A shared-subplan reference that does not run its input.
+    Reused {
+        cte: Arc<str>,
+    },
+}
+
+impl Label {
+    pub(crate) fn of(plan: &PhysPlan) -> Label {
+        match plan {
+            PhysPlan::Scan { rows, width, .. } => Label::Scan {
+                rows: rows.len(),
+                width: *width,
+            },
+            PhysPlan::VirtualScan { name, rows, width } => Label::VirtualScan {
+                name: name.clone(),
+                rows: rows.len(),
+                width: *width,
+            },
+            PhysPlan::IndexScan {
+                rows,
+                index_name,
+                keys,
+                ..
+            } => Label::IndexScan {
+                name: index_name.clone(),
+                keys: keys.as_ref().map(Vec::len),
+                rows: rows.len(),
+            },
+            PhysPlan::IndexJoin {
+                kind,
+                probe_keys,
+                residual,
+                ..
+            } => Label::IndexJoin {
+                kind: *kind,
+                keys: probe_keys.len(),
+                residual: residual.is_some(),
+            },
+            PhysPlan::OneRow => Label::OneRow,
+            PhysPlan::Filter { .. } => Label::Filter,
+            PhysPlan::Project { exprs, .. } => Label::Project { exprs: exprs.len() },
+            PhysPlan::HashJoin {
+                left_keys,
+                kind,
+                algo,
+                residual,
+                build_left,
+                ..
+            } => Label::HashJoin {
+                algo: *algo,
+                kind: *kind,
+                keys: left_keys.len(),
+                residual: residual.is_some(),
+                build_left: *build_left,
+                mode: crate::exec::mode_suffix(plan),
+            },
+            PhysPlan::NestedLoopJoin { kind, .. } => Label::NestedLoopJoin { kind: *kind },
+            PhysPlan::Aggregate { keys, aggs, .. } => Label::Aggregate {
+                keys: keys.len(),
+                aggs: aggs.len(),
+            },
+            PhysPlan::Window { partition, .. } => Label::Window {
+                partition: partition.len(),
+            },
+            PhysPlan::Sort { keys, .. } => Label::Sort { keys: keys.len() },
+            PhysPlan::Limit { limit, offset, .. } => Label::Limit {
+                limit: *limit,
+                offset: *offset,
+            },
+            PhysPlan::UnionAll { inputs } => Label::UnionAll {
+                inputs: inputs.len(),
+            },
+            PhysPlan::Distinct { .. } => Label::Distinct,
+            PhysPlan::Shared { cte, refs, .. } => Label::Shared {
+                cte: Arc::clone(cte),
+                refs: *refs,
+            },
+        }
+    }
+
+    /// The label of a reference to `plan` that does not run its input.
+    pub(crate) fn reused(plan: &PhysPlan) -> Label {
+        match plan {
+            PhysPlan::Shared { cte, .. } => Label::Reused {
+                cte: Arc::clone(cte),
+            },
+            other => Label::of(other),
+        }
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Scan { rows, width } => write!(f, "Scan [{rows} rows × {width} cols]"),
+            Label::VirtualScan { name, rows, width } => {
+                write!(f, "VirtualScan {name} [{rows} rows × {width} cols]")
+            }
+            Label::IndexScan {
+                name,
+                keys: Some(keys),
+                rows,
+            } => write!(f, "IndexScan {name} ({keys} keys) [of {rows} rows]"),
+            Label::IndexScan {
+                name,
+                keys: None,
+                rows,
+            } => write!(f, "IndexScan {name} (probed) [of {rows} rows]"),
+            Label::IndexJoin {
+                kind,
+                keys,
+                residual,
+            } => write!(
+                f,
+                "IndexNestedLoopJoin [{kind:?}, {keys} keys{}]",
+                if *residual { ", residual" } else { "" }
+            ),
+            Label::OneRow => f.write_str("OneRow"),
+            Label::Filter => f.write_str("Filter"),
+            Label::Project { exprs } => write!(f, "Project [{exprs} exprs]"),
+            Label::HashJoin {
+                algo,
+                kind,
+                keys,
+                residual,
+                build_left,
+                mode,
+            } => {
+                let (algo_name, build) = match (algo, build_left) {
+                    (JoinAlgo::Hash, true) => ("HashJoin", ", build=left"),
+                    (JoinAlgo::Hash, false) => ("HashJoin", ", build=right"),
+                    (JoinAlgo::SortMerge, _) => ("SortMergeJoin", ""),
+                };
+                write!(
+                    f,
+                    "{algo_name} [{kind:?}, {keys} keys{}{build}]{mode}",
+                    if *residual { ", residual" } else { "" },
+                )
+            }
+            Label::NestedLoopJoin { kind } => write!(f, "NestedLoopJoin [{kind:?}]"),
+            Label::Aggregate { keys, aggs } => write!(f, "Aggregate [{keys} keys, {aggs} aggs]"),
+            Label::Window { partition } => {
+                write!(f, "Window [row_number, {partition} partition keys]")
+            }
+            Label::Sort { keys } => write!(f, "Sort [{keys} keys]"),
+            Label::TopK { keys, k } => write!(f, "Sort [{keys} keys] (top-k, k={k})"),
+            Label::Limit { limit, offset } => {
+                write!(f, "Limit [limit={limit:?}, offset={offset}]")
+            }
+            Label::UnionAll { inputs } => write!(f, "UnionAll [{inputs} inputs]"),
+            Label::Distinct => f.write_str("Distinct"),
+            Label::Shared { cte, refs } => write!(f, "Shared cte={cte} refs={refs}"),
+            Label::Reused { cte } => write!(f, "Shared cte={cte} (reused)"),
+        }
     }
 }
 

@@ -2,13 +2,18 @@
 //!
 //! Snapshots and checkpoints ([`crate::snapshot`], [`crate::wal`]), the
 //! `bornsql` model artifact and the reproduction reports all go through it.
+//! A document with a large part — a snapshot's or checkpoint's table rows —
+//! is read with a [`Reader`], which decodes the rows straight into
+//! [`Row`]s and builds a [`Json`] tree only of the small parts around them.
 //! Numbers keep the int/float distinction so SQL `Int` and `Float` round-trip
 //! without type drift, and non-finite floats, which standard JSON cannot
 //! represent, are encoded as tagged objects (`{"~f":"nan"}`, `{"~f":"inf"}`,
 //! `{"~f":"-inf"}`) instead of silently collapsing to `null`.
 
+use std::sync::Arc;
+
 use crate::error::{EngineError, Result};
-use crate::value::Value;
+use crate::value::{Row, Value};
 
 fn corrupt(msg: impl std::fmt::Display) -> EngineError {
     EngineError::exec(format!("invalid JSON: {msg}"))
@@ -40,26 +45,6 @@ pub fn write_json_f64(out: &mut String, f: f64) {
         // same f64 and always keeps a `.` or exponent, so floats stay
         // distinguishable from ints.
         out.push_str(&format!("{f:?}"));
-    }
-}
-
-/// Decode one SQL value; the inverse of [`write_json_value`].
-pub fn json_to_value(j: &Json) -> Result<Value> {
-    match j {
-        Json::Null => Ok(Value::Null),
-        Json::Int(i) => Ok(Value::Int(*i)),
-        Json::Float(f) => Ok(Value::Float(*f)),
-        Json::Str(s) => Ok(Value::text(s)),
-        Json::Object(fields) => match fields.as_slice() {
-            [(k, Json::Str(tag))] if k == "~f" => match tag.as_str() {
-                "nan" => Ok(Value::Float(f64::NAN)),
-                "inf" => Ok(Value::Float(f64::INFINITY)),
-                "-inf" => Ok(Value::Float(f64::NEG_INFINITY)),
-                other => Err(corrupt(format!("unknown float tag '{other}'"))),
-            },
-            _ => Err(corrupt("unexpected object in row")),
-        },
-        _ => Err(corrupt("unexpected value in row")),
     }
 }
 
@@ -154,6 +139,184 @@ pub fn parse_json(text: &str) -> Result<Json> {
     Ok(value)
 }
 
+/// A reader over one JSON document that streams its objects field by field,
+/// so a caller decodes each part as it arrives: a small part as a [`Json`]
+/// tree ([`Reader::value`]), an array of rows straight into `Vec<Row>`
+/// ([`Reader::rows`]).
+pub(crate) struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Read an object, handing each key in document order to `field`,
+    /// which must read that key's value.
+    pub(crate) fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Reader<'a>, String) -> Result<()>,
+    ) -> Result<()> {
+        skip_ws(self.bytes, &mut self.pos);
+        expect_byte(self.bytes, &mut self.pos, b'{')?;
+        skip_ws(self.bytes, &mut self.pos);
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            skip_ws(self.bytes, &mut self.pos);
+            let key = parse_string(self.bytes, &mut self.pos)?;
+            skip_ws(self.bytes, &mut self.pos);
+            expect_byte(self.bytes, &mut self.pos, b':')?;
+            field(self, key)?;
+            skip_ws(self.bytes, &mut self.pos);
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(corrupt(format!(
+                        "expected ',' or '}}' at byte {}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Read the next value as a tree.
+    pub(crate) fn value(&mut self) -> Result<Json> {
+        parse_value(self.bytes, &mut self.pos)
+    }
+
+    /// Read an array of rows, each an array of SQL values as
+    /// [`write_json_value`] writes them, with no tree in between: a text
+    /// value is one allocation, and a row is allocated at the width of the
+    /// row before it.
+    pub(crate) fn rows(&mut self) -> Result<Vec<Row>> {
+        let mut width = 0;
+        parse_array(self.bytes, &mut self.pos, Vec::new(), |bytes, pos| {
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) != Some(&b'[') {
+                return Err(corrupt(format!("row is not an array at byte {}", *pos)));
+            }
+            let row = parse_array(bytes, pos, Vec::with_capacity(width), parse_cell)?;
+            width = row.len();
+            Ok(row)
+        })
+    }
+
+    /// End the document: anything left but whitespace is an error.
+    pub(crate) fn finish(mut self) -> Result<()> {
+        skip_ws(self.bytes, &mut self.pos);
+        if self.pos != self.bytes.len() {
+            return Err(corrupt(format!("trailing data at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+}
+
+/// An array, each item read by `item` and pushed onto `items`.
+fn parse_array<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut items: Vec<T>,
+    mut item: impl FnMut(&[u8], &mut usize) -> Result<T>,
+) -> Result<Vec<T>> {
+    skip_ws(bytes, pos);
+    expect_byte(bytes, pos, b'[')?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(items);
+    }
+    loop {
+        items.push(item(bytes, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(items);
+            }
+            _ => return Err(corrupt(format!("expected ',' or ']' at byte {}", *pos))),
+        }
+    }
+}
+
+/// One SQL value; the inverse of [`write_json_value`].
+fn parse_cell(bytes: &[u8], pos: &mut usize) -> Result<Value> {
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err(corrupt("unexpected end of input")),
+        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null).map(|_| Value::Null),
+        Some(b'"') => parse_text(bytes, pos).map(Value::Str),
+        Some(b'{') => parse_float_tag(bytes, pos).map(Value::Float),
+        Some(b'[' | b't' | b'f') => {
+            Err(corrupt(format!("unexpected value in row at byte {}", *pos)))
+        }
+        Some(_) => match parse_number(bytes, pos)? {
+            Json::Int(i) => Ok(Value::Int(i)),
+            Json::Float(f) => Ok(Value::Float(f)),
+            _ => unreachable!("a number parses as an int or a float"),
+        },
+    }
+}
+
+/// A non-finite float's tagged object, `{"~f":"nan"|"inf"|"-inf"}`.
+fn parse_float_tag(bytes: &[u8], pos: &mut usize) -> Result<f64> {
+    let at = *pos;
+    let not_a_tag = || corrupt(format!("unexpected object in row at byte {at}"));
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'"') || parse_string(bytes, pos)? != "~f" {
+        return Err(not_a_tag());
+    }
+    skip_ws(bytes, pos);
+    expect_byte(bytes, pos, b':')?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'"') {
+        return Err(not_a_tag());
+    }
+    let tag = parse_string(bytes, pos)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'}') {
+        return Err(not_a_tag());
+    }
+    *pos += 1;
+    match tag.as_str() {
+        "nan" => Ok(f64::NAN),
+        "inf" => Ok(f64::INFINITY),
+        "-inf" => Ok(f64::NEG_INFINITY),
+        other => Err(corrupt(format!("unknown float tag '{other}'"))),
+    }
+}
+
+/// A string as a text value. One with no escape, the common case, is copied
+/// once, straight from the input into its `Arc`.
+fn parse_text(bytes: &[u8], pos: &mut usize) -> Result<Arc<str>> {
+    let start = *pos + 1;
+    let run = bytes[start..]
+        .iter()
+        .position(|b| matches!(b, b'"' | b'\\'))
+        .ok_or_else(|| corrupt("unterminated string"))?;
+    if bytes[start + run] == b'\\' {
+        return parse_string(bytes, pos).map(Arc::from);
+    }
+    let text = std::str::from_utf8(&bytes[start..start + run])
+        .map_err(|_| corrupt("invalid UTF-8 in string"))?;
+    *pos = start + run + 1;
+    Ok(Arc::from(text))
+}
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -177,52 +340,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     match bytes.get(*pos) {
         None => Err(corrupt("unexpected end of input")),
         Some(b'{') => {
-            *pos += 1;
+            let mut reader = Reader { bytes, pos: *pos };
             let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect_byte(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(corrupt(format!("expected ',' or '}}' at byte {}", *pos))),
-                }
-            }
+            reader.object(|r, key| {
+                fields.push((key, r.value()?));
+                Ok(())
+            })?;
+            *pos = reader.pos;
+            Ok(Json::Object(fields))
         }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(corrupt(format!("expected ',' or ']' at byte {}", *pos))),
-                }
-            }
-        }
+        Some(b'[') => parse_array(bytes, pos, Vec::new(), parse_value).map(Json::Array),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
@@ -318,6 +445,7 @@ mod tests {
     /// 4× the bytes must cost about 4× the time; work per character that
     /// grows with the rest of the input (16×) fails this.
     #[test]
+    #[cfg(not(miri))] // a wall-clock ratio over megabytes
     fn string_heavy_documents_parse_in_linear_time() {
         let cell = "\"0123456789 abcdefghijklmnopqrstuvwxyz \\\" 0123456789 é✓ abcdefgh\",";
         let document = |bytes: usize| format!("[{}null]", cell.repeat(bytes / cell.len()));
@@ -344,6 +472,119 @@ mod tests {
             small.len(),
             large.len()
         );
+    }
+
+    fn rows_of(text: &str) -> Result<Vec<Row>> {
+        let mut reader = Reader::new(text);
+        let rows = reader.rows()?;
+        reader.finish()?;
+        Ok(rows)
+    }
+
+    #[test]
+    fn the_row_reader_decodes_what_the_value_writer_writes() {
+        let rows = vec![
+            vec![
+                Value::Int(-7),
+                Value::Float(0.1),
+                Value::Null,
+                Value::text("plain"),
+            ],
+            vec![
+                Value::Int(i64::MAX),
+                Value::Float(-0.0),
+                Value::text("q\" b\\ \n\r\t \u{1} é✓"),
+                Value::text(""),
+            ],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(f64::INFINITY),
+                Value::Float(f64::NEG_INFINITY),
+                Value::Float(1e300),
+            ],
+            vec![],
+        ];
+        let mut text = String::from("[");
+        for (i, row) in rows.iter().enumerate() {
+            text.push_str(if i > 0 { ",[" } else { "[" });
+            for (j, v) in row.iter().enumerate() {
+                if j > 0 {
+                    text.push(',');
+                }
+                write_json_value(&mut text, v);
+            }
+            text.push(']');
+        }
+        text.push(']');
+        let decoded = rows_of(&text).unwrap();
+        assert_eq!(decoded.len(), rows.len());
+        for (got, want) in decoded.iter().zip(&rows) {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                match (g, w) {
+                    (Value::Float(g), Value::Float(w)) => assert_eq!(g.to_bits(), w.to_bits()),
+                    _ => assert_eq!(g, w),
+                }
+            }
+        }
+        // Whitespace anywhere between tokens, as any JSON writer may put it.
+        let spaced = rows_of(" [ [ 1 , \"a\" , { \"~f\" : \"inf\" } ] , [ ] ] ").unwrap();
+        assert_eq!(spaced[0][2], Value::Float(f64::INFINITY));
+        assert_eq!(spaced[1], Vec::<Value>::new());
+        assert_eq!(rows_of("[]").unwrap(), Vec::<Row>::new());
+    }
+
+    #[test]
+    fn the_row_reader_rejects_what_is_not_a_row_of_values() {
+        for (bad, why) in [
+            ("", "expected '['"),
+            ("[1]", "row is not an array"),
+            ("[[true]]", "unexpected value in row"),
+            ("[[[1]]]", "unexpected value in row"),
+            ("[[{\"a\":1}]]", "unexpected object in row"),
+            ("[[{\"~f\":1}]]", "unexpected object in row"),
+            ("[[{\"~f\":\"inf\",\"x\":1}]]", "unexpected object in row"),
+            ("[[{\"~f\":\"big\"}]]", "unknown float tag 'big'"),
+            ("[[1,]]", "unexpected character"),
+            ("[[1 2]]", "expected ',' or ']'"),
+            ("[[1]", "expected ',' or ']'"),
+            ("[[\"abc]]", "unterminated string"),
+            ("[[\"a\\qb\"]]", "invalid escape"),
+            ("[[nul]]", "invalid literal"),
+            ("[[1]] x", "trailing data"),
+        ] {
+            let err = rows_of(bad).expect_err(bad);
+            assert!(err.message().contains(why), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_object_is_read_field_by_field_in_document_order() {
+        let mut reader = Reader::new(r#" { "a" : [1, {"b": null}] , "rows": [[2]], "c": "x" } "#);
+        let mut seen = Vec::new();
+        reader
+            .object(|r, key| {
+                let value = match key.as_str() {
+                    "rows" => format!("{:?}", r.rows()?),
+                    _ => format!("{:?}", r.value()?),
+                };
+                seen.push((key, value));
+                Ok(())
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        let keys: Vec<&str> = seen.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "rows", "c"]);
+        assert_eq!(seen[1].1, "[[Int(2)]]");
+        let mut empty = Reader::new("{}");
+        empty
+            .object(|_, key| panic!("no field, got {key}"))
+            .unwrap();
+        for bad in ["", "[]", "{\"a\" 1}", "{\"a\":1", "{\"a\":1,}"] {
+            let mut reader = Reader::new(bad);
+            let read = reader.object(|r, _| r.value().map(drop));
+            assert!(read.and_then(|()| reader.finish()).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! The same writer backs the durability layer's checkpoints (see
 //! [`crate::wal`]): a checkpoint is a snapshot plus the WAL sequence number
 //! it covers. The codec is [`crate::json`], in which every value round-trips
-//! exactly.
+//! exactly. Decoding reads each table's rows straight into its row vector
+//! ([`crate::json::Reader::rows`]) and builds the table's indexes once, after
+//! all its rows are in ([`Table::with_rows`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,7 +17,7 @@ use std::sync::Arc;
 use crate::catalog::{Catalog, Column, Schema, Table};
 use crate::engine::Database;
 use crate::error::{EngineError, Result};
-use crate::json::{json_to_value, parse_json, write_json_string, write_json_value, Json};
+use crate::json::{write_json_string, write_json_value, Json, Reader};
 use crate::value::{DataType, Row};
 
 /// Serializable form of one table. The rows are the table's own shared
@@ -59,8 +61,8 @@ impl Snapshot {
         Snapshot { tables }
     }
 
-    /// Build the catalog tables this snapshot describes (rows inserted, all
-    /// indexes populated). Shared by [`Snapshot::restore_into`] and WAL
+    /// Build the catalog tables this snapshot describes (rows in, all
+    /// indexes built). Shared by [`Snapshot::restore_into`] and WAL
     /// recovery.
     pub(crate) fn build_tables(self) -> Result<Vec<Table>> {
         let mut out = Vec::with_capacity(self.tables.len());
@@ -71,13 +73,10 @@ impl Snapshot {
                     .map(|(name, ty)| Column { name, ty })
                     .collect(),
             );
-            let mut table = Table::new(name, schema, &dump.primary_key)?;
-            // A parsed dump owns its rows; one captured from a live table
+            // A decoded dump owns its rows; one captured from a live table
             // shares them and is copied here.
-            for row in Arc::try_unwrap(dump.rows).unwrap_or_else(|shared| (*shared).clone()) {
-                table.insert_row(row, None)?;
-            }
-            out.push(table);
+            let rows = Arc::try_unwrap(dump.rows).unwrap_or_else(|shared| (*shared).clone());
+            out.push(Table::new(name, schema, &dump.primary_key)?.with_rows(rows)?);
         }
         Ok(out)
     }
@@ -146,86 +145,94 @@ impl Snapshot {
 
     /// Deserialize from a JSON string.
     pub fn from_json(json: &str) -> Result<Snapshot> {
-        let doc = parse_json(json).map_err(|e| corrupt(e.message()))?;
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| corrupt("top level is not an object"))?;
-        let tables = obj
-            .iter()
-            .find(|(k, _)| k == "tables")
-            .map(|(_, v)| v)
-            .ok_or_else(|| corrupt("missing 'tables' key"))?;
-        Self::tables_from_json(tables)
+        let mut reader = Reader::new(json);
+        let mut tables = None;
+        let read = reader.object(|r, key| {
+            if key == "tables" && tables.is_none() {
+                tables = Some(Self::read_tables(r)?);
+            } else {
+                r.value()?;
+            }
+            Ok(())
+        });
+        read.and_then(|()| reader.finish())
+            .map_err(|e| corrupt(e.message()))?;
+        tables.ok_or_else(|| corrupt("missing 'tables' key"))
     }
 
-    /// Build a snapshot from a parsed `tables` map (shared with checkpoints).
-    pub(crate) fn tables_from_json(tables: &Json) -> Result<Snapshot> {
-        let tables_obj = tables
-            .as_object()
-            .ok_or_else(|| corrupt("'tables' is not an object"))?;
+    /// Read a `{"name":{...}}` table map (shared with checkpoints): the
+    /// columns and primary key as trees, the rows straight into each
+    /// table's row vector. A key given twice counts the first time. Errors
+    /// carry no prefix: the caller names the document.
+    pub(crate) fn read_tables(reader: &mut Reader) -> Result<Snapshot> {
         let mut out = BTreeMap::new();
-        for (name, tv) in tables_obj {
-            let t = tv
-                .as_object()
-                .ok_or_else(|| corrupt("table entry is not an object"))?;
-            let field = |key: &str| -> Result<&Json> {
-                t.iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| corrupt(format!("table missing '{key}'")))
+        reader.object(|r, name| {
+            let (mut columns, mut primary_key, mut rows) = (None, None, None);
+            r.object(|r, key| {
+                match key.as_str() {
+                    "columns" if columns.is_none() => columns = Some(columns_of(&r.value()?)?),
+                    "primary_key" if primary_key.is_none() => {
+                        primary_key = Some(names_of(&r.value()?)?);
+                    }
+                    "rows" if rows.is_none() => rows = Some(r.rows()?),
+                    _ => {
+                        r.value()?;
+                    }
+                }
+                Ok(())
+            })?;
+            let missing = |key: &str| EngineError::exec(format!("table missing '{key}'"));
+            let dump = TableDump {
+                columns: columns.ok_or_else(|| missing("columns"))?,
+                primary_key: primary_key.ok_or_else(|| missing("primary_key"))?,
+                rows: Arc::new(rows.ok_or_else(|| missing("rows"))?),
             };
-            let columns = field("columns")?
-                .as_array()
-                .ok_or_else(|| corrupt("'columns' is not an array"))?
-                .iter()
-                .map(|c| {
-                    let pair = c
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| corrupt("column entry is not a 2-array"))?;
-                    let name = pair[0]
-                        .as_str()
-                        .ok_or_else(|| corrupt("column name is not a string"))?;
-                    let ty = pair[1]
-                        .as_str()
-                        .and_then(datatype_from_name)
-                        .ok_or_else(|| corrupt("unknown column type"))?;
-                    Ok((name.to_string(), ty))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let primary_key = field("primary_key")?
-                .as_array()
-                .ok_or_else(|| corrupt("'primary_key' is not an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| corrupt("primary key entry is not a string"))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let rows = field("rows")?
-                .as_array()
-                .ok_or_else(|| corrupt("'rows' is not an array"))?
-                .iter()
-                .map(|r| {
-                    r.as_array()
-                        .ok_or_else(|| corrupt("row is not an array"))?
-                        .iter()
-                        .map(|v| json_to_value(v).map_err(|e| corrupt(e.message())))
-                        .collect::<Result<Row>>()
-                })
-                .collect::<Result<Vec<Row>>>()?;
-            out.insert(
-                name.clone(),
-                TableDump {
-                    columns,
-                    primary_key,
-                    rows: Arc::new(rows),
-                },
-            );
-        }
+            out.insert(name, dump);
+            Ok(())
+        })?;
         Ok(Snapshot { tables: out })
     }
+}
+
+/// A table's `columns`: `[name, type]` pairs.
+fn columns_of(columns: &Json) -> Result<Vec<(String, DataType)>> {
+    let bad = |msg: &str| EngineError::exec(msg);
+    let columns = columns
+        .as_array()
+        .ok_or_else(|| bad("'columns' is not an array"))?;
+    columns
+        .iter()
+        .map(|c| {
+            let pair = c
+                .as_array()
+                .filter(|a| a.len() == 2)
+                .ok_or_else(|| bad("column entry is not a 2-array"))?;
+            let name = pair[0]
+                .as_str()
+                .ok_or_else(|| bad("column name is not a string"))?;
+            let ty = pair[1]
+                .as_str()
+                .and_then(datatype_from_name)
+                .ok_or_else(|| bad("unknown column type"))?;
+            Ok((name.to_string(), ty))
+        })
+        .collect()
+}
+
+/// A table's `primary_key`: column names.
+fn names_of(names: &Json) -> Result<Vec<String>> {
+    let bad = |msg: &str| EngineError::exec(msg);
+    let names = names
+        .as_array()
+        .ok_or_else(|| bad("'primary_key' is not an array"))?;
+    names
+        .iter()
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| bad("primary key entry is not a string"))
+        })
+        .collect()
 }
 
 fn corrupt(msg: impl std::fmt::Display) -> EngineError {

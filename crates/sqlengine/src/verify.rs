@@ -304,11 +304,11 @@ pub(crate) fn verify_program(program: &Program, slots: Option<usize>) -> Vec<Vio
             if made != width {
                 violations.push(Violation {
                     rule: VerifyRule::Schema,
-                    node: stage.label.clone(),
+                    node: program.stage_label(at).to_string(),
                     message: format!(
                         "stage {at} reads {width}-column rows from stage {from} ({}), \
                          which makes {made}",
-                        stages[from].label
+                        program.stage_label(from)
                     ),
                 });
             }
@@ -318,7 +318,7 @@ pub(crate) fn verify_program(program: &Program, slots: Option<usize>) -> Vec<Vio
     for &(at, highest) in sites.filter(|&&(_, highest)| slots.is_some_and(|n| highest > n)) {
         violations.push(Violation {
             rule: VerifyRule::ParamSlots,
-            node: stages[at].label.clone(),
+            node: program.stage_label(at).to_string(),
             message: format!(
                 "stage {at} reads parameter ?{highest} but its runs bind {} slot(s)",
                 slots.unwrap_or_default()
