@@ -1,8 +1,13 @@
 //! Catalog and in-memory row storage.
 //!
-//! Tables hold their rows behind an `Arc` so that query execution can work
-//! on a cheap snapshot without holding the catalog lock, while DML uses
-//! copy-on-write (`Arc::make_mut`) semantics.
+//! Tables hold their rows (and index maps) behind an `Arc` so that query
+//! execution can work on a cheap snapshot without holding the catalog lock,
+//! while DML uses copy-on-write (`Arc::make_mut`) semantics. A write copies
+//! only what someone else still holds: the plan cache drops the plans over
+//! a table before the table is written, so the usual write changes it in
+//! place, and the copies that remain — a transaction's saved catalog, a
+//! statement still running on the old snapshot — are counted in
+//! `catalog.snapshot_copies`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -409,10 +414,11 @@ impl Table {
     }
 
     /// Delete the rows at the given indexes, maintaining indexes
-    /// incrementally: deleted keys are removed and surviving entries have
-    /// their row indexes shifted in place (no re-hash, no key clones). Mass
-    /// deletes fall back to a wholesale rebuild, which is cheaper than
-    /// patching when most entries are going away anyway.
+    /// incrementally: deleted keys are removed and surviving entries are
+    /// renumbered in place through a rank table (no re-hash, no key clones,
+    /// no search per entry). Mass deletes fall back to a wholesale rebuild,
+    /// which is cheaper than patching when most entries are going away
+    /// anyway.
     pub fn delete_rows(&mut self, mut idxs: Vec<usize>) -> Result<usize> {
         idxs.sort_unstable();
         idxs.dedup();
@@ -451,30 +457,37 @@ impl Table {
             }
         }
         self.derived.reset();
+        // One merge with the sorted deleted positions compacts the rows and,
+        // when patching, ranks every survivor: its new position is its old
+        // one less the deleted positions below it.
         let rows = Arc::make_mut(&mut self.rows);
-        let mut keep = vec![true; rows.len()];
-        for &i in &idxs {
-            keep[i] = false;
-        }
-        let mut i = 0;
+        let mut rank = Vec::with_capacity(if incremental { rows.len() } else { 0 });
+        let (mut at, mut deleted) = (0, 0);
         rows.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
+            let keep = idxs.get(deleted) != Some(&at);
+            if keep {
+                if incremental {
+                    rank.push(at - deleted);
+                }
+            } else {
+                deleted += 1;
+                if incremental {
+                    rank.push(usize::MAX);
+                }
+            }
+            at += 1;
+            keep
         });
         if incremental {
-            // Surviving row index `i` moved down by the number of deleted
-            // indexes below it; patch entries in place.
-            let shift = |i: usize| i - idxs.partition_point(|&d| d < i);
             if let Some(primary) = &mut self.primary {
                 for v in Arc::make_mut(&mut primary.map).values_mut() {
-                    *v = shift(*v);
+                    *v = rank[*v];
                 }
             }
             for index in &mut self.secondary {
                 for list in Arc::make_mut(&mut index.map).values_mut() {
                     for v in list.iter_mut() {
-                        *v = shift(*v);
+                        *v = rank[*v];
                     }
                 }
             }
@@ -537,33 +550,29 @@ impl Table {
         self.secondary.iter().any(|s| s.name == name)
     }
 
-    /// Rebuild primary and secondary indexes from current rows.
+    /// Rebuild primary and secondary indexes from current rows, each into a
+    /// fresh map: a map a plan still holds is left to it, not copied only to
+    /// be cleared.
     pub fn rebuild_indexes(&mut self) -> Result<()> {
         if let Some(primary) = &mut self.primary {
-            let map = Arc::make_mut(&mut primary.map);
-            map.clear();
-            map.reserve(self.rows.len());
+            let mut map = HashMap::with_capacity(self.rows.len());
             for (i, row) in self.rows.iter().enumerate() {
-                let key: Vec<Value> = primary
-                    .key_columns
-                    .iter()
-                    .map(|&c| row[c].clone())
-                    .collect();
-                if map.insert(key, i).is_some() {
+                if map.insert(primary.key_for(row), i).is_some() {
                     return Err(EngineError::exec(format!(
                         "UNIQUE constraint violated on table '{}'",
                         self.name
                     )));
                 }
             }
+            primary.map = Arc::new(map);
         }
         for index in &mut self.secondary {
-            let map = Arc::make_mut(&mut index.map);
-            map.clear();
+            let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
             for (i, row) in self.rows.iter().enumerate() {
                 let key: Vec<Value> = index.key_columns.iter().map(|&c| row[c].clone()).collect();
                 map.entry(key).or_default().push(i);
             }
+            index.map = Arc::new(map);
         }
         Ok(())
     }
@@ -861,6 +870,51 @@ mod tests {
         assert_eq!(t.primary.as_ref().unwrap().map.len(), 2);
         let total: usize = t.secondary[0].map.values().map(Vec::len).sum();
         assert_eq!(total, 2);
+    }
+
+    #[test]
+    fn a_window_delete_renumbers_every_survivor_as_a_rebuild_would() {
+        let mut t = Table::new("c".into(), schema_jk(), &["j".into()]).unwrap();
+        t.create_index("c_k", &["k".into()], false).unwrap();
+        for i in 0..60 {
+            let row = vec![
+                Value::text(format!("x{i}")),
+                Value::Int(i % 9),
+                Value::Float(0.0),
+            ];
+            t.insert_row(row, None).unwrap();
+        }
+        // The front of the window, a straggler, and a repeat.
+        t.delete_rows(vec![0, 1, 2, 3, 4, 5, 41, 2]).unwrap();
+        assert_eq!(t.row_count(), 53);
+        assert_eq!(t.rows[0][0], Value::text("x6"));
+        let mut rebuilt = t.clone();
+        rebuilt.rebuild_indexes().unwrap();
+        assert_eq!(
+            *t.primary.as_ref().unwrap().map,
+            *rebuilt.primary.as_ref().unwrap().map
+        );
+        // Entries keep their order: each list stays ascending.
+        assert_eq!(*t.secondary[0].map, *rebuilt.secondary[0].map);
+    }
+
+    #[test]
+    fn a_rebuild_leaves_a_held_map_to_its_holder() {
+        let mut t = Table::new("c".into(), schema_jk(), &["j".into()]).unwrap();
+        t.create_index("c_k", &["k".into()], false).unwrap();
+        for i in 0..4 {
+            let row = vec![
+                Value::text(format!("x{i}")),
+                Value::Int(i),
+                Value::Float(0.0),
+            ];
+            t.insert_row(row, None).unwrap();
+        }
+        let held = Arc::clone(&t.secondary[0].map);
+        t.delete_rows(vec![0, 1, 2]).unwrap();
+        assert_eq!(held.len(), 4, "the holder's map is untouched");
+        assert_eq!(t.secondary[0].map.len(), 1);
+        assert_eq!(t.primary.as_ref().unwrap().map[&vec![Value::text("x3")]], 0);
     }
 
     fn int_table(n: i64) -> Table {

@@ -26,7 +26,7 @@ use crate::exec::{ExecContext, MemoryBudget, OpStats, Program, WorkerPool};
 use crate::lexer::{scan_shape, Shape};
 use crate::parser::{parse_script_spanned, parse_statement};
 use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
-use crate::plan_cache::{CacheHit, CacheUse, PlanCache};
+use crate::plan_cache::{Body, CacheHit, CacheUse, Held, NewEntry, PlanCache};
 use crate::sync::{Mutex, RwLock, RwLockReadGuard};
 use crate::telemetry::{sys, QueryStatus, Telemetry};
 use crate::trace::{Phase, PhaseClock, StatementTrace, TraceScope};
@@ -100,12 +100,12 @@ pub struct Database {
     /// Snapshot of the catalog taken at `BEGIN`, restored on `ROLLBACK`.
     txn_backup: Mutex<Option<Catalog>>,
     /// Monotonic version bumped under the write lock of every catalog write
-    /// (DDL, DML, and `ROLLBACK` restores). Cached plans embed row/index
-    /// snapshots, so any change to data or schema must invalidate them; the
-    /// counter never goes backwards, which keeps a rolled-back catalog from
-    /// aliasing a future version number.
+    /// (DDL, DML, and `ROLLBACK` restores). The plan cache tags entries and
+    /// per-table write marks with it to order planners against writers
+    /// (`PlanCache::insert`); it never goes backwards, which keeps a
+    /// rolled-back catalog from aliasing a future version number.
     catalog_version: AtomicU64,
-    /// Physical plans of queries, keyed by statement shape.
+    /// Plans of queries and DML statements, keyed by statement shape.
     plan_cache: PlanCache,
     /// Write-ahead log of committed logical changes; `None` for purely
     /// in-memory databases (`Database::new`).
@@ -205,13 +205,31 @@ enum PlanVerify<'a> {
 /// The outcome of `plan_or_fetch`: a physical plan, possibly a parameter
 /// template that `bind` must fill before `run` — from the caller's
 /// parameters, or from the literals lifted out of the statement text.
-struct Planned {
+pub(super) struct Planned {
     query: Arc<PlannedQuery>,
     /// The plan lowered once, when it was planned: what every run executes.
     program: Arc<Program>,
     template: bool,
     lifted: Option<Vec<Value>>,
 }
+
+/// A statement served from the plan cache.
+enum Served {
+    Query(Planned),
+    /// A DML statement with its literals lifted, the values they take in
+    /// this text (`None`: the caller's parameters), and an `INSERT …
+    /// SELECT`'s source template.
+    Dml {
+        stmt: Arc<Statement>,
+        source: Option<Planned>,
+        lifted: Option<Vec<Value>>,
+    },
+}
+
+/// The base tables a plan holds the rows of, or `None` when it also reads a
+/// virtual `sys.*` table: such a plan embeds point-in-time telemetry rows
+/// and is never cached.
+type Holds = Option<Vec<Held>>;
 
 /// What the lifecycle hands back: the statement's result, plus the operator
 /// statistics tree when the caller asked to analyze a query.
@@ -310,7 +328,9 @@ impl Database {
         self.wal.as_ref().map(|w| w.wal_bytes())
     }
 
-    /// Current catalog version (bumped by every DDL/DML write).
+    /// Current catalog version. Every DDL/DML write still bumps it, but a
+    /// plan-cache hit no longer compares against it: a write drops the
+    /// cached plans over the table it writes, and leaves the others.
     pub fn catalog_version(&self) -> u64 {
         self.catalog_version.load(Ordering::Acquire)
     }
@@ -372,8 +392,9 @@ impl Database {
 
     /// Execute one statement with positional parameters (`?`, `?1`).
     ///
-    /// Queries go through the plan cache (when enabled): a hit skips parsing
-    /// and planning entirely. Parameterized queries are cached as plan
+    /// Queries, `INSERT … SELECT`, `DELETE` and `UPDATE` go through the plan
+    /// cache (when enabled): a hit skips parsing, checking and planning
+    /// entirely. Parameterized queries are cached as plan
     /// *templates* — `?` markers stay symbolic in the cached tree and each
     /// execution substitutes its values into a fresh copy — except where a
     /// parameter's value is consumed at plan time (`LIMIT ?`, parameters
@@ -449,7 +470,7 @@ impl Database {
     /// parameters. Queries additionally go through the plan cache: the first
     /// execution plans once (keeping `?` markers symbolic) and caches the
     /// template; later executions bind their parameter values into the
-    /// cached tree until a catalog write invalidates it.
+    /// cached tree until a write to a table it reads invalidates it.
     pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
         let stmt = parse_statement(sql)?;
         self.analyze_statement(&stmt)?;
@@ -611,8 +632,22 @@ impl Database {
             _ => scan_shape(sql),
         };
         let planned = match self.fetch(sql, shape.as_ref(), cache, ctx)? {
-            Some(hit) => hit,
+            Some(Served::Query(planned)) => planned,
+            Some(Served::Dml {
+                stmt,
+                source,
+                lifted,
+            }) => {
+                let params = lifted.as_deref().unwrap_or(params);
+                return Self::run(ctx, |ctx| {
+                    let result = self.apply(sql, &stmt, params, source.as_ref(), ctx)?;
+                    Ok((result, None))
+                });
+            }
             None => {
+                // Read before the check: a DML entry keeps the checked
+                // statement (see `PlanCache::insert`).
+                let version = self.catalog_version();
                 let parsed;
                 let stmt = match entry {
                     Entry::Text => {
@@ -628,26 +663,32 @@ impl Database {
                     ctx.clock.lap(Phase::Sema);
                     checked?;
                 }
+                let store = shape.filter(|_| cache == CacheUse::Serve);
                 match stmt {
                     Statement::Query(query) => {
-                        let store = shape.filter(|_| cache == CacheUse::Serve);
                         self.plan_stage(sql, query, params, store, PlanVerify::Enforce, ctx)?
                     }
                     _ if analyze => {
                         return Err(EngineError::plan("ANALYZE supports only SELECT queries"))
                     }
                     // Everything else interleaves its work with catalog
-                    // reads and writes; the whole tail is the exec phase.
+                    // reads and writes; the whole tail is the exec phase. A
+                    // DML statement checked at prepare time is not stored:
+                    // the catalog may have changed since.
                     other => {
+                        let store = store.filter(|_| !matches!(entry, Entry::Checked(_)));
                         return Self::run(ctx, |ctx| {
-                            let result = match other {
-                                Statement::Explain { mode, query } => StatementResult::Rows(
+                            let result = match (other, store) {
+                                (Statement::Explain { mode, query }, _) => StatementResult::Rows(
                                     self.explain_statement(sql, *mode, query, params, ctx)?,
                                 ),
-                                _ => self.apply(sql, other, params, ctx)?,
+                                (_, Some(shape)) => {
+                                    self.apply_storing(sql, other, params, shape, version, ctx)?
+                                }
+                                (_, None) => self.apply(sql, other, params, None, ctx)?,
                             };
                             Ok((result, None))
-                        })
+                        });
                     }
                 }
             }
@@ -668,23 +709,40 @@ impl Database {
         shape: Option<&Shape>,
         cache: CacheUse,
         ctx: &mut StatementCtx,
-    ) -> Result<Option<Planned>> {
+    ) -> Result<Option<Served>> {
         let Some(shape) = shape else {
             return Ok(None);
         };
-        let Some(hit) = self.plan_cache.lookup(shape, self.catalog_version(), cache) else {
+        let Some(hit) = self.plan_cache.lookup(shape, cache) else {
             ctx.clock.skip();
             return Ok(None);
         };
         ctx.clock.cache_hit = true;
         let verified = self.verify_cached(&hit, sql);
-        ctx.clock.lap_plan(Some(&hit.planned.plan));
+        ctx.clock
+            .lap_plan(hit.body.plan().map(|((planned, _), _)| &planned.plan));
         verified?;
-        Ok(Some(Planned {
-            query: hit.planned,
-            program: hit.program,
-            template: hit.template,
-            lifted: hit.lifted,
+        let template = |(query, program): (Arc<PlannedQuery>, Arc<Program>)| Planned {
+            query,
+            program,
+            template: true,
+            lifted: None,
+        };
+        Ok(Some(match hit.body {
+            Body::Query {
+                plan: (query, program),
+                template,
+            } => Served::Query(Planned {
+                query,
+                program,
+                template,
+                lifted: hit.lifted,
+            }),
+            Body::Dml { stmt, source } => Served::Dml {
+                stmt,
+                source: source.map(template),
+                lifted: hit.lifted,
+            },
         }))
     }
 
@@ -709,8 +767,8 @@ impl Database {
         let has_params = params_used != ParamUse::None;
         let store = store.filter(|_| params_used != ParamUse::PlanTime);
         // Read before planning takes the catalog read lock: a plan that
-        // races a writer carries a version no later than what it planned
-        // (see `PlanCache::insert`).
+        // races a writer of one of its tables is not stored (see
+        // `PlanCache::insert`).
         let version = self.catalog_version();
         let prepared;
         let (mut slots, mut lifted) = (Vec::new(), Vec::new());
@@ -729,29 +787,26 @@ impl Database {
         };
         let lifted = (!lifted.is_empty()).then_some(lifted);
         let template = store.is_some() && (has_params || lifted.is_some());
-        // A template's parameters stay symbolic: it is planned without values.
-        let plan_params = if template { &[] } else { params };
         let values = slot_count(template, lifted.as_deref());
-        let exec = ctx.planner_exec();
-        let planned = self.plan_query(sql, query, plan_params, values, verify, exec);
-        ctx.clock
-            .lap_plan(planned.as_ref().ok().map(|(planned, ..)| &planned.plan));
-        let (planned, program, used_virtual) = planned?;
-        let (planned, program) = (Arc::new(planned), Arc::new(program));
+        let (planned, program, holds) = self.plan_phase(sql, query, params, values, verify, ctx)?;
         // Plans over `sys.*` embed point-in-time telemetry rows; serving one
         // from the cache would freeze the metrics. (The shape scan already
         // keeps `sys.` text out; this is the backstop.)
-        if let Some(shape) = store.filter(|_| !used_virtual) {
+        if let (Some(shape), Some(holds)) = (store, holds) {
             // With the verifier on the plan just passed a walk at `version`,
             // so the first hit can skip straight to execution.
-            self.plan_cache.insert(
-                shape.key,
+            let entry = NewEntry {
+                body: Body::Query {
+                    plan: (Arc::clone(&planned), Arc::clone(&program)),
+                    template,
+                },
                 slots,
                 version,
-                (Arc::clone(&planned), Arc::clone(&program)),
-                template,
-                self.config.verify_plans,
-            );
+                holds,
+                names: Vec::new(),
+                verified: self.config.verify_plans,
+            };
+            self.plan_cache.insert(shape.key, entry);
         }
         Ok(Planned {
             query: planned,
@@ -759,6 +814,29 @@ impl Database {
             template,
             lifted,
         })
+    }
+
+    /// Plan `query` ([`Database::plan_query`], what the planner executes
+    /// itself under this statement's governance) and close the plan phase.
+    /// A template (`values` other than `Some(0)`: how many values each run
+    /// binds, `None` when they are the caller's) is planned without
+    /// `params`.
+    fn plan_phase(
+        &self,
+        sql: &str,
+        query: &Query,
+        params: &[Value],
+        values: Option<usize>,
+        verify: PlanVerify<'_>,
+        ctx: &mut StatementCtx,
+    ) -> Result<(Arc<PlannedQuery>, Arc<Program>, Holds)> {
+        let params = if values == Some(0) { params } else { &[] };
+        let exec = ctx.planner_exec();
+        let planned = self.plan_query(sql, query, params, values, verify, exec);
+        ctx.clock
+            .lap_plan(planned.as_ref().ok().map(|(planned, ..)| &planned.plan));
+        let (planned, program, holds) = planned?;
+        Ok((Arc::new(planned), Arc::new(program), holds))
     }
 
     /// The one place a query is planned: under the catalog read lock, with
@@ -770,7 +848,8 @@ impl Database {
     /// `Some(0)`: how many values each run binds, `None` when they are the
     /// caller's) keeps its `?` markers as [`crate::expr::PhysExpr::Param`]
     /// nodes. What the planner executes itself runs under `exec`. Also
-    /// reports whether the plan reads a virtual `sys.*` table.
+    /// reports the base tables the plan holds ([`Holds`]), recorded where
+    /// the planner resolves each one, so planner-time subqueries count.
     fn plan_query(
         &self,
         sql: &str,
@@ -779,7 +858,7 @@ impl Database {
         slots: Option<usize>,
         verify: PlanVerify<'_>,
         exec: ExecContext,
-    ) -> Result<(PlannedQuery, Program, bool)> {
+    ) -> Result<(PlannedQuery, Program, Holds)> {
         let template = slots != Some(0);
         let catalog = self.catalog.read();
         let mut planner =
@@ -817,8 +896,8 @@ impl Database {
             }
             PlanVerify::Enforce => {}
         }
-        let used_virtual = planner.used_virtual();
-        Ok((planned, program, used_virtual))
+        let holds = (!planner.used_virtual()).then(|| planner.into_tables());
+        Ok((planned, program, holds))
     }
 
     /// Record a verifier run in telemetry and convert its violations into a
@@ -861,12 +940,13 @@ impl Database {
         }
     }
 
-    /// Verify a plan served from the cache. Templates are checked under
-    /// [`ParamDiscipline::Template`]; the snapshot-identity checks only run
-    /// while the live catalog version still equals the entry's under the
-    /// read lock — a writer that advanced the catalog after the lookup
-    /// makes the entry stale-but-harmless (the next lookup replans), not a
-    /// violation.
+    /// Verify a plan served from the cache (a DML entry's source plan; a
+    /// `DELETE`/`UPDATE` entry has none). Templates are checked under
+    /// [`ParamDiscipline::Template`]; the snapshot-identity checks run while
+    /// none of the tables the entry holds has been written since it was
+    /// planned — checked under the read lock, so no write can intervene. A
+    /// writer that got in after the lookup makes the entry
+    /// stale-but-harmless (it already dropped it), not a violation.
     ///
     /// The walk is memoized per catalog version on the entry: the cached
     /// tree is immutable and the verdict is deterministic in (plan, catalog
@@ -876,30 +956,35 @@ impl Database {
         if !self.config.verify_plans {
             return Ok(());
         }
-        let discipline = if hit.template {
+        let Some(((planned, program), template)) = hit.body.plan() else {
+            return Ok(());
+        };
+        let discipline = if template {
             ParamDiscipline::Template
         } else {
             ParamDiscipline::Bound
         };
-        let (report, current) = {
+        let (report, current, checked) = {
             let catalog = self.catalog.read();
             let current = self.catalog_version();
             if hit.verified_at(current) {
                 return Ok(());
             }
-            let (catalog, guarantee) = if current == hit.version {
+            let checked = self.plan_cache.is_current(hit.version, &hit.holds);
+            let (catalog, guarantee) = if checked {
                 (Some(&*catalog), SnapshotGuarantee::Current)
             } else {
                 (None, SnapshotGuarantee::MayLag)
             };
-            let report =
-                crate::verify::verify_planned(&hit.planned, catalog, guarantee, discipline);
-            (report, current)
+            let report = crate::verify::verify_planned(planned, catalog, guarantee, discipline);
+            (report, current, checked)
         };
-        let slots = slot_count(hit.template, hit.lifted.as_deref());
-        let lowered = crate::verify::verify_program(&hit.program, slots);
+        let slots = slot_count(template, hit.lifted.as_deref());
+        let lowered = crate::verify::verify_program(program, slots);
         self.verify_outcome(report, lowered, discipline, sql)?;
-        hit.mark_verified(current);
+        if checked {
+            hit.mark_verified(current);
+        }
         Ok(())
     }
 

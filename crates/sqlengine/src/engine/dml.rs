@@ -5,9 +5,10 @@
 //! the lock, and only then blocks for durability ([`Database::commit`]).
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
-use super::{Database, PlanVerify, StatementCtx, StatementResult};
+use super::{slot_count, Database, PlanVerify, Planned, StatementCtx, StatementResult};
 use crate::ast::{
     qualify_bare_columns, split_conjuncts, ConflictAction, Expr, Insert, InsertSource, Query,
     Statement,
@@ -16,20 +17,25 @@ use crate::catalog::{Catalog, Column, InsertOutcome, ResolvedConflict, Schema, T
 use crate::error::{EngineError, Result};
 use crate::exec::index_positions;
 use crate::expr::{bind_expr, ColLabel, PhysExpr, Scope};
+use crate::lexer::Shape;
 use crate::logical::table_scope;
 use crate::plan::{PhysPlan, Planner};
+use crate::plan_cache::{Body, NewEntry, Write};
 use crate::sync::RwLockWriteGuard;
 use crate::trace::{AttrValue, TraceScope};
 use crate::value::{DataType, Row, Value};
 use crate::wal::{push_insert, WalOp};
 
 impl Database {
-    /// Apply one DDL / DML / transaction-control statement.
+    /// Apply one DDL / DML / transaction-control statement. `source` is an
+    /// `INSERT … SELECT`'s source plan when it has one already (from the
+    /// plan cache); otherwise the source is planned here.
     pub(super) fn apply(
         &self,
         sql: &str,
         stmt: &Statement,
         params: &[Value],
+        source: Option<&Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
         match stmt {
@@ -40,7 +46,7 @@ impl Database {
                 let columns: Vec<(String, DataType)> =
                     ct.columns.iter().map(|c| (c.name.clone(), c.ty)).collect();
                 let table = Table::new(ct.name.clone(), schema_of(&columns), &ct.primary_key)?;
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Schema(&ct.name))?;
                 let mut ops = Vec::new();
                 if catalog.create_table(table, ct.if_not_exists)? {
                     ops.push(WalOp::CreateTable {
@@ -53,7 +59,7 @@ impl Database {
                 Ok(StatementResult::Affected(0))
             }
             Statement::CreateIndex(ci) => {
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Schema(&ci.table))?;
                 let table = catalog.get_mut(&ci.table)?;
                 if table.has_index(&ci.name) {
                     if ci.if_not_exists {
@@ -75,7 +81,7 @@ impl Database {
                 Ok(StatementResult::Affected(0))
             }
             Statement::DropTable { name, if_exists } => {
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Schema(name))?;
                 let mut ops = Vec::new();
                 if catalog.drop_table(name, *if_exists)? {
                     ops.push(WalOp::DropTable { name: name.clone() });
@@ -88,7 +94,7 @@ impl Database {
                 if_not_exists,
                 query,
             } => {
-                let (column_names, rows) = self.source_rows(sql, query, params, ctx)?;
+                let (column_names, rows) = self.source_rows(sql, query, params, None, ctx)?;
                 let columns: Vec<(String, DataType)> = column_names
                     .into_iter()
                     .map(|c| (c, DataType::Any))
@@ -98,7 +104,7 @@ impl Database {
                 // ownership of them below.
                 let logged_rows = self.wal.is_some().then(|| rows.clone());
                 let table = Table::new(name.clone(), schema_of(&columns), &[])?.with_rows(rows)?;
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Schema(name))?;
                 let mut ops = Vec::new();
                 if catalog.create_table(table, *if_not_exists)? {
                     ops.push(WalOp::CreateTable {
@@ -158,7 +164,7 @@ impl Database {
                         // Restore and discard the WAL's buffered ops under one
                         // guard: nothing was written durably since BEGIN, so
                         // the durable state already equals `saved`.
-                        let mut catalog = self.write_catalog()?;
+                        let mut catalog = self.write_catalog(Write::All)?;
                         *catalog = saved;
                         if let Some(wal) = &self.wal {
                             wal.rollback();
@@ -168,12 +174,12 @@ impl Database {
                     None => Err(EngineError::exec("no transaction in progress")),
                 }
             }
-            Statement::Insert(insert) => self.execute_insert(sql, insert, params, ctx),
+            Statement::Insert(insert) => self.execute_insert(sql, insert, params, source, ctx),
             Statement::Delete {
                 table, predicate, ..
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Data(table))?;
                 let selection =
                     self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
                 let mut idxs = Vec::new();
@@ -184,7 +190,9 @@ impl Database {
                 let t = catalog.get_mut(table)?;
                 let logged_idxs = (self.wal.is_some() && !idxs.is_empty())
                     .then(|| idxs.iter().map(|&i| i as u64).collect::<Vec<u64>>());
+                let before = Arc::as_ptr(&t.rows);
                 let n = t.delete_rows(idxs)?;
+                self.count_copy(before, t);
                 let mut ops = Vec::new();
                 if let Some(idxs) = logged_idxs.filter(|_| n > 0) {
                     ops.push(WalOp::Delete {
@@ -202,7 +210,7 @@ impl Database {
                 ..
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
-                let mut catalog = self.write_catalog()?;
+                let mut catalog = self.write_catalog(Write::Data(table))?;
                 let selection =
                     self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
                 let t = catalog.get(table)?;
@@ -224,6 +232,7 @@ impl Database {
                     Ok(())
                 })?;
                 let t = catalog.get_mut(table)?;
+                let before = Arc::as_ptr(&t.rows);
                 let wal_on = self.wal.is_some();
                 let mut ops = Vec::new();
                 let mut applied = 0usize;
@@ -243,16 +252,19 @@ impl Database {
                         });
                     }
                 }
+                self.count_copy(before, t);
                 self.commit(catalog, ops, failure, ctx.deadline, ctx.wal_scope())?;
                 Ok(StatementResult::Affected(applied))
             }
         }
     }
 
-    /// Take the catalog write lock and bump the catalog version under it,
-    /// so a plan tagged with the new version was planned after the upcoming
-    /// mutation (`PlanCache::insert` has the ordering argument).
-    fn write_catalog(&self) -> Result<RwLockWriteGuard<'_, Catalog>> {
+    /// Take the catalog write lock, bump the catalog version under it, and
+    /// take the cached plans that `write` makes stale out of service before
+    /// anything changes, marking the written table with the new version so
+    /// that a planner which read it before the write does not store its
+    /// plan (`PlanCache::insert` has the ordering argument).
+    fn write_catalog(&self, write: Write<'_>) -> Result<RwLockWriteGuard<'_, Catalog>> {
         // Degraded read-only mode is enforced here, before any mutation:
         // every write statement funnels through this lock, so a wedged WAL
         // refuses the statement while the in-memory state is still intact.
@@ -260,8 +272,18 @@ impl Database {
             wal.check_writable()?;
         }
         let catalog = self.catalog.write();
-        self.catalog_version.fetch_add(1, Ordering::Release);
+        let version = self.catalog_version.fetch_add(1, Ordering::Release) + 1;
+        self.plan_cache.invalidate(write, &catalog, version);
         Ok(catalog)
+    }
+
+    /// Count a write that copied its table's rows (`catalog.snapshot_copies`):
+    /// they moved from `before` because a plan or a running statement still
+    /// held the snapshot the write replaced.
+    fn count_copy(&self, before: *const Vec<Row>, table: &Table) {
+        if self.telemetry.enabled() && !std::ptr::eq(before, Arc::as_ptr(&table.rows)) {
+            self.telemetry.catalog_snapshot_copies.incr();
+        }
     }
 
     /// End a write: log `ops` to the WAL (if there is one) under the
@@ -321,19 +343,91 @@ impl Database {
     }
 
     /// Run the source query of `INSERT … SELECT` / `CREATE TABLE AS` to
-    /// completion. It joins the statement lifecycle at the plan stage like
-    /// any query — verified, counted, its operators traced beneath the
-    /// statement's exec span — but is never cached.
+    /// completion: `cached`, the source template of a plan-cache entry, or
+    /// one planned here. A source planned here joins the statement
+    /// lifecycle at the plan stage like any query — verified, counted, its
+    /// operators traced beneath the statement's exec span — and is cached
+    /// only with its statement ([`Database::apply_storing`]).
     fn source_rows(
         &self,
         sql: &str,
         query: &Query,
         params: &[Value],
+        cached: Option<&Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<(Vec<String>, Vec<Row>)> {
-        let planned = self.plan_stage(sql, query, params, None, PlanVerify::Enforce, ctx)?;
-        let (result, _) = self.bind_and_run(&planned, params, false, ctx)?;
+        let planned;
+        let planned = match cached {
+            Some(planned) => planned,
+            None => {
+                planned = self.plan_stage(sql, query, params, None, PlanVerify::Enforce, ctx)?;
+                &planned
+            }
+        };
+        let (result, _) = self.bind_and_run(planned, params, false, ctx)?;
         Ok((result.columns, result.rows))
+    }
+
+    /// Apply a DML statement checked in this lifecycle, storing it in the
+    /// plan cache under `shape` for the next text of that shape: with its
+    /// literals lifted, and an `INSERT … SELECT`'s source planned as a
+    /// template. The entry holds the source's tables and names the target.
+    /// `version` was read before the statement was checked. A statement the
+    /// cache does not keep ([`crate::lift::lift_dml`]) is applied as it is.
+    pub(super) fn apply_storing(
+        &self,
+        sql: &str,
+        stmt: &Statement,
+        params: &[Value],
+        shape: Shape,
+        version: u64,
+        ctx: &mut StatementCtx,
+    ) -> Result<StatementResult> {
+        let Some((stmt, slots, lifted)) = crate::lift::lift_dml(stmt, &shape.literals) else {
+            return self.apply(sql, stmt, params, None, ctx);
+        };
+        let lifted = (!lifted.is_empty()).then_some(lifted);
+        let params = lifted.as_deref().unwrap_or(params);
+        let (target, source) = match &stmt {
+            Statement::Insert(insert) => (&insert.table, Some(&insert.source)),
+            Statement::Delete { table, .. } | Statement::Update { table, .. } => (table, None),
+            _ => unreachable!("lift_dml keeps only INSERT … SELECT, DELETE and UPDATE"),
+        };
+        let (source, holds) = match source {
+            Some(InsertSource::Query(query)) => {
+                let values = slot_count(true, lifted.as_deref());
+                let verify = PlanVerify::Enforce;
+                let (query, program, holds) =
+                    self.plan_phase(sql, query, params, values, verify, ctx)?;
+                let planned = Planned {
+                    query,
+                    program,
+                    template: true,
+                    lifted: None,
+                };
+                (Some(planned), holds)
+            }
+            _ => (None, Some(Vec::new())),
+        };
+        let names = vec![target.to_ascii_lowercase()];
+        let stmt = Arc::new(stmt);
+        // A source over `sys.*` holds point-in-time rows: not stored.
+        if let Some(holds) = holds {
+            let source = (source.as_ref()).map(|p| (Arc::clone(&p.query), Arc::clone(&p.program)));
+            let entry = NewEntry {
+                body: Body::Dml {
+                    stmt: Arc::clone(&stmt),
+                    source,
+                },
+                slots,
+                version,
+                holds,
+                names,
+                verified: self.config.verify_plans,
+            };
+            self.plan_cache.insert(shape.key, entry);
+        }
+        self.apply(sql, &stmt, params, source.as_ref(), ctx)
     }
 
     /// Evaluate uncorrelated subqueries inside a DML predicate against the
@@ -417,6 +511,7 @@ impl Database {
         sql: &str,
         insert: &Insert,
         params: &[Value],
+        source: Option<&Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
         // Evaluate the source rows to completion *before* taking the write
@@ -439,11 +534,12 @@ impl Database {
                 }
                 out
             }
-            InsertSource::Query(q) => self.source_rows(sql, q, params, ctx)?.1,
+            InsertSource::Query(q) => self.source_rows(sql, q, params, source, ctx)?.1,
         };
 
-        let mut catalog = self.write_catalog()?;
+        let mut catalog = self.write_catalog(Write::Data(&insert.table))?;
         let t = catalog.get_mut(&insert.table)?;
+        let before = Arc::as_ptr(&t.rows);
 
         // Map provided columns to schema positions.
         let positions: Vec<usize> = if insert.columns.is_empty() {
@@ -578,6 +674,7 @@ impl Database {
                 }
             }
         }
+        self.count_copy(before, t);
         self.commit(catalog, ops, failure, ctx.deadline, ctx.wal_scope())?;
         Ok(StatementResult::Affected(affected))
     }
@@ -589,8 +686,9 @@ impl Database {
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let deadline = self.deadline();
         let _permit = self.admit(deadline)?;
-        let mut catalog = self.write_catalog()?;
+        let mut catalog = self.write_catalog(Write::Data(table))?;
         let t = catalog.get_mut(table)?;
+        let before = Arc::as_ptr(&t.rows);
         let wal_on = self.wal.is_some();
         let mut applied = Vec::new();
         let mut n = 0usize;
@@ -609,6 +707,7 @@ impl Database {
                 }
             }
         }
+        self.count_copy(before, t);
         let mut ops = Vec::new();
         if !applied.is_empty() {
             ops.push(WalOp::Insert {
@@ -631,7 +730,8 @@ impl Database {
     }
 
     /// Install a fully built table into the catalog, logging its schema,
-    /// indexes, and rows to the WAL as one batch.
+    /// indexes, and rows to the WAL as one batch. Like `ROLLBACK`, a
+    /// restore drops every cached plan.
     pub(crate) fn install_table(&self, table: Table) -> Result<()> {
         let mut ops = Vec::new();
         if self.wal.is_some() {
@@ -665,7 +765,7 @@ impl Database {
             }
         }
         let deadline = self.deadline();
-        let mut catalog = self.write_catalog()?;
+        let mut catalog = self.write_catalog(Write::All)?;
         catalog.create_table(table, false)?;
         self.commit(catalog, ops, None, deadline, None)
     }

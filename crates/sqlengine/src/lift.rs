@@ -1,5 +1,6 @@
 //! Literal lifting: the step that turns a literal statement into a plan
-//! template.
+//! template — a query, or a DML statement the plan cache keeps
+//! ([`lift_dml`]).
 //!
 //! The plan cache keys a statement by its shape ([`crate::lexer::Shape`]):
 //! the text with every number and string literal replaced by a type-class
@@ -27,7 +28,10 @@
 //! * operands of constant subexpressions: folding consumed them, so no
 //!   literal node with their span is left (`-5` and `2*3` are of this kind).
 
-use crate::ast::{Clause, Expr, Query};
+use crate::ast::{
+    param_use, Clause, ConflictAction, Expr, Insert, InsertSource, OnConflict, ParamUse, Query,
+    Statement,
+};
 use crate::error::Span;
 use crate::value::Value;
 
@@ -59,40 +63,98 @@ pub(crate) fn lift_literals(
     query: &mut Query,
     literals: &[(Span, Value)],
 ) -> (Vec<Slot>, Vec<Value>) {
-    // A `GROUP BY` key is matched structurally by the aggregate rewrite, so
-    // it stays as written wherever it occurs. (Only a key that holds a
-    // literal can tell; one of another SELECT of the statement pins its
-    // copies too, which costs a cache hit and nothing else.)
-    let mut group_keys = Vec::new();
+    let mut lifter = Lifter::new(literals, group_keys(query));
+    lifter.query(query);
+    lifter.finish()
+}
+
+/// [`lift_literals`] for the DML statements the plan cache keeps, on a copy
+/// of `stmt`: the source query of `INSERT … SELECT` is folded and lifted as
+/// a query is, and the roots the executor evaluates — `ON CONFLICT` and
+/// `UPDATE` assignments, a `DELETE`/`UPDATE` predicate — are folded and
+/// lifted whole. `None` for any other statement; for a source with a `?`
+/// where the planner needs its value, which plans inline; and for a
+/// `DELETE`/`UPDATE` that runs a subquery, whose tables its entry would not
+/// name.
+pub(crate) fn lift_dml(
+    stmt: &Statement,
+    literals: &[(Span, Value)],
+) -> Option<(Statement, Vec<Slot>, Vec<Value>)> {
+    let kept = match stmt {
+        Statement::Insert(Insert {
+            source: InsertSource::Query(query),
+            ..
+        }) => param_use(query) != ParamUse::PlanTime,
+        Statement::Delete { .. } | Statement::Update { .. } => true,
+        _ => false,
+    };
+    if !kept {
+        return None;
+    }
+    let mut stmt = stmt.clone();
+    let (source, roots): (Option<&mut Query>, Vec<&mut Expr>) = match &mut stmt {
+        Statement::Insert(Insert {
+            source: InsertSource::Query(query),
+            on_conflict,
+            ..
+        }) => {
+            let roots = match on_conflict {
+                Some(OnConflict {
+                    action: ConflictAction::DoUpdate(assignments),
+                    ..
+                }) => assignments.iter_mut().map(|(_, e)| e).collect(),
+                _ => Vec::new(),
+            };
+            (Some(query), roots)
+        }
+        Statement::Delete { predicate, .. } => (None, predicate.iter_mut().collect()),
+        Statement::Update {
+            assignments,
+            predicate,
+            ..
+        } => {
+            let assigned = assignments.iter_mut().map(|(_, e)| e);
+            (None, assigned.chain(predicate.iter_mut()).collect())
+        }
+        _ => unreachable!("matched above"),
+    };
+    if roots
+        .iter()
+        .any(|root| root.any(&mut |e| e.subquery().is_some()))
+    {
+        return None;
+    }
+    let mut lifter = Lifter::new(
+        literals,
+        source.as_deref().map(group_keys).unwrap_or_default(),
+    );
+    if let Some(query) = source {
+        crate::sema::fold::fold_query(query);
+        lifter.query(query);
+    }
+    for root in roots {
+        // Non-strict: the check has already run.
+        let _ = crate::sema::fold::fold_expr(root, false);
+        lifter.expr(root);
+    }
+    let (slots, params) = lifter.finish();
+    Some((stmt, slots, params))
+}
+
+/// A query's `GROUP BY` keys that hold a literal. The aggregate rewrite
+/// matches a key structurally, so it stays as written wherever it occurs.
+/// (Only a key that holds a literal can tell; one of another SELECT of the
+/// statement pins its copies too, which costs a cache hit and nothing
+/// else.)
+fn group_keys(query: &Query) -> Vec<Expr> {
+    let mut keys = Vec::new();
     query.for_each_expr(&mut |root, site| {
         let holds_literal = || root.any(&mut |e| matches!(e, Expr::Literal(..)));
         if site.clause == Clause::GroupBy && holds_literal() {
-            group_keys.push(root.clone());
+            keys.push(root.clone());
         }
     });
-    let mut lifter = Lifter {
-        literals,
-        param_of: vec![None; literals.len()],
-        params: Vec::new(),
-        group_keys,
-    };
-    query.for_each_expr_mut(&mut |root, site| {
-        // A bare literal in ORDER BY is an ordinal (or a constant sort key).
-        let ordinal = site.clause == Clause::OrderBy && matches!(root, Expr::Literal(..));
-        if !(site.plan_time() || site.clause == Clause::GroupBy || ordinal) {
-            lifter.expr(root);
-        }
-    });
-    let slots = lifter
-        .param_of
-        .iter()
-        .zip(literals)
-        .map(|(param, (_, value))| match param {
-            Some(index) => Slot::Param(*index),
-            None => Slot::Pinned(value.clone()),
-        })
-        .collect();
-    (slots, lifter.params)
+    keys
 }
 
 struct Lifter<'a> {
@@ -104,7 +166,41 @@ struct Lifter<'a> {
     group_keys: Vec<Expr>,
 }
 
-impl Lifter<'_> {
+impl<'a> Lifter<'a> {
+    fn new(literals: &'a [(Span, Value)], group_keys: Vec<Expr>) -> Self {
+        Lifter {
+            literals,
+            param_of: vec![None; literals.len()],
+            params: Vec::new(),
+            group_keys,
+        }
+    }
+
+    /// Lift the literals of `query` the planner only evaluates.
+    fn query(&mut self, query: &mut Query) {
+        query.for_each_expr_mut(&mut |root, site| {
+            // A bare literal in ORDER BY is an ordinal (or a constant sort
+            // key).
+            let ordinal = site.clause == Clause::OrderBy && matches!(root, Expr::Literal(..));
+            if !(site.plan_time() || site.clause == Clause::GroupBy || ordinal) {
+                self.expr(root);
+            }
+        });
+    }
+
+    /// Literal by literal, which parameter it became or which value it
+    /// pins; then the parameter values themselves.
+    fn finish(self) -> (Vec<Slot>, Vec<Value>) {
+        let slots = (self.param_of.iter())
+            .zip(self.literals)
+            .map(|(param, (_, value))| match param {
+                Some(index) => Slot::Param(*index),
+                None => Slot::Pinned(value.clone()),
+            })
+            .collect();
+        (slots, self.params)
+    }
+
     fn expr(&mut self, e: &mut Expr) {
         if self.group_keys.contains(e) {
             return;
@@ -254,5 +350,48 @@ mod tests {
         // the one in a CTE body a subquery reads; any other CTE body is no
         // such site.
         assert_eq!(plan_time_sites, 7);
+    }
+
+    /// `lift_dml`'s pattern of `sql`, or `None` when it keeps no entry.
+    fn dml_pattern(sql: &str) -> Option<String> {
+        let shape = crate::lexer::scan_shape(sql).expect("lexes");
+        let stmt = crate::parser::parse_statement(sql).unwrap();
+        let (_, slots, _) = lift_dml(&stmt, &shape.literals)?;
+        let pattern = slots.iter().map(|slot| match slot {
+            Slot::Param(_) => 'L',
+            Slot::Pinned(_) => 'P',
+        });
+        Some(pattern.collect())
+    }
+
+    #[test]
+    fn dml_lifts_what_its_executor_evaluates() {
+        let some = |p: &str| Some(p.to_string());
+        assert_eq!(
+            dml_pattern("DELETE FROM t WHERE n IN (1, 2) OR s = 'a'"),
+            some("LLL")
+        );
+        assert_eq!(
+            dml_pattern("UPDATE t SET w = w + 1.5 WHERE n = 3"),
+            some("LL")
+        );
+        assert_eq!(
+            dml_pattern(
+                "INSERT INTO c SELECT n, 2 * w FROM t WHERE n > 4 LIMIT 10 \
+                 ON CONFLICT (n) DO UPDATE SET w = c.w + 5"
+            ),
+            some("LLPL")
+        );
+        // Kept by no entry: a subquery run at each execution, a plan-time
+        // `?` in the source, and everything but INSERT … SELECT, DELETE and
+        // UPDATE.
+        for sql in [
+            "DELETE FROM t WHERE n IN (SELECT n FROM u WHERE n > 1)",
+            "INSERT INTO c SELECT n FROM t LIMIT ?",
+            "INSERT INTO c VALUES (1, 2.5)",
+            "CREATE TABLE d (n INTEGER)",
+        ] {
+            assert_eq!(dml_pattern(sql), None, "{sql}");
+        }
     }
 }

@@ -43,6 +43,7 @@ use crate::logical::{
     cte_uses, ordinal, table_scope, table_source, CteFrames, CteUse, LogicalSelect, SortTarget,
     TableSource,
 };
+use crate::plan_cache::Held;
 use crate::value::{Row, Value};
 
 /// Which algorithm executes detected equi-joins.
@@ -841,6 +842,9 @@ pub struct Planner<'a> {
     /// Set when any planned table ref resolved to a virtual table; such
     /// plans hold point-in-time telemetry rows and must not be cached.
     used_virtual: bool,
+    /// The base tables planning resolved, each once: the ones whose rows
+    /// the plan holds, planner-time subqueries included.
+    tables: Vec<Held>,
     /// Each CTE in scope, planned once where it is defined; a reference
     /// takes a copy of the plan (rows are `Arc`s).
     ctes: CteFrames<PlannedQuery>,
@@ -869,6 +873,7 @@ impl<'a> Planner<'a> {
             symbolic_params: false,
             virtuals: None,
             used_virtual: false,
+            tables: Vec::new(),
             ctes: CteFrames::new(),
             next_shared: 0,
             exec,
@@ -905,6 +910,12 @@ impl<'a> Planner<'a> {
     /// Whether any table ref in the last planned statement was virtual.
     pub fn used_virtual(&self) -> bool {
         self.used_virtual
+    }
+
+    /// The base tables planning has resolved so far: what the plan cache
+    /// drops the plan for when one of them is written.
+    pub(crate) fn into_tables(self) -> Vec<Held> {
+        self.tables
     }
 
     /// Plan a full query (CTEs + body + ORDER BY/LIMIT).
@@ -1113,15 +1124,22 @@ impl<'a> Planner<'a> {
                             access: None,
                         })
                     }
-                    TableSource::Base(table) => Ok(PlannedItem {
-                        plan: PhysPlan::Scan {
-                            rows: Arc::clone(&table.rows),
-                            width: table.schema.len(),
-                            derived: self.config.vectorized.then(|| table.derived.clone()),
-                        },
-                        scope: table_scope(qual, &table.schema),
-                        access: self.table_access(table),
-                    }),
+                    TableSource::Base(table) => {
+                        let named = |(t, _): &Held| t.eq_ignore_ascii_case(&table.name);
+                        if !self.tables.iter().any(named) {
+                            let rows = Arc::as_ptr(&table.rows) as usize;
+                            self.tables.push((table.name.to_ascii_lowercase(), rows));
+                        }
+                        Ok(PlannedItem {
+                            plan: PhysPlan::Scan {
+                                rows: Arc::clone(&table.rows),
+                                width: table.schema.len(),
+                                derived: self.config.vectorized.then(|| table.derived.clone()),
+                            },
+                            scope: table_scope(qual, &table.schema),
+                            access: self.table_access(table),
+                        })
+                    }
                 }
             }
             TableRef::Derived { query, alias } => {

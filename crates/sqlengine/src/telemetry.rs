@@ -301,6 +301,9 @@ pub struct Telemetry {
     /// Rows a `DELETE`/`UPDATE` examined: its index candidates, or every
     /// row of the table when no index answers the predicate.
     pub dml_rows_examined: Counter,
+    /// Writes that copied their table's rows because a plan or a running
+    /// statement still held the snapshot they replaced.
+    pub catalog_snapshot_copies: Counter,
 
     // -- resource governance -------------------------------------------------
     /// Statements admitted past the concurrency gate (immediately or after
@@ -381,7 +384,7 @@ impl Telemetry {
 
     /// Every event counter under its `sys.metrics` name: the one list that
     /// [`Telemetry::reset`] and `sys.metrics` both walk.
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 28] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 29] {
         [
             ("statements.total", &self.statements),
             ("statements.errors", &self.statement_errors),
@@ -399,6 +402,7 @@ impl Telemetry {
             ("exec.rows_materialized", &self.rows_materialized),
             ("exec.shared_reuses", &self.shared_reuses),
             ("dml.rows_examined", &self.dml_rows_examined),
+            ("catalog.snapshot_copies", &self.catalog_snapshot_copies),
             ("verify.plans_checked", &self.verify_plans_checked),
             ("verify.violations", &self.verify_violations),
             ("admission.admitted", &self.admission_admitted),

@@ -197,6 +197,27 @@ fn index_corruption_stale_snapshot_is_rejected() {
     assert_verify_error(sql, &err, "index-keys", "stale");
 }
 
+#[test]
+fn a_hit_after_an_unrelated_write_still_runs_the_snapshot_checks() {
+    let db = seeded();
+    db.execute("CREATE TABLE other (n INTEGER)").unwrap();
+    let sql = "SELECT n FROM t WHERE n = 7";
+    db.query(sql).unwrap();
+    assert!(
+        db.mutate_cached_plan(sql, &mut |plan| visit(plan, &mut |node| {
+            if let PhysPlan::IndexScan { index, .. } = node {
+                *index = IndexRef::Unique(Arc::new(HashMap::new()));
+            }
+        }))
+    );
+    // The write moves the catalog version but leaves `t` and the plan over
+    // it: the hit is checked against the live catalog, not waved through
+    // as one that may lag it.
+    db.execute("INSERT INTO other VALUES (1)").unwrap();
+    let err = db.query(sql).expect_err("stale snapshot served");
+    assert_verify_error(sql, &err, "index-keys", "stale");
+}
+
 // ---------------------------------------------------------------------
 // Class 3: derived-index — built indexes describe the row snapshot
 // ---------------------------------------------------------------------
