@@ -6,6 +6,9 @@
 //! Section 3 — and pin the generator against accidental drift.
 
 use bornsql::{DataSpec, Dialect, SqlGenerator};
+use sqlengine::ast::{Expr, Insert, InsertSource, Statement};
+use sqlengine::parser::parse_statement;
+use sqlengine::Value;
 
 fn generator(dialect: Dialect) -> SqlGenerator {
     SqlGenerator::new("scopus", dialect, "INTEGER")
@@ -105,6 +108,67 @@ fn all_dialects_render_every_operation() {
         for s in &statements {
             assert!(!s.is_empty());
             assert!(!s.contains("{"), "unexpanded template in {dialect:?}: {s}");
+        }
+    }
+}
+
+/// Whether `e` holds a subquery at any depth.
+fn holds_subquery(e: &Expr) -> bool {
+    let mut found = matches!(
+        e,
+        Expr::ScalarSubquery(..) | Expr::InSubquery { .. } | Expr::Exists { .. }
+    );
+    e.for_each_child(&mut |child| found |= holds_subquery(child));
+    found
+}
+
+/// The engine caches a statement's plan unless planning it runs a subquery
+/// (whose result the plan would hold). No statement BornSQL issues, in any
+/// dialect, has such a site, so every one of them is served from the plan
+/// cache once planned.
+#[test]
+fn no_statement_runs_a_subquery_while_planning() {
+    let spec = paper_spec();
+    let items = [Value::Int(3), Value::Int(5)];
+    for dialect in Dialect::ALL {
+        let g = generator(dialect);
+        let statements = [
+            g.set_params(0.5, 1.0, 1.0),
+            g.get_params(),
+            g.partial_fit(&spec, 1.0),
+            g.partial_fit(&spec, -1.0),
+            g.prune_corpus(),
+            g.deploy(),
+            g.predict(&spec, true),
+            g.predict(&spec, false),
+            g.predict_proba(&spec, true),
+            g.predict_proba(&spec, false),
+            g.predict_batch(&spec, true, &items).unwrap(),
+            g.predict_proba_batch(&spec, false, &items).unwrap(),
+            g.explain_global(true, Some(10)),
+            g.explain_global(false, None),
+            g.explain_local(&spec, true, Some(10)),
+            g.explain_local(&spec, false, None),
+            g.count_corpus_cells(),
+            g.count_features(),
+            g.count_classes(),
+        ];
+        for sql in &statements {
+            let at_plan_time = match parse_statement(sql).unwrap() {
+                Statement::Query(query)
+                | Statement::Insert(Insert {
+                    source: InsertSource::Query(query),
+                    ..
+                }) => {
+                    let mut found = false;
+                    query.for_each_expr(&mut |_, site| found |= site.in_subquery);
+                    found
+                }
+                Statement::Insert(_) => false,
+                Statement::Delete { predicate, .. } => predicate.iter().any(holds_subquery),
+                other => panic!("{dialect:?} issues {other:?}"),
+            };
+            assert!(!at_plan_time, "{dialect:?}: {sql}");
         }
     }
 }

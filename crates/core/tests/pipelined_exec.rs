@@ -373,7 +373,7 @@ fn the_deploy_chain_scans_the_corpus_once_and_joins_w_jk_once() {
     flat.fit(&spec).unwrap();
     for (db, model) in [(&star_db, &star), (&flat_db, &flat)] {
         let gen = model.generator();
-        let corpus_scan = format!("Scan [{} rows × 3 cols]", model.corpus_cells().unwrap());
+        let corpus_scan = format!("Scan {} [3 cols]", gen.corpus_table());
         for sql in [
             gen.explain_global(false, None),
             source_query(&gen.deploy()).to_string(),

@@ -128,3 +128,36 @@ fn a_cached_deployed_predict_stays_under_its_allocation_budget() {
         "{per_call:.1} heap allocations per cached predict, limit {LIMIT}"
     );
 }
+
+#[test]
+fn a_predict_right_after_a_one_row_insert_is_a_hit_under_the_budget() {
+    // A write keeps the cached plan: the next predict binds the written
+    // table and stays within the budget of an undisturbed hit.
+    let db = Database::with_config(EngineConfig::default().with_parallelism(1));
+    let model = deployed(&db);
+    for id in 1..=3 {
+        assert_eq!(model.predict(&single(id)).unwrap().len(), 1);
+    }
+    let specs: Vec<DataSpec> = (100..200).map(single).collect();
+    let mut counted = 0;
+    for (at, spec) in specs.iter().enumerate() {
+        let row = vec![
+            Value::Int(ITEMS + 1 + at as i64),
+            Value::text("t1"),
+            Value::Float(1.0),
+        ];
+        db.insert_rows("features", vec![row]).unwrap();
+        let (hits, misses) = db.plan_cache_stats();
+        let before = allocations();
+        assert_eq!(model.predict(spec).unwrap().len(), 1);
+        counted += allocations() - before;
+        let (hits_after, misses_after) = db.plan_cache_stats();
+        assert_eq!((misses_after, hits_after > hits), (misses, true));
+    }
+    let per_call = counted as f64 / specs.len() as f64;
+    eprintln!("a predict after a write makes {per_call:.1} heap allocations");
+    assert!(
+        per_call < LIMIT as f64,
+        "{per_call:.1} heap allocations per predict after a write, limit {LIMIT}"
+    );
+}

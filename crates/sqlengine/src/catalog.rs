@@ -3,11 +3,16 @@
 //! Tables hold their rows (and index maps) behind an `Arc` so that query
 //! execution can work on a cheap snapshot without holding the catalog lock,
 //! while DML uses copy-on-write (`Arc::make_mut`) semantics. A write copies
-//! only what someone else still holds: the plan cache drops the plans over
-//! a table before the table is written, so the usual write changes it in
-//! place, and the copies that remain — a transaction's saved catalog, a
-//! statement still running on the old snapshot — are counted in
+//! only what someone else still holds: cached plans name their tables and
+//! each run takes its snapshot when it starts, so the usual write changes a
+//! table in place, and the copies that remain — a transaction's saved
+//! catalog, a statement still running on the old snapshot — are counted in
 //! `catalog.snapshot_copies`.
+//!
+//! A table's definition ([`TableDef`]) is kept apart from its data, behind
+//! an `Arc` of its own: a cached plan records the definitions it was planned
+//! against and stays valid, whatever is written to the rows, while they
+//! still equal the catalog's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,11 +134,10 @@ impl KeyIndex {
 /// use by a key-filtered hash join, never snapshotted or logged, so recovery
 /// starts without them.
 ///
-/// A slot is shared only between table values and plan snapshots holding
-/// *identical* rows: every mutation of `rows` gives the table a slot of its
-/// own again ([`DerivedIndexes::append`], [`DerivedIndexes::reset`]), so a
-/// stale plan always sees indexes of the rows it captured, never of newer
-/// ones.
+/// A slot is shared only between table values and runs holding *identical*
+/// rows: every mutation of `rows` gives the table a slot of its own again
+/// ([`DerivedIndexes::append`], [`DerivedIndexes::reset`]), so a run always
+/// sees indexes of the rows it bound, never of newer ones.
 #[derive(Debug, Clone, Default)]
 pub struct DerivedIndexes(Arc<Mutex<BuiltIndexes>>);
 
@@ -159,10 +163,10 @@ impl DerivedIndexes {
     }
 
     /// Carry the built indexes forward over `row`, appended to the rows
-    /// this slot describes; an unbuilt slot stays unbuilt. A slot a plan or
-    /// another table value shares gives its indexes up to a fresh slot for
-    /// the table, and rebuilds from its own rows if they are probed again (a
-    /// stale plan, a rolled-back transaction). Each index is extended in
+    /// this slot describes; an unbuilt slot stays unbuilt. A slot a running
+    /// statement or another table value shares gives its indexes up to a
+    /// fresh slot for the table, and rebuilds from its own rows if they are
+    /// probed again (that statement, a rolled-back transaction). Each index is extended in
     /// place, so a bulk insert stays linear, unless a running statement
     /// holds it: then it is dropped, for the next key-filtered join to
     /// rebuild.
@@ -192,6 +196,16 @@ impl DerivedIndexes {
     }
 }
 
+/// What a plan assumes of a table: its columns with their types, its
+/// primary key and its secondary indexes with their key columns. Equal
+/// definitions plan alike, whatever rows the tables hold.
+#[derive(Debug, PartialEq)]
+pub(crate) struct TableDef {
+    columns: Vec<Column>,
+    primary: Option<Vec<usize>>,
+    secondary: Vec<(String, Vec<usize>)>,
+}
+
 /// A table: schema, rows, optional primary-key index, secondary indexes,
 /// and the derived key indexes of `rows` ([`DerivedIndexes`]).
 #[derive(Debug, Clone)]
@@ -203,6 +217,9 @@ pub struct Table {
     pub secondary: Vec<SecondaryIndex>,
     /// Derived key indexes of the *current* `rows`.
     pub derived: DerivedIndexes,
+    /// The definition of `schema`, `primary` and `secondary`, made again
+    /// whenever DDL changes one of them.
+    pub(crate) def: Arc<TableDef>,
 }
 
 impl Table {
@@ -225,14 +242,59 @@ impl Table {
                 map: Arc::new(HashMap::new()),
             })
         };
-        Ok(Table {
+        let mut table = Table {
             name,
             schema,
             rows: Arc::new(Vec::new()),
             primary,
             secondary: Vec::new(),
             derived: DerivedIndexes::default(),
-        })
+            def: Arc::new(TableDef {
+                columns: Vec::new(),
+                primary: None,
+                secondary: Vec::new(),
+            }),
+        };
+        table.define();
+        Ok(table)
+    }
+
+    /// Make [`Table::def`] again from the schema and the indexes.
+    fn define(&mut self) {
+        self.def = Arc::new(TableDef {
+            columns: self.schema.columns.clone(),
+            primary: self.primary.as_ref().map(|p| p.key_columns.clone()),
+            secondary: (self.secondary.iter())
+                .map(|s| (s.name.clone(), s.key_columns.clone()))
+                .collect(),
+        });
+    }
+
+    /// The name plans give the primary index: `<table>.pk`.
+    pub(crate) fn primary_name(&self) -> String {
+        format!("{}.pk", self.name)
+    }
+
+    /// Whether `name` is [`Table::primary_name`], compared in place.
+    pub(crate) fn is_primary_name(&self, name: &str) -> bool {
+        let at = self.name.len();
+        let (table, suffix) = (name.get(..at), name.get(at..));
+        table.is_some_and(|t| t.eq_ignore_ascii_case(&self.name))
+            && suffix.is_some_and(|s| s.eq_ignore_ascii_case(".pk"))
+    }
+
+    /// The map of the index plans call `name` ([`Table::primary_name`], or
+    /// a secondary index's own name).
+    pub(crate) fn index(&self, name: &str) -> Option<crate::plan::IndexRef> {
+        use crate::plan::IndexRef;
+        if let Some(p) = &self.primary {
+            if self.is_primary_name(name) {
+                return Some(IndexRef::Unique(Arc::clone(&p.map)));
+            }
+        }
+        (self.secondary.iter())
+            .find(|s| s.name.eq_ignore_ascii_case(name))
+            .map(|s| IndexRef::Multi(Arc::clone(&s.map)))
     }
 
     pub fn row_count(&self) -> usize {
@@ -542,6 +604,7 @@ impl Table {
                 map: Arc::new(map),
             });
         }
+        self.define();
         Ok(())
     }
 
@@ -634,24 +697,27 @@ impl Catalog {
         Ok(true)
     }
 
-    /// Remove a table. Returns whether a table was actually dropped
-    /// (`false` only for an `IF EXISTS` no-op).
-    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<bool> {
-        if self.tables.remove(&Self::key(name)).is_none() {
-            if if_exists {
-                return Ok(false);
-            }
-            return Err(EngineError::catalog(format!(
+    /// Remove a table and hand it back (`None` only for an `IF EXISTS`
+    /// no-op), so the caller can free its rows after releasing the catalog
+    /// lock.
+    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<Option<Table>> {
+        match self.tables.remove(&Self::key(name)) {
+            None if if_exists => Ok(None),
+            None => Err(EngineError::catalog(format!(
                 "table '{name}' does not exist"
-            )));
+            ))),
+            dropped => Ok(dropped),
         }
-        Ok(true)
     }
 
     pub fn get(&self, name: &str) -> Result<&Table> {
-        self.tables
-            .get(&Self::key(name))
-            .ok_or_else(|| EngineError::catalog(format!("table '{name}' does not exist")))
+        // A lowercase name is its own key: the lookups of a cached plan's
+        // run, which names its tables so, allocate nothing.
+        let found = match name.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => self.tables.get(&Self::key(name)),
+            false => self.tables.get(name),
+        };
+        found.ok_or_else(|| EngineError::catalog(format!("table '{name}' does not exist")))
     }
 
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Table> {

@@ -1,8 +1,9 @@
 //! The public database facade and the statement driver.
 //!
-//! [`Database`] owns the catalog behind a [`RwLock`]. Queries
-//! plan under a read lock and execute on `Arc` row snapshots after the lock
-//! is released; DML takes the write lock for its duration.
+//! [`Database`] owns the catalog behind a [`RwLock`]. A query plans — or
+//! finds its cached plan valid — and binds the `Arc` row snapshots of the
+//! tables its plan names under one read lock, and executes on them after
+//! the lock is released; DML takes the write lock for its duration.
 //!
 //! Every SQL statement runs one lifecycle, whichever entry point it came
 //! through ([`Database::run_statement`]): `begin` → `parse` → `check` →
@@ -22,16 +23,16 @@ use crate::ast::{param_use, ExplainMode, ParamUse, Query, Statement};
 use crate::catalog::{Catalog, Schema};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result, Span};
-use crate::exec::{ExecContext, MemoryBudget, OpStats, Program, WorkerPool};
+use crate::exec::{Bound, ExecContext, MemoryBudget, OpStats, Program, WorkerPool};
 use crate::lexer::{scan_shape, Shape};
 use crate::parser::{parse_script_spanned, parse_statement};
-use crate::plan::{PhysPlan, PlannedQuery, Planner, VirtualTables};
-use crate::plan_cache::{Body, CacheHit, CacheUse, Held, NewEntry, PlanCache};
+use crate::plan::{PhysPlan, PlannedQuery, PlannedTable, Planner, VirtualTables};
+use crate::plan_cache::{Body, CacheHit, CacheUse, NewEntry, PlanCache};
 use crate::sync::{Mutex, RwLock, RwLockReadGuard};
 use crate::telemetry::{sys, QueryStatus, Telemetry};
 use crate::trace::{Phase, PhaseClock, StatementTrace, TraceScope};
 use crate::value::{Row, Value};
-use crate::verify::{ParamDiscipline, SnapshotGuarantee, VerifyReport, VerifyRule};
+use crate::verify::{ParamDiscipline, VerifyReport, VerifyRule};
 use crate::wal::{self, StorageIo, Wal};
 
 /// The result of a `SELECT`.
@@ -100,10 +101,8 @@ pub struct Database {
     /// Snapshot of the catalog taken at `BEGIN`, restored on `ROLLBACK`.
     txn_backup: Mutex<Option<Catalog>>,
     /// Monotonic version bumped under the write lock of every catalog write
-    /// (DDL, DML, and `ROLLBACK` restores). The plan cache tags entries and
-    /// per-table write marks with it to order planners against writers
-    /// (`PlanCache::insert`); it never goes backwards, which keeps a
-    /// rolled-back catalog from aliasing a future version number.
+    /// (DDL, DML, and `ROLLBACK` restores), surfaced for monitoring; it
+    /// never goes backwards.
     catalog_version: AtomicU64,
     /// Plans of queries and DML statements, keyed by statement shape.
     plan_cache: PlanCache,
@@ -204,13 +203,17 @@ enum PlanVerify<'a> {
 
 /// The outcome of `plan_or_fetch`: a physical plan, possibly a parameter
 /// template that `bind` must fill before `run` — from the caller's
-/// parameters, or from the literals lifted out of the statement text.
+/// parameters, or from the literals lifted out of the statement text — and
+/// the tables bound for its run.
 pub(super) struct Planned {
     query: Arc<PlannedQuery>,
     /// The plan lowered once, when it was planned: what every run executes.
     program: Arc<Program>,
     template: bool,
     lifted: Option<Vec<Value>>,
+    /// The tables the program reads, bound under the catalog read that
+    /// planned it or found its cached plan valid.
+    tables: Vec<Bound>,
 }
 
 /// A statement served from the plan cache.
@@ -226,10 +229,16 @@ enum Served {
     },
 }
 
-/// The base tables a plan holds the rows of, or `None` when it also reads a
-/// virtual `sys.*` table: such a plan embeds point-in-time telemetry rows
-/// and is never cached.
-type Holds = Option<Vec<Held>>;
+/// A plan just made: the plan, its program, the tables bound for its run,
+/// and the tables it was made over — `None` when it may not be cached: it
+/// reads a virtual `sys.*` table (point-in-time telemetry rows) or ran a
+/// subquery while planning (its result is planned in).
+type Made = (
+    Arc<PlannedQuery>,
+    Arc<Program>,
+    Vec<Bound>,
+    Option<Vec<PlannedTable>>,
+);
 
 /// What the lifecycle hands back: the statement's result, plus the operator
 /// statistics tree when the caller asked to analyze a query.
@@ -328,9 +337,10 @@ impl Database {
         self.wal.as_ref().map(|w| w.wal_bytes())
     }
 
-    /// Current catalog version. Every DDL/DML write still bumps it, but a
-    /// plan-cache hit no longer compares against it: a write drops the
-    /// cached plans over the table it writes, and leaves the others.
+    /// Current catalog version. Every DDL/DML write bumps it; the plan
+    /// cache does not read it: a cached plan names its tables, is served
+    /// while their definitions are what it was planned against, and each
+    /// run binds their current rows.
     pub fn catalog_version(&self) -> u64 {
         self.catalog_version.load(Ordering::Acquire)
     }
@@ -343,8 +353,7 @@ impl Database {
     }
 
     /// Plan-cache counters as `(hits, misses, evictions)`. Evictions count
-    /// plans the cache dropped itself — dead plans reaped, and full clears at
-    /// capacity.
+    /// the plans of full clears at capacity.
     pub fn plan_cache_metrics(&self) -> (u64, u64, u64) {
         let stats = self.plan_cache.stats();
         (stats.hits, stats.misses, stats.evictions)
@@ -470,7 +479,7 @@ impl Database {
     /// parameters. Queries additionally go through the plan cache: the first
     /// execution plans once (keeping `?` markers symbolic) and caches the
     /// template; later executions bind their parameter values into the
-    /// cached tree until a write to a table it reads invalidates it.
+    /// cached tree, until DDL changes a table it reads.
     pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
         let stmt = parse_statement(sql)?;
         self.analyze_statement(&stmt)?;
@@ -491,9 +500,18 @@ impl Database {
         crate::sema::check_statement(&catalog, &stmt)
     }
 
-    fn analyze_statement(&self, stmt: &Statement) -> Result<()> {
+    /// Check `stmt` against the current catalog. For a DML statement, also
+    /// the table it writes as the check saw it: what a cache entry of the
+    /// checked statement records.
+    fn analyze_statement(&self, stmt: &Statement) -> Result<Option<PlannedTable>> {
         let catalog = self.catalog.read();
-        crate::sema::check_statement(&catalog, stmt).map(|_| ())
+        crate::sema::check_statement(&catalog, stmt)?;
+        let target = match stmt {
+            Statement::Insert(insert) => &insert.table,
+            Statement::Delete { table, .. } | Statement::Update { table, .. } => table,
+            _ => return Ok(None),
+        };
+        Ok(catalog.get(target).ok().map(PlannedTable::of))
     }
 
     /// Render the physical plan of a query (an `EXPLAIN` equivalent).
@@ -640,14 +658,11 @@ impl Database {
             }) => {
                 let params = lifted.as_deref().unwrap_or(params);
                 return Self::run(ctx, |ctx| {
-                    let result = self.apply(sql, &stmt, params, source.as_ref(), ctx)?;
+                    let result = self.apply(sql, &stmt, params, source, ctx)?;
                     Ok((result, None))
                 });
             }
             None => {
-                // Read before the check: a DML entry keeps the checked
-                // statement (see `PlanCache::insert`).
-                let version = self.catalog_version();
                 let parsed;
                 let stmt = match entry {
                     Entry::Text => {
@@ -658,10 +673,11 @@ impl Database {
                     }
                     Entry::Parsed(stmt) | Entry::Checked(stmt) => stmt,
                 };
+                let mut target = None;
                 if !matches!(entry, Entry::Checked(_)) {
                     let checked = self.analyze_statement(stmt);
                     ctx.clock.lap(Phase::Sema);
-                    checked?;
+                    target = checked?;
                 }
                 let store = shape.filter(|_| cache == CacheUse::Serve);
                 match stmt {
@@ -676,14 +692,14 @@ impl Database {
                     // DML statement checked at prepare time is not stored:
                     // the catalog may have changed since.
                     other => {
-                        let store = store.filter(|_| !matches!(entry, Entry::Checked(_)));
+                        let store = store.zip(target);
                         return Self::run(ctx, |ctx| {
                             let result = match (other, store) {
                                 (Statement::Explain { mode, query }, _) => StatementResult::Rows(
                                     self.explain_statement(sql, *mode, query, params, ctx)?,
                                 ),
-                                (_, Some(shape)) => {
-                                    self.apply_storing(sql, other, params, shape, version, ctx)?
+                                (_, Some((shape, target))) => {
+                                    self.apply_storing(sql, other, params, shape, target, ctx)?
                                 }
                                 (_, None) => self.apply(sql, other, params, None, ctx)?,
                             };
@@ -694,15 +710,17 @@ impl Database {
             }
         };
         Self::run(ctx, |ctx| {
-            let (rows, stats) = self.bind_and_run(&planned, params, analyze, ctx)?;
+            let (rows, stats) = self.bind_and_run(planned, params, analyze, ctx)?;
             Ok((StatementResult::Rows(rows), stats))
         })
     }
 
-    /// Stage `plan_or_fetch`, the fetch half: look the statement's shape up
-    /// in the plan cache and vet the hit with the (memoized) verifier. On a
-    /// hit the scan, the lookup and the verifier's walk *are* the plan
-    /// phase; on a miss scan and lookup are charged to no phase.
+    /// Stage `plan_or_fetch`, the fetch half: under one catalog read, look
+    /// the statement's shape up in the plan cache (which serves an entry
+    /// only while it is valid over that catalog), vet the hit with the
+    /// verifier (once per entry), and bind the tables its plan reads. On a
+    /// hit the scan, the lookup, the verifier's walk and the binding *are*
+    /// the plan phase; on a miss scan and lookup are charged to no phase.
     fn fetch(
         &self,
         sql: &str,
@@ -713,34 +731,36 @@ impl Database {
         let Some(shape) = shape else {
             return Ok(None);
         };
-        let Some(hit) = self.plan_cache.lookup(shape, cache) else {
+        let catalog = self.catalog.read();
+        let Some(hit) = self.plan_cache.lookup(shape, cache, &catalog) else {
+            drop(catalog);
             ctx.clock.skip();
             return Ok(None);
         };
         ctx.clock.cache_hit = true;
-        let verified = self.verify_cached(&hit, sql);
+        let verified = self.verify_cached(&hit, sql, &catalog);
+        let program = hit.body.plan().map(|((_, program), _)| program);
+        let tables = match (&verified, program) {
+            (Ok(()), Some(program)) => program.bind(&catalog),
+            _ => Ok(Vec::new()),
+        };
+        drop(catalog);
         ctx.clock
             .lap_plan(hit.body.plan().map(|((planned, _), _)| &planned.plan));
         verified?;
-        let template = |(query, program): (Arc<PlannedQuery>, Arc<Program>)| Planned {
+        let tables = tables?;
+        let planned = |(query, program), template, lifted| Planned {
             query,
             program,
-            template: true,
-            lifted: None,
+            template,
+            lifted,
+            tables,
         };
         Ok(Some(match hit.body {
-            Body::Query {
-                plan: (query, program),
-                template,
-            } => Served::Query(Planned {
-                query,
-                program,
-                template,
-                lifted: hit.lifted,
-            }),
+            Body::Query { plan, template } => Served::Query(planned(plan, template, hit.lifted)),
             Body::Dml { stmt, source } => Served::Dml {
                 stmt,
-                source: source.map(template),
+                source: source.map(|plan| planned(plan, true, None)),
                 lifted: hit.lifted,
             },
         }))
@@ -753,7 +773,8 @@ impl Database {
     /// symbolic when none sits where the planner needs its value (otherwise
     /// the statement plans inline and stays uncached), and a statement
     /// without markers has its liftable literals turned into some. Every
-    /// other plan has its parameters bound in.
+    /// other plan has its parameters bound in. A plan that ran a subquery
+    /// while planning, or reads a `sys.*` table, is not stored.
     fn plan_stage(
         &self,
         sql: &str,
@@ -766,10 +787,6 @@ impl Database {
         let params_used = param_use(query);
         let has_params = params_used != ParamUse::None;
         let store = store.filter(|_| params_used != ParamUse::PlanTime);
-        // Read before planning takes the catalog read lock: a plan that
-        // races a writer of one of its tables is not stored (see
-        // `PlanCache::insert`).
-        let version = self.catalog_version();
         let prepared;
         let (mut slots, mut lifted) = (Vec::new(), Vec::new());
         let query = if let Some(shape) = &store {
@@ -788,22 +805,18 @@ impl Database {
         let lifted = (!lifted.is_empty()).then_some(lifted);
         let template = store.is_some() && (has_params || lifted.is_some());
         let values = slot_count(template, lifted.as_deref());
-        let (planned, program, holds) = self.plan_phase(sql, query, params, values, verify, ctx)?;
-        // Plans over `sys.*` embed point-in-time telemetry rows; serving one
-        // from the cache would freeze the metrics. (The shape scan already
-        // keeps `sys.` text out; this is the backstop.)
-        if let (Some(shape), Some(holds)) = (store, holds) {
-            // With the verifier on the plan just passed a walk at `version`,
-            // so the first hit can skip straight to execution.
+        let (planned, program, bound, tables) =
+            self.plan_phase(sql, query, params, values, verify, ctx)?;
+        if let (Some(shape), Some(tables)) = (store, tables) {
+            // With the verifier on the plan just passed a walk, so the first
+            // hit can skip straight to execution.
             let entry = NewEntry {
                 body: Body::Query {
                     plan: (Arc::clone(&planned), Arc::clone(&program)),
                     template,
                 },
                 slots,
-                version,
-                holds,
-                names: Vec::new(),
+                tables,
                 verified: self.config.verify_plans,
             };
             self.plan_cache.insert(shape.key, entry);
@@ -813,6 +826,7 @@ impl Database {
             program,
             template,
             lifted,
+            tables: bound,
         })
     }
 
@@ -829,27 +843,25 @@ impl Database {
         values: Option<usize>,
         verify: PlanVerify<'_>,
         ctx: &mut StatementCtx,
-    ) -> Result<(Arc<PlannedQuery>, Arc<Program>, Holds)> {
+    ) -> Result<Made> {
         let params = if values == Some(0) { params } else { &[] };
         let exec = ctx.planner_exec();
-        let planned = self.plan_query(sql, query, params, values, verify, exec);
+        let made = self.plan_query(sql, query, params, values, verify, exec);
         ctx.clock
-            .lap_plan(planned.as_ref().ok().map(|(planned, ..)| &planned.plan));
-        let (planned, program, holds) = planned?;
-        Ok((Arc::new(planned), Arc::new(program), holds))
+            .lap_plan(made.as_ref().ok().map(|(planned, ..)| &planned.plan));
+        made
     }
 
     /// The one place a query is planned: under the catalog read lock, with
     /// the joins narrowed to the columns read above them
     /// ([`crate::plan::narrow_joins`]), lowered into the program its runs
-    /// execute ([`Program::lower`]), and the verifier run under that same
-    /// lock so its snapshot-identity checks compare against the exact
-    /// catalog state the plan captured. A template (`slots` other than
-    /// `Some(0)`: how many values each run binds, `None` when they are the
-    /// caller's) keeps its `?` markers as [`crate::expr::PhysExpr::Param`]
-    /// nodes. What the planner executes itself runs under `exec`. Also
-    /// reports the base tables the plan holds ([`Holds`]), recorded where
-    /// the planner resolves each one, so planner-time subqueries count.
+    /// execute ([`Program::lower`]), the verifier run and the program's
+    /// tables bound for this run under that same lock. A template (`slots`
+    /// other than `Some(0)`: how many values each run binds, `None` when
+    /// they are the caller's) keeps its `?` markers as
+    /// [`crate::expr::PhysExpr::Param`] nodes. What the planner executes
+    /// itself runs under `exec`. Also reports the base tables the plan was
+    /// made over, when it may be cached ([`Made`]).
     fn plan_query(
         &self,
         sql: &str,
@@ -858,7 +870,7 @@ impl Database {
         slots: Option<usize>,
         verify: PlanVerify<'_>,
         exec: ExecContext,
-    ) -> Result<(PlannedQuery, Program, Holds)> {
+    ) -> Result<Made> {
         let template = slots != Some(0);
         let catalog = self.catalog.read();
         let mut planner =
@@ -875,12 +887,7 @@ impl Database {
             ParamDiscipline::Bound
         };
         let walk = || {
-            let report = crate::verify::verify_planned(
-                &planned,
-                Some(&catalog),
-                SnapshotGuarantee::Current,
-                discipline,
-            );
+            let report = crate::verify::verify_planned(&planned, Some(&catalog), discipline);
             (report, crate::verify::verify_program(&program, slots))
         };
         match verify {
@@ -896,8 +903,9 @@ impl Database {
             }
             PlanVerify::Enforce => {}
         }
-        let holds = (!planner.used_virtual()).then(|| planner.into_tables());
-        Ok((planned, program, holds))
+        let bound = program.bind(&catalog)?;
+        let tables = planner.into_tables();
+        Ok((Arc::new(planned), Arc::new(program), bound, tables))
     }
 
     /// Record a verifier run in telemetry and convert its violations into a
@@ -941,19 +949,15 @@ impl Database {
     }
 
     /// Verify a plan served from the cache (a DML entry's source plan; a
-    /// `DELETE`/`UPDATE` entry has none). Templates are checked under
-    /// [`ParamDiscipline::Template`]; the snapshot-identity checks run while
-    /// none of the tables the entry holds has been written since it was
-    /// planned — checked under the read lock, so no write can intervene. A
-    /// writer that got in after the lookup makes the entry
-    /// stale-but-harmless (it already dropped it), not a violation.
+    /// `DELETE`/`UPDATE` entry has none) against `catalog`, under whose read
+    /// lock the hit was found valid. Templates are checked under
+    /// [`ParamDiscipline::Template`].
     ///
-    /// The walk is memoized per catalog version on the entry: the cached
-    /// tree is immutable and the verdict is deterministic in (plan, catalog
-    /// version), so only the first hit after a plan insert, a catalog
-    /// change, or a marker reset pays for the walk.
-    fn verify_cached(&self, hit: &CacheHit, sql: &str) -> Result<()> {
-        if !self.config.verify_plans {
+    /// The walk runs once per entry: the cached tree is immutable and is
+    /// only served over tables defined as they were when it was planned, so
+    /// only the first hit after a plan insert or a marker reset pays for it.
+    fn verify_cached(&self, hit: &CacheHit, sql: &str, catalog: &Catalog) -> Result<()> {
+        if !self.config.verify_plans || hit.verified() {
             return Ok(());
         }
         let Some(((planned, program), template)) = hit.body.plan() else {
@@ -964,27 +968,11 @@ impl Database {
         } else {
             ParamDiscipline::Bound
         };
-        let (report, current, checked) = {
-            let catalog = self.catalog.read();
-            let current = self.catalog_version();
-            if hit.verified_at(current) {
-                return Ok(());
-            }
-            let checked = self.plan_cache.is_current(hit.version, &hit.holds);
-            let (catalog, guarantee) = if checked {
-                (Some(&*catalog), SnapshotGuarantee::Current)
-            } else {
-                (None, SnapshotGuarantee::MayLag)
-            };
-            let report = crate::verify::verify_planned(planned, catalog, guarantee, discipline);
-            (report, current, checked)
-        };
+        let report = crate::verify::verify_planned(planned, Some(catalog), discipline);
         let slots = slot_count(template, hit.lifted.as_deref());
         let lowered = crate::verify::verify_program(program, slots);
         self.verify_outcome(report, lowered, discipline, sql)?;
-        if checked {
-            hit.mark_verified(current);
-        }
+        hit.mark_verified();
         Ok(())
     }
 
@@ -1000,25 +988,32 @@ impl Database {
         result
     }
 
-    /// Stage `bind`, then execute: the program runs with a template's
-    /// parameter values bound at its sites, a parameterless plan's as it
-    /// is.
+    /// Stage `bind`, then execute: the program runs over the tables bound
+    /// for it, with a template's parameter values bound at its sites, a
+    /// parameterless plan's as it is.
     fn bind_and_run(
         &self,
-        planned: &Planned,
+        planned: Planned,
         params: &[Value],
         want_stats: bool,
         ctx: &StatementCtx,
     ) -> Result<(QueryResult, Option<OpStats>)> {
-        let params = match (planned.template, &planned.lifted) {
+        let Planned {
+            query,
+            program,
+            template,
+            lifted,
+            tables,
+        } = planned;
+        let params = match (template, &lifted) {
             (false, _) => &[],
             (true, Some(lifted)) => &lifted[..],
             (true, None) => params,
         };
-        self.record_plan_modes(&planned.program);
-        let (rows, stats) = self.run_plan(&planned.program, params, want_stats, ctx)?;
+        self.record_plan_modes(&program);
+        let (rows, stats) = self.run_plan(&program, params, tables, want_stats, ctx)?;
         let result = QueryResult {
-            columns: planned.query.columns.clone(),
+            columns: query.columns.clone(),
             rows,
         };
         Ok((result, stats))
@@ -1033,12 +1028,13 @@ impl Database {
         &self,
         program: &Arc<Program>,
         params: &[Value],
+        tables: Vec<Bound>,
         want_stats: bool,
         ctx: &StatementCtx,
     ) -> Result<(Vec<Row>, Option<OpStats>)> {
         let exec = self.exec_ctx(ctx);
         let collect = want_stats || ctx.clock.traced();
-        let (rows, stats) = exec.execute_program(program, params, collect)?;
+        let (rows, stats) = exec.execute_program(program, params, tables, collect)?;
         if let Some(stats) = &stats {
             ctx.clock.record_op_tree(stats);
             if want_stats {
@@ -1172,12 +1168,12 @@ impl Database {
                 });
             }
             ExplainMode::Analyze => {
-                let (_, stats) = self.bind_and_run(&planned, params, true, ctx)?;
+                let (_, stats) = self.bind_and_run(planned, params, true, ctx)?;
                 let stats = stats.expect("stats were requested");
                 ("plan", crate::explain::render_analyze(&stats))
             }
             ExplainMode::Trace => {
-                Self::run(ctx, |ctx| self.bind_and_run(&planned, params, true, ctx))?;
+                Self::run(ctx, |ctx| self.bind_and_run(planned, params, true, ctx))?;
                 let spans = local.and_then(|local| local.clock.into_spans());
                 (
                     "trace",

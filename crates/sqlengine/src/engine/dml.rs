@@ -19,8 +19,8 @@ use crate::exec::index_positions;
 use crate::expr::{bind_expr, ColLabel, PhysExpr, Scope};
 use crate::lexer::Shape;
 use crate::logical::table_scope;
-use crate::plan::{PhysPlan, Planner};
-use crate::plan_cache::{Body, NewEntry, Write};
+use crate::plan::{PhysPlan, PlannedTable, Planner};
+use crate::plan_cache::{Body, NewEntry};
 use crate::sync::RwLockWriteGuard;
 use crate::trace::{AttrValue, TraceScope};
 use crate::value::{DataType, Row, Value};
@@ -28,14 +28,14 @@ use crate::wal::{push_insert, WalOp};
 
 impl Database {
     /// Apply one DDL / DML / transaction-control statement. `source` is an
-    /// `INSERT … SELECT`'s source plan when it has one already (from the
-    /// plan cache); otherwise the source is planned here.
+    /// `INSERT … SELECT`'s source plan, its tables bound, when it has one
+    /// already (from the plan cache); otherwise the source is planned here.
     pub(super) fn apply(
         &self,
         sql: &str,
         stmt: &Statement,
         params: &[Value],
-        source: Option<&Planned>,
+        source: Option<Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
         match stmt {
@@ -46,7 +46,7 @@ impl Database {
                 let columns: Vec<(String, DataType)> =
                     ct.columns.iter().map(|c| (c.name.clone(), c.ty)).collect();
                 let table = Table::new(ct.name.clone(), schema_of(&columns), &ct.primary_key)?;
-                let mut catalog = self.write_catalog(Write::Schema(&ct.name))?;
+                let mut catalog = self.write_catalog()?;
                 let mut ops = Vec::new();
                 if catalog.create_table(table, ct.if_not_exists)? {
                     ops.push(WalOp::CreateTable {
@@ -59,7 +59,7 @@ impl Database {
                 Ok(StatementResult::Affected(0))
             }
             Statement::CreateIndex(ci) => {
-                let mut catalog = self.write_catalog(Write::Schema(&ci.table))?;
+                let mut catalog = self.write_catalog()?;
                 let table = catalog.get_mut(&ci.table)?;
                 if table.has_index(&ci.name) {
                     if ci.if_not_exists {
@@ -81,12 +81,16 @@ impl Database {
                 Ok(StatementResult::Affected(0))
             }
             Statement::DropTable { name, if_exists } => {
-                let mut catalog = self.write_catalog(Write::Schema(name))?;
+                let mut catalog = self.write_catalog()?;
                 let mut ops = Vec::new();
-                if catalog.drop_table(name, *if_exists)? {
+                let dropped = catalog.drop_table(name, *if_exists)?;
+                if dropped.is_some() {
                     ops.push(WalOp::DropTable { name: name.clone() });
                 }
+                // No plan holds a table's rows: the table is freed here,
+                // once `commit` has released the catalog lock.
                 self.commit(catalog, ops, None, ctx.deadline, ctx.wal_scope())?;
+                drop(dropped);
                 Ok(StatementResult::Affected(0))
             }
             Statement::CreateTableAs {
@@ -104,7 +108,7 @@ impl Database {
                 // ownership of them below.
                 let logged_rows = self.wal.is_some().then(|| rows.clone());
                 let table = Table::new(name.clone(), schema_of(&columns), &[])?.with_rows(rows)?;
-                let mut catalog = self.write_catalog(Write::Schema(name))?;
+                let mut catalog = self.write_catalog()?;
                 let mut ops = Vec::new();
                 if catalog.create_table(table, *if_not_exists)? {
                     ops.push(WalOp::CreateTable {
@@ -163,12 +167,15 @@ impl Database {
                     Some(saved) => {
                         // Restore and discard the WAL's buffered ops under one
                         // guard: nothing was written durably since BEGIN, so
-                        // the durable state already equals `saved`.
-                        let mut catalog = self.write_catalog(Write::All)?;
-                        *catalog = saved;
+                        // the durable state already equals `saved`. The
+                        // transaction's tables are freed after the guard.
+                        let mut catalog = self.write_catalog()?;
+                        let retired = std::mem::replace(&mut *catalog, saved);
                         if let Some(wal) = &self.wal {
                             wal.rollback();
                         }
+                        drop(catalog);
+                        drop(retired);
                         Ok(StatementResult::Affected(0))
                     }
                     None => Err(EngineError::exec("no transaction in progress")),
@@ -179,7 +186,7 @@ impl Database {
                 table, predicate, ..
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
-                let mut catalog = self.write_catalog(Write::Data(table))?;
+                let mut catalog = self.write_catalog()?;
                 let selection =
                     self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
                 let mut idxs = Vec::new();
@@ -210,7 +217,7 @@ impl Database {
                 ..
             } => {
                 let predicate = self.resolve_dml_subqueries(predicate.clone(), params, ctx)?;
-                let mut catalog = self.write_catalog(Write::Data(table))?;
+                let mut catalog = self.write_catalog()?;
                 let selection =
                     self.select_rows(&catalog, table, predicate.as_ref(), params, ctx)?;
                 let t = catalog.get(table)?;
@@ -259,12 +266,10 @@ impl Database {
         }
     }
 
-    /// Take the catalog write lock, bump the catalog version under it, and
-    /// take the cached plans that `write` makes stale out of service before
-    /// anything changes, marking the written table with the new version so
-    /// that a planner which read it before the write does not store its
-    /// plan (`PlanCache::insert` has the ordering argument).
-    fn write_catalog(&self, write: Write<'_>) -> Result<RwLockWriteGuard<'_, Catalog>> {
+    /// Take the catalog write lock and bump the catalog version under it.
+    /// The plan cache is left alone: a cached plan is checked against the
+    /// catalog when it is next served.
+    fn write_catalog(&self) -> Result<RwLockWriteGuard<'_, Catalog>> {
         // Degraded read-only mode is enforced here, before any mutation:
         // every write statement funnels through this lock, so a wedged WAL
         // refuses the statement while the in-memory state is still intact.
@@ -272,14 +277,14 @@ impl Database {
             wal.check_writable()?;
         }
         let catalog = self.catalog.write();
-        let version = self.catalog_version.fetch_add(1, Ordering::Release) + 1;
-        self.plan_cache.invalidate(write, &catalog, version);
+        self.catalog_version.fetch_add(1, Ordering::Release);
         Ok(catalog)
     }
 
     /// Count a write that copied its table's rows (`catalog.snapshot_copies`):
-    /// they moved from `before` because a plan or a running statement still
-    /// held the snapshot the write replaced.
+    /// they moved from `before` because a running statement or a
+    /// transaction's saved catalog still held the snapshot the write
+    /// replaced.
     fn count_copy(&self, before: *const Vec<Row>, table: &Table) {
         if self.telemetry.enabled() && !std::ptr::eq(before, Arc::as_ptr(&table.rows)) {
             self.telemetry.catalog_snapshot_copies.incr();
@@ -353,16 +358,12 @@ impl Database {
         sql: &str,
         query: &Query,
         params: &[Value],
-        cached: Option<&Planned>,
+        cached: Option<Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<(Vec<String>, Vec<Row>)> {
-        let planned;
         let planned = match cached {
             Some(planned) => planned,
-            None => {
-                planned = self.plan_stage(sql, query, params, None, PlanVerify::Enforce, ctx)?;
-                &planned
-            }
+            None => self.plan_stage(sql, query, params, None, PlanVerify::Enforce, ctx)?,
         };
         let (result, _) = self.bind_and_run(planned, params, false, ctx)?;
         Ok((result.columns, result.rows))
@@ -371,16 +372,17 @@ impl Database {
     /// Apply a DML statement checked in this lifecycle, storing it in the
     /// plan cache under `shape` for the next text of that shape: with its
     /// literals lifted, and an `INSERT … SELECT`'s source planned as a
-    /// template. The entry holds the source's tables and names the target.
-    /// `version` was read before the statement was checked. A statement the
-    /// cache does not keep ([`crate::lift::lift_dml`]) is applied as it is.
+    /// template. The entry records the source's tables and `target`, the
+    /// table written as the check saw it. A statement the cache does not
+    /// keep ([`crate::lift::lift_dml`]), or whose source ran a subquery while
+    /// planning, is applied as it is.
     pub(super) fn apply_storing(
         &self,
         sql: &str,
         stmt: &Statement,
         params: &[Value],
         shape: Shape,
-        version: u64,
+        target: PlannedTable,
         ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
         let Some((stmt, slots, lifted)) = crate::lift::lift_dml(stmt, &shape.literals) else {
@@ -388,31 +390,31 @@ impl Database {
         };
         let lifted = (!lifted.is_empty()).then_some(lifted);
         let params = lifted.as_deref().unwrap_or(params);
-        let (target, source) = match &stmt {
-            Statement::Insert(insert) => (&insert.table, Some(&insert.source)),
-            Statement::Delete { table, .. } | Statement::Update { table, .. } => (table, None),
+        let source = match &stmt {
+            Statement::Insert(insert) => Some(&insert.source),
+            Statement::Delete { .. } | Statement::Update { .. } => None,
             _ => unreachable!("lift_dml keeps only INSERT … SELECT, DELETE and UPDATE"),
         };
-        let (source, holds) = match source {
+        let (source, tables) = match source {
             Some(InsertSource::Query(query)) => {
                 let values = slot_count(true, lifted.as_deref());
                 let verify = PlanVerify::Enforce;
-                let (query, program, holds) =
+                let (query, program, bound, tables) =
                     self.plan_phase(sql, query, params, values, verify, ctx)?;
                 let planned = Planned {
                     query,
                     program,
                     template: true,
                     lifted: None,
+                    tables: bound,
                 };
-                (Some(planned), holds)
+                (Some(planned), tables)
             }
             _ => (None, Some(Vec::new())),
         };
-        let names = vec![target.to_ascii_lowercase()];
         let stmt = Arc::new(stmt);
-        // A source over `sys.*` holds point-in-time rows: not stored.
-        if let Some(holds) = holds {
+        if let Some(mut tables) = tables {
+            tables.push(target);
             let source = (source.as_ref()).map(|p| (Arc::clone(&p.query), Arc::clone(&p.program)));
             let entry = NewEntry {
                 body: Body::Dml {
@@ -420,14 +422,12 @@ impl Database {
                     source,
                 },
                 slots,
-                version,
-                holds,
-                names,
+                tables,
                 verified: self.config.verify_plans,
             };
             self.plan_cache.insert(shape.key, entry);
         }
-        self.apply(sql, &stmt, params, source.as_ref(), ctx)
+        self.apply(sql, &stmt, params, source, ctx)
     }
 
     /// Evaluate uncorrelated subqueries inside a DML predicate against the
@@ -477,16 +477,17 @@ impl Database {
             let planner = Planner::new(catalog, params, self.config.planner(), ctx.planner_exec());
             if let Some(access) = planner.table_access(t) {
                 let conjuncts: Vec<Expr> = split_conjuncts(pred).into_iter().cloned().collect();
+                let scan = planner.try_index_scan(&access, &scope, &conjuncts)?;
                 if let Some((
                     PhysPlan::IndexScan {
                         index_name,
-                        index,
                         keys: Some(keys),
                         ..
                     },
                     _,
-                )) = planner.try_index_scan(&access, &scope, &conjuncts)?
+                )) = scan
                 {
+                    let index = t.index(&index_name).expect("the planner found it on `t`");
                     selection.candidates = Some(index_positions(&index, &keys)?);
                     index_used = Some(index_name);
                 }
@@ -511,16 +512,18 @@ impl Database {
         sql: &str,
         insert: &Insert,
         params: &[Value],
-        source: Option<&Planned>,
+        source: Option<Planned>,
         ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
         // Evaluate the source rows to completion *before* taking the write
-        // lock. The source query plans under a read lock and captures `Arc`
-        // snapshots of every table it scans, so `INSERT INTO t SELECT .. FROM
-        // t` reads a consistent pre-statement image of `t` — newly inserted
-        // rows can never feed back into the same statement's source, even
-        // though the scan snapshot and the write below are separate lock
-        // acquisitions (the catalog rows are copy-on-write via `Arc`).
+        // lock. The source query binds `Arc` snapshots of every table it
+        // scans under a read lock — the one it was planned under, or the one
+        // its cached plan was found valid under — so `INSERT INTO t SELECT
+        // .. FROM t` reads a consistent pre-statement image of `t`: newly
+        // inserted rows can never feed back into the same statement's
+        // source, even though the scan snapshot and the write below are
+        // separate lock acquisitions (the catalog rows are copy-on-write via
+        // `Arc`).
         let source_rows: Vec<Row> = match &insert.source {
             InsertSource::Values(rows) => {
                 let scope = Scope::default();
@@ -537,7 +540,7 @@ impl Database {
             InsertSource::Query(q) => self.source_rows(sql, q, params, source, ctx)?.1,
         };
 
-        let mut catalog = self.write_catalog(Write::Data(&insert.table))?;
+        let mut catalog = self.write_catalog()?;
         let t = catalog.get_mut(&insert.table)?;
         let before = Arc::as_ptr(&t.rows);
 
@@ -686,7 +689,7 @@ impl Database {
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let deadline = self.deadline();
         let _permit = self.admit(deadline)?;
-        let mut catalog = self.write_catalog(Write::Data(table))?;
+        let mut catalog = self.write_catalog()?;
         let t = catalog.get_mut(table)?;
         let before = Arc::as_ptr(&t.rows);
         let wal_on = self.wal.is_some();
@@ -730,8 +733,7 @@ impl Database {
     }
 
     /// Install a fully built table into the catalog, logging its schema,
-    /// indexes, and rows to the WAL as one batch. Like `ROLLBACK`, a
-    /// restore drops every cached plan.
+    /// indexes, and rows to the WAL as one batch.
     pub(crate) fn install_table(&self, table: Table) -> Result<()> {
         let mut ops = Vec::new();
         if self.wal.is_some() {
@@ -765,7 +767,7 @@ impl Database {
             }
         }
         let deadline = self.deadline();
-        let mut catalog = self.write_catalog(Write::All)?;
+        let mut catalog = self.write_catalog()?;
         catalog.create_table(table, false)?;
         self.commit(catalog, ops, None, deadline, None)
     }

@@ -28,12 +28,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use crate::catalog::Catalog;
 use crate::error::{EngineError, Result, Span};
 use crate::plan::PhysPlan;
 use crate::sync::{Condvar, Mutex};
 use crate::value::{Row, Value};
 
-use super::program::{Program, Specs};
+use super::program::{Bound, Program, Specs};
 
 /// Work fans out to the pool only when its source holds at least this many
 /// rows: two morsels. A source of one morsel has nothing to share, and
@@ -676,29 +677,40 @@ impl ExecContext {
         }
     }
 
-    /// Execute a plan to completion: lower it and run the program once.
-    pub fn execute(&self, plan: &PhysPlan) -> Result<Vec<Row>> {
+    /// Execute a plan to completion over the tables of `catalog`: lower it,
+    /// bind its tables and run the program once.
+    pub fn execute(&self, plan: &PhysPlan, catalog: &Catalog) -> Result<Vec<Row>> {
         let program = Arc::new(Program::lower(plan));
-        Ok(self.execute_program(&program, &[], self.collect_stats)?.0)
+        let tables = program.bind(catalog)?;
+        Ok(self
+            .execute_program(&program, &[], tables, self.collect_stats)?
+            .0)
     }
 
-    /// Execute a plan and collect the per-operator statistics tree
-    /// (`EXPLAIN ANALYZE`).
-    pub fn execute_with_stats(&self, plan: &PhysPlan) -> Result<(Vec<Row>, OpStats)> {
+    /// Execute a plan over the tables of `catalog` and collect the
+    /// per-operator statistics tree (`EXPLAIN ANALYZE`).
+    pub fn execute_with_stats(
+        &self,
+        plan: &PhysPlan,
+        catalog: &Catalog,
+    ) -> Result<(Vec<Row>, OpStats)> {
         let program = Arc::new(Program::lower(plan));
-        let (rows, stats) = self.execute_program(&program, &[], true)?;
+        let tables = program.bind(catalog)?;
+        let (rows, stats) = self.execute_program(&program, &[], tables, true)?;
         Ok((rows, stats.expect("stats were requested")))
     }
 
-    /// Run a lowered program to completion, its parameter sites bound to
+    /// Run a lowered program to completion over `tables`, what
+    /// [`Program::bind`] bound for this run, its parameter sites bound to
     /// `params`, with the per-operator statistics tree when `stats` asks.
     pub(crate) fn execute_program(
         &self,
         program: &Arc<Program>,
         params: &[Value],
+        tables: Vec<Bound>,
         stats: bool,
     ) -> Result<(Vec<Row>, Option<OpStats>)> {
-        let specs = Specs::bind(program, params)?;
+        let specs = Specs::bind(program, params, tables)?;
         super::collect(&self.for_run(stats), &specs)
     }
 }

@@ -23,10 +23,11 @@
 //! A probe never allocates per row: the key is borrowed in place (one bare
 //! column) or built in one reused scratch vector, and a matched row is built
 //! in one reused buffer. When the probe child is a bare base-table scan that
-//! carries its table's derived-index slot, an INNER join on one bare column
+//! may read its table's derived indexes, an INNER join on one bare column
 //! against a small build side goes further: it looks each distinct build key
 //! up in a derived index of the probed column ([`KeyIndex`], built on first
-//! use), so rows the join would discard are never touched, and the rows it
+//! use from the rows the run bound, in the derived-index slot bound with
+//! them), so rows the join would discard are never touched, and the rows it
 //! found ([`Candidates`]), in table order, are the source of the probe's
 //! pipeline.
 
@@ -37,14 +38,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::JoinKind;
-use crate::catalog::{DerivedIndexes, KeyIndex};
+use crate::catalog::KeyIndex;
 use crate::error::Result;
 use crate::expr::PhysExpr;
-use crate::plan::{IndexRef, JoinAlgo, PhysPlan};
+use crate::plan::{JoinAlgo, PhysPlan};
 use crate::value::{Row, Value, ValueHash};
 
 use super::context::{approx_row_bytes, check_deadline, ChargeBuf, Ticker, MORSEL_ROWS};
-use super::program::Input;
+use super::program::{Bound, Input};
 use super::{key_of, ExecContext, Held, NodeOut, Run, Sink};
 
 /// The key filter runs only when the probe side holds at least this many
@@ -123,10 +124,10 @@ pub(super) struct ProbeSpec {
     right_width: usize,
     residual: Option<PhysExpr>,
     out: Option<Vec<usize>>,
-    /// The probed scan's rows, its derived-index slot and the probed
-    /// column, when the join finds its probe rows by the build keys
-    /// ([`node_mode`] says `Some(true)`).
-    filter: Option<(Arc<Vec<Row>>, DerivedIndexes, usize)>,
+    /// The table slot of the probed scan and the probed column, when the
+    /// join finds its probe rows by the build keys ([`node_mode`] says
+    /// `Some(true)`).
+    filter: Option<(usize, usize)>,
 }
 
 /// A probe's table, built by one run from its build side.
@@ -174,7 +175,9 @@ impl Built {
 }
 
 impl ProbeSpec {
-    pub(super) fn of(join: &PhysPlan) -> ProbeSpec {
+    /// The join's probe; `slot` gives the table slot of a scan it
+    /// key-filters.
+    pub(super) fn of(join: &PhysPlan, slot: impl FnOnce(&str) -> usize) -> ProbeSpec {
         let PhysPlan::HashJoin {
             kind,
             right_width,
@@ -189,14 +192,11 @@ impl ProbeSpec {
         let ((_, build_keys), (probe, probe_keys)) =
             join.join_sides().expect("a hash join has two sides");
         let filter = match (probe, probe_keys) {
-            (
-                PhysPlan::Scan {
-                    rows,
-                    derived: Some(slot),
-                    ..
-                },
-                [PhysExpr::Column(column)],
-            ) if node_mode(join) == Some(true) => Some((Arc::clone(rows), slot.clone(), *column)),
+            (PhysPlan::Scan { table, .. }, [PhysExpr::Column(column)])
+                if node_mode(join) == Some(true) =>
+            {
+                Some((slot(table), *column))
+            }
             _ => None,
         };
         ProbeSpec {
@@ -220,18 +220,23 @@ impl ProbeSpec {
     /// join key-filters and few enough distinct keys were built — look them
     /// up in the probed column's derived index: the probe side's rows to
     /// stream instead of the whole scan.
-    pub(super) fn build(
-        &self,
-        rows: Held,
-        ctx: &ExecContext,
-    ) -> Result<(Built, Option<Candidates>)> {
+    pub(super) fn build(&self, rows: Held, run: &Run) -> Result<(Built, Option<Candidates>)> {
+        let ctx = run.ctx;
         let table = hash_build(&rows, &self.build_keys, ctx)?;
-        let candidates = match &self.filter {
-            Some((scan, slot, column))
-                if table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= scan.len()
-                    && table.keys().all(|key| exact_key(key)) =>
+        let filtered = self.filter.map(|(slot, column)| (run.table(slot), column));
+        let candidates = match filtered {
+            Some((
+                Bound {
+                    rows: scan,
+                    derived: Some(derived),
+                    ..
+                },
+                column,
+            )) if table.len().saturating_mul(KEY_FILTER_SELECTIVITY) <= scan.len()
+                && table.keys().all(|key| exact_key(key)) =>
             {
-                let index = slot.get_or_build(scan, *column);
+                let index = derived.get_or_build(scan, column);
+                debug_assert_eq!(index.rows(), scan.len(), "bound with the rows it indexes");
                 check_deadline(ctx.deadline())?;
                 Some(Candidates::lookup(scan, &index, table.keys()))
             }
@@ -403,7 +408,7 @@ pub(crate) fn node_mode(plan: &PhysPlan) -> Option<bool> {
     if !keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) {
         return None;
     }
-    Some(derived.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
+    Some(*derived && keys.len() == 1 && *kind == JoinKind::Inner)
 }
 
 /// ` probe=keyset(index)` / ` probe=keyset(row)`: the label suffix of a hash
@@ -690,8 +695,8 @@ impl LoopSpec {
 #[derive(Clone)]
 pub(super) struct IndexSpec {
     probe_keys: Vec<PhysExpr>,
-    inner_rows: Arc<Vec<Row>>,
-    index: IndexRef,
+    /// The table slot of the inner side, bound with its index.
+    pub(super) inner: usize,
     inner_is_left: bool,
     kind: JoinKind,
     inner_width: usize,
@@ -721,8 +726,11 @@ impl IndexScratch {
 
 impl IndexSpec {
     /// The join's spec, or the error it raises when its inner side is no
-    /// index scan.
-    pub(super) fn of(join: &PhysPlan) -> std::result::Result<IndexSpec, &'static str> {
+    /// index scan; `slot` gives the table slot of its table and index.
+    pub(super) fn of(
+        join: &PhysPlan,
+        slot: impl FnOnce(&str, &str) -> usize,
+    ) -> std::result::Result<IndexSpec, &'static str> {
         let PhysPlan::IndexJoin {
             probe_keys,
             inner,
@@ -736,13 +744,15 @@ impl IndexSpec {
         else {
             unreachable!("an index probe lowers an index join");
         };
-        let PhysPlan::IndexScan { rows, index, .. } = &**inner else {
+        let PhysPlan::IndexScan {
+            table, index_name, ..
+        } = &**inner
+        else {
             return Err("IndexJoin inner side must be an IndexScan");
         };
         Ok(IndexSpec {
             probe_keys: probe_keys.clone(),
-            inner_rows: Arc::clone(rows),
-            index: index.clone(),
+            inner: slot(table, index_name),
             inner_is_left: *inner_is_left,
             kind: *kind,
             inner_width: *inner_width,
@@ -758,9 +768,11 @@ impl IndexSpec {
             .for_each(f);
     }
 
-    /// Join one probe row with the inner rows its key looks up.
+    /// Join one probe row with the rows of `inner`, the inner side's bound
+    /// table, its key looks up.
     pub(super) fn row(
         &self,
+        inner: &Bound,
         prow: &[Value],
         scratch: &mut IndexScratch,
         sink: &mut Sink,
@@ -776,12 +788,16 @@ impl IndexSpec {
         let mut matched = false;
         if let Some(key) = key_of(prow, &self.probe_keys, key, false)? {
             idxs.clear();
-            self.index.lookup_into(key, idxs);
+            let index = inner
+                .index
+                .as_ref()
+                .expect("the inner slot binds its index");
+            index.lookup_into(key, idxs);
             idxs.sort_unstable();
             *fetched += idxs.len();
             for &ii in idxs.iter() {
                 ticker.tick(*deadline)?;
-                let irow = &self.inner_rows[ii];
+                let irow = &inner.rows[ii];
                 let sides = match self.inner_is_left {
                     true => (&irow[..], prow),
                     false => (prow, &irow[..]),
@@ -809,6 +825,7 @@ pub(super) fn fetched(total: &AtomicUsize, scratch: IndexScratch) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::DerivedIndexes;
 
     /// The positions of `rows` a full scan finds: a non-NULL value in
     /// `column` equal to one of `keys`, ascending.

@@ -19,13 +19,15 @@
 //! itself and `EXPLAIN ANALYZE` lower and run the same way. A run keeps all
 //! its state — hash tables, held rows, shared slots, step scratch, row
 //! counters — of its own ([`PipeRun`]), so concurrent runs share one
-//! program.
+//! program. Its tables are its own too: [`Program::bind`] takes the rows
+//! and index maps of every base table the program names, under one
+//! catalog read.
 //!
 //! **Sources, steps and breakers.** A program runs as *pipelines* joined by
 //! *breakers*, source first and sink last — the one driver. A pipeline is
 //! made of
 //!
-//! * its *sources*: rows held in full — a base-table scan's snapshot, a
+//! * its *sources*: rows held in full — a base-table scan's bound snapshot, a
 //!   filled shared slot ([`crate::plan::PhysPlan::Shared`]: the first
 //!   reference to run fills it, the others read it), the rows of a table a
 //!   hash join's key filter found ([`join`]) — or rows a source hands on as
@@ -85,7 +87,7 @@ mod sort;
 pub(crate) use context::check_deadline;
 pub use context::{ExecContext, MemoryBudget, OpStats, WorkerPool};
 pub(crate) use join::{mode_of_label, mode_suffix, node_mode};
-pub(crate) use program::Program;
+pub(crate) use program::{Bound, Program};
 pub(crate) use scan::index_positions;
 
 use std::ops::Range;
@@ -259,6 +261,11 @@ impl<'r> Run<'r> {
     fn label(&self, stage: usize) -> String {
         self.program().stage_label(stage).to_string()
     }
+
+    /// The run's table slot `slot`.
+    fn table(&self, slot: usize) -> &'r Bound {
+        &self.specs.tables[slot]
+    }
 }
 
 /// Run breaker `breaker`, which hands its rows on itself, into `sink`, and
@@ -275,7 +282,7 @@ fn push(run: &Run, breaker: usize, sink: &mut Sink) -> Result<Option<OpStats>> {
 
 fn run_breaker(run: &Run, breaker: &Breaker, sink: &mut Sink) -> Result<NodeOut> {
     match (&breaker.kind, run.spec(breaker.stage)) {
-        (BreakerKind::IndexScan, Spec::IndexScan(spec)) => scan::index_scan(spec, run.ctx, sink),
+        (BreakerKind::IndexScan, Spec::IndexScan(spec)) => scan::index_scan(spec, run, sink),
         (BreakerKind::OneRow, _) => {
             sink(&[])?;
             Ok(NodeOut::new())
@@ -395,8 +402,9 @@ impl FlatRows {
     }
 }
 
-/// Rows an operator holds all of, shared by a cheap clone: a table snapshot,
-/// or rows a child was collected into (a shared subplan's slot among them).
+/// Rows an operator holds all of, shared by a cheap clone: a table's bound
+/// snapshot, or rows a child was collected into (a shared subplan's slot
+/// among them).
 #[derive(Clone)]
 pub(crate) enum Held {
     Rows(Arc<Vec<Row>>),
@@ -489,14 +497,14 @@ fn collect(ctx: &ExecContext, specs: &Arc<Specs>) -> Result<(Vec<Row>, Option<Op
 /// recording it as a child of `node`.
 ///
 /// Rows already held are handed over as a cheap `Arc` clone: a base-table
-/// scan's catalog snapshot, a shared subplan's slot (run into it first if no
+/// scan's bound snapshot, a shared subplan's slot (run into it first if no
 /// reference has yet). Any other input is collected — an intermediate
 /// result, counted in `exec.rows_materialized`.
 fn run_input(run: &Run, input: &Input, node: &mut NodeOut) -> Result<Held> {
     let ctx = run.ctx;
     ctx.check_timeout()?;
     let (rows, ran) = match input {
-        Input::Rows(rows, _) => (Held::Rows(Arc::clone(rows)), Some(NodeOut::new())),
+        Input::Rows(source, _) => (Held::Rows(run.specs.rows(source)), Some(NodeOut::new())),
         Input::Shared(shared, _) => match slot(run, shared) {
             (_, _, Some(error)) => return Err(error),
             (rows, fill, None) => (Held::Flat(rows), fill),
@@ -636,7 +644,7 @@ enum Step<'p> {
     Stage(&'p scan::StageSpec),
     Probe(&'p join::ProbeSpec, &'p join::Built),
     NestedLoop(&'p join::LoopSpec, &'p Held),
-    IndexJoin(&'p join::IndexSpec, &'p AtomicUsize),
+    IndexJoin(&'p join::IndexSpec, &'p Bound, &'p AtomicUsize),
 }
 
 /// A step's working state over one source or morsel.
@@ -706,7 +714,9 @@ impl Step<'_> {
             (Step::NestedLoop(spec, inner), Scratch::NestedLoop(own)) => {
                 spec.row(inner, row, own, sink)
             }
-            (Step::IndexJoin(spec, _), Scratch::IndexJoin(own)) => spec.row(row, own, sink),
+            (Step::IndexJoin(spec, inner, _), Scratch::IndexJoin(own)) => {
+                spec.row(inner, row, own, sink)
+            }
             _ => unreachable!("a step runs on its own scratch"),
         }
     }
@@ -715,7 +725,7 @@ impl Step<'_> {
     fn finish(self, scratch: Scratch) {
         match (self, scratch) {
             (Step::Probe(_, built), Scratch::Probe(own)) => join::probed(built, own),
-            (Step::IndexJoin(_, total), Scratch::IndexJoin(own)) => join::fetched(total, own),
+            (Step::IndexJoin(_, _, total), Scratch::IndexJoin(own)) => join::fetched(total, own),
             _ => {}
         }
     }
@@ -845,9 +855,9 @@ impl PipeRun {
         for node in lowered {
             ctx.check_timeout()?;
             let state = match &node.kind {
-                Kind::Rows(rows) => match found.take() {
+                Kind::Rows(source) => match found.take() {
                     Some(candidates) => State::Candidates(candidates),
-                    None => State::Rows(Held::Rows(Arc::clone(rows)), None),
+                    None => State::Rows(Held::Rows(run.specs.rows(source)), None),
                 },
                 Kind::Shared(shared) => {
                     let (rows, fill, error) = slot(run, shared);
@@ -866,7 +876,7 @@ impl PipeRun {
                     };
                     let mut side = NodeOut::new();
                     let (built, candidates) = booked(&mut side, ctx, |side| {
-                        spec.build(run_input(run, build, side)?, ctx)
+                        spec.build(run_input(run, build, side)?, run)
                     })?;
                     found = candidates;
                     State::Probe(built, side)
@@ -898,7 +908,10 @@ impl PipeRun {
             (State::Streams, Spec::Stage(stage)) => Some(Step::Stage(stage)),
             (State::Probe(built, _), Spec::Probe(spec)) => Some(Step::Probe(spec, built)),
             (State::Loop(inner, _), Spec::NestedLoop(spec)) => Some(Step::NestedLoop(spec, inner)),
-            (State::Index(fetched), Spec::IndexJoin(spec)) => Some(Step::IndexJoin(spec, fetched)),
+            (State::Index(fetched), Spec::IndexJoin(spec)) => {
+                let inner = &self.specs.tables[spec.inner];
+                Some(Step::IndexJoin(spec, inner, fetched))
+            }
             _ => None,
         }
     }
@@ -1269,11 +1282,54 @@ impl<P: Partial> Folded<P> {
     }
 }
 
+/// Tables for hand-built plans in tests: each scan of rows registers a
+/// table of its own in the calling test thread's catalog, which runs bind
+/// their tables from.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use std::cell::RefCell;
+
+    use crate::catalog::{Catalog, Column, Schema, Table};
+    use crate::plan::PhysPlan;
+    use crate::value::{DataType, Row};
+
+    thread_local! {
+        static TABLES: RefCell<Catalog> = RefCell::default();
+    }
+
+    /// A scan of `rows`, `width` columns each, registered as a new table;
+    /// `derived`: a hash join probing it may key-filter it.
+    pub(crate) fn scan(rows: Vec<Row>, width: usize, derived: bool) -> PhysPlan {
+        TABLES.with(|tables| {
+            let mut tables = tables.borrow_mut();
+            let table = format!("t{}", tables.table_names().len());
+            let column = |c| Column {
+                name: format!("c{c}"),
+                ty: DataType::Any,
+            };
+            let schema = Schema::new((0..width).map(column).collect());
+            let filled = Table::new(table.clone(), schema, &[]).and_then(|t| t.with_rows(rows));
+            tables.create_table(filled.unwrap(), false).unwrap();
+            PhysPlan::Scan {
+                table,
+                width,
+                derived,
+            }
+        })
+    }
+
+    /// The tables this thread registered so far.
+    pub(crate) fn tables() -> Catalog {
+        TABLES.with(|tables| tables.borrow().clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
     use super::context::DEADLINE_STRIDE;
+    use super::fixture::tables;
     use super::*;
     use crate::ast::{AggregateFunc, BinaryOp, JoinKind};
     use crate::error::EngineError;
@@ -1285,11 +1341,8 @@ mod tests {
             .iter()
             .map(|r| r.iter().copied().map(Value::Int).collect())
             .collect();
-        PhysPlan::Scan {
-            width: rows.first().map_or(0, Vec::len),
-            rows: Arc::new(rows),
-            derived: None,
-        }
+        let width = rows.first().map_or(0, Vec::len);
+        fixture::scan(rows, width, false)
     }
 
     fn ints(rows: &[Row]) -> Vec<Vec<Option<i64>>> {
@@ -1385,7 +1438,7 @@ mod tests {
         let right = scan(&[&[3, 300], &[1, 100], &[1, 101]]);
         let plan = hash_join(left, right, JoinKind::Left, None);
         for ctx in contexts() {
-            let rows = ctx.execute(&plan).unwrap();
+            let rows = ctx.execute(&plan, &tables()).unwrap();
             let n = |i| Some(i);
             assert_eq!(
                 ints(&rows),
@@ -1406,7 +1459,7 @@ mod tests {
         let right = scan(&[&[1, 100], &[1, 200], &[2, 1]]);
         let plan = hash_join(left, right, JoinKind::Left, Some(gt(3, 1)));
         for ctx in contexts() {
-            let rows = ctx.execute(&plan).unwrap();
+            let rows = ctx.execute(&plan, &tables()).unwrap();
             let n = |i| Some(i);
             assert_eq!(
                 ints(&rows),
@@ -1422,7 +1475,13 @@ mod tests {
             JoinKind::Inner,
             Some(gt(3, 1)),
         );
-        assert_eq!(ExecContext::serial().execute(&inner).unwrap().len(), 1);
+        assert_eq!(
+            ExecContext::serial()
+                .execute(&inner, &tables())
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     /// The same join with its hash table on the left input.
@@ -1442,7 +1501,7 @@ mod tests {
         let plan = building_left(hash_join(left, right, JoinKind::Inner, None));
         for ctx in contexts() {
             let (ctx, telemetry) = counted(ctx);
-            let rows = ctx.execute(&plan).unwrap();
+            let rows = ctx.execute(&plan, &tables()).unwrap();
             let n = |r: [i64; 4]| r.map(Some).to_vec();
             assert_eq!(
                 ints(&rows),
@@ -1471,11 +1530,7 @@ mod tests {
             .map(|r| r.into_iter().map(Value::Int).collect())
             .collect();
         build.push(vec![Value::Null, Value::Int(5)]);
-        let left = PhysPlan::Scan {
-            width: 2,
-            rows: Arc::new(build),
-            derived: None,
-        };
+        let left = fixture::scan(build, 2, false);
         let probe: Vec<Vec<i64>> = (0..n).map(|i| vec![i % 11, i % 4]).collect();
         let probe: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
         let residual = Some(gt(3, 1));
@@ -1498,7 +1553,7 @@ mod tests {
         assert!(want.len() > 30);
         let runs: Vec<_> = contexts()
             .into_iter()
-            .map(|ctx| ints(&ctx.execute(&plan).unwrap()))
+            .map(|ctx| ints(&ctx.execute(&plan, &tables()).unwrap()))
             .collect();
         assert_eq!(runs[0], want);
         assert!(runs.iter().all(|run| *run == runs[0]));
@@ -1525,7 +1580,7 @@ mod tests {
         }
         for ctx in contexts() {
             let parallel = ctx.parallel();
-            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            let (rows, stats) = ctx.execute_with_stats(&plan, &tables()).unwrap();
             assert_eq!(ints(&rows), want);
             assert_eq!(fanned_out(&stats), parallel);
         }
@@ -1566,7 +1621,7 @@ mod tests {
             inputs: vec![scan(&[&[3], &[1]]), scan(&[]), scan(&[&[2]]), scan(&[&[1]])],
         };
         for ctx in contexts() {
-            let rows = ctx.execute(&plan).unwrap();
+            let rows = ctx.execute(&plan, &tables()).unwrap();
             let n = |i| vec![Some(i)];
             assert_eq!(ints(&rows), vec![n(3), n(1), n(2), n(1)]);
         }
@@ -1589,7 +1644,10 @@ mod tests {
         };
         let budget = Arc::new(MemoryBudget::unlimited());
         let ctx = ExecContext::serial().with_budget(Arc::clone(&budget));
-        assert_eq!(ints(&ctx.execute(&plan).unwrap()), vec![vec![Some(3000)]]);
+        assert_eq!(
+            ints(&ctx.execute(&plan, &tables()).unwrap()),
+            vec![vec![Some(3000)]]
+        );
         // The build table's one key and 3,000 indexes, the one group and the
         // one result row — not 3,000 joined rows.
         assert!(
@@ -1609,7 +1667,7 @@ mod tests {
         let ctx = ExecContext::serial().with_deadline(Instant::now() + Duration::from_millis(50));
         let mut handed = 0usize;
         let program = Arc::new(Program::lower(&plan));
-        let specs = Specs::bind(&program, &[]).unwrap();
+        let specs = Specs::bind(&program, &[], program.bind(&tables()).unwrap()).unwrap();
         let run = Run {
             ctx: &ctx,
             specs: &specs,
@@ -1655,7 +1713,7 @@ mod tests {
         };
         for ctx in contexts() {
             let (ctx, telemetry) = counted(ctx);
-            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            let (rows, stats) = ctx.execute_with_stats(&plan, &tables()).unwrap();
             let n = |a, b| vec![Some(a), Some(b)];
             let held = [n(1, 5), n(3, 4)];
             assert_eq!(ints(&rows), [&held[..], &held, &held].concat());
@@ -1712,7 +1770,7 @@ mod tests {
                 let budget = Arc::new(MemoryBudget::unlimited());
                 let (ctx, telemetry) = counted(ctx.clone().with_budget(Arc::clone(&budget)));
                 for _ in 0..runs {
-                    let rows = ctx.execute(plan).unwrap();
+                    let rows = ctx.execute(plan, &tables()).unwrap();
                     assert_eq!(ints(&rows), vec![vec![Some(2 * held as i64)]]);
                 }
                 (budget.used_bytes(), telemetry.shared_reuses.get())
@@ -1749,7 +1807,7 @@ mod tests {
         for ctx in contexts() {
             let (ctx, telemetry) = counted(ctx);
             for _ in 0..2 {
-                let err = ctx.execute(&plan).unwrap_err();
+                let err = ctx.execute(&plan, &tables()).unwrap_err();
                 assert!(err.to_string().contains("division by zero"), "{err}");
             }
             assert_eq!(telemetry.shared_reuses.get(), 0);
@@ -1834,7 +1892,7 @@ mod tests {
             .into_iter()
             .map(|ctx| {
                 let (ctx, telemetry) = counted(ctx);
-                let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+                let (rows, stats) = ctx.execute_with_stats(&plan, &tables()).unwrap();
                 (ints(&rows), stats, telemetry.rows_materialized.get())
             })
             .collect();
@@ -1870,16 +1928,12 @@ mod tests {
             }),
         };
         let project = PhysPlan::Project {
-            input: Box::new(PhysPlan::Scan {
-                width: 2,
-                rows: Arc::new(rows),
-                derived: None,
-            }),
+            input: Box::new(fixture::scan(rows, 2, false)),
             exprs: vec![PhysExpr::Column(1), ten_over],
         };
         let plan = aggregate(project, vec![], vec![(AggregateFunc::Sum, Some(0))]);
         for ctx in contexts() {
-            let err = ctx.execute(&plan).unwrap_err();
+            let err = ctx.execute(&plan, &tables()).unwrap_err();
             assert!(
                 err.to_string().contains("SUM of non-numeric value oops"),
                 "{err}"
@@ -1917,7 +1971,7 @@ mod tests {
         for ctx in contexts() {
             let parallel = ctx.parallel();
             let (ctx, telemetry) = counted(ctx);
-            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            let (rows, stats) = ctx.execute_with_stats(&plan, &tables()).unwrap();
             assert_eq!(ints(&rows), want);
             assert_eq!(telemetry.rows_materialized.get(), 19_993);
             assert_eq!(telemetry.shared_reuses.get(), 1);
@@ -1939,11 +1993,7 @@ mod tests {
         let rows: Vec<Row> = (0..30_000)
             .map(|i| vec![Value::Int(i % 3000), Value::Int(i)])
             .collect();
-        let probe = PhysPlan::Scan {
-            width: 2,
-            rows: Arc::new(rows),
-            derived: Some(crate::catalog::DerivedIndexes::default()),
-        };
+        let probe = fixture::scan(rows, 2, true);
         let keys: Vec<Vec<i64>> = (0..1000).map(|k| vec![k * 3, k]).collect();
         let build = scan(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>());
         let join = hash_join(probe, build, JoinKind::Inner, None);
@@ -1964,7 +2014,7 @@ mod tests {
         for ctx in contexts() {
             let parallel = ctx.parallel();
             let (ctx, telemetry) = counted(ctx);
-            let (rows, stats) = ctx.execute_with_stats(&plan).unwrap();
+            let (rows, stats) = ctx.execute_with_stats(&plan, &tables()).unwrap();
             assert_eq!(ints(&rows), want);
             let join = stats.find("HashJoin").expect("a hash join ran");
             assert!(
@@ -2008,7 +2058,7 @@ mod tests {
         for ctx in contexts() {
             let parallel = ctx.parallel();
             let join_of = |plan: &PhysPlan| {
-                let (_, stats) = ctx.execute_with_stats(plan).unwrap();
+                let (_, stats) = ctx.execute_with_stats(plan, &tables()).unwrap();
                 let join = stats.find("HashJoin").expect("a hash join ran").clone();
                 (stats, join)
             };
@@ -2053,7 +2103,7 @@ mod tests {
             let records: Vec<(OpStats, OpStats)> = plans
                 .iter()
                 .map(|plan| {
-                    let (_, stats) = ctx.execute_with_stats(plan).unwrap();
+                    let (_, stats) = ctx.execute_with_stats(plan, &tables()).unwrap();
                     let join = stats.find("HashJoin").expect("a hash join ran").clone();
                     (stats, join)
                 })

@@ -13,6 +13,12 @@
 //! template binds its values there, into copies of those stages' specs only
 //! ([`Specs::bind`]); every other stage is read from the program as it is.
 //!
+//! The program names the base tables it reads, each a *table slot*
+//! ([`TableSlot`]): a run binds every slot — the table's rows, the map of
+//! the index it looks rows up in, its derived-index slot — under one
+//! catalog read ([`Program::bind`]), so a program is good for any number of
+//! runs across writes to its tables.
+//!
 //! The program is immutable and shared: a cached plan holds one, and
 //! concurrent runs of it each keep their own state — hash tables, held rows,
 //! shared slots, step scratch, row counters — in the driver
@@ -20,10 +26,11 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::catalog::{Catalog, DerivedIndexes};
 use crate::error::{EngineError, Result};
 use crate::explain::Label;
 use crate::expr::{bind_params, PhysExpr};
-use crate::plan::{JoinAlgo, PhysPlan};
+use crate::plan::{IndexRef, JoinAlgo, PhysPlan};
 use crate::value::{Row, Value};
 
 use super::{aggregate, join, scan, sort};
@@ -47,6 +54,35 @@ pub(crate) struct Program {
     labels: Vec<Label>,
     /// `labels`, rendered by the first reader.
     rendered: OnceLock<Vec<String>>,
+    /// The base tables its scans read, by slot.
+    tables: Vec<TableSlot>,
+}
+
+/// A base table a program reads, as named in the catalog, with the index it
+/// looks rows up in and whether a hash join finds its rows through its
+/// derived indexes: what one slot of a run binds ([`Bound`]).
+struct TableSlot {
+    table: String,
+    index: Option<String>,
+    derived: bool,
+}
+
+/// One table slot as a run reads it, taken under the catalog read that
+/// bound every slot of the run: so a scan, an index lookup and a key filter
+/// of one table all read one snapshot of it.
+pub(crate) struct Bound {
+    pub(super) rows: Arc<Vec<Row>>,
+    pub(super) index: Option<IndexRef>,
+    pub(super) derived: Option<DerivedIndexes>,
+}
+
+/// Where a source's rows come from.
+pub(super) enum Source {
+    /// A table slot the run binds.
+    Table(usize),
+    /// Rows the plan holds: a `sys.*` table, materialized when it was
+    /// planned (such plans are never cached).
+    Held(Arc<Vec<Row>>),
 }
 
 /// One operator of the program.
@@ -121,7 +157,7 @@ pub(super) struct PipeNode {
 pub(super) enum Kind {
     /// A source: a table's rows (a key-filtering probe above it may read
     /// only some of them).
-    Rows(Arc<Vec<Row>>),
+    Rows(Source),
     /// A source: a shared slot.
     Shared(SharedRef),
     /// A source: a breaker that hands its rows on itself.
@@ -152,7 +188,7 @@ pub(super) struct SharedRef {
 /// An input an operator holds all of.
 pub(super) enum Input {
     /// A table's rows, handed over as they are held; with its stage.
-    Rows(Arc<Vec<Row>>, usize),
+    Rows(Source, usize),
     /// A shared slot's rows; with its stage.
     Shared(SharedRef, usize),
     /// Any other input: its pipeline, collected.
@@ -191,6 +227,7 @@ impl Program {
             sites,
             probes,
             labels,
+            tables,
             ..
         } = lowering;
         Program {
@@ -202,7 +239,31 @@ impl Program {
             probes,
             labels,
             rendered: OnceLock::new(),
+            tables,
         }
+    }
+
+    /// Bind every table slot from `catalog`, under the caller's read of it:
+    /// the table's rows, the map of the slot's index and, for a slot a hash
+    /// join key-filters, the table's derived-index slot. Fails when a table
+    /// or an index is gone.
+    pub(crate) fn bind(&self, catalog: &Catalog) -> Result<Vec<Bound>> {
+        let bind = |slot: &TableSlot| {
+            let table = catalog.get(&slot.table)?;
+            let index = match &slot.index {
+                Some(name) => Some(table.index(name).ok_or_else(|| {
+                    let table = &slot.table;
+                    EngineError::plan(format!("no index named '{name}' on table '{table}'"))
+                })?),
+                None => None,
+            };
+            Ok(Bound {
+                rows: Arc::clone(&table.rows),
+                index,
+                derived: slot.derived.then(|| table.derived.clone()),
+            })
+        };
+        self.tables.iter().map(bind).collect()
     }
 
     /// Label `at`, rendering every label of the program on first use.
@@ -248,16 +309,22 @@ fn input_stage(pipes: &[Pipe], input: &Input) -> usize {
 }
 
 /// What a run reads of a program: its specs, with the run's parameter values
-/// bound in at the sites.
+/// bound in at the sites, and its tables.
 pub(crate) struct Specs {
     pub(super) program: Arc<Program>,
     bound: Vec<(usize, Spec)>,
+    /// The run's table slots ([`Program::bind`]).
+    pub(super) tables: Vec<Bound>,
 }
 
 impl Specs {
     /// Bind `params` at `program`'s sites: a copy of each site's spec, the
-    /// rest read from the program.
-    pub(crate) fn bind(program: &Arc<Program>, params: &[Value]) -> Result<Arc<Specs>> {
+    /// rest read from the program; `tables` are the run's table slots.
+    pub(crate) fn bind(
+        program: &Arc<Program>,
+        params: &[Value],
+        tables: Vec<Bound>,
+    ) -> Result<Arc<Specs>> {
         let mut unbound = None;
         let bound = program.sites.iter().map(|&(stage, _)| {
             let mut spec = program.stages[stage].spec.clone();
@@ -274,7 +341,16 @@ impl Specs {
         Ok(Arc::new(Specs {
             program: Arc::clone(program),
             bound,
+            tables,
         }))
+    }
+
+    /// The rows of a source.
+    pub(super) fn rows(&self, source: &Source) -> Arc<Vec<Row>> {
+        match source {
+            Source::Table(slot) => Arc::clone(&self.tables[*slot].rows),
+            Source::Held(rows) => Arc::clone(rows),
+        }
     }
 
     pub(super) fn spec(&self, stage: usize) -> &Spec {
@@ -305,6 +381,7 @@ struct Lowering {
     /// The pipeline filling each shared slot, by id.
     fills: Vec<(usize, usize)>,
     labels: Vec<Label>,
+    tables: Vec<TableSlot>,
 }
 
 impl Lowering {
@@ -341,6 +418,40 @@ impl Lowering {
         self.labelled(plan, Label::of(plan), spec)
     }
 
+    /// The slot of `table` read through `index`, added on first use; marked
+    /// for its derived indexes when a hash join key-filters it.
+    fn slot(&mut self, table: &str, index: Option<&str>, derived: bool) -> usize {
+        let same = |slot: &TableSlot| {
+            let same_index = match (slot.index.as_deref(), index) {
+                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            slot.table.eq_ignore_ascii_case(table) && same_index
+        };
+        let at = match self.tables.iter().position(same) {
+            Some(at) => at,
+            None => {
+                self.tables.push(TableSlot {
+                    table: table.to_ascii_lowercase(),
+                    index: index.map(str::to_string),
+                    derived: false,
+                });
+                self.tables.len() - 1
+            }
+        };
+        self.tables[at].derived |= derived;
+        at
+    }
+
+    /// The source of a scan's rows.
+    fn source(&mut self, plan: &PhysPlan) -> Source {
+        match plan {
+            PhysPlan::Scan { table, .. } => Source::Table(self.slot(table, None, false)),
+            PhysPlan::VirtualScan { rows, .. } => Source::Held(Arc::clone(rows)),
+            _ => unreachable!("a scan"),
+        }
+    }
+
     /// Record that `stage` reads `from`'s rows at `width` columns.
     fn reads(&mut self, stage: usize, from: usize, width: usize) {
         self.stages[stage].reads.push((from, width));
@@ -370,9 +481,10 @@ impl Lowering {
             stage
         };
         match plan {
-            PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
+            PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } => {
                 let stage = self.stage(plan, Spec::None);
-                push(nodes, stage, Kind::Rows(Arc::clone(rows)))
+                let source = self.source(plan);
+                push(nodes, stage, Kind::Rows(source))
             }
             PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
                 let stage = self.stage(plan, Spec::Stage(scan::StageSpec::of(plan)));
@@ -390,7 +502,8 @@ impl Lowering {
                 ..
             } => {
                 let ((build, _), (probe, _)) = plan.join_sides().expect("a hash join");
-                let stage = self.stage(plan, Spec::Probe(join::ProbeSpec::of(plan)));
+                let spec = join::ProbeSpec::of(plan, |table| self.slot(table, None, true));
+                let stage = self.stage(plan, Spec::Probe(spec));
                 let built = self.input(build);
                 let build_stage = self.input_stage(&built);
                 push(nodes, stage, Kind::Probe(built));
@@ -422,7 +535,7 @@ impl Lowering {
                 inner_width,
                 ..
             } => {
-                let stage = match join::IndexSpec::of(plan) {
+                let stage = match join::IndexSpec::of(plan, |t, i| self.slot(t, Some(i), false)) {
                     Ok(spec) => {
                         let stage = self.stage(plan, Spec::IndexJoin(spec));
                         let scan = self.stage(inner, Spec::None);
@@ -489,8 +602,9 @@ impl Lowering {
     /// Lower an input an operator holds all of.
     fn input(&mut self, plan: &PhysPlan) -> Input {
         match plan {
-            PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => {
-                Input::Rows(Arc::clone(rows), self.stage(plan, Spec::None))
+            PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } => {
+                let source = self.source(plan);
+                Input::Rows(source, self.stage(plan, Spec::None))
             }
             PhysPlan::Shared { .. } => {
                 let (shared, stage) = self.shared(plan);
@@ -504,10 +618,13 @@ impl Lowering {
     fn breaker(&mut self, plan: &PhysPlan) -> usize {
         let width = plan.width();
         let (stage, kind) = match plan {
-            PhysPlan::IndexScan { .. } => (
-                self.stage(plan, Spec::IndexScan(scan::IndexSpec::of(plan))),
-                BreakerKind::IndexScan,
-            ),
+            PhysPlan::IndexScan {
+                table, index_name, ..
+            } => {
+                let slot = self.slot(table, Some(index_name), false);
+                let spec = Spec::IndexScan(scan::IndexSpec::of(plan, slot));
+                (self.stage(plan, spec), BreakerKind::IndexScan)
+            }
             PhysPlan::OneRow => (self.stage(plan, Spec::None), BreakerKind::OneRow),
             PhysPlan::HashJoin {
                 left,
@@ -609,11 +726,7 @@ mod tests {
                 .map(|c| Value::Int((i * width + c) as i64))
                 .collect()
         };
-        PhysPlan::Scan {
-            rows: Arc::new((0..rows).map(row).collect()),
-            width,
-            derived: None,
-        }
+        crate::exec::fixture::scan((0..rows).map(row).collect(), width, false)
     }
 
     fn eq(column: usize, e: PhysExpr) -> PhysExpr {
@@ -689,7 +802,8 @@ mod tests {
         let program = Arc::new(Program::lower(&template()));
         let filter = program.pipes[program.root].nodes[1].stage;
         assert_eq!(program.sites(), [(filter, 1)]);
-        let specs = Specs::bind(&program, &[Value::Int(3)]).unwrap();
+        let tables = || program.bind(&crate::exec::fixture::tables()).unwrap();
+        let specs = Specs::bind(&program, &[Value::Int(3)], tables()).unwrap();
         assert_eq!(specs.bound.len(), 1, "one stage copied");
         let Spec::Stage(scan::StageSpec::Filter(bound)) = specs.spec(filter) else {
             panic!("the filter's spec");
@@ -699,7 +813,9 @@ mod tests {
             panic!("the filter's spec");
         };
         assert!(lowered.contains_param(), "the program keeps its marker");
-        let err = Specs::bind(&program, &[]).err().expect("an unbound slot");
+        let err = Specs::bind(&program, &[], tables())
+            .err()
+            .expect("an unbound slot");
         assert!(
             err.to_string()
                 .contains("parameter ?1 referenced but only 0 bound"),

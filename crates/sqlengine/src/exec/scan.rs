@@ -1,20 +1,19 @@
 //! Scan-side operators: index lookups and the Filter/Project stage.
 //!
-//! A base-table scan is a pipeline source that streams the snapshot's own
-//! rows; an index scan streams the rows at its positions. A
+//! A base-table scan is a pipeline source that streams the rows of the
+//! snapshot its run bound; an index scan streams the rows at its positions.
+//! A
 //! `Filter` or `Project` is one [`StageSpec`] whose per-row function passes a
 //! kept row on unchanged or evaluates the projection into one reused buffer,
 //! so a `Scan → Filter → Project` chain copies each surviving value once, at
 //! the projection, and nothing when it ends in an aggregate or a join probe.
 
-use std::sync::Arc;
-
 use crate::error::Result;
 use crate::expr::{unshared_literals, PhysExpr};
 use crate::plan::{IndexRef, PhysPlan};
-use crate::value::{Row, Value};
+use crate::value::Value;
 
-use super::{ExecContext, NodeOut, Sink};
+use super::{NodeOut, Run, Sink};
 
 /// One Filter/Project stage, lowered once per plan.
 #[derive(Clone)]
@@ -104,25 +103,21 @@ pub(crate) fn index_positions(index: &IndexRef, keys: &[Vec<PhysExpr>]) -> Resul
     Ok(idxs)
 }
 
-/// A point / multi-point index lookup ([`PhysPlan::IndexScan`]).
+/// A point / multi-point index lookup ([`PhysPlan::IndexScan`]) of the
+/// table in slot `slot`.
 #[derive(Clone)]
 pub(super) struct IndexSpec {
-    rows: Arc<Vec<Row>>,
-    index: IndexRef,
+    slot: usize,
     keys: Option<Vec<Vec<PhysExpr>>>,
 }
 
 impl IndexSpec {
-    pub(super) fn of(node: &PhysPlan) -> IndexSpec {
-        let PhysPlan::IndexScan {
-            rows, index, keys, ..
-        } = node
-        else {
+    pub(super) fn of(node: &PhysPlan, slot: usize) -> IndexSpec {
+        let PhysPlan::IndexScan { keys, .. } = node else {
             unreachable!("an index lookup lowers an IndexScan");
         };
         IndexSpec {
-            rows: Arc::clone(rows),
-            index: index.clone(),
+            slot,
             keys: keys.clone(),
         }
     }
@@ -134,20 +129,26 @@ impl IndexSpec {
 
 /// Point / multi-point index lookup: streams the rows at
 /// [`index_positions`].
-pub(super) fn index_scan(spec: &IndexSpec, ctx: &ExecContext, sink: &mut Sink) -> Result<NodeOut> {
+pub(super) fn index_scan(spec: &IndexSpec, run: &Run, sink: &mut Sink) -> Result<NodeOut> {
     let Some(keys) = &spec.keys else {
         return Err(crate::error::EngineError::exec(
             "probe-driven IndexScan can only run inside an IndexJoin",
         ));
     };
-    let idxs = index_positions(&spec.index, keys)?;
-    super::emit(idxs.iter().map(|&i| &spec.rows[i]), ctx, sink)?;
+    let table = run.table(spec.slot);
+    let index = table
+        .index
+        .as_ref()
+        .expect("an index lookup's slot binds its index");
+    let idxs = index_positions(index, keys)?;
+    super::emit(idxs.iter().map(|&i| &table.rows[i]), run.ctx, sink)?;
     Ok(NodeOut::new())
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     use super::*;
 

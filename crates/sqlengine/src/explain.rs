@@ -69,8 +69,9 @@ pub(crate) fn reused_label(plan: &PhysPlan) -> String {
 /// straight off a base-table scan says how it reads it:
 /// ` probe=keyset(index|row)`.
 pub(crate) enum Label {
+    /// A base-table scan names its table: the plan holds no rows to count.
     Scan {
-        rows: usize,
+        table: String,
         width: usize,
     },
     VirtualScan {
@@ -81,7 +82,6 @@ pub(crate) enum Label {
     IndexScan {
         name: String,
         keys: Option<usize>,
-        rows: usize,
     },
     IndexJoin {
         kind: JoinKind,
@@ -140,8 +140,8 @@ pub(crate) enum Label {
 impl Label {
     pub(crate) fn of(plan: &PhysPlan) -> Label {
         match plan {
-            PhysPlan::Scan { rows, width, .. } => Label::Scan {
-                rows: rows.len(),
+            PhysPlan::Scan { table, width, .. } => Label::Scan {
+                table: table.clone(),
                 width: *width,
             },
             PhysPlan::VirtualScan { name, rows, width } => Label::VirtualScan {
@@ -150,14 +150,10 @@ impl Label {
                 width: *width,
             },
             PhysPlan::IndexScan {
-                rows,
-                index_name,
-                keys,
-                ..
+                index_name, keys, ..
             } => Label::IndexScan {
                 name: index_name.clone(),
                 keys: keys.as_ref().map(Vec::len),
-                rows: rows.len(),
             },
             PhysPlan::IndexJoin {
                 kind,
@@ -225,20 +221,15 @@ impl Label {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Label::Scan { rows, width } => write!(f, "Scan [{rows} rows × {width} cols]"),
+            Label::Scan { table, width } => write!(f, "Scan {table} [{width} cols]"),
             Label::VirtualScan { name, rows, width } => {
                 write!(f, "VirtualScan {name} [{rows} rows × {width} cols]")
             }
             Label::IndexScan {
                 name,
                 keys: Some(keys),
-                rows,
-            } => write!(f, "IndexScan {name} ({keys} keys) [of {rows} rows]"),
-            Label::IndexScan {
-                name,
-                keys: None,
-                rows,
-            } => write!(f, "IndexScan {name} (probed) [of {rows} rows]"),
+            } => write!(f, "IndexScan {name} ({keys} keys)"),
+            Label::IndexScan { name, keys: None } => write!(f, "IndexScan {name} (probed)"),
             Label::IndexJoin {
                 kind,
                 keys,

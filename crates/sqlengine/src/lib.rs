@@ -33,10 +33,13 @@
 //!   type inference from declared column types, aggregate/window placement
 //!   rules, and constant folding, all reported as spanned diagnostics
 //!   before anything executes (`Database::check`, `EXPLAIN (CHECK)`);
-//! * a plan cache keyed by statement shape and catalog version: literals
-//!   are lifted into parameters, so repeated queries that differ only in
-//!   literal values (the model-serving hot path) skip parsing and planning
-//!   entirely, and any DDL/DML invalidates stale entries;
+//! * a plan cache keyed by statement shape: literals are lifted into
+//!   parameters, so repeated queries that differ only in literal values
+//!   (the model-serving hot path) skip parsing and planning entirely.
+//!   Plans name their tables and each run binds their current rows, so
+//!   writes keep the plans cached; DDL that changes a table's definition,
+//!   or a table that grew or shrank past twice what the plan's choices
+//!   read, makes the next run replan;
 //! * a durability subsystem (`wal`): a CRC-framed write-ahead log of
 //!   committed logical changes over an injectable [`StorageIo`] backend,
 //!   checkpointing, and crash recovery that replays the log and truncates
@@ -126,5 +129,5 @@ pub use snapshot::Snapshot;
 pub use telemetry::{QueryLogEntry, QueryStatus, Telemetry};
 pub use trace::{SpanRec, StatementTrace, TraceSampling, WaitClass};
 pub use value::{DataType, Row, Value};
-pub use verify::{ParamDiscipline, SnapshotGuarantee, VerifyReport, VerifyRule, Violation};
+pub use verify::{ParamDiscipline, VerifyReport, VerifyRule, Violation};
 pub use wal::{FaultKind, FaultyIo, FileIo, MemIo, StorageIo, SyncPolicy, WalRetry};

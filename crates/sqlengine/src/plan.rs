@@ -33,7 +33,9 @@ use crate::ast::{
     self, conjoin, split_conjuncts, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr,
     TableRef,
 };
-use crate::catalog::{Catalog, Schema, Table};
+use std::cell::RefCell;
+
+use crate::catalog::{Catalog, Schema, Table, TableDef};
 use crate::error::{EngineError, Result, Span};
 use crate::exec::ExecContext;
 use crate::expr::{
@@ -43,7 +45,6 @@ use crate::logical::{
     cte_uses, ordinal, table_scope, table_source, CteFrames, CteUse, LogicalSelect, SortTarget,
     TableSource,
 };
-use crate::plan_cache::Held;
 use crate::value::{Row, Value};
 
 /// Which algorithm executes detected equi-joins.
@@ -113,7 +114,7 @@ pub struct AggSpec {
 }
 
 /// A snapshot of one table index usable by the executor (shared with the
-/// catalog behind `Arc`, like row snapshots).
+/// catalog behind `Arc`, like row snapshots), bound by a run.
 #[derive(Debug, Clone)]
 pub enum IndexRef {
     /// Primary / unique index: key → row index.
@@ -136,19 +137,21 @@ impl IndexRef {
     }
 }
 
-/// A physical, immediately executable plan. Scans hold `Arc` snapshots of
-/// table rows, so execution never touches the catalog.
+/// A physical plan. Scans name the base tables they read; each run of the
+/// plan binds those tables' rows and index maps, all under one catalog read
+/// ([`crate::exec::Program::bind`]), and then executes without touching the
+/// catalog. A plan therefore stays good across writes to its tables, as
+/// long as their definitions stay what it was planned against.
 #[derive(Debug, Clone)]
 pub enum PhysPlan {
-    /// Scan a snapshot of a base table. `derived` carries the table's
-    /// derived key indexes when the planner attaches them, for a hash join
-    /// probing this scan to find its rows by its build keys; it was captured
-    /// under the same catalog read as `rows`, so the two always describe the
-    /// same snapshot. `None` makes such a join probe row by row.
+    /// Scan a base table, as named in the catalog. `derived`: a hash join
+    /// probing this scan may find its rows by its build keys through the
+    /// table's derived key indexes, bound with its rows; `false` makes such
+    /// a join probe row by row.
     Scan {
-        rows: Arc<Vec<Row>>,
+        table: String,
         width: usize,
-        derived: Option<crate::catalog::DerivedIndexes>,
+        derived: bool,
     },
     /// Scan a virtual `sys.*` system table, materialized from the engine's
     /// telemetry registry at plan time (point-in-time snapshot semantics,
@@ -167,10 +170,9 @@ pub enum PhysPlan {
     /// of an [`PhysPlan::IndexJoin`] and is probed with keys computed from
     /// the outer side at runtime.
     IndexScan {
-        rows: Arc<Vec<Row>>,
+        table: String,
         width: usize,
         index_name: String,
-        index: IndexRef,
         keys: Option<Vec<Vec<PhysExpr>>>,
     },
     /// Index-nested-loop join: for each probe row, evaluate `probe_keys` and
@@ -512,10 +514,10 @@ struct PlannedItem {
     access: Option<TableAccess>,
 }
 
-/// Access-path metadata of a base table captured at planning time.
+/// Access-path metadata of a base table read at planning time.
 #[derive(Clone)]
 pub(crate) struct TableAccess {
-    rows: Arc<Vec<Row>>,
+    table: String,
     width: usize,
     /// Primary index first, then secondaries in creation order — the match
     /// loop takes the first covering index, so this is the preference order.
@@ -526,7 +528,29 @@ pub(crate) struct TableAccess {
 struct IndexMeta {
     name: String,
     key_columns: Vec<usize>,
-    index: IndexRef,
+}
+
+/// A base table a plan was made over: its name (lowercased), its definition
+/// then, and the row count the planner's choices read of it, if they read
+/// one ([`estimate_rows`]). A cached plan is served while every definition
+/// still equals the catalog's and every count is within a factor of two of
+/// the table's ([`crate::plan_cache`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedTable {
+    pub name: String,
+    pub def: Arc<TableDef>,
+    pub rows: Option<usize>,
+}
+
+impl PlannedTable {
+    /// `table` as it is now, no count read.
+    pub(crate) fn of(table: &Table) -> PlannedTable {
+        PlannedTable {
+            name: table.name.to_ascii_lowercase(),
+            def: Arc::clone(&table.def),
+            rows: None,
+        }
+    }
 }
 
 /// If every key expression is a bare column and some index's key columns are
@@ -550,22 +574,30 @@ fn covering_index(access: &TableAccess, keys: &[PhysExpr]) -> Option<(IndexMeta,
     None
 }
 
+/// How many rows a base table holds, by name: what [`estimate_rows`] reads.
+type RowsOf<'a> = &'a dyn Fn(&str) -> usize;
+
 /// Crude cardinality estimate behind the planner's two join choices: whether
 /// an equi-join runs as an index nested loop ([`index_join_choice`]), and
 /// which input of an INNER hash join builds ([`Planner::equi_join`]). Exact
-/// for scans, heuristic elsewhere. A wrong estimate costs speed or memory,
-/// never an answer: the index join is skipped and the larger side hashed.
-fn estimate_rows(plan: &PhysPlan) -> usize {
+/// for scans (the table's row count, `rows`), heuristic elsewhere. A wrong
+/// estimate costs speed or memory, never an answer: the index join is
+/// skipped and the larger side hashed.
+fn estimate_rows(plan: &PhysPlan, rows: RowsOf) -> usize {
+    let estimate_rows = |plan: &PhysPlan| estimate_rows(plan, rows);
     match plan {
-        PhysPlan::Scan { rows, .. } | PhysPlan::VirtualScan { rows, .. } => rows.len(),
+        PhysPlan::Scan { table, .. } => rows(table),
+        PhysPlan::VirtualScan { rows, .. } => rows.len(),
         PhysPlan::IndexScan {
-            rows, index, keys, ..
+            table,
+            index_name,
+            keys,
+            ..
         } => match keys {
-            Some(k) => match index {
-                IndexRef::Unique(_) => k.len(),
-                IndexRef::Multi(_) => k.len().saturating_mul(2),
-            },
-            None => rows.len(),
+            // A primary-key lookup finds one row per key tuple.
+            Some(k) if index_name.eq_ignore_ascii_case(&format!("{table}.pk")) => k.len(),
+            Some(k) => k.len().saturating_mul(2),
+            None => rows(table),
         },
         PhysPlan::OneRow => 1,
         PhysPlan::Filter { input, .. } => estimate_rows(input) / 3 + 1,
@@ -588,7 +620,10 @@ fn estimate_rows(plan: &PhysPlan) -> usize {
             // Against an input holding one row per join key, each row of the
             // other input matches at most once (many-to-one).
             let (l, r) = (estimate_rows(left), estimate_rows(right));
-            match (grouped_on(left, left_keys), grouped_on(right, right_keys)) {
+            match (
+                grouped_on(left, left_keys, rows),
+                grouped_on(right, right_keys, rows),
+            ) {
                 (false, true) => l,
                 (true, false) => r,
                 _ => l.min(r),
@@ -624,7 +659,7 @@ fn estimate_rows(plan: &PhysPlan) -> usize {
 /// references) each of whose group keys is one of those columns or is drawn
 /// from a one-row input — such a key is the same in every group, so it does
 /// not multiply them (`h_j`'s `GROUP BY h_jk.j, n_k.n` is one row per `j`).
-fn grouped_on(plan: &PhysPlan, keys: &[PhysExpr]) -> bool {
+fn grouped_on(plan: &PhysPlan, keys: &[PhysExpr], rows: RowsOf) -> bool {
     let Some(mut cols) = column_only(keys) else {
         return false;
     };
@@ -647,7 +682,7 @@ fn grouped_on(plan: &PhysPlan, keys: &[PhysExpr]) -> bool {
                 return keys.iter().enumerate().all(|(i, key)| {
                     cols.contains(&i)
                         || match key {
-                            PhysExpr::Column(c) => one_row_column(input, *c),
+                            PhysExpr::Column(c) => one_row_column(input, *c, rows),
                             PhysExpr::Literal(_) => true,
                             _ => false,
                         }
@@ -660,15 +695,15 @@ fn grouped_on(plan: &PhysPlan, keys: &[PhysExpr]) -> bool {
 
 /// Whether column `col` of `plan`'s rows comes from an input estimated at
 /// one row (or is a literal), so that it holds one value over all of them.
-fn one_row_column(plan: &PhysPlan, col: usize) -> bool {
+fn one_row_column(plan: &PhysPlan, col: usize, rows: RowsOf) -> bool {
     match plan {
         PhysPlan::Filter { input, .. }
         | PhysPlan::Shared { input, .. }
         | PhysPlan::Sort { input, .. }
         | PhysPlan::Limit { input, .. }
-        | PhysPlan::Distinct { input } => one_row_column(input, col),
+        | PhysPlan::Distinct { input } => one_row_column(input, col, rows),
         PhysPlan::Project { input, exprs } => match &exprs[col] {
-            PhysExpr::Column(c) => one_row_column(input, *c),
+            PhysExpr::Column(c) => one_row_column(input, *c, rows),
             PhysExpr::Literal(_) => true,
             _ => false,
         },
@@ -683,9 +718,9 @@ fn one_row_column(plan: &PhysPlan, col: usize) -> bool {
                 None => (left, col),
                 Some(col) => (right, col),
             };
-            estimate_rows(side) <= 1 || one_row_column(side, col)
+            estimate_rows(side, rows) <= 1 || one_row_column(side, col, rows)
         }
-        _ => estimate_rows(plan) <= 1,
+        _ => estimate_rows(plan, rows) <= 1,
     }
 }
 
@@ -704,12 +739,13 @@ fn index_join_choice(
     r: &PlannedItem,
     right_keys: &[PhysExpr],
     kind: JoinKind,
+    rows: RowsOf,
 ) -> Option<(bool, IndexMeta, Vec<usize>)> {
     if let Some(acc) = &r.access {
         if let Some((meta, perm)) = covering_index(acc, right_keys) {
-            let inner_rows = acc.rows.len();
+            let inner_rows = rows(&acc.table);
             if inner_rows >= MIN_INDEX_JOIN_INNER_ROWS
-                && estimate_rows(&l.plan).saturating_mul(INDEX_JOIN_SELECTIVITY) <= inner_rows
+                && estimate_rows(&l.plan, rows).saturating_mul(INDEX_JOIN_SELECTIVITY) <= inner_rows
             {
                 return Some((false, meta, perm));
             }
@@ -718,9 +754,10 @@ fn index_join_choice(
     if kind == JoinKind::Inner {
         if let Some(acc) = &l.access {
             if let Some((meta, perm)) = covering_index(acc, left_keys) {
-                let inner_rows = acc.rows.len();
+                let inner_rows = rows(&acc.table);
                 if inner_rows >= MIN_INDEX_JOIN_INNER_ROWS
-                    && estimate_rows(&r.plan).saturating_mul(INDEX_JOIN_SELECTIVITY) <= inner_rows
+                    && estimate_rows(&r.plan, rows).saturating_mul(INDEX_JOIN_SELECTIVITY)
+                        <= inner_rows
                 {
                     return Some((true, meta, perm));
                 }
@@ -799,10 +836,9 @@ fn build_index_join(
         .expect("index_join_choice picked an inner side with access metadata");
     let probe_keys = perm.iter().map(|&p| probe_key_src[p].clone()).collect();
     let inner = PhysPlan::IndexScan {
-        rows: access.rows,
+        table: access.table,
         width: access.width,
         index_name: meta.name,
-        index: meta.index,
         keys: None,
     };
     PhysPlan::IndexJoin {
@@ -842,9 +878,13 @@ pub struct Planner<'a> {
     /// Set when any planned table ref resolved to a virtual table; such
     /// plans hold point-in-time telemetry rows and must not be cached.
     used_virtual: bool,
-    /// The base tables planning resolved, each once: the ones whose rows
-    /// the plan holds, planner-time subqueries included.
-    tables: Vec<Held>,
+    /// Set when planning ran a subquery and planned its result in as
+    /// literals: such a plan answers for the data it read, and must not be
+    /// cached either.
+    ran_subquery: bool,
+    /// The base tables planning resolved, each once, with the row counts
+    /// its choices read ([`Planner::rows_of`]).
+    tables: RefCell<Vec<PlannedTable>>,
     /// Each CTE in scope, planned once where it is defined; a reference
     /// takes a copy of the plan (rows are `Arc`s).
     ctes: CteFrames<PlannedQuery>,
@@ -873,7 +913,8 @@ impl<'a> Planner<'a> {
             symbolic_params: false,
             virtuals: None,
             used_virtual: false,
-            tables: Vec::new(),
+            ran_subquery: false,
+            tables: RefCell::default(),
             ctes: CteFrames::new(),
             next_shared: 0,
             exec,
@@ -907,15 +948,29 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Whether any table ref in the last planned statement was virtual.
-    pub fn used_virtual(&self) -> bool {
-        self.used_virtual
+    /// The base tables planning has resolved, when the plan may be cached:
+    /// what a cached plan is checked against before each run. `None` when
+    /// it read a virtual table or ran a subquery while planning.
+    pub(crate) fn into_tables(self) -> Option<Vec<PlannedTable>> {
+        (!self.used_virtual && !self.ran_subquery).then(|| self.tables.into_inner())
     }
 
-    /// The base tables planning has resolved so far: what the plan cache
-    /// drops the plan for when one of them is written.
-    pub(crate) fn into_tables(self) -> Vec<Held> {
-        self.tables
+    /// `table`'s row count, recorded as read by a planning choice.
+    fn rows_of(&self, table: &str) -> usize {
+        let rows = self.catalog.get(table).map_or(0, Table::row_count);
+        let mut tables = self.tables.borrow_mut();
+        let read = tables
+            .iter_mut()
+            .find(|t| t.name.eq_ignore_ascii_case(table));
+        if let Some(read) = read {
+            read.rows.get_or_insert(rows);
+        }
+        rows
+    }
+
+    /// [`estimate_rows`] over the catalog, recording the counts it reads.
+    fn estimate(&self, plan: &PhysPlan) -> usize {
+        estimate_rows(plan, &|table| self.rows_of(table))
     }
 
     /// Plan a full query (CTEs + body + ORDER BY/LIMIT).
@@ -1053,34 +1108,29 @@ impl<'a> Planner<'a> {
         let mut indexes = Vec::new();
         if let Some(p) = &table.primary {
             indexes.push(IndexMeta {
-                name: format!("{}.pk", table.name),
+                name: table.primary_name(),
                 key_columns: p.key_columns.clone(),
-                index: IndexRef::Unique(Arc::clone(&p.map)),
             });
         }
         for s in &table.secondary {
             indexes.push(IndexMeta {
                 name: s.name.clone(),
                 key_columns: s.key_columns.clone(),
-                index: IndexRef::Multi(Arc::clone(&s.map)),
             });
         }
         Some(TableAccess {
-            rows: Arc::clone(&table.rows),
+            table: table.name.clone(),
             width: table.schema.len(),
             indexes,
         })
     }
 
-    /// Find the catalog table whose row store is exactly `rows` (pointer
-    /// identity — scans clone the table's `Arc`), if any.
-    fn table_access_for_rows(&self, rows: &Arc<Vec<Row>>) -> Option<TableAccess> {
-        self.catalog
-            .table_names()
-            .into_iter()
-            .filter_map(|n| self.catalog.get(&n).ok())
-            .find(|t| Arc::ptr_eq(&t.rows, rows))
-            .and_then(|t| self.table_access(t))
+    /// The access paths of the base table a bare scan reads.
+    fn scan_access(&self, plan: &PhysPlan) -> Option<TableAccess> {
+        match plan {
+            PhysPlan::Scan { table, .. } => self.table_access(self.catalog.get(table).ok()?),
+            _ => None,
+        }
     }
 
     /// Plan a single table factor, producing its plan, scope, and (for bare
@@ -1125,16 +1175,19 @@ impl<'a> Planner<'a> {
                         })
                     }
                     TableSource::Base(table) => {
-                        let named = |(t, _): &Held| t.eq_ignore_ascii_case(&table.name);
-                        if !self.tables.iter().any(named) {
-                            let rows = Arc::as_ptr(&table.rows) as usize;
-                            self.tables.push((table.name.to_ascii_lowercase(), rows));
+                        let mut tables = self.tables.borrow_mut();
+                        if !tables
+                            .iter()
+                            .any(|t| t.name.eq_ignore_ascii_case(&table.name))
+                        {
+                            tables.push(PlannedTable::of(table));
                         }
+                        drop(tables);
                         Ok(PlannedItem {
                             plan: PhysPlan::Scan {
-                                rows: Arc::clone(&table.rows),
+                                table: table.name.clone(),
                                 width: table.schema.len(),
-                                derived: self.config.vectorized.then(|| table.derived.clone()),
+                                derived: self.config.vectorized,
                             },
                             scope: table_scope(qual, &table.schema),
                             access: self.table_access(table),
@@ -1150,10 +1203,7 @@ impl<'a> Planner<'a> {
                 // term AS j, cnt AS w FROM features) AS qx` shape) keeps the
                 // table's access paths, so joins against it can still probe
                 // indexes instead of rescanning the whole table.
-                let access = match &planned.plan {
-                    PhysPlan::Scan { rows, .. } => self.table_access_for_rows(rows),
-                    _ => None,
-                };
+                let access = self.scan_access(&planned.plan);
                 Ok(PlannedItem {
                     plan: planned.plan,
                     scope: qualified(alias, &planned.columns),
@@ -1264,7 +1314,7 @@ impl<'a> Planner<'a> {
     ) -> PhysPlan {
         let (l_out, r_out) = (l.scope.len(), r.scope.len());
         let movable = residual.is_none();
-        let (l_rows, r_rows) = (estimate_rows(&l.plan), estimate_rows(&r.plan));
+        let (l_rows, r_rows) = (self.estimate(&l.plan), self.estimate(&r.plan));
         let l_lifted = (movable && kind != JoinKind::Cross)
             .then(|| self.lift_projection(&mut l, &mut left_keys, r_rows))
             .flatten();
@@ -1273,7 +1323,8 @@ impl<'a> Planner<'a> {
             .flatten();
         let (l_width, right_width) = (l.plan.width(), r.plan.width());
         let algo = self.config.join_algo;
-        let join = match index_join_choice(&l, &left_keys, &r, &right_keys, kind) {
+        let rows = |table: &str| self.rows_of(table);
+        let join = match index_join_choice(&l, &left_keys, &r, &right_keys, kind, &rows) {
             Some(choice) => build_index_join(l, left_keys, r, right_keys, kind, residual, choice),
             None => PhysPlan::HashJoin {
                 left: Box::new(l.plan),
@@ -1337,7 +1388,7 @@ impl<'a> Planner<'a> {
         let computes = exprs.iter().any(|e| !matches!(e, PhysExpr::Column(_)));
         let over_scan = matches!(**input, PhysPlan::Scan { .. });
         if !(computes || over_scan)
-            || other_rows > estimate_rows(input)
+            || other_rows > self.estimate(input)
             || !exprs.iter().all(PhysExpr::cannot_raise)
         {
             return None;
@@ -1347,10 +1398,7 @@ impl<'a> Planner<'a> {
         else {
             unreachable!("matched as a projection above");
         };
-        item.access = match &*input {
-            PhysPlan::Scan { rows, .. } => self.table_access_for_rows(rows),
-            _ => None,
-        };
+        item.access = self.scan_access(&input);
         item.plan = *input;
         *keys = passed_through;
         Some(exprs)
@@ -1397,7 +1445,7 @@ impl<'a> Planner<'a> {
             Expr::ScalarSubquery(q, span) => {
                 let span = *span;
                 let planned = self.plan_query(q)?;
-                let rows = self.exec.execute(&planned.plan)?;
+                let rows = self.run_subquery(&planned.plan)?;
                 if rows.len() > 1 {
                     return Err(EngineError::plan(format!(
                         "scalar subquery returned {} rows",
@@ -1426,7 +1474,7 @@ impl<'a> Planner<'a> {
                         planned.columns.len()
                     )));
                 }
-                let rows = self.exec.execute(&planned.plan)?;
+                let rows = self.run_subquery(&planned.plan)?;
                 let list = rows
                     .into_iter()
                     .map(|mut r| Expr::Literal(r.pop().expect("one column"), Span::default()))
@@ -1445,7 +1493,7 @@ impl<'a> Planner<'a> {
             } => {
                 let span = *span;
                 let planned = self.plan_query(query)?;
-                let rows = self.exec.execute(&planned.plan)?;
+                let rows = self.run_subquery(&planned.plan)?;
                 *e = Expr::Literal(Value::Int((rows.is_empty() == *negated) as i64), span);
             }
             _ => {
@@ -1459,6 +1507,13 @@ impl<'a> Planner<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Run a subquery's plan over the catalog being planned against: its
+    /// rows become literals of the plan.
+    fn run_subquery(&mut self, plan: &PhysPlan) -> Result<Vec<Row>> {
+        self.ran_subquery = true;
+        self.exec.execute(plan, self.catalog)
     }
 
     fn plan_select(&mut self, select: &Select, order_by: &[OrderItem]) -> Result<PlannedQuery> {
@@ -1901,10 +1956,9 @@ impl<'a> Planner<'a> {
             let consumed: Vec<usize> = idx.key_columns.iter().map(|c| candidates[c].0).collect();
             return Ok(Some((
                 PhysPlan::IndexScan {
-                    rows: Arc::clone(&access.rows),
+                    table: access.table.clone(),
                     width: access.width,
                     index_name: idx.name.clone(),
-                    index: idx.index.clone(),
                     keys: Some(keys),
                 },
                 consumed,
@@ -2156,13 +2210,16 @@ fn remap_columns(e: &mut PhysExpr, moved: &[Option<usize>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::fixture::{self, tables};
 
     fn scan(rows: usize, width: usize) -> PhysPlan {
-        PhysPlan::Scan {
-            rows: Arc::new(vec![vec![Value::Int(0); width]; rows]),
-            width,
-            derived: None,
-        }
+        fixture::scan(vec![vec![Value::Int(0); width]; rows], width, false)
+    }
+
+    /// [`estimate_rows`] over the tables the test registered.
+    fn estimate(plan: &PhysPlan) -> usize {
+        let tables = tables();
+        estimate_rows(plan, &|table| tables.get(table).map_or(0, Table::row_count))
     }
 
     fn join(left: PhysPlan, right: PhysPlan) -> PhysPlan {
@@ -2214,23 +2271,20 @@ mod tests {
             },
             2,
         );
-        assert_eq!(estimate_rows(&by_j), 101);
-        assert_eq!(estimate_rows(&join(scan(900, 2), by_j.clone())), 900);
-        assert_eq!(estimate_rows(&join(by_j, scan(900, 2))), 900);
+        assert_eq!(estimate(&by_j), 101);
+        assert_eq!(estimate(&join(scan(900, 2), by_j.clone())), 900);
+        assert_eq!(estimate(&join(by_j, scan(900, 2))), 900);
         // Grouped on a second column of many values: no longer one row per
         // `j`, and the join keeps the smaller estimate.
         let by_j_and_x = grouped(scan(400, 3), 2);
-        assert_eq!(estimate_rows(&join(scan(900, 2), by_j_and_x)), 101);
+        assert_eq!(estimate(&join(scan(900, 2), by_j_and_x)), 101);
     }
 
     /// A scan of `rows`, text where a cell is given as text.
     fn table(rows: &[&[Value]]) -> PhysPlan {
         let rows: Vec<Row> = rows.iter().map(|r| r.to_vec()).collect();
-        PhysPlan::Scan {
-            width: rows.first().map_or(0, Vec::len),
-            rows: Arc::new(rows),
-            derived: None,
-        }
+        let width = rows.first().map_or(0, Vec::len);
+        fixture::scan(rows, width, false)
     }
 
     fn int(i: i64) -> Value {
@@ -2315,18 +2369,13 @@ mod tests {
     /// Narrow `plan`, check the verifier passes it, and check it answers
     /// what it answered before; the narrowed plan.
     fn narrowed(mut plan: PhysPlan) -> PhysPlan {
-        let ctx = ExecContext::serial();
-        let before = ctx.execute(&plan).unwrap();
+        let (ctx, tables) = (ExecContext::serial(), tables());
+        let before = ctx.execute(&plan, &tables).unwrap();
         narrow_joins(&mut plan);
-        let report = crate::verify::verify_plan(
-            &plan,
-            None,
-            None,
-            crate::verify::SnapshotGuarantee::MayLag,
-            crate::verify::ParamDiscipline::Bound,
-        );
+        let discipline = crate::verify::ParamDiscipline::Bound;
+        let report = crate::verify::verify_plan(&plan, None, Some(&tables), discipline);
         assert!(report.ok(), "{:?}", report.violations);
-        assert_eq!(ctx.execute(&plan).unwrap(), before);
+        assert_eq!(ctx.execute(&plan, &tables).unwrap(), before);
         plan
     }
 
@@ -2416,7 +2465,7 @@ mod tests {
         assert_eq!(residual, format!("{:?}", Some(moved)));
         assert!(matches!(aggs[0].arg, Some(PhysExpr::Column(0))));
         assert_eq!(
-            ExecContext::serial().execute(&plan).unwrap(),
+            ExecContext::serial().execute(&plan, &tables()).unwrap(),
             [vec![int(10)]]
         );
     }
@@ -2433,7 +2482,7 @@ mod tests {
         });
         assert_eq!(outs(&plan), [Some(vec![1, 3])]);
         assert_eq!(
-            ExecContext::serial().execute(&plan).unwrap(),
+            ExecContext::serial().execute(&plan, &tables()).unwrap(),
             [vec![int(10), int(100)], vec![int(20), Value::Null]]
         );
     }
@@ -2453,7 +2502,7 @@ mod tests {
         ));
         assert_eq!(outs(&plan), [Some(vec![]), Some(vec![])]);
         assert_eq!(
-            ExecContext::serial().execute(&plan).unwrap(),
+            ExecContext::serial().execute(&plan, &tables()).unwrap(),
             [vec![int(10)]]
         );
     }
@@ -2532,8 +2581,9 @@ mod tests {
         assert_eq!(outs(&template), [Some(vec![0, 3])]);
         let program = std::sync::Arc::new(crate::exec::Program::lower(&template));
         assert_eq!(program.sites().len(), 1, "the filter holds the one marker");
+        let bound = program.bind(&tables()).unwrap();
         let (rows, _) = ExecContext::serial()
-            .execute_program(&program, &[int(2)], false)
+            .execute_program(&program, &[int(2)], bound, false)
             .unwrap();
         assert_eq!(rows, [vec![int(200)]]);
     }

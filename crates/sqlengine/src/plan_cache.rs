@@ -1,7 +1,5 @@
-//! The plan cache: what an entry holds and names, the per-table
-//! invalidation and race protocol, the verification marker, the
-//! literal-slot check, and the capacity bound, behind [`PlanCache::lookup`]
-//! / [`PlanCache::insert`] / [`PlanCache::invalidate`] /
+//! The plan cache: what an entry holds, when it may serve a run, and the
+//! capacity bound, behind [`PlanCache::lookup`] / [`PlanCache::insert`] /
 //! [`PlanCache::mutate`].
 //!
 //! Entries are keyed by statement shape ([`Shape`]: normalised text with
@@ -10,18 +8,21 @@
 //! plan, or a DML statement — checked, with its literals lifted, and for
 //! `INSERT … SELECT` its source's lowered plan ([`Body`]).
 //!
-//! Plans embed row and index snapshots of the tables they read, so each
-//! entry records the tables whose rows it *holds* and the ones it only
-//! *names* (a DML target). Writers keep the cache exact, each under the
-//! catalog write lock and before the catalog changes
-//! ([`PlanCache::invalidate`]): a data write to a table drops every live and
-//! parked entry holding its rows, DDL on a table every entry naming it, and
-//! `ROLLBACK` or a restore everything. A live entry is therefore the plan a
-//! fresh planning would produce, and a write to one table leaves the plans
-//! over the others cached.
+//! Plans name their tables and hold none of their rows: each run binds the
+//! tables' current rows ([`crate::exec::Program::bind`]), so a write leaves
+//! the cache as it is. An entry records every table it reads or names
+//! ([`PlannedTable`]): its definition when the entry was planned or
+//! checked, and the row counts the planner's choices read. A lookup is made
+//! under the catalog read lock the run then binds its tables under, and
+//! serves the entry only while it is still valid there: every definition
+//! still equals the catalog's (DDL that changed one, or a dropped table,
+//! makes the statement replan), and every count is within a factor of two
+//! of the table's (`plan_cache.stats_replans`). An entry found stale is
+//! dropped at that lookup, and one superseded under its key when the new
+//! one is stored.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::ast::Statement;
@@ -29,7 +30,7 @@ use crate::catalog::Catalog;
 use crate::exec::Program;
 use crate::lexer::Shape;
 use crate::lift::{same_literal, Slot};
-use crate::plan::{PhysPlan, PlannedQuery};
+use crate::plan::{PhysPlan, PlannedQuery, PlannedTable};
 use crate::sync::Mutex;
 use crate::value::Value;
 
@@ -37,17 +38,8 @@ use crate::value::Value;
 /// statement texts; the bound only guards against unbounded ad-hoc traffic.
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// Sentinel verification marker: the entry has not passed a verifier walk
-/// (never verified, or deliberately reset by the corruption test seam).
-const UNVERIFIED: u64 = u64::MAX;
-
 /// A plan and its lowered program.
 pub(crate) type PlanPair = (Arc<PlannedQuery>, Arc<Program>);
-
-/// A table whose rows a plan holds: its name, lowercased, and the address
-/// of the row snapshot the plan holds, which tells the table's current rows
-/// from those of a table that DDL retired under the same name.
-pub(crate) type Held = (String, usize);
 
 /// What a cache entry runs.
 #[derive(Clone)]
@@ -84,7 +76,7 @@ impl Body {
     }
 }
 
-/// A cached statement: what it runs, the tables it holds and names, and the
+/// A cached statement: what it runs, the tables it was made over, and the
 /// literal slots of its shape.
 struct CachedPlan {
     body: Body,
@@ -92,23 +84,25 @@ struct CachedPlan {
     /// parameter it fills, or the value the plan was built for. A template
     /// without slots takes the caller's parameters (explicit `?` text).
     slots: Vec<Slot>,
-    /// Catalog version read before the statement's catalog reads (see
-    /// [`PlanCache::insert`]).
-    version: u64,
-    /// Tables whose rows the plan holds: a data write to one drops the
-    /// entry.
-    holds: Arc<[Held]>,
-    /// Tables the statement names without holding their rows (a DML
-    /// target): only DDL on one drops the entry.
-    names: Vec<String>,
-    /// Catalog version at the last successful verifier walk that ran the
-    /// snapshot checks ([`UNVERIFIED`] when none). The plan tree behind the
-    /// `Arc` is immutable and verification is deterministic in (plan,
-    /// catalog version), so a hit at the same version can skip the walk —
-    /// this is what keeps the verifier's cost off the cached serving hot
-    /// path. Shared (not copied) with in-flight executions so a successful
-    /// walk marks the entry itself.
-    verified_version: Arc<AtomicU64>,
+    /// The tables it reads or names, as they were when it was made.
+    tables: Vec<PlannedTable>,
+    /// Whether the plan passed a verifier walk. The plan tree behind the
+    /// `Arc` is immutable and is only served over tables defined as it was
+    /// planned against, so one walk vets every later hit — this is what
+    /// keeps the verifier's cost off the cached serving hot path. Shared
+    /// (not copied) with in-flight executions so a successful walk marks the
+    /// entry itself.
+    verified: Arc<AtomicBool>,
+}
+
+/// Why an entry may not serve a run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stale {
+    /// A table it reads or names is gone or defined otherwise.
+    Definition,
+    /// A table grew or shrank past twice the row count its plan's choices
+    /// read.
+    Stats,
 }
 
 impl CachedPlan {
@@ -116,13 +110,6 @@ impl CachedPlan {
     /// rather than from literals of the text.
     fn takes_caller_params(&self) -> bool {
         self.body.template() && self.slots.is_empty()
-    }
-
-    /// Whether the entry holds `table`'s rows (lowercased) or, for
-    /// `schema`, names it.
-    fn involves(&self, table: &str, schema: bool) -> bool {
-        self.holds.iter().any(|(t, _)| t == table)
-            || (schema && self.names.iter().any(|t| t == table))
     }
 
     /// The parameter values `shape`'s literals give this entry's template
@@ -141,18 +128,41 @@ impl CachedPlan {
         }
         Some(params)
     }
+
+    /// Why the entry may not serve a run over `catalog`, if it may not: a
+    /// changed definition first, then a count its choices outgrew. A table
+    /// defined alike under a new `Arc` (dropped and created again, or a
+    /// restored catalog's) passes, and the entry takes that `Arc` on, so
+    /// the next lookup compares pointers.
+    fn stale(&mut self, catalog: &Catalog) -> Option<Stale> {
+        let mut stale = None;
+        for planned in &mut self.tables {
+            let Ok(table) = catalog.get(&planned.name) else {
+                return Some(Stale::Definition);
+            };
+            if !Arc::ptr_eq(&planned.def, &table.def) {
+                if *planned.def != *table.def {
+                    return Some(Stale::Definition);
+                }
+                planned.def = Arc::clone(&table.def);
+            }
+            let rows = table.row_count();
+            let outgrown = |read: usize| rows > read.saturating_mul(2) || rows * 2 < read;
+            if planned.rows.is_some_and(outgrown) {
+                stale = Some(Stale::Stats);
+            }
+        }
+        stale
+    }
 }
 
-/// A statement to store: what it runs and what it holds and names.
+/// A statement to store: what it runs and the tables it was made over.
 pub(crate) struct NewEntry {
     pub body: Body,
     pub slots: Vec<Slot>,
-    /// Catalog version read before the statement read the catalog.
-    pub version: u64,
-    pub holds: Vec<Held>,
-    pub names: Vec<String>,
-    /// The plan already passed a verifier walk at `version`, so the first
-    /// hit can skip straight to execution.
+    pub tables: Vec<PlannedTable>,
+    /// The plan already passed a verifier walk, so the first hit can skip
+    /// straight to execution.
     pub verified: bool,
 }
 
@@ -162,25 +172,20 @@ pub(crate) struct CacheHit {
     /// The template's parameter values when they come out of the statement
     /// text (lifted literals) instead of from the caller.
     pub lifted: Option<Vec<Value>>,
-    /// Catalog version the entry was planned against, and the tables it
-    /// holds: the verifier runs its snapshot checks only while none of them
-    /// has been written since ([`PlanCache::is_current`]).
-    pub version: u64,
-    pub holds: Arc<[Held]>,
-    verified_version: Arc<AtomicU64>,
+    verified: Arc<AtomicBool>,
 }
 
 impl CacheHit {
-    /// Whether the entry already passed a verifier walk at `version`.
-    pub fn verified_at(&self, version: u64) -> bool {
-        self.verified_version.load(Ordering::Acquire) == version
+    /// Whether the entry already passed a verifier walk.
+    pub fn verified(&self) -> bool {
+        self.verified.load(Ordering::Acquire)
     }
 
-    /// Memoize a successful verifier walk at `version`. Failed walks are
-    /// never recorded, so a corrupt entry is re-rejected on every execution
-    /// until it is evicted or replaced.
-    pub fn mark_verified(&self, version: u64) {
-        self.verified_version.store(version, Ordering::Release);
+    /// Memoize a successful verifier walk. Failed walks are never recorded,
+    /// so a corrupt entry is re-rejected on every execution until it is
+    /// evicted or replaced.
+    pub fn mark_verified(&self) {
+        self.verified.store(true, Ordering::Release);
     }
 }
 
@@ -200,74 +205,10 @@ pub(crate) enum CacheUse {
     Bypass,
 }
 
-/// What a catalog write changes ([`PlanCache::invalidate`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Write<'a> {
-    /// The rows (and index maps) of one table.
-    Data(&'a str),
-    /// One table's definition: created, dropped, indexed.
-    Schema(&'a str),
-    /// The whole catalog: `ROLLBACK`, a restore.
-    All,
-}
-
-/// Catalog versions of the last writes to one table.
-#[derive(Clone, Copy, Default)]
-struct Marks {
-    /// Of the last write to its rows (DDL counts: it replaces them too).
-    data: u64,
-    /// Of the last DDL on it.
-    schema: u64,
-}
-
-/// What the cache holds. Served plans and parked ones count against
-/// [`PLAN_CACHE_CAPACITY`] together.
-#[derive(Default)]
-struct Entries {
-    /// The plan served for each statement shape.
-    live: HashMap<String, CachedPlan>,
-    /// Plans superseded under their key (replanned for other pinned
-    /// literals, or by a racing planner of the same shape), parked until
-    /// the next reaping rather than dropped on the spot: see
-    /// [`Entries::reap`]. A write drops the parked plans over its table
-    /// with the live ones.
-    superseded: Vec<CachedPlan>,
-    /// Serving lookups since the last reaping.
-    lookups: usize,
-    /// The last writes to each table written so far (lowercased).
-    marks: HashMap<String, Marks>,
-    /// Catalog version of the last write that dropped everything.
-    cleared: u64,
-}
-
-impl Entries {
-    /// Drop the parked plans. Returns how many.
-    ///
-    /// They go together, every [`PLAN_CACHE_CAPACITY`] statements or when
-    /// the cache is full — the cadence the cache had when every new literal
-    /// was a new entry and only the capacity sweep removed any.
-    fn reap(&mut self) -> usize {
-        let reaped = self.superseded.len();
-        self.superseded.clear();
-        self.lookups = 0;
-        reaped
-    }
-
-    /// Whether a statement that read the catalog after taking `version`
-    /// still saw the current state of every table it `holds` and of the
-    /// definition of every table it `names`: no write to one has marked it
-    /// with a later version.
-    fn unwritten_since(&self, version: u64, holds: &[Held], names: &[String]) -> bool {
-        let marks = |t: &String| self.marks.get(t).copied().unwrap_or_default();
-        self.cleared <= version
-            && holds.iter().all(|(t, _)| marks(t).data <= version)
-            && names.iter().all(|t| marks(t).schema <= version)
-    }
-}
-
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    entries: Mutex<Entries>,
+    /// The plan served for each statement shape.
+    entries: Mutex<HashMap<String, CachedPlan>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -276,6 +217,9 @@ pub(crate) struct PlanCache {
     /// Misses on an entry of the right shape whose pinned literals differ
     /// from the text's.
     pinned_mismatches: AtomicU64,
+    /// Misses on an entry whose tables grew or shrank past twice the row
+    /// counts its plan's choices read.
+    stats_replans: AtomicU64,
 }
 
 /// Plan-cache counters since the last [`PlanCache::reset_stats`].
@@ -283,34 +227,29 @@ pub(crate) struct PlanCache {
 pub(crate) struct CacheStats {
     pub hits: u64,
     pub misses: u64,
-    /// Plans dropped by the cache itself: parked ones reaped, and full
-    /// clears at capacity. (Plans a write drops are not counted.)
+    /// Plans dropped by full clears at capacity. (Stale and superseded
+    /// plans are not counted.)
     pub evictions: u64,
     pub lifted_hits: u64,
     pub pinned_mismatches: u64,
+    pub stats_replans: u64,
 }
 
 impl PlanCache {
-    /// Look a statement up by its shape; a hit requires the entry's pinned
-    /// literals to equal the text's. [`CacheUse::Peek`] sees query plans
-    /// only.
-    pub fn lookup(&self, shape: &Shape, mode: CacheUse) -> Option<CacheHit> {
+    /// Look a statement up by its shape, for a run over `catalog`, whose
+    /// read lock the caller holds until it has bound the run's tables: a
+    /// hit requires the entry's pinned literals to equal the text's and the
+    /// entry to be valid over `catalog` (a stale one is dropped, unless
+    /// peeking). [`CacheUse::Peek`] sees query plans only.
+    pub fn lookup(&self, shape: &Shape, mode: CacheUse, catalog: &Catalog) -> Option<CacheHit> {
         if mode == CacheUse::Bypass {
             return None;
         }
         let serving = mode == CacheUse::Serve;
         let mut entries = self.entries.lock();
-        if serving {
-            entries.lookups += 1;
-            if entries.lookups >= PLAN_CACHE_CAPACITY {
-                let reaped = entries.reap();
-                self.evictions.fetch_add(reaped as u64, Ordering::Relaxed);
-            }
-        }
-        let mut mismatch = false;
+        let (mut mismatch, mut stale) = (false, None);
         let hit = entries
-            .live
-            .get(&shape.key)
+            .get_mut(&shape.key)
             .filter(|c| {
                 serving || (matches!(c.body, Body::Query { .. }) && !c.takes_caller_params())
             })
@@ -318,14 +257,18 @@ impl PlanCache {
                 let values = c.bind_literals(shape);
                 mismatch = values.is_none();
                 let values = values?;
-                Some(CacheHit {
+                stale = c.stale(catalog);
+                stale.is_none().then(|| CacheHit {
                     body: c.body.clone(),
                     lifted: (!values.is_empty()).then_some(values),
-                    version: c.version,
-                    holds: Arc::clone(&c.holds),
-                    verified_version: Arc::clone(&c.verified_version),
+                    verified: Arc::clone(&c.verified),
                 })
             });
+        let dropped = (serving && stale.is_some())
+            .then(|| entries.remove(&shape.key))
+            .flatten();
+        drop(entries);
+        drop(dropped);
         if serving {
             let bump = |counter: &AtomicU64| counter.fetch_add(1, Ordering::Relaxed);
             match &hit {
@@ -340,122 +283,34 @@ impl PlanCache {
                     if mismatch {
                         bump(&self.pinned_mismatches);
                     }
+                    if stale == Some(Stale::Stats) {
+                        bump(&self.stats_replans);
+                    }
                 }
             }
         }
         hit
     }
 
-    /// Store a statement under `key`, unless a write raced it.
-    ///
-    /// Callers read `entry.version` (the catalog version) *before* they take
-    /// the catalog read lock to check or plan, and a writer bumps the
-    /// version and marks its table with the new one *while holding* the
-    /// write lock ([`PlanCache::invalidate`]). A planner that read the new
-    /// version therefore took its read lock after the write and saw the
-    /// written table. One whose read lock came first read an older version
-    /// than the mark, and its entry is not stored: it is what the writer
-    /// already dropped for that table. (A planner that read its version
-    /// just before a write it nonetheless saw is turned away too — the
-    /// error is always a harmless replan.) Only the written tables count: a
-    /// write to another table leaves the plan stored.
+    /// Store a statement under `key`, in place of the entry there, if any.
+    /// A full cache is cleared first.
     pub fn insert(&self, key: String, entry: NewEntry) {
         let mut entries = self.entries.lock();
-        if !entries.unwritten_since(entry.version, &entry.holds, &entry.names) {
-            return;
+        let cleared = (entries.len() >= PLAN_CACHE_CAPACITY && !entries.contains_key(&key))
+            .then(|| std::mem::take(&mut *entries));
+        if let Some(cleared) = &cleared {
+            self.evictions
+                .fetch_add(cleared.len() as u64, Ordering::Relaxed);
         }
-        if entries.live.len() + entries.superseded.len() >= PLAN_CACHE_CAPACITY {
-            // Parked plans first; fall back to dropping everything.
-            let mut evicted = entries.reap();
-            if entries.live.len() >= PLAN_CACHE_CAPACITY {
-                evicted += entries.live.len();
-                entries.live.clear();
-            }
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        let marker = if entry.verified {
-            entry.version
-        } else {
-            UNVERIFIED
-        };
         let plan = CachedPlan {
             body: entry.body,
             slots: entry.slots,
-            version: entry.version,
-            holds: entry.holds.into(),
-            names: entry.names,
-            verified_version: Arc::new(AtomicU64::new(marker)),
+            tables: entry.tables,
+            verified: Arc::new(AtomicBool::new(entry.verified)),
         };
-        if let Some(old) = entries.live.insert(key, plan) {
-            entries.superseded.push(old);
-        }
-    }
-
-    /// A catalog write at `version` (already bumped, under the write lock,
-    /// before anything in `catalog` changes): mark what it writes, and take
-    /// the entries it makes stale out of service.
-    ///
-    /// A data write drops the live entries that hold the table's rows and
-    /// the parked ones that hold its current rows, released after the
-    /// cache's lock: those rows are the table's, which it keeps, so the
-    /// write then changes them in place instead of copying them. DDL and
-    /// `ROLLBACK` / restores park the live entries they make stale instead:
-    /// those may be the last holders of a whole retired table, released
-    /// with the parked plans on the reaping cadence ([`Entries::reap`]) and
-    /// never served.
-    pub fn invalidate(&self, write: Write<'_>, catalog: &Catalog, version: u64) {
-        let mut entries = self.entries.lock();
-        let Entries {
-            live,
-            superseded,
-            marks,
-            cleared,
-            ..
-        } = &mut *entries;
-        let (table, schema) = match write {
-            Write::Data(table) => (table.to_ascii_lowercase(), false),
-            Write::Schema(table) => (table.to_ascii_lowercase(), true),
-            Write::All => {
-                *cleared = version;
-                superseded.extend(live.drain().map(|(_, plan)| plan));
-                return;
-            }
-        };
-        let mark = marks.entry(table.clone()).or_default();
-        mark.data = version;
-        if schema {
-            mark.schema = version;
-        }
-        let stale: Vec<String> = (live.iter())
-            .filter(|(_, plan)| plan.involves(&table, schema))
-            .map(|(key, _)| key.clone())
-            .collect();
-        let stale = stale.iter().filter_map(|key| live.remove(key));
-        if schema {
-            superseded.extend(stale);
-            return;
-        }
-        let mut dropped: Vec<CachedPlan> = stale.collect();
-        let current = catalog
-            .get(&table)
-            .ok()
-            .map(|t| Arc::as_ptr(&t.rows) as usize);
-        let holds_current = |plan: &CachedPlan| {
-            (plan.holds.iter()).any(|(t, rows)| *t == table && Some(*rows) == current)
-        };
-        let (gone, kept) = (std::mem::take(superseded).into_iter()).partition(holds_current);
-        *superseded = kept;
-        dropped.extend::<Vec<_>>(gone);
+        let superseded = entries.insert(key, plan);
         drop(entries);
-        drop(dropped);
-    }
-
-    /// Whether an entry planned at `version` over `holds` is still current:
-    /// none of those tables has been written since. Called under the
-    /// catalog read lock, so no write can start until the caller is done
-    /// with the answer.
-    pub fn is_current(&self, version: u64, holds: &[Held]) -> bool {
-        self.entries.lock().unwritten_since(version, holds, &[])
+        drop((cleared, superseded));
     }
 
     /// Test seam: replace the cached plan for queries of `sql`'s shape (if
@@ -463,7 +318,7 @@ impl PlanCache {
     /// was found.
     pub fn mutate(&self, sql: &str, mutate: &mut dyn FnMut(&mut PhysPlan)) -> bool {
         let mut entries = self.entries.lock();
-        let Some(entry) = crate::lexer::scan_shape(sql).and_then(|s| entries.live.get_mut(&s.key))
+        let Some(entry) = crate::lexer::scan_shape(sql).and_then(|s| entries.get_mut(&s.key))
         else {
             return false;
         };
@@ -477,13 +332,13 @@ impl PlanCache {
         // A fresh marker (not a reset of the shared one): in-flight
         // executions still verifying the old tree must not be able to mark
         // the replaced entry as checked.
-        entry.verified_version = Arc::new(AtomicU64::new(UNVERIFIED));
+        entry.verified = Arc::new(AtomicBool::new(false));
         true
     }
 
     /// Number of plans that can be served.
     pub fn len(&self) -> usize {
-        self.entries.lock().live.len()
+        self.entries.lock().len()
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -494,6 +349,7 @@ impl PlanCache {
             evictions: load(&self.evictions),
             lifted_hits: load(&self.lifted_hits),
             pinned_mismatches: load(&self.pinned_mismatches),
+            stats_replans: load(&self.stats_replans),
         }
     }
 
@@ -505,6 +361,7 @@ impl PlanCache {
             &self.evictions,
             &self.lifted_hits,
             &self.pinned_mismatches,
+            &self.stats_replans,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -548,188 +405,186 @@ mod tests {
         catalog
     }
 
-    /// `name`'s current rows, as a plan over it holds them.
-    fn held(catalog: &Catalog, name: &str) -> Held {
-        let rows = Arc::as_ptr(&catalog.get(name).unwrap().rows) as usize;
-        (name.to_string(), rows)
+    /// Append `rows` rows to `name`.
+    fn write(catalog: &mut Catalog, name: &str, rows: i64) {
+        let t = catalog.get_mut(name).unwrap();
+        for i in 0..rows {
+            t.insert_row(vec![Value::Int(i)], None).unwrap();
+        }
     }
 
-    /// A query plan holding the current rows of `tables`, planned after
-    /// reading `version`.
-    fn query(catalog: &Catalog, version: u64, tables: &[&str]) -> NewEntry {
+    /// A query plan over `tables` as `catalog` has them, its choices having
+    /// read no row count.
+    fn query(catalog: &Catalog, tables: &[&str]) -> NewEntry {
+        let planned = |t: &&str| PlannedTable::of(catalog.get(t).unwrap());
         NewEntry {
             body: Body::Query {
                 plan: plan(),
                 template: false,
             },
             slots: Vec::new(),
-            version,
-            holds: tables.iter().map(|t| held(catalog, t)).collect(),
-            names: Vec::new(),
+            tables: tables.iter().map(planned).collect(),
             verified: false,
         }
     }
 
-    /// A `DELETE` from `t`, checked after reading `version`: it names `t`
-    /// and holds no rows.
-    fn delete(version: u64) -> NewEntry {
-        let stmt = crate::parser::parse_statement("DELETE FROM t WHERE n = ?").expect("parses");
+    /// A `DELETE` from `t`, checked against `catalog`: it names `t` and
+    /// reads no table.
+    fn delete(catalog: &Catalog) -> NewEntry {
+        let stmt = crate::parser::parse_statement(DELETE).expect("parses");
         NewEntry {
             body: Body::Dml {
                 stmt: Arc::new(stmt),
                 source: None,
             },
-            names: vec!["t".into()],
-            ..query(&Catalog::new(), version, &[])
+            ..query(catalog, &["t"])
         }
     }
 
     const DELETE: &str = "DELETE FROM t WHERE n = ?";
 
-    fn cached(cache: &PlanCache, sql: &str) -> bool {
-        cache.lookup(&shape(sql), CacheUse::Serve).is_some()
-    }
-
-    fn parked(cache: &PlanCache) -> usize {
-        cache.entries.lock().superseded.len()
+    fn cached(cache: &PlanCache, sql: &str, catalog: &Catalog) -> bool {
+        cache
+            .lookup(&shape(sql), CacheUse::Serve, catalog)
+            .is_some()
     }
 
     #[test]
     fn superseded_plans_count_against_the_capacity() {
         // One shape planned again and again (for other pinned literals, or
-        // by racing planners): each plan parks the last, and the capacity
-        // sweep reaps the parked ones.
+        // by racing planners): each plan replaces the last on the spot, so
+        // only the one served counts, and nothing is evicted.
         let (cache, catalog) = (PlanCache::default(), catalog());
-        for version in 0..3 * PLAN_CACHE_CAPACITY as u64 {
-            cache.insert("select #i".into(), query(&catalog, version, &[]));
-            let entries = cache.entries.lock();
-            assert_eq!(entries.live.len(), 1);
-            assert!(entries.live.len() + entries.superseded.len() <= PLAN_CACHE_CAPACITY);
+        for _ in 0..3 * PLAN_CACHE_CAPACITY {
+            cache.insert("select #i".into(), query(&catalog, &["t"]));
+            assert_eq!(cache.len(), 1);
         }
-        let reaped = cache.stats().evictions as usize;
-        assert!(reaped >= 2 * PLAN_CACHE_CAPACITY - 2, "{reaped}");
-    }
-
-    #[test]
-    fn dead_plans_are_reaped_every_capacity_lookups() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        let (a, b) = (shape("SELECT 1"), shape("SELECT 'x'"));
-        cache.insert(a.key.clone(), query(&catalog, 1, &["t"]));
-        cache.insert(b.key.clone(), query(&catalog, 1, &["u"]));
-        // DDL on `u` parks `b`; `a`, planned again, parks its old plan.
-        // Hit-only traffic must still release both.
-        cache.invalidate(Write::Schema("u"), &catalog, 2);
-        cache.insert(a.key.clone(), query(&catalog, 2, &["t"]));
-        for _ in 0..PLAN_CACHE_CAPACITY {
-            assert_eq!(parked(&cache), 2);
-            assert!(cache.lookup(&a, CacheUse::Serve).is_some());
+        assert_eq!(cache.stats().evictions, 0);
+        // Distinct shapes fill the cache, and the next one clears it.
+        for i in 1..=PLAN_CACHE_CAPACITY {
+            cache.insert(format!("select #{i}"), query(&catalog, &[]));
         }
-        let entries = cache.entries.lock();
-        assert!(entries.superseded.is_empty());
-        assert_eq!(entries.live.len(), 1);
-        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().evictions, PLAN_CACHE_CAPACITY as u64);
     }
 
     #[test]
     fn a_write_to_one_table_keeps_the_plans_over_another() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &["t"]));
-        cache.invalidate(Write::Data("u"), &catalog, 2);
-        assert!(cached(&cache, "SELECT 1"));
-        let hit = cache.lookup(&shape("SELECT 1"), CacheUse::Serve).unwrap();
-        assert!(cache.is_current(hit.version, &hit.holds));
-    }
-
-    #[test]
-    fn a_write_drops_the_live_and_parked_plans_over_its_table() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &["t"]));
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &["t", "u"]));
-        cache.insert(shape("SELECT 'x'").key, query(&catalog, 1, &["u", "t"]));
-        cache.insert(shape("SELECT 1.5").key, query(&catalog, 1, &["u"]));
-        let hit = cache.lookup(&shape("SELECT 1"), CacheUse::Serve).unwrap();
-        // Table names are matched as the catalog matches them.
-        cache.invalidate(Write::Data("T"), &catalog, 2);
-        assert!(!cache.is_current(hit.version, &hit.holds));
-        assert_eq!(parked(&cache), 0, "the parked plan goes too");
-        let entries = cache.entries.lock();
-        let live: Vec<&String> = entries.live.keys().collect();
-        assert_eq!(live, [&shape("SELECT 1.5").key]);
-        assert_eq!(
-            cache.stats().evictions,
-            0,
-            "a write's drops are not evictions"
-        );
-    }
-
-    #[test]
-    fn a_write_leaves_the_parked_plans_over_a_retired_table_to_the_reaping() {
         let (cache, mut catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &["t"]));
-        // `DROP TABLE t` and `CREATE TABLE t` park the plan over the old
-        // table; writing the new one leaves it there, whatever its name.
-        cache.invalidate(Write::Schema("t"), &catalog, 2);
+        cache.insert(shape("SELECT 1").key, query(&catalog, &["t"]));
+        write(&mut catalog, "u", 3);
+        assert!(cached(&cache, "SELECT 1", &catalog));
+    }
+
+    #[test]
+    fn a_write_keeps_the_plans_over_its_table() {
+        // A plan names its tables and holds none of their rows: the next
+        // run binds the written rows, so the write leaves the entry.
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        cache.insert(shape("SELECT 1").key, query(&catalog, &["t", "u"]));
+        // Table names are matched as the catalog matches them.
+        write(&mut catalog, "T", 100);
+        assert!(cached(&cache, "SELECT 1", &catalog));
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_table_grown_past_twice_its_estimate_replans() {
+        // The plan's choices read 10 rows of `t` and none of `u`.
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        write(&mut catalog, "t", 10);
+        let mut entry = query(&catalog, &["t", "u"]);
+        entry.tables[0].rows = Some(10);
+        cache.insert(shape("SELECT 1").key, entry);
+        // `u` may grow as it likes; `t` up to twice what was read.
+        write(&mut catalog, "u", 1000);
+        write(&mut catalog, "t", 10);
+        assert!(cached(&cache, "SELECT 1", &catalog));
+        write(&mut catalog, "t", 1);
+        assert!(!cached(&cache, "SELECT 1", &catalog));
+        assert_eq!(cache.len(), 0, "the stale entry is dropped");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stats_replans), (1, 1, 1));
+        // Shrinking under half counts the same way.
+        let mut entry = query(&catalog, &["t"]);
+        entry.tables[0].rows = Some(100);
+        cache.insert(shape("SELECT 1").key, entry);
+        assert!(!cached(&cache, "SELECT 1", &catalog));
+        assert_eq!(cache.stats().stats_replans, 2);
+    }
+
+    #[test]
+    fn a_table_dropped_and_created_alike_keeps_its_plans() {
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        cache.insert(shape("SELECT 1").key, query(&catalog, &["t"]));
         catalog.drop_table("t", false).unwrap();
-        cache.invalidate(Write::Schema("t"), &catalog, 3);
+        let peek = cache.lookup(&shape("SELECT 1"), CacheUse::Peek, &catalog);
+        assert!(peek.is_none(), "no table to serve it over");
+        // The definition is a new `Arc` of an equal value.
         catalog.create_table(table("t"), false).unwrap();
-        cache.invalidate(Write::Data("t"), &catalog, 4);
-        assert_eq!(parked(&cache), 1);
+        write(&mut catalog, "t", 1);
+        assert!(cached(&cache, "SELECT 1", &catalog));
     }
 
     #[test]
     fn a_dml_entry_survives_a_data_write_to_its_target() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape(DELETE).key, delete(1));
-        cache.invalidate(Write::Data("t"), &catalog, 2);
-        assert!(cached(&cache, DELETE));
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        cache.insert(shape(DELETE).key, delete(&catalog));
+        write(&mut catalog, "t", 50);
+        assert!(cached(&cache, DELETE, &catalog));
     }
 
     #[test]
     fn ddl_on_its_target_drops_a_dml_entry() {
-        // `CREATE INDEX` and `DROP TABLE` on `t` are both schema writes.
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape(DELETE).key, delete(1));
-        cache.invalidate(Write::Schema("u"), &catalog, 2);
-        assert!(cached(&cache, DELETE));
-        cache.invalidate(Write::Schema("t"), &catalog, 3);
-        assert!(!cached(&cache, DELETE));
-        // Parked, not served: DDL may retire a whole table, released on the
-        // reaping cadence.
-        assert_eq!(parked(&cache), 1);
-    }
-
-    #[test]
-    fn a_planner_that_read_the_catalog_before_a_write_does_not_insert() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.invalidate(Write::Data("t"), &catalog, 5);
-        // Read version 4, then took its read lock before the write: its
-        // plan of `t` is the one the writer dropped.
-        cache.insert(shape("SELECT 1").key, query(&catalog, 4, &["t"]));
-        assert!(!cached(&cache, "SELECT 1"));
-        // A plan over another table, or one that read the written version,
-        // is stored.
-        cache.insert(shape("SELECT 2.5").key, query(&catalog, 4, &["u"]));
-        cache.insert(shape("SELECT 'x'").key, query(&catalog, 5, &["t"]));
-        assert!(cached(&cache, "SELECT 2.5") && cached(&cache, "SELECT 'x'"));
-        // A statement checked before DDL on a table it names is not stored;
-        // a data write to its target does not concern it.
-        cache.insert(shape(DELETE).key, delete(4));
-        assert!(cached(&cache, DELETE));
-        cache.invalidate(Write::Schema("t"), &catalog, 6);
-        cache.insert(shape(DELETE).key, delete(5));
-        assert!(!cached(&cache, DELETE));
-    }
-
-    #[test]
-    fn rollback_and_restores_drop_everything() {
-        let (cache, catalog) = (PlanCache::default(), catalog());
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &[]));
-        cache.insert(shape(DELETE).key, delete(1));
-        cache.invalidate(Write::All, &catalog, 2);
+        // `CREATE INDEX` changes `t`'s definition: the next lookup replans
+        // and drops the entry. DDL on another table leaves it.
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        cache.insert(shape(DELETE).key, delete(&catalog));
+        let index = |catalog: &mut Catalog, table: &str| {
+            let t = catalog.get_mut(table).unwrap();
+            t.create_index(&format!("{table}_n"), &["n".into()], false)
+                .unwrap();
+        };
+        index(&mut catalog, "u");
+        assert!(cached(&cache, DELETE, &catalog));
+        index(&mut catalog, "t");
+        assert!(!cached(&cache, DELETE, &catalog));
         assert_eq!(cache.len(), 0);
-        cache.insert(shape("SELECT 1").key, query(&catalog, 1, &[]));
-        assert_eq!(cache.len(), 0, "planned before the restore");
-        cache.insert(shape("SELECT 1").key, query(&catalog, 2, &[]));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().stats_replans, 0, "not a stats replan");
+    }
+
+    #[test]
+    fn a_plan_stored_over_a_changed_definition_replans_at_its_lookup() {
+        // A planner that read the catalog before DDL stores a plan of the
+        // old definition: the lookup, not the store, turns it away.
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        let before = catalog.clone();
+        catalog.drop_table("t", false).unwrap();
+        let mut redefined = table("t");
+        redefined.create_index("t_n", &["n".into()], true).unwrap();
+        catalog.create_table(redefined, false).unwrap();
+        cache.insert(shape("SELECT 1").key, query(&before, &["t"]));
+        cache.insert(shape(DELETE).key, delete(&before));
+        assert_eq!(cache.len(), 2, "stored");
+        assert!(!cached(&cache, "SELECT 1", &catalog));
+        assert!(!cached(&cache, DELETE, &catalog));
+        // One planned over the new definition is served.
+        cache.insert(shape("SELECT 1").key, query(&catalog, &["t"]));
+        assert!(cached(&cache, "SELECT 1", &catalog));
+    }
+
+    #[test]
+    fn a_restored_catalog_serves_the_plans_its_definitions_match() {
+        // `ROLLBACK` puts back the catalog saved at `BEGIN`; a plan over
+        // tables defined alike serves it, one over a table it lacks does
+        // not.
+        let (cache, mut catalog) = (PlanCache::default(), catalog());
+        let saved = catalog.clone();
+        write(&mut catalog, "t", 5);
+        catalog.create_table(table("w"), false).unwrap();
+        cache.insert(shape("SELECT 1").key, query(&catalog, &["t"]));
+        cache.insert(shape("SELECT 'x'").key, query(&catalog, &["w"]));
+        assert!(cached(&cache, "SELECT 1", &saved));
+        assert!(!cached(&cache, "SELECT 'x'", &saved));
     }
 }

@@ -187,6 +187,11 @@ fn metrics_rows(t: &Telemetry, catalog: &Catalog, g: &EngineGauges) -> Vec<Row> 
                 "counter",
                 cache.pinned_mismatches as f64,
             ),
+            (
+                "plan_cache.stats_replans",
+                "counter",
+                cache.stats_replans as f64,
+            ),
             ("plan_cache.entries", "gauge", g.plan_cache_entries as f64),
             ("catalog.version", "gauge", g.catalog_version as f64),
             ("wal.bytes", "gauge", g.wal_bytes as f64),

@@ -9,19 +9,16 @@
 //! 1. **schema** — every node's output arity is internally consistent
 //!    (join/aggregate/project widths add up, a join's `out` lists
 //!    positions of its joined row in ascending order, expression column
-//!    references stay in bounds) and the root's arity and value types match the
-//!    sema-typed output [`Scope`].
+//!    references stay in bounds), a scan's width is its table's, and the
+//!    root's arity and value types match the sema-typed output [`Scope`].
 //! 2. **index-keys** — `IndexScan` / index-nested-loop nodes name a real
-//!    catalog index, key tuple arity matches the index's key columns, key
-//!    literal types match the indexed columns' declared types, and (when the
-//!    caller holds the catalog-version guarantee) the plan's index and row
-//!    snapshots are pointer-identical to the live catalog — i.e. the cached
-//!    plan's catalog version is current.
-//! 3. **derived-index** — a scan's built derived indexes must describe the
-//!    row snapshot it travels with (they index as many rows as it holds),
-//!    and every hash join's `probe=keyset(…)` label agrees with a rule
-//!    *re-derived independently here* (not imported from `exec`) for when
-//!    the join's key filter reads those indexes.
+//!    index of their table, key tuple arity matches the index's key
+//!    columns, and key literal types match the indexed columns' declared
+//!    types.
+//! 3. **derived-index** — every hash join's `probe=keyset(…)` label agrees
+//!    with a rule *re-derived independently here* (not imported from
+//!    `exec`) for when the join's key filter reads the probed table's
+//!    derived indexes.
 //! 4. **param-slots** — in a cached plan template every `?` slot from 1 to
 //!    the maximum is reachable from the bind map (a gap means a bound value
 //!    is silently dropped); in an executable plan no unbound
@@ -32,35 +29,38 @@
 //!    merge streams that agree on row arity; a ragged `UnionAll` would make
 //!    the morsel-order merge ill-defined.
 //!
-//! The verifier runs on every freshly planned query and on every plan
-//! served from the cache when [`crate::EngineConfig::verify_plans`] is on
-//! (the default in debug builds, off in release), and is surfaced as
+//! Plans name their tables and hold none of their rows, so there is no
+//! snapshot to check against the catalog: a run binds the rows itself, and
+//! a cached plan is only served while the definitions of its tables equal
+//! the catalog's. The verifier runs on every freshly planned query and once
+//! on every plan served from the cache when
+//! [`crate::EngineConfig::verify_plans`] is on (the default in debug
+//! builds, off in release), and is surfaced as
 //! `EXPLAIN (VERIFY)` plus the `verify.plans_checked` /
 //! `verify.violations` counters in `sys.metrics`. Violations convert into
 //! spanned [`EngineError::Verify`] diagnostics pointing at the statement.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::ast::{AggregateFunc, BinaryOp, JoinKind};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::error::{EngineError, Span};
 use crate::exec::Program;
 use crate::expr::{PhysExpr, Scope};
-use crate::plan::{AggSpec, IndexRef, JoinAlgo, PhysPlan, PlannedQuery};
-use crate::value::{DataType, Row, Value};
+use crate::plan::{AggSpec, JoinAlgo, PhysPlan, PlannedQuery};
+use crate::value::DataType;
 
 /// The five invariant classes the verifier checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum VerifyRule {
     /// Per-node output arity and root schema/type agreement with sema.
     Schema,
-    /// Index references resolve against the live catalog with matching key
-    /// arity, column types, and snapshot identity.
+    /// Index references resolve against their table in the live catalog
+    /// with matching key arity and column types.
     IndexKeys,
-    /// Derived indexes match their row snapshots; hash joins'
-    /// `probe=keyset` labels agree with an independently re-derived rule.
+    /// Hash joins' `probe=keyset` labels agree with an independently
+    /// re-derived rule.
     DerivedIndex,
     /// Parameter slots are gap-free in templates and fully bound in
     /// executable plans.
@@ -122,19 +122,6 @@ pub enum ParamDiscipline {
     /// An executable plan: every parameter must already be bound, so no
     /// `Param` node may remain anywhere in the tree.
     Bound,
-}
-
-/// What the verifier may assume about the catalog it was handed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotGuarantee {
-    /// The caller holds the catalog read lock the plan was built (or
-    /// version-validated) under: plan snapshots must be pointer-identical
-    /// to the live catalog's.
-    Current,
-    /// The catalog may have advanced past the plan's version (e.g. a cache
-    /// hit that raced a writer): structural index checks still run, but
-    /// snapshot-identity mismatches are not violations.
-    MayLag,
 }
 
 /// The outcome of verifying one plan.
@@ -204,31 +191,23 @@ impl VerifyReport {
 pub fn verify_planned(
     planned: &PlannedQuery,
     catalog: Option<&Catalog>,
-    guarantee: SnapshotGuarantee,
     discipline: ParamDiscipline,
 ) -> VerifyReport {
-    verify_plan(
-        &planned.plan,
-        Some(&planned.scope),
-        catalog,
-        guarantee,
-        discipline,
-    )
+    verify_plan(&planned.plan, Some(&planned.scope), catalog, discipline)
 }
 
 /// Verify a bare plan. `expected` is the sema-typed output scope when the
-/// caller has one; without it the root schema check is skipped and only the
-/// internal consistency checks run.
+/// caller has one; without it the root schema check is skipped. Without a
+/// `catalog` the checks against the tables a plan names are skipped too,
+/// and only the internal consistency checks run.
 pub fn verify_plan(
     plan: &PhysPlan,
     expected: Option<&Scope>,
     catalog: Option<&Catalog>,
-    guarantee: SnapshotGuarantee,
     discipline: ParamDiscipline,
 ) -> VerifyReport {
     let mut checker = Checker {
         catalog,
-        guarantee,
         violations: Vec::new(),
         nodes: 0,
         slots: BTreeSet::new(),
@@ -342,21 +321,8 @@ fn compatible(got: DataType, want: DataType) -> bool {
     }
 }
 
-/// Value types of the first row, `Any`-padded to `width` (`NULL` and
-/// missing rows observe as `Any`).
-fn row_types(rows: &[Row], width: usize) -> Vec<DataType> {
-    let mut types = vec![DataType::Any; width];
-    if let Some(row) = rows.first() {
-        for (i, v) in row.iter().take(width).enumerate() {
-            types[i] = v.data_type();
-        }
-    }
-    types
-}
-
 struct Checker<'a> {
     catalog: Option<&'a Catalog>,
-    guarantee: SnapshotGuarantee,
     violations: Vec<Violation>,
     nodes: usize,
     /// Every `?` slot index referenced anywhere in the plan.
@@ -379,30 +345,31 @@ impl Checker<'_> {
     fn node(&mut self, plan: &PhysPlan) -> (usize, Vec<DataType>) {
         self.nodes += 1;
         match plan {
-            PhysPlan::Scan {
-                rows,
-                width,
-                derived,
-            } => {
-                self.check_row_arity(plan, rows, *width);
-                if let Some(slot) = derived {
-                    self.check_derived(plan, slot, rows, *width);
-                }
-                (*width, row_types(rows, *width))
-            }
+            PhysPlan::Scan { table, width, .. } => (*width, self.table_types(plan, table, *width)),
             PhysPlan::VirtualScan { rows, width, .. } => {
-                self.check_row_arity(plan, rows, *width);
-                (*width, row_types(rows, *width))
+                if let Some(first) = rows.first().filter(|row| row.len() != *width) {
+                    self.violate(
+                        VerifyRule::Schema,
+                        plan,
+                        format!(
+                            "declared width {width} but stored rows have {} column(s)",
+                            first.len()
+                        ),
+                    );
+                }
+                let first = rows.first().into_iter().flatten();
+                let mut types: Vec<DataType> = first.map(|v| v.data_type()).collect();
+                types.resize(*width, DataType::Any);
+                (*width, types)
             }
             PhysPlan::IndexScan {
-                rows,
+                table,
                 width,
                 index_name,
-                index,
                 keys,
             } => {
-                self.check_row_arity(plan, rows, *width);
-                self.check_index(plan, index_name, index, keys.as_deref(), rows);
+                let types = self.table_types(plan, table, *width);
+                self.check_index(plan, table, index_name, keys.as_deref());
                 if let Some(keys) = keys {
                     for tuple in keys {
                         for e in tuple {
@@ -412,7 +379,7 @@ impl Checker<'_> {
                         }
                     }
                 }
-                (*width, row_types(rows, *width))
+                (*width, types)
             }
             PhysPlan::OneRow => (0, Vec::new()),
             PhysPlan::Filter { input, predicate } => {
@@ -529,15 +496,15 @@ impl Checker<'_> {
                 match inner.as_ref() {
                     PhysPlan::IndexScan {
                         keys: None,
-                        index,
+                        table,
                         index_name,
                         ..
                     } => {
                         // Probe-key arity must match the index key arity.
-                        // The plan-side index snapshot exposes it through
-                        // any stored key tuple; the catalog side is checked
-                        // in `check_index`.
-                        if let Some(arity) = index_key_arity(index) {
+                        let index = self
+                            .catalog
+                            .and_then(|c| resolve_index(c, table, index_name));
+                        if let Some(arity) = index.map(|index| index.key_columns.len()) {
                             if probe_keys.len() != arity {
                                 self.violate(
                                     VerifyRule::IndexKeys,
@@ -697,68 +664,50 @@ impl Checker<'_> {
         (out.len(), types)
     }
 
-    /// Rows must match the declared arity (checked against the first row;
-    /// storage guarantees non-raggedness within a snapshot).
-    fn check_row_arity(&mut self, plan: &PhysPlan, rows: &[Row], width: usize) {
-        if let Some(first) = rows.first() {
-            if first.len() != width {
-                self.violate(
-                    VerifyRule::Schema,
-                    plan,
-                    format!(
-                        "declared width {width} but stored rows have {} column(s)",
-                        first.len()
-                    ),
-                );
-            }
+    /// The declared column types of the table a scan of `width` columns
+    /// names: the scan must read all of them (`Any` without a catalog).
+    fn table_types(&mut self, plan: &PhysPlan, table: &str, width: usize) -> Vec<DataType> {
+        let Some(catalog) = self.catalog else {
+            return vec![DataType::Any; width];
+        };
+        let Ok(found) = catalog.get(table) else {
+            let message = format!("no table named '{table}' exists in the catalog");
+            self.violate(VerifyRule::Schema, plan, message);
+            return vec![DataType::Any; width];
+        };
+        let columns = &found.schema.columns;
+        if columns.len() != width {
+            self.violate(
+                VerifyRule::Schema,
+                plan,
+                format!(
+                    "declared width {width} but table '{table}' has {} column(s)",
+                    columns.len()
+                ),
+            );
         }
+        let mut types: Vec<DataType> = columns.iter().map(|c| c.ty).collect();
+        types.resize(width, DataType::Any);
+        types
     }
 
-    /// Every derived index a scan's slot has built indexes a column of the
-    /// scan and as many rows as its snapshot holds (unbuilt ones have
-    /// nothing to compare yet).
-    fn check_derived(
-        &mut self,
-        plan: &PhysPlan,
-        slot: &crate::catalog::DerivedIndexes,
-        rows: &Arc<Vec<Row>>,
-        width: usize,
-    ) {
-        for (column, index) in slot.built() {
-            if column >= width || index.rows() != rows.len() {
-                self.violate(
-                    VerifyRule::DerivedIndex,
-                    plan,
-                    format!(
-                        "derived index of column #{column} holds {} row(s) but the \
-                         {width}-column scan snapshot has {}; it must describe the \
-                         same snapshot",
-                        index.rows(),
-                        rows.len()
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Resolve an index by name against the live catalog and check key
-    /// arity, key literal types, and snapshot identity.
+    /// Resolve an index by name among its table's in the live catalog and
+    /// check key arity and key literal types.
     fn check_index(
         &mut self,
         plan: &PhysPlan,
+        table: &str,
         index_name: &str,
-        index: &IndexRef,
         keys: Option<&[Vec<PhysExpr>]>,
-        rows: &Arc<Vec<Row>>,
     ) {
         let Some(catalog) = self.catalog else {
             return;
         };
-        let Some(resolved) = resolve_index(catalog, index_name) else {
+        let Some(resolved) = resolve_index(catalog, table, index_name) else {
             self.violate(
                 VerifyRule::IndexKeys,
                 plan,
-                format!("no index named '{index_name}' exists in the catalog"),
+                format!("no index named '{index_name}' exists on table '{table}'"),
             );
             return;
         };
@@ -777,48 +726,21 @@ impl Checker<'_> {
                     );
                     continue;
                 }
-                for (e, &col) in tuple.iter().zip(&resolved.key_columns) {
-                    let want = resolved.column_types[col];
+                for (e, &col) in tuple.iter().zip(resolved.key_columns) {
+                    let column = &resolved.table.schema.columns[col];
                     let got = literal_type(e);
-                    if !compatible(got, want) {
+                    if !compatible(got, column.ty) {
                         self.violate(
                             VerifyRule::IndexKeys,
                             plan,
                             format!(
                                 "key for indexed column '{}' is {got} but the column \
-                                 is declared {want}",
-                                resolved.column_names[col]
+                                 is declared {}",
+                                column.name, column.ty
                             ),
                         );
                     }
                 }
-            }
-        }
-        if self.guarantee == SnapshotGuarantee::Current {
-            let map_current = match (index, &resolved.unique_map, &resolved.multi_map) {
-                (IndexRef::Unique(m), Some(live), _) => Arc::ptr_eq(m, live),
-                (IndexRef::Multi(m), _, Some(live)) => Arc::ptr_eq(m, live),
-                _ => false,
-            };
-            if !map_current {
-                self.violate(
-                    VerifyRule::IndexKeys,
-                    plan,
-                    format!(
-                        "index snapshot for '{index_name}' does not match the live \
-                         catalog: the plan's catalog version is stale"
-                    ),
-                );
-            }
-            if !Arc::ptr_eq(rows, &resolved.rows) {
-                self.violate(
-                    VerifyRule::IndexKeys,
-                    plan,
-                    format!(
-                        "row snapshot for '{index_name}' does not match the live \
-                         catalog: the plan's catalog version is stale"
-                    ),
-                );
             }
         }
     }
@@ -897,60 +819,27 @@ impl Checker<'_> {
     }
 }
 
-/// A catalog index resolved by name, flattened for checking.
-struct ResolvedIndex {
-    key_columns: Vec<usize>,
-    column_types: Vec<DataType>,
-    column_names: Vec<String>,
-    rows: Arc<Vec<Row>>,
-    unique_map: Option<Arc<std::collections::HashMap<Vec<Value>, usize>>>,
-    multi_map: Option<Arc<std::collections::HashMap<Vec<Value>, Vec<usize>>>>,
+/// A catalog index resolved by name: its table and key columns.
+struct ResolvedIndex<'a> {
+    table: &'a Table,
+    key_columns: &'a [usize],
 }
 
-/// Find the index `name` refers to. Primary keys are named `<table>.pk` by
-/// the planner; secondary indexes use their `CREATE INDEX` name.
-fn resolve_index(catalog: &Catalog, name: &str) -> Option<ResolvedIndex> {
-    for tname in catalog.table_names() {
-        let Ok(t) = catalog.get(&tname) else {
-            continue;
-        };
-        let column_types: Vec<DataType> = t.schema.columns.iter().map(|c| c.ty).collect();
-        let column_names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-        if let Some(p) = &t.primary {
-            if name.eq_ignore_ascii_case(&format!("{}.pk", t.name)) {
-                return Some(ResolvedIndex {
-                    key_columns: p.key_columns.clone(),
-                    column_types,
-                    column_names,
-                    rows: Arc::clone(&t.rows),
-                    unique_map: Some(Arc::clone(&p.map)),
-                    multi_map: None,
-                });
-            }
-        }
-        for s in &t.secondary {
-            if s.name.eq_ignore_ascii_case(name) {
-                return Some(ResolvedIndex {
-                    key_columns: s.key_columns.clone(),
-                    column_types,
-                    column_names,
-                    rows: Arc::clone(&t.rows),
-                    unique_map: None,
-                    multi_map: Some(Arc::clone(&s.map)),
-                });
-            }
-        }
-    }
-    None
-}
-
-/// Key arity of an index snapshot, observable from any stored key tuple
-/// (`None` for an empty index).
-fn index_key_arity(index: &IndexRef) -> Option<usize> {
-    match index {
-        IndexRef::Unique(m) => m.keys().next().map(Vec::len),
-        IndexRef::Multi(m) => m.keys().next().map(Vec::len),
-    }
+/// Find the index of `table` that `name` refers to. Primary keys are named
+/// `<table>.pk` by the planner; secondary indexes use their `CREATE INDEX`
+/// name.
+fn resolve_index<'a>(catalog: &'a Catalog, table: &str, name: &str) -> Option<ResolvedIndex<'a>> {
+    let table = catalog.get(table).ok()?;
+    let primary = (table.primary.as_ref())
+        .filter(|_| table.is_primary_name(name))
+        .map(|p| &p.key_columns[..]);
+    let secondary = || {
+        (table.secondary.iter())
+            .find(|s| s.name.eq_ignore_ascii_case(name))
+            .map(|s| &s.key_columns[..])
+    };
+    let key_columns = primary.or_else(secondary)?;
+    Some(ResolvedIndex { table, key_columns })
 }
 
 /// Static type of a row-independent key expression (`Any` when it depends
@@ -1058,8 +947,9 @@ fn mode_name(mode: Option<bool>) -> &'static str {
 /// (hash algorithm only) probes the input it does not build on — the right
 /// one when `build_left`, the left one otherwise; when that probe child is a
 /// bare `Scan` and its keys are all bare columns, the join reads that table
-/// itself: through the derived index iff the scan carries a derived-index
-/// slot, there is one key and the join is INNER, row by row otherwise. No
+/// itself: through the derived index iff the scan may read the table's
+/// derived indexes, there is one key and the join is INNER, row by row
+/// otherwise. No
 /// other operator names a probe.
 fn derived_mode(plan: &PhysPlan) -> Option<bool> {
     match plan {
@@ -1081,7 +971,7 @@ fn derived_mode(plan: &PhysPlan) -> Option<bool> {
                 PhysPlan::Scan { derived, .. }
                     if keys.iter().all(|k| matches!(k, PhysExpr::Column(_))) =>
                 {
-                    Some(derived.is_some() && keys.len() == 1 && *kind == JoinKind::Inner)
+                    Some(*derived && keys.len() == 1 && *kind == JoinKind::Inner)
                 }
                 _ => None,
             }

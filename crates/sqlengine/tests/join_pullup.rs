@@ -491,7 +491,7 @@ fn explain_shows_where_the_join_runs() {
         lifted.contains("HashJoin [Inner, 1 keys, build=right] probe=keyset(index)"),
         "{lifted}"
     );
-    assert!(lifted.contains("Scan [2600 rows × 3 cols]"), "{lifted}");
+    assert!(lifted.contains("Scan fact [3 cols]"), "{lifted}");
     // The same join with the derived table as the right FROM item builds on
     // the small left input and filters the scan it probes, now the right.
     let flipped = plan(1);

@@ -1,16 +1,16 @@
-//! Seeded plan-corruption harness: proves each of the verifier's five
-//! invariant classes actually fires. Every test plans a legitimate
+//! Seeded plan-corruption harness: proves the verifier's invariant classes
+//! fire on corrupt plans. (The derived-index class cross-checks each hash
+//! join's probe label against a re-derived rule that reads the same plan
+//! fields, so no corruption of a plan sets the two apart: its walks are
+//! counted by every test here.) Every test plans a legitimate
 //! statement, reaches into the plan cache through the `mutate_cached_plan`
 //! test seam to corrupt the physical plan the way a planner or cache bug
 //! would, and asserts the next execution is rejected with a spanned
 //! `EngineError::Verify` naming the violated class — instead of executing
 //! the corrupt plan and returning wrong answers.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use sqlengine::expr::PhysExpr;
-use sqlengine::plan::{IndexRef, PhysPlan};
+use sqlengine::plan::PhysPlan;
 use sqlengine::{Database, EngineConfig, EngineError, Value};
 
 fn seeded() -> Database {
@@ -184,71 +184,51 @@ fn index_corruption_dangling_index_name_is_rejected() {
 }
 
 #[test]
-fn index_corruption_stale_snapshot_is_rejected() {
+fn index_corruption_foreign_table_is_rejected() {
     let db = seeded();
+    db.execute("CREATE TABLE k (n INTEGER, s TEXT, w REAL)")
+        .unwrap();
     let sql = "SELECT n FROM t WHERE n = 7";
-    // Swap the plan's index snapshot for a foreign map: the catalog version
-    // still matches, so only the pointer-identity check can catch it.
+    // Point the lookup at another table of the same width: `t.pk` is no
+    // index of `k`, which the run would otherwise bind its rows from.
     let err = corrupt_and_rerun(&db, sql, &mut |plan| {
-        if let PhysPlan::IndexScan { index, .. } = plan {
-            *index = IndexRef::Unique(Arc::new(HashMap::new()));
-        }
-    });
-    assert_verify_error(sql, &err, "index-keys", "stale");
-}
-
-#[test]
-fn a_hit_after_an_unrelated_write_still_runs_the_snapshot_checks() {
-    let db = seeded();
-    db.execute("CREATE TABLE other (n INTEGER)").unwrap();
-    let sql = "SELECT n FROM t WHERE n = 7";
-    db.query(sql).unwrap();
-    assert!(
-        db.mutate_cached_plan(sql, &mut |plan| visit(plan, &mut |node| {
-            if let PhysPlan::IndexScan { index, .. } = node {
-                *index = IndexRef::Unique(Arc::new(HashMap::new()));
-            }
-        }))
-    );
-    // The write moves the catalog version but leaves `t` and the plan over
-    // it: the hit is checked against the live catalog, not waved through
-    // as one that may lag it.
-    db.execute("INSERT INTO other VALUES (1)").unwrap();
-    let err = db.query(sql).expect_err("stale snapshot served");
-    assert_verify_error(sql, &err, "index-keys", "stale");
-}
-
-// ---------------------------------------------------------------------
-// Class 3: derived-index — built indexes describe the row snapshot
-// ---------------------------------------------------------------------
-
-#[test]
-fn derived_index_corruption_row_count_mismatch_is_rejected() {
-    let db = seeded();
-    db.execute_script(
-        "CREATE TABLE f (n INTEGER, w REAL);
-         INSERT INTO f SELECT n % 10, w FROM t;
-         CREATE TABLE k (n INTEGER);
-         INSERT INTO k VALUES (3), (5);",
-    )
-    .unwrap();
-    // A one-key join that key-filters the scan of `f`: the first execution
-    // builds the derived index of `f.n`, so the cached plan carries a slot
-    // holding a built index.
-    let sql = "SELECT f.w FROM f JOIN k ON f.n = k.n";
-    assert!(db.explain(sql).unwrap().contains("probe=keyset(index)"));
-    let err = corrupt_and_rerun(&db, sql, &mut |plan| {
-        if let PhysPlan::Scan { rows, .. } = plan {
-            let truncated: Vec<_> = rows.iter().take(rows.len() - 1).cloned().collect();
-            *rows = Arc::new(truncated);
+        if let PhysPlan::IndexScan { table, .. } = plan {
+            *table = "k".to_string();
         }
     });
     assert_verify_error(
         sql,
         &err,
-        "derived-index",
-        "derived index of column #0 holds 100 row(s)",
+        "index-keys",
+        "no index named 't.pk' exists on table 'k'",
     );
+}
+
+#[test]
+fn a_write_keeps_the_plan_and_the_next_run_sees_the_new_rows() {
+    let db = seeded();
+    let sql = "SELECT COUNT(*) FROM t WHERE w >= 0";
+    assert_eq!(db.query_scalar(sql).unwrap(), Value::Int(100));
+    let row = |n: i64| vec![Value::Int(n), Value::text("new"), Value::Float(1.0)];
+    db.insert_rows("t", vec![row(100)]).unwrap();
+    db.reset_plan_cache_stats();
+    assert_eq!(db.query_scalar(sql).unwrap(), Value::Int(101));
+    assert_eq!(db.plan_cache_stats(), (1, 0), "the write kept the plan");
+    // A plan rejected before the write stays rejected after it: the write
+    // leaves the entry, and its verdict was never memoized.
+    let lookup = "SELECT n FROM t WHERE n = 7";
+    db.query(lookup).unwrap();
+    assert!(
+        db.mutate_cached_plan(lookup, &mut |plan| visit(plan, &mut |node| {
+            if let PhysPlan::IndexScan { index_name, .. } = node {
+                *index_name = "gone".to_string();
+            }
+        }))
+    );
+    assert!(db.query(lookup).is_err());
+    db.insert_rows("t", vec![row(101)]).unwrap();
+    let err = db.query(lookup).expect_err("a corrupt plan served");
+    assert_verify_error(lookup, &err, "index-keys", "no index named 'gone'");
 }
 
 // ---------------------------------------------------------------------
